@@ -26,8 +26,19 @@
 // device.SerialSubmitBatch and the device.NewPerIO wrapper force batches
 // through Submit one IO at a time, and differential oracles (a device
 // fuzz target plus full-plan, array and workload CSV byte-identity tests
-// in internal/paperexp) pin the two paths identical. On top of that, the
-// whole simulation stack snapshots — flash chips, arrays, every
+// in internal/paperexp) pin the two paths identical. Below the device the
+// flash layer is run-granular: pages are programmed in order and erased a
+// block at a time (Section 2.1), so a block's program cursor is the only
+// page state a chip keeps — a page is programmed exactly when it lies below
+// the cursor — and flash.Chip.ProgramRun/ReadRun (ftl.Array.ProgramRun/
+// ReadRun, with one block lookup per run) program or read n consecutive
+// pages with one validation plus cursor arithmetic, all or nothing, leaving
+// the page register and the counters exactly as n single-page calls would.
+// Both FTLs issue one run per mapping unit, merge copy, log append or
+// same-block stretch of a read; the single-page methods are the n = 1 case
+// of the same code, and a fuzz target compares every run against the
+// previous per-page chip, kept as a test-only reference model. On top of
+// that, the whole simulation stack snapshots — flash chips, arrays, every
 // translation layer and the simulated device itself expose deep Clone()
 // — so the engine enforces the paper's well-defined device state
 // (Section 4.1) once per (profile, capacity, seed) master and hands every
@@ -113,7 +124,8 @@
 // through relocations, merges, garbage collection and cache destages so a
 // read-after-write oracle can verify data integrity under OLTP/Zipf
 // workloads; and native go fuzz targets (make fuzz-smoke) cover the
-// block-trace CSV, result CSV and array-spec parsers with committed seed
+// block-trace CSV, result CSV and array-spec parsers and the two batch
+// primitives (SubmitBatch, the chip run operations) with committed seed
 // corpora.
 //
 // The implementation lives under internal/; see README.md for the layout,

@@ -13,18 +13,20 @@ import (
 // — while a clone only copies the in-memory state, so a Master turns N
 // per-shard enforcements into one enforcement plus N snapshots.
 //
-// The build function runs lazily on the first request and its result (or
-// error) is cached; Clone is safe for concurrent use from worker goroutines.
+// The build function runs lazily, once, on the first request and its result
+// (or error) is cached; Clone is safe for concurrent use from worker
+// goroutines, and since cloning only reads the master, concurrent clones run
+// in parallel instead of queueing behind each other's deep copy.
 // Because every shard starts from the same master state, the merged results
 // are still a pure function of the plan and options — and byte-identical to
 // rebuilding and re-enforcing each shard's device with the same seed.
 type Master struct {
 	build func() (device.Cloneable, time.Duration, error)
 
-	mu  sync.Mutex
-	dev device.Cloneable
-	at  time.Duration
-	err error
+	once sync.Once // guards the one build; dev, at and err are read-only after it
+	dev  device.Cloneable
+	at   time.Duration
+	err  error
 }
 
 // NewMaster returns a Master over build, which must produce a fully prepared
@@ -37,11 +39,7 @@ func NewMaster(build func() (device.Cloneable, time.Duration, error)) *Master {
 // Clone returns an independent deep copy of the master device (building the
 // master first if needed) and the prepared start time.
 func (m *Master) Clone() (device.Device, time.Duration, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dev == nil && m.err == nil {
-		m.dev, m.at, m.err = m.build()
-	}
+	m.once.Do(func() { m.dev, m.at, m.err = m.build() })
 	if m.err != nil {
 		return nil, 0, m.err
 	}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -121,5 +123,56 @@ func TestMasterPropagatesBuildError(t *testing.T) {
 	}
 	if builds != 1 {
 		t.Fatalf("failing build ran %d times, want 1 (cached)", builds)
+	}
+}
+
+// TestMasterConcurrentClones has one goroutine per CPU clone the master at
+// once, the first of them racing to build it: the build must still run once,
+// and — cloning only reads the master, outside any lock — every clone must
+// be a full independent copy that services the same IOs at the same times.
+// Run under -race this is the check that the deep copy is free of writes to
+// the shared master.
+func TestMasterConcurrentClones(t *testing.T) {
+	builds := 0
+	m := engine.NewMaster(masterBuild(t, &builds))
+	n := max(runtime.GOMAXPROCS(0), 4)
+	ends := make([]time.Duration, n)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for round := 0; round < 3; round++ {
+				dev, at, err := m.Clone()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Mutate the clone while the others are still copying.
+				for i := int64(0); i < 32; i++ {
+					if at, err = dev.Submit(at, device.IO{Mode: device.Write, Off: i * 64 * 1024 % testCapacity, Size: 32 * 1024}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if round == 0 {
+					ends[g] = at
+				} else if at != ends[g] {
+					t.Errorf("goroutine %d: clone %d finished at %v, the first at %v", g, round, at, ends[g])
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if builds != 1 {
+		t.Fatalf("master built %d times, want 1", builds)
+	}
+	for g := 1; g < n; g++ {
+		if ends[g] != ends[0] {
+			t.Fatalf("clone of goroutine %d finished at %v, goroutine 0's at %v", g, ends[g], ends[0])
+		}
 	}
 }

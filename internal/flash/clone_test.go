@@ -112,3 +112,40 @@ func TestProgramReusesPayloadBuffer(t *testing.T) {
 		t.Fatalf("payload after reuse = %q, want %q", got, "abc")
 	}
 }
+
+// TestRestoreRejectsImpossibleBlockState: the cursor is the page state, so
+// the only block states a snapshot can get wrong are a cursor outside
+// [0, PagesPerBlock] and a wear counter the packed block state cannot hold.
+// Restore must refuse them and leave the chip untouched; both ends of the
+// cursor range themselves are valid.
+func TestRestoreRejectsImpossibleBlockState(t *testing.T) {
+	c := cloneTestChip(t)
+	if _, err := c.ProgramRun(0, 0, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	ppb := c.Geometry().PagesPerBlock
+	for name, corrupt := range map[string]func(*BlockSnapshot){
+		"cursor below zero":    func(b *BlockSnapshot) { b.NextPage = -1 },
+		"cursor past block":    func(b *BlockSnapshot) { b.NextPage = ppb + 1 },
+		"negative erase count": func(b *BlockSnapshot) { b.EraseCount = -1 },
+		"erase count overflow": func(b *BlockSnapshot) { b.EraseCount = 1 << 31 },
+	} {
+		s := c.Snapshot()
+		corrupt(&s.Blocks[3])
+		s.Blocks[0].NextPage = ppb // valid, but must not be applied either
+		if err := c.Restore(s); err == nil {
+			t.Errorf("%s: Restore accepted the snapshot", name)
+		}
+		if next, _ := c.NextProgramPage(0); next != 2 {
+			t.Fatalf("%s: rejected Restore moved block 0's cursor to %d", name, next)
+		}
+	}
+	s := c.Snapshot()
+	s.Blocks[0].NextPage, s.Blocks[1].NextPage = ppb, 0
+	if err := c.Restore(s); err != nil {
+		t.Fatalf("Restore refused cursors at the ends of the range: %v", err)
+	}
+	if _, err := c.ReadRun(0, 0, ppb); err != nil {
+		t.Fatalf("restored full block does not read back: %v", err)
+	}
+}

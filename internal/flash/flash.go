@@ -6,6 +6,13 @@
 // SLC), wear tracking and bad-block marking, two planes (even/odd blocks)
 // that can operate concurrently, and an optional page register cache.
 //
+// Sequential programming plus block-granular erase mean a page is programmed
+// exactly when it lies below its block's program cursor, so the cursor is the
+// only page state the chip keeps, and programming or reading a run of
+// consecutive pages is one validation plus cursor arithmetic (ProgramRun,
+// ReadRun). The single-page operations are the one-page case of the run
+// operations.
+//
 // The chip does not store payload data by default — the simulator is about
 // timing, and a 32 GB device would need 32 GB of RAM — but payload storage
 // can be enabled for integrity testing on small chips.
@@ -14,6 +21,7 @@ package flash
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -59,6 +67,8 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("flash: PageSize %d must be positive", g.PageSize)
 	case g.PagesPerBlock <= 0:
 		return fmt.Errorf("flash: PagesPerBlock %d must be positive", g.PagesPerBlock)
+	case g.PagesPerBlock > math.MaxInt16:
+		return fmt.Errorf("flash: PagesPerBlock %d exceeds the %d the block cursor can hold", g.PagesPerBlock, math.MaxInt16)
 	case g.Blocks <= 0:
 		return fmt.Errorf("flash: Blocks %d must be positive", g.Blocks)
 	case g.Planes != 1 && g.Planes != 2:
@@ -125,8 +135,9 @@ var (
 	ErrPayloadTooLong = errors.New("flash: payload longer than page size")
 )
 
-// PageState tracks what the chip knows about a page. (Validity of the data —
-// live vs obsolete — is the FTL's concern, not the chip's.)
+// PageState is what the chip knows about a page, derived from the block's
+// program cursor. (Validity of the data — live vs obsolete — is the FTL's
+// concern, not the chip's.)
 type PageState uint8
 
 const (
@@ -136,9 +147,13 @@ const (
 	PageProgrammed
 )
 
+// blockState is everything the chip tracks per block, packed into 8 bytes so
+// a chip clone is one small bulk copy. Pages [0,nextPage) are programmed and
+// the rest erased; the erase budget (at most 10^6) fits an int32 and
+// Geometry.Validate bounds PagesPerBlock to an int16.
 type blockState struct {
-	eraseCount int
-	nextPage   int // next programmable page index (sequential constraint)
+	eraseCount int32
+	nextPage   int16 // program cursor: the only page that may be programmed next
 	bad        bool
 }
 
@@ -159,11 +174,7 @@ type Chip struct {
 	cell   CellType
 
 	blocks []blockState
-	// pages holds every page's state in one flat slice indexed
-	// block*PagesPerBlock+page, so cloning the chip is two bulk copies
-	// instead of one allocation per block.
-	pages []PageState
-	stats Stats
+	stats  Stats
 
 	// cachedBlock/cachedPage track the page currently held in the page
 	// register of each plane; re-reading it skips the cell-array read.
@@ -206,7 +217,6 @@ func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 		timing:      TypicalTiming(cell),
 		cell:        cell,
 		blocks:      make([]blockState, geo.Blocks),
-		pages:       make([]PageState, int64(geo.Blocks)*int64(geo.PagesPerBlock)),
 		cachedBlock: make([]int, geo.Planes),
 		cachedPage:  make([]int, geo.Planes),
 	}
@@ -221,7 +231,7 @@ func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 	return c, nil
 }
 
-// Clone returns a deep copy of the chip: block and page state, wear
+// Clone returns a deep copy of the chip: block cursors, wear
 // counters, operation stats, page-register contents and (when payload
 // storage is enabled) the stored data. The clone and the original evolve
 // independently; driving both with the same operation sequence yields
@@ -229,7 +239,6 @@ func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 func (c *Chip) Clone() *Chip {
 	g := *c
 	g.blocks = append([]blockState(nil), c.blocks...)
-	g.pages = append([]PageState(nil), c.pages...)
 	g.cachedBlock = append([]int(nil), c.cachedBlock...)
 	g.cachedPage = append([]int(nil), c.cachedPage...)
 	if c.storeData {
@@ -262,7 +271,7 @@ func (c *Chip) EraseCount(block int) (int, error) {
 	if block < 0 || block >= c.geo.Blocks {
 		return 0, ErrOutOfRange
 	}
-	return c.blocks[block].eraseCount, nil
+	return int(c.blocks[block].eraseCount), nil
 }
 
 // IsBad reports whether a block has been marked bad (worn out or via MarkBad).
@@ -288,7 +297,10 @@ func (c *Chip) PageStateAt(block, page int) (PageState, error) {
 	if err := c.checkAddr(block, page); err != nil {
 		return 0, err
 	}
-	return c.pages[c.pageIndex(block, page)], nil
+	if page < int(c.blocks[block].nextPage) {
+		return PageProgrammed, nil
+	}
+	return PageErased, nil
 }
 
 // NextProgramPage returns the next page index that may be programmed in the
@@ -298,7 +310,7 @@ func (c *Chip) NextProgramPage(block int) (int, error) {
 	if block < 0 || block >= c.geo.Blocks {
 		return 0, ErrOutOfRange
 	}
-	return c.blocks[block].nextPage, nil
+	return int(c.blocks[block].nextPage), nil
 }
 
 func (c *Chip) checkAddr(block, page int) error {
@@ -317,26 +329,41 @@ func (c *Chip) pageIndex(block, page int) int64 {
 // already held in the register skips the cell-array read (the page-cache
 // effect Section 2.1 mentions).
 func (c *Chip) ReadPage(block, page int) (time.Duration, error) {
-	if err := c.checkAddr(block, page); err != nil {
-		return 0, err
+	return c.ReadRun(block, page, 1)
+}
+
+// ReadRun reads the n >= 1 consecutive pages [first, first+n) of a block,
+// returning their total duration. It validates once and either reads the
+// whole run or fails without side effects, with the error the first
+// offending page would have produced; on success the page register and the
+// stats are exactly as after n single-page reads (only the run's first page
+// can hit the register; the last one stays in it).
+//
+//uflint:hotpath
+func (c *Chip) ReadRun(block, first, n int) (time.Duration, error) {
+	if c.checkAddr(block, first) != nil || n < 1 {
+		return 0, ErrOutOfRange
 	}
 	b := &c.blocks[block]
 	if b.bad {
 		return 0, ErrBadBlock
 	}
-	if c.pages[c.pageIndex(block, page)] != PageProgrammed {
-		return 0, ErrReadErased
+	if cursor := int(b.nextPage); n > cursor-first {
+		// The first page at or past the cursor is erased — unless the
+		// cursor is the end of the block, where it is no page at all.
+		if cursor < c.geo.PagesPerBlock {
+			return 0, ErrReadErased
+		}
+		return 0, ErrOutOfRange
 	}
-	c.stats.Reads++
+	c.stats.Reads += int64(n)
 	plane := c.geo.Plane(block)
-	var d time.Duration
-	if c.cachedBlock[plane] != block || c.cachedPage[plane] != page {
-		d += c.timing.ReadPage
-		c.cachedBlock[plane] = block
-		c.cachedPage[plane] = page
+	misses := n
+	if c.cachedBlock[plane] == block && c.cachedPage[plane] == first {
+		misses--
 	}
-	d += c.transfer
-	return d, nil
+	c.cachedBlock[plane], c.cachedPage[plane] = block, first+n-1
+	return time.Duration(n)*c.transfer + time.Duration(misses)*c.timing.ReadPage, nil
 }
 
 // ReadData returns the payload of a page; requires WithDataStorage. The
@@ -350,7 +377,7 @@ func (c *Chip) ReadData(block, page int) ([]byte, error) {
 	if err := c.checkAddr(block, page); err != nil {
 		return nil, err
 	}
-	if c.pages[c.pageIndex(block, page)] != PageProgrammed {
+	if page >= int(c.blocks[block].nextPage) {
 		return nil, ErrReadErased
 	}
 	return c.data[c.pageIndex(block, page)], nil
@@ -360,43 +387,62 @@ func (c *Chip) ReadData(block, page int) ([]byte, error) {
 // pages within a block are programmed in order. payload may be nil; when the
 // chip stores data, the payload (up to PageSize bytes) is retained.
 func (c *Chip) ProgramPage(block, page int, payload []byte) (time.Duration, error) {
-	if err := c.checkAddr(block, page); err != nil {
-		return 0, err
+	return c.ProgramRun(block, page, 1, payload)
+}
+
+// ProgramRun programs the n >= 1 consecutive pages [first, first+n) of a
+// block, which must start at the block's program cursor, returning their total
+// duration. payload may be nil; otherwise it is the pages' payloads back to
+// back, PageSize bytes each (the last may be shorter), retained when the
+// chip stores data. It validates once and either programs the whole run or
+// fails without side effects, with the error the first offending page would
+// have produced; on success the page register and the stats are exactly as
+// after n single-page programs.
+//
+//uflint:hotpath
+func (c *Chip) ProgramRun(block, first, n int, payload []byte) (time.Duration, error) {
+	if c.checkAddr(block, first) != nil || n < 1 {
+		return 0, ErrOutOfRange
 	}
 	b := &c.blocks[block]
-	if b.bad {
+	switch cursor := int(b.nextPage); {
+	case b.bad:
 		return 0, ErrBadBlock
-	}
-	if c.pages[c.pageIndex(block, page)] != PageErased {
+	case first < cursor:
 		return 0, ErrNotErased
-	}
-	if page != b.nextPage {
+	case first > cursor:
 		return 0, ErrOutOfOrder
-	}
-	if len(payload) > c.geo.PageSize {
+	case n > c.geo.PagesPerBlock-first:
+		return 0, ErrOutOfRange
+	case len(payload) > n*c.geo.PageSize:
 		return 0, ErrPayloadTooLong
 	}
-	c.pages[c.pageIndex(block, page)] = PageProgrammed
-	b.nextPage++
-	c.stats.Programs++
+	b.nextPage += int16(n)
+	c.stats.Programs += int64(n)
 	if c.storeData {
-		// Reuse the page's previous buffer (kept across erases) instead of
-		// allocating a fresh one per program.
-		idx := c.pageIndex(block, page)
-		buf := c.data[idx]
-		if cap(buf) >= len(payload) {
-			buf = buf[:len(payload)]
-		} else {
-			buf = make([]byte, len(payload))
-		}
-		copy(buf, payload)
-		c.data[idx] = buf
+		c.storeRun(c.pageIndex(block, first), n, payload)
 	}
 	// Invalidate the register if it held a page of this plane.
 	plane := c.geo.Plane(block)
 	c.cachedBlock[plane], c.cachedPage[plane] = -1, -1
-	d := c.transfer + c.timing.ProgramPage
-	return d, nil
+	return time.Duration(n) * (c.transfer + c.timing.ProgramPage), nil
+}
+
+// storeRun retains the payloads of n pages starting at global page index
+// idx, reusing each page's previous buffer (kept across erases) instead of
+// allocating a fresh one per program.
+func (c *Chip) storeRun(idx int64, n int, payload []byte) {
+	for i := 0; i < n; i++ {
+		page := payload[min(i*c.geo.PageSize, len(payload)):min((i+1)*c.geo.PageSize, len(payload))]
+		buf := c.data[idx+int64(i)]
+		if cap(buf) >= len(page) {
+			buf = buf[:len(page)]
+		} else {
+			buf = make([]byte, len(page))
+		}
+		copy(buf, page)
+		c.data[idx+int64(i)] = buf
+	}
 }
 
 // EraseBlock erases a block, returning it to the all-erased state. When the
@@ -412,15 +458,13 @@ func (c *Chip) EraseBlock(block int) (time.Duration, error) {
 	}
 	b.eraseCount++
 	c.stats.Erases++
-	if b.eraseCount > c.cell.EraseLimit() {
+	if int(b.eraseCount) > c.cell.EraseLimit() {
 		b.bad = true
 		return c.timing.EraseBlock, ErrWornOut
 	}
-	base := c.pageIndex(block, 0)
-	clear(c.pages[base : base+int64(c.geo.PagesPerBlock)]) // PageErased is the zero state
+	// Payload buffers are kept (the cursor already marks them stale) so the
+	// next program of the page can overwrite them in place.
 	b.nextPage = 0
-	// Payload buffers are kept (the page state already marks them stale) so
-	// the next program of the page can overwrite them in place.
 	plane := c.geo.Plane(block)
 	if c.cachedBlock[plane] == block {
 		c.cachedBlock[plane], c.cachedPage[plane] = -1, -1

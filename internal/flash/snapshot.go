@@ -1,13 +1,17 @@
 package flash
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// BlockSnapshot is the serializable state of one flash block.
+// BlockSnapshot is the serializable state of one flash block. NextPage is
+// the program cursor: pages below it are programmed, the rest erased, so a
+// snapshot cannot describe page states that disagree with the cursor.
 type BlockSnapshot struct {
 	EraseCount int
 	NextPage   int
 	Bad        bool
-	Pages      []PageState
 }
 
 // ChipSnapshot is the full serializable state of a chip: everything Clone
@@ -38,15 +42,8 @@ func (c *Chip) Snapshot() *ChipSnapshot {
 		CachedBlock: append([]int(nil), c.cachedBlock...),
 		CachedPage:  append([]int(nil), c.cachedPage...),
 	}
-	ppb := int64(c.geo.PagesPerBlock)
 	for i, b := range c.blocks {
-		base := int64(i) * ppb
-		s.Blocks[i] = BlockSnapshot{
-			EraseCount: b.eraseCount,
-			NextPage:   b.nextPage,
-			Bad:        b.bad,
-			Pages:      append([]PageState(nil), c.pages[base:base+ppb]...),
-		}
+		s.Blocks[i] = BlockSnapshot{EraseCount: int(b.eraseCount), NextPage: int(b.nextPage), Bad: b.bad}
 	}
 	if c.storeData {
 		s.Data = make(map[int64][]byte, len(c.data))
@@ -79,19 +76,16 @@ func (c *Chip) Restore(s *ChipSnapshot) error {
 	case len(s.Data) > 0 && !c.storeData:
 		return fmt.Errorf("flash: snapshot carries payloads but the chip does not store data")
 	}
-	for i := range s.Blocks {
-		if len(s.Blocks[i].Pages) != c.geo.PagesPerBlock {
-			return fmt.Errorf("flash: snapshot block %d has %d pages, want %d", i, len(s.Blocks[i].Pages), c.geo.PagesPerBlock)
+	for i, b := range s.Blocks {
+		if b.NextPage < 0 || b.NextPage > c.geo.PagesPerBlock {
+			return fmt.Errorf("flash: snapshot block %d has program cursor %d outside [0,%d]", i, b.NextPage, c.geo.PagesPerBlock)
+		}
+		if b.EraseCount < 0 || b.EraseCount > math.MaxInt32 {
+			return fmt.Errorf("flash: snapshot block %d has erase count %d outside [0,%d]", i, b.EraseCount, math.MaxInt32)
 		}
 	}
-	ppb := int64(c.geo.PagesPerBlock)
 	for i, b := range s.Blocks {
-		c.blocks[i] = blockState{
-			eraseCount: b.EraseCount,
-			nextPage:   b.NextPage,
-			bad:        b.Bad,
-		}
-		copy(c.pages[int64(i)*ppb:(int64(i)+1)*ppb], b.Pages)
+		c.blocks[i] = blockState{eraseCount: int32(b.EraseCount), nextPage: int16(b.NextPage), bad: b.Bad}
 	}
 	c.stats = s.Stats
 	copy(c.cachedBlock, s.CachedBlock)

@@ -9,10 +9,10 @@ import (
 // Array presents a set of identical flash chips as one pool of globally
 // numbered flash blocks. Global block g lives on chip g / blocksPerChip.
 // Interleaving logical data across chips is the FTL's job; the array only
-// provides addressing and state operations. Timing is handled by the
-// CostModel, so the durations returned by the chips are discarded here —
-// the chips are kept honest about *state* (sequential programming, erase
-// budgets), not timing.
+// provides addressing and state operations, page at a time or over a run of
+// consecutive pages of one block. Timing is handled by the CostModel, so the
+// durations returned by the chips are discarded here — the chips are kept
+// honest about *state* (sequential programming, erase budgets), not timing.
 type Array struct {
 	chips         []*flash.Chip
 	geo           flash.Geometry //uflint:shared — derived from the chips at construction
@@ -102,22 +102,42 @@ func (a *Array) locate(gb int) (*flash.Chip, int, error) {
 }
 
 // ReadPage reads one page of global block gb.
-func (a *Array) ReadPage(gb, page int) error {
+func (a *Array) ReadPage(gb, page int) error { return a.ReadRun(gb, page, 1) }
+
+// ReadRun reads the n consecutive pages [first, first+n) of global block gb
+// with one block lookup: all of them, or none and the error of the first
+// offending page (flash.Chip.ReadRun).
+//
+//uflint:hotpath
+func (a *Array) ReadRun(gb, first, n int) error {
 	c, lb, err := a.locate(gb)
 	if err != nil {
 		return err
 	}
-	_, err = c.ReadPage(lb, page)
+	_, err = c.ReadRun(lb, first, n)
 	return err
 }
 
 // ProgramPage programs one page of global block gb.
-func (a *Array) ProgramPage(gb, page int) error {
+func (a *Array) ProgramPage(gb, page int) error { return a.ProgramRun(gb, page, 1, nil) }
+
+// ProgramPageData programs one page of global block gb with a payload.
+func (a *Array) ProgramPageData(gb, page int, payload []byte) error {
+	return a.ProgramRun(gb, page, 1, payload)
+}
+
+// ProgramRun programs the n consecutive pages [first, first+n) of global
+// block gb with one block lookup: all of them, or none and the error of the
+// first offending page. payload is nil or the pages' payloads back to back
+// (flash.Chip.ProgramRun).
+//
+//uflint:hotpath
+func (a *Array) ProgramRun(gb, first, n int, payload []byte) error {
 	c, lb, err := a.locate(gb)
 	if err != nil {
 		return err
 	}
-	_, err = c.ProgramPage(lb, page, nil)
+	_, err = c.ProgramRun(lb, first, n, payload)
 	return err
 }
 
@@ -125,16 +145,6 @@ func (a *Array) ProgramPage(gb, page int) error {
 // built with flash.WithDataStorage) — the switch that turns on the FTLs'
 // data plane.
 func (a *Array) StoresData() bool { return a.chips[0].StoresData() }
-
-// ProgramPageData programs one page of global block gb with a payload.
-func (a *Array) ProgramPageData(gb, page int, payload []byte) error {
-	c, lb, err := a.locate(gb)
-	if err != nil {
-		return err
-	}
-	_, err = c.ProgramPage(lb, page, payload)
-	return err
-}
 
 // PageData returns the stored payload of a programmed page of gb. The slice
 // aliases the chip's internal buffer and is only valid until the page's

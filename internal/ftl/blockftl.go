@@ -72,11 +72,12 @@ type BlockFTL struct {
 	lastReadSlot int64
 
 	// Data plane (flash built with data storage only): pending host bytes
-	// of the WriteData call in flight, and a one-page staging buffer.
+	// of the WriteData call in flight, and a one-block staging buffer for
+	// the payload of a program run.
 	dataMode   bool   //uflint:shared — wired at construction from the flash build
 	pending    []byte //uflint:scratch — alive only within one WriteData call
 	pendingOff int64  //uflint:scratch — alive only within one WriteData call
-	pageBuf    []byte //uflint:scratch — staging buffer; contents dead between calls
+	runBuf     []byte //uflint:scratch — staging buffer; contents dead between calls
 }
 
 // NewBlockFTL builds a block-mapped FTL over the array. The flash must be in
@@ -107,7 +108,7 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 	f.book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit)
 	if arr.StoresData() {
 		f.dataMode = true
-		f.pageBuf = make([]byte, geo.PageSize)
+		f.runBuf = make([]byte, geo.BlockSize())
 	}
 	return f, nil
 }
@@ -128,7 +129,7 @@ func (f *BlockFTL) Clone() Translator {
 	g.free = f.free.clone()
 	g.book = f.book.clone()
 	if f.dataMode {
-		g.pageBuf = make([]byte, len(f.pageBuf))
+		g.runBuf = make([]byte, len(f.runBuf))
 	}
 	g.pending = nil
 	return &g
@@ -168,33 +169,40 @@ func (f *BlockFTL) dataNext(lbn int64) int {
 }
 
 // copyPages copies pages [from,to) of the lbn's data block into the log
-// block at the same offsets, programming blank filler for pages the data
-// block never held (the chip's sequential constraint requires every page of
-// the gap to be programmed).
+// block at the same offsets — one read run over the pages the data block
+// holds, one program run over the whole range — programming blank filler for
+// pages the data block never held (the chip's sequential constraint requires
+// every page of the gap to be programmed).
+//
+//uflint:hotpath
 func (f *BlockFTL) copyPages(lbn int64, log *logEnt, from, to int, ops *Ops) error {
 	if to <= from {
 		return nil
 	}
 	pb := int(f.data[lbn])
-	have := f.dataNext(lbn)
-	for p := from; p < to; p++ {
-		var payload []byte
-		if f.data[lbn] >= 0 && p < have {
-			if err := f.arr.ReadPage(pb, p); err != nil {
-				return fmt.Errorf("ftl: merge read: %w", err)
-			}
-			ops.MergeReads++
-			f.stats.PagesRead++
-			if f.dataMode {
-				payload, _ = f.arr.PageData(pb, p) // moved verbatim
-			}
+	held := min(to, f.dataNext(lbn)) - from // pages of the range the data block holds
+	if held > 0 {
+		if err := f.arr.ReadRun(pb, from, held); err != nil {
+			return fmt.Errorf("ftl: merge read: %w", err)
 		}
-		if err := f.arr.ProgramPageData(log.pb, p, payload); err != nil {
-			return fmt.Errorf("ftl: merge program: %w", err)
-		}
-		ops.MergePrograms++
-		f.stats.PagesProgrammed++
+		ops.MergeReads += held
+		f.stats.PagesRead += int64(held)
 	}
+	var payload []byte
+	if f.dataMode {
+		pageSize := f.arr.Geometry().PageSize
+		payload = f.runBuf[:(to-from)*pageSize]
+		clear(payload)
+		for i := 0; i < held; i++ {
+			data, _ := f.arr.PageData(pb, from+i) // moved verbatim
+			copy(payload[i*pageSize:(i+1)*pageSize], data)
+		}
+	}
+	if err := f.arr.ProgramRun(log.pb, from, to-from, payload); err != nil {
+		return fmt.Errorf("ftl: merge program: %w", err)
+	}
+	ops.MergePrograms += to - from
+	f.stats.PagesProgrammed += int64(to - from)
 	log.nextPage = to
 	return nil
 }
@@ -258,16 +266,25 @@ func (f *BlockFTL) allocLog(lbn int64, ops *Ops) (*logEnt, error) {
 	return log, nil
 }
 
-// pageLocation resolves where page p of lbn currently lives: the log block,
-// the data block, or nowhere.
-func (f *BlockFTL) pageLocation(lbn int64, p int) (block int, ok bool) {
+// pageRun resolves where the pages of lbn starting at p currently live — the
+// log block, the data block, or nowhere (ok false) — and how many consecutive
+// pages [p, p+n), n <= limit, share that location: each block holds a
+// contiguous prefix of the logical block, the log's shadowing the data
+// block's.
+func (f *BlockFTL) pageRun(lbn int64, p, limit int) (block, n int, ok bool) {
 	if log := f.logs[lbn]; log != nil && p < log.nextPage {
-		return log.pb, true
+		return log.pb, min(limit, log.nextPage-p), true
 	}
-	if f.data[lbn] >= 0 && p < f.dataNext(lbn) {
-		return int(f.data[lbn]), true
+	if next := f.dataNext(lbn); p < next {
+		return int(f.data[lbn]), min(limit, next-p), true
 	}
-	return 0, false
+	return 0, limit, false
+}
+
+// pageLocation resolves where page p of lbn currently lives.
+func (f *BlockFTL) pageLocation(lbn int64, p int) (block int, ok bool) {
+	block, _, ok = f.pageRun(lbn, p, 1)
+	return block, ok
 }
 
 // writeSegment services the part of a write that falls inside one logical
@@ -321,17 +338,21 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 			return err
 		}
 	}
-	for p := sPage; p <= ePage; p++ {
-		var payload []byte
-		if f.dataMode {
-			payload = f.stagePage(lbn, p)
+	n := ePage - sPage + 1
+	var payload []byte
+	if f.dataMode {
+		// None of the run's pages is in the log yet, so staging them all
+		// before the program reads what page-at-a-time staging would.
+		payload = f.runBuf[:n*int(pageSize)]
+		for i := 0; i < n; i++ {
+			f.stagePage(lbn, sPage+i, payload[i*int(pageSize):(i+1)*int(pageSize)])
 		}
-		if err := f.arr.ProgramPageData(log.pb, p, payload); err != nil {
-			return fmt.Errorf("ftl: log program: %w", err)
-		}
-		ops.PagePrograms++
-		f.stats.PagesProgrammed++
 	}
+	if err := f.arr.ProgramRun(log.pb, sPage, n, payload); err != nil {
+		return fmt.Errorf("ftl: log program: %w", err)
+	}
+	ops.PagePrograms += n
+	f.stats.PagesProgrammed += int64(n)
 	log.nextPage = ePage + 1
 	f.tick++
 	log.lastUse = f.tick
@@ -348,23 +369,22 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 	return nil
 }
 
-// stagePage assembles the payload for page p of lbn during a host write:
-// the page's current content (zeros when none) overlaid with the pending
-// WriteData bytes that fall inside the page. A plain Write on a
-// data-enabled stack has no pending bytes, leaving the covered range as the
-// page's old content — "unspecified", as documented on DataPlane.
-func (f *BlockFTL) stagePage(lbn int64, p int) []byte {
-	clear(f.pageBuf)
+// stagePage assembles into buf (one page long) the payload for page p of lbn
+// during a host write: the page's current content (zeros when none) overlaid
+// with the pending WriteData bytes that fall inside the page. A plain Write
+// on a data-enabled stack has no pending bytes, leaving the covered range as
+// the page's old content — "unspecified", as documented on DataPlane.
+func (f *BlockFTL) stagePage(lbn int64, p int, buf []byte) {
+	clear(buf)
 	if pb, ok := f.pageLocation(lbn, p); ok {
 		if data, err := f.arr.PageData(pb, p); err == nil {
-			copy(f.pageBuf, data)
+			copy(buf, data)
 		}
 	}
 	if f.pending != nil {
-		pageStart := lbn*f.blockBytes + int64(p)*int64(len(f.pageBuf))
-		overlay(f.pageBuf, pageStart, f.pending, f.pendingOff)
+		pageStart := lbn*f.blockBytes + int64(p)*int64(len(buf))
+		overlay(buf, pageStart, f.pending, f.pendingOff)
 	}
-	return f.pageBuf
 }
 
 // StoresData reports whether the flash underneath retains payloads.
@@ -461,27 +481,23 @@ func (f *BlockFTL) Read(off, length int64) (Ops, error) {
 	p0 := off / pageSize
 	p1 := (off + length - 1) / pageSize
 	first := true
-	for gp := p0; gp <= p1; gp++ {
+	// One read run per stretch of pages that share a physical block.
+	for gp := p0; gp <= p1; {
 		lbn := gp * pageSize / f.blockBytes
-		pageInBlock := int(gp % (f.blockBytes / pageSize))
-		pb, ok := f.pageLocation(lbn, pageInBlock)
+		pageInBlock := int(gp % int64(f.pagesPerBlock))
+		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min64(int64(f.pagesPerBlock-pageInBlock), p1-gp+1)))
+		gp += int64(n)
 		if !ok {
-			ops.RAMBytes += pageSize
+			ops.RAMBytes += int64(n) * pageSize
 			continue
 		}
-		if err := f.arr.ReadPage(pb, pageInBlock); err != nil {
+		if err := f.arr.ReadRun(pb, pageInBlock, n); err != nil {
 			return ops, fmt.Errorf("ftl: read: %w", err)
 		}
-		ops.PageReads++
-		f.stats.PagesRead++
+		f.stats.PagesRead += int64(n)
 		physSlot := int64(pb)*int64(f.pagesPerBlock) + int64(pageInBlock)
-		if physSlot == f.lastReadSlot+1 {
-			ops.SeqPageReads++
-		} else if first {
-			ops.Stall += f.model.ReadSeek
-		}
+		chargeReadRun(&ops, &f.lastReadSlot, physSlot, n, first, f.model.ReadSeek)
 		first = false
-		f.lastReadSlot = physSlot
 	}
 	return ops, nil
 }

@@ -84,15 +84,47 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
+// AddFlashWork accumulates into s the flash operations o accounts for.
+// (Exported, like FlashBooks, for the external integrity tests.)
+func AddFlashWork(s *flash.Stats, o Ops) {
+	s.Reads += int64(o.PageReads + o.MergeReads)
+	s.Programs += int64(o.PagePrograms + o.MergePrograms)
+	s.Erases += int64(o.Erases)
+}
+
+// FlashBooks returns what the chips under a translation stack counted and
+// what the stack's FTL claims to have asked of them.
+func FlashBooks(tr Translator) (chips, claimed flash.Stats) {
+	books := func(arr *Array, st Stats) (flash.Stats, flash.Stats) {
+		return arr.Stats(), flash.Stats{Reads: st.PagesRead, Programs: st.PagesProgrammed, Erases: st.BlocksErased}
+	}
+	switch tr := tr.(type) {
+	case *WriteCache:
+		return FlashBooks(tr.Inner())
+	case *PageFTL:
+		return books(tr.arr, tr.stats)
+	case *BlockFTL:
+		return books(tr.arr, tr.stats)
+	}
+	panic("ftl: unknown translator")
+}
+
 // assertCloneEquivalent drives k IOs on the original, clones it, then drives
 // n more IOs on both and asserts identical per-IO Ops streams, FTL stats and
 // flash wear state — the clone-correctness oracle of the snapshot subsystem.
-func assertCloneEquivalent(t *testing.T, tr Translator, arrOf func(Translator) *Array, statsOf func(Translator) Stats, k, n int) {
+// On both it also checks the run-granular flash calls against the books: the
+// chips must have counted exactly the page reads, programs and erases the
+// FTL's counters claim and — when opsComplete says every flash operation is
+// reported in some IO's Ops (no journal discount, no background reclamation
+// or destaging) — exactly the sum of the Ops returned.
+func assertCloneEquivalent(t *testing.T, tr Translator, arrOf func(Translator) *Array, statsOf func(Translator) Stats, k, n int, opsComplete bool) {
 	t.Helper()
+	var work flash.Stats
 	for i := 0; i < k; i++ {
-		driveOne(t, tr, i)
+		AddFlashWork(&work, driveOne(t, tr, i))
 	}
 	cl := tr.Clone()
+	cloneWork := work
 	if got, want := statsOf(cl), statsOf(tr); got != want {
 		t.Fatalf("clone stats diverge at snapshot: %+v vs %+v", got, want)
 	}
@@ -105,6 +137,8 @@ func assertCloneEquivalent(t *testing.T, tr Translator, arrOf func(Translator) *
 		if a != b {
 			t.Fatalf("io %d: ops diverge: original %+v clone %+v", i, a, b)
 		}
+		AddFlashWork(&work, a)
+		AddFlashWork(&cloneWork, b)
 	}
 	if got, want := statsOf(cl), statsOf(tr); got != want {
 		t.Fatalf("stats diverge after replay: %+v vs %+v", got, want)
@@ -112,12 +146,23 @@ func assertCloneEquivalent(t *testing.T, tr Translator, arrOf func(Translator) *
 	if !equalInts(wearOf(t, arrOf(cl)), wearOf(t, arrOf(tr))) {
 		t.Fatal("wear state diverges after replay")
 	}
+	for _, side := range []struct {
+		name string
+		tr   Translator
+		work flash.Stats
+	}{{"original", tr, work}, {"clone", cl, cloneWork}} {
+		chips, claimed := FlashBooks(side.tr)
+		if chips != claimed {
+			t.Fatalf("%s: chips counted %+v, the FTL's counters claim %+v", side.name, chips, claimed)
+		}
+		if opsComplete && chips != side.work {
+			t.Fatalf("%s: chips counted %+v, the Ops stream sums to %+v", side.name, chips, side.work)
+		}
+	}
 }
 
 func TestPageFTLCloneEquivalence(t *testing.T) {
-	arr := cloneArray(t)
-	cost := DefaultCostModel(flash.TypicalTiming(flash.SLC), arr.Geometry().PageSize+arr.Geometry().OOBSize)
-	f, err := NewPageFTL(arr, PageConfig{
+	cfg := PageConfig{
 		LogicalBytes:    8 << 20,
 		UnitBytes:       32 * 1024,
 		WritePoints:     2,
@@ -128,14 +173,25 @@ func TestPageFTLCloneEquivalence(t *testing.T) {
 		MapDirtyLimit:   4,
 		MapUnitsPerPage: 16,
 		JournalMaxBytes: 8 * 1024,
-	}, cost)
-	if err != nil {
-		t.Fatal(err)
 	}
-	assertCloneEquivalent(t, f,
-		func(tr Translator) *Array { return tr.(*PageFTL).arr },
-		func(tr Translator) Stats { return tr.(*PageFTL).Stats() },
-		600, 600)
+	// Without the journal's discount and background reclamation every flash
+	// operation shows up in some IO's Ops.
+	inline := cfg
+	inline.AsyncReclaim, inline.ReadSteal, inline.JournalMaxBytes = false, 0, 0
+	for name, cfg := range map[string]PageConfig{"async+journal": cfg, "inline": inline} {
+		t.Run(name, func(t *testing.T) {
+			arr := cloneArray(t)
+			cost := DefaultCostModel(flash.TypicalTiming(flash.SLC), arr.Geometry().PageSize+arr.Geometry().OOBSize)
+			f, err := NewPageFTL(arr, cfg, cost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertCloneEquivalent(t, f,
+				func(tr Translator) *Array { return tr.(*PageFTL).arr },
+				func(tr Translator) Stats { return tr.(*PageFTL).Stats() },
+				600, 600, name == "inline")
+		})
+	}
 }
 
 func TestBlockFTLCloneEquivalence(t *testing.T) {
@@ -153,7 +209,7 @@ func TestBlockFTLCloneEquivalence(t *testing.T) {
 	assertCloneEquivalent(t, f,
 		func(tr Translator) *Array { return tr.(*BlockFTL).arr },
 		func(tr Translator) Stats { return tr.(*BlockFTL).Stats() },
-		400, 400)
+		400, 400, true)
 }
 
 func TestWriteCacheCloneEquivalence(t *testing.T) {
@@ -184,7 +240,7 @@ func TestWriteCacheCloneEquivalence(t *testing.T) {
 	}
 	arrOf := func(tr Translator) *Array { return tr.(*WriteCache).Inner().(*PageFTL).arr }
 	statsOf := func(tr Translator) Stats { return tr.(*WriteCache).Inner().(*PageFTL).Stats() }
-	assertCloneEquivalent(t, c, arrOf, statsOf, 500, 500)
+	assertCloneEquivalent(t, c, arrOf, statsOf, 500, 500, false) // idle destages report no Ops
 
 	// Cache-level counters must match too.
 	cl := c.Clone().(*WriteCache)

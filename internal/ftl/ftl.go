@@ -220,3 +220,19 @@ func checkRange(off, length, capacity int64) error {
 	}
 	return nil
 }
+
+// chargeReadRun prices a run of n physically consecutive page reads starting
+// at physical page physSlot. Within the run every page follows its
+// predecessor, so only the run's first page can continue the stream that
+// ended at *last (pipelined like the rest) or, as the request's first flash
+// read, pay a seek. It leaves *last at the run's final page.
+func chargeReadRun(ops *Ops, last *int64, physSlot int64, n int, firstInRequest bool, seek time.Duration) {
+	ops.PageReads += n
+	ops.SeqPageReads += n - 1
+	if physSlot == *last+1 {
+		ops.SeqPageReads++
+	} else if firstInRequest {
+		ops.Stall += seek
+	}
+	*last = physSlot + int64(n) - 1
+}

@@ -24,6 +24,9 @@ const integrityLogical = 2 << 20 // 2 MiB keeps GC and merges busy
 type integrityStack struct {
 	name  string
 	build func(t *testing.T) ftl.DataPlane
+	// opsComplete: every flash operation is reported in some IO's Ops (no
+	// journal discount, no background reclamation or destaging).
+	opsComplete bool
 }
 
 func newDataArray(t *testing.T, raw int64) *ftl.Array {
@@ -84,16 +87,16 @@ func integrityStacks() []integrityStack {
 		DestageOnIdle: true,
 	}
 	return []integrityStack{
-		{"page", func(t *testing.T) ftl.DataPlane { return newIntegrityPage(t) }},
-		{"block", func(t *testing.T) ftl.DataPlane { return newIntegrityBlock(t) }},
-		{"cache+page", func(t *testing.T) ftl.DataPlane {
+		{name: "page", build: func(t *testing.T) ftl.DataPlane { return newIntegrityPage(t) }},
+		{name: "block", build: func(t *testing.T) ftl.DataPlane { return newIntegrityBlock(t) }, opsComplete: true},
+		{name: "cache+page", build: func(t *testing.T) ftl.DataPlane {
 			c, err := ftl.NewWriteCache(newIntegrityPage(t), cacheCfg, cost)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
 		}},
-		{"cache+block", func(t *testing.T) ftl.DataPlane {
+		{name: "cache+block", build: func(t *testing.T) ftl.DataPlane {
 			c, err := ftl.NewWriteCache(newIntegrityBlock(t), cacheCfg, cost)
 			if err != nil {
 				t.Fatal(err)
@@ -113,9 +116,14 @@ func fillPayload(buf []byte, n int) {
 // replayIntegrity drives the stack with the ops, mirroring every write into
 // the shadow image and checking every read against it. Periodic Idle calls
 // feed asynchronous reclamation and cache destaging; a mid-stream clone must
-// satisfy the same oracle afterwards.
-func replayIntegrity(t *testing.T, dp ftl.DataPlane, ops []workload.Op) {
+// satisfy the same oracle afterwards. The data plane's run-granular flash
+// calls are held to the books as well: the chips must have counted exactly
+// what the FTL's counters claim and, on an opsComplete stack, exactly the
+// sum of the Ops returned.
+func replayIntegrity(t *testing.T, st integrityStack, ops []workload.Op) {
 	t.Helper()
+	dp := st.build(t)
+	var work flash.Stats
 	shadow := make([]byte, integrityLogical)
 	payload := make([]byte, 64*1024)
 	got := make([]byte, 64*1024)
@@ -129,15 +137,19 @@ func replayIntegrity(t *testing.T, dp ftl.DataPlane, ops []workload.Op) {
 		if op.IO.Mode == device.Write {
 			p := payload[:size]
 			fillPayload(p, i)
-			if _, err := dp.WriteData(off, p); err != nil {
+			o, err := dp.WriteData(off, p)
+			if err != nil {
 				t.Fatalf("op %d: WriteData: %v", i, err)
 			}
+			ftl.AddFlashWork(&work, o)
 			copy(shadow[off:off+size], p)
 		} else {
 			g := got[:size]
-			if _, err := dp.ReadData(off, g); err != nil {
+			o, err := dp.ReadData(off, g)
+			if err != nil {
 				t.Fatalf("op %d: ReadData: %v", i, err)
 			}
+			ftl.AddFlashWork(&work, o)
 			if !bytes.Equal(g, shadow[off:off+size]) {
 				t.Fatalf("op %d: read [%d,+%d) returned stale or foreign bytes", i, off, size)
 			}
@@ -148,6 +160,13 @@ func replayIntegrity(t *testing.T, dp ftl.DataPlane, ops []workload.Op) {
 		if i == cloneAt {
 			clone = dp.(ftl.Translator).Clone().(ftl.DataPlane)
 		}
+	}
+	chips, claimed := ftl.FlashBooks(dp.(ftl.Translator))
+	if chips != claimed || (st.opsComplete && chips != work) {
+		t.Fatalf("chips counted %+v, the FTL's counters claim %+v, the Ops stream sums to %+v", chips, claimed, work)
+	}
+	if chips, claimed := ftl.FlashBooks(clone.(ftl.Translator)); chips != claimed {
+		t.Fatalf("clone: chips counted %+v, the FTL's counters claim %+v", chips, claimed)
 	}
 	// The clone froze the half-way state, including every stored payload;
 	// its reads must match the half-way shadow. Rebuild it by replaying the
@@ -186,7 +205,7 @@ func TestDataIntegrityUnderWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				replayIntegrity(t, st.build(t), ops)
+				replayIntegrity(t, st, ops)
 			})
 		}
 	}
@@ -212,7 +231,7 @@ func TestDataIntegrityUnaligned(t *testing.T) {
 				}
 				ops = append(ops, workload.Op{IO: device.IO{Mode: mode, Off: off, Size: size}})
 			}
-			replayIntegrity(t, st.build(t), ops)
+			replayIntegrity(t, st, ops)
 		})
 	}
 }

@@ -278,10 +278,8 @@ func (f *PageFTL) collectOne(ops *Ops) error {
 		}
 		liveUnits--
 		// Read the live unit's pages (merge path).
-		for p := 0; p < f.pagesPerUnit; p++ {
-			if err := f.arr.ReadPage(victim, slot*f.pagesPerUnit+p); err != nil {
-				return fmt.Errorf("ftl: gc read: %w", err)
-			}
+		if err := f.arr.ReadRun(victim, slot*f.pagesPerUnit, f.pagesPerUnit); err != nil {
+			return fmt.Errorf("ftl: gc read: %w", err)
 		}
 		ops.MergeReads += f.pagesPerUnit
 		f.stats.PagesRead += int64(f.pagesPerUnit)
@@ -313,29 +311,39 @@ func (f *PageFTL) pushVictim(block int) {
 	f.victims.Push(victimBlock{block: block, live: int(f.live[block]), eraseCount: ec, gen: f.vgen[block]})
 }
 
-// popVictim returns the closed block with the fewest live units, using a
-// lazy heap: ghost entries (from a block's previous life) are discarded and
-// stale entries (whose live count changed since push) are re-pushed with the
-// current count. Valid entries always satisfy live < unitsPerBlock because
-// entries are only pushed for blocks with obsolete slots and closed blocks
-// never gain live units.
-func (f *PageFTL) popVictim() (int, bool) {
+// peekVictim returns the closed block with the fewest live units and leaves
+// it on top of the heap. The heap is lazy: ghost entries (from a block's
+// previous life) are discarded and stale entries (whose live count changed
+// since push) are re-pushed with the current count until the top is valid.
+// Valid entries always satisfy live < unitsPerBlock because entries are only
+// pushed for blocks with obsolete slots and closed blocks never gain live
+// units.
+func (f *PageFTL) peekVictim() (int, bool) {
 	for f.victims.Len() > 0 {
-		v := f.victims.Pop()
-		if v.gen != f.vgen[v.block] || f.isOpen[v.block] {
-			continue // ghost from a previous life of this block
-		}
+		v := f.victims.Peek()
 		cur := f.live[v.block]
-		if int32(v.live) != cur {
+		switch {
+		case v.gen != f.vgen[v.block] || f.isOpen[v.block]:
+			f.victims.Pop() // ghost from a previous life of this block
+		case int32(v.live) != cur:
+			f.victims.Pop()
 			f.victims.Push(victimBlock{block: v.block, live: int(cur), eraseCount: v.eraseCount, gen: v.gen})
-			continue
+		case int(cur) >= f.unitsPerBlock:
+			f.victims.Pop() // duplicate entry gone stale; drop it
+		default:
+			return v.block, true
 		}
-		if int(cur) >= f.unitsPerBlock {
-			continue // duplicate entry gone stale; drop it
-		}
-		return v.block, true
 	}
 	return 0, false
+}
+
+// popVictim removes and returns the block peekVictim selects.
+func (f *PageFTL) popVictim() (int, bool) {
+	victim, ok := f.peekVictim()
+	if ok {
+		f.victims.Pop()
+	}
+	return victim, ok
 }
 
 func (f *PageFTL) closeWP(wp *writePoint) {
@@ -348,9 +356,12 @@ func (f *PageFTL) closeWP(wp *writePoint) {
 	wp.nextSlot = 0
 }
 
-// appendUnit writes one unit's worth of pages at wp, updating the maps.
-// hostPages of the unit carry host-supplied data (streamed, well pipelined);
-// the rest are read-modify-write copies priced on the merge path.
+// appendUnit writes one unit's worth of pages at wp — one program run —
+// updating the maps. hostPages of the unit carry host-supplied data (streamed,
+// well pipelined); the rest are read-modify-write copies priced on the merge
+// path.
+//
+//uflint:hotpath
 func (f *PageFTL) appendUnit(wp *writePoint, unit int64, ops *Ops, forGC bool, hostPages int) error {
 	if wp.block < 0 || wp.nextSlot >= f.unitsPerBlock {
 		f.closeWP(wp)
@@ -361,24 +372,16 @@ func (f *PageFTL) appendUnit(wp *writePoint, unit int64, ops *Ops, forGC bool, h
 		wp.block = b
 		wp.nextSlot = 0
 	}
+	var payload []byte
 	if f.dataMode {
 		// Stage the unit's payload — current content overlaid with any
 		// pending host bytes — after block allocation (an inline GC above
 		// may just have relocated this unit) and before the maps move.
 		f.stageUnit(unit, !forGC)
+		payload = f.unitData
 	}
-	base := wp.nextSlot * f.pagesPerUnit
-	pageSize := f.arr.Geometry().PageSize
-	for p := 0; p < f.pagesPerUnit; p++ {
-		if f.dataMode {
-			if err := f.arr.ProgramPageData(wp.block, base+p, f.unitData[p*pageSize:(p+1)*pageSize]); err != nil {
-				return fmt.Errorf("ftl: program: %w", err)
-			}
-			continue
-		}
-		if err := f.arr.ProgramPage(wp.block, base+p); err != nil {
-			return fmt.Errorf("ftl: program: %w", err)
-		}
+	if err := f.arr.ProgramRun(wp.block, wp.nextSlot*f.pagesPerUnit, f.pagesPerUnit, payload); err != nil {
+		return fmt.Errorf("ftl: program: %w", err)
 	}
 	if forGC {
 		ops.MergePrograms += f.pagesPerUnit
@@ -547,10 +550,8 @@ func (f *PageFTL) Write(off, length int64) (Ops, error) {
 			old := f.fmap[u]
 			block := int(old / int64(f.unitsPerBlock))
 			slot := int(old % int64(f.unitsPerBlock))
-			for p := 0; p < oldPages && p < f.pagesPerUnit; p++ {
-				if err := f.arr.ReadPage(block, slot*f.pagesPerUnit+p); err != nil {
-					return ops, fmt.Errorf("ftl: rmw read: %w", err)
-				}
+			if err := f.arr.ReadRun(block, slot*f.pagesPerUnit, oldPages); err != nil {
+				return ops, fmt.Errorf("ftl: rmw read: %w", err)
 			}
 			ops.MergeReads += oldPages
 			f.stats.PagesRead += int64(oldPages)
@@ -595,32 +596,30 @@ func (f *PageFTL) Read(off, length int64) (Ops, error) {
 	p0 := off / pageSize
 	p1 := (off + length - 1) / pageSize
 	first := true
-	for gp := p0; gp <= p1; gp++ {
+	// One read run per mapping unit the request touches: a unit's pages are
+	// physically consecutive.
+	for gp := p0; gp <= p1; {
 		unit := gp * pageSize / f.unitBytes
+		pageInUnit := int(gp % int64(f.pagesPerUnit))
+		n := int(min64(int64(f.pagesPerUnit-pageInUnit), p1-gp+1))
+		gp += int64(n)
 		ps := f.fmap[unit]
 		if ps < 0 {
 			// Unmapped: the device returns a deterministic pattern
 			// straight from the controller.
-			ops.RAMBytes += pageSize
+			ops.RAMBytes += int64(n) * pageSize
 			continue
 		}
 		block := int(ps / int64(f.unitsPerBlock))
 		slot := int(ps % int64(f.unitsPerBlock))
-		pageInUnit := int(gp % (f.unitBytes / pageSize))
 		page := slot*f.pagesPerUnit + pageInUnit
-		if err := f.arr.ReadPage(block, page); err != nil {
+		if err := f.arr.ReadRun(block, page, n); err != nil {
 			return ops, fmt.Errorf("ftl: read: %w", err)
 		}
-		ops.PageReads++
-		f.stats.PagesRead++
+		f.stats.PagesRead += int64(n)
 		physSlot := int64(block)*int64(f.arr.Geometry().PagesPerBlock) + int64(page)
-		if physSlot == f.lastReadSlot+1 {
-			ops.SeqPageReads++
-		} else if first {
-			ops.Stall += f.model.ReadSeek
-		}
+		chargeReadRun(&ops, &f.lastReadSlot, physSlot, n, first, f.model.ReadSeek)
 		first = false
-		f.lastReadSlot = physSlot
 	}
 	// Lingering reclamation (Figure 5): while the free pool is below
 	// target, background collection steals time from reads.
@@ -657,20 +656,17 @@ func (f *PageFTL) reclaimWithCredit(d time.Duration) {
 		}
 	}()
 	for f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
-		// Peek at the cheapest victim to price the reclamation.
-		victim, ok := f.popVictim()
+		// Price the cheapest victim without disturbing the heap.
+		victim, ok := f.peekVictim()
 		if !ok {
 			return
 		}
 		cost := f.model.ReclaimCost(int(f.live[victim]) * f.pagesPerUnit)
 		if f.idleCredit < cost {
-			// Not enough idle time; put the victim back.
-			f.pushVictim(victim)
-			return
+			return // not enough idle time
 		}
-		// Re-push and collect through the normal path so maps stay
-		// consistent; the ops are absorbed by the idle credit.
-		f.pushVictim(victim)
+		// Collect through the normal path so maps stay consistent; the
+		// ops are absorbed by the idle credit.
 		var bg Ops
 		if err := f.collectOne(&bg); err != nil {
 			return

@@ -16,7 +16,9 @@ type minHeap[T ordered[T]] struct {
 // Len returns the number of elements.
 func (h *minHeap[T]) Len() int { return len(h.items) }
 
-// Push adds x, restoring the heap invariant.
+// Push adds x, restoring the heap invariant. Both sifts move a hole instead
+// of swapping: each level costs one element copy, and the displaced element
+// is written once, at its final position.
 //
 //uflint:hotpath
 func (h *minHeap[T]) Push(x T) {
@@ -24,26 +26,33 @@ func (h *minHeap[T]) Push(x T) {
 	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.items[i].before(h.items[parent]) {
+		if !x.before(h.items[parent]) {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		h.items[i] = h.items[parent]
 		i = parent
 	}
+	h.items[i] = x
 }
+
+// Peek returns the minimum element without removing it; it must not be
+// called on an empty heap.
+func (h *minHeap[T]) Peek() T { return h.items[0] }
 
 // Pop removes and returns the minimum element; it must not be called on an
 // empty heap.
 //
 //uflint:hotpath
 func (h *minHeap[T]) Pop() T {
+	top := h.items[0]
 	n := len(h.items) - 1
-	h.items[0], h.items[n] = h.items[n], h.items[0]
-	x := h.items[n]
+	x := h.items[n] // the last element, to be re-seated from the root down
 	var zero T
 	h.items[n] = zero
 	h.items = h.items[:n]
-	// Sift the promoted element down.
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		l := 2*i + 1
@@ -54,13 +63,14 @@ func (h *minHeap[T]) Pop() T {
 		if r := l + 1; r < n && h.items[r].before(h.items[l]) {
 			m = r
 		}
-		if !h.items[m].before(h.items[i]) {
+		if !h.items[m].before(x) {
 			break
 		}
-		h.items[i], h.items[m] = h.items[m], h.items[i]
+		h.items[i] = h.items[m]
 		i = m
 	}
-	return x
+	h.items[i] = x
+	return top
 }
 
 // clone returns an independent copy of the heap.

@@ -78,7 +78,6 @@ var simPackages = []string{
 	"internal/paperexp",
 	"internal/workload",
 	"internal/trace",
-	"internal/simtime",
 }
 
 // IsSimulationPackage reports whether the import path (relative to the

@@ -118,9 +118,13 @@ func (s *Store) LockKey(k Key) func() {
 
 // File format: header + gob payload. The header is fixed-size and binary so
 // truncation and corruption are detected before the payload is decoded.
+//
+// Version 2 dropped the per-page state array from the chip snapshot (the
+// block cursor is the page state). Older files fail the version check and
+// take the quarantine path like any other unreadable file.
 const (
 	magic   = "uFLIPst\x01"
-	version = uint32(1)
+	version = uint32(2)
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
