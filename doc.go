@@ -47,7 +47,12 @@
 // allocation-free in steady state (generic zero-boxing heaps replace
 // container/heap, map bookkeeping runs on a fixed ring, both
 // SimDevice.Submit and the 128-IO SubmitBatch are pinned at 0 allocs/op),
-// and stats.Percentiles derives any number of quantiles from one sort.
+// and stats.Percentiles derives any number of quantiles from one O(n)
+// selection over a private copy (selection, not sort; input not modified).
+// A trace replay's serial passes run at memory speed around that: the .utr
+// reader and writer checksum a 64 KiB chunk at a time, and trace.WriteJSON
+// appends the per-IO series with its own float formatter, byte-identical
+// to encoding/json.
 // Profile any run with the uflip command's -cpuprofile/-memprofile flags;
 // track the benchmark trajectory with "make bench-json" and gate
 // regressions with "make bench-check" (cmd/benchcheck against the

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -60,8 +62,8 @@ func TestPercentilesSorted(t *testing.T) {
 
 // TestPercentilesAllocs pins the allocation profile of the batch API: one
 // scratch copy of the samples plus the result slice, independent of how many
-// percentiles are requested — the property that makes p50/p95/p99 over a
-// long replay a single sort.
+// percentiles are requested (the rank scratch is a stack array, refilled a
+// batch at a time) — so p50/p95/p99 over a long replay is one selection.
 func TestPercentilesAllocs(t *testing.T) {
 	samples := make([]time.Duration, 4096)
 	for i := range samples {
@@ -73,6 +75,16 @@ func TestPercentilesAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("Percentiles allocates %.1f times per call, want <= 2 (scratch + result)", allocs)
 	}
+	many := make([]float64, 3*rankBatch+1)
+	for i := range many {
+		many[i] = float64(i * 4)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		Percentiles(samples, many...)
+	})
+	if allocs > 2 {
+		t.Fatalf("Percentiles of %d ps allocates %.1f times per call, want <= 2", len(many), allocs)
+	}
 	sorted := append([]time.Duration(nil), samples...)
 	slices.Sort(sorted)
 	allocs = testing.AllocsPerRun(100, func() {
@@ -80,5 +92,84 @@ func TestPercentilesAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("PercentilesSorted allocates %.1f times per call, want <= 1 (result)", allocs)
+	}
+}
+
+// TestPercentilesMatchSorted is the differential test for the selection
+// inside Percentiles. The oracle is what it replaced: PercentilesSorted over
+// a fully sorted copy. Every value must be equal — not close — and the input
+// must come back untouched.
+func TestPercentilesMatchSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	fill := func(value func(i, n int) time.Duration) func(int) []time.Duration {
+		return func(n int) []time.Duration {
+			s := make([]time.Duration, n)
+			for i := range s {
+				s[i] = value(i, n)
+			}
+			return s
+		}
+	}
+	shapes := []struct {
+		name string
+		make func(n int) []time.Duration
+	}{
+		{"uniform", fill(func(int, int) time.Duration { return time.Duration(rng.Int63n(int64(20 * time.Millisecond))) })},
+		{"duplicate-heavy", fill(func(int, int) time.Duration { return time.Duration(rng.Intn(4)) * 100 * time.Microsecond })},
+		{"all-equal", fill(func(int, int) time.Duration { return 250 * time.Microsecond })},
+		{"ascending", fill(func(i, _ int) time.Duration { return time.Duration(i) })},
+		{"descending", fill(func(i, n int) time.Duration { return time.Duration(n - i) })},
+		{"organ-pipe", fill(func(i, n int) time.Duration { return time.Duration(min(i, n-1-i)) })},
+		{"negative", fill(func(int, int) time.Duration { return time.Duration(rng.Int63n(2001) - 1000) })},
+	}
+	lengths := []int{1, 2, 3, 11, 12, 13, 14, 100, 1000, 4999, 5000}
+	for range 60 {
+		lengths = append(lengths, 1+rng.Intn(5000))
+	}
+	for _, shape := range shapes {
+		for _, n := range lengths {
+			samples := shape.make(n)
+			// More percentiles than one selection batch holds, so the
+			// batches after the first meet an already partitioned copy.
+			ps := []float64{0, 50, 95, 99, 100, -3, 140}
+			for range 2 + rng.Intn(2*rankBatch) {
+				ps = append(ps, rng.Float64()*100)
+			}
+			before := slices.Clone(samples)
+			got := Percentiles(samples, ps...)
+			if !slices.Equal(samples, before) {
+				t.Fatalf("%s n=%d: input modified", shape.name, n)
+			}
+			slices.Sort(before)
+			want := PercentilesSorted(before, ps...)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d ps=%v:\n got %v\nwant %v", shape.name, n, ps, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkPercentiles times p50/p95/p99 of one replay segment's worth of
+// distinct samples and of a whole replay's worth of mostly repeated ones.
+func BenchmarkPercentiles(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	distinct := make([]time.Duration, 12_500)
+	for i := range distinct {
+		distinct[i] = time.Duration(rng.Int63n(int64(20 * time.Millisecond)))
+	}
+	repeated := make([]time.Duration, 1_000_000)
+	for i := range repeated {
+		repeated[i] = 100 * time.Microsecond
+		if rng.Intn(10) == 0 {
+			repeated[i] = time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
+		}
+	}
+	for _, samples := range [][]time.Duration{distinct, repeated} {
+		b.Run(fmt.Sprintf("n=%d", len(samples)), func(b *testing.B) {
+			for b.Loop() {
+				Percentiles(samples, 50, 95, 99)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(samples)), "ns/sample")
+		})
 	}
 }

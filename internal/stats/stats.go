@@ -146,9 +146,11 @@ func Summarize(samples []time.Duration) Summary {
 
 // Percentiles returns the requested percentiles (each 0 <= p <= 100, clamped
 // otherwise) of the samples using linear interpolation between closest
-// ranks. The input is copied and sorted exactly once no matter how many
-// percentiles are requested, so callers that need p50/p95/p99 of a long
-// response-time series pay one sort instead of one per quantile. It returns
+// ranks. This is selection, not a sort: a private copy of the samples is
+// partitioned until just the order statistics the percentiles read (the
+// floor and ceil rank of each) sit where a sort would put them, so
+// p50/p95/p99 of a long response-time series cost O(n) — and the values are
+// those of PercentilesSorted over a sorted copy, for every input. It returns
 // nil for no percentiles and all-zero values for an empty sample slice. The
 // input is not modified.
 func Percentiles(samples []time.Duration, ps ...float64) []time.Duration {
@@ -159,14 +161,28 @@ func Percentiles(samples []time.Duration, ps ...float64) []time.Duration {
 	if len(samples) == 0 {
 		return out
 	}
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	slices.Sort(sorted)
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+	work := make([]time.Duration, len(samples))
+	copy(work, samples)
+	// The rank scratch is a fixed stack array, so long percentile lists are
+	// placed a batch at a time; each batch finds work further partitioned.
+	var ranks [2 * rankBatch]int
+	for base := 0; base < len(ps); base += rankBatch {
+		batch := ps[base:min(base+rankBatch, len(ps))]
+		for i, p := range batch {
+			ranks[2*i], ranks[2*i+1], _ = rankOf(len(work), p)
+		}
+		need := ranks[:2*len(batch)]
+		slices.Sort(need)
+		selectRanks(work, 0, need)
+		for i, p := range batch {
+			out[base+i] = percentileSorted(work, p)
+		}
 	}
 	return out
 }
+
+// rankBatch is how many percentiles Percentiles places per selection pass.
+const rankBatch = 8
 
 // PercentilesSorted is Percentiles over samples the caller has already
 // sorted ascending: no copy, no sort, no allocation beyond the result.
@@ -181,24 +197,101 @@ func PercentilesSorted(sorted []time.Duration, ps ...float64) []time.Duration {
 	return out
 }
 
+// rankOf returns the closest ranks around the p-th percentile of n > 0
+// samples (p clamped to [0, 100]) and how far between them it falls.
+func rankOf(n int, p float64) (lo, hi int, frac float64) {
+	p = min(max(p, 0), 100)
+	rank := p / 100 * float64(n-1)
+	lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// percentileSorted reads the p-th percentile off sorted, of which only the
+// two ranks rankOf names need to be in their sorted places.
 func percentileSorted(sorted []time.Duration, p float64) time.Duration {
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := rankOf(len(sorted), p)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
 	return sorted[lo] + time.Duration(frac*float64(sorted[hi]-sorted[lo]))
+}
+
+// selectRanks rearranges s, the window of a longer slice that starts at
+// index off, until every index in ranks (ascending, all inside the window)
+// holds the value a full sort would put there: a three-way quickselect that
+// follows several ranks at once and never orders a stretch no rank falls in.
+func selectRanks(s []time.Duration, off int, ranks []int) {
+	for len(ranks) > 0 {
+		if len(s) <= 12 {
+			insertionSort(s)
+			return
+		}
+		lt, gt := partition3(s, pivotOf(s, off))
+		// s[:lt] < pivot, s[lt:gt] == pivot and so already placed, s[gt:] > pivot.
+		a := 0
+		for a < len(ranks) && ranks[a] < off+lt {
+			a++
+		}
+		b := a
+		for b < len(ranks) && ranks[b] < off+gt {
+			b++
+		}
+		// Recurse into the shorter side and loop on the longer, which bounds
+		// the stack at log2(n) frames whatever the pivots.
+		if lt < len(s)-gt {
+			selectRanks(s[:lt], off, ranks[:a])
+			s, off, ranks = s[gt:], off+gt, ranks[b:]
+		} else {
+			selectRanks(s[gt:], off+gt, ranks[b:])
+			s, ranks = s[:lt], ranks[:a]
+		}
+	}
+}
+
+// pivotOf returns the median of three elements of s picked by a fixed hash
+// of the window's position and length: deterministic, and no input ordering
+// (sorted, reversed, organ-pipe, periodic) can line up against it.
+func pivotOf(s []time.Duration, off int) time.Duration {
+	x := uint64(off)<<32 ^ uint64(len(s))
+	var v [3]time.Duration
+	for i := range v {
+		// splitmix64 step
+		x += 0x9e3779b97f4a7c15
+		z := x
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		v[i] = s[(z^z>>31)%uint64(len(s))]
+	}
+	return max(min(v[0], v[1]), min(max(v[0], v[1]), v[2]))
+}
+
+// partition3 splits s around pivot into s[:lt] < pivot, s[lt:gt] == pivot
+// and s[gt:] > pivot. Response times repeat heavily (every cached read costs
+// the same), and the equal band is what makes such series one pass.
+func partition3(s []time.Duration, pivot time.Duration) (lt, gt int) {
+	gt = len(s)
+	for i := 0; i < gt; {
+		switch v := s[i]; {
+		case v < pivot:
+			s[i], s[lt] = s[lt], v
+			lt++
+			i++
+		case v > pivot:
+			gt--
+			s[i], s[gt] = s[gt], v
+		default:
+			i++
+		}
+	}
+	return lt, gt
+}
+
+func insertionSort(s []time.Duration) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
 }
 
 // Percentile returns the p-th percentile of the samples; use Percentiles

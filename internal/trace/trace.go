@@ -4,7 +4,7 @@
 package trace
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -64,16 +64,123 @@ func (r *RunRecord) SetResponseTimes(rts []time.Duration) {
 	}
 }
 
-// WriteJSON writes records as newline-delimited JSON.
+// WriteJSON writes records as newline-delimited JSON, byte-identical to
+// encoding/json's rendering of each RunRecord. Everything but the per-IO
+// series goes through encoding/json; the series, a million floats on a long
+// replay, is appended by appendJSONFloat with no reflection and no shortest-
+// float search for the whole-nanosecond values it holds. On error the output
+// written so far is incomplete.
 func WriteJSON(w io.Writer, records []RunRecord) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	const flushAt = 60 << 10
+	buf := make([]byte, 0, 64<<10)
+	flush := func() error {
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
+	}
+	var head bytes.Buffer
+	enc := json.NewEncoder(&head)
+	var rec RunRecord
 	for i := range records {
-		if err := enc.Encode(&records[i]); err != nil {
+		rec = records[i]
+		rts := rec.RTs
+		rec.RTs = nil
+		head.Reset()
+		if err := enc.Encode(&rec); err != nil {
 			return fmt.Errorf("trace: encode record %d: %w", i, err)
 		}
+		line := head.Bytes()
+		if len(rts) > 0 {
+			// "rts" is the record's last field: reopen the object the
+			// encoder closed with "}\n" and append the array to it.
+			buf = append(buf, line[:len(line)-2]...)
+			buf = append(buf, `,"rts":[`...)
+			for k, v := range rts {
+				if k > 0 {
+					buf = append(buf, ',')
+				}
+				var err error
+				if buf, err = appendJSONFloat(buf, v); err != nil {
+					return fmt.Errorf("trace: encode record %d: %w", i, err)
+				}
+				if len(buf) >= flushAt {
+					if err := flush(); err != nil {
+						return err
+					}
+				}
+			}
+			line = []byte("]}\n")
+		}
+		buf = append(buf, line...)
+		if len(buf) >= flushAt {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
 	}
-	return bw.Flush()
+	return flush()
+}
+
+// appendJSONFloat appends v exactly as encoding/json encodes a float64:
+// the shortest decimal that parses back to v, in 'f' form, or in 'e' form
+// with a trimmed exponent below 1e-6 and from 1e21; NaN and the infinities
+// return json's UnsupportedValueError.
+//
+// Response times are Duration.Seconds() values — whole nanoseconds over 1e9
+// — and for those the digits come from the integer. With ns the integer
+// nearest v×1e9, below 1e15, float64(ns)/1e9 == v says the decimal ns×10⁻⁹
+// rounds to v; it has at most 15 significant digits, and no two decimals
+// that short share a float64 (10¹⁵ < 2⁵²), so it is the only one within v's
+// rounding interval and therefore the shortest — what strconv's search
+// would have found.
+func appendJSONFloat(b []byte, v float64) ([]byte, error) {
+	const digitPairs = "00010203040506070809" + "10111213141516171819" +
+		"20212223242526272829" + "30313233343536373839" + "40414243444546474849" +
+		"50515253545556575859" + "60616263646566676869" + "70717273747576777879" +
+		"80818283848586878889" + "90919293949596979899"
+	if v >= 1e-6 && v < 1e6 {
+		if ns := uint64(v*1e9 + 0.5); float64(ns)/1e9 == v {
+			whole, frac := ns/1e9, uint32(ns%1e9)
+			if whole < 10 {
+				b = append(b, byte('0'+whole))
+			} else {
+				b = strconv.AppendUint(b, whole, 10)
+			}
+			if frac == 0 {
+				return b, nil
+			}
+			// ".fffffffff", two digits at a time from the right, then
+			// without its trailing zeros.
+			d := [10]byte{0: '.'}
+			for i := 8; i > 0; i -= 2 {
+				pair := frac % 100 * 2
+				d[i], d[i+1] = digitPairs[pair], digitPairs[pair+1]
+				frac /= 100
+			}
+			d[1] = byte('0' + frac)
+			b = append(b, d[:]...)
+			n := len(b)
+			for b[n-1] == '0' {
+				n--
+			}
+			return b[:n], nil
+		}
+	}
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		_, err := json.Marshal(v)
+		return b, err
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		// e-09 to e-9, as json cleans it up
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // ReadJSON reads newline-delimited JSON records.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -48,6 +47,10 @@ const (
 	UTRHeaderSize = 32
 	// UTRRecordSize is the fixed per-record length in bytes.
 	UTRRecordSize = 32
+	// UTRChunkRecords is how many records readers and writers move, and
+	// checksum, at a time: 64 KiB, long enough for crc64's slicing-by-8 path
+	// (which needs 64 bytes) and short enough to stay in cache.
+	UTRChunkRecords = 2048
 )
 
 // MaxUTRGap bounds the inter-arrival gap a record may carry (~6.5 days).
@@ -167,10 +170,11 @@ func putUTRHeader(dst *[UTRHeaderSize]byte, count uint64, crc uint64) {
 }
 
 // Scanner streams records out of a .utr trace one at a time at O(1) memory.
-// The header is validated up front; each record is validated as it is read;
-// the payload CRC is accumulated incrementally and checked after the last
-// record, so corruption anywhere in the file fails loudly without ever
-// buffering the trace.
+// The header is validated up front; records arrive through one fixed chunk
+// (UTRChunkRecords of them, allocated once) and each is validated as it is
+// handed out; the payload CRC is accumulated once per chunk and checked
+// after the last record, so corruption anywhere in the file fails loudly
+// without ever buffering the trace.
 //
 //	sc, err := trace.NewScanner(r)
 //	for sc.Scan() {
@@ -179,7 +183,7 @@ func putUTRHeader(dst *[UTRHeaderSize]byte, count uint64, crc uint64) {
 //	}
 //	err = sc.Err()
 type Scanner struct {
-	br      *bufio.Reader
+	r       io.Reader
 	count   int
 	scanned int
 	crc     uint64
@@ -187,25 +191,29 @@ type Scanner struct {
 	op      BlockOp
 	err     error
 	done    bool
-	buf     [UTRRecordSize]byte
+	// chunk[pos:end] holds the whole records read but not yet handed out;
+	// readErr is what ended the last read early, reported once they are.
+	chunk    []byte
+	pos, end int
+	readErr  error
 }
 
 // NewScanner reads and validates the .utr header from r and returns a
-// scanner over its records.
+// scanner over its records. The scanner reads r in chunk-sized pieces
+// itself; r needs no buffering of its own.
 func NewScanner(r io.Reader) (*Scanner, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
 	var hdr [UTRHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: utr header truncated: %w", err)
 	}
 	count, want, err := ParseUTRHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	return &Scanner{br: br, count: count, want: want}, nil
+	// The chunk is sized by the header's count only up to the fixed cap: a
+	// hostile header can claim any count.
+	chunk := make([]byte, min(count, UTRChunkRecords)*UTRRecordSize)
+	return &Scanner{r: r, count: count, want: want, chunk: chunk}, nil
 }
 
 // Count returns the record count declared by the header.
@@ -216,37 +224,54 @@ func (s *Scanner) Count() int { return s.count }
 //
 //uflint:hotpath
 func (s *Scanner) Scan() bool {
-	if s.done || s.err != nil {
+	if s.pos == s.end && !s.fill() {
 		return false
 	}
-	if s.scanned == s.count {
+	op, err := DecodeUTRRecord(s.chunk[s.pos : s.pos+UTRRecordSize])
+	if err != nil {
+		s.err = fmt.Errorf("%w (record %d)", err, s.scanned)
+		s.end = s.pos // nothing left to hand out: later calls stop in fill
+		return false
+	}
+	s.pos += UTRRecordSize
+	s.op = op
+	s.scanned++
+	return true
+}
+
+// fill reads the next chunk of records, or settles how the scan ends: it
+// returns false with Err set on truncation, a read error, a CRC mismatch or
+// trailing bytes, and false with Err nil after a clean scan.
+func (s *Scanner) fill() bool {
+	switch {
+	case s.done || s.err != nil:
+		return false
+	case s.readErr == io.EOF || s.readErr == io.ErrUnexpectedEOF:
+		s.err = fmt.Errorf("trace: utr trace truncated at record %d of %d", s.scanned, s.count)
+		return false
+	case s.readErr != nil:
+		s.err = fmt.Errorf("trace: utr read: %w", s.readErr)
+		return false
+	case s.scanned == s.count:
 		s.done = true
 		if s.crc != s.want {
 			s.err = fmt.Errorf("trace: utr payload CRC mismatch (file %#x, computed %#x)", s.want, s.crc)
-		} else if _, err := s.br.ReadByte(); err == nil {
+		} else if _, err := io.ReadFull(s.r, s.chunk[:1]); err == nil {
 			s.err = fmt.Errorf("trace: utr trace has trailing bytes after %d records", s.count)
 		} else if err != io.EOF {
 			s.err = fmt.Errorf("trace: utr read: %w", err)
 		}
 		return false
 	}
-	if _, err := io.ReadFull(s.br, s.buf[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			s.err = fmt.Errorf("trace: utr trace truncated at record %d of %d", s.scanned, s.count)
-		} else {
-			s.err = fmt.Errorf("trace: utr read: %w", err)
-		}
-		return false
-	}
-	s.crc = crc64.Update(s.crc, utrTable, s.buf[:])
-	op, err := DecodeUTRRecord(s.buf[:])
-	if err != nil {
-		s.err = fmt.Errorf("%w (record %d)", err, s.scanned)
-		return false
-	}
-	s.op = op
-	s.scanned++
-	return true
+	want := min(s.count-s.scanned, UTRChunkRecords) * UTRRecordSize
+	n, err := io.ReadFull(s.r, s.chunk[:want])
+	// A short read still hands out every whole record it holds before the
+	// scan fails, as a record-at-a-time reader would.
+	s.readErr = err
+	s.pos, s.end = 0, n-n%UTRRecordSize
+	s.crc = crc64.Update(s.crc, utrTable, s.chunk[:s.end])
+	// Not one whole record: go round again to report what cut the read short.
+	return s.end > 0 || s.fill()
 }
 
 // Op returns the record read by the last successful Scan.
@@ -259,15 +284,15 @@ func (s *Scanner) Err() error { return s.err }
 // UTRWriter streams records into a .utr trace. It writes a placeholder
 // header, appends records as they arrive, and patches the real count and
 // CRC into the header on Close — so writers that discover the record count
-// as they go (CSV conversion, live capture) spend O(1) memory. Until Close
-// succeeds the file carries a zero record count, which every reader
-// rejects, so a torn write cannot be mistaken for a valid trace.
+// as they go (CSV conversion, live capture) spend O(1) memory. Records are
+// staged in one fixed chunk that is checksummed and written when full.
+// Until Close succeeds the file carries a zero record count, which every
+// reader rejects, so a torn write cannot be mistaken for a valid trace.
 type UTRWriter struct {
 	ws     io.WriteSeeker
-	bw     *bufio.Writer
 	count  uint64
 	crc    uint64
-	buf    [UTRRecordSize]byte
+	chunk  []byte // staged records; cap is the fixed chunk size
 	closed bool
 }
 
@@ -276,11 +301,10 @@ type UTRWriter struct {
 func NewUTRWriter(ws io.WriteSeeker) (*UTRWriter, error) {
 	var hdr [UTRHeaderSize]byte
 	putUTRHeader(&hdr, 0, 0)
-	bw := bufio.NewWriter(ws)
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if _, err := ws.Write(hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: utr write: %w", err)
 	}
-	return &UTRWriter{ws: ws, bw: bw}, nil
+	return &UTRWriter{ws: ws, chunk: make([]byte, 0, UTRChunkRecords*UTRRecordSize)}, nil
 }
 
 // Write validates op and appends its record.
@@ -288,14 +312,27 @@ func (u *UTRWriter) Write(op BlockOp) error {
 	if u.closed {
 		return fmt.Errorf("trace: utr write after Close")
 	}
-	if err := EncodeUTRRecord(&u.buf, op); err != nil {
+	if len(u.chunk) == cap(u.chunk) {
+		if err := u.flush(); err != nil {
+			return err
+		}
+	}
+	n := len(u.chunk)
+	if err := EncodeUTRRecord((*[UTRRecordSize]byte)(u.chunk[n:n+UTRRecordSize]), op); err != nil {
 		return err
 	}
-	if _, err := u.bw.Write(u.buf[:]); err != nil {
+	u.chunk = u.chunk[:n+UTRRecordSize]
+	u.count++
+	return nil
+}
+
+// flush checksums and writes the staged records.
+func (u *UTRWriter) flush() error {
+	u.crc = crc64.Update(u.crc, utrTable, u.chunk)
+	if _, err := u.ws.Write(u.chunk); err != nil {
 		return fmt.Errorf("trace: utr write: %w", err)
 	}
-	u.crc = crc64.Update(u.crc, utrTable, u.buf[:])
-	u.count++
+	u.chunk = u.chunk[:0]
 	return nil
 }
 
@@ -310,8 +347,8 @@ func (u *UTRWriter) Close() error {
 	if u.count == 0 {
 		return fmt.Errorf("trace: utr trace holds no IOs")
 	}
-	if err := u.bw.Flush(); err != nil {
-		return fmt.Errorf("trace: utr write: %w", err)
+	if err := u.flush(); err != nil {
+		return err
 	}
 	var hdr [UTRHeaderSize]byte
 	putUTRHeader(&hdr, u.count, u.crc)
@@ -329,35 +366,47 @@ func (u *UTRWriter) Close() error {
 
 // WriteUTR writes ops as a complete .utr trace to a plain io.Writer. The
 // record count is known up front, so no seeking is needed: one validation
-// pass computes the CRC, a second emits the bytes.
+// pass computes the CRC, a second emits the bytes, both a chunk at a time.
 func WriteUTR(w io.Writer, ops []BlockOp) error {
 	if len(ops) == 0 {
 		return fmt.Errorf("trace: utr trace holds no IOs")
 	}
-	var buf [UTRRecordSize]byte
+	chunk := make([]byte, min(len(ops), UTRChunkRecords)*UTRRecordSize)
 	var crc uint64
-	for i, op := range ops {
-		if err := EncodeUTRRecord(&buf, op); err != nil {
-			return fmt.Errorf("%w (record %d)", err, i)
-		}
-		crc = crc64.Update(crc, utrTable, buf[:])
+	if err := encodeUTRChunks(ops, chunk, func(b []byte) error {
+		crc = crc64.Update(crc, utrTable, b)
+		return nil
+	}); err != nil {
+		return err
 	}
-	bw := bufio.NewWriter(w)
 	var hdr [UTRHeaderSize]byte
 	putUTRHeader(&hdr, uint64(len(ops)), crc)
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("trace: utr write: %w", err)
 	}
-	for _, op := range ops {
-		if err := EncodeUTRRecord(&buf, op); err != nil {
-			return err
-		}
-		if _, err := bw.Write(buf[:]); err != nil {
+	return encodeUTRChunks(ops, chunk, func(b []byte) error {
+		if _, err := w.Write(b); err != nil {
 			return fmt.Errorf("trace: utr write: %w", err)
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("trace: utr write: %w", err)
+		return nil
+	})
+}
+
+// encodeUTRChunks encodes ops into chunk, as many records at a time as it
+// holds, and hands each filled stretch to emit.
+func encodeUTRChunks(ops []BlockOp, chunk []byte, emit func([]byte) error) error {
+	per := len(chunk) / UTRRecordSize
+	for base := 0; base < len(ops); base += per {
+		n := min(len(ops)-base, per)
+		for i, op := range ops[base : base+n] {
+			rec := (*[UTRRecordSize]byte)(chunk[i*UTRRecordSize : (i+1)*UTRRecordSize])
+			if err := EncodeUTRRecord(rec, op); err != nil {
+				return fmt.Errorf("%w (record %d)", err, base+i)
+			}
+		}
+		if err := emit(chunk[:n*UTRRecordSize]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

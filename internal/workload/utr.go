@@ -126,7 +126,7 @@ type UTRSource struct {
 // returns a segment-addressable source. label names the trace in reports,
 // as Trace.Label does for the slice-backed path.
 func NewUTRSource(ra io.ReaderAt, size int64, label string) (*UTRSource, error) {
-	sc, err := trace.NewScanner(bufio.NewReaderSize(io.NewSectionReader(ra, 0, size), 1<<16))
+	sc, err := trace.NewScanner(io.NewSectionReader(ra, 0, size))
 	if err != nil {
 		return nil, err
 	}
@@ -173,23 +173,29 @@ func (u *UTRSource) Name() string { return Trace{Label: u.label}.Name() }
 // Len returns the record count declared by the trace header.
 func (u *UTRSource) Len() int { return u.count }
 
-// Segment decodes records [start, start+n) with one positioned read.
+// Segment decodes records [start, start+n) with positioned reads through one
+// bounded window, so a segment costs its ops plus at most a chunk of bytes.
 func (u *UTRSource) Segment(start, n int) ([]Op, error) {
 	if start < 0 || n <= 0 || start > u.count-n {
 		return nil, fmt.Errorf("workload: utr segment [%d:%d) outside %d records", start, start+n, u.count)
 	}
-	buf := make([]byte, n*trace.UTRRecordSize)
+	buf := make([]byte, min(n, trace.UTRChunkRecords)*trace.UTRRecordSize)
 	off := int64(trace.UTRHeaderSize) + int64(start)*trace.UTRRecordSize
-	if _, err := u.ra.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("workload: utr read: %w", err)
-	}
 	ops := make([]Op, n)
-	for i := range ops {
-		b, err := trace.DecodeUTRRecord(buf[i*trace.UTRRecordSize : (i+1)*trace.UTRRecordSize])
-		if err != nil {
-			return nil, fmt.Errorf("%w (record %d)", err, start+i)
+	for done := 0; done < n; {
+		window := buf[:min(n-done, trace.UTRChunkRecords)*trace.UTRRecordSize]
+		if _, err := u.ra.ReadAt(window, off); err != nil {
+			return nil, fmt.Errorf("workload: utr read: %w", err)
 		}
-		ops[i] = opFromBlock(b)
+		off += int64(len(window))
+		for ; len(window) > 0; window = window[trace.UTRRecordSize:] {
+			b, err := trace.DecodeUTRRecord(window[:trace.UTRRecordSize])
+			if err != nil {
+				return nil, fmt.Errorf("%w (record %d)", err, start+done)
+			}
+			ops[done] = opFromBlock(b)
+			done++
+		}
 	}
 	return ops, nil
 }

@@ -156,7 +156,10 @@ func TestGapBoundsAgree(t *testing.T) {
 // length, same ops in every segment window, same report name as the
 // slice-backed Trace generator.
 func TestUTRSourceSegments(t *testing.T) {
-	ops := randomTraceOps(t, 1000, 5)
+	// Long enough that windows start, end and straddle the edges of the
+	// bounded read window Segment decodes through.
+	const chunk, total = trace.UTRChunkRecords, 3*trace.UTRChunkRecords + 7
+	ops := randomTraceOps(t, total, 5)
 	path := filepath.Join(t.TempDir(), "seg.utr")
 	if err := workload.SaveUTR(path, ops); err != nil {
 		t.Fatal(err)
@@ -173,7 +176,10 @@ func TestUTRSourceSegments(t *testing.T) {
 	if want := (workload.Trace{Label: "seg"}).Name(); src.Name() != want {
 		t.Fatalf("Name = %q, want %q", src.Name(), want)
 	}
-	for _, win := range [][2]int{{0, 1}, {0, 333}, {333, 333}, {666, 334}, {0, 1000}} {
+	for _, win := range [][2]int{
+		{0, 1}, {0, 333}, {333, 333}, {666, 334}, {total - 1, 1}, {0, total},
+		{0, chunk}, {0, chunk + 1}, {chunk - 1, 2}, {5, 2*chunk + 3}, {chunk, 2 * chunk},
+	} {
 		got, err := src.Segment(win[0], win[1])
 		if err != nil {
 			t.Fatalf("Segment(%d,%d): %v", win[0], win[1], err)
@@ -182,7 +188,7 @@ func TestUTRSourceSegments(t *testing.T) {
 			t.Fatalf("Segment(%d,%d) differs from the stream", win[0], win[1])
 		}
 	}
-	for _, bad := range [][2]int{{-1, 2}, {0, 0}, {999, 2}, {1000, 1}} {
+	for _, bad := range [][2]int{{-1, 2}, {0, 0}, {total - 1, 2}, {total, 1}} {
 		if _, err := src.Segment(bad[0], bad[1]); err == nil {
 			t.Fatalf("Segment(%d,%d): accepted, want an error", bad[0], bad[1])
 		}

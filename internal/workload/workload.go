@@ -188,7 +188,7 @@ type Result struct {
 	// would average away.
 	Windows []stats.Window
 	// P50, P95 and P99 are response-time percentiles over the merged
-	// stream (one sort via stats.Percentiles).
+	// stream (one selection via stats.Percentiles).
 	P50, P95, P99 time.Duration
 	// Elapsed is the summed virtual duration of the segments — the
 	// stream's device time as if replayed back-to-back.
@@ -293,8 +293,8 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 		}
 		for _, rt := range run.RTs {
 			w.AddDuration(rt)
+			merged = append(merged, rt)
 		}
-		merged = append(merged, run.RTs...)
 		res.Elapsed += run.Total
 		res.Faults.Add(run.Faults)
 	}
