@@ -39,13 +39,18 @@
 // of the same code, and a fuzz target compares every run against the
 // previous per-page chip, kept as a test-only reference model. On top of
 // that, the whole simulation stack snapshots — flash chips, arrays, every
-// translation layer and the simulated device itself expose deep Clone()
-// — so the engine enforces the paper's well-defined device state
-// (Section 4.1) once per (profile, capacity, seed) master and hands every
-// shard a clone instead of replaying the enforcement IOs; tests pin the
-// clone path byte-identical to rebuilding per shard. The hot path is
-// allocation-free in steady state (generic zero-boxing heaps replace
-// container/heap, map bookkeeping runs on a fixed ring, both
+// translation layer and the simulated device itself have one hand-written
+// state traversal, ResetFrom, that overwrites a device in place with
+// another's state, and Clone() is that traversal into a fresh value — so
+// the engine enforces the paper's well-defined device state (Section 4.1)
+// once per (profile, capacity, seed) master and gives every shard that
+// state instead of replaying the enforcement IOs: a worker's finished
+// shard device is reset from the master for its next shard, so a job
+// allocates one device stack per worker, not one per run; tests pin that
+// path byte-identical to cloning and to rebuilding per shard. The hot path
+// is allocation-free in steady state (free blocks and garbage-collection
+// candidates sit in indexed heaps of packed integer keys, one entry per
+// block; map bookkeeping runs on a fixed ring; both
 // SimDevice.Submit and the 128-IO SubmitBatch are pinned at 0 allocs/op),
 // and stats.Percentiles derives any number of quantiles from one O(n)
 // selection over a private copy (selection, not sort; input not modified).
@@ -90,8 +95,9 @@
 // (internal/statestore, surfaced as the -statedir flag on every uflip
 // command): the first run of a (device spec, capacity, seed) combination
 // enforces the Section 4.1 state and saves the whole stack's serialized
-// form to disk — chip state, FTL maps, heap and LRU layouts, cache
-// buffers, pipeline clocks — and every later run loads it back instead of
+// form to disk — chip state, FTL maps, free-pool and LRU layouts, cache
+// buffers, pipeline clocks; indexes that follow from the rest, like the
+// candidate queue, are rebuilt — and every later run loads it back instead of
 // replaying the fill, with results pinned byte-identical either way.
 // Files are content-addressed by a SHA-256 of the canonical key and carry
 // a format version and payload CRC, so corrupted or truncated caches fail

@@ -107,8 +107,8 @@ func (q *memberQueue) push(done time.Duration) {
 	}
 }
 
-func (q *memberQueue) clone() memberQueue {
-	return memberQueue{ring: append([]time.Duration(nil), q.ring...), idx: q.idx}
+func (q *memberQueue) resetFrom(src *memberQueue) {
+	q.ring, q.idx = append(q.ring[:0], src.ring...), src.idx
 }
 
 // CompositeDevice fans IOs out over N member devices according to a layout,
@@ -268,22 +268,33 @@ func (d *CompositeDevice) DegradedWrites() int64 { return d.degraded }
 // member does not implement device.Cloneable (composites built from
 // simulator profiles always do).
 func (d *CompositeDevice) Clone() *CompositeDevice {
-	g := *d
-	g.members = make([]Device, len(d.members))
-	for i, m := range d.members {
-		c, ok := m.(Cloneable)
-		if !ok {
-			panic(fmt.Sprintf("device: composite member %d (%s) is not cloneable", i, m.Name()))
-		}
-		g.members[i] = c.CloneDevice()
+	g := &CompositeDevice{}
+	g.ResetFrom(d)
+	return g
+}
+
+// ResetFrom implements device.Resettable: d becomes a deep copy of src — a
+// CompositeDevice — with every member reset in place or cloned
+// (ResetOrClone) and the rings reused; d may be a zero value.
+func (d *CompositeDevice) ResetFrom(src Device) bool {
+	s, ok := src.(*CompositeDevice)
+	if !ok {
+		return false
 	}
-	g.queues = make([]memberQueue, len(d.queues))
-	for i := range d.queues {
-		g.queues[i] = d.queues[i].clone()
+	members, queues, dead, frags := d.members, d.queues, d.dead, d.frags
+	if len(members) != len(s.members) {
+		members, queues = make([]Device, len(s.members)), make([]memberQueue, len(s.members))
 	}
-	g.dead = append([]bool(nil), d.dead...)
-	g.frags = make([]fragment, 0, cap(d.frags))
-	return &g
+	for i := range s.members {
+		members[i] = ResetOrClone(members[i], s.members[i])
+		queues[i].resetFrom(&s.queues[i])
+	}
+	if cap(frags) < cap(s.frags) {
+		frags = make([]fragment, 0, cap(s.frags))
+	}
+	*d = *s
+	d.members, d.queues, d.dead, d.frags = members, queues, append(dead[:0], s.dead...), frags[:0]
+	return true
 }
 
 // CloneDevice implements device.Cloneable.

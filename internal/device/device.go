@@ -187,11 +187,18 @@ func (p *PerIO) Name() string { return p.Inner.Name() }
 // flow through the engine's cloning masters like any simulated device. It
 // panics if the wrapped device is not cloneable, exactly like the composite.
 func (p *PerIO) CloneDevice() Device {
-	c, ok := p.Inner.(Cloneable)
-	if !ok {
-		panic(fmt.Sprintf("device: per-IO wrapped device %s is not cloneable", p.Inner.Name()))
+	g := &PerIO{}
+	g.ResetFrom(p)
+	return g
+}
+
+// ResetFrom implements device.Resettable over the wrapped device.
+func (p *PerIO) ResetFrom(src Device) bool {
+	s, ok := src.(*PerIO)
+	if ok {
+		p.Inner = ResetOrClone(p.Inner, s.Inner)
 	}
-	return &PerIO{Inner: c.CloneDevice()}
+	return ok
 }
 
 // Drain forwards to the wrapped device so inter-experiment quiescing sees
@@ -211,6 +218,37 @@ func (p *PerIO) Drain() time.Duration {
 type Cloneable interface {
 	Device
 	CloneDevice() Device
+}
+
+// Resettable is a Device that can be overwritten in place with the complete
+// state of another: ResetFrom(src) leaves the receiver exactly as a fresh
+// src.CloneDevice() would be — independent of src, identical completions —
+// but reuses the receiver's buffers instead of allocating a new stack. It
+// reports false, leaving the receiver unusable, when src is of another
+// concrete type. The receiver must be quiescent (no IO in flight) and src is
+// only read, so any number of devices may reset from one src concurrently.
+// This is how the engine recycles a worker's finished shard device for its
+// next shard; every simulated device and wrapper in this package implements
+// it.
+type Resettable interface {
+	Device
+	ResetFrom(src Device) bool
+}
+
+// ResetOrClone returns an independent deep copy of src: dst itself, reset in
+// place, when dst is Resettable and accepts src; a fresh clone otherwise
+// (dst nil included), in which case it panics if src is not Cloneable — like
+// the wrappers' CloneDevice. After the call dst must not be used except
+// through the returned value.
+func ResetOrClone(dst, src Device) Device {
+	if r, ok := dst.(Resettable); ok && r.ResetFrom(src) {
+		return dst
+	}
+	c, ok := src.(Cloneable)
+	if !ok {
+		panic(fmt.Sprintf("device: %s is not cloneable", src.Name()))
+	}
+	return c.CloneDevice()
 }
 
 // checkIO validates a request: in bounds and of positive size. Zero-size

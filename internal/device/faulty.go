@@ -255,14 +255,23 @@ func (f *FaultyDevice) mediaErr(op int64, io IO) bool {
 // schedule exactly where the original stood. It panics if the wrapped device
 // is not cloneable, like the composite and per-IO wrappers.
 func (f *FaultyDevice) CloneDevice() Device {
-	c, ok := f.inner.(Cloneable)
+	g := &FaultyDevice{}
+	g.ResetFrom(f)
+	return g
+}
+
+// ResetFrom implements device.Resettable: f becomes a deep copy of src — a
+// FaultyDevice — schedule position included, over its wrapped device reset
+// in place or cloned (ResetOrClone); f may be a zero value.
+func (f *FaultyDevice) ResetFrom(src Device) bool {
+	s, ok := src.(*FaultyDevice)
 	if !ok {
-		panic(fmt.Sprintf("device: faulty-wrapped device %s is not cloneable", f.inner.Name()))
+		return false
 	}
-	g := *f
-	g.inner = c.CloneDevice()
-	g.cfg.ErrOps = append([]int64(nil), f.cfg.ErrOps...)
-	return &g
+	inner, errOps := ResetOrClone(f.inner, s.inner), append(f.cfg.ErrOps[:0], s.cfg.ErrOps...)
+	*f = *s
+	f.inner, f.cfg.ErrOps = inner, errOps
+	return true
 }
 
 // Drain forwards to the wrapped device so inter-experiment quiescing sees

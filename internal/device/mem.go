@@ -48,8 +48,18 @@ func (d *MemDevice) IOs() int64 { return d.ios }
 // CloneDevice implements device.Cloneable: the device is a handful of scalar
 // fields, so a shallow copy is a full snapshot.
 func (d *MemDevice) CloneDevice() Device {
-	g := *d
-	return &g
+	g := &MemDevice{}
+	g.ResetFrom(d)
+	return g
+}
+
+// ResetFrom implements device.Resettable.
+func (d *MemDevice) ResetFrom(src Device) bool {
+	s, ok := src.(*MemDevice)
+	if ok {
+		*d = *s
+	}
+	return ok
 }
 
 // SubmitBatch services the IOs one at a time — the constant-cost device has

@@ -87,9 +87,23 @@ func NewSimDevice(cfg SimConfig, top ftl.Translator, model ftl.CostModel) (*SimD
 // Cloning an enforced device is how the engine gives every shard a private
 // well-defined initial state without replaying the enforcement IOs.
 func (d *SimDevice) Clone() *SimDevice {
-	g := *d
-	g.top = d.top.Clone()
-	return &g
+	g := &SimDevice{}
+	g.ResetFrom(d)
+	return g
+}
+
+// ResetFrom implements device.Resettable: d becomes a deep copy of src — a
+// SimDevice — with the translation stack reset in place where it can be and
+// cloned afresh otherwise; d may be a zero value.
+func (d *SimDevice) ResetFrom(src Device) bool {
+	s, ok := src.(*SimDevice)
+	if !ok {
+		return false
+	}
+	top := ftl.ResetTranslator(d.top, s.top)
+	*d = *s
+	d.top = top
+	return true
 }
 
 // CloneDevice implements device.Cloneable.

@@ -3,12 +3,13 @@
 // each run measures one experiment after the device state has been enforced,
 // and runs are separated by pauses (or full state resets) precisely so they
 // do not interfere. The engine exploits that independence: it partitions a
-// methodology.Plan into deterministic shards, gives every shard its own
-// freshly built simulated device (so runs never share mutable FTL state) and
-// its own derived RNG seed, executes the shards across a bounded worker
-// pool, and merges the per-run results ordered by the run's index in the
-// plan — never by completion time — so the merged output is byte-identical
-// for any worker count.
+// methodology.Plan into deterministic shards, gives every shard a private
+// simulated device in a freshly built state (so runs never share mutable FTL
+// state; a worker's finished device is offered to its next shard to be
+// recycled, Shard.Reuse) and its own derived RNG seed, executes the shards
+// across a bounded worker pool, and merges the per-run results ordered by
+// the run's index in the plan — never by completion time — so the merged
+// output is byte-identical for any worker count.
 package engine
 
 import (
@@ -41,6 +42,15 @@ type Shard struct {
 	Exps []core.Experiment
 	// FirstRun is the global run index of Exps[0] within the plan.
 	FirstRun int
+	// Reuse, when non-nil, is the device the same worker's previous shard ran
+	// on: finished, quiescent and referenced by nothing else, because a
+	// device passed to Job.Run or methodology.RunExperiments must not be
+	// retained after the call returns. A factory may recycle it for this
+	// shard instead of allocating a new stack — Master.Factory resets it in
+	// place from the enforced master — or ignore it, as factories that
+	// rebuild do. It never influences results: a recycled device starts in
+	// exactly the state a fresh one would.
+	Reuse device.Device
 }
 
 // DeviceFactory builds the private device a shard runs against and returns
@@ -164,26 +174,26 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 	ends := make([]time.Duration, len(shards))
 	observe := opts.observer(total)
 
-	runShard := func(ctx context.Context, s Shard) error {
+	runShard := func(ctx context.Context, s Shard) (device.Device, error) {
 		dev, at, err := factory(s)
 		if err != nil {
-			return fmt.Errorf("engine: shard %d: %w", s.Index, err)
+			return nil, fmt.Errorf("engine: shard %d: %w", s.Index, err)
 		}
 		t := at
 		for i := range s.Exps {
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, err
 			}
 			res, end, err := methodology.RunExperiments(dev, s.Exps[i:i+1], plan.Pause, t)
 			if err != nil {
-				return fmt.Errorf("engine: shard %d: %w", s.Index, err)
+				return nil, fmt.Errorf("engine: shard %d: %w", s.Index, err)
 			}
 			merged[s.FirstRun+i] = res[0]
 			t = end
 			observe(res[0].Exp.ID())
 		}
 		ends[s.Index] = t
-		return nil
+		return dev, nil
 	}
 
 	if err := executeShards(ctx, shards, opts.workers(), runShard); err != nil {
@@ -220,20 +230,31 @@ func (o Options) observer(total int) func(id string) {
 	}
 }
 
+// runShardFunc executes one shard and returns the device it ran on, which the
+// same worker's next shard is offered as Shard.Reuse.
+type runShardFunc func(context.Context, Shard) (device.Device, error)
+
 // executeShards runs the shards inline in partition order when workers == 1
-// (the sequential fallback: same shards, same seeds, same per-shard devices)
-// and through the bounded pool otherwise. Shared by plan execution and the
+// (the sequential fallback: same shards, same seeds, same per-shard device
+// states) and through the bounded pool otherwise. Either way a worker hands
+// each finished shard's device to its own next shard — worker-affine, so no
+// pool and no lock — and an execution allocates at most `workers` device
+// stacks when the factory recycles them. Shared by plan execution and the
 // stream-job executor so pool, cancellation and progress semantics cannot
 // diverge.
-func executeShards(ctx context.Context, shards []Shard, workers int, run func(context.Context, Shard) error) error {
+func executeShards(ctx context.Context, shards []Shard, workers int, run runShardFunc) error {
 	if workers == 1 {
+		var prev device.Device
 		for _, s := range shards {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := run(ctx, s); err != nil {
+			s.Reuse = prev
+			dev, err := run(ctx, s)
+			if err != nil {
 				return err
 			}
+			prev = dev
 		}
 		return nil
 	}
@@ -242,7 +263,7 @@ func executeShards(ctx context.Context, shards []Shard, workers int, run func(co
 
 // runPool dispatches shards to a bounded pool of workers, cancelling the
 // remaining work on the first error.
-func runPool(ctx context.Context, shards []Shard, workers int, run func(context.Context, Shard) error) error {
+func runPool(ctx context.Context, shards []Shard, workers int, run runShardFunc) error {
 	if workers > len(shards) {
 		workers = len(shards)
 	}
@@ -266,13 +287,17 @@ func runPool(ctx context.Context, shards []Shard, workers int, run func(context.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var prev device.Device
 			for s := range jobs {
 				if poolCtx.Err() != nil {
 					continue // drain without running
 				}
-				if err := run(poolCtx, s); err != nil {
+				s.Reuse = prev
+				dev, err := run(poolCtx, s)
+				if err != nil {
 					fail(err)
 				}
+				prev = dev
 			}
 		}()
 	}

@@ -8,15 +8,19 @@ import (
 )
 
 // Master caches one fully prepared ("well-enforced", Section 4.1) device and
-// hands out deep clones of it. Building and enforcing a device is by far the
-// dominant cost of a shard — a random fill writes the whole logical capacity
-// — while a clone only copies the in-memory state, so a Master turns N
-// per-shard enforcements into one enforcement plus N snapshots.
+// hands out independent copies of its state. Building and enforcing a device
+// is by far the dominant cost of a shard — a random fill writes the whole
+// logical capacity — while a copy only moves the in-memory state, so a Master
+// turns N per-shard enforcements into one enforcement plus N copies; and its
+// Factory makes most of those copies into a device the worker already owns
+// (device.Resettable: the previous shard's device is reset from the master
+// in place), so an execution allocates one device stack per worker, not one
+// per shard.
 //
 // The build function runs lazily, once, on the first request and its result
-// (or error) is cached; Clone is safe for concurrent use from worker
-// goroutines, and since cloning only reads the master, concurrent clones run
-// in parallel instead of queueing behind each other's deep copy.
+// (or error) is cached; Clone and the factory are safe for concurrent use
+// from worker goroutines, and since copying only reads the master, concurrent
+// copies run in parallel instead of queueing behind each other.
 // Because every shard starts from the same master state, the merged results
 // are still a pure function of the plan and options — and byte-identical to
 // rebuilding and re-enforcing each shard's device with the same seed.
@@ -39,18 +43,26 @@ func NewMaster(build func() (device.Cloneable, time.Duration, error)) *Master {
 // Clone returns an independent deep copy of the master device (building the
 // master first if needed) and the prepared start time.
 func (m *Master) Clone() (device.Device, time.Duration, error) {
+	return m.copyInto(nil)
+}
+
+// copyInto returns the master's state in reuse when that device can be reset
+// from the master, and in a fresh clone otherwise (reuse nil included).
+func (m *Master) copyInto(reuse device.Device) (device.Device, time.Duration, error) {
 	m.once.Do(func() { m.dev, m.at, m.err = m.build() })
 	if m.err != nil {
 		return nil, 0, m.err
 	}
-	return m.dev.CloneDevice(), m.at, nil
+	return device.ResetOrClone(reuse, m.dev), m.at, nil
 }
 
 // Factory adapts the master to the engine's DeviceFactory: every shard gets
-// a clone of the one enforced master instead of a rebuilt device.
+// the state of the one enforced master instead of a rebuilt device — reset
+// into the device the worker's previous shard finished with (Shard.Reuse)
+// when there is one that supports it, cloned otherwise.
 func (m *Master) Factory() DeviceFactory {
-	return func(Shard) (device.Device, time.Duration, error) {
-		return m.Clone()
+	return func(s Shard) (device.Device, time.Duration, error) {
+		return m.copyInto(s.Reuse)
 	}
 }
 

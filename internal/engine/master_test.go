@@ -7,6 +7,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,5 +175,78 @@ func TestMasterConcurrentClones(t *testing.T) {
 		if ends[g] != ends[0] {
 			t.Fatalf("clone of goroutine %d finished at %v, goroutine 0's at %v", g, ends[g], ends[0])
 		}
+	}
+}
+
+// countingDevice is a cloneable, resettable device that counts how often its
+// family is cloned: the number of device stacks an execution allocates.
+type countingDevice struct {
+	device.Device // the simulated device doing the work
+	clones        *atomic.Int64
+}
+
+func (c *countingDevice) CloneDevice() device.Device {
+	c.clones.Add(1)
+	return &countingDevice{Device: c.Device.(device.Cloneable).CloneDevice(), clones: c.clones}
+}
+
+func (c *countingDevice) ResetFrom(src device.Device) bool {
+	s, ok := src.(*countingDevice)
+	if !ok {
+		return false
+	}
+	c.clones = s.clones
+	return c.Device.(device.Resettable).ResetFrom(s.Device)
+}
+
+// TestShardDevicesAreRecycled pins what Shard.Reuse is for: over a master's
+// factory an execution clones at most one device stack per worker, however
+// many shards or jobs it runs — each worker resets its previous shard's
+// device from the master in place — on both the plan and the stream
+// executor, with merged results byte-identical for any worker count and to
+// rebuilding and re-enforcing a device per shard.
+func TestShardDevicesAreRecycled(t *testing.T) {
+	plan, jobs := testPlan(t), testJobs(12)
+	build := func() (device.Cloneable, time.Duration, error) {
+		var builds int // masterBuild's counter is not for concurrent rebuilds
+		return masterBuild(t, &builds)()
+	}
+	rebuild := func(engine.Shard) (device.Device, time.Duration, error) { return build() }
+	execute := map[string]func(engine.DeviceFactory, int) (any, error){
+		"plan": func(f engine.DeviceFactory, workers int) (any, error) {
+			return engine.ExecutePlan(context.Background(), plan, f, engine.Options{Workers: workers, Seed: 42})
+		},
+		"jobs": func(f engine.DeviceFactory, workers int) (any, error) {
+			return engine.ExecuteJobs(context.Background(), jobs, f, engine.Options{Workers: workers, Seed: 42})
+		},
+	}
+	for name, run := range execute {
+		t.Run(name, func(t *testing.T) {
+			res, err := run(rebuild, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 8} {
+				var clones atomic.Int64
+				factory := engine.CloningFactory(func() (device.Cloneable, time.Duration, error) {
+					dev, at, err := build()
+					return &countingDevice{Device: dev, clones: &clones}, at, err
+				})
+				res, err := run(factory, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := json.Marshal(res); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d: results over recycled devices differ from the rebuild path (err %v)", workers, err)
+				}
+				if n := clones.Load(); n < 1 || n > int64(workers) {
+					t.Fatalf("workers=%d: %d device stacks cloned, want between 1 and %d", workers, n, workers)
+				}
+			}
+		})
 	}
 }

@@ -21,16 +21,17 @@ type Job struct {
 	// Run executes the job against its private device starting at the given
 	// virtual time and returns the measured run. The context is the
 	// execution's: a canceled job should stop promptly (retry loops check it
-	// between attempts).
+	// between attempts). Run must not retain dev after it returns: the engine
+	// offers the device to the worker's next job (Shard.Reuse).
 	Run func(ctx context.Context, dev device.Device, startAt time.Duration) (*core.Run, error)
 }
 
 // ExecuteJobs runs every job through the worker pool and returns the runs
 // ordered by job index — never by completion time — so the merged output is
 // byte-identical for any worker count. Each job receives a freshly built
-// device (factory is called with a shard carrying the job's index and
-// derived seed, and no experiments). Cancelling ctx stops execution between
-// jobs and discards partial results.
+// device state (factory is called with a shard carrying the job's index and
+// derived seed, no experiments, and the worker's previous device to recycle).
+// Cancelling ctx stops execution between jobs and discards partial results.
 func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Options) ([]*core.Run, error) {
 	if len(jobs) == 0 {
 		return nil, ctx.Err()
@@ -42,22 +43,22 @@ func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Op
 	for i := range jobs {
 		shards[i] = Shard{Index: i, Seed: shardSeed(opts.Seed, i), FirstRun: i}
 	}
-	runShard := func(ctx context.Context, s Shard) error {
+	runShard := func(ctx context.Context, s Shard) (device.Device, error) {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		job := jobs[s.Index]
 		dev, at, err := factory(s)
 		if err != nil {
-			return fmt.Errorf("engine: job %d (%s): %w", s.Index, job.ID, err)
+			return nil, fmt.Errorf("engine: job %d (%s): %w", s.Index, job.ID, err)
 		}
 		run, err := job.Run(ctx, dev, at)
 		if err != nil {
-			return fmt.Errorf("engine: job %d (%s): %w", s.Index, job.ID, err)
+			return nil, fmt.Errorf("engine: job %d (%s): %w", s.Index, job.ID, err)
 		}
 		merged[s.Index] = run
 		observe(job.ID)
-		return nil
+		return dev, nil
 	}
 
 	if err := executeShards(ctx, shards, opts.workers(), runShard); err != nil {

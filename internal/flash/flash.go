@@ -237,17 +237,33 @@ func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 // independently; driving both with the same operation sequence yields
 // identical durations, errors and stats.
 func (c *Chip) Clone() *Chip {
-	g := *c
-	g.blocks = append([]blockState(nil), c.blocks...)
-	g.cachedBlock = append([]int(nil), c.cachedBlock...)
-	g.cachedPage = append([]int(nil), c.cachedPage...)
-	if c.storeData {
-		g.data = make(map[int64][]byte, len(c.data))
-		for k, v := range c.data {
-			g.data[k] = append([]byte(nil), v...)
-		}
+	g := &Chip{}
+	g.ResetFrom(c)
+	return g
+}
+
+// ResetFrom makes c a deep copy of src, reusing c's buffers; c may be a zero
+// value. It is the one traversal of the chip's state: Clone is ResetFrom into
+// a fresh chip, and a shard device recycled by the engine is reset from the
+// enforced master this way instead of being cloned again.
+func (c *Chip) ResetFrom(src *Chip) {
+	c.geo, c.timing, c.cell, c.transfer = src.geo, src.timing, src.cell, src.transfer
+	c.blocks = append(c.blocks[:0], src.blocks...)
+	c.stats = src.stats
+	c.cachedBlock = append(c.cachedBlock[:0], src.cachedBlock...)
+	c.cachedPage = append(c.cachedPage[:0], src.cachedPage...)
+	c.storeData = src.storeData
+	if !src.storeData {
+		c.data = nil
+		return
 	}
-	return &g
+	if c.data == nil {
+		c.data = make(map[int64][]byte, len(src.data))
+	}
+	clear(c.data)
+	for k, v := range src.data {
+		c.data[k] = append([]byte(nil), v...)
+	}
 }
 
 // Geometry returns the chip geometry.

@@ -70,12 +70,28 @@ func NewUniformArray(nChips int, cell flash.CellType, capacityBytes int64, opts 
 // Clone returns a deep copy of the array: every chip is cloned, so the copy
 // and the original evolve independently.
 func (a *Array) Clone() *Array {
-	chips := make([]*flash.Chip, len(a.chips))
-	for i, c := range a.chips {
-		chips[i] = c.Clone()
-	}
-	return &Array{chips: chips, geo: a.geo, blocksPerChip: a.blocksPerChip, totalBlocks: a.totalBlocks}
+	g := &Array{}
+	g.resetFrom(a)
+	return g
 }
+
+// resetFrom makes a a deep copy of src, reusing a's chips; a may be a zero
+// value.
+func (a *Array) resetFrom(src *Array) {
+	if len(a.chips) != len(src.chips) {
+		a.chips = make([]*flash.Chip, len(src.chips))
+	}
+	for i, c := range src.chips {
+		if a.chips[i] == nil {
+			a.chips[i] = &flash.Chip{}
+		}
+		a.chips[i].ResetFrom(c)
+	}
+	a.geo, a.blocksPerChip, a.totalBlocks = src.geo, src.blocksPerChip, src.totalBlocks
+}
+
+// eraseLimit returns the per-block erase budget of the array's cell type.
+func (a *Array) eraseLimit() int { return a.chips[0].Cell().EraseLimit() }
 
 // Geometry returns the shared per-chip geometry.
 func (a *Array) Geometry() flash.Geometry { return a.geo }

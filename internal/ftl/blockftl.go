@@ -63,7 +63,7 @@ type BlockFTL struct {
 
 	data []int32 // lbn -> physical block, -1 unmapped
 	logs map[int64]*logEnt
-	free *freeHeap
+	free blockQueue
 	tick int64
 
 	book  mapBook
@@ -78,6 +78,10 @@ type BlockFTL struct {
 	pending    []byte //uflint:scratch — alive only within one WriteData call
 	pendingOff int64  //uflint:scratch — alive only within one WriteData call
 	runBuf     []byte //uflint:scratch — staging buffer; contents dead between calls
+
+	// logPool backs the log entries resetFrom copies in, so resetting a
+	// recycled FTL allocates nothing.
+	logPool []logEnt //uflint:scratch — reuse buffer behind logs
 }
 
 // NewBlockFTL builds a block-mapped FTL over the array. The flash must be in
@@ -87,6 +91,9 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 		return nil, err
 	}
 	geo := arr.Geometry()
+	if err := checkKeyWidths(arr.Blocks(), arr.eraseLimit(), 0); err != nil {
+		return nil, err
+	}
 	f := &BlockFTL{
 		arr:           arr,
 		cfg:           cfg,
@@ -94,7 +101,7 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 		blockBytes:    int64(geo.BlockSize()),
 		pagesPerBlock: geo.PagesPerBlock,
 		logs:          make(map[int64]*logEnt, cfg.LogBlocks),
-		free:          &freeHeap{},
+		free:          newBlockQueue(arr.Blocks()),
 		lastReadSlot:  -2,
 	}
 	f.lbnCount = (cfg.LogicalBytes + f.blockBytes - 1) / f.blockBytes
@@ -103,7 +110,7 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 		f.data[i] = -1
 	}
 	for b := 0; b < arr.Blocks(); b++ {
-		f.free.Push(freeBlock{block: b, eraseCount: 0})
+		f.free.push(packKey(0, 0, b))
 	}
 	f.book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit)
 	if arr.StoresData() {
@@ -118,21 +125,46 @@ func (f *BlockFTL) Capacity() int64 { return f.cfg.LogicalBytes }
 
 // Clone returns a deep copy of the FTL and the flash array underneath.
 func (f *BlockFTL) Clone() Translator {
-	g := *f
-	g.arr = f.arr.Clone()
-	g.data = append([]int32(nil), f.data...)
-	g.logs = make(map[int64]*logEnt, len(f.logs))
-	for lbn, e := range f.logs {
-		cp := *e
-		g.logs[lbn] = &cp
+	g := &BlockFTL{}
+	g.resetFrom(f)
+	return g
+}
+
+// resetFrom makes f a deep copy of t — a BlockFTL — and of the flash array
+// underneath, reusing f's map, pool and chips; f may be a zero value.
+func (f *BlockFTL) resetFrom(t Translator) bool {
+	src, ok := t.(*BlockFTL)
+	if !ok {
+		return false
 	}
-	g.free = f.free.clone()
-	g.book = f.book.clone()
-	if f.dataMode {
-		g.runBuf = make([]byte, len(f.runBuf))
+	if f.arr == nil {
+		f.arr = &Array{}
 	}
-	g.pending = nil
-	return &g
+	f.arr.resetFrom(src.arr)
+	f.cfg, f.model = src.cfg, src.model
+	f.blockBytes, f.pagesPerBlock, f.lbnCount = src.blockBytes, src.pagesPerBlock, src.lbnCount
+	f.data = append(f.data[:0], src.data...)
+	if f.logs == nil {
+		f.logs = make(map[int64]*logEnt, src.cfg.LogBlocks)
+	}
+	clear(f.logs)
+	if cap(f.logPool) < len(src.logs) {
+		f.logPool = make([]logEnt, 0, src.cfg.LogBlocks)
+	}
+	f.logPool = f.logPool[:0]
+	for lbn, e := range src.logs {
+		f.logPool = append(f.logPool, *e) //uflint:allow maporder — which pool slot backs an entry is unobservable
+		f.logs[lbn] = &f.logPool[len(f.logPool)-1]
+	}
+	f.free.resetFrom(&src.free)
+	f.tick = src.tick
+	f.book.resetFrom(&src.book)
+	f.stats, f.lastReadSlot = src.stats, src.lastReadSlot
+	f.dataMode, f.pending, f.pendingOff = src.dataMode, nil, 0
+	if len(f.runBuf) != len(src.runBuf) {
+		f.runBuf = make([]byte, len(src.runBuf))
+	}
+	return true
 }
 
 // Stats returns a snapshot of the FTL counters.
@@ -148,13 +180,12 @@ func (f *BlockFTL) allocFree() (int, error) {
 	if f.free.Len() == 0 {
 		return 0, ErrNoSpace
 	}
-	fb := f.free.Pop()
-	return fb.block, nil
+	return int(f.free.pop() & keyBlockMask), nil
 }
 
 func (f *BlockFTL) pushFree(block int) {
 	ec, _ := f.arr.EraseCount(block)
-	f.free.Push(freeBlock{block: block, eraseCount: ec})
+	f.free.push(packKey(0, ec, block))
 }
 
 // dataNext returns the programmed-prefix length of the lbn's data block

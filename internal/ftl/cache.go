@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -89,6 +90,53 @@ type cacheRegion struct {
 
 func (r *cacheRegion) dirty(line int64) bool {
 	return r.lines[line>>6]&(1<<(uint(line)&63)) != 0
+}
+
+// nextRun returns the first maximal run [start, end) of dirty lines that
+// begins at or after from, a word of the bitset at a time. Bits at and above
+// the region's line count are never set, so a run ends there at the latest.
+func (r *cacheRegion) nextRun(from int64) (start, end int64, ok bool) {
+	w := int(from >> 6)
+	if w >= len(r.lines) {
+		return 0, 0, false
+	}
+	set := r.lines[w] &^ (1<<(uint(from)&63) - 1)
+	for set == 0 {
+		if w++; w == len(r.lines) {
+			return 0, 0, false
+		}
+		set = r.lines[w]
+	}
+	start = int64(w)<<6 + int64(bits.TrailingZeros64(set))
+	unset := ^r.lines[w] &^ (1<<(uint(start)&63) - 1)
+	for unset == 0 {
+		if w++; w == len(r.lines) {
+			return start, int64(w) << 6, true
+		}
+		unset = ^r.lines[w]
+	}
+	return start, int64(w)<<6 + int64(bits.TrailingZeros64(unset)), true
+}
+
+// markDirty sets lines [first, last] dirty, a masked word at a time, and
+// returns how many of them were dirty already.
+func (r *cacheRegion) markDirty(first, last int64) (hits int64) {
+	for w := first >> 6; w <= last>>6; w++ {
+		mask := ^uint64(0)
+		if w == first>>6 {
+			mask &^= 1<<(uint(first)&63) - 1
+		}
+		if w == last>>6 {
+			mask &= 1<<(uint(last)&63+1) - 1
+		}
+		hits += int64(bits.OnesCount64(r.lines[w] & mask))
+		r.lines[w] |= mask
+	}
+	r.nlines += last - first + 1 - hits
+	if last > r.maxLine {
+		r.maxLine = last
+	}
+	return hits
 }
 
 // regionList is an intrusive doubly-linked LRU chain (front = MRU). Using the
@@ -187,6 +235,10 @@ type WriteCache struct {
 	// touched is a per-call scratch buffer reused across writes so the hot
 	// path does not allocate.
 	touched []*cacheRegion //uflint:scratch — per-call buffer, dead between calls
+	// backing and words hold the regions resetFrom copies in, retained so
+	// resetting a recycled cache allocates nothing.
+	backing []cacheRegion //uflint:scratch — reuse buffer behind the resident regions
+	words   []uint64      //uflint:scratch — reuse buffer behind their bitsets
 
 	// Data plane (inner stack stores payloads only): buffered bytes per
 	// dirty line, the inner layer's data interfaces, and a flush-run
@@ -248,46 +300,81 @@ func (c *WriteCache) newRegion(rid int64) *cacheRegion {
 // Clone returns a deep copy of the cache — regions, dirty lines, both LRU
 // chains in order, stats — stacked over a clone of the inner layer.
 func (c *WriteCache) Clone() Translator {
-	g := *c
-	g.inner = c.inner.Clone()
-	g.regions = make([]*cacheRegion, len(c.regions))
-	g.streamLRU, g.zoneLRU = regionList{}, regionList{}
-	g.freeRegions = nil
-	g.touched = nil
-	// All resident regions of the clone share one backing array (and one
-	// bitset block), allocated up front: cloning is the shard fan-out hot
-	// path.
-	backing := make([]cacheRegion, c.streamLRU.n+c.zoneLRU.n)
-	words := make([]uint64, len(backing)*c.lineWords)
+	g := &WriteCache{}
+	g.resetFrom(c)
+	return g
+}
+
+// resetFrom makes c a deep copy of t — a WriteCache — stacked over a copy of
+// its inner layer, reusing c's buffers (and, where it can be reset, c's inner
+// stack); c may be a zero value.
+func (c *WriteCache) resetFrom(t Translator) bool {
+	src, ok := t.(*WriteCache)
+	if !ok {
+		return false
+	}
+	c.inner = ResetTranslator(c.inner, src.inner)
+	c.model, c.cfg = src.model, src.cfg
+	c.linesPerRegion, c.lineWords, c.capLines = src.linesPerRegion, src.lineWords, src.capLines
+	// Only the resident regions have dense-index entries to drop.
+	if len(c.regions) != len(src.regions) {
+		c.regions = make([]*cacheRegion, len(src.regions))
+	} else {
+		for _, l := range [...]*regionList{&c.streamLRU, &c.zoneLRU} {
+			for r := l.front; r != nil; r = r.next {
+				c.regions[r.id] = nil
+			}
+		}
+	}
+	c.streamLRU, c.zoneLRU, c.freeRegions = regionList{}, regionList{}, nil
+	// All resident regions of the copy share one retained backing array and
+	// one bitset block: this is the shard fan-out hot path.
+	n := src.streamLRU.n + src.zoneLRU.n
+	if cap(c.backing) < n || cap(c.words) < n*src.lineWords {
+		c.backing = make([]cacheRegion, n)
+		c.words = make([]uint64, n*src.lineWords)
+	}
+	c.backing, c.words = c.backing[:n], c.words[:n*src.lineWords]
 	i := 0
-	copyLRU := func(src *regionList, dst *regionList) {
-		for r := src.front; r != nil; r = r.next {
-			nr := &backing[i]
+	for _, l := range [...]struct{ src, dst *regionList }{{&src.streamLRU, &c.streamLRU}, {&src.zoneLRU, &c.zoneLRU}} {
+		for r := l.src.front; r != nil; r = r.next {
+			nr := &c.backing[i]
 			*nr = cacheRegion{
 				id:      r.id,
-				lines:   words[i*c.lineWords : (i+1)*c.lineWords : (i+1)*c.lineWords],
+				lines:   c.words[i*src.lineWords : (i+1)*src.lineWords : (i+1)*src.lineWords],
 				nlines:  r.nlines,
 				maxLine: r.maxLine,
 				stream:  r.stream,
 			}
 			copy(nr.lines, r.lines)
 			i++
-			dst.pushBack(nr)
-			g.regions[nr.id] = nr
+			l.dst.pushBack(nr)
+			c.regions[nr.id] = nr
 		}
 	}
-	copyLRU(&c.streamLRU, &g.streamLRU)
-	copyLRU(&c.zoneLRU, &g.zoneLRU)
-	if c.dataMode {
-		g.lineData = make(map[int64][]byte, len(c.lineData))
-		for l, buf := range c.lineData {
-			g.lineData[l] = append([]byte(nil), buf...)
+	c.totalLines, c.stats, c.idleCredit = src.totalLines, src.stats, src.idleCredit
+	c.dataMode, c.lineData, c.innerData, c.innerPeek = src.dataMode, nil, nil, nil
+	if src.dataMode {
+		c.lineData = make(map[int64][]byte, len(src.lineData))
+		for l, buf := range src.lineData {
+			c.lineData[l] = append([]byte(nil), buf...)
 		}
-		g.innerData = g.inner.(DataPlane)
-		g.innerPeek = g.inner.(peeker)
-		g.runBuf = nil
+		c.innerData = c.inner.(DataPlane)
+		c.innerPeek = c.inner.(peeker)
 	}
-	return &g
+	return true
+}
+
+// ResetTranslator returns a deep copy of src that evolves independently of
+// it: dst itself, overwritten in place with its buffers reused, when dst is a
+// layer of src's concrete type that supports it (the three layers of this
+// package do); a fresh src.Clone() otherwise, dst nil included. After the
+// call dst must not be used except through the returned value.
+func ResetTranslator(dst, src Translator) Translator {
+	if r, ok := dst.(interface{ resetFrom(Translator) bool }); ok && r.resetFrom(src) {
+		return dst
+	}
+	return src.Clone()
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -320,11 +407,12 @@ func (c *WriteCache) flushRegion(r *cacheRegion, ops *Ops) error {
 	lb := int64(c.cfg.LineBytes)
 	base := r.id * int64(c.cfg.RegionBytes)
 	firstLine := r.id * c.linesPerRegion
-	var runStart int64 = -1
-	flushRun := func(endExclusive int64) error {
-		if runStart < 0 {
-			return nil
+	for from := int64(0); ; {
+		runStart, endExclusive, ok := r.nextRun(from)
+		if !ok {
+			break
 		}
+		from = endExclusive
 		off, length := base+runStart*lb, (endExclusive-runStart)*lb
 		var inner Ops
 		var err error
@@ -348,22 +436,6 @@ func (c *WriteCache) flushRegion(r *cacheRegion, ops *Ops) error {
 			return err
 		}
 		ops.Add(inner)
-		runStart = -1
-		return nil
-	}
-	for l := int64(0); l < c.linesPerRegion; l++ {
-		if r.dirty(l) {
-			if runStart < 0 {
-				runStart = l
-			}
-			continue
-		}
-		if err := flushRun(l); err != nil {
-			return err
-		}
-	}
-	if err := flushRun(c.linesPerRegion); err != nil {
-		return err
 	}
 	// Park the struct for reuse only after a complete flush; an error above
 	// leaves it detached so callers holding the pointer never see it recycled.
@@ -437,22 +509,13 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 		if !ascending && !openAtStart {
 			seq = false
 		}
-		regionEnd := (rid + 1) * c.linesPerRegion
-		for ; gl <= l1 && gl < regionEnd; gl++ {
-			lineInR := gl - rid*c.linesPerRegion
-			w, bit := lineInR>>6, uint64(1)<<(uint(lineInR)&63)
-			if r.lines[w]&bit != 0 {
-				c.stats.Hits++
-			} else {
-				c.stats.Misses++
-				r.lines[w] |= bit
-				r.nlines++
-				c.totalLines++
-			}
-			if lineInR > r.maxLine {
-				r.maxLine = lineInR
-			}
-		}
+		last := min(l1, (rid+1)*c.linesPerRegion-1)
+		n := last - gl + 1
+		hits := r.markDirty(firstLine, last-rid*c.linesPerRegion)
+		c.stats.Hits += hits
+		c.stats.Misses += n - hits
+		c.totalLines += n - hits
+		gl = last + 1
 		touched = append(touched, r)
 	}
 	defer func() {
@@ -527,27 +590,34 @@ func (c *WriteCache) Read(off, length int64) (Ops, error) {
 		spanStart = -1
 		return nil
 	}
-	for gl := l0; gl <= l1; gl++ {
+	// One region at a time: every dirty run inside the request ends the
+	// unbuffered span before it and is served from the buffer.
+	for gl := l0; gl <= l1; {
 		rid := gl / c.linesPerRegion
-		if r := c.regions[rid]; r != nil {
-			if r.dirty(gl % c.linesPerRegion) {
-				if c.cfg.FlashBacked {
-					pages := c.cfg.LineBytes / c.cfg.PageBytes
-					if pages < 1 {
-						pages = 1
-					}
-					ops.PageReads += pages
-				} else {
-					ops.RAMBytes += lb
+		base := rid * c.linesPerRegion
+		last := min(l1, base+c.linesPerRegion-1)
+		r := c.regions[rid]
+		for gl <= last {
+			runStart, runEnd := last+1, last+1
+			if r != nil {
+				if s, e, ok := r.nextRun(gl - base); ok && base+s <= last {
+					runStart, runEnd = base+s, min(base+e, last+1)
 				}
-				if err := forward(gl); err != nil {
+			}
+			if runStart > gl && spanStart < 0 {
+				spanStart = gl
+			}
+			if n := runEnd - runStart; n > 0 {
+				if c.cfg.FlashBacked {
+					ops.PageReads += int(n) * max(c.cfg.LineBytes/c.cfg.PageBytes, 1)
+				} else {
+					ops.RAMBytes += n * lb
+				}
+				if err := forward(runStart); err != nil {
 					return ops, err
 				}
-				continue
 			}
-		}
-		if spanStart < 0 {
-			spanStart = gl
+			gl = runEnd
 		}
 	}
 	if err := forward(l1 + 1); err != nil {

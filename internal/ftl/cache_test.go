@@ -2,6 +2,8 @@ package ftl
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -302,5 +304,59 @@ func TestCacheDemotion(t *testing.T) {
 	}
 	if c.streamLRU.Len() != 0 {
 		t.Fatal("out-of-order write did not demote the stream region")
+	}
+}
+
+// TestRegionBitsetRunsMatchPerLineScan: the word-at-a-time run finder and
+// range marker against the per-line loops they replaced, on random bitsets of
+// one to three words, line counts off and on word boundaries.
+func TestRegionBitsetRunsMatchPerLineScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 2000; round++ {
+		n := int64([]int{1, 31, 32, 64, 65, 128, 150, 192}[rng.Intn(8)])
+		r := &cacheRegion{lines: make([]uint64, (n+63)/64), maxLine: -1}
+		for k := rng.Intn(6); k > 0; k-- {
+			first := rng.Int63n(n)
+			last := first + rng.Int63n(min(n-first, 70))
+			var want int64
+			for l := first; l <= last; l++ {
+				if r.dirty(l) {
+					want++
+				}
+			}
+			before := r.nlines
+			if got := r.markDirty(first, last); got != want || r.nlines != before+last-first+1-want {
+				t.Fatalf("markDirty(%d,%d) of %d lines: %d hits, want %d; nlines %d -> %d", first, last, n, got, want, before, r.nlines)
+			}
+			for l := first; l <= last; l++ {
+				if !r.dirty(l) {
+					t.Fatalf("markDirty(%d,%d) left line %d clean", first, last, l)
+				}
+			}
+		}
+		from := rng.Int63n(n + 1)
+		var want [][2]int64
+		for l := from; l < n; l++ {
+			if !r.dirty(l) {
+				continue
+			}
+			if k := len(want); k > 0 && want[k-1][1] == l {
+				want[k-1][1]++
+			} else {
+				want = append(want, [2]int64{l, l + 1})
+			}
+		}
+		var got [][2]int64
+		for at := from; ; {
+			s, e, ok := r.nextRun(at)
+			if !ok {
+				break
+			}
+			got = append(got, [2]int64{s, e})
+			at = e
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("runs from %d of %d lines %064b: %v, want %v", from, n, r.lines, got, want)
+		}
 	}
 }

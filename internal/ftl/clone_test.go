@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -111,7 +112,8 @@ func FlashBooks(tr Translator) (chips, claimed flash.Stats) {
 
 // assertCloneEquivalent drives k IOs on the original, clones it, then drives
 // n more IOs on both and asserts identical per-IO Ops streams, FTL stats and
-// flash wear state — the clone-correctness oracle of the snapshot subsystem.
+// flash wear state — the clone-correctness oracle of the snapshot subsystem —
+// and then the same of the clone reset in place from the original.
 // On both it also checks the run-granular flash calls against the books: the
 // chips must have counted exactly the page reads, programs and erases the
 // FTL's counters claim and — when opsComplete says every flash operation is
@@ -158,6 +160,32 @@ func assertCloneEquivalent(t *testing.T, tr Translator, arrOf func(Translator) *
 		if opsComplete && chips != side.work {
 			t.Fatalf("%s: chips counted %+v, the Ops stream sums to %+v", side.name, chips, side.work)
 		}
+	}
+
+	// Reset instead of clone: the clone, by now n IOs away from the state it
+	// copied, is overwritten in place from the original. It must come back as
+	// itself (buffers reused, not a fresh stack), snapshot-identical to a
+	// fresh clone, and track the original from there on.
+	if got := ResetTranslator(cl, tr); got != cl {
+		t.Fatalf("ResetTranslator returned a new %T instead of resetting the %T in place", got, cl)
+	}
+	want, err := SnapshotTranslator(tr.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := SnapshotTranslator(cl); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset layer's snapshot differs from a fresh clone's (err %v)", err)
+	}
+	for i := k + n; i < k+2*n; i++ {
+		if a, b := driveOne(t, tr, i), driveOne(t, cl, i); a != b {
+			t.Fatalf("io %d after reset: ops diverge: original %+v reset %+v", i, a, b)
+		}
+	}
+	if got, want := statsOf(cl), statsOf(tr); got != want {
+		t.Fatalf("stats diverge after reset and replay: %+v vs %+v", got, want)
+	}
+	if !equalInts(wearOf(t, arrOf(cl)), wearOf(t, arrOf(tr))) {
+		t.Fatal("wear state diverges after reset and replay")
 	}
 }
 
@@ -299,11 +327,12 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestMinHeapMatchesReference drives the generic heap against a straight
-// re-sorted reference on a pseudo-random push/pop mix.
+// TestMinHeapMatchesReference drives the block queue against a straight
+// re-sorted reference on a pseudo-random push/lower/pop/remove mix.
 func TestMinHeapMatchesReference(t *testing.T) {
-	var h minHeap[freeBlock]
-	var ref []freeBlock
+	const blocks = 512
+	q := newBlockQueue(blocks)
+	ref := make(map[int]uint64) // block -> key
 	z := uint64(12345)
 	next := func() uint64 {
 		z ^= z << 13
@@ -311,65 +340,84 @@ func TestMinHeapMatchesReference(t *testing.T) {
 		z ^= z << 17
 		return z
 	}
-	for i := 0; i < 5000; i++ {
-		if h.Len() == 0 || next()%3 != 0 {
-			fb := freeBlock{block: i, eraseCount: int(next() % 8)}
-			h.Push(fb)
-			ref = append(ref, fb)
-			continue
+	refMin := func() uint64 {
+		best := ^uint64(0)
+		for _, k := range ref {
+			best = min(best, k)
 		}
-		got := h.Pop()
-		// Reference: take the minimum by the same order.
-		mi := 0
-		for j := 1; j < len(ref); j++ {
-			if ref[j].before(ref[mi]) {
-				mi = j
+		return best
+	}
+	for i := 0; i < 20000; i++ {
+		b := int(next() % blocks)
+		switch old, queued := ref[b]; {
+		case next()%4 == 0 && len(ref) > 0:
+			want := refMin()
+			if got := q.pop(); got != want {
+				t.Fatalf("op %d: popped %#x, want %#x", i, got, want)
+			}
+			delete(ref, int(want&keyBlockMask))
+		case next()%5 == 0:
+			q.remove(b)
+			delete(ref, b)
+		case queued: // lower in place
+			k := packKey(int(old>>(keyEraseBits+keyBlockBits))/2, int(next()%3), b)
+			if k < old {
+				q.push(k)
+				ref[b] = k
+			}
+		default:
+			k := packKey(int(next()%64), int(next()%8), b)
+			q.push(k)
+			ref[b] = k
+		}
+		if q.Len() != len(ref) {
+			t.Fatalf("op %d: Len %d, want %d", i, q.Len(), len(ref))
+		}
+		if len(ref) > 0 && q.min() != refMin() {
+			t.Fatalf("op %d: min %#x, want %#x", i, q.min(), refMin())
+		}
+		for blk, k := range ref {
+			if p := q.pos[blk]; p < 0 || q.keys[p] != k {
+				t.Fatalf("op %d: block %d not indexed at its key", i, blk)
 			}
 		}
-		want := ref[mi]
-		ref = append(ref[:mi], ref[mi+1:]...)
-		if got != want {
-			t.Fatalf("op %d: popped %+v, want %+v", i, got, want)
-		}
 	}
-	for h.Len() > 0 {
-		got := h.Pop()
-		mi := 0
-		for j := 1; j < len(ref); j++ {
-			if ref[j].before(ref[mi]) {
-				mi = j
-			}
+	for len(ref) > 0 {
+		want := refMin()
+		if got := q.pop(); got != want {
+			t.Fatalf("drain: popped %#x, want %#x", got, want)
 		}
-		want := ref[mi]
-		ref = append(ref[:mi], ref[mi+1:]...)
-		if got != want {
-			t.Fatalf("drain: popped %+v, want %+v", got, want)
-		}
+		delete(ref, int(want&keyBlockMask))
 	}
-	if len(ref) != 0 {
-		t.Fatalf("%d reference entries left", len(ref))
+	if q.Len() != 0 {
+		t.Fatalf("%d entries left", q.Len())
 	}
 }
 
-// TestMinHeapZeroAlloc pins the allocation-free property of the generic
-// heap: once the backing slice has grown, push/pop cycles allocate nothing
-// (container/heap boxed every element through interface{}).
+// TestMinHeapZeroAlloc pins the allocation-free property of the block
+// queue: once the key slice has grown, push/lower/pop/remove cycles allocate
+// nothing.
 func TestMinHeapZeroAlloc(t *testing.T) {
-	var h minHeap[victimBlock]
+	q := newBlockQueue(256)
 	for i := 0; i < 256; i++ {
-		h.Push(victimBlock{block: i, live: i % 7, eraseCount: i % 3})
+		q.push(packKey(i%7+8, i%3, i))
 	}
-	for h.Len() > 128 {
-		h.Pop()
+	for q.Len() > 128 {
+		q.pop()
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		h.Push(victimBlock{block: i, live: i % 5, eraseCount: i % 2})
-		h.Pop()
+		b := int(q.pop() & keyBlockMask)
+		q.push(packKey(i%5+8, i%2, b))
+		q.push(packKey(i%5, i%2, b))
+		q.remove(int(q.keys[q.Len()/2] & keyBlockMask))
+		if !q.contains(i % 256) {
+			q.push(packKey(20, 0, i%256))
+		}
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("heap push/pop allocates %.1f times per op, want 0", allocs)
+		t.Fatalf("queue push/pop/remove allocates %.1f times per op, want 0", allocs)
 	}
 }
 
@@ -391,5 +439,24 @@ func TestMapBookRingZeroAlloc(t *testing.T) {
 	}
 	if b.dirtyCount() > 8 {
 		t.Fatalf("dirty count %d exceeds limit", b.dirtyCount())
+	}
+}
+
+// TestResetTranslatorFallsBackToClone: a destination of another concrete type
+// — another layer of this package, or a Translator from outside it — cannot
+// be reset from the source, so the caller gets a fresh clone of the source.
+func TestResetTranslatorFallsBackToClone(t *testing.T) {
+	page, block := newTestPageFTL(t, nil), newTestBlockFTL(t, nil)
+	for i := 0; i < 200; i++ {
+		driveOne(t, page, i)
+	}
+	for name, dst := range map[string]Translator{"nil": nil, "block": block, "foreign": &recordingTranslator{capacity: page.Capacity()}} {
+		got := ResetTranslator(dst, page)
+		if _, ok := got.(*PageFTL); !ok || got == Translator(page) || got == dst {
+			t.Fatalf("%s: ResetTranslator returned %T, want a fresh *PageFTL", name, got)
+		}
+		if a, b := driveOne(t, got, 1000), driveOne(t, page.Clone(), 1000); a != b {
+			t.Fatalf("%s: fallback clone diverges from Clone: %+v vs %+v", name, a, b)
+		}
 	}
 }

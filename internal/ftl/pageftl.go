@@ -105,10 +105,11 @@ type PageFTL struct {
 	rmap []int64 // physical slot -> logical unit, -1 free/obsolete
 	live []int32 // physical block -> live unit count
 
-	free    *freeHeap
-	victims *victimHeap
-	vgen    []int32 // per-block generation, guards ghost victim entries
-	isOpen  []bool  // block currently attached to a write point
+	// free is the pre-erased pool; victims holds exactly the closed blocks
+	// with at least one obsolete slot, keyed by their current live count.
+	free    blockQueue
+	victims blockQueue //uflint:scratch — derived from live, isOpen and free; Restore rebuilds it (rebuildVictims)
+	isOpen  []bool     // block currently attached to a write point
 
 	wps  []writePoint
 	gcWP writePoint
@@ -141,6 +142,9 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 		return nil, err
 	}
 	blockSize := arr.Geometry().BlockSize()
+	if err := checkKeyWidths(arr.Blocks(), arr.eraseLimit(), blockSize/cfg.UnitBytes); err != nil {
+		return nil, err
+	}
 	f := &PageFTL{
 		arr:           arr,
 		cfg:           cfg,
@@ -148,8 +152,8 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 		unitBytes:     int64(cfg.UnitBytes),
 		pagesPerUnit:  cfg.UnitBytes / arr.Geometry().PageSize,
 		unitsPerBlock: blockSize / cfg.UnitBytes,
-		free:          &freeHeap{},
-		victims:       &victimHeap{},
+		free:          newBlockQueue(arr.Blocks()),
+		victims:       newBlockQueue(arr.Blocks()),
 		lastReadSlot:  -2,
 	}
 	f.logicalUnits = (cfg.LogicalBytes + f.unitBytes - 1) / f.unitBytes
@@ -162,10 +166,9 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 		f.rmap[i] = -1
 	}
 	f.live = make([]int32, arr.Blocks())
-	f.vgen = make([]int32, arr.Blocks())
 	f.isOpen = make([]bool, arr.Blocks())
 	for b := 0; b < arr.Blocks(); b++ {
-		f.free.Push(freeBlock{block: b, eraseCount: 0})
+		f.free.push(packKey(0, 0, b))
 	}
 	f.wps = make([]writePoint, cfg.WritePoints)
 	for i := range f.wps {
@@ -185,22 +188,39 @@ func (f *PageFTL) Capacity() int64 { return f.cfg.LogicalBytes }
 
 // Clone returns a deep copy of the FTL and the flash array underneath.
 func (f *PageFTL) Clone() Translator {
-	g := *f
-	g.arr = f.arr.Clone()
-	g.fmap = append([]int64(nil), f.fmap...)
-	g.rmap = append([]int64(nil), f.rmap...)
-	g.live = append([]int32(nil), f.live...)
-	g.vgen = append([]int32(nil), f.vgen...)
-	g.isOpen = append([]bool(nil), f.isOpen...)
-	g.free = f.free.clone()
-	g.victims = f.victims.clone()
-	g.wps = append([]writePoint(nil), f.wps...)
-	g.book = f.book.clone()
-	if f.dataMode {
-		g.unitData = make([]byte, len(f.unitData))
+	g := &PageFTL{}
+	g.resetFrom(f)
+	return g
+}
+
+// resetFrom makes f a deep copy of t — a PageFTL — and of the flash array
+// underneath, reusing f's maps, pools and chips; f may be a zero value.
+func (f *PageFTL) resetFrom(t Translator) bool {
+	src, ok := t.(*PageFTL)
+	if !ok {
+		return false
 	}
-	g.pending = nil
-	return &g
+	if f.arr == nil {
+		f.arr = &Array{}
+	}
+	f.arr.resetFrom(src.arr)
+	f.cfg, f.model = src.cfg, src.model
+	f.unitBytes, f.pagesPerUnit, f.unitsPerBlock, f.logicalUnits = src.unitBytes, src.pagesPerUnit, src.unitsPerBlock, src.logicalUnits
+	f.fmap = append(f.fmap[:0], src.fmap...)
+	f.rmap = append(f.rmap[:0], src.rmap...)
+	f.live = append(f.live[:0], src.live...)
+	f.isOpen = append(f.isOpen[:0], src.isOpen...)
+	f.free.resetFrom(&src.free)
+	f.victims.resetFrom(&src.victims)
+	f.wps = append(f.wps[:0], src.wps...)
+	f.gcWP, f.tick = src.gcWP, src.tick
+	f.book.resetFrom(&src.book)
+	f.idleCredit, f.stats, f.lastReadSlot = src.idleCredit, src.stats, src.lastReadSlot
+	f.dataMode, f.pending, f.pendingOff = src.dataMode, nil, 0
+	if len(f.unitData) != len(src.unitData) {
+		f.unitData = make([]byte, len(src.unitData))
+	}
+	return true
 }
 
 // Stats returns a snapshot of the FTL counters.
@@ -246,14 +266,14 @@ func (f *PageFTL) allocBlock(ops *Ops, forGC bool) (int, error) {
 	if f.free.Len() == 0 {
 		return 0, ErrNoSpace
 	}
-	fb := f.free.Pop()
-	f.isOpen[fb.block] = true
-	return fb.block, nil
+	block := int(f.free.pop() & keyBlockMask)
+	f.isOpen[block] = true
+	return block, nil
 }
 
 func (f *PageFTL) pushFree(block int) {
 	ec, _ := f.arr.EraseCount(block)
-	f.free.Push(freeBlock{block: block, eraseCount: ec})
+	f.free.push(packKey(0, ec, block))
 }
 
 // collectOne garbage-collects the closed block with the fewest live units,
@@ -261,10 +281,10 @@ func (f *PageFTL) pushFree(block int) {
 // operations are charged to ops (inline/synchronous collection); pass a
 // throwaway ops for background collection.
 func (f *PageFTL) collectOne(ops *Ops) error {
-	victim, ok := f.popVictim()
-	if !ok {
+	if f.victims.Len() == 0 {
 		return ErrNoSpace
 	}
+	victim := int(f.victims.pop() & keyBlockMask)
 	f.stats.Merges++
 	liveUnits := int(f.live[victim])
 	if liveUnits == 0 {
@@ -294,56 +314,35 @@ func (f *PageFTL) collectOne(ops *Ops) error {
 	ops.Erases++
 	f.stats.BlocksErased++
 	f.live[victim] = 0
-	f.vgen[victim]++ // any heap entries for this life become ghosts
+	// Each relocation above obsoleted a slot of the victim itself — a closed
+	// block — and so queued it again; an erased block is no candidate.
+	f.victims.remove(victim)
 	f.pushFree(victim)
 	return nil
 }
 
-// pushVictim registers a closed block that has at least one obsolete slot as
-// a garbage-collection candidate. Blocks still attached to a write point and
-// fully live blocks are never candidates; a fully live block enters the heap
-// the moment one of its units is overwritten.
+// pushVictim queues a closed block that has at least one obsolete slot as a
+// garbage-collection candidate, or lowers the key of one already queued to
+// its current live count. Blocks still attached to a write point and fully
+// live blocks are never candidates; a fully live block enters the queue the
+// moment one of its units is overwritten.
 func (f *PageFTL) pushVictim(block int) {
 	if f.isOpen[block] || int(f.live[block]) >= f.unitsPerBlock {
 		return
 	}
 	ec, _ := f.arr.EraseCount(block)
-	f.victims.Push(victimBlock{block: block, live: int(f.live[block]), eraseCount: ec, gen: f.vgen[block]})
+	f.victims.push(packKey(int(f.live[block]), ec, block))
 }
 
-// peekVictim returns the closed block with the fewest live units and leaves
-// it on top of the heap. The heap is lazy: ghost entries (from a block's
-// previous life) are discarded and stale entries (whose live count changed
-// since push) are re-pushed with the current count until the top is valid.
-// Valid entries always satisfy live < unitsPerBlock because entries are only
-// pushed for blocks with obsolete slots and closed blocks never gain live
-// units.
-func (f *PageFTL) peekVictim() (int, bool) {
-	for f.victims.Len() > 0 {
-		v := f.victims.Peek()
-		cur := f.live[v.block]
-		switch {
-		case v.gen != f.vgen[v.block] || f.isOpen[v.block]:
-			f.victims.Pop() // ghost from a previous life of this block
-		case int32(v.live) != cur:
-			f.victims.Pop()
-			f.victims.Push(victimBlock{block: v.block, live: int(cur), eraseCount: v.eraseCount, gen: v.gen})
-		case int(cur) >= f.unitsPerBlock:
-			f.victims.Pop() // duplicate entry gone stale; drop it
-		default:
-			return v.block, true
+// rebuildVictims derives the candidate queue from the rest of the state:
+// every usable block that is neither open nor free and has an obsolete slot.
+func (f *PageFTL) rebuildVictims() {
+	f.victims.reset()
+	for b := range f.live {
+		if !f.free.contains(b) && !f.arr.IsBad(b) {
+			f.pushVictim(b)
 		}
 	}
-	return 0, false
-}
-
-// popVictim removes and returns the block peekVictim selects.
-func (f *PageFTL) popVictim() (int, bool) {
-	victim, ok := f.peekVictim()
-	if ok {
-		f.victims.Pop()
-	}
-	return victim, ok
 }
 
 func (f *PageFTL) closeWP(wp *writePoint) {
@@ -656,11 +655,8 @@ func (f *PageFTL) reclaimWithCredit(d time.Duration) {
 		}
 	}()
 	for f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
-		// Price the cheapest victim without disturbing the heap.
-		victim, ok := f.peekVictim()
-		if !ok {
-			return
-		}
+		// Price the cheapest victim without disturbing the queue.
+		victim := f.victims.min() & keyBlockMask
 		cost := f.model.ReclaimCost(int(f.live[victim]) * f.pagesPerUnit)
 		if f.idleCredit < cost {
 			return // not enough idle time

@@ -398,3 +398,65 @@ func TestPageFTLWearLeveling(t *testing.T) {
 		t.Fatalf("wear imbalance: max %d vs mean %.1f", maxEC, mean)
 	}
 }
+
+// TestReadStealNeedsARealCandidate pins the read-steal gate to the exact
+// candidate count. A block overwritten unit by unit used to sit in the lazy
+// victim heap once per overwrite; collecting it left the duplicates behind as
+// ghosts, Len() stayed positive, and a read below the reserve was stalled to
+// fund a reclamation that had nothing to reclaim. With one queue entry per
+// block the gate sees an empty queue: no stall, no credit, no reclaim.
+func TestReadStealNeedsARealCandidate(t *testing.T) {
+	const unit = 32 * 1024 // four units per 128 KiB block
+	arr, err := NewUniformArray(1, flash.SLC, 10*128*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewPageFTL(arr, PageConfig{
+		LogicalBytes: 16 * unit, UnitBytes: unit, WritePoints: 1, ReserveBlocks: 2,
+		AsyncReclaim: true, ReadSteal: 0.5, MapDirtyLimit: 8, MapUnitsPerPage: 128,
+	}, testModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(u int64) {
+		t.Helper()
+		if _, err := f.Write(u*unit, unit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill one block, then overwrite all four of its units: the block closes
+	// fully live and is obsoleted slot by slot — four pushes, one candidate.
+	for pass := 0; pass < 2; pass++ {
+		for u := int64(0); u < 4; u++ {
+			write(u)
+		}
+	}
+	if f.victims.Len() != 1 {
+		t.Fatalf("queue holds %d entries for one candidate block", f.victims.Len())
+	}
+	// Retire spare blocks, as wear-out does, until the pool is one short of
+	// its target; idle time then collects the candidate and refills it.
+	for f.free.Len() > f.cfg.ReserveBlocks-1 {
+		f.free.pop()
+	}
+	f.Idle(time.Second)
+	if got := f.Stats().AsyncReclaims; got != 1 || f.victims.Len() != 0 {
+		t.Fatalf("after idle: %d async reclaims, %d candidates; want 1 and 0", got, f.victims.Len())
+	}
+	// The next block allocation takes the pool below target again, with only
+	// fully live blocks closed: nothing to reclaim.
+	write(4)
+	if f.FreeBlocks() >= f.cfg.ReserveBlocks {
+		t.Fatalf("pool at %d, want below the reserve %d", f.FreeBlocks(), f.cfg.ReserveBlocks)
+	}
+	ops, err := f.Read(0, unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops.Stall != 0 {
+		t.Fatalf("read stalled %v for a reclamation with no candidate", ops.Stall)
+	}
+	if got := f.Stats().AsyncReclaims; got != 1 || f.idleCredit != 0 {
+		t.Fatalf("after read: %d async reclaims, %v idle credit; want 1 and 0", got, f.idleCredit)
+	}
+}

@@ -48,20 +48,31 @@ func (a *Array) Restore(s *ArraySnapshot) error {
 }
 
 // FreeBlockSnapshot is one entry of the pre-erased pool. The slice order in
-// a snapshot is the heap's internal array layout, preserved verbatim so the
-// restored pool pops blocks in exactly the original order.
+// a snapshot is the queue's internal array layout, which re-queueing the
+// entries in order reproduces verbatim. (The PageFTL's garbage-collection
+// candidates are not serialized: Restore derives them from the block state.)
 type FreeBlockSnapshot struct {
 	Block      int
 	EraseCount int
 }
 
-// VictimSnapshot is one garbage-collection candidate, heap layout preserved
-// like FreeBlockSnapshot.
-type VictimSnapshot struct {
-	Block      int
-	Live       int
-	EraseCount int
-	Gen        int32
+func (q *blockQueue) snapshotFree() []FreeBlockSnapshot {
+	var s []FreeBlockSnapshot
+	for _, k := range q.keys {
+		s = append(s, FreeBlockSnapshot{Block: int(k & keyBlockMask), EraseCount: int(k >> keyBlockBits)})
+	}
+	return s
+}
+
+func (q *blockQueue) restoreFree(s []FreeBlockSnapshot) error {
+	q.reset()
+	for _, fb := range s {
+		if fb.Block < 0 || fb.Block >= len(q.pos) || q.contains(fb.Block) || fb.EraseCount < 0 || fb.EraseCount >= 1<<keyEraseBits {
+			return fmt.Errorf("ftl: snapshot free-pool entry %+v invalid", fb)
+		}
+		q.push(packKey(0, fb.EraseCount, fb.Block))
+	}
+	return nil
 }
 
 // WritePointSnapshot is the state of one append stream.
@@ -110,10 +121,7 @@ func (b *mapBook) restore(s MapBookSnapshot) error {
 	b.head = s.Head
 	b.queued = s.Queued
 	b.lastFlushed = s.LastFlushed
-	b.dirty = make(map[int64]struct{}, len(s.Dirty)+1)
-	for _, p := range s.Dirty {
-		b.dirty[p] = struct{}{}
-	}
+	b.rebuildDirty()
 	return nil
 }
 
@@ -123,10 +131,8 @@ type PageFTLSnapshot struct {
 	FMap         []int64
 	RMap         []int64
 	Live         []int32
-	VGen         []int32
 	IsOpen       []bool
 	Free         []FreeBlockSnapshot
-	Victims      []VictimSnapshot
 	WPs          []WritePointSnapshot
 	GCWP         WritePointSnapshot
 	Tick         int64
@@ -151,20 +157,14 @@ func (f *PageFTL) Snapshot() *PageFTLSnapshot {
 		FMap:         append([]int64(nil), f.fmap...),
 		RMap:         append([]int64(nil), f.rmap...),
 		Live:         append([]int32(nil), f.live...),
-		VGen:         append([]int32(nil), f.vgen...),
 		IsOpen:       append([]bool(nil), f.isOpen...),
+		Free:         f.free.snapshotFree(),
 		GCWP:         wpSnapshot(f.gcWP),
 		Tick:         f.tick,
 		Book:         f.book.snapshot(),
 		IdleCredit:   f.idleCredit,
 		Stats:        f.stats,
 		LastReadSlot: f.lastReadSlot,
-	}
-	for _, fb := range f.free.items {
-		s.Free = append(s.Free, FreeBlockSnapshot{Block: fb.block, EraseCount: fb.eraseCount})
-	}
-	for _, v := range f.victims.items {
-		s.Victims = append(s.Victims, VictimSnapshot{Block: v.block, Live: v.live, EraseCount: v.eraseCount, Gen: v.gen})
 	}
 	for _, wp := range f.wps {
 		s.WPs = append(s.WPs, wpSnapshot(wp))
@@ -183,7 +183,7 @@ func (f *PageFTL) Restore(s *PageFTLSnapshot) error {
 		return fmt.Errorf("ftl: snapshot fmap has %d units, FTL %d", len(s.FMap), len(f.fmap))
 	case len(s.RMap) != len(f.rmap):
 		return fmt.Errorf("ftl: snapshot rmap has %d slots, FTL %d", len(s.RMap), len(f.rmap))
-	case len(s.Live) != len(f.live) || len(s.VGen) != len(f.vgen) || len(s.IsOpen) != len(f.isOpen):
+	case len(s.Live) != len(f.live) || len(s.IsOpen) != len(f.isOpen):
 		return fmt.Errorf("ftl: snapshot block-state lengths do not match the array")
 	case len(s.WPs) != len(f.wps):
 		return fmt.Errorf("ftl: snapshot has %d write points, FTL %d", len(s.WPs), len(f.wps))
@@ -194,16 +194,11 @@ func (f *PageFTL) Restore(s *PageFTLSnapshot) error {
 	copy(f.fmap, s.FMap)
 	copy(f.rmap, s.RMap)
 	copy(f.live, s.Live)
-	copy(f.vgen, s.VGen)
 	copy(f.isOpen, s.IsOpen)
-	f.free.items = f.free.items[:0]
-	for _, fb := range s.Free {
-		f.free.items = append(f.free.items, freeBlock{block: fb.Block, eraseCount: fb.EraseCount})
+	if err := f.free.restoreFree(s.Free); err != nil {
+		return err
 	}
-	f.victims.items = f.victims.items[:0]
-	for _, v := range s.Victims {
-		f.victims.items = append(f.victims.items, victimBlock{block: v.Block, live: v.Live, eraseCount: v.EraseCount, gen: v.Gen})
-	}
+	f.rebuildVictims()
 	for i, wp := range s.WPs {
 		f.wps[i] = wpRestore(wp)
 	}
@@ -244,6 +239,7 @@ func (f *BlockFTL) Snapshot() *BlockFTLSnapshot {
 	s := &BlockFTLSnapshot{
 		Arr:          f.arr.Snapshot(),
 		Data:         append([]int32(nil), f.data...),
+		Free:         f.free.snapshotFree(),
 		Tick:         f.tick,
 		Book:         f.book.snapshot(),
 		Stats:        f.stats,
@@ -258,9 +254,6 @@ func (f *BlockFTL) Snapshot() *BlockFTLSnapshot {
 		for j := i; j > 0 && s.Logs[j].LBN < s.Logs[j-1].LBN; j-- {
 			s.Logs[j], s.Logs[j-1] = s.Logs[j-1], s.Logs[j]
 		}
-	}
-	for _, fb := range f.free.items {
-		s.Free = append(s.Free, FreeBlockSnapshot{Block: fb.block, EraseCount: fb.eraseCount})
 	}
 	return s
 }
@@ -283,9 +276,8 @@ func (f *BlockFTL) Restore(s *BlockFTLSnapshot) error {
 	for _, l := range s.Logs {
 		f.logs[l.LBN] = &logEnt{pb: l.PB, nextPage: l.NextPage, lastUse: l.LastUse}
 	}
-	f.free.items = f.free.items[:0]
-	for _, fb := range s.Free {
-		f.free.items = append(f.free.items, freeBlock{block: fb.Block, eraseCount: fb.EraseCount})
+	if err := f.free.restoreFree(s.Free); err != nil {
+		return err
 	}
 	f.tick = s.Tick
 	if err := f.book.restore(s.Book); err != nil {

@@ -1,124 +1,168 @@
 package ftl
 
-// ordered is the constraint of the FTL's min-heaps: each element knows how to
-// compare itself to another of its kind.
-type ordered[T any] interface{ before(T) bool }
+import "fmt"
 
-// minHeap is a binary min-heap specialised per element type, replacing
-// container/heap: Push and Pop move concrete values instead of boxing every
-// element through interface{}, so the steady-state allocation-and-GC path of
-// the FTLs allocates nothing (the backing slice only grows until the working
-// set's high-water mark).
-type minHeap[T ordered[T]] struct {
-	items []T
+// A queue key packs a block's priority and its number into one uint64, most
+// significant field first, so comparing two keys as integers is the FTLs'
+// strict total order: fewest live units (greedy victim choice; always zero in
+// a free pool), then lowest erase count (wear-aware choice, and dynamic wear
+// leveling when allocating), then lowest block number.
+const (
+	keyBlockBits = 24
+	keyEraseBits = 24
+	keyLiveBits  = 64 - keyEraseBits - keyBlockBits
+
+	keyBlockMask = 1<<keyBlockBits - 1
+)
+
+func packKey(live, eraseCount, block int) uint64 {
+	return uint64(live)<<(keyEraseBits+keyBlockBits) | uint64(eraseCount)<<keyBlockBits | uint64(block)
 }
 
-// Len returns the number of elements.
-func (h *minHeap[T]) Len() int { return len(h.items) }
+// checkKeyWidths guards the packing: the array's block numbers, the largest
+// erase count a block can reach (one past the budget, when it is marked bad)
+// and the largest live count must each fit their field.
+func checkKeyWidths(blocks, eraseLimit, maxLive int) error {
+	if blocks > 1<<keyBlockBits || eraseLimit+1 >= 1<<keyEraseBits || maxLive >= 1<<keyLiveBits {
+		return fmt.Errorf("ftl: %d blocks / erase budget %d / %d units per block exceed the block queue's %d/%d/%d-bit key fields",
+			blocks, eraseLimit, maxLive, keyBlockBits, keyEraseBits, keyLiveBits)
+	}
+	return nil
+}
 
-// Push adds x, restoring the heap invariant. Both sifts move a hole instead
-// of swapping: each level costs one element copy, and the displaced element
-// is written once, at its final position.
+// blockQueue is an indexed binary min-heap of packed keys holding at most one
+// entry per block: pos finds a block's entry, so a block whose priority drops
+// is re-keyed where it sits and a block that leaves the set is removed, and
+// Len is exactly the number of queued blocks. The free pools of both FTLs and
+// the PageFTL's garbage-collection candidates are blockQueues. Keys are unique
+// (the block number is part of the key), so the pop order depends only on the
+// set of keys, never on the heap's internal layout. Steady-state operations
+// allocate nothing: keys grows to the high-water mark and stays.
+type blockQueue struct {
+	keys []uint64
+	pos  []int32 // block -> index into keys, -1 when the block is not queued
+}
+
+func newBlockQueue(blocks int) blockQueue {
+	q := blockQueue{pos: make([]int32, blocks)}
+	for i := range q.pos {
+		q.pos[i] = -1
+	}
+	return q
+}
+
+// Len returns the number of queued blocks.
+func (q *blockQueue) Len() int { return len(q.keys) }
+
+// min returns the smallest key; the queue must not be empty.
+func (q *blockQueue) min() uint64 { return q.keys[0] }
+
+// contains reports whether block is queued.
+func (q *blockQueue) contains(block int) bool { return q.pos[block] >= 0 }
+
+// push queues key's block under key, or lowers the key the block is already
+// queued under (a queued block's priority only ever drops: closed blocks
+// never gain live units).
 //
 //uflint:hotpath
-func (h *minHeap[T]) Push(x T) {
-	h.items = append(h.items, x)
-	i := len(h.items) - 1
+func (q *blockQueue) push(key uint64) {
+	i := int(q.pos[key&keyBlockMask])
+	if i < 0 {
+		i = len(q.keys)
+		q.keys = append(q.keys, key)
+	}
+	q.up(i, key)
+}
+
+// pop removes and returns the smallest key; the queue must not be empty.
+//
+//uflint:hotpath
+func (q *blockQueue) pop() uint64 {
+	top := q.keys[0]
+	q.removeAt(0)
+	return top
+}
+
+// remove takes block out of the queue if it is there.
+//
+//uflint:hotpath
+func (q *blockQueue) remove(block int) {
+	if i := int(q.pos[block]); i >= 0 {
+		q.removeAt(i)
+	}
+}
+
+// removeAt deletes the entry at index i, re-seating the last entry in its
+// place.
+func (q *blockQueue) removeAt(i int) {
+	q.pos[q.keys[i]&keyBlockMask] = -1
+	n := len(q.keys) - 1
+	last := q.keys[n]
+	q.keys = q.keys[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last < q.keys[(i-1)/2] {
+		q.up(i, last)
+	} else {
+		q.down(i, last)
+	}
+}
+
+// up seats key at index i or above. Both sifts move a hole instead of
+// swapping: each level costs one key copy and one pos update.
+func (q *blockQueue) up(i int, key uint64) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !x.before(h.items[parent]) {
+		p := q.keys[parent]
+		if p <= key {
 			break
 		}
-		h.items[i] = h.items[parent]
+		q.keys[i] = p
+		q.pos[p&keyBlockMask] = int32(i)
 		i = parent
 	}
-	h.items[i] = x
+	q.keys[i] = key
+	q.pos[key&keyBlockMask] = int32(i)
 }
 
-// Peek returns the minimum element without removing it; it must not be
-// called on an empty heap.
-func (h *minHeap[T]) Peek() T { return h.items[0] }
-
-// Pop removes and returns the minimum element; it must not be called on an
-// empty heap.
-//
-//uflint:hotpath
-func (h *minHeap[T]) Pop() T {
-	top := h.items[0]
-	n := len(h.items) - 1
-	x := h.items[n] // the last element, to be re-seated from the root down
-	var zero T
-	h.items[n] = zero
-	h.items = h.items[:n]
-	if n == 0 {
-		return top
-	}
-	i := 0
+// down seats key at index i or below.
+func (q *blockQueue) down(i int, key uint64) {
+	n := len(q.keys)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && h.items[r].before(h.items[l]) {
+		if r := l + 1; r < n && q.keys[r] < q.keys[l] {
 			m = r
 		}
-		if !h.items[m].before(x) {
+		c := q.keys[m]
+		if c >= key {
 			break
 		}
-		h.items[i] = h.items[m]
+		q.keys[i] = c
+		q.pos[c&keyBlockMask] = int32(i)
 		i = m
 	}
-	h.items[i] = x
-	return top
+	q.keys[i] = key
+	q.pos[key&keyBlockMask] = int32(i)
 }
 
-// clone returns an independent copy of the heap.
-func (h *minHeap[T]) clone() *minHeap[T] {
-	return &minHeap[T]{items: append([]T(nil), h.items...)}
-}
-
-// freeBlock is an entry in the pre-erased pool, ordered by erase count so
-// allocation doubles as dynamic wear leveling (the least-worn free block is
-// always handed out first).
-type freeBlock struct {
-	block      int
-	eraseCount int
-}
-
-func (a freeBlock) before(b freeBlock) bool {
-	if a.eraseCount != b.eraseCount {
-		return a.eraseCount < b.eraseCount
+// reset empties the queue, keeping its buffers.
+func (q *blockQueue) reset() {
+	for _, k := range q.keys {
+		q.pos[k&keyBlockMask] = -1
 	}
-	return a.block < b.block
+	q.keys = q.keys[:0]
 }
 
-type freeHeap = minHeap[freeBlock]
-
-// victimBlock is a garbage-collection candidate, ordered by live unit count
-// (greedy policy) with erase count as tie-break (wear-aware victim choice).
-// The heap is lazy: counts may be stale and are re-validated on pop, and a
-// generation number guards against ghost entries from a block's previous
-// life (a block can be closed, collected, erased, reallocated and closed
-// again while an old entry still sits in the heap).
-type victimBlock struct {
-	block      int
-	live       int
-	eraseCount int
-	gen        int32
+// resetFrom makes q a copy of src, reusing q's buffers.
+func (q *blockQueue) resetFrom(src *blockQueue) {
+	q.keys = append(q.keys[:0], src.keys...)
+	q.pos = append(q.pos[:0], src.pos...)
 }
-
-func (a victimBlock) before(b victimBlock) bool {
-	if a.live != b.live {
-		return a.live < b.live
-	}
-	if a.eraseCount != b.eraseCount {
-		return a.eraseCount < b.eraseCount
-	}
-	return a.block < b.block
-}
-
-type victimHeap = minHeap[victimBlock]
 
 // mapBook models the on-flash direct map of Section 2.2: each map page
 // covers unitsPerPage consecutive mapping entries; dirty map pages are
@@ -132,7 +176,7 @@ type victimHeap = minHeap[victimBlock]
 type mapBook struct {
 	unitsPerPage int64              //uflint:shared — derived from the geometry
 	limit        int                //uflint:shared — immutable config
-	dirty        map[int64]struct{} //uflint:scratch — Snapshot carries the ring; Restore rebuilds the set from it
+	dirty        map[int64]struct{} //uflint:scratch — the ring's queued window as a set, derived from it (rebuildDirty)
 	order        []int64            // ring buffer of dirty map pages, FIFO
 	head, queued int
 	lastFlushed  int64
@@ -186,13 +230,22 @@ func (b *mapBook) touch(unit int64, ops *Ops) {
 // dirtyCount reports the number of buffered dirty map pages (for tests).
 func (b *mapBook) dirtyCount() int { return len(b.dirty) }
 
-// clone returns an independent copy of the book.
-func (b *mapBook) clone() mapBook {
-	g := *b
-	g.dirty = make(map[int64]struct{}, len(b.dirty)+1)
-	for k := range b.dirty {
-		g.dirty[k] = struct{}{}
+// rebuildDirty derives the dirty set from the ring: it is exactly the queued
+// window.
+func (b *mapBook) rebuildDirty() {
+	if b.dirty == nil {
+		b.dirty = make(map[int64]struct{}, b.limit+1)
 	}
-	g.order = append([]int64(nil), b.order...)
-	return g
+	clear(b.dirty)
+	for i := 0; i < b.queued; i++ {
+		b.dirty[b.order[(b.head+i)%len(b.order)]] = struct{}{}
+	}
+}
+
+// resetFrom makes b an independent copy of src, reusing b's ring and set.
+func (b *mapBook) resetFrom(src *mapBook) {
+	b.unitsPerPage, b.limit = src.unitsPerPage, src.limit
+	b.order = append(b.order[:0], src.order...)
+	b.head, b.queued, b.lastFlushed = src.head, src.queued, src.lastFlushed
+	b.rebuildDirty()
 }

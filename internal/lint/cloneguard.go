@@ -7,27 +7,31 @@ import (
 )
 
 // CloneGuard catches the "added a field, forgot Clone" bug class at compile
-// time: for every struct type with a Clone/Snapshot/Restore method (any
-// case), each field of the struct must be referenced somewhere in that
+// time: for every struct type with a Clone/Snapshot/Restore/ResetFrom method
+// (any case), each field of the struct must be referenced somewhere in that
 // method's body, or carry an //uflint:shared or //uflint:scratch annotation.
-// A whole-struct copy (`*recv` in the body) references every field at once.
+// A whole-struct copy (`*recv` in the body) references every field at once,
+// and a field referenced in a method of the same type that the body calls
+// counts as referenced: a layer's Clone is "ResetFrom into a zero value", and
+// the fields are checked where the copying happens.
 //
 // The differential clone-vs-rebuild oracles from PRs 3/5/8 catch a missed
 // field only when a test drives state through it; this check fires the
 // moment the field is declared.
 var CloneGuard = &Analyzer{
 	Name: "cloneguard",
-	Doc: `every field of a struct with a Clone/Snapshot/Restore method must be
-referenced in that method or annotated //uflint:shared or //uflint:scratch`,
+	Doc: `every field of a struct with a Clone/Snapshot/Restore/ResetFrom method
+must be referenced in that method (or a method of the type it calls) or
+annotated //uflint:shared or //uflint:scratch`,
 	Run: runCloneGuard,
 }
 
-// cloneMethodNames matches lower- and upper-case variants: the repo's
-// internal clone() helpers (minHeap.clone, mapBook.clone) carry the same
-// contract as the exported Clone methods.
+// isCloneMethodName matches lower- and upper-case variants: the repo's
+// internal helpers (mapBook.resetFrom, PageFTL.resetFrom) carry the same
+// contract as the exported methods.
 func isCloneMethodName(name string) bool {
 	switch strings.ToLower(name) {
-	case "clone", "snapshot", "restore":
+	case "clone", "snapshot", "restore", "resetfrom":
 		return true
 	}
 	return false
@@ -35,6 +39,16 @@ func isCloneMethodName(name string) bool {
 
 func runCloneGuard(pass *Pass) error {
 	info := pass.Pkg.Info
+	methods := make(map[*types.Func]*ast.FuncDecl)
+	for _, f := range pass.Pkg.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Body != nil {
+				if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+					methods[fn] = fd
+				}
+			}
+		}
+	}
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -53,7 +67,7 @@ func runCloneGuard(pass *Pass) error {
 			if !ok || st.NumFields() == 0 {
 				continue
 			}
-			checkCloneMethod(pass, fd, recv, st)
+			checkCloneMethod(pass, fd, recv, st, methods)
 		}
 	}
 	return nil
@@ -69,34 +83,49 @@ func derefStruct(t types.Type) (*types.Struct, bool) {
 	return st, ok
 }
 
-func checkCloneMethod(pass *Pass, fd *ast.FuncDecl, recv *types.Var, st *types.Struct) {
+func checkCloneMethod(pass *Pass, fd *ast.FuncDecl, recv *types.Var, st *types.Struct, methods map[*types.Func]*ast.FuncDecl) {
 	info := pass.Pkg.Info
-
-	// Identify the receiver's object so `cp := *c` (a whole-struct copy,
-	// which reads every field) can be recognized.
-	var recvObj types.Object
-	if names := fd.Recv.List[0].Names; len(names) == 1 {
-		recvObj = info.Defs[names[0]]
-	}
 
 	// Field identity across generic instantiation is by declaration
 	// position: the instantiated field objects keep the source positions of
 	// the generic declaration.
 	referenced := make(map[int]bool, st.NumFields())
 	wholeCopy := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() {
-				referenced[int(v.Pos())] = true
-			}
-		case *ast.StarExpr:
-			if id, ok := n.X.(*ast.Ident); ok && recvObj != nil && info.Uses[id] == recvObj {
-				wholeCopy = true
-			}
+	visited := map[*ast.FuncDecl]bool{fd: true}
+	var walk func(fd *ast.FuncDecl)
+	walk = func(fd *ast.FuncDecl) {
+		// Identify the receiver's object so `cp := *c` (a whole-struct copy,
+		// which reads every field) can be recognized.
+		var recvObj types.Object
+		if names := fd.Recv.List[0].Names; len(names) == 1 {
+			recvObj = info.Defs[names[0]]
 		}
-		return true
-	})
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() {
+					referenced[int(v.Pos())] = true
+				}
+			case *ast.StarExpr:
+				if id, ok := n.X.(*ast.Ident); ok && recvObj != nil && info.Uses[id] == recvObj {
+					wholeCopy = true
+				}
+			case *ast.SelectorExpr:
+				// A method of the same struct type, on any value of it.
+				sel := info.Selections[n]
+				if sel == nil || sel.Kind() != types.MethodVal {
+					break
+				}
+				callee := methods[sel.Obj().(*types.Func).Origin()]
+				if on, ok := derefStruct(sel.Recv()); ok && on == st && callee != nil && !visited[callee] {
+					visited[callee] = true
+					walk(callee)
+				}
+			}
+			return true
+		})
+	}
+	walk(fd)
 	if wholeCopy {
 		return
 	}

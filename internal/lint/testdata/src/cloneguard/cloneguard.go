@@ -45,3 +45,63 @@ type gauge struct {
 func (g *gauge) Restore(level int) {
 	g.level = level
 }
+
+// ring expresses Clone through ResetFrom, the one traversal of its state:
+// fields referenced in a method of the same type that Clone calls count as
+// referenced by Clone — and ResetFrom forgets the cursor, which is therefore
+// reported against both.
+type ring struct {
+	slots []int
+	head  int   // want `field head is not referenced in \(\*ring\)\.ResetFrom` // want `field head is not referenced in \(\*ring\)\.Clone`
+	spare []int //uflint:scratch — reuse buffer
+}
+
+// Clone is ResetFrom into a zero value.
+func (r *ring) Clone() *ring {
+	g := &ring{}
+	g.ResetFrom(r)
+	return g
+}
+
+// ResetFrom copies slots, reusing the receiver's buffer, but not head.
+func (r *ring) ResetFrom(src *ring) {
+	r.slots = append(r.slots[:0], src.slots...)
+}
+
+// meter calls another type's ResetFrom, which covers none of its own
+// fields.
+type meter struct {
+	r     ring
+	total int // want `field total is not referenced in \(\*meter\)\.Clone`
+}
+
+// Clone resets the embedded ring only.
+func (m *meter) Clone() *meter {
+	g := &meter{}
+	g.r.ResetFrom(&m.r)
+	return g
+}
+
+// window is the clean shape: Clone is ResetFrom into a zero value and
+// ResetFrom, with a helper of the same type, covers every field.
+type window struct {
+	lo, hi int
+	marks  []bool
+}
+
+// Clone is ResetFrom into a zero value.
+func (w *window) Clone() *window {
+	g := &window{}
+	g.ResetFrom(w)
+	return g
+}
+
+// ResetFrom copies the bounds itself and the marks through a helper.
+func (w *window) ResetFrom(src *window) {
+	w.lo, w.hi = src.lo, src.hi
+	w.copyMarks(src)
+}
+
+func (w *window) copyMarks(src *window) {
+	w.marks = append(w.marks[:0], src.marks...)
+}

@@ -180,7 +180,7 @@ func enforceCached(dev device.Cloneable, key string, cfg Config) (time.Duration,
 }
 
 // Master returns an engine master over the profile: the device is built and
-// enforced once (lazily, with cfg.Seed), then deep-cloned per shard.
+// enforced once (lazily, with cfg.Seed), then copied per shard.
 func Master(key string, cfg Config) *engine.Master {
 	return engine.NewMaster(func() (device.Cloneable, time.Duration, error) {
 		return prepareSim(key, cfg)
@@ -326,9 +326,11 @@ func table3Experiments(capacity int64, d core.Defaults) []core.Experiment {
 
 // ShardFactory returns the engine device factory for a profile: one master
 // device per (profile, capacity, enforcement-seed) is built and enforced
-// lazily, and every shard receives a deep clone of it — private mutable FTL
-// state at snapshot cost instead of replaying the enforcement IOs. Results
-// are byte-identical to RebuildShardFactory for any worker count.
+// lazily, and every shard receives its state — private mutable FTL state at
+// copy cost instead of replaying the enforcement IOs, reset into the device
+// the worker's previous shard ran on (engine.Shard.Reuse) rather than cloned
+// afresh. Results are byte-identical to RebuildShardFactory for any worker
+// count.
 //
 // Every shard now starts from the cfg.Seed-enforced state; earlier releases
 // enforced each shard with its own derived seed, so absolute numbers differ

@@ -120,11 +120,13 @@ func (s *Store) LockKey(k Key) func() {
 // truncation and corruption are detected before the payload is decoded.
 //
 // Version 2 dropped the per-page state array from the chip snapshot (the
-// block cursor is the page state). Older files fail the version check and
-// take the quarantine path like any other unreadable file.
+// block cursor is the page state); version 3 dropped the PageFTL's victim
+// heap and per-block generations (the candidate queue is derived from the
+// block state on restore). Older files fail the version check and take the
+// quarantine path like any other unreadable file.
 const (
 	magic   = "uFLIPst\x01"
-	version = uint32(2)
+	version = uint32(3)
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)

@@ -3,6 +3,7 @@ package statestore_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -324,58 +325,66 @@ func TestRestoreIntoWrongDeviceFails(t *testing.T) {
 	}
 }
 
-// TestVersion1FileIsQuarantinedAndReenforced: a state file of format version
-// 1 (chip snapshots with a per-page state array) left in a cache directory
-// by an older build must not be decoded by this one. It takes the corrupt-
-// cache path — quarantined as a miss — and the caller's live re-enforcement
-// then saves a current-version file that loads as a hit.
+// TestVersion1FileIsQuarantinedAndReenforced: a state file of an older
+// format version — 1 (chip snapshots with a per-page state array) or 2 (a
+// PageFTL snapshot carrying its lazy victim heap and block generations) —
+// left in a cache directory by an older build must not be decoded by this
+// one. It takes the corrupt-cache path — quarantined as a miss — and the
+// caller's live re-enforcement then saves a current-version file that loads
+// as a hit.
 func TestVersion1FileIsQuarantinedAndReenforced(t *testing.T) {
-	store, err := statestore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := key("kingston-dti")
-	live, at := enforcedDevice(t, "kingston-dti")
-	if err := store.Save(k, live, at); err != nil {
-		t.Fatal(err)
-	}
-	path := store.Path(k)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const versionAt = 8 // the version field follows the 8-byte magic
-	if got := binary.LittleEndian.Uint32(data[versionAt:]); got != 2 {
-		t.Fatalf("saved file has format version %d, want 2", got)
-	}
-	binary.LittleEndian.PutUint32(data[versionAt:], 1)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for old, profileKey := range map[uint32]string{1: "kingston-dti", 2: "memoright"} {
+		t.Run(fmt.Sprintf("v%d", old), func(t *testing.T) {
+			store, err := statestore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := key(profileKey)
+			live, at := enforcedDevice(t, profileKey)
+			if err := store.Save(k, live, at); err != nil {
+				t.Fatal(err)
+			}
+			path := store.Path(k)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const versionAt = 8 // the version field follows the 8-byte magic
+			if got := binary.LittleEndian.Uint32(data[versionAt:]); got != 3 {
+				t.Fatalf("saved file has format version %d, want 3", got)
+			}
+			binary.LittleEndian.PutUint32(data[versionAt:], old)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	dev, err := profile.BuildDevice("kingston-dti", testCapacity)
-	if err != nil {
-		t.Fatal(err)
+			dev, err := profile.BuildDevice(profileKey, testCapacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, hit, err := store.Load(k, dev); err != nil || hit {
+				t.Fatalf("version-%d load: hit=%v err=%v, want quarantined miss", old, hit, err)
+			}
+			if moved, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(moved, data) {
+				t.Fatalf("version-%d file not preserved as .corrupt (err=%v)", old, err)
+			}
+			devAt, err := methodology.EnforceRandomState(dev, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Save(k, dev, devAt); err != nil {
+				t.Fatal(err)
+			}
+			reloaded, err := profile.BuildDevice(profileKey, testCapacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, hit, err := store.Load(k, reloaded); err != nil || !hit {
+				t.Fatalf("re-saved state: hit=%v err=%v, want clean hit", hit, err)
+			}
+			// The restored PageFTL's candidate queue is rebuilt, not loaded:
+			// it must pick the same victims as the live device's.
+			driveBoth(t, live, reloaded, 17)
+		})
 	}
-	if _, hit, err := store.Load(k, dev); err != nil || hit {
-		t.Fatalf("version-1 load: hit=%v err=%v, want quarantined miss", hit, err)
-	}
-	if moved, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(moved, data) {
-		t.Fatalf("version-1 file not preserved as .corrupt (err=%v)", err)
-	}
-	devAt, err := methodology.EnforceRandomState(dev, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save(k, dev, devAt); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := profile.BuildDevice("kingston-dti", testCapacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, err := store.Load(k, reloaded); err != nil || !hit {
-		t.Fatalf("re-saved state: hit=%v err=%v, want clean hit", hit, err)
-	}
-	driveBoth(t, live, reloaded, 17)
 }
