@@ -140,8 +140,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := trace.WriteRTSeriesCSV(f, run.RTs); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("per-IO series written to %s\n", *seriesOut)

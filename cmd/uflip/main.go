@@ -227,10 +227,5 @@ func saveResults(dir, devKey string, results *methodology.Results) error {
 	if err := trace.SaveJSON(filepath.Join(dir, devKey+".jsonl"), records); err != nil {
 		return err
 	}
-	f, err := trace.Create(filepath.Join(dir, devKey+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return trace.WriteSummaryCSV(f, records)
+	return trace.SaveSummaryCSV(filepath.Join(dir, devKey+".csv"), records)
 }

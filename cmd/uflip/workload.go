@@ -226,10 +226,5 @@ func saveWorkloadResults(dir, devKey string, res *workload.Result) error {
 	if err := trace.SaveJSON(filepath.Join(dir, devKey+"-workload.jsonl"), records); err != nil {
 		return err
 	}
-	f, err := trace.Create(filepath.Join(dir, devKey+"-workload.csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return trace.WriteSummaryCSV(f, records)
+	return trace.SaveSummaryCSV(filepath.Join(dir, devKey+"-workload.csv"), records)
 }

@@ -59,10 +59,10 @@
 // appends the per-IO series with its own float formatter, byte-identical
 // to encoding/json.
 // Profile any run with the uflip command's -cpuprofile/-memprofile flags;
-// track the benchmark trajectory with "make bench-json" and gate
-// regressions with "make bench-check" (cmd/benchcheck against the
-// committed BENCH_baseline.json, pinning Table3, EngineSpeedup,
-// SubmitBatch and ReplayParallel).
+// measure the simulator's own speed with the repository benchmark
+// ("bash benchmark/run.sh", repeated runs with spread, declared in
+// BENCHMARK.json) and compare two commits with
+// "go run ./benchmark compare A.json B.json".
 //
 // Beyond the paper's micro-benchmarks, the workload subsystem
 // (internal/workload, surfaced as "uflip workload") drives the simulated
@@ -141,6 +141,7 @@
 //
 // The implementation lives under internal/; see README.md for the layout,
 // cmd/ for the executables, examples/ for runnable walk-throughs, and
-// bench_test.go in this directory for the benchmark harness that regenerates
-// every table and figure of the paper's evaluation.
+// bench_test.go in this directory for the Go benchmarks that regenerate the
+// figures and ablations of the paper's evaluation (Table 3 comes from
+// "uflip-report -exp table3"); benchmark/ measures how fast all of it runs.
 package uflip

@@ -4,8 +4,7 @@
 // server (internal/server) and the Go client (internal/client) build against
 // these structs, so the two sides cannot drift — a request the client can
 // express is by construction a request the server can decode, and vice
-// versa. The unversioned legacy routes serve the same types; /v1 is the
-// stable contract.
+// versa. /v1 is the stable contract.
 package api
 
 import (

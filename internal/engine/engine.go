@@ -24,21 +24,20 @@ import (
 	"uflip/internal/methodology"
 )
 
-// Shard is an independent unit of scheduling: a contiguous group of plan
-// runs executed back-to-back on a private device instance. Shard boundaries
-// depend only on the plan (and the ShardRuns option), never on the worker
-// count, which is what keeps parallel execution deterministic.
+// Shard is an independent unit of scheduling: one plan run (or one stream
+// job) executed on a private device instance. Shard boundaries depend only on
+// the plan, never on the worker count, which is what keeps parallel execution
+// deterministic.
 type Shard struct {
 	// Index is the shard's position in the partition.
 	Index int
 	// Seed is the shard's derived RNG seed, a pure function of (base seed,
-	// shard index). Factories that build and enforce a device per shard can
-	// use it to give every shard its own reproducible random state; the
-	// snapshot-based factories (Master/CloningFactory) instead enforce one
-	// master state from the base seed and clone it, so every shard starts
+	// shard index), offered to factories that want per-shard randomness. No
+	// production factory reads it: Master/CloningFactory enforce one master
+	// state from their own configured seed and copy it, so every shard starts
 	// from the same well-defined state (Section 4.1).
 	Seed int64
-	// Exps are the experiments of this shard, in plan order.
+	// Exps holds the shard's one experiment (empty for stream jobs).
 	Exps []core.Experiment
 	// FirstRun is the global run index of Exps[0] within the plan.
 	FirstRun int
@@ -72,15 +71,10 @@ type Options struct {
 	// Workers == 1 is the sequential fallback: shards execute inline, in
 	// order, on the calling goroutine.
 	Workers int
-	// ShardRuns caps the number of runs per shard; <= 0 means 1 (every run
-	// gets its own shard and its own device — maximal parallelism and the
-	// strongest isolation, at the price of one state enforcement per run).
-	// Raising it amortizes the per-shard device build + enforcement over
-	// more runs. It must stay a fixed value across executions that are
-	// expected to compare byte-identically: the partition — and with it
-	// every derived seed — is a function of ShardRuns, never of Workers.
-	ShardRuns int
-	// Seed is the base seed from which per-shard seeds are derived.
+	// Seed is the base seed from which Shard.Seed values are derived. It
+	// reaches results only through a factory that reads Shard.Seed; the
+	// production factories do not (their enforcement seed is configured on
+	// the master).
 	Seed int64
 	// Progress, when non-nil, is invoked after every completed run.
 	Progress ProgressFunc
@@ -93,13 +87,6 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-func (o Options) shardRuns() int {
-	if o.ShardRuns <= 0 {
-		return 1
-	}
-	return o.ShardRuns
-}
-
 // shardSeed mixes the base seed with the shard index (splitmix64 finalizer)
 // so shards draw from decorrelated random streams while remaining a pure
 // function of (base seed, shard index).
@@ -110,44 +97,23 @@ func shardSeed(base int64, index int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Partition splits a plan into shards of at most shardRuns runs each
-// (shardRuns <= 0 means 1). A StepReset always forces a shard boundary: a
-// fresh shard device re-enforces the state from scratch, which is exactly
-// the reset semantics, so explicit reset steps collapse into boundaries.
-// The partition is a pure function of the plan and shardRuns.
-func Partition(plan methodology.Plan, baseSeed int64, shardRuns int) []Shard {
-	if shardRuns <= 0 {
-		shardRuns = 1
-	}
-	var shards []Shard
-	var cur []core.Experiment
-	runIndex := 0
-	flush := func() {
-		if len(cur) == 0 {
-			return
-		}
-		shards = append(shards, Shard{
-			Index:    len(shards),
-			Exps:     cur,
-			FirstRun: runIndex - len(cur),
-		})
-		cur = nil
-	}
+// Partition gives every run of the plan its own shard — and with it its own
+// device in the freshly enforced state, which is exactly what a StepReset
+// asks for, so reset steps need no shard of their own. The partition is a
+// pure function of the plan.
+func Partition(plan methodology.Plan, baseSeed int64) []Shard {
+	shards := make([]Shard, 0, len(plan.Steps))
 	for _, step := range plan.Steps {
-		switch step.Kind {
-		case methodology.StepReset:
-			flush()
-		case methodology.StepRun:
-			cur = append(cur, step.Exp)
-			runIndex++
-			if len(cur) >= shardRuns {
-				flush()
-			}
+		if step.Kind != methodology.StepRun {
+			continue
 		}
-	}
-	flush()
-	for i := range shards {
-		shards[i].Seed = shardSeed(baseSeed, i)
+		i := len(shards)
+		shards = append(shards, Shard{
+			Index:    i,
+			Seed:     shardSeed(baseSeed, i),
+			Exps:     []core.Experiment{step.Exp},
+			FirstRun: i,
+		})
 	}
 	return shards
 }
@@ -161,38 +127,30 @@ func Partition(plan methodology.Plan, baseSeed int64, shardRuns int) []Shard {
 // Cancelling ctx stops the engine between runs; ExecutePlan then returns
 // ctx.Err() and discards partial results.
 func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFactory, opts Options) (*methodology.Results, error) {
-	shards := Partition(plan, opts.Seed, opts.shardRuns())
-	total := 0
-	for _, s := range shards {
-		total += len(s.Exps)
-	}
+	shards := Partition(plan, opts.Seed)
 	out := &methodology.Results{Device: plan.Device}
-	if total == 0 {
+	if len(shards) == 0 {
 		return out, ctx.Err()
 	}
-	merged := make([]methodology.Result, total)
+	merged := make([]methodology.Result, len(shards))
 	ends := make([]time.Duration, len(shards))
-	observe := opts.observer(total)
+	observe := opts.observer(len(shards))
 
 	runShard := func(ctx context.Context, s Shard) (device.Device, error) {
 		dev, at, err := factory(s)
 		if err != nil {
 			return nil, fmt.Errorf("engine: shard %d: %w", s.Index, err)
 		}
-		t := at
-		for i := range s.Exps {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			res, end, err := methodology.RunExperiments(dev, s.Exps[i:i+1], plan.Pause, t)
-			if err != nil {
-				return nil, fmt.Errorf("engine: shard %d: %w", s.Index, err)
-			}
-			merged[s.FirstRun+i] = res[0]
-			t = end
-			observe(res[0].Exp.ID())
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		ends[s.Index] = t
+		res, end, err := methodology.RunExperiments(dev, s.Exps, plan.Pause, at)
+		if err != nil {
+			return nil, fmt.Errorf("engine: shard %d: %w", s.Index, err)
+		}
+		merged[s.FirstRun] = res[0]
+		ends[s.Index] = end
+		observe(res[0].Exp.ID())
 		return dev, nil
 	}
 

@@ -173,9 +173,9 @@ func TestFactoryError(t *testing.T) {
 	}
 }
 
-// TestPartition checks shard boundaries: resets always split, ShardRuns caps
-// shard size, run indices stay global, and seeds are a pure function of
-// (base seed, shard index).
+// TestPartition checks the partition: one shard per run with reset steps
+// skipped, run indices global, and seeds a pure function of (base seed,
+// shard index).
 func TestPartition(t *testing.T) {
 	exp := func(name string) methodology.Step {
 		d := core.StandardDefaults()
@@ -188,33 +188,27 @@ func TestPartition(t *testing.T) {
 		exp("a"), exp("b"), exp("c"), reset, exp("d"), exp("e"),
 	}}
 
-	shards := engine.Partition(plan, 7, 2)
-	wantMicros := [][]string{{"a", "b"}, {"c"}, {"d", "e"}}
-	wantFirst := []int{0, 2, 3}
+	shards := engine.Partition(plan, 7)
+	wantMicros := []string{"a", "b", "c", "d", "e"}
 	if len(shards) != len(wantMicros) {
 		t.Fatalf("got %d shards, want %d", len(shards), len(wantMicros))
 	}
 	for i, s := range shards {
-		if s.Index != i || s.FirstRun != wantFirst[i] {
-			t.Errorf("shard %d: Index=%d FirstRun=%d, want %d/%d", i, s.Index, s.FirstRun, i, wantFirst[i])
+		if s.Index != i || s.FirstRun != i {
+			t.Errorf("shard %d: Index=%d FirstRun=%d, want %d/%d", i, s.Index, s.FirstRun, i, i)
 		}
-		if len(s.Exps) != len(wantMicros[i]) {
-			t.Fatalf("shard %d has %d runs, want %d", i, len(s.Exps), len(wantMicros[i]))
-		}
-		for j, e := range s.Exps {
-			if e.Micro != wantMicros[i][j] {
-				t.Errorf("shard %d run %d is %s, want %s", i, j, e.Micro, wantMicros[i][j])
-			}
+		if len(s.Exps) != 1 || s.Exps[0].Micro != wantMicros[i] {
+			t.Fatalf("shard %d runs %v, want exactly %s", i, s.Exps, wantMicros[i])
 		}
 	}
 
-	again := engine.Partition(plan, 7, 2)
+	again := engine.Partition(plan, 7)
 	for i := range shards {
 		if shards[i].Seed != again[i].Seed {
 			t.Fatal("shard seeds are not deterministic")
 		}
 	}
-	other := engine.Partition(plan, 8, 2)
+	other := engine.Partition(plan, 8)
 	if shards[0].Seed == other[0].Seed {
 		t.Fatal("different base seeds produced identical shard seeds")
 	}

@@ -8,15 +8,25 @@ import (
 	"time"
 
 	"uflip/internal/core"
+	"uflip/internal/device"
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
 )
 
-// TestRunPlanParallelCloneVsRebuild pins the production factory's oracle:
-// RunPlanParallel through the snapshot-based ShardFactory returns merged
-// results byte-identical to the pre-snapshot RebuildShardFactory (one full
-// enforcement per shard, same seed), across worker counts.
-func TestRunPlanParallelCloneVsRebuild(t *testing.T) {
+// RebuildShardFactory is the clone-correctness oracle: every shard builds its
+// own device and replays the whole state enforcement with cfg.Seed, the path
+// ShardFactory's copied master state must reproduce byte for byte.
+func RebuildShardFactory(key string, cfg Config) engine.DeviceFactory {
+	return func(engine.Shard) (device.Device, time.Duration, error) {
+		return prepareSim(key, cfg)
+	}
+}
+
+// TestPlanCloneVsRebuild pins the production factory's oracle: a plan through
+// the snapshot-based ShardFactory returns merged results byte-identical to
+// RebuildShardFactory (one full enforcement per shard, same seed), across
+// worker counts.
+func TestPlanCloneVsRebuild(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Capacity = 24 << 20
 	cfg.Pause = time.Second
@@ -38,19 +48,15 @@ func TestRunPlanParallelCloneVsRebuild(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, factory := range []struct {
 			name string
-			f    func() (res any, err error)
+			f    engine.DeviceFactory
 		}{
-			{"clone", func() (any, error) {
-				return RunPlanParallel(context.Background(), "mtron", cfg, plan, workers, nil)
-			}},
-			{"rebuild", func() (any, error) {
-				return engine.ExecutePlan(context.Background(), plan, RebuildShardFactory("mtron", cfg), engine.Options{
-					Workers: workers,
-					Seed:    cfg.Seed,
-				})
-			}},
+			{"clone", ShardFactory("mtron", cfg)},
+			{"rebuild", RebuildShardFactory("mtron", cfg)},
 		} {
-			res, err := factory.f()
+			res, err := engine.ExecutePlan(context.Background(), plan, factory.f, engine.Options{
+				Workers: workers,
+				Seed:    cfg.Seed,
+			})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", factory.name, workers, err)
 			}

@@ -1,13 +1,12 @@
 // Package paperexp regenerates every table and figure of the uFLIP paper's
 // evaluation (Section 5) against the simulated devices: one function per
-// artifact, shared by the benchmark harness (bench_test.go) and the
+// artifact, shared by the paper benchmarks (bench_test.go) and the
 // uflip-report command. Each function runs the relevant micro-benchmark
 // experiments following the methodology (state enforcement first, pauses
 // between runs) and returns the data series the paper plots or tabulates.
 package paperexp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -329,8 +328,9 @@ func table3Experiments(capacity int64, d core.Defaults) []core.Experiment {
 // lazily, and every shard receives its state — private mutable FTL state at
 // copy cost instead of replaying the enforcement IOs, reset into the device
 // the worker's previous shard ran on (engine.Shard.Reuse) rather than cloned
-// afresh. Results are byte-identical to RebuildShardFactory for any worker
-// count.
+// afresh. Results are byte-identical, for any worker count, to building and
+// enforcing a device per shard (the package's tests keep that rebuild factory
+// as the clone-correctness oracle).
 //
 // Every shard now starts from the cfg.Seed-enforced state; earlier releases
 // enforced each shard with its own derived seed, so absolute numbers differ
@@ -339,61 +339,6 @@ func table3Experiments(capacity int64, d core.Defaults) []core.Experiment {
 // paper's one-device methodology more closely).
 func ShardFactory(key string, cfg Config) engine.DeviceFactory {
 	return Master(key, cfg).Factory()
-}
-
-// RebuildShardFactory is the pre-snapshot path: every shard builds its own
-// device and replays the whole state enforcement with cfg.Seed. It yields
-// results byte-identical to ShardFactory (the clone-correctness oracle the
-// tests pin) at a much higher per-shard cost; it remains as the fallback for
-// device kinds that cannot snapshot.
-func RebuildShardFactory(key string, cfg Config) engine.DeviceFactory {
-	return func(engine.Shard) (device.Device, time.Duration, error) {
-		return prepareSim(key, cfg)
-	}
-}
-
-// RunPlanParallel executes a benchmark plan for the named device through the
-// parallel engine with the given worker count (<= 0 means GOMAXPROCS, 1 is
-// the sequential fallback). The merged results are ordered by run index and
-// are byte-identical for any worker count.
-func RunPlanParallel(ctx context.Context, key string, cfg Config, plan methodology.Plan, workers int, progress engine.ProgressFunc) (*methodology.Results, error) {
-	if plan.Device == "" {
-		plan.Device = key
-	}
-	return engine.ExecutePlan(ctx, plan, ShardFactory(key, cfg), engine.Options{
-		Workers:  workers,
-		Seed:     cfg.Seed,
-		Progress: progress,
-	})
-}
-
-// Table3RowParallel measures one device's key characteristics like Table3Row
-// but executes the benchmark plan through the parallel engine: the state is
-// enforced once on a master device, the phase measurement (which calibrates
-// IOIgnore/IOCount and is inherently sequential) runs on a clone of it, and
-// every plan run executes on its own clone across the worker pool.
-func Table3RowParallel(ctx context.Context, key string, cfg Config, workers int) (report.DeviceCharacter, *methodology.Results, error) {
-	master := Master(key, cfg)
-	probe, at, err := master.Clone()
-	if err != nil {
-		return report.DeviceCharacter{}, nil, err
-	}
-	d := cfg.defaults(probe.Capacity())
-	phases, err := methodology.MeasurePhases(probe, d, 3072, at)
-	if err != nil {
-		return report.DeviceCharacter{}, nil, err
-	}
-	exps := table3Experiments(probe.Capacity(), d)
-	plan := methodology.BuildPlan(exps, probe.Capacity(), cfg.Pause, phases)
-	plan.Device = key
-	res, err := engine.ExecutePlan(ctx, plan, master.Factory(), engine.Options{
-		Workers: workers,
-		Seed:    cfg.Seed,
-	})
-	if err != nil {
-		return report.DeviceCharacter{}, nil, err
-	}
-	return report.Characterize(res, d.IOSize), res, nil
 }
 
 // Table3Row measures one device's key characteristics (its Table 3 row),

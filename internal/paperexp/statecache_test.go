@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"uflip/internal/core"
+	"uflip/internal/engine"
 	"uflip/internal/methodology"
 	"uflip/internal/report"
 	"uflip/internal/statestore"
@@ -80,7 +81,10 @@ func TestStateStoreDifferentialPlan(t *testing.T) {
 
 func runPlanWith(t *testing.T, key string, cfg Config, plan methodology.Plan, workers int) *methodology.Results {
 	t.Helper()
-	res, err := RunPlanParallel(context.Background(), key, cfg, plan, workers, nil)
+	res, err := engine.ExecutePlan(context.Background(), plan, ShardFactory(key, cfg), engine.Options{
+		Workers: workers,
+		Seed:    cfg.Seed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

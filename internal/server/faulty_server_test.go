@@ -27,7 +27,7 @@ func TestCancelJobOnFaultyDevice(t *testing.T) {
 	}
 	st := submit(t, ts, big)
 	waitFor(t, ts, st.ID, server.StatusRunning)
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+st.ID, nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+v1+"/jobs/"+st.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,9 @@
 // existing engine at configurable parallelism with per-job cancellation,
 // and serves the results back as JSON, CSV and human-readable reports.
 //
-// The API is versioned under /v1 (the unversioned legacy routes remain as
-// aliases) and speaks the shared wire types of internal/api, including a
-// typed error envelope on every non-2xx response. Three production
-// capabilities sit on top:
+// The API is versioned under /v1 and speaks the shared wire types of
+// internal/api, including a typed error envelope on every non-2xx response
+// of a route. Three production capabilities sit on top:
 //
 //   - Streaming progress: GET /v1/jobs/{id}/events serves the job's
 //     lifecycle as server-sent events with monotonic IDs; a client that
@@ -387,8 +386,7 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Handler returns the HTTP API. Every route lives under /v1; the
-// unversioned paths remain as exact aliases of their /v1 equivalents:
+// Handler returns the HTTP API. Every route lives under /v1:
 //
 //	GET    /v1/healthz          liveness + queue counters
 //	POST   /v1/jobs             submit a job (api.JobRequest JSON)
@@ -409,7 +407,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(method, path string, h http.HandlerFunc) {
 		mux.HandleFunc(method+" /"+api.Version+path, h)
-		mux.HandleFunc(method+" "+path, h) // legacy unversioned alias
 	}
 	handle("GET", "/healthz", s.handleHealth)
 	handle("POST", "/jobs", s.handleSubmit)

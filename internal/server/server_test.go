@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"uflip/internal/api"
 	"uflip/internal/paperexp"
 	"uflip/internal/server"
 	"uflip/internal/statestore"
@@ -21,6 +22,8 @@ import (
 const (
 	testCapacity = int64(24 << 20)
 	testIOCount  = 64
+	// v1 is the prefix every route lives under; get and trySubmit add it.
+	v1 = "/" + api.Version
 )
 
 func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
@@ -52,7 +55,7 @@ func trySubmit(t *testing.T, ts *httptest.Server, req server.JobRequest) (server
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+v1+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func trySubmit(t *testing.T, ts *httptest.Server, req server.JobRequest) (server
 
 func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + path)
+	resp, err := http.Get(ts.URL + v1 + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +277,7 @@ func TestCancelRunningJob(t *testing.T) {
 	big := server.JobRequest{Kind: "plan", Device: "mtron", Capacity: 512 << 20, IOCount: 1024, Parallel: 1}
 	st := submit(t, ts, big)
 	waitFor(t, ts, st.ID, server.StatusRunning)
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+st.ID, nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+v1+"/jobs/"+st.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +301,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	// Occupy the single worker, then cancel a queued job before it starts.
 	running := submit(t, ts, server.JobRequest{Kind: "plan", Device: "mtron", Capacity: 256 << 20, IOCount: 512, Parallel: 1})
 	queued := submit(t, ts, planRequest("mtron", "Order"))
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+queued.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+v1+"/jobs/"+queued.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -363,6 +366,17 @@ func TestBadRequests(t *testing.T) {
 	if code, body := get(t, ts, "/healthz"); code != http.StatusOK || !strings.Contains(string(body), "ok") {
 		t.Fatalf("healthz: HTTP %d: %s", code, body)
 	}
+	// Routes exist under /v1 only: the unversioned paths are gone.
+	for _, bare := range []string{"/jobs", "/healthz"} {
+		resp, err := http.Get(ts.URL + bare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("unversioned %s: HTTP %d, want 404", bare, resp.StatusCode)
+		}
+	}
 }
 
 // TestSharedStateStoreAcrossJobs: two sequential jobs against the same
@@ -424,7 +438,7 @@ func TestCanceledQueuedJobFreesQueueSlot(t *testing.T) {
 	if _, code := trySubmit(t, ts, planRequest("mtron", "Order")); code != http.StatusServiceUnavailable {
 		t.Fatalf("overflow submit: status %d, want 503", code)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+queued.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+v1+"/jobs/"+queued.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +489,7 @@ func TestBadMicroRejectedAtSubmission(t *testing.T) {
 // values.
 func TestWorkloadOmittedKnobsTakeCLIDefaults(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 2})
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(
+	resp, err := http.Post(ts.URL+v1+"/jobs", "application/json", strings.NewReader(
 		`{"kind":"workload","device":"kingston-dti","capacity":25165824,"workload":{"kind":"oltp"}}`))
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,10 @@
 package server_test
 
-// Tests for the /v1 API surface: the typed error envelope, the legacy-alias
-// guarantee, the server-sent event stream (ordering, monotonic IDs,
-// Last-Event-ID resume), durable-job restarts, per-tenant admission control
-// and trace upload. They drive the server through internal/client wherever a
-// real client would, so the client package is exercised against the real
-// handler stack rather than mocks.
+// Tests for the /v1 API surface: the typed error envelope, the server-sent
+// event stream (ordering, monotonic IDs, Last-Event-ID resume), durable-job
+// restarts, per-tenant admission control and trace upload. They drive the
+// server through internal/client wherever a real client would, so the client
+// package is exercised against the real handler stack rather than mocks.
 
 import (
 	"bytes"
@@ -78,32 +77,6 @@ func submitKeyed(t *testing.T, ts *httptest.Server, key string, jr server.JobReq
 	return st, resp.StatusCode, ""
 }
 
-// TestLegacyRoutesAliasV1 pins the compatibility guarantee: every legacy
-// unversioned route serves exactly what its /v1 twin serves.
-func TestLegacyRoutesAliasV1(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{StateDir: t.TempDir(), Workers: 2})
-	st := submit(t, ts, planRequest("mtron", "Granularity"))
-	waitFor(t, ts, st.ID, server.StatusDone)
-	paths := []string{
-		"/healthz",
-		"/jobs",
-		"/jobs/" + st.ID,
-		"/jobs/" + st.ID + "/result",
-		"/jobs/" + st.ID + "/csv",
-		"/jobs/" + st.ID + "/report",
-		"/jobs/" + st.ID + "/events",
-		"/traces",
-	}
-	for _, p := range paths {
-		codeLegacy, bodyLegacy := get(t, ts, p)
-		codeV1, bodyV1 := get(t, ts, "/v1"+p)
-		if codeLegacy != codeV1 || !bytes.Equal(bodyLegacy, bodyV1) {
-			t.Fatalf("%s: legacy (%d, %d bytes) differs from /v1 (%d, %d bytes)",
-				p, codeLegacy, len(bodyLegacy), codeV1, len(bodyV1))
-		}
-	}
-}
-
 // TestErrorEnvelope pins the typed error shape on non-2xx responses.
 func TestErrorEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
@@ -112,10 +85,10 @@ func TestErrorEnvelope(t *testing.T) {
 		wantHTTP int
 		wantCode api.ErrorCode
 	}{
-		{"/v1/jobs/j-999999", http.StatusNotFound, api.CodeNotFound},
-		{"/v1/jobs/j-999999/csv", http.StatusNotFound, api.CodeNotFound},
-		{"/v1/jobs/j-999999/events", http.StatusNotFound, api.CodeNotFound},
-		{"/v1/traces/deadbeef", http.StatusNotFound, api.CodeNotFound},
+		{"/jobs/j-999999", http.StatusNotFound, api.CodeNotFound},
+		{"/jobs/j-999999/csv", http.StatusNotFound, api.CodeNotFound},
+		{"/jobs/j-999999/events", http.StatusNotFound, api.CodeNotFound},
+		{"/traces/deadbeef", http.StatusNotFound, api.CodeNotFound},
 	}
 	for _, c := range cases {
 		code, body := get(t, ts, c.path)
@@ -282,9 +255,9 @@ func TestRestartDurability(t *testing.T) {
 	ts1 := httptest.NewServer(srv1.Handler())
 	finished := submit(t, ts1, planRequest("mtron", "Granularity"))
 	waitFor(t, ts1, finished.ID, server.StatusDone)
-	_, csvBefore := get(t, ts1, "/v1/jobs/"+finished.ID+"/csv")
-	_, reportBefore := get(t, ts1, "/v1/jobs/"+finished.ID+"/report")
-	_, resultBefore := get(t, ts1, "/v1/jobs/"+finished.ID+"/result")
+	_, csvBefore := get(t, ts1, "/jobs/"+finished.ID+"/csv")
+	_, reportBefore := get(t, ts1, "/jobs/"+finished.ID+"/report")
+	_, resultBefore := get(t, ts1, "/jobs/"+finished.ID+"/result")
 	_, eventsBefore := sseFetch(t, ts1, finished.ID, "")
 
 	// Leave one job mid-flight: with a single worker the second submission
@@ -305,15 +278,15 @@ func TestRestartDurability(t *testing.T) {
 	}()
 
 	// The finished job must come back byte-identical on every artifact.
-	code, csvAfter := get(t, ts2, "/v1/jobs/"+finished.ID+"/csv")
+	code, csvAfter := get(t, ts2, "/jobs/"+finished.ID+"/csv")
 	if code != http.StatusOK || !bytes.Equal(csvBefore, csvAfter) {
 		t.Fatalf("restarted CSV: HTTP %d, identical=%v", code, bytes.Equal(csvBefore, csvAfter))
 	}
-	_, reportAfter := get(t, ts2, "/v1/jobs/"+finished.ID+"/report")
+	_, reportAfter := get(t, ts2, "/jobs/"+finished.ID+"/report")
 	if !bytes.Equal(reportBefore, reportAfter) {
 		t.Fatal("restarted report differs")
 	}
-	_, resultAfter := get(t, ts2, "/v1/jobs/"+finished.ID+"/result")
+	_, resultAfter := get(t, ts2, "/jobs/"+finished.ID+"/result")
 	if !bytes.Equal(resultBefore, resultAfter) {
 		t.Fatal("restarted result differs")
 	}

@@ -243,17 +243,23 @@ func WriteFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// SaveJSON writes records to a file, creating parent directories.
-func SaveJSON(path string, records []RunRecord) error {
+// saveRecords renders records into a new file at path with write, creating
+// parent directories; a write error that only surfaces at close is returned.
+func saveRecords(path string, records []RunRecord, write func(io.Writer, []RunRecord) error) error {
 	f, err := Create(path)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	if err := WriteJSON(f, records); err != nil {
+	if err := write(f, records); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// SaveJSON writes records to a file, creating parent directories.
+func SaveJSON(path string, records []RunRecord) error {
+	return saveRecords(path, records, WriteJSON)
 }
 
 // LoadJSON reads records from a file.
@@ -302,6 +308,12 @@ func WriteSummaryCSV(w io.Writer, records []RunRecord) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// SaveSummaryCSV writes the summary CSV to a file, creating parent
+// directories.
+func SaveSummaryCSV(path string, records []RunRecord) error {
+	return saveRecords(path, records, WriteSummaryCSV)
 }
 
 // ReadSummaryCSV parses the output of WriteSummaryCSV back into summary-only

@@ -115,36 +115,6 @@ func Replay(ctx context.Context, dev device.Device, ops []Op, startAt time.Durat
 	return run, nil
 }
 
-// Segment is a contiguous slice of a workload stream, the engine's unit of
-// parallel replay.
-type Segment struct {
-	// Index is the segment's position in the stream.
-	Index int
-	// Start is the stream index of the segment's first op.
-	Start int
-	// Ops are the segment's ops, in stream order.
-	Ops []Op
-}
-
-// Split cuts the stream into contiguous segments of at most segmentOps ops
-// (segmentOps <= 0 yields a single segment). The partition is a pure
-// function of the stream and segmentOps — never of the worker count — which
-// is what keeps parallel replay deterministic.
-func Split(ops []Op, segmentOps int) []Segment {
-	if segmentOps <= 0 || segmentOps >= len(ops) {
-		return []Segment{{Ops: ops}}
-	}
-	segs := make([]Segment, 0, (len(ops)+segmentOps-1)/segmentOps)
-	for start := 0; start < len(ops); start += segmentOps {
-		end := start + segmentOps
-		if end > len(ops) {
-			end = len(ops)
-		}
-		segs = append(segs, Segment{Index: len(segs), Start: start, Ops: ops[start:end]})
-	}
-	return segs
-}
-
 // Options tunes a parallel replay.
 type Options struct {
 	// SegmentOps caps ops per engine job (<= 0: the whole stream is one
@@ -155,7 +125,11 @@ type Options struct {
 	// Workers bounds the engine worker pool; <= 0 means GOMAXPROCS, 1 is
 	// the sequential fallback.
 	Workers int
-	// Seed is the base seed for per-segment device state enforcement.
+	// Seed is the base seed of the engine's derived per-segment seeds
+	// (engine.Shard.Seed). The production factories ignore those — every
+	// segment starts from the one master state enforced with the factory's
+	// own seed — so it reaches results only through a factory that reads
+	// them.
 	Seed int64
 	// WindowOps sizes the windowed summaries over the merged stream
 	// (<= 0: 256).
@@ -230,19 +204,19 @@ func (s opsSource) Segment(start, n int) ([]Op, error) {
 // OpsSource wraps an in-memory stream as a Source.
 func OpsSource(name string, ops []Op) Source { return opsSource{name: name, ops: ops} }
 
-// ReplayParallel replays the stream through the engine: Split segments, one
-// private device per segment (built by factory from the segment's derived
-// seed), runs merged in stream order. The result is byte-identical for any
+// ReplayParallel replays the stream through the engine: contiguous segments
+// of opts.SegmentOps ops, one private device per segment (built by factory),
+// runs merged in stream order. The result is byte-identical for any
 // opts.Workers value.
 func ReplayParallel(ctx context.Context, name string, ops []Op, factory engine.DeviceFactory, opts Options) (*Result, error) {
 	return ReplaySource(ctx, opsSource{name: name, ops: ops}, factory, opts)
 }
 
-// ReplaySource is ReplayParallel over a Source: the partition is computed
-// from src.Len() with the same arithmetic Split uses, each engine job
-// materializes only its own segment, and the merged result is byte-identical
-// to replaying the materialized stream — for any opts.Workers value and for
-// any Source backing (in-memory slice or .utr file).
+// ReplaySource is ReplayParallel over a Source: the partition is a pure
+// function of src.Len() and opts.SegmentOps, never of the worker count; each
+// engine job materializes only its own segment, and the merged result is
+// byte-identical to replaying the materialized stream — for any opts.Workers
+// value and for any Source backing (in-memory slice or .utr file).
 func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory, opts Options) (*Result, error) {
 	total := src.Len()
 	if total == 0 {

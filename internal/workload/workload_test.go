@@ -229,24 +229,6 @@ func TestReplayOpenLoop(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	ops := make([]workload.Op, 10)
-	segs := workload.Split(ops, 4)
-	if len(segs) != 3 {
-		t.Fatalf("got %d segments, want 3", len(segs))
-	}
-	wantStarts := []int{0, 4, 8}
-	wantLens := []int{4, 4, 2}
-	for i, s := range segs {
-		if s.Index != i || s.Start != wantStarts[i] || len(s.Ops) != wantLens[i] {
-			t.Fatalf("segment %d = {Index:%d Start:%d len:%d}", i, s.Index, s.Start, len(s.Ops))
-		}
-	}
-	if segs := workload.Split(ops, 0); len(segs) != 1 || len(segs[0].Ops) != 10 {
-		t.Fatal("segmentOps<=0 must yield one segment")
-	}
-}
-
 // TestReplayParallelDeterministic is the subsystem's acceptance criterion:
 // every synthetic generator and a trace replay produce byte-identical merged
 // results for workers=1 versus workers=N.
@@ -264,6 +246,9 @@ func TestReplayParallelDeterministic(t *testing.T) {
 			}
 			if res.Ops != len(ops) || res.Total.N != int64(len(ops)) {
 				t.Fatalf("%s workers=%d: merged %d RTs over %d ops", name, workers, res.Total.N, len(ops))
+			}
+			if want := (len(ops) + 95) / 96; len(res.Segments) != want {
+				t.Fatalf("%s workers=%d: %d segments, want %d of at most 96 ops", name, workers, len(res.Segments), want)
 			}
 			blob, err := json.Marshal(res)
 			if err != nil {
