@@ -107,7 +107,10 @@
 // through the same pipelines as the CLI (byte-identical results, pinned by
 // tests and a CI diff), with a bounded job queue, configurable per-job
 // parallelism, per-job cancellation, and one state store shared by all
-// jobs — each device state is enforced at most once, ever.
+// jobs — each device state is enforced at most once, ever. With -jobdir a
+// job is four files — <id>.jsonl (the run records, as "uflip -out" writes
+// them), .csv, .report and, last, the <id>.json record that commits them —
+// written, like state files, by trace.WriteAtomic (temp, fsync, rename).
 //
 // Fault injection (internal/device.FaultyDevice, spec syntax
 // "faulty(mtron,readerr=1e-4,spike=200us@0.01,seed=7)", accepted by every

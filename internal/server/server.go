@@ -12,9 +12,10 @@
 //     lifecycle as server-sent events with monotonic IDs; a client that
 //     reconnects with Last-Event-ID resumes without losing an event.
 //   - Durable jobs: with a job directory configured, every submission is
-//     persisted and every finished job's record, CSV and report are written
-//     with atomic fsync+rename — a restarted daemon serves byte-identical
-//     results and re-queues jobs that never ran.
+//     persisted, and a finished job's run records (<id>.jsonl, streamed by
+//     trace.WriteJSON), CSV and report are written with atomic fsync+rename
+//     before the record that says it finished — a restarted daemon serves
+//     byte-identical results and re-runs every job with no such record.
 //   - Admission control and trace upload: per-tenant (X-API-Key) token
 //     bucket rate limits and queue quotas guard the bounded queue with
 //     typed 429/503 envelopes, and POST /v1/traces accepts bounded-size
@@ -201,7 +202,6 @@ func (j *job) record() *jobRecord {
 		Started:   j.started,
 		Finished:  j.finished,
 		Events:    j.log.Snapshot(),
-		Records:   j.records,
 		Rows:      j.rows,
 	}
 }
@@ -863,22 +863,15 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.Copy(w, io.NewSectionReader(h, 0, h.Size))
 }
 
-// persistFinished writes the job's final record and artifacts to the job
-// directory. Persistence failures are reported on stderr but do not undo a
-// completed job: the results remain servable from memory, they just will
-// not survive a restart.
+// persistFinished writes the job's run records, artifacts and — last — its
+// final record to the job directory. Persistence failures are reported on
+// stderr but do not undo a completed job: the results remain servable from
+// memory; on disk the job stays queued, so a restart re-runs it.
 func (s *Server) persistFinished(j *job) {
 	if s.jobsdir == nil {
 		return
 	}
-	if err := s.jobsdir.saveRecord(j.record()); err != nil {
-		fmt.Fprintln(os.Stderr, "uflip serve:", err)
-		return
-	}
-	if err := s.jobsdir.saveArtifact(j.id, ".csv", j.csv); err != nil {
-		fmt.Fprintln(os.Stderr, "uflip serve:", err)
-	}
-	if err := s.jobsdir.saveArtifact(j.id, ".report", j.report); err != nil {
+	if err := s.jobsdir.saveFinished(j.record(), j.records, j.csv, j.report); err != nil {
 		fmt.Fprintln(os.Stderr, "uflip serve:", err)
 	}
 }

@@ -253,12 +253,31 @@ func TestRestartDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
-	finished := submit(t, ts1, planRequest("mtron", "Granularity"))
-	waitFor(t, ts1, finished.ID, server.StatusDone)
-	_, csvBefore := get(t, ts1, "/jobs/"+finished.ID+"/csv")
-	_, reportBefore := get(t, ts1, "/jobs/"+finished.ID+"/report")
-	_, resultBefore := get(t, ts1, "/jobs/"+finished.ID+"/result")
-	_, eventsBefore := sseFetch(t, ts1, finished.ID, "")
+	// One finished job of each kind. /csv on the array job is its 404
+	// envelope, which must survive the restart like any other answer.
+	var finished []server.JobStatus
+	for _, req := range []server.JobRequest{
+		planRequest("mtron", "Granularity"),
+		workloadRequest(),
+		{Kind: "array", Capacity: 16 << 20, Seed: 42, IOCount: testIOCount, Parallel: 2,
+			Array: &server.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{2}, QueueDepths: []int{2}}},
+	} {
+		st := submit(t, ts1, req)
+		waitFor(t, ts1, st.ID, server.StatusDone)
+		finished = append(finished, st)
+	}
+	served := func(ts *httptest.Server) map[string]string {
+		out := make(map[string]string)
+		for _, st := range finished {
+			for _, what := range []string{"/result", "/csv", "/report"} {
+				code, body := get(t, ts, "/jobs/"+st.ID+what)
+				out[st.Kind+what] = strconv.Itoa(code) + " " + string(body)
+			}
+			_, out[st.Kind+"/events"] = sseFetch(t, ts, st.ID, "")
+		}
+		return out
+	}
+	before := served(ts1)
 
 	// Leave one job mid-flight: with a single worker the second submission
 	// is still queued (or just started) when the daemon dies.
@@ -277,22 +296,12 @@ func TestRestartDurability(t *testing.T) {
 		srv2.Close()
 	}()
 
-	// The finished job must come back byte-identical on every artifact.
-	code, csvAfter := get(t, ts2, "/jobs/"+finished.ID+"/csv")
-	if code != http.StatusOK || !bytes.Equal(csvBefore, csvAfter) {
-		t.Fatalf("restarted CSV: HTTP %d, identical=%v", code, bytes.Equal(csvBefore, csvAfter))
-	}
-	_, reportAfter := get(t, ts2, "/jobs/"+finished.ID+"/report")
-	if !bytes.Equal(reportBefore, reportAfter) {
-		t.Fatal("restarted report differs")
-	}
-	_, resultAfter := get(t, ts2, "/jobs/"+finished.ID+"/result")
-	if !bytes.Equal(resultBefore, resultAfter) {
-		t.Fatal("restarted result differs")
-	}
-	_, eventsAfter := sseFetch(t, ts2, finished.ID, "")
-	if eventsBefore != eventsAfter {
-		t.Fatalf("restarted event history differs:\nbefore: %q\nafter:  %q", eventsBefore, eventsAfter)
+	// The finished jobs must come back byte-identical on every route.
+	after := served(ts2)
+	for what, want := range before {
+		if got := after[what]; got != want {
+			t.Errorf("restarted %s differs:\nbefore: %.300q\nafter:  %.300q", what, want, got)
+		}
 	}
 
 	// The interrupted jobs re-queue and complete under the new process.
@@ -304,7 +313,7 @@ func TestRestartDurability(t *testing.T) {
 	}
 	// The restarted daemon must not reuse IDs of recovered jobs.
 	fresh := submit(t, ts2, planRequest("mtron", "Alignment"))
-	for _, id := range []string{finished.ID, interruptedA.ID, interruptedB.ID} {
+	for _, id := range []string{finished[0].ID, finished[1].ID, finished[2].ID, interruptedA.ID, interruptedB.ID} {
 		if fresh.ID == id {
 			t.Fatalf("restarted daemon reissued job ID %s", id)
 		}

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"uflip/internal/device"
+	"uflip/internal/trace"
 )
 
 // Key identifies one enforced device state. Spec must be canonical (plain
@@ -140,8 +141,8 @@ type saved struct {
 	Dev *device.DeviceSnapshot
 }
 
-// Save persists the device's state for the key, atomically (write to a
-// temporary file, then rename). at is the virtual time enforcement finished.
+// Save persists the device's state for the key, atomically (trace.WriteAtomic:
+// temporary file, fsync, rename). at is the virtual time enforcement finished.
 func (s *Store) Save(k Key, dev device.Device, at time.Duration) error {
 	snap, err := device.SnapshotDevice(dev)
 	if err != nil {
@@ -158,38 +159,22 @@ func (s *Store) Save(k Key, dev device.Device, at time.Duration) error {
 	binary.LittleEndian.PutUint64(hdr[36:44], uint64(payload.Len()))
 	binary.LittleEndian.PutUint64(hdr[44:52], crc64.Checksum(payload.Bytes(), crcTable))
 
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("statestore: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	// Header then payload straight from the encoder's buffer — states can
-	// be tens of MB, so avoid assembling a second full copy.
-	werr := func() error {
-		if _, err := tmp.WriteString(magic); err != nil {
+	// Magic, header, then the payload straight from the encoder's buffer —
+	// states can be tens of MB, so avoid assembling a second full copy.
+	// WriteAtomic fsyncs before the rename: without that a crash can make
+	// the rename durable while the payload is torn, turning every later
+	// run's load into a hard CRC failure.
+	err = trace.WriteAtomic(s.Path(k), func(w io.Writer) error {
+		if _, err := io.WriteString(w, magic); err != nil {
 			return err
 		}
-		if _, err := tmp.Write(hdr); err != nil {
+		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
-		_, err := tmp.Write(payload.Bytes())
+		_, err := w.Write(payload.Bytes())
 		return err
-	}()
-	if werr != nil {
-		tmp.Close()
-		return fmt.Errorf("statestore: write %s: %w", k, werr)
-	}
-	// Flush to stable storage before the rename: without it a crash can
-	// make the rename durable while the payload is torn, turning every
-	// later run's load into a hard CRC failure.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("statestore: write %s: %w", k, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("statestore: write %s: %w", k, err)
-	}
-	if err := os.Rename(tmp.Name(), s.Path(k)); err != nil {
+	})
+	if err != nil {
 		return fmt.Errorf("statestore: write %s: %w", k, err)
 	}
 	return nil

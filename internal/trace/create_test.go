@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -91,5 +93,72 @@ func TestSaveSummaryCSV(t *testing.T) {
 	}
 	if err := SaveSummaryCSV(dir, recs); err == nil {
 		t.Fatal("SaveSummaryCSV onto a directory succeeded")
+	}
+}
+
+// TestWriteAtomic pins the one temp+fsync+rename writer: a write that fails
+// or panics half-way leaves neither the target nor a temporary file, a
+// successful one leaves exactly the target, and a failed overwrite leaves the
+// previous content in place.
+func TestWriteAtomic(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "fresh")
+	path := filepath.Join(dir, "artifact")
+	listing := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	boom := errors.New("boom")
+	half := func(then func()) func(io.Writer) error {
+		return func(w io.Writer) error {
+			if _, err := io.WriteString(w, "half a fi"); err != nil {
+				return err
+			}
+			then()
+			return boom
+		}
+	}
+
+	if err := WriteAtomic(path, half(func() {})); !errors.Is(err, boom) {
+		t.Fatalf("failing write returned %v, want boom", err)
+	}
+	if got := listing(); len(got) != 0 {
+		t.Fatalf("failed write left %v", got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panic in write was swallowed")
+			}
+		}()
+		_ = WriteAtomic(path, half(func() { panic("mid-write") }))
+	}()
+	if got := listing(); len(got) != 0 {
+		t.Fatalf("panicking write left %v", got)
+	}
+
+	if err := WriteFileAtomic(path, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if got := listing(); len(got) != 1 || got[0] != "artifact" {
+		t.Fatalf("successful write left %v, want exactly the target", got)
+	}
+	if err := WriteAtomic(path, half(func() {})); !errors.Is(err, boom) {
+		t.Fatalf("failing overwrite returned %v, want boom", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "first" || len(listing()) != 1 {
+		t.Fatalf("after a failed overwrite: content %q, err %v, directory %v", got, err, listing())
+	}
+	if err := WriteAtomic(path, func(w io.Writer) error { return WriteJSON(w, []RunRecord{{ID: "x", RTs: []float64{0.001}}}) }); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadJSON(path); err != nil || len(got) != 1 || got[0].ID != "x" || len(listing()) != 1 {
+		t.Fatalf("streamed overwrite: %+v, err %v, directory %v", got, err, listing())
 	}
 }

@@ -210,37 +210,44 @@ func Create(path string) (*os.File, error) {
 	return os.Create(path)
 }
 
-// WriteFileAtomic writes data to path with the crash discipline durable
-// artifacts need: the bytes land in a temporary file in the destination
-// directory, are fsynced to stable storage, and only then renamed into
-// place. A reader therefore observes either the previous content or the
-// complete new content — never a torn write — and a crash between fsync and
-// rename leaves at worst a stray temporary file, not a corrupt artifact.
-// Missing parent directories are created.
-func WriteFileAtomic(path string, data []byte) error {
+// WriteAtomic writes a file with the crash discipline durable artifacts
+// need: write streams the content into a temporary file (.tmp-*) in the
+// destination directory, which is fsynced to stable storage and only then
+// renamed into place. A reader therefore observes either the previous content
+// or the complete new content — never a torn write; if write fails or panics,
+// or a later step fails, the temporary file is removed and path is untouched,
+// and a crash leaves at worst a stray temporary file. Missing parent
+// directories are created.
+func WriteAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
-	if dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
+	// No-ops after the rename; the clean-up on every error and on a panic.
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	defer tmp.Close()
+	if err := write(tmp); err != nil {
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
+}
+
+// WriteFileAtomic is WriteAtomic for content already in memory.
+func WriteFileAtomic(path string, data []byte) error {
+	return WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // saveRecords renders records into a new file at path with write, creating
