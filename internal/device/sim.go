@@ -59,6 +59,9 @@ type SimDevice struct {
 	cfg   SimConfig //uflint:shared — immutable config; snapshots restore into a same-profile build
 	top   ftl.Translator
 	model ftl.CostModel //uflint:shared — cost tables wired at construction
+	// capacity is the stack's logical size, immutable for every translation
+	// layer, resolved once instead of through the stack on every IO.
+	capacity int64 //uflint:shared — derived from the stack at construction
 
 	busFree   time.Duration
 	flashFree time.Duration
@@ -78,7 +81,7 @@ func NewSimDevice(cfg SimConfig, top ftl.Translator, model ftl.CostModel) (*SimD
 	if cfg.Name == "" {
 		cfg.Name = "sim"
 	}
-	return &SimDevice{cfg: cfg, top: top, model: model}, nil
+	return &SimDevice{cfg: cfg, top: top, model: model, capacity: top.Capacity()}, nil
 }
 
 // Clone returns a deep copy of the whole simulated device: the translation
@@ -110,7 +113,7 @@ func (d *SimDevice) ResetFrom(src Device) bool {
 func (d *SimDevice) CloneDevice() Device { return d.Clone() }
 
 // Capacity returns the logical device size.
-func (d *SimDevice) Capacity() int64 { return d.top.Capacity() }
+func (d *SimDevice) Capacity() int64 { return d.capacity }
 
 // SectorSize returns 512, the paper's addressing granularity.
 func (d *SimDevice) SectorSize() int { return 512 }
@@ -128,24 +131,23 @@ func (d *SimDevice) IOs() int64 { return d.ios }
 //
 //uflint:hotpath
 func (d *SimDevice) Submit(at time.Duration, io IO) (time.Duration, error) {
-	return d.service(at, io, d.Capacity())
+	return d.service(at, io)
 }
 
 // SubmitBatch services a slice of IOs in one call (see Device.SubmitBatch
 // for the done encoding). The batch path amortizes the per-IO overhead of
-// the executor loop: one virtual call, the logical capacity resolved once,
-// and the bus/flash pipeline clocks updated in a single frame across the
-// whole batch. Completion times are byte-identical to per-IO Submit.
+// the executor loop: one virtual call, and the bus/flash pipeline clocks
+// updated in a single frame across the whole batch. Completion times are
+// byte-identical to per-IO Submit.
 //
 //uflint:hotpath
 func (d *SimDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error {
 	if err := checkBatch(ios, done); err != nil {
 		return err
 	}
-	capacity := d.Capacity()
 	prev := at
 	for i := range ios {
-		end, err := d.service(resolveSubmit(done[i], prev), ios[i], capacity)
+		end, err := d.service(resolveSubmit(done[i], prev), ios[i])
 		if err != nil {
 			return &BatchError{Index: i, IO: ios[i], Err: err}
 		}
@@ -155,12 +157,11 @@ func (d *SimDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration
 	return nil
 }
 
-// service is the shared body of Submit and SubmitBatch: one IO at time at,
-// against the pre-resolved logical capacity.
+// service is the shared body of Submit and SubmitBatch: one IO at time at.
 //
 //uflint:hotpath
-func (d *SimDevice) service(at time.Duration, io IO, capacity int64) (time.Duration, error) {
-	if err := checkIO(io, capacity); err != nil {
+func (d *SimDevice) service(at time.Duration, io IO) (time.Duration, error) {
+	if err := checkIO(io, d.capacity); err != nil {
 		return 0, err
 	}
 	d.ios++
@@ -202,7 +203,7 @@ func (d *SimDevice) service(at time.Duration, io IO, capacity int64) (time.Durat
 	if err != nil {
 		return 0, fmt.Errorf("device %s: %w", d.cfg.Name, err)
 	}
-	opsCost := d.model.Cost(ops)
+	opsCost := d.model.Cost(&ops)
 	transfer := d.cfg.Bus.transfer(io.Mode, io.Size)
 
 	var done time.Duration

@@ -40,9 +40,12 @@ func (c BlockConfig) validate(a *Array) error {
 	return nil
 }
 
+// logEnt is one slot of the log table: the replacement block attached to
+// logical block lbn, or a free slot.
 type logEnt struct {
-	pb       int // physical replacement block
-	nextPage int // pages [0,nextPage) programmed, 1:1 with block offsets
+	lbn      int64 // logical block the slot serves, -1 when the slot is free
+	pb       int   // physical replacement block
+	nextPage int   // pages [0,nextPage) programmed, 1:1 with block offsets
 	lastUse  int64
 }
 
@@ -52,6 +55,12 @@ type logEnt struct {
 // block maps to at most one data block whose programmed pages form a
 // contiguous prefix (a direct consequence of the chip's sequential-
 // programming constraint), so out-of-order writes force full merges.
+//
+// The log table is a fixed array of cfg.LogBlocks slots (2–8 in every
+// profile), searched linearly: attaching, evicting and looking up a log touch
+// no map and allocate nothing. Which slot holds an entry is unobservable —
+// lookups go by LBN, the eviction victim is chosen under the strict
+// (lastUse, lbn) order, and snapshots list the entries sorted by LBN.
 type BlockFTL struct {
 	arr   *Array
 	cfg   BlockConfig //uflint:shared — immutable config from the profile
@@ -61,8 +70,8 @@ type BlockFTL struct {
 	pagesPerBlock int   //uflint:shared — derived from the geometry
 	lbnCount      int64 //uflint:shared — derived from the geometry
 
-	data []int32 // lbn -> physical block, -1 unmapped
-	logs map[int64]*logEnt
+	data []int32  // lbn -> physical block, -1 unmapped
+	logs []logEnt // cfg.LogBlocks slots, free ones marked lbn -1
 	free blockQueue
 	tick int64
 
@@ -78,10 +87,6 @@ type BlockFTL struct {
 	pending    []byte //uflint:scratch — alive only within one WriteData call
 	pendingOff int64  //uflint:scratch — alive only within one WriteData call
 	runBuf     []byte //uflint:scratch — staging buffer; contents dead between calls
-
-	// logPool backs the log entries resetFrom copies in, so resetting a
-	// recycled FTL allocates nothing.
-	logPool []logEnt //uflint:scratch — reuse buffer behind logs
 }
 
 // NewBlockFTL builds a block-mapped FTL over the array. The flash must be in
@@ -100,7 +105,7 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 		model:         model,
 		blockBytes:    int64(geo.BlockSize()),
 		pagesPerBlock: geo.PagesPerBlock,
-		logs:          make(map[int64]*logEnt, cfg.LogBlocks),
+		logs:          make([]logEnt, cfg.LogBlocks),
 		free:          newBlockQueue(arr.Blocks()),
 		lastReadSlot:  -2,
 	}
@@ -109,10 +114,13 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 	for i := range f.data {
 		f.data[i] = -1
 	}
+	for i := range f.logs {
+		f.logs[i].lbn = -1
+	}
 	for b := 0; b < arr.Blocks(); b++ {
 		f.free.push(packKey(0, 0, b))
 	}
-	f.book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit)
+	f.book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit, f.lbnCount)
 	if arr.StoresData() {
 		f.dataMode = true
 		f.runBuf = make([]byte, geo.BlockSize())
@@ -131,7 +139,7 @@ func (f *BlockFTL) Clone() Translator {
 }
 
 // resetFrom makes f a deep copy of t — a BlockFTL — and of the flash array
-// underneath, reusing f's map, pool and chips; f may be a zero value.
+// underneath, reusing f's tables and chips; f may be a zero value.
 func (f *BlockFTL) resetFrom(t Translator) bool {
 	src, ok := t.(*BlockFTL)
 	if !ok {
@@ -144,18 +152,7 @@ func (f *BlockFTL) resetFrom(t Translator) bool {
 	f.cfg, f.model = src.cfg, src.model
 	f.blockBytes, f.pagesPerBlock, f.lbnCount = src.blockBytes, src.pagesPerBlock, src.lbnCount
 	f.data = append(f.data[:0], src.data...)
-	if f.logs == nil {
-		f.logs = make(map[int64]*logEnt, src.cfg.LogBlocks)
-	}
-	clear(f.logs)
-	if cap(f.logPool) < len(src.logs) {
-		f.logPool = make([]logEnt, 0, src.cfg.LogBlocks)
-	}
-	f.logPool = f.logPool[:0]
-	for lbn, e := range src.logs {
-		f.logPool = append(f.logPool, *e) //uflint:allow maporder — which pool slot backs an entry is unobservable
-		f.logs[lbn] = &f.logPool[len(f.logPool)-1]
-	}
+	f.logs = append(f.logs[:0], src.logs...)
 	f.free.resetFrom(&src.free)
 	f.tick = src.tick
 	f.book.resetFrom(&src.book)
@@ -171,7 +168,15 @@ func (f *BlockFTL) resetFrom(t Translator) bool {
 func (f *BlockFTL) Stats() Stats { return f.stats }
 
 // ActiveLogs returns the number of replacement blocks currently in use.
-func (f *BlockFTL) ActiveLogs() int { return len(f.logs) }
+func (f *BlockFTL) ActiveLogs() int {
+	n := 0
+	for i := range f.logs {
+		if f.logs[i].lbn >= 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // FreeBlocks returns the size of the erased pool.
 func (f *BlockFTL) FreeBlocks() int { return f.free.Len() }
@@ -238,14 +243,11 @@ func (f *BlockFTL) copyPages(lbn int64, log *logEnt, from, to int, ops *Ops) err
 	return nil
 }
 
-// fullMerge completes the lbn's log block: the tail of the old data block is
-// copied in, the old data block is erased and freed, and the log becomes the
-// data block.
-func (f *BlockFTL) fullMerge(lbn int64, ops *Ops) error {
-	log := f.logs[lbn]
-	if log == nil {
-		return nil
-	}
+// fullMerge completes a log block: the tail of its logical block's old data
+// block is copied in, the old data block is erased and freed, the log becomes
+// the data block and its slot is free again.
+func (f *BlockFTL) fullMerge(log *logEnt, ops *Ops) error {
+	lbn := log.lbn
 	old := f.data[lbn]
 	oldNext := f.dataNext(lbn)
 	f.stats.Merges++
@@ -265,36 +267,54 @@ func (f *BlockFTL) fullMerge(lbn int64, ops *Ops) error {
 		f.pushFree(int(old))
 	}
 	f.data[lbn] = int32(log.pb)
-	delete(f.logs, lbn)
+	log.lbn = -1
 	return nil
 }
 
-// allocLog attaches a fresh replacement block to lbn, evicting (merging) the
-// least-recently-used log when all slots are taken.
-func (f *BlockFTL) allocLog(lbn int64, ops *Ops) (*logEnt, error) {
-	if len(f.logs) >= f.cfg.LogBlocks {
-		var victim int64 = -1
-		var oldest int64
-		for l, e := range f.logs {
-			// Strict total order on (lastUse, lbn): the lbn tie-break keeps
-			// the choice independent of map iteration order even if two
-			// logs ever share a tick.
-			if victim < 0 || e.lastUse < oldest || (e.lastUse == oldest && l < victim) {
-				victim, oldest = l, e.lastUse //uflint:allow maporder — min-selection under a strict total order is order-independent
-			}
+// logOf returns the slot attached to lbn, nil when it has no log.
+//
+//uflint:hotpath
+func (f *BlockFTL) logOf(lbn int64) *logEnt {
+	for i := range f.logs {
+		if f.logs[i].lbn == lbn {
+			return &f.logs[i]
 		}
+	}
+	return nil
+}
+
+// allocLog attaches a fresh replacement block to lbn in a free slot, first
+// evicting (merging) the least-recently-used log when every slot is taken.
+//
+//uflint:hotpath
+func (f *BlockFTL) allocLog(lbn int64, ops *Ops) (*logEnt, error) {
+	var slot, victim *logEnt
+	for i := range f.logs {
+		e := &f.logs[i]
+		if e.lbn < 0 {
+			slot = e
+			break
+		}
+		// Strict total order on (lastUse, lbn): the lbn tie-break keeps the
+		// choice independent of slot order even if two logs ever share a
+		// tick.
+		if victim == nil || e.lastUse < victim.lastUse || (e.lastUse == victim.lastUse && e.lbn < victim.lbn) {
+			victim = e
+		}
+	}
+	if slot == nil {
 		if err := f.fullMerge(victim, ops); err != nil {
 			return nil, err
 		}
+		slot = victim
 	}
 	pb, err := f.allocFree()
 	if err != nil {
 		return nil, err
 	}
 	f.tick++
-	log := &logEnt{pb: pb, lastUse: f.tick}
-	f.logs[lbn] = log
-	return log, nil
+	*slot = logEnt{lbn: lbn, pb: pb, lastUse: f.tick}
+	return slot, nil
 }
 
 // pageRun resolves where the pages of lbn starting at p currently live — the
@@ -303,7 +323,7 @@ func (f *BlockFTL) allocLog(lbn int64, ops *Ops) (*logEnt, error) {
 // contiguous prefix of the logical block, the log's shadowing the data
 // block's.
 func (f *BlockFTL) pageRun(lbn int64, p, limit int) (block, n int, ok bool) {
-	if log := f.logs[lbn]; log != nil && p < log.nextPage {
+	if log := f.logOf(lbn); log != nil && p < log.nextPage {
 		return log.pb, min(limit, log.nextPage-p), true
 	}
 	if next := f.dataNext(lbn); p < next {
@@ -345,7 +365,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 		}
 	}
 
-	log := f.logs[lbn]
+	log := f.logOf(lbn)
 	if log == nil {
 		var err error
 		if log, err = f.allocLog(lbn, ops); err != nil {
@@ -355,7 +375,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 	if sPage < log.nextPage {
 		// Out-of-order rewrite (in-place, reverse, revisiting random
 		// write): the log only appends, so merge and start over.
-		if err := f.fullMerge(lbn, ops); err != nil {
+		if err := f.fullMerge(log, ops); err != nil {
 			return err
 		}
 		var err error
@@ -390,7 +410,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 
 	if log.nextPage == f.pagesPerBlock {
 		// Fully written log: switch it in (cheap merge).
-		if err := f.fullMerge(lbn, ops); err != nil {
+		if err := f.fullMerge(log, ops); err != nil {
 			return err
 		}
 	}

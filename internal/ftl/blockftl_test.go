@@ -228,14 +228,14 @@ func TestBlockFTLReverseDearerThanSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq += m.Cost(ops)
+		seq += m.Cost(&ops)
 	}
 	for i := int64(31); i >= 0; i-- { // descending over the second MB
 		ops, err := f.Write(1024*1024+i*32*1024, 32*1024)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rev += m.Cost(ops)
+		rev += m.Cost(&ops)
 	}
 	if rev < 2*seq {
 		t.Fatalf("reverse (%v) not clearly dearer than sequential (%v)", rev, seq)
@@ -272,9 +272,12 @@ func TestBlockFTLConsistency(t *testing.T) {
 		}
 		used[int(pb)] = "data"
 	}
-	for lbn, log := range f.logs {
+	for _, log := range f.logs {
+		if log.lbn < 0 {
+			continue
+		}
 		if prev, ok := used[log.pb]; ok {
-			t.Fatalf("block %d used twice (%s and log[%d])", log.pb, prev, lbn)
+			t.Fatalf("block %d used twice (%s and log[%d])", log.pb, prev, log.lbn)
 		}
 		used[log.pb] = "log"
 	}
@@ -285,5 +288,82 @@ func TestBlockFTLConsistency(t *testing.T) {
 		if _, ok := f.pageLocation(lbn, pageInBlock); !ok {
 			t.Fatalf("written page %d unresolvable", p)
 		}
+	}
+}
+
+// TestBlockFTLRestoreRejectsCorruptLogRows: a snapshot whose log rows could
+// not have come from a BlockFTL of this shape — the kind a damaged or crafted
+// state file decodes to — is an error, never two live slots for one logical
+// block, a log on a block the free pool also hands out, or an index panic on
+// the next IO. Likewise a map-book ring naming a map page the device does not
+// have.
+func TestBlockFTLRestoreRejectsCorruptLogRows(t *testing.T) {
+	build := func() *BlockFTL { return newTestBlockFTL(t, func(c *BlockConfig) { c.MapUnitsPerPage = 2 }) }
+	src := build()
+	pageSize := int64(src.arr.Geometry().PageSize)
+	for lbn := int64(0); lbn < 12; lbn++ { // four open logs, six map pages touched
+		if _, err := src.Write(lbn*src.blockBytes, 4*pageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if src.ActiveLogs() != 4 || src.book.queued < 2 {
+		t.Fatalf("set-up: %d active logs, %d dirty map pages", src.ActiveLogs(), src.book.queued)
+	}
+	if err := build().Restore(src.Snapshot()); err != nil {
+		t.Fatalf("intact snapshot rejected: %v", err)
+	}
+	ring := func(s *BlockFTLSnapshot, i int) *int64 { return &s.Book.Order[(s.Book.Head+i)%len(s.Book.Order)] }
+	cases := map[string]func(s *BlockFTLSnapshot){
+		"negative LBN":            func(s *BlockFTLSnapshot) { s.Logs[0].LBN = -1 },
+		"LBN beyond the device":   func(s *BlockFTLSnapshot) { s.Logs[3].LBN = src.lbnCount },
+		"duplicate LBN":           func(s *BlockFTLSnapshot) { s.Logs[2].LBN = s.Logs[1].LBN },
+		"negative PB":             func(s *BlockFTLSnapshot) { s.Logs[0].PB = -1 },
+		"PB beyond the array":     func(s *BlockFTLSnapshot) { s.Logs[0].PB = src.arr.Blocks() },
+		"duplicate PB":            func(s *BlockFTLSnapshot) { s.Logs[3].PB = s.Logs[0].PB },
+		"PB in the free pool":     func(s *BlockFTLSnapshot) { s.Logs[1].PB = s.Free[0].Block },
+		"negative cursor":         func(s *BlockFTLSnapshot) { s.Logs[0].NextPage = -1 },
+		"cursor beyond the block": func(s *BlockFTLSnapshot) { s.Logs[0].NextPage = src.pagesPerBlock + 1 },
+		"negative ring page":      func(s *BlockFTLSnapshot) { *ring(s, 0) = -1 },
+		"ring page beyond the map": func(s *BlockFTLSnapshot) {
+			*ring(s, 1) = int64(len(src.book.dirty)) * 64
+		},
+		"ring page queued twice": func(s *BlockFTLSnapshot) { *ring(s, 1) = *ring(s, 0) },
+	}
+	for name, corrupt := range cases {
+		s := src.Snapshot()
+		corrupt(s)
+		if err := build().Restore(s); err == nil {
+			t.Errorf("%s: corrupt snapshot restored", name)
+		}
+	}
+}
+
+// TestBlockFTLEvictingWritesZeroAlloc pins the slot table's point: a random
+// write that attaches a log and evicts another on every IO — the steady state
+// of the paper's low-end devices — allocates nothing.
+func TestBlockFTLEvictingWritesZeroAlloc(t *testing.T) {
+	f := newTestBlockFTL(t, nil)
+	pageSize := int64(f.arr.Geometry().PageSize)
+	write := func(i int64) {
+		lbn := (i * 37) % f.lbnCount
+		if _, err := f.Write(lbn*f.blockBytes+(i%8)*pageSize, 4*pageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := int64(0)
+	for ; i < 4*f.lbnCount; i++ {
+		write(i)
+	}
+	merges := f.Stats().Merges
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() {
+		write(i)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("evicting write allocates %.1f times per IO, want 0", allocs)
+	}
+	if got := f.Stats().Merges - merges; got < runs {
+		t.Fatalf("%d merges over %d writes: the loop is not evicting on every IO", got, runs)
 	}
 }

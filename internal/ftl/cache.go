@@ -518,18 +518,23 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 		gl = last + 1
 		touched = append(touched, r)
 	}
-	defer func() {
-		clear(touched) // drop region pointers so flushed regions can be freed
-		c.touched = touched[:0]
-	}()
 	c.admitCost(length, seq, &ops)
+	err := c.enforceBounds(touched, &ops)
+	clear(touched) // drop region pointers so flushed regions can be freed
+	c.touched = touched[:0]
+	return ops, err
+}
 
+// enforceBounds flushes what a write to the touched regions pushed over a
+// bound: completed regions, then streams beyond the Streams bound, then LRU
+// regions beyond the capacity.
+func (c *WriteCache) enforceBounds(touched []*cacheRegion, ops *Ops) error {
 	// Fully written regions flush immediately (cheap switch merge below).
 	for _, r := range touched {
 		if c.regions[r.id] == r && r.nlines == c.linesPerRegion {
 			c.stats.CompleteFlush++
-			if err := c.flushRegion(r, &ops); err != nil {
-				return ops, err
+			if err := c.flushRegion(r, ops); err != nil {
+				return err
 			}
 		}
 	}
@@ -537,8 +542,8 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 	// flushes (the Partitioning cliff).
 	for c.cfg.Streams > 0 && c.streamLRU.n > c.cfg.Streams {
 		c.stats.StreamFlushes++
-		if err := c.flushRegion(c.streamLRU.back, &ops); err != nil {
-			return ops, err
+		if err := c.flushRegion(c.streamLRU.back, ops); err != nil {
+			return err
 		}
 	}
 	// Capacity bound: evict LRU zone regions (streams as a last resort),
@@ -556,12 +561,12 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 				break
 			}
 			c.stats.CapFlushes++
-			if err := c.flushRegion(r, &ops); err != nil {
-				return ops, err
+			if err := c.flushRegion(r, ops); err != nil {
+				return err
 			}
 		}
 	}
-	return ops, nil
+	return nil
 }
 
 // Read serves buffered lines from the cache and forwards contiguous
@@ -727,7 +732,7 @@ func (c *WriteCache) Idle(d time.Duration) {
 		if err := c.flushRegion(r, &ops); err != nil {
 			return
 		}
-		cost := c.model.Cost(ops)
+		cost := c.model.Cost(&ops)
 		if cost <= 0 {
 			cost = time.Microsecond
 		}

@@ -422,20 +422,27 @@ func TestMinHeapZeroAlloc(t *testing.T) {
 }
 
 // TestMapBookRingZeroAlloc pins that steady-state map bookkeeping (the ring
-// FIFO of dirty map pages) allocates nothing once warm.
+// FIFO of dirty map pages and the bitset beside it) allocates nothing once
+// warm, flushes included: every touch below dirties a new map page and
+// flushes the oldest.
 func TestMapBookRingZeroAlloc(t *testing.T) {
-	b := newMapBook(4, 8)
+	b := newMapBook(4, 8, 4*4096)
 	var ops Ops
 	for i := int64(0); i < 1024; i++ {
 		b.touch(i*4, &ops)
 	}
 	i := int64(1024)
-	allocs := testing.AllocsPerRun(1000, func() {
+	flushed := ops.MapFlushes + ops.SeqMapFlushes
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() {
 		b.touch(i*4, &ops)
 		i++
 	})
 	if allocs != 0 {
 		t.Fatalf("mapBook.touch allocates %.1f times per op, want 0", allocs)
+	}
+	if got := ops.MapFlushes + ops.SeqMapFlushes - flushed; got < runs {
+		t.Fatalf("%d flushes over %d touches of fresh map pages", got, runs)
 	}
 	if b.dirtyCount() > 8 {
 		t.Fatalf("dirty count %d exceeds limit", b.dirtyCount())

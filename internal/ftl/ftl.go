@@ -68,7 +68,9 @@ func (o Ops) IsZero() bool { return o == Ops{} }
 
 // CostModel converts operation counts into time, with coefficients for the
 // internal parallelism (channels, planes, pipelining) that differs between a
-// two-chip USB stick and a sixteen-chip SSD.
+// two-chip USB stick and a sixteen-chip SSD. A model is immutable once a
+// device is built: every layer keeps its own copy and prices through a
+// pointer to it.
 type CostModel struct {
 	ReadPage    time.Duration // one page: cell array -> register -> controller
 	ProgramPage time.Duration // one page: controller -> register -> cell array
@@ -129,38 +131,44 @@ func div(d time.Duration, p float64) time.Duration {
 	return time.Duration(float64(d) / p)
 }
 
-// Cost converts an Ops vector into a duration.
-func (m CostModel) Cost(o Ops) time.Duration {
-	randReads := o.PageReads - o.SeqPageReads
-	if randReads < 0 {
-		randReads = 0
+// Cost converts an Ops vector into a duration. Model and vector are read
+// through pointers (together they are over 200 bytes, priced once per IO),
+// and a parallelism-scaled term whose counts are zero is skipped: it would
+// contribute exactly 0, so the sum is the same to the nanosecond.
+//
+//uflint:hotpath
+func (m *CostModel) Cost(o *Ops) time.Duration {
+	d := time.Duration(o.MapFlushes)*m.MapFlush +
+		time.Duration(o.SeqMapFlushes)*m.MapFlushSeq +
+		time.Duration(o.RAMBytes)*m.RAMPerByte +
+		o.Stall
+	if o.PageReads != 0 || o.SeqPageReads != 0 {
+		if randReads := o.PageReads - o.SeqPageReads; randReads > 0 {
+			d += div(time.Duration(randReads)*m.ReadPage, m.ReadParallel)
+		}
+		seqFactor := m.SeqReadFactor
+		if seqFactor <= 0 || seqFactor > 1 {
+			seqFactor = 1
+		}
+		d += div(time.Duration(float64(o.SeqPageReads)*seqFactor*float64(m.ReadPage)), m.ReadParallel)
 	}
-	seqFactor := m.SeqReadFactor
-	if seqFactor <= 0 || seqFactor > 1 {
-		seqFactor = 1
+	if o.PagePrograms != 0 {
+		d += div(time.Duration(o.PagePrograms)*m.ProgramPage, m.ProgramParallel)
 	}
-	var d time.Duration
-	d += div(time.Duration(randReads)*m.ReadPage, m.ReadParallel)
-	d += div(time.Duration(float64(o.SeqPageReads)*seqFactor*float64(m.ReadPage)), m.ReadParallel)
-	d += div(time.Duration(o.PagePrograms)*m.ProgramPage, m.ProgramParallel)
-	d += div(time.Duration(o.MergeReads)*m.ReadPage+time.Duration(o.MergePrograms)*m.ProgramPage, m.MergeParallel)
-	d += div(time.Duration(o.Erases)*m.EraseBlock, m.EraseParallel)
-	d += time.Duration(o.MapFlushes) * m.MapFlush
-	d += time.Duration(o.SeqMapFlushes) * m.MapFlushSeq
-	d += time.Duration(o.RAMBytes) * m.RAMPerByte
-	d += o.Stall
+	if o.MergeReads != 0 || o.MergePrograms != 0 {
+		d += div(time.Duration(o.MergeReads)*m.ReadPage+time.Duration(o.MergePrograms)*m.ProgramPage, m.MergeParallel)
+	}
+	if o.Erases != 0 {
+		d += div(time.Duration(o.Erases)*m.EraseBlock, m.EraseParallel)
+	}
 	return d
 }
 
 // ReclaimCost returns the cost of one background block reclamation that
 // copies livePages and erases one block; used to convert idle time into
 // reclamation progress.
-func (m CostModel) ReclaimCost(livePages int) time.Duration {
-	var o Ops
-	o.MergeReads = livePages
-	o.MergePrograms = livePages
-	o.Erases = 1
-	return m.Cost(o)
+func (m *CostModel) ReclaimCost(livePages int) time.Duration {
+	return div(time.Duration(livePages)*(m.ReadPage+m.ProgramPage), m.MergeParallel) + div(m.EraseBlock, m.EraseParallel)
 }
 
 // Translator is the behaviour common to both FTL designs, and to the

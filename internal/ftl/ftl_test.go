@@ -56,7 +56,7 @@ func TestCostModelComponents(t *testing.T) {
 		{Ops{MergeReads: 1, MergePrograms: 1}, 300 * time.Microsecond},
 	}
 	for i, c := range cases {
-		if got := m.Cost(c.ops); got != c.want {
+		if got := m.Cost(&c.ops); got != c.want {
 			t.Errorf("case %d: Cost = %v, want %v", i, got, c.want)
 		}
 	}
@@ -64,14 +64,14 @@ func TestCostModelComponents(t *testing.T) {
 
 func TestCostModelParallelism(t *testing.T) {
 	m := testModel()
-	serial := m.Cost(Ops{PagePrograms: 8})
+	serial := m.Cost(&Ops{PagePrograms: 8})
 	m.ProgramParallel = 4
-	if got := m.Cost(Ops{PagePrograms: 8}); got != serial/4 {
+	if got := m.Cost(&Ops{PagePrograms: 8}); got != serial/4 {
 		t.Fatalf("4-way parallel cost %v, want %v", got, serial/4)
 	}
 	// Values below 1 are treated as 1.
 	m.ProgramParallel = 0.5
-	if got := m.Cost(Ops{PagePrograms: 8}); got != serial {
+	if got := m.Cost(&Ops{PagePrograms: 8}); got != serial {
 		t.Fatalf("sub-unit parallel cost %v, want %v", got, serial)
 	}
 }
@@ -79,8 +79,8 @@ func TestCostModelParallelism(t *testing.T) {
 func TestCostModelSeqReadFactor(t *testing.T) {
 	m := testModel()
 	m.SeqReadFactor = 0.25
-	random := m.Cost(Ops{PageReads: 4})
-	seq := m.Cost(Ops{PageReads: 4, SeqPageReads: 4})
+	random := m.Cost(&Ops{PageReads: 4})
+	seq := m.Cost(&Ops{PageReads: 4, SeqPageReads: 4})
 	if seq >= random {
 		t.Fatalf("sequential reads %v not cheaper than random %v", seq, random)
 	}
@@ -170,7 +170,7 @@ func TestArrayRejectsMixedGeometry(t *testing.T) {
 }
 
 func TestMapBook(t *testing.T) {
-	b := newMapBook(16, 2)
+	b := newMapBook(16, 2, 64)
 	var ops Ops
 	b.touch(0, &ops)  // page 0
 	b.touch(20, &ops) // page 1

@@ -175,7 +175,7 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 		f.wps[i] = writePoint{block: -1, lastUnit: -2}
 	}
 	f.gcWP = writePoint{block: -1, lastUnit: -2}
-	f.book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit)
+	f.book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit, f.logicalUnits)
 	if arr.StoresData() {
 		f.dataMode = true
 		f.unitData = make([]byte, cfg.UnitBytes)
@@ -623,7 +623,7 @@ func (f *PageFTL) Read(off, length int64) (Ops, error) {
 	// Lingering reclamation (Figure 5): while the free pool is below
 	// target, background collection steals time from reads.
 	if f.cfg.AsyncReclaim && f.cfg.ReadSteal > 0 && f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
-		stall := time.Duration(f.cfg.ReadSteal * float64(f.model.Cost(ops)))
+		stall := time.Duration(f.cfg.ReadSteal * float64(f.model.Cost(&ops)))
 		ops.Stall += stall
 		f.reclaimWithCredit(stall)
 	}
@@ -646,29 +646,27 @@ func (f *PageFTL) reclaimWithCredit(d time.Duration) {
 	if f.idleCredit > maxCredit {
 		f.idleCredit = maxCredit
 	}
-	// Idle time cannot be banked: once the pool is back at its target the
-	// remaining credit evaporates (a device cannot save past idleness to
-	// spend during a later burst).
-	defer func() {
-		if f.free.Len() >= f.cfg.ReserveBlocks {
-			f.idleCredit = 0
-		}
-	}()
 	for f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
 		// Price the cheapest victim without disturbing the queue.
 		victim := f.victims.min() & keyBlockMask
 		cost := f.model.ReclaimCost(int(f.live[victim]) * f.pagesPerUnit)
 		if f.idleCredit < cost {
-			return // not enough idle time
+			break // not enough idle time
 		}
 		// Collect through the normal path so maps stay consistent; the
 		// ops are absorbed by the idle credit.
 		var bg Ops
 		if err := f.collectOne(&bg); err != nil {
-			return
+			break
 		}
 		f.idleCredit -= cost
 		f.stats.AsyncReclaims++
+	}
+	// Idle time cannot be banked: once the pool is back at its target the
+	// remaining credit evaporates (a device cannot save past idleness to
+	// spend during a later burst).
+	if f.free.Len() >= f.cfg.ReserveBlocks {
+		f.idleCredit = 0
 	}
 }
 

@@ -197,7 +197,7 @@ func TestPageFTLSequentialCheaperThanRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqCost += m.Cost(ops)
+		seqCost += m.Cost(&ops)
 		seqBytes += 128 * 1024
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -207,7 +207,7 @@ func TestPageFTLSequentialCheaperThanRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rndCost += m.Cost(ops)
+		rndCost += m.Cost(&ops)
 		rndBytes += 32 * 1024
 	}
 	seqPerByte := float64(seqCost) / float64(seqBytes)

@@ -117,11 +117,22 @@ func (b *mapBook) restore(s MapBookSnapshot) error {
 	if s.Head < 0 || s.Head >= len(s.Order) {
 		return fmt.Errorf("ftl: map book head %d out of range", s.Head)
 	}
+	// The dirty set is derived from the ring's queued window; a page the
+	// bitset cannot hold, or one queued twice, is a corrupt snapshot.
+	clear(b.dirty)
+	for i := 0; i < s.Queued; i++ {
+		page := s.Order[(s.Head+i)%len(s.Order)]
+		if page < 0 || page >= int64(len(b.dirty))*64 {
+			return fmt.Errorf("ftl: map book snapshot queues map page %d, outside [0,%d)", page, int64(len(b.dirty))*64)
+		}
+		if !b.setDirty(page) {
+			return fmt.Errorf("ftl: map book snapshot queues map page %d twice", page)
+		}
+	}
 	copy(b.order, s.Order)
 	b.head = s.Head
 	b.queued = s.Queued
 	b.lastFlushed = s.LastFlushed
-	b.rebuildDirty()
 	return nil
 }
 
@@ -245,10 +256,12 @@ func (f *BlockFTL) Snapshot() *BlockFTLSnapshot {
 		Stats:        f.stats,
 		LastReadSlot: f.lastReadSlot,
 	}
-	for lbn, e := range f.logs {
-		s.Logs = append(s.Logs, LogSnapshot{LBN: lbn, PB: e.pb, NextPage: e.nextPage, LastUse: e.lastUse}) //uflint:allow maporder — rows are sorted by LBN just below
+	for _, e := range f.logs {
+		if e.lbn >= 0 {
+			s.Logs = append(s.Logs, LogSnapshot{LBN: e.lbn, PB: e.pb, NextPage: e.nextPage, LastUse: e.lastUse})
+		}
 	}
-	// Map iteration order is random; sort so identical states snapshot
+	// Which slot holds a log is arbitrary; sort so identical states snapshot
 	// identically.
 	for i := 1; i < len(s.Logs); i++ {
 		for j := i; j > 0 && s.Logs[j].LBN < s.Logs[j-1].LBN; j-- {
@@ -272,12 +285,29 @@ func (f *BlockFTL) Restore(s *BlockFTLSnapshot) error {
 		return err
 	}
 	copy(f.data, s.Data)
-	f.logs = make(map[int64]*logEnt, f.cfg.LogBlocks)
-	for _, l := range s.Logs {
-		f.logs[l.LBN] = &logEnt{pb: l.PB, nextPage: l.NextPage, lastUse: l.LastUse}
-	}
 	if err := f.free.restoreFree(s.Free); err != nil {
 		return err
+	}
+	for i := range f.logs {
+		f.logs[i].lbn = -1
+	}
+	for i, l := range s.Logs {
+		switch {
+		case l.LBN < 0 || l.LBN >= f.lbnCount:
+			return fmt.Errorf("ftl: snapshot log for logical block %d, FTL maps [0,%d)", l.LBN, f.lbnCount)
+		case f.logOf(l.LBN) != nil:
+			return fmt.Errorf("ftl: snapshot has two logs for logical block %d", l.LBN)
+		case l.PB < 0 || l.PB >= f.arr.Blocks() || f.free.contains(l.PB):
+			return fmt.Errorf("ftl: snapshot log block %d is outside the array or in the free pool", l.PB)
+		case l.NextPage < 0 || l.NextPage > f.pagesPerBlock:
+			return fmt.Errorf("ftl: snapshot log cursor %d outside [0,%d]", l.NextPage, f.pagesPerBlock)
+		}
+		for _, e := range f.logs[:i] {
+			if e.pb == l.PB {
+				return fmt.Errorf("ftl: snapshot log block %d serves two logical blocks", l.PB)
+			}
+		}
+		f.logs[i] = logEnt{lbn: l.LBN, pb: l.PB, nextPage: l.NextPage, lastUse: l.LastUse}
 	}
 	f.tick = s.Tick
 	if err := f.book.restore(s.Book); err != nil {

@@ -172,27 +172,30 @@ func (q *blockQueue) resetFrom(src *blockQueue) {
 // cost of large-increment ordered patterns.
 //
 // The FIFO of dirty pages lives in a fixed ring (at most limit+1 pages are
-// ever dirty), so steady-state touches never allocate.
+// ever dirty) and the dirty set is a bitset over the map pages, sized once at
+// construction from the unit count, so a touch never allocates or hashes.
 type mapBook struct {
-	unitsPerPage int64              //uflint:shared — derived from the geometry
-	limit        int                //uflint:shared — immutable config
-	dirty        map[int64]struct{} //uflint:scratch — the ring's queued window as a set, derived from it (rebuildDirty)
-	order        []int64            // ring buffer of dirty map pages, FIFO
+	unitsPerPage int64    //uflint:shared — derived from the geometry
+	limit        int      //uflint:shared — immutable config
+	dirty        []uint64 //uflint:scratch — the ring's queued window as a bitset over map pages, derived from it (restore)
+	order        []int64  // ring buffer of dirty map pages, FIFO
 	head, queued int
 	lastFlushed  int64
 }
 
-func newMapBook(unitsPerPage int64, limit int) mapBook {
+// newMapBook sizes the book for a map of units entries.
+func newMapBook(unitsPerPage int64, limit int, units int64) mapBook {
 	if unitsPerPage < 1 {
 		unitsPerPage = 1
 	}
 	if limit < 1 {
 		limit = 1
 	}
+	pages := (units + unitsPerPage - 1) / unitsPerPage
 	return mapBook{
 		unitsPerPage: unitsPerPage,
 		limit:        limit,
-		dirty:        make(map[int64]struct{}, limit+1),
+		dirty:        make([]uint64, (pages+63)/64),
 		order:        make([]int64, limit+1),
 		lastFlushed:  -2,
 	}
@@ -207,17 +210,23 @@ func newMapBook(unitsPerPage int64, limit int) mapBook {
 //uflint:hotpath
 func (b *mapBook) touch(unit int64, ops *Ops) {
 	page := unit / b.unitsPerPage
-	if _, ok := b.dirty[page]; ok {
+	if !b.setDirty(page) {
 		return
 	}
-	b.dirty[page] = struct{}{}
-	b.order[(b.head+b.queued)%len(b.order)] = page
+	tail := b.head + b.queued
+	if tail >= len(b.order) {
+		tail -= len(b.order)
+	}
+	b.order[tail] = page
 	b.queued++
-	if len(b.dirty) > b.limit {
+	// The dirty set is exactly the ring's queued window.
+	if b.queued > b.limit {
 		victim := b.order[b.head]
-		b.head = (b.head + 1) % len(b.order)
+		if b.head++; b.head == len(b.order) {
+			b.head = 0
+		}
 		b.queued--
-		delete(b.dirty, victim)
+		b.dirty[victim>>6] &^= 1 << (uint(victim) & 63)
 		if victim == b.lastFlushed+1 || victim == b.lastFlushed {
 			ops.SeqMapFlushes++
 		} else {
@@ -227,25 +236,23 @@ func (b *mapBook) touch(unit int64, ops *Ops) {
 	}
 }
 
-// dirtyCount reports the number of buffered dirty map pages (for tests).
-func (b *mapBook) dirtyCount() int { return len(b.dirty) }
-
-// rebuildDirty derives the dirty set from the ring: it is exactly the queued
-// window.
-func (b *mapBook) rebuildDirty() {
-	if b.dirty == nil {
-		b.dirty = make(map[int64]struct{}, b.limit+1)
+// setDirty marks map page dirty and reports whether it was clean.
+func (b *mapBook) setDirty(page int64) bool {
+	w, bit := page>>6, uint64(1)<<(uint(page)&63)
+	if b.dirty[w]&bit != 0 {
+		return false
 	}
-	clear(b.dirty)
-	for i := 0; i < b.queued; i++ {
-		b.dirty[b.order[(b.head+i)%len(b.order)]] = struct{}{}
-	}
+	b.dirty[w] |= bit
+	return true
 }
 
-// resetFrom makes b an independent copy of src, reusing b's ring and set.
+// dirtyCount reports the number of buffered dirty map pages (for tests).
+func (b *mapBook) dirtyCount() int { return b.queued }
+
+// resetFrom makes b an independent copy of src, reusing b's ring and bitset.
 func (b *mapBook) resetFrom(src *mapBook) {
 	b.unitsPerPage, b.limit = src.unitsPerPage, src.limit
+	b.dirty = append(b.dirty[:0], src.dirty...)
 	b.order = append(b.order[:0], src.order...)
 	b.head, b.queued, b.lastFlushed = src.head, src.queued, src.lastFlushed
-	b.rebuildDirty()
 }

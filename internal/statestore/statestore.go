@@ -188,9 +188,12 @@ func (s *Store) Save(k Key, dev device.Device, at time.Duration) error {
 // reported as a miss, so the caller re-enforces live and Save replaces the
 // state; the corrupt bytes stay on disk for inspection instead of poisoning
 // every later run. Quarantine happens strictly before any state reaches dev,
-// so a post-quarantine enforcement is byte-identical to a cold run. Only a
-// restore that fails after validation (a store/device version skew, not disk
-// corruption) is a hard error, because dev may be partially mutated.
+// so a post-quarantine enforcement is byte-identical to a cold run. A payload
+// that decodes but that the device's Restore rejects (a state the layers'
+// validation refuses — damaged before the checksum was taken, or crafted — or
+// a device of another shape) is quarantined too, but stays a hard error: dev
+// may be partially mutated, so this caller must not enforce on top of it; the
+// next run finds a miss.
 func (s *Store) Load(k Key, dev device.Device) (at time.Duration, hit bool, err error) {
 	f, err := os.Open(s.Path(k))
 	if os.IsNotExist(err) {
@@ -208,7 +211,7 @@ func (s *Store) Load(k Key, dev device.Device) (at time.Duration, hit bool, err 
 			// on the same corrupt file forever.
 			return 0, false, fmt.Errorf("statestore: %s: %s; quarantine failed: %v", path, reason, rerr)
 		}
-		fmt.Fprintf(os.Stderr, "statestore: %s: %s; quarantined as %s.corrupt, re-enforcing live\n", path, reason, filepath.Base(path))
+		fmt.Fprintf(os.Stderr, "statestore: %s: %s; quarantined as %s.corrupt, to be re-enforced live\n", path, reason, filepath.Base(path))
 		return 0, false, nil
 	}
 	hdr := make([]byte, len(magic)+4+32+8+8)
@@ -254,6 +257,9 @@ func (s *Store) Load(k Key, dev device.Device) (at time.Duration, hit bool, err 
 		return quarantine("stored key %s does not match %s", sv.Key, k)
 	}
 	if err := device.RestoreDevice(dev, sv.Dev); err != nil {
+		if _, _, qerr := quarantine("restore: %v", err); qerr != nil {
+			return 0, false, qerr
+		}
 		return 0, false, fmt.Errorf("statestore: %s: restore: %w", s.Path(k), err)
 	}
 	return sv.At, true, nil
