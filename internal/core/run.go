@@ -44,8 +44,6 @@ type Run struct {
 	Device string
 	// RTs holds every IO's response time, including the warm-up prefix.
 	RTs []time.Duration
-	// SubmitTimes holds every IO's submission time (run-relative).
-	SubmitTimes []time.Duration
 	// IOIgnore is how many leading IOs the summary excludes.
 	IOIgnore int
 	// Summary covers RTs[IOIgnore:].
@@ -100,10 +98,9 @@ func Execute(dev device.Device, src IOSource, count, ignore int, timing Timing, 
 		return nil, fmt.Errorf("core: IOIgnore %d out of range for IOCount %d", ignore, count)
 	}
 	run := &Run{
-		Device:      dev.Name(),
-		RTs:         make([]time.Duration, 0, count),
-		SubmitTimes: make([]time.Duration, 0, count),
-		IOIgnore:    ignore,
+		Device:   dev.Name(),
+		RTs:      make([]time.Duration, 0, count),
+		IOIgnore: ignore,
 	}
 	// Closed-loop batch submission: IO i+1 goes in at the completion of IO
 	// i plus the methodology gap, encoded per entry so the whole batch is
@@ -143,7 +140,6 @@ func Execute(dev device.Device, src IOSource, count, ignore int, timing Timing, 
 			done := scratch.done[k]
 			rt := done - sub
 			run.RTs = append(run.RTs, rt)
-			run.SubmitTimes = append(run.SubmitTimes, sub)
 			if base+k >= ignore {
 				acc.AddDuration(rt)
 			}
@@ -280,7 +276,6 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 		}
 		rt := done - t
 		run.RTs = append(run.RTs, rt)
-		run.SubmitTimes = append(run.SubmitTimes, t)
 		if total >= p.IOIgnore {
 			acc.AddDuration(rt)
 		}

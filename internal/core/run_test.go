@@ -11,6 +11,22 @@ func memDev() *device.MemDevice {
 	return device.NewMemDevice("mem", 64<<20, time.Millisecond, 2*time.Millisecond)
 }
 
+// submitRecorder is a MemDevice that records the submission time of every
+// IO it is handed: what the executors' pacing looks like from the device.
+type submitRecorder struct {
+	*device.MemDevice
+	at []time.Duration
+}
+
+func (r *submitRecorder) Submit(at time.Duration, io device.IO) (time.Duration, error) {
+	r.at = append(r.at, at)
+	return r.MemDevice.Submit(at, io)
+}
+
+func (r *submitRecorder) SubmitBatch(at time.Duration, ios []device.IO, done []time.Duration) error {
+	return device.SerialSubmitBatch(r, at, ios, done)
+}
+
 func TestExecutePatternTiming(t *testing.T) {
 	d := StandardDefaults()
 	d.IOCount = 10
@@ -88,7 +104,8 @@ func TestExecuteBurstScheduling(t *testing.T) {
 	p := SR.Pattern(d)
 	p.Pause = 10 * time.Millisecond
 	p.Burst = 3
-	run, err := ExecutePattern(memDev(), p, 0)
+	dev := &submitRecorder{MemDevice: memDev()}
+	run, err := ExecutePattern(dev, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +114,13 @@ func TestExecuteBurstScheduling(t *testing.T) {
 		t.Fatalf("Total = %v, want 16ms", run.Total)
 	}
 	// Submissions 0,1,2 back-to-back; gap before 3.
-	if gap := run.SubmitTimes[3] - run.SubmitTimes[2]; gap != 11*time.Millisecond {
+	if len(dev.at) != 6 {
+		t.Fatalf("device saw %d submissions, want 6", len(dev.at))
+	}
+	if gap := dev.at[3] - dev.at[2]; gap != 11*time.Millisecond {
 		t.Fatalf("burst gap = %v, want 11ms", gap)
 	}
-	if gap := run.SubmitTimes[2] - run.SubmitTimes[1]; gap != time.Millisecond {
+	if gap := dev.at[2] - dev.at[1]; gap != time.Millisecond {
 		t.Fatalf("intra-burst gap = %v, want 1ms", gap)
 	}
 }
@@ -109,12 +129,13 @@ func TestExecuteStartAt(t *testing.T) {
 	d := StandardDefaults()
 	d.IOCount = 2
 	p := SR.Pattern(d)
-	run, err := ExecutePattern(memDev(), p, time.Second)
+	dev := &submitRecorder{MemDevice: memDev()}
+	run, err := ExecutePattern(dev, p, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.SubmitTimes[0] != time.Second {
-		t.Fatalf("first submit at %v", run.SubmitTimes[0])
+	if dev.at[0] != time.Second {
+		t.Fatalf("first submit at %v", dev.at[0])
 	}
 	if run.Total != 2*time.Millisecond {
 		t.Fatalf("Total = %v", run.Total)

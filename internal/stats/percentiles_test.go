@@ -93,6 +93,12 @@ func TestPercentilesAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("PercentilesSorted allocates %.1f times per call, want <= 1 (result)", allocs)
 	}
+	allocs = testing.AllocsPerRun(100, func() {
+		PercentilesInPlace(sorted, many...)
+	})
+	if allocs > 1 {
+		t.Fatalf("PercentilesInPlace allocates %.1f times per call, want <= 1 (result)", allocs)
+	}
 }
 
 // TestPercentilesMatchSorted is the differential test for the selection
@@ -144,6 +150,13 @@ func TestPercentilesMatchSorted(t *testing.T) {
 			want := PercentilesSorted(before, ps...)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s n=%d ps=%v:\n got %v\nwant %v", shape.name, n, ps, got, want)
+			}
+			// In place: the same values, and the samples only rearranged.
+			if got := PercentilesInPlace(samples, ps...); !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d ps=%v in place:\n got %v\nwant %v", shape.name, n, ps, got, want)
+			}
+			if slices.Sort(samples); !slices.Equal(samples, before) {
+				t.Fatalf("%s n=%d: in-place selection lost or invented samples", shape.name, n)
 			}
 		}
 	}

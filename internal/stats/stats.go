@@ -146,14 +146,26 @@ func Summarize(samples []time.Duration) Summary {
 
 // Percentiles returns the requested percentiles (each 0 <= p <= 100, clamped
 // otherwise) of the samples using linear interpolation between closest
-// ranks. This is selection, not a sort: a private copy of the samples is
-// partitioned until just the order statistics the percentiles read (the
-// floor and ceil rank of each) sit where a sort would put them, so
-// p50/p95/p99 of a long response-time series cost O(n) — and the values are
-// those of PercentilesSorted over a sorted copy, for every input. It returns
-// nil for no percentiles and all-zero values for an empty sample slice. The
-// input is not modified.
+// ranks: PercentilesInPlace over a private copy. It returns nil for no
+// percentiles and all-zero values for an empty sample slice. The input is
+// not modified.
 func Percentiles(samples []time.Duration, ps ...float64) []time.Duration {
+	if len(ps) == 0 {
+		return nil
+	}
+	work := make([]time.Duration, len(samples))
+	copy(work, samples)
+	return PercentilesInPlace(work, ps...)
+}
+
+// PercentilesInPlace is Percentiles for a caller that is done with the
+// order of samples: it rearranges them instead of copying them. This is
+// selection, not a sort: the samples are partitioned until just the order
+// statistics the percentiles read (the floor and ceil rank of each) sit
+// where a sort would put them, so p50/p95/p99 of a long response-time series
+// cost O(n) — and the values are those of PercentilesSorted over a sorted
+// copy, for every input.
+func PercentilesInPlace(samples []time.Duration, ps ...float64) []time.Duration {
 	if len(ps) == 0 {
 		return nil
 	}
@@ -161,21 +173,20 @@ func Percentiles(samples []time.Duration, ps ...float64) []time.Duration {
 	if len(samples) == 0 {
 		return out
 	}
-	work := make([]time.Duration, len(samples))
-	copy(work, samples)
 	// The rank scratch is a fixed stack array, so long percentile lists are
-	// placed a batch at a time; each batch finds work further partitioned.
+	// placed a batch at a time; each batch finds the samples further
+	// partitioned.
 	var ranks [2 * rankBatch]int
 	for base := 0; base < len(ps); base += rankBatch {
 		batch := ps[base:min(base+rankBatch, len(ps))]
 		for i, p := range batch {
-			ranks[2*i], ranks[2*i+1], _ = rankOf(len(work), p)
+			ranks[2*i], ranks[2*i+1], _ = rankOf(len(samples), p)
 		}
 		need := ranks[:2*len(batch)]
 		slices.Sort(need)
-		selectRanks(work, 0, need)
+		selectRanks(samples, 0, need)
 		for i, p := range batch {
-			out[base+i] = percentileSorted(work, p)
+			out[base+i] = percentileSorted(samples, p)
 		}
 	}
 	return out

@@ -124,19 +124,18 @@ type UTRSource struct {
 
 // NewUTRSource validates the .utr trace stored in ra (size bytes long) and
 // returns a segment-addressable source. label names the trace in reports,
-// as Trace.Label does for the slice-backed path.
+// as Trace.Label does for the slice-backed path. Validation is complete
+// before it returns — header, size, every record, payload CRC, with the
+// scanner's errors (trace.VerifyUTR) — and a long trace is validated on
+// every CPU, so ra must allow concurrent ReadAt calls.
 func NewUTRSource(ra io.ReaderAt, size int64, label string) (*UTRSource, error) {
-	sc, err := trace.NewScanner(io.NewSectionReader(ra, 0, size))
-	if err != nil {
-		return nil, err
-	}
-	count := sc.Count()
-	if want := int64(trace.UTRHeaderSize) + int64(count)*trace.UTRRecordSize; size != want {
+	count, err := trace.VerifyUTR(ra, size)
+	// Once the header has parsed (count > 0), a size that disagrees with it
+	// is reported as such, ahead of whatever the records then look like.
+	if want := int64(trace.UTRHeaderSize) + int64(count)*trace.UTRRecordSize; count > 0 && size != want {
 		return nil, fmt.Errorf("workload: utr trace is %d bytes, want %d for %d records", size, want, count)
 	}
-	for sc.Scan() {
-	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &UTRSource{ra: ra, count: count, label: label}, nil
@@ -173,17 +172,26 @@ func (u *UTRSource) Name() string { return Trace{Label: u.label}.Name() }
 // Len returns the record count declared by the trace header.
 func (u *UTRSource) Len() int { return u.count }
 
-// Segment decodes records [start, start+n) with positioned reads through one
-// bounded window, so a segment costs its ops plus at most a chunk of bytes.
+// Segment decodes records [start, start+n) into a fresh slice.
 func (u *UTRSource) Segment(start, n int) ([]Op, error) {
+	return u.SegmentInto(new(SegmentBuf), start, n)
+}
+
+// SegmentInto implements SegmentDecoder: records [start, start+n) are
+// decoded into buf with positioned reads through one bounded window, so a
+// segment costs nothing once buf has grown to the replay's segment size.
+func (u *UTRSource) SegmentInto(buf *SegmentBuf, start, n int) ([]Op, error) {
 	if start < 0 || n <= 0 || start > u.count-n {
 		return nil, fmt.Errorf("workload: utr segment [%d:%d) outside %d records", start, start+n, u.count)
 	}
-	buf := make([]byte, min(n, trace.UTRChunkRecords)*trace.UTRRecordSize)
+	if cap(buf.ops) < n {
+		buf.ops = make([]Op, n)
+		buf.raw = make([]byte, min(n, trace.UTRChunkRecords)*trace.UTRRecordSize)
+	}
+	ops := buf.ops[:n]
 	off := int64(trace.UTRHeaderSize) + int64(start)*trace.UTRRecordSize
-	ops := make([]Op, n)
 	for done := 0; done < n; {
-		window := buf[:min(n-done, trace.UTRChunkRecords)*trace.UTRRecordSize]
+		window := buf.raw[:min(n-done, trace.UTRChunkRecords)*trace.UTRRecordSize]
 		if _, err := u.ra.ReadAt(window, off); err != nil {
 			return nil, fmt.Errorf("workload: utr read: %w", err)
 		}

@@ -8,10 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"uflip/internal/device"
+	"uflip/internal/engine"
 	"uflip/internal/trace"
 	"uflip/internal/workload"
 )
@@ -176,6 +179,9 @@ func TestUTRSourceSegments(t *testing.T) {
 	if want := (workload.Trace{Label: "seg"}).Name(); src.Name() != want {
 		t.Fatalf("Name = %q, want %q", src.Name(), want)
 	}
+	// One decode buffer serves every window in turn, growing and shrinking,
+	// as a replay worker's does.
+	var buf workload.SegmentBuf
 	for _, win := range [][2]int{
 		{0, 1}, {0, 333}, {333, 333}, {666, 334}, {total - 1, 1}, {0, total},
 		{0, chunk}, {0, chunk + 1}, {chunk - 1, 2}, {5, 2*chunk + 3}, {chunk, 2 * chunk},
@@ -187,11 +193,97 @@ func TestUTRSourceSegments(t *testing.T) {
 		if !reflect.DeepEqual(got, ops[win[0]:win[0]+win[1]]) {
 			t.Fatalf("Segment(%d,%d) differs from the stream", win[0], win[1])
 		}
+		got, err = src.SegmentInto(&buf, win[0], win[1])
+		if err != nil {
+			t.Fatalf("SegmentInto(%d,%d): %v", win[0], win[1], err)
+		}
+		if !reflect.DeepEqual(got, ops[win[0]:win[0]+win[1]]) {
+			t.Fatalf("SegmentInto(%d,%d) through a reused buffer differs from the stream", win[0], win[1])
+		}
 	}
 	for _, bad := range [][2]int{{-1, 2}, {0, 0}, {total - 1, 2}, {total, 1}} {
 		if _, err := src.Segment(bad[0], bad[1]); err == nil {
 			t.Fatalf("Segment(%d,%d): accepted, want an error", bad[0], bad[1])
 		}
+	}
+}
+
+// TestNewUTRSourceErrors pins what opening a damaged trace reports, and in
+// which order: the header's error, then a size that disagrees with the
+// header's count, then the first bad record, then the checksum.
+func TestNewUTRSourceErrors(t *testing.T) {
+	var b bytes.Buffer
+	if err := workload.WriteUTR(&b, randomTraceOps(t, 40, 9)); err != nil {
+		t.Fatal(err)
+	}
+	data := b.Bytes()
+	mutate := func(f func(b []byte)) []byte {
+		b := bytes.Clone(data)
+		f(b)
+		return b
+	}
+	badRecord := func(b []byte) { b[trace.UTRHeaderSize+3*trace.UTRRecordSize+28] = 1 }
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want string
+	}{
+		{"pristine", data, ""},
+		{"empty", nil, "trace: utr header truncated: EOF"},
+		{"bad magic", mutate(func(b []byte) { b[0] = 'x' }), "trace: not a utr trace (bad magic)"},
+		{"bad record", mutate(badRecord), "trace: utr record: reserved field is 0x1, want 0 (record 3)"},
+		{"bad record, truncated", mutate(badRecord)[:len(data)-1], "workload: utr trace is 1311 bytes, want 1312 for 40 records"},
+		{"bad record, trailing byte", append(mutate(badRecord), 0), "workload: utr trace is 1313 bytes, want 1312 for 40 records"},
+		{"bad record and checksum", mutate(func(b []byte) { badRecord(b); b[24] ^= 1 }), "trace: utr record: reserved field is 0x1, want 0 (record 3)"},
+	} {
+		_, err := workload.NewUTRSource(bytes.NewReader(c.b), int64(len(c.b)), "")
+		if got := errString(err); got != c.want {
+			t.Errorf("%s:\n got %q\nwant %q", c.name, got, c.want)
+		}
+	}
+	flipped := mutate(func(b []byte) { b[trace.UTRHeaderSize+8] ^= 2 })
+	if _, err := workload.NewUTRSource(bytes.NewReader(flipped), int64(len(flipped)), ""); err == nil || !strings.HasPrefix(err.Error(), "trace: utr payload CRC mismatch") {
+		t.Errorf("flipped payload bit: %v, want a CRC mismatch", err)
+	}
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestReplayUTRAllocs pins what a .utr replay allocates per op: two words
+// (the stream-order response times and the selection copy) plus one decode
+// buffer per worker — not a fresh op slice per segment, per-run submit
+// times, a merged series and a selection copy on top, which was 70 B/op.
+func TestReplayUTRAllocs(t *testing.T) {
+	const total, segOps = 200_000, 10_000
+	ops, err := workload.OLTP{PageSize: 8192, TargetSize: 1 << 30, ReadFraction: 0.9, Count: total, Seed: 3}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := workload.WriteUTR(&b, ops); err != nil {
+		t.Fatal(err)
+	}
+	src, err := workload.NewUTRSource(bytes.NewReader(b.Bytes()), int64(b.Len()), "allocs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func(engine.Shard) (device.Device, time.Duration, error) {
+		return device.NewMemDevice("mem", 1<<30, time.Microsecond, time.Microsecond), 0, nil
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res, err := workload.ReplaySource(context.Background(), src, factory, workload.Options{SegmentOps: segOps, Workers: 2})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / total; perOp > 48 {
+		t.Fatalf("a %d-op .utr replay allocated %.1f B/op, want <= 48", res.Ops, perOp)
 	}
 }
 

@@ -23,6 +23,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"uflip/internal/core"
@@ -60,14 +62,17 @@ type Generator interface {
 // batches and inside the retry loop, so a canceled job stops promptly even
 // mid-recovery.
 func Replay(ctx context.Context, dev device.Device, ops []Op, startAt time.Duration) (*core.Run, error) {
+	return replayInto(ctx, dev, ops, startAt, make([]time.Duration, 0, len(ops)))
+}
+
+// replayInto is Replay appending the response times to rts, which must be
+// empty with room for one per op: ReplaySource passes each segment its
+// window of the stream-order array.
+func replayInto(ctx context.Context, dev device.Device, ops []Op, startAt time.Duration, rts []time.Duration) (*core.Run, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("workload: empty op stream")
 	}
-	run := &core.Run{
-		Device:      dev.Name(),
-		RTs:         make([]time.Duration, 0, len(ops)),
-		SubmitTimes: make([]time.Duration, 0, len(ops)),
-	}
+	run := &core.Run{Device: dev.Name(), RTs: rts}
 	// Open-loop batch submission: arrival times are known a priori, so each
 	// batch entry carries its absolute submission time and the whole batch
 	// is one SubmitBatch call. The scratch is a fixed-size stack buffer —
@@ -76,7 +81,7 @@ func Replay(ctx context.Context, dev device.Device, ops []Op, startAt time.Durat
 	var end time.Duration
 	var acc stats.Running
 	var ios [batchOps]device.IO
-	var done [batchOps]time.Duration
+	var sub, done [batchOps]time.Duration
 	for base := 0; base < len(ops); {
 		n := len(ops) - base
 		if n > batchOps {
@@ -89,8 +94,7 @@ func Replay(ctx context.Context, dev device.Device, ops []Op, startAt time.Durat
 			}
 			t += op.Gap
 			ios[k] = op.IO
-			done[k] = t
-			run.SubmitTimes = append(run.SubmitTimes, t)
+			sub[k], done[k] = t, t
 		}
 		if err := device.SubmitBatchRetry(ctx, dev, done[0], ios[:n], done[:n], device.DefaultRetryPolicy, &run.Faults); err != nil {
 			var be *device.BatchError
@@ -101,7 +105,7 @@ func Replay(ctx context.Context, dev device.Device, ops []Op, startAt time.Durat
 			return nil, fmt.Errorf("workload: %w", err)
 		}
 		for k := 0; k < n; k++ {
-			rt := done[k] - run.SubmitTimes[base+k]
+			rt := done[k] - sub[k]
 			run.RTs = append(run.RTs, rt)
 			acc.AddDuration(rt)
 			if done[k] > end {
@@ -185,6 +189,51 @@ type Source interface {
 	Segment(start, n int) ([]Op, error)
 }
 
+// SegmentDecoder is the optional capability of a Source whose segments are
+// decoded rather than sliced (a .utr file): SegmentInto is Segment writing
+// into scratch the caller owns, so a replay worker decodes every segment it
+// is given into one buffer instead of allocating each. The returned ops
+// live in buf and are valid until buf's next use. ReplaySource uses the
+// capability when the Source has it and calls Segment otherwise — a wrapper
+// that embeds Source hides it, and its own Segment is what gets called.
+type SegmentDecoder interface {
+	Source
+	SegmentInto(buf *SegmentBuf, start, n int) ([]Op, error)
+}
+
+// SegmentBuf is one worker's decode scratch: the ops of the segment being
+// replayed and the raw bytes they are read through. The zero value is ready
+// for use; a buffer must not be shared by concurrent calls.
+type SegmentBuf struct {
+	ops []Op
+	raw []byte
+}
+
+// segmentBufs is the free list a replay's workers draw their SegmentBuf
+// from: a job takes one for the length of its segment, so no more exist
+// than jobs run at once.
+type segmentBufs struct {
+	mu   sync.Mutex
+	free []*SegmentBuf
+}
+
+func (b *segmentBufs) take() *SegmentBuf {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n := len(b.free); n > 0 {
+		buf := b.free[n-1]
+		b.free = b.free[:n-1]
+		return buf
+	}
+	return new(SegmentBuf)
+}
+
+func (b *segmentBufs) give(buf *SegmentBuf) {
+	b.mu.Lock()
+	b.free = append(b.free, buf)
+	b.mu.Unlock()
+}
+
 // opsSource adapts an in-memory stream to Source; Segment returns subslices,
 // so the slice-backed replay path is exactly as cheap as before.
 type opsSource struct {
@@ -217,6 +266,10 @@ func ReplayParallel(ctx context.Context, name string, ops []Op, factory engine.D
 // engine job materializes only its own segment, and the merged result is
 // byte-identical to replaying the materialized stream — for any opts.Workers
 // value and for any Source backing (in-memory slice or .utr file).
+//
+// The response times of the whole stream live in one array in stream order:
+// every segment's run.RTs is its window of that array, so the runs of a
+// Result must not be appended to.
 func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory, opts Options) (*Result, error) {
 	total := src.Len()
 	if total == 0 {
@@ -227,6 +280,17 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 	if segOps <= 0 || segOps >= total {
 		segOps = total
 	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// rts is the stream-order series each segment replays into; sel is the
+	// copy percentile selection will rearrange, gathered by the workers while
+	// their segment is still in cache so the tail allocates nothing.
+	rts := make([]time.Duration, total)
+	sel := make([]time.Duration, total)
+	decoder, _ := src.(SegmentDecoder)
+	var bufs segmentBufs
 	jobs := make([]engine.Job, 0, (total+segOps-1)/segOps)
 	for start := 0; start < total; start += segOps {
 		start := start
@@ -237,21 +301,33 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 		jobs = append(jobs, engine.Job{
 			ID: fmt.Sprintf("%s/seg=%d", name, len(jobs)),
 			Run: func(ctx context.Context, dev device.Device, startAt time.Duration) (*core.Run, error) {
-				ops, err := src.Segment(start, n)
+				var ops []Op
+				var err error
+				if decoder != nil {
+					buf := bufs.take()
+					defer bufs.give(buf)
+					ops, err = decoder.SegmentInto(buf, start, n)
+				} else {
+					ops, err = src.Segment(start, n)
+				}
 				if err != nil {
 					return nil, err
 				}
-				run, err := Replay(ctx, dev, ops, startAt)
+				if len(ops) != n {
+					return nil, fmt.Errorf("workload: segment [%d:%d) came back with %d ops", start, start+n, len(ops))
+				}
+				run, err := replayInto(ctx, dev, ops, startAt, rts[start:start:start+n])
 				if err != nil {
 					return nil, err
 				}
+				copy(sel[start:start+n], run.RTs)
 				run.Name = fmt.Sprintf("%s[%d:%d]", name, start, start+n)
 				return run, nil
 			},
 		})
 	}
 	runs, err := engine.ExecuteJobs(ctx, jobs, factory, engine.Options{
-		Workers:  opts.Workers,
+		Workers:  workers,
 		Seed:     opts.Seed,
 		Progress: opts.Progress,
 	})
@@ -259,22 +335,30 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 		return nil, err
 	}
 	res := &Result{Name: name, Ops: total, Segments: runs}
-	w := stats.NewWindowed(opts.windowOps())
-	merged := make([]time.Duration, 0, total)
 	for _, run := range runs {
 		if res.Device == "" {
 			res.Device = run.Device
 		}
-		for _, rt := range run.RTs {
-			w.AddDuration(rt)
-			merged = append(merged, rt)
-		}
 		res.Elapsed += run.Total
 		res.Faults.Add(run.Faults)
 	}
+	// The stream-order Welford total depends on the order of every sample to
+	// the last bit, so it stays one pass on this goroutine; selection shares
+	// no data with it and runs beside it when the job has a second worker.
+	selected := make(chan []time.Duration, 1)
+	selectPcts := func() { selected <- stats.PercentilesInPlace(sel, 50, 95, 99) }
+	if workers > 1 {
+		go selectPcts()
+	} else {
+		selectPcts()
+	}
+	w := stats.NewWindowed(opts.windowOps())
+	for _, rt := range rts {
+		w.AddDuration(rt)
+	}
 	res.Total = w.Total()
 	res.Windows = w.Windows()
-	pcts := stats.Percentiles(merged, 50, 95, 99)
+	pcts := <-selected
 	res.P50, res.P95, res.P99 = pcts[0], pcts[1], pcts[2]
 	return res, nil
 }
