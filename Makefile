@@ -6,8 +6,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The race-detector run, then the whole suite once more compiled for a 32-bit
+# int (runs natively on amd64): both byte goldens and the state-byte pin must
+# hold there too.
 test:
 	$(GO) test -race ./...
+	GOARCH=386 $(GO) test ./...
 
 # Static analysis: go vet, simplified-gofmt cleanliness, the repo-specific
 # uflint suite (detwall, cloneguard, batchcontract) over every package and
@@ -30,7 +34,9 @@ bench:
 
 # Run every native fuzz target for a short burst on top of its committed
 # seed corpus — enough to catch parser panics and round-trip drift in CI
-# without turning the pipeline into a fuzzing farm.
+# without turning the pipeline into a fuzzing farm. The two stateful FTL
+# targets take hundreds of steps an input, so they skip minimization: it would
+# eat the whole burst on the first interesting input.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArraySpec$$' -fuzztime $(FUZZTIME) ./internal/profile
@@ -45,6 +51,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChipRunEquivalence$$' -fuzztime $(FUZZTIME) ./internal/flash
 	$(GO) test -run '^$$' -fuzz '^FuzzVictimQueueMatchesLazyHeap$$' -fuzztime $(FUZZTIME) ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzLogTableMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/ftl
+	$(GO) test -run '^$$' -fuzz '^FuzzPageFTLStateful$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/ftl
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockFTLStateful$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/ftl
 
 # Compile every cmd/* and examples/* binary so example drift breaks the
 # build instead of rotting silently.

@@ -38,11 +38,15 @@
 // same-block stretch of a read; the single-page methods are the n = 1 case
 // of the same code, and a fuzz target compares every run against the
 // previous per-page chip, kept as a test-only reference model. On top of
-// that, the whole simulation stack snapshots — flash chips, arrays, every
-// translation layer and the simulated device itself have one hand-written
-// state traversal, ResetFrom, that overwrites a device in place with
-// another's state, and Clone() is that traversal into a fresh value — so
-// the engine enforces the paper's well-defined device state (Section 4.1)
+// that, state is data: flash chips, arrays, every translation layer and the
+// simulated devices each run on one plain state struct beside an immutable
+// configuration, with one copy routine and one validator. ResetFrom
+// overwrites a device in place with another's state (copy the configuration,
+// copy the state, rederive what follows from them), Clone() is that into a
+// fresh value, a snapshot is the copy into a tree of fresh structs, a restore
+// validates the tree and then copies it in, and Audit runs the validators on
+// a live stack — so the engine enforces the paper's well-defined device state
+// (Section 4.1)
 // once per (profile, capacity, seed) master and gives every shard that
 // state instead of replaying the enforcement IOs: a worker's finished
 // shard device is reset from the master for its next shard, so a job

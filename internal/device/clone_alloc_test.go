@@ -172,7 +172,7 @@ func TestSimDeviceCloneEquivalence(t *testing.T) {
 		}
 		at = done + time.Duration(i%5)*time.Millisecond // idle gaps feed reclamation
 	}
-	cl := dev.Clone()
+	cl := dev.CloneDevice().(*device.SimDevice)
 	if got, want := cl.IOs(), dev.IOs(); got != want {
 		t.Fatalf("clone IOs = %d, want %d", got, want)
 	}
@@ -191,5 +191,16 @@ func TestSimDeviceCloneEquivalence(t *testing.T) {
 		}
 		atA = doneA + time.Duration(i%5)*time.Millisecond
 		atB = doneB + time.Duration(i%5)*time.Millisecond
+	}
+	auditAll(t, dev, cl)
+}
+
+// auditAll fails the test unless every device passes every layer's audit.
+func auditAll(t testing.TB, devs ...device.Device) {
+	t.Helper()
+	for _, d := range devs {
+		if err := device.Audit(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -77,21 +77,21 @@ const DefaultChunkBytes = 128 * 1024
 // DefaultQueueDepth is the default per-member queue bound.
 const DefaultQueueDepth = 4
 
-// memberQueue models one member's bounded host-side queue as a ring of the
-// last QueueDepth completion times. The entry at idx is the completion of the
+// MemberQueue models one member's bounded host-side queue as a ring of the
+// last QueueDepth completion times. The entry at Idx is the completion of the
 // IO submitted QueueDepth dispatches ago: if it is still in the future, the
 // queue is full and the dispatcher must wait for it.
-type memberQueue struct {
-	ring []time.Duration
-	idx  int
+type MemberQueue struct {
+	Ring []time.Duration
+	Idx  int
 }
 
-func (q *memberQueue) full(at time.Duration) bool { return q.ring[q.idx] > at }
+func (q *MemberQueue) full(at time.Duration) bool { return q.Ring[q.Idx] > at }
 
 // outstanding counts the member IOs not yet complete at time at.
-func (q *memberQueue) outstanding(at time.Duration) int {
+func (q *MemberQueue) outstanding(at time.Duration) int {
 	n := 0
-	for _, done := range q.ring {
+	for _, done := range q.Ring {
 		if done > at {
 			n++
 		}
@@ -99,16 +99,68 @@ func (q *memberQueue) outstanding(at time.Duration) int {
 	return n
 }
 
-func (q *memberQueue) push(done time.Duration) {
-	q.ring[q.idx] = done
-	q.idx++
-	if q.idx == len(q.ring) {
-		q.idx = 0
+func (q *MemberQueue) push(done time.Duration) {
+	q.Ring[q.Idx] = done
+	q.Idx++
+	if q.Idx == len(q.Ring) {
+		q.Idx = 0
 	}
 }
 
-func (q *memberQueue) resetFrom(src *memberQueue) {
-	q.ring, q.idx = append(q.ring[:0], src.ring...), src.idx
+// CompositeState is everything about a CompositeDevice that changes as it
+// runs, beside its members, which keep their own.
+type CompositeState struct {
+	Queues       []MemberQueue
+	DispatchFree time.Duration
+	RR           int // mirror read round-robin cursor
+	IOs          int64
+
+	// Dead marks members that failed with ErrDeviceGone. Mirrors degrade
+	// gracefully: reads route around dead members, writes succeed while at
+	// least one replica remains (counted in Degraded). Other layouts have no
+	// redundancy, so a gone member fails the IO.
+	Dead     []bool
+	Degraded int64
+}
+
+func (s *CompositeState) copyFrom(src *CompositeState) {
+	if len(s.Queues) != len(src.Queues) {
+		s.Queues = make([]MemberQueue, len(src.Queues))
+	}
+	for i, q := range src.Queues {
+		s.Queues[i].Ring, s.Queues[i].Idx = append(s.Queues[i].Ring[:0], q.Ring...), q.Idx
+	}
+	s.DispatchFree, s.RR, s.IOs = src.DispatchFree, src.RR, src.IOs
+	s.Dead, s.Degraded = append(s.Dead[:0], src.Dead...), src.Degraded
+}
+
+// audit states the array's invariant for one of members members at queue
+// depth depth: a ring and a dead mark per member, ring indexes in range,
+// clocks and counts non-negative.
+func (s *CompositeState) audit(members, depth int) error {
+	switch {
+	case len(s.Queues) != members || len(s.Dead) != members:
+		return fmt.Errorf("device: composite state has %d queues and %d dead marks, array %d members", len(s.Queues), len(s.Dead), members)
+	case s.DispatchFree < 0 || s.RR < 0 || s.IOs < 0 || s.Degraded < 0 || s.Degraded > s.IOs:
+		return fmt.Errorf("device: composite state has a clock or count out of range (dispatch %v, cursor %d, %d IOs, %d degraded)", s.DispatchFree, s.RR, s.IOs, s.Degraded)
+	}
+	for i, q := range s.Queues {
+		if len(q.Ring) != depth || q.Idx < 0 || q.Idx >= depth {
+			return fmt.Errorf("device: composite state queue %d is a ring of %d at index %d, array depth %d", i, len(q.Ring), q.Idx, depth)
+		}
+	}
+	return nil
+}
+
+// compositeConfig is what a CompositeDevice is built as: the spec plus what
+// construction derives from it and from the members.
+type compositeConfig struct {
+	CompositeConfig
+	capacity int64
+	// bounds are the concat member boundaries: member m covers
+	// [bounds[m], bounds[m+1]). LayoutConcat only; never written after
+	// construction, so copies share it.
+	bounds []int64
 }
 
 // CompositeDevice fans IOs out over N member devices according to a layout,
@@ -129,31 +181,13 @@ func (q *memberQueue) resetFrom(src *memberQueue) {
 // service start (a FIFO member queues identically on either side of the
 // gate).
 type CompositeDevice struct {
-	cfg      CompositeConfig //uflint:shared — immutable spec; snapshots restore into a same-spec build
-	members  []Device
-	capacity int64 //uflint:shared — derived from the members at construction
-
-	// Stripe geometry (LayoutStripe only).
-	chunk int64 //uflint:shared — immutable stripe geometry
-	// Concat member boundaries: member m covers [bounds[m], bounds[m+1]).
-	bounds []int64 //uflint:shared — derived from the members at construction
-
-	queues       []memberQueue
-	dispatchFree time.Duration
-	rr           int // mirror read round-robin cursor
-
-	// dead marks members that failed with ErrDeviceGone. Mirrors degrade
-	// gracefully: reads route around dead members, writes succeed while at
-	// least one replica remains (counted in degraded). Other layouts have no
-	// redundancy, so a gone member fails the IO.
-	dead     []bool
-	degraded int64
+	cfg     compositeConfig
+	members []Device
+	st      CompositeState
 
 	// frags is the per-Submit fragment scratch, reused so the steady-state
-	// Submit path does not allocate.
-	frags []fragment //uflint:scratch — per-Submit buffer, dead between calls
-
-	ios int64
+	// Submit path does not allocate; dead between calls.
+	frags []fragment
 }
 
 // fragment is one member's piece of a host IO. split produces fragments in
@@ -186,15 +220,13 @@ func NewComposite(cfg CompositeConfig, members []Device) (*CompositeDevice, erro
 		return nil, fmt.Errorf("device: stripe chunk %d must be a positive multiple of the 512B sector", cfg.ChunkBytes)
 	}
 	d := &CompositeDevice{
-		cfg:     cfg,
+		cfg:     compositeConfig{CompositeConfig: cfg},
 		members: members,
-		chunk:   cfg.ChunkBytes,
-		queues:  make([]memberQueue, len(members)),
-		dead:    make([]bool, len(members)),
+		st:      CompositeState{Queues: make([]MemberQueue, len(members)), Dead: make([]bool, len(members))},
 		frags:   make([]fragment, 0, len(members)+2),
 	}
-	for i := range d.queues {
-		d.queues[i] = memberQueue{ring: make([]time.Duration, cfg.QueueDepth)}
+	for i := range d.st.Queues {
+		d.st.Queues[i].Ring = make([]time.Duration, cfg.QueueDepth)
 	}
 	minCap := members[0].Capacity()
 	for i, m := range members {
@@ -210,19 +242,19 @@ func NewComposite(cfg CompositeConfig, members []Device) (*CompositeDevice, erro
 	}
 	switch cfg.Layout {
 	case LayoutStripe:
-		rows := minCap / d.chunk
+		rows := minCap / d.cfg.ChunkBytes
 		if rows < 1 {
-			return nil, fmt.Errorf("device: stripe members smaller than one %d-byte chunk", d.chunk)
+			return nil, fmt.Errorf("device: stripe members smaller than one %d-byte chunk", d.cfg.ChunkBytes)
 		}
-		d.capacity = int64(len(members)) * rows * d.chunk
+		d.cfg.capacity = int64(len(members)) * rows * d.cfg.ChunkBytes
 	case LayoutMirror:
-		d.capacity = minCap
+		d.cfg.capacity = minCap
 	case LayoutConcat:
-		d.bounds = make([]int64, len(members)+1)
+		d.cfg.bounds = make([]int64, len(members)+1)
 		for i, m := range members {
-			d.bounds[i+1] = d.bounds[i] + m.Capacity()
+			d.cfg.bounds[i+1] = d.cfg.bounds[i] + m.Capacity()
 		}
-		d.capacity = d.bounds[len(members)]
+		d.cfg.capacity = d.cfg.bounds[len(members)]
 	default:
 		return nil, fmt.Errorf("device: unknown layout %d", cfg.Layout)
 	}
@@ -233,7 +265,7 @@ func NewComposite(cfg CompositeConfig, members []Device) (*CompositeDevice, erro
 }
 
 // Capacity returns the composite's logical size.
-func (d *CompositeDevice) Capacity() int64 { return d.capacity }
+func (d *CompositeDevice) Capacity() int64 { return d.cfg.capacity }
 
 // SectorSize returns 512.
 func (d *CompositeDevice) SectorSize() int { return 512 }
@@ -254,24 +286,14 @@ func (d *CompositeDevice) Member(i int) Device { return d.members[i] }
 func (d *CompositeDevice) QueueDepth() int { return d.cfg.QueueDepth }
 
 // IOs returns the number of host IOs serviced.
-func (d *CompositeDevice) IOs() int64 { return d.ios }
+func (d *CompositeDevice) IOs() int64 { return d.st.IOs }
 
 // Dead reports whether member i has failed with ErrDeviceGone.
-func (d *CompositeDevice) Dead(i int) bool { return d.dead[i] }
+func (d *CompositeDevice) Dead(i int) bool { return d.st.Dead[i] }
 
 // DegradedWrites returns how many mirror writes completed with at least one
 // replica missing.
-func (d *CompositeDevice) DegradedWrites() int64 { return d.degraded }
-
-// Clone returns a deep copy of the whole array: every member device, the
-// queue rings, the dispatch clock and the scheduling cursor. It panics if a
-// member does not implement device.Cloneable (composites built from
-// simulator profiles always do).
-func (d *CompositeDevice) Clone() *CompositeDevice {
-	g := &CompositeDevice{}
-	g.ResetFrom(d)
-	return g
-}
+func (d *CompositeDevice) DegradedWrites() int64 { return d.st.Degraded }
 
 // ResetFrom implements device.Resettable: d becomes a deep copy of src — a
 // CompositeDevice — with every member reset in place or cloned
@@ -281,24 +303,29 @@ func (d *CompositeDevice) ResetFrom(src Device) bool {
 	if !ok {
 		return false
 	}
-	members, queues, dead, frags := d.members, d.queues, d.dead, d.frags
-	if len(members) != len(s.members) {
-		members, queues = make([]Device, len(s.members)), make([]memberQueue, len(s.members))
+	if len(d.members) != len(s.members) {
+		d.members = make([]Device, len(s.members))
 	}
-	for i := range s.members {
-		members[i] = ResetOrClone(members[i], s.members[i])
-		queues[i].resetFrom(&s.queues[i])
+	for i, m := range s.members {
+		d.members[i] = ResetOrClone(d.members[i], m)
 	}
-	if cap(frags) < cap(s.frags) {
-		frags = make([]fragment, 0, cap(s.frags))
+	d.cfg = s.cfg
+	d.st.copyFrom(&s.st)
+	if cap(d.frags) < cap(s.frags) {
+		d.frags = make([]fragment, 0, cap(s.frags))
 	}
-	*d = *s
-	d.members, d.queues, d.dead, d.frags = members, queues, append(dead[:0], s.dead...), frags[:0]
 	return true
 }
 
-// CloneDevice implements device.Cloneable.
-func (d *CompositeDevice) CloneDevice() Device { return d.Clone() }
+// CloneDevice implements device.Cloneable: a deep copy of the whole array —
+// every member device, the queue rings, the dispatch clock and the scheduling
+// cursor. It panics if a member is not itself Cloneable (composites built from
+// simulator profiles always are).
+func (d *CompositeDevice) CloneDevice() Device {
+	g := &CompositeDevice{}
+	g.ResetFrom(d)
+	return g
+}
 
 // Drain advances past all member background work, returning the time at
 // which the whole array is quiescent. Members without a Drain method
@@ -310,7 +337,7 @@ func (d *CompositeDevice) Drain() time.Duration {
 		if dr, ok := m.(interface{ Drain() time.Duration }); ok {
 			end = dr.Drain()
 		} else {
-			for _, done := range d.queues[i].ring {
+			for _, done := range d.st.Queues[i].Ring {
 				if done > end {
 					end = done
 				}
@@ -341,7 +368,7 @@ func (d *CompositeDevice) split(io IO) {
 	case LayoutConcat:
 		off, end := io.Off, io.Off+io.Size
 		for m := 0; m < len(d.members) && off < end; m++ {
-			lo, hi := d.bounds[m], d.bounds[m+1]
+			lo, hi := d.cfg.bounds[m], d.cfg.bounds[m+1]
 			if end <= lo || off >= hi {
 				continue
 			}
@@ -360,10 +387,10 @@ func (d *CompositeDevice) split(io IO) {
 		// in member space, so all of one member's pieces of a host IO
 		// coalesce into a single contiguous member IO.
 		n := int64(len(d.members))
-		c0 := io.Off / d.chunk
-		c1 := (io.Off + io.Size - 1) / d.chunk
+		c0 := io.Off / d.cfg.ChunkBytes
+		c1 := (io.Off + io.Size - 1) / d.cfg.ChunkBytes
 		for c := c0; c <= c1; c++ {
-			lo, hi := c*d.chunk, (c+1)*d.chunk
+			lo, hi := c*d.cfg.ChunkBytes, (c+1)*d.cfg.ChunkBytes
 			s, e := io.Off, io.Off+io.Size
 			if s < lo {
 				s = lo
@@ -372,7 +399,7 @@ func (d *CompositeDevice) split(io IO) {
 				e = hi
 			}
 			m := int(c % n)
-			moff := (c/n)*d.chunk + (s - lo)
+			moff := (c/n)*d.cfg.ChunkBytes + (s - lo)
 			// Extend the member's previous fragment when contiguous.
 			if k := len(d.frags) - 1; k >= 0 {
 				merged := false
@@ -400,15 +427,15 @@ func (d *CompositeDevice) split(io IO) {
 // when every member is dead. With no dead members the picks are identical to
 // the pre-degradation scheduler.
 func (d *CompositeDevice) pickMirrorRead() int {
-	at := d.dispatchFree
+	at := d.st.DispatchFree
 	n := len(d.members)
 	best, bestOut := -1, 0
 	for i := 0; i < n; i++ {
-		m := (d.rr + i) % n
-		if d.dead[m] {
+		m := (d.st.RR + i) % n
+		if d.st.Dead[m] {
 			continue
 		}
-		out := d.queues[m].outstanding(at)
+		out := d.st.Queues[m].outstanding(at)
 		if best < 0 || out < bestOut {
 			best, bestOut = m, out
 		}
@@ -416,7 +443,7 @@ func (d *CompositeDevice) pickMirrorRead() int {
 			break
 		}
 	}
-	d.rr++
+	d.st.RR++
 	return best
 }
 
@@ -457,12 +484,12 @@ func (d *CompositeDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Du
 // ErrDeviceGone: the member is marked dead, reads re-pick among the live
 // members, and writes complete as long as one replica took the data.
 func (d *CompositeDevice) service(at time.Duration, io IO) (time.Duration, error) {
-	if err := checkIO(io, d.capacity); err != nil {
+	if err := checkIO(io, d.cfg.capacity); err != nil {
 		return 0, err
 	}
-	d.ios++
-	if d.dispatchFree < at {
-		d.dispatchFree = at
+	d.st.IOs++
+	if d.st.DispatchFree < at {
+		d.st.DispatchFree = at
 	}
 	d.split(io)
 	mirror := d.cfg.Layout == LayoutMirror
@@ -473,21 +500,21 @@ func (d *CompositeDevice) service(at time.Duration, io IO) (time.Duration, error
 	replicas := 0
 	for i := range d.frags {
 		f := &d.frags[i]
-		if mirror && io.Mode == Write && d.dead[f.member] {
+		if mirror && io.Mode == Write && d.st.Dead[f.member] {
 			continue
 		}
 	submit:
-		q := &d.queues[f.member]
-		admit := d.dispatchFree
+		q := &d.st.Queues[f.member]
+		admit := d.st.DispatchFree
 		// A full queue blocks the dispatcher until the oldest outstanding
 		// IO on this member completes.
 		if q.full(admit) {
-			admit = q.ring[q.idx]
+			admit = q.Ring[q.Idx]
 		}
 		end, err := d.members[f.member].Submit(admit, IO{Mode: io.Mode, Off: f.off, Size: f.size})
 		if err != nil {
 			if mirror && errors.Is(err, ErrDeviceGone) {
-				d.dead[f.member] = true
+				d.st.Dead[f.member] = true
 				if io.Mode == Read {
 					if m := d.pickMirrorRead(); m >= 0 {
 						f.member = m
@@ -500,7 +527,7 @@ func (d *CompositeDevice) service(at time.Duration, io IO) (time.Duration, error
 			return 0, fmt.Errorf("device %s: member %d: %w", d.cfg.Name, f.member, err)
 		}
 		q.push(end)
-		d.dispatchFree = admit
+		d.st.DispatchFree = admit
 		if end > done {
 			done = end
 		}
@@ -511,7 +538,7 @@ func (d *CompositeDevice) service(at time.Duration, io IO) (time.Duration, error
 			return 0, fmt.Errorf("device %s: all mirror members gone: %w", d.cfg.Name, ErrDeviceGone)
 		}
 		if replicas < len(d.members) {
-			d.degraded++
+			d.st.Degraded++
 		}
 	}
 	return done, nil

@@ -50,7 +50,7 @@ func TestCompositeCloneEquivalence(t *testing.T) {
 				}
 				at = done + time.Duration(i%5)*time.Millisecond // idle gaps feed reclamation
 			}
-			cl := d.Clone()
+			cl := d.CloneDevice().(*device.CompositeDevice)
 			if got, want := cl.IOs(), d.IOs(); got != want {
 				t.Fatalf("clone IOs = %d, want %d", got, want)
 			}
@@ -70,6 +70,7 @@ func TestCompositeCloneEquivalence(t *testing.T) {
 				atA = doneA + time.Duration(i%5)*time.Millisecond
 				atB = doneB + time.Duration(i%5)*time.Millisecond
 			}
+			auditAll(t, d, cl)
 		})
 	}
 }

@@ -197,7 +197,7 @@ func TestCompositeCloneIndependence(t *testing.T) {
 		}
 		at = done
 	}
-	cl := d.Clone()
+	cl := d.CloneDevice().(*device.CompositeDevice)
 	if cl.IOs() != d.IOs() || cl.Capacity() != d.Capacity() {
 		t.Fatal("clone does not mirror original state")
 	}

@@ -110,23 +110,48 @@ func faultDraw(seed, op int64, salt uint64) float64 {
 	return float64(z>>11) / (1 << 53)
 }
 
+// FaultyState is everything about a FaultyDevice that changes as it runs,
+// beside the wrapped device, which keeps its own: the schedule position, so
+// that a copy resumes the fault schedule exactly where the original stood, and
+// the tallies.
+type FaultyState struct {
+	Op       int64
+	Dead     bool
+	Injected InjectionCounts
+}
+
+// audit states the wrapper's invariant: an op injects each kind of fault at
+// most once, and the device is dead exactly when it has refused an op for it.
+func (s *FaultyState) audit() error {
+	for _, n := range [...]int64{s.Injected.ReadErrs, s.Injected.WriteErrs, s.Injected.Spikes, s.Injected.Stalls, s.Injected.Gone} {
+		if n < 0 || n > s.Op {
+			return fmt.Errorf("device: faulty state tallies %+v over %d ops", s.Injected, s.Op)
+		}
+	}
+	if s.Dead != (s.Injected.Gone > 0) {
+		return fmt.Errorf("device: faulty state is dead=%v after refusing %d ops as gone", s.Dead, s.Injected.Gone)
+	}
+	return nil
+}
+
 // FaultyDevice wraps a device and injects faults from the deterministic
 // schedule of its FaultConfig. It implements Device, Cloneable (when the
 // wrapped device does) and the native SubmitBatch contract: a failing IO
 // aborts the batch with a *BatchError and done[:Index] stays valid.
 //
 // The schedule is indexed by the op counter — the number of IOs the wrapper
-// has serviced — which the clone/snapshot layer carries along, so shards
-// cloned from an enforced master replay the exact schedule a sequential run
-// would see at that point.
+// has serviced — which is part of its state, so shards cloned from an enforced
+// master replay the exact schedule a sequential run would see at that point.
 type FaultyDevice struct {
 	inner Device
-	cfg   FaultConfig //uflint:shared — immutable fault schedule parameters
-	name  string      //uflint:shared — immutable label from the spec
+	cfg   faultyConfig
+	st    FaultyState
+}
 
-	op       int64
-	dead     bool
-	injected InjectionCounts
+// faultyConfig is what a FaultyDevice is built as.
+type faultyConfig struct {
+	FaultConfig
+	name string // FaultConfig.Name, or the wrapped device's
 }
 
 // NewFaulty wraps dev with the fault schedule of cfg.
@@ -135,23 +160,23 @@ func NewFaulty(cfg FaultConfig, dev Device) *FaultyDevice {
 	if name == "" {
 		name = dev.Name()
 	}
-	return &FaultyDevice{inner: dev, cfg: cfg, name: name}
+	return &FaultyDevice{inner: dev, cfg: faultyConfig{FaultConfig: cfg, name: name}}
 }
 
 // Inner returns the wrapped device.
 func (f *FaultyDevice) Inner() Device { return f.inner }
 
 // Config returns the fault schedule.
-func (f *FaultyDevice) Config() FaultConfig { return f.cfg }
+func (f *FaultyDevice) Config() FaultConfig { return f.cfg.FaultConfig }
 
 // Ops returns the op counter — how many IOs the schedule has consumed.
-func (f *FaultyDevice) Ops() int64 { return f.op }
+func (f *FaultyDevice) Ops() int64 { return f.st.Op }
 
 // Dead reports whether the sticky failure has triggered.
-func (f *FaultyDevice) Dead() bool { return f.dead }
+func (f *FaultyDevice) Dead() bool { return f.st.Dead }
 
 // Injections returns the per-kind injection tallies.
-func (f *FaultyDevice) Injections() InjectionCounts { return f.injected }
+func (f *FaultyDevice) Injections() InjectionCounts { return f.st.Injected }
 
 // Capacity forwards to the wrapped device.
 func (f *FaultyDevice) Capacity() int64 { return f.inner.Capacity() }
@@ -161,7 +186,7 @@ func (f *FaultyDevice) SectorSize() int { return f.inner.SectorSize() }
 
 // Name returns the configured name (the canonical faulty(...) spec when
 // built from one), or the wrapped device's name.
-func (f *FaultyDevice) Name() string { return f.name }
+func (f *FaultyDevice) Name() string { return f.cfg.name }
 
 // Submit services one IO through the fault schedule.
 func (f *FaultyDevice) Submit(at time.Duration, io IO) (time.Duration, error) {
@@ -203,23 +228,23 @@ func (f *FaultyDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Durat
 // gone-device failures fail fast without touching the wrapped device, so a
 // retried IO re-draws under a fresh op index.
 func (f *FaultyDevice) service(at time.Duration, io IO) (time.Duration, error) {
-	op := f.op
-	f.op++
-	if f.dead || (f.cfg.FailAt > 0 && op >= f.cfg.FailAt) {
-		f.dead = true
-		f.injected.Gone++
-		return 0, fmt.Errorf("device %s: op %d: %w", f.name, op, ErrDeviceGone)
+	op := f.st.Op
+	f.st.Op++
+	if f.st.Dead || (f.cfg.FailAt > 0 && op >= f.cfg.FailAt) {
+		f.st.Dead = true
+		f.st.Injected.Gone++
+		return 0, fmt.Errorf("device %s: op %d: %w", f.cfg.name, op, ErrDeviceGone)
 	}
 	if f.mediaErr(op, io) {
 		if io.Mode == Read {
-			f.injected.ReadErrs++
-			return 0, fmt.Errorf("device %s: op %d: %w", f.name, op, ErrMediaRead)
+			f.st.Injected.ReadErrs++
+			return 0, fmt.Errorf("device %s: op %d: %w", f.cfg.name, op, ErrMediaRead)
 		}
-		f.injected.WriteErrs++
-		return 0, fmt.Errorf("device %s: op %d: %w", f.name, op, ErrMediaWrite)
+		f.st.Injected.WriteErrs++
+		return 0, fmt.Errorf("device %s: op %d: %w", f.cfg.name, op, ErrMediaWrite)
 	}
 	if f.cfg.StallRate > 0 && f.cfg.Stall > 0 && faultDraw(f.cfg.Seed, op, saltStall) < f.cfg.StallRate {
-		f.injected.Stalls++
+		f.st.Injected.Stalls++
 		at += f.cfg.Stall
 	}
 	end, err := f.inner.Submit(at, io)
@@ -227,7 +252,7 @@ func (f *FaultyDevice) service(at time.Duration, io IO) (time.Duration, error) {
 		return 0, err
 	}
 	if f.cfg.SpikeRate > 0 && f.cfg.Spike > 0 && faultDraw(f.cfg.Seed, op, saltSpike) < f.cfg.SpikeRate {
-		f.injected.Spikes++
+		f.st.Injected.Spikes++
 		end += f.cfg.Spike
 	}
 	return end, nil
@@ -268,9 +293,8 @@ func (f *FaultyDevice) ResetFrom(src Device) bool {
 	if !ok {
 		return false
 	}
-	inner, errOps := ResetOrClone(f.inner, s.inner), append(f.cfg.ErrOps[:0], s.cfg.ErrOps...)
-	*f = *s
-	f.inner, f.cfg.ErrOps = inner, errOps
+	f.inner = ResetOrClone(f.inner, s.inner)
+	f.cfg, f.st = s.cfg, s.st
 	return true
 }
 

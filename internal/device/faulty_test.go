@@ -242,6 +242,11 @@ func TestFaultySnapshotResumesSchedule(t *testing.T) {
 			t.Fatalf("op %d after restore: master %+v, restored %+v", i, outM[i], outR[i])
 		}
 	}
+	for _, d := range []Device{master, restored} {
+		if err := Audit(d); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestMirrorRoutesAroundDeadMember: when one mirror member goes gone, reads
@@ -328,7 +333,7 @@ func TestMirrorDeadRoutingSurvivesClone(t *testing.T) {
 	if !d.Dead(0) || d.DegradedWrites() != 1 {
 		t.Fatalf("dead=%v degraded=%d, want dead member 0 and 1 degraded write", d.Dead(0), d.DegradedWrites())
 	}
-	cl := d.Clone()
+	cl := d.CloneDevice().(*CompositeDevice)
 	if !cl.Dead(0) || cl.DegradedWrites() != 1 {
 		t.Fatal("clone lost the dead mask or the degraded tally")
 	}
@@ -342,6 +347,11 @@ func TestMirrorDeadRoutingSurvivesClone(t *testing.T) {
 	}
 	if !fresh.Dead(0) || fresh.DegradedWrites() != 1 {
 		t.Fatal("snapshot/restore lost the dead mask or the degraded tally")
+	}
+	for _, d := range []Device{d, cl, fresh} {
+		if err := Audit(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

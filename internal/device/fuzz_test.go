@@ -65,7 +65,7 @@ func FuzzSubmitBatchEquivalence(f *testing.F) {
 			lag = time.Millisecond
 		}
 		batch := newSim(t, writeBack, lag)
-		serial := batch.Clone()
+		serial := batch.CloneDevice()
 
 		at := time.Duration(seed&0xff) * time.Millisecond
 		doneIn := append([]time.Duration(nil), done...)
@@ -123,7 +123,7 @@ func FuzzSubmitBatchEquivalence(f *testing.F) {
 		}
 		fBase := newSim(t, writeBack, lag)
 		fBatch := NewFaulty(cfg, fBase)
-		fSerial := NewFaulty(cfg, fBase.Clone())
+		fSerial := NewFaulty(cfg, fBase.CloneDevice())
 		doneFB := append([]time.Duration(nil), doneIn...)
 		doneFS := append([]time.Duration(nil), doneIn...)
 		errFB := fBatch.SubmitBatch(at, ios, doneFB)

@@ -117,7 +117,8 @@ func TestResetFromMatchesClone(t *testing.T) {
 			return device.NewMemDevice("mem", capacity, 50*time.Microsecond, 200*time.Microsecond)
 		},
 	}
-	snapshot := func(t *testing.T, d device.Device) *device.DeviceSnapshot {
+	// snapshot also audits: SnapshotDevice then every layer's validator.
+	snapshot := func(t *testing.T, d device.Device) *device.DeviceState {
 		t.Helper()
 		if p, ok := d.(*device.PerIO); ok {
 			d = p.Inner
@@ -125,6 +126,7 @@ func TestResetFromMatchesClone(t *testing.T) {
 		if _, ok := d.(*device.MemDevice); ok {
 			return nil // a handful of scalars: the completion times cover it
 		}
+		auditAll(t, d)
 		s, err := device.SnapshotDevice(d)
 		if err != nil {
 			t.Fatal(err)

@@ -44,6 +44,33 @@ type SimConfig struct {
 	MaxFlashLag time.Duration
 }
 
+// SimState is everything about a SimDevice that changes as it runs, beside the
+// translation stack, which keeps its own: the pipeline clocks and the IO count.
+type SimState struct {
+	BusFree   time.Duration
+	FlashFree time.Duration
+	IdleMark  time.Duration // time up to which idle has been granted
+	IOs       int64
+}
+
+// audit states the device's invariant: virtual time and counts start at
+// zero and only grow.
+func (s *SimState) audit() error {
+	if s.BusFree < 0 || s.FlashFree < 0 || s.IdleMark < 0 || s.IOs < 0 {
+		return fmt.Errorf("device: simulated device state has a negative clock or count: %+v", *s)
+	}
+	return nil
+}
+
+// simConfig is what a SimDevice is built as.
+type simConfig struct {
+	SimConfig
+	model ftl.CostModel
+	// capacity is the stack's logical size, immutable for every translation
+	// layer, resolved once instead of through the stack on every IO.
+	capacity int64
+}
+
 // SimDevice is the full flash device simulator: bus front-end, optional
 // write cache, a flash translation layer, and NAND chips underneath. All
 // timing is virtual and deterministic.
@@ -56,18 +83,9 @@ type SimConfig struct {
 // devices (and all reads) overlap the transfer with the flash work of the
 // same IO and complete when the longer of the two finishes.
 type SimDevice struct {
-	cfg   SimConfig //uflint:shared — immutable config; snapshots restore into a same-profile build
-	top   ftl.Translator
-	model ftl.CostModel //uflint:shared — cost tables wired at construction
-	// capacity is the stack's logical size, immutable for every translation
-	// layer, resolved once instead of through the stack on every IO.
-	capacity int64 //uflint:shared — derived from the stack at construction
-
-	busFree   time.Duration
-	flashFree time.Duration
-	idleMark  time.Duration // time up to which idle has been granted
-
-	ios int64
+	cfg simConfig
+	top ftl.Translator
+	st  SimState
 }
 
 // NewSimDevice assembles a simulated device over a translation stack.
@@ -81,18 +99,7 @@ func NewSimDevice(cfg SimConfig, top ftl.Translator, model ftl.CostModel) (*SimD
 	if cfg.Name == "" {
 		cfg.Name = "sim"
 	}
-	return &SimDevice{cfg: cfg, top: top, model: model, capacity: top.Capacity()}, nil
-}
-
-// Clone returns a deep copy of the whole simulated device: the translation
-// stack (and the flash chips underneath) plus the bus/flash pipeline clocks,
-// so the clone resumes from exactly the original's virtual-time state.
-// Cloning an enforced device is how the engine gives every shard a private
-// well-defined initial state without replaying the enforcement IOs.
-func (d *SimDevice) Clone() *SimDevice {
-	g := &SimDevice{}
-	g.ResetFrom(d)
-	return g
+	return &SimDevice{cfg: simConfig{SimConfig: cfg, model: model, capacity: top.Capacity()}, top: top}, nil
 }
 
 // ResetFrom implements device.Resettable: d becomes a deep copy of src — a
@@ -103,17 +110,24 @@ func (d *SimDevice) ResetFrom(src Device) bool {
 	if !ok {
 		return false
 	}
-	top := ftl.ResetTranslator(d.top, s.top)
-	*d = *s
-	d.top = top
+	d.top = ftl.ResetTranslator(d.top, s.top)
+	d.cfg, d.st = s.cfg, s.st
 	return true
 }
 
-// CloneDevice implements device.Cloneable.
-func (d *SimDevice) CloneDevice() Device { return d.Clone() }
+// CloneDevice implements device.Cloneable: a deep copy of the whole simulated
+// device — the translation stack, the flash chips underneath and the bus/flash
+// pipeline clocks — that resumes from exactly the original's virtual-time
+// state. Copying an enforced device is how the engine gives every shard a
+// private well-defined initial state without replaying the enforcement IOs.
+func (d *SimDevice) CloneDevice() Device {
+	g := &SimDevice{}
+	g.ResetFrom(d)
+	return g
+}
 
 // Capacity returns the logical device size.
-func (d *SimDevice) Capacity() int64 { return d.capacity }
+func (d *SimDevice) Capacity() int64 { return d.cfg.capacity }
 
 // SectorSize returns 512, the paper's addressing granularity.
 func (d *SimDevice) SectorSize() int { return 512 }
@@ -125,7 +139,7 @@ func (d *SimDevice) Name() string { return d.cfg.Name }
 func (d *SimDevice) Top() ftl.Translator { return d.top }
 
 // IOs returns the number of IOs serviced.
-func (d *SimDevice) IOs() int64 { return d.ios }
+func (d *SimDevice) IOs() int64 { return d.st.IOs }
 
 // Submit services one IO at virtual time at.
 //
@@ -161,31 +175,31 @@ func (d *SimDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration
 //
 //uflint:hotpath
 func (d *SimDevice) service(at time.Duration, io IO) (time.Duration, error) {
-	if err := checkIO(io, d.capacity); err != nil {
+	if err := checkIO(io, d.cfg.capacity); err != nil {
 		return 0, err
 	}
-	d.ios++
+	d.st.IOs++
 
 	// Grant any host-idle gap to the device's background machinery
 	// (asynchronous reclamation, cache destaging).
-	if at > d.idleMark {
-		gap := at - d.idleMark
-		if d.busFree > d.idleMark {
-			gap = at - d.busFree
+	if at > d.st.IdleMark {
+		gap := at - d.st.IdleMark
+		if d.st.BusFree > d.st.IdleMark {
+			gap = at - d.st.BusFree
 		}
 		if gap > 0 {
 			d.top.Idle(gap)
 		}
-		d.idleMark = at
+		d.st.IdleMark = at
 	}
 
 	start := at
-	if d.busFree > start {
-		start = d.busFree
+	if d.st.BusFree > start {
+		start = d.st.BusFree
 	}
 	// Throttle when the background flash stage is too far behind.
-	if d.flashFree > start+d.cfg.MaxFlashLag {
-		start = d.flashFree - d.cfg.MaxFlashLag
+	if d.st.FlashFree > start+d.cfg.MaxFlashLag {
+		start = d.st.FlashFree - d.cfg.MaxFlashLag
 	}
 
 	var (
@@ -203,7 +217,7 @@ func (d *SimDevice) service(at time.Duration, io IO) (time.Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("device %s: %w", d.cfg.Name, err)
 	}
-	opsCost := d.model.Cost(&ops)
+	opsCost := d.cfg.model.Cost(&ops)
 	transfer := d.cfg.Bus.transfer(io.Mode, io.Size)
 
 	var done time.Duration
@@ -212,35 +226,35 @@ func (d *SimDevice) service(at time.Duration, io IO) (time.Duration, error) {
 		// background (already bounded by the MaxFlashLag throttle above).
 		done = start + d.cfg.Bus.CmdLatency + transfer
 		flashStart := done
-		if d.flashFree > flashStart {
-			flashStart = d.flashFree
+		if d.st.FlashFree > flashStart {
+			flashStart = d.st.FlashFree
 		}
-		d.flashFree = flashStart + opsCost
-		d.busFree = done
+		d.st.FlashFree = flashStart + opsCost
+		d.st.BusFree = done
 	} else {
 		// Write-through writes and all reads are synchronous: command,
 		// media work and transfer in series. (Pipelining of contiguous
 		// accesses is already folded into the cost model via
 		// SeqReadFactor and the host/merge program split.)
 		done = start + d.cfg.Bus.CmdLatency + transfer + opsCost
-		if io.Mode == Read && d.flashFree > start {
+		if io.Mode == Read && d.st.FlashFree > start {
 			// Deferred background work (write-back destaging, merges,
 			// reclamation) contends with the read for the chips: the
 			// read stretches by up to its own service time while the
 			// backlog lasts — the lingering effect of Figure 5.
 			extra := transfer + opsCost
-			if backlog := d.flashFree - start; extra > backlog {
+			if backlog := d.st.FlashFree - start; extra > backlog {
 				extra = backlog
 			}
 			done += extra
 		}
-		d.busFree = done
-		if d.flashFree < done {
-			d.flashFree = done
+		d.st.BusFree = done
+		if d.st.FlashFree < done {
+			d.st.FlashFree = done
 		}
 	}
-	if d.idleMark < done {
-		d.idleMark = done
+	if d.st.IdleMark < done {
+		d.st.IdleMark = done
 	}
 	return done, nil
 }
@@ -248,8 +262,8 @@ func (d *SimDevice) service(at time.Duration, io IO) (time.Duration, error) {
 // Drain advances past all background work, returning the time at which the
 // device is fully quiescent. Used between experiments.
 func (d *SimDevice) Drain() time.Duration {
-	if d.flashFree > d.busFree {
-		return d.flashFree
+	if d.st.FlashFree > d.st.BusFree {
+		return d.st.FlashFree
 	}
-	return d.busFree
+	return d.st.BusFree
 }

@@ -2,8 +2,26 @@ package flash
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
+
+// snapshot returns a copy of the chip's state; restore overwrites the chip's
+// state with a copy of s if the chip's validator accepts it — what the layers
+// above do with a whole array of chips.
+func snapshot(c *Chip) *ChipState {
+	s := &ChipState{}
+	s.CopyFrom(c.State())
+	return s
+}
+
+func restore(c *Chip, s *ChipState) error {
+	if err := c.Check(s); err != nil {
+		return err
+	}
+	c.State().CopyFrom(s)
+	return nil
+}
 
 func cloneTestChip(t *testing.T, opts ...Option) *Chip {
 	t.Helper()
@@ -74,6 +92,11 @@ func TestChipCloneEquivalence(t *testing.T) {
 	if ecO == ecC {
 		t.Fatal("clone erase did not stay private")
 	}
+	for _, chip := range []*Chip{c, cl} {
+		if err := chip.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestProgramReusesPayloadBuffer pins the program-path buffer reuse: after a
@@ -113,39 +136,73 @@ func TestProgramReusesPayloadBuffer(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsImpossibleBlockState: the cursor is the page state, so
-// the only block states a snapshot can get wrong are a cursor outside
-// [0, PagesPerBlock] and a wear counter the packed block state cannot hold.
-// Restore must refuse them and leave the chip untouched; both ends of the
-// cursor range themselves are valid.
+// TestRestoreRejectsImpossibleBlockState: each row edits one field of a live
+// chip's state into something no chip could hold and names the validator's
+// complaint. Restore must refuse the state and leave the chip untouched; both
+// ends of the cursor range themselves are valid. (An erase count past int32
+// is no row: the state's field type cannot hold one.)
 func TestRestoreRejectsImpossibleBlockState(t *testing.T) {
 	c := cloneTestChip(t)
 	if _, err := c.ProgramRun(0, 0, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	ppb := c.Geometry().PagesPerBlock
-	for name, corrupt := range map[string]func(*BlockSnapshot){
-		"cursor below zero":    func(b *BlockSnapshot) { b.NextPage = -1 },
-		"cursor past block":    func(b *BlockSnapshot) { b.NextPage = ppb + 1 },
-		"negative erase count": func(b *BlockSnapshot) { b.EraseCount = -1 },
-		"erase count overflow": func(b *BlockSnapshot) { b.EraseCount = 1 << 31 },
+	if _, err := c.ReadPage(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	ppb := int16(c.Geometry().PagesPerBlock)
+	for _, row := range []struct {
+		name    string
+		corrupt func(*ChipState)
+		want    string
+	}{
+		{"cursor below zero", func(s *ChipState) { s.Blocks[3].NextPage = -1 }, "program cursor"},
+		{"cursor past block", func(s *ChipState) { s.Blocks[3].NextPage = ppb + 1 }, "program cursor"},
+		{"negative erase count", func(s *ChipState) { s.Blocks[3].EraseCount = -1 }, "erase count"},
+		{"worn out but not bad", func(s *ChipState) { s.Blocks[3].EraseCount = int32(SLC.EraseLimit() + 1) }, "erase count"},
+		{"erase count past the budget", func(s *ChipState) {
+			s.Blocks[3] = BlockState{EraseCount: int32(SLC.EraseLimit() + 2), Bad: true}
+		}, "erase count"},
+		{"a block short", func(s *ChipState) { s.Blocks = s.Blocks[:len(s.Blocks)-1] }, "blocks"},
+		{"a plane short", func(s *ChipState) { s.CachedPage = s.CachedPage[:1] }, "planes"},
+		{"negative counter", func(s *ChipState) { s.Stats.Erases = -1 }, "counters"},
+		{"payload on a chip that stores none", func(s *ChipState) { s.Data = map[int64][]byte{0: {1}} }, "payloads"},
 	} {
-		s := c.Snapshot()
-		corrupt(&s.Blocks[3])
+		s := snapshot(c)
+		row.corrupt(s)
 		s.Blocks[0].NextPage = ppb // valid, but must not be applied either
-		if err := c.Restore(s); err == nil {
-			t.Errorf("%s: Restore accepted the snapshot", name)
+		if err := restore(c, s); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: Restore = %v, want an error about %q", row.name, err, row.want)
 		}
 		if next, _ := c.NextProgramPage(0); next != 2 {
-			t.Fatalf("%s: rejected Restore moved block 0's cursor to %d", name, next)
+			t.Fatalf("%s: rejected Restore moved block 0's cursor to %d", row.name, next)
+		}
+		if err := c.Audit(); err != nil {
+			t.Fatalf("%s: chip fails its own audit after the rejected Restore: %v", row.name, err)
 		}
 	}
-	s := c.Snapshot()
+	s := snapshot(c)
 	s.Blocks[0].NextPage, s.Blocks[1].NextPage = ppb, 0
-	if err := c.Restore(s); err != nil {
+	if err := restore(c, s); err != nil {
 		t.Fatalf("Restore refused cursors at the ends of the range: %v", err)
 	}
-	if _, err := c.ReadRun(0, 0, ppb); err != nil {
+	if _, err := c.ReadRun(0, 0, int(ppb)); err != nil {
 		t.Fatalf("restored full block does not read back: %v", err)
+	}
+	if err := c.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNilPayloadMapRestores: a data-storing chip restored from a state whose
+// payload map is nil — what gob makes of an empty map — still stores data.
+func TestNilPayloadMapRestores(t *testing.T) {
+	c := cloneTestChip(t, WithDataStorage())
+	s := snapshot(c)
+	s.Data = nil
+	if err := restore(c, s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ProgramPage(0, 0, []byte("x")); err != nil {
+		t.Fatalf("chip restored from a nil payload map cannot store data: %v", err)
 	}
 }

@@ -147,14 +147,14 @@ const (
 	PageProgrammed
 )
 
-// blockState is everything the chip tracks per block, packed into 8 bytes so
-// a chip clone is one small bulk copy. Pages [0,nextPage) are programmed and
+// BlockState is everything the chip tracks per block, packed into 8 bytes so
+// a chip copy is one small bulk copy. Pages [0,NextPage) are programmed and
 // the rest erased; the erase budget (at most 10^6) fits an int32 and
 // Geometry.Validate bounds PagesPerBlock to an int16.
-type blockState struct {
-	eraseCount int32
-	nextPage   int16 // program cursor: the only page that may be programmed next
-	bad        bool
+type BlockState struct {
+	EraseCount int32
+	NextPage   int16 // program cursor: the only page that may be programmed next
+	Bad        bool
 }
 
 // Stats aggregates chip-level counters, useful for wear-leveling tests and
@@ -165,29 +165,84 @@ type Stats struct {
 	Erases   int64
 }
 
+// ChipState is everything about a chip that changes as it runs, and the struct
+// the chip runs on: a clone, a reset, a snapshot and a restore are all CopyFrom
+// on it, and the state store serializes it as it stands.
+type ChipState struct {
+	Blocks []BlockState
+	Stats  Stats
+	// CachedBlock/CachedPage track the page currently held in the page
+	// register of each plane (-1/-1 when empty); re-reading it skips the
+	// cell-array read.
+	CachedBlock []int
+	CachedPage  []int
+	// Data holds page payloads by global page index; nil unless the chip
+	// stores data. Buffers of erased pages stay behind for reuse.
+	Data map[int64][]byte
+}
+
+// CopyFrom makes s a deep copy of src, reusing s's buffers; s may be a zero
+// value. It is the one traversal of the chip's state. A nil src.Data means no
+// payloads (gob decodes an empty map as nil) and leaves s a usable empty map
+// if it had one.
+func (s *ChipState) CopyFrom(src *ChipState) {
+	s.Blocks = append(s.Blocks[:0], src.Blocks...)
+	s.Stats = src.Stats
+	s.CachedBlock = append(s.CachedBlock[:0], src.CachedBlock...)
+	s.CachedPage = append(s.CachedPage[:0], src.CachedPage...)
+	if s.Data == nil && src.Data != nil {
+		s.Data = make(map[int64][]byte, len(src.Data))
+	}
+	clear(s.Data)
+	for k, v := range src.Data {
+		s.Data[k] = append([]byte(nil), v...)
+	}
+}
+
+// audit states the chip's invariant: whether a chip built as cfg could be
+// in state s.
+func (s *ChipState) audit(cfg *chipConfig) error {
+	geo := cfg.geo
+	switch {
+	case len(s.Blocks) != geo.Blocks:
+		return fmt.Errorf("flash: state has %d blocks, chip %d", len(s.Blocks), geo.Blocks)
+	case len(s.CachedBlock) != geo.Planes || len(s.CachedPage) != geo.Planes:
+		return fmt.Errorf("flash: state register contents do not match %d planes", geo.Planes)
+	case len(s.Data) > 0 && !cfg.storeData:
+		return fmt.Errorf("flash: state carries %d payloads but the chip does not store data", len(s.Data))
+	case s.Stats.Reads < 0 || s.Stats.Programs < 0 || s.Stats.Erases < 0:
+		return fmt.Errorf("flash: state has negative operation counters %+v", s.Stats)
+	}
+	for i, b := range s.Blocks {
+		if b.NextPage < 0 || int(b.NextPage) > geo.PagesPerBlock {
+			return fmt.Errorf("flash: block %d has program cursor %d outside [0,%d]", i, b.NextPage, geo.PagesPerBlock)
+		}
+		// A block is marked bad by the erase that exceeds its budget.
+		if limit := cfg.cell.EraseLimit(); b.EraseCount < 0 || int(b.EraseCount) > limit+1 || (int(b.EraseCount) > limit && !b.Bad) {
+			return fmt.Errorf("flash: block %d has erase count %d outside its budget of %d", i, b.EraseCount, limit)
+		}
+	}
+	return nil
+}
+
+// chipConfig is what a chip is built as: fixed at construction, copied whole
+// by ResetFrom and only read afterwards.
+type chipConfig struct {
+	geo    Geometry
+	timing Timing
+	cell   CellType
+	// transfer is the register <-> controller time for one page plus OOB,
+	// precomputed from the timing so the per-IO paths do not multiply.
+	transfer  time.Duration
+	storeData bool
+}
+
 // Chip is one simulated NAND flash chip. It is not safe for concurrent use;
 // the device serializes access, which also reflects how a single chip behaves
 // behind its controller.
 type Chip struct {
-	geo    Geometry
-	timing Timing //uflint:shared — immutable cost table from the profile
-	cell   CellType
-
-	blocks []blockState
-	stats  Stats
-
-	// cachedBlock/cachedPage track the page currently held in the page
-	// register of each plane; re-reading it skips the cell-array read.
-	cachedBlock []int
-	cachedPage  []int
-
-	// transfer is the register <-> controller time for one page plus OOB,
-	// precomputed from the timing so the per-IO paths do not multiply.
-	transfer time.Duration //uflint:shared — precomputed from the immutable timing
-
-	// data holds page payloads when storeData is enabled.
-	storeData bool
-	data      map[int64][]byte // key: global page index
+	cfg chipConfig
+	st  ChipState
 }
 
 // Option configures a Chip at construction time.
@@ -197,14 +252,14 @@ type Option func(*Chip)
 // write integrity. Only sensible for small chips.
 func WithDataStorage() Option {
 	return func(c *Chip) {
-		c.storeData = true
-		c.data = make(map[int64][]byte)
+		c.cfg.storeData = true
+		c.st.Data = make(map[int64][]byte)
 	}
 }
 
 // WithTiming overrides the default (datasheet-typical) timing.
 func WithTiming(t Timing) Option {
-	return func(c *Chip) { c.timing = t }
+	return func(c *Chip) { c.cfg.timing = t }
 }
 
 // NewChip builds a chip with the given geometry and cell type, fully erased.
@@ -213,21 +268,21 @@ func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 		return nil, err
 	}
 	c := &Chip{
-		geo:         geo,
-		timing:      TypicalTiming(cell),
-		cell:        cell,
-		blocks:      make([]blockState, geo.Blocks),
-		cachedBlock: make([]int, geo.Planes),
-		cachedPage:  make([]int, geo.Planes),
+		cfg: chipConfig{geo: geo, timing: TypicalTiming(cell), cell: cell},
+		st: ChipState{
+			Blocks:      make([]BlockState, geo.Blocks),
+			CachedBlock: make([]int, geo.Planes),
+			CachedPage:  make([]int, geo.Planes),
+		},
 	}
 	for p := 0; p < geo.Planes; p++ {
-		c.cachedBlock[p] = -1
-		c.cachedPage[p] = -1
+		c.st.CachedBlock[p] = -1
+		c.st.CachedPage[p] = -1
 	}
 	for _, opt := range opts {
 		opt(c)
 	}
-	c.transfer = time.Duration(geo.PageSize+geo.OOBSize) * c.timing.PerByte
+	c.cfg.transfer = time.Duration(geo.PageSize+geo.OOBSize) * c.cfg.timing.PerByte
 	return c, nil
 }
 
@@ -243,68 +298,69 @@ func (c *Chip) Clone() *Chip {
 }
 
 // ResetFrom makes c a deep copy of src, reusing c's buffers; c may be a zero
-// value. It is the one traversal of the chip's state: Clone is ResetFrom into
-// a fresh chip, and a shard device recycled by the engine is reset from the
-// enforced master this way instead of being cloned again.
+// value. A shard device recycled by the engine is reset from the enforced
+// master this way instead of being cloned again.
 func (c *Chip) ResetFrom(src *Chip) {
-	c.geo, c.timing, c.cell, c.transfer = src.geo, src.timing, src.cell, src.transfer
-	c.blocks = append(c.blocks[:0], src.blocks...)
-	c.stats = src.stats
-	c.cachedBlock = append(c.cachedBlock[:0], src.cachedBlock...)
-	c.cachedPage = append(c.cachedPage[:0], src.cachedPage...)
-	c.storeData = src.storeData
-	if !src.storeData {
-		c.data = nil
-		return
-	}
-	if c.data == nil {
-		c.data = make(map[int64][]byte, len(src.data))
-	}
-	clear(c.data)
-	for k, v := range src.data {
-		c.data[k] = append([]byte(nil), v...)
-	}
+	c.cfg = src.cfg
+	c.st.CopyFrom(&src.st)
 }
 
+// State returns the struct the chip runs on — not a copy. It is how the layers
+// above audit themselves against the flash, capture it and, by CopyFrom of a
+// state that passed Check, restore it; otherwise callers only read it.
+func (c *Chip) State() *ChipState { return &c.st }
+
+// Check reports why s is not a state a chip of this build could be in, nil
+// when it is one.
+func (c *Chip) Check(s *ChipState) error {
+	if s == nil {
+		return fmt.Errorf("flash: nil chip state")
+	}
+	return s.audit(&c.cfg)
+}
+
+// Audit checks the chip's invariant on its live state.
+func (c *Chip) Audit() error { return c.Check(&c.st) }
+
 // Geometry returns the chip geometry.
-func (c *Chip) Geometry() Geometry { return c.geo }
+func (c *Chip) Geometry() Geometry { return c.cfg.geo }
 
 // StoresData reports whether the chip retains page payloads
 // (WithDataStorage).
-func (c *Chip) StoresData() bool { return c.storeData }
+func (c *Chip) StoresData() bool { return c.cfg.storeData }
 
 // Cell returns the chip's cell type.
-func (c *Chip) Cell() CellType { return c.cell }
+func (c *Chip) Cell() CellType { return c.cfg.cell }
 
 // Timing returns the chip's operation timings.
-func (c *Chip) Timing() Timing { return c.timing }
+func (c *Chip) Timing() Timing { return c.cfg.timing }
 
 // Stats returns a snapshot of the operation counters.
-func (c *Chip) Stats() Stats { return c.stats }
+func (c *Chip) Stats() Stats { return c.st.Stats }
 
 // EraseCount returns the number of erase cycles block has endured.
 func (c *Chip) EraseCount(block int) (int, error) {
-	if block < 0 || block >= c.geo.Blocks {
+	if block < 0 || block >= c.cfg.geo.Blocks {
 		return 0, ErrOutOfRange
 	}
-	return int(c.blocks[block].eraseCount), nil
+	return int(c.st.Blocks[block].EraseCount), nil
 }
 
 // IsBad reports whether a block has been marked bad (worn out or via MarkBad).
 func (c *Chip) IsBad(block int) bool {
-	if block < 0 || block >= c.geo.Blocks {
+	if block < 0 || block >= c.cfg.geo.Blocks {
 		return true
 	}
-	return c.blocks[block].bad
+	return c.st.Blocks[block].Bad
 }
 
 // MarkBad marks a block bad, as a block manager does when it detects
 // uncorrectable errors.
 func (c *Chip) MarkBad(block int) error {
-	if block < 0 || block >= c.geo.Blocks {
+	if block < 0 || block >= c.cfg.geo.Blocks {
 		return ErrOutOfRange
 	}
-	c.blocks[block].bad = true
+	c.st.Blocks[block].Bad = true
 	return nil
 }
 
@@ -313,7 +369,7 @@ func (c *Chip) PageStateAt(block, page int) (PageState, error) {
 	if err := c.checkAddr(block, page); err != nil {
 		return 0, err
 	}
-	if page < int(c.blocks[block].nextPage) {
+	if page < int(c.st.Blocks[block].NextPage) {
 		return PageProgrammed, nil
 	}
 	return PageErased, nil
@@ -323,21 +379,21 @@ func (c *Chip) PageStateAt(block, page int) (PageState, error) {
 // block under the sequential-programming constraint, or PagesPerBlock if the
 // block is full.
 func (c *Chip) NextProgramPage(block int) (int, error) {
-	if block < 0 || block >= c.geo.Blocks {
+	if block < 0 || block >= c.cfg.geo.Blocks {
 		return 0, ErrOutOfRange
 	}
-	return int(c.blocks[block].nextPage), nil
+	return int(c.st.Blocks[block].NextPage), nil
 }
 
 func (c *Chip) checkAddr(block, page int) error {
-	if block < 0 || block >= c.geo.Blocks || page < 0 || page >= c.geo.PagesPerBlock {
+	if block < 0 || block >= c.cfg.geo.Blocks || page < 0 || page >= c.cfg.geo.PagesPerBlock {
 		return ErrOutOfRange
 	}
 	return nil
 }
 
 func (c *Chip) pageIndex(block, page int) int64 {
-	return int64(block)*int64(c.geo.PagesPerBlock) + int64(page)
+	return int64(block)*int64(c.cfg.geo.PagesPerBlock) + int64(page)
 }
 
 // ReadPage reads one page into the plane's page register and transfers it to
@@ -360,26 +416,26 @@ func (c *Chip) ReadRun(block, first, n int) (time.Duration, error) {
 	if c.checkAddr(block, first) != nil || n < 1 {
 		return 0, ErrOutOfRange
 	}
-	b := &c.blocks[block]
-	if b.bad {
+	b := &c.st.Blocks[block]
+	if b.Bad {
 		return 0, ErrBadBlock
 	}
-	if cursor := int(b.nextPage); n > cursor-first {
+	if cursor := int(b.NextPage); n > cursor-first {
 		// The first page at or past the cursor is erased — unless the
 		// cursor is the end of the block, where it is no page at all.
-		if cursor < c.geo.PagesPerBlock {
+		if cursor < c.cfg.geo.PagesPerBlock {
 			return 0, ErrReadErased
 		}
 		return 0, ErrOutOfRange
 	}
-	c.stats.Reads += int64(n)
-	plane := c.geo.Plane(block)
+	c.st.Stats.Reads += int64(n)
+	plane := c.cfg.geo.Plane(block)
 	misses := n
-	if c.cachedBlock[plane] == block && c.cachedPage[plane] == first {
+	if c.st.CachedBlock[plane] == block && c.st.CachedPage[plane] == first {
 		misses--
 	}
-	c.cachedBlock[plane], c.cachedPage[plane] = block, first+n-1
-	return time.Duration(n)*c.transfer + time.Duration(misses)*c.timing.ReadPage, nil
+	c.st.CachedBlock[plane], c.st.CachedPage[plane] = block, first+n-1
+	return time.Duration(n)*c.cfg.transfer + time.Duration(misses)*c.cfg.timing.ReadPage, nil
 }
 
 // ReadData returns the payload of a page; requires WithDataStorage. The
@@ -387,16 +443,16 @@ func (c *Chip) ReadRun(block, first, n int) (time.Duration, error) {
 // the page is reprogrammed (after an erase, programming overwrites the same
 // buffer in place); callers that retain the payload must copy it.
 func (c *Chip) ReadData(block, page int) ([]byte, error) {
-	if !c.storeData {
+	if !c.cfg.storeData {
 		return nil, ErrDataDisabled
 	}
 	if err := c.checkAddr(block, page); err != nil {
 		return nil, err
 	}
-	if page >= int(c.blocks[block].nextPage) {
+	if page >= int(c.st.Blocks[block].NextPage) {
 		return nil, ErrReadErased
 	}
-	return c.data[c.pageIndex(block, page)], nil
+	return c.st.Data[c.pageIndex(block, page)], nil
 }
 
 // ProgramPage programs one page, enforcing that the page is erased and that
@@ -420,28 +476,28 @@ func (c *Chip) ProgramRun(block, first, n int, payload []byte) (time.Duration, e
 	if c.checkAddr(block, first) != nil || n < 1 {
 		return 0, ErrOutOfRange
 	}
-	b := &c.blocks[block]
-	switch cursor := int(b.nextPage); {
-	case b.bad:
+	b := &c.st.Blocks[block]
+	switch cursor := int(b.NextPage); {
+	case b.Bad:
 		return 0, ErrBadBlock
 	case first < cursor:
 		return 0, ErrNotErased
 	case first > cursor:
 		return 0, ErrOutOfOrder
-	case n > c.geo.PagesPerBlock-first:
+	case n > c.cfg.geo.PagesPerBlock-first:
 		return 0, ErrOutOfRange
-	case len(payload) > n*c.geo.PageSize:
+	case len(payload) > n*c.cfg.geo.PageSize:
 		return 0, ErrPayloadTooLong
 	}
-	b.nextPage += int16(n)
-	c.stats.Programs += int64(n)
-	if c.storeData {
+	b.NextPage += int16(n)
+	c.st.Stats.Programs += int64(n)
+	if c.cfg.storeData {
 		c.storeRun(c.pageIndex(block, first), n, payload)
 	}
 	// Invalidate the register if it held a page of this plane.
-	plane := c.geo.Plane(block)
-	c.cachedBlock[plane], c.cachedPage[plane] = -1, -1
-	return time.Duration(n) * (c.transfer + c.timing.ProgramPage), nil
+	plane := c.cfg.geo.Plane(block)
+	c.st.CachedBlock[plane], c.st.CachedPage[plane] = -1, -1
+	return time.Duration(n) * (c.cfg.transfer + c.cfg.timing.ProgramPage), nil
 }
 
 // storeRun retains the payloads of n pages starting at global page index
@@ -449,15 +505,15 @@ func (c *Chip) ProgramRun(block, first, n int, payload []byte) (time.Duration, e
 // allocating a fresh one per program.
 func (c *Chip) storeRun(idx int64, n int, payload []byte) {
 	for i := 0; i < n; i++ {
-		page := payload[min(i*c.geo.PageSize, len(payload)):min((i+1)*c.geo.PageSize, len(payload))]
-		buf := c.data[idx+int64(i)]
+		page := payload[min(i*c.cfg.geo.PageSize, len(payload)):min((i+1)*c.cfg.geo.PageSize, len(payload))]
+		buf := c.st.Data[idx+int64(i)]
 		if cap(buf) >= len(page) {
 			buf = buf[:len(page)]
 		} else {
 			buf = make([]byte, len(page))
 		}
 		copy(buf, page)
-		c.data[idx+int64(i)] = buf
+		c.st.Data[idx+int64(i)] = buf
 	}
 }
 
@@ -465,25 +521,25 @@ func (c *Chip) storeRun(idx int64, n int, payload []byte) {
 // erase budget for the cell type is exceeded the block is marked bad and
 // ErrWornOut is returned.
 func (c *Chip) EraseBlock(block int) (time.Duration, error) {
-	if block < 0 || block >= c.geo.Blocks {
+	if block < 0 || block >= c.cfg.geo.Blocks {
 		return 0, ErrOutOfRange
 	}
-	b := &c.blocks[block]
-	if b.bad {
+	b := &c.st.Blocks[block]
+	if b.Bad {
 		return 0, ErrBadBlock
 	}
-	b.eraseCount++
-	c.stats.Erases++
-	if int(b.eraseCount) > c.cell.EraseLimit() {
-		b.bad = true
-		return c.timing.EraseBlock, ErrWornOut
+	b.EraseCount++
+	c.st.Stats.Erases++
+	if int(b.EraseCount) > c.cfg.cell.EraseLimit() {
+		b.Bad = true
+		return c.cfg.timing.EraseBlock, ErrWornOut
 	}
 	// Payload buffers are kept (the cursor already marks them stale) so the
 	// next program of the page can overwrite them in place.
-	b.nextPage = 0
-	plane := c.geo.Plane(block)
-	if c.cachedBlock[plane] == block {
-		c.cachedBlock[plane], c.cachedPage[plane] = -1, -1
+	b.NextPage = 0
+	plane := c.cfg.geo.Plane(block)
+	if c.st.CachedBlock[plane] == block {
+		c.st.CachedBlock[plane], c.st.CachedPage[plane] = -1, -1
 	}
-	return c.timing.EraseBlock, nil
+	return c.cfg.timing.EraseBlock, nil
 }

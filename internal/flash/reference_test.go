@@ -210,12 +210,12 @@ func newRunFuzzPair(t *testing.T) (*Chip, *refChip) {
 		t.Fatal(err)
 	}
 	ref := newRefChip(runFuzzGeo, SLC)
-	s := c.Snapshot()
+	s := snapshot(c)
 	for _, b := range []int{runFuzzGeo.Blocks - 2, runFuzzGeo.Blocks - 1} {
-		s.Blocks[b].EraseCount = SLC.EraseLimit() - 1
+		s.Blocks[b].EraseCount = int32(SLC.EraseLimit() - 1)
 		ref.blocks[b].eraseCount = SLC.EraseLimit() - 1
 	}
-	if err := c.Restore(s); err != nil {
+	if err := restore(c, s); err != nil {
 		t.Fatal(err)
 	}
 	return c, ref
@@ -228,6 +228,9 @@ func newRunFuzzPair(t *testing.T) (*Chip, *refChip) {
 func requireSameChip(t *testing.T, step int, c *Chip, ref *refChip) {
 	t.Helper()
 	g := runFuzzGeo
+	if err := c.Audit(); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
 	if c.Stats() != ref.stats {
 		t.Fatalf("step %d: stats %+v, reference %+v", step, c.Stats(), ref.stats)
 	}

@@ -14,11 +14,38 @@ import (
 // durations returned by the chips are discarded here — the chips are kept
 // honest about *state* (sequential programming, erase budgets), not timing.
 type Array struct {
-	chips         []*flash.Chip
-	geo           flash.Geometry //uflint:shared — derived from the chips at construction
-	blocksPerChip int            //uflint:shared — derived from the geometry
-	totalBlocks   int            //uflint:shared — derived from the geometry
+	chips []*flash.Chip
+	cfg   arrayConfig
 }
+
+// arrayConfig is derived from the chips at construction.
+type arrayConfig struct {
+	geo           flash.Geometry
+	blocksPerChip int
+	totalBlocks   int
+}
+
+// ArrayState is the state of a chip array: its chips', in order. An array
+// keeps none of its own.
+type ArrayState struct {
+	Chips []*flash.ChipState
+}
+
+func (s *ArrayState) copyFrom(src *ArrayState) {
+	s.Chips = make([]*flash.ChipState, len(src.Chips))
+	for i, c := range src.Chips {
+		s.Chips[i] = &flash.ChipState{}
+		s.Chips[i].CopyFrom(c)
+	}
+}
+
+// block returns the state of global block gb of a valid array state.
+func (s *ArrayState) block(gb int) *flash.BlockState {
+	per := len(s.Chips[0].Blocks)
+	return &s.Chips[gb/per].Blocks[gb%per]
+}
+
+func (s *ArrayState) blocks() int { return len(s.Chips) * len(s.Chips[0].Blocks) }
 
 // NewArray builds an array over chips, which must share one geometry.
 func NewArray(chips []*flash.Chip) (*Array, error) {
@@ -31,7 +58,7 @@ func NewArray(chips []*flash.Chip) (*Array, error) {
 			return nil, fmt.Errorf("ftl: chip %d geometry differs from chip 0", i)
 		}
 	}
-	return &Array{chips: chips, geo: geo, blocksPerChip: geo.Blocks, totalBlocks: geo.Blocks * len(chips)}, nil
+	return &Array{chips: chips, cfg: arrayConfig{geo: geo, blocksPerChip: geo.Blocks, totalBlocks: geo.Blocks * len(chips)}}, nil
 }
 
 // NewUniformArray is a convenience constructor building nChips identical
@@ -67,14 +94,6 @@ func NewUniformArray(nChips int, cell flash.CellType, capacityBytes int64, opts 
 	return NewArray(chips)
 }
 
-// Clone returns a deep copy of the array: every chip is cloned, so the copy
-// and the original evolve independently.
-func (a *Array) Clone() *Array {
-	g := &Array{}
-	g.resetFrom(a)
-	return g
-}
-
 // resetFrom makes a a deep copy of src, reusing a's chips; a may be a zero
 // value.
 func (a *Array) resetFrom(src *Array) {
@@ -87,34 +106,63 @@ func (a *Array) resetFrom(src *Array) {
 		}
 		a.chips[i].ResetFrom(c)
 	}
-	a.geo, a.blocksPerChip, a.totalBlocks = src.geo, src.blocksPerChip, src.totalBlocks
+	a.cfg = src.cfg
+}
+
+// view, check and load are the array's part in the state tree (state.go):
+// the chips' live states, whether s holds a valid state for each chip, and
+// copying those in.
+func (a *Array) view() *ArrayState {
+	s := &ArrayState{Chips: make([]*flash.ChipState, len(a.chips))}
+	for i, c := range a.chips {
+		s.Chips[i] = c.State()
+	}
+	return s
+}
+
+func (a *Array) check(s *ArrayState) error {
+	if s == nil || len(s.Chips) != len(a.chips) {
+		return fmt.Errorf("ftl: state is not that of an array of %d chips", len(a.chips))
+	}
+	for i, cs := range s.Chips {
+		if err := a.chips[i].Check(cs); err != nil {
+			return fmt.Errorf("ftl: chip %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+func (a *Array) load(s *ArrayState) {
+	for i, cs := range s.Chips {
+		a.chips[i].State().CopyFrom(cs)
+	}
 }
 
 // eraseLimit returns the per-block erase budget of the array's cell type.
 func (a *Array) eraseLimit() int { return a.chips[0].Cell().EraseLimit() }
 
 // Geometry returns the shared per-chip geometry.
-func (a *Array) Geometry() flash.Geometry { return a.geo }
+func (a *Array) Geometry() flash.Geometry { return a.cfg.geo }
 
 // Chips returns the number of chips (the channel-parallelism bound).
 func (a *Array) Chips() int { return len(a.chips) }
 
 // Blocks returns the total number of flash blocks across all chips.
-func (a *Array) Blocks() int { return a.totalBlocks }
+func (a *Array) Blocks() int { return a.cfg.totalBlocks }
 
 // RawCapacity returns total raw flash bytes across the array.
 func (a *Array) RawCapacity() int64 {
-	return int64(a.Blocks()) * int64(a.geo.BlockSize())
+	return int64(a.Blocks()) * int64(a.cfg.geo.BlockSize())
 }
 
 func (a *Array) locate(gb int) (*flash.Chip, int, error) {
-	if gb < 0 || gb >= a.totalBlocks {
+	if gb < 0 || gb >= a.cfg.totalBlocks {
 		return nil, 0, flash.ErrOutOfRange
 	}
 	if len(a.chips) == 1 {
 		return a.chips[0], gb, nil
 	}
-	return a.chips[gb/a.blocksPerChip], gb % a.blocksPerChip, nil
+	return a.chips[gb/a.cfg.blocksPerChip], gb % a.cfg.blocksPerChip, nil
 }
 
 // ReadPage reads one page of global block gb.

@@ -40,13 +40,104 @@ func (c BlockConfig) validate(a *Array) error {
 	return nil
 }
 
-// logEnt is one slot of the log table: the replacement block attached to
-// logical block lbn, or a free slot.
-type logEnt struct {
-	lbn      int64 // logical block the slot serves, -1 when the slot is free
-	pb       int   // physical replacement block
-	nextPage int   // pages [0,nextPage) programmed, 1:1 with block offsets
-	lastUse  int64
+// LogSlot is one slot of the log table: the replacement block attached to
+// logical block LBN, or a free slot.
+type LogSlot struct {
+	LBN      int64 // logical block the slot serves, -1 when the slot is free
+	PB       int   // physical replacement block
+	NextPage int   // pages [0,NextPage) programmed, 1:1 with block offsets
+	LastUse  int64
+}
+
+// BlockFTLState is everything about a BlockFTL that changes as it runs, beside
+// its free pool, its map book and the flash underneath, which keep their own.
+// It is the struct the FTL runs on.
+type BlockFTLState struct {
+	Data []int32   // lbn -> physical block, -1 unmapped
+	Logs []LogSlot // cfg.LogBlocks slots, a free one all zero but for LBN -1
+	Tick int64
+
+	Stats        Stats
+	LastReadSlot int64
+}
+
+func (s *BlockFTLState) copyFrom(src *BlockFTLState) {
+	s.Data = append(s.Data[:0], src.Data...)
+	s.Logs = append(s.Logs[:0], src.Logs...)
+	s.Tick, s.Stats, s.LastReadSlot = src.Tick, src.Stats, src.LastReadSlot
+}
+
+// audit states the FTL's invariant: whether a BlockFTL built as cfg, with
+// the free pool free over flash in state arr (both already valid), could be
+// in state s.
+func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *ArrayState) error {
+	blocks := arr.blocks()
+	switch {
+	case len(s.Data) != int(cfg.lbnCount) || len(s.Logs) != cfg.LogBlocks:
+		return fmt.Errorf("ftl: state maps %d logical blocks through %d log slots, FTL %d through %d", len(s.Data), len(s.Logs), cfg.lbnCount, cfg.LogBlocks)
+	case s.Tick < 0 || s.Stats.negative() || s.LastReadSlot < -2 || s.LastReadSlot >= int64(blocks*cfg.pagesPerBlock):
+		return fmt.Errorf("ftl: state has a clock, counter or read position out of range (tick %d, last read %d, %+v)", s.Tick, s.LastReadSlot, s.Stats)
+	}
+	// Every usable block serves exactly once: free, as a data block or as a
+	// log block.
+	serves := make([]bool, blocks)
+	claim := func(b int, as string) error {
+		if b < 0 || b >= blocks || serves[b] || arr.block(b).Bad {
+			return fmt.Errorf("ftl: %s block %d is outside the array, bad, or serves twice", as, b)
+		}
+		serves[b] = true
+		return nil
+	}
+	for _, k := range free.Keys {
+		serves[k&keyBlockMask] = true
+	}
+	for _, pb := range s.Data {
+		if pb < -1 {
+			return fmt.Errorf("ftl: a logical block maps to block %d", pb)
+		}
+		if pb >= 0 {
+			if err := claim(int(pb), "data"); err != nil {
+				return err
+			}
+		}
+	}
+	for i, l := range s.Logs {
+		if l == (LogSlot{LBN: -1}) {
+			continue
+		}
+		if l.LBN < 0 || l.LBN >= cfg.lbnCount || l.LastUse < 0 || l.LastUse > s.Tick {
+			return fmt.Errorf("ftl: log slot %d serves logical block %d of %d since tick %d of %d", i, l.LBN, cfg.lbnCount, l.LastUse, s.Tick)
+		}
+		for _, other := range s.Logs[:i] {
+			if other.LBN == l.LBN {
+				return fmt.Errorf("ftl: two log slots serve logical block %d", l.LBN)
+			}
+		}
+		if err := claim(l.PB, "log"); err != nil {
+			return err
+		}
+		// Only the log's own appends program its block.
+		if cursor := int(arr.block(l.PB).NextPage); l.NextPage != cursor {
+			return fmt.Errorf("ftl: log slot %d stands at page %d of block %d, the chip at page %d", i, l.NextPage, l.PB, cursor)
+		}
+	}
+	for b, ok := range serves {
+		if !ok && !arr.block(b).Bad {
+			return fmt.Errorf("ftl: block %d is neither free, data nor log", b)
+		}
+	}
+	return nil
+}
+
+// blockConfig is what a BlockFTL is built as: the profile's configuration and
+// cost tables plus what construction derives from them and the geometry.
+type blockConfig struct {
+	BlockConfig
+	model CostModel
+
+	blockBytes    int64
+	pagesPerBlock int
+	lbnCount      int64
 }
 
 // BlockFTL is a block-granularity mapped flash translation layer with a
@@ -59,34 +150,12 @@ type logEnt struct {
 // The log table is a fixed array of cfg.LogBlocks slots (2–8 in every
 // profile), searched linearly: attaching, evicting and looking up a log touch
 // no map and allocate nothing. Which slot holds an entry is unobservable —
-// lookups go by LBN, the eviction victim is chosen under the strict
-// (lastUse, lbn) order, and snapshots list the entries sorted by LBN.
+// lookups go by LBN and the eviction victim is chosen under the strict
+// (LastUse, LBN) order.
 type BlockFTL struct {
-	arr   *Array
-	cfg   BlockConfig //uflint:shared — immutable config from the profile
-	model CostModel   //uflint:shared — immutable cost tables
-
-	blockBytes    int64 //uflint:shared — derived from the geometry
-	pagesPerBlock int   //uflint:shared — derived from the geometry
-	lbnCount      int64 //uflint:shared — derived from the geometry
-
-	data []int32  // lbn -> physical block, -1 unmapped
-	logs []logEnt // cfg.LogBlocks slots, free ones marked lbn -1
-	free blockQueue
-	tick int64
-
-	book  mapBook
-	stats Stats
-
-	lastReadSlot int64
-
-	// Data plane (flash built with data storage only): pending host bytes
-	// of the WriteData call in flight, and a one-block staging buffer for
-	// the payload of a program run.
-	dataMode   bool   //uflint:shared — wired at construction from the flash build
-	pending    []byte //uflint:scratch — alive only within one WriteData call
-	pendingOff int64  //uflint:scratch — alive only within one WriteData call
-	runBuf     []byte //uflint:scratch — staging buffer; contents dead between calls
+	flashBooks
+	cfg blockConfig
+	st  BlockFTLState
 }
 
 // NewBlockFTL builds a block-mapped FTL over the array. The flash must be in
@@ -99,31 +168,23 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 	if err := checkKeyWidths(arr.Blocks(), arr.eraseLimit(), 0); err != nil {
 		return nil, err
 	}
-	f := &BlockFTL{
-		arr:           arr,
-		cfg:           cfg,
+	blockBytes := int64(geo.BlockSize())
+	f := &BlockFTL{cfg: blockConfig{
+		BlockConfig:   cfg,
 		model:         model,
-		blockBytes:    int64(geo.BlockSize()),
+		blockBytes:    blockBytes,
 		pagesPerBlock: geo.PagesPerBlock,
-		logs:          make([]logEnt, cfg.LogBlocks),
-		free:          newBlockQueue(arr.Blocks()),
-		lastReadSlot:  -2,
+		lbnCount:      (cfg.LogicalBytes + blockBytes - 1) / blockBytes,
+	}}
+	f.flashBooks = newFlashBooks(arr, cfg.MapUnitsPerPage, cfg.MapDirtyLimit, f.cfg.lbnCount)
+	f.st.LastReadSlot = -2
+	f.st.Data = make([]int32, f.cfg.lbnCount)
+	for i := range f.st.Data {
+		f.st.Data[i] = -1
 	}
-	f.lbnCount = (cfg.LogicalBytes + f.blockBytes - 1) / f.blockBytes
-	f.data = make([]int32, f.lbnCount)
-	for i := range f.data {
-		f.data[i] = -1
-	}
-	for i := range f.logs {
-		f.logs[i].lbn = -1
-	}
-	for b := 0; b < arr.Blocks(); b++ {
-		f.free.push(packKey(0, 0, b))
-	}
-	f.book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit, f.lbnCount)
-	if arr.StoresData() {
-		f.dataMode = true
-		f.runBuf = make([]byte, geo.BlockSize())
+	f.st.Logs = make([]LogSlot, cfg.LogBlocks)
+	for i := range f.st.Logs {
+		f.st.Logs[i].LBN = -1
 	}
 	return f, nil
 }
@@ -145,41 +206,25 @@ func (f *BlockFTL) resetFrom(t Translator) bool {
 	if !ok {
 		return false
 	}
-	if f.arr == nil {
-		f.arr = &Array{}
-	}
-	f.arr.resetFrom(src.arr)
-	f.cfg, f.model = src.cfg, src.model
-	f.blockBytes, f.pagesPerBlock, f.lbnCount = src.blockBytes, src.pagesPerBlock, src.lbnCount
-	f.data = append(f.data[:0], src.data...)
-	f.logs = append(f.logs[:0], src.logs...)
-	f.free.resetFrom(&src.free)
-	f.tick = src.tick
-	f.book.resetFrom(&src.book)
-	f.stats, f.lastReadSlot = src.stats, src.lastReadSlot
-	f.dataMode, f.pending, f.pendingOff = src.dataMode, nil, 0
-	if len(f.runBuf) != len(src.runBuf) {
-		f.runBuf = make([]byte, len(src.runBuf))
-	}
+	f.resetBooks(&src.flashBooks)
+	f.cfg = src.cfg
+	f.st.copyFrom(&src.st)
 	return true
 }
 
 // Stats returns a snapshot of the FTL counters.
-func (f *BlockFTL) Stats() Stats { return f.stats }
+func (f *BlockFTL) Stats() Stats { return f.st.Stats }
 
 // ActiveLogs returns the number of replacement blocks currently in use.
 func (f *BlockFTL) ActiveLogs() int {
 	n := 0
-	for i := range f.logs {
-		if f.logs[i].lbn >= 0 {
+	for i := range f.st.Logs {
+		if f.st.Logs[i].LBN >= 0 {
 			n++
 		}
 	}
 	return n
 }
-
-// FreeBlocks returns the size of the erased pool.
-func (f *BlockFTL) FreeBlocks() int { return f.free.Len() }
 
 func (f *BlockFTL) allocFree() (int, error) {
 	if f.free.Len() == 0 {
@@ -188,15 +233,10 @@ func (f *BlockFTL) allocFree() (int, error) {
 	return int(f.free.pop() & keyBlockMask), nil
 }
 
-func (f *BlockFTL) pushFree(block int) {
-	ec, _ := f.arr.EraseCount(block)
-	f.free.push(packKey(0, ec, block))
-}
-
 // dataNext returns the programmed-prefix length of the lbn's data block
 // (0 when unmapped).
 func (f *BlockFTL) dataNext(lbn int64) int {
-	pb := f.data[lbn]
+	pb := f.st.Data[lbn]
 	if pb < 0 {
 		return 0
 	}
@@ -211,73 +251,73 @@ func (f *BlockFTL) dataNext(lbn int64) int {
 // every page of the gap to be programmed).
 //
 //uflint:hotpath
-func (f *BlockFTL) copyPages(lbn int64, log *logEnt, from, to int, ops *Ops) error {
+func (f *BlockFTL) copyPages(lbn int64, log *LogSlot, from, to int, ops *Ops) error {
 	if to <= from {
 		return nil
 	}
-	pb := int(f.data[lbn])
+	pb := int(f.st.Data[lbn])
 	held := min(to, f.dataNext(lbn)) - from // pages of the range the data block holds
 	if held > 0 {
 		if err := f.arr.ReadRun(pb, from, held); err != nil {
 			return fmt.Errorf("ftl: merge read: %w", err)
 		}
 		ops.MergeReads += held
-		f.stats.PagesRead += int64(held)
+		f.st.Stats.PagesRead += int64(held)
 	}
 	var payload []byte
-	if f.dataMode {
+	if f.staging != nil {
 		pageSize := f.arr.Geometry().PageSize
-		payload = f.runBuf[:(to-from)*pageSize]
+		payload = f.staging[:(to-from)*pageSize]
 		clear(payload)
 		for i := 0; i < held; i++ {
 			data, _ := f.arr.PageData(pb, from+i) // moved verbatim
 			copy(payload[i*pageSize:(i+1)*pageSize], data)
 		}
 	}
-	if err := f.arr.ProgramRun(log.pb, from, to-from, payload); err != nil {
+	if err := f.arr.ProgramRun(log.PB, from, to-from, payload); err != nil {
 		return fmt.Errorf("ftl: merge program: %w", err)
 	}
 	ops.MergePrograms += to - from
-	f.stats.PagesProgrammed += int64(to - from)
-	log.nextPage = to
+	f.st.Stats.PagesProgrammed += int64(to - from)
+	log.NextPage = to
 	return nil
 }
 
 // fullMerge completes a log block: the tail of its logical block's old data
 // block is copied in, the old data block is erased and freed, the log becomes
 // the data block and its slot is free again.
-func (f *BlockFTL) fullMerge(log *logEnt, ops *Ops) error {
-	lbn := log.lbn
-	old := f.data[lbn]
+func (f *BlockFTL) fullMerge(log *LogSlot, ops *Ops) error {
+	lbn := log.LBN
+	old := f.st.Data[lbn]
 	oldNext := f.dataNext(lbn)
-	f.stats.Merges++
-	if log.nextPage < oldNext {
-		if err := f.copyPages(lbn, log, log.nextPage, oldNext, ops); err != nil {
+	f.st.Stats.Merges++
+	if log.NextPage < oldNext {
+		if err := f.copyPages(lbn, log, log.NextPage, oldNext, ops); err != nil {
 			return err
 		}
 	} else if old < 0 || oldNext == 0 {
-		f.stats.SwitchMerges++
+		f.st.Stats.SwitchMerges++
 	}
 	if old >= 0 {
 		if err := f.arr.EraseBlock(int(old)); err != nil {
 			return fmt.Errorf("ftl: merge erase: %w", err)
 		}
 		ops.Erases++
-		f.stats.BlocksErased++
+		f.st.Stats.BlocksErased++
 		f.pushFree(int(old))
 	}
-	f.data[lbn] = int32(log.pb)
-	log.lbn = -1
+	f.st.Data[lbn] = int32(log.PB)
+	*log = LogSlot{LBN: -1}
 	return nil
 }
 
 // logOf returns the slot attached to lbn, nil when it has no log.
 //
 //uflint:hotpath
-func (f *BlockFTL) logOf(lbn int64) *logEnt {
-	for i := range f.logs {
-		if f.logs[i].lbn == lbn {
-			return &f.logs[i]
+func (f *BlockFTL) logOf(lbn int64) *LogSlot {
+	for i := range f.st.Logs {
+		if f.st.Logs[i].LBN == lbn {
+			return &f.st.Logs[i]
 		}
 	}
 	return nil
@@ -287,18 +327,18 @@ func (f *BlockFTL) logOf(lbn int64) *logEnt {
 // evicting (merging) the least-recently-used log when every slot is taken.
 //
 //uflint:hotpath
-func (f *BlockFTL) allocLog(lbn int64, ops *Ops) (*logEnt, error) {
-	var slot, victim *logEnt
-	for i := range f.logs {
-		e := &f.logs[i]
-		if e.lbn < 0 {
+func (f *BlockFTL) allocLog(lbn int64, ops *Ops) (*LogSlot, error) {
+	var slot, victim *LogSlot
+	for i := range f.st.Logs {
+		e := &f.st.Logs[i]
+		if e.LBN < 0 {
 			slot = e
 			break
 		}
 		// Strict total order on (lastUse, lbn): the lbn tie-break keeps the
 		// choice independent of slot order even if two logs ever share a
 		// tick.
-		if victim == nil || e.lastUse < victim.lastUse || (e.lastUse == victim.lastUse && e.lbn < victim.lbn) {
+		if victim == nil || e.LastUse < victim.LastUse || (e.LastUse == victim.LastUse && e.LBN < victim.LBN) {
 			victim = e
 		}
 	}
@@ -312,8 +352,8 @@ func (f *BlockFTL) allocLog(lbn int64, ops *Ops) (*logEnt, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.tick++
-	*slot = logEnt{lbn: lbn, pb: pb, lastUse: f.tick}
+	f.st.Tick++
+	*slot = LogSlot{LBN: lbn, PB: pb, LastUse: f.st.Tick}
 	return slot, nil
 }
 
@@ -323,11 +363,11 @@ func (f *BlockFTL) allocLog(lbn int64, ops *Ops) (*logEnt, error) {
 // contiguous prefix of the logical block, the log's shadowing the data
 // block's.
 func (f *BlockFTL) pageRun(lbn int64, p, limit int) (block, n int, ok bool) {
-	if log := f.logOf(lbn); log != nil && p < log.nextPage {
-		return log.pb, min(limit, log.nextPage-p), true
+	if log := f.logOf(lbn); log != nil && p < log.NextPage {
+		return log.PB, min(limit, log.NextPage-p), true
 	}
 	if next := f.dataNext(lbn); p < next {
-		return int(f.data[lbn]), min(limit, next-p), true
+		return int(f.st.Data[lbn]), min(limit, next-p), true
 	}
 	return 0, limit, false
 }
@@ -352,7 +392,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 				return err
 			}
 			ops.MergeReads++
-			f.stats.PagesRead++
+			f.st.Stats.PagesRead++
 		}
 	}
 	if end%pageSize != 0 && ePage != sPage {
@@ -361,7 +401,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 				return err
 			}
 			ops.MergeReads++
-			f.stats.PagesRead++
+			f.st.Stats.PagesRead++
 		}
 	}
 
@@ -372,7 +412,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 			return err
 		}
 	}
-	if sPage < log.nextPage {
+	if sPage < log.NextPage {
 		// Out-of-order rewrite (in-place, reverse, revisiting random
 		// write): the log only appends, so merge and start over.
 		if err := f.fullMerge(log, ops); err != nil {
@@ -383,32 +423,32 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 			return err
 		}
 	}
-	if sPage > log.nextPage {
+	if sPage > log.NextPage {
 		// Gap: pull the skipped pages forward to keep the 1:1 layout.
-		if err := f.copyPages(lbn, log, log.nextPage, sPage, ops); err != nil {
+		if err := f.copyPages(lbn, log, log.NextPage, sPage, ops); err != nil {
 			return err
 		}
 	}
 	n := ePage - sPage + 1
 	var payload []byte
-	if f.dataMode {
+	if f.staging != nil {
 		// None of the run's pages is in the log yet, so staging them all
 		// before the program reads what page-at-a-time staging would.
-		payload = f.runBuf[:n*int(pageSize)]
+		payload = f.staging[:n*int(pageSize)]
 		for i := 0; i < n; i++ {
 			f.stagePage(lbn, sPage+i, payload[i*int(pageSize):(i+1)*int(pageSize)])
 		}
 	}
-	if err := f.arr.ProgramRun(log.pb, sPage, n, payload); err != nil {
+	if err := f.arr.ProgramRun(log.PB, sPage, n, payload); err != nil {
 		return fmt.Errorf("ftl: log program: %w", err)
 	}
 	ops.PagePrograms += n
-	f.stats.PagesProgrammed += int64(n)
-	log.nextPage = ePage + 1
-	f.tick++
-	log.lastUse = f.tick
+	f.st.Stats.PagesProgrammed += int64(n)
+	log.NextPage = ePage + 1
+	f.st.Tick++
+	log.LastUse = f.st.Tick
 
-	if log.nextPage == f.pagesPerBlock {
+	if log.NextPage == f.cfg.pagesPerBlock {
 		// Fully written log: switch it in (cheap merge).
 		if err := f.fullMerge(log, ops); err != nil {
 			return err
@@ -416,7 +456,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 	}
 	before := ops.MapFlushes
 	f.book.touch(lbn, ops)
-	f.stats.MapFlushes += int64(ops.MapFlushes - before)
+	f.st.Stats.MapFlushes += int64(ops.MapFlushes - before)
 	return nil
 }
 
@@ -433,18 +473,15 @@ func (f *BlockFTL) stagePage(lbn int64, p int, buf []byte) {
 		}
 	}
 	if f.pending != nil {
-		pageStart := lbn*f.blockBytes + int64(p)*int64(len(buf))
+		pageStart := lbn*f.cfg.blockBytes + int64(p)*int64(len(buf))
 		overlay(buf, pageStart, f.pending, f.pendingOff)
 	}
 }
 
-// StoresData reports whether the flash underneath retains payloads.
-func (f *BlockFTL) StoresData() bool { return f.dataMode }
-
 // WriteData implements the data plane: exactly Write(off, len(data)) with
 // the payload carried into the chips (and preserved across merges).
 func (f *BlockFTL) WriteData(off int64, data []byte) (Ops, error) {
-	if !f.dataMode {
+	if !f.StoresData() {
 		return Ops{}, ErrNoDataStorage
 	}
 	f.pending, f.pendingOff = data, off
@@ -456,7 +493,7 @@ func (f *BlockFTL) WriteData(off int64, data []byte) (Ops, error) {
 // ReadData implements the data plane: exactly Read(off, len(buf)) plus the
 // observed bytes.
 func (f *BlockFTL) ReadData(off int64, buf []byte) (Ops, error) {
-	if !f.dataMode {
+	if !f.StoresData() {
 		return Ops{}, ErrNoDataStorage
 	}
 	ops, err := f.Read(off, int64(len(buf)))
@@ -479,8 +516,8 @@ func (f *BlockFTL) peekData(off int64, buf []byte) {
 		if rest := int64(len(buf)) - covered; n > rest {
 			n = rest
 		}
-		lbn := gp * pageSize / f.blockBytes
-		pageInBlock := int(gp % (f.blockBytes / pageSize))
+		lbn := gp * pageSize / f.cfg.blockBytes
+		pageInBlock := int(gp % (f.cfg.blockBytes / pageSize))
 		if pb, ok := f.pageLocation(lbn, pageInBlock); ok {
 			if data, err := f.arr.PageData(pb, pageInBlock); err == nil {
 				if int64(len(data)) > pageOff {
@@ -501,20 +538,20 @@ func (f *BlockFTL) Write(off, length int64) (Ops, error) {
 	if length == 0 {
 		return ops, nil
 	}
-	f.stats.HostWrites++
+	f.st.Stats.HostWrites++
 	pageSize := int64(f.arr.Geometry().PageSize)
-	f.stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
+	f.st.Stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
 	pos := off
 	end := off + length
 	for pos < end {
-		lbn := pos / f.blockBytes
-		segEnd := min64(end, (lbn+1)*f.blockBytes)
-		if err := f.writeSegment(lbn, pos-lbn*f.blockBytes, segEnd-lbn*f.blockBytes, &ops); err != nil {
+		lbn := pos / f.cfg.blockBytes
+		segEnd := min64(end, (lbn+1)*f.cfg.blockBytes)
+		if err := f.writeSegment(lbn, pos-lbn*f.cfg.blockBytes, segEnd-lbn*f.cfg.blockBytes, &ops); err != nil {
 			return ops, err
 		}
 		pos = segEnd
 	}
-	f.lastReadSlot = -2
+	f.st.LastReadSlot = -2
 	return ops, nil
 }
 
@@ -527,16 +564,16 @@ func (f *BlockFTL) Read(off, length int64) (Ops, error) {
 	if length == 0 {
 		return ops, nil
 	}
-	f.stats.HostReads++
+	f.st.Stats.HostReads++
 	pageSize := int64(f.arr.Geometry().PageSize)
 	p0 := off / pageSize
 	p1 := (off + length - 1) / pageSize
 	first := true
 	// One read run per stretch of pages that share a physical block.
 	for gp := p0; gp <= p1; {
-		lbn := gp * pageSize / f.blockBytes
-		pageInBlock := int(gp % int64(f.pagesPerBlock))
-		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min64(int64(f.pagesPerBlock-pageInBlock), p1-gp+1)))
+		lbn := gp * pageSize / f.cfg.blockBytes
+		pageInBlock := int(gp % int64(f.cfg.pagesPerBlock))
+		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min64(int64(f.cfg.pagesPerBlock-pageInBlock), p1-gp+1)))
 		gp += int64(n)
 		if !ok {
 			ops.RAMBytes += int64(n) * pageSize
@@ -545,9 +582,9 @@ func (f *BlockFTL) Read(off, length int64) (Ops, error) {
 		if err := f.arr.ReadRun(pb, pageInBlock, n); err != nil {
 			return ops, fmt.Errorf("ftl: read: %w", err)
 		}
-		f.stats.PagesRead += int64(n)
-		physSlot := int64(pb)*int64(f.pagesPerBlock) + int64(pageInBlock)
-		chargeReadRun(&ops, &f.lastReadSlot, physSlot, n, first, f.model.ReadSeek)
+		f.st.Stats.PagesRead += int64(n)
+		physSlot := int64(pb)*int64(f.cfg.pagesPerBlock) + int64(pageInBlock)
+		chargeReadRun(&ops, &f.st.LastReadSlot, physSlot, n, first, f.cfg.model.ReadSeek)
 		first = false
 	}
 	return ops, nil

@@ -3,6 +3,7 @@ package ftl
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -263,7 +264,7 @@ func TestBlockFTLConsistency(t *testing.T) {
 	}
 	// Physical blocks used at most once across data and logs.
 	used := make(map[int]string)
-	for lbn, pb := range f.data {
+	for lbn, pb := range f.st.Data {
 		if pb < 0 {
 			continue
 		}
@@ -272,69 +273,99 @@ func TestBlockFTLConsistency(t *testing.T) {
 		}
 		used[int(pb)] = "data"
 	}
-	for _, log := range f.logs {
-		if log.lbn < 0 {
+	for _, log := range f.st.Logs {
+		if log.LBN < 0 {
 			continue
 		}
-		if prev, ok := used[log.pb]; ok {
-			t.Fatalf("block %d used twice (%s and log[%d])", log.pb, prev, log.lbn)
+		if prev, ok := used[log.PB]; ok {
+			t.Fatalf("block %d used twice (%s and log[%d])", log.PB, prev, log.LBN)
 		}
-		used[log.pb] = "log"
+		used[log.PB] = "log"
 	}
 	// Every written page resolves to a programmed location.
 	for p := range written {
-		lbn := p * pageSize / f.blockBytes
-		pageInBlock := int(p % (f.blockBytes / pageSize))
+		lbn := p * pageSize / f.cfg.blockBytes
+		pageInBlock := int(p % (f.cfg.blockBytes / pageSize))
 		if _, ok := f.pageLocation(lbn, pageInBlock); !ok {
 			t.Fatalf("written page %d unresolvable", p)
 		}
 	}
 }
 
-// TestBlockFTLRestoreRejectsCorruptLogRows: a snapshot whose log rows could
-// not have come from a BlockFTL of this shape — the kind a damaged or crafted
-// state file decodes to — is an error, never two live slots for one logical
-// block, a log on a block the free pool also hands out, or an index panic on
-// the next IO. Likewise a map-book ring naming a map page the device does not
-// have.
+// TestBlockFTLRestoreRejectsCorruptLogRows: a state that could not have come
+// from a BlockFTL of this shape — the kind a damaged or crafted state file
+// decodes to — is an error, never two live slots for one logical block, a log
+// on a block the free pool also hands out, or an index panic on the next IO.
+// Each row edits one field of a live FTL's state tree and names the
+// validator's complaint; a rejected state leaves the target untouched.
 func TestBlockFTLRestoreRejectsCorruptLogRows(t *testing.T) {
 	build := func() *BlockFTL { return newTestBlockFTL(t, func(c *BlockConfig) { c.MapUnitsPerPage = 2 }) }
 	src := build()
 	pageSize := int64(src.arr.Geometry().PageSize)
 	for lbn := int64(0); lbn < 12; lbn++ { // four open logs, six map pages touched
-		if _, err := src.Write(lbn*src.blockBytes, 4*pageSize); err != nil {
+		if _, err := src.Write(lbn*src.cfg.blockBytes, 4*pageSize); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if src.ActiveLogs() != 4 || src.book.queued < 2 {
-		t.Fatalf("set-up: %d active logs, %d dirty map pages", src.ActiveLogs(), src.book.queued)
+	if src.ActiveLogs() != 4 || src.book.Queued < 2 {
+		t.Fatalf("set-up: %d active logs, %d dirty map pages", src.ActiveLogs(), src.book.Queued)
 	}
-	if err := build().Restore(src.Snapshot()); err != nil {
-		t.Fatalf("intact snapshot rejected: %v", err)
-	}
-	ring := func(s *BlockFTLSnapshot, i int) *int64 { return &s.Book.Order[(s.Book.Head+i)%len(s.Book.Order)] }
-	cases := map[string]func(s *BlockFTLSnapshot){
-		"negative LBN":            func(s *BlockFTLSnapshot) { s.Logs[0].LBN = -1 },
-		"LBN beyond the device":   func(s *BlockFTLSnapshot) { s.Logs[3].LBN = src.lbnCount },
-		"duplicate LBN":           func(s *BlockFTLSnapshot) { s.Logs[2].LBN = s.Logs[1].LBN },
-		"negative PB":             func(s *BlockFTLSnapshot) { s.Logs[0].PB = -1 },
-		"PB beyond the array":     func(s *BlockFTLSnapshot) { s.Logs[0].PB = src.arr.Blocks() },
-		"duplicate PB":            func(s *BlockFTLSnapshot) { s.Logs[3].PB = s.Logs[0].PB },
-		"PB in the free pool":     func(s *BlockFTLSnapshot) { s.Logs[1].PB = s.Free[0].Block },
-		"negative cursor":         func(s *BlockFTLSnapshot) { s.Logs[0].NextPage = -1 },
-		"cursor beyond the block": func(s *BlockFTLSnapshot) { s.Logs[0].NextPage = src.pagesPerBlock + 1 },
-		"negative ring page":      func(s *BlockFTLSnapshot) { *ring(s, 0) = -1 },
-		"ring page beyond the map": func(s *BlockFTLSnapshot) {
-			*ring(s, 1) = int64(len(src.book.dirty)) * 64
-		},
-		"ring page queued twice": func(s *BlockFTLSnapshot) { *ring(s, 1) = *ring(s, 0) },
-	}
-	for name, corrupt := range cases {
-		s := src.Snapshot()
-		corrupt(s)
-		if err := build().Restore(s); err == nil {
-			t.Errorf("%s: corrupt snapshot restored", name)
+	snapshot := func() *TranslatorState {
+		s, err := SnapshotTranslator(src)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return s
+	}
+	if err := RestoreTranslator(build(), snapshot()); err != nil {
+		t.Fatalf("intact state rejected: %v", err)
+	}
+	ring := func(s *TranslatorState, i int) *int64 { return &s.Book.Order[(s.Book.Head+i)%len(s.Book.Order)] }
+	freeBlock := func(s *TranslatorState) int { return int(s.Free.Keys[0] & keyBlockMask) }
+	for _, row := range []struct {
+		name    string
+		corrupt func(s *TranslatorState)
+		want    string
+	}{
+		{"negative LBN", func(s *TranslatorState) { s.Block.Logs[0].LBN = -2 }, "serves logical block"},
+		{"half-freed slot", func(s *TranslatorState) { s.Block.Logs[0].LBN = -1 }, "serves logical block"},
+		{"LBN beyond the device", func(s *TranslatorState) { s.Block.Logs[3].LBN = src.cfg.lbnCount }, "serves logical block"},
+		{"duplicate LBN", func(s *TranslatorState) { s.Block.Logs[2].LBN = s.Block.Logs[1].LBN }, "two log slots"},
+		{"negative PB", func(s *TranslatorState) { s.Block.Logs[0].PB = -1 }, "outside the array"},
+		{"PB beyond the array", func(s *TranslatorState) { s.Block.Logs[0].PB = src.arr.Blocks() }, "outside the array"},
+		{"duplicate PB", func(s *TranslatorState) { s.Block.Logs[3].PB = s.Block.Logs[0].PB }, "serves twice"},
+		{"PB in the free pool", func(s *TranslatorState) { s.Block.Logs[1].PB = freeBlock(s) }, "serves twice"},
+		{"PB is a data block", func(s *TranslatorState) { s.Block.Logs[1].PB = int(s.Block.Data[0]) }, "serves twice"},
+		{"negative cursor", func(s *TranslatorState) { s.Block.Logs[0].NextPage = -1 }, "the chip at page"},
+		{"cursor beyond the chip's", func(s *TranslatorState) { s.Block.Logs[0].NextPage++ }, "the chip at page"},
+		{"log used after the clock", func(s *TranslatorState) { s.Block.Logs[0].LastUse = s.Block.Tick + 1 }, "since tick"},
+		{"a slot short", func(s *TranslatorState) { s.Block.Logs = s.Block.Logs[:3] }, "log slots"},
+		{"data block beyond the array", func(s *TranslatorState) { s.Block.Data[8] = int32(src.arr.Blocks()) }, "outside the array"},
+		{"two LBNs on one data block", func(s *TranslatorState) { s.Block.Data[1] = s.Block.Data[0] }, "serves twice"},
+		{"block dropped from the pool", func(s *TranslatorState) { s.Free.Keys = s.Free.Keys[:len(s.Free.Keys)-1] }, "neither free, data nor log"},
+		{"pool key of another wear", func(s *TranslatorState) { s.Free.Keys[len(s.Free.Keys)-1] += 1 << keyBlockBits }, "free-pool key"},
+		{"pool out of heap order", func(s *TranslatorState) { s.Free.Keys[0], s.Free.Keys[1] = s.Free.Keys[1], s.Free.Keys[0] }, "heap order"},
+		{"pool block queued twice", func(s *TranslatorState) { s.Free.Keys[1] = s.Free.Keys[0] }, "queued twice"},
+		{"negative counter", func(s *TranslatorState) { s.Block.Stats.Merges = -1 }, "out of range"},
+		{"negative ring page", func(s *TranslatorState) { *ring(s, 0) = -1 }, "map page -1"},
+		{"ring page beyond the map", func(s *TranslatorState) { *ring(s, 1) = src.book.cfg.pages }, "outside [0,"},
+		{"ring page queued twice", func(s *TranslatorState) { *ring(s, 1) = *ring(s, 0) }, "queued twice"},
+		{"ring head out of range", func(s *TranslatorState) { s.Book.Head = len(s.Book.Order) }, "map book ring"},
+		{"a chip short", func(s *TranslatorState) { s.Arr.Chips = s.Arr.Chips[:1] }, "array of"},
+		{"a page FTL's state", func(s *TranslatorState) { s.Page, s.Block = &PageFTLState{}, nil }, "not a block FTL's"},
+	} {
+		s := snapshot()
+		row.corrupt(s)
+		dst := build()
+		if err := RestoreTranslator(dst, s); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: RestoreTranslator = %v, want an error about %q", row.name, err, row.want)
+		}
+		if dst.Stats() != (Stats{}) || dst.ActiveLogs() != 0 {
+			t.Errorf("%s: the rejected state reached the target", row.name)
+		}
+	}
+	if err := Audit(src); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -345,13 +376,13 @@ func TestBlockFTLEvictingWritesZeroAlloc(t *testing.T) {
 	f := newTestBlockFTL(t, nil)
 	pageSize := int64(f.arr.Geometry().PageSize)
 	write := func(i int64) {
-		lbn := (i * 37) % f.lbnCount
-		if _, err := f.Write(lbn*f.blockBytes+(i%8)*pageSize, 4*pageSize); err != nil {
+		lbn := (i * 37) % f.cfg.lbnCount
+		if _, err := f.Write(lbn*f.cfg.blockBytes+(i%8)*pageSize, 4*pageSize); err != nil {
 			t.Fatal(err)
 		}
 	}
 	i := int64(0)
-	for ; i < 4*f.lbnCount; i++ {
+	for ; i < 4*f.cfg.lbnCount; i++ {
 		write(i)
 	}
 	merges := f.Stats().Merges

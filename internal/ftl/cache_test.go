@@ -302,7 +302,7 @@ func TestCacheDemotion(t *testing.T) {
 	if _, err := c.Write(0, 32*1024); err != nil { // rewrite start: out of order
 		t.Fatal(err)
 	}
-	if c.streamLRU.Len() != 0 {
+	if c.st.Streams != 0 {
 		t.Fatal("out-of-order write did not demote the stream region")
 	}
 }
@@ -314,22 +314,23 @@ func TestRegionBitsetRunsMatchPerLineScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 2000; round++ {
 		n := int64([]int{1, 31, 32, 64, 65, 128, 150, 192}[rng.Intn(8)])
-		r := &cacheRegion{lines: make([]uint64, (n+63)/64), maxLine: -1}
+		r, lines := &CacheRegion{MaxLine: -1}, make([]uint64, (n+63)/64)
+		dirty := func(l int64) bool { return lines[l>>6]&(1<<(uint(l)&63)) != 0 }
 		for k := rng.Intn(6); k > 0; k-- {
 			first := rng.Int63n(n)
 			last := first + rng.Int63n(min(n-first, 70))
 			var want int64
 			for l := first; l <= last; l++ {
-				if r.dirty(l) {
+				if dirty(l) {
 					want++
 				}
 			}
-			before := r.nlines
-			if got := r.markDirty(first, last); got != want || r.nlines != before+last-first+1-want {
-				t.Fatalf("markDirty(%d,%d) of %d lines: %d hits, want %d; nlines %d -> %d", first, last, n, got, want, before, r.nlines)
+			before := r.NLines
+			if got := r.markDirty(lines, first, last); got != want || r.NLines != before+last-first+1-want {
+				t.Fatalf("markDirty(%d,%d) of %d lines: %d hits, want %d; nlines %d -> %d", first, last, n, got, want, before, r.NLines)
 			}
 			for l := first; l <= last; l++ {
-				if !r.dirty(l) {
+				if !dirty(l) {
 					t.Fatalf("markDirty(%d,%d) left line %d clean", first, last, l)
 				}
 			}
@@ -337,7 +338,7 @@ func TestRegionBitsetRunsMatchPerLineScan(t *testing.T) {
 		from := rng.Int63n(n + 1)
 		var want [][2]int64
 		for l := from; l < n; l++ {
-			if !r.dirty(l) {
+			if !dirty(l) {
 				continue
 			}
 			if k := len(want); k > 0 && want[k-1][1] == l {
@@ -348,7 +349,7 @@ func TestRegionBitsetRunsMatchPerLineScan(t *testing.T) {
 		}
 		var got [][2]int64
 		for at := from; ; {
-			s, e, ok := r.nextRun(at)
+			s, e, ok := nextRun(lines, at)
 			if !ok {
 				break
 			}
@@ -356,7 +357,7 @@ func TestRegionBitsetRunsMatchPerLineScan(t *testing.T) {
 			at = e
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("runs from %d of %d lines %064b: %v, want %v", from, n, r.lines, got, want)
+			t.Fatalf("runs from %d of %d lines %064b: %v, want %v", from, n, lines, got, want)
 		}
 	}
 }

@@ -103,9 +103,9 @@ func FlashBooks(tr Translator) (chips, claimed flash.Stats) {
 	case *WriteCache:
 		return FlashBooks(tr.Inner())
 	case *PageFTL:
-		return books(tr.arr, tr.stats)
+		return books(tr.arr, tr.st.Stats)
 	case *BlockFTL:
-		return books(tr.arr, tr.stats)
+		return books(tr.arr, tr.st.Stats)
 	}
 	panic("ftl: unknown translator")
 }
@@ -186,6 +186,17 @@ func assertCloneEquivalent(t *testing.T, tr Translator, arrOf func(Translator) *
 	}
 	if !equalInts(wearOf(t, arrOf(cl)), wearOf(t, arrOf(tr))) {
 		t.Fatal("wear state diverges after reset and replay")
+	}
+	auditAll(t, tr, cl)
+}
+
+// auditAll fails the test unless every stack passes every layer's audit.
+func auditAll(t *testing.T, stacks ...Translator) {
+	t.Helper()
+	for _, tr := range stacks {
+		if err := Audit(tr); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -288,6 +299,7 @@ func TestWriteCacheCloneEquivalence(t *testing.T) {
 	if cl.Stats() != c.Stats() {
 		t.Fatalf("cache stats diverge after replay: %+v vs %+v", cl.Stats(), c.Stats())
 	}
+	auditAll(t, c, cl)
 }
 
 // TestCloneIndependence checks a clone's writes never leak into the original:
@@ -325,6 +337,7 @@ func TestCloneIndependence(t *testing.T) {
 	if f.FreeBlocks() != free {
 		t.Fatal("driving the clone changed the original's free pool")
 	}
+	auditAll(t, f, cl)
 }
 
 // TestMinHeapMatchesReference drives the block queue against a straight
@@ -377,7 +390,7 @@ func TestMinHeapMatchesReference(t *testing.T) {
 			t.Fatalf("op %d: min %#x, want %#x", i, q.min(), refMin())
 		}
 		for blk, k := range ref {
-			if p := q.pos[blk]; p < 0 || q.keys[p] != k {
+			if p := q.pos[blk]; p < 0 || q.Keys[p] != k {
 				t.Fatalf("op %d: block %d not indexed at its key", i, blk)
 			}
 		}
@@ -410,7 +423,7 @@ func TestMinHeapZeroAlloc(t *testing.T) {
 		b := int(q.pop() & keyBlockMask)
 		q.push(packKey(i%5+8, i%2, b))
 		q.push(packKey(i%5, i%2, b))
-		q.remove(int(q.keys[q.Len()/2] & keyBlockMask))
+		q.remove(int(q.Keys[q.Len()/2] & keyBlockMask))
 		if !q.contains(i % 256) {
 			q.push(packKey(20, 0, i%256))
 		}
@@ -465,5 +478,6 @@ func TestResetTranslatorFallsBackToClone(t *testing.T) {
 		if a, b := driveOne(t, got, 1000), driveOne(t, page.Clone(), 1000); a != b {
 			t.Fatalf("%s: fallback clone diverges from Clone: %+v vs %+v", name, a, b)
 		}
+		auditAll(t, got)
 	}
 }

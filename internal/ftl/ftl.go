@@ -222,6 +222,11 @@ func (s Stats) WriteAmplification() float64 {
 	return float64(s.PagesProgrammed) / float64(s.HostPagesWritten)
 }
 
+// negative reports whether any counter is below zero, which no run produces.
+func (s Stats) negative() bool {
+	return s.HostReads|s.HostWrites|s.HostPagesWritten|s.PagesRead|s.PagesProgrammed|s.BlocksErased|s.Merges|s.SwitchMerges|s.AsyncReclaims|s.MapFlushes < 0
+}
+
 func checkRange(off, length, capacity int64) error {
 	if off < 0 || length < 0 || off+length > capacity {
 		return fmt.Errorf("%w: [%d,+%d) capacity %d", ErrOutOfRange, off, length, capacity)

@@ -188,6 +188,11 @@ func replayIntegrity(t *testing.T, st integrityStack, ops []workload.Op) {
 			t.Fatalf("clone read [%d,+32768) diverges from the snapshot state", off)
 		}
 	}
+	for _, stack := range []ftl.DataPlane{dp, clone} {
+		if err := ftl.Audit(stack.(ftl.Translator)); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestDataIntegrityUnderWorkloads is the read-after-write oracle across all

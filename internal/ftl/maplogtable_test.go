@@ -1,9 +1,9 @@
 package ftl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"uflip/internal/flash"
@@ -46,10 +46,10 @@ type mapLogFTL struct {
 // books.
 func newMapLogFTL(f *BlockFTL) *mapLogFTL {
 	return &mapLogFTL{
-		arr: f.arr, cfg: f.cfg, model: f.model,
-		blockBytes: f.blockBytes, pagesPerBlock: f.pagesPerBlock, lbnCount: f.lbnCount,
-		data: f.data, logs: make(map[int64]*mapLogEnt, f.cfg.LogBlocks), free: f.free,
-		book: f.book, lastReadSlot: f.lastReadSlot,
+		arr: f.arr, cfg: f.cfg.BlockConfig, model: f.cfg.model,
+		blockBytes: f.cfg.blockBytes, pagesPerBlock: f.cfg.pagesPerBlock, lbnCount: f.cfg.lbnCount,
+		data: f.st.Data, logs: make(map[int64]*mapLogEnt, f.cfg.LogBlocks), free: f.free,
+		book: f.book, lastReadSlot: f.st.LastReadSlot,
 	}
 }
 
@@ -263,44 +263,77 @@ func (f *mapLogFTL) Read(off, length int64) (Ops, error) {
 	return ops, nil
 }
 
-// snap is the retired BlockFTL.Snapshot: the rows come out sorted by LBN.
-func (f *mapLogFTL) snap() *BlockFTLSnapshot {
-	s := &BlockFTLSnapshot{
-		Arr:          f.arr.Snapshot(),
+// logTableImage is everything a BlockFTL's state says, with the log table as
+// rows sorted by LBN: which slot holds a log is arbitrary, and the oracle has
+// no slots.
+type logTableImage struct {
+	Arr          *ArrayState
+	Data         []int32
+	Logs         []LogSlot
+	Free         []uint64
+	Tick         int64
+	Book         MapBookState
+	Stats        Stats
+	LastReadSlot int64
+}
+
+func sortedLogs(rows []LogSlot) []LogSlot {
+	sort.Slice(rows, func(i, j int) bool { return rows[i].LBN < rows[j].LBN })
+	return rows
+}
+
+// image is the slot-array FTL's state in that form.
+func image(t testing.TB, f *BlockFTL) *logTableImage {
+	t.Helper()
+	if err := Audit(f); err != nil {
+		t.Fatal(err)
+	}
+	s, err := SnapshotTranslator(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := &logTableImage{Arr: s.Arr, Data: s.Block.Data, Free: s.Free.Keys, Tick: s.Block.Tick, Book: *s.Book, Stats: s.Block.Stats, LastReadSlot: s.Block.LastReadSlot}
+	for _, l := range s.Block.Logs {
+		if l.LBN >= 0 {
+			img.Logs = append(img.Logs, l)
+		}
+	}
+	sortedLogs(img.Logs)
+	return img
+}
+
+// image is the oracle's state in the same form.
+func (f *mapLogFTL) image() *logTableImage {
+	img := &logTableImage{
+		Arr:          copied(f.arr.view()),
 		Data:         append([]int32(nil), f.data...),
-		Free:         f.free.snapshotFree(),
+		Free:         append([]uint64(nil), f.free.Keys...),
 		Tick:         f.tick,
-		Book:         f.book.snapshot(),
+		Book:         *copied(&f.book.MapBookState),
 		Stats:        f.stats,
 		LastReadSlot: f.lastReadSlot,
 	}
 	for l := int64(0); l < f.lbnCount; l++ {
 		if e := f.logs[l]; e != nil {
-			s.Logs = append(s.Logs, LogSnapshot{LBN: l, PB: e.pb, NextPage: e.nextPage, LastUse: e.lastUse})
+			img.Logs = append(img.Logs, LogSlot{LBN: l, PB: e.pb, NextPage: e.nextPage, LastUse: e.lastUse})
 		}
 	}
-	return s
+	return img
 }
 
-// load is the retired BlockFTL.Restore into a freshly built oracle.
-func (f *mapLogFTL) load(s *BlockFTLSnapshot) error {
-	if err := f.arr.Restore(s.Arr); err != nil {
-		return err
-	}
-	copy(f.data, s.Data)
+// load puts a freshly built oracle into the imaged state.
+func (f *mapLogFTL) load(img *logTableImage) {
+	f.arr.load(img.Arr)
+	copy(f.data, img.Data)
 	clear(f.logs)
-	for _, l := range s.Logs {
+	for _, l := range img.Logs {
 		f.logs[l.LBN] = &mapLogEnt{pb: l.PB, nextPage: l.NextPage, lastUse: l.LastUse}
 	}
-	if err := f.free.restoreFree(s.Free); err != nil {
-		return err
-	}
-	f.tick = s.Tick
-	if err := f.book.restore(s.Book); err != nil {
-		return err
-	}
-	f.stats, f.lastReadSlot = s.Stats, s.LastReadSlot
-	return nil
+	f.free.load(&QueueState{Keys: img.Free}, f.arr.Blocks())
+	f.tick = img.Tick
+	f.book.copyFrom(&img.Book)
+	f.book.rederive()
+	f.stats, f.lastReadSlot = img.Stats, img.LastReadSlot
 }
 
 const logTableLBNs = 16
@@ -320,21 +353,13 @@ func newLogTableFTL(t testing.TB, logBlocks int) *BlockFTL {
 	return f
 }
 
-func snapshotBytes(t testing.TB, s *BlockFTLSnapshot) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzLogTableMatchesMap drives a slot-array BlockFTL and the map-backed
 // oracle with the same write / read / idle / snapshot-restore sequence and
 // compares, after every step, the returned Ops and error, the Stats, the
-// number of active logs and the gob bytes of the snapshot — chip cursors and
-// wear, data map, free pool, map book and the log rows, whose LBNs are the
-// survivors of every eviction (the victim choice). Each step is three bytes:
+// number of active logs and the whole state (logTableImage) — chip cursors
+// and wear, data map, free pool, map book and the log rows, whose LBNs are the
+// survivors of every eviction (the victim choice) — after the slot array has
+// passed its own Audit. Each step is three bytes:
 // kind and logical block, start page (top two bits: a 512-byte skew into the
 // page), length in pages (top bit: a ragged end).
 func FuzzLogTableMatchesMap(f *testing.F) {
@@ -344,7 +369,7 @@ func FuzzLogTableMatchesMap(f *testing.F) {
 	f.Add([]byte{1, 0x00, 0, 8, 0x04, 0, 8, 0x08, 0, 8, 0x00, 2, 2, 0x04, 20, 4, 0x01, 0, 127, 0x02, 0, 0})
 	// Eight slots with a hole in the middle: attach logs to blocks 0–2,
 	// complete block 1's (a switch frees slot 1), restore both sides from the
-	// snapshot — the restored table is packed — and keep attaching and evicting.
+	// snapshot and keep attaching and evicting.
 	f.Add([]byte{2, 0x00, 0, 4, 0x04, 0, 32, 0x08, 0, 4, 0x04, 33, 30, 0x03, 0, 0,
 		0x0c, 0, 4, 0x10, 0, 4, 0x14, 0, 4, 0x18, 0, 4, 0x1c, 0, 4, 0x20, 0, 4, 0x24, 0, 4, 0x28, 0, 4, 0x00, 1, 1, 0x03, 0, 0, 0x2c, 5, 200})
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -356,7 +381,7 @@ func FuzzLogTableMatchesMap(f *testing.F) {
 		pageSize := int64(got.arr.Geometry().PageSize)
 		for step := 0; 1+3*step+2 < len(in); step++ {
 			c := in[1+3*step : 4+3*step]
-			off := int64(c[0]>>2%logTableLBNs)*got.blockBytes + int64(c[1]&63)*pageSize + int64(c[1]>>6)*512
+			off := int64(c[0]>>2%logTableLBNs)*got.cfg.blockBytes + int64(c[1]&63)*pageSize + int64(c[1]>>6)*512
 			length := int64(c[2]&127+1)*pageSize - int64(c[2]>>7)*512
 			length = min64(length, got.Capacity()-off)
 			var gotOps, wantOps Ops
@@ -372,12 +397,14 @@ func FuzzLogTableMatchesMap(f *testing.F) {
 				got.Idle(1 << 30) // the oracle's Idle was a no-op too
 			case 3:
 				g, w := newLogTableFTL(t, logBlocks), newMapLogFTL(newLogTableFTL(t, logBlocks))
-				if err := g.Restore(got.Snapshot()); err != nil {
+				snap, err := SnapshotTranslator(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := RestoreTranslator(g, snap); err != nil {
 					t.Fatalf("step %d: restore: %v", step, err)
 				}
-				if err := w.load(want.snap()); err != nil {
-					t.Fatalf("step %d: oracle restore: %v", step, err)
-				}
+				w.load(want.image())
 				got, want = g, w
 			}
 			if gotOps != wantOps || (gotErr == nil) != (wantErr == nil) {
@@ -389,9 +416,8 @@ func FuzzLogTableMatchesMap(f *testing.F) {
 			if got.ActiveLogs() != len(want.logs) {
 				t.Fatalf("step %d (% x): %d active logs, oracle %d", step, c, got.ActiveLogs(), len(want.logs))
 			}
-			gs, ws := got.Snapshot(), want.snap()
-			if !bytes.Equal(snapshotBytes(t, gs), snapshotBytes(t, ws)) {
-				t.Fatalf("step %d (% x): snapshots differ:\n slots  %+v\n oracle %+v", step, c, gs.Logs, ws.Logs)
+			if gs, ws := image(t, got), want.image(); !reflect.DeepEqual(gs, ws) {
+				t.Fatalf("step %d (% x): states differ:\n slots  %+v\n oracle %+v", step, c, gs.Logs, ws.Logs)
 			}
 		}
 	})

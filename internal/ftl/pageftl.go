@@ -81,54 +81,126 @@ func (c PageConfig) validate(a *Array) error {
 	return nil
 }
 
-type writePoint struct {
-	block    int   // physical block being filled, -1 if none
-	nextSlot int   // next unit slot within block
-	lastUnit int64 // last logical unit appended (stream detection)
-	lastUse  int64 // LRU tick
+// WritePoint is one append stream.
+type WritePoint struct {
+	Block    int   // physical block being filled, -1 if none
+	NextSlot int   // next unit slot within block
+	LastUnit int64 // last logical unit appended (stream detection)
+	LastUse  int64 // LRU tick
+}
+
+// PageFTLState is everything about a PageFTL that changes as it runs, beside
+// its free pool, its map book and the flash underneath, which keep their own.
+// It is the struct the FTL runs on.
+type PageFTLState struct {
+	FMap   []int64 // logical unit -> physical slot (block*unitsPerBlock+slot), -1 unmapped
+	RMap   []int64 // physical slot -> logical unit, -1 free/obsolete
+	Live   []int32 // physical block -> live unit count
+	IsOpen []bool  // block currently attached to a write point
+
+	WPs  []WritePoint
+	GCWP WritePoint
+	Tick int64
+
+	IdleCredit   time.Duration
+	Stats        Stats
+	LastReadSlot int64 // physical slot of previous page read, for pipelining
+}
+
+func (s *PageFTLState) copyFrom(src *PageFTLState) {
+	s.FMap = append(s.FMap[:0], src.FMap...)
+	s.RMap = append(s.RMap[:0], src.RMap...)
+	s.Live = append(s.Live[:0], src.Live...)
+	s.IsOpen = append(s.IsOpen[:0], src.IsOpen...)
+	s.WPs = append(s.WPs[:0], src.WPs...)
+	s.GCWP, s.Tick = src.GCWP, src.Tick
+	s.IdleCredit, s.Stats, s.LastReadSlot = src.IdleCredit, src.Stats, src.LastReadSlot
+}
+
+// audit states the FTL's invariant: whether a PageFTL built as cfg, with
+// the free pool free over flash in state arr (both already valid), could be
+// in state s.
+func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *ArrayState) error {
+	blocks, upb := arr.blocks(), cfg.unitsPerBlock
+	switch {
+	case len(s.FMap) != int(cfg.logicalUnits) || len(s.RMap) != blocks*upb || len(s.Live) != blocks || len(s.IsOpen) != blocks || len(s.WPs) != cfg.WritePoints:
+		return fmt.Errorf("ftl: state tables (%d units, %d slots, %d and %d blocks, %d write points) are not this FTL's size", len(s.FMap), len(s.RMap), len(s.Live), len(s.IsOpen), len(s.WPs))
+	case s.Tick < 0 || s.IdleCredit < 0 || s.Stats.negative() || s.LastReadSlot < -2 || s.LastReadSlot >= int64(blocks*upb*cfg.pagesPerUnit):
+		return fmt.Errorf("ftl: state has a clock, counter or read position out of range (tick %d, idle credit %v, last read %d, %+v)", s.Tick, s.IdleCredit, s.LastReadSlot, s.Stats)
+	}
+	// The maps are mutually inverse, Live counts each block's mapped slots,
+	// and a mapped slot's pages lie below its block's program cursor.
+	for u, ps := range s.FMap {
+		if ps < -1 || ps >= int64(len(s.RMap)) || (ps >= 0 && s.RMap[ps] != int64(u)) {
+			return fmt.Errorf("ftl: unit %d maps to slot %d, which does not map back", u, ps)
+		}
+	}
+	for b := 0; b < blocks; b++ {
+		live, top := 0, 0
+		for slot, u := range s.RMap[b*upb : (b+1)*upb] {
+			if u < -1 || u >= cfg.logicalUnits || (u >= 0 && s.FMap[u] != int64(b*upb+slot)) {
+				return fmt.Errorf("ftl: slot %d of block %d holds unit %d, which does not map back", slot, b, u)
+			}
+			if u >= 0 {
+				live, top = live+1, slot+1
+			}
+		}
+		if cursor := int(arr.block(b).NextPage); int(s.Live[b]) != live || top*cfg.pagesPerUnit > cursor {
+			return fmt.Errorf("ftl: block %d counts %d live units and is programmed to page %d, its slots hold %d up to slot %d", b, s.Live[b], cursor, live, top)
+		}
+	}
+	// A block is open exactly when one write point stands on it, at the chip's
+	// cursor; a free block is closed and holds nothing.
+	standing := make([]int, blocks)
+	for i, wp := range append(s.WPs[:len(s.WPs):len(s.WPs)], s.GCWP) {
+		switch {
+		case wp.LastUnit < -2 || wp.LastUnit >= cfg.logicalUnits || wp.LastUse < 0 || wp.LastUse > s.Tick:
+			return fmt.Errorf("ftl: write point %d has stream position (unit %d, tick %d) out of range", i, wp.LastUnit, wp.LastUse)
+		case wp.Block == -1 && wp.NextSlot == 0:
+		case wp.Block < 0 || wp.Block >= blocks || wp.NextSlot < 0 || wp.NextSlot > upb || int(arr.block(wp.Block).NextPage) != wp.NextSlot*cfg.pagesPerUnit:
+			return fmt.Errorf("ftl: write point %d stands at slot %d of block %d, where the chip's cursor is not", i, wp.NextSlot, wp.Block)
+		default:
+			standing[wp.Block]++
+		}
+	}
+	for b, isOpen := range s.IsOpen {
+		if isOpen != (standing[b] == 1) || standing[b] > 1 || (isOpen && arr.block(b).Bad) {
+			return fmt.Errorf("ftl: block %d is open=%v with %d write points on it (bad=%v)", b, isOpen, standing[b], arr.block(b).Bad)
+		}
+	}
+	for _, k := range free.Keys {
+		if b := k & keyBlockMask; s.IsOpen[b] || s.Live[b] != 0 {
+			return fmt.Errorf("ftl: free block %d is open or holds live units", b)
+		}
+	}
+	return nil
+}
+
+// pageConfig is what a PageFTL is built as: the profile's configuration and
+// cost tables plus what construction derives from them and the geometry.
+type pageConfig struct {
+	PageConfig
+	model CostModel
+
+	unitBytes     int64
+	pagesPerUnit  int
+	unitsPerBlock int
+	logicalUnits  int64
 }
 
 // PageFTL is a page-granularity (unit-granularity) mapped flash translation
 // layer with greedy garbage collection: the design of the high-end SSDs in
 // the paper's device set.
 type PageFTL struct {
-	arr   *Array
-	cfg   PageConfig //uflint:shared — immutable config from the profile
-	model CostModel  //uflint:shared — immutable cost tables
+	flashBooks // free is the pre-erased pool
+	cfg        pageConfig
+	st         PageFTLState
 
-	unitBytes     int64 //uflint:shared — derived from the geometry
-	pagesPerUnit  int   //uflint:shared — derived from the geometry
-	unitsPerBlock int   //uflint:shared — derived from the geometry
-	logicalUnits  int64 //uflint:shared — derived from the geometry
-
-	fmap []int64 // logical unit -> physical slot (block*unitsPerBlock+slot), -1 unmapped
-	rmap []int64 // physical slot -> logical unit, -1 free/obsolete
-	live []int32 // physical block -> live unit count
-
-	// free is the pre-erased pool; victims holds exactly the closed blocks
-	// with at least one obsolete slot, keyed by their current live count.
-	free    blockQueue
-	victims blockQueue //uflint:scratch — derived from live, isOpen and free; Restore rebuilds it (rebuildVictims)
-	isOpen  []bool     // block currently attached to a write point
-
-	wps  []writePoint
-	gcWP writePoint
-	tick int64
-
-	book mapBook
-
-	idleCredit time.Duration
-	stats      Stats
-
-	lastReadSlot int64 // physical slot of previous page read, for pipelining
-
-	// Data plane (flash built with data storage only): pending host bytes
-	// of the WriteData call in flight, and the staging buffer holding one
-	// unit's merged payload while it is relocated.
-	dataMode   bool   //uflint:shared — wired at construction from the flash build
-	pending    []byte //uflint:scratch — alive only within one WriteData call
-	pendingOff int64  //uflint:scratch — alive only within one WriteData call
-	unitData   []byte //uflint:scratch — relocation staging; contents dead between calls
+	// victims holds exactly the closed blocks with at least one obsolete
+	// slot, keyed by their current live count: neither configuration nor
+	// state but a function of the state, the free pool and the chips' bad
+	// marks, which rederive rebuilds.
+	victims blockQueue
 }
 
 // NewPageFTL builds a page-mapped FTL over the array. The flash must be in
@@ -145,41 +217,32 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 	if err := checkKeyWidths(arr.Blocks(), arr.eraseLimit(), blockSize/cfg.UnitBytes); err != nil {
 		return nil, err
 	}
-	f := &PageFTL{
-		arr:           arr,
-		cfg:           cfg,
+	f := &PageFTL{cfg: pageConfig{
+		PageConfig:    cfg,
 		model:         model,
 		unitBytes:     int64(cfg.UnitBytes),
 		pagesPerUnit:  cfg.UnitBytes / arr.Geometry().PageSize,
 		unitsPerBlock: blockSize / cfg.UnitBytes,
-		free:          newBlockQueue(arr.Blocks()),
-		victims:       newBlockQueue(arr.Blocks()),
-		lastReadSlot:  -2,
+		logicalUnits:  (cfg.LogicalBytes + int64(cfg.UnitBytes) - 1) / int64(cfg.UnitBytes),
+	}}
+	f.flashBooks = newFlashBooks(arr, cfg.MapUnitsPerPage, cfg.MapDirtyLimit, f.cfg.logicalUnits)
+	f.st.LastReadSlot = -2
+	f.st.FMap = make([]int64, f.cfg.logicalUnits)
+	for i := range f.st.FMap {
+		f.st.FMap[i] = -1
 	}
-	f.logicalUnits = (cfg.LogicalBytes + f.unitBytes - 1) / f.unitBytes
-	f.fmap = make([]int64, f.logicalUnits)
-	for i := range f.fmap {
-		f.fmap[i] = -1
+	f.st.RMap = make([]int64, int64(arr.Blocks())*int64(f.cfg.unitsPerBlock))
+	for i := range f.st.RMap {
+		f.st.RMap[i] = -1
 	}
-	f.rmap = make([]int64, int64(arr.Blocks())*int64(f.unitsPerBlock))
-	for i := range f.rmap {
-		f.rmap[i] = -1
+	f.st.Live = make([]int32, arr.Blocks())
+	f.st.IsOpen = make([]bool, arr.Blocks())
+	f.st.WPs = make([]WritePoint, cfg.WritePoints)
+	for i := range f.st.WPs {
+		f.st.WPs[i] = WritePoint{Block: -1, LastUnit: -2}
 	}
-	f.live = make([]int32, arr.Blocks())
-	f.isOpen = make([]bool, arr.Blocks())
-	for b := 0; b < arr.Blocks(); b++ {
-		f.free.push(packKey(0, 0, b))
-	}
-	f.wps = make([]writePoint, cfg.WritePoints)
-	for i := range f.wps {
-		f.wps[i] = writePoint{block: -1, lastUnit: -2}
-	}
-	f.gcWP = writePoint{block: -1, lastUnit: -2}
-	f.book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit, f.logicalUnits)
-	if arr.StoresData() {
-		f.dataMode = true
-		f.unitData = make([]byte, cfg.UnitBytes)
-	}
+	f.st.GCWP = WritePoint{Block: -1, LastUnit: -2}
+	f.rederive()
 	return f, nil
 }
 
@@ -200,40 +263,34 @@ func (f *PageFTL) resetFrom(t Translator) bool {
 	if !ok {
 		return false
 	}
-	if f.arr == nil {
-		f.arr = &Array{}
-	}
-	f.arr.resetFrom(src.arr)
-	f.cfg, f.model = src.cfg, src.model
-	f.unitBytes, f.pagesPerUnit, f.unitsPerBlock, f.logicalUnits = src.unitBytes, src.pagesPerUnit, src.unitsPerBlock, src.logicalUnits
-	f.fmap = append(f.fmap[:0], src.fmap...)
-	f.rmap = append(f.rmap[:0], src.rmap...)
-	f.live = append(f.live[:0], src.live...)
-	f.isOpen = append(f.isOpen[:0], src.isOpen...)
-	f.free.resetFrom(&src.free)
-	f.victims.resetFrom(&src.victims)
-	f.wps = append(f.wps[:0], src.wps...)
-	f.gcWP, f.tick = src.gcWP, src.tick
-	f.book.resetFrom(&src.book)
-	f.idleCredit, f.stats, f.lastReadSlot = src.idleCredit, src.stats, src.lastReadSlot
-	f.dataMode, f.pending, f.pendingOff = src.dataMode, nil, 0
-	if len(f.unitData) != len(src.unitData) {
-		f.unitData = make([]byte, len(src.unitData))
-	}
+	f.resetBooks(&src.flashBooks)
+	f.cfg = src.cfg
+	f.st.copyFrom(&src.st)
+	// src holds the candidates derived: copying them costs the candidates,
+	// rederive every block of the array (20 µs of a 30 µs reset at 8k blocks).
+	f.victims.load(&src.victims.QueueState, len(f.st.Live))
 	return true
 }
 
-// Stats returns a snapshot of the FTL counters.
-func (f *PageFTL) Stats() Stats { return f.stats }
+// rederive rebuilds the garbage-collection candidates from the state, the free
+// pool and the chips: every usable block that is neither open nor free and has
+// an obsolete slot.
+func (f *PageFTL) rederive() {
+	f.victims.load(&QueueState{}, len(f.st.Live))
+	for b, live := range f.st.Live {
+		if int(live) < f.cfg.unitsPerBlock && !f.st.IsOpen[b] && !f.free.contains(b) && !f.arr.IsBad(b) {
+			f.pushVictim(b)
+		}
+	}
+}
 
-// FreeBlocks returns the current size of the pre-erased pool (for tests and
-// the state/ablation experiments).
-func (f *PageFTL) FreeBlocks() int { return f.free.Len() }
+// Stats returns a snapshot of the FTL counters.
+func (f *PageFTL) Stats() Stats { return f.st.Stats }
 
 // MappedUnits returns how many logical units currently map to flash.
 func (f *PageFTL) MappedUnits() int64 {
 	var n int64
-	for _, s := range f.fmap {
+	for _, s := range f.st.FMap {
 		if s >= 0 {
 			n++
 		}
@@ -242,7 +299,7 @@ func (f *PageFTL) MappedUnits() int64 {
 }
 
 func (f *PageFTL) slotOf(block, slot int) int64 {
-	return int64(block)*int64(f.unitsPerBlock) + int64(slot)
+	return int64(block)*int64(f.cfg.unitsPerBlock) + int64(slot)
 }
 
 // allocBlock pops a pre-erased block. When the pool is empty (and forGC is
@@ -267,13 +324,8 @@ func (f *PageFTL) allocBlock(ops *Ops, forGC bool) (int, error) {
 		return 0, ErrNoSpace
 	}
 	block := int(f.free.pop() & keyBlockMask)
-	f.isOpen[block] = true
+	f.st.IsOpen[block] = true
 	return block, nil
-}
-
-func (f *PageFTL) pushFree(block int) {
-	ec, _ := f.arr.EraseCount(block)
-	f.free.push(packKey(0, ec, block))
 }
 
 // collectOne garbage-collects the closed block with the fewest live units,
@@ -285,26 +337,26 @@ func (f *PageFTL) collectOne(ops *Ops) error {
 		return ErrNoSpace
 	}
 	victim := int(f.victims.pop() & keyBlockMask)
-	f.stats.Merges++
-	liveUnits := int(f.live[victim])
+	f.st.Stats.Merges++
+	liveUnits := int(f.st.Live[victim])
 	if liveUnits == 0 {
-		f.stats.SwitchMerges++
+		f.st.Stats.SwitchMerges++
 	}
-	for slot := 0; slot < f.unitsPerBlock && liveUnits > 0; slot++ {
+	for slot := 0; slot < f.cfg.unitsPerBlock && liveUnits > 0; slot++ {
 		ps := f.slotOf(victim, slot)
-		unit := f.rmap[ps]
+		unit := f.st.RMap[ps]
 		if unit < 0 {
 			continue
 		}
 		liveUnits--
 		// Read the live unit's pages (merge path).
-		if err := f.arr.ReadRun(victim, slot*f.pagesPerUnit, f.pagesPerUnit); err != nil {
+		if err := f.arr.ReadRun(victim, slot*f.cfg.pagesPerUnit, f.cfg.pagesPerUnit); err != nil {
 			return fmt.Errorf("ftl: gc read: %w", err)
 		}
-		ops.MergeReads += f.pagesPerUnit
-		f.stats.PagesRead += int64(f.pagesPerUnit)
+		ops.MergeReads += f.cfg.pagesPerUnit
+		f.st.Stats.PagesRead += int64(f.cfg.pagesPerUnit)
 		// Relocate it through the GC write point.
-		if err := f.appendUnit(&f.gcWP, unit, ops, true, 0); err != nil {
+		if err := f.appendUnit(&f.st.GCWP, unit, ops, true, 0); err != nil {
 			return err
 		}
 	}
@@ -312,8 +364,8 @@ func (f *PageFTL) collectOne(ops *Ops) error {
 		return fmt.Errorf("ftl: gc erase: %w", err)
 	}
 	ops.Erases++
-	f.stats.BlocksErased++
-	f.live[victim] = 0
+	f.st.Stats.BlocksErased++
+	f.st.Live[victim] = 0
 	// Each relocation above obsoleted a slot of the victim itself — a closed
 	// block — and so queued it again; an erased block is no candidate.
 	f.victims.remove(victim)
@@ -327,32 +379,21 @@ func (f *PageFTL) collectOne(ops *Ops) error {
 // live blocks are never candidates; a fully live block enters the queue the
 // moment one of its units is overwritten.
 func (f *PageFTL) pushVictim(block int) {
-	if f.isOpen[block] || int(f.live[block]) >= f.unitsPerBlock {
+	if f.st.IsOpen[block] || int(f.st.Live[block]) >= f.cfg.unitsPerBlock {
 		return
 	}
 	ec, _ := f.arr.EraseCount(block)
-	f.victims.push(packKey(int(f.live[block]), ec, block))
+	f.victims.push(packKey(int(f.st.Live[block]), ec, block))
 }
 
-// rebuildVictims derives the candidate queue from the rest of the state:
-// every usable block that is neither open nor free and has an obsolete slot.
-func (f *PageFTL) rebuildVictims() {
-	f.victims.reset()
-	for b := range f.live {
-		if !f.free.contains(b) && !f.arr.IsBad(b) {
-			f.pushVictim(b)
-		}
-	}
-}
-
-func (f *PageFTL) closeWP(wp *writePoint) {
-	if wp.block < 0 {
+func (f *PageFTL) closeWP(wp *WritePoint) {
+	if wp.Block < 0 {
 		return
 	}
-	f.isOpen[wp.block] = false
-	f.pushVictim(wp.block)
-	wp.block = -1
-	wp.nextSlot = 0
+	f.st.IsOpen[wp.Block] = false
+	f.pushVictim(wp.Block)
+	wp.Block = -1
+	wp.NextSlot = 0
 }
 
 // appendUnit writes one unit's worth of pages at wp — one program run —
@@ -361,94 +402,92 @@ func (f *PageFTL) closeWP(wp *writePoint) {
 // path.
 //
 //uflint:hotpath
-func (f *PageFTL) appendUnit(wp *writePoint, unit int64, ops *Ops, forGC bool, hostPages int) error {
-	if wp.block < 0 || wp.nextSlot >= f.unitsPerBlock {
+func (f *PageFTL) appendUnit(wp *WritePoint, unit int64, ops *Ops, forGC bool, hostPages int) error {
+	if wp.Block < 0 || wp.NextSlot >= f.cfg.unitsPerBlock {
 		f.closeWP(wp)
 		b, err := f.allocBlock(ops, forGC)
 		if err != nil {
 			return err
 		}
-		wp.block = b
-		wp.nextSlot = 0
+		wp.Block = b
+		wp.NextSlot = 0
 	}
 	var payload []byte
-	if f.dataMode {
+	if f.staging != nil {
 		// Stage the unit's payload — current content overlaid with any
 		// pending host bytes — after block allocation (an inline GC above
 		// may just have relocated this unit) and before the maps move.
-		f.stageUnit(unit, !forGC)
-		payload = f.unitData
+		payload = f.stageUnit(unit, !forGC)
 	}
-	if err := f.arr.ProgramRun(wp.block, wp.nextSlot*f.pagesPerUnit, f.pagesPerUnit, payload); err != nil {
+	if err := f.arr.ProgramRun(wp.Block, wp.NextSlot*f.cfg.pagesPerUnit, f.cfg.pagesPerUnit, payload); err != nil {
 		return fmt.Errorf("ftl: program: %w", err)
 	}
 	if forGC {
-		ops.MergePrograms += f.pagesPerUnit
+		ops.MergePrograms += f.cfg.pagesPerUnit
 	} else {
-		if hostPages > f.pagesPerUnit {
-			hostPages = f.pagesPerUnit
+		if hostPages > f.cfg.pagesPerUnit {
+			hostPages = f.cfg.pagesPerUnit
 		}
 		ops.PagePrograms += hostPages
-		ops.MergePrograms += f.pagesPerUnit - hostPages
+		ops.MergePrograms += f.cfg.pagesPerUnit - hostPages
 	}
-	f.stats.PagesProgrammed += int64(f.pagesPerUnit)
+	f.st.Stats.PagesProgrammed += int64(f.cfg.pagesPerUnit)
 
 	// Obsolete the old location, if any; the old block becomes (or gets
 	// closer to being) a garbage-collection candidate.
-	if old := f.fmap[unit]; old >= 0 {
-		f.rmap[old] = -1
-		oldBlock := int(old / int64(f.unitsPerBlock))
-		f.live[oldBlock]--
+	if old := f.st.FMap[unit]; old >= 0 {
+		f.st.RMap[old] = -1
+		oldBlock := int(old / int64(f.cfg.unitsPerBlock))
+		f.st.Live[oldBlock]--
 		f.pushVictim(oldBlock)
 	}
-	ps := f.slotOf(wp.block, wp.nextSlot)
-	f.fmap[unit] = ps
-	f.rmap[ps] = unit
-	f.live[wp.block]++
-	wp.nextSlot++
-	wp.lastUnit = unit
-	f.tick++
-	wp.lastUse = f.tick
+	ps := f.slotOf(wp.Block, wp.NextSlot)
+	f.st.FMap[unit] = ps
+	f.st.RMap[ps] = unit
+	f.st.Live[wp.Block]++
+	wp.NextSlot++
+	wp.LastUnit = unit
+	f.st.Tick++
+	wp.LastUse = f.st.Tick
 
 	// Direct-map bookkeeping (Section 2.2: updates of bookkeeping
 	// information are themselves flash writes).
 	if !forGC {
 		before := ops.MapFlushes
 		f.book.touch(unit, ops)
-		f.stats.MapFlushes += int64(ops.MapFlushes - before)
+		f.st.Stats.MapFlushes += int64(ops.MapFlushes - before)
 	}
 	return nil
 }
 
-// stageUnit assembles the payload the unit's relocation must carry into
-// f.unitData: the unit's current stored bytes (zeros where none), overlaid —
-// on the host path only — with the pending WriteData bytes that fall inside
+// stageUnit assembles the payload the unit's relocation must carry in the
+// staging buffer: the unit's current stored bytes (zeros where none), overlaid
+// — on the host path only — with the pending WriteData bytes that fall inside
 // the unit. GC relocations (overlayHost false) move content verbatim.
-func (f *PageFTL) stageUnit(unit int64, overlayHost bool) {
-	clear(f.unitData)
+func (f *PageFTL) stageUnit(unit int64, overlayHost bool) []byte {
+	unitData := f.staging[:f.cfg.UnitBytes]
+	clear(unitData)
 	pageSize := f.arr.Geometry().PageSize
-	if old := f.fmap[unit]; old >= 0 {
-		block := int(old / int64(f.unitsPerBlock))
-		slot := int(old % int64(f.unitsPerBlock))
-		for p := 0; p < f.pagesPerUnit; p++ {
-			if data, err := f.arr.PageData(block, slot*f.pagesPerUnit+p); err == nil {
-				copy(f.unitData[p*pageSize:(p+1)*pageSize], data)
+	if old := f.st.FMap[unit]; old >= 0 {
+		block := int(old / int64(f.cfg.unitsPerBlock))
+		slot := int(old % int64(f.cfg.unitsPerBlock))
+		for p := 0; p < f.cfg.pagesPerUnit; p++ {
+			if data, err := f.arr.PageData(block, slot*f.cfg.pagesPerUnit+p); err == nil {
+				copy(unitData[p*pageSize:(p+1)*pageSize], data)
 			}
 		}
 	}
 	if overlayHost && f.pending != nil {
-		overlay(f.unitData, unit*f.unitBytes, f.pending, f.pendingOff)
+		overlay(unitData, unit*f.cfg.unitBytes, f.pending, f.pendingOff)
 	}
+	return unitData
 }
-
-// StoresData reports whether the flash underneath retains payloads.
-func (f *PageFTL) StoresData() bool { return f.dataMode }
 
 // WriteData implements the data plane: exactly Write(off, len(data)) with
 // the payload carried into the chips (and preserved across every later
 // relocation).
 func (f *PageFTL) WriteData(off int64, data []byte) (Ops, error) {
-	if !f.dataMode {
+	if !f.StoresData() {
 		return Ops{}, ErrNoDataStorage
 	}
 	f.pending, f.pendingOff = data, off
@@ -460,7 +499,7 @@ func (f *PageFTL) WriteData(off int64, data []byte) (Ops, error) {
 // ReadData implements the data plane: exactly Read(off, len(buf)) plus the
 // observed bytes.
 func (f *PageFTL) ReadData(off int64, buf []byte) (Ops, error) {
-	if !f.dataMode {
+	if !f.StoresData() {
 		return Ops{}, ErrNoDataStorage
 	}
 	ops, err := f.Read(off, int64(len(buf)))
@@ -483,12 +522,12 @@ func (f *PageFTL) peekData(off int64, buf []byte) {
 		if rest := int64(len(buf)) - covered; n > rest {
 			n = rest
 		}
-		unit := gp * pageSize / f.unitBytes
-		if ps := f.fmap[unit]; ps >= 0 {
-			block := int(ps / int64(f.unitsPerBlock))
-			slot := int(ps % int64(f.unitsPerBlock))
-			pageInUnit := int(gp % (f.unitBytes / pageSize))
-			if data, err := f.arr.PageData(block, slot*f.pagesPerUnit+pageInUnit); err == nil {
+		unit := gp * pageSize / f.cfg.unitBytes
+		if ps := f.st.FMap[unit]; ps >= 0 {
+			block := int(ps / int64(f.cfg.unitsPerBlock))
+			slot := int(ps % int64(f.cfg.unitsPerBlock))
+			pageInUnit := int(gp % (f.cfg.unitBytes / pageSize))
+			if data, err := f.arr.PageData(block, slot*f.cfg.pagesPerUnit+pageInUnit); err == nil {
 				if int64(len(data)) > pageOff {
 					copy(buf[covered:covered+n], data[pageOff:])
 				}
@@ -501,14 +540,14 @@ func (f *PageFTL) peekData(off int64, buf []byte) {
 // pickWP returns the write point for a unit: a stream whose last unit is the
 // immediate predecessor continues; otherwise the least-recently-used stream
 // is reassigned.
-func (f *PageFTL) pickWP(unit int64) *writePoint {
-	var lru *writePoint
-	for i := range f.wps {
-		wp := &f.wps[i]
-		if wp.lastUnit+1 == unit || wp.lastUnit == unit {
+func (f *PageFTL) pickWP(unit int64) *WritePoint {
+	var lru *WritePoint
+	for i := range f.st.WPs {
+		wp := &f.st.WPs[i]
+		if wp.LastUnit+1 == unit || wp.LastUnit == unit {
 			return wp
 		}
-		if lru == nil || wp.lastUse < lru.lastUse {
+		if lru == nil || wp.LastUse < lru.LastUse {
 			lru = wp
 		}
 	}
@@ -524,16 +563,16 @@ func (f *PageFTL) Write(off, length int64) (Ops, error) {
 	if length == 0 {
 		return ops, nil
 	}
-	f.stats.HostWrites++
+	f.st.Stats.HostWrites++
 	pageSize := int64(f.arr.Geometry().PageSize)
-	f.stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
-	journal := f.cfg.JournalMaxBytes > 0 && length <= f.cfg.JournalMaxBytes && length < f.unitBytes
-	u0 := off / f.unitBytes
-	u1 := (off + length - 1) / f.unitBytes
+	f.st.Stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
+	journal := f.cfg.JournalMaxBytes > 0 && length <= f.cfg.JournalMaxBytes && length < f.cfg.unitBytes
+	u0 := off / f.cfg.unitBytes
+	u1 := (off + length - 1) / f.cfg.unitBytes
 	for u := u0; u <= u1; u++ {
-		us := u * f.unitBytes
+		us := u * f.cfg.unitBytes
 		ws := max64(off, us)
-		we := min64(off+length, us+f.unitBytes)
+		we := min64(off+length, us+f.cfg.unitBytes)
 		writtenPages := int((we-1)/pageSize - ws/pageSize + 1)
 		// Pages of the unit not fully overwritten must be read first
 		// (read-modify-write); this is the mechanism behind the
@@ -544,40 +583,40 @@ func (f *PageFTL) Write(off, length int64) (Ops, error) {
 		if fullyCovered < 0 {
 			fullyCovered = 0
 		}
-		oldPages := f.pagesPerUnit - fullyCovered
-		if !journal && oldPages > 0 && f.fmap[u] >= 0 {
-			old := f.fmap[u]
-			block := int(old / int64(f.unitsPerBlock))
-			slot := int(old % int64(f.unitsPerBlock))
-			if err := f.arr.ReadRun(block, slot*f.pagesPerUnit, oldPages); err != nil {
+		oldPages := f.cfg.pagesPerUnit - fullyCovered
+		if !journal && oldPages > 0 && f.st.FMap[u] >= 0 {
+			old := f.st.FMap[u]
+			block := int(old / int64(f.cfg.unitsPerBlock))
+			slot := int(old % int64(f.cfg.unitsPerBlock))
+			if err := f.arr.ReadRun(block, slot*f.cfg.pagesPerUnit, oldPages); err != nil {
 				return ops, fmt.Errorf("ftl: rmw read: %w", err)
 			}
 			ops.MergeReads += oldPages
-			f.stats.PagesRead += int64(oldPages)
+			f.st.Stats.PagesRead += int64(oldPages)
 		}
 		hostPages := writtenPages
-		if f.fmap[u] < 0 {
+		if f.st.FMap[u] < 0 {
 			// Nothing to copy for an unmapped unit: the blank filler
 			// pages stream like host data (the out-of-box cheapness of
 			// Section 4.1).
-			hostPages = f.pagesPerUnit
+			hostPages = f.cfg.pagesPerUnit
 		}
 		wp := f.pickWP(u)
 		if err := f.appendUnit(wp, u, &ops, false, hostPages); err != nil {
 			return ops, err
 		}
-		if journal && writtenPages < f.pagesPerUnit {
+		if journal && writtenPages < f.cfg.pagesPerUnit {
 			// Journal path: charge only the pages actually written. The
 			// relocation's filler pages were counted as merge copies
 			// (mapped unit) or blank host programs (unmapped unit).
-			if hostPages == f.pagesPerUnit {
-				ops.PagePrograms -= f.pagesPerUnit - writtenPages
+			if hostPages == f.cfg.pagesPerUnit {
+				ops.PagePrograms -= f.cfg.pagesPerUnit - writtenPages
 			} else {
-				ops.MergePrograms -= f.pagesPerUnit - writtenPages
+				ops.MergePrograms -= f.cfg.pagesPerUnit - writtenPages
 			}
 		}
 	}
-	f.lastReadSlot = -2
+	f.st.LastReadSlot = -2
 	return ops, nil
 }
 
@@ -590,7 +629,7 @@ func (f *PageFTL) Read(off, length int64) (Ops, error) {
 	if length == 0 {
 		return ops, nil
 	}
-	f.stats.HostReads++
+	f.st.Stats.HostReads++
 	pageSize := int64(f.arr.Geometry().PageSize)
 	p0 := off / pageSize
 	p1 := (off + length - 1) / pageSize
@@ -598,32 +637,32 @@ func (f *PageFTL) Read(off, length int64) (Ops, error) {
 	// One read run per mapping unit the request touches: a unit's pages are
 	// physically consecutive.
 	for gp := p0; gp <= p1; {
-		unit := gp * pageSize / f.unitBytes
-		pageInUnit := int(gp % int64(f.pagesPerUnit))
-		n := int(min64(int64(f.pagesPerUnit-pageInUnit), p1-gp+1))
+		unit := gp * pageSize / f.cfg.unitBytes
+		pageInUnit := int(gp % int64(f.cfg.pagesPerUnit))
+		n := int(min64(int64(f.cfg.pagesPerUnit-pageInUnit), p1-gp+1))
 		gp += int64(n)
-		ps := f.fmap[unit]
+		ps := f.st.FMap[unit]
 		if ps < 0 {
 			// Unmapped: the device returns a deterministic pattern
 			// straight from the controller.
 			ops.RAMBytes += int64(n) * pageSize
 			continue
 		}
-		block := int(ps / int64(f.unitsPerBlock))
-		slot := int(ps % int64(f.unitsPerBlock))
-		page := slot*f.pagesPerUnit + pageInUnit
+		block := int(ps / int64(f.cfg.unitsPerBlock))
+		slot := int(ps % int64(f.cfg.unitsPerBlock))
+		page := slot*f.cfg.pagesPerUnit + pageInUnit
 		if err := f.arr.ReadRun(block, page, n); err != nil {
 			return ops, fmt.Errorf("ftl: read: %w", err)
 		}
-		f.stats.PagesRead += int64(n)
+		f.st.Stats.PagesRead += int64(n)
 		physSlot := int64(block)*int64(f.arr.Geometry().PagesPerBlock) + int64(page)
-		chargeReadRun(&ops, &f.lastReadSlot, physSlot, n, first, f.model.ReadSeek)
+		chargeReadRun(&ops, &f.st.LastReadSlot, physSlot, n, first, f.cfg.model.ReadSeek)
 		first = false
 	}
 	// Lingering reclamation (Figure 5): while the free pool is below
 	// target, background collection steals time from reads.
 	if f.cfg.AsyncReclaim && f.cfg.ReadSteal > 0 && f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
-		stall := time.Duration(f.cfg.ReadSteal * float64(f.model.Cost(&ops)))
+		stall := time.Duration(f.cfg.ReadSteal * float64(f.cfg.model.Cost(&ops)))
 		ops.Stall += stall
 		f.reclaimWithCredit(stall)
 	}
@@ -639,18 +678,18 @@ func (f *PageFTL) Idle(d time.Duration) {
 }
 
 func (f *PageFTL) reclaimWithCredit(d time.Duration) {
-	f.idleCredit += d
+	f.st.IdleCredit += d
 	// Cap the credit so an hour of idleness cannot fund unbounded future
 	// work in zero time.
-	maxCredit := f.model.ReclaimCost(f.unitsPerBlock*f.pagesPerUnit) * time.Duration(f.cfg.ReserveBlocks)
-	if f.idleCredit > maxCredit {
-		f.idleCredit = maxCredit
+	maxCredit := f.cfg.model.ReclaimCost(f.cfg.unitsPerBlock*f.cfg.pagesPerUnit) * time.Duration(f.cfg.ReserveBlocks)
+	if f.st.IdleCredit > maxCredit {
+		f.st.IdleCredit = maxCredit
 	}
 	for f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
 		// Price the cheapest victim without disturbing the queue.
 		victim := f.victims.min() & keyBlockMask
-		cost := f.model.ReclaimCost(int(f.live[victim]) * f.pagesPerUnit)
-		if f.idleCredit < cost {
+		cost := f.cfg.model.ReclaimCost(int(f.st.Live[victim]) * f.cfg.pagesPerUnit)
+		if f.st.IdleCredit < cost {
 			break // not enough idle time
 		}
 		// Collect through the normal path so maps stay consistent; the
@@ -659,14 +698,14 @@ func (f *PageFTL) reclaimWithCredit(d time.Duration) {
 		if err := f.collectOne(&bg); err != nil {
 			break
 		}
-		f.idleCredit -= cost
-		f.stats.AsyncReclaims++
+		f.st.IdleCredit -= cost
+		f.st.Stats.AsyncReclaims++
 	}
 	// Idle time cannot be banked: once the pool is back at its target the
 	// remaining credit evaporates (a device cannot save past idleness to
 	// spend during a later burst).
 	if f.free.Len() >= f.cfg.ReserveBlocks {
-		f.idleCredit = 0
+		f.st.IdleCredit = 0
 	}
 }
 

@@ -266,40 +266,40 @@ func TestPageFTLMappingConsistency(t *testing.T) {
 func checkPageFTLConsistency(t *testing.T, f *PageFTL) {
 	t.Helper()
 	// fmap and rmap are mutually consistent.
-	for unit, slot := range f.fmap {
+	for unit, slot := range f.st.FMap {
 		if slot < 0 {
 			continue
 		}
-		if f.rmap[slot] != int64(unit) {
-			t.Fatalf("fmap[%d]=%d but rmap[%d]=%d", unit, slot, slot, f.rmap[slot])
+		if f.st.RMap[slot] != int64(unit) {
+			t.Fatalf("fmap[%d]=%d but rmap[%d]=%d", unit, slot, slot, f.st.RMap[slot])
 		}
 	}
 	liveFromRmap := make([]int32, f.arr.Blocks())
-	for slot, unit := range f.rmap {
+	for slot, unit := range f.st.RMap {
 		if unit < 0 {
 			continue
 		}
-		if f.fmap[unit] != int64(slot) {
-			t.Fatalf("rmap[%d]=%d but fmap[%d]=%d", slot, unit, unit, f.fmap[unit])
+		if f.st.FMap[unit] != int64(slot) {
+			t.Fatalf("rmap[%d]=%d but fmap[%d]=%d", slot, unit, unit, f.st.FMap[unit])
 		}
-		liveFromRmap[slot/f.unitsPerBlock]++
+		liveFromRmap[slot/f.cfg.unitsPerBlock]++
 	}
 	for b, want := range liveFromRmap {
-		if f.live[b] != want {
-			t.Fatalf("live[%d]=%d, reverse map says %d", b, f.live[b], want)
+		if f.st.Live[b] != want {
+			t.Fatalf("live[%d]=%d, reverse map says %d", b, f.st.Live[b], want)
 		}
 	}
 	// Every mapped unit's pages are programmed on the chip.
-	for unit, slot := range f.fmap {
+	for unit, slot := range f.st.FMap {
 		if slot < 0 {
 			continue
 		}
-		block := int(slot / int64(f.unitsPerBlock))
+		block := int(slot / int64(f.cfg.unitsPerBlock))
 		next, err := f.arr.NextProgramPage(block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lastPage := (int(slot%int64(f.unitsPerBlock)) + 1) * f.pagesPerUnit
+		lastPage := (int(slot%int64(f.cfg.unitsPerBlock)) + 1) * f.cfg.pagesPerUnit
 		if next < lastPage {
 			t.Fatalf("unit %d maps to block %d pages < %d but only %d programmed", unit, block, lastPage, next)
 		}
@@ -456,7 +456,7 @@ func TestReadStealNeedsARealCandidate(t *testing.T) {
 	if ops.Stall != 0 {
 		t.Fatalf("read stalled %v for a reclamation with no candidate", ops.Stall)
 	}
-	if got := f.Stats().AsyncReclaims; got != 1 || f.idleCredit != 0 {
-		t.Fatalf("after read: %d async reclaims, %v idle credit; want 1 and 0", got, f.idleCredit)
+	if got := f.Stats().AsyncReclaims; got != 1 || f.st.IdleCredit != 0 {
+		t.Fatalf("after read: %d async reclaims, %v idle credit; want 1 and 0", got, f.st.IdleCredit)
 	}
 }

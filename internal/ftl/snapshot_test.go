@@ -46,13 +46,13 @@ func buildDataStack(t *testing.T) *ftl.WriteCache {
 	return cache
 }
 
-func gobRoundTrip(t *testing.T, snap *ftl.TranslatorSnapshot) *ftl.TranslatorSnapshot {
+func gobRoundTrip(t *testing.T, snap *ftl.TranslatorState) *ftl.TranslatorState {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	var out ftl.TranslatorSnapshot
+	var out ftl.TranslatorState
 	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +113,11 @@ func TestSnapshotGobRoundTripDataMode(t *testing.T) {
 	if live.DirtyLines() != fresh.DirtyLines() {
 		t.Fatalf("dirty lines diverge after idle: %d vs %d", live.DirtyLines(), fresh.DirtyLines())
 	}
+	for _, stack := range []ftl.Translator{live, fresh} {
+		if err := ftl.Audit(stack); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestSnapshotNilDataMapsRestore: a snapshot whose payload maps are nil
@@ -132,7 +137,7 @@ func TestSnapshotNilDataMapsRestore(t *testing.T) {
 	}
 	// Simulate the nil-collapsing encoder.
 	decoded.Cache.LineData = nil
-	for _, cs := range decoded.Cache.Inner.Page.Arr.Chips {
+	for _, cs := range decoded.Inner.Arr.Chips {
 		if len(cs.Data) != 0 {
 			t.Fatal("test premise broken: untouched stack has stored payloads")
 		}
@@ -147,5 +152,8 @@ func TestSnapshotNilDataMapsRestore(t *testing.T) {
 	}
 	if _, err := fresh.WriteData(0, make([]byte, 4096)); err != nil {
 		t.Fatalf("restored stack cannot write data: %v", err)
+	}
+	if err := ftl.Audit(fresh); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,13 +7,21 @@ import (
 )
 
 // CloneGuard catches the "added a field, forgot Clone" bug class at compile
-// time: for every struct type with a Clone/Snapshot/Restore/ResetFrom method
-// (any case), each field of the struct must be referenced somewhere in that
-// method's body, or carry an //uflint:shared or //uflint:scratch annotation.
-// A whole-struct copy (`*recv` in the body) references every field at once,
-// and a field referenced in a method of the same type that the body calls
-// counts as referenced: a layer's Clone is "ResetFrom into a zero value", and
-// the fields are checked where the copying happens.
+// time: for every struct type with a Clone/Snapshot/Restore/ResetFrom/
+// CopyFrom/Audit method (any case), each field of the struct must be
+// referenced somewhere in that method's body, or carry an //uflint:shared or
+// //uflint:scratch annotation. A whole-struct copy (`*recv` in the body)
+// references every field at once, and a field referenced in a method of the
+// same type that the body calls counts as referenced: a layer's Clone is
+// "ResetFrom into a zero value", and the fields are checked where the copying
+// happens.
+//
+// The simulator keeps state as data: a layer is an immutable configuration
+// struct, one exported-field state struct it runs on, and a derived/scratch
+// group. The state struct's copyFrom and audit (its one copy routine and its
+// one validator) are each checked field by field; the layer's resetFrom copies
+// the configuration, copies the state and rederives the rest, so it references
+// all three, and a method that skips a group takes one annotation for it.
 //
 // The differential clone-vs-rebuild oracles from PRs 3/5/8 catch a missed
 // field only when a test drives state through it; this check fires the
@@ -27,11 +35,11 @@ annotated //uflint:shared or //uflint:scratch`,
 }
 
 // isCloneMethodName matches lower- and upper-case variants: the repo's
-// internal helpers (mapBook.resetFrom, PageFTL.resetFrom) carry the same
-// contract as the exported methods.
+// internal routines (PageFTLState.copyFrom, PageFTL.resetFrom) carry the same
+// contract as the exported ones (flash.ChipState.CopyFrom).
 func isCloneMethodName(name string) bool {
 	switch strings.ToLower(name) {
-	case "clone", "snapshot", "restore", "resetfrom":
+	case "clone", "snapshot", "restore", "resetfrom", "copyfrom", "audit":
 		return true
 	}
 	return false

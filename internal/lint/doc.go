@@ -7,9 +7,11 @@
 //   - detwall: simulation packages must not read the wall clock, draw from
 //     the global math/rand source, or iterate maps with order-dependent
 //     effects — the compile-time face of "byte-identical at any -parallel".
-//   - cloneguard: every field of a struct with a Clone/Snapshot/Restore
-//     method must be referenced in that method or annotated
-//     //uflint:shared or //uflint:scratch.
+//   - cloneguard: every field of a struct with a Clone/Snapshot/Restore/
+//     ResetFrom/CopyFrom/Audit method must be referenced in that method or
+//     annotated //uflint:shared or //uflint:scratch — so a layer's state
+//     struct cannot grow a field its one copy routine or its one validator
+//     does not know, and a config or derived group is one annotated field.
 //   - batchcontract: SubmitBatch/SubmitBatchRetry errors must be handled,
 //     and *device.BatchError extracted with errors.As, never a type
 //     assertion.

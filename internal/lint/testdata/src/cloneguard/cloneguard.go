@@ -3,6 +3,8 @@
 // annotation escape hatches, and the whole-struct-copy exemption.
 package cloneguard
 
+import "errors"
+
 // tracker has a Clone that forgets a field: the exact bug class the
 // analyzer pins at declaration time.
 type tracker struct {
@@ -104,4 +106,53 @@ func (w *window) ResetFrom(src *window) {
 
 func (w *window) copyMarks(src *window) {
 	w.marks = append(w.marks[:0], src.marks...)
+}
+
+// tankState is state as data: the struct a layer runs on. Its copy routine
+// and its validator must each cover every field; copyFrom forgets the drip
+// count and audit the marks.
+type tankState struct {
+	Level int
+	Marks []int // want `field Marks is not referenced in \(\*tankState\)\.audit`
+	Drips int   // want `field Drips is not referenced in \(\*tankState\)\.copyFrom`
+}
+
+func (s *tankState) copyFrom(src *tankState) {
+	s.Level = src.Level
+	s.Marks = append(s.Marks[:0], src.Marks...)
+}
+
+func (s *tankState) audit(cfg *tankConfig) error {
+	if s.Level < 0 || s.Level > cfg.depth || s.Drips < 0 {
+		return errors.New("no tank of this depth holds that")
+	}
+	return nil
+}
+
+type tankConfig struct{ depth int }
+
+// tank is the layer around it: configuration, state, and a derived group.
+// resetFrom covers all three (the derived group through rederive); Snapshot
+// reads only the state, so each other group takes one annotation.
+type tank struct {
+	cfg tankConfig //uflint:shared — immutable build
+	st  tankState
+	der struct { //uflint:scratch — rebuilt by rederive
+		full bool
+	}
+}
+
+func (t *tank) resetFrom(src *tank) {
+	t.cfg = src.cfg
+	t.st.copyFrom(&src.st)
+	t.rederive()
+}
+
+func (t *tank) rederive() { t.der.full = t.st.Level == t.cfg.depth }
+
+// Snapshot is copyFrom into a fresh struct.
+func (t *tank) Snapshot() *tankState {
+	s := &tankState{}
+	s.copyFrom(&t.st)
+	return s
 }

@@ -453,28 +453,6 @@ func TestCanceledQueuedJobFreesQueueSlot(t *testing.T) {
 	waitFor(t, ts, replacement.ID, server.StatusDone)
 }
 
-// TestFinishedJobEviction: the daemon retains at most KeepJobs finished
-// jobs; the oldest are evicted (404) while newer results stay fetchable.
-func TestFinishedJobEviction(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1, KeepJobs: 2})
-	micros := []string{"Order", "Granularity", "Alignment", "Locality"}
-	ids := make([]string, len(micros))
-	for i, m := range micros {
-		ids[i] = submit(t, ts, planRequest("mtron", m)).ID
-		waitFor(t, ts, ids[i], server.StatusDone)
-	}
-	for _, old := range ids[:2] {
-		if code, _ := get(t, ts, "/jobs/"+old); code != http.StatusNotFound {
-			t.Fatalf("evicted job %s: HTTP %d, want 404", old, code)
-		}
-	}
-	for _, recent := range ids[2:] {
-		if code, _ := get(t, ts, "/jobs/"+recent+"/csv"); code != http.StatusOK {
-			t.Fatalf("retained job %s: HTTP %d, want 200", recent, code)
-		}
-	}
-}
-
 func TestBadMicroRejectedAtSubmission(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
 	req := planRequest("mtron", "Oder") // typo

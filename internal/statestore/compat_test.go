@@ -3,8 +3,12 @@ package statestore_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -19,15 +23,10 @@ import (
 	"uflip/internal/trace"
 )
 
-// payload mirrors the store's gob payload (gob matches structs by field
-// name), so a test can open a state file, edit the snapshot inside and seal
-// it again with a correct length and checksum — the "damaged before the CRC
-// was taken, or crafted" case no byte flip can produce.
-type payload struct {
-	Key statestore.Key
-	At  time.Duration
-	Dev *device.DeviceSnapshot
-}
+// payload is the store's gob payload, so a test can open a state file, edit
+// the state inside and seal it again with a correct length and checksum — the
+// "damaged before the CRC was taken, or crafted" case no byte flip can produce.
+type payload = statestore.Saved
 
 // stateHeader is magic (8) + version (4) + key hash (32) + payload length (8)
 // + payload CRC-64/ECMA (8).
@@ -60,22 +59,19 @@ func sealState(t *testing.T, path string, header []byte, p *payload) {
 	}
 }
 
-// blockFTLOf digs the BlockFTL snapshot out of a bare or cached stack.
-func blockFTLOf(t *testing.T, p *payload) *ftl.BlockFTLSnapshot {
+// ftlOf digs the FTL's node of the state tree out of a bare or cached stack.
+func ftlOf(t *testing.T, p *payload) *ftl.TranslatorState {
 	t.Helper()
-	top := p.Dev.Sim.Top
+	top := p.Dev.Top
 	if top.Cache != nil {
-		top = top.Cache.Inner
+		top = top.Inner
 	}
-	if top.Block == nil {
-		t.Fatal("state holds no BlockFTL")
-	}
-	return top.Block
+	return top
 }
 
 // The fixtures under testdata/parent were written by the build of the commit
 // before the BlockFTL's log table became a slot array and the map book's
-// dirty set a bitset (format version 3, unchanged since):
+// dirty set a bitset (format version 3):
 //
 //	uflip -device D -capacity 33554432 -micro Granularity -parallel 1 -statedir S -out O
 //
@@ -85,10 +81,11 @@ func blockFTLOf(t *testing.T, p *payload) *ftl.BlockFTLSnapshot {
 // edit.
 var parentFixtureCfg = paperexp.Config{Capacity: 32 << 20, Seed: 42, IOCount: 1024}
 
-// TestParentStateFilesStillLoad is the state-file compatibility pin: this
-// build loads the enforced states the parent build saved, saves them back
-// byte for byte, and a Granularity plan started from each renders the parent's
-// summary CSV.
+// TestParentStateFilesStillLoad is the pin on what happens to the state files
+// an older build left in a cache directory: this build quarantines the
+// parent's version-3 file, enforces the state again, saves it in the current
+// format, and a Granularity plan started from it renders the parent's summary
+// CSV byte for byte.
 func TestParentStateFilesStillLoad(t *testing.T) {
 	for _, key := range []string{"kingston-dti", "transcend-ssd16"} {
 		t.Run(key, func(t *testing.T) {
@@ -105,45 +102,32 @@ func TestParentStateFilesStillLoad(t *testing.T) {
 			if err := os.WriteFile(store.Path(sk), fixture, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, p := openState(t, store.Path(sk)); len(blockFTLOf(t, p).Logs) == 0 || blockFTLOf(t, p).Book.Queued == 0 {
-				t.Fatal("fixture pins nothing: no attached log or no dirty map page in the enforced state")
-			}
-
-			dev, err := profile.BuildDevice(key, cfg.Capacity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			at, hit, err := store.Load(sk, dev)
-			if err != nil || !hit {
-				t.Fatalf("parent state: hit=%v err=%v", hit, err)
-			}
-			resaved, err := statestore.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := resaved.Save(sk, dev, at); err != nil {
-				t.Fatal(err)
-			}
-			if got, err := os.ReadFile(resaved.Path(sk)); err != nil || !bytes.Equal(got, fixture) {
-				t.Fatalf("re-saved state differs from the parent's file (err=%v, %d vs %d bytes)", err, len(got), len(fixture))
-			}
 
 			cfg.Store = store
-			hits := 0
+			var hits []bool
 			res, err := paperexp.RunBenchmark(context.Background(), key, cfg, paperexp.BenchmarkRequest{
 				Micros:  []string{"Granularity"},
 				Workers: 1,
-				Stages: paperexp.Stages{StateEnforced: func(_ time.Duration, hit bool) {
-					if hit {
-						hits++
-					}
-				}},
+				Stages:  paperexp.Stages{StateEnforced: func(_ time.Duration, hit bool) { hits = append(hits, hit) }},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hits == 0 {
-				t.Fatal("the plan enforced its state live instead of loading the parent's file")
+			if len(hits) == 0 || hits[0] {
+				t.Fatalf("state loads hit %v: the plan's first load took the parent's file", hits)
+			}
+			if moved, err := os.ReadFile(store.Path(sk) + ".corrupt"); err != nil || !bytes.Equal(moved, fixture) {
+				t.Fatalf("the parent's file is not preserved as .corrupt (err=%v)", err)
+			}
+			dev, err := profile.BuildDevice(key, cfg.Capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, hit, err := store.Load(sk, dev); err != nil || !hit {
+				t.Fatalf("re-enforced state: hit=%v err=%v, want a hit", hit, err)
+			}
+			if _, p := openState(t, store.Path(sk)); len(activeLogs(ftlOf(t, p))) == 0 || ftlOf(t, p).Book.Queued == 0 {
+				t.Fatal("fixture pins nothing: no attached log or no dirty map page in the enforced state")
 			}
 			var csv bytes.Buffer
 			if err := trace.WriteSummaryCSV(&csv, paperexp.Records(res.Results)); err != nil {
@@ -154,19 +138,85 @@ func TestParentStateFilesStillLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(csv.Bytes(), want) {
-				t.Fatalf("summary CSV from the parent's state differs from the parent's own (%d vs %d bytes)", csv.Len(), len(want))
+				t.Fatalf("summary CSV from the re-enforced state differs from the parent's own (%d vs %d bytes)", csv.Len(), len(want))
 			}
 		})
 	}
 }
 
-// TestCorruptLogTableIsQuarantined: a state file that passes every check of
-// the container — magic, version, key, length, checksum, decode — but whose
-// BlockFTL log table names one logical block twice must not load (two live
-// slots for one block) and must not poison the cache: Load fails, the file is
-// moved aside, and the next run misses and re-enforces.
-func TestCorruptLogTableIsQuarantined(t *testing.T) {
-	const spec = "kingston-dti"
+// activeLogs returns the indexes of a BlockFTL state's attached log slots.
+func activeLogs(s *ftl.TranslatorState) []int {
+	var active []int
+	for i, l := range s.Block.Logs {
+		if l.LBN >= 0 {
+			active = append(active, i)
+		}
+	}
+	return active
+}
+
+var updateStateBytes = flag.Bool("update", false, "rewrite testdata/state.sha256.json from the current behaviour")
+
+const stateGoldenPath = "testdata/state.sha256.json"
+
+// TestStateBytesGolden is the absolute pin on state bytes: the SHA-256 of the
+// state file a bare BlockFTL profile and a WriteCache-over-PageFTL profile
+// save at parentFixtureCfg, against digests committed from a known-good tree.
+// The round-trip tests compare a save with its own load, so a change that
+// moves both passes them. A change of the format, of a state struct or of
+// enforcement moves these; regenerate — explained in the PR — with
+//
+//	go test ./internal/statestore -run TestStateBytesGolden -update
+func TestStateBytesGolden(t *testing.T) {
+	got := map[string]string{}
+	for _, key := range []string{"kingston-dti", "memoright"} {
+		cfg := parentFixtureCfg
+		store, err := statestore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = store
+		if _, _, _, err := paperexp.PrepareCached(key, cfg); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(store.Path(paperexp.StateKey(key, cfg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		got[key] = hex.EncodeToString(sum[:])
+	}
+	if *updateStateBytes {
+		blob, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WriteFileAtomic(stateGoldenPath, append(blob, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	blob, err := os.ReadFile(stateGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatalf("%s: %v", stateGoldenPath, err)
+	}
+	for key, sum := range got {
+		if want[key] != sum {
+			t.Errorf("%s: state file sha256 %s, golden %s", key, sum, want[key])
+		}
+	}
+}
+
+// TestCraftedStatesAreQuarantined: a state file that passes every check of the
+// container — magic, version, key, length, checksum, decode — but holds a
+// state no device could be in must not load and must not poison the cache:
+// Load fails before any of it reaches the device, the file is moved aside, and
+// the next run misses and re-enforces.
+func testCraftedState(t *testing.T, spec string, corrupt func(t *testing.T, s *ftl.TranslatorState)) {
 	store, err := statestore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -177,11 +227,7 @@ func TestCorruptLogTableIsQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	header, p := openState(t, store.Path(k))
-	block := blockFTLOf(t, p)
-	if len(block.Logs) == 0 {
-		t.Fatal("enforced state has no attached log to duplicate")
-	}
-	block.Logs = append(block.Logs[:1:1], block.Logs[0])
+	corrupt(t, ftlOf(t, p))
 	sealState(t, store.Path(k), header, p)
 
 	fresh := func() device.Device {
@@ -191,13 +237,46 @@ func TestCorruptLogTableIsQuarantined(t *testing.T) {
 		}
 		return dev
 	}
-	if _, hit, err := store.Load(k, fresh()); err == nil || hit {
-		t.Fatalf("duplicate-LBN state: hit=%v err=%v, want an error", hit, err)
+	target, untouched := fresh(), fresh()
+	if _, hit, err := store.Load(k, target); err == nil || hit {
+		t.Fatalf("crafted state: hit=%v err=%v, want an error", hit, err)
 	}
+	driveBoth(t, target, untouched, 19)
 	if _, err := os.Stat(store.Path(k) + ".corrupt"); err != nil {
 		t.Fatalf("rejected state not quarantined: %v", err)
 	}
 	if _, hit, err := store.Load(k, fresh()); err != nil || hit {
 		t.Fatalf("after quarantine: hit=%v err=%v, want a clean miss", hit, err)
 	}
+}
+
+// TestCorruptLogTableIsQuarantined: a BlockFTL log table naming one logical
+// block twice (two live slots for one block).
+func TestCorruptLogTableIsQuarantined(t *testing.T) {
+	testCraftedState(t, "kingston-dti", func(t *testing.T, s *ftl.TranslatorState) {
+		active := activeLogs(s)
+		if len(active) < 2 {
+			t.Fatal("enforced state has no two attached logs to make one of")
+		}
+		s.Block.Logs[active[1]].LBN = s.Block.Logs[active[0]].LBN
+	})
+}
+
+// TestSwappedMapEntriesAreQuarantined: a PageFTL forward map with two entries
+// swapped — every entry in range, every length right, and the maps no longer
+// inverse of each other.
+func TestSwappedMapEntriesAreQuarantined(t *testing.T) {
+	testCraftedState(t, "memoright", func(t *testing.T, s *ftl.TranslatorState) {
+		var mapped []int
+		for u, slot := range s.Page.FMap {
+			if slot >= 0 {
+				mapped = append(mapped, u)
+			}
+		}
+		if len(mapped) < 2 {
+			t.Fatalf("enforced state maps %d units: nothing to swap", len(mapped))
+		}
+		a, b := mapped[0], mapped[len(mapped)-1]
+		s.Page.FMap[a], s.Page.FMap[b] = s.Page.FMap[b], s.Page.FMap[a]
+	})
 }

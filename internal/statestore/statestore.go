@@ -123,11 +123,13 @@ func (s *Store) LockKey(k Key) func() {
 // Version 2 dropped the per-page state array from the chip snapshot (the
 // block cursor is the page state); version 3 dropped the PageFTL's victim
 // heap and per-block generations (the candidate queue is derived from the
-// block state on restore). Older files fail the version check and take the
-// quarantine path like any other unreadable file.
+// block state on restore); version 4 dropped the snapshot types themselves:
+// the payload is the tree of state structs the layers run on
+// (device.DeviceState), written as it stands. Older files fail the version
+// check and take the quarantine path like any other unreadable file.
 const (
 	magic   = "uFLIPst\x01"
-	version = uint32(3)
+	version = uint32(4)
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -138,7 +140,7 @@ type saved struct {
 	// At is the virtual time state enforcement finished.
 	At time.Duration
 	// Dev is the device's complete mutable state.
-	Dev *device.DeviceSnapshot
+	Dev *device.DeviceState
 }
 
 // Save persists the device's state for the key, atomically (trace.WriteAtomic:
@@ -189,11 +191,12 @@ func (s *Store) Save(k Key, dev device.Device, at time.Duration) error {
 // state; the corrupt bytes stay on disk for inspection instead of poisoning
 // every later run. Quarantine happens strictly before any state reaches dev,
 // so a post-quarantine enforcement is byte-identical to a cold run. A payload
-// that decodes but that the device's Restore rejects (a state the layers'
-// validation refuses — damaged before the checksum was taken, or crafted — or
-// a device of another shape) is quarantined too, but stays a hard error: dev
-// may be partially mutated, so this caller must not enforce on top of it; the
-// next run finds a miss.
+// that decodes but that the layers' validators refuse (a state no device of
+// this shape could be in — damaged before the checksum was taken, or crafted —
+// or the state of a device of another shape) is quarantined too, and again
+// before any of it reaches dev, but stays a hard error: the file claimed to be
+// this key's state and was not, which the caller should hear about; the next
+// run finds a miss.
 func (s *Store) Load(k Key, dev device.Device) (at time.Duration, hit bool, err error) {
 	f, err := os.Open(s.Path(k))
 	if os.IsNotExist(err) {

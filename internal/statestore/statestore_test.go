@@ -63,6 +63,11 @@ func driveBoth(t *testing.T, a, b device.Device, seed int64) {
 		}
 		at = da + time.Duration(rng.Intn(5))*time.Millisecond
 	}
+	for _, d := range []device.Device{a, b} {
+		if err := device.Audit(d); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestSaveLoadRoundTrip covers every translation design in the profile set
@@ -326,14 +331,15 @@ func TestRestoreIntoWrongDeviceFails(t *testing.T) {
 }
 
 // TestVersion1FileIsQuarantinedAndReenforced: a state file of an older
-// format version — 1 (chip snapshots with a per-page state array) or 2 (a
-// PageFTL snapshot carrying its lazy victim heap and block generations) —
+// format version — 1 (chip snapshots with a per-page state array), 2 (a
+// PageFTL snapshot carrying its lazy victim heap and block generations) or 3
+// (snapshot structs mirroring the layers instead of the state they run on) —
 // left in a cache directory by an older build must not be decoded by this
 // one. It takes the corrupt-cache path — quarantined as a miss — and the
 // caller's live re-enforcement then saves a current-version file that loads
 // as a hit.
 func TestVersion1FileIsQuarantinedAndReenforced(t *testing.T) {
-	for old, profileKey := range map[uint32]string{1: "kingston-dti", 2: "memoright"} {
+	for old, profileKey := range map[uint32]string{1: "kingston-dti", 2: "memoright", 3: "transcend-mlc32"} {
 		t.Run(fmt.Sprintf("v%d", old), func(t *testing.T) {
 			store, err := statestore.Open(t.TempDir())
 			if err != nil {
@@ -350,8 +356,8 @@ func TestVersion1FileIsQuarantinedAndReenforced(t *testing.T) {
 				t.Fatal(err)
 			}
 			const versionAt = 8 // the version field follows the 8-byte magic
-			if got := binary.LittleEndian.Uint32(data[versionAt:]); got != 3 {
-				t.Fatalf("saved file has format version %d, want 3", got)
+			if got := binary.LittleEndian.Uint32(data[versionAt:]); got != 4 {
+				t.Fatalf("saved file has format version %d, want 4", got)
 			}
 			binary.LittleEndian.PutUint32(data[versionAt:], old)
 			if err := os.WriteFile(path, data, 0o644); err != nil {

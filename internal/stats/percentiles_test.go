@@ -67,7 +67,7 @@ func TestPercentilesSorted(t *testing.T) {
 func TestPercentilesAllocs(t *testing.T) {
 	samples := make([]time.Duration, 4096)
 	for i := range samples {
-		samples[i] = time.Duration((i*2654435761)%100003) * time.Microsecond
+		samples[i] = time.Duration((int64(i)*2654435761)%100003) * time.Microsecond
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		Percentiles(samples, 50, 90, 95, 99, 99.9)

@@ -154,7 +154,7 @@ func ParseUTRHeader(b []byte) (count int, crc uint64, err error) {
 		// leaves behind, so it must fail loudly, like the empty-CSV case.
 		return 0, 0, fmt.Errorf("trace: utr trace holds no IOs")
 	}
-	if n > uint64((math.MaxInt64-UTRHeaderSize)/UTRRecordSize) {
+	if n > uint64((math.MaxInt64-UTRHeaderSize)/UTRRecordSize) || n > math.MaxInt {
 		return 0, 0, fmt.Errorf("trace: utr record count %d is implausible", n)
 	}
 	return int(n), binary.LittleEndian.Uint64(b[24:32]), nil

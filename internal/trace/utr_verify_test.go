@@ -142,14 +142,15 @@ func TestVerifyUTRMatchesScanner(t *testing.T) {
 	}
 }
 
-// TestVerifyUTRBoundedByBytes: a header claiming 2^40 records sizes nothing;
-// the verdict is the scanner's truncation, at every split.
+// TestVerifyUTRBoundedByBytes: a header claiming 2^30 records (32 GiB of
+// them; the count still fits a 32-bit int) sizes nothing; the verdict is the
+// scanner's truncation, at every split.
 func TestVerifyUTRBoundedByBytes(t *testing.T) {
 	data := referenceEncode(t, randomBlockOps(3, 2))
-	binary.LittleEndian.PutUint64(data[16:24], 1<<40)
-	const want = "trace: utr trace truncated at record 3 of 1099511627776"
-	if count, err := trace.VerifyUTR(bytes.NewReader(data), int64(len(data))); errText(err) != want || count != 1<<40 {
-		t.Fatalf("count %d, %v; want 2^40 and %s", count, err, want)
+	binary.LittleEndian.PutUint64(data[16:24], 1<<30)
+	const want = "trace: utr trace truncated at record 3 of 1073741824"
+	if count, err := trace.VerifyUTR(bytes.NewReader(data), int64(len(data))); errText(err) != want || count != 1<<30 {
+		t.Fatalf("count %d, %v; want 2^30 and %s", count, err, want)
 	}
 }
 
