@@ -16,7 +16,11 @@ test:
 # Static analysis: go vet, simplified-gofmt cleanliness, the repo-specific
 # uflint suite (detwall, cloneguard, batchcontract) over every package and
 # its tests, and the allocfree escape gate (-escapes) against the committed
-# allowlist in internal/lint/testdata/hotpath.allow.
+# allowlist in internal/lint/testdata/hotpath.allow. Last, the packages whose
+# floating point reaches an output byte are cross-compiled for arm64 and must
+# hold no fused multiply-add: a fused op rounds once where amd64 rounds twice,
+# so "deterministic" would be a per-architecture claim (no emulator here, hence
+# a static check; an explicit float64(a*b) conversion is the fusion barrier).
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -s -l .); if [ -n "$$out" ]; then \
@@ -24,6 +28,9 @@ lint:
 	fi
 	$(GO) run ./cmd/uflint ./...
 	$(GO) run ./cmd/uflint -escapes ./...
+	@if GOARCH=arm64 $(GO) build -gcflags=-S $(addprefix ./internal/,stats trace ftl device core methodology workload report paperexp profile) 2>&1 \
+		| grep -E 'F(N)?M(ADD|SUB)'; then echo "arm64 fuses these: wrap the product in float64(...)"; exit 1; \
+	fi
 
 # One iteration of every paper-figure and ablation benchmark in bench_test.go:
 # they regenerate the paper's numbers as custom metrics and are not a speed

@@ -37,13 +37,18 @@
 //	uflip serve -statedir /var/lib/uflip/state -jobdir /var/lib/uflip/jobs
 //	uflip submit -device memoright -out results/
 //	uflip submit workload -device memoright -trace mytrace.csv
+//
+// Identical by construction: the flags that describe a job are registered
+// once (flags.go) and become one api.JobRequest; the local commands are a
+// shell around job.Run (this file), submit is a shell around the daemon
+// (submit.go), whose worker calls the same job.Run on the same request.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -51,31 +56,39 @@ import (
 	"strings"
 	"time"
 
-	"uflip/internal/core"
-	"uflip/internal/engine"
+	"uflip/internal/job"
 	"uflip/internal/methodology"
 	"uflip/internal/paperexp"
 	"uflip/internal/profile"
 	"uflip/internal/report"
 	"uflip/internal/statestore"
-	"uflip/internal/trace"
+	"uflip/internal/workload"
 )
 
 func main() {
+	// Ctrl-C cancels whatever runs: a local job between runs, a submitted
+	// job on its daemon, the daemon itself.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	sub, args := "", os.Args[1:]
+	if len(args) > 0 {
+		sub = args[0]
+	}
 	var err error
-	switch {
-	case len(os.Args) > 1 && os.Args[1] == "workload":
-		err = runWorkload(os.Args[2:])
-	case len(os.Args) > 1 && os.Args[1] == "array":
-		err = runArray(os.Args[2:])
-	case len(os.Args) > 1 && os.Args[1] == "serve":
-		err = runServe(os.Args[2:])
-	case len(os.Args) > 1 && os.Args[1] == "submit":
-		err = runSubmit(os.Args[2:])
-	case len(os.Args) > 1 && os.Args[1] == "trace":
-		err = runTrace(os.Args[2:])
+	switch sub {
+	case "serve":
+		err = runServe(ctx, args[1:])
+	case "submit":
+		err = runSubmit(ctx, args[1:])
+	case "trace":
+		err = runTrace(args[1:])
 	default:
-		err = run()
+		kind := "plan"
+		if sub == "workload" || sub == "array" {
+			kind, args = sub, args[1:]
+		}
+		fs, _, cmd := localCommand(ctx, kind)
+		err = run(fs, args, cmd)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "uflip:", err)
@@ -83,56 +96,162 @@ func main() {
 	}
 }
 
-func run() error {
-	var (
-		devKey   = flag.String("device", "", "device profile or array spec to benchmark, e.g. mtron or stripe(2,mtron,mtron) (see flashio -list)")
-		capacity = flag.Int64("capacity", 1<<30, "simulated capacity in bytes, per member for array specs (scaled-down devices behave identically)")
-		micros   = flag.String("micro", "", "comma-separated micro-benchmarks to run (default: all nine)")
-		ioCount  = flag.Int("iocount", 1024, "base run length before methodology scaling")
-		seed     = flag.Int64("seed", 42, "random seed")
-		outDir   = flag.String("out", "", "directory for JSON/CSV results")
-		stateDir = flag.String("statedir", "", "persistent state-cache directory: enforced device states are saved there and later runs load them instead of re-filling (results are byte-identical)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for plan execution (1 = sequential fallback; results are identical for any value)")
-		verbose  = flag.Bool("v", false, "log each run")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit (inspect with go tool pprof)")
-	)
-	flag.Parse()
-	if *devKey == "" {
-		return fmt.Errorf("pass -device <profile>")
-	}
-	stopProfiles, err := startProfiles(*cpuProf, *memProf)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, "uflip:", perr)
+// run parses args into a command's flag set and runs the command; -h prints
+// the usage and is no error.
+func run(fs *flag.FlagSet, args []string, cmd func() error) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
 		}
-	}()
-	desc, err := profile.DescribeDevice(*devKey)
-	if err != nil {
 		return err
 	}
-	cfg := paperexp.Config{Capacity: *capacity, Seed: *seed, IOCount: *ioCount}
-	if *stateDir != "" {
-		if cfg.Store, err = statestore.Open(*stateDir); err != nil {
+	return cmd()
+}
+
+// localCommand is `uflip` (the plan kind), `uflip workload` or `uflip array`:
+// its flag set — the job's flags plus those only a local run has — and the
+// local shell around job.Run, to call once the flags are parsed. The shell
+// owns the state cache directory, the profiles, -v, -dump-trace and the
+// narration on stdout; the job is the request the shared flags describe, run
+// by the function the daemon runs.
+func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, func() error) {
+	// The bare command keeps the flag package's own conventions: usage under
+	// the binary's name, exit status 2 for a bad flag.
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	if kind != "plan" {
+		fs = flag.NewFlagSet("uflip "+kind, flag.ContinueOnError)
+	}
+	var (
+		text     = flagText[kind]
+		jf       = registerJobFlags(fs, kind, runtime.GOMAXPROCS(0))
+		stateDir = fs.String("statedir", "", text.statedir)
+		verbose  = fs.Bool("v", false, text.verbose)
+		// Flags only some kinds have; the others read them as unset.
+		cpuProf, memProf, dumpTrace = new(string), new(string), new(string)
+	)
+	if kind != "array" {
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit (inspect with go tool pprof)")
+	}
+	if kind == "workload" {
+		dumpTrace = fs.String("dump-trace", "", "also write the replayed stream as a block trace to this path (a .utr extension selects the binary form)")
+	}
+	return fs, jf, func() error {
+		req, err := jf.request()
+		if err != nil {
 			return err
 		}
+		stopProfiles, err := startProfiles(*cpuProf, *memProf)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if perr := stopProfiles(); perr != nil {
+				fmt.Fprintln(os.Stderr, "uflip:", perr)
+			}
+		}()
+		var env job.Env
+		if *stateDir != "" {
+			if env.Store, err = statestore.Open(*stateDir); err != nil {
+				return err
+			}
+		}
+		if *verbose {
+			env.Progress = func(done, total int, desc string) {
+				fmt.Printf("  [%d/%d] %s\n", done, total, desc)
+			}
+		}
+
+		// A workload's stream is opened (a trace) or built early (-dump-trace of
+		// a synthetic one) so that it can be written out before the run narrates.
+		if path := *jf.trace; path != "" {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			st, err := f.Stat()
+			if err != nil {
+				return err
+			}
+			if env.Source, err = workload.OpenTrace(f, st.Size(), traceLabel(path)); err != nil {
+				return err
+			}
+			if *dumpTrace != "" {
+				n, err := workload.ConvertTraceFile(path, *dumpTrace, workload.FormatForPath(*dumpTrace))
+				if err != nil {
+					return err
+				}
+				fmt.Printf("trace written to %s (%d IOs)\n", *dumpTrace, n)
+			}
+		} else if *dumpTrace != "" {
+			if env.Source, err = job.Synthetic(req.Workload.Spec); err != nil {
+				return err
+			}
+			stream, err := env.Source.Segment(0, env.Source.Len())
+			if err != nil {
+				return err
+			}
+			if err := workload.SaveTraceAuto(*dumpTrace, stream); err != nil {
+				return err
+			}
+			fmt.Printf("trace written to %s (%d IOs)\n", *dumpTrace, len(stream))
+		}
+
+		var renderErr error
+		if kind == "array" {
+			a := req.Array
+			fmt.Printf("== array sweep over %s: %d layouts x %d counts x %d queue depths = %d combinations, degree %d, %d workers\n",
+				a.Member, len(a.Layouts), len(a.Counts), len(a.QueueDepths), len(a.Layouts)*len(a.Counts)*len(a.QueueDepths), a.Degree, req.Parallel)
+		} else {
+			desc, err := profile.DescribeDevice(req.Device)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("== %s (%s)\n", req.Device, desc)
+			env.Stages = planNarration(*stateDir, &renderErr)
+			env.Replaying = func(name string, ops, segmentOps, workers int) {
+				fmt.Printf("replaying %s: %d IOs in segments of %d on %d workers\n", name, ops, segmentOps, workers)
+			}
+		}
+
+		out, err := job.Run(ctx, req, env)
+		if err == nil {
+			err = renderErr
+		}
+		if err != nil {
+			return err
+		}
+		if kind == "plan" {
+			fmt.Printf("benchmark complete: %d runs, %v of device time on the longest shard\n", len(out.Records), out.Elapsed.Round(time.Second))
+		}
+		fmt.Println()
+		os.Stdout.Write(out.Report)
+		if *jf.out != "" {
+			saved, err := out.Save(*jf.out, stem(req))
+			if err != nil {
+				return err
+			}
+			fmt.Printf("\n%s\n", saved)
+		}
+		return nil
 	}
-	fmt.Printf("== %s (%s)\n", *devKey, desc)
-	// With a state cache, enforcement narration moves to stderr so stdout
-	// stays byte-identical between the cold run (which fills and saves) and
-	// every warm run (which loads and skips the fill).
-	stateOut := io.Writer(os.Stdout)
-	if cfg.Store != nil {
+}
+
+// planNarration prints a plan's stages as they complete. With a state cache
+// the enforcement lines go to stderr, so stdout is byte-identical between the
+// cold run (fills and saves) and every warm run (loads). A failed render lands
+// in *renderErr.
+func planNarration(stateDir string, renderErr *error) paperexp.Stages {
+	cached := stateDir != ""
+	stateOut := os.Stdout
+	if cached {
 		stateOut = os.Stderr
 	}
-	var renderErr error
-	stages := paperexp.Stages{
+	return paperexp.Stages{
 		EnforcingState: func(capacity int64) {
-			if cfg.Store != nil {
-				fmt.Fprintf(stateOut, "preparing enforced random state over %d MB (cache: %s)...\n", capacity>>20, *stateDir)
+			if cached {
+				fmt.Fprintf(stateOut, "preparing enforced random state over %d MB (cache: %s)...\n", capacity>>20, stateDir)
 				return
 			}
 			fmt.Fprintf(stateOut, "enforcing random state over %d MB...\n", capacity>>20)
@@ -143,15 +262,15 @@ func run() error {
 				return
 			}
 			suffix := ""
-			if cfg.Store != nil {
+			if cached {
 				suffix = " (saved to state cache)"
 			}
 			fmt.Fprintf(stateOut, "state enforced in %v of device time%s\n", at.Round(time.Second), suffix)
 		},
 		PhasesMeasured: func(phases *methodology.PhaseReport) {
 			fmt.Println()
-			if err := report.PhaseTable(phases).Render(os.Stdout); err != nil && renderErr == nil {
-				renderErr = err
+			if err := report.PhaseTable(phases).Render(os.Stdout); err != nil && *renderErr == nil {
+				*renderErr = err
 			}
 		},
 		PauseMeasured: func(pauseRep *methodology.PauseReport) {
@@ -163,69 +282,12 @@ func run() error {
 				len(plan.Steps)-plan.Resets, plan.Resets, workers)
 		},
 	}
-	var progress engine.ProgressFunc
-	if *verbose {
-		progress = func(done, total int, desc string) {
-			fmt.Printf("  [%d/%d] %s\n", done, total, desc)
-		}
-	}
-	var selectedMicros []string
-	if *micros != "" {
-		selectedMicros = strings.Split(*micros, ",")
-	}
-	// Plan runs execute through the engine: each shard gets a clone of the
-	// one enforced master state, so any worker count produces identical
-	// merged results. Ctrl-C cancels between runs.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	out, err := paperexp.RunBenchmark(ctx, *devKey, cfg, paperexp.BenchmarkRequest{
-		Micros:   selectedMicros,
-		Workers:  *parallel,
-		Progress: progress,
-		Stages:   stages,
-	})
-	if err != nil {
-		return err
-	}
-	if renderErr != nil {
-		return renderErr
-	}
-	results := out.Results
-	fmt.Printf("benchmark complete: %d runs, %v of device time on the longest shard\n\n", len(results.Results), results.Elapsed.Round(time.Second))
-
-	// Summaries per micro-benchmark, then the device's Table 3 row.
-	if err := report.PlanSection(os.Stdout, out.Micros, results, core.StandardDefaults().IOSize); err != nil {
-		return err
-	}
-
-	if *outDir != "" {
-		if err := saveResults(*outDir, fileSafe(*devKey), results); err != nil {
-			return err
-		}
-		fmt.Printf("\nresults written under %s\n", *outDir)
-	}
-	return nil
 }
 
-// fileSafe turns a device key or array spec into a file-name stem: array
-// specs contain parentheses and commas, which stay legible but awkward in
-// result paths.
-func fileSafe(key string) string {
-	out := []rune(key)
-	for i, r := range out {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.', r == '_':
-		default:
-			out[i] = '_'
-		}
-	}
-	return strings.Trim(string(out), "_")
-}
-
-func saveResults(dir, devKey string, results *methodology.Results) error {
-	records := paperexp.Records(results)
-	if err := trace.SaveJSON(filepath.Join(dir, devKey+".jsonl"), records); err != nil {
-		return err
-	}
-	return trace.SaveSummaryCSV(filepath.Join(dir, devKey+".csv"), records)
+// traceLabel names a replayed trace in reports: the file name without its
+// format extension, so the same stream replayed from its .csv and .utr
+// forms produces byte-identical results.
+func traceLabel(path string) string {
+	base := filepath.Base(path)
+	return strings.TrimSuffix(base, filepath.Ext(base))
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"runtime"
 	"time"
 
@@ -20,7 +18,7 @@ import (
 // them through the engine at configurable parallelism with per-job
 // cancellation, and shares one persistent state store across all jobs so
 // each (device, capacity, seed) state is enforced at most once — ever.
-func runServe(args []string) error {
+func runServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("uflip serve", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8077", "listen address")
@@ -36,59 +34,53 @@ func runServe(args []string) error {
 		maxTrace = fs.Int64("max-trace-bytes", 0, "largest accepted trace upload in bytes (0 = 8 MiB)")
 		jobTO    = fs.Duration("job-timeout", 0, "kill a job still running after this long and report it failed (0 = no watchdog)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
+	return run(fs, args, func() error {
+		srv, err := server.New(server.Config{
+			StateDir:        *stateDir,
+			JobDir:          *jobDir,
+			QueueSize:       *queue,
+			Workers:         *jobs,
+			DefaultParallel: *parallel,
+			KeepJobs:        *keep,
+			RatePerSec:      *rate,
+			Burst:           *burst,
+			TenantQueue:     *tenantQ,
+			MaxTraceBytes:   *maxTrace,
+			JobTimeout:      *jobTO,
+		})
+		if err != nil {
+			return err
 		}
-		return err
-	}
-	srv, err := server.New(server.Config{
-		StateDir:        *stateDir,
-		JobDir:          *jobDir,
-		QueueSize:       *queue,
-		Workers:         *jobs,
-		DefaultParallel: *parallel,
-		KeepJobs:        *keep,
-		RatePerSec:      *rate,
-		Burst:           *burst,
-		TenantQueue:     *tenantQ,
-		MaxTraceBytes:   *maxTrace,
-		JobTimeout:      *jobTO,
-	})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Printf("uflip serve: listening on http://%s (%d job workers, queue %d", ln.Addr(), *jobs, *queue)
-	if *stateDir != "" {
-		fmt.Printf(", state store %s", *stateDir)
-	}
-	if *jobDir != "" {
-		fmt.Printf(", job dir %s", *jobDir)
-	}
-	fmt.Println(")")
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			return err
+		}
+		httpSrv := &http.Server{Handler: srv.Handler()}
+		fmt.Printf("uflip serve: listening on http://%s (%d job workers, queue %d", ln.Addr(), *jobs, *queue)
+		if *stateDir != "" {
+			fmt.Printf(", state store %s", *stateDir)
+		}
+		if *jobDir != "" {
+			fmt.Printf(", job dir %s", *jobDir)
+		}
+		fmt.Println(")")
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		fmt.Println("uflip serve: shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = httpSrv.Shutdown(shutdownCtx)
-		srv.Close()
-		return nil
-	case err := <-done:
-		srv.Close()
-		if errors.Is(err, http.ErrServerClosed) {
+		done := make(chan error, 1)
+		go func() { done <- httpSrv.Serve(ln) }()
+		select {
+		case <-ctx.Done():
+			fmt.Println("uflip serve: shutting down")
+			shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = httpSrv.Shutdown(shutdownCtx)
+			srv.Close()
 			return nil
+		case err := <-done:
+			srv.Close()
+			if errors.Is(err, http.ErrServerClosed) {
+				return nil
+			}
+			return err
 		}
-		return err
-	}
+	})
 }

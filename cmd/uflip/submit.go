@@ -2,129 +2,55 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"uflip/internal/api"
 	"uflip/internal/client"
-	"uflip/internal/profile"
-	"uflip/internal/trace"
+	"uflip/internal/job"
 )
 
-// runSubmit implements the "uflip submit" subcommand: run an experiment on a
-// remote `uflip serve` daemon instead of in-process. It mirrors the local
-// commands' flags — `uflip submit workload -device ... -kind oltp` submits
-// the job `uflip workload -device ... -kind oltp` runs locally — streams the
-// daemon's progress events to stderr while waiting, prints the report to
-// stdout and, with -out, writes the same result files the local command
-// would. The daemon computes results byte-identical to the local run.
-func runSubmit(args []string) error {
+// runSubmit implements "uflip submit [plan|workload|array] flags".
+func runSubmit(ctx context.Context, args []string) error {
 	kind := "plan"
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		kind = args[0]
 		args = args[1:]
 	}
-	switch kind {
-	case "plan", "workload", "array":
-	default:
+	if _, ok := flagText[kind]; !ok {
 		return fmt.Errorf("unknown submit kind %q (want plan, workload or array)", kind)
 	}
+	fs, _, cmd := submitCommand(ctx, kind)
+	return run(fs, args, cmd)
+}
 
+// submitCommand is `uflip submit <kind>`: its flag set — the job's flags, the
+// ones `uflip <kind>` registers, plus those that address the daemon — and the
+// remote shell around the same job, to call once the flags are parsed. It
+// sends the request the local command would run to a `uflip serve` daemon,
+// whose worker runs it with the function the local command calls. A -trace
+// file is uploaded first; progress events stream to stderr, the report goes
+// to stdout and, with -out, the fetched results through the local command's
+// Save. Ctrl-C cancels the job on the daemon.
+func submitCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, func() error) {
 	fs := flag.NewFlagSet("uflip submit "+kind, flag.ContinueOnError)
 	var (
-		serverURL = fs.String("server", "http://127.0.0.1:8077", "daemon base URL")
-		apiKey    = fs.String("api-key", "", "tenant API key (sent as "+api.KeyHeader+")")
-		outDir    = fs.String("out", "", "directory for result files (same layout as the local command)")
-		capacity  = fs.Int64("capacity", 1<<30, "simulated capacity in bytes, per member for array specs")
-		seed      = fs.Int64("seed", 42, "random seed")
-		parallel  = fs.Int("parallel", 0, "engine workers for the job (0 = server default; results are identical for any value)")
-		noFollow  = fs.Bool("detach", false, "submit and print the job ID without waiting for completion")
-
-		// plan + array
-		iocount = fs.Int("iocount", 1024, "base run length before methodology scaling")
-		// plan + workload
-		devKey = fs.String("device", "", "device profile or array spec (plan and workload)")
-		// plan
-		micros = fs.String("micro", "", "comma-separated micro-benchmarks (plan; default: all nine)")
-		// workload
-		wkind     = fs.String("kind", "oltp", "workload kind: oltp, append, zipf, bursty (or pass -trace)")
-		traceFile = fs.String("trace", "", "block trace (CSV or .utr) to upload and replay instead of a synthetic workload")
-		ops       = fs.Int("ops", 2048, "synthetic stream length in IOs")
-		segment   = fs.Int("segment", 512, "ops per replay segment")
-		window    = fs.Int("window", 256, "ios per windowed summary")
-		pageSize  = fs.Int64("page", 8*1024, "page size for oltp/zipf/bursty (bytes)")
-		ioSize    = fs.Int64("iosize", 32*1024, "append size for the append workload (bytes)")
-		target    = fs.Int64("target", 0, "target area in bytes (default: half the capacity)")
-		readFrac  = fs.Float64("read-frac", 0.7, "read fraction for oltp/zipf/bursty, in [0,1]")
-		streams   = fs.Int("streams", 4, "concurrent append streams for the append workload")
-		zipfS     = fs.Float64("zipf-s", 1.2, "Zipf skew for the zipf workload (> 1)")
-		think     = fs.Duration("think", 0, "inter-arrival gap between ops")
-		burstOps  = fs.Int("burst", 32, "ops per burst for the bursty workload")
-		burstGap  = fs.Duration("burst-gap", 100*time.Millisecond, "pause before each burst for the bursty workload")
-		// array
-		member  = fs.String("member", "", "member device profile (array)")
-		layouts = fs.String("layouts", "stripe,mirror,concat", "comma-separated layouts to sweep (array)")
-		counts  = fs.String("counts", "1,2,4", "comma-separated member counts (array)")
-		qds     = fs.String("qd", "1,4", "comma-separated per-member queue depths (array)")
-		chunk   = fs.Int64("chunk", 0, "stripe chunk size in bytes (array; 0 = default 128 KiB)")
-		degree  = fs.Int("degree", 4, "concurrent processes per baseline (array)")
+		jf     = registerJobFlags(fs, kind, 0)
+		server = fs.String("server", "http://127.0.0.1:8077", "daemon base URL")
+		apiKey = fs.String("api-key", "", "tenant API key (sent as "+api.KeyHeader+")")
+		detach = fs.Bool("detach", false, "submit and print the job ID without waiting for completion")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
+	return fs, jf, func() error {
+		req, err := jf.request()
+		if err != nil {
+			return err
 		}
-		return err
-	}
-
-	cl := &client.Client{BaseURL: *serverURL, APIKey: *apiKey}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	req := api.JobRequest{
-		Kind:     kind,
-		Device:   *devKey,
-		Capacity: *capacity,
-		Seed:     *seed,
-		Parallel: *parallel,
-	}
-	var stem string
-	switch kind {
-	case "plan":
-		if *devKey == "" {
-			return fmt.Errorf("pass -device <profile>")
-		}
-		req.IOCount = *iocount
-		if *micros != "" {
-			req.Micros = strings.Split(*micros, ",")
-		}
-		stem = fileSafe(*devKey)
-	case "workload":
-		if *devKey == "" {
-			return fmt.Errorf("pass -device <profile>")
-		}
-		if *target <= 0 {
-			*target = *capacity / 2
-		}
-		wr := &api.WorkloadRequest{SegmentOps: *segment, WindowOps: *window}
-		wr.Count = *ops
-		wr.PageSize = *pageSize
-		wr.IOSize = *ioSize
-		wr.TargetSize = *target
-		wr.ReadFraction = *readFrac
-		wr.ZipfS = *zipfS
-		wr.Streams = *streams
-		wr.Think = *think
-		wr.BurstOps = *burstOps
-		wr.BurstGap = *burstGap
-		if *traceFile != "" {
-			body, err := os.ReadFile(*traceFile)
+		cl := &client.Client{BaseURL: *server, APIKey: *apiKey}
+		if path := *jf.trace; path != "" {
+			body, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
@@ -132,131 +58,96 @@ func runSubmit(args []string) error {
 			if err != nil {
 				return fmt.Errorf("upload trace: %w", err)
 			}
-			fmt.Fprintf(os.Stderr, "trace %s uploaded: %d ops, hash %s\n", *traceFile, info.Ops, info.Hash)
-			wr.TraceHash = info.Hash
-		} else {
-			wr.Kind = *wkind
+			fmt.Fprintf(os.Stderr, "trace %s uploaded: %d ops, hash %s\n", path, info.Ops, info.Hash)
+			req.Workload.TraceHash = info.Hash
 		}
-		req.Workload = wr
-		stem = fileSafe(*devKey)
-	case "array":
-		if *member == "" {
-			return fmt.Errorf("pass -member <profile>")
-		}
-		req.IOCount = *iocount
-		req.Device = ""
-		req.Array = &api.ArrayRequest{
-			Member:     *member,
-			Layouts:    strings.Split(*layouts, ","),
-			ChunkBytes: *chunk,
-			Degree:     *degree,
-		}
-		var err error
-		if req.Array.Counts, err = parseInts(*counts, "counts", profile.MaxArrayMembers); err != nil {
+		st, err := cl.Submit(ctx, req)
+		if err != nil {
 			return err
 		}
-		if req.Array.QueueDepths, err = parseInts(*qds, "qd", profile.MaxArrayQueueDepth); err != nil {
-			return err
+		fmt.Fprintf(os.Stderr, "job %s submitted (%s)\n", st.ID, st.Status)
+		if *detach {
+			fmt.Println(st.ID)
+			return nil
 		}
-		stem = fileSafe(*member)
-	}
+		// An interrupted local run stops; so does the job this command follows.
+		// The interrupted context cannot carry the request, a short fresh one does.
+		defer func() {
+			if ctx.Err() == nil {
+				return
+			}
+			cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+			defer cancel()
+			if _, err := cl.Cancel(cctx, st.ID); err != nil {
+				fmt.Fprintf(os.Stderr, "job %s: cancel: %v\n", st.ID, err)
+			}
+		}()
 
-	st, err := cl.Submit(ctx, req)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "job %s submitted (%s)\n", st.ID, st.Status)
-	if *noFollow {
-		fmt.Println(st.ID)
+		// Follow the daemon's server-sent progress events on stderr; the client
+		// reconnects with Last-Event-ID if the connection drops, so a flaky link
+		// (or a daemon restart) does not lose progress.
+		err = cl.Events(ctx, st.ID, 0, func(ev api.Event) {
+			switch ev.Type {
+			case api.EventProgress:
+				fmt.Fprintf(os.Stderr, "  [%d/%d] %s\n", ev.Done, ev.Total, ev.Detail)
+			case api.EventStage:
+				fmt.Fprintf(os.Stderr, "%s\n", ev.Detail)
+			case api.EventFailed:
+				fmt.Fprintf(os.Stderr, "job %s failed: %s\n", ev.Job, ev.Error)
+			default:
+				if ev.Detail != "" {
+					fmt.Fprintf(os.Stderr, "job %s %s: %s\n", ev.Job, ev.Type, ev.Detail)
+				} else {
+					fmt.Fprintf(os.Stderr, "job %s %s\n", ev.Job, ev.Type)
+				}
+			}
+		})
+		if err != nil {
+			return err
+		}
+		out, err := fetchOutcome(ctx, cl, st.ID, kind)
+		if err != nil {
+			return err
+		}
+		os.Stdout.Write(out.Report)
+		if *jf.out != "" {
+			saved, err := out.Save(*jf.out, stem(req))
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(os.Stderr, saved)
+		}
 		return nil
 	}
+}
 
-	// Follow the daemon's server-sent progress events on stderr; the client
-	// reconnects with Last-Event-ID if the connection drops, so a flaky link
-	// (or a daemon restart) does not lose progress.
-	err = cl.Events(ctx, st.ID, 0, func(ev api.Event) {
-		switch ev.Type {
-		case api.EventProgress:
-			fmt.Fprintf(os.Stderr, "  [%d/%d] %s\n", ev.Done, ev.Total, ev.Detail)
-		case api.EventStage:
-			fmt.Fprintf(os.Stderr, "%s\n", ev.Detail)
-		case api.EventFailed:
-			fmt.Fprintf(os.Stderr, "job %s failed: %s\n", ev.Job, ev.Error)
-		default:
-			if ev.Detail != "" {
-				fmt.Fprintf(os.Stderr, "job %s %s: %s\n", ev.Job, ev.Type, ev.Detail)
-			} else {
-				fmt.Fprintf(os.Stderr, "job %s %s\n", ev.Job, ev.Type)
-			}
-		}
-	})
+// fetchOutcome fetches a terminated job into the Outcome a local run of it
+// would have produced: the report, and the grid rows or the run records with
+// the summary CSV verbatim, the bytes the daemon rendered and persisted. A job
+// that did not finish is an error.
+func fetchOutcome(ctx context.Context, cl *client.Client, id, kind string) (*job.Outcome, error) {
+	final, err := cl.Status(ctx, id)
 	if err != nil {
-		return err
-	}
-	final, err := cl.Status(ctx, st.ID)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	switch final.Status {
 	case api.StatusDone:
 	case api.StatusCanceled:
-		return fmt.Errorf("job %s was canceled", final.ID)
+		return nil, fmt.Errorf("job %s was canceled", id)
 	default:
-		return fmt.Errorf("job %s %s: %s", final.ID, final.Status, final.Error)
+		return nil, fmt.Errorf("job %s %s: %s", id, final.Status, final.Error)
 	}
-
-	rep, err := cl.Report(ctx, final.ID)
-	if err != nil {
-		return err
-	}
-	os.Stdout.Write(rep)
-
-	if *outDir == "" {
-		return nil
+	out := &job.Outcome{Kind: kind}
+	if out.Report, err = cl.Report(ctx, id); err != nil {
+		return nil, err
 	}
 	if kind == "array" {
-		rows, err := cl.ResultRows(ctx, final.ID)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*outDir, stem+"-arrays.json")
-		f, err := trace.Create(path)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "grid written to %s\n", path)
-		return nil
+		out.Rows, err = cl.ResultRows(ctx, id)
+		return out, err
 	}
-	// The CSV comes back verbatim — the same bytes the daemon persisted and
-	// the same bytes the local command would write — and lands under the
-	// local command's file name, so downstream tooling cannot tell a remote
-	// run from a local one.
-	if kind == "workload" {
-		stem += "-workload"
+	if out.CSV, err = cl.CSV(ctx, id); err != nil {
+		return nil, err
 	}
-	csv, err := cl.CSV(ctx, final.ID)
-	if err != nil {
-		return err
-	}
-	records, err := cl.ResultRecords(ctx, final.ID)
-	if err != nil {
-		return err
-	}
-	if err := trace.SaveJSON(filepath.Join(*outDir, stem+".jsonl"), records); err != nil {
-		return err
-	}
-	if err := trace.WriteFileAtomic(filepath.Join(*outDir, stem+".csv"), csv); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "results written under %s\n", *outDir)
-	return nil
+	out.Records, err = cl.ResultRecords(ctx, id)
+	return out, err
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 
@@ -31,26 +30,22 @@ func runTraceConvert(args []string) error {
 		out = fs.String("out", "", "output trace path")
 		to  = fs.String("to", "", "output format: csv or utr (default: by the -out extension)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
+	return run(fs, args, func() error {
+		if *in == "" || *out == "" {
+			return fmt.Errorf("pass -in <trace> and -out <trace>")
 		}
-		return err
-	}
-	if *in == "" || *out == "" {
-		return fmt.Errorf("pass -in <trace> and -out <trace>")
-	}
-	format := *to
-	if format == "" {
-		format = workload.FormatForPath(*out)
-	}
-	if format != workload.TraceFormatCSV && format != workload.TraceFormatUTR {
-		return fmt.Errorf("unknown trace format %q (want csv or utr)", format)
-	}
-	n, err := workload.ConvertTraceFile(*in, *out, format)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("converted %d records: %s -> %s (%s)\n", n, *in, *out, format)
-	return nil
+		format := *to
+		if format == "" {
+			format = workload.FormatForPath(*out)
+		}
+		if format != workload.TraceFormatCSV && format != workload.TraceFormatUTR {
+			return fmt.Errorf("unknown trace format %q (want csv or utr)", format)
+		}
+		n, err := workload.ConvertTraceFile(*in, *out, format)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("converted %d records: %s -> %s (%s)\n", n, *in, *out, format)
+		return nil
+	})
 }

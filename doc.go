@@ -107,9 +107,11 @@
 // a format version and payload CRC, so corrupted or truncated caches fail
 // loudly instead of mis-loading. On top of the store, "uflip serve"
 // (internal/server) runs the simulator as a long-lived experiment daemon:
-// plan, workload and array-sweep jobs submitted as JSON over HTTP execute
-// through the same pipelines as the CLI (byte-identical results, pinned by
-// tests and a CI diff), with a bounded job queue, configurable per-job
+// plan, workload and array-sweep jobs submitted as JSON over HTTP run
+// through internal/job — Normalize, then Run, the function the local
+// commands call in-process on the request their flags describe, so results
+// are byte-identical by construction (and pinned end to end by the tests of
+// cmd/uflip) — with a bounded job queue, configurable per-job
 // parallelism, per-job cancellation, and one state store shared by all
 // jobs — each device state is enforced at most once, ever. With -jobdir a
 // job is four files — <id>.jsonl (the run records, as "uflip -out" writes

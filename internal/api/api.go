@@ -77,7 +77,8 @@ type JobRequest struct {
 	// Device is the profile key or array spec (plan and workload kinds).
 	Device string `json:"device,omitempty"`
 	// Capacity is the simulated capacity in bytes, per member for array
-	// specs (0 = 1 GiB, the CLI default).
+	// specs and the array kind (0 = 1 GiB for every kind; the -capacity flag
+	// of `uflip array`, local or submitted, defaults to 256 MiB and is sent).
 	Capacity int64 `json:"capacity,omitempty"`
 	// Seed is the random seed (0 = 42, the CLI default).
 	Seed int64 `json:"seed,omitempty"`
@@ -116,24 +117,37 @@ type WorkloadRequest struct {
 	WindowOps int `json:"window_ops,omitempty"`
 }
 
-// UnmarshalJSON seeds the CLI flag defaults before decoding, so an omitted
+// Defaults returns the one table of job defaults: the flags of the local
+// commands and of `uflip submit` default to these values, UnmarshalJSON seeds
+// an omitted workload field from them and job.Normalize fills a zero capacity,
+// seed or iocount from them — an omitted value means the same everywhere.
+func Defaults() JobRequest {
+	return JobRequest{
+		Capacity: 1 << 30,
+		Seed:     42,
+		IOCount:  1024,
+		Workload: &WorkloadRequest{
+			Spec: workload.Spec{
+				Count:        2048,
+				PageSize:     8 * 1024,
+				IOSize:       32 * 1024,
+				ReadFraction: 0.7,
+				ZipfS:        1.2,
+				Streams:      4,
+				BurstOps:     32,
+				BurstGap:     100 * time.Millisecond,
+			},
+			SegmentOps: 512,
+			WindowOps:  256,
+		},
+	}
+}
+
+// UnmarshalJSON seeds the workload defaults before decoding, so an omitted
 // field means "the CLI default" while an explicit zero stays expressible.
 func (wr *WorkloadRequest) UnmarshalJSON(b []byte) error {
 	type plain WorkloadRequest
-	tmp := plain{
-		Spec: workload.Spec{
-			Count:        2048,
-			PageSize:     8 * 1024,
-			IOSize:       32 * 1024,
-			ReadFraction: 0.7,
-			ZipfS:        1.2,
-			Streams:      4,
-			BurstOps:     32,
-			BurstGap:     100 * time.Millisecond,
-		},
-		SegmentOps: 512,
-		WindowOps:  256,
-	}
+	tmp := plain(*Defaults().Workload)
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&tmp); err != nil {

@@ -84,18 +84,23 @@ func decodeError(resp *http.Response) error {
 	}}
 }
 
-// getJSON fetches path and decodes the response into out.
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
-	if err != nil {
-		return err
-	}
+// doJSON runs one request and decodes its 2xx response body into out.
+func (c *Client) doJSON(req *http.Request, out any) error {
 	resp, err := c.do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// getJSON fetches path and decodes the response into out.
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
+	if err != nil {
+		return err
+	}
+	return c.doJSON(req, out)
 }
 
 // getRaw fetches path and returns the raw body bytes.
@@ -114,22 +119,17 @@ func (c *Client) getRaw(ctx context.Context, path string) ([]byte, error) {
 
 // Submit posts a job and returns its accepted status (ID included).
 func (c *Client) Submit(ctx context.Context, jr api.JobRequest) (api.JobStatus, error) {
+	var st api.JobStatus
 	body, err := json.Marshal(jr)
 	if err != nil {
-		return api.JobStatus{}, err
+		return st, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url("/jobs"), bytes.NewReader(body))
 	if err != nil {
-		return api.JobStatus{}, err
+		return st, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(req)
-	if err != nil {
-		return api.JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	var st api.JobStatus
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return st, c.doJSON(req, &st)
 }
 
 // Status fetches a job's current status.
@@ -146,17 +146,12 @@ func (c *Client) List(ctx context.Context) (api.JobList, error) {
 
 // Cancel cancels a job (queued or running) and returns its status.
 func (c *Client) Cancel(ctx context.Context, id string) (api.JobStatus, error) {
+	var st api.JobStatus
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.url("/jobs/"+id), nil)
 	if err != nil {
-		return api.JobStatus{}, err
+		return st, err
 	}
-	resp, err := c.do(req)
-	if err != nil {
-		return api.JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	var st api.JobStatus
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return st, c.doJSON(req, &st)
 }
 
 // CSV fetches a finished job's summary CSV — byte-identical to the file the
@@ -195,13 +190,8 @@ func (c *Client) UploadTrace(ctx context.Context, body []byte) (api.TraceInfo, e
 	} else {
 		req.Header.Set("Content-Type", "text/csv")
 	}
-	resp, err := c.do(req)
-	if err != nil {
-		return api.TraceInfo{}, err
-	}
-	defer resp.Body.Close()
 	var info api.TraceInfo
-	return info, json.NewDecoder(resp.Body).Decode(&info)
+	return info, c.doJSON(req, &info)
 }
 
 // Trace fetches an uploaded block trace's raw bytes by its content hash.

@@ -222,31 +222,58 @@ func (s *ArraySpec) Build(perMemberCapacity int64) (*device.CompositeDevice, err
 	}, members)
 }
 
+// parsed is a device spec parsed once, whichever of the three forms it has —
+// a faulty(...) wrapper, an array expression or a plain profile key: what each
+// of BuildDevice, DescribeDevice and CanonicalSpec needs of it.
+type parsed struct {
+	canonical string
+	build     func(capacity int64) (device.Cloneable, error)
+	describe  func() (string, error)
+}
+
+// parse is the one dispatch over the forms of a device spec. A plain key is
+// looked up only when built or described: its canonical form is itself.
+func parse(spec string) (parsed, error) {
+	switch {
+	case IsFaultySpec(spec):
+		s, err := ParseFaultySpec(spec)
+		if err != nil {
+			return parsed{}, err
+		}
+		return parsed{s.String(), func(c int64) (device.Cloneable, error) { return s.Build(c) }, s.describe}, nil
+	case IsArraySpec(spec):
+		s, err := ParseArraySpec(spec)
+		if err != nil {
+			return parsed{}, err
+		}
+		return parsed{s.String(), func(c int64) (device.Cloneable, error) { return s.Build(c) }, s.describe}, nil
+	default:
+		build := func(c int64) (device.Cloneable, error) {
+			p, err := ByKey(spec)
+			if err != nil {
+				return nil, err
+			}
+			return p.BuildWithCapacity(c)
+		}
+		describe := func() (string, error) {
+			p, err := ByKey(spec)
+			return p.String(), err
+		}
+		return parsed{spec, build, describe}, nil
+	}
+}
+
 // BuildDevice builds the device a spec names: a single simulated device when
 // spec is a profile key, a composite array when it is an array expression, a
 // fault-injecting wrapper when it is a faulty(...) expression. capacity is
 // the logical capacity — per member for arrays. Every kind is cloneable, so
 // the engine's snapshotting master works for any spec.
 func BuildDevice(spec string, capacity int64) (device.Cloneable, error) {
-	if IsFaultySpec(spec) {
-		s, err := ParseFaultySpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		return s.Build(capacity)
-	}
-	if IsArraySpec(spec) {
-		s, err := ParseArraySpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		return s.Build(capacity)
-	}
-	p, err := ByKey(spec)
+	p, err := parse(spec)
 	if err != nil {
 		return nil, err
 	}
-	return p.BuildWithCapacity(capacity)
+	return p.build(capacity)
 }
 
 // DescribeDevice returns a one-line human description of a spec: the profile
@@ -254,28 +281,22 @@ func BuildDevice(spec string, capacity int64) (device.Cloneable, error) {
 // for arrays, the canonical spec over the wrapped description for faulty
 // wrappers.
 func DescribeDevice(spec string) (string, error) {
-	if IsFaultySpec(spec) {
-		s, err := ParseFaultySpec(spec)
-		if err != nil {
-			return "", err
-		}
-		inner, err := DescribeDevice(s.Inner)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%s injecting faults into %s", s.String(), inner), nil
-	}
-	if !IsArraySpec(spec) {
-		p, err := ByKey(spec)
-		if err != nil {
-			return "", err
-		}
-		return p.String(), nil
-	}
-	s, err := ParseArraySpec(spec)
+	p, err := parse(spec)
 	if err != nil {
 		return "", err
 	}
+	return p.describe()
+}
+
+// CanonicalSpec canonicalizes any device spec: plain profile keys pass
+// through, array and faulty expressions are rewritten in their canonical
+// form. Invalid specs return an error.
+func CanonicalSpec(spec string) (string, error) {
+	p, err := parse(spec)
+	return p.canonical, err
+}
+
+func (s *ArraySpec) describe() (string, error) {
 	seen := make(map[string]bool)
 	var parts []string
 	for _, key := range s.MemberKeys {

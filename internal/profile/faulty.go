@@ -69,26 +69,13 @@ func splitArgs(s string) []string {
 }
 
 // canonicalMember validates a spec usable inside another spec — a plain
-// profile key or a nested expression — and returns its canonical form.
+// profile key (syntactically: it resolves at Build time) or a nested
+// expression — and returns its canonical form.
 func canonicalMember(spec string) (string, error) {
-	switch {
-	case IsFaultySpec(spec):
-		s, err := ParseFaultySpec(spec)
-		if err != nil {
-			return "", err
-		}
-		return s.String(), nil
-	case IsArraySpec(spec):
-		s, err := ParseArraySpec(spec)
-		if err != nil {
-			return "", err
-		}
-		return s.String(), nil
-	case memberKeyRE.MatchString(spec):
-		return spec, nil
-	default:
+	if !strings.ContainsRune(spec, '(') && !memberKeyRE.MatchString(spec) {
 		return "", fmt.Errorf("profile: bad device spec %q", spec)
 	}
+	return CanonicalSpec(spec)
 }
 
 // ParseFaultySpec parses a faulty(...) expression. The inner spec is
@@ -237,24 +224,10 @@ func (s *FaultySpec) Build(capacity int64) (*device.FaultyDevice, error) {
 	return device.NewFaulty(cfg, inner), nil
 }
 
-// CanonicalSpec canonicalizes any device spec: plain profile keys pass
-// through, array and faulty expressions are rewritten in their canonical
-// form. Invalid specs return an error.
-func CanonicalSpec(spec string) (string, error) {
-	switch {
-	case IsFaultySpec(spec):
-		s, err := ParseFaultySpec(spec)
-		if err != nil {
-			return "", err
-		}
-		return s.String(), nil
-	case IsArraySpec(spec):
-		s, err := ParseArraySpec(spec)
-		if err != nil {
-			return "", err
-		}
-		return s.String(), nil
-	default:
-		return spec, nil
+func (s *FaultySpec) describe() (string, error) {
+	inner, err := DescribeDevice(s.Inner)
+	if err != nil {
+		return "", err
 	}
+	return fmt.Sprintf("%s injecting faults into %s", s.String(), inner), nil
 }

@@ -6,7 +6,6 @@ package server_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -14,9 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"uflip/internal/paperexp"
 	"uflip/internal/server"
 	"uflip/internal/trace"
 	"uflip/internal/workload"
@@ -108,25 +105,10 @@ func TestJobFilesLayout(t *testing.T) {
 	}
 	stop()
 
-	out, err := paperexp.RunBenchmark(context.Background(), "mtron",
-		paperexp.Config{Capacity: testCapacity, Seed: 42, IOCount: testIOCount},
-		paperexp.BenchmarkRequest{Micros: []string{"Order"}, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	local := map[string][]trace.RunRecord{
+		plan.ID: runLocally(t, planRequest("mtron", "Order"), nil).Records,
+		wl.ID:   runLocally(t, workloadRequest(), nil).Records,
 	}
-	spec := workloadRequest().Workload.Spec
-	spec.Seed, spec.TargetSize = 42, testCapacity/2
-	gen, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := workload.Generate(context.Background(), gen,
-		paperexp.ShardFactory("kingston-dti", paperexp.Config{Capacity: testCapacity, Seed: 42, Pause: time.Second}),
-		workload.Options{SegmentOps: 100, Workers: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := map[string][]trace.RunRecord{plan.ID: paperexp.Records(out.Results), wl.ID: paperexp.WorkloadRecords(res)}
 
 	for id, result := range results {
 		record := readFile(t, filepath.Join(jobDir, "jobs", id+".json"))

@@ -21,9 +21,11 @@
 //     typed 429/503 envelopes, and POST /v1/traces accepts bounded-size
 //     block-trace CSVs that workload jobs reference by content hash.
 //
-// Every job routes through the same pipeline the CLI uses
-// (paperexp.RunBenchmark, workload.Generate, paperexp.ArraySweep), so a
-// job's results are byte-identical to the equivalent CLI invocation. All
+// Every job runs through job.Run, the function the local commands call
+// in-process, on the request job.Normalize accepted at submission — so a
+// job's results are the bytes of the equivalent CLI invocation by
+// construction. The daemon itself only queues, observes (the runner's
+// observers become the job's event stream), persists and serves. All
 // jobs share one persistent state store (when configured): the first job
 // needing a (device, capacity, seed) state enforces and saves it, every
 // later job — concurrent or in a later process — loads it from disk and
@@ -39,18 +41,15 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"uflip/internal/api"
-	"uflip/internal/core"
-	"uflip/internal/device"
+	runner "uflip/internal/job" // "job" is this package's queue entry
 	"uflip/internal/methodology"
 	"uflip/internal/paperexp"
-	"uflip/internal/profile"
 	"uflip/internal/report"
 	"uflip/internal/server/events"
 	"uflip/internal/statestore"
@@ -131,13 +130,6 @@ func (c Config) workers() int {
 		return 2
 	}
 	return c.Workers
-}
-
-func (c Config) defaultParallel() int {
-	if c.DefaultParallel <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.DefaultParallel
 }
 
 func (c Config) keepJobs() int {
@@ -311,6 +303,9 @@ func (s *Server) loadJobs() error {
 			j.csv = s.jobsdir.artifact(rec.ID, ".csv")
 			j.report = s.jobsdir.artifact(rec.ID, ".report")
 		default:
+			// An older daemon may have left a default to execution; a
+			// request that no longer validates at all fails when it runs.
+			_ = runner.Normalize(&j.req)
 			j.status = StatusQueued
 			j.errText = ""
 			j.started = time.Time{}
@@ -454,83 +449,19 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// validate normalizes a request, applying the CLI-equivalent defaults.
+// validate normalizes a request as every surface does and checks that the
+// trace it names, if any, has been uploaded here.
 func (s *Server) validate(req *JobRequest) error {
-	if req.Capacity == 0 {
-		req.Capacity = 1 << 30
+	if err := runner.Normalize(req); err != nil {
+		return err
 	}
-	if req.Capacity < 0 {
-		return fmt.Errorf("capacity must be positive")
-	}
-	if req.Seed == 0 {
-		req.Seed = 42
-	}
-	switch req.Kind {
-	case "plan":
-		if req.Device == "" {
-			return fmt.Errorf("plan jobs need a device")
-		}
-		if _, err := profile.DescribeDevice(req.Device); err != nil {
-			return err
-		}
-		// Resolve micro names now: a typo must be a 400 at submission, not
-		// a failed job after the expensive state enforcement already ran.
-		if _, err := paperexp.SelectMicros(req.Micros, core.StandardDefaults(), req.Capacity); err != nil {
-			return err
-		}
-	case "workload":
-		if req.Device == "" {
-			return fmt.Errorf("workload jobs need a device")
-		}
-		if _, err := profile.DescribeDevice(req.Device); err != nil {
-			return err
-		}
-		if req.Workload == nil {
-			return fmt.Errorf("workload jobs need a workload spec")
-		}
-		// Normalize in place so validation and execution build the exact
-		// same spec: the job seed drives the stream and the target defaults
-		// to half the capacity, as the CLI derives it. The other CLI-flag
-		// defaults were seeded by WorkloadRequest.UnmarshalJSON.
-		req.Workload.Seed = req.Seed
-		if req.Workload.TargetSize == 0 {
-			req.Workload.TargetSize = req.Capacity / 2
-		}
-		if th := req.Workload.TraceHash; th != "" {
-			if req.Workload.Kind != "" && req.Workload.Kind != "trace" {
-				return fmt.Errorf("workload kind %q conflicts with trace_hash (leave kind empty or \"trace\")", req.Workload.Kind)
-			}
-			req.Workload.Kind = "trace"
-			if !s.traces.contains(th) {
-				return fmt.Errorf("unknown trace %q (upload it via POST /%s/traces first)", th, api.Version)
-			}
-			return nil
-		}
-		if req.Workload.Kind == "trace" {
+	if w := req.Workload; req.Kind == "workload" && w.Kind == "trace" {
+		if w.TraceHash == "" {
 			return fmt.Errorf("trace workloads need a trace_hash (upload via POST /%s/traces)", api.Version)
 		}
-		if req.Workload.Count <= 0 {
-			return fmt.Errorf("workload jobs need a positive op count")
+		if !s.traces.contains(w.TraceHash) {
+			return fmt.Errorf("unknown trace %q (upload it via POST /%s/traces first)", w.TraceHash, api.Version)
 		}
-		if _, err := req.Workload.Spec.Build(); err != nil {
-			return err
-		}
-	case "array":
-		if req.Array == nil || req.Array.Member == "" {
-			return fmt.Errorf("array jobs need an array.member profile")
-		}
-		// DescribeDevice, not ByKey: a faulty(...)-wrapped member is a valid
-		// sweep member and must pass submission validation.
-		if _, err := profile.DescribeDevice(req.Array.Member); err != nil {
-			return err
-		}
-		for _, l := range req.Array.Layouts {
-			if _, err := device.ParseLayout(l); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unknown job kind %q (want plan, workload or array)", req.Kind)
 	}
 	return nil
 }
@@ -905,17 +836,6 @@ func (s *Server) runJob(j *job) {
 	j.emit(api.Event{Type: api.EventRunning})
 
 	err := s.execute(ctx, j)
-	if err == nil && j.req.Kind != "array" {
-		// Render the summary CSV once, now: the bytes served by /csv, the
-		// bytes persisted to the job directory and the bytes a restarted
-		// daemon serves are all the same render.
-		var buf bytes.Buffer
-		if cerr := trace.WriteSummaryCSV(&buf, j.records); cerr != nil {
-			err = cerr
-		} else {
-			j.csv = buf.Bytes()
-		}
-	}
 
 	s.mu.Lock()
 	j.finished = s.now()
@@ -1006,188 +926,65 @@ func (s *Server) evictLocked() {
 	}
 }
 
-func (s *Server) parallel(req JobRequest) int {
-	if req.Parallel > 0 {
-		return req.Parallel
-	}
-	return s.cfg.defaultParallel()
-}
-
-// progressFunc adapts engine progress callbacks into the job's event stream.
-func (j *job) progressFunc() func(done, total int, desc string) {
-	return func(done, total int, desc string) {
-		j.emit(api.Event{Type: api.EventProgress, Done: done, Total: total, Detail: desc})
-	}
-}
-
-// execute dispatches by kind; results land in the job under the server lock.
+// execute runs the job through the shared runner, the runner's observers
+// mapped onto the job's event stream. The report and the summary CSV are the
+// runner's renders, each made once: the bytes served, the bytes persisted and
+// the bytes a restarted daemon serves are the same buffers.
 func (s *Server) execute(ctx context.Context, j *job) error {
-	switch j.req.Kind {
-	case "plan":
-		return s.executePlan(ctx, j)
-	case "workload":
-		return s.executeWorkload(ctx, j)
-	case "array":
-		return s.executeArray(ctx, j)
-	default:
-		return fmt.Errorf("unknown job kind %q", j.req.Kind)
+	stage := func(name, detail string, total int) {
+		j.emit(api.Event{Type: api.EventStage, Stage: name, Detail: detail, Total: total})
 	}
-}
-
-func (s *Server) executePlan(ctx context.Context, j *job) error {
-	req := j.req
-	cfg := paperexp.Config{Capacity: req.Capacity, Seed: req.Seed, IOCount: req.IOCount, Store: s.store}
-	out, err := paperexp.RunBenchmark(ctx, req.Device, cfg, paperexp.BenchmarkRequest{
-		Micros:   req.Micros,
-		Workers:  s.parallel(req),
-		Progress: j.progressFunc(),
+	env := runner.Env{
+		Store:   s.store,
+		Workers: s.cfg.DefaultParallel,
+		Progress: func(done, total int, desc string) {
+			j.emit(api.Event{Type: api.EventProgress, Done: done, Total: total, Detail: desc})
+		},
 		Stages: paperexp.Stages{
 			EnforcingState: func(capacity int64) {
-				j.emit(api.Event{Type: api.EventStage, Stage: api.StageEnforcingState,
-					Detail: fmt.Sprintf("enforcing random state over %d MB", capacity>>20)})
+				stage(api.StageEnforcingState, fmt.Sprintf("enforcing random state over %d MB", capacity>>20), 0)
 			},
 			StateEnforced: func(at time.Duration, hit bool) {
 				detail := fmt.Sprintf("state enforced in %v of device time", at.Round(time.Second))
 				if hit {
 					detail = fmt.Sprintf("state cache hit (%v of device time), fill skipped", at.Round(time.Second))
 				}
-				j.emit(api.Event{Type: api.EventStage, Stage: api.StageStateEnforced, Detail: detail})
+				stage(api.StageStateEnforced, detail, 0)
 			},
-			PhasesMeasured: func(p *methodology.PhaseReport) {
-				j.emit(api.Event{Type: api.EventStage, Stage: api.StagePhasesMeasured,
-					Detail: "start-up and running phases measured"})
+			PhasesMeasured: func(*methodology.PhaseReport) {
+				stage(api.StagePhasesMeasured, "start-up and running phases measured", 0)
 			},
 			PauseMeasured: func(p *methodology.PauseReport) {
-				j.emit(api.Event{Type: api.EventStage, Stage: api.StagePauseMeasured,
-					Detail: fmt.Sprintf("pause between runs: %v", p.RecommendedPause)})
+				stage(api.StagePauseMeasured, fmt.Sprintf("pause between runs: %v", p.RecommendedPause), 0)
 			},
 			PlanBuilt: func(plan methodology.Plan, workers int) {
-				j.emit(api.Event{Type: api.EventStage, Stage: api.StagePlanBuilt, Total: len(plan.Steps) - plan.Resets,
-					Detail: fmt.Sprintf("plan: %d runs on %d workers", len(plan.Steps)-plan.Resets, workers)})
+				runs := len(plan.Steps) - plan.Resets
+				stage(api.StagePlanBuilt, fmt.Sprintf("plan: %d runs on %d workers", runs, workers), runs)
 			},
 		},
-	})
-	if err != nil {
-		return err
 	}
-	var rep bytes.Buffer
-	if err := report.PlanSection(&rep, out.Micros, out.Results, core.StandardDefaults().IOSize); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	j.records = paperexp.Records(out.Results)
-	j.report = rep.Bytes()
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *Server) executeWorkload(ctx context.Context, j *job) error {
-	req := j.req // normalized by validate at submission
-	var src workload.Source
-	if th := req.Workload.TraceHash; th != "" {
-		h, ok, err := s.traces.open(th)
+	if w := j.req.Workload; j.req.Kind == "workload" && w.TraceHash != "" {
+		h, ok, err := s.traces.open(w.TraceHash)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("trace %s is no longer available", th)
+			return fmt.Errorf("trace %s is no longer available", w.TraceHash)
 		}
 		defer h.Close()
-		// Reports carry the format-independent ops-hash, so the CSV and
-		// .utr uploads of one stream replay to byte-identical results.
-		label := h.Info.OpsHash
-		if len(label) > 12 {
-			label = label[:12]
-		}
-		if h.Info.Format == workload.TraceFormatUTR {
-			if src, err = workload.NewUTRSource(h, h.Size, label); err != nil {
-				return err
-			}
-		} else {
-			ops, err := workload.ReadTrace(io.NewSectionReader(h, 0, h.Size))
-			if err != nil {
-				return err
-			}
-			src = workload.OpsSource(workload.Trace{Label: label}.Name(), ops)
-		}
-	} else {
-		gen, err := req.Workload.Spec.Build()
-		if err != nil {
+		// Reports carry the head of the format-independent ops-hash (a hex
+		// SHA-256), so the CSV and .utr uploads of one stream replay to
+		// byte-identical results.
+		if env.Source, err = workload.OpenTrace(h, h.Size, h.Info.OpsHash[:12]); err != nil {
 			return err
 		}
-		ops, err := gen.Generate()
-		if err != nil {
-			return err
-		}
-		src = workload.OpsSource(gen.Name(), ops)
 	}
-	factory := paperexp.ShardFactory(req.Device, paperexp.Config{
-		Capacity: req.Capacity,
-		Seed:     req.Seed,
-		Pause:    time.Second,
-		Store:    s.store,
-	})
-	res, err := workload.ReplaySource(ctx, src, factory, workload.Options{
-		SegmentOps: req.Workload.SegmentOps,
-		Workers:    s.parallel(req),
-		Seed:       req.Seed,
-		WindowOps:  req.Workload.WindowOps,
-		Progress:   j.progressFunc(),
-	})
+	out, err := runner.Run(ctx, j.req, env)
 	if err != nil {
 		return err
 	}
-	var rep bytes.Buffer
-	if err := report.WorkloadSection(&rep, res); err != nil {
-		return err
-	}
 	s.mu.Lock()
-	j.records = paperexp.WorkloadRecords(res)
-	j.report = rep.Bytes()
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *Server) executeArray(ctx context.Context, j *job) error {
-	req := j.req
-	ar := req.Array
-	ac := paperexp.ArrayConfig{
-		Member:      ar.Member,
-		Counts:      ar.Counts,
-		QueueDepths: ar.QueueDepths,
-		ChunkBytes:  ar.ChunkBytes,
-		Degree:      ar.Degree,
-		Workers:     s.parallel(req),
-	}
-	for _, l := range ar.Layouts {
-		layout, err := device.ParseLayout(l)
-		if err != nil {
-			return err
-		}
-		ac.Layouts = append(ac.Layouts, layout)
-	}
-	iocount := req.IOCount
-	if iocount <= 0 {
-		iocount = 1024
-	}
-	cfg := paperexp.Config{
-		Capacity: req.Capacity,
-		Seed:     req.Seed,
-		IOCount:  iocount,
-		Pause:    paperexp.DefaultConfig().Pause,
-		Store:    s.store,
-	}
-	rows, err := paperexp.ArraySweep(ctx, cfg, ac, j.progressFunc())
-	if err != nil {
-		return err
-	}
-	var rep bytes.Buffer
-	if err := report.ArraySection(&rep, rows); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	j.rows = rows
-	j.report = rep.Bytes()
+	j.records, j.rows, j.csv, j.report = out.Records, out.Rows, out.CSV, out.Report
 	s.mu.Unlock()
 	return nil
 }

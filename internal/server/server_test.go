@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"uflip/internal/api"
+	"uflip/internal/job"
 	"uflip/internal/paperexp"
 	"uflip/internal/server"
 	"uflip/internal/statestore"
@@ -123,22 +124,19 @@ func planRequest(device, micro string) server.JobRequest {
 	}
 }
 
-// cliPlanCSV renders the CSV the equivalent CLI invocation would write.
-func cliPlanCSV(t *testing.T, device, micro string, workers int) []byte {
+// runLocally runs req the way `uflip`, `uflip workload` and `uflip array` run
+// the job their flags describe: normalized, then through job.Run, in-process.
+// src is the opened trace when req replays one.
+func runLocally(t *testing.T, req server.JobRequest, src workload.Source) *job.Outcome {
 	t.Helper()
-	out, err := paperexp.RunBenchmark(context.Background(), device, paperexp.Config{
-		Capacity: testCapacity,
-		Seed:     42,
-		IOCount:  testIOCount,
-	}, paperexp.BenchmarkRequest{Micros: []string{micro}, Workers: workers})
+	if err := job.Normalize(&req); err != nil {
+		t.Fatal(err)
+	}
+	out, err := job.Run(context.Background(), req, job.Env{Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteSummaryCSV(&buf, paperexp.Records(out.Results)); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return out
 }
 
 func TestPlanJobMatchesCLI(t *testing.T) {
@@ -152,7 +150,7 @@ func TestPlanJobMatchesCLI(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("csv: HTTP %d", code)
 	}
-	if want := cliPlanCSV(t, "mtron", "Granularity", 2); !bytes.Equal(csv, want) {
+	if want := runLocally(t, planRequest("mtron", "Granularity"), nil).CSV; !bytes.Equal(csv, want) {
 		t.Fatal("server CSV differs from the equivalent CLI run")
 	}
 	code, rep := get(t, ts, "/jobs/"+st.ID+"/report")
@@ -199,7 +197,7 @@ func TestEightConcurrentJobs(t *testing.T) {
 	for i, c := range cases {
 		waitFor(t, ts, ids[i], server.StatusDone)
 		_, csv := get(t, ts, "/jobs/"+ids[i]+"/csv")
-		if want := cliPlanCSV(t, c.device, c.micro, 2); !bytes.Equal(csv, want) {
+		if want := runLocally(t, planRequest(c.device, c.micro), nil).CSV; !bytes.Equal(csv, want) {
 			t.Fatalf("job %s (%s/%s): CSV differs from the CLI run", ids[i], c.device, c.micro)
 		}
 	}
@@ -207,36 +205,10 @@ func TestEightConcurrentJobs(t *testing.T) {
 
 func TestWorkloadJobMatchesDirectReplay(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{StateDir: t.TempDir(), Workers: 2})
-	spec := workload.Spec{Kind: "oltp", Count: 400, ReadFraction: 0.5}
-	st := submit(t, ts, server.JobRequest{
-		Kind:     "workload",
-		Device:   "kingston-dti",
-		Capacity: testCapacity,
-		Seed:     42,
-		Parallel: 2,
-		Workload: &server.WorkloadRequest{Spec: spec, SegmentOps: 100},
-	})
+	st := submit(t, ts, workloadRequest())
 	waitFor(t, ts, st.ID, server.StatusDone)
 	_, csv := get(t, ts, "/jobs/"+st.ID+"/csv")
-
-	direct := spec
-	direct.Seed = 42
-	direct.TargetSize = testCapacity / 2
-	gen, err := direct.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := workload.Generate(context.Background(), gen,
-		paperexp.ShardFactory("kingston-dti", paperexp.Config{Capacity: testCapacity, Seed: 42, Pause: time.Second}),
-		workload.Options{SegmentOps: 100, Workers: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := trace.WriteSummaryCSV(&want, paperexp.WorkloadRecords(res)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(csv, want.Bytes()) {
+	if !bytes.Equal(csv, runLocally(t, workloadRequest(), nil).CSV) {
 		t.Fatal("server workload CSV differs from the direct replay")
 	}
 }
@@ -483,26 +455,12 @@ func TestWorkloadOmittedKnobsTakeCLIDefaults(t *testing.T) {
 	waitFor(t, ts, st.ID, server.StatusDone)
 	_, csv := get(t, ts, "/jobs/"+st.ID+"/csv")
 
-	// The CLI-default equivalent: oltp, ops 2048, read-frac 0.7, page 8 KB,
-	// target = capacity/2, segment 512, seed 42.
-	gen, err := workload.Spec{
-		Kind: "oltp", Count: 2048, Seed: 42, PageSize: 8 * 1024,
-		TargetSize: 25165824 / 2, ReadFraction: 0.7,
-	}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := workload.Generate(context.Background(), gen,
-		paperexp.ShardFactory("kingston-dti", paperexp.Config{Capacity: 25165824, Seed: 42, Pause: time.Second}),
-		workload.Options{SegmentOps: 512, Workers: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := trace.WriteSummaryCSV(&want, paperexp.WorkloadRecords(res)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(csv, want.Bytes()) {
+	// The CLI-default equivalent: every knob as api.Defaults has it, the table
+	// the local command's flags default to — run as the local command runs it.
+	local := api.Defaults()
+	local.Kind, local.Device, local.Capacity = "workload", "kingston-dti", 25165824
+	local.Workload.Kind = "oltp"
+	if !bytes.Equal(csv, runLocally(t, local, nil).CSV) {
 		t.Fatal("minimal server workload differs from the CLI-default replay")
 	}
 }

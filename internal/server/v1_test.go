@@ -17,25 +17,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"uflip/internal/api"
 	"uflip/internal/client"
-	"uflip/internal/paperexp"
 	"uflip/internal/server"
-	"uflip/internal/trace"
 	"uflip/internal/workload"
 )
-
-// renderWorkloadCSV renders a replay result the way the CLI's -out path does.
-func renderWorkloadCSV(t *testing.T, res *workload.Result) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := trace.WriteSummaryCSV(&buf, paperexp.WorkloadRecords(res)); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // slowPlanRequest is big enough to still be running when a test acts on it.
 func slowPlanRequest() server.JobRequest {
@@ -427,14 +414,15 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 		t.Fatalf("trace list = %+v, %v", list, err)
 	}
 
-	st, err := cl.Submit(ctx, api.JobRequest{
+	req := api.JobRequest{
 		Kind:     "workload",
 		Device:   "kingston-dti",
 		Capacity: testCapacity,
 		Seed:     42,
 		Parallel: 2,
 		Workload: &api.WorkloadRequest{TraceHash: info.Hash, SegmentOps: 100},
-	})
+	}
+	st, err := cl.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,15 +438,10 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := workload.Generate(ctx,
-		workload.Trace{Label: info.OpsHash[:12], Ops: ops},
-		paperexp.ShardFactory("kingston-dti", paperexp.Config{Capacity: testCapacity, Seed: 42, Pause: time.Second}),
-		workload.Options{SegmentOps: 100, Workers: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderWorkloadCSV(t, res)
-	if !bytes.Equal(csv, want) {
+	// The same request run in-process over the same ops, labeled as the
+	// daemon labels an upload: by the head of its ops-hash.
+	direct := workload.OpsSource(workload.Trace{Label: info.OpsHash[:12]}.Name(), ops)
+	if !bytes.Equal(csv, runLocally(t, req, direct).CSV) {
 		t.Fatal("trace job CSV differs from the direct replay of the same ops")
 	}
 

@@ -38,7 +38,9 @@ func (r *Running) Add(x float64) {
 	}
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
+	// The conversion rounds the product before the add: without it arm64,
+	// ppc64 and s390x fuse the two and every stddev differs in its last bits.
+	r.m2 += float64(delta * (x - r.mean))
 }
 
 // AddDuration records one observation expressed as a duration, in seconds.
@@ -212,7 +214,7 @@ func PercentilesSorted(sorted []time.Duration, ps ...float64) []time.Duration {
 // samples (p clamped to [0, 100]) and how far between them it falls.
 func rankOf(n int, p float64) (lo, hi int, frac float64) {
 	p = min(max(p, 0), 100)
-	rank := p / 100 * float64(n-1)
+	rank := float64(p / 100 * float64(n-1)) // rounded here, not fused into rank - lo below
 	lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
 	return lo, hi, rank - float64(lo)
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -64,35 +63,6 @@ func TestSaveJSONMakesParents(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].ID != "x" {
 		t.Fatalf("round trip gave %+v", got)
-	}
-}
-
-// TestSaveSummaryCSV pins the summary-CSV result path: the file lands in a
-// fresh nested directory holding exactly the bytes WriteSummaryCSV renders,
-// and an unwritable destination is an error, not a silent exit 0.
-func TestSaveSummaryCSV(t *testing.T) {
-	dir := t.TempDir()
-	recs := []RunRecord{
-		{ID: "Order/SR/1", Device: "mem", Micro: "Order", Base: "SR", Param: "Incr", Value: 1, TotalSeconds: 0.25},
-		{ID: "workload/oltp/seg=0", Device: "mem", Micro: "workload", Param: "Segment", Faults: 2, Retries: 3},
-	}
-	var want bytes.Buffer
-	if err := WriteSummaryCSV(&want, recs); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "a", "b", "runs.csv")
-	if err := SaveSummaryCSV(path, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("file holds\n%s\nwant\n%s", got, want.Bytes())
-	}
-	if err := SaveSummaryCSV(dir, recs); err == nil {
-		t.Fatal("SaveSummaryCSV onto a directory succeeded")
 	}
 }
 

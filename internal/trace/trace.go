@@ -139,7 +139,7 @@ func appendJSONFloat(b []byte, v float64) ([]byte, error) {
 		"50515253545556575859" + "60616263646566676869" + "70717273747576777879" +
 		"80818283848586878889" + "90919293949596979899"
 	if v >= 1e-6 && v < 1e6 {
-		if ns := uint64(v*1e9 + 0.5); float64(ns)/1e9 == v {
+		if ns := uint64(float64(v*1e9) + 0.5); float64(ns)/1e9 == v { // the product rounded, never fused
 			whole, frac := ns/1e9, uint32(ns%1e9)
 			if whole < 10 {
 				b = append(b, byte('0'+whole))
@@ -250,23 +250,18 @@ func WriteFileAtomic(path string, data []byte) error {
 	})
 }
 
-// saveRecords renders records into a new file at path with write, creating
-// parent directories; a write error that only surfaces at close is returned.
-func saveRecords(path string, records []RunRecord, write func(io.Writer, []RunRecord) error) error {
+// SaveJSON writes records to a file, creating parent directories; a write
+// error that only surfaces at close is returned.
+func SaveJSON(path string, records []RunRecord) error {
 	f, err := Create(path)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	if err := write(f, records); err != nil {
+	if err := WriteJSON(f, records); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// SaveJSON writes records to a file, creating parent directories.
-func SaveJSON(path string, records []RunRecord) error {
-	return saveRecords(path, records, WriteJSON)
 }
 
 // LoadJSON reads records from a file.
@@ -315,12 +310,6 @@ func WriteSummaryCSV(w io.Writer, records []RunRecord) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// SaveSummaryCSV writes the summary CSV to a file, creating parent
-// directories.
-func SaveSummaryCSV(path string, records []RunRecord) error {
-	return saveRecords(path, records, WriteSummaryCSV)
 }
 
 // ReadSummaryCSV parses the output of WriteSummaryCSV back into summary-only

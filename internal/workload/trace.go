@@ -251,19 +251,25 @@ func SniffTraceFormat(head []byte) string {
 	return TraceFormatCSV
 }
 
-// SniffTraceFile classifies a trace file by content, not extension.
-func SniffTraceFile(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("workload: %w", err)
-	}
-	defer f.Close()
+// OpenTrace returns the replay source of the block trace stored in ra (size
+// bytes long), whichever form it is in: the content is sniffed, a .utr trace
+// is validated and then decoded segment by segment straight from ra
+// (NewUTRSource), a CSV trace is parsed whole. label names the trace in
+// reports, so one stream replayed from either form reports identically.
+func OpenTrace(ra io.ReaderAt, size int64, label string) (Source, error) {
 	head := make([]byte, len(trace.UTRMagic))
-	n, err := io.ReadFull(f, head)
-	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return "", fmt.Errorf("workload: %w", err)
+	n, err := ra.ReadAt(head, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
-	return SniffTraceFormat(head[:n]), nil
+	if SniffTraceFormat(head[:n]) == TraceFormatUTR {
+		return NewUTRSource(ra, size, label)
+	}
+	ops, err := ReadTrace(io.NewSectionReader(ra, 0, size))
+	if err != nil {
+		return nil, err
+	}
+	return OpsSource(Trace{Label: label}.Name(), ops), nil
 }
 
 // Trace adapts a parsed op stream to the Generator interface so replayed
