@@ -36,7 +36,7 @@ func run() error {
 	var (
 		devKey    = flag.String("device", "", "simulated device profile (see -list)")
 		list      = flag.Bool("list", false, "list device profiles and exit")
-		file      = flag.String("file", "", "measure a real file instead of a simulated device")
+		file      = flag.String("file", "", "measure a real file instead of a simulated device (every write is followed by an fsync)")
 		capacity  = flag.Int64("capacity", 1<<30, "device capacity in bytes (simulated or created file)")
 		state     = flag.String("state", "random", "initial device state: random, sequential or none (Section 4.1)")
 		pattern   = flag.String("pattern", "SR", "baseline pattern: SR, RR, SW or RW")

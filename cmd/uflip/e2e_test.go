@@ -214,7 +214,7 @@ func TestTraceFormsAgree(t *testing.T) {
 	}
 	dir := t.TempDir()
 	csvPath, utrPath, backPath := filepath.Join(dir, "T.csv"), filepath.Join(dir, "T.utr"), filepath.Join(dir, "back.csv")
-	if err := workload.SaveTrace(csvPath, ops); err != nil {
+	if err := workload.SaveOps(csvPath, ops); err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range [][2]string{{csvPath, utrPath}, {utrPath, backPath}} {

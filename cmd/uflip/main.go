@@ -192,7 +192,7 @@ func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, f
 			if err != nil {
 				return err
 			}
-			if err := workload.SaveTraceAuto(*dumpTrace, stream); err != nil {
+			if err := workload.SaveOps(*dumpTrace, stream); err != nil {
 				return err
 			}
 			fmt.Printf("trace written to %s (%d IOs)\n", *dumpTrace, len(stream))

@@ -73,9 +73,13 @@
 // devices with application-shaped workloads: synthetic generators — an
 // OLTP-style random page read/write mix (-kind oltp), log-structured
 // append streams (-kind append), Zipfian hot/cold access (-kind zipf) and
-// bursty arrival phases (-kind bursty) — plus a block-trace replayer for a
-// simple CSV format (offset,size,mode,gap_us; header optional, '#'
-// comments, gaps stored losslessly). Streams are pure functions of their
+// bursty arrival phases (-kind bursty) — plus a block-trace replayer. A
+// block trace is one stream of one record type (trace.BlockOp, aliased as
+// workload.Op) in two encodings: a simple CSV (offset,size,mode,gap_us;
+// header optional, '#' comments, gaps stored losslessly) and the binary
+// .utr form; each has one streaming reader and one writer, and the forms
+// meet in workload.NewOpReader, which sniffs a stream, and
+// workload.NewOpWriter. Streams are pure functions of their
 // configuration and seed; replays split into fixed segments that execute
 // on private devices across the worker pool and merge in stream order, so
 // results are byte-identical for any -parallel value. Long replays report

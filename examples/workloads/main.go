@@ -65,11 +65,11 @@ func main() {
 		log.Fatal(err)
 	}
 	path := filepath.Join(os.TempDir(), "uflip-example-trace.csv")
-	if err := workload.SaveTrace(path, ops); err != nil {
+	if err := workload.SaveOps(path, ops); err != nil {
 		log.Fatal(err)
 	}
 	defer os.Remove(path)
-	loaded, err := workload.LoadTrace(path)
+	loaded, err := workload.LoadOps(path)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -163,27 +163,6 @@ func Execute(dev device.Device, src IOSource, count, ignore int, timing Timing, 
 	return run, nil
 }
 
-// submitRetry is the per-IO retry loop of ExecuteParallel: resubmit a
-// transiently failed IO after a doubling simulated-time backoff, up to the
-// default policy's budget. The caller measures the response time from the
-// original submission, so it includes the retry delay.
-func submitRetry(dev device.Device, at time.Duration, io device.IO, st *device.FaultStats) (time.Duration, error) {
-	pol := device.DefaultRetryPolicy
-	sub := at
-	for attempt := 0; ; attempt++ {
-		done, err := dev.Submit(sub, io)
-		if err == nil {
-			return done, nil
-		}
-		st.Faults++
-		if !device.Retryable(err) || attempt >= pol.Max {
-			return 0, err
-		}
-		st.Retries++
-		sub += pol.Backoff << attempt
-	}
-}
-
 // ExecutePattern validates and runs a single pattern.
 func ExecutePattern(dev device.Device, p Pattern, startAt time.Duration) (*Run, error) {
 	if err := p.Validate(); err != nil {
@@ -248,6 +227,12 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 	}
 	timing := Timing{Pause: p.Pause, Burst: p.Burst}
 	var acc stats.Running
+	// Each picked IO is a batch of one through the shared retry loop, so the
+	// response time (measured from the original submission) includes the
+	// backoff of its retries; the scratch outlives the loop so it is
+	// allocated once.
+	var ios [1]device.IO
+	var dones [1]time.Duration
 	total := 0
 	for {
 		// Earliest-submission process goes next; ties resolved by index
@@ -270,10 +255,15 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 			continue
 		}
 		t := pick.next
-		done, err := submitRetry(dev, t, io, &run.Faults)
-		if err != nil {
+		ios[0], dones[0] = io, t
+		if err := device.SubmitBatchRetry(context.Background(), dev, t, ios[:], dones[:], device.DefaultRetryPolicy, &run.Faults); err != nil {
+			var be *device.BatchError
+			if errors.As(err, &be) {
+				err = be.Err
+			}
 			return nil, fmt.Errorf("core: parallel IO %d: %w", total, err)
 		}
+		done := dones[0]
 		rt := done - t
 		run.RTs = append(run.RTs, rt)
 		if total >= p.IOIgnore {

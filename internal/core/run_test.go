@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"uflip/internal/device"
+	"uflip/internal/profile"
+	"uflip/internal/stats"
 )
 
 func memDev() *device.MemDevice {
@@ -395,5 +399,177 @@ func TestExecuteParallelLargeIgnore(t *testing.T) {
 	}
 	if run.Summary.N != int64(len(run.RTs)) {
 		t.Fatalf("summary covers %d IOs, want all %d", run.Summary.N, len(run.RTs))
+	}
+}
+
+// executeParallelPerIO and perIOSubmitRetry are ExecuteParallel as it was
+// while it kept a retry loop of its own over dev.Submit: the oracle that
+// holds the SubmitBatchRetry route to the same IOs, times and counts.
+func executeParallelPerIO(dev device.Device, p Pattern, degree int, startAt time.Duration) (*Run, error) {
+	if degree < 1 {
+		return nil, fmt.Errorf("core: parallel degree must be >= 1, got %d", degree)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	// Split the target: TargetOffset_p = p*TargetSize/degree,
+	// TargetSize_p = TargetSize/degree (Table 1, Parallelism row).
+	subSize := p.TargetSize / int64(degree)
+	subSize -= subSize % p.IOSize
+	if subSize < p.IOSize {
+		return nil, fmt.Errorf("core: target %d too small for %d-way parallelism at IOSize %d", p.TargetSize, degree, p.IOSize)
+	}
+	perProc := p.IOCount / degree
+	if perProc < 1 {
+		return nil, fmt.Errorf("core: IOCount %d too small for %d processes", p.IOCount, degree)
+	}
+	type proc struct {
+		src    IOSource
+		next   time.Duration
+		issued int
+	}
+	procs := make([]*proc, degree)
+	for i := range procs {
+		sub := p
+		sub.TargetOffset = p.TargetOffset + int64(i)*subSize
+		sub.TargetSize = subSize
+		sub.IOCount = perProc
+		// The start-up phase is ignored globally over the merged series, not
+		// per process; a methodology-assigned IOIgnore may exceed perProc.
+		sub.IOIgnore = 0
+		sub.Seed = p.Seed + int64(i)*7919
+		if err := sub.Validate(); err != nil {
+			return nil, err
+		}
+		procs[i] = &proc{src: sub.Source(), next: startAt}
+	}
+	run := &Run{
+		Name:     fmt.Sprintf("%s||%d", p.Name, degree),
+		Device:   dev.Name(),
+		IOIgnore: p.IOIgnore,
+	}
+	timing := Timing{Pause: p.Pause, Burst: p.Burst}
+	var acc stats.Running
+	total := 0
+	for {
+		// Earliest-submission process goes next; ties resolved by index
+		// for determinism.
+		var pick *proc
+		for _, pr := range procs {
+			if pr.issued >= perProc {
+				continue
+			}
+			if pick == nil || pr.next < pick.next {
+				pick = pr
+			}
+		}
+		if pick == nil {
+			break
+		}
+		io, ok := pick.src.Next()
+		if !ok {
+			pick.issued = perProc
+			continue
+		}
+		t := pick.next
+		done, err := perIOSubmitRetry(dev, t, io, &run.Faults)
+		if err != nil {
+			return nil, fmt.Errorf("core: parallel IO %d: %w", total, err)
+		}
+		rt := done - t
+		run.RTs = append(run.RTs, rt)
+		if total >= p.IOIgnore {
+			acc.AddDuration(rt)
+		}
+		pick.issued++
+		pick.next = done + timing.gapBefore(pick.issued)
+		total++
+		if run.Total < done-startAt {
+			run.Total = done - startAt
+		}
+	}
+	if len(run.RTs) == 0 {
+		return nil, fmt.Errorf("core: parallel run produced no IOs")
+	}
+	if run.IOIgnore >= len(run.RTs) {
+		// Rounding of perProc can leave fewer merged IOs than the global
+		// ignore; fall back to summarizing the whole series, as Execute does.
+		run.IOIgnore = 0
+		acc = stats.Running{}
+		for _, rt := range run.RTs {
+			acc.AddDuration(rt)
+		}
+	}
+	run.Summary = acc.Summary()
+	return run, nil
+}
+
+func perIOSubmitRetry(dev device.Device, at time.Duration, io device.IO, st *device.FaultStats) (time.Duration, error) {
+	pol := device.DefaultRetryPolicy
+	sub := at
+	for attempt := 0; ; attempt++ {
+		done, err := dev.Submit(sub, io)
+		if err == nil {
+			return done, nil
+		}
+		st.Faults++
+		if !device.Retryable(err) || attempt >= pol.Max {
+			return 0, err
+		}
+		st.Retries++
+		sub += pol.Backoff << attempt
+	}
+}
+
+// TestExecuteParallelMatchesPerIORetryLoop replays the Parallelism
+// micro-benchmark on a device that injects media errors: submitting each
+// picked IO as a batch of one through device.SubmitBatchRetry must measure
+// what the private per-IO retry loop measured — every response time, the
+// total, the fault and retry counts — and fail with the same text once the
+// retry budget is spent.
+func TestExecuteParallelMatchesPerIORetryLoop(t *testing.T) {
+	const capacity = 64 << 20
+	build := func(spec string) device.Device {
+		t.Helper()
+		dev, err := profile.BuildDevice(spec, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+	d := StandardDefaults()
+	d.IOCount = 512
+	d.RandomTarget = capacity / 2
+	d.IOIgnore = 16
+	retried := false
+	for _, e := range Parallelism(d, capacity).Experiments {
+		const spec = "faulty(mtron,readerr=5e-3,writeerr=5e-3,seed=7)"
+		got, err := ExecuteParallel(build(spec), e.Pattern, e.Degree, time.Second)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID(), err)
+		}
+		want, err := executeParallelPerIO(build(spec), e.Pattern, e.Degree, time.Second)
+		if err != nil {
+			t.Fatalf("%s: per-IO loop: %v", e.ID(), err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: run differs from the per-IO retry loop's:\n got total %v faults %+v\nwant total %v faults %+v",
+				e.ID(), got.Total, got.Faults, want.Total, want.Faults)
+		}
+		retried = retried || want.Faults.Retries > 0
+	}
+	if !retried {
+		t.Fatal("no experiment retried an IO: the comparison never entered the retry loop")
+	}
+	// Errors that outlast the budget: the same IO fails, with the same text.
+	for _, degree := range []int{1, 2, 4, 16} {
+		const spec = "faulty(mtron,readerr=0.9,writeerr=0.9,seed=7)"
+		p := RW.Pattern(d)
+		p.TargetSize = capacity / 2
+		_, got := ExecuteParallel(build(spec), p, degree, 0)
+		_, want := executeParallelPerIO(build(spec), p, degree, 0)
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("degree %d: exhausted budget reports %v, the per-IO loop %v", degree, got, want)
+		}
 	}
 }

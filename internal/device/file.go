@@ -11,35 +11,27 @@ import (
 // submitted "at" a run-relative instant waits until that instant has passed
 // on the wall clock, then executes.
 //
-// The paper's FlashIO tool used raw direct synchronous IO on Windows; on a
-// modern OS the closest portable stdlib equivalent is pread/pwrite on an
-// opened file with optional fsync per write. Page-cache effects mean a
-// FileDevice measurement of a filesystem file characterizes the host more
-// than the medium; point it at a block special file (and accept cache
-// interference) or use SimDevice for controlled experiments.
+// The paper's FlashIO tool used raw direct synchronous IO on Windows, which
+// bypasses the host cache; the closest portable stdlib equivalent is
+// pread/pwrite on an opened file with an fsync after every write, so a write
+// is timed to the medium and not into the page cache. Reads still come
+// through the page cache: a FileDevice measurement of a filesystem file
+// characterizes the host as much as the medium; point it at a block special
+// file (and accept cache interference) or use SimDevice for controlled
+// experiments.
 type FileDevice struct {
 	f        *os.File
 	name     string
 	capacity int64
-	syncEach bool
 
 	start time.Time
 	buf   []byte
 }
 
-// FileOption configures a FileDevice.
-type FileOption func(*FileDevice)
-
-// WithSyncEachWrite issues fsync after every write, the closest stdlib
-// analogue to synchronous direct IO.
-func WithSyncEachWrite() FileOption {
-	return func(d *FileDevice) { d.syncEach = true }
-}
-
 // OpenFileDevice opens path for read/write benchmarking, creating it with
 // the given size when it does not exist. For an existing file or block
 // special, size 0 means "use the current size".
-func OpenFileDevice(path string, size int64, opts ...FileOption) (*FileDevice, error) {
+func OpenFileDevice(path string, size int64) (*FileDevice, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("device: open %s: %w", path, err)
@@ -61,11 +53,7 @@ func OpenFileDevice(path string, size int64, opts ...FileOption) (*FileDevice, e
 		f.Close()
 		return nil, fmt.Errorf("device: %s has zero size; pass an explicit size", path)
 	}
-	d := &FileDevice{f: f, name: path, capacity: capacity, start: time.Now()} //uflint:allow wallclock — FileDevice drives real hardware; its clock is the wall clock
-	for _, o := range opts {
-		o(d)
-	}
-	return d, nil
+	return &FileDevice{f: f, name: path, capacity: capacity, start: time.Now()}, nil //uflint:allow wallclock — FileDevice drives real hardware; its clock is the wall clock
 }
 
 // Capacity returns the file size.
@@ -76,9 +64,6 @@ func (d *FileDevice) SectorSize() int { return 512 }
 
 // Name returns the file path.
 func (d *FileDevice) Name() string { return d.name }
-
-// ResetClock restarts the run-relative clock; call at the start of each run.
-func (d *FileDevice) ResetClock() { d.start = time.Now() } //uflint:allow wallclock — real-hardware run-relative clock
 
 // Close closes the underlying file.
 func (d *FileDevice) Close() error {
@@ -119,7 +104,7 @@ func (d *FileDevice) Submit(at time.Duration, io IO) (time.Duration, error) {
 		_, err = d.f.ReadAt(buf, io.Off)
 	case Write:
 		_, err = d.f.WriteAt(buf, io.Off)
-		if err == nil && d.syncEach {
+		if err == nil {
 			err = d.f.Sync()
 		}
 	default:

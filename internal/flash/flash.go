@@ -257,11 +257,6 @@ func WithDataStorage() Option {
 	}
 }
 
-// WithTiming overrides the default (datasheet-typical) timing.
-func WithTiming(t Timing) Option {
-	return func(c *Chip) { c.cfg.timing = t }
-}
-
 // NewChip builds a chip with the given geometry and cell type, fully erased.
 func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 	if err := geo.Validate(); err != nil {

@@ -185,11 +185,6 @@ func (a *Array) ReadRun(gb, first, n int) error {
 // ProgramPage programs one page of global block gb.
 func (a *Array) ProgramPage(gb, page int) error { return a.ProgramRun(gb, page, 1, nil) }
 
-// ProgramPageData programs one page of global block gb with a payload.
-func (a *Array) ProgramPageData(gb, page int, payload []byte) error {
-	return a.ProgramRun(gb, page, 1, payload)
-}
-
 // ProgramRun programs the n consecutive pages [first, first+n) of global
 // block gb with one block lookup: all of them, or none and the error of the
 // first offending page. payload is nil or the pages' payloads back to back

@@ -287,17 +287,6 @@ func (f *PageFTL) rederive() {
 // Stats returns a snapshot of the FTL counters.
 func (f *PageFTL) Stats() Stats { return f.st.Stats }
 
-// MappedUnits returns how many logical units currently map to flash.
-func (f *PageFTL) MappedUnits() int64 {
-	var n int64
-	for _, s := range f.st.FMap {
-		if s >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 func (f *PageFTL) slotOf(block, slot int) int64 {
 	return int64(block)*int64(f.cfg.unitsPerBlock) + int64(slot)
 }

@@ -115,7 +115,7 @@ func TestSingleMemberCompositeDifferentialWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRun, err := workload.Replay(context.Background(), raw, ops, 0)
+		wantRun, err := replayOn(raw, ops, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestSingleMemberCompositeDifferentialWorkloads(t *testing.T) {
 			t.Fatal(err)
 		}
 		for layout, comp := range comps {
-			gotRun, err := workload.Replay(context.Background(), comp, ops, 0)
+			gotRun, err := replayOn(comp, ops, 0)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", gen.Name(), layout, err)
 			}

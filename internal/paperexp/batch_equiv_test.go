@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"uflip/internal/core"
 	"uflip/internal/device"
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
@@ -141,6 +142,17 @@ func TestBatchSubmitDifferentialArrays(t *testing.T) {
 	}
 }
 
+// replayOn replays ops on dev from virtual time at as one segment on the
+// calling goroutine, and returns that segment's run.
+func replayOn(dev device.Device, ops []workload.Op, at time.Duration) (*core.Run, error) {
+	factory := func(engine.Shard) (device.Device, time.Duration, error) { return dev, at, nil }
+	res, err := workload.ReplaySource(context.Background(), workload.OpsSource("replay", ops), factory, workload.Options{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	return res.Segments[0], nil
+}
+
 // TestBatchSubmitDifferentialWorkloads pins the batch pipeline under every
 // workload generator and under trace replay: open-loop batch submission must
 // reproduce the per-IO reference exactly, enforcement included.
@@ -165,10 +177,10 @@ func TestBatchSubmitDifferentialWorkloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "equiv.trace")
-	if err := workload.SaveTrace(path, ops); err != nil {
+	if err := workload.SaveOps(path, ops); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := workload.LoadTrace(path)
+	loaded, err := workload.LoadOps(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +204,7 @@ func TestBatchSubmitDifferentialWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := workload.Replay(context.Background(), dev, ops, end+time.Second)
+		run, err := replayOn(dev, ops, end+time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"uflip/internal/core"
+	"uflip/internal/device"
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
 	"uflip/internal/profile"
@@ -111,6 +112,12 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 	if req.Stages.StateEnforced != nil {
 		req.Stages.StateEnforced(at, hit)
 	}
+	// The enforced state is acquired once per job: the plan's shards start
+	// from a copy of it taken now, before the measurements below drive dev on.
+	master, ok := dev.CloneDevice().(device.Cloneable)
+	if !ok {
+		return nil, fmt.Errorf("paperexp: the clone of %s cannot be cloned", key)
+	}
 
 	// Step 2: measure start-up and running phases (Section 4.2).
 	d := cfg.defaults(dev.Capacity())
@@ -145,12 +152,8 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 	if req.Stages.PlanBuilt != nil {
 		req.Stages.PlanBuilt(plan, workers)
 	}
-	factory := ShardFactory(key, Config{
-		Capacity: cfg.Capacity,
-		Seed:     cfg.Seed,
-		IOCount:  cfg.IOCount,
-		Pause:    pauseRep.RecommendedPause,
-		Store:    cfg.Store,
+	factory := engine.CloningFactory(func() (device.Cloneable, time.Duration, error) {
+		return master, at + pauseRep.RecommendedPause, nil
 	})
 	results, err := engine.ExecutePlan(ctx, plan, factory, engine.Options{
 		Workers:  workers,

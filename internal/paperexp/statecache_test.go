@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"testing"
 	"time"
 
@@ -160,17 +161,23 @@ func TestStateStoreDifferentialArray(t *testing.T) {
 // TestRunBenchmarkRepeatIsByteIdenticalAndSkipsFill pins the acceptance
 // criterion: a repeated benchmark with the state cache enabled must hit the
 // cache (no enforcement replay) and produce byte-identical results — the
-// records behind stdout tables, CSV and JSONL alike.
+// records behind stdout tables, CSV and JSONL alike. And a job acquires its
+// enforced state once: the state file is not needed again after StateEnforced
+// (the plan's master is a copy of the device that was just loaded, not a
+// second load), so a file deleted at that point neither fails the job,
+// changes its results, nor comes back.
 func TestRunBenchmarkRepeatIsByteIdenticalAndSkipsFill(t *testing.T) {
 	const key = "mtron"
 	cfg := cacheTestConfig(t, true)
 	var hits []bool
+	onEnforced := func() {}
 	run := func() []byte {
 		out, err := RunBenchmark(context.Background(), key, cfg, BenchmarkRequest{
 			Micros:  []string{"Granularity", "Order"},
 			Workers: 2,
 			Stages: Stages{StateEnforced: func(_ time.Duration, hit bool) {
 				hits = append(hits, hit)
+				onEnforced()
 			}},
 		})
 		if err != nil {
@@ -193,6 +200,18 @@ func TestRunBenchmarkRepeatIsByteIdenticalAndSkipsFill(t *testing.T) {
 	}
 	if len(hits) != 2 || hits[0] || !hits[1] {
 		t.Fatalf("cache hits = %v, want [false true]", hits)
+	}
+	stateFile := cfg.Store.Path(StateKey(key, cfg))
+	onEnforced = func() {
+		if err := os.Remove(stateFile); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if third := run(); !bytes.Equal(third, first) {
+		t.Fatal("run whose state file vanished after the load is not byte-identical to the first")
+	}
+	if _, err := os.Stat(stateFile); !os.IsNotExist(err) {
+		t.Fatalf("state file is back after the job (stat: %v): the job acquired its state twice", err)
 	}
 }
 

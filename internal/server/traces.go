@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -88,55 +87,30 @@ func openTraceStore(jobdir string) (*traceStore, error) {
 	return ts, nil
 }
 
-// validateTrace streams r through the trace parser for its format (sniffed
-// from the leading bytes) at O(batch) memory, consuming it to EOF. It
+// validateTrace streams r through the trace reader for its form (sniffed
+// from the leading bytes) at O(chunk) memory, consuming it to EOF. It
 // returns the op count, format and ops-hash; Hash and Bytes are left for
 // the caller, which sees the raw byte stream.
 func validateTrace(r io.Reader) (api.TraceInfo, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(trace.UTRMagic))
-	if err != nil && err != io.EOF {
-		return api.TraceInfo{}, err
+	rd, format, err := workload.NewOpReader(r)
+	if err != nil {
+		return api.TraceInfo{}, fmt.Errorf("%w: %w", errBadTrace, err)
 	}
-	var info api.TraceInfo
+	info := api.TraceInfo{Format: format}
 	opsHasher := sha256.New()
 	var rec [trace.UTRRecordSize]byte
-	switch workload.SniffTraceFormat(head) {
-	case workload.TraceFormatUTR:
-		info.Format = workload.TraceFormatUTR
-		sc, err := trace.NewScanner(br)
-		if err != nil {
+	for rd.Scan() {
+		// The ops-hash is over the canonical .utr record bytes of each op —
+		// for a .utr upload its own record bytes again — so both forms hash
+		// the same stream the same way.
+		if err := trace.EncodeUTRRecord(&rec, rd.Op()); err != nil {
 			return api.TraceInfo{}, fmt.Errorf("%w: %w", errBadTrace, err)
 		}
-		for sc.Scan() {
-			// Re-encoding the validated record yields its on-disk bytes
-			// (the encoding is canonical), so both formats hash the same
-			// stream the same way.
-			if err := trace.EncodeUTRRecord(&rec, sc.Op()); err != nil {
-				return api.TraceInfo{}, fmt.Errorf("%w: %w", errBadTrace, err)
-			}
-			opsHasher.Write(rec[:])
-			info.Ops++
-		}
-		if err := sc.Err(); err != nil {
-			return api.TraceInfo{}, fmt.Errorf("%w: %w", errBadTrace, err)
-		}
-	default:
-		info.Format = workload.TraceFormatCSV
-		tsc := workload.NewTraceScanner(br)
-		for tsc.Scan() {
-			if err := workload.UTRRecord(&rec, tsc.Op()); err != nil {
-				return api.TraceInfo{}, fmt.Errorf("%w: %w", errBadTrace, err)
-			}
-			opsHasher.Write(rec[:])
-			info.Ops++
-		}
-		if err := tsc.Err(); err != nil {
-			return api.TraceInfo{}, fmt.Errorf("%w: %w", errBadTrace, err)
-		}
-		if info.Ops == 0 {
-			return api.TraceInfo{}, fmt.Errorf("%w: trace holds no IOs", errBadTrace)
-		}
+		opsHasher.Write(rec[:])
+		info.Ops++
+	}
+	if err := rd.Err(); err != nil {
+		return api.TraceInfo{}, fmt.Errorf("%w: %w", errBadTrace, err)
 	}
 	info.OpsHash = hex.EncodeToString(opsHasher.Sum(nil))
 	return info, nil

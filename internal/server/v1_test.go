@@ -589,8 +589,11 @@ func TestTraceUploadBounds(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge || apiErr.Err.Code != api.CodeTooLarge {
 		t.Fatalf("oversize upload: %v, want 413 payload_too_large", err)
 	}
-	_, err = cl.UploadTrace(ctx, []byte("not,a\ntrace"))
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("garbage upload: %v, want 400", err)
+	// Garbage, and a well-formed trace of no IOs.
+	for _, bad := range []string{"not,a\ntrace", "offset,size,mode,gap_us\n"} {
+		_, err = cl.UploadTrace(ctx, []byte(bad))
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+			t.Fatalf("upload of %q: %v, want 400", bad, err)
+		}
 	}
 }

@@ -217,7 +217,8 @@ func Create(path string) (*os.File, error) {
 // or the complete new content — never a torn write; if write fails or panics,
 // or a later step fails, the temporary file is removed and path is untouched,
 // and a crash leaves at worst a stray temporary file. Missing parent
-// directories are created.
+// directories are created. The writer handed to write is the temporary
+// *os.File itself (mode 0600), so a format that patches its header can seek.
 func WriteAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

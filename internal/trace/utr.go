@@ -1,13 +1,14 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
 	"io"
 	"math"
 	"time"
+
+	"uflip/internal/device"
 )
 
 // The uFLIP binary trace format (.utr) is the streaming counterpart of the
@@ -62,16 +63,18 @@ const MaxUTRGap = time.Duration((int64(1) << 49) / 1000 * 1000)
 // utrTable is the CRC-64/ECMA table shared by readers and writers.
 var utrTable = crc64.MakeTable(crc64.ECMA)
 
-// BlockOp is one decoded trace record: a single IO plus the gap since the
-// previous submission. It mirrors workload.Op without importing the device
-// package, so the format layer stays dependency-free.
+// BlockOp is one record of a block trace, in either form: a single IO plus
+// the gap between the previous submission and its own. It is the op every
+// layer above shares (workload.Op is an alias), which is why this package
+// imports device: device.IO is the request a device is handed, and device
+// sits below everything that reads or writes a trace (it imports only the
+// FTL and flash models), so one struct serves the codec, the generators and
+// the replayer with no conversion between them.
 type BlockOp struct {
-	// Off and Size are the IO's byte offset and length.
-	Off, Size int64
-	// Gap is the inter-arrival gap since the previous IO.
+	// Gap is the inter-arrival gap since the previous IO's submission.
 	Gap time.Duration
-	// Write selects the IO direction (false = read).
-	Write bool
+	// IO is the request: mode, byte offset and length.
+	IO device.IO
 }
 
 // IsUTR reports whether head (the first bytes of a stream) starts with the
@@ -84,21 +87,19 @@ func IsUTR(head []byte) bool {
 // canonical: equal ops always produce equal bytes.
 func EncodeUTRRecord(dst *[UTRRecordSize]byte, op BlockOp) error {
 	switch {
-	case op.Off < 0:
-		return fmt.Errorf("trace: utr record: offset %d must be non-negative", op.Off)
-	case op.Size <= 0:
-		return fmt.Errorf("trace: utr record: size %d must be positive", op.Size)
+	case op.IO.Off < 0:
+		return fmt.Errorf("trace: utr record: offset %d must be non-negative", op.IO.Off)
+	case op.IO.Size <= 0:
+		return fmt.Errorf("trace: utr record: size %d must be positive", op.IO.Size)
 	case op.Gap < 0 || op.Gap > MaxUTRGap:
 		return fmt.Errorf("trace: utr record: gap %v outside [0, %v]", op.Gap, MaxUTRGap)
+	case op.IO.Mode != device.Read && op.IO.Mode != device.Write:
+		return fmt.Errorf("trace: utr record: mode %d (want 0 or 1)", op.IO.Mode)
 	}
-	binary.LittleEndian.PutUint64(dst[0:8], uint64(op.Off))
-	binary.LittleEndian.PutUint64(dst[8:16], uint64(op.Size))
+	binary.LittleEndian.PutUint64(dst[0:8], uint64(op.IO.Off))
+	binary.LittleEndian.PutUint64(dst[8:16], uint64(op.IO.Size))
 	binary.LittleEndian.PutUint64(dst[16:24], uint64(op.Gap))
-	var mode uint32
-	if op.Write {
-		mode = 1
-	}
-	binary.LittleEndian.PutUint32(dst[24:28], mode)
+	binary.LittleEndian.PutUint32(dst[24:28], uint32(op.IO.Mode))
 	binary.LittleEndian.PutUint32(dst[28:32], 0)
 	return nil
 }
@@ -109,13 +110,14 @@ func DecodeUTRRecord(b []byte) (BlockOp, error) {
 	if len(b) != UTRRecordSize {
 		return op, fmt.Errorf("trace: utr record is %d bytes, want %d", len(b), UTRRecordSize)
 	}
-	op.Off = int64(binary.LittleEndian.Uint64(b[0:8]))
-	op.Size = int64(binary.LittleEndian.Uint64(b[8:16]))
+	op.IO.Off = int64(binary.LittleEndian.Uint64(b[0:8]))
+	op.IO.Size = int64(binary.LittleEndian.Uint64(b[8:16]))
 	op.Gap = time.Duration(binary.LittleEndian.Uint64(b[16:24]))
 	switch mode := binary.LittleEndian.Uint32(b[24:28]); mode {
 	case 0:
+		op.IO.Mode = device.Read
 	case 1:
-		op.Write = true
+		op.IO.Mode = device.Write
 	default:
 		return op, fmt.Errorf("trace: utr record: mode %d (want 0 or 1)", mode)
 	}
@@ -123,10 +125,10 @@ func DecodeUTRRecord(b []byte) (BlockOp, error) {
 		return op, fmt.Errorf("trace: utr record: reserved field is %#x, want 0", rsv)
 	}
 	switch {
-	case op.Off < 0:
-		return op, fmt.Errorf("trace: utr record: offset %d must be non-negative", op.Off)
-	case op.Size <= 0:
-		return op, fmt.Errorf("trace: utr record: size %d must be positive", op.Size)
+	case op.IO.Off < 0:
+		return op, fmt.Errorf("trace: utr record: offset %d must be non-negative", op.IO.Off)
+	case op.IO.Size <= 0:
+		return op, fmt.Errorf("trace: utr record: size %d must be positive", op.IO.Size)
 	case op.Gap < 0 || op.Gap > MaxUTRGap:
 		return op, fmt.Errorf("trace: utr record: gap %v outside [0, %v]", op.Gap, MaxUTRGap)
 	}
@@ -319,7 +321,7 @@ func (u *UTRWriter) Write(op BlockOp) error {
 	}
 	n := len(u.chunk)
 	if err := EncodeUTRRecord((*[UTRRecordSize]byte)(u.chunk[n:n+UTRRecordSize]), op); err != nil {
-		return err
+		return fmt.Errorf("%w (record %d)", err, u.count)
 	}
 	u.chunk = u.chunk[:n+UTRRecordSize]
 	u.count++
@@ -409,36 +411,4 @@ func encodeUTRChunks(ops []BlockOp, chunk []byte, emit func([]byte) error) error
 		}
 	}
 	return nil
-}
-
-// EncodeUTR renders ops as .utr bytes in memory (tests and small traces;
-// large traces should stream through UTRWriter).
-func EncodeUTR(ops []BlockOp) ([]byte, error) {
-	var b bytes.Buffer
-	b.Grow(UTRHeaderSize + len(ops)*UTRRecordSize)
-	if err := WriteUTR(&b, ops); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// ReadUTR parses a complete .utr trace into memory via the Scanner,
-// enforcing every validation the streaming path does.
-func ReadUTR(r io.Reader) ([]BlockOp, error) {
-	sc, err := NewScanner(r)
-	if err != nil {
-		return nil, err
-	}
-	// The declared count sizes the slice, but capped: a hostile header can
-	// claim any count, and the scanner only proves it against the stream as
-	// records actually arrive. Past the cap append grows the slice normally.
-	capHint := min(sc.Count(), 1<<20)
-	out := make([]BlockOp, 0, capHint)
-	for sc.Scan() {
-		out = append(out, sc.Op())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -127,7 +127,7 @@ func TestUTRWriterChunkEdgesByteIdentical(t *testing.T) {
 	for _, n := range []int{1, chunk - 1, chunk, chunk + 1, 3*chunk + 7} {
 		ops := randomBlockOps(n, uint64(n))
 		want := referenceEncode(t, ops)
-		got, err := trace.EncodeUTR(ops)
+		got, err := encodeUTR(ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestUTRWriterChunkEdgesByteIdentical(t *testing.T) {
 	}
 	// A rejected op is not written, and names its index in the slice form.
 	ops := randomBlockOps(chunk+5, 1)
-	ops[chunk+1].Size = 0
+	ops[chunk+1].IO.Size = 0
 	if err, want := trace.WriteUTR(io.Discard, ops), fmt.Sprintf("trace: utr record: size 0 must be positive (record %d)", chunk+1); errText(err) != want {
 		t.Errorf("WriteUTR of a bad op: %v, want %s", err, want)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"uflip/internal/device"
 	"uflip/internal/trace"
 )
 
@@ -17,14 +18,14 @@ func randomBlockOps(n int, seed uint64) []trace.BlockOp {
 	rng := rand.New(rand.NewPCG(seed, 0))
 	ops := make([]trace.BlockOp, n)
 	for i := range ops {
-		ops[i] = trace.BlockOp{
-			Off:   int64(rng.Uint64N(1 << 40)),
-			Size:  1 + int64(rng.Uint64N(4<<20)),
-			Gap:   time.Duration(rng.Uint64N(uint64(trace.MaxUTRGap) + 1)),
-			Write: rng.Uint64N(2) == 1,
-		}
+		// The draws keep their order (offset, size, gap, mode): the stream is
+		// what the committed fuzz corpora were cut from.
+		ops[i].IO.Off = int64(rng.Uint64N(1 << 40))
+		ops[i].IO.Size = 1 + int64(rng.Uint64N(4<<20))
+		ops[i].Gap = time.Duration(rng.Uint64N(uint64(trace.MaxUTRGap) + 1))
+		ops[i].IO.Mode = device.Mode(rng.Uint64N(2))
 	}
-	ops[0].Off = 0
+	ops[0].IO.Off = 0
 	ops[0].Gap = 0
 	if n > 1 {
 		ops[1].Gap = trace.MaxUTRGap
@@ -32,16 +33,25 @@ func randomBlockOps(n int, seed uint64) []trace.BlockOp {
 	return ops
 }
 
+// encodeUTR renders ops as .utr bytes in memory.
+func encodeUTR(ops []trace.BlockOp) ([]byte, error) {
+	var b bytes.Buffer
+	if err := trace.WriteUTR(&b, ops); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
 func TestUTRRoundTrip(t *testing.T) {
 	ops := randomBlockOps(3000, 42)
-	data, err := trace.EncodeUTR(ops)
+	data, err := encodeUTR(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := trace.UTRHeaderSize + len(ops)*trace.UTRRecordSize; len(data) != want {
 		t.Fatalf("encoded %d bytes, want %d", len(data), want)
 	}
-	got, err := trace.ReadUTR(bytes.NewReader(data))
+	got, err := scanAll(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +65,7 @@ func TestUTRRoundTrip(t *testing.T) {
 	}
 	// Re-encoding the decoded stream must reproduce the bytes exactly: the
 	// encoding is canonical.
-	again, err := trace.EncodeUTR(got)
+	again, err := encodeUTR(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ func TestUTRRoundTrip(t *testing.T) {
 // two-pass encoder: both must produce identical files.
 func TestUTRWriterMatchesEncode(t *testing.T) {
 	ops := randomBlockOps(257, 7)
-	want, err := trace.EncodeUTR(ops)
+	want, err := encodeUTR(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +96,7 @@ func TestUTRWriterMatchesEncode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ws.buf, want) {
-		t.Fatal("UTRWriter output differs from EncodeUTR")
+		t.Fatal("UTRWriter output differs from WriteUTR")
 	}
 }
 
@@ -122,7 +132,7 @@ func (b *writeSeekBuffer) Seek(off int64, whence int) (int64, error) {
 // payload bits, invalid record fields — must fail loudly.
 func TestUTRRejectsCorruption(t *testing.T) {
 	ops := randomBlockOps(10, 3)
-	data, err := trace.EncodeUTR(ops)
+	data, err := encodeUTR(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +157,13 @@ func TestUTRRejectsCorruption(t *testing.T) {
 		"empty":               nil,
 	}
 	for name, b := range cases {
-		if _, err := trace.ReadUTR(bytes.NewReader(b)); err == nil {
+		if _, err := scanAll(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: accepted, want an error", name)
 		}
 	}
 	// The untouched original still parses (the mutations above, not some
 	// unrelated strictness, are what the parser rejects).
-	if _, err := trace.ReadUTR(bytes.NewReader(data)); err != nil {
+	if _, err := scanAll(bytes.NewReader(data)); err != nil {
 		t.Fatalf("pristine trace rejected: %v", err)
 	}
 }
@@ -161,7 +171,7 @@ func TestUTRRejectsCorruption(t *testing.T) {
 // TestScannerConstantMemory pins the O(batch) promise: scanning a trace
 // allocates a fixed handful of objects (scanner + bufio), never per record.
 func TestScannerConstantMemory(t *testing.T) {
-	data, err := trace.EncodeUTR(randomBlockOps(10000, 9))
+	data, err := encodeUTR(randomBlockOps(10000, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +197,12 @@ func TestScannerConstantMemory(t *testing.T) {
 // accepts must re-encode to the identical bytes (the format has exactly one
 // encoding per op stream).
 func FuzzReadUTR(f *testing.F) {
-	seed, err := trace.EncodeUTR(randomBlockOps(5, 1))
+	seed, err := encodeUTR(randomBlockOps(5, 1))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	single, err := trace.EncodeUTR([]trace.BlockOp{{Off: 4096, Size: 8192, Gap: 120500 * time.Nanosecond, Write: true}})
+	single, err := encodeUTR([]trace.BlockOp{{Gap: 120500 * time.Nanosecond, IO: device.IO{Mode: device.Write, Off: 4096, Size: 8192}}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -203,14 +213,15 @@ func FuzzReadUTR(f *testing.F) {
 	f.Add([]byte(trace.UTRMagic))
 	f.Add([]byte("offset,size,mode,gap_us\n4096,8192,R,0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops, err := trace.ReadUTR(bytes.NewReader(data))
+		// scanAll is NewScanner and a read-all loop: the whole-stream parse.
+		ops, err := scanAll(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if len(ops) == 0 {
 			t.Fatal("accepted a trace with no IOs")
 		}
-		again, err := trace.EncodeUTR(ops)
+		again, err := encodeUTR(ops)
 		if err != nil {
 			t.Fatalf("accepted ops failed to re-encode: %v", err)
 		}

@@ -218,11 +218,11 @@ func FuzzCRC64Combine(f *testing.F) {
 // the same error text from the positioned-read verifier, split as finely as
 // it goes, as from the Scanner.
 func FuzzVerifyUTRMatchesScanner(f *testing.F) {
-	small, err := trace.EncodeUTR(randomBlockOps(5, 1))
+	small, err := encodeUTR(randomBlockOps(5, 1))
 	if err != nil {
 		f.Fatal(err)
 	}
-	long, err := trace.EncodeUTR(randomBlockOps(2*trace.UTRChunkRecords+9, 2))
+	long, err := encodeUTR(randomBlockOps(2*trace.UTRChunkRecords+9, 2))
 	if err != nil {
 		f.Fatal(err)
 	}

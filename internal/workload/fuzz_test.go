@@ -4,13 +4,30 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"uflip/internal/device"
+	"uflip/internal/trace"
 )
 
-// FuzzReadTrace checks that the block-trace CSV parser never panics and that
-// every accepted trace round-trips losslessly: write -> read gives back the
+// FuzzReadTrace checks that the block-trace reader — the sniff and either
+// form's parser behind it — never panics and that every accepted trace
+// round-trips losslessly through the CSV form: write -> read gives back the
 // same ops, and the written form is a byte-stable fixed point. The gap bound
-// (MaxGapUS) is what makes the microseconds float round trip provably exact.
+// (MaxGapUS, the .utr form's MaxUTRGap) is what makes the microseconds float
+// round trip provably exact.
 func FuzzReadTrace(f *testing.F) {
+	var utr bytes.Buffer
+	if err := WriteUTR(&utr, []Op{
+		{IO: device.IO{Mode: device.Write, Off: 4096, Size: 8192}},
+		{Gap: 120500, IO: device.IO{Mode: device.Read, Off: 131072, Size: 32768}},
+		{Gap: trace.MaxUTRGap, IO: device.IO{Mode: device.Read, Size: 512}},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(utr.Bytes())
+	f.Add(utr.Bytes()[:trace.UTRHeaderSize+trace.UTRRecordSize+5]) // cut mid-record
+	f.Add([]byte(trace.UTRMagic))                                  // the sniff's whole evidence
+	f.Add([]byte(trace.UTRMagic + "\n4096,8192,R,0\n"))            // .utr by magic, CSV after it
 	for _, seed := range []string{
 		"offset,size,mode,gap_us\n4096,8192,R,0\n131072,32768,W,120.5\n",
 		"0,512,r,0.001\n",
@@ -26,7 +43,7 @@ func FuzzReadTrace(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops, err := ReadTrace(bytes.NewReader(data))
+		ops, err := ReadOps(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -39,7 +56,7 @@ func FuzzReadTrace(f *testing.F) {
 		if err := WriteTrace(&b1, ops); err != nil {
 			t.Fatalf("write accepted trace: %v", err)
 		}
-		ops2, err := ReadTrace(bytes.NewReader(b1.Bytes()))
+		ops2, err := ReadOps(bytes.NewReader(b1.Bytes()))
 		if err != nil {
 			t.Fatalf("reread written trace: %v", err)
 		}

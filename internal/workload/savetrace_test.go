@@ -8,7 +8,7 @@ import (
 )
 
 // TestSaveTraceMakesParents is the regression test for `uflip workload
-// -dump-trace` pointing into a directory that does not exist yet: SaveTrace
+// -dump-trace` pointing into a directory that does not exist yet: SaveOps
 // must create the parents and the trace must load back identically.
 func TestSaveTraceMakesParents(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "traces", "2026", "smoke.csv")
@@ -16,10 +16,10 @@ func TestSaveTraceMakesParents(t *testing.T) {
 		{IO: device.IO{Mode: device.Write, Off: 4096, Size: 8192}},
 		{IO: device.IO{Mode: device.Read, Off: 0, Size: 512}, Gap: 1500},
 	}
-	if err := SaveTrace(path, ops); err != nil {
-		t.Fatalf("SaveTrace into missing directories: %v", err)
+	if err := SaveOps(path, ops); err != nil {
+		t.Fatalf("SaveOps into missing directories: %v", err)
 	}
-	got, err := LoadTrace(path)
+	got, err := LoadOps(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestTraceCSVRoundTrip(t *testing.T) {
 	if err := workload.WriteTrace(&first, ops); err != nil {
 		t.Fatal(err)
 	}
-	got, err := workload.ReadTrace(bytes.NewReader(first.Bytes()))
+	got, err := workload.ReadOps(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestTraceCSVHandEdited(t *testing.T) {
 		"4096,8192,r,0",
 		"131072, 32768 ,W, 120.5",
 	}, "\n")
-	ops, err := workload.ReadTrace(strings.NewReader(in))
+	ops, err := workload.ReadOps(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTraceCSVRejectsBadRows(t *testing.T) {
 		"offset,size,mode,gap_us\n0,512,R,x.", // bad gap number
 	}
 	for _, in := range bad {
-		if _, err := workload.ReadTrace(strings.NewReader(in)); err == nil {
+		if _, err := workload.ReadOps(strings.NewReader(in)); err == nil {
 			t.Fatalf("accepted bad trace %q", in)
 		}
 	}
@@ -110,7 +110,7 @@ func TestTraceErrorsReportFileLines(t *testing.T) {
 		"4096,512,R,0",            // line 4
 		"4096,512,X,0",            // line 5: bad mode
 	}, "\n")
-	_, err := workload.ReadTrace(strings.NewReader(in))
+	_, err := workload.ReadOps(strings.NewReader(in))
 	if err == nil {
 		t.Fatal("bad row accepted")
 	}
@@ -121,7 +121,7 @@ func TestTraceErrorsReportFileLines(t *testing.T) {
 	// CSV-structure errors (wrong field count) go through encoding/csv's
 	// ParseError, which also carries the real line.
 	in = "# comment\noffset,size,mode,gap_us\n4096,512,R,0\n4096,512\n"
-	_, err = workload.ReadTrace(strings.NewReader(in))
+	_, err = workload.ReadOps(strings.NewReader(in))
 	if err == nil || !strings.Contains(err.Error(), "line 4") {
 		t.Fatalf("error %q does not name file line 4", err)
 	}

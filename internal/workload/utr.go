@@ -1,113 +1,23 @@
 package workload
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
-	"uflip/internal/device"
 	"uflip/internal/trace"
 )
 
-// This file adapts the binary .utr trace format (internal/trace/utr.go) to
-// the workload layer: Op <-> trace.BlockOp conversion, whole-slice and
-// streaming writers, and a random-access Source that lets ReplaySource
-// replay multi-GB traces at O(segment) memory.
+// This file is the replay side of the binary .utr trace format
+// (internal/trace/utr.go): a random-access Source that lets ReplaySource
+// replay multi-GB traces at O(segment) memory. A .utr record decodes straight
+// into an Op (the trace package's record type is this package's), and the
+// streaming readers and writers of both forms meet in trace.go.
 
-// opFromBlock converts one decoded .utr record to an Op.
-func opFromBlock(b trace.BlockOp) Op {
-	mode := device.Read
-	if b.Write {
-		mode = device.Write
-	}
-	return Op{Gap: b.Gap, IO: device.IO{Mode: mode, Off: b.Off, Size: b.Size}}
-}
-
-// blockFromOp converts one Op to its .utr record form.
-func blockFromOp(op Op) trace.BlockOp {
-	return trace.BlockOp{
-		Off:   op.IO.Off,
-		Size:  op.IO.Size,
-		Gap:   op.Gap,
-		Write: op.IO.Mode == device.Write,
-	}
-}
-
-// UTRRecord encodes op into its canonical .utr record bytes — the encoding
-// the server hashes to give a trace a format-independent identity.
-func UTRRecord(dst *[trace.UTRRecordSize]byte, op Op) error {
-	return trace.EncodeUTRRecord(dst, blockFromOp(op))
-}
-
-// WriteUTR writes ops as a complete .utr trace.
-func WriteUTR(w io.Writer, ops []Op) error {
-	blocks := make([]trace.BlockOp, len(ops))
-	for i, op := range ops {
-		blocks[i] = blockFromOp(op)
-	}
-	return trace.WriteUTR(w, blocks)
-}
-
-// ReadUTR parses a complete .utr trace into ops.
-func ReadUTR(r io.Reader) ([]Op, error) {
-	sc, err := trace.NewScanner(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Op, 0, sc.Count())
-	for sc.Scan() {
-		out = append(out, opFromBlock(sc.Op()))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SaveUTR writes ops to a .utr file, creating parent directories.
-func SaveUTR(path string, ops []Op) error {
-	f, err := trace.Create(path)
-	if err != nil {
-		return fmt.Errorf("workload: %w", err)
-	}
-	uw, err := trace.NewUTRWriter(f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for _, op := range ops {
-		if err := uw.Write(blockFromOp(op)); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := uw.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// SaveTraceAuto writes ops in the format the path's extension names:
-// .utr gets the binary form, everything else the CSV form.
-func SaveTraceAuto(path string, ops []Op) error {
-	if FormatForPath(path) == TraceFormatUTR {
-		return SaveUTR(path, ops)
-	}
-	return SaveTrace(path, ops)
-}
-
-// FormatForPath picks the trace format a path's extension names: .utr is
-// binary, everything else CSV.
-func FormatForPath(path string) string {
-	if strings.EqualFold(filepath.Ext(path), ".utr") {
-		return TraceFormatUTR
-	}
-	return TraceFormatCSV
-}
+// WriteUTR writes ops as a complete .utr trace to a plain io.Writer: the
+// record count is known up front, so unlike NewOpWriter's .utr writer it
+// needs no seeking.
+func WriteUTR(w io.Writer, ops []Op) error { return trace.WriteUTR(w, ops) }
 
 // UTRSource replays a .utr trace straight from an io.ReaderAt — a file or
 // an in-memory byte slice — materializing only the segment each engine job
@@ -197,11 +107,10 @@ func (u *UTRSource) SegmentInto(buf *SegmentBuf, start, n int) ([]Op, error) {
 		}
 		off += int64(len(window))
 		for ; len(window) > 0; window = window[trace.UTRRecordSize:] {
-			b, err := trace.DecodeUTRRecord(window[:trace.UTRRecordSize])
-			if err != nil {
+			var err error
+			if ops[done], err = trace.DecodeUTRRecord(window[:trace.UTRRecordSize]); err != nil {
 				return nil, fmt.Errorf("%w (record %d)", err, start+done)
 			}
-			ops[done] = opFromBlock(b)
 			done++
 		}
 	}
@@ -216,106 +125,4 @@ func (u *UTRSource) Close() error {
 	c := u.closer
 	u.closer = nil
 	return c.Close()
-}
-
-// ConvertTrace streams a trace from r to w, converting between formats. The
-// input format is sniffed from the first bytes; format selects the output
-// (TraceFormatCSV or TraceFormatUTR). Memory stays O(1) in the trace length
-// in every direction; w must be an io.WriteSeeker when converting to .utr
-// from CSV, whose record count is only known at the end. CSV output is the
-// canonical form WriteTrace emits, so CSV -> utr -> CSV is byte-identical
-// for canonical files. Returns the number of records converted.
-func ConvertTrace(r io.Reader, w io.Writer, format string) (int, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(trace.UTRMagic))
-	if err != nil && err != io.EOF {
-		return 0, fmt.Errorf("workload: %w", err)
-	}
-	var next func() (Op, bool, error)
-	if SniffTraceFormat(head) == TraceFormatUTR {
-		sc, err := trace.NewScanner(br)
-		if err != nil {
-			return 0, err
-		}
-		next = func() (Op, bool, error) {
-			if !sc.Scan() {
-				return Op{}, false, sc.Err()
-			}
-			return opFromBlock(sc.Op()), true, nil
-		}
-	} else {
-		ts := NewTraceScanner(br)
-		next = func() (Op, bool, error) {
-			if !ts.Scan() {
-				return Op{}, false, ts.Err()
-			}
-			return ts.Op(), true, nil
-		}
-	}
-	var write func(Op) error
-	var finish func() error
-	switch format {
-	case TraceFormatUTR:
-		ws, ok := w.(io.WriteSeeker)
-		if !ok {
-			return 0, fmt.Errorf("workload: utr output needs an io.WriteSeeker")
-		}
-		uw, err := trace.NewUTRWriter(ws)
-		if err != nil {
-			return 0, err
-		}
-		write = func(op Op) error { return uw.Write(blockFromOp(op)) }
-		finish = uw.Close
-	case TraceFormatCSV:
-		tw, err := NewTraceWriter(w)
-		if err != nil {
-			return 0, err
-		}
-		write = tw.Write
-		finish = tw.Flush
-	default:
-		return 0, fmt.Errorf("workload: unknown trace format %q", format)
-	}
-	n := 0
-	for {
-		op, ok, err := next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			break
-		}
-		if err := write(op); err != nil {
-			return n, err
-		}
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("workload: trace holds no IOs")
-	}
-	return n, finish()
-}
-
-// ConvertTraceFile converts a trace file to format at outPath, streaming at
-// O(1) memory. The input format is sniffed from the file content.
-func ConvertTraceFile(inPath, outPath, format string) (int, error) {
-	in, err := os.Open(inPath)
-	if err != nil {
-		return 0, fmt.Errorf("workload: %w", err)
-	}
-	defer in.Close()
-	out, err := trace.Create(outPath)
-	if err != nil {
-		return 0, fmt.Errorf("workload: %w", err)
-	}
-	n, err := ConvertTrace(in, out, format)
-	if err != nil {
-		out.Close()
-		os.Remove(outPath)
-		return 0, err
-	}
-	if err := out.Close(); err != nil {
-		return 0, fmt.Errorf("workload: %w", err)
-	}
-	return n, nil
 }

@@ -55,60 +55,125 @@ func randomTraceOps(t *testing.T, n int, seed int64) []workload.Op {
 	return ops
 }
 
-// TestTraceFormatsLosslessRoundTrip is the cross-format property test:
-// CSV -> utr -> CSV reproduces the canonical CSV byte for byte, and
-// utr -> CSV -> utr reproduces the utr bytes byte for byte.
+var forms = []string{workload.TraceFormatCSV, workload.TraceFormatUTR}
+
+// writeSeekBuffer is an in-memory io.WriteSeeker: the .utr writer's header
+// patch without a file.
+type writeSeekBuffer struct {
+	buf []byte
+	pos int
+}
+
+func (b *writeSeekBuffer) Write(p []byte) (int, error) {
+	if need := b.pos + len(p); need > len(b.buf) {
+		b.buf = append(b.buf, make([]byte, need-len(b.buf))...)
+	}
+	copy(b.buf[b.pos:], p)
+	b.pos += len(p)
+	return len(p), nil
+}
+
+func (b *writeSeekBuffer) Seek(off int64, whence int) (int64, error) {
+	switch whence {
+	case io.SeekStart:
+		b.pos = int(off)
+	case io.SeekCurrent:
+		b.pos += int(off)
+	case io.SeekEnd:
+		b.pos = len(b.buf) + int(off)
+	}
+	return int64(b.pos), nil
+}
+
+// TestTraceFormatsLosslessRoundTrip is the one codec's property test: a
+// random valid stream written by either form's writer comes back, through
+// the sniffing reader, as the same ops under the right form's name; and
+// ConvertTrace in all four directions emits exactly the bytes the writers
+// emit, so csv -> utr -> csv and utr -> csv -> utr are byte-identical.
 func TestTraceFormatsLosslessRoundTrip(t *testing.T) {
-	ops := randomTraceOps(t, 3000, 17)
-	var csv1 bytes.Buffer
-	if err := workload.WriteTrace(&csv1, ops); err != nil {
-		t.Fatal(err)
+	for _, n := range []int{1, 2, 3000, trace.UTRChunkRecords + 1} {
+		ops := randomTraceOps(t, n, int64(17+n))
+		written := map[string][]byte{}
+		for _, form := range forms {
+			var ws writeSeekBuffer
+			if err := workload.WriteOps(&ws, form, ops); err != nil {
+				t.Fatalf("%d ops as %s: %v", n, form, err)
+			}
+			written[form] = ws.buf
+			rd, sniffed, err := workload.NewOpReader(bytes.NewReader(ws.buf))
+			if err != nil {
+				t.Fatalf("%d ops as %s: %v", n, form, err)
+			}
+			if sniffed != form {
+				t.Fatalf("%d ops written as %s sniffed as %s", n, form, sniffed)
+			}
+			var got []workload.Op
+			for rd.Scan() {
+				got = append(got, rd.Op())
+			}
+			if err := rd.Err(); err != nil {
+				t.Fatalf("%d ops as %s: %v", n, form, err)
+			}
+			if !reflect.DeepEqual(got, ops) {
+				t.Fatalf("%d ops drifted across the %s round trip", n, form)
+			}
+		}
+		// The count-known .utr writer and the streaming one agree.
+		var plain bytes.Buffer
+		if err := workload.WriteUTR(&plain, ops); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain.Bytes(), written[workload.TraceFormatUTR]) {
+			t.Fatalf("%d ops: WriteUTR differs from the streaming .utr writer", n)
+		}
+		for _, from := range forms {
+			for _, to := range forms {
+				var ws writeSeekBuffer
+				got, err := workload.ConvertTrace(bytes.NewReader(written[from]), &ws, to)
+				if err != nil || got != n {
+					t.Fatalf("%d ops %s -> %s: n=%d err=%v", n, from, to, got, err)
+				}
+				if !bytes.Equal(ws.buf, written[to]) {
+					t.Fatalf("%d ops %s -> %s: converted bytes differ from the %s writer's", n, from, to, to)
+				}
+			}
+		}
 	}
+}
 
-	// CSV -> ops -> utr -> ops -> CSV.
-	fromCSV, err := workload.ReadTrace(bytes.NewReader(csv1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+// TestWritersRejectUnknownMode: a mode that is neither read nor write has no
+// encoding in either form, and both writers say which record carried it (the
+// CSV writer would have printed it as W, the .utr writer stored it as read).
+func TestWritersRejectUnknownMode(t *testing.T) {
+	ops := randomTraceOps(t, 5, 3)
+	ops[3].IO.Mode = device.Mode(2)
+	for form, want := range map[string]string{
+		workload.TraceFormatCSV: "workload: trace row 3: mode 2 (want R or W)",
+		workload.TraceFormatUTR: "trace: utr record: mode 2 (want 0 or 1) (record 3)",
+	} {
+		var ws writeSeekBuffer
+		if got := errString(workload.WriteOps(&ws, form, ops)); got != want {
+			t.Errorf("%s writer: got %q, want %q", form, got, want)
+		}
 	}
-	var utr1 bytes.Buffer
-	if err := workload.WriteUTR(&utr1, fromCSV); err != nil {
-		t.Fatal(err)
-	}
-	fromUTR, err := workload.ReadUTR(bytes.NewReader(utr1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromUTR, fromCSV) {
-		t.Fatal("ops drifted across the utr round trip")
-	}
-	var csv2 bytes.Buffer
-	if err := workload.WriteTrace(&csv2, fromUTR); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(csv1.Bytes(), csv2.Bytes()) {
-		t.Fatal("CSV -> utr -> CSV is not byte-identical")
-	}
-
-	// utr -> CSV -> utr.
-	var utr2 bytes.Buffer
-	if err := workload.WriteUTR(&utr2, fromCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(utr1.Bytes(), utr2.Bytes()) {
-		t.Fatal("utr -> CSV -> utr is not byte-identical")
+	if got, want := errString(workload.WriteUTR(io.Discard, ops)), "trace: utr record: mode 2 (want 0 or 1) (record 3)"; got != want {
+		t.Errorf("WriteUTR: got %q, want %q", got, want)
 	}
 }
 
 // TestConvertTraceFileStreams pins the `uflip trace convert` engine: the
 // streaming file converter must emit exactly what the slice-based writers
-// emit, in both directions, sniffing the input format from content.
+// emit, in both directions, sniffing the input format from content. The
+// output may be the input: the trace is converted beside the path and renamed
+// over it, so converting in place keeps the trace, and a conversion that
+// fails leaves the path as it was.
 func TestConvertTraceFileStreams(t *testing.T) {
 	ops := randomTraceOps(t, 500, 23)
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "t.csv")
 	utrPath := filepath.Join(dir, "t.utr")
 	backPath := filepath.Join(dir, "back.csv")
-	if err := workload.SaveTrace(csvPath, ops); err != nil {
+	if err := workload.SaveOps(csvPath, ops); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := workload.ConvertTraceFile(csvPath, utrPath, workload.FormatForPath(utrPath)); err != nil || n != len(ops) {
@@ -125,8 +190,63 @@ func TestConvertTraceFileStreams(t *testing.T) {
 	if n, err := workload.ConvertTraceFile(utrPath, backPath, workload.FormatForPath(backPath)); err != nil || n != len(ops) {
 		t.Fatalf("utr -> csv: n=%d err=%v", n, err)
 	}
-	if !bytes.Equal(readFile(t, backPath), readFile(t, csvPath)) {
+	wantCSV := readFile(t, csvPath)
+	if !bytes.Equal(readFile(t, backPath), wantCSV) {
 		t.Fatal("csv -> utr -> csv via ConvertTraceFile is not byte-identical")
+	}
+
+	// In place: csv -> csv, then csv -> utr -> csv, all on the one path.
+	for _, step := range []struct {
+		form string
+		want []byte
+	}{
+		{workload.TraceFormatCSV, wantCSV},
+		{workload.TraceFormatUTR, wantUTR.Bytes()},
+		{workload.TraceFormatCSV, wantCSV},
+	} {
+		if n, err := workload.ConvertTraceFile(backPath, backPath, step.form); err != nil || n != len(ops) {
+			t.Fatalf("in place -> %s: n=%d err=%v", step.form, n, err)
+		}
+		if !bytes.Equal(readFile(t, backPath), step.want) {
+			t.Fatalf("in place -> %s: the path does not hold the converted trace", step.form)
+		}
+	}
+	if st, err := os.Stat(backPath); err != nil || st.Mode().Perm() != 0o644 {
+		t.Fatalf("converted trace has mode %v (err %v), want 0644", st.Mode().Perm(), err)
+	}
+
+	// A conversion that fails mid-stream leaves the old output's bytes, for
+	// either output form, and no temporary file beside it.
+	badPath := filepath.Join(dir, "bad.csv")
+	if err := os.WriteFile(badPath, []byte("offset,size,mode,gap_us\n0,512,R,0\n512,512,W,1\n1024,512,X,2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []string{backPath, utrPath} {
+		before := readFile(t, out)
+		_, err := workload.ConvertTraceFile(badPath, out, workload.FormatForPath(out))
+		if got, want := errString(err), `workload: trace line 4: mode "X" (want R or W)`; got != want {
+			t.Fatalf("bad row into %s: got %q, want %q", out, got, want)
+		}
+		if !bytes.Equal(readFile(t, out), before) {
+			t.Fatalf("failed conversion changed %s", out)
+		}
+	}
+	if _, err := workload.ConvertTraceFile(badPath, badPath, workload.TraceFormatUTR); err == nil {
+		t.Fatal("bad trace converted in place")
+	}
+	// A trace of no IOs converts to neither form.
+	for _, form := range forms {
+		var ws writeSeekBuffer
+		if _, err := workload.ConvertTrace(strings.NewReader("offset,size,mode,gap_us\n"), &ws, form); errString(err) != "workload: trace holds no IOs" {
+			t.Fatalf("empty trace -> %s: %v", form, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 4 {
+		t.Fatalf("directory holds %d entries after the failed conversions, want the 4 traces", len(entries))
 	}
 }
 
@@ -142,7 +262,7 @@ func TestGapBoundsAgree(t *testing.T) {
 	if err := workload.WriteTrace(&buf, atBound); err != nil {
 		t.Fatal(err)
 	}
-	ops, err := workload.ReadTrace(bytes.NewReader(buf.Bytes()))
+	ops, err := workload.ReadOps(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("gap at the shared bound rejected by the CSV parser: %v", err)
 	}

@@ -5,7 +5,15 @@
 // of timed IOs driven against any simulated device.
 //
 // A workload is a flat []Op — each op an IO plus the inter-arrival gap since
-// the previous submission. Streams are pure functions of their generator
+// the previous submission. Op is the block trace's record type (an alias of
+// trace.BlockOp), so a stream goes to and from a trace file with no
+// conversion. A trace has two on-disk forms — the CSV of trace.go and the
+// binary .utr of internal/trace/utr.go — each with one streaming reader and
+// one streaming writer; the only code that knows there are two is
+// NewOpReader (sniffs a stream, returns the form's reader) and NewOpWriter
+// (returns the named form's writer), and reading, writing, saving, loading
+// and converting a trace are each one function over those (trace.go).
+// Streams are pure functions of their generator
 // configuration (including the seed), so the same configuration always
 // yields the identical stream. Replay is open-loop: op i is submitted at
 // submit(i-1) + gap(i) regardless of completions, and the device's queueing
@@ -31,18 +39,18 @@ import (
 	"uflip/internal/device"
 	"uflip/internal/engine"
 	"uflip/internal/stats"
+	"uflip/internal/trace"
 )
 
-// batchOps is how many ops Replay hands the device per SubmitBatch call;
+// batchOps is how many ops a replay hands the device per SubmitBatch call;
 // the submission scratch is a fixed stack buffer of this size.
 const batchOps = 128
 
-// Op is one timed IO of a workload: the request plus the inter-arrival gap
-// between the previous op's submission and this one's.
-type Op struct {
-	Gap time.Duration
-	IO  device.IO
-}
+// Op is one timed IO of a workload: the request (IO) plus the inter-arrival
+// gap (Gap) between the previous op's submission and this one's. It is the
+// block trace's record type, so a stream goes to and from either trace form
+// without conversion.
+type Op = trace.BlockOp
 
 // Generator produces a deterministic op stream: the same configuration
 // (seed included) always yields the identical stream.
@@ -53,21 +61,16 @@ type Generator interface {
 	Generate() ([]Op, error)
 }
 
-// Replay drives dev with the ops open-loop starting at virtual time startAt:
-// op i is submitted at submit(i-1) + Gap(i). A busy device queues the
-// request, and the wait is part of the measured response time. The returned
-// run summarizes every op (IOIgnore 0 — replays have no methodology-defined
-// warm-up to discard). Transient device faults are retried under the default
-// policy and counted in the run's FaultStats; ctx cancels the replay between
-// batches and inside the retry loop, so a canceled job stops promptly even
-// mid-recovery.
-func Replay(ctx context.Context, dev device.Device, ops []Op, startAt time.Duration) (*core.Run, error) {
-	return replayInto(ctx, dev, ops, startAt, make([]time.Duration, 0, len(ops)))
-}
-
-// replayInto is Replay appending the response times to rts, which must be
-// empty with room for one per op: ReplaySource passes each segment its
-// window of the stream-order array.
+// replayInto drives dev with the ops open-loop starting at virtual time
+// startAt: op i is submitted at submit(i-1) + Gap(i). A busy device queues
+// the request, and the wait is part of the measured response time. The
+// returned run summarizes every op (IOIgnore 0 — replays have no
+// methodology-defined warm-up to discard). Transient device faults are
+// retried under the default policy and counted in the run's FaultStats; ctx
+// cancels the replay between batches and inside the retry loop, so a canceled
+// job stops promptly even mid-recovery. The response times are appended to
+// rts, which must be empty with room for one per op: ReplaySource passes each
+// segment its window of the stream-order array.
 func replayInto(ctx context.Context, dev device.Device, ops []Op, startAt time.Duration, rts []time.Duration) (*core.Run, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("workload: empty op stream")

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"uflip/internal/core"
 	"uflip/internal/device"
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
@@ -192,6 +193,17 @@ func TestZipfianIsSkewed(t *testing.T) {
 	}
 }
 
+// replayOn replays ops on dev from virtual time at as one segment on the
+// calling goroutine, and returns that segment's run.
+func replayOn(dev device.Device, ops []workload.Op, at time.Duration) (*core.Run, error) {
+	factory := func(engine.Shard) (device.Device, time.Duration, error) { return dev, at, nil }
+	res, err := workload.ReplaySource(context.Background(), workload.OpsSource("replay", ops), factory, workload.Options{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	return res.Segments[0], nil
+}
+
 // TestReplayOpenLoop verifies arrival-time semantics on a device with known
 // costs: gaps advance the clock, and a busy device queues the request with
 // the wait measured in the response time.
@@ -204,7 +216,7 @@ func TestReplayOpenLoop(t *testing.T) {
 		// still busy for 1 ms, so this op queues and its rt doubles.
 		{Gap: 0, IO: device.IO{Mode: device.Read, Off: 1024, Size: 512}},
 	}
-	run, err := workload.Replay(context.Background(), dev, ops, 0)
+	run, err := replayOn(dev, ops, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +232,10 @@ func TestReplayOpenLoop(t *testing.T) {
 	if run.Total != 12*time.Millisecond {
 		t.Fatalf("total %v, want 12ms", run.Total)
 	}
-	if _, err := workload.Replay(context.Background(), dev, nil, 0); err == nil {
+	if _, err := replayOn(dev, nil, 0); err == nil {
 		t.Fatal("empty stream replayed")
 	}
-	if _, err := workload.Replay(context.Background(), dev, []workload.Op{{Gap: -1, IO: ops[0].IO}}, 0); err == nil {
+	if _, err := replayOn(dev, []workload.Op{{Gap: -1, IO: ops[0].IO}}, 0); err == nil {
 		t.Fatal("negative gap accepted")
 	}
 }
@@ -284,10 +296,10 @@ func TestGenerateViaTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/trace.csv"
-	if err := workload.SaveTrace(path, ops); err != nil {
+	if err := workload.SaveOps(path, ops); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := workload.LoadTrace(path)
+	loaded, err := workload.LoadOps(path)
 	if err != nil {
 		t.Fatal(err)
 	}
