@@ -61,11 +61,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPageFTLStateful$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockFTLStateful$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/ftl
 
-# Compile every cmd/* and examples/* binary so example drift breaks the
-# build instead of rotting silently.
+# Compile every cmd/* binary into bin/. The walk-throughs are Example
+# functions in example_test.go, run by `go test`.
 binaries:
 	@mkdir -p bin
-	@set -e; for d in ./cmd/* ./examples/*; do \
+	@set -e; for d in ./cmd/*; do \
 		[ -d "$$d" ] || continue; \
 		echo "building $$d"; \
 		$(GO) build -o "bin/$$(basename $$d)" "$$d"; \

@@ -13,15 +13,18 @@ package uflip_test
 //	BenchmarkFigure8           — locality curves (Samsung/Memoright/Mtron)
 //	BenchmarkAlignment/Mix/Parallelism — the Section 5.2 "other results"
 //	BenchmarkDeviceState       — the Section 4.1 Samsung state anomaly
-//	BenchmarkAblation*         — design-choice ablations from DESIGN.md
+//	BenchmarkAblation*         — ablations of the simulator's design choices
 //
 // Absolute numbers come from the calibrated simulator; the claim is shape
-// fidelity against the paper (see EXPERIMENTS.md). Table 3 is regenerated by
-// `uflip-report -exp table3`. None of these is a speed measurement: how fast
+// fidelity against the paper (README describes the model; ROADMAP item 2
+// plans the claims ledger that will check it). Figures 6-8 and the Section
+// 5.2 results run through paperexp.RunBenchmark, the pipeline the uflip
+// command runs. Table 3 is regenerated by `uflip-report -exp table3`. None of these is a speed measurement: how fast
 // the simulator itself runs is the repository benchmark's business
 // (benchmark/, BENCHMARK.json), which repeats its runs and reports spread.
 
 import (
+	"context"
 	"os"
 	"sync"
 	"testing"
@@ -82,6 +85,17 @@ func prepare(b *testing.B, key string, cfg paperexp.Config) (device.Device, time
 	return dev, at
 }
 
+// runPlan runs the named micro-benchmarks on key through the pipeline the
+// uflip command runs.
+func runPlan(b *testing.B, key string, cfg paperexp.Config, micros ...string) *methodology.Results {
+	b.Helper()
+	out, err := paperexp.RunBenchmark(context.Background(), key, cfg, paperexp.BenchmarkRequest{Micros: micros})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out.Results
+}
+
 // BenchmarkFigure3 regenerates the Mtron random-write trace: a cheap
 // start-up phase (paper: ~125 IOs at ~0.4 ms) followed by oscillation.
 func BenchmarkFigure3(b *testing.B) {
@@ -136,17 +150,13 @@ func BenchmarkFigure5(b *testing.B) {
 func granularityBench(b *testing.B, key string) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		dev, at := prepare(b, key, cfg)
-		curves, _, err := paperexp.GranularityCurves(dev, at, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		curves := paperexp.Curves(runPlan(b, key, cfg, "Granularity"), "Granularity")
 		for _, base := range core.Baselines {
-			for _, pt := range curves[base] {
-				if pt.X == 32 { // the paper's reference size
+			for _, pt := range curves[base.String()] {
+				if pt.X == 32<<10 { // the paper's reference size
 					b.ReportMetric(pt.Y, base.String()+"32K-ms")
 				}
-				if pt.X == 512 {
+				if pt.X == 512<<10 {
 					b.ReportMetric(pt.Y, base.String()+"512K-ms")
 				}
 			}
@@ -172,18 +182,17 @@ func BenchmarkFigure8(b *testing.B) {
 		b.Run(key, func(b *testing.B) {
 			cfg := benchCfg()
 			for i := 0; i < b.N; i++ {
-				dev, at := prepare(b, key, cfg)
-				pts, _, err := paperexp.LocalityCurve(dev, at, cfg)
+				pts, err := paperexp.Figure8(runPlan(b, key, cfg, "Granularity", "Locality"))
 				if err != nil {
 					b.Fatal(err)
 				}
 				for _, pt := range pts {
 					switch pt.X {
-					case 1:
+					case 1 << 20:
 						b.ReportMetric(pt.Y, "rel-1MB")
-					case 8:
+					case 8 << 20:
 						b.ReportMetric(pt.Y, "rel-8MB")
-					case 128:
+					case 128 << 20:
 						b.ReportMetric(pt.Y, "rel-128MB")
 					}
 				}
@@ -197,15 +206,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkAlignment(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		dev, at := prepare(b, "samsung", cfg)
-		d := core.StandardDefaults()
-		d.IOCount = cfg.IOCount
-		d.RandomTarget = dev.Capacity() / 2
-		series, _, err := paperexp.SweepSeries(dev, at, cfg, core.Alignment(d, dev.Capacity()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rw := series["RW"]
+		rw := paperexp.Curves(runPlan(b, "samsung", cfg, "Alignment"), "Alignment")["RW"]
 		if len(rw) > 0 {
 			b.ReportMetric(rw[0].Y, "aligned512B-shift-ms")
 			b.ReportMetric(rw[len(rw)/2].Y, "midshift-ms")
@@ -219,14 +220,7 @@ func BenchmarkMix(b *testing.B) {
 	cfg := benchCfg()
 	cfg.IOCount = 512
 	for i := 0; i < b.N; i++ {
-		dev, at := prepare(b, "memoright", cfg)
-		d := core.StandardDefaults()
-		d.IOCount = cfg.IOCount
-		d.RandomTarget = dev.Capacity() / 4
-		series, _, err := paperexp.SweepSeries(dev, at, cfg, core.Mix(d, dev.Capacity()))
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := paperexp.Curves(runPlan(b, "memoright", cfg, "Mix"), "Mix")
 		if pts := series["SR/RR"]; len(pts) > 0 {
 			b.ReportMetric(pts[0].Y, "SR-RR-1:1-ms")
 		}
@@ -242,14 +236,7 @@ func BenchmarkMix(b *testing.B) {
 func BenchmarkParallelism(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		dev, at := prepare(b, "memoright", cfg)
-		d := core.StandardDefaults()
-		d.IOCount = cfg.IOCount
-		d.RandomTarget = dev.Capacity() / 2
-		series, _, err := paperexp.SweepSeries(dev, at, cfg, core.Parallelism(d, dev.Capacity()))
-		if err != nil {
-			b.Fatal(err)
-		}
+		series := paperexp.Curves(runPlan(b, "memoright", cfg, "Parallelism"), "Parallelism")
 		for _, pt := range series["SR"] {
 			if pt.X == 1 {
 				b.ReportMetric(pt.Y, "SR-par1-ms")
@@ -284,7 +271,7 @@ func BenchmarkDeviceState(b *testing.B) {
 	}
 }
 
-// --- Ablations: isolate the design choices DESIGN.md calls out. ---
+// --- Ablations: isolate the simulator's design choices. ---
 
 type ablationDevice struct {
 	name string

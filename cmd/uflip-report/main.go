@@ -1,6 +1,9 @@
 // Command uflip-report regenerates the tables and figures of the uFLIP
 // paper's evaluation (Section 5) from live simulator runs, rendering them as
-// text tables and ASCII plots.
+// text tables and ASCII plots. Table 3, Figures 6–8 and the Section 5.2
+// sweeps run their micro-benchmarks through paperexp.RunBenchmark, the
+// pipeline the uflip command runs, so a Table 3 row equals the means in
+// uflip's CSV for the same device, capacity and seed.
 //
 // Examples:
 //
@@ -12,14 +15,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"uflip/internal/core"
 	"uflip/internal/device"
+	"uflip/internal/methodology"
 	"uflip/internal/paperexp"
 	"uflip/internal/profile"
 	"uflip/internal/report"
@@ -86,14 +93,11 @@ func render(name string, cfg paperexp.Config) error {
 	case "fig8":
 		return fig8(cfg)
 	case "alignment":
-		return sweepFigure("Alignment (Samsung): response time vs IOShift", "samsung", cfg,
-			func(d core.Defaults, capacity int64) core.Microbenchmark { return core.Alignment(d, capacity) })
+		return sweepFigure("Alignment (Samsung): response time vs IOShift", "samsung", "Alignment", cfg)
 	case "mix":
-		return sweepFigure("Mix (Memoright): response time vs Ratio", "memoright", cfg,
-			func(d core.Defaults, capacity int64) core.Microbenchmark { return core.Mix(d, capacity) })
+		return sweepFigure("Mix (Memoright): response time vs Ratio", "memoright", "Mix", cfg)
 	case "parallelism":
-		return sweepFigure("Parallelism (Memoright): response time vs degree", "memoright", cfg,
-			func(d core.Defaults, capacity int64) core.Microbenchmark { return core.Parallelism(d, capacity) })
+		return sweepFigure("Parallelism (Memoright): response time vs degree", "memoright", "Parallelism", cfg)
 	case "state":
 		return stateAnomaly(cfg)
 	default:
@@ -132,19 +136,25 @@ func table2() error {
 	return t.Render(os.Stdout)
 }
 
+// runPlan runs the named micro-benchmarks on key through the pipeline the
+// uflip command runs.
+func runPlan(key string, cfg paperexp.Config, micros ...string) (*methodology.Results, error) {
+	out, err := paperexp.RunBenchmark(context.Background(), key, cfg, paperexp.BenchmarkRequest{Micros: micros})
+	if err != nil {
+		return nil, err
+	}
+	return out.Results, nil
+}
+
 func table3(cfg paperexp.Config) error {
 	var chars []report.DeviceCharacter
 	for _, p := range profile.Representatives() {
 		fmt.Fprintf(os.Stderr, "measuring %s...\n", p.Key)
-		dev, at, err := paperexp.Prepare(p.Key, cfg)
+		res, err := runPlan(p.Key, cfg, paperexp.Table3Micros...)
 		if err != nil {
 			return err
 		}
-		c, _, err := paperexp.Table3Row(dev, at, cfg)
-		if err != nil {
-			return err
-		}
-		chars = append(chars, c)
+		chars = append(chars, report.Characterize(res, core.StandardDefaults().IOSize))
 	}
 	return report.CharacterTable(chars).Render(os.Stdout)
 }
@@ -190,22 +200,19 @@ func fig5(cfg paperexp.Config) error {
 }
 
 func granFigure(title, key string, cfg paperexp.Config) error {
-	dev, at, err := paperexp.Prepare(key, cfg)
+	res, err := runPlan(key, cfg, "Granularity")
 	if err != nil {
 		return err
 	}
-	curves, _, err := paperexp.GranularityCurves(dev, at, cfg)
-	if err != nil {
-		return err
-	}
+	curves := paperexp.Curves(res, "Granularity")
 	p := &report.Plot{Title: title, XLabel: "IO size (KB)", YLabel: "response time (ms)", LogY: true, Height: 16}
 	markers := map[core.Baseline]byte{core.SR: 's', core.RR: 'r', core.SW: 'S', core.RW: 'R'}
 	for _, b := range core.Baselines {
-		pts := curves[b]
+		pts := curves[b.String()]
 		xs := make([]float64, len(pts))
 		ys := make([]float64, len(pts))
 		for i, pt := range pts {
-			xs[i], ys[i] = pt.X, pt.Y
+			xs[i], ys[i] = pt.X/1024, pt.Y
 		}
 		p.AddSeries(b.String(), markers[b], xs, ys)
 	}
@@ -216,20 +223,21 @@ func fig8(cfg paperexp.Config) error {
 	p := &report.Plot{Title: "Figure 8: locality — RW cost relative to SW vs TargetSize (MB)", XLabel: "log2(target MB)", YLabel: "RW/SW", Height: 16}
 	markers := map[string]byte{"samsung": 's', "memoright": 'm', "mtron": 't'}
 	for _, key := range []string{"samsung", "memoright", "mtron"} {
-		dev, at, err := paperexp.Prepare(key, cfg)
+		res, err := runPlan(key, cfg, "Granularity", "Locality")
 		if err != nil {
 			return err
 		}
-		pts, _, err := paperexp.LocalityCurve(dev, at, cfg)
+		pts, err := paperexp.Figure8(res)
 		if err != nil {
 			return err
 		}
 		var xs, ys []float64
 		for _, pt := range pts {
-			if pt.X < 1 {
+			mb := pt.X / (1 << 20)
+			if mb < 1 {
 				continue
 			}
-			xs = append(xs, log2(pt.X))
+			xs = append(xs, log2(mb))
 			ys = append(ys, pt.Y)
 		}
 		p.AddSeries(key, markers[key], xs, ys)
@@ -237,21 +245,15 @@ func fig8(cfg paperexp.Config) error {
 	return p.Render(os.Stdout)
 }
 
-func sweepFigure(title, key string, cfg paperexp.Config, gen func(core.Defaults, int64) core.Microbenchmark) error {
-	dev, at, err := paperexp.Prepare(key, cfg)
+func sweepFigure(title, key, micro string, cfg paperexp.Config) error {
+	res, err := runPlan(key, cfg, micro)
 	if err != nil {
 		return err
 	}
-	d := core.StandardDefaults()
-	d.IOCount = cfg.IOCount
-	d.RandomTarget = dev.Capacity() / 2
-	series, _, err := paperexp.SweepSeries(dev, at, cfg, gen(d, dev.Capacity()))
-	if err != nil {
-		return err
-	}
+	series := paperexp.Curves(res, micro)
 	t := &report.Table{Title: title, Headers: []string{"series", "param", "mean(ms)"}}
-	for label, pts := range series {
-		for _, pt := range pts {
+	for _, label := range slices.Sorted(maps.Keys(series)) {
+		for _, pt := range series[label] {
 			t.AddRow(label, pt.X, pt.Y)
 		}
 	}

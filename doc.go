@@ -152,9 +152,15 @@
 // primitives (SubmitBatch, the chip run operations) with committed seed
 // corpora.
 //
+// The paper's tables and figures come from the pipeline the uflip command
+// runs (paperexp.RunBenchmark): Table 3, Figures 6-8 and the Section 5.2
+// sweeps are views of its plan's results ("uflip-report -exp table3", or
+// -exp all), so a Table 3 row equals the means in uflip's CSV for the same
+// device, capacity and seed.
+//
 // The implementation lives under internal/; see README.md for the layout,
-// cmd/ for the executables, examples/ for runnable walk-throughs, and
-// bench_test.go in this directory for the Go benchmarks that regenerate the
-// figures and ablations of the paper's evaluation (Table 3 comes from
-// "uflip-report -exp table3"); benchmark/ measures how fast all of it runs.
+// cmd/ for the executables, example_test.go in this directory for runnable
+// walk-throughs checked by go test, and bench_test.go for the Go benchmarks
+// that regenerate the figures and ablations of the paper's evaluation;
+// benchmark/ measures how fast all of it runs.
 package uflip

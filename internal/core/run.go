@@ -62,11 +62,6 @@ type Run struct {
 // MeasuredRTs returns the response times of the running phase.
 func (r *Run) MeasuredRTs() []time.Duration { return r.RTs[r.IOIgnore:] }
 
-// Mean returns the running-phase mean response time.
-func (r *Run) Mean() time.Duration {
-	return time.Duration(r.Summary.Mean * float64(time.Second))
-}
-
 // Timing controls the time dimension of a run: consecutive when Pause is
 // zero; pause(Pause) when Burst <= 1; burst(Pause, Burst) otherwise.
 type Timing struct {

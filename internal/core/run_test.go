@@ -53,8 +53,8 @@ func TestExecutePatternTiming(t *testing.T) {
 	if run.Summary.N != 10 {
 		t.Fatalf("Summary.N = %d", run.Summary.N)
 	}
-	if run.Mean() != time.Millisecond {
-		t.Fatalf("Mean = %v", run.Mean())
+	if run.Summary.Mean != time.Millisecond.Seconds() {
+		t.Fatalf("Summary.Mean = %v", run.Summary.Mean)
 	}
 }
 

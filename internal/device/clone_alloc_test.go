@@ -176,8 +176,8 @@ func TestSimDeviceCloneEquivalence(t *testing.T) {
 	if got, want := cl.IOs(), dev.IOs(); got != want {
 		t.Fatalf("clone IOs = %d, want %d", got, want)
 	}
-	if got, want := cl.Drain(), dev.Drain(); got != want {
-		t.Fatalf("clone Drain = %v, want %v", got, want)
+	if !sameState(t, cl, dev) {
+		t.Fatal("clone state differs from the original's")
 	}
 	atA, atB := at, at
 	for i := 500; i < 1200; i++ {

@@ -327,29 +327,6 @@ func (d *CompositeDevice) CloneDevice() Device {
 	return g
 }
 
-// Drain advances past all member background work, returning the time at
-// which the whole array is quiescent. Members without a Drain method
-// contribute their last known completion.
-func (d *CompositeDevice) Drain() time.Duration {
-	var max time.Duration
-	for i, m := range d.members {
-		var end time.Duration
-		if dr, ok := m.(interface{ Drain() time.Duration }); ok {
-			end = dr.Drain()
-		} else {
-			for _, done := range d.st.Queues[i].Ring {
-				if done > end {
-					end = done
-				}
-			}
-		}
-		if end > max {
-			max = end
-		}
-	}
-	return max
-}
-
 // split computes the member fragments of io into d.frags, ordered by the
 // first logical byte each member serves (the order a real scatter-gather
 // dispatch walks them).

@@ -201,16 +201,6 @@ func (p *PerIO) ResetFrom(src Device) bool {
 	return ok
 }
 
-// Drain forwards to the wrapped device so inter-experiment quiescing sees
-// through the wrapper; devices without a Drain report their last completion
-// through the executors as before.
-func (p *PerIO) Drain() time.Duration {
-	if dr, ok := p.Inner.(interface{ Drain() time.Duration }); ok {
-		return dr.Drain()
-	}
-	return 0
-}
-
 // Cloneable is a Device whose full state can be snapshotted. CloneDevice
 // returns a deep copy that evolves independently: submitting the same IO
 // sequence to the clone and to the original yields identical completion

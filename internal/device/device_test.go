@@ -127,7 +127,7 @@ func TestSimDeviceWriteBackAcksEarly(t *testing.T) {
 	if ackWB >= ackWT {
 		t.Fatalf("write-back ack %v not earlier than write-through %v", ackWB, ackWT)
 	}
-	if wb.Drain() <= ackWB {
+	if wb.st.FlashFree <= ackWB {
 		t.Fatal("no background flash work after write-back ack")
 	}
 }
@@ -142,8 +142,8 @@ func TestSimDeviceThrottleBoundsBacklog(t *testing.T) {
 			t.Fatal(err)
 		}
 		prev = done
-		if d.Drain()-done > lag+50*time.Millisecond {
-			t.Fatalf("IO %d: backlog %v exceeds lag bound", i, d.Drain()-done)
+		if backlog := max(d.st.FlashFree, d.st.BusFree) - done; backlog > lag+50*time.Millisecond {
+			t.Fatalf("IO %d: backlog %v exceeds lag bound", i, backlog)
 		}
 	}
 }

@@ -297,12 +297,3 @@ func (f *FaultyDevice) ResetFrom(src Device) bool {
 	f.cfg, f.st = s.cfg, s.st
 	return true
 }
-
-// Drain forwards to the wrapped device so inter-experiment quiescing sees
-// through the wrapper.
-func (f *FaultyDevice) Drain() time.Duration {
-	if dr, ok := f.inner.(interface{ Drain() time.Duration }); ok {
-		return dr.Drain()
-	}
-	return 0
-}

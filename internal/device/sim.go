@@ -258,12 +258,3 @@ func (d *SimDevice) service(at time.Duration, io IO) (time.Duration, error) {
 	}
 	return done, nil
 }
-
-// Drain advances past all background work, returning the time at which the
-// device is fully quiescent. Used between experiments.
-func (d *SimDevice) Drain() time.Duration {
-	if d.st.FlashFree > d.st.BusFree {
-		return d.st.FlashFree
-	}
-	return d.st.BusFree
-}

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"uflip/internal/core"
 	"uflip/internal/device"
 	"uflip/internal/methodology"
 )
@@ -29,7 +28,8 @@ import (
 // the plan, never on the worker count, which is what keeps parallel execution
 // deterministic.
 type Shard struct {
-	// Index is the shard's position in the partition.
+	// Index is the shard's position in the partition, and the index of the
+	// run it executes: the plan's run (methodology.Plan.Runs) or the job.
 	Index int
 	// Seed is the shard's derived RNG seed, a pure function of (base seed,
 	// shard index), offered to factories that want per-shard randomness. No
@@ -37,18 +37,13 @@ type Shard struct {
 	// state from their own configured seed and copy it, so every shard starts
 	// from the same well-defined state (Section 4.1).
 	Seed int64
-	// Exps holds the shard's one experiment (empty for stream jobs).
-	Exps []core.Experiment
-	// FirstRun is the global run index of Exps[0] within the plan.
-	FirstRun int
 	// Reuse, when non-nil, is the device the same worker's previous shard ran
-	// on: finished, quiescent and referenced by nothing else, because a
-	// device passed to Job.Run or methodology.RunExperiments must not be
-	// retained after the call returns. A factory may recycle it for this
-	// shard instead of allocating a new stack — Master.Factory resets it in
-	// place from the enforced master — or ignore it, as factories that
-	// rebuild do. It never influences results: a recycled device starts in
-	// exactly the state a fresh one would.
+	// on: finished, quiescent and referenced by nothing else, because neither
+	// a plan run nor a Job.Run retains its device after it returns. A factory
+	// may recycle it for this shard instead of allocating a new stack —
+	// Master.Factory resets it in place from the enforced master — or ignore
+	// it, as factories that rebuild do. It never influences results: a
+	// recycled device starts in exactly the state a fresh one would.
 	Reuse device.Device
 }
 
@@ -97,23 +92,15 @@ func shardSeed(base int64, index int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Partition gives every run of the plan its own shard — and with it its own
-// device in the freshly enforced state, which is exactly what a StepReset
-// asks for, so reset steps need no shard of their own. The partition is a
-// pure function of the plan.
-func Partition(plan methodology.Plan, baseSeed int64) []Shard {
-	shards := make([]Shard, 0, len(plan.Steps))
-	for _, step := range plan.Steps {
-		if step.Kind != methodology.StepRun {
-			continue
-		}
-		i := len(shards)
-		shards = append(shards, Shard{
-			Index:    i,
-			Seed:     shardSeed(baseSeed, i),
-			Exps:     []core.Experiment{step.Exp},
-			FirstRun: i,
-		})
+// Partition returns the shards of n independent runs, shard i running run i
+// with its own derived seed: a pure function of n and the base seed. A plan's
+// runs are its run steps (methodology.Plan.Runs), each on its own device in
+// the freshly enforced state — exactly what a StepReset asks for, so reset
+// steps need no shard of their own.
+func Partition(n int, baseSeed int64) []Shard {
+	shards := make([]Shard, n)
+	for i := range shards {
+		shards[i] = Shard{Index: i, Seed: shardSeed(baseSeed, i)}
 	}
 	return shards
 }
@@ -127,14 +114,14 @@ func Partition(plan methodology.Plan, baseSeed int64) []Shard {
 // Cancelling ctx stops the engine between runs; ExecutePlan then returns
 // ctx.Err() and discards partial results.
 func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFactory, opts Options) (*methodology.Results, error) {
-	shards := Partition(plan, opts.Seed)
+	exps := plan.Runs()
 	out := &methodology.Results{Device: plan.Device}
-	if len(shards) == 0 {
+	if len(exps) == 0 {
 		return out, ctx.Err()
 	}
-	merged := make([]methodology.Result, len(shards))
-	ends := make([]time.Duration, len(shards))
-	observe := opts.observer(len(shards))
+	merged := make([]methodology.Result, len(exps))
+	ends := make([]time.Duration, len(exps))
+	observe := opts.observer(len(exps))
 
 	runShard := func(ctx context.Context, s Shard) (device.Device, error) {
 		dev, at, err := factory(s)
@@ -144,25 +131,24 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, end, err := methodology.RunExperiments(dev, s.Exps, plan.Pause, at)
+		e := exps[s.Index]
+		run, err := e.Run(dev, at)
 		if err != nil {
-			return nil, fmt.Errorf("engine: shard %d: %w", s.Index, err)
+			return nil, fmt.Errorf("engine: shard %d: %s: %w", s.Index, e.ID(), err)
 		}
-		merged[s.FirstRun] = res[0]
-		ends[s.Index] = end
-		observe(res[0].Exp.ID())
+		merged[s.Index] = methodology.Result{Exp: e, Run: run}
+		ends[s.Index] = at + run.Total + plan.Pause
+		observe(e.ID())
 		return dev, nil
 	}
 
-	if err := executeShards(ctx, shards, opts.workers(), runShard); err != nil {
+	if err := executeShards(ctx, Partition(len(exps), opts.Seed), opts.workers(), runShard); err != nil {
 		return nil, err
 	}
 
-	for i := range merged {
-		out.Results = append(out.Results, merged[i])
-	}
-	if out.Device == "" && len(out.Results) > 0 {
-		out.Device = out.Results[0].Run.Device
+	out.Results = merged
+	if out.Device == "" {
+		out.Device = merged[0].Run.Device
 	}
 	for _, end := range ends {
 		if end > out.Elapsed {

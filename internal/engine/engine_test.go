@@ -89,7 +89,8 @@ func TestDeterministicMerge(t *testing.T) {
 }
 
 // TestMergeOrder checks results come back in plan order, not completion
-// order, and that progress covers every run exactly once.
+// order, that progress covers every run exactly once, and that the merged
+// results answer Find.
 func TestMergeOrder(t *testing.T) {
 	plan := testPlan(t)
 	var wantIDs []string
@@ -123,6 +124,12 @@ func TestMergeOrder(t *testing.T) {
 	}
 	if res.Elapsed <= 0 {
 		t.Fatal("merged Elapsed not set")
+	}
+	if r := res.Find("enginetest", core.SW, 32*1024); r == nil || r.Exp.ID() != "enginetest/SW/IOSize=32768" {
+		t.Fatalf("Find(SW, 32 KB) = %v", r)
+	}
+	if res.Find("enginetest", core.SW, 12345) != nil {
+		t.Fatal("Find matched a non-existent value")
 	}
 }
 
@@ -174,8 +181,8 @@ func TestFactoryError(t *testing.T) {
 }
 
 // TestPartition checks the partition: one shard per run with reset steps
-// skipped, run indices global, and seeds a pure function of (base seed,
-// shard index).
+// skipped, shard i running the plan's run i, and seeds a pure function of
+// (base seed, shard index).
 func TestPartition(t *testing.T) {
 	exp := func(name string) methodology.Step {
 		d := core.StandardDefaults()
@@ -186,29 +193,35 @@ func TestPartition(t *testing.T) {
 	reset := methodology.Step{Kind: methodology.StepReset}
 	plan := methodology.Plan{Steps: []methodology.Step{
 		exp("a"), exp("b"), exp("c"), reset, exp("d"), exp("e"),
-	}}
+	}, Resets: 1}
 
-	shards := engine.Partition(plan, 7)
+	runs := plan.Runs()
 	wantMicros := []string{"a", "b", "c", "d", "e"}
-	if len(shards) != len(wantMicros) {
-		t.Fatalf("got %d shards, want %d", len(shards), len(wantMicros))
+	if len(runs) != len(wantMicros) {
+		t.Fatalf("got %d runs, want %d", len(runs), len(wantMicros))
+	}
+	for i, e := range runs {
+		if e.Micro != wantMicros[i] {
+			t.Fatalf("run %d is %s, want %s", i, e.Micro, wantMicros[i])
+		}
+	}
+	shards := engine.Partition(len(runs), 7)
+	if len(shards) != len(runs) {
+		t.Fatalf("got %d shards for %d runs", len(shards), len(runs))
 	}
 	for i, s := range shards {
-		if s.Index != i || s.FirstRun != i {
-			t.Errorf("shard %d: Index=%d FirstRun=%d, want %d/%d", i, s.Index, s.FirstRun, i, i)
-		}
-		if len(s.Exps) != 1 || s.Exps[0].Micro != wantMicros[i] {
-			t.Fatalf("shard %d runs %v, want exactly %s", i, s.Exps, wantMicros[i])
+		if s.Index != i {
+			t.Errorf("shard %d: Index=%d", i, s.Index)
 		}
 	}
 
-	again := engine.Partition(plan, 7)
+	again := engine.Partition(len(runs), 7)
 	for i := range shards {
 		if shards[i].Seed != again[i].Seed {
 			t.Fatal("shard seeds are not deterministic")
 		}
 	}
-	other := engine.Partition(plan, 8)
+	other := engine.Partition(len(runs), 8)
 	if shards[0].Seed == other[0].Seed {
 		t.Fatal("different base seeds produced identical shard seeds")
 	}

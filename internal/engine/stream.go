@@ -30,7 +30,7 @@ type Job struct {
 // ordered by job index — never by completion time — so the merged output is
 // byte-identical for any worker count. Each job receives a freshly built
 // device state (factory is called with a shard carrying the job's index and
-// derived seed, no experiments, and the worker's previous device to recycle).
+// derived seed and the worker's previous device to recycle).
 // Cancelling ctx stops execution between jobs and discards partial results.
 func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Options) ([]*core.Run, error) {
 	if len(jobs) == 0 {
@@ -39,10 +39,6 @@ func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Op
 	merged := make([]*core.Run, len(jobs))
 	observe := opts.observer(len(jobs))
 
-	shards := make([]Shard, len(jobs))
-	for i := range jobs {
-		shards[i] = Shard{Index: i, Seed: shardSeed(opts.Seed, i), FirstRun: i}
-	}
 	runShard := func(ctx context.Context, s Shard) (device.Device, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -61,7 +57,7 @@ func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Op
 		return dev, nil
 	}
 
-	if err := executeShards(ctx, shards, opts.workers(), runShard); err != nil {
+	if err := executeShards(ctx, Partition(len(jobs), opts.Seed), opts.workers(), runShard); err != nil {
 		return nil, err
 	}
 	return merged, nil

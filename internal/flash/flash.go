@@ -327,9 +327,6 @@ func (c *Chip) StoresData() bool { return c.cfg.storeData }
 // Cell returns the chip's cell type.
 func (c *Chip) Cell() CellType { return c.cfg.cell }
 
-// Timing returns the chip's operation timings.
-func (c *Chip) Timing() Timing { return c.cfg.timing }
-
 // Stats returns a snapshot of the operation counters.
 func (c *Chip) Stats() Stats { return c.st.Stats }
 

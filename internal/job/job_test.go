@@ -2,6 +2,7 @@ package job_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"uflip/internal/api"
 	"uflip/internal/job"
+	"uflip/internal/paperexp"
 	"uflip/internal/report"
 	"uflip/internal/trace"
 	"uflip/internal/workload"
@@ -117,6 +119,41 @@ func TestSaveNamesAndBytes(t *testing.T) {
 		blocked := filepath.Join(dir, entries[0].Name()) // a file where the directory should go
 		if _, err := c.out.Save(blocked, "dev"); err == nil {
 			t.Errorf("%s: Save under a regular file succeeded", c.out.Kind)
+		}
+	}
+}
+
+// TestTable3RowMatchesPlanJob: a Table 3 row (uflip-report -exp table3) and a
+// plan job (uflip, the daemon) run the same pipeline, so the row's 32 KB
+// baseline costs are exactly the means of the job's Granularity records.
+func TestTable3RowMatchesPlanJob(t *testing.T) {
+	const capacity, seed = 512 << 20, 42
+	for _, key := range []string{"kingston-dthx", "memoright"} {
+		cfg := paperexp.DefaultConfig()
+		cfg.Capacity, cfg.Seed = capacity, seed
+		plan, err := paperexp.RunBenchmark(context.Background(), key, cfg, paperexp.BenchmarkRequest{Micros: paperexp.Table3Micros})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := report.Characterize(plan.Results, 32<<10)
+
+		req := api.JobRequest{Kind: "plan", Device: key, Capacity: capacity, Seed: seed}
+		if err := job.Normalize(&req); err != nil {
+			t.Fatal(err)
+		}
+		out, err := job.Run(context.Background(), req, job.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		means := map[string]float64{}
+		for _, rec := range out.Records {
+			means[rec.ID] = rec.Summary.Mean * 1e3
+		}
+		for base, got := range map[string]float64{"SR": row.SRms, "RR": row.RRms, "SW": row.SWms, "RW": row.RWms} {
+			id := "Granularity/" + base + "/IOSize=32768"
+			if want, ok := means[id]; !ok || got != want {
+				t.Errorf("%s: Table 3 %s = %v ms, the plan job's %s = %v ms", key, base, got, id, want)
+			}
 		}
 	}
 }

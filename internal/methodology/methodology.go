@@ -4,7 +4,9 @@
 // (4.2), and determining the pause needed between runs so asynchronous
 // device work does not make consecutive experiments interfere (4.3), plus
 // the benchmark plan that sequences experiments, target spaces and state
-// resets.
+// resets. Executing a plan is the engine's job (engine.ExecutePlan, reached
+// through paperexp.RunBenchmark): every run starts from the enforced state on
+// a device of its own.
 package methodology
 
 import (

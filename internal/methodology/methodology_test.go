@@ -215,40 +215,6 @@ func TestBuildPlanAppliesPhases(t *testing.T) {
 	}
 }
 
-func TestRunPlanEndToEnd(t *testing.T) {
-	dev := smallDevice(t, "transcend-module")
-	if _, err := EnforceRandomState(dev, 4); err != nil {
-		t.Fatal(err)
-	}
-	d := core.StandardDefaults()
-	d.IOCount = 128
-	d.RandomTarget = dev.Capacity() / 2
-	var exps []core.Experiment
-	mb := core.Order(d, dev.Capacity())
-	exps = append(exps, mb.Experiments...)
-	plan := BuildPlan(exps, dev.Capacity(), time.Second, nil)
-	var progressed int
-	res, err := RunPlan(dev, plan, 20*time.Minute, 4, func(step, total int, desc string) { progressed++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Results) != len(exps) {
-		t.Fatalf("results = %d, want %d", len(res.Results), len(exps))
-	}
-	if progressed != len(plan.Steps) {
-		t.Fatalf("progress called %d times for %d steps", progressed, len(plan.Steps))
-	}
-	if res.Find("Order", core.SW, -1) == nil {
-		t.Fatal("Find could not locate the reverse experiment")
-	}
-	if res.Find("Order", core.SW, 12345) != nil {
-		t.Fatal("Find matched a non-existent value")
-	}
-	if res.Elapsed <= 0 {
-		t.Fatal("no elapsed time")
-	}
-}
-
 // recordingDevice captures every submitted IO so tests can pin the exact
 // enforcement sequence on awkward capacities.
 type recordingDevice struct {

@@ -1,7 +1,6 @@
 package methodology
 
 import (
-	"fmt"
 	"time"
 
 	"uflip/internal/core"
@@ -14,9 +13,11 @@ type StepKind int
 const (
 	// StepRun executes one experiment.
 	StepRun StepKind = iota
-	// StepReset re-enforces the random device state (Section 4.1); the
-	// plan inserts one whenever the accumulated sequential-write target
-	// space would exceed the device.
+	// StepReset marks where one device walking the plan would have to
+	// re-enforce the random state (Section 4.1): the plan inserts one
+	// whenever the accumulated sequential-write target space would exceed
+	// the device. The engine starts every run from the enforced state, so a
+	// reset carries no work of its own.
 	StepReset
 )
 
@@ -74,6 +75,17 @@ func BuildPlan(exps []core.Experiment, capacity int64, pause time.Duration, phas
 		plan.Steps = append(plan.Steps, Step{Kind: StepRun, Exp: e})
 	}
 	return plan
+}
+
+// Runs returns the plan's experiments in run order; reset steps carry none.
+func (p Plan) Runs() []core.Experiment {
+	exps := make([]core.Experiment, 0, len(p.Steps)-p.Resets)
+	for _, step := range p.Steps {
+		if step.Kind == StepRun {
+			exps = append(exps, step.Exp)
+		}
+	}
+	return exps
 }
 
 // disturbsState reports whether the experiment writes sequentially (the only
@@ -144,8 +156,8 @@ type Result struct {
 type Results struct {
 	Device  string
 	Results []Result
-	// Elapsed is the total virtual time of the plan, state resets
-	// included.
+	// Elapsed is the virtual time of the plan's longest shard: the runs
+	// execute on independent devices, each from the enforced state.
 	Elapsed time.Duration
 }
 
@@ -159,63 +171,4 @@ func (r *Results) Find(micro string, base core.Baseline, value int64) *Result {
 		}
 	}
 	return nil
-}
-
-// ProgressFunc observes plan execution; either argument may be zero-valued.
-type ProgressFunc func(step int, total int, description string)
-
-// RunExperiments executes a contiguous slice of experiments back-to-back on
-// dev starting at virtual time startAt, inserting pause between runs. It is
-// the unit of work shared by the sequential RunPlan below and the parallel
-// engine (internal/engine), which calls it on a private device per shard.
-func RunExperiments(dev device.Device, exps []core.Experiment, pause time.Duration, startAt time.Duration) ([]Result, time.Duration, error) {
-	out := make([]Result, 0, len(exps))
-	t := startAt
-	for i := range exps {
-		e := exps[i]
-		run, err := e.Run(dev, t)
-		if err != nil {
-			return nil, t, fmt.Errorf("methodology: %s: %w", e.ID(), err)
-		}
-		out = append(out, Result{Exp: e, Run: run})
-		t += run.Total + pause
-	}
-	return out, t, nil
-}
-
-// RunPlan executes a plan against a device starting at virtual time startAt
-// (which must be at or after the device's current time — typically the end
-// of the phase and pause measurements), inserting the pause between runs and
-// re-enforcing the state at reset steps.
-func RunPlan(dev device.Device, plan Plan, startAt time.Duration, seed int64, progress ProgressFunc) (*Results, error) {
-	out := &Results{Device: dev.Name()}
-	t := startAt
-	for i, step := range plan.Steps {
-		switch step.Kind {
-		case StepReset:
-			if progress != nil {
-				progress(i+1, len(plan.Steps), "state reset (random fill)")
-			}
-			end, err := EnforceRandomState(dev, seed+int64(i))
-			if err != nil {
-				return nil, err
-			}
-			if end > t {
-				t = end
-			}
-		case StepRun:
-			e := step.Exp
-			if progress != nil {
-				progress(i+1, len(plan.Steps), e.ID())
-			}
-			res, end, err := RunExperiments(dev, []core.Experiment{e}, plan.Pause, t)
-			if err != nil {
-				return nil, err
-			}
-			out.Results = append(out.Results, res...)
-			t = end
-		}
-	}
-	out.Elapsed = t
-	return out, nil
 }

@@ -52,8 +52,9 @@ func buildRawAndSingles(t *testing.T, key string, capacity int64) (device.Device
 // TestSingleMemberCompositeDifferentialMicrobenchmarks is the differential
 // oracle of the composite layer: a 1-member stripe, mirror or concat must
 // produce byte-identical Run results (ops, response times, summary stats) to
-// the raw member device across the full nine-micro-benchmark plan, state
-// resets included.
+// the raw member device across the full nine-micro-benchmark plan. The plan
+// is walked serially on one device, re-enforcing the state at each reset
+// step, so composite state carried from run to run is compared too.
 func TestSingleMemberCompositeDifferentialMicrobenchmarks(t *testing.T) {
 	const capacity = 24 << 20
 	cfg := DefaultConfig()
@@ -73,9 +74,24 @@ func TestSingleMemberCompositeDifferentialMicrobenchmarks(t *testing.T) {
 			exps = append(exps, mb.Experiments...)
 		}
 		plan := methodology.BuildPlan(exps, dev.Capacity(), cfg.Pause, nil)
-		res, err := methodology.RunPlan(dev, plan, end+cfg.Pause, cfg.Seed, nil)
-		if err != nil {
-			t.Fatal(err)
+		var res []methodology.Result
+		at := end + cfg.Pause
+		for i, step := range plan.Steps {
+			if step.Kind == methodology.StepReset {
+				end, err := methodology.EnforceRandomState(dev, cfg.Seed+int64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				at = max(at, end)
+				continue
+			}
+			e := step.Exp
+			r, err := e.Run(dev, at)
+			if err != nil {
+				t.Fatalf("%s: %v", e.ID(), err)
+			}
+			res = append(res, methodology.Result{Exp: e, Run: r})
+			at += r.Total + cfg.Pause
 		}
 		blob, err := json.Marshal(res)
 		if err != nil {

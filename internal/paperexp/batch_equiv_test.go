@@ -62,8 +62,8 @@ func resultsCSV(t *testing.T, res *methodology.Results) []byte {
 			IOIgnore:     r.Run.IOIgnore,
 			Summary:      r.Run.Summary,
 			TotalSeconds: r.Run.Total.Seconds(),
+			RTs:          r.Run.RTs,
 		}
-		rec.SetResponseTimes(r.Run.RTs)
 		records = append(records, rec)
 	}
 	var buf bytes.Buffer

@@ -175,11 +175,12 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 
 // Records converts plan results into their serializable form — the records
 // behind the CLI's -out files and the server's result endpoints, shared so
-// both surfaces emit byte-identical CSV/JSON.
+// both surfaces emit byte-identical CSV/JSON. A record shares its run's
+// response-time series.
 func Records(results *methodology.Results) []trace.RunRecord {
 	records := make([]trace.RunRecord, 0, len(results.Results))
 	for _, res := range results.Results {
-		rec := trace.RunRecord{
+		records = append(records, trace.RunRecord{
 			ID:           res.Exp.ID(),
 			Device:       results.Device,
 			Micro:        res.Exp.Micro,
@@ -191,19 +192,19 @@ func Records(results *methodology.Results) []trace.RunRecord {
 			TotalSeconds: res.Run.Total.Seconds(),
 			Faults:       res.Run.Faults.Faults,
 			Retries:      res.Run.Faults.Retries,
-		}
-		rec.SetResponseTimes(res.Run.RTs)
-		records = append(records, rec)
+			RTs:          res.Run.RTs,
+		})
 	}
 	return records
 }
 
 // WorkloadRecords converts a workload replay into per-segment records, the
-// same shape the CLI's workload -out files use.
+// same shape the CLI's workload -out files use. A record shares its
+// segment's response-time series.
 func WorkloadRecords(res *workload.Result) []trace.RunRecord {
 	records := make([]trace.RunRecord, 0, len(res.Segments))
 	for i, run := range res.Segments {
-		rec := trace.RunRecord{
+		records = append(records, trace.RunRecord{
 			ID:           fmt.Sprintf("workload/%s/seg=%d", res.Name, i),
 			Device:       res.Device,
 			Micro:        "workload",
@@ -213,9 +214,8 @@ func WorkloadRecords(res *workload.Result) []trace.RunRecord {
 			TotalSeconds: run.Total.Seconds(),
 			Faults:       run.Faults.Faults,
 			Retries:      run.Faults.Retries,
-		}
-		rec.SetResponseTimes(run.RTs)
-		records = append(records, rec)
+			RTs:          run.RTs,
+		})
 	}
 	return records
 }

@@ -18,7 +18,7 @@ import (
 // ShardFactory's copied master state must reproduce byte for byte.
 func RebuildShardFactory(key string, cfg Config) engine.DeviceFactory {
 	return func(engine.Shard) (device.Device, time.Duration, error) {
-		return prepareSim(key, cfg)
+		return Prepare(key, cfg)
 	}
 }
 

@@ -1,9 +1,13 @@
-// Package paperexp regenerates every table and figure of the uFLIP paper's
-// evaluation (Section 5) against the simulated devices: one function per
-// artifact, shared by the paper benchmarks (bench_test.go) and the
-// uflip-report command. Each function runs the relevant micro-benchmark
-// experiments following the methodology (state enforcement first, pauses
-// between runs) and returns the data series the paper plots or tabulates.
+// Package paperexp regenerates the tables and figures of the uFLIP paper's
+// evaluation (Section 5) against the simulated devices, one function per
+// artifact. Every artifact built from micro-benchmarks is a view of one
+// product plan — RunBenchmark, the pipeline the uflip command, the daemon and
+// the repository benchmark run (enforce the state, measure the phases and the
+// pause, execute the plan through the engine): Table 3 is
+// report.Characterize over a plan of Table3Micros, Figures 6 and 7 and the
+// Section 5.2 sweeps are Curves over a plan of their micro-benchmark, and
+// Figure 8 reads a Granularity and Locality plan. Figures 3–5 and the Section
+// 4.1 state anomaly each drive one pattern or probe on a prepared device.
 package paperexp
 
 import (
@@ -15,7 +19,6 @@ import (
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
 	"uflip/internal/profile"
-	"uflip/internal/report"
 	"uflip/internal/statestore"
 	"uflip/internal/stats"
 )
@@ -92,13 +95,7 @@ func (c Config) defaults(capacity int64) core.Defaults {
 // virtual time at which measurements may start. The key may be a plain
 // profile key ("mtron") or a composite array spec ("stripe(2,mtron,mtron)");
 // for arrays, cfg.Capacity applies per member.
-func Prepare(key string, cfg Config) (device.Device, time.Duration, error) {
-	return prepareSim(key, cfg)
-}
-
-// prepareSim is Prepare returning the cloneable simulated device — the
-// snapshot the engine master hands out per shard.
-func prepareSim(key string, cfg Config) (device.Cloneable, time.Duration, error) {
+func Prepare(key string, cfg Config) (device.Cloneable, time.Duration, error) {
 	dev, end, _, err := PrepareCached(key, cfg)
 	if err != nil {
 		return nil, 0, err
@@ -178,24 +175,9 @@ func enforceCached(dev device.Cloneable, key string, cfg Config) (time.Duration,
 	return end, false, nil
 }
 
-// Master returns an engine master over the profile: the device is built and
-// enforced once (lazily, with cfg.Seed), then copied per shard.
-func Master(key string, cfg Config) *engine.Master {
-	return engine.NewMaster(func() (device.Cloneable, time.Duration, error) {
-		return prepareSim(key, cfg)
-	})
-}
-
-// PrepareOutOfBox builds the device without any state enforcement — the
-// "fresh from the factory" state of the Section 4.1 anomaly. Like Prepare it
-// accepts plain profile keys and composite array specs.
-func PrepareOutOfBox(key string, cfg Config) (device.Device, error) {
-	return profile.BuildDevice(key, cfg.Capacity)
-}
-
 // Point is one sample of a parameter sweep.
 type Point struct {
-	X float64 // parameter value (axis unit depends on the figure)
+	X float64 // the experiment's parameter value, in its own unit
 	Y float64 // response time in ms, or a ratio for relative figures
 }
 
@@ -239,90 +221,6 @@ func Figure5(dev device.Device, at time.Duration, cfg Config) (*methodology.Paus
 	return methodology.MeasurePause(dev, cfg.defaults(dev.Capacity()), at)
 }
 
-// GranularityCurves runs the Granularity micro-benchmark and returns the
-// response time (ms) per IO size (KB) for each baseline — Figures 6 and 7.
-func GranularityCurves(dev device.Device, at time.Duration, cfg Config) (map[core.Baseline][]Point, time.Duration, error) {
-	d := cfg.defaults(dev.Capacity())
-	mb := core.Granularity(d, dev.Capacity())
-	out := make(map[core.Baseline][]Point)
-	t := at
-	for _, e := range mb.Experiments {
-		run, err := e.Run(dev, t)
-		if err != nil {
-			return nil, t, fmt.Errorf("%s: %w", e.ID(), err)
-		}
-		t += run.Total + cfg.Pause
-		out[e.Base] = append(out[e.Base], Point{
-			X: float64(e.Value) / 1024,
-			Y: run.Summary.Mean * 1e3,
-		})
-	}
-	return out, t, nil
-}
-
-// LocalityCurve runs the Locality micro-benchmark for random writes and
-// returns RW cost relative to SW as the target grows (Figure 8's series for
-// one device). X is the target size in MB.
-func LocalityCurve(dev device.Device, at time.Duration, cfg Config) ([]Point, time.Duration, error) {
-	d := cfg.defaults(dev.Capacity())
-	t := at
-	// Reference: sequential writes.
-	swRun, err := core.ExecutePattern(dev, core.SW.Pattern(d), t)
-	if err != nil {
-		return nil, t, err
-	}
-	t += swRun.Total + cfg.Pause
-	sw := swRun.Summary.Mean
-	if sw <= 0 {
-		return nil, t, fmt.Errorf("paperexp: zero SW reference on %s", dev.Name())
-	}
-	var out []Point
-	mb := core.Locality(d, dev.Capacity())
-	for _, e := range mb.Experiments {
-		if e.Base != core.RW {
-			continue
-		}
-		run, err := e.Run(dev, t)
-		if err != nil {
-			return nil, t, fmt.Errorf("%s: %w", e.ID(), err)
-		}
-		t += run.Total + cfg.Pause
-		out = append(out, Point{
-			X: float64(e.Value) / (1 << 20),
-			Y: run.Summary.Mean / sw,
-		})
-	}
-	return out, t, nil
-}
-
-// table3Experiments assembles the focused experiment set Table 3 needs:
-// the four baselines at 32 KB plus the Locality, Partitioning, Order and
-// Pause sweeps.
-func table3Experiments(capacity int64, d core.Defaults) []core.Experiment {
-	var exps []core.Experiment
-	gran := core.Granularity(d, capacity)
-	for _, e := range gran.Experiments {
-		if e.Value == d.IOSize {
-			exps = append(exps, e)
-		}
-	}
-	loc := core.Locality(d, capacity)
-	for _, e := range loc.Experiments {
-		if e.Base == core.RW {
-			exps = append(exps, e)
-		}
-	}
-	exps = append(exps, core.Partitioning(d, capacity).Experiments...)
-	exps = append(exps, core.Order(d, capacity).Experiments...)
-	pause := core.PauseMB(d, capacity)
-	for _, e := range pause.Experiments {
-		if e.Base == core.RW {
-			exps = append(exps, e)
-		}
-	}
-	return exps
-}
-
 // ShardFactory returns the engine device factory for a profile: one master
 // device per (profile, capacity, enforcement-seed) is built and enforced
 // lazily, and every shard receives its state — private mutable FTL state at
@@ -338,54 +236,61 @@ func table3Experiments(capacity int64, d core.Defaults) []core.Experiment {
 // worker counts is unchanged, and a shared enforced state matches the
 // paper's one-device methodology more closely).
 func ShardFactory(key string, cfg Config) engine.DeviceFactory {
-	return Master(key, cfg).Factory()
+	return engine.CloningFactory(func() (device.Cloneable, time.Duration, error) {
+		return Prepare(key, cfg)
+	})
 }
 
-// Table3Row measures one device's key characteristics (its Table 3 row),
-// following the full methodology: phase measurement to set IOIgnore/IOCount,
-// a benchmark plan with disjoint sequential-write targets, and pauses
-// between runs.
-func Table3Row(dev device.Device, at time.Duration, cfg Config) (report.DeviceCharacter, *methodology.Results, error) {
-	d := cfg.defaults(dev.Capacity())
-	phases, err := methodology.MeasurePhases(dev, d, 3072, at)
-	if err != nil {
-		return report.DeviceCharacter{}, nil, err
-	}
-	exps := table3Experiments(dev.Capacity(), d)
-	plan := methodology.BuildPlan(exps, dev.Capacity(), cfg.Pause, phases)
-	res, err := methodology.RunPlan(dev, plan, phases.End+cfg.Pause, cfg.Seed, nil)
-	if err != nil {
-		return report.DeviceCharacter{}, nil, err
-	}
-	return report.Characterize(res, d.IOSize), res, nil
-}
+// Table3Micros are the five micro-benchmarks a Table 3 row is read from
+// (report.Characterize). Table 3 runs a plan of exactly these: BuildPlan
+// places each sequential-write target after the ones before it, so a plan
+// with more micro-benchmarks moves where the Partitioning and Order runs
+// write, and with it their results.
+var Table3Micros = []string{"Granularity", "Locality", "Partitioning", "Order", "Pause"}
 
-// SweepSeries runs every experiment of a micro-benchmark and returns mean
-// response time (ms) per parameter value, per baseline label — used for the
-// Alignment, Mix, Parallelism, Pause and Bursts results of Section 5.2.
-func SweepSeries(dev device.Device, at time.Duration, cfg Config, mb core.Microbenchmark) (map[string][]Point, time.Duration, error) {
+// Curves is the view of a plan's results that the figures and sweeps plot:
+// for one micro-benchmark, the mean response time (ms) per parameter value,
+// one series per label — the baseline, or baseline/partner for a Mix
+// experiment — each in the micro-benchmark's order. Figures 6 and 7 are the
+// Granularity curves; the Section 5.2 results are those of Alignment, Mix
+// and Parallelism.
+func Curves(res *methodology.Results, micro string) map[string][]Point {
 	out := make(map[string][]Point)
-	t := at
-	for _, e := range mb.Experiments {
-		run, err := e.Run(dev, t)
-		if err != nil {
-			return nil, t, fmt.Errorf("%s: %w", e.ID(), err)
+	for _, r := range res.Results {
+		e := &r.Exp
+		if e.Micro != micro {
+			continue
 		}
-		t += run.Total + cfg.Pause
 		label := e.Base.String()
 		if e.MixWith != nil {
-			label = e.Base.String() + "/" + e.MixWith.Name
+			label += "/" + e.MixWith.Name
 		}
-		out[label] = append(out[label], Point{X: float64(e.Value), Y: run.Summary.Mean * 1e3})
+		out[label] = append(out[label], Point{X: float64(e.Value), Y: r.Run.Summary.Mean * 1e3})
 	}
-	return out, t, nil
+	return out
+}
+
+// Figure8 is one device's Figure 8 series: random-write cost relative to
+// sequential writes as the target grows, X the target size in bytes. It reads
+// a plan holding the Locality micro-benchmark and, for the reference, the
+// Granularity SW run at the default IO size.
+func Figure8(res *methodology.Results) ([]Point, error) {
+	sw := res.Find("Granularity", core.SW, core.StandardDefaults().IOSize)
+	if sw == nil || sw.Run.Summary.Mean <= 0 {
+		return nil, fmt.Errorf("paperexp: no SW reference for %s", res.Device)
+	}
+	pts := Curves(res, "Locality")["RW"]
+	for i := range pts {
+		pts[i].Y /= sw.Run.Summary.Mean * 1e3
+	}
+	return pts, nil
 }
 
 // StateAnomaly reproduces the Section 4.1 Samsung observation: random-write
 // cost out of the box versus after writing the whole device. Returns both
 // mean response times in ms.
 func StateAnomaly(key string, cfg Config) (outOfBoxMS, afterFillMS float64, err error) {
-	fresh, err := PrepareOutOfBox(key, cfg)
+	fresh, err := profile.BuildDevice(key, cfg.Capacity)
 	if err != nil {
 		return 0, 0, err
 	}

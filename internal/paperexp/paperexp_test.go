@@ -1,9 +1,11 @@
 package paperexp
 
 import (
+	"context"
 	"testing"
 
 	"uflip/internal/core"
+	"uflip/internal/methodology"
 )
 
 func quickCfg() Config {
@@ -49,25 +51,28 @@ func TestFigureTraces(t *testing.T) {
 	}
 }
 
+// runPlan runs the named micro-benchmarks on key through RunBenchmark, the
+// pipeline the uflip command runs.
+func runPlan(t *testing.T, key string, cfg Config, micros ...string) *methodology.Results {
+	t.Helper()
+	out, err := RunBenchmark(context.Background(), key, cfg, BenchmarkRequest{Micros: micros})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Results
+}
+
 func TestGranularityCurvesShape(t *testing.T) {
-	cfg := quickCfg()
-	dev, at, err := Prepare("kingston-dti", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	curves, _, err := GranularityCurves(dev, at, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	curves := Curves(runPlan(t, "kingston-dti", quickCfg(), "Granularity"), "Granularity")
 	for _, b := range core.Baselines {
-		if len(curves[b]) < 10 {
-			t.Fatalf("%s has %d granularity points", b, len(curves[b]))
+		if len(curves[b.String()]) < 10 {
+			t.Fatalf("%s has %d granularity points", b, len(curves[b.String()]))
 		}
 	}
 	// Figure 7 shape: RW flat and far above everything else at 32 KB.
 	at32 := func(b core.Baseline) float64 {
-		for _, pt := range curves[b] {
-			if pt.X == 32 {
+		for _, pt := range curves[b.String()] {
+			if pt.X == 32<<10 {
 				return pt.Y
 			}
 		}
@@ -78,19 +83,14 @@ func TestGranularityCurvesShape(t *testing.T) {
 		t.Errorf("DTI RW (%.1f ms) not far above SW (%.1f ms) at 32 KB", at32(core.RW), at32(core.SW))
 	}
 	// Reads grow with IO size (bus-linear).
-	sr := curves[core.SR]
+	sr := curves[core.SR.String()]
 	if sr[0].Y >= sr[len(sr)-1].Y {
 		t.Error("SR cost does not grow with IO size")
 	}
 }
 
 func TestLocalityCurveShape(t *testing.T) {
-	cfg := quickCfg()
-	dev, at, err := Prepare("samsung", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, _, err := LocalityCurve(dev, at, cfg)
+	pts, err := Figure8(runPlan(t, "samsung", quickCfg(), "Granularity", "Locality"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,18 +116,7 @@ func TestStateAnomalyMagnitude(t *testing.T) {
 }
 
 func TestSweepSeriesMix(t *testing.T) {
-	cfg := quickCfg()
-	dev, at, err := Prepare("transcend-module", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := core.StandardDefaults()
-	d.IOCount = 128
-	d.RandomTarget = dev.Capacity() / 4
-	series, _, err := SweepSeries(dev, at, cfg, core.Mix(d, dev.Capacity()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := Curves(runPlan(t, "transcend-module", quickCfg(), "Mix"), "Mix")
 	if len(series) != 6 {
 		t.Fatalf("mix sweep produced %d series, want 6 pairs", len(series))
 	}

@@ -3,7 +3,9 @@ package paperexp
 import (
 	"testing"
 
+	"uflip/internal/core"
 	"uflip/internal/profile"
+	"uflip/internal/report"
 )
 
 // TestBuildAllProfiles builds every Table 2 device at a scaled capacity.
@@ -57,7 +59,7 @@ var paperShapes = map[string]table3Shape{
 	"kingston-dti": {localityMB: [2]int64{0, 0}, partitions: [2]int64{2, 8}, reverseMax: 40, inPlaceBand: [2]float64{5, 120}, largeIncrMin: 0.5},
 }
 
-// TestTable3Shapes runs the full Table 3 measurement for key devices and
+// TestTable3Shapes runs the Table 3 plan through RunBenchmark for key devices and
 // asserts the qualitative columns: where the locality window sits, where the
 // partition cliff falls, which order patterns hurt, and whether pauses help.
 func TestTable3Shapes(t *testing.T) {
@@ -70,14 +72,7 @@ func TestTable3Shapes(t *testing.T) {
 			t.Parallel()
 			cfg := DefaultConfig()
 			cfg.Capacity = 1 << 30
-			dev, at, err := Prepare(key, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, _, err := Table3Row(dev, at, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := report.Characterize(runPlan(t, key, cfg, Table3Micros...), core.StandardDefaults().IOSize)
 			t.Logf("%s: SR=%.2f RR=%.2f SW=%.2f RW=%.2f loc=%dMB(x%.1f) parts=%d(x%.1f) rev=x%.1f inpl=x%.1f incr=x%.1f pause=%.1fms",
 				key, c.SRms, c.RRms, c.SWms, c.RWms, c.LocalityMB, c.LocalityFactor,
 				c.Partitions, c.PartitionFactor, c.ReverseFactor, c.InPlaceFactor, c.LargeIncrFactor, c.PauseEffectMS)
@@ -97,8 +92,9 @@ func TestTable3Shapes(t *testing.T) {
 			// The large-stride column is informational at test scale:
 			// with a 1 GB device every 1-8 MB stride either aliases onto
 			// few positions or fits the write buffer, so the paper's
-			// x1-x4 factors only emerge at full capacity (EXPERIMENTS.md
-			// records both).
+			// x1-x4 factors only emerge at full capacity (ROADMAP item 2
+			// plans the claims ledger that records both; README's Table 3
+			// section says how to regenerate the row).
 			_ = want.largeIncrMin
 			if want.pauseEffect && c.PauseEffectMS == 0 {
 				t.Error("pause effect missing (asynchronous reclamation should help)")

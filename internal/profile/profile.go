@@ -74,11 +74,6 @@ func (p Profile) String() string {
 	return fmt.Sprintf("%s %s (%s, %d GB)", p.Brand, p.Model, p.Type, p.CapacityBytes>>30)
 }
 
-// Build assembles the simulated device at its nominal capacity.
-func (p Profile) Build() (*device.SimDevice, error) {
-	return p.BuildWithCapacity(p.CapacityBytes)
-}
-
 // BuildWithCapacity assembles the device with a different logical capacity,
 // keeping every other characteristic. Tests and quick benchmark runs use
 // scaled-down devices; behaviour is capacity-independent except for the time

@@ -24,8 +24,7 @@ func TestSaveFinishedStreams(t *testing.T) {
 		for k := range rts {
 			rts[k] = time.Duration(100_000 + 7919*k + i)
 		}
-		records[i] = trace.RunRecord{ID: "workload/oltp/seg", Device: "kingston-dthx", Micro: "workload", Param: "Segment", Value: int64(i)}
-		records[i].SetResponseTimes(rts)
+		records[i] = trace.RunRecord{ID: "workload/oltp/seg", Device: "kingston-dthx", Micro: "workload", Param: "Segment", Value: int64(i), RTs: rts}
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

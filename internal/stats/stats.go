@@ -1,8 +1,8 @@
 // Package stats provides the statistical summaries uFLIP computes over
 // per-IO response times (Section 3.2, design principle 1: min, max, mean,
 // standard deviation per run), plus the series analysis helpers the
-// benchmarking methodology needs (running averages, start-up phase and
-// oscillation-period estimation, Section 4.2).
+// benchmarking methodology needs (start-up phase and oscillation-period
+// estimation, Section 4.2).
 package stats
 
 import (
@@ -91,29 +91,6 @@ func (r *Running) Variance() float64 {
 // StdDev returns the sample standard deviation, with the same n < 2 and
 // zero-value guarantees as Variance (never NaN).
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Merge folds other into r, as if all of other's observations had been added
-// to r. Uses the parallel variance combination formula.
-func (r *Running) Merge(other Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = other
-		return
-	}
-	n := r.n + other.n
-	delta := other.mean - r.mean
-	mean := r.mean + delta*float64(other.n)/float64(n)
-	m2 := r.m2 + other.m2 + delta*delta*float64(r.n)*float64(other.n)/float64(n)
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-	r.n, r.mean, r.m2 = n, mean, m2
-}
 
 // Summary is an immutable snapshot of a Running accumulator. All values are
 // in seconds when produced from response times.
@@ -305,43 +282,4 @@ func insertionSort(s []time.Duration) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-// Percentile returns the p-th percentile of the samples; use Percentiles
-// when more than one quantile of the same series is needed.
-func Percentile(samples []time.Duration, p float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	return Percentiles(samples, p)[0]
-}
-
-// Median returns the 50th percentile.
-func Median(samples []time.Duration) time.Duration { return Percentile(samples, 50) }
-
-// RunningAverage returns the prefix running average of the samples:
-// out[i] = mean(samples[0..i]). It is the series plotted as "Avg(rt)" in
-// Figures 3 and 4 of the paper.
-func RunningAverage(samples []time.Duration) []time.Duration {
-	out := make([]time.Duration, len(samples))
-	var sum time.Duration
-	for i, d := range samples {
-		sum += d
-		out[i] = sum / time.Duration(i+1)
-	}
-	return out
-}
-
-// RunningAverageFrom returns the running average computed only over
-// samples[from:], aligned so out[i] corresponds to samples[from+i]. It is
-// the "Avg(rt) excl." series of Figure 3 (running average excluding the
-// start-up phase).
-func RunningAverageFrom(samples []time.Duration, from int) []time.Duration {
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(samples) {
-		return nil
-	}
-	return RunningAverage(samples[from:])
 }

@@ -71,45 +71,6 @@ func TestRunningMatchesDirectComputation(t *testing.T) {
 	}
 }
 
-func TestRunningMergeEqualsCombinedStream(t *testing.T) {
-	// Property: merging two accumulators equals accumulating the
-	// concatenated stream.
-	f := func(a, b []float64) bool {
-		sanitize := func(xs []float64) []float64 {
-			out := make([]float64, 0, len(xs))
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b = sanitize(a), sanitize(b)
-		var ra, rb, rc Running
-		for _, x := range a {
-			ra.Add(x)
-			rc.Add(x)
-		}
-		for _, x := range b {
-			rb.Add(x)
-			rc.Add(x)
-		}
-		ra.Merge(rb)
-		if ra.N() != rc.N() {
-			return false
-		}
-		if ra.N() == 0 {
-			return true
-		}
-		return almostEqual(ra.Mean(), rc.Mean(), 1e-9) &&
-			almostEqual(ra.Variance(), rc.Variance(), 1e-6) &&
-			ra.Min() == rc.Min() && ra.Max() == rc.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunningEmpty(t *testing.T) {
 	var r Running
 	s := r.Summary()
@@ -139,53 +100,26 @@ func TestPercentile(t *testing.T) {
 		want time.Duration
 	}{
 		{0, 1}, {100, 4}, {50, 2}, {25, 1}, {75, 3},
+		{-5, 1}, {500, 4}, // out-of-range p clamps
 	}
 	for _, c := range cases {
-		if got := Percentile(samples, c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := Percentiles(samples, c.p)[0]; got != c.want {
+			t.Errorf("Percentiles(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %v", got)
+	if got := Percentiles(nil, 50)[0]; got != 0 {
+		t.Errorf("Percentiles(nil) = %v", got)
 	}
-	if got := Median([]time.Duration{7}); got != 7 {
-		t.Errorf("Median single = %v", got)
-	}
-	// Out-of-range p clamps.
-	if got := Percentile(samples, -5); got != 1 {
-		t.Errorf("Percentile(-5) = %v", got)
-	}
-	if got := Percentile(samples, 500); got != 4 {
-		t.Errorf("Percentile(500) = %v", got)
+	if got := Percentiles([]time.Duration{7}, 50)[0]; got != 7 {
+		t.Errorf("median of one sample = %v", got)
 	}
 }
 
 func TestPercentileDoesNotMutateInput(t *testing.T) {
 	samples := []time.Duration{3, 1, 2}
-	Percentile(samples, 50)
+	Percentiles(samples, 50)
 	if samples[0] != 3 || samples[1] != 1 || samples[2] != 2 {
 		t.Fatalf("input mutated: %v", samples)
-	}
-}
-
-func TestRunningAverage(t *testing.T) {
-	in := []time.Duration{2, 4, 6}
-	got := RunningAverage(in)
-	want := []time.Duration{2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RunningAverage = %v, want %v", got, want)
-		}
-	}
-	fromOne := RunningAverageFrom(in, 1)
-	if len(fromOne) != 2 || fromOne[0] != 4 || fromOne[1] != 5 {
-		t.Fatalf("RunningAverageFrom(1) = %v", fromOne)
-	}
-	if RunningAverageFrom(in, 99) != nil {
-		t.Fatal("RunningAverageFrom past end should be nil")
-	}
-	if got := RunningAverageFrom(in, -3); len(got) != 3 {
-		t.Fatalf("RunningAverageFrom(-3) len = %d", len(got))
 	}
 }
 
@@ -356,37 +290,5 @@ func TestRunningVarianceNeverNegativeOrNaN(t *testing.T) {
 	}
 	if sd := r.StdDev(); math.IsNaN(sd) || sd < 0 {
 		t.Fatalf("stddev = %v", sd)
-	}
-}
-
-func TestRunningMergeEdgeCases(t *testing.T) {
-	// empty <- empty stays empty.
-	var a, b Running
-	a.Merge(b)
-	if a.N() != 0 || a.Min() != 0 || a.Max() != 0 {
-		t.Fatalf("empty merge changed the accumulator: %+v", a.Summary())
-	}
-	// empty <- populated copies; populated <- empty is a no-op.
-	b.Add(-1)
-	b.Add(4)
-	a.Merge(b)
-	if a.Summary() != b.Summary() {
-		t.Fatalf("merge into empty: got %+v, want %+v", a.Summary(), b.Summary())
-	}
-	var empty Running
-	before := a.Summary()
-	a.Merge(empty)
-	if a.Summary() != before {
-		t.Fatalf("merge of empty changed the accumulator: %+v", a.Summary())
-	}
-	// single <- single equals the two-sample stream.
-	var s1, s2, both Running
-	s1.Add(2)
-	s2.Add(8)
-	both.Add(2)
-	both.Add(8)
-	s1.Merge(s2)
-	if s1.Summary() != both.Summary() {
-		t.Fatalf("merged singles %+v != direct %+v", s1.Summary(), both.Summary())
 	}
 }

@@ -53,25 +53,16 @@ func TestWindowedTotalMatchesSummarize(t *testing.T) {
 		math.Abs(got.Mean-want.Mean) > 1e-15 || math.Abs(got.StdDev-want.StdDev) > 1e-12 {
 		t.Fatalf("streaming total %+v differs from Summarize %+v", got, want)
 	}
-	// Merging the window summaries through Running.Merge must agree too.
-	var merged Running
+	// Re-accumulating the windows' own samples, concatenated, must agree too.
+	var again Running
 	for _, win := range w.Windows() {
-		merged.Merge(runningFromSummaryForTest(win.Summary))
+		for _, d := range samples[win.Start : win.Start+win.Summary.N] {
+			again.AddDuration(d)
+		}
 	}
-	m := merged.Summary()
-	if m.N != want.N || math.Abs(m.Mean-want.Mean) > 1e-12 {
-		t.Fatalf("merged windows %+v differ from full summary %+v", m, want)
+	if m := again.Summary(); m != want {
+		t.Fatalf("windows re-accumulated %+v differ from full summary %+v", m, want)
 	}
-}
-
-// runningFromSummaryForTest rebuilds a Running from a Summary snapshot (the
-// inverse of Running.Summary, for merge testing).
-func runningFromSummaryForTest(s Summary) Running {
-	var m2 float64
-	if s.N > 1 {
-		m2 = s.StdDev * s.StdDev * float64(s.N-1)
-	}
-	return Running{n: s.N, mean: s.Mean, m2: m2, min: s.Min, max: s.Max}
 }
 
 func TestWindowSummariesConvenience(t *testing.T) {

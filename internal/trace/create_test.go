@@ -125,7 +125,7 @@ func TestWriteAtomic(t *testing.T) {
 	if got, err := os.ReadFile(path); err != nil || string(got) != "first" || len(listing()) != 1 {
 		t.Fatalf("after a failed overwrite: content %q, err %v, directory %v", got, err, listing())
 	}
-	if err := WriteAtomic(path, func(w io.Writer) error { return WriteJSON(w, []RunRecord{{ID: "x", RTs: []float64{0.001}}}) }); err != nil {
+	if err := WriteAtomic(path, func(w io.Writer) error { return WriteJSON(w, []RunRecord{{ID: "x", RTs: RTSeries{time.Millisecond}}}) }); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := LoadJSON(path); err != nil || len(got) != 1 || got[0].ID != "x" || len(listing()) != 1 {

@@ -15,18 +15,47 @@ import (
 	"uflip/internal/stats"
 )
 
+// floatRecord is a RunRecord with its series as the []float64 of its
+// seconds, the form the format was first written in; its RTs hides the
+// embedded one.
+type floatRecord struct {
+	RunRecord
+	RTs []float64 `json:"rts,omitempty"`
+}
+
 // writeJSONReference is WriteJSON as it was before the per-IO series got its
 // own float appender — every record, series included, through encoding/json
-// — kept as the oracle the differential tests below compare bytes against.
+// as a floatRecord — kept as the oracle the differential tests below compare
+// bytes against.
 func writeJSONReference(w io.Writer, records []RunRecord) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i := range records {
-		if err := enc.Encode(&records[i]); err != nil {
+		rec := floatRecord{RunRecord: records[i]}
+		for _, d := range records[i].RTs {
+			rec.RTs = append(rec.RTs, d.Seconds())
+		}
+		if err := enc.Encode(&rec); err != nil {
 			return fmt.Errorf("trace: encode record %d: %w", i, err)
 		}
 	}
 	return bw.Flush()
+}
+
+// sameLines fails the test, naming the first differing line, unless got is
+// want.
+func sameLines(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: line %d differs from encoding/json:\n got %.300s\nwant %.300s", what, i, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, encoding/json writes %d", what, len(gl), len(wl))
 }
 
 // checkJSONFloat holds appendJSONFloat to encoding/json on one value: same
@@ -114,39 +143,37 @@ func TestWriteJSONByteIdentical(t *testing.T) {
 	}
 	records := sampleRecords()
 	records = append(records,
-		RunRecord{ID: `a<b>&"c"\d` + " /é/日本/\x00\x7f", Device: "faulty(stripe(2,memoright,memoright),seed=7)", RTs: []float64{0.000125}},
-		RunRecord{ID: "empty-series", Device: "d", RTs: []float64{}},
-		RunRecord{ID: "edge-values", Device: "d", RTs: []float64{0, 1e-9, 9.99e-7, 1e-6, 0.001, 1, 1.5, 86400, 999999.999999999, 1e6, 1e21, -0.000125, math.Copysign(0, -1), 0.1 + 0.2}},
+		RunRecord{ID: `a<b>&"c"\d` + " /é/日本/\x00\x7f", Device: "faulty(stripe(2,memoright,memoright),seed=7)", RTs: RTSeries{125 * time.Microsecond}},
+		RunRecord{ID: "empty-series", Device: "d", RTs: RTSeries{}},
+		RunRecord{ID: "edge-values", Device: "d", RTs: RTSeries{0, 1, 999, 1000, time.Millisecond, time.Second, 1500 * time.Millisecond,
+			24 * time.Hour, 1e15 - 1, 1e15, time.Duration(maxFuzzNS), math.MaxInt64, -125 * time.Microsecond}},
 		RunRecord{ID: "all-fields", Device: "d", Micro: "m", Base: "b", Param: "p", Value: -4, IOIgnore: 7,
-			Summary: stats.Summary{N: 3, Min: 1e-7, Max: 2.5, Mean: 1.0 / 3, StdDev: 1e-21}, TotalSeconds: 12.000000001, Faults: 2, Retries: 9, RTs: []float64{0.5}},
+			Summary: stats.Summary{N: 3, Min: 1e-7, Max: 2.5, Mean: 1.0 / 3, StdDev: 1e-21}, TotalSeconds: 12.000000001, Faults: 2, Retries: 9, RTs: RTSeries{500 * time.Millisecond}},
 	)
-	var r RunRecord
-	r.ID, r.Device = "long", "d"
-	r.SetResponseTimes(long)
-	records = append(records, r, RunRecord{ID: "after-long", Device: "d"})
+	records = append(records, RunRecord{ID: "long", Device: "d", RTs: long}, RunRecord{ID: "after-long", Device: "d"})
 
-	var want, got bytes.Buffer
+	var want, got, marshaled bytes.Buffer
 	if err := writeJSONReference(&want, records); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteJSON(&got, records); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
-		for i := range min(len(gl), len(wl)) {
-			if gl[i] != wl[i] {
-				t.Fatalf("line %d differs from encoding/json:\n got %.300s\nwant %.300s", i, gl[i], wl[i])
-			}
+	sameLines(t, "WriteJSON", got.Bytes(), want.Bytes())
+	// encoding/json on the records themselves (the server's result route)
+	// goes through RTSeries.MarshalJSON.
+	enc := json.NewEncoder(&marshaled)
+	for i := range records {
+		if err := enc.Encode(&records[i]); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("%d lines, encoding/json writes %d", len(gl), len(wl))
 	}
+	sameLines(t, "RTSeries.MarshalJSON", marshaled.Bytes(), want.Bytes())
 
-	// A value json cannot encode fails with json's error, wherever it sits.
+	// A value json cannot encode fails with json's error. Only the summary
+	// can hold one: a series is whole nanoseconds.
 	for _, bad := range []RunRecord{
-		{ID: "nan-series", RTs: []float64{0.5, math.NaN()}},
-		{ID: "inf-series", RTs: []float64{math.Inf(1)}},
-		{ID: "nan-summary", Summary: stats.Summary{Mean: math.NaN()}, RTs: []float64{0.5}},
+		{ID: "nan-summary", Summary: stats.Summary{Mean: math.NaN()}, RTs: RTSeries{500 * time.Millisecond}},
 	} {
 		in := []RunRecord{records[0], bad}
 		wantErr := writeJSONReference(io.Discard, in)
@@ -164,10 +191,7 @@ func BenchmarkWriteJSON(b *testing.B) {
 	for i := range rts {
 		rts[i] = time.Duration(50_000 + rng.Int63n(int64(2*time.Millisecond)))
 	}
-	var r RunRecord
-	r.ID, r.Device = "replay[0:100000]", "d"
-	r.SetResponseTimes(rts)
-	records := []RunRecord{r}
+	records := []RunRecord{{ID: "replay[0:100000]", Device: "d", RTs: rts}}
 	for b.Loop() {
 		if err := WriteJSON(io.Discard, records); err != nil {
 			b.Fatal(err)

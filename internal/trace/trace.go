@@ -40,36 +40,62 @@ type RunRecord struct {
 	// device).
 	Faults  int64 `json:"faults,omitempty"`
 	Retries int64 `json:"retries,omitempty"`
-	// RTs holds per-IO response times in seconds (optional: summaries
-	// alone are much smaller).
-	RTs []float64 `json:"rts,omitempty"`
+	// RTs holds per-IO response times (optional: summaries alone are much
+	// smaller).
+	RTs RTSeries `json:"rts,omitempty"`
 }
 
-// ResponseTimes converts the stored per-IO series back to durations. The
-// stored seconds are rounded (not truncated) to the nearest nanosecond so a
-// duration survives SetResponseTimes -> ResponseTimes unchanged.
-func (r *RunRecord) ResponseTimes() []time.Duration {
-	out := make([]time.Duration, len(r.RTs))
-	for i, s := range r.RTs {
-		out[i] = time.Duration(math.Round(s * float64(time.Second)))
+// RTSeries is a per-IO response-time series: durations in memory, as the
+// executors measure them, and seconds in JSON. A record made from a run holds
+// the run's own series, not a copy of it.
+type RTSeries []time.Duration
+
+// MarshalJSON writes the series as encoding/json writes the []float64 of its
+// seconds.
+func (s RTSeries) MarshalJSON() ([]byte, error) {
+	b := []byte{'['}
+	for i, d := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b, _ = appendJSONFloat(b, d.Seconds()) // finite: never an error
 	}
-	return out
+	return append(b, ']'), nil
 }
 
-// SetResponseTimes stores a per-IO series.
-func (r *RunRecord) SetResponseTimes(rts []time.Duration) {
-	r.RTs = make([]float64, len(rts))
-	for i, d := range rts {
-		r.RTs[i] = d.Seconds()
+// UnmarshalJSON reads an array of seconds, rounding each to the nearest
+// nanosecond — the inverse of MarshalJSON. As in an RT-series CSV, a value
+// must lie in [0, MaxRTSeconds].
+func (s *RTSeries) UnmarshalJSON(b []byte) error {
+	var secs []float64
+	if err := json.Unmarshal(b, &secs); err != nil {
+		return err
 	}
+	if secs == nil {
+		*s = nil
+		return nil
+	}
+	out := make(RTSeries, len(secs))
+	for i, v := range secs {
+		if v < 0 || v > MaxRTSeconds {
+			return fmt.Errorf("trace: response time %v outside [0, %v]", v, MaxRTSeconds)
+		}
+		out[i] = time.Duration(math.Round(v * float64(time.Second)))
+	}
+	*s = out
+	return nil
 }
+
+// ResponseTimes returns the per-IO series.
+func (r *RunRecord) ResponseTimes() []time.Duration { return r.RTs }
 
 // WriteJSON writes records as newline-delimited JSON, byte-identical to
 // encoding/json's rendering of each RunRecord. Everything but the per-IO
-// series goes through encoding/json; the series, a million floats on a long
+// series goes through encoding/json; the series, a million values on a long
 // replay, is appended by appendJSONFloat with no reflection and no shortest-
-// float search for the whole-nanosecond values it holds. On error the output
-// written so far is incomplete.
+// float search for the whole-nanosecond values it holds — the bytes
+// RTSeries.MarshalJSON writes. On error the output written so far is
+// incomplete.
 func WriteJSON(w io.Writer, records []RunRecord) error {
 	const flushAt = 60 << 10
 	buf := make([]byte, 0, 64<<10)
@@ -95,14 +121,11 @@ func WriteJSON(w io.Writer, records []RunRecord) error {
 			// encoder closed with "}\n" and append the array to it.
 			buf = append(buf, line[:len(line)-2]...)
 			buf = append(buf, `,"rts":[`...)
-			for k, v := range rts {
+			for k, d := range rts {
 				if k > 0 {
 					buf = append(buf, ',')
 				}
-				var err error
-				if buf, err = appendJSONFloat(buf, v); err != nil {
-					return fmt.Errorf("trace: encode record %d: %w", i, err)
-				}
+				buf, _ = appendJSONFloat(buf, d.Seconds()) // finite: never an error
 				if len(buf) >= flushAt {
 					if err := flush(); err != nil {
 						return err

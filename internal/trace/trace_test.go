@@ -20,7 +20,7 @@ func sampleRecords() []RunRecord {
 		Summary:      stats.Summary{N: 100, Min: 0.0003, Max: 0.01, Mean: 0.0005, StdDev: 0.0001},
 		TotalSeconds: 1.5,
 	}
-	r1.SetResponseTimes([]time.Duration{time.Millisecond, 2 * time.Millisecond})
+	r1.RTs = RTSeries{time.Millisecond, 2 * time.Millisecond}
 	r2 := RunRecord{ID: "baseline/RR", Device: "mtron", Summary: stats.Summary{N: 5, Mean: 0.001}}
 	return []RunRecord{r1, r2}
 }
@@ -99,9 +99,9 @@ func TestRTSeriesCSV(t *testing.T) {
 	}
 }
 
-// TestResponseTimesRoundTrip pins the SetResponseTimes -> ResponseTimes
-// identity: the stored float seconds must round (not truncate) back to the
-// original nanosecond durations.
+// TestResponseTimesRoundTrip pins the identity of a series through JSON:
+// the seconds written must round (not truncate) back to the original
+// nanosecond durations, and a second write must be byte-identical.
 func TestResponseTimesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rts := []time.Duration{
@@ -112,13 +112,22 @@ func TestResponseTimesRoundTrip(t *testing.T) {
 		27*time.Millisecond + 123456,
 		time.Second + 1,
 		90 * time.Minute,
+		time.Duration(MaxRTSeconds * 1e9),
 	}
 	for i := 0; i < 1000; i++ {
 		rts = append(rts, time.Duration(rng.Int63n(int64(2*time.Hour))))
 	}
 	var rec RunRecord
-	rec.SetResponseTimes(rts)
-	got := rec.ResponseTimes()
+	rec.RTs = rts
+	var first bytes.Buffer
+	if err := WriteJSON(&first, []RunRecord{rec}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSON(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := back[0].ResponseTimes()
 	if len(got) != len(rts) {
 		t.Fatalf("round trip changed length: %d -> %d", len(rts), len(got))
 	}
@@ -126,6 +135,13 @@ func TestResponseTimesRoundTrip(t *testing.T) {
 		if got[i] != rts[i] {
 			t.Fatalf("rt %d drifted: %v -> %v (%+d ns)", i, rts[i], got[i], got[i]-rts[i])
 		}
+	}
+	var second bytes.Buffer
+	if err := WriteJSON(&second, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("JSON write -> read -> write is not byte-stable")
 	}
 }
 
@@ -226,5 +242,11 @@ func TestRTSeriesCSVRoundTrip(t *testing.T) {
 func TestReadJSONMalformed(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+	// A response time is read as in an RT-series CSV: in [0, MaxRTSeconds].
+	for _, rts := range []string{`[-0.001]`, `[1e300]`, `[0.001,"x"]`} {
+		if _, err := ReadJSON(strings.NewReader(`{"id":"x","device":"d","rts":` + rts + "}\n")); err == nil {
+			t.Errorf("rts %s accepted", rts)
+		}
 	}
 }
