@@ -128,7 +128,7 @@ func (p *Pattern) slots() int64 {
 }
 
 // LBAAt returns the byte address of the i-th IO. rng must be the pattern's
-// own generator (used only by the Random kind).
+// own generator; only the Random kind draws from it, the others take nil.
 func (p *Pattern) LBAAt(i int, rng *rand.Rand) int64 {
 	var rel int64
 	switch p.LBA {
@@ -180,13 +180,15 @@ type IOSource interface {
 type patternSource struct {
 	p   *Pattern
 	i   int
-	rng *rand.Rand
+	rng *rand.Rand // nil unless the pattern is Random: LBAAt draws from it only then
 }
 
 // Source returns an IOSource over the pattern. The source is bounded by
 // IOCount; the executor may stop earlier.
 func (p *Pattern) Source() IOSource {
-	return &patternSource{p: p, rng: rand.New(rand.NewSource(p.Seed))}
+	s := &patternSource{p: p}
+	s.Reset()
+	return s
 }
 
 func (s *patternSource) Next() (device.IO, bool) {
@@ -204,7 +206,9 @@ func (s *patternSource) Next() (device.IO, bool) {
 
 func (s *patternSource) Reset() {
 	s.i = 0
-	s.rng = rand.New(rand.NewSource(s.p.Seed))
+	if s.p.LBA == Random {
+		s.rng = rand.New(rand.NewSource(s.p.Seed))
+	}
 }
 
 // MixSource interleaves two patterns with a ratio (the Mix micro-benchmark):

@@ -11,17 +11,8 @@ import (
 )
 
 // batchSize is how many IOs the executors hand the device per SubmitBatch
-// call. The scratch lives in fixed-size stack buffers — per-shard by
-// construction, no sync.Pool — so the steady-state loop stays at 0
-// allocs/op while the per-IO virtual-call overhead is amortized across the
-// batch.
+// call, amortizing the per-IO virtual-call overhead across the batch.
 const batchSize = 128
-
-// batchScratch is the fixed submission scratch of one executor frame.
-type batchScratch struct {
-	ios  [batchSize]device.IO
-	done [batchSize]time.Duration
-}
 
 // submitErr rewraps a device.BatchError with the caller's IO numbering (the
 // batch's base index added) so error messages match the per-IO path.
@@ -99,11 +90,13 @@ func Execute(dev device.Device, src IOSource, count, ignore int, timing Timing, 
 	}
 	// Closed-loop batch submission: IO i+1 goes in at the completion of IO
 	// i plus the methodology gap, encoded per entry so the whole batch is
-	// one SubmitBatch call. The scratch buffers are fixed-size stack
-	// arrays — per-run (and therefore per-shard), never shared or pooled.
+	// one SubmitBatch call. The completions land in the batch's window of
+	// run.RTs and become response times in place. The IO scratch is
+	// allocated once per run, at most a batch long (anything handed to a
+	// Device escapes to the heap), and never shared or pooled.
 	t := startAt
 	var acc stats.Running
-	var scratch batchScratch
+	ios := make([]device.IO, min(count, batchSize))
 	for base, exhausted := 0, false; base < count && !exhausted; {
 		n := 0
 		for base+n < count && n < batchSize {
@@ -112,29 +105,29 @@ func Execute(dev device.Device, src IOSource, count, ignore int, timing Timing, 
 				exhausted = true
 				break
 			}
-			scratch.ios[n] = io
+			ios[n] = io
 			gap := time.Duration(0)
 			if base+n > 0 {
 				gap = timing.gapBefore(base + n)
 			}
-			scratch.done[n] = device.ChainAfter(gap)
+			run.RTs = append(run.RTs, device.ChainAfter(gap))
 			n++
 		}
 		if n == 0 {
 			break
 		}
-		if err := device.SubmitBatchRetry(context.Background(), dev, t, scratch.ios[:n], scratch.done[:n], device.DefaultRetryPolicy, &run.Faults); err != nil {
+		batch := run.RTs[base:]
+		if err := device.SubmitBatchRetry(context.Background(), dev, t, ios[:n], batch, device.DefaultRetryPolicy, &run.Faults); err != nil {
 			return nil, submitErr("core:", base, err)
 		}
 		prev := t
-		for k := 0; k < n; k++ {
+		for k, done := range batch {
 			sub := prev
 			if base+k > 0 {
 				sub += timing.gapBefore(base + k)
 			}
-			done := scratch.done[k]
 			rt := done - sub
-			run.RTs = append(run.RTs, rt)
+			batch[k] = rt
 			if base+k >= ignore {
 				acc.AddDuration(rt)
 			}
@@ -218,6 +211,7 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 	run := &Run{
 		Name:     fmt.Sprintf("%s||%d", p.Name, degree),
 		Device:   dev.Name(),
+		RTs:      make([]time.Duration, 0, perProc*degree),
 		IOIgnore: p.IOIgnore,
 	}
 	timing := Timing{Pause: p.Pause, Burst: p.Burst}

@@ -202,19 +202,11 @@ func (d *SimDevice) service(at time.Duration, io IO) (time.Duration, error) {
 		start = d.st.FlashFree - d.cfg.MaxFlashLag
 	}
 
-	var (
-		ops ftl.Ops
-		err error
-	)
-	switch io.Mode {
-	case Read:
-		ops, err = d.top.Read(io.Off, io.Size)
-	case Write:
-		ops, err = d.top.Write(io.Off, io.Size)
-	default:
+	if io.Mode != Read && io.Mode != Write {
 		return 0, fmt.Errorf("device: unknown mode %d", io.Mode)
 	}
-	if err != nil {
+	var ops ftl.Ops
+	if err := ftl.Serve(d.top, io.Mode == Write, io.Off, io.Size, &ops); err != nil {
 		return 0, fmt.Errorf("device %s: %w", d.cfg.Name, err)
 	}
 	opsCost := d.cfg.model.Cost(&ops)

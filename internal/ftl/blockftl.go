@@ -22,7 +22,10 @@ type BlockConfig struct {
 }
 
 func (c BlockConfig) validate(a *Array) error {
+	geo := a.Geometry()
 	switch {
+	case !isPow2(geo.PageSize) || !isPow2(geo.PagesPerBlock):
+		return fmt.Errorf("ftl: page size %d and pages per block %d must be powers of two", geo.PageSize, geo.PagesPerBlock)
 	case c.LogicalBytes <= 0:
 		return fmt.Errorf("ftl: LogicalBytes must be positive")
 	case c.LogBlocks < 1:
@@ -30,7 +33,7 @@ func (c BlockConfig) validate(a *Array) error {
 	case c.MapDirtyLimit < 1 || c.MapUnitsPerPage < 1:
 		return fmt.Errorf("ftl: map bookkeeping parameters must be >= 1")
 	}
-	blockSize := int64(a.Geometry().BlockSize())
+	blockSize := int64(geo.BlockSize())
 	lbns := (c.LogicalBytes + blockSize - 1) / blockSize
 	need := lbns + int64(c.LogBlocks) + 2
 	if int64(a.Blocks()) < need {
@@ -138,6 +141,9 @@ type blockConfig struct {
 	blockBytes    int64
 	pagesPerBlock int
 	lbnCount      int64
+	// Both sizes are powers of two (validate): log2 of the page size and of
+	// the pages per block.
+	pageShift, ppbShift uint
 }
 
 // BlockFTL is a block-granularity mapped flash translation layer with a
@@ -175,6 +181,8 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 		blockBytes:    blockBytes,
 		pagesPerBlock: geo.PagesPerBlock,
 		lbnCount:      (cfg.LogicalBytes + blockBytes - 1) / blockBytes,
+		pageShift:     log2(geo.PageSize),
+		ppbShift:      log2(geo.PagesPerBlock),
 	}}
 	f.flashBooks = newFlashBooks(arr, cfg.MapUnitsPerPage, cfg.MapDirtyLimit, f.cfg.lbnCount)
 	f.st.LastReadSlot = -2
@@ -381,12 +389,12 @@ func (f *BlockFTL) pageLocation(lbn int64, p int) (block int, ok bool) {
 // writeSegment services the part of a write that falls inside one logical
 // block: bytes [start,end) relative to the block.
 func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
-	pageSize := int64(f.arr.Geometry().PageSize)
-	sPage := int(start / pageSize)
-	ePage := int((end - 1) / pageSize)
+	pageSize := int64(1) << f.cfg.pageShift
+	sPage := int(start >> f.cfg.pageShift)
+	ePage := int((end - 1) >> f.cfg.pageShift)
 
 	// Read-modify-write for partial edge pages that already exist.
-	if start%pageSize != 0 {
+	if start&(pageSize-1) != 0 {
 		if pb, ok := f.pageLocation(lbn, sPage); ok {
 			if err := f.arr.ReadPage(pb, sPage); err != nil {
 				return err
@@ -395,7 +403,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 			f.st.Stats.PagesRead++
 		}
 	}
-	if end%pageSize != 0 && ePage != sPage {
+	if end&(pageSize-1) != 0 && ePage != sPage {
 		if pb, ok := f.pageLocation(lbn, ePage); ok {
 			if err := f.arr.ReadPage(pb, ePage); err != nil {
 				return err
@@ -532,62 +540,73 @@ func (f *BlockFTL) peekData(off int64, buf []byte) {
 // Write services a host write.
 func (f *BlockFTL) Write(off, length int64) (Ops, error) {
 	var ops Ops
+	err := f.write(off, length, &ops)
+	return ops, err
+}
+
+func (f *BlockFTL) write(off, length int64, ops *Ops) error {
 	if err := checkRange(off, length, f.cfg.LogicalBytes); err != nil {
-		return ops, err
+		return err
 	}
 	if length == 0 {
-		return ops, nil
+		return nil
 	}
 	f.st.Stats.HostWrites++
-	pageSize := int64(f.arr.Geometry().PageSize)
-	f.st.Stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
+	sh := f.cfg.pageShift
+	f.st.Stats.HostPagesWritten += (off+length-1)>>sh - off>>sh + 1
+	blockShift := sh + f.cfg.ppbShift
 	pos := off
 	end := off + length
 	for pos < end {
-		lbn := pos / f.cfg.blockBytes
-		segEnd := min64(end, (lbn+1)*f.cfg.blockBytes)
-		if err := f.writeSegment(lbn, pos-lbn*f.cfg.blockBytes, segEnd-lbn*f.cfg.blockBytes, &ops); err != nil {
-			return ops, err
+		lbn := pos >> blockShift
+		base := lbn << blockShift
+		segEnd := min64(end, base+f.cfg.blockBytes)
+		if err := f.writeSegment(lbn, pos-base, segEnd-base, ops); err != nil {
+			return err
 		}
 		pos = segEnd
 	}
 	f.st.LastReadSlot = -2
-	return ops, nil
+	return nil
 }
 
 // Read services a host read.
 func (f *BlockFTL) Read(off, length int64) (Ops, error) {
 	var ops Ops
+	err := f.read(off, length, &ops)
+	return ops, err
+}
+
+func (f *BlockFTL) read(off, length int64, ops *Ops) error {
 	if err := checkRange(off, length, f.cfg.LogicalBytes); err != nil {
-		return ops, err
+		return err
 	}
 	if length == 0 {
-		return ops, nil
+		return nil
 	}
 	f.st.Stats.HostReads++
-	pageSize := int64(f.arr.Geometry().PageSize)
-	p0 := off / pageSize
-	p1 := (off + length - 1) / pageSize
+	p0 := off >> f.cfg.pageShift
+	p1 := (off + length - 1) >> f.cfg.pageShift
 	first := true
 	// One read run per stretch of pages that share a physical block.
 	for gp := p0; gp <= p1; {
-		lbn := gp * pageSize / f.cfg.blockBytes
-		pageInBlock := int(gp % int64(f.cfg.pagesPerBlock))
+		lbn := gp >> f.cfg.ppbShift
+		pageInBlock := int(gp & int64(f.cfg.pagesPerBlock-1))
 		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min64(int64(f.cfg.pagesPerBlock-pageInBlock), p1-gp+1)))
 		gp += int64(n)
 		if !ok {
-			ops.RAMBytes += int64(n) * pageSize
+			ops.RAMBytes += int64(n) << f.cfg.pageShift
 			continue
 		}
 		if err := f.arr.ReadRun(pb, pageInBlock, n); err != nil {
-			return ops, fmt.Errorf("ftl: read: %w", err)
+			return fmt.Errorf("ftl: read: %w", err)
 		}
 		f.st.Stats.PagesRead += int64(n)
-		physSlot := int64(pb)*int64(f.cfg.pagesPerBlock) + int64(pageInBlock)
-		chargeReadRun(&ops, &f.st.LastReadSlot, physSlot, n, first, f.cfg.model.ReadSeek)
+		physSlot := int64(pb)<<f.cfg.ppbShift + int64(pageInBlock)
+		chargeReadRun(ops, &f.st.LastReadSlot, physSlot, n, first, f.cfg.model.ReadSeek)
 		first = false
 	}
-	return ops, nil
+	return nil
 }
 
 // Idle is a no-op: the low-end devices this FTL models perform no

@@ -64,9 +64,9 @@ func (c CacheConfig) validate() error {
 	switch {
 	case c.CapacityBytes <= 0:
 		return fmt.Errorf("ftl: cache CapacityBytes must be positive")
-	case c.LineBytes <= 0:
-		return fmt.Errorf("ftl: cache LineBytes must be positive")
-	case c.RegionBytes < c.LineBytes || c.RegionBytes%c.LineBytes != 0:
+	case !isPow2(c.LineBytes) || !isPow2(c.RegionBytes):
+		return fmt.Errorf("ftl: cache LineBytes %d and RegionBytes %d must be powers of two", c.LineBytes, c.RegionBytes)
+	case c.RegionBytes < c.LineBytes:
 		return fmt.Errorf("ftl: RegionBytes %d must be a multiple of LineBytes %d", c.RegionBytes, c.LineBytes)
 	case c.CapacityBytes < int64(c.RegionBytes):
 		return fmt.Errorf("ftl: cache capacity %d smaller than one region %d", c.CapacityBytes, c.RegionBytes)
@@ -186,12 +186,20 @@ func (s *WriteCacheState) lines(i int32, lineWords int) []uint64 {
 	return s.Words[int(i)*lineWords : int(i+1)*lineWords]
 }
 
+// ring returns the head slot of the LRU ring the region's Stream flag names.
+func (r *CacheRegion) ring() int32 {
+	if r.Stream {
+		return streamHead
+	}
+	return zoneHead
+}
+
 // pushFront makes region i the most recently used of the ring its Stream flag
 // names; remove takes it off the ring it is on.
 func (s *WriteCacheState) pushFront(i int32) {
-	R, head := s.Regions, int32(zoneHead)
+	R := s.Regions
+	head := R[i].ring()
 	if R[i].Stream {
-		head = streamHead
 		s.Streams++
 	}
 	R[i].Prev, R[i].Next = head, R[head].Next
@@ -317,7 +325,9 @@ type cacheConfig struct {
 	model CostModel
 
 	linesPerRegion int64
-	lineWords      int // bitset words per region
+	lineShift      uint // log2 LineBytes
+	regionShift    uint // log2 linesPerRegion
+	lineWords      int  // bitset words per region
 	capLines       int64
 	nRegions       int64 // regions the logical capacity spans
 	dataMode       bool  // the stack underneath stores payloads
@@ -374,6 +384,8 @@ func NewWriteCache(inner Translator, cfg CacheConfig, model CostModel) (*WriteCa
 			CacheConfig:    cfg,
 			model:          model,
 			linesPerRegion: linesPerRegion,
+			lineShift:      log2(cfg.LineBytes),
+			regionShift:    log2(int(linesPerRegion)),
 			lineWords:      int((linesPerRegion + 63) / 64),
 			capLines:       cfg.CapacityBytes / int64(cfg.LineBytes),
 			nRegions:       (inner.Capacity() + int64(cfg.RegionBytes) - 1) / int64(cfg.RegionBytes),
@@ -496,38 +508,37 @@ func (c *WriteCache) flushRegion(i int32, ops *Ops) error {
 	// nothing takes a slot before this function returns.
 	r.Next, c.st.Free = c.st.Free, i
 	lines := c.st.lines(i, c.cfg.lineWords)
-	lb := int64(c.cfg.LineBytes)
-	base := r.ID * int64(c.cfg.RegionBytes)
-	firstLine := r.ID * c.cfg.linesPerRegion
+	ls := c.cfg.lineShift
+	firstLine := r.ID << c.cfg.regionShift
 	for from := int64(0); ; {
 		runStart, endExclusive, ok := nextRun(lines, from)
 		if !ok {
 			return nil
 		}
 		from = endExclusive
-		off, length := base+runStart*lb, (endExclusive-runStart)*lb
-		var inner Ops
-		var err error
-		if c.cfg.dataMode {
-			if int64(len(c.der.runBuf)) < length {
-				c.der.runBuf = make([]byte, c.cfg.RegionBytes)
+		off, length := (firstLine+runStart)<<ls, (endExclusive-runStart)<<ls
+		if !c.cfg.dataMode {
+			if err := Serve(c.inner, true, off, length, ops); err != nil {
+				return err
 			}
-			run := c.der.runBuf[:length]
-			clear(run)
-			for l := runStart; l < endExclusive; l++ {
-				if buf, ok := c.st.LineData[firstLine+l]; ok {
-					copy(run[(l-runStart)*lb:], buf)
-					delete(c.st.LineData, firstLine+l)
-				}
-			}
-			inner, err = c.der.innerData.WriteData(off, run)
-		} else {
-			inner, err = c.inner.Write(off, length)
+			continue
 		}
+		if int64(len(c.der.runBuf)) < length {
+			c.der.runBuf = make([]byte, c.cfg.RegionBytes)
+		}
+		run := c.der.runBuf[:length]
+		clear(run)
+		for l := runStart; l < endExclusive; l++ {
+			if buf, ok := c.st.LineData[firstLine+l]; ok {
+				copy(run[(l-runStart)<<ls:], buf)
+				delete(c.st.LineData, firstLine+l)
+			}
+		}
+		inner, err := c.der.innerData.WriteData(off, run)
+		ops.Add(inner)
 		if err != nil {
 			return err
 		}
-		ops.Add(inner)
 	}
 }
 
@@ -552,20 +563,24 @@ func (c *WriteCache) admitCost(bytes int64, sequential bool, ops *Ops) {
 // Write buffers the lines the write covers, applying the stream/zone policy.
 func (c *WriteCache) Write(off, length int64) (Ops, error) {
 	var ops Ops
+	err := c.write(off, length, &ops)
+	return ops, err
+}
+
+func (c *WriteCache) write(off, length int64, ops *Ops) error {
 	if err := checkRange(off, length, c.inner.Capacity()); err != nil {
-		return ops, err
+		return err
 	}
 	if length == 0 {
-		return ops, nil
+		return nil
 	}
 	st := &c.st
-	lb := int64(c.cfg.LineBytes)
-	l0 := off / lb
-	l1 := (off + length - 1) / lb
+	l0 := off >> c.cfg.lineShift
+	l1 := (off + length - 1) >> c.cfg.lineShift
 	seq := true
 	touched := c.der.touched[:0]
 	for gl := l0; gl <= l1; {
-		rid := gl / c.cfg.linesPerRegion
+		rid := gl >> c.cfg.regionShift
 		i := c.der.index[rid]
 		if i == 0 {
 			i = c.newRegion(rid)
@@ -573,7 +588,7 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 			c.der.index[rid] = i
 		}
 		r := &st.Regions[i]
-		firstLine := gl % c.cfg.linesPerRegion
+		firstLine := gl & (c.cfg.linesPerRegion - 1)
 		ascending := r.MaxLine >= 0 && firstLine == r.MaxLine+1
 		// A write opening a region at its start is charged as a
 		// sequential append (the zone cannot tell yet), but promotion
@@ -592,26 +607,27 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 			st.remove(i)
 			r.Stream = false
 			st.pushFront(i)
-		default:
+		case st.Regions[r.ring()].Next != i: // not yet its ring's most recently used
 			st.remove(i)
 			st.pushFront(i)
 		}
 		if !ascending && !openAtStart {
 			seq = false
 		}
-		last := min(l1, (rid+1)*c.cfg.linesPerRegion-1)
+		base := rid << c.cfg.regionShift
+		last := min(l1, base+c.cfg.linesPerRegion-1)
 		n := last - gl + 1
-		hits := r.markDirty(st.lines(i, c.cfg.lineWords), firstLine, last-rid*c.cfg.linesPerRegion)
+		hits := r.markDirty(st.lines(i, c.cfg.lineWords), firstLine, last-base)
 		st.Stats.Hits += hits
 		st.Stats.Misses += n - hits
 		st.TotalLines += n - hits
 		gl = last + 1
 		touched = append(touched, i)
 	}
-	c.admitCost(length, seq, &ops)
-	err := c.enforceBounds(touched, &ops)
+	c.admitCost(length, seq, ops)
+	err := c.enforceBounds(touched, ops)
 	c.der.touched = touched[:0]
-	return ops, err
+	return err
 }
 
 // enforceBounds flushes what a write to the regions in the touched slots
@@ -668,33 +684,26 @@ func (c *WriteCache) dirtyLines(rid int64) []uint64 {
 // unbuffered spans to the inner layer.
 func (c *WriteCache) Read(off, length int64) (Ops, error) {
 	var ops Ops
+	err := c.read(off, length, &ops)
+	return ops, err
+}
+
+func (c *WriteCache) read(off, length int64, ops *Ops) error {
 	if err := checkRange(off, length, c.inner.Capacity()); err != nil {
-		return ops, err
+		return err
 	}
 	if length == 0 {
-		return ops, nil
-	}
-	lb := int64(c.cfg.LineBytes)
-	l0 := off / lb
-	l1 := (off + length - 1) / lb
-	spanStart := int64(-1)
-	forward := func(endExclusive int64) error {
-		if spanStart < 0 {
-			return nil
-		}
-		inner, err := c.inner.Read(spanStart*lb, (endExclusive-spanStart)*lb)
-		if err != nil {
-			return err
-		}
-		ops.Add(inner)
-		spanStart = -1
 		return nil
 	}
+	ls := c.cfg.lineShift
+	l0 := off >> ls
+	l1 := (off + length - 1) >> ls
+	spanStart := int64(-1) // first line of the unbuffered span not yet forwarded
 	// One region at a time: every dirty run inside the request ends the
 	// unbuffered span before it and is served from the buffer.
 	for gl := l0; gl <= l1; {
-		rid := gl / c.cfg.linesPerRegion
-		base := rid * c.cfg.linesPerRegion
+		rid := gl >> c.cfg.regionShift
+		base := rid << c.cfg.regionShift
 		last := min(l1, base+c.cfg.linesPerRegion-1)
 		lines := c.dirtyLines(rid)
 		for gl <= last {
@@ -709,19 +718,22 @@ func (c *WriteCache) Read(off, length int64) (Ops, error) {
 				if c.cfg.FlashBacked {
 					ops.PageReads += int(n) * max(c.cfg.LineBytes/c.cfg.PageBytes, 1)
 				} else {
-					ops.RAMBytes += n * lb
+					ops.RAMBytes += n << ls
 				}
-				if err := forward(runStart); err != nil {
-					return ops, err
+				if spanStart >= 0 {
+					if err := Serve(c.inner, false, spanStart<<ls, (runStart-spanStart)<<ls, ops); err != nil {
+						return err
+					}
+					spanStart = -1
 				}
 			}
 			gl = runEnd
 		}
 	}
-	if err := forward(l1 + 1); err != nil {
-		return ops, err
+	if spanStart >= 0 {
+		return Serve(c.inner, false, spanStart<<ls, (l1+1-spanStart)<<ls, ops)
 	}
-	return ops, nil
+	return nil
 }
 
 // StoresData reports whether the stack underneath retains payloads.

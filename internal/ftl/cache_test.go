@@ -66,6 +66,9 @@ func TestCacheConfigValidation(t *testing.T) {
 		{CapacityBytes: 0, LineBytes: 4096, RegionBytes: 128 * 1024},
 		{CapacityBytes: 1 << 20, LineBytes: 0, RegionBytes: 128 * 1024},
 		{CapacityBytes: 1 << 20, LineBytes: 4096, RegionBytes: 1000},
+		{CapacityBytes: 1 << 20, LineBytes: 3072, RegionBytes: 96 * 1024}, // line not a power of two
+		{CapacityBytes: 1 << 20, LineBytes: 4096, RegionBytes: 96 * 1024}, // region not a power of two
+		{CapacityBytes: 1 << 20, LineBytes: 8192, RegionBytes: 4096},      // region below a line
 		{CapacityBytes: 1024, LineBytes: 512, RegionBytes: 4096},
 		{CapacityBytes: 1 << 20, LineBytes: 4096, RegionBytes: 128 * 1024, FlashBacked: true},
 	}

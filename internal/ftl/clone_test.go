@@ -386,12 +386,15 @@ func TestMinHeapMatchesReference(t *testing.T) {
 		if q.Len() != len(ref) {
 			t.Fatalf("op %d: Len %d, want %d", i, q.Len(), len(ref))
 		}
+		if len(q.Keys) > 2*q.Len() {
+			t.Fatalf("op %d: %d heap entries for %d queued blocks", i, len(q.Keys), q.Len())
+		}
 		if len(ref) > 0 && q.min() != refMin() {
 			t.Fatalf("op %d: min %#x, want %#x", i, q.min(), refMin())
 		}
 		for blk, k := range ref {
-			if p := q.pos[blk]; p < 0 || q.Keys[p] != k {
-				t.Fatalf("op %d: block %d not indexed at its key", i, blk)
+			if q.key[blk] != ^k {
+				t.Fatalf("op %d: block %d not keyed at %#x", i, blk, k)
 			}
 		}
 	}
@@ -409,7 +412,7 @@ func TestMinHeapMatchesReference(t *testing.T) {
 
 // TestMinHeapZeroAlloc pins the allocation-free property of the block
 // queue: once the key slice has grown, push/lower/pop/remove cycles allocate
-// nothing.
+// nothing, the rebuilds that drop their stale entries included.
 func TestMinHeapZeroAlloc(t *testing.T) {
 	q := newBlockQueue(256)
 	for i := 0; i < 256; i++ {
@@ -431,6 +434,9 @@ func TestMinHeapZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("queue push/pop/remove allocates %.1f times per op, want 0", allocs)
+	}
+	if len(q.Keys) > 2*q.Len() {
+		t.Fatalf("%d heap entries for %d queued blocks", len(q.Keys), q.Len())
 	}
 }
 

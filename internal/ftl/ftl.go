@@ -29,6 +29,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"uflip/internal/flash"
@@ -193,6 +194,42 @@ type Translator interface {
 	Clone() Translator
 }
 
+// Serve performs a read, or a write when write is set, of length bytes at off
+// on t and adds the operations it performed to ops (after a failure ops may
+// hold part of them). It is how a layer calls the one below it, and how a
+// device calls its stack: the layers of this package run in place on ops, any
+// other Translator through Read or Write plus Ops.Add.
+//
+//uflint:hotpath
+func Serve(t Translator, write bool, off, length int64, ops *Ops) error {
+	switch t := t.(type) {
+	case *WriteCache:
+		if write {
+			return t.write(off, length, ops)
+		}
+		return t.read(off, length, ops)
+	case *PageFTL:
+		if write {
+			return t.write(off, length, ops)
+		}
+		return t.read(off, length, ops)
+	case *BlockFTL:
+		if write {
+			return t.write(off, length, ops)
+		}
+		return t.read(off, length, ops)
+	}
+	var o Ops
+	var err error
+	if write {
+		o, err = t.Write(off, length)
+	} else {
+		o, err = t.Read(off, length)
+	}
+	ops.Add(o)
+	return err
+}
+
 // Errors returned by the translation layers.
 var (
 	ErrOutOfRange = errors.New("ftl: IO beyond logical capacity")
@@ -226,6 +263,14 @@ func (s Stats) WriteAmplification() float64 {
 func (s Stats) negative() bool {
 	return s.HostReads|s.HostWrites|s.HostPagesWritten|s.PagesRead|s.PagesProgrammed|s.BlocksErased|s.Merges|s.SwitchMerges|s.AsyncReclaims|s.MapFlushes < 0
 }
+
+// isPow2 reports whether n is a power of two. Every size the layers index by
+// — page, unit, block, cache line and region — must be one, so that the hot
+// paths address by shift and mask.
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// log2 returns the exponent of the power of two n.
+func log2(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
 
 func checkRange(off, length, capacity int64) error {
 	if off < 0 || length < 0 || off+length > capacity {

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -155,6 +156,49 @@ func TestArrayAddressing(t *testing.T) {
 	s := arr.Stats()
 	if s.Programs != 1 || s.Reads != 1 || s.Erases != 1 {
 		t.Fatalf("array stats %+v", s)
+	}
+}
+
+// CheckLocate holds Array.locate to the division it replaces for every block
+// of the array under tr. (Exported for the profile sweep in serve_test.go.)
+func CheckLocate(tr Translator) error {
+	var arr *Array
+	switch tr := tr.(type) {
+	case *WriteCache:
+		return CheckLocate(tr.Inner())
+	case *PageFTL:
+		arr = tr.arr
+	case *BlockFTL:
+		arr = tr.arr
+	}
+	per := arr.cfg.blocksPerChip
+	for gb := 0; gb < arr.Blocks(); gb++ {
+		if c, lb, err := arr.locate(gb); err != nil || c != arr.chips[gb/per] || lb != gb%per {
+			return fmt.Errorf("block %d of %d chips x %d: located on chip %p block %d (%v), want chip %d block %d",
+				gb, arr.Chips(), per, c, lb, err, gb/per, gb%per)
+		}
+	}
+	return nil
+}
+
+// TestArrayChipReciprocal holds the reciprocal to the division around every
+// chip boundary and at the last block, for shapes up to the widest array a
+// queue key can address.
+func TestArrayChipReciprocal(t *testing.T) {
+	for _, chips := range []int{1, 2, 3, 7, 8, 16} {
+		for _, per := range []int{1, 2, 3, 1041, 1042, 4167, 65535, 1<<keyBlockBits/16 - 1, 1 << keyBlockBits / 16} {
+			cfg := newArrayConfig(flash.Geometry{Blocks: per}, chips)
+			for c := 0; c < chips; c++ {
+				for _, gb := range []int{c * per, c*per + 1, c*per + per/2, (c+1)*per - 2, (c+1)*per - 1} {
+					if gb < 0 || gb >= cfg.totalBlocks {
+						continue
+					}
+					if got := int((uint64(gb) * cfg.chipMul) >> cfg.chipShift); got != gb/per {
+						t.Fatalf("%d chips x %d blocks: block %d on chip %d, want %d", chips, per, gb, got, gb/per)
+					}
+				}
+			}
+		}
 	}
 }
 

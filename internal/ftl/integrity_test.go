@@ -29,18 +29,24 @@ type integrityStack struct {
 	opsComplete bool
 }
 
-func newDataArray(t *testing.T, raw int64) *ftl.Array {
+// newTestArray builds two chips of at least raw bytes, storing payloads when
+// data is set.
+func newTestArray(t *testing.T, raw int64, data bool) *ftl.Array {
 	t.Helper()
-	arr, err := ftl.NewUniformArray(2, flash.SLC, raw, flash.WithDataStorage())
+	var opts []flash.Option
+	if data {
+		opts = append(opts, flash.WithDataStorage())
+	}
+	arr, err := ftl.NewUniformArray(2, flash.SLC, raw, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return arr
 }
 
-func newIntegrityPage(t *testing.T) *ftl.PageFTL {
+func newIntegrityPage(t *testing.T, data bool) *ftl.PageFTL {
 	t.Helper()
-	arr := newDataArray(t, integrityLogical+24*128*1024)
+	arr := newTestArray(t, integrityLogical+24*128*1024, data)
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	f, err := ftl.NewPageFTL(arr, ftl.PageConfig{
 		LogicalBytes:    integrityLogical,
@@ -60,9 +66,9 @@ func newIntegrityPage(t *testing.T) *ftl.PageFTL {
 	return f
 }
 
-func newIntegrityBlock(t *testing.T) *ftl.BlockFTL {
+func newIntegrityBlock(t *testing.T, data bool) *ftl.BlockFTL {
 	t.Helper()
-	arr := newDataArray(t, integrityLogical+8*128*1024)
+	arr := newTestArray(t, integrityLogical+8*128*1024, data)
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	f, err := ftl.NewBlockFTL(arr, ftl.BlockConfig{
 		LogicalBytes:    integrityLogical,
@@ -76,7 +82,9 @@ func newIntegrityBlock(t *testing.T) *ftl.BlockFTL {
 	return f
 }
 
-func integrityStacks() []integrityStack {
+// integrityStacks returns the four stacks, on chips that store payloads when
+// data is set.
+func integrityStacks(data bool) []integrityStack {
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	cacheCfg := ftl.CacheConfig{
 		CapacityBytes: 256 * 1024, // small, so evictions and destages churn
@@ -87,17 +95,17 @@ func integrityStacks() []integrityStack {
 		DestageOnIdle: true,
 	}
 	return []integrityStack{
-		{name: "page", build: func(t *testing.T) ftl.DataPlane { return newIntegrityPage(t) }},
-		{name: "block", build: func(t *testing.T) ftl.DataPlane { return newIntegrityBlock(t) }, opsComplete: true},
+		{name: "page", build: func(t *testing.T) ftl.DataPlane { return newIntegrityPage(t, data) }},
+		{name: "block", build: func(t *testing.T) ftl.DataPlane { return newIntegrityBlock(t, data) }, opsComplete: true},
 		{name: "cache+page", build: func(t *testing.T) ftl.DataPlane {
-			c, err := ftl.NewWriteCache(newIntegrityPage(t), cacheCfg, cost)
+			c, err := ftl.NewWriteCache(newIntegrityPage(t, data), cacheCfg, cost)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
 		}},
 		{name: "cache+block", build: func(t *testing.T) ftl.DataPlane {
-			c, err := ftl.NewWriteCache(newIntegrityBlock(t), cacheCfg, cost)
+			c, err := ftl.NewWriteCache(newIntegrityBlock(t, data), cacheCfg, cost)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +211,7 @@ func TestDataIntegrityUnderWorkloads(t *testing.T) {
 		workload.OLTP{PageSize: 8192, TargetSize: integrityLogical, ReadFraction: 0.5, Count: 2500, Seed: 11},
 		workload.Zipfian{PageSize: 8192, TargetSize: integrityLogical, S: 1.2, ReadFraction: 0.4, Count: 2500, Seed: 13},
 	}
-	for _, st := range integrityStacks() {
+	for _, st := range integrityStacks(true) {
 		for _, gen := range gens {
 			t.Run(fmt.Sprintf("%s/%s", st.name, gen.Name()), func(t *testing.T) {
 				ops, err := gen.Generate()
@@ -219,7 +227,7 @@ func TestDataIntegrityUnderWorkloads(t *testing.T) {
 // TestDataIntegrityUnaligned stresses the read-modify-write edges the page
 // generators never produce: sub-page, misaligned, unit-crossing writes.
 func TestDataIntegrityUnaligned(t *testing.T) {
-	for _, st := range integrityStacks() {
+	for _, st := range integrityStacks(true) {
 		t.Run(st.name, func(t *testing.T) {
 			var ops []workload.Op
 			z := uint64(0x9E3779B97F4A7C15)

@@ -162,6 +162,9 @@ func (m *victimModel) check(t *testing.T, step int) {
 	if n != m.q.Len() {
 		t.Fatalf("step %d: %d candidates, queue Len %d", step, n, m.q.Len())
 	}
+	if len(m.q.Keys) > 2*n {
+		t.Fatalf("step %d: %d heap entries for %d candidates", step, len(m.q.Keys), n)
+	}
 }
 
 // collect is PageFTL.collectOne's queue traffic: pop the victim, relocate its

@@ -329,7 +329,7 @@ func (f *mapLogFTL) load(img *logTableImage) {
 	for _, l := range img.Logs {
 		f.logs[l.LBN] = &mapLogEnt{pb: l.PB, nextPage: l.NextPage, lastUse: l.LastUse}
 	}
-	f.free.load(&QueueState{Keys: img.Free}, f.arr.Blocks())
+	f.free.load(&QueueState{Keys: img.Free}, nil, f.arr.Blocks())
 	f.tick = img.Tick
 	f.book.copyFrom(&img.Book)
 	f.book.rederive()

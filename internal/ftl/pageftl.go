@@ -59,6 +59,8 @@ func (c PageConfig) validate(a *Array) error {
 	pageSize := a.Geometry().PageSize
 	blockSize := a.Geometry().BlockSize()
 	switch {
+	case !isPow2(pageSize) || !isPow2(a.Geometry().PagesPerBlock):
+		return fmt.Errorf("ftl: page size %d and pages per block %d must be powers of two", pageSize, a.Geometry().PagesPerBlock)
 	case c.LogicalBytes <= 0:
 		return fmt.Errorf("ftl: LogicalBytes must be positive")
 	case c.UnitBytes < pageSize || c.UnitBytes%pageSize != 0:
@@ -186,6 +188,9 @@ type pageConfig struct {
 	pagesPerUnit  int
 	unitsPerBlock int
 	logicalUnits  int64
+	// Every size is a power of two (validate): log2 of the page size, the
+	// unit size, the pages per unit and the units per block.
+	pageShift, unitShift, ppuShift, upbShift uint
 }
 
 // PageFTL is a page-granularity (unit-granularity) mapped flash translation
@@ -224,6 +229,10 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 		pagesPerUnit:  cfg.UnitBytes / arr.Geometry().PageSize,
 		unitsPerBlock: blockSize / cfg.UnitBytes,
 		logicalUnits:  (cfg.LogicalBytes + int64(cfg.UnitBytes) - 1) / int64(cfg.UnitBytes),
+		pageShift:     log2(arr.Geometry().PageSize),
+		unitShift:     log2(cfg.UnitBytes),
+		ppuShift:      log2(cfg.UnitBytes / arr.Geometry().PageSize),
+		upbShift:      log2(blockSize / cfg.UnitBytes),
 	}}
 	f.flashBooks = newFlashBooks(arr, cfg.MapUnitsPerPage, cfg.MapDirtyLimit, f.cfg.logicalUnits)
 	f.st.LastReadSlot = -2
@@ -268,7 +277,7 @@ func (f *PageFTL) resetFrom(t Translator) bool {
 	f.st.copyFrom(&src.st)
 	// src holds the candidates derived: copying them costs the candidates,
 	// rederive every block of the array (20 µs of a 30 µs reset at 8k blocks).
-	f.victims.load(&src.victims.QueueState, len(f.st.Live))
+	f.victims.load(&src.victims.QueueState, src.victims.key, len(f.st.Live))
 	return true
 }
 
@@ -276,7 +285,7 @@ func (f *PageFTL) resetFrom(t Translator) bool {
 // pool and the chips: every usable block that is neither open nor free and has
 // an obsolete slot.
 func (f *PageFTL) rederive() {
-	f.victims.load(&QueueState{}, len(f.st.Live))
+	f.victims.load(&QueueState{}, nil, len(f.st.Live))
 	for b, live := range f.st.Live {
 		if int(live) < f.cfg.unitsPerBlock && !f.st.IsOpen[b] && !f.free.contains(b) && !f.arr.IsBad(b) {
 			f.pushVictim(b)
@@ -288,7 +297,12 @@ func (f *PageFTL) rederive() {
 func (f *PageFTL) Stats() Stats { return f.st.Stats }
 
 func (f *PageFTL) slotOf(block, slot int) int64 {
-	return int64(block)*int64(f.cfg.unitsPerBlock) + int64(slot)
+	return int64(block)<<f.cfg.upbShift + int64(slot)
+}
+
+// blockSlot splits a physical unit slot into its block and the slot within it.
+func (f *PageFTL) blockSlot(ps int64) (block, slot int) {
+	return int(ps >> f.cfg.upbShift), int(ps & int64(f.cfg.unitsPerBlock-1))
 }
 
 // allocBlock pops a pre-erased block. When the pool is empty (and forGC is
@@ -426,7 +440,7 @@ func (f *PageFTL) appendUnit(wp *WritePoint, unit int64, ops *Ops, forGC bool, h
 	// closer to being) a garbage-collection candidate.
 	if old := f.st.FMap[unit]; old >= 0 {
 		f.st.RMap[old] = -1
-		oldBlock := int(old / int64(f.cfg.unitsPerBlock))
+		oldBlock := int(old >> f.cfg.upbShift)
 		f.st.Live[oldBlock]--
 		f.pushVictim(oldBlock)
 	}
@@ -458,8 +472,7 @@ func (f *PageFTL) stageUnit(unit int64, overlayHost bool) []byte {
 	clear(unitData)
 	pageSize := f.arr.Geometry().PageSize
 	if old := f.st.FMap[unit]; old >= 0 {
-		block := int(old / int64(f.cfg.unitsPerBlock))
-		slot := int(old % int64(f.cfg.unitsPerBlock))
+		block, slot := f.blockSlot(old)
 		for p := 0; p < f.cfg.pagesPerUnit; p++ {
 			if data, err := f.arr.PageData(block, slot*f.cfg.pagesPerUnit+p); err == nil {
 				copy(unitData[p*pageSize:(p+1)*pageSize], data)
@@ -513,8 +526,7 @@ func (f *PageFTL) peekData(off int64, buf []byte) {
 		}
 		unit := gp * pageSize / f.cfg.unitBytes
 		if ps := f.st.FMap[unit]; ps >= 0 {
-			block := int(ps / int64(f.cfg.unitsPerBlock))
-			slot := int(ps % int64(f.cfg.unitsPerBlock))
+			block, slot := f.blockSlot(ps)
 			pageInUnit := int(gp % (f.cfg.unitBytes / pageSize))
 			if data, err := f.arr.PageData(block, slot*f.cfg.pagesPerUnit+pageInUnit); err == nil {
 				if int64(len(data)) > pageOff {
@@ -546,39 +558,42 @@ func (f *PageFTL) pickWP(unit int64) *WritePoint {
 // Write services a host write.
 func (f *PageFTL) Write(off, length int64) (Ops, error) {
 	var ops Ops
+	err := f.write(off, length, &ops)
+	return ops, err
+}
+
+func (f *PageFTL) write(off, length int64, ops *Ops) error {
 	if err := checkRange(off, length, f.cfg.LogicalBytes); err != nil {
-		return ops, err
+		return err
 	}
 	if length == 0 {
-		return ops, nil
+		return nil
 	}
 	f.st.Stats.HostWrites++
-	pageSize := int64(f.arr.Geometry().PageSize)
-	f.st.Stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
+	sh := f.cfg.pageShift
+	f.st.Stats.HostPagesWritten += (off+length-1)>>sh - off>>sh + 1
 	journal := f.cfg.JournalMaxBytes > 0 && length <= f.cfg.JournalMaxBytes && length < f.cfg.unitBytes
-	u0 := off / f.cfg.unitBytes
-	u1 := (off + length - 1) / f.cfg.unitBytes
+	u0 := off >> f.cfg.unitShift
+	u1 := (off + length - 1) >> f.cfg.unitShift
 	for u := u0; u <= u1; u++ {
-		us := u * f.cfg.unitBytes
+		us := u << f.cfg.unitShift
 		ws := max64(off, us)
 		we := min64(off+length, us+f.cfg.unitBytes)
-		writtenPages := int((we-1)/pageSize - ws/pageSize + 1)
+		writtenPages := int((we-1)>>sh - ws>>sh + 1)
 		// Pages of the unit not fully overwritten must be read first
 		// (read-modify-write); this is the mechanism behind the
 		// alignment penalty of the Alignment micro-benchmark.
-		firstFull := (ws - us + pageSize - 1) / pageSize
-		lastFull := (we - us) / pageSize
+		firstFull := (ws - us + 1<<sh - 1) >> sh
+		lastFull := (we - us) >> sh
 		fullyCovered := int(lastFull - firstFull)
 		if fullyCovered < 0 {
 			fullyCovered = 0
 		}
 		oldPages := f.cfg.pagesPerUnit - fullyCovered
 		if !journal && oldPages > 0 && f.st.FMap[u] >= 0 {
-			old := f.st.FMap[u]
-			block := int(old / int64(f.cfg.unitsPerBlock))
-			slot := int(old % int64(f.cfg.unitsPerBlock))
+			block, slot := f.blockSlot(f.st.FMap[u])
 			if err := f.arr.ReadRun(block, slot*f.cfg.pagesPerUnit, oldPages); err != nil {
-				return ops, fmt.Errorf("ftl: rmw read: %w", err)
+				return fmt.Errorf("ftl: rmw read: %w", err)
 			}
 			ops.MergeReads += oldPages
 			f.st.Stats.PagesRead += int64(oldPages)
@@ -591,8 +606,8 @@ func (f *PageFTL) Write(off, length int64) (Ops, error) {
 			hostPages = f.cfg.pagesPerUnit
 		}
 		wp := f.pickWP(u)
-		if err := f.appendUnit(wp, u, &ops, false, hostPages); err != nil {
-			return ops, err
+		if err := f.appendUnit(wp, u, ops, false, hostPages); err != nil {
+			return err
 		}
 		if journal && writtenPages < f.cfg.pagesPerUnit {
 			// Journal path: charge only the pages actually written. The
@@ -606,56 +621,69 @@ func (f *PageFTL) Write(off, length int64) (Ops, error) {
 		}
 	}
 	f.st.LastReadSlot = -2
-	return ops, nil
+	return nil
 }
 
 // Read services a host read.
 func (f *PageFTL) Read(off, length int64) (Ops, error) {
 	var ops Ops
+	err := f.read(off, length, &ops)
+	return ops, err
+}
+
+func (f *PageFTL) read(off, length int64, ops *Ops) error {
 	if err := checkRange(off, length, f.cfg.LogicalBytes); err != nil {
-		return ops, err
+		return err
 	}
 	if length == 0 {
-		return ops, nil
+		return nil
+	}
+	// Lingering reclamation (Figure 5): while the free pool is below target,
+	// background collection steals time from reads. Nothing below changes
+	// the pool or the candidates, so whether this read steals is known now;
+	// a read that does counts its operations apart from ops, which may hold
+	// earlier ones, because the steal prices this read alone.
+	steal := f.cfg.AsyncReclaim && f.cfg.ReadSteal > 0 && f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0
+	var own Ops
+	acc := ops
+	if steal {
+		acc = &own
 	}
 	f.st.Stats.HostReads++
-	pageSize := int64(f.arr.Geometry().PageSize)
-	p0 := off / pageSize
-	p1 := (off + length - 1) / pageSize
+	p0 := off >> f.cfg.pageShift
+	p1 := (off + length - 1) >> f.cfg.pageShift
 	first := true
 	// One read run per mapping unit the request touches: a unit's pages are
 	// physically consecutive.
 	for gp := p0; gp <= p1; {
-		unit := gp * pageSize / f.cfg.unitBytes
-		pageInUnit := int(gp % int64(f.cfg.pagesPerUnit))
+		unit := gp >> f.cfg.ppuShift
+		pageInUnit := int(gp & int64(f.cfg.pagesPerUnit-1))
 		n := int(min64(int64(f.cfg.pagesPerUnit-pageInUnit), p1-gp+1))
 		gp += int64(n)
 		ps := f.st.FMap[unit]
 		if ps < 0 {
 			// Unmapped: the device returns a deterministic pattern
 			// straight from the controller.
-			ops.RAMBytes += int64(n) * pageSize
+			acc.RAMBytes += int64(n) << f.cfg.pageShift
 			continue
 		}
-		block := int(ps / int64(f.cfg.unitsPerBlock))
-		slot := int(ps % int64(f.cfg.unitsPerBlock))
+		block, slot := f.blockSlot(ps)
 		page := slot*f.cfg.pagesPerUnit + pageInUnit
 		if err := f.arr.ReadRun(block, page, n); err != nil {
-			return ops, fmt.Errorf("ftl: read: %w", err)
+			return fmt.Errorf("ftl: read: %w", err)
 		}
 		f.st.Stats.PagesRead += int64(n)
-		physSlot := int64(block)*int64(f.arr.Geometry().PagesPerBlock) + int64(page)
-		chargeReadRun(&ops, &f.st.LastReadSlot, physSlot, n, first, f.cfg.model.ReadSeek)
+		physSlot := int64(block)<<(f.cfg.upbShift+f.cfg.ppuShift) + int64(page)
+		chargeReadRun(acc, &f.st.LastReadSlot, physSlot, n, first, f.cfg.model.ReadSeek)
 		first = false
 	}
-	// Lingering reclamation (Figure 5): while the free pool is below
-	// target, background collection steals time from reads.
-	if f.cfg.AsyncReclaim && f.cfg.ReadSteal > 0 && f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
-		stall := time.Duration(f.cfg.ReadSteal * float64(f.cfg.model.Cost(&ops)))
-		ops.Stall += stall
+	if steal {
+		stall := time.Duration(f.cfg.ReadSteal * float64(f.cfg.model.Cost(&own)))
+		own.Stall += stall
 		f.reclaimWithCredit(stall)
+		ops.Add(own)
 	}
-	return ops, nil
+	return nil
 }
 
 // Idle grants idle host time to background reclamation.

@@ -399,6 +399,46 @@ func TestPageFTLWearLeveling(t *testing.T) {
 	}
 }
 
+// TestServeReadStealPricesItsOwnRead: a read steal stalls ReadSteal times the
+// cost of that read alone. Served into an accumulator that already holds an
+// expensive IO's worth of operations, the read adds exactly what Read returns
+// on a clone.
+func TestServeReadStealPricesItsOwnRead(t *testing.T) {
+	f := newTestPageFTL(t, func(c *PageConfig) {
+		c.AsyncReclaim, c.ReadSteal, c.ReserveBlocks = true, 0.5, 4
+	})
+	const unit = 128 * 1024
+	for u := int64(0); u < 12; u++ {
+		if _, err := f.Write(u%6*unit, unit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Retire spare blocks, as wear-out does, until the pool is below target
+	// with overwritten blocks left to collect.
+	for f.free.Len() >= f.cfg.ReserveBlocks {
+		f.free.pop()
+	}
+	if f.victims.Len() == 0 {
+		t.Fatal("no garbage-collection candidate to steal for")
+	}
+	want, err := f.Clone().Read(0, 3*unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stall == 0 {
+		t.Fatal("the read did not steal")
+	}
+	base := Ops{PageReads: 64, PagePrograms: 640, MergeReads: 64, MergePrograms: 64, Erases: 10, Stall: time.Second}
+	acc := base
+	if err := Serve(f, false, 0, 3*unit, &acc); err != nil {
+		t.Fatal(err)
+	}
+	base.Add(want)
+	if acc != base {
+		t.Fatalf("served read left %+v, want %+v", acc, base)
+	}
+}
+
 // TestReadStealNeedsARealCandidate pins the read-steal gate to the exact
 // candidate count. A block overwritten unit by unit used to sit in the lazy
 // victim heap once per overwrite; collecting it left the duplicates behind as

@@ -95,7 +95,7 @@ func fuzzStateful(t *testing.T, bare, cached string, in []byte) {
 		name = cached
 	}
 	r := &statefulRun{t: t, model: map[int64]uint32{}}
-	for _, st := range integrityStacks() {
+	for _, st := range integrityStacks(true) {
 		if st.name == name {
 			r.build = st.build
 		}

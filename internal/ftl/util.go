@@ -1,6 +1,9 @@
 package ftl
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // A queue key packs a block's priority and its number into one uint64, most
 // significant field first, so comparing two keys as integers is the FTLs'
@@ -58,73 +61,109 @@ func (s *QueueState) audit(arr *ArrayState) error {
 	return nil
 }
 
-// blockQueue is an indexed binary min-heap of packed keys holding at most one
-// entry per block: pos finds a block's entry, so a block whose priority drops
-// is re-keyed where it sits and a block that leaves the set is removed, and
-// Len is exactly the number of queued blocks. The free pools of both FTLs and
-// the PageFTL's garbage-collection candidates are blockQueues. Keys are unique
-// (the block number is part of the key), so the pop order depends only on the
-// set of keys, never on the heap's internal layout. Steady-state operations
-// allocate nothing: Keys grows to the high-water mark and stays.
+// blockQueue is a binary min-heap of packed keys over the queued blocks, with
+// no index into the heap: key records each block's current key, so a block
+// whose priority drops is pushed again under its new key and a block that
+// leaves the set only loses its key. The entry either leaves behind is stale
+// — it no longer equals its block's key — and pop and min discard stale
+// entries as they reach the top; the heap is rebuilt from its live entries
+// once stale ones outnumber them. Len is exactly the number of queued blocks.
+// The free pools of both FTLs and the PageFTL's garbage-collection candidates
+// are blockQueues. Keys are unique (the block number is part of the key), so
+// the pop order depends only on the set of keys, never on the heap's layout;
+// a free pool never lowers or removes a key, so its heap holds no stale entry
+// and is exactly the state recorded. Steady-state operations allocate
+// nothing: Keys grows to the high-water mark and stays.
 type blockQueue struct {
 	QueueState
-	pos []int32 // block -> index into Keys, -1 when not queued: derived from Keys (rederive)
+	// key holds each queued block's current key complemented, and 0 for a
+	// block not queued, so that a zeroed array is an empty queue. No key is
+	// all ones (its erase field cannot be: checkKeyWidths), so none reads 0.
+	key  []uint64
+	live int // queued blocks
 }
 
 func newBlockQueue(blocks int) blockQueue {
 	var q blockQueue
-	q.load(&QueueState{}, blocks)
+	q.load(&QueueState{}, nil, blocks)
 	return q
 }
 
-// load makes q a copy of the queue src over an array of blocks blocks and
-// rederives pos. Only the blocks queued before have an entry to drop, so a
-// reset costs the queued blocks, not the array.
-func (q *blockQueue) load(src *QueueState, blocks int) {
-	if len(q.pos) != blocks {
-		q.pos = make([]int32, blocks)
-		for i := range q.pos {
-			q.pos[i] = -1
+// load makes q a copy of the heap src over an array of blocks blocks. cur is
+// the key array src was kept under, which tells its stale entries apart, or
+// nil when src has none (a free pool, a state's heap). Only the blocks queued
+// before have a key to drop, so a reset costs the queued blocks, not the
+// array.
+func (q *blockQueue) load(src *QueueState, cur []uint64, blocks int) {
+	if len(q.key) != blocks {
+		q.key = make([]uint64, blocks)
+	} else {
+		for _, k := range q.Keys {
+			q.key[k&keyBlockMask] = 0
 		}
 	}
-	for _, k := range q.Keys {
-		q.pos[k&keyBlockMask] = -1
-	}
 	q.copyFrom(src)
-	for i, k := range q.Keys {
-		q.pos[k&keyBlockMask] = int32(i)
+	q.live = 0
+	for _, k := range q.Keys {
+		b := k & keyBlockMask
+		c := ^k
+		if cur != nil {
+			c = cur[b]
+		}
+		if q.key[b] == 0 && c != 0 {
+			q.key[b] = c
+			q.live++
+		}
 	}
 }
 
 // Len returns the number of queued blocks.
-func (q *blockQueue) Len() int { return len(q.Keys) }
+func (q *blockQueue) Len() int { return q.live }
 
-// min returns the smallest key; the queue must not be empty.
-func (q *blockQueue) min() uint64 { return q.Keys[0] }
+// min returns the smallest key, dropping the stale entries above it; the
+// queue must not be empty.
+func (q *blockQueue) min() uint64 {
+	for {
+		if k := q.Keys[0]; q.key[k&keyBlockMask] == ^k {
+			return k
+		}
+		q.popTop()
+	}
+}
 
 // contains reports whether block is queued.
-func (q *blockQueue) contains(block int) bool { return q.pos[block] >= 0 }
+func (q *blockQueue) contains(block int) bool { return q.key[block] != 0 }
 
-// push queues key's block under key, or lowers the key the block is already
-// queued under (a queued block's priority only ever drops: closed blocks
-// never gain live units).
+// push queues key's block under key, or re-keys a block already queued (a
+// queued block's priority only ever drops: closed blocks never gain live
+// units).
 //
 //uflint:hotpath
 func (q *blockQueue) push(key uint64) {
-	i := int(q.pos[key&keyBlockMask])
-	if i < 0 {
-		i = len(q.Keys)
-		q.Keys = append(q.Keys, key)
+	b := key & keyBlockMask
+	old := q.key[b]
+	if old == ^key {
+		return
 	}
-	q.up(i, key)
+	q.key[b] = ^key
+	q.Keys = append(q.Keys, key)
+	q.up(len(q.Keys)-1, key)
+	if old == 0 {
+		q.live++
+	} else {
+		q.tidy()
+	}
 }
 
 // pop removes and returns the smallest key; the queue must not be empty.
 //
 //uflint:hotpath
 func (q *blockQueue) pop() uint64 {
-	top := q.Keys[0]
-	q.removeAt(0)
+	top := q.min()
+	q.key[top&keyBlockMask] = 0
+	q.live--
+	q.popTop()
+	q.tidy()
 	return top
 }
 
@@ -132,30 +171,40 @@ func (q *blockQueue) pop() uint64 {
 //
 //uflint:hotpath
 func (q *blockQueue) remove(block int) {
-	if i := int(q.pos[block]); i >= 0 {
-		q.removeAt(i)
+	if q.key[block] != 0 {
+		q.key[block] = 0
+		q.live--
+		q.tidy()
 	}
 }
 
-// removeAt deletes the entry at index i, re-seating the last entry in its
-// place.
-func (q *blockQueue) removeAt(i int) {
-	q.pos[q.Keys[i]&keyBlockMask] = -1
+// popTop deletes the root entry, live or stale. The hole sinks to a leaf
+// along the smaller children and the last entry rises from there (Floyd):
+// fewer comparisons than sifting the last entry down from the root, and with
+// unique keys exactly the layout that sift-down leaves.
+func (q *blockQueue) popTop() {
 	n := len(q.Keys) - 1
 	last := q.Keys[n]
 	q.Keys = q.Keys[:n]
-	if i == n {
+	if n == 0 {
 		return
 	}
-	if i > 0 && last < q.Keys[(i-1)/2] {
-		q.up(i, last)
-	} else {
-		q.down(i, last)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q.Keys[c+1] < q.Keys[c] {
+			c++
+		}
+		q.Keys[i] = q.Keys[c]
+		i = c
 	}
+	q.up(i, last)
 }
 
-// up seats key at index i or above. Both sifts move a hole instead of
-// swapping: each level costs one key copy and one pos update.
+// up seats key at index i or above, moving a hole instead of swapping.
 func (q *blockQueue) up(i int, key uint64) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -164,35 +213,31 @@ func (q *blockQueue) up(i int, key uint64) {
 			break
 		}
 		q.Keys[i] = p
-		q.pos[p&keyBlockMask] = int32(i)
 		i = parent
 	}
 	q.Keys[i] = key
-	q.pos[key&keyBlockMask] = int32(i)
 }
 
-// down seats key at index i or below.
-func (q *blockQueue) down(i int, key uint64) {
-	n := len(q.Keys)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && q.Keys[r] < q.Keys[l] {
-			m = r
-		}
-		c := q.Keys[m]
-		if c >= key {
-			break
-		}
-		q.Keys[i] = c
-		q.pos[c&keyBlockMask] = int32(i)
-		i = m
+// tidy rebuilds the heap from its live entries once the stale ones outnumber
+// them, so the heap never holds more than twice Len entries. A block removed
+// and queued again under an earlier key has two entries equal to its key; the
+// rebuild keeps one.
+func (q *blockQueue) tidy() {
+	if len(q.Keys) <= 2*q.live {
+		return
 	}
-	q.Keys[i] = key
-	q.pos[key&keyBlockMask] = int32(i)
+	kept := q.Keys[:0]
+	for _, k := range q.Keys {
+		if b := k & keyBlockMask; q.key[b] == ^k {
+			kept = append(kept, k)
+			q.key[b] = 0
+		}
+	}
+	for _, k := range kept {
+		q.key[k&keyBlockMask] = ^k
+	}
+	slices.Sort(kept) // an ascending array is a heap
+	q.Keys = kept
 }
 
 // MapBookState is the map book as data: the FIFO ring of dirty map pages. The
@@ -376,7 +421,7 @@ func (b *flashBooks) resetBooks(src *flashBooks) {
 
 // loadBooks copies pool and book states in and rederives the rest.
 func (b *flashBooks) loadBooks(free *QueueState, book *MapBookState) {
-	b.free.load(free, b.arr.Blocks())
+	b.free.load(free, nil, b.arr.Blocks())
 	b.book.copyFrom(book)
 	b.rederiveBooks()
 }
