@@ -303,10 +303,11 @@ func buildAblation(b *testing.B, name string, logical int64, build func(arr *ftl
 	return ablationDevice{name: name, dev: sim}
 }
 
+// pageCfg maps flash blocks out of place: a 32 KB random write pays a
+// read-modify-write of its block, and reclamation erases obsolete blocks.
 func pageCfg(logical int64) ftl.PageConfig {
 	return ftl.PageConfig{
 		LogicalBytes:    logical,
-		UnitBytes:       32 * 1024, // fine-grained mapping: no read-modify-write for 32 KB IOs
 		WritePoints:     4,
 		ReserveBlocks:   16,
 		GCBatch:         4,
@@ -331,9 +332,10 @@ func measureRW(b *testing.B, ad ablationDevice) float64 {
 	return run.Summary.Mean * 1e3
 }
 
-// BenchmarkAblationMapping contrasts page-granularity and block-granularity
-// mapping: the reason SSD and USB-stick random writes differ by an order of
-// magnitude.
+// BenchmarkAblationMapping contrasts the two translation designs — blocks
+// written out of place from a pre-erased pool, and in-place block mapping
+// through a few log blocks that degenerate to full merges: the reason SSD and
+// USB-stick random writes differ by an order of magnitude.
 func BenchmarkAblationMapping(b *testing.B) {
 	const logical = 256 << 20
 	for i := 0; i < b.N; i++ {
@@ -349,19 +351,17 @@ func BenchmarkAblationMapping(b *testing.B) {
 }
 
 // BenchmarkAblationWriteCache contrasts random-write cost with and without
-// a write buffer when the working set fits: the locality mechanism. The FTL
-// underneath maps at flash-block granularity, so uncached sub-unit random
-// writes pay a read-modify-write.
+// a write buffer when the working set fits: the locality mechanism. Uncached,
+// every sub-block random write pays a read-modify-write of its flash block;
+// the buffer coalesces them into whole blocks.
 func BenchmarkAblationWriteCache(b *testing.B) {
 	const logical = 256 << 20
-	coarse := pageCfg(logical)
-	coarse.UnitBytes = 128 * 1024
 	for i := 0; i < b.N; i++ {
 		bare := buildAblation(b, "no-cache", logical, func(arr *ftl.Array, cost ftl.CostModel) (ftl.Translator, error) {
-			return ftl.NewPageFTL(arr, coarse, cost)
+			return ftl.NewPageFTL(arr, pageCfg(logical), cost)
 		})
 		cached := buildAblation(b, "cache-8MB", logical, func(arr *ftl.Array, cost ftl.CostModel) (ftl.Translator, error) {
-			inner, err := ftl.NewPageFTL(arr, coarse, cost)
+			inner, err := ftl.NewPageFTL(arr, pageCfg(logical), cost)
 			if err != nil {
 				return nil, err
 			}

@@ -34,7 +34,7 @@
 // ReadRun, with one block lookup per run) program or read n consecutive
 // pages with one validation plus cursor arithmetic, all or nothing, leaving
 // the page register and the counters exactly as n single-page calls would.
-// Both FTLs issue one run per mapping unit, merge copy, log append or
+// Both FTLs issue one run per block write, merge copy, log append or
 // same-block stretch of a read; the single-page methods are the n = 1 case
 // of the same code, and a fuzz target compares every run against the
 // previous per-page chip, kept as a test-only reference model. On top of
@@ -52,8 +52,8 @@
 // shard device is reset from the master for its next shard, so a job
 // allocates one device stack per worker, not one per run; tests pin that
 // path byte-identical to cloning and to rebuilding per shard. The hot path
-// is allocation-free in steady state (free blocks and garbage-collection
-// candidates sit in indexed heaps of packed integer keys, one entry per
+// is allocation-free in steady state (free blocks and reclamation
+// candidates sit in binary heaps of packed integer keys, one entry per
 // block; map bookkeeping runs on a fixed ring; both
 // SimDevice.Submit and the 128-IO SubmitBatch are pinned at 0 allocs/op),
 // and stats.Percentiles derives any number of quantiles from one O(n)
@@ -145,7 +145,7 @@
 // are pinned byte-identical to their raw member over the full
 // micro-benchmark suite and the workload generators; the FTL data plane
 // (ftl.DataPlane over flash.WithDataStorage) carries real payload bytes
-// through relocations, merges, garbage collection and cache destages so a
+// through out-of-place writes, merges, reclamation and cache flushes so a
 // read-after-write oracle can verify data integrity under OLTP/Zipf
 // workloads; and native go fuzz targets (make fuzz-smoke) cover the
 // block-trace CSV, result CSV and array-spec parsers and the two batch

@@ -23,7 +23,6 @@ func buildBareSim(t testing.TB) *device.SimDevice {
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	f, err := ftl.NewPageFTL(arr, ftl.PageConfig{
 		LogicalBytes:    logical,
-		UnitBytes:       32 * 1024,
 		WritePoints:     2,
 		ReserveBlocks:   8,
 		GCBatch:         2,

@@ -77,7 +77,7 @@ func newSim(t *testing.T, writeBack bool, lag time.Duration) *SimDevice {
 	}
 	model := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	f, err := ftl.NewPageFTL(arr, ftl.PageConfig{
-		LogicalBytes: logical, UnitBytes: 128 * 1024, WritePoints: 2,
+		LogicalBytes: logical, WritePoints: 2,
 		ReserveBlocks: 4, MapDirtyLimit: 4, MapUnitsPerPage: 64,
 	}, model)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestSimDeviceIdleGrantReachesFTL(t *testing.T) {
 	}
 	model := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	f, err := ftl.NewPageFTL(arr, ftl.PageConfig{
-		LogicalBytes: logical, UnitBytes: 128 * 1024, WritePoints: 2,
+		LogicalBytes: logical, WritePoints: 2,
 		ReserveBlocks: 32, AsyncReclaim: true, MapDirtyLimit: 4, MapUnitsPerPage: 64,
 	}, model)
 	if err != nil {

@@ -49,14 +49,14 @@ func dataStack(t testing.TB) device.Cloneable {
 	}
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	page, err := ftl.NewPageFTL(arr, ftl.PageConfig{
-		LogicalBytes: logical, UnitBytes: 32 * 1024, WritePoints: 2, ReserveBlocks: 6,
+		LogicalBytes: logical, WritePoints: 2, ReserveBlocks: 6,
 		AsyncReclaim: true, ReadSteal: 0.3, GCBatch: 2, MapDirtyLimit: 4, MapUnitsPerPage: 16,
 	}, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache, err := ftl.NewWriteCache(page, ftl.CacheConfig{
-		CapacityBytes: 256 * 1024, LineBytes: 4096, RegionBytes: 128 * 1024, Streams: 2, DestageOnIdle: true,
+		CapacityBytes: 256 * 1024, LineBytes: 4096, RegionBytes: 128 * 1024, Streams: 2,
 	}, cost)
 	if err != nil {
 		t.Fatal(err)

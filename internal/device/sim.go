@@ -181,7 +181,7 @@ func (d *SimDevice) service(at time.Duration, io IO) (time.Duration, error) {
 	d.st.IOs++
 
 	// Grant any host-idle gap to the device's background machinery
-	// (asynchronous reclamation, cache destaging).
+	// (asynchronous reclamation).
 	if at > d.st.IdleMark {
 		gap := at - d.st.IdleMark
 		if d.st.BusFree > d.st.IdleMark {

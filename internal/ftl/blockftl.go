@@ -171,7 +171,7 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 		return nil, err
 	}
 	geo := arr.Geometry()
-	if err := checkKeyWidths(arr.Blocks(), arr.eraseLimit(), 0); err != nil {
+	if err := checkKeyWidths(arr.Blocks(), arr.eraseLimit()); err != nil {
 		return nil, err
 	}
 	blockBytes := int64(geo.BlockSize())
@@ -560,7 +560,7 @@ func (f *BlockFTL) write(off, length int64, ops *Ops) error {
 	for pos < end {
 		lbn := pos >> blockShift
 		base := lbn << blockShift
-		segEnd := min64(end, base+f.cfg.blockBytes)
+		segEnd := min(end, base+f.cfg.blockBytes)
 		if err := f.writeSegment(lbn, pos-base, segEnd-base, ops); err != nil {
 			return err
 		}
@@ -592,7 +592,7 @@ func (f *BlockFTL) read(off, length int64, ops *Ops) error {
 	for gp := p0; gp <= p1; {
 		lbn := gp >> f.cfg.ppbShift
 		pageInBlock := int(gp & int64(f.cfg.pagesPerBlock-1))
-		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min64(int64(f.cfg.pagesPerBlock-pageInBlock), p1-gp+1)))
+		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min(int64(f.cfg.pagesPerBlock-pageInBlock), p1-gp+1)))
 		gp += int64(n)
 		if !ok {
 			ops.RAMBytes += int64(n) << f.cfg.pageShift

@@ -56,8 +56,6 @@ type CacheConfig struct {
 	// several writes into one, producing the cheap/expensive oscillation
 	// of the running phase (Figure 3).
 	EvictBatch int
-	// DestageOnIdle lets idle time drain dirty regions in LRU order.
-	DestageOnIdle bool
 }
 
 func (c CacheConfig) validate() error {
@@ -159,7 +157,6 @@ type WriteCacheState struct {
 
 	TotalLines int64
 	Stats      CacheStats
-	IdleCredit time.Duration
 
 	// LineData holds the buffered bytes per dirty line; nil unless the stack
 	// stores data.
@@ -170,7 +167,7 @@ func (s *WriteCacheState) copyFrom(src *WriteCacheState) {
 	s.Regions = append(s.Regions[:0], src.Regions...)
 	s.Words = append(s.Words[:0], src.Words...)
 	s.Free, s.Streams = src.Free, src.Streams
-	s.TotalLines, s.Stats, s.IdleCredit = src.TotalLines, src.Stats, src.IdleCredit
+	s.TotalLines, s.Stats = src.TotalLines, src.Stats
 	// As for a chip's payloads: a nil map in src means none.
 	if s.LineData == nil && src.LineData != nil {
 		s.LineData = make(map[int64][]byte, len(src.LineData))
@@ -245,8 +242,8 @@ func (s *WriteCacheState) audit(cfg *cacheConfig) error {
 	switch {
 	case len(s.Regions) < firstRegion || len(s.Words) != len(s.Regions)*cfg.lineWords:
 		return fmt.Errorf("ftl: cache state has %d slots and %d bitset words, want %d words a slot", len(s.Regions), len(s.Words), cfg.lineWords)
-	case s.Stats.negative() || s.IdleCredit > maxIdleCredit:
-		return fmt.Errorf("ftl: cache state has a counter or idle credit out of range (%+v, %v)", s.Stats, s.IdleCredit)
+	case s.Stats.negative():
+		return fmt.Errorf("ftl: cache state has a negative counter (%+v)", s.Stats)
 	case len(s.LineData) > 0 && !cfg.dataMode:
 		return fmt.Errorf("ftl: cache state carries line data but the cache does not store payloads")
 	}
@@ -313,16 +310,13 @@ type CacheStats struct {
 	CompleteFlush int64 // immediate flushes of fully written regions
 	StreamFlushes int64 // partial flushes forced by the Streams bound
 	CapFlushes    int64 // evictions forced by capacity
-	IdleDestages  int64 // flushes performed during idle time
 	Promotions    int64 // zone -> stream promotions
 }
 
 // cacheConfig is what a WriteCache is built as: the profile's configuration
-// and cost tables plus what construction derives from them and from the stack
-// underneath.
+// plus what construction derives from it and from the stack underneath.
 type cacheConfig struct {
 	CacheConfig
-	model CostModel
 
 	linesPerRegion int64
 	lineShift      uint // log2 LineBytes
@@ -335,7 +329,7 @@ type cacheConfig struct {
 
 // negative reports whether any counter is below zero, which no run produces.
 func (s CacheStats) negative() bool {
-	return s.Hits|s.Misses|s.CompleteFlush|s.StreamFlushes|s.CapFlushes|s.IdleDestages|s.Promotions < 0
+	return s.Hits|s.Misses|s.CompleteFlush|s.StreamFlushes|s.CapFlushes|s.Promotions < 0
 }
 
 // WriteCache models the controller write buffer in front of the translation
@@ -368,8 +362,9 @@ type WriteCache struct {
 
 // NewWriteCache wraps inner with a region-coalescing write-back buffer. A
 // zero (or negative) EvictBatch takes the documented default of 1 region per
-// eviction episode.
-func NewWriteCache(inner Translator, cfg CacheConfig, model CostModel) (*WriteCache, error) {
+// eviction episode. The cache reports its work as Ops for the device to
+// price, so the cost model, taken like the FTLs take theirs, goes unused.
+func NewWriteCache(inner Translator, cfg CacheConfig, _ CostModel) (*WriteCache, error) {
 	if cfg.EvictBatch <= 0 {
 		cfg.EvictBatch = 1
 	}
@@ -382,7 +377,6 @@ func NewWriteCache(inner Translator, cfg CacheConfig, model CostModel) (*WriteCa
 		inner: inner,
 		cfg: cacheConfig{
 			CacheConfig:    cfg,
-			model:          model,
 			linesPerRegion: linesPerRegion,
 			lineShift:      log2(cfg.LineBytes),
 			regionShift:    log2(int(linesPerRegion)),
@@ -815,31 +809,6 @@ func (c *WriteCache) peekData(off int64, buf []byte) {
 	}
 }
 
-// maxIdleCredit caps the idle time a cache banks for destaging.
-const maxIdleCredit = time.Second
-
-// Idle forwards idle time to the inner layer and, when configured, destages
-// dirty regions with the remaining credit.
-func (c *WriteCache) Idle(d time.Duration) {
-	c.inner.Idle(d)
-	if !c.cfg.DestageOnIdle || d <= 0 {
-		return
-	}
-	c.st.IdleCredit = min(c.st.IdleCredit+d, maxIdleCredit)
-	for c.st.IdleCredit > 0 {
-		victim := c.st.lruVictim()
-		if victim == 0 {
-			return
-		}
-		var ops Ops
-		c.st.Stats.IdleDestages++
-		if err := c.flushRegion(victim, &ops); err != nil {
-			return
-		}
-		cost := c.cfg.model.Cost(&ops)
-		if cost <= 0 {
-			cost = time.Microsecond
-		}
-		c.st.IdleCredit -= cost
-	}
-}
+// Idle forwards idle time to the inner layer: the buffer itself destages only
+// when a write pushes it over a bound.
+func (c *WriteCache) Idle(d time.Duration) { c.inner.Idle(d) }

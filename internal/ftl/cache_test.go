@@ -251,23 +251,6 @@ func TestCacheFlashBackedCosts(t *testing.T) {
 	}
 }
 
-func TestCacheIdleDestage(t *testing.T) {
-	c, inner := newTestCache(t, func(cfg *CacheConfig) { cfg.DestageOnIdle = true })
-	if _, err := c.Write(32*1024, 32*1024); err != nil {
-		t.Fatal(err)
-	}
-	c.Idle(time.Second)
-	if len(inner.writes) == 0 {
-		t.Fatal("idle time did not destage")
-	}
-	if c.DirtyLines() != 0 {
-		t.Fatalf("dirty lines after destage = %d", c.DirtyLines())
-	}
-	if c.Stats().IdleDestages == 0 {
-		t.Fatal("IdleDestages not counted")
-	}
-}
-
 func TestCacheNoIdleDestageByDefault(t *testing.T) {
 	c, inner := newTestCache(t, nil)
 	if _, err := c.Write(32*1024, 32*1024); err != nil {
@@ -275,7 +258,7 @@ func TestCacheNoIdleDestageByDefault(t *testing.T) {
 	}
 	c.Idle(time.Hour)
 	if len(inner.writes) != 0 {
-		t.Fatal("default cache destaged on idle")
+		t.Fatal("cache destaged on idle")
 	}
 }
 

@@ -203,7 +203,6 @@ func auditAll(t *testing.T, stacks ...Translator) {
 func TestPageFTLCloneEquivalence(t *testing.T) {
 	cfg := PageConfig{
 		LogicalBytes:    8 << 20,
-		UnitBytes:       32 * 1024,
 		WritePoints:     2,
 		ReserveBlocks:   8,
 		AsyncReclaim:    true,
@@ -256,7 +255,6 @@ func TestWriteCacheCloneEquivalence(t *testing.T) {
 	cost := DefaultCostModel(flash.TypicalTiming(flash.SLC), arr.Geometry().PageSize+arr.Geometry().OOBSize)
 	inner, err := NewPageFTL(arr, PageConfig{
 		LogicalBytes:    8 << 20,
-		UnitBytes:       128 * 1024,
 		WritePoints:     2,
 		ReserveBlocks:   8,
 		GCBatch:         1,
@@ -272,14 +270,13 @@ func TestWriteCacheCloneEquivalence(t *testing.T) {
 		RegionBytes:   128 * 1024,
 		Streams:       2,
 		EvictBatch:    2,
-		DestageOnIdle: true,
 	}, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arrOf := func(tr Translator) *Array { return tr.(*WriteCache).Inner().(*PageFTL).arr }
 	statsOf := func(tr Translator) Stats { return tr.(*WriteCache).Inner().(*PageFTL).Stats() }
-	assertCloneEquivalent(t, c, arrOf, statsOf, 500, 500, false) // idle destages report no Ops
+	assertCloneEquivalent(t, c, arrOf, statsOf, 500, 500, true)
 
 	// Cache-level counters must match too.
 	cl := c.Clone().(*WriteCache)
@@ -309,7 +306,6 @@ func TestCloneIndependence(t *testing.T) {
 	cost := DefaultCostModel(flash.TypicalTiming(flash.SLC), arr.Geometry().PageSize+arr.Geometry().OOBSize)
 	f, err := NewPageFTL(arr, PageConfig{
 		LogicalBytes:    8 << 20,
-		UnitBytes:       32 * 1024,
 		WritePoints:     2,
 		ReserveBlocks:   4,
 		MapDirtyLimit:   4,
@@ -338,106 +334,6 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("driving the clone changed the original's free pool")
 	}
 	auditAll(t, f, cl)
-}
-
-// TestMinHeapMatchesReference drives the block queue against a straight
-// re-sorted reference on a pseudo-random push/lower/pop/remove mix.
-func TestMinHeapMatchesReference(t *testing.T) {
-	const blocks = 512
-	q := newBlockQueue(blocks)
-	ref := make(map[int]uint64) // block -> key
-	z := uint64(12345)
-	next := func() uint64 {
-		z ^= z << 13
-		z ^= z >> 7
-		z ^= z << 17
-		return z
-	}
-	refMin := func() uint64 {
-		best := ^uint64(0)
-		for _, k := range ref {
-			best = min(best, k)
-		}
-		return best
-	}
-	for i := 0; i < 20000; i++ {
-		b := int(next() % blocks)
-		switch old, queued := ref[b]; {
-		case next()%4 == 0 && len(ref) > 0:
-			want := refMin()
-			if got := q.pop(); got != want {
-				t.Fatalf("op %d: popped %#x, want %#x", i, got, want)
-			}
-			delete(ref, int(want&keyBlockMask))
-		case next()%5 == 0:
-			q.remove(b)
-			delete(ref, b)
-		case queued: // lower in place
-			k := packKey(int(old>>(keyEraseBits+keyBlockBits))/2, int(next()%3), b)
-			if k < old {
-				q.push(k)
-				ref[b] = k
-			}
-		default:
-			k := packKey(int(next()%64), int(next()%8), b)
-			q.push(k)
-			ref[b] = k
-		}
-		if q.Len() != len(ref) {
-			t.Fatalf("op %d: Len %d, want %d", i, q.Len(), len(ref))
-		}
-		if len(q.Keys) > 2*q.Len() {
-			t.Fatalf("op %d: %d heap entries for %d queued blocks", i, len(q.Keys), q.Len())
-		}
-		if len(ref) > 0 && q.min() != refMin() {
-			t.Fatalf("op %d: min %#x, want %#x", i, q.min(), refMin())
-		}
-		for blk, k := range ref {
-			if q.key[blk] != ^k {
-				t.Fatalf("op %d: block %d not keyed at %#x", i, blk, k)
-			}
-		}
-	}
-	for len(ref) > 0 {
-		want := refMin()
-		if got := q.pop(); got != want {
-			t.Fatalf("drain: popped %#x, want %#x", got, want)
-		}
-		delete(ref, int(want&keyBlockMask))
-	}
-	if q.Len() != 0 {
-		t.Fatalf("%d entries left", q.Len())
-	}
-}
-
-// TestMinHeapZeroAlloc pins the allocation-free property of the block
-// queue: once the key slice has grown, push/lower/pop/remove cycles allocate
-// nothing, the rebuilds that drop their stale entries included.
-func TestMinHeapZeroAlloc(t *testing.T) {
-	q := newBlockQueue(256)
-	for i := 0; i < 256; i++ {
-		q.push(packKey(i%7+8, i%3, i))
-	}
-	for q.Len() > 128 {
-		q.pop()
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		b := int(q.pop() & keyBlockMask)
-		q.push(packKey(i%5+8, i%2, b))
-		q.push(packKey(i%5, i%2, b))
-		q.remove(int(q.Keys[q.Len()/2] & keyBlockMask))
-		if !q.contains(i % 256) {
-			q.push(packKey(20, 0, i%256))
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("queue push/pop/remove allocates %.1f times per op, want 0", allocs)
-	}
-	if len(q.Keys) > 2*q.Len() {
-		t.Fatalf("%d heap entries for %d queued blocks", len(q.Keys), q.Len())
-	}
 }
 
 // TestMapBookRingZeroAlloc pins that steady-state map bookkeeping (the ring

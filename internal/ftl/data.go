@@ -4,7 +4,7 @@ import "errors"
 
 // The data plane threads host payload bytes through the translation stack so
 // tests can verify end-to-end data integrity: a read after any sequence of
-// writes, relocations, merges, garbage collections and cache destages must
+// writes, out-of-place block writes, merges, reclamations and cache flushes must
 // return the last bytes written to each logical address. It exists alongside
 // the timing model, not inside it: payload work uses only the chips' payload
 // store (flash.WithDataStorage) and never emits Ops, so a stack driven
@@ -14,8 +14,8 @@ import "errors"
 // The plane is enabled by building the flash array with
 // flash.WithDataStorage; on a normal (timing-only) array WriteData and
 // ReadData return ErrNoDataStorage. Plain Write calls on a data-enabled
-// stack leave the covered bytes unspecified (relocations still preserve
-// whatever was stored); for integrity checking, drive every write through
+// stack leave the covered bytes unspecified (later out-of-place writes still
+// preserve whatever was stored); for integrity checking, drive every write through
 // WriteData.
 type DataPlane interface {
 	// StoresData reports whether the stack's flash retains payloads.

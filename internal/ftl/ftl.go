@@ -7,9 +7,11 @@
 // Two translation designs are provided, covering the device spectrum the
 // paper measures:
 //
-//   - PageFTL: page/unit-granularity mapping with a free-block pool, greedy
-//     garbage collection and optional asynchronous (idle-time) reclamation.
-//     This models the high-end SSDs (Memoright, Mtron, Samsung).
+//   - PageFTL: block-sized units written out of place from a pool of
+//     pre-erased blocks, sub-block writes by read-modify-write or through a
+//     journal; reclamation erases the blocks those writes left obsolete,
+//     inline or in idle time. This models the high-end SSDs (Memoright,
+//     Mtron, Samsung).
 //   - BlockFTL: block-granularity mapping with a bounded set of replacement
 //     ("log") blocks that only accept in-order appends. This models USB
 //     flash drives, SD cards and IDE modules, whose random writes degenerate
@@ -41,7 +43,7 @@ type Ops struct {
 	PageReads     int           // host-path flash page reads
 	SeqPageReads  int           // subset of PageReads that were contiguous (pipelined)
 	PagePrograms  int           // host-path flash page programs (streamed, well pipelined)
-	MergeReads    int           // merge-path page reads (GC / read-modify-write copies)
+	MergeReads    int           // merge-path page reads (merge / read-modify-write copies)
 	MergePrograms int           // merge-path page programs (copy-back round trips)
 	Erases        int           // block erases serviced inline
 	MapFlushes    int           // scattered direct-map page flushes to flash
@@ -81,7 +83,7 @@ type CostModel struct {
 	// respective serialized costs, modeling chip/plane interleaving.
 	// Values < 1 are treated as 1. ProgramParallel applies to host-path
 	// programs, which stream through the channels; MergeParallel applies
-	// to merge-path copies (GC and read-modify-write), whose read-then-
+	// to merge-path copies (merges and read-modify-write), whose read-then-
 	// program round trips pipeline far worse.
 	ReadParallel    float64
 	ProgramParallel float64
@@ -182,7 +184,7 @@ type Translator interface {
 	// Write translates and services a write.
 	Write(off, length int64) (Ops, error)
 	// Idle informs the layer that the host left the device idle for d;
-	// asynchronous reclamation and cache destaging happen here.
+	// asynchronous reclamation happens here.
 	Idle(d time.Duration)
 	// Capacity returns the logical byte capacity exposed upward.
 	Capacity() int64
@@ -244,8 +246,8 @@ type Stats struct {
 	PagesRead        int64
 	PagesProgrammed  int64
 	BlocksErased     int64
-	Merges           int64 // full merges (block FTL) / GC victim collections (page FTL)
-	SwitchMerges     int64 // merges that needed no copying (victim fully obsolete)
+	Merges           int64 // full merges (block FTL) / blocks reclaimed (page FTL)
+	SwitchMerges     int64 // merges that needed no copying (block fully obsolete; every page FTL reclamation)
 	AsyncReclaims    int64 // reclamations absorbed by idle time
 	MapFlushes       int64
 }
@@ -265,7 +267,7 @@ func (s Stats) negative() bool {
 }
 
 // isPow2 reports whether n is a power of two. Every size the layers index by
-// — page, unit, block, cache line and region — must be one, so that the hot
+// — page, block, cache line and region — must be one, so that the hot
 // paths address by shift and mask.
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 

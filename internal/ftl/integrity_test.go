@@ -1,8 +1,8 @@
 // Data-integrity oracle for the translation layers: drive each FTL stack
 // with application-shaped workloads through the data plane and verify, on
 // every read, that the device returns exactly the last bytes written to each
-// logical address — across unit relocations, read-modify-writes, log-block
-// merges, garbage collection, asynchronous reclamation and cache destages.
+// logical address — across out-of-place block writes, read-modify-writes,
+// log-block merges, reclamation, asynchronous reclamation and cache flushes.
 // The suite runs under `make test`, i.e. with -race, in CI.
 package ftl_test
 
@@ -25,7 +25,7 @@ type integrityStack struct {
 	name  string
 	build func(t *testing.T) ftl.DataPlane
 	// opsComplete: every flash operation is reported in some IO's Ops (no
-	// journal discount, no background reclamation or destaging).
+	// journal discount, no background reclamation).
 	opsComplete bool
 }
 
@@ -50,7 +50,6 @@ func newIntegrityPage(t *testing.T, data bool) *ftl.PageFTL {
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	f, err := ftl.NewPageFTL(arr, ftl.PageConfig{
 		LogicalBytes:    integrityLogical,
-		UnitBytes:       32 * 1024,
 		WritePoints:     2,
 		ReserveBlocks:   6,
 		AsyncReclaim:    true,
@@ -87,12 +86,11 @@ func newIntegrityBlock(t *testing.T, data bool) *ftl.BlockFTL {
 func integrityStacks(data bool) []integrityStack {
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	cacheCfg := ftl.CacheConfig{
-		CapacityBytes: 256 * 1024, // small, so evictions and destages churn
+		CapacityBytes: 256 * 1024, // small, so evictions churn
 		LineBytes:     4096,
 		RegionBytes:   128 * 1024,
 		Streams:       2,
 		EvictBatch:    2,
-		DestageOnIdle: true,
 	}
 	return []integrityStack{
 		{name: "page", build: func(t *testing.T) ftl.DataPlane { return newIntegrityPage(t, data) }},
@@ -110,7 +108,7 @@ func integrityStacks(data bool) []integrityStack {
 				t.Fatal(err)
 			}
 			return c
-		}},
+		}, opsComplete: true},
 	}
 }
 
@@ -123,7 +121,7 @@ func fillPayload(buf []byte, n int) {
 
 // replayIntegrity drives the stack with the ops, mirroring every write into
 // the shadow image and checking every read against it. Periodic Idle calls
-// feed asynchronous reclamation and cache destaging; a mid-stream clone must
+// feed asynchronous reclamation; a mid-stream clone must
 // satisfy the same oracle afterwards. The data plane's run-granular flash
 // calls are held to the books as well: the chips must have counted exactly
 // what the FTL's counters claim and, on an opsComplete stack, exactly the

@@ -106,7 +106,7 @@ func (f *mapLogFTL) fullMerge(lbn int64, ops *Ops) error {
 		ops.Erases++
 		f.stats.BlocksErased++
 		ec, _ := f.arr.EraseCount(int(old))
-		f.free.push(packKey(0, ec, int(old)))
+		f.free.push(packKey(ec, int(old)))
 	}
 	f.data[lbn] = int32(log.pb)
 	delete(f.logs, lbn)
@@ -222,7 +222,7 @@ func (f *mapLogFTL) Write(off, length int64) (Ops, error) {
 	f.stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
 	for pos, end := off, off+length; pos < end; {
 		lbn := pos / f.blockBytes
-		segEnd := min64(end, (lbn+1)*f.blockBytes)
+		segEnd := min(end, (lbn+1)*f.blockBytes)
 		if err := f.writeSegment(lbn, pos-lbn*f.blockBytes, segEnd-lbn*f.blockBytes, &ops); err != nil {
 			return ops, err
 		}
@@ -247,7 +247,7 @@ func (f *mapLogFTL) Read(off, length int64) (Ops, error) {
 	for gp := off / pageSize; gp <= p1; {
 		lbn := gp * pageSize / f.blockBytes
 		pageInBlock := int(gp % int64(f.pagesPerBlock))
-		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min64(int64(f.pagesPerBlock-pageInBlock), p1-gp+1)))
+		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min(int64(f.pagesPerBlock-pageInBlock), p1-gp+1)))
 		gp += int64(n)
 		if !ok {
 			ops.RAMBytes += int64(n) * pageSize
@@ -329,7 +329,7 @@ func (f *mapLogFTL) load(img *logTableImage) {
 	for _, l := range img.Logs {
 		f.logs[l.LBN] = &mapLogEnt{pb: l.PB, nextPage: l.NextPage, lastUse: l.LastUse}
 	}
-	f.free.load(&QueueState{Keys: img.Free}, nil, f.arr.Blocks())
+	f.free.copyFrom(&QueueState{Keys: img.Free})
 	f.tick = img.Tick
 	f.book.copyFrom(&img.Book)
 	f.book.rederive()
@@ -383,7 +383,7 @@ func FuzzLogTableMatchesMap(f *testing.F) {
 			c := in[1+3*step : 4+3*step]
 			off := int64(c[0]>>2%logTableLBNs)*got.cfg.blockBytes + int64(c[1]&63)*pageSize + int64(c[1]>>6)*512
 			length := int64(c[2]&127+1)*pageSize - int64(c[2]>>7)*512
-			length = min64(length, got.Capacity()-off)
+			length = min(length, got.Capacity()-off)
 			var gotOps, wantOps Ops
 			var gotErr, wantErr error
 			switch c[0] & 3 {

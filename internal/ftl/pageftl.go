@@ -10,18 +10,13 @@ type PageConfig struct {
 	// LogicalBytes is the capacity exposed to the host. It must leave at
 	// least ReserveBlocks+WritePoints+2 blocks of raw flash headroom.
 	LogicalBytes int64
-	// UnitBytes is the mapping granularity (a multiple of the flash page
-	// size that divides the flash block size). This is the granularity
-	// the Granularity micro-benchmark probes.
-	UnitBytes int
 	// WritePoints is the number of concurrent append streams the FTL
-	// tracks. Sequential streams beyond this count interleave into shared
-	// blocks and later cost garbage-collection copies (the Partitioning
-	// cliff of Table 3).
+	// tracks. Each keeps the block it filled last open — no reclamation
+	// candidate — until it writes again.
 	WritePoints int
 	// ReserveBlocks is the target size of the pre-erased free pool. A
 	// full pool is what produces the cheap start-up phase of Figure 3;
-	// once drained, garbage collection runs inline and write cost starts
+	// once drained, reclamation runs inline and write cost starts
 	// oscillating.
 	ReserveBlocks int
 	// AsyncReclaim lets idle time between IOs refill the free pool (the
@@ -34,39 +29,34 @@ type PageConfig struct {
 	ReadSteal float64
 	// MapDirtyLimit bounds the dirty direct-map pages buffered in RAM
 	// before one is flushed to flash; MapUnitsPerPage is how many mapping
-	// entries one on-flash map page covers. Together they make widely
-	// scattered writes pay extra bookkeeping (the Order/large-Incr rows).
+	// entries (logical blocks) one on-flash map page covers. Together they
+	// make widely scattered writes pay extra bookkeeping (the Order/large-
+	// Incr rows).
 	MapDirtyLimit   int
 	MapUnitsPerPage int
-	// GCBatch is how many victims one inline garbage-collection episode
-	// reclaims (default 1). Batching is what makes the running-phase cost
+	// GCBatch is how many obsolete blocks one inline reclamation episode
+	// erases (default 1). Batching is what makes the running-phase cost
 	// oscillate between cheap writes and expensive reclamation episodes
 	// (Figure 3) instead of averaging out.
 	GCBatch int
-	// JournalMaxBytes routes host writes of at most this size (and
-	// smaller than the mapping unit) through a fine-granularity journal:
-	// they pay program cost only for the pages actually written instead
-	// of a full-unit read-modify-write. This reproduces the Figure 6
+	// JournalMaxBytes routes host writes of at most this size (and smaller
+	// than a flash block) through a fine-granularity journal: they pay
+	// program cost only for the pages actually written instead of a
+	// whole-block read-modify-write. This reproduces the Figure 6
 	// observation on the Memoright SSD that four 4 KB random writes take
-	// about as long as one 16 KB random write. (The physical unit
-	// relocation still happens; only the timing of the sub-unit path is
-	// short-circuited, with the journal's own merge cost folded into the
-	// mapping unit's eventual GC.) Zero disables the journal.
+	// about as long as one 16 KB random write. (The block is still written
+	// out of place; only the timing of the sub-block path is short-
+	// circuited.) Zero disables the journal.
 	JournalMaxBytes int64
 }
 
 func (c PageConfig) validate(a *Array) error {
 	pageSize := a.Geometry().PageSize
-	blockSize := a.Geometry().BlockSize()
 	switch {
 	case !isPow2(pageSize) || !isPow2(a.Geometry().PagesPerBlock):
 		return fmt.Errorf("ftl: page size %d and pages per block %d must be powers of two", pageSize, a.Geometry().PagesPerBlock)
 	case c.LogicalBytes <= 0:
 		return fmt.Errorf("ftl: LogicalBytes must be positive")
-	case c.UnitBytes < pageSize || c.UnitBytes%pageSize != 0:
-		return fmt.Errorf("ftl: UnitBytes %d must be a positive multiple of the page size %d", c.UnitBytes, pageSize)
-	case blockSize%c.UnitBytes != 0:
-		return fmt.Errorf("ftl: UnitBytes %d must divide the block size %d", c.UnitBytes, blockSize)
 	case c.WritePoints < 1:
 		return fmt.Errorf("ftl: WritePoints must be >= 1")
 	case c.ReserveBlocks < 2:
@@ -74,7 +64,8 @@ func (c PageConfig) validate(a *Array) error {
 	case c.MapDirtyLimit < 1 || c.MapUnitsPerPage < 1:
 		return fmt.Errorf("ftl: map bookkeeping parameters must be >= 1")
 	}
-	logicalBlocks := (c.LogicalBytes + int64(blockSize) - 1) / int64(blockSize)
+	blockSize := int64(a.Geometry().BlockSize())
+	logicalBlocks := (c.LogicalBytes + blockSize - 1) / blockSize
 	need := logicalBlocks + int64(c.ReserveBlocks+c.WritePoints+2)
 	if int64(a.Blocks()) < need {
 		return fmt.Errorf("ftl: array has %d blocks, page FTL needs >= %d (logical %d + reserve %d + write points %d + 2)",
@@ -85,9 +76,11 @@ func (c PageConfig) validate(a *Array) error {
 
 // WritePoint is one append stream.
 type WritePoint struct {
-	Block    int   // physical block being filled, -1 if none
-	NextSlot int   // next unit slot within block
-	LastUnit int64 // last logical unit appended (stream detection)
+	// Block is the physical block the stream last filled, -1 if none. A
+	// filled block stays open, and so is no reclamation candidate, until the
+	// stream writes again.
+	Block    int
+	LastUnit int64 // last logical block appended (stream detection)
 	LastUse  int64 // LRU tick
 }
 
@@ -95,27 +88,24 @@ type WritePoint struct {
 // its free pool, its map book and the flash underneath, which keep their own.
 // It is the struct the FTL runs on.
 type PageFTLState struct {
-	FMap   []int64 // logical unit -> physical slot (block*unitsPerBlock+slot), -1 unmapped
-	RMap   []int64 // physical slot -> logical unit, -1 free/obsolete
-	Live   []int32 // physical block -> live unit count
+	FMap   []int64 // logical block -> physical block, -1 unmapped
+	RMap   []int64 // physical block -> logical block, -1 free or obsolete
 	IsOpen []bool  // block currently attached to a write point
 
 	WPs  []WritePoint
-	GCWP WritePoint
 	Tick int64
 
 	IdleCredit   time.Duration
 	Stats        Stats
-	LastReadSlot int64 // physical slot of previous page read, for pipelining
+	LastReadSlot int64 // physical page of the previous page read, for pipelining
 }
 
 func (s *PageFTLState) copyFrom(src *PageFTLState) {
 	s.FMap = append(s.FMap[:0], src.FMap...)
 	s.RMap = append(s.RMap[:0], src.RMap...)
-	s.Live = append(s.Live[:0], src.Live...)
 	s.IsOpen = append(s.IsOpen[:0], src.IsOpen...)
 	s.WPs = append(s.WPs[:0], src.WPs...)
-	s.GCWP, s.Tick = src.GCWP, src.Tick
+	s.Tick = src.Tick
 	s.IdleCredit, s.Stats, s.LastReadSlot = src.IdleCredit, src.Stats, src.LastReadSlot
 }
 
@@ -123,44 +113,37 @@ func (s *PageFTLState) copyFrom(src *PageFTLState) {
 // the free pool free over flash in state arr (both already valid), could be
 // in state s.
 func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *ArrayState) error {
-	blocks, upb := arr.blocks(), cfg.unitsPerBlock
+	blocks, ppb := arr.blocks(), cfg.pagesPerBlock
 	switch {
-	case len(s.FMap) != int(cfg.logicalUnits) || len(s.RMap) != blocks*upb || len(s.Live) != blocks || len(s.IsOpen) != blocks || len(s.WPs) != cfg.WritePoints:
-		return fmt.Errorf("ftl: state tables (%d units, %d slots, %d and %d blocks, %d write points) are not this FTL's size", len(s.FMap), len(s.RMap), len(s.Live), len(s.IsOpen), len(s.WPs))
-	case s.Tick < 0 || s.IdleCredit < 0 || s.Stats.negative() || s.LastReadSlot < -2 || s.LastReadSlot >= int64(blocks*upb*cfg.pagesPerUnit):
+	case len(s.FMap) != int(cfg.logicalBlocks) || len(s.RMap) != blocks || len(s.IsOpen) != blocks || len(s.WPs) != cfg.WritePoints:
+		return fmt.Errorf("ftl: state tables (%d logical blocks, %d and %d blocks, %d write points) are not this FTL's size", len(s.FMap), len(s.RMap), len(s.IsOpen), len(s.WPs))
+	case s.Tick < 0 || s.IdleCredit < 0 || s.Stats.negative() || s.LastReadSlot < -2 || s.LastReadSlot >= int64(blocks*ppb):
 		return fmt.Errorf("ftl: state has a clock, counter or read position out of range (tick %d, idle credit %v, last read %d, %+v)", s.Tick, s.IdleCredit, s.LastReadSlot, s.Stats)
 	}
-	// The maps are mutually inverse, Live counts each block's mapped slots,
-	// and a mapped slot's pages lie below its block's program cursor.
-	for u, ps := range s.FMap {
-		if ps < -1 || ps >= int64(len(s.RMap)) || (ps >= 0 && s.RMap[ps] != int64(u)) {
-			return fmt.Errorf("ftl: unit %d maps to slot %d, which does not map back", u, ps)
+	// The maps are mutually inverse, and a mapped block is programmed in full.
+	for lb, pb := range s.FMap {
+		if pb < -1 || pb >= int64(blocks) || (pb >= 0 && s.RMap[pb] != int64(lb)) {
+			return fmt.Errorf("ftl: logical block %d maps to block %d, which does not map back", lb, pb)
 		}
 	}
-	for b := 0; b < blocks; b++ {
-		live, top := 0, 0
-		for slot, u := range s.RMap[b*upb : (b+1)*upb] {
-			if u < -1 || u >= cfg.logicalUnits || (u >= 0 && s.FMap[u] != int64(b*upb+slot)) {
-				return fmt.Errorf("ftl: slot %d of block %d holds unit %d, which does not map back", slot, b, u)
-			}
-			if u >= 0 {
-				live, top = live+1, slot+1
-			}
+	for pb, lb := range s.RMap {
+		if lb < -1 || lb >= cfg.logicalBlocks || (lb >= 0 && s.FMap[lb] != int64(pb)) {
+			return fmt.Errorf("ftl: block %d holds logical block %d, which does not map back", pb, lb)
 		}
-		if cursor := int(arr.block(b).NextPage); int(s.Live[b]) != live || top*cfg.pagesPerUnit > cursor {
-			return fmt.Errorf("ftl: block %d counts %d live units and is programmed to page %d, its slots hold %d up to slot %d", b, s.Live[b], cursor, live, top)
+		if cursor := int(arr.block(pb).NextPage); lb >= 0 && cursor != ppb {
+			return fmt.Errorf("ftl: block %d holds logical block %d and is programmed to page %d of %d", pb, lb, cursor, ppb)
 		}
 	}
-	// A block is open exactly when one write point stands on it, at the chip's
-	// cursor; a free block is closed and holds nothing.
+	// A block is open exactly when one write point stands on it, having
+	// filled it; a free block is closed and holds nothing.
 	standing := make([]int, blocks)
-	for i, wp := range append(s.WPs[:len(s.WPs):len(s.WPs)], s.GCWP) {
+	for i, wp := range s.WPs {
 		switch {
-		case wp.LastUnit < -2 || wp.LastUnit >= cfg.logicalUnits || wp.LastUse < 0 || wp.LastUse > s.Tick:
-			return fmt.Errorf("ftl: write point %d has stream position (unit %d, tick %d) out of range", i, wp.LastUnit, wp.LastUse)
-		case wp.Block == -1 && wp.NextSlot == 0:
-		case wp.Block < 0 || wp.Block >= blocks || wp.NextSlot < 0 || wp.NextSlot > upb || int(arr.block(wp.Block).NextPage) != wp.NextSlot*cfg.pagesPerUnit:
-			return fmt.Errorf("ftl: write point %d stands at slot %d of block %d, where the chip's cursor is not", i, wp.NextSlot, wp.Block)
+		case wp.LastUnit < -2 || wp.LastUnit >= cfg.logicalBlocks || wp.LastUse < 0 || wp.LastUse > s.Tick:
+			return fmt.Errorf("ftl: write point %d has stream position (block %d, tick %d) out of range", i, wp.LastUnit, wp.LastUse)
+		case wp.Block == -1:
+		case wp.Block < 0 || wp.Block >= blocks || int(arr.block(wp.Block).NextPage) != ppb:
+			return fmt.Errorf("ftl: write point %d stands on block %d, which it has not filled", i, wp.Block)
 		default:
 			standing[wp.Block]++
 		}
@@ -171,8 +154,8 @@ func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *ArrayState)
 		}
 	}
 	for _, k := range free.Keys {
-		if b := k & keyBlockMask; s.IsOpen[b] || s.Live[b] != 0 {
-			return fmt.Errorf("ftl: free block %d is open or holds live units", b)
+		if b := k & keyBlockMask; s.IsOpen[b] || s.RMap[b] >= 0 {
+			return fmt.Errorf("ftl: free block %d is open or holds data", b)
 		}
 	}
 	return nil
@@ -184,33 +167,34 @@ type pageConfig struct {
 	PageConfig
 	model CostModel
 
-	unitBytes     int64
-	pagesPerUnit  int
-	unitsPerBlock int
-	logicalUnits  int64
+	blockBytes    int64
+	pagesPerBlock int
+	logicalBlocks int64
 	// Every size is a power of two (validate): log2 of the page size, the
-	// unit size, the pages per unit and the units per block.
-	pageShift, unitShift, ppuShift, upbShift uint
+	// block size and the pages per block.
+	pageShift, blockShift, ppbShift uint
 }
 
-// PageFTL is a page-granularity (unit-granularity) mapped flash translation
-// layer with greedy garbage collection: the design of the high-end SSDs in
-// the paper's device set.
+// PageFTL is a flash translation layer whose mapping unit is the flash block:
+// every host write lands out of place in a fresh block, sub-block writes by
+// read-modify-write or through the journal, and reclamation erases the
+// blocks those writes left obsolete — the design of the high-end SSDs in the
+// paper's device set.
 type PageFTL struct {
 	flashBooks // free is the pre-erased pool
 	cfg        pageConfig
 	st         PageFTLState
 
-	// victims holds exactly the closed blocks with at least one obsolete
-	// slot, keyed by their current live count: neither configuration nor
-	// state but a function of the state, the free pool and the chips' bad
-	// marks, which rederive rebuilds.
+	// victims holds exactly the closed, unmapped, programmed, usable blocks
+	// (the free pool's are erased), each under its key at the time it became
+	// one: neither configuration nor state but a function of the state and
+	// the chips, which rederive rebuilds.
 	victims blockQueue
 }
 
 // NewPageFTL builds a page-mapped FTL over the array. The flash must be in
 // its factory (all-erased) state. A zero (or negative) GCBatch takes the
-// documented default of 1 victim per collection episode.
+// documented default of 1 block per reclamation episode.
 func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 	if cfg.GCBatch <= 0 {
 		cfg.GCBatch = 1
@@ -218,39 +202,36 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 	if err := cfg.validate(arr); err != nil {
 		return nil, err
 	}
-	blockSize := arr.Geometry().BlockSize()
-	if err := checkKeyWidths(arr.Blocks(), arr.eraseLimit(), blockSize/cfg.UnitBytes); err != nil {
+	if err := checkKeyWidths(arr.Blocks(), arr.eraseLimit()); err != nil {
 		return nil, err
 	}
+	geo := arr.Geometry()
+	blockBytes := int64(geo.BlockSize())
 	f := &PageFTL{cfg: pageConfig{
 		PageConfig:    cfg,
 		model:         model,
-		unitBytes:     int64(cfg.UnitBytes),
-		pagesPerUnit:  cfg.UnitBytes / arr.Geometry().PageSize,
-		unitsPerBlock: blockSize / cfg.UnitBytes,
-		logicalUnits:  (cfg.LogicalBytes + int64(cfg.UnitBytes) - 1) / int64(cfg.UnitBytes),
-		pageShift:     log2(arr.Geometry().PageSize),
-		unitShift:     log2(cfg.UnitBytes),
-		ppuShift:      log2(cfg.UnitBytes / arr.Geometry().PageSize),
-		upbShift:      log2(blockSize / cfg.UnitBytes),
+		blockBytes:    blockBytes,
+		pagesPerBlock: geo.PagesPerBlock,
+		logicalBlocks: (cfg.LogicalBytes + blockBytes - 1) / blockBytes,
+		pageShift:     log2(geo.PageSize),
+		blockShift:    log2(geo.BlockSize()),
+		ppbShift:      log2(geo.PagesPerBlock),
 	}}
-	f.flashBooks = newFlashBooks(arr, cfg.MapUnitsPerPage, cfg.MapDirtyLimit, f.cfg.logicalUnits)
+	f.flashBooks = newFlashBooks(arr, cfg.MapUnitsPerPage, cfg.MapDirtyLimit, f.cfg.logicalBlocks)
 	f.st.LastReadSlot = -2
-	f.st.FMap = make([]int64, f.cfg.logicalUnits)
+	f.st.FMap = make([]int64, f.cfg.logicalBlocks)
 	for i := range f.st.FMap {
 		f.st.FMap[i] = -1
 	}
-	f.st.RMap = make([]int64, int64(arr.Blocks())*int64(f.cfg.unitsPerBlock))
+	f.st.RMap = make([]int64, arr.Blocks())
 	for i := range f.st.RMap {
 		f.st.RMap[i] = -1
 	}
-	f.st.Live = make([]int32, arr.Blocks())
 	f.st.IsOpen = make([]bool, arr.Blocks())
 	f.st.WPs = make([]WritePoint, cfg.WritePoints)
 	for i := range f.st.WPs {
 		f.st.WPs[i] = WritePoint{Block: -1, LastUnit: -2}
 	}
-	f.st.GCWP = WritePoint{Block: -1, LastUnit: -2}
 	f.rederive()
 	return f, nil
 }
@@ -276,18 +257,21 @@ func (f *PageFTL) resetFrom(t Translator) bool {
 	f.cfg = src.cfg
 	f.st.copyFrom(&src.st)
 	// src holds the candidates derived: copying them costs the candidates,
-	// rederive every block of the array (20 µs of a 30 µs reset at 8k blocks).
-	f.victims.load(&src.victims.QueueState, src.victims.key, len(f.st.Live))
+	// rederive every block of the array.
+	f.victims.copyFrom(&src.victims.QueueState)
 	return true
 }
 
-// rederive rebuilds the garbage-collection candidates from the state, the free
-// pool and the chips: every usable block that is neither open nor free and has
-// an obsolete slot.
+// rederive rebuilds the reclamation candidates from the state and the chips:
+// every usable closed block that holds no data and has been programmed since
+// its last erase, which tells it apart from the blocks of the free pool.
 func (f *PageFTL) rederive() {
-	f.victims.load(&QueueState{}, nil, len(f.st.Live))
-	for b, live := range f.st.Live {
-		if int(live) < f.cfg.unitsPerBlock && !f.st.IsOpen[b] && !f.free.contains(b) && !f.arr.IsBad(b) {
+	f.victims.Keys = f.victims.Keys[:0]
+	for b, lb := range f.st.RMap {
+		if lb >= 0 || f.st.IsOpen[b] {
+			continue
+		}
+		if next, _ := f.arr.NextProgramPage(b); next > 0 && !f.arr.IsBad(b) {
 			f.pushVictim(b)
 		}
 	}
@@ -296,198 +280,128 @@ func (f *PageFTL) rederive() {
 // Stats returns a snapshot of the FTL counters.
 func (f *PageFTL) Stats() Stats { return f.st.Stats }
 
-func (f *PageFTL) slotOf(block, slot int) int64 {
-	return int64(block)<<f.cfg.upbShift + int64(slot)
-}
-
-// blockSlot splits a physical unit slot into its block and the slot within it.
-func (f *PageFTL) blockSlot(ps int64) (block, slot int) {
-	return int(ps >> f.cfg.upbShift), int(ps & int64(f.cfg.unitsPerBlock-1))
-}
-
-// allocBlock pops a pre-erased block. When the pool is empty (and forGC is
-// false) it garbage-collects inline — a batch of GCBatch victims — which is
-// what makes random-write cost oscillate once the start-up reserve is
-// drained.
-func (f *PageFTL) allocBlock(ops *Ops, forGC bool) (int, error) {
-	if !forGC {
-		for f.free.Len() < 2 {
-			// GCBatch is normalized to >= 1 by NewPageFTL.
-			for i := 0; i < f.cfg.GCBatch && f.victims.Len() > 0; i++ {
-				if err := f.collectOne(ops); err != nil {
-					return 0, err
-				}
-			}
-			if f.victims.Len() == 0 && f.free.Len() < 2 {
-				return 0, ErrNoSpace
+// allocBlock pops a pre-erased block. When the pool runs low it reclaims
+// inline — a batch of GCBatch obsolete blocks — which is what makes random-
+// write cost oscillate once the start-up reserve is drained.
+func (f *PageFTL) allocBlock(ops *Ops) (int, error) {
+	for f.free.Len() < 2 {
+		// GCBatch is normalized to >= 1 by NewPageFTL.
+		for i := 0; i < f.cfg.GCBatch && f.victims.Len() > 0; i++ {
+			if err := f.collectOne(ops); err != nil {
+				return 0, err
 			}
 		}
-	}
-	if f.free.Len() == 0 {
-		return 0, ErrNoSpace
+		if f.victims.Len() == 0 && f.free.Len() < 2 {
+			return 0, ErrNoSpace
+		}
 	}
 	block := int(f.free.pop() & keyBlockMask)
 	f.st.IsOpen[block] = true
 	return block, nil
 }
 
-// collectOne garbage-collects the closed block with the fewest live units,
-// copying its live units through the GC write point and erasing it. The
-// operations are charged to ops (inline/synchronous collection); pass a
-// throwaway ops for background collection.
+// collectOne erases the least-worn obsolete block and returns it to the free
+// pool. Its operations are charged to ops (inline collection); background
+// collection passes a throwaway ops.
 func (f *PageFTL) collectOne(ops *Ops) error {
-	if f.victims.Len() == 0 {
-		return ErrNoSpace
-	}
 	victim := int(f.victims.pop() & keyBlockMask)
+	// Every collection is a switch merge: the block holds no live data.
 	f.st.Stats.Merges++
-	liveUnits := int(f.st.Live[victim])
-	if liveUnits == 0 {
-		f.st.Stats.SwitchMerges++
-	}
-	for slot := 0; slot < f.cfg.unitsPerBlock && liveUnits > 0; slot++ {
-		ps := f.slotOf(victim, slot)
-		unit := f.st.RMap[ps]
-		if unit < 0 {
-			continue
-		}
-		liveUnits--
-		// Read the live unit's pages (merge path).
-		if err := f.arr.ReadRun(victim, slot*f.cfg.pagesPerUnit, f.cfg.pagesPerUnit); err != nil {
-			return fmt.Errorf("ftl: gc read: %w", err)
-		}
-		ops.MergeReads += f.cfg.pagesPerUnit
-		f.st.Stats.PagesRead += int64(f.cfg.pagesPerUnit)
-		// Relocate it through the GC write point.
-		if err := f.appendUnit(&f.st.GCWP, unit, ops, true, 0); err != nil {
-			return err
-		}
-	}
+	f.st.Stats.SwitchMerges++
 	if err := f.arr.EraseBlock(victim); err != nil {
 		return fmt.Errorf("ftl: gc erase: %w", err)
 	}
 	ops.Erases++
 	f.st.Stats.BlocksErased++
-	f.st.Live[victim] = 0
-	// Each relocation above obsoleted a slot of the victim itself — a closed
-	// block — and so queued it again; an erased block is no candidate.
-	f.victims.remove(victim)
 	f.pushFree(victim)
 	return nil
 }
 
-// pushVictim queues a closed block that has at least one obsolete slot as a
-// garbage-collection candidate, or lowers the key of one already queued to
-// its current live count. Blocks still attached to a write point and fully
-// live blocks are never candidates; a fully live block enters the queue the
-// moment one of its units is overwritten.
+// pushVictim queues a block as a reclamation candidate once it is both closed
+// and obsolete, whichever comes last. Open blocks and blocks holding data are
+// never candidates.
 func (f *PageFTL) pushVictim(block int) {
-	if f.st.IsOpen[block] || int(f.st.Live[block]) >= f.cfg.unitsPerBlock {
+	if f.st.IsOpen[block] || f.st.RMap[block] >= 0 {
 		return
 	}
 	ec, _ := f.arr.EraseCount(block)
-	f.victims.push(packKey(int(f.st.Live[block]), ec, block))
+	f.victims.push(packKey(ec, block))
 }
 
-func (f *PageFTL) closeWP(wp *WritePoint) {
-	if wp.Block < 0 {
-		return
-	}
-	f.st.IsOpen[wp.Block] = false
-	f.pushVictim(wp.Block)
-	wp.Block = -1
-	wp.NextSlot = 0
-}
-
-// appendUnit writes one unit's worth of pages at wp — one program run —
-// updating the maps. hostPages of the unit carry host-supplied data (streamed,
-// well pipelined); the rest are read-modify-write copies priced on the merge
-// path.
+// appendBlock writes logical block lb out of place — one program run of a
+// whole block at the next fresh block of wp — updating the maps. hostPages of
+// the block carry host-supplied data (streamed, well pipelined); the rest are
+// read-modify-write copies priced on the merge path.
 //
 //uflint:hotpath
-func (f *PageFTL) appendUnit(wp *WritePoint, unit int64, ops *Ops, forGC bool, hostPages int) error {
-	if wp.Block < 0 || wp.NextSlot >= f.cfg.unitsPerBlock {
-		f.closeWP(wp)
-		b, err := f.allocBlock(ops, forGC)
-		if err != nil {
-			return err
-		}
-		wp.Block = b
-		wp.NextSlot = 0
+func (f *PageFTL) appendBlock(wp *WritePoint, lb int64, ops *Ops, hostPages int) error {
+	// The block the stream filled last closes only now, so that the open
+	// blocks decide when inline reclamation fires.
+	if wp.Block >= 0 {
+		f.st.IsOpen[wp.Block] = false
+		f.pushVictim(wp.Block)
+		wp.Block = -1
 	}
+	b, err := f.allocBlock(ops)
+	if err != nil {
+		return err
+	}
+	wp.Block = b
 	var payload []byte
 	if f.staging != nil {
-		// Stage the unit's payload — current content overlaid with any
-		// pending host bytes — after block allocation (an inline GC above
-		// may just have relocated this unit) and before the maps move.
-		payload = f.stageUnit(unit, !forGC)
+		payload = f.stageBlock(lb)
 	}
-	if err := f.arr.ProgramRun(wp.Block, wp.NextSlot*f.cfg.pagesPerUnit, f.cfg.pagesPerUnit, payload); err != nil {
+	ppb := f.cfg.pagesPerBlock
+	if err := f.arr.ProgramRun(b, 0, ppb, payload); err != nil {
 		return fmt.Errorf("ftl: program: %w", err)
 	}
-	if forGC {
-		ops.MergePrograms += f.cfg.pagesPerUnit
-	} else {
-		if hostPages > f.cfg.pagesPerUnit {
-			hostPages = f.cfg.pagesPerUnit
-		}
-		ops.PagePrograms += hostPages
-		ops.MergePrograms += f.cfg.pagesPerUnit - hostPages
-	}
-	f.st.Stats.PagesProgrammed += int64(f.cfg.pagesPerUnit)
+	ops.PagePrograms += hostPages
+	ops.MergePrograms += ppb - hostPages
+	f.st.Stats.PagesProgrammed += int64(ppb)
 
-	// Obsolete the old location, if any; the old block becomes (or gets
-	// closer to being) a garbage-collection candidate.
-	if old := f.st.FMap[unit]; old >= 0 {
+	// Obsolete the old location, if any: it becomes a reclamation candidate
+	// once closed.
+	if old := f.st.FMap[lb]; old >= 0 {
 		f.st.RMap[old] = -1
-		oldBlock := int(old >> f.cfg.upbShift)
-		f.st.Live[oldBlock]--
-		f.pushVictim(oldBlock)
+		f.pushVictim(int(old))
 	}
-	ps := f.slotOf(wp.Block, wp.NextSlot)
-	f.st.FMap[unit] = ps
-	f.st.RMap[ps] = unit
-	f.st.Live[wp.Block]++
-	wp.NextSlot++
-	wp.LastUnit = unit
+	f.st.FMap[lb] = int64(b)
+	f.st.RMap[b] = lb
+	wp.LastUnit = lb
 	f.st.Tick++
 	wp.LastUse = f.st.Tick
 
 	// Direct-map bookkeeping (Section 2.2: updates of bookkeeping
 	// information are themselves flash writes).
-	if !forGC {
-		before := ops.MapFlushes
-		f.book.touch(unit, ops)
-		f.st.Stats.MapFlushes += int64(ops.MapFlushes - before)
-	}
+	before := ops.MapFlushes
+	f.book.touch(lb, ops)
+	f.st.Stats.MapFlushes += int64(ops.MapFlushes - before)
 	return nil
 }
 
-// stageUnit assembles the payload the unit's relocation must carry in the
-// staging buffer: the unit's current stored bytes (zeros where none), overlaid
-// — on the host path only — with the pending WriteData bytes that fall inside
-// the unit. GC relocations (overlayHost false) move content verbatim.
-func (f *PageFTL) stageUnit(unit int64, overlayHost bool) []byte {
-	unitData := f.staging[:f.cfg.UnitBytes]
-	clear(unitData)
+// stageBlock assembles the payload of logical block lb's next program run in
+// the staging buffer: its current stored bytes (zeros where none), overlaid
+// with the pending WriteData bytes that fall inside it.
+func (f *PageFTL) stageBlock(lb int64) []byte {
+	data := f.staging
+	clear(data)
 	pageSize := f.arr.Geometry().PageSize
-	if old := f.st.FMap[unit]; old >= 0 {
-		block, slot := f.blockSlot(old)
-		for p := 0; p < f.cfg.pagesPerUnit; p++ {
-			if data, err := f.arr.PageData(block, slot*f.cfg.pagesPerUnit+p); err == nil {
-				copy(unitData[p*pageSize:(p+1)*pageSize], data)
+	if old := f.st.FMap[lb]; old >= 0 {
+		for p := 0; p < f.cfg.pagesPerBlock; p++ {
+			if page, err := f.arr.PageData(int(old), p); err == nil {
+				copy(data[p*pageSize:(p+1)*pageSize], page)
 			}
 		}
 	}
-	if overlayHost && f.pending != nil {
-		overlay(unitData, unit*f.cfg.unitBytes, f.pending, f.pendingOff)
+	if f.pending != nil {
+		overlay(data, lb*f.cfg.blockBytes, f.pending, f.pendingOff)
 	}
-	return unitData
+	return data
 }
 
 // WriteData implements the data plane: exactly Write(off, len(data)) with
 // the payload carried into the chips (and preserved across every later
-// relocation).
+// out-of-place write of its block).
 func (f *PageFTL) WriteData(off int64, data []byte) (Ops, error) {
 	if !f.StoresData() {
 		return Ops{}, ErrNoDataStorage
@@ -518,34 +432,26 @@ func (f *PageFTL) peekData(off int64, buf []byte) {
 	clear(buf)
 	pageSize := int64(f.arr.Geometry().PageSize)
 	for covered := int64(0); covered < int64(len(buf)); {
-		gp := (off + covered) / pageSize
-		pageOff := (off + covered) % pageSize
-		n := pageSize - pageOff
-		if rest := int64(len(buf)) - covered; n > rest {
-			n = rest
-		}
-		unit := gp * pageSize / f.cfg.unitBytes
-		if ps := f.st.FMap[unit]; ps >= 0 {
-			block, slot := f.blockSlot(ps)
-			pageInUnit := int(gp % (f.cfg.unitBytes / pageSize))
-			if data, err := f.arr.PageData(block, slot*f.cfg.pagesPerUnit+pageInUnit); err == nil {
-				if int64(len(data)) > pageOff {
-					copy(buf[covered:covered+n], data[pageOff:])
-				}
+		gp := (off + covered) >> f.cfg.pageShift
+		pageOff := (off + covered) & (pageSize - 1)
+		n := min(pageSize-pageOff, int64(len(buf))-covered)
+		if pb := f.st.FMap[gp>>f.cfg.ppbShift]; pb >= 0 {
+			if data, err := f.arr.PageData(int(pb), int(gp&int64(f.cfg.pagesPerBlock-1))); err == nil && int64(len(data)) > pageOff {
+				copy(buf[covered:covered+n], data[pageOff:])
 			}
 		}
 		covered += n
 	}
 }
 
-// pickWP returns the write point for a unit: a stream whose last unit is the
-// immediate predecessor continues; otherwise the least-recently-used stream
-// is reassigned.
-func (f *PageFTL) pickWP(unit int64) *WritePoint {
+// pickWP returns the write point for logical block lb: a stream whose last
+// block is the immediate predecessor continues; otherwise the least-recently-
+// used stream is reassigned.
+func (f *PageFTL) pickWP(lb int64) *WritePoint {
 	var lru *WritePoint
 	for i := range f.st.WPs {
 		wp := &f.st.WPs[i]
-		if wp.LastUnit+1 == unit || wp.LastUnit == unit {
+		if wp.LastUnit+1 == lb || wp.LastUnit == lb {
 			return wp
 		}
 		if lru == nil || wp.LastUse < lru.LastUse {
@@ -570,53 +476,48 @@ func (f *PageFTL) write(off, length int64, ops *Ops) error {
 		return nil
 	}
 	f.st.Stats.HostWrites++
-	sh := f.cfg.pageShift
+	sh, ppb := f.cfg.pageShift, f.cfg.pagesPerBlock
 	f.st.Stats.HostPagesWritten += (off+length-1)>>sh - off>>sh + 1
-	journal := f.cfg.JournalMaxBytes > 0 && length <= f.cfg.JournalMaxBytes && length < f.cfg.unitBytes
-	u0 := off >> f.cfg.unitShift
-	u1 := (off + length - 1) >> f.cfg.unitShift
-	for u := u0; u <= u1; u++ {
-		us := u << f.cfg.unitShift
-		ws := max64(off, us)
-		we := min64(off+length, us+f.cfg.unitBytes)
+	journal := f.cfg.JournalMaxBytes > 0 && length <= f.cfg.JournalMaxBytes && length < f.cfg.blockBytes
+	b0 := off >> f.cfg.blockShift
+	b1 := (off + length - 1) >> f.cfg.blockShift
+	for lb := b0; lb <= b1; lb++ {
+		bs := lb << f.cfg.blockShift
+		ws := max(off, bs)
+		we := min(off+length, bs+f.cfg.blockBytes)
 		writtenPages := int((we-1)>>sh - ws>>sh + 1)
-		// Pages of the unit not fully overwritten must be read first
-		// (read-modify-write); this is the mechanism behind the
-		// alignment penalty of the Alignment micro-benchmark.
-		firstFull := (ws - us + 1<<sh - 1) >> sh
-		lastFull := (we - us) >> sh
-		fullyCovered := int(lastFull - firstFull)
-		if fullyCovered < 0 {
-			fullyCovered = 0
-		}
-		oldPages := f.cfg.pagesPerUnit - fullyCovered
-		if !journal && oldPages > 0 && f.st.FMap[u] >= 0 {
-			block, slot := f.blockSlot(f.st.FMap[u])
-			if err := f.arr.ReadRun(block, slot*f.cfg.pagesPerUnit, oldPages); err != nil {
+		// Pages of the block not fully overwritten must be read first
+		// (read-modify-write); this is the mechanism behind the alignment
+		// penalty of the Alignment micro-benchmark.
+		firstFull := (ws - bs + 1<<sh - 1) >> sh
+		lastFull := (we - bs) >> sh
+		oldPages := ppb - int(max(lastFull-firstFull, 0))
+		mapped := f.st.FMap[lb]
+		if !journal && oldPages > 0 && mapped >= 0 {
+			if err := f.arr.ReadRun(int(mapped), 0, oldPages); err != nil {
 				return fmt.Errorf("ftl: rmw read: %w", err)
 			}
 			ops.MergeReads += oldPages
 			f.st.Stats.PagesRead += int64(oldPages)
 		}
 		hostPages := writtenPages
-		if f.st.FMap[u] < 0 {
-			// Nothing to copy for an unmapped unit: the blank filler
-			// pages stream like host data (the out-of-box cheapness of
-			// Section 4.1).
-			hostPages = f.cfg.pagesPerUnit
+		if mapped < 0 {
+			// Nothing to copy for an unmapped block: the blank filler pages
+			// stream like host data (the out-of-box cheapness of Section
+			// 4.1).
+			hostPages = ppb
 		}
-		wp := f.pickWP(u)
-		if err := f.appendUnit(wp, u, ops, false, hostPages); err != nil {
+		if err := f.appendBlock(f.pickWP(lb), lb, ops, hostPages); err != nil {
 			return err
 		}
-		if journal && writtenPages < f.cfg.pagesPerUnit {
+		if journal && writtenPages < ppb {
 			// Journal path: charge only the pages actually written. The
-			// relocation's filler pages were counted as merge copies
-			// (mapped unit) or blank host programs (unmapped unit).
-			if hostPages == f.cfg.pagesPerUnit {
-				ops.PagePrograms -= f.cfg.pagesPerUnit - writtenPages
+			// filler pages were counted as merge copies (mapped block) or
+			// blank host programs (unmapped block).
+			if hostPages == ppb {
+				ops.PagePrograms -= ppb - writtenPages
 			} else {
-				ops.MergePrograms -= f.cfg.pagesPerUnit - writtenPages
+				ops.MergePrograms -= ppb - writtenPages
 			}
 		}
 	}
@@ -653,28 +554,25 @@ func (f *PageFTL) read(off, length int64, ops *Ops) error {
 	p0 := off >> f.cfg.pageShift
 	p1 := (off + length - 1) >> f.cfg.pageShift
 	first := true
-	// One read run per mapping unit the request touches: a unit's pages are
-	// physically consecutive.
+	// One read run per logical block the request touches: a block's pages
+	// are physically consecutive.
 	for gp := p0; gp <= p1; {
-		unit := gp >> f.cfg.ppuShift
-		pageInUnit := int(gp & int64(f.cfg.pagesPerUnit-1))
-		n := int(min64(int64(f.cfg.pagesPerUnit-pageInUnit), p1-gp+1))
+		lb := gp >> f.cfg.ppbShift
+		page := int(gp & int64(f.cfg.pagesPerBlock-1))
+		n := int(min(int64(f.cfg.pagesPerBlock-page), p1-gp+1))
 		gp += int64(n)
-		ps := f.st.FMap[unit]
-		if ps < 0 {
+		pb := f.st.FMap[lb]
+		if pb < 0 {
 			// Unmapped: the device returns a deterministic pattern
 			// straight from the controller.
 			acc.RAMBytes += int64(n) << f.cfg.pageShift
 			continue
 		}
-		block, slot := f.blockSlot(ps)
-		page := slot*f.cfg.pagesPerUnit + pageInUnit
-		if err := f.arr.ReadRun(block, page, n); err != nil {
+		if err := f.arr.ReadRun(int(pb), page, n); err != nil {
 			return fmt.Errorf("ftl: read: %w", err)
 		}
 		f.st.Stats.PagesRead += int64(n)
-		physSlot := int64(block)<<(f.cfg.upbShift+f.cfg.ppuShift) + int64(page)
-		chargeReadRun(acc, &f.st.LastReadSlot, physSlot, n, first, f.cfg.model.ReadSeek)
+		chargeReadRun(acc, &f.st.LastReadSlot, pb<<f.cfg.ppbShift+int64(page), n, first, f.cfg.model.ReadSeek)
 		first = false
 	}
 	if steal {
@@ -698,20 +596,15 @@ func (f *PageFTL) reclaimWithCredit(d time.Duration) {
 	f.st.IdleCredit += d
 	// Cap the credit so an hour of idleness cannot fund unbounded future
 	// work in zero time.
-	maxCredit := f.cfg.model.ReclaimCost(f.cfg.unitsPerBlock*f.cfg.pagesPerUnit) * time.Duration(f.cfg.ReserveBlocks)
+	maxCredit := f.cfg.model.ReclaimCost(f.cfg.pagesPerBlock) * time.Duration(f.cfg.ReserveBlocks)
 	if f.st.IdleCredit > maxCredit {
 		f.st.IdleCredit = maxCredit
 	}
-	for f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
-		// Price the cheapest victim without disturbing the queue.
-		victim := f.victims.min() & keyBlockMask
-		cost := f.cfg.model.ReclaimCost(int(f.st.Live[victim]) * f.cfg.pagesPerUnit)
-		if f.st.IdleCredit < cost {
-			break // not enough idle time
-		}
-		// Collect through the normal path so maps stay consistent; the
-		// ops are absorbed by the idle credit.
-		var bg Ops
+	// A candidate holds no live data: reclaiming it is one erase. The ops
+	// are absorbed by the idle credit.
+	cost := f.cfg.model.ReclaimCost(0)
+	var bg Ops
+	for f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 && f.st.IdleCredit >= cost {
 		if err := f.collectOne(&bg); err != nil {
 			break
 		}
@@ -724,18 +617,4 @@ func (f *PageFTL) reclaimWithCredit(d time.Duration) {
 	if f.free.Len() >= f.cfg.ReserveBlocks {
 		f.st.IdleCredit = 0
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

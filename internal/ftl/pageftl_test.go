@@ -15,7 +15,6 @@ func newTestPageFTL(t testing.TB, mutate func(*PageConfig)) *PageFTL {
 	t.Helper()
 	cfg := PageConfig{
 		LogicalBytes:    testLogical,
-		UnitBytes:       128 * 1024,
 		WritePoints:     4,
 		ReserveBlocks:   8,
 		GCBatch:         2,
@@ -42,7 +41,7 @@ func TestPageConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := PageConfig{
-		LogicalBytes: 4 << 20, UnitBytes: 128 * 1024, WritePoints: 2,
+		LogicalBytes: 4 << 20, WritePoints: 2,
 		ReserveBlocks: 4, MapDirtyLimit: 2, MapUnitsPerPage: 16,
 	}
 	if _, err := NewPageFTL(arr, base, testModel()); err != nil {
@@ -50,9 +49,6 @@ func TestPageConfigValidation(t *testing.T) {
 	}
 	bad := []func(*PageConfig){
 		func(c *PageConfig) { c.LogicalBytes = 0 },
-		func(c *PageConfig) { c.UnitBytes = 1000 },       // not a page multiple
-		func(c *PageConfig) { c.UnitBytes = 3 * 2048 },   // does not divide block
-		func(c *PageConfig) { c.UnitBytes = 0 },          //
 		func(c *PageConfig) { c.WritePoints = 0 },        //
 		func(c *PageConfig) { c.ReserveBlocks = 1 },      //
 		func(c *PageConfig) { c.MapDirtyLimit = 0 },      //
@@ -238,9 +234,8 @@ func TestPageFTLGCReclaimsObsoleteBlocks(t *testing.T) {
 }
 
 // TestPageFTLMappingConsistency is the central property test: after an
-// arbitrary random workload, the forward and reverse maps agree, live
-// counters match the reverse map, and every mapped unit points at a
-// programmed page.
+// arbitrary random workload, the forward and reverse maps agree and every
+// mapped logical block sits in a fully programmed flash block.
 func TestPageFTLMappingConsistency(t *testing.T) {
 	f := newTestPageFTL(t, nil)
 	rng := rand.New(rand.NewSource(21))
@@ -265,43 +260,20 @@ func TestPageFTLMappingConsistency(t *testing.T) {
 
 func checkPageFTLConsistency(t *testing.T, f *PageFTL) {
 	t.Helper()
-	// fmap and rmap are mutually consistent.
-	for unit, slot := range f.st.FMap {
-		if slot < 0 {
+	for lb, pb := range f.st.FMap {
+		if pb < 0 {
 			continue
 		}
-		if f.st.RMap[slot] != int64(unit) {
-			t.Fatalf("fmap[%d]=%d but rmap[%d]=%d", unit, slot, slot, f.st.RMap[slot])
+		if f.st.RMap[pb] != int64(lb) {
+			t.Fatalf("fmap[%d]=%d but rmap[%d]=%d", lb, pb, pb, f.st.RMap[pb])
+		}
+		if next, err := f.arr.NextProgramPage(int(pb)); err != nil || next != f.cfg.pagesPerBlock {
+			t.Fatalf("logical block %d maps to block %d, programmed to page %d (%v)", lb, pb, next, err)
 		}
 	}
-	liveFromRmap := make([]int32, f.arr.Blocks())
-	for slot, unit := range f.st.RMap {
-		if unit < 0 {
-			continue
-		}
-		if f.st.FMap[unit] != int64(slot) {
-			t.Fatalf("rmap[%d]=%d but fmap[%d]=%d", slot, unit, unit, f.st.FMap[unit])
-		}
-		liveFromRmap[slot/f.cfg.unitsPerBlock]++
-	}
-	for b, want := range liveFromRmap {
-		if f.st.Live[b] != want {
-			t.Fatalf("live[%d]=%d, reverse map says %d", b, f.st.Live[b], want)
-		}
-	}
-	// Every mapped unit's pages are programmed on the chip.
-	for unit, slot := range f.st.FMap {
-		if slot < 0 {
-			continue
-		}
-		block := int(slot / int64(f.cfg.unitsPerBlock))
-		next, err := f.arr.NextProgramPage(block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastPage := (int(slot%int64(f.cfg.unitsPerBlock)) + 1) * f.cfg.pagesPerUnit
-		if next < lastPage {
-			t.Fatalf("unit %d maps to block %d pages < %d but only %d programmed", unit, block, lastPage, next)
+	for pb, lb := range f.st.RMap {
+		if lb >= 0 && f.st.FMap[lb] != int64(pb) {
+			t.Fatalf("rmap[%d]=%d but fmap[%d]=%d", pb, lb, lb, f.st.FMap[lb])
 		}
 	}
 }
@@ -440,37 +412,34 @@ func TestServeReadStealPricesItsOwnRead(t *testing.T) {
 }
 
 // TestReadStealNeedsARealCandidate pins the read-steal gate to the exact
-// candidate count. A block overwritten unit by unit used to sit in the lazy
-// victim heap once per overwrite; collecting it left the duplicates behind as
-// ghosts, Len() stayed positive, and a read below the reserve was stalled to
-// fund a reclamation that had nothing to reclaim. With one queue entry per
-// block the gate sees an empty queue: no stall, no credit, no reclaim.
+// candidate count: a read below the reserve with no obsolete block to reclaim
+// is not stalled to fund a reclamation that has nothing to reclaim — no stall,
+// no credit, no reclaim.
 func TestReadStealNeedsARealCandidate(t *testing.T) {
-	const unit = 32 * 1024 // four units per 128 KiB block
-	arr, err := NewUniformArray(1, flash.SLC, 10*128*1024)
+	const block = 128 * 1024
+	arr, err := NewUniformArray(1, flash.SLC, 14*block)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, err := NewPageFTL(arr, PageConfig{
-		LogicalBytes: 16 * unit, UnitBytes: unit, WritePoints: 1, ReserveBlocks: 2,
+		LogicalBytes: 8 * block, WritePoints: 1, ReserveBlocks: 2,
 		AsyncReclaim: true, ReadSteal: 0.5, MapDirtyLimit: 8, MapUnitsPerPage: 128,
 	}, testModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	write := func(u int64) {
+	write := func(lb int64) {
 		t.Helper()
-		if _, err := f.Write(u*unit, unit); err != nil {
+		if _, err := f.Write(lb*block, block); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Fill one block, then overwrite all four of its units: the block closes
-	// fully live and is obsoleted slot by slot — four pushes, one candidate.
-	for pass := 0; pass < 2; pass++ {
-		for u := int64(0); u < 4; u++ {
-			write(u)
-		}
+	// Fill four logical blocks, then overwrite the first: its old block is
+	// closed and obsolete, the one candidate.
+	for lb := int64(0); lb < 4; lb++ {
+		write(lb)
 	}
+	write(0)
 	if f.victims.Len() != 1 {
 		t.Fatalf("queue holds %d entries for one candidate block", f.victims.Len())
 	}
@@ -483,13 +452,13 @@ func TestReadStealNeedsARealCandidate(t *testing.T) {
 	if got := f.Stats().AsyncReclaims; got != 1 || f.victims.Len() != 0 {
 		t.Fatalf("after idle: %d async reclaims, %d candidates; want 1 and 0", got, f.victims.Len())
 	}
-	// The next block allocation takes the pool below target again, with only
-	// fully live blocks closed: nothing to reclaim.
+	// A first write of a fresh logical block takes the pool below target
+	// again and closes a block that still holds data: nothing to reclaim.
 	write(4)
 	if f.FreeBlocks() >= f.cfg.ReserveBlocks {
 		t.Fatalf("pool at %d, want below the reserve %d", f.FreeBlocks(), f.cfg.ReserveBlocks)
 	}
-	ops, err := f.Read(0, unit)
+	ops, err := f.Read(0, block)
 	if err != nil {
 		t.Fatal(err)
 	}

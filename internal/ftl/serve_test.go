@@ -146,7 +146,7 @@ func TestFTLsRejectNonPowerOfTwoGeometry(t *testing.T) {
 		cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), geo.PageSize)
 		block := int64(geo.BlockSize())
 		if _, err := ftl.NewPageFTL(arr, ftl.PageConfig{
-			LogicalBytes: 8 * block, UnitBytes: geo.BlockSize(), WritePoints: 1, ReserveBlocks: 2,
+			LogicalBytes: 8 * block, WritePoints: 1, ReserveBlocks: 2,
 			MapDirtyLimit: 1, MapUnitsPerPage: 1,
 		}, cost); err == nil {
 			t.Errorf("page FTL accepted %+v", geo)

@@ -24,7 +24,6 @@ func buildDataStack(t *testing.T) *ftl.WriteCache {
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	page, err := ftl.NewPageFTL(arr, ftl.PageConfig{
 		LogicalBytes:    logical,
-		UnitBytes:       32 * 1024,
 		WritePoints:     2,
 		ReserveBlocks:   6,
 		GCBatch:         2,
@@ -107,7 +106,7 @@ func TestSnapshotGobRoundTripDataMode(t *testing.T) {
 			t.Fatalf("read %d at %d: restored stack returned different bytes", i, off)
 		}
 	}
-	// Idle destaging must also behave identically afterwards.
+	// Idle time must also be spent identically afterwards.
 	live.Idle(time.Second)
 	fresh.Idle(time.Second)
 	if live.DirtyLines() != fresh.DirtyLines() {

@@ -1,34 +1,28 @@
 package ftl
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
-// A queue key packs a block's priority and its number into one uint64, most
+// A queue key packs a block's erase count and its number into one uint64, most
 // significant field first, so comparing two keys as integers is the FTLs'
-// strict total order: fewest live units (greedy victim choice; always zero in
-// a free pool), then lowest erase count (wear-aware choice, and dynamic wear
+// strict total order: lowest erase count (wear-aware choice, and dynamic wear
 // leveling when allocating), then lowest block number.
 const (
 	keyBlockBits = 24
 	keyEraseBits = 24
-	keyLiveBits  = 64 - keyEraseBits - keyBlockBits
-
 	keyBlockMask = 1<<keyBlockBits - 1
 )
 
-func packKey(live, eraseCount, block int) uint64 {
-	return uint64(live)<<(keyEraseBits+keyBlockBits) | uint64(eraseCount)<<keyBlockBits | uint64(block)
+func packKey(eraseCount, block int) uint64 {
+	return uint64(eraseCount)<<keyBlockBits | uint64(block)
 }
 
-// checkKeyWidths guards the packing: the array's block numbers, the largest
+// checkKeyWidths guards the packing: the array's block numbers and the largest
 // erase count a block can reach (one past the budget, when it is marked bad)
-// and the largest live count must each fit their field.
-func checkKeyWidths(blocks, eraseLimit, maxLive int) error {
-	if blocks > 1<<keyBlockBits || eraseLimit+1 >= 1<<keyEraseBits || maxLive >= 1<<keyLiveBits {
-		return fmt.Errorf("ftl: %d blocks / erase budget %d / %d units per block exceed the block queue's %d/%d/%d-bit key fields",
-			blocks, eraseLimit, maxLive, keyBlockBits, keyEraseBits, keyLiveBits)
+// must each fit their field.
+func checkKeyWidths(blocks, eraseLimit int) error {
+	if blocks > 1<<keyBlockBits || eraseLimit+1 >= 1<<keyEraseBits {
+		return fmt.Errorf("ftl: %d blocks / erase budget %d exceed the block queue's %d/%d-bit key fields",
+			blocks, eraseLimit, keyBlockBits, keyEraseBits)
 	}
 	return nil
 }
@@ -54,140 +48,48 @@ func (s *QueueState) audit(arr *ArrayState) error {
 			return fmt.Errorf("ftl: free-pool entry %d (block %d) is out of range, queued twice or out of heap order", i, b)
 		}
 		seen[b] = true
-		if bs := arr.block(b); k != packKey(0, int(bs.EraseCount), b) || bs.NextPage != 0 || bs.Bad {
+		if bs := arr.block(b); k != packKey(int(bs.EraseCount), b) || bs.NextPage != 0 || bs.Bad {
 			return fmt.Errorf("ftl: free-pool key %#x names block %d, which is not a usable erased block of that wear", k, b)
 		}
 	}
 	return nil
 }
 
-// blockQueue is a binary min-heap of packed keys over the queued blocks, with
-// no index into the heap: key records each block's current key, so a block
-// whose priority drops is pushed again under its new key and a block that
-// leaves the set only loses its key. The entry either leaves behind is stale
-// — it no longer equals its block's key — and pop and min discard stale
-// entries as they reach the top; the heap is rebuilt from its live entries
-// once stale ones outnumber them. Len is exactly the number of queued blocks.
-// The free pools of both FTLs and the PageFTL's garbage-collection candidates
-// are blockQueues. Keys are unique (the block number is part of the key), so
-// the pop order depends only on the set of keys, never on the heap's layout;
-// a free pool never lowers or removes a key, so its heap holds no stale entry
-// and is exactly the state recorded. Steady-state operations allocate
-// nothing: Keys grows to the high-water mark and stays.
+// blockQueue is a binary min-heap of packed keys: the free pools of both FTLs
+// and the PageFTL's reclamation candidates. A block enters a queue once under
+// the key it then has and leaves it by pop; nothing is re-keyed or removed.
+// Keys are unique (the block number is part of the key), so the pop order
+// depends only on the set of keys, never on the heap's layout. Steady-state
+// operations allocate nothing: Keys grows to the high-water mark and stays.
 type blockQueue struct {
 	QueueState
-	// key holds each queued block's current key complemented, and 0 for a
-	// block not queued, so that a zeroed array is an empty queue. No key is
-	// all ones (its erase field cannot be: checkKeyWidths), so none reads 0.
-	key  []uint64
-	live int // queued blocks
-}
-
-func newBlockQueue(blocks int) blockQueue {
-	var q blockQueue
-	q.load(&QueueState{}, nil, blocks)
-	return q
-}
-
-// load makes q a copy of the heap src over an array of blocks blocks. cur is
-// the key array src was kept under, which tells its stale entries apart, or
-// nil when src has none (a free pool, a state's heap). Only the blocks queued
-// before have a key to drop, so a reset costs the queued blocks, not the
-// array.
-func (q *blockQueue) load(src *QueueState, cur []uint64, blocks int) {
-	if len(q.key) != blocks {
-		q.key = make([]uint64, blocks)
-	} else {
-		for _, k := range q.Keys {
-			q.key[k&keyBlockMask] = 0
-		}
-	}
-	q.copyFrom(src)
-	q.live = 0
-	for _, k := range q.Keys {
-		b := k & keyBlockMask
-		c := ^k
-		if cur != nil {
-			c = cur[b]
-		}
-		if q.key[b] == 0 && c != 0 {
-			q.key[b] = c
-			q.live++
-		}
-	}
 }
 
 // Len returns the number of queued blocks.
-func (q *blockQueue) Len() int { return q.live }
+func (q *blockQueue) Len() int { return len(q.Keys) }
 
-// min returns the smallest key, dropping the stale entries above it; the
-// queue must not be empty.
-func (q *blockQueue) min() uint64 {
-	for {
-		if k := q.Keys[0]; q.key[k&keyBlockMask] == ^k {
-			return k
-		}
-		q.popTop()
-	}
-}
-
-// contains reports whether block is queued.
-func (q *blockQueue) contains(block int) bool { return q.key[block] != 0 }
-
-// push queues key's block under key, or re-keys a block already queued (a
-// queued block's priority only ever drops: closed blocks never gain live
-// units).
+// push queues key, sifting it up from the bottom.
 //
 //uflint:hotpath
 func (q *blockQueue) push(key uint64) {
-	b := key & keyBlockMask
-	old := q.key[b]
-	if old == ^key {
-		return
-	}
-	q.key[b] = ^key
 	q.Keys = append(q.Keys, key)
 	q.up(len(q.Keys)-1, key)
-	if old == 0 {
-		q.live++
-	} else {
-		q.tidy()
-	}
 }
 
-// pop removes and returns the smallest key; the queue must not be empty.
+// pop removes and returns the smallest key; the queue must not be empty. The
+// hole at the root sinks to a leaf along the smaller children and the last
+// entry rises from there (Floyd): fewer comparisons than sifting the last
+// entry down from the root, and with unique keys exactly the layout that
+// sift-down leaves.
 //
 //uflint:hotpath
 func (q *blockQueue) pop() uint64 {
-	top := q.min()
-	q.key[top&keyBlockMask] = 0
-	q.live--
-	q.popTop()
-	q.tidy()
-	return top
-}
-
-// remove takes block out of the queue if it is there.
-//
-//uflint:hotpath
-func (q *blockQueue) remove(block int) {
-	if q.key[block] != 0 {
-		q.key[block] = 0
-		q.live--
-		q.tidy()
-	}
-}
-
-// popTop deletes the root entry, live or stale. The hole sinks to a leaf
-// along the smaller children and the last entry rises from there (Floyd):
-// fewer comparisons than sifting the last entry down from the root, and with
-// unique keys exactly the layout that sift-down leaves.
-func (q *blockQueue) popTop() {
+	top := q.Keys[0]
 	n := len(q.Keys) - 1
 	last := q.Keys[n]
 	q.Keys = q.Keys[:n]
 	if n == 0 {
-		return
+		return top
 	}
 	i := 0
 	for {
@@ -202,6 +104,7 @@ func (q *blockQueue) popTop() {
 		i = c
 	}
 	q.up(i, last)
+	return top
 }
 
 // up seats key at index i or above, moving a hole instead of swapping.
@@ -216,28 +119,6 @@ func (q *blockQueue) up(i int, key uint64) {
 		i = parent
 	}
 	q.Keys[i] = key
-}
-
-// tidy rebuilds the heap from its live entries once the stale ones outnumber
-// them, so the heap never holds more than twice Len entries. A block removed
-// and queued again under an earlier key has two entries equal to its key; the
-// rebuild keeps one.
-func (q *blockQueue) tidy() {
-	if len(q.Keys) <= 2*q.live {
-		return
-	}
-	kept := q.Keys[:0]
-	for _, k := range q.Keys {
-		if b := k & keyBlockMask; q.key[b] == ^k {
-			kept = append(kept, k)
-			q.key[b] = 0
-		}
-	}
-	for _, k := range kept {
-		q.key[k&keyBlockMask] = ^k
-	}
-	slices.Sort(kept) // an ascending array is a heap
-	q.Keys = kept
 }
 
 // MapBookState is the map book as data: the FIFO ring of dirty map pages. The
@@ -387,9 +268,9 @@ type flashBooks struct {
 
 // newFlashBooks puts every block of the factory-fresh arr in the pool.
 func newFlashBooks(arr *Array, mapUnitsPerPage, mapDirtyLimit int, units int64) flashBooks {
-	b := flashBooks{arr: arr, free: newBlockQueue(arr.Blocks()), book: newMapBook(int64(mapUnitsPerPage), mapDirtyLimit, units)}
+	b := flashBooks{arr: arr, book: newMapBook(int64(mapUnitsPerPage), mapDirtyLimit, units)}
 	for blk := 0; blk < arr.Blocks(); blk++ {
-		b.free.push(packKey(0, 0, blk))
+		b.free.push(packKey(0, blk))
 	}
 	b.rederiveBooks()
 	return b
@@ -405,7 +286,7 @@ func (b *flashBooks) FreeBlocks() int { return b.free.Len() }
 // pushFree returns the just-erased block to the pool under its current wear.
 func (b *flashBooks) pushFree(block int) {
 	ec, _ := b.arr.EraseCount(block)
-	b.free.push(packKey(0, ec, block))
+	b.free.push(packKey(ec, block))
 }
 
 // resetBooks makes b a deep copy of src, reusing b's chips and buffers; b may
@@ -421,7 +302,7 @@ func (b *flashBooks) resetBooks(src *flashBooks) {
 
 // loadBooks copies pool and book states in and rederives the rest.
 func (b *flashBooks) loadBooks(free *QueueState, book *MapBookState) {
-	b.free.load(free, nil, b.arr.Blocks())
+	b.free.copyFrom(free)
 	b.book.copyFrom(book)
 	b.rederiveBooks()
 }

@@ -1,12 +1,8 @@
 package paperexp
 
 import (
-	"bytes"
 	"testing"
 
-	"uflip/internal/core"
-	"uflip/internal/device"
-	"uflip/internal/methodology"
 	"uflip/internal/profile"
 )
 
@@ -23,6 +19,10 @@ func TestStateKeyIncludesProfileFingerprint(t *testing.T) {
 	if k.Fingerprint == "" || k.Fingerprint != fp {
 		t.Fatalf("key fingerprint %q, want %q", k.Fingerprint, fp)
 	}
+	// Every cached state is the random one, and the key says so.
+	if k.Enforce != "random" {
+		t.Fatalf("key enforce = %q, want random", k.Enforce)
+	}
 	other := StateKey("mtron", cfg)
 	if other.Fingerprint == k.Fingerprint {
 		t.Fatal("distinct profiles share a key fingerprint")
@@ -32,68 +32,5 @@ func TestStateKeyIncludesProfileFingerprint(t *testing.T) {
 	mutated.Fingerprint = "0000000000000000"
 	if mutated.Hash() == k.Hash() {
 		t.Fatal("fingerprint does not reach the key hash")
-	}
-}
-
-// TestSequentialEnforceCached routes EnforceSequentialState through
-// PrepareCached: the sequentially-enforced state is saved on the first run,
-// hit on the second, and both are byte-identical to live enforcement.
-func TestSequentialEnforceCached(t *testing.T) {
-	const key = "kingston-dti"
-	cfg := cacheTestConfig(t, true)
-	cfg.Enforce = "sequential"
-
-	// Live reference: build + enforce sequentially, no store.
-	live, err := profile.BuildDevice(key, cfg.Capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveAt, err := methodology.EnforceSequentialState(live, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	measure := func(dev device.Device) []byte {
-		t.Helper()
-		d := cfg.defaults(dev.Capacity())
-		run, err := core.ExecutePattern(dev, core.RW.Pattern(d), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return marshal(t, run)
-	}
-	want := measure(live)
-
-	for i, wantHit := range []bool{false, true} {
-		dev, at, hit, err := PrepareCached(key, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hit != wantHit {
-			t.Fatalf("run %d: hit=%v, want %v", i, hit, wantHit)
-		}
-		if at != liveAt {
-			t.Fatalf("run %d: enforcement ends at %v, live at %v", i, at, liveAt)
-		}
-		if got := measure(dev); !bytes.Equal(got, want) {
-			t.Fatalf("run %d: cached sequential state diverges from live enforcement", i)
-		}
-	}
-
-	// The sequential state is keyed apart from the random one.
-	sk := StateKey(key, cfg)
-	if sk.Enforce != "sequential" {
-		t.Fatalf("key enforce = %q", sk.Enforce)
-	}
-	random := cfg
-	random.Enforce = ""
-	if StateKey(key, random) == sk {
-		t.Fatal("sequential and random enforcement share a key")
-	}
-	if !cfg.Store.Contains(sk) {
-		t.Fatal("sequential state not persisted")
-	}
-	if cfg.Store.Contains(StateKey(key, random)) {
-		t.Fatal("random-state entry appeared from a sequential run")
 	}
 }

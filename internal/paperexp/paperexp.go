@@ -42,30 +42,6 @@ type Config struct {
 	// on a cache hit instead of replaying the enforcement IOs, and save it
 	// after enforcing on a miss. Results are byte-identical either way.
 	Store *statestore.Store
-	// Enforce selects the enforced initial state ("random" when empty —
-	// the Section 4.1 default — or "sequential"). Both kinds flow through
-	// PrepareCached, so sequentially-enforced states are cached too.
-	Enforce string
-}
-
-// enforceKind returns the enforcement kind with the default applied.
-func (c Config) enforceKind() string {
-	if c.Enforce == "" {
-		return "random"
-	}
-	return c.Enforce
-}
-
-// enforce brings dev to the configured initial state.
-func (c Config) enforce(dev device.Device) (time.Duration, error) {
-	switch c.enforceKind() {
-	case "random":
-		return methodology.EnforceRandomState(dev, c.Seed)
-	case "sequential":
-		return methodology.EnforceSequentialState(dev, c.Seed)
-	default:
-		return 0, fmt.Errorf("paperexp: unknown enforcement kind %q", c.Enforce)
-	}
 }
 
 // DefaultConfig returns the scale used throughout the repository's
@@ -109,7 +85,7 @@ func Prepare(key string, cfg Config) (device.Cloneable, time.Duration, error) {
 // and different fault schedules never share one), a fingerprint of the
 // resolved profile parameters (so editing a profile is a cache miss, never a
 // stale hit), the per-member capacity, the enforcement seed and the
-// enforcement kind. An unresolvable spec leaves the fingerprint empty;
+// enforcement kind (always random). An unresolvable spec leaves the fingerprint empty;
 // building such a device fails before the key is ever used.
 func StateKey(key string, cfg Config) statestore.Key {
 	canonical := key
@@ -124,16 +100,15 @@ func StateKey(key string, cfg Config) statestore.Key {
 		Spec:        canonical,
 		Capacity:    cfg.Capacity,
 		Seed:        cfg.Seed,
-		Enforce:     cfg.enforceKind(),
+		Enforce:     "random",
 		Fingerprint: fp,
 	}
 }
 
-// PrepareCached builds the device and brings it to the configured enforced
-// state (random by default, sequential via cfg.Enforce), returning the
-// device, the virtual time enforcement finished (without cfg.Pause added)
-// and whether the state came from cfg.Store. With no store configured it
-// always enforces live (hit=false). With a store, a hit restores the
+// PrepareCached builds the device and brings it to the random initial state
+// (Section 4.1), returning the device, the virtual time enforcement finished
+// (without cfg.Pause added) and whether the state came from cfg.Store. With no
+// store configured it always enforces live (hit=false). With a store, a hit restores the
 // persisted state — byte-identical to enforcing — and a miss enforces live
 // and saves. The load-or-enforce window holds the store's per-key lock, so
 // concurrent jobs that race on one key enforce it once.
@@ -149,12 +124,12 @@ func PrepareCached(key string, cfg Config) (device.Cloneable, time.Duration, boo
 	return dev, at, hit, nil
 }
 
-// enforceCached brings an already-built device to the configured enforced
-// state, loading it from cfg.Store on a hit and enforcing live (and saving)
-// on a miss or with no store.
+// enforceCached brings an already-built device to the random initial state,
+// loading it from cfg.Store on a hit and enforcing live (and saving) on a miss
+// or with no store.
 func enforceCached(dev device.Cloneable, key string, cfg Config) (time.Duration, bool, error) {
 	if cfg.Store == nil {
-		end, err := cfg.enforce(dev)
+		end, err := methodology.EnforceRandomState(dev, cfg.Seed)
 		return end, false, err
 	}
 	sk := StateKey(key, cfg)
@@ -165,7 +140,7 @@ func enforceCached(dev device.Cloneable, key string, cfg Config) (time.Duration,
 	} else if hit {
 		return at, true, nil
 	}
-	end, err := cfg.enforce(dev)
+	end, err := methodology.EnforceRandomState(dev, cfg.Seed)
 	if err != nil {
 		return 0, false, err
 	}

@@ -136,11 +136,11 @@ func (s *ArraySpec) setOption(key, value string) error {
 		if s.Layout != device.LayoutStripe {
 			return fmt.Errorf("chunk only applies to the stripe layout")
 		}
-		n, err := parseSize(value)
+		n, err := parseSize(value, maxChunkBytes)
 		if err != nil {
 			return fmt.Errorf("chunk: %w", err)
 		}
-		if n < 512 || n%512 != 0 || n > maxChunkBytes {
+		if n < 512 || n%512 != 0 {
 			return fmt.Errorf("chunk %d must be a multiple of 512 in [512, %d]", n, maxChunkBytes)
 		}
 		s.ChunkBytes = n
@@ -167,18 +167,19 @@ func isInt(s string) bool {
 	return len(s) > 0
 }
 
-// parseSize parses a byte size with optional k/m binary suffixes.
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
+// parseSize parses a positive byte size of at most limit, with an optional
+// k/m binary suffix.
+func parseSize(value string, limit int64) (int64, error) {
+	digits, mult := value, int64(1)
 	switch {
-	case strings.HasSuffix(s, "k"), strings.HasSuffix(s, "K"):
-		mult, s = 1024, s[:len(s)-1]
-	case strings.HasSuffix(s, "m"), strings.HasSuffix(s, "M"):
-		mult, s = 1024*1024, s[:len(s)-1]
+	case strings.HasSuffix(value, "k"), strings.HasSuffix(value, "K"):
+		digits, mult = value[:len(value)-1], 1024
+	case strings.HasSuffix(value, "m"), strings.HasSuffix(value, "M"):
+		digits, mult = value[:len(value)-1], 1024*1024
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n <= 0 || n > maxChunkBytes/mult {
-		return 0, fmt.Errorf("bad size %q", s)
+	n, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil || n <= 0 || n > limit/mult {
+		return 0, fmt.Errorf("bad size %q", value)
 	}
 	return n * mult, nil
 }

@@ -22,6 +22,7 @@ func FuzzParseArraySpec(f *testing.F) {
 		"stripe(mtron,qd=100000)",
 		"stripe(65,mtron)",
 		"stripe(2,mtron,mtron",
+		"mirror(mtron,faulty(stripe(2,mtron,mtron),erroff=1500m))",
 	} {
 		f.Add(seed)
 	}

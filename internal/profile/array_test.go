@@ -2,6 +2,7 @@ package profile
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"uflip/internal/device"
@@ -31,6 +32,16 @@ func TestParseArraySpec(t *testing.T) {
 		{"stripe( 2 , mtron , mtron , chunk=1m )", ArraySpec{
 			Layout: device.LayoutStripe, MemberKeys: []string{"mtron", "mtron"},
 			ChunkBytes: 1 << 20, QueueDepth: device.DefaultQueueDepth,
+		}},
+		// A sticky bad offset may lie anywhere on a member, past the 1 GiB
+		// that bounds a stripe chunk.
+		{"mirror(mtron,faulty(mtron,erroff=1073742336))", ArraySpec{
+			Layout: device.LayoutMirror, MemberKeys: []string{"mtron", "faulty(mtron,erroff=1073742336)"},
+			ChunkBytes: device.DefaultChunkBytes, QueueDepth: device.DefaultQueueDepth,
+		}},
+		{"mirror(mtron,faulty(mtron,erroff=1500m))", ArraySpec{
+			Layout: device.LayoutMirror, MemberKeys: []string{"mtron", "faulty(mtron,erroff=1572864000)"},
+			ChunkBytes: device.DefaultChunkBytes, QueueDepth: device.DefaultQueueDepth,
 		}},
 	} {
 		got, err := ParseArraySpec(tc.spec)
@@ -71,11 +82,18 @@ func TestParseArraySpecErrors(t *testing.T) {
 		"stripe(2,mtron,mtron",     // missing close paren
 		"stripe(9999999999999,m)",  // count overflow
 		"stripe(mtron,chunk=-512)", // negative size
-		"stripe(mtron,chunk=99999999999999999999k)", // size overflow
+		"stripe(mtron,chunk=99999999999999999999k)",         // size overflow
+		"stripe(mtron,chunk=2048m)",                         // chunk beyond 1 GiB
+		"mirror(mtron,faulty(mtron,erroff=0))",              // zero offset
+		"mirror(mtron,faulty(mtron,erroff=9000000000000m))", // offset overflow
 	} {
 		if _, err := ParseArraySpec(spec); err == nil {
 			t.Errorf("ParseArraySpec(%q) accepted", spec)
 		}
+	}
+	// A size error quotes the value as written, suffix included.
+	if _, err := ParseArraySpec("stripe(mtron,chunk=2048m)"); err == nil || !strings.Contains(err.Error(), `"2048m"`) {
+		t.Errorf("oversized chunk: error %v does not quote \"2048m\"", err)
 	}
 }
 

@@ -65,7 +65,6 @@ func memoright() Profile {
 		CapacityBytes: 32 * gb, PriceUSD: 943, Representative: true,
 		Cell: flash.SLC, Chips: 8, Kind: PageMapped,
 		Page: ftl.PageConfig{
-			UnitBytes:       blockBytes,
 			WritePoints:     8,
 			ReserveBlocks:   128,
 			AsyncReclaim:    true,
@@ -107,7 +106,6 @@ func gskill() Profile {
 		CapacityBytes: 32 * gb, PriceUSD: 694,
 		Cell: flash.MLC, Chips: 4, Kind: PageMapped,
 		Page: ftl.PageConfig{
-			UnitBytes:       blockBytes,
 			WritePoints:     4,
 			ReserveBlocks:   8,
 			GCBatch:         4,
@@ -153,7 +151,6 @@ func samsung() Profile {
 		CapacityBytes: 32 * gb, PriceUSD: 517, Representative: true,
 		Cell: flash.SLC, Chips: 4, Kind: PageMapped,
 		Page: ftl.PageConfig{
-			UnitBytes:       blockBytes,
 			WritePoints:     4,
 			ReserveBlocks:   8,
 			GCBatch:         4,
@@ -198,7 +195,6 @@ func mtron() Profile {
 		CapacityBytes: 16 * gb, PriceUSD: 407, Representative: true,
 		Cell: flash.SLC, Chips: 4, Kind: PageMapped,
 		Page: ftl.PageConfig{
-			UnitBytes:       blockBytes,
 			WritePoints:     4,
 			ReserveBlocks:   256,
 			AsyncReclaim:    true,

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -131,7 +132,7 @@ func (s *FaultySpec) setOption(key, value string) error {
 		}
 		s.Cfg.ErrOps = append(s.Cfg.ErrOps, n)
 	case "erroff":
-		n, err := parseSize(value)
+		n, err := parseSize(value, math.MaxInt64)
 		if err != nil {
 			return fmt.Errorf("erroff: %w", err)
 		}

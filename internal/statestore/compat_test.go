@@ -77,8 +77,9 @@ func ftlOf(t *testing.T, p *payload) *ftl.TranslatorState {
 //
 // for D = kingston-dti (bare BlockFTL) and transcend-ssd16 (BlockFTL under a
 // WriteCache): S/<key hash>.state and O/D.csv. If a profile edit changes the
-// key hash, regenerate them the same way with the build that precedes the
-// edit.
+// key hash, rename each .state file to its new hash: an older build's file is
+// quarantined whatever key it was saved under, and the CSV pins what
+// re-enforcement then renders.
 var parentFixtureCfg = paperexp.Config{Capacity: 32 << 20, Seed: 42, IOCount: 1024}
 
 // TestParentStateFilesStillLoad is the pin on what happens to the state files

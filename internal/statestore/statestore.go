@@ -125,11 +125,14 @@ func (s *Store) LockKey(k Key) func() {
 // heap and per-block generations (the candidate queue is derived from the
 // block state on restore); version 4 dropped the snapshot types themselves:
 // the payload is the tree of state structs the layers run on
-// (device.DeviceState), written as it stands. Older files fail the version
-// check and take the quarantine path like any other unreadable file.
+// (device.DeviceState), written as it stands; version 5 maps the PageFTL by
+// flash block (no per-block live counts, GC write point or write-point slot)
+// and drops the write cache's idle-destage credit and counter. Older files
+// fail the version check and take the quarantine path like any other
+// unreadable file.
 const (
 	magic   = "uFLIPst\x01"
-	version = uint32(4)
+	version = uint32(5)
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)

@@ -332,14 +332,15 @@ func TestRestoreIntoWrongDeviceFails(t *testing.T) {
 
 // TestVersion1FileIsQuarantinedAndReenforced: a state file of an older
 // format version — 1 (chip snapshots with a per-page state array), 2 (a
-// PageFTL snapshot carrying its lazy victim heap and block generations) or 3
-// (snapshot structs mirroring the layers instead of the state they run on) —
+// PageFTL snapshot carrying its lazy victim heap and block generations), 3
+// (snapshot structs mirroring the layers instead of the state they run on) or
+// 4 (a PageFTL mapping sub-block units, a write cache banking idle credit) —
 // left in a cache directory by an older build must not be decoded by this
 // one. It takes the corrupt-cache path — quarantined as a miss — and the
 // caller's live re-enforcement then saves a current-version file that loads
 // as a hit.
 func TestVersion1FileIsQuarantinedAndReenforced(t *testing.T) {
-	for old, profileKey := range map[uint32]string{1: "kingston-dti", 2: "memoright", 3: "transcend-mlc32"} {
+	for old, profileKey := range map[uint32]string{1: "kingston-dti", 2: "memoright", 3: "transcend-mlc32", 4: "mtron"} {
 		t.Run(fmt.Sprintf("v%d", old), func(t *testing.T) {
 			store, err := statestore.Open(t.TempDir())
 			if err != nil {
@@ -356,8 +357,8 @@ func TestVersion1FileIsQuarantinedAndReenforced(t *testing.T) {
 				t.Fatal(err)
 			}
 			const versionAt = 8 // the version field follows the 8-byte magic
-			if got := binary.LittleEndian.Uint32(data[versionAt:]); got != 4 {
-				t.Fatalf("saved file has format version %d, want 4", got)
+			if got := binary.LittleEndian.Uint32(data[versionAt:]); got != 5 {
+				t.Fatalf("saved file has format version %d, want 5", got)
 			}
 			binary.LittleEndian.PutUint32(data[versionAt:], old)
 			if err := os.WriteFile(path, data, 0o644); err != nil {
