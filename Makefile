@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONFloatMatchesEncodingJSON$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyUTRMatchesScanner$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzCRC64Combine$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzPercentilesMatchSorted$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/device
 	$(GO) test -run '^$$' -fuzz '^FuzzChipRunEquivalence$$' -fuzztime $(FUZZTIME) ./internal/flash
 	$(GO) test -run '^$$' -fuzz '^FuzzVictimQueueMatchesLazyHeap$$' -fuzztime $(FUZZTIME) ./internal/ftl

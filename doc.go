@@ -56,8 +56,8 @@
 // candidates sit in binary heaps of packed integer keys, one entry per
 // block; map bookkeeping runs on a fixed ring; both
 // SimDevice.Submit and the 128-IO SubmitBatch are pinned at 0 allocs/op),
-// and stats.Percentiles derives any number of quantiles from one O(n)
-// selection over a private copy (selection, not sort; input not modified).
+// and stats.Percentiles derives any number of quantiles by histogram
+// selection: a few O(n) passes that only read the series, no copy of it.
 // A trace replay's serial passes run at memory speed around that: the .utr
 // reader and writer checksum a 64 KiB chunk at a time, and trace.WriteJSON
 // appends the per-IO series with its own float formatter, byte-identical

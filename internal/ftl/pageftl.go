@@ -539,23 +539,37 @@ func (f *PageFTL) read(off, length int64, ops *Ops) error {
 	if length == 0 {
 		return nil
 	}
+	f.st.Stats.HostReads++
 	// Lingering reclamation (Figure 5): while the free pool is below target,
 	// background collection steals time from reads. Nothing below changes
-	// the pool or the candidates, so whether this read steals is known now;
-	// a read that does counts its operations apart from ops, which may hold
-	// earlier ones, because the steal prices this read alone.
-	steal := f.cfg.AsyncReclaim && f.cfg.ReadSteal > 0 && f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0
-	var own Ops
-	acc := ops
-	if steal {
-		acc = &own
+	// the pool or the candidates, so whether this read steals is known now.
+	if f.cfg.AsyncReclaim && f.cfg.ReadSteal > 0 && f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
+		return f.readStealing(off, length, ops)
 	}
-	f.st.Stats.HostReads++
+	return f.readRuns(off, length, ops)
+}
+
+// readStealing is a read that lingering reclamation steals time from. It
+// counts its operations apart from ops, which may hold earlier ones, because
+// the steal prices this read alone.
+func (f *PageFTL) readStealing(off, length int64, ops *Ops) error {
+	var own Ops
+	if err := f.readRuns(off, length, &own); err != nil {
+		return err
+	}
+	stall := time.Duration(f.cfg.ReadSteal * float64(f.cfg.model.Cost(&own)))
+	own.Stall += stall
+	f.reclaimWithCredit(stall)
+	ops.Add(own)
+	return nil
+}
+
+// readRuns adds to ops one read run per logical block the request touches:
+// a block's pages are physically consecutive.
+func (f *PageFTL) readRuns(off, length int64, ops *Ops) error {
 	p0 := off >> f.cfg.pageShift
 	p1 := (off + length - 1) >> f.cfg.pageShift
 	first := true
-	// One read run per logical block the request touches: a block's pages
-	// are physically consecutive.
 	for gp := p0; gp <= p1; {
 		lb := gp >> f.cfg.ppbShift
 		page := int(gp & int64(f.cfg.pagesPerBlock-1))
@@ -565,21 +579,15 @@ func (f *PageFTL) read(off, length int64, ops *Ops) error {
 		if pb < 0 {
 			// Unmapped: the device returns a deterministic pattern
 			// straight from the controller.
-			acc.RAMBytes += int64(n) << f.cfg.pageShift
+			ops.RAMBytes += int64(n) << f.cfg.pageShift
 			continue
 		}
 		if err := f.arr.ReadRun(int(pb), page, n); err != nil {
 			return fmt.Errorf("ftl: read: %w", err)
 		}
 		f.st.Stats.PagesRead += int64(n)
-		chargeReadRun(acc, &f.st.LastReadSlot, pb<<f.cfg.ppbShift+int64(page), n, first, f.cfg.model.ReadSeek)
+		chargeReadRun(ops, &f.st.LastReadSlot, pb<<f.cfg.ppbShift+int64(page), n, first, f.cfg.model.ReadSeek)
 		first = false
-	}
-	if steal {
-		stall := time.Duration(f.cfg.ReadSteal * float64(f.cfg.model.Cost(&own)))
-		own.Stall += stall
-		f.reclaimWithCredit(stall)
-		ops.Add(own)
 	}
 	return nil
 }

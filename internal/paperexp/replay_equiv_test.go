@@ -110,7 +110,7 @@ func TestReplaySourceSameResultAnyWorkersAnySource(t *testing.T) {
 	if got := stats.Summarize(merged); got != want.Total {
 		t.Errorf("total %+v, the merged series gives %+v", want.Total, got)
 	}
-	if got := stats.WindowSummaries(merged, opts.WindowOps); !reflect.DeepEqual(got, want.Windows) {
+	if _, got := stats.WindowSummaries(merged, opts.WindowOps); !reflect.DeepEqual(got, want.Windows) {
 		t.Errorf("windows differ from the merged series' (%d vs %d)", len(want.Windows), len(got))
 	}
 	if want.Ops != len(ops) || len(merged) != len(ops) || want.Elapsed != elapsed {

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +29,49 @@ func TestTableRender(t *testing.T) {
 	// Columns aligned: all data rows at least as wide as the header row.
 	if len(lines[3]) < len(lines[1]) {
 		t.Fatal("row shorter than header")
+	}
+}
+
+// TestTableRenderMatchesFprintf holds Render to the layout it replaced: widths
+// in bytes, cells padded with %-*s, which counts runes — so a "µs" cell pads
+// one space short of its byte width — across more rows than one flush holds.
+func TestTableRenderMatchesFprintf(t *testing.T) {
+	tbl := &Table{Title: "durations", Headers: []string{"run", "rt", "n", "share", "even"}}
+	for i := range 400 {
+		tbl.AddRow(fmt.Sprintf("run-%d", i), (time.Duration(i*i) * time.Microsecond / 7).String(), int64(i)*1e6, float64(i)/3, i%2 == 0)
+	}
+	tbl.AddRow("µ", "ü", 1, 0.5, false)
+	var want strings.Builder
+	fmt.Fprintf(&want, "%s\n", tbl.Title)
+	widths := make([]int, len(tbl.Headers))
+	for i, h := range tbl.Headers {
+		widths[i] = len(h)
+	}
+	for _, row := range tbl.Rows {
+		for i, cell := range row {
+			widths[i] = max(widths[i], len(cell))
+		}
+	}
+	writeRow := func(cells []string) {
+		for i, cell := range cells {
+			if i > 0 {
+				want.WriteString("  ")
+			}
+			fmt.Fprintf(&want, "%-*s", widths[i], cell)
+		}
+		want.WriteByte('\n')
+	}
+	writeRow(tbl.Headers)
+	sep := make([]string, len(widths))
+	for i, w := range widths {
+		sep[i] = strings.Repeat("-", w)
+	}
+	writeRow(sep)
+	for _, row := range tbl.Rows {
+		writeRow(row)
+	}
+	if got := tbl.String(); got != want.String() {
+		t.Fatalf("Render differs from the %%-*s layout:\n got %q\nwant %q", got[:200], want.String()[:200])
 	}
 }
 

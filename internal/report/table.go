@@ -5,9 +5,13 @@
 package report
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple text table with a header row.
@@ -17,27 +21,36 @@ type Table struct {
 	Rows    [][]string
 }
 
-// AddRow appends a row; values are formatted with %v.
+// AddRow appends a row. A float64 prints with at most three decimals and no
+// trailing zeros, an int, int64 or string as itself, anything else with %v.
 func (t *Table) AddRow(cells ...interface{}) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
 		case float64:
 			row[i] = trimFloat(v)
+		case int:
+			row[i] = strconv.Itoa(v)
+		case int64:
+			row[i] = strconv.FormatInt(v, 10)
+		case string:
+			row[i] = v
 		default:
-			row[i] = fmt.Sprintf("%v", c)
+			row[i] = fmt.Sprint(c)
 		}
 	}
 	t.Rows = append(t.Rows, row)
 }
 
 func trimFloat(v float64) string {
-	s := fmt.Sprintf("%.3f", v)
-	s = strings.TrimRight(s, "0")
-	return strings.TrimRight(s, ".")
+	var buf [32]byte
+	s := strconv.AppendFloat(buf[:0], v, 'f', 3, 64)
+	return string(bytes.TrimRight(bytes.TrimRight(s, "0"), "."))
 }
 
-// Render writes the table with aligned columns.
+// Render writes the table with aligned columns, through a buffer of 4 KiB.
+// A column is as wide as its longest cell in bytes, and a cell is padded by
+// its rune count, as %-*s pads.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
@@ -50,18 +63,23 @@ func (t *Table) Render(w io.Writer) error {
 			}
 		}
 	}
-	var b strings.Builder
+	// A failed write sticks in bw and Flush returns it.
+	bw := bufio.NewWriterSize(w, 4<<10)
 	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
+		bw.WriteString(t.Title)
+		bw.WriteByte('\n')
 	}
 	writeRow := func(cells []string) {
 		for i, cell := range cells {
 			if i > 0 {
-				b.WriteString("  ")
+				bw.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			bw.WriteString(cell)
+			for pad := widths[i] - utf8.RuneCountInString(cell); pad > 0; pad-- {
+				bw.WriteByte(' ')
+			}
 		}
-		b.WriteByte('\n')
+		bw.WriteByte('\n')
 	}
 	writeRow(t.Headers)
 	sep := make([]string, len(t.Headers))
@@ -72,8 +90,7 @@ func (t *Table) Render(w io.Writer) error {
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return bw.Flush()
 }
 
 // String renders the table to a string.

@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"uflip/internal/stats"
@@ -17,13 +18,20 @@ func WorkloadTable(res *workload.Result) *Table {
 		Title: fmt.Sprintf("workload %s on %s: %d IOs in %d segment(s), %v of device time",
 			res.Name, res.Device, res.Ops, len(res.Segments), res.Elapsed.Round(time.Millisecond)),
 		Headers: []string{"window", "ios", "mean(ms)", "min(ms)", "max(ms)", "sd(ms)"},
+		Rows:    make([][]string, 0, 1+len(res.Windows)),
 	}
+	// A long replay has thousands of windows: the cells are formatted as
+	// AddRow formats them, without boxing each one.
 	addRow := func(label string, s stats.Summary) {
-		t.AddRow(label, s.N, s.Mean*1e3, s.Min*1e3, s.Max*1e3, s.StdDev*1e3)
+		t.Rows = append(t.Rows, []string{label, strconv.FormatInt(s.N, 10),
+			trimFloat(s.Mean * 1e3), trimFloat(s.Min * 1e3), trimFloat(s.Max * 1e3), trimFloat(s.StdDev * 1e3)})
 	}
 	addRow("total", res.Total)
+	var label []byte
 	for _, w := range res.Windows {
-		addRow(fmt.Sprintf("[%d:%d)", w.Start, w.Start+w.Summary.N), w.Summary)
+		label = strconv.AppendInt(append(label[:0], '['), w.Start, 10)
+		label = strconv.AppendInt(append(label, ':'), w.Start+w.Summary.N, 10)
+		addRow(string(append(label, ')')), w.Summary)
 	}
 	return t
 }

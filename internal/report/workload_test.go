@@ -11,6 +11,8 @@ import (
 )
 
 func sampleWorkloadResult() *workload.Result {
+	all := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond}
+	total, windows := stats.WindowSummaries(all, 2)
 	mkRun := func(name string, rts ...time.Duration) *core.Run {
 		return &core.Run{
 			Name: name, Device: "memoright", RTs: rts,
@@ -26,12 +28,8 @@ func sampleWorkloadResult() *workload.Result {
 			mkRun("oltp[0:2]", time.Millisecond, 2*time.Millisecond),
 			mkRun("oltp[2:4]", 3*time.Millisecond, 4*time.Millisecond),
 		},
-		Total: stats.Summarize([]time.Duration{
-			time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond,
-		}),
-		Windows: stats.WindowSummaries([]time.Duration{
-			time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond,
-		}, 2),
+		Total:   total,
+		Windows: windows,
 		Elapsed: 40 * time.Millisecond,
 	}
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -62,9 +64,9 @@ func TestPercentilesSorted(t *testing.T) {
 }
 
 // TestPercentilesAllocs pins the allocation profile of the batch API: one
-// scratch copy of the samples plus the result slice, independent of how many
-// percentiles are requested (the rank scratch is a stack array, refilled a
-// batch at a time) — so p50/p95/p99 over a long replay is one selection.
+// scratch (bucket counts, gather pool, rank bookkeeping) plus the result
+// slice, independent of how many percentiles are requested — so p50/p95/p99
+// over a long replay is one selection.
 func TestPercentilesAllocs(t *testing.T) {
 	samples := make([]time.Duration, 4096)
 	for i := range samples {
@@ -76,7 +78,7 @@ func TestPercentilesAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("Percentiles allocates %.1f times per call, want <= 2 (scratch + result)", allocs)
 	}
-	many := make([]float64, 3*rankBatch+1)
+	many := make([]float64, 25)
 	for i := range many {
 		many[i] = float64(i * 4)
 	}
@@ -94,18 +96,12 @@ func TestPercentilesAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("PercentilesSorted allocates %.1f times per call, want <= 1 (result)", allocs)
 	}
-	allocs = testing.AllocsPerRun(100, func() {
-		PercentilesInPlace(sorted, many...)
-	})
-	if allocs > 1 {
-		t.Fatalf("PercentilesInPlace allocates %.1f times per call, want <= 1 (result)", allocs)
-	}
 }
 
-// TestPercentilesMatchSorted is the differential test for the selection
-// inside Percentiles. The oracle is what it replaced: PercentilesSorted over
-// a fully sorted copy. Every value must be equal — not close — and the input
-// must come back untouched.
+// TestPercentilesMatchSorted is the differential test for the histogram
+// selection inside Percentiles. The oracle is PercentilesSorted over a fully
+// sorted copy. Every value must be equal — not close — and the input must
+// come back untouched.
 func TestPercentilesMatchSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	fill := func(value func(i, n int) time.Duration) func(int) []time.Duration {
@@ -128,6 +124,23 @@ func TestPercentilesMatchSorted(t *testing.T) {
 		{"descending", fill(func(i, n int) time.Duration { return time.Duration(n - i) })},
 		{"organ-pipe", fill(func(i, n int) time.Duration { return time.Duration(min(i, n-1-i)) })},
 		{"negative", fill(func(int, int) time.Duration { return time.Duration(rng.Int63n(2001) - 1000) })},
+		// A replay's shape: most reads cost the same, a few queue far longer.
+		{"tied-with-tail", fill(func(int, int) time.Duration {
+			if rng.Intn(10) == 0 {
+				return time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
+			}
+			return 100 * time.Microsecond
+		})},
+		// Buckets are 2^62 wide until refinement narrows the one the ranks read.
+		{"far-outliers", fill(func(i, _ int) time.Duration {
+			switch i % 97 {
+			case 0:
+				return math.MaxInt64
+			case 1:
+				return math.MinInt64
+			}
+			return time.Duration(rng.Intn(50))
+		})},
 	}
 	lengths := []int{1, 2, 3, 11, 12, 13, 14, 100, 1000, 4999, 5000}
 	for range 60 {
@@ -136,10 +149,8 @@ func TestPercentilesMatchSorted(t *testing.T) {
 	for _, shape := range shapes {
 		for _, n := range lengths {
 			samples := shape.make(n)
-			// More percentiles than one selection batch holds, so the
-			// batches after the first meet an already partitioned copy.
 			ps := []float64{0, 50, 95, 99, 100, -3, 140}
-			for range 2 + rng.Intn(2*rankBatch) {
+			for range 2 + rng.Intn(16) {
 				ps = append(ps, rng.Float64()*100)
 			}
 			before := slices.Clone(samples)
@@ -152,15 +163,77 @@ func TestPercentilesMatchSorted(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s n=%d ps=%v:\n got %v\nwant %v", shape.name, n, ps, got, want)
 			}
-			// In place: the same values, and the samples only rearranged.
-			if got := PercentilesInPlace(samples, ps...); !slices.Equal(got, want) {
-				t.Fatalf("%s n=%d ps=%v in place:\n got %v\nwant %v", shape.name, n, ps, got, want)
-			}
-			if slices.Sort(samples); !slices.Equal(samples, before) {
-				t.Fatalf("%s n=%d: in-place selection lost or invented samples", shape.name, n)
-			}
 		}
 	}
+}
+
+// FuzzPercentilesMatchSorted holds Percentiles to PercentilesSorted over a
+// sorted copy on arbitrary samples and percentiles, and the samples to what
+// they were. An input is a percentile count (its first byte, mod 16), that
+// many little-endian float64 percentiles, then the samples as little-endian
+// int64s. A NaN percentile has no rank, so an input holding one is skipped.
+func FuzzPercentilesMatchSorted(f *testing.F) {
+	seed := func(ps []float64, samples ...int64) []byte {
+		b := []byte{byte(len(ps))}
+		for _, p := range ps {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p))
+		}
+		for _, v := range samples {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+		return b
+	}
+	pcts := []float64{50, 95, 99}
+	f.Add(seed(pcts, 7))                                 // n = 1
+	f.Add(seed(pcts, 5, 5, 5, 5, 5, 5, 5, 5, 5))         // all equal
+	f.Add(seed([]float64{0, 25, 50, 75, 100}, 3, 1e9))   // two values
+	f.Add(seed(pcts, -40, -7, -1_000_000, -3, -3, -900)) // negatives
+	f.Add(seed([]float64{-10, 250, 33.3}, 4, 2, 9, 1))   // p outside [0, 100]
+	// One outlier 2^62 away: every other sample shares the first bucket, which
+	// refinement splits.
+	outlier := make([]int64, 100)
+	for i := range outlier {
+		outlier[i] = int64(i % 23)
+	}
+	outlier[40] = 1 << 62
+	f.Add(seed(pcts, outlier...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		np := int(data[0] % 16)
+		data = data[1:]
+		if len(data) < 8*np {
+			return
+		}
+		ps := make([]float64, np)
+		for i := range ps {
+			ps[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+			if math.IsNaN(ps[i]) {
+				return
+			}
+		}
+		data = data[8*np:]
+		samples := make([]time.Duration, len(data)/8)
+		for i := range samples {
+			samples[i] = time.Duration(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		before := slices.Clone(samples)
+		got := Percentiles(samples, ps...)
+		if !slices.Equal(samples, before) {
+			t.Fatalf("input modified")
+		}
+		if np == 0 {
+			if got != nil {
+				t.Fatalf("no percentiles returned %v", got)
+			}
+			return
+		}
+		slices.Sort(before)
+		if want := PercentilesSorted(before, ps...); !slices.Equal(got, want) {
+			t.Fatalf("ps=%v n=%d:\n got %v\nwant %v", ps, len(samples), got, want)
+		}
+	})
 }
 
 // BenchmarkPercentiles times p50/p95/p99 of one replay segment's worth of

@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 )
@@ -125,26 +126,21 @@ func Summarize(samples []time.Duration) Summary {
 
 // Percentiles returns the requested percentiles (each 0 <= p <= 100, clamped
 // otherwise) of the samples using linear interpolation between closest
-// ranks: PercentilesInPlace over a private copy. It returns nil for no
-// percentiles and all-zero values for an empty sample slice. The input is
-// not modified.
+// ranks: the values PercentilesSorted reads off a sorted copy, for every
+// input. It returns nil for no percentiles and all-zero values for an empty
+// sample slice. The samples are only read — never copied, never reordered —
+// so a replay selects over the series it still needs in stream order.
+//
+// Selection is by histogram. One pass finds the range; one counts the
+// samples into equal-width buckets, one per 8 to 16 samples (at least 16, at
+// most 2^16); the counts name the bucket that holds each rank the percentiles
+// read (the floor and ceil rank of each); one more pass gathers the samples
+// of those buckets, which are sorted and the ranks read off. A bucket too
+// large to gather is histogrammed again over its own range. Each level
+// divides the bucket width by the bucket count, so by the 16th level every
+// bucket holds a single value — for all-equal samples, negative ones and a
+// lone outlier 2^62 away too.
 func Percentiles(samples []time.Duration, ps ...float64) []time.Duration {
-	if len(ps) == 0 {
-		return nil
-	}
-	work := make([]time.Duration, len(samples))
-	copy(work, samples)
-	return PercentilesInPlace(work, ps...)
-}
-
-// PercentilesInPlace is Percentiles for a caller that is done with the
-// order of samples: it rearranges them instead of copying them. This is
-// selection, not a sort: the samples are partitioned until just the order
-// statistics the percentiles read (the floor and ceil rank of each) sit
-// where a sort would put them, so p50/p95/p99 of a long response-time series
-// cost O(n) — and the values are those of PercentilesSorted over a sorted
-// copy, for every input.
-func PercentilesInPlace(samples []time.Duration, ps ...float64) []time.Duration {
 	if len(ps) == 0 {
 		return nil
 	}
@@ -152,27 +148,136 @@ func PercentilesInPlace(samples []time.Duration, ps ...float64) []time.Duration 
 	if len(samples) == 0 {
 		return out
 	}
-	// The rank scratch is a fixed stack array, so long percentile lists are
-	// placed a batch at a time; each batch finds the samples further
-	// partitioned.
-	var ranks [2 * rankBatch]int
-	for base := 0; base < len(ps); base += rankBatch {
-		batch := ps[base:min(base+rankBatch, len(ps))]
-		for i, p := range batch {
-			ranks[2*i], ranks[2*i+1], _ = rankOf(len(samples), p)
-		}
-		need := ranks[:2*len(batch)]
-		slices.Sort(need)
-		selectRanks(samples, 0, need)
-		for i, p := range batch {
-			out[base+i] = percentileSorted(samples, p)
-		}
+	lo, hi := samples[0], samples[0]
+	for _, v := range samples[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	// One scratch allocation: the bucket counts, a gather pool a quarter
+	// their length, and per rank read its number, its value and a level's
+	// working rank and bucket.
+	k := min(max(bits.Len(uint(len(samples)))-4, 4), 16)
+	nb := 1<<k + 1<<(k-2)
+	nr := 2 * len(ps)
+	scratch := make([]uint64, nb+4*nr)
+	h := histogram{samples: samples, bits: k, counts: scratch[:1<<k], pool: scratch[1<<k : nb]}
+	keys := scratch[nb : nb+nr]
+	for i, p := range ps {
+		a, b, _ := rankOf(len(samples), p)
+		keys[2*i], keys[2*i+1] = uint64(a), uint64(b)
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	rest := scratch[nb+nr:]
+	ranks, vals, buckets := rest[:len(keys)], rest[nr:nr+len(keys)], rest[2*nr:2*nr+len(keys)]
+	copy(ranks, keys)
+	h.resolve(lo, uint64(hi-lo), ranks, vals, buckets)
+	valueAt := func(rank int) time.Duration {
+		i, _ := slices.BinarySearch(keys, uint64(rank))
+		return time.Duration(vals[i])
+	}
+	for i, p := range ps {
+		a, b, frac := rankOf(len(samples), p)
+		out[i] = interpolate(valueAt(a), valueAt(b), frac)
 	}
 	return out
 }
 
-// rankBatch is how many percentiles Percentiles places per selection pass.
-const rankBatch = 8
+// histogram is one Percentiles call: the samples, only ever read, and the
+// scratch every level of refinement reuses.
+type histogram struct {
+	samples []time.Duration
+	bits    int      // log2 of the bucket count
+	counts  []uint64 // a level's bucket counts, then its gather marks
+	pool    []uint64 // gathered samples, as offsets from their level's base
+}
+
+const (
+	// gathered marks a bucket whose samples the gather pass collects; the
+	// bits below it index the pool slot of the bucket's next sample.
+	gathered = 1 << 63
+	// resolved stands in for the bucket of a rank whose value is known.
+	resolved = ^uint64(0)
+)
+
+// resolve sets vals[i] to the sample of rank ranks[i] among the samples in
+// [base, base+span]; the ranks are ascending and distinct. It overwrites
+// ranks, and buckets is scratch of the same length.
+func (h *histogram) resolve(base time.Duration, span uint64, ranks, vals, buckets []uint64) {
+	// A sample below base wraps to an offset above span, since no range ends
+	// more than 2^64-1 past the smallest sample.
+	shift := max(bits.Len64(span)-h.bits, 0)
+	counts := h.counts[:span>>shift+1]
+	clear(counts)
+	for _, v := range h.samples {
+		if d := uint64(v - base); d <= span {
+			counts[d>>shift]++
+		}
+	}
+	// Each rank's bucket, and its rank among that bucket's samples.
+	b, below := uint64(0), uint64(0)
+	for i, r := range ranks {
+		for below+counts[b] <= r {
+			below += counts[b]
+			b++
+		}
+		buckets[i], ranks[i] = b, r-below
+	}
+	if shift == 0 { // every bucket holds one value
+		for i, b := range buckets {
+			vals[i] = uint64(base + time.Duration(b))
+		}
+		return
+	}
+	// Mark as many of the named buckets as the pool holds; their ranks
+	// become pool slots.
+	used := uint64(0)
+	for i, j := 0, 0; i < len(ranks); i = j {
+		b := buckets[i]
+		for j = i + 1; j < len(ranks) && buckets[j] == b; j++ {
+		}
+		if n := counts[b]; used+n <= uint64(len(h.pool)) {
+			for x := i; x < j; x++ {
+				ranks[x] += used
+			}
+			counts[b] = gathered | used
+			used += n
+		}
+	}
+	if used > 0 {
+		for b, c := range counts {
+			if c&gathered == 0 {
+				counts[b] = 0
+			}
+		}
+		for _, v := range h.samples {
+			if d := uint64(v - base); d <= span {
+				if c := counts[d>>shift]; c != 0 {
+					h.pool[c&^gathered] = d
+					counts[d>>shift] = c + 1
+				}
+			}
+		}
+		// The pool holds the marked buckets in bucket order, so one sort
+		// orders each of them.
+		slices.Sort(h.pool[:used])
+		for i, b := range buckets {
+			if counts[b] != 0 {
+				vals[i] = uint64(base + time.Duration(h.pool[ranks[i]]))
+				buckets[i] = resolved
+			}
+		}
+	}
+	// The rest are refined over their own bucket's range. The last bucket's
+	// may run past base+span, where no sample lies.
+	for i, j := 0, 0; i < len(ranks); i = j {
+		b := buckets[i]
+		for j = i + 1; j < len(ranks) && buckets[j] == b; j++ {
+		}
+		if b != resolved {
+			h.resolve(base+time.Duration(b<<shift), uint64(1)<<shift-1, ranks[i:j], vals[i:j], buckets[i:j])
+		}
+	}
+}
 
 // PercentilesSorted is Percentiles over samples the caller has already
 // sorted ascending: no copy, no sort, no allocation beyond the result.
@@ -182,7 +287,8 @@ func PercentilesSorted(sorted []time.Duration, ps ...float64) []time.Duration {
 		return out
 	}
 	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+		lo, hi, frac := rankOf(len(sorted), p)
+		out[i] = interpolate(sorted[lo], sorted[hi], frac)
 	}
 	return out
 }
@@ -196,90 +302,11 @@ func rankOf(n int, p float64) (lo, hi int, frac float64) {
 	return lo, hi, rank - float64(lo)
 }
 
-// percentileSorted reads the p-th percentile off sorted, of which only the
-// two ranks rankOf names need to be in their sorted places.
-func percentileSorted(sorted []time.Duration, p float64) time.Duration {
-	lo, hi, frac := rankOf(len(sorted), p)
-	if lo == hi {
-		return sorted[lo]
+// interpolate returns the value frac of the way from the sample at the
+// floor rank, a, to the one at the ceil rank, b.
+func interpolate(a, b time.Duration, frac float64) time.Duration {
+	if frac == 0 {
+		return a
 	}
-	return sorted[lo] + time.Duration(frac*float64(sorted[hi]-sorted[lo]))
-}
-
-// selectRanks rearranges s, the window of a longer slice that starts at
-// index off, until every index in ranks (ascending, all inside the window)
-// holds the value a full sort would put there: a three-way quickselect that
-// follows several ranks at once and never orders a stretch no rank falls in.
-func selectRanks(s []time.Duration, off int, ranks []int) {
-	for len(ranks) > 0 {
-		if len(s) <= 12 {
-			insertionSort(s)
-			return
-		}
-		lt, gt := partition3(s, pivotOf(s, off))
-		// s[:lt] < pivot, s[lt:gt] == pivot and so already placed, s[gt:] > pivot.
-		a := 0
-		for a < len(ranks) && ranks[a] < off+lt {
-			a++
-		}
-		b := a
-		for b < len(ranks) && ranks[b] < off+gt {
-			b++
-		}
-		// Recurse into the shorter side and loop on the longer, which bounds
-		// the stack at log2(n) frames whatever the pivots.
-		if lt < len(s)-gt {
-			selectRanks(s[:lt], off, ranks[:a])
-			s, off, ranks = s[gt:], off+gt, ranks[b:]
-		} else {
-			selectRanks(s[gt:], off+gt, ranks[b:])
-			s, ranks = s[:lt], ranks[:a]
-		}
-	}
-}
-
-// pivotOf returns the median of three elements of s picked by a fixed hash
-// of the window's position and length: deterministic, and no input ordering
-// (sorted, reversed, organ-pipe, periodic) can line up against it.
-func pivotOf(s []time.Duration, off int) time.Duration {
-	x := uint64(off)<<32 ^ uint64(len(s))
-	var v [3]time.Duration
-	for i := range v {
-		// splitmix64 step
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-		z = (z ^ z>>27) * 0x94d049bb133111eb
-		v[i] = s[(z^z>>31)%uint64(len(s))]
-	}
-	return max(min(v[0], v[1]), min(max(v[0], v[1]), v[2]))
-}
-
-// partition3 splits s around pivot into s[:lt] < pivot, s[lt:gt] == pivot
-// and s[gt:] > pivot. Response times repeat heavily (every cached read costs
-// the same), and the equal band is what makes such series one pass.
-func partition3(s []time.Duration, pivot time.Duration) (lt, gt int) {
-	gt = len(s)
-	for i := 0; i < gt; {
-		switch v := s[i]; {
-		case v < pivot:
-			s[i], s[lt] = s[lt], v
-			lt++
-			i++
-		case v > pivot:
-			gt--
-			s[i], s[gt] = s[gt], v
-		default:
-			i++
-		}
-	}
-	return lt, gt
-}
-
-func insertionSort(s []time.Duration) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return a + time.Duration(frac*float64(b-a))
 }

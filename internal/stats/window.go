@@ -69,12 +69,17 @@ func (w *Windowed) Windows() []Window {
 // Total returns the summary over every observation.
 func (w *Windowed) Total() Summary { return w.total.Summary() }
 
-// WindowSummaries slices a series into fixed-size windows and summarizes
-// each, a convenience over the streaming accumulator.
-func WindowSummaries(samples []time.Duration, size int) []Window {
+// WindowSummaries slices a series into fixed-size windows (size < 1 means
+// 1) and summarizes each, plus the whole series: the streaming accumulator
+// over a series already in hand, with the windows sized once from its length.
+func WindowSummaries(samples []time.Duration, size int) (Summary, []Window) {
 	w := NewWindowed(size)
+	w.done = make([]Window, 0, (int64(len(samples))+w.size-1)/w.size)
 	for _, d := range samples {
 		w.AddDuration(d)
 	}
-	return w.Windows()
+	if w.cur.N() > 0 {
+		w.seal()
+	}
+	return w.Total(), w.done
 }

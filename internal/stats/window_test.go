@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -66,11 +67,37 @@ func TestWindowedTotalMatchesSummarize(t *testing.T) {
 }
 
 func TestWindowSummariesConvenience(t *testing.T) {
-	if got := WindowSummaries(nil, 10); len(got) != 0 {
-		t.Fatalf("empty series produced %d windows", len(got))
+	if total, got := WindowSummaries(nil, 10); len(got) != 0 || total.N != 0 {
+		t.Fatalf("empty series produced %d windows, total %+v", len(got), total)
 	}
-	got := WindowSummaries([]time.Duration{time.Millisecond, time.Millisecond}, 0)
+	_, got := WindowSummaries([]time.Duration{time.Millisecond, time.Millisecond}, 0)
 	if len(got) != 2 { // size < 1 clamps to 1: one window per sample
 		t.Fatalf("size 0 produced %d windows, want 2", len(got))
+	}
+}
+
+// TestWindowSummariesMatchesStreaming: the series function returns what the
+// streaming accumulator does, in one allocation of exactly the windows.
+func TestWindowSummariesMatchesStreaming(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 63, 64, 65, 1000} {
+		samples := make([]time.Duration, n)
+		for i := range samples {
+			samples[i] = time.Duration(rng.Int63n(int64(time.Millisecond)))
+		}
+		w := NewWindowed(64)
+		for _, d := range samples {
+			w.AddDuration(d)
+		}
+		total, windows := WindowSummaries(samples, 64)
+		if total != w.Total() || !reflect.DeepEqual(windows, w.Windows()) {
+			t.Fatalf("n=%d: WindowSummaries differs from the streaming accumulator", n)
+		}
+		if cap(windows) != len(windows) {
+			t.Fatalf("n=%d: %d windows in a slice of capacity %d", n, len(windows), cap(windows))
+		}
+		if allocs := testing.AllocsPerRun(10, func() { WindowSummaries(samples, 64) }); allocs > 2 {
+			t.Fatalf("n=%d: WindowSummaries allocates %.0f times, want <= 2 (accumulator + windows)", n, allocs)
+		}
 	}
 }

@@ -374,10 +374,10 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// TestReplayUTRAllocs pins what a .utr replay allocates per op: two words
-// (the stream-order response times and the selection copy) plus one decode
-// buffer per worker — not a fresh op slice per segment, per-run submit
-// times, a merged series and a selection copy on top, which was 70 B/op.
+// TestReplayUTRAllocs pins what a .utr replay allocates per op: one word
+// (the stream-order response times) plus one decode buffer per worker — not
+// a fresh op slice per segment, per-run submit times, a merged series and a
+// selection copy on top, which was 70 B/op.
 func TestReplayUTRAllocs(t *testing.T) {
 	const total, segOps = 200_000, 10_000
 	ops, err := workload.OLTP{PageSize: 8192, TargetSize: 1 << 30, ReadFraction: 0.9, Count: total, Seed: 3}.Generate()
@@ -404,6 +404,36 @@ func TestReplayUTRAllocs(t *testing.T) {
 	}
 	if perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / total; perOp > 48 {
 		t.Fatalf("a %d-op .utr replay allocated %.1f B/op, want <= 48", res.Ops, perOp)
+	}
+}
+
+// TestReplaySourceAllocs pins that a replay keeps one copy of its response
+// times: from an in-memory stream, which decodes nothing, it allocates under
+// one word per op plus a constant per segment — its run and job, and its
+// share of the selection scratch and the windows, about 15 KiB together at
+// 10,000 ops. The percentiles and windows read the stream-order series where
+// it lies; a selection copy beside it was a second word per op.
+func TestReplaySourceAllocs(t *testing.T) {
+	const total, segOps, perSegment = 200_000, 10_000, 32 << 10
+	ops, err := workload.OLTP{PageSize: 8192, TargetSize: 1 << 30, ReadFraction: 0.9, Count: total, Seed: 3}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func(engine.Shard) (device.Device, time.Duration, error) {
+		return device.NewMemDevice("mem", 1<<30, time.Microsecond, time.Microsecond), 0, nil
+	}
+	src := workload.OpsSource("allocs", ops)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res, err := workload.ReplaySource(context.Background(), src, factory, workload.Options{SegmentOps: segOps, Workers: 2})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := uint64(8*total + perSegment*len(res.Segments))
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= limit {
+		t.Fatalf("a %d-op replay in %d segments allocated %d B (%.1f B/op), want < %d",
+			res.Ops, len(res.Segments), got, float64(got)/total, limit)
 	}
 }
 

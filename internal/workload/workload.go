@@ -287,11 +287,8 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// rts is the stream-order series each segment replays into; sel is the
-	// copy percentile selection will rearrange, gathered by the workers while
-	// their segment is still in cache so the tail allocates nothing.
+	// rts is the stream-order series each segment replays into.
 	rts := make([]time.Duration, total)
-	sel := make([]time.Duration, total)
 	decoder, _ := src.(SegmentDecoder)
 	var bufs segmentBufs
 	jobs := make([]engine.Job, 0, (total+segOps-1)/segOps)
@@ -323,7 +320,6 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 				if err != nil {
 					return nil, err
 				}
-				copy(sel[start:start+n], run.RTs)
 				run.Name = fmt.Sprintf("%s[%d:%d]", name, start, start+n)
 				return run, nil
 			},
@@ -346,21 +342,17 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 		res.Faults.Add(run.Faults)
 	}
 	// The stream-order Welford total depends on the order of every sample to
-	// the last bit, so it stays one pass on this goroutine; selection shares
-	// no data with it and runs beside it when the job has a second worker.
+	// the last bit, so it stays one pass on this goroutine; selection only
+	// reads the series too and runs beside it when the job has a second
+	// worker.
 	selected := make(chan []time.Duration, 1)
-	selectPcts := func() { selected <- stats.PercentilesInPlace(sel, 50, 95, 99) }
+	selectPcts := func() { selected <- stats.Percentiles(rts, 50, 95, 99) }
 	if workers > 1 {
 		go selectPcts()
 	} else {
 		selectPcts()
 	}
-	w := stats.NewWindowed(opts.windowOps())
-	for _, rt := range rts {
-		w.AddDuration(rt)
-	}
-	res.Total = w.Total()
-	res.Windows = w.Windows()
+	res.Total, res.Windows = stats.WindowSummaries(rts, opts.windowOps())
 	pcts := <-selected
 	res.P50, res.P95, res.P99 = pcts[0], pcts[1], pcts[2]
 	return res, nil
