@@ -143,11 +143,12 @@
 //
 // A differential and fuzz test layer guards the simulator: 1-member arrays
 // are pinned byte-identical to their raw member over the full
-// micro-benchmark suite and the workload generators; the FTL data plane
-// (ftl.DataPlane over flash.WithDataStorage) carries real payload bytes
-// through out-of-place writes, merges, reclamation and cache flushes so a
-// read-after-write oracle can verify data integrity under OLTP/Zipf
-// workloads; and native go fuzz targets (make fuzz-smoke) cover the
+// micro-benchmark suite and the workload generators; OLTP/Zipf replays hold
+// every translation stack to its chips' operation counts and to a clone
+// taken half-way, and two stateful fuzz targets drive each FTL, bare and
+// cached, beside a twin that is never reset or restored (the simulator is
+// timing-only: no chip stores payload bytes, since no reported time depends
+// on them); and native go fuzz targets (make fuzz-smoke) cover the
 // block-trace CSV, result CSV and array-spec parsers and the two batch
 // primitives (SubmitBatch, the chip run operations) with committed seed
 // corpora.

@@ -38,12 +38,13 @@ func driveRandom(t testing.TB, d device.Device, seed int64, n int) []time.Durati
 	return out
 }
 
-// dataStack is a payload-retaining cache + PageFTL stack: chip page data,
-// relocation staging and buffered line payloads all have to be carried.
+// dataStack is a hand-built cache + PageFTL stack with asynchronous
+// reclamation and read stealing, holding data written at unaligned offsets
+// before the test drives it.
 func dataStack(t testing.TB) device.Cloneable {
 	t.Helper()
 	const logical = 4 << 20
-	arr, err := ftl.NewUniformArray(2, flash.SLC, logical+24*128*1024, flash.WithDataStorage())
+	arr, err := ftl.NewUniformArray(2, flash.SLC, logical+24*128*1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +62,8 @@ func dataStack(t testing.TB) device.Cloneable {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, 6000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
 	for off := int64(1000); off < logical/2; off += 300_000 {
-		if _, err := cache.WriteData(off, payload); err != nil {
+		if _, err := cache.Write(off, 6000); err != nil {
 			t.Fatal(err)
 		}
 	}

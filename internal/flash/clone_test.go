@@ -1,7 +1,6 @@
 package flash
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -23,10 +22,10 @@ func restore(c *Chip, s *ChipState) error {
 	return nil
 }
 
-func cloneTestChip(t *testing.T, opts ...Option) *Chip {
+func cloneTestChip(t *testing.T) *Chip {
 	t.Helper()
 	geo := Geometry{PageSize: 512, OOBSize: 16, PagesPerBlock: 4, Blocks: 8, Planes: 2}
-	c, err := NewChip(geo, SLC, opts...)
+	c, err := NewChip(geo, SLC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +36,10 @@ func cloneTestChip(t *testing.T, opts ...Option) *Chip {
 // then drives the same operation sequence on both and checks durations,
 // errors, stats and wear all match while the copies stay independent.
 func TestChipCloneEquivalence(t *testing.T) {
-	c := cloneTestChip(t, WithDataStorage())
-	payload := []byte("uflip-clone")
+	c := cloneTestChip(t)
 	for b := 0; b < 4; b++ {
 		for p := 0; p < 3; p++ {
-			if _, err := c.ProgramPage(b, p, payload); err != nil {
+			if _, err := c.ProgramPage(b, p, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -65,27 +63,16 @@ func TestChipCloneEquivalence(t *testing.T) {
 			t.Fatalf("read (%d,%d): %v/%v vs %v/%v", op.block, op.page, da, ea, db, eb)
 		}
 	}
-	got, err := cl.ReadData(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("clone payload %q, want %q", got, payload)
-	}
 
 	// Mutating the clone must not leak into the original.
 	if _, err := cl.EraseBlock(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.ProgramPage(0, 0, []byte("changed")); err != nil {
+	if _, err := cl.ProgramPage(0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	orig, err := c.ReadData(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig, payload) {
-		t.Fatalf("original payload mutated through clone: %q", orig)
+	if next, _ := c.NextProgramPage(0); next != 3 {
+		t.Fatalf("original's cursor moved to %d through the clone", next)
 	}
 	ecO, _ := c.EraseCount(0)
 	ecC, _ := cl.EraseCount(0)
@@ -99,43 +86,6 @@ func TestChipCloneEquivalence(t *testing.T) {
 	}
 }
 
-// TestProgramReusesPayloadBuffer pins the program-path buffer reuse: after a
-// block cycles once, re-programming its pages with payloads of the same size
-// allocates nothing (the old buffer is overwritten in place).
-func TestProgramReusesPayloadBuffer(t *testing.T) {
-	c := cloneTestChip(t, WithDataStorage())
-	payload := make([]byte, 512)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	cycle := func() {
-		for p := 0; p < c.Geometry().PagesPerBlock; p++ {
-			if _, err := c.ProgramPage(0, p, payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := c.EraseBlock(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cycle() // first cycle allocates the buffers
-	allocs := testing.AllocsPerRun(100, cycle)
-	if allocs != 0 {
-		t.Fatalf("program/erase cycle allocates %.2f times, want 0 after warm-up", allocs)
-	}
-	// The stored data still round-trips after reuse.
-	if _, err := c.ProgramPage(0, 0, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadData(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "abc" {
-		t.Fatalf("payload after reuse = %q, want %q", got, "abc")
-	}
-}
-
 // TestRestoreRejectsImpossibleBlockState: each row edits one field of a live
 // chip's state into something no chip could hold and names the validator's
 // complaint. Restore must refuse the state and leave the chip untouched; both
@@ -143,7 +93,7 @@ func TestProgramReusesPayloadBuffer(t *testing.T) {
 // is no row: the state's field type cannot hold one.)
 func TestRestoreRejectsImpossibleBlockState(t *testing.T) {
 	c := cloneTestChip(t)
-	if _, err := c.ProgramRun(0, 0, 2, nil); err != nil {
+	if _, err := c.ProgramRun(0, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ReadPage(0, 1); err != nil {
@@ -165,7 +115,6 @@ func TestRestoreRejectsImpossibleBlockState(t *testing.T) {
 		{"a block short", func(s *ChipState) { s.Blocks = s.Blocks[:len(s.Blocks)-1] }, "blocks"},
 		{"a plane short", func(s *ChipState) { s.CachedPage = s.CachedPage[:1] }, "planes"},
 		{"negative counter", func(s *ChipState) { s.Stats.Erases = -1 }, "counters"},
-		{"payload on a chip that stores none", func(s *ChipState) { s.Data = map[int64][]byte{0: {1}} }, "payloads"},
 	} {
 		s := snapshot(c)
 		row.corrupt(s)
@@ -190,19 +139,5 @@ func TestRestoreRejectsImpossibleBlockState(t *testing.T) {
 	}
 	if err := c.Audit(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestNilPayloadMapRestores: a data-storing chip restored from a state whose
-// payload map is nil — what gob makes of an empty map — still stores data.
-func TestNilPayloadMapRestores(t *testing.T) {
-	c := cloneTestChip(t, WithDataStorage())
-	s := snapshot(c)
-	s.Data = nil
-	if err := restore(c, s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ProgramPage(0, 0, []byte("x")); err != nil {
-		t.Fatalf("chip restored from a nil payload map cannot store data: %v", err)
 	}
 }

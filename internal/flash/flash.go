@@ -13,9 +13,10 @@
 // ReadRun). The single-page operations are the one-page case of the run
 // operations.
 //
-// The chip does not store payload data by default — the simulator is about
-// timing, and a 32 GB device would need 32 GB of RAM — but payload storage
-// can be enabled for integrity testing on small chips.
+// The chip stores no payload bytes. uFLIP measures response times, and no
+// time the simulator reports depends on what a page holds — only on which
+// pages are programmed, which the cursors say — while a 32 GB device's
+// payloads would need 32 GB of RAM.
 package flash
 
 import (
@@ -124,15 +125,13 @@ func TypicalTiming(c CellType) Timing {
 
 // Errors returned by chip operations.
 var (
-	ErrBadBlock       = errors.New("flash: block is marked bad")
-	ErrWornOut        = errors.New("flash: block exceeded its erase budget")
-	ErrNotErased      = errors.New("flash: programming a page that is not erased")
-	ErrOutOfOrder     = errors.New("flash: pages must be programmed sequentially within a block")
-	ErrOutOfRange     = errors.New("flash: address out of range")
-	ErrReadErased     = errors.New("flash: reading an erased page")
-	ErrDataDisabled   = errors.New("flash: payload storage is disabled on this chip")
-	ErrBadGeometry    = errors.New("flash: invalid geometry")
-	ErrPayloadTooLong = errors.New("flash: payload longer than page size")
+	ErrBadBlock    = errors.New("flash: block is marked bad")
+	ErrWornOut     = errors.New("flash: block exceeded its erase budget")
+	ErrNotErased   = errors.New("flash: programming a page that is not erased")
+	ErrOutOfOrder  = errors.New("flash: pages must be programmed sequentially within a block")
+	ErrOutOfRange  = errors.New("flash: address out of range")
+	ErrReadErased  = errors.New("flash: reading an erased page")
+	ErrBadGeometry = errors.New("flash: invalid geometry")
 )
 
 // PageState is what the chip knows about a page, derived from the block's
@@ -176,27 +175,15 @@ type ChipState struct {
 	// cell-array read.
 	CachedBlock []int
 	CachedPage  []int
-	// Data holds page payloads by global page index; nil unless the chip
-	// stores data. Buffers of erased pages stay behind for reuse.
-	Data map[int64][]byte
 }
 
 // CopyFrom makes s a deep copy of src, reusing s's buffers; s may be a zero
-// value. It is the one traversal of the chip's state. A nil src.Data means no
-// payloads (gob decodes an empty map as nil) and leaves s a usable empty map
-// if it had one.
+// value. It is the one traversal of the chip's state.
 func (s *ChipState) CopyFrom(src *ChipState) {
 	s.Blocks = append(s.Blocks[:0], src.Blocks...)
 	s.Stats = src.Stats
 	s.CachedBlock = append(s.CachedBlock[:0], src.CachedBlock...)
 	s.CachedPage = append(s.CachedPage[:0], src.CachedPage...)
-	if s.Data == nil && src.Data != nil {
-		s.Data = make(map[int64][]byte, len(src.Data))
-	}
-	clear(s.Data)
-	for k, v := range src.Data {
-		s.Data[k] = append([]byte(nil), v...)
-	}
 }
 
 // audit states the chip's invariant: whether a chip built as cfg could be
@@ -208,8 +195,6 @@ func (s *ChipState) audit(cfg *chipConfig) error {
 		return fmt.Errorf("flash: state has %d blocks, chip %d", len(s.Blocks), geo.Blocks)
 	case len(s.CachedBlock) != geo.Planes || len(s.CachedPage) != geo.Planes:
 		return fmt.Errorf("flash: state register contents do not match %d planes", geo.Planes)
-	case len(s.Data) > 0 && !cfg.storeData:
-		return fmt.Errorf("flash: state carries %d payloads but the chip does not store data", len(s.Data))
 	case s.Stats.Reads < 0 || s.Stats.Programs < 0 || s.Stats.Erases < 0:
 		return fmt.Errorf("flash: state has negative operation counters %+v", s.Stats)
 	}
@@ -233,8 +218,7 @@ type chipConfig struct {
 	cell   CellType
 	// transfer is the register <-> controller time for one page plus OOB,
 	// precomputed from the timing so the per-IO paths do not multiply.
-	transfer  time.Duration
-	storeData bool
+	transfer time.Duration
 }
 
 // Chip is one simulated NAND flash chip. It is not safe for concurrent use;
@@ -245,20 +229,8 @@ type Chip struct {
 	st  ChipState
 }
 
-// Option configures a Chip at construction time.
-type Option func(*Chip)
-
-// WithDataStorage enables payload storage so tests can verify read-after-
-// write integrity. Only sensible for small chips.
-func WithDataStorage() Option {
-	return func(c *Chip) {
-		c.cfg.storeData = true
-		c.st.Data = make(map[int64][]byte)
-	}
-}
-
 // NewChip builds a chip with the given geometry and cell type, fully erased.
-func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
+func NewChip(geo Geometry, cell CellType) (*Chip, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
@@ -274,17 +246,13 @@ func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 		c.st.CachedBlock[p] = -1
 		c.st.CachedPage[p] = -1
 	}
-	for _, opt := range opts {
-		opt(c)
-	}
 	c.cfg.transfer = time.Duration(geo.PageSize+geo.OOBSize) * c.cfg.timing.PerByte
 	return c, nil
 }
 
-// Clone returns a deep copy of the chip: block cursors, wear
-// counters, operation stats, page-register contents and (when payload
-// storage is enabled) the stored data. The clone and the original evolve
-// independently; driving both with the same operation sequence yields
+// Clone returns a deep copy of the chip: block cursors, wear counters,
+// operation stats and page-register contents. The clone and the original
+// evolve independently; driving both with the same operation sequence yields
 // identical durations, errors and stats.
 func (c *Chip) Clone() *Chip {
 	g := &Chip{}
@@ -319,10 +287,6 @@ func (c *Chip) Audit() error { return c.Check(&c.st) }
 
 // Geometry returns the chip geometry.
 func (c *Chip) Geometry() Geometry { return c.cfg.geo }
-
-// StoresData reports whether the chip retains page payloads
-// (WithDataStorage).
-func (c *Chip) StoresData() bool { return c.cfg.storeData }
 
 // Cell returns the chip's cell type.
 func (c *Chip) Cell() CellType { return c.cfg.cell }
@@ -384,10 +348,6 @@ func (c *Chip) checkAddr(block, page int) error {
 	return nil
 }
 
-func (c *Chip) pageIndex(block, page int) int64 {
-	return int64(block)*int64(c.cfg.geo.PagesPerBlock) + int64(page)
-}
-
 // ReadPage reads one page into the plane's page register and transfers it to
 // the controller, returning the operation's duration. Reading the page
 // already held in the register skips the cell-array read (the page-cache
@@ -430,41 +390,22 @@ func (c *Chip) ReadRun(block, first, n int) (time.Duration, error) {
 	return time.Duration(n)*c.cfg.transfer + time.Duration(misses)*c.cfg.timing.ReadPage, nil
 }
 
-// ReadData returns the payload of a page; requires WithDataStorage. The
-// returned slice aliases the chip's internal buffer and is only valid until
-// the page is reprogrammed (after an erase, programming overwrites the same
-// buffer in place); callers that retain the payload must copy it.
-func (c *Chip) ReadData(block, page int) ([]byte, error) {
-	if !c.cfg.storeData {
-		return nil, ErrDataDisabled
-	}
-	if err := c.checkAddr(block, page); err != nil {
-		return nil, err
-	}
-	if page >= int(c.st.Blocks[block].NextPage) {
-		return nil, ErrReadErased
-	}
-	return c.st.Data[c.pageIndex(block, page)], nil
-}
-
 // ProgramPage programs one page, enforcing that the page is erased and that
-// pages within a block are programmed in order. payload may be nil; when the
-// chip stores data, the payload (up to PageSize bytes) is retained.
-func (c *Chip) ProgramPage(block, page int, payload []byte) (time.Duration, error) {
-	return c.ProgramRun(block, page, 1, payload)
+// pages within a block are programmed in order. The payload is ignored: the
+// chip stores no bytes (see the package comment).
+func (c *Chip) ProgramPage(block, page int, _ []byte) (time.Duration, error) {
+	return c.ProgramRun(block, page, 1)
 }
 
 // ProgramRun programs the n >= 1 consecutive pages [first, first+n) of a
 // block, which must start at the block's program cursor, returning their total
-// duration. payload may be nil; otherwise it is the pages' payloads back to
-// back, PageSize bytes each (the last may be shorter), retained when the
-// chip stores data. It validates once and either programs the whole run or
+// duration. It validates once and either programs the whole run or
 // fails without side effects, with the error the first offending page would
 // have produced; on success the page register and the stats are exactly as
 // after n single-page programs.
 //
 //uflint:hotpath
-func (c *Chip) ProgramRun(block, first, n int, payload []byte) (time.Duration, error) {
+func (c *Chip) ProgramRun(block, first, n int) (time.Duration, error) {
 	if c.checkAddr(block, first) != nil || n < 1 {
 		return 0, ErrOutOfRange
 	}
@@ -478,35 +419,13 @@ func (c *Chip) ProgramRun(block, first, n int, payload []byte) (time.Duration, e
 		return 0, ErrOutOfOrder
 	case n > c.cfg.geo.PagesPerBlock-first:
 		return 0, ErrOutOfRange
-	case len(payload) > n*c.cfg.geo.PageSize:
-		return 0, ErrPayloadTooLong
 	}
 	b.NextPage += int16(n)
 	c.st.Stats.Programs += int64(n)
-	if c.cfg.storeData {
-		c.storeRun(c.pageIndex(block, first), n, payload)
-	}
 	// Invalidate the register if it held a page of this plane.
 	plane := c.cfg.geo.Plane(block)
 	c.st.CachedBlock[plane], c.st.CachedPage[plane] = -1, -1
 	return time.Duration(n) * (c.cfg.transfer + c.cfg.timing.ProgramPage), nil
-}
-
-// storeRun retains the payloads of n pages starting at global page index
-// idx, reusing each page's previous buffer (kept across erases) instead of
-// allocating a fresh one per program.
-func (c *Chip) storeRun(idx int64, n int, payload []byte) {
-	for i := 0; i < n; i++ {
-		page := payload[min(i*c.cfg.geo.PageSize, len(payload)):min((i+1)*c.cfg.geo.PageSize, len(payload))]
-		buf := c.st.Data[idx+int64(i)]
-		if cap(buf) >= len(page) {
-			buf = buf[:len(page)]
-		} else {
-			buf = make([]byte, len(page))
-		}
-		copy(buf, page)
-		c.st.Data[idx+int64(i)] = buf
-	}
 }
 
 // EraseBlock erases a block, returning it to the all-erased state. When the
@@ -526,8 +445,6 @@ func (c *Chip) EraseBlock(block int) (time.Duration, error) {
 		b.Bad = true
 		return c.cfg.timing.EraseBlock, ErrWornOut
 	}
-	// Payload buffers are kept (the cursor already marks them stale) so the
-	// next program of the page can overwrite them in place.
 	b.NextPage = 0
 	plane := c.cfg.geo.Plane(block)
 	if c.st.CachedBlock[plane] == block {

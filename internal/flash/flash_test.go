@@ -11,9 +11,9 @@ func testGeo() Geometry {
 	return Geometry{PageSize: 2048, OOBSize: 64, PagesPerBlock: 4, Blocks: 8, Planes: 2}
 }
 
-func newTestChip(t *testing.T, opts ...Option) *Chip {
+func newTestChip(t *testing.T) *Chip {
 	t.Helper()
-	c, err := NewChip(testGeo(), SLC, opts...)
+	c, err := NewChip(testGeo(), SLC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,54 +210,6 @@ func TestPageRegisterCache(t *testing.T) {
 	}
 	if third != first {
 		t.Fatalf("read after register invalidation cost %v, want %v", third, first)
-	}
-}
-
-func TestDataStorageRoundTrip(t *testing.T) {
-	c := newTestChip(t, WithDataStorage())
-	payload := []byte("hello flash")
-	if _, err := c.ProgramPage(0, 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadData(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(payload) {
-		t.Fatalf("ReadData = %q", got)
-	}
-	// Erase clears data.
-	if _, err := c.EraseBlock(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ReadData(0, 0); !errors.Is(err, ErrReadErased) {
-		t.Fatalf("ReadData after erase gave %v", err)
-	}
-	// Payload isolation: mutating the caller's buffer must not change
-	// stored data.
-	buf := []byte{1, 2, 3}
-	if _, err := c.ProgramPage(0, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 99
-	got, _ = c.ReadData(0, 0)
-	if got[0] != 1 {
-		t.Fatal("stored payload aliases caller buffer")
-	}
-}
-
-func TestDataStorageDisabled(t *testing.T) {
-	c := newTestChip(t)
-	if _, err := c.ReadData(0, 0); !errors.Is(err, ErrDataDisabled) {
-		t.Fatalf("ReadData without storage gave %v", err)
-	}
-}
-
-func TestPayloadTooLong(t *testing.T) {
-	c := newTestChip(t, WithDataStorage())
-	big := make([]byte, testGeo().PageSize+1)
-	if _, err := c.ProgramPage(0, 0, big); !errors.Is(err, ErrPayloadTooLong) {
-		t.Fatalf("oversized payload gave %v", err)
 	}
 }
 

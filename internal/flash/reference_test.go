@@ -1,7 +1,6 @@
 package flash
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -23,7 +22,6 @@ type refChip struct {
 	stats       Stats
 	cachedBlock []int
 	cachedPage  []int
-	data        map[int64][]byte
 }
 
 type refBlock struct {
@@ -41,7 +39,6 @@ func newRefChip(geo Geometry, cell CellType) *refChip {
 		pages:       make([]PageState, geo.Blocks*geo.PagesPerBlock),
 		cachedBlock: make([]int, geo.Planes),
 		cachedPage:  make([]int, geo.Planes),
-		data:        make(map[int64][]byte),
 	}
 	for p := range r.cachedBlock {
 		r.cachedBlock[p], r.cachedPage[p] = -1, -1
@@ -56,10 +53,6 @@ func (r *refChip) clone() *refChip {
 	g.pages = append([]PageState(nil), r.pages...)
 	g.cachedBlock = append([]int(nil), r.cachedBlock...)
 	g.cachedPage = append([]int(nil), r.cachedPage...)
-	g.data = make(map[int64][]byte, len(r.data))
-	for k, v := range r.data {
-		g.data[k] = append([]byte(nil), v...)
-	}
 	return &g
 }
 
@@ -92,17 +85,7 @@ func (r *refChip) readPage(block, page int) (time.Duration, error) {
 	return d + r.transfer, nil
 }
 
-func (r *refChip) readData(block, page int) ([]byte, error) {
-	if err := r.checkAddr(block, page); err != nil {
-		return nil, err
-	}
-	if r.pages[r.pageIndex(block, page)] != PageProgrammed {
-		return nil, ErrReadErased
-	}
-	return r.data[int64(r.pageIndex(block, page))], nil
-}
-
-func (r *refChip) programPage(block, page int, payload []byte) (time.Duration, error) {
+func (r *refChip) programPage(block, page int) (time.Duration, error) {
 	if err := r.checkAddr(block, page); err != nil {
 		return 0, err
 	}
@@ -116,13 +99,9 @@ func (r *refChip) programPage(block, page int, payload []byte) (time.Duration, e
 	if page != b.nextPage {
 		return 0, ErrOutOfOrder
 	}
-	if len(payload) > r.geo.PageSize {
-		return 0, ErrPayloadTooLong
-	}
 	r.pages[r.pageIndex(block, page)] = PageProgrammed
 	b.nextPage++
 	r.stats.Programs++
-	r.data[int64(r.pageIndex(block, page))] = append([]byte(nil), payload...)
 	plane := r.geo.Plane(block)
 	r.cachedBlock[plane], r.cachedPage[plane] = -1, -1
 	return r.transfer + r.timing.ProgramPage, nil
@@ -164,14 +143,14 @@ func (r *refChip) markBad(block int) error {
 // failure it puts the chip back as it was before the run and reports that
 // page's error: the all-or-nothing contract of the run operations. A run has
 // at least one page; fewer is out of range.
-func (r *refChip) run(first, n int, op func(i, page int) (time.Duration, error)) (time.Duration, error) {
+func (r *refChip) run(first, n int, op func(page int) (time.Duration, error)) (time.Duration, error) {
 	if n < 1 {
 		return 0, ErrOutOfRange
 	}
 	before := r.clone()
 	var total time.Duration
 	for i := 0; i < n; i++ {
-		d, err := op(i, first+i)
+		d, err := op(first + i)
 		if err != nil {
 			*r = *before
 			return 0, err
@@ -182,20 +161,11 @@ func (r *refChip) run(first, n int, op func(i, page int) (time.Duration, error))
 }
 
 func (r *refChip) readRun(block, first, n int) (time.Duration, error) {
-	return r.run(first, n, func(_, page int) (time.Duration, error) { return r.readPage(block, page) })
+	return r.run(first, n, func(page int) (time.Duration, error) { return r.readPage(block, page) })
 }
 
-// programRun splits payload into PageSize pieces; whatever is left past the
-// run's last page stays with that page, which is then the one to refuse it.
-func (r *refChip) programRun(block, first, n int, payload []byte) (time.Duration, error) {
-	ps := r.geo.PageSize
-	return r.run(first, n, func(i, page int) (time.Duration, error) {
-		piece := payload[min(i*ps, len(payload)):]
-		if i < n-1 {
-			piece = piece[:min(ps, len(piece))]
-		}
-		return r.programPage(block, page, piece)
-	})
+func (r *refChip) programRun(block, first, n int) (time.Duration, error) {
+	return r.run(first, n, func(page int) (time.Duration, error) { return r.programPage(block, page) })
 }
 
 var runFuzzGeo = Geometry{PageSize: 4, OOBSize: 1, PagesPerBlock: 4, Blocks: 6, Planes: 2}
@@ -205,7 +175,7 @@ var runFuzzGeo = Geometry{PageSize: 4, OOBSize: 1, PagesPerBlock: 4, Blocks: 6, 
 // short sequence can wear them out.
 func newRunFuzzPair(t *testing.T) (*Chip, *refChip) {
 	t.Helper()
-	c, err := NewChip(runFuzzGeo, SLC, WithDataStorage())
+	c, err := NewChip(runFuzzGeo, SLC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +220,6 @@ func requireSameChip(t *testing.T, step int, c *Chip, ref *refChip) {
 			if refErr := ref.checkAddr(b, p); err != refErr || (err == nil && st != ref.pages[ref.pageIndex(b, p)]) {
 				t.Fatalf("step %d: PageStateAt(%d,%d) = %v, %v; reference err %v", step, b, p, st, err, refErr)
 			}
-			data, err := c.ReadData(b, p)
-			refData, refErr := ref.readData(b, p)
-			if err != refErr || !bytes.Equal(data, refData) {
-				t.Fatalf("step %d: ReadData(%d,%d) = %q, %v; reference %q, %v", step, b, p, data, err, refData, refErr)
-			}
 			d, err := c.Clone().ReadPage(b, p)
 			refD, refErr := ref.clone().readPage(b, p)
 			if d != refD || err != refErr {
@@ -265,9 +230,10 @@ func requireSameChip(t *testing.T, step int, c *Chip, ref *refChip) {
 }
 
 // runOps decodes ops five bytes at a time — kind, block, first page, page
-// count, payload length — into program-run / read-run / erase / mark-bad /
-// single-page calls whose arguments reach one past every bound, applies each
-// to both chips and compares them after every step.
+// count, and a fifth byte that once gave a payload length and is ignored, so
+// the committed corpus keeps its steps — into program-run / read-run / erase /
+// mark-bad / single-page calls whose arguments reach one past every bound,
+// applies each to both chips and compares them after every step.
 func runOps(t *testing.T, ops []byte) {
 	c, ref := newRunFuzzPair(t)
 	g := runFuzzGeo
@@ -276,19 +242,12 @@ func runOps(t *testing.T, ops []byte) {
 		block := int(ops[1]%uint8(g.Blocks+2)) - 1
 		first := int(ops[2]%uint8(g.PagesPerBlock+3)) - 1
 		n := int(ops[3]%uint8(g.PagesPerBlock+4)) - 1
-		var payload []byte
-		if l := int(ops[4] % 32); l > 0 {
-			payload = make([]byte, l-1) // up to 30 bytes: longer than any run that fits
-			for i := range payload {
-				payload[i] = ops[4] ^ byte(i) ^ byte(step)
-			}
-		}
 		var d, refD time.Duration
 		var err, refErr error
 		switch kind := ops[0] % 8; {
 		case kind <= 2:
-			d, err = c.ProgramRun(block, first, n, payload)
-			refD, refErr = ref.programRun(block, first, n, payload)
+			d, err = c.ProgramRun(block, first, n)
+			refD, refErr = ref.programRun(block, first, n)
 		case kind <= 4:
 			d, err = c.ReadRun(block, first, n)
 			refD, refErr = ref.readRun(block, first, n)
@@ -301,8 +260,8 @@ func runOps(t *testing.T, ops []byte) {
 			d, err = c.ReadPage(block, first)
 			refD, refErr = ref.readPage(block, first)
 		default:
-			d, err = c.ProgramPage(block, first, payload)
-			refD, refErr = ref.programPage(block, first, payload)
+			d, err = c.ProgramPage(block, first, nil)
+			refD, refErr = ref.programPage(block, first)
 		}
 		if d != refD || err != refErr {
 			t.Fatalf("step %d: op % x: got %v, %v; reference %v, %v", step, ops[:5], d, err, refD, refErr)
@@ -314,7 +273,7 @@ func runOps(t *testing.T, ops []byte) {
 // FuzzChipRunEquivalence is the differential test of the cursor-as-state
 // chip and its run operations against the page-at-a-time reference: random
 // sequences, invalid ones included, must produce the same errors, durations,
-// page states, cursors, wear, stats, payloads and register contents.
+// page states, cursors, wear, stats and register contents.
 func FuzzChipRunEquivalence(f *testing.F) {
 	// The hand-written sequences (fill and read back across the register,
 	// wear-out, every invalid run, bad blocks) are the committed corpus in

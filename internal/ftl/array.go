@@ -85,7 +85,7 @@ func NewArray(chips []*flash.Chip) (*Array, error) {
 // NewUniformArray is a convenience constructor building nChips identical
 // chips of the given cell type sized so the array totals at least
 // capacityBytes of raw flash.
-func NewUniformArray(nChips int, cell flash.CellType, capacityBytes int64, opts ...flash.Option) (*Array, error) {
+func NewUniformArray(nChips int, cell flash.CellType, capacityBytes int64) (*Array, error) {
 	if nChips <= 0 {
 		return nil, fmt.Errorf("ftl: nChips must be positive, got %d", nChips)
 	}
@@ -106,7 +106,7 @@ func NewUniformArray(nChips int, cell flash.CellType, capacityBytes int64, opts 
 	geo.Blocks = int(perChip)
 	chips := make([]*flash.Chip, nChips)
 	for i := range chips {
-		c, err := flash.NewChip(geo, cell, opts...)
+		c, err := flash.NewChip(geo, cell)
 		if err != nil {
 			return nil, err
 		}
@@ -202,37 +202,20 @@ func (a *Array) ReadRun(gb, first, n int) error {
 }
 
 // ProgramPage programs one page of global block gb.
-func (a *Array) ProgramPage(gb, page int) error { return a.ProgramRun(gb, page, 1, nil) }
+func (a *Array) ProgramPage(gb, page int) error { return a.ProgramRun(gb, page, 1) }
 
 // ProgramRun programs the n consecutive pages [first, first+n) of global
 // block gb with one block lookup: all of them, or none and the error of the
-// first offending page. payload is nil or the pages' payloads back to back
-// (flash.Chip.ProgramRun).
+// first offending page (flash.Chip.ProgramRun).
 //
 //uflint:hotpath
-func (a *Array) ProgramRun(gb, first, n int, payload []byte) error {
+func (a *Array) ProgramRun(gb, first, n int) error {
 	c, lb, err := a.locate(gb)
 	if err != nil {
 		return err
 	}
-	_, err = c.ProgramRun(lb, first, n, payload)
+	_, err = c.ProgramRun(lb, first, n)
 	return err
-}
-
-// StoresData reports whether the chips retain page payloads (they were
-// built with flash.WithDataStorage) — the switch that turns on the FTLs'
-// data plane.
-func (a *Array) StoresData() bool { return a.chips[0].StoresData() }
-
-// PageData returns the stored payload of a programmed page of gb. The slice
-// aliases the chip's internal buffer and is only valid until the page's
-// block cycles; callers that retain it must copy. Requires data storage.
-func (a *Array) PageData(gb, page int) ([]byte, error) {
-	c, lb, err := a.locate(gb)
-	if err != nil {
-		return nil, err
-	}
-	return c.ReadData(lb, page)
 }
 
 // EraseBlock erases global block gb.

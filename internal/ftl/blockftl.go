@@ -272,17 +272,7 @@ func (f *BlockFTL) copyPages(lbn int64, log *LogSlot, from, to int, ops *Ops) er
 		ops.MergeReads += held
 		f.st.Stats.PagesRead += int64(held)
 	}
-	var payload []byte
-	if f.staging != nil {
-		pageSize := f.arr.Geometry().PageSize
-		payload = f.staging[:(to-from)*pageSize]
-		clear(payload)
-		for i := 0; i < held; i++ {
-			data, _ := f.arr.PageData(pb, from+i) // moved verbatim
-			copy(payload[i*pageSize:(i+1)*pageSize], data)
-		}
-	}
-	if err := f.arr.ProgramRun(log.PB, from, to-from, payload); err != nil {
+	if err := f.arr.ProgramRun(log.PB, from, to-from); err != nil {
 		return fmt.Errorf("ftl: merge program: %w", err)
 	}
 	ops.MergePrograms += to - from
@@ -438,16 +428,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 		}
 	}
 	n := ePage - sPage + 1
-	var payload []byte
-	if f.staging != nil {
-		// None of the run's pages is in the log yet, so staging them all
-		// before the program reads what page-at-a-time staging would.
-		payload = f.staging[:n*int(pageSize)]
-		for i := 0; i < n; i++ {
-			f.stagePage(lbn, sPage+i, payload[i*int(pageSize):(i+1)*int(pageSize)])
-		}
-	}
-	if err := f.arr.ProgramRun(log.PB, sPage, n, payload); err != nil {
+	if err := f.arr.ProgramRun(log.PB, sPage, n); err != nil {
 		return fmt.Errorf("ftl: log program: %w", err)
 	}
 	ops.PagePrograms += n
@@ -466,75 +447,6 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 	f.book.touch(lbn, ops)
 	f.st.Stats.MapFlushes += int64(ops.MapFlushes - before)
 	return nil
-}
-
-// stagePage assembles into buf (one page long) the payload for page p of lbn
-// during a host write: the page's current content (zeros when none) overlaid
-// with the pending WriteData bytes that fall inside the page. A plain Write
-// on a data-enabled stack has no pending bytes, leaving the covered range as
-// the page's old content — "unspecified", as documented on DataPlane.
-func (f *BlockFTL) stagePage(lbn int64, p int, buf []byte) {
-	clear(buf)
-	if pb, ok := f.pageLocation(lbn, p); ok {
-		if data, err := f.arr.PageData(pb, p); err == nil {
-			copy(buf, data)
-		}
-	}
-	if f.pending != nil {
-		pageStart := lbn*f.cfg.blockBytes + int64(p)*int64(len(buf))
-		overlay(buf, pageStart, f.pending, f.pendingOff)
-	}
-}
-
-// WriteData implements the data plane: exactly Write(off, len(data)) with
-// the payload carried into the chips (and preserved across merges).
-func (f *BlockFTL) WriteData(off int64, data []byte) (Ops, error) {
-	if !f.StoresData() {
-		return Ops{}, ErrNoDataStorage
-	}
-	f.pending, f.pendingOff = data, off
-	ops, err := f.Write(off, int64(len(data)))
-	f.pending = nil
-	return ops, err
-}
-
-// ReadData implements the data plane: exactly Read(off, len(buf)) plus the
-// observed bytes.
-func (f *BlockFTL) ReadData(off int64, buf []byte) (Ops, error) {
-	if !f.StoresData() {
-		return Ops{}, ErrNoDataStorage
-	}
-	ops, err := f.Read(off, int64(len(buf)))
-	if err != nil {
-		return ops, err
-	}
-	f.peekData(off, buf)
-	return ops, nil
-}
-
-// peekData fills buf with the current bytes at off without any flash
-// operation (zeros for unmapped pages).
-func (f *BlockFTL) peekData(off int64, buf []byte) {
-	clear(buf)
-	pageSize := int64(f.arr.Geometry().PageSize)
-	for covered := int64(0); covered < int64(len(buf)); {
-		gp := (off + covered) / pageSize
-		pageOff := (off + covered) % pageSize
-		n := pageSize - pageOff
-		if rest := int64(len(buf)) - covered; n > rest {
-			n = rest
-		}
-		lbn := gp * pageSize / f.cfg.blockBytes
-		pageInBlock := int(gp % (f.cfg.blockBytes / pageSize))
-		if pb, ok := f.pageLocation(lbn, pageInBlock); ok {
-			if data, err := f.arr.PageData(pb, pageInBlock); err == nil {
-				if int64(len(data)) > pageOff {
-					copy(buf[covered:covered+n], data[pageOff:])
-				}
-			}
-		}
-		covered += n
-	}
 }
 
 // Write services a host write.

@@ -3,6 +3,7 @@ package ftl
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -157,10 +158,6 @@ type WriteCacheState struct {
 
 	TotalLines int64
 	Stats      CacheStats
-
-	// LineData holds the buffered bytes per dirty line; nil unless the stack
-	// stores data.
-	LineData map[int64][]byte
 }
 
 func (s *WriteCacheState) copyFrom(src *WriteCacheState) {
@@ -168,14 +165,6 @@ func (s *WriteCacheState) copyFrom(src *WriteCacheState) {
 	s.Words = append(s.Words[:0], src.Words...)
 	s.Free, s.Streams = src.Free, src.Streams
 	s.TotalLines, s.Stats = src.TotalLines, src.Stats
-	// As for a chip's payloads: a nil map in src means none.
-	if s.LineData == nil && src.LineData != nil {
-		s.LineData = make(map[int64][]byte, len(src.LineData))
-	}
-	clear(s.LineData)
-	for l, buf := range src.LineData {
-		s.LineData[l] = append([]byte(nil), buf...)
-	}
 }
 
 // lines returns slot i's bitset.
@@ -244,8 +233,6 @@ func (s *WriteCacheState) audit(cfg *cacheConfig) error {
 		return fmt.Errorf("ftl: cache state has %d slots and %d bitset words, want %d words a slot", len(s.Regions), len(s.Words), cfg.lineWords)
 	case s.Stats.negative():
 		return fmt.Errorf("ftl: cache state has a negative counter (%+v)", s.Stats)
-	case len(s.LineData) > 0 && !cfg.dataMode:
-		return fmt.Errorf("ftl: cache state carries line data but the cache does not store payloads")
 	}
 	seen := make([]bool, len(s.Regions))
 	resident := make(map[int64]int32)
@@ -290,16 +277,6 @@ func (s *WriteCacheState) audit(cfg *cacheConfig) error {
 		}
 		seen[i] = true
 	}
-	stray := 0
-	for line, buf := range s.LineData {
-		i := resident[line/cfg.linesPerRegion]
-		if l := line % cfg.linesPerRegion; line < 0 || i == 0 || s.lines(i, cfg.lineWords)[l>>6]&(1<<(uint(l)&63)) == 0 || len(buf) != cfg.LineBytes {
-			stray++
-		}
-	}
-	if stray > 0 {
-		return fmt.Errorf("ftl: cache state buffers bytes for %d lines that are not dirty, or not a line's worth", stray)
-	}
 	return nil
 }
 
@@ -324,7 +301,6 @@ type cacheConfig struct {
 	lineWords      int  // bitset words per region
 	capLines       int64
 	nRegions       int64 // regions the logical capacity spans
-	dataMode       bool  // the stack underneath stores payloads
 }
 
 // negative reports whether any counter is below zero, which no run produces.
@@ -351,12 +327,6 @@ type WriteCache struct {
 		// touched is a per-call scratch buffer reused across writes so the
 		// hot path does not allocate.
 		touched []int32
-		// Data plane (inner stack stores payloads only): the inner layer's
-		// data interfaces and a flush-run staging buffer, its contents dead
-		// between calls.
-		innerData DataPlane
-		innerPeek peeker
-		runBuf    []byte
 	}
 }
 
@@ -372,7 +342,6 @@ func NewWriteCache(inner Translator, cfg CacheConfig, _ CostModel) (*WriteCache,
 		return nil, err
 	}
 	linesPerRegion := int64(cfg.RegionBytes / cfg.LineBytes)
-	dp, ok := inner.(DataPlane)
 	c := &WriteCache{
 		inner: inner,
 		cfg: cacheConfig{
@@ -383,14 +352,10 @@ func NewWriteCache(inner Translator, cfg CacheConfig, _ CostModel) (*WriteCache,
 			lineWords:      int((linesPerRegion + 63) / 64),
 			capLines:       cfg.CapacityBytes / int64(cfg.LineBytes),
 			nRegions:       (inner.Capacity() + int64(cfg.RegionBytes) - 1) / int64(cfg.RegionBytes),
-			dataMode:       ok && dp.StoresData(),
 		},
 	}
 	c.st.Regions = []CacheRegion{{}, {Prev: streamHead, Next: streamHead}, {Prev: zoneHead, Next: zoneHead}}
 	c.st.Words = make([]uint64, firstRegion*c.cfg.lineWords)
-	if c.cfg.dataMode {
-		c.st.LineData = make(map[int64][]byte)
-	}
 	c.rederive()
 	return c, nil
 }
@@ -448,17 +413,24 @@ func (c *WriteCache) unindex() {
 
 // rederive rebuilds what the cache holds beside its configuration and its
 // state — the region index, which must hold no entry of an earlier state
-// (unindex), and the data plane's wiring — and drops the per-call scratch.
+// (unindex) — and drops the per-call scratch.
 func (c *WriteCache) rederive() {
 	if int64(len(c.der.index)) != c.cfg.nRegions {
 		c.der.index = make([]int32, c.cfg.nRegions)
 	}
 	c.st.eachResident(func(i int32) { c.der.index[c.st.Regions[i].ID] = i })
 	c.der.touched = c.der.touched[:0]
-	c.der.innerData, c.der.innerPeek = nil, nil
-	if c.cfg.dataMode {
-		c.der.innerData, c.der.innerPeek = c.inner.(DataPlane), c.inner.(peeker)
+}
+
+// checkDerived reports whether the region index is what rederive builds from
+// the state: each resident region's slot under its id, 0 everywhere else.
+func (c *WriteCache) checkDerived() error {
+	want := WriteCache{cfg: c.cfg, st: c.st}
+	want.rederive()
+	if !slices.Equal(c.der.index, want.der.index) {
+		return fmt.Errorf("ftl: the cache's region index is not the slots of its %d resident regions", c.OpenRegions())
 	}
+	return nil
 }
 
 // ResetTranslator returns a deep copy of src that evolves independently of
@@ -490,9 +462,7 @@ func (c *WriteCache) OpenRegions() int {
 func (c *WriteCache) Inner() Translator { return c.inner }
 
 // flushRegion writes all dirty lines of the region in slot i through to the
-// inner layer as contiguous runs and removes the region. In data mode the
-// buffered line bytes travel down with each run (zeros for lines dirtied
-// through the plain, payload-less Write).
+// inner layer as contiguous runs and removes the region.
 func (c *WriteCache) flushRegion(i int32, ops *Ops) error {
 	r := &c.st.Regions[i]
 	c.st.remove(i)
@@ -510,27 +480,7 @@ func (c *WriteCache) flushRegion(i int32, ops *Ops) error {
 			return nil
 		}
 		from = endExclusive
-		off, length := (firstLine+runStart)<<ls, (endExclusive-runStart)<<ls
-		if !c.cfg.dataMode {
-			if err := Serve(c.inner, true, off, length, ops); err != nil {
-				return err
-			}
-			continue
-		}
-		if int64(len(c.der.runBuf)) < length {
-			c.der.runBuf = make([]byte, c.cfg.RegionBytes)
-		}
-		run := c.der.runBuf[:length]
-		clear(run)
-		for l := runStart; l < endExclusive; l++ {
-			if buf, ok := c.st.LineData[firstLine+l]; ok {
-				copy(run[(l-runStart)<<ls:], buf)
-				delete(c.st.LineData, firstLine+l)
-			}
-		}
-		inner, err := c.der.innerData.WriteData(off, run)
-		ops.Add(inner)
-		if err != nil {
+		if err := Serve(c.inner, true, (firstLine+runStart)<<ls, (endExclusive-runStart)<<ls, ops); err != nil {
 			return err
 		}
 	}
@@ -728,85 +678,6 @@ func (c *WriteCache) read(off, length int64, ops *Ops) error {
 		return Serve(c.inner, false, spanStart<<ls, (l1+1-spanStart)<<ls, ops)
 	}
 	return nil
-}
-
-// StoresData reports whether the stack underneath retains payloads.
-func (c *WriteCache) StoresData() bool { return c.cfg.dataMode }
-
-// dirty reports whether global line gl is buffered.
-func (c *WriteCache) dirty(gl int64) bool {
-	lines, l := c.dirtyLines(gl/c.cfg.linesPerRegion), gl%c.cfg.linesPerRegion
-	return lines != nil && lines[l>>6]&(1<<(uint(l)&63)) != 0
-}
-
-// WriteData implements the data plane: exactly Write(off, len(data)) with
-// the bytes buffered per line (and pushed down with every flush). Lines only
-// partially covered by the write are read-filled from the inner layer first,
-// so a later flush writes whole lines with correct content.
-func (c *WriteCache) WriteData(off int64, data []byte) (Ops, error) {
-	if !c.cfg.dataMode {
-		return Ops{}, ErrNoDataStorage
-	}
-	if err := checkRange(off, int64(len(data)), c.inner.Capacity()); err != nil {
-		return Ops{}, err
-	}
-	lb := int64(c.cfg.LineBytes)
-	l0 := off / lb
-	l1 := (off + int64(len(data)) - 1) / lb
-	for gl := l0; gl <= l1; gl++ {
-		buf, ok := c.st.LineData[gl]
-		if !ok {
-			buf = make([]byte, lb)
-			lineStart := gl * lb
-			// Partially covered fresh line: fill with the bytes below (a
-			// dirty-but-bufferless line from a plain Write stays zeros — its
-			// content is unspecified anyway).
-			if (lineStart < off || lineStart+lb > off+int64(len(data))) && !c.dirty(gl) {
-				c.der.innerPeek.peekData(lineStart, buf)
-			}
-			c.st.LineData[gl] = buf
-		}
-		overlay(buf, gl*lb, data, off)
-	}
-	return c.Write(off, int64(len(data)))
-}
-
-// ReadData implements the data plane: exactly Read(off, len(buf)) plus the
-// observed bytes — buffered lines from the cache, the rest from below.
-func (c *WriteCache) ReadData(off int64, buf []byte) (Ops, error) {
-	if !c.cfg.dataMode {
-		return Ops{}, ErrNoDataStorage
-	}
-	ops, err := c.Read(off, int64(len(buf)))
-	if err != nil {
-		return ops, err
-	}
-	c.peekData(off, buf)
-	return ops, nil
-}
-
-// peekData fills buf with the current bytes at off without any flash
-// operation: dirty buffered lines win over the inner layer's content.
-func (c *WriteCache) peekData(off int64, buf []byte) {
-	lb := int64(c.cfg.LineBytes)
-	for covered := int64(0); covered < int64(len(buf)); {
-		gl := (off + covered) / lb
-		lineOff := (off + covered) % lb
-		n := lb - lineOff
-		if rest := int64(len(buf)) - covered; n > rest {
-			n = rest
-		}
-		dst := buf[covered : covered+n]
-		if c.dirty(gl) {
-			clear(dst)
-			if line, has := c.st.LineData[gl]; has {
-				copy(dst, line[lineOff:])
-			}
-		} else {
-			c.der.innerPeek.peekData(off+covered, dst)
-		}
-		covered += n
-	}
 }
 
 // Idle forwards idle time to the inner layer: the buffer itself destages only

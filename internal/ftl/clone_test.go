@@ -336,6 +336,50 @@ func TestCloneIndependence(t *testing.T) {
 	auditAll(t, f, cl)
 }
 
+// TestAuditCoversDerivedStructures: what the layers derive from their states
+// — the PageFTL's reclamation candidates, the map book's dirty set, the
+// cache's region index — is checked by Audit against a rebuild, so one entry
+// broken by hand fails it, while CheckTranslator, which judges the state
+// alone, still passes.
+func TestAuditCoversDerivedStructures(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		corrupt func(c *WriteCache, f *PageFTL)
+	}{
+		{"victim key", func(_ *WriteCache, f *PageFTL) { f.victims.Keys[len(f.victims.Keys)-1]++ }},
+		{"dirty bit", func(_ *WriteCache, f *PageFTL) { f.book.dirty[0] ^= 1 }},
+		{"index slot", func(c *WriteCache, _ *PageFTL) {
+			c.der.index[c.st.Regions[c.st.Regions[zoneHead].Next].ID] = 0
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			f := newTestPageFTL(t, nil)
+			c, err := NewWriteCache(f, CacheConfig{CapacityBytes: 1 << 20, LineBytes: 4096, RegionBytes: 128 * 1024, Streams: 2}, f.cfg.model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 600; i++ {
+				driveOne(t, c, i)
+			}
+			if f.victims.Len() == 0 || c.st.Regions[zoneHead].Next == zoneHead {
+				t.Fatal("the drive left no reclamation candidate or no resident zone region to break")
+			}
+			auditAll(t, c)
+			row.corrupt(c, f)
+			v, err := view(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := CheckTranslator(c, v); err != nil {
+				t.Fatalf("CheckTranslator judges derived structures: %v", err)
+			}
+			if err := Audit(c); err == nil {
+				t.Fatal("Audit passes a stack whose derived structures were broken")
+			}
+		})
+	}
+}
+
 // TestMapBookRingZeroAlloc pins that steady-state map bookkeeping (the ring
 // FIFO of dirty map pages and the bitset beside it) allocates nothing once
 // warm, flushes included: every touch below dirties a new map page and

@@ -26,6 +26,10 @@
 // vector, and a CostModel converts Ops into durations with per-device
 // parallelism and pipelining coefficients. This separation keeps the
 // mechanics honest while making per-device calibration explicit.
+//
+// No layer carries payload bytes: a host IO is an offset and a length. What
+// an IO costs depends on where its pages live and what they displace, never
+// on what they hold, and the chips store none (package flash).
 package ftl
 
 import (

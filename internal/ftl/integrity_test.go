@@ -1,14 +1,14 @@
-// Data-integrity oracle for the translation layers: drive each FTL stack
-// with application-shaped workloads through the data plane and verify, on
-// every read, that the device returns exactly the last bytes written to each
-// logical address — across out-of-place block writes, read-modify-writes,
+// Book-keeping oracles for the translation layers that need no payload
+// bytes: drive each FTL stack with application-shaped workloads and hold it
+// to what its chips counted, to a clone taken half-way, and to every layer's
+// invariant — across out-of-place block writes, read-modify-writes,
 // log-block merges, reclamation, asynchronous reclamation and cache flushes.
 // The suite runs under `make test`, i.e. with -race, in CI.
 package ftl_test
 
 import (
-	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,33 +20,28 @@ import (
 
 const integrityLogical = 2 << 20 // 2 MiB keeps GC and merges busy
 
-// integrityStack couples a data-plane translation stack with its name.
+// integrityStack couples a translation stack with its name.
 type integrityStack struct {
 	name  string
-	build func(t *testing.T) ftl.DataPlane
+	build func(t *testing.T) ftl.Translator
 	// opsComplete: every flash operation is reported in some IO's Ops (no
 	// journal discount, no background reclamation).
 	opsComplete bool
 }
 
-// newTestArray builds two chips of at least raw bytes, storing payloads when
-// data is set.
-func newTestArray(t *testing.T, raw int64, data bool) *ftl.Array {
+// newTestArray builds two chips of at least raw bytes.
+func newTestArray(t *testing.T, raw int64) *ftl.Array {
 	t.Helper()
-	var opts []flash.Option
-	if data {
-		opts = append(opts, flash.WithDataStorage())
-	}
-	arr, err := ftl.NewUniformArray(2, flash.SLC, raw, opts...)
+	arr, err := ftl.NewUniformArray(2, flash.SLC, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return arr
 }
 
-func newIntegrityPage(t *testing.T, data bool) *ftl.PageFTL {
+func newIntegrityPage(t *testing.T) *ftl.PageFTL {
 	t.Helper()
-	arr := newTestArray(t, integrityLogical+24*128*1024, data)
+	arr := newTestArray(t, integrityLogical+24*128*1024)
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	f, err := ftl.NewPageFTL(arr, ftl.PageConfig{
 		LogicalBytes:    integrityLogical,
@@ -65,9 +60,9 @@ func newIntegrityPage(t *testing.T, data bool) *ftl.PageFTL {
 	return f
 }
 
-func newIntegrityBlock(t *testing.T, data bool) *ftl.BlockFTL {
+func newIntegrityBlock(t *testing.T) *ftl.BlockFTL {
 	t.Helper()
-	arr := newTestArray(t, integrityLogical+8*128*1024, data)
+	arr := newTestArray(t, integrityLogical+8*128*1024)
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	f, err := ftl.NewBlockFTL(arr, ftl.BlockConfig{
 		LogicalBytes:    integrityLogical,
@@ -81,9 +76,8 @@ func newIntegrityBlock(t *testing.T, data bool) *ftl.BlockFTL {
 	return f
 }
 
-// integrityStacks returns the four stacks, on chips that store payloads when
-// data is set.
-func integrityStacks(data bool) []integrityStack {
+// integrityStacks returns the four stacks.
+func integrityStacks() []integrityStack {
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	cacheCfg := ftl.CacheConfig{
 		CapacityBytes: 256 * 1024, // small, so evictions churn
@@ -93,17 +87,17 @@ func integrityStacks(data bool) []integrityStack {
 		EvictBatch:    2,
 	}
 	return []integrityStack{
-		{name: "page", build: func(t *testing.T) ftl.DataPlane { return newIntegrityPage(t, data) }},
-		{name: "block", build: func(t *testing.T) ftl.DataPlane { return newIntegrityBlock(t, data) }, opsComplete: true},
-		{name: "cache+page", build: func(t *testing.T) ftl.DataPlane {
-			c, err := ftl.NewWriteCache(newIntegrityPage(t, data), cacheCfg, cost)
+		{name: "page", build: func(t *testing.T) ftl.Translator { return newIntegrityPage(t) }},
+		{name: "block", build: func(t *testing.T) ftl.Translator { return newIntegrityBlock(t) }, opsComplete: true},
+		{name: "cache+page", build: func(t *testing.T) ftl.Translator {
+			c, err := ftl.NewWriteCache(newIntegrityPage(t), cacheCfg, cost)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
 		}},
-		{name: "cache+block", build: func(t *testing.T) ftl.DataPlane {
-			c, err := ftl.NewWriteCache(newIntegrityBlock(t, data), cacheCfg, cost)
+		{name: "cache+block", build: func(t *testing.T) ftl.Translator {
+			c, err := ftl.NewWriteCache(newIntegrityBlock(t), cacheCfg, cost)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,104 +106,84 @@ func integrityStacks(data bool) []integrityStack {
 	}
 }
 
-// fillPayload writes the deterministic byte pattern of write #n into buf.
-func fillPayload(buf []byte, n int) {
-	for j := range buf {
-		buf[j] = byte(n*131 + j*7 + 1)
+// do performs a write, or a read, of length bytes at off.
+func do(tr ftl.Translator, write bool, off, length int64) (ftl.Ops, error) {
+	if write {
+		return tr.Write(off, length)
 	}
+	return tr.Read(off, length)
 }
 
-// replayIntegrity drives the stack with the ops, mirroring every write into
-// the shadow image and checking every read against it. Periodic Idle calls
-// feed asynchronous reclamation; a mid-stream clone must
-// satisfy the same oracle afterwards. The data plane's run-granular flash
-// calls are held to the books as well: the chips must have counted exactly
-// what the FTL's counters claim and, on an opsComplete stack, exactly the
-// sum of the Ops returned.
+// snapshot captures the state of a stack.
+func snapshot(t *testing.T, tr ftl.Translator) *ftl.TranslatorState {
+	t.Helper()
+	s, err := ftl.SnapshotTranslator(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// replayIntegrity drives the stack with the ops, with periodic Idle calls
+// feeding asynchronous reclamation, and holds it to three oracles. The chips
+// must have counted exactly what the FTL's counters claim and, on an
+// opsComplete stack, exactly the sum of the Ops returned. A clone taken
+// half-way and driven with the rest of the stream must perform the same Ops
+// on every IO and end in the original's state. Both must pass Audit.
 func replayIntegrity(t *testing.T, st integrityStack, ops []workload.Op) {
 	t.Helper()
-	dp := st.build(t)
+	tr := st.build(t)
 	var work flash.Stats
-	shadow := make([]byte, integrityLogical)
-	payload := make([]byte, 64*1024)
-	got := make([]byte, 64*1024)
-	var clone ftl.DataPlane
+	var clone ftl.Translator
 	cloneAt := len(ops) / 2
 	for i, op := range ops {
-		off, size := op.IO.Off, op.IO.Size
+		off, size, write := op.IO.Off, op.IO.Size, op.IO.Mode == device.Write
 		if off+size > integrityLogical {
 			t.Fatalf("op %d outside the logical space", i)
 		}
-		if op.IO.Mode == device.Write {
-			p := payload[:size]
-			fillPayload(p, i)
-			o, err := dp.WriteData(off, p)
-			if err != nil {
-				t.Fatalf("op %d: WriteData: %v", i, err)
-			}
-			ftl.AddFlashWork(&work, o)
-			copy(shadow[off:off+size], p)
-		} else {
-			g := got[:size]
-			o, err := dp.ReadData(off, g)
-			if err != nil {
-				t.Fatalf("op %d: ReadData: %v", i, err)
-			}
-			ftl.AddFlashWork(&work, o)
-			if !bytes.Equal(g, shadow[off:off+size]) {
-				t.Fatalf("op %d: read [%d,+%d) returned stale or foreign bytes", i, off, size)
+		o, err := do(tr, write, off, size)
+		if err != nil {
+			t.Fatalf("op %d (write=%v): %v", i, write, err)
+		}
+		ftl.AddFlashWork(&work, o)
+		if clone != nil {
+			if co, err := do(clone, write, off, size); co != o || err != nil {
+				t.Fatalf("op %d (write=%v): the clone performed %+v (%v), the original %+v", i, write, co, err, o)
 			}
 		}
 		if i%64 == 63 {
-			dp.(ftl.Translator).Idle(5 * time.Millisecond)
+			tr.Idle(5 * time.Millisecond)
+			if clone != nil {
+				clone.Idle(5 * time.Millisecond)
+			}
 		}
 		if i == cloneAt {
-			clone = dp.(ftl.Translator).Clone().(ftl.DataPlane)
+			clone = tr.Clone()
 		}
 	}
-	chips, claimed := ftl.FlashBooks(dp.(ftl.Translator))
+	chips, claimed := ftl.FlashBooks(tr)
 	if chips != claimed || (st.opsComplete && chips != work) {
 		t.Fatalf("chips counted %+v, the FTL's counters claim %+v, the Ops stream sums to %+v", chips, claimed, work)
 	}
-	if chips, claimed := ftl.FlashBooks(clone.(ftl.Translator)); chips != claimed {
-		t.Fatalf("clone: chips counted %+v, the FTL's counters claim %+v", chips, claimed)
+	if !reflect.DeepEqual(snapshot(t, clone), snapshot(t, tr)) {
+		t.Fatal("the clone driven with the second half of the stream ends in another state than the original")
 	}
-	// The clone froze the half-way state, including every stored payload;
-	// its reads must match the half-way shadow. Rebuild it by replaying the
-	// write prefix into a fresh shadow.
-	half := make([]byte, integrityLogical)
-	for i, op := range ops[:cloneAt+1] {
-		if op.IO.Mode == device.Write {
-			p := payload[:op.IO.Size]
-			fillPayload(p, i)
-			copy(half[op.IO.Off:op.IO.Off+op.IO.Size], p)
-		}
-	}
-	for _, off := range []int64{0, 8192, integrityLogical / 2, integrityLogical - 32768} {
-		g := got[:32768]
-		if _, err := clone.ReadData(off, g); err != nil {
-			t.Fatalf("clone ReadData: %v", err)
-		}
-		if !bytes.Equal(g, half[off:off+32768]) {
-			t.Fatalf("clone read [%d,+32768) diverges from the snapshot state", off)
-		}
-	}
-	for _, stack := range []ftl.DataPlane{dp, clone} {
-		if err := ftl.Audit(stack.(ftl.Translator)); err != nil {
+	for _, stack := range []ftl.Translator{tr, clone} {
+		if err := ftl.Audit(stack); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestDataIntegrityUnderWorkloads is the read-after-write oracle across all
-// three translation layers (page FTL, block FTL, write cache over either)
+// TestDataIntegrityUnderWorkloads holds all three translation layers (page
+// FTL, block FTL, write cache over either) to the oracles of replayIntegrity
 // under the zipf and oltp workload generators.
 func TestDataIntegrityUnderWorkloads(t *testing.T) {
 	gens := []workload.Generator{
 		workload.OLTP{PageSize: 8192, TargetSize: integrityLogical, ReadFraction: 0.5, Count: 2500, Seed: 11},
 		workload.Zipfian{PageSize: 8192, TargetSize: integrityLogical, S: 1.2, ReadFraction: 0.4, Count: 2500, Seed: 13},
 	}
-	for _, st := range integrityStacks(true) {
+	for _, st := range integrityStacks() {
 		for _, gen := range gens {
 			t.Run(fmt.Sprintf("%s/%s", st.name, gen.Name()), func(t *testing.T) {
 				ops, err := gen.Generate()
@@ -225,7 +199,7 @@ func TestDataIntegrityUnderWorkloads(t *testing.T) {
 // TestDataIntegrityUnaligned stresses the read-modify-write edges the page
 // generators never produce: sub-page, misaligned, unit-crossing writes.
 func TestDataIntegrityUnaligned(t *testing.T) {
-	for _, st := range integrityStacks(true) {
+	for _, st := range integrityStacks() {
 		t.Run(st.name, func(t *testing.T) {
 			var ops []workload.Op
 			z := uint64(0x9E3779B97F4A7C15)
@@ -244,30 +218,5 @@ func TestDataIntegrityUnaligned(t *testing.T) {
 			}
 			replayIntegrity(t, st, ops)
 		})
-	}
-}
-
-// TestDataPlaneDisabled pins that a timing-only stack reports
-// ErrNoDataStorage instead of silently returning garbage.
-func TestDataPlaneDisabled(t *testing.T) {
-	arr, err := ftl.NewUniformArray(1, flash.SLC, 1<<20+8*128*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
-	f, err := ftl.NewBlockFTL(arr, ftl.BlockConfig{
-		LogicalBytes: 1 << 20, LogBlocks: 2, MapDirtyLimit: 2, MapUnitsPerPage: 8,
-	}, cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.StoresData() {
-		t.Fatal("timing-only stack claims data storage")
-	}
-	if _, err := f.WriteData(0, make([]byte, 512)); err != ftl.ErrNoDataStorage {
-		t.Fatalf("WriteData on timing-only stack gave %v", err)
-	}
-	if _, err := f.ReadData(0, make([]byte, 512)); err != ftl.ErrNoDataStorage {
-		t.Fatalf("ReadData on timing-only stack gave %v", err)
 	}
 }

@@ -75,7 +75,7 @@ func (f *mapLogFTL) copyPages(lbn int64, log *mapLogEnt, from, to int, ops *Ops)
 		ops.MergeReads += held
 		f.stats.PagesRead += int64(held)
 	}
-	if err := f.arr.ProgramRun(log.pb, from, to-from, nil); err != nil {
+	if err := f.arr.ProgramRun(log.pb, from, to-from); err != nil {
 		return fmt.Errorf("ftl: merge program: %w", err)
 	}
 	ops.MergePrograms += to - from
@@ -190,7 +190,7 @@ func (f *mapLogFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 		}
 	}
 	n := ePage - sPage + 1
-	if err := f.arr.ProgramRun(log.pb, sPage, n, nil); err != nil {
+	if err := f.arr.ProgramRun(log.pb, sPage, n); err != nil {
 		return fmt.Errorf("ftl: log program: %w", err)
 	}
 	ops.PagePrograms += n

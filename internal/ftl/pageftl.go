@@ -277,6 +277,19 @@ func (f *PageFTL) rederive() {
 	}
 }
 
+// checkDerived reports whether the reclamation candidates are a heap of the
+// keys rederive builds from the state and the chips, and the map book's dirty
+// set its ring's window.
+func (f *PageFTL) checkDerived() error {
+	want := *f
+	want.victims = blockQueue{}
+	want.rederive()
+	if !f.victims.holds(want.victims.Keys) {
+		return fmt.Errorf("ftl: the page FTL queues %d reclamation candidates, not the heap of %d its state derives", f.victims.Len(), want.victims.Len())
+	}
+	return f.book.checkDerived()
+}
+
 // Stats returns a snapshot of the FTL counters.
 func (f *PageFTL) Stats() Stats { return f.st.Stats }
 
@@ -347,12 +360,8 @@ func (f *PageFTL) appendBlock(wp *WritePoint, lb int64, ops *Ops, hostPages int)
 		return err
 	}
 	wp.Block = b
-	var payload []byte
-	if f.staging != nil {
-		payload = f.stageBlock(lb)
-	}
 	ppb := f.cfg.pagesPerBlock
-	if err := f.arr.ProgramRun(b, 0, ppb, payload); err != nil {
+	if err := f.arr.ProgramRun(b, 0, ppb); err != nil {
 		return fmt.Errorf("ftl: program: %w", err)
 	}
 	ops.PagePrograms += hostPages
@@ -377,71 +386,6 @@ func (f *PageFTL) appendBlock(wp *WritePoint, lb int64, ops *Ops, hostPages int)
 	f.book.touch(lb, ops)
 	f.st.Stats.MapFlushes += int64(ops.MapFlushes - before)
 	return nil
-}
-
-// stageBlock assembles the payload of logical block lb's next program run in
-// the staging buffer: its current stored bytes (zeros where none), overlaid
-// with the pending WriteData bytes that fall inside it.
-func (f *PageFTL) stageBlock(lb int64) []byte {
-	data := f.staging
-	clear(data)
-	pageSize := f.arr.Geometry().PageSize
-	if old := f.st.FMap[lb]; old >= 0 {
-		for p := 0; p < f.cfg.pagesPerBlock; p++ {
-			if page, err := f.arr.PageData(int(old), p); err == nil {
-				copy(data[p*pageSize:(p+1)*pageSize], page)
-			}
-		}
-	}
-	if f.pending != nil {
-		overlay(data, lb*f.cfg.blockBytes, f.pending, f.pendingOff)
-	}
-	return data
-}
-
-// WriteData implements the data plane: exactly Write(off, len(data)) with
-// the payload carried into the chips (and preserved across every later
-// out-of-place write of its block).
-func (f *PageFTL) WriteData(off int64, data []byte) (Ops, error) {
-	if !f.StoresData() {
-		return Ops{}, ErrNoDataStorage
-	}
-	f.pending, f.pendingOff = data, off
-	ops, err := f.Write(off, int64(len(data)))
-	f.pending = nil
-	return ops, err
-}
-
-// ReadData implements the data plane: exactly Read(off, len(buf)) plus the
-// observed bytes.
-func (f *PageFTL) ReadData(off int64, buf []byte) (Ops, error) {
-	if !f.StoresData() {
-		return Ops{}, ErrNoDataStorage
-	}
-	ops, err := f.Read(off, int64(len(buf)))
-	if err != nil {
-		return ops, err
-	}
-	f.peekData(off, buf)
-	return ops, nil
-}
-
-// peekData fills buf with the current bytes at off without any flash
-// operation (zeros for unmapped or payload-free pages).
-func (f *PageFTL) peekData(off int64, buf []byte) {
-	clear(buf)
-	pageSize := int64(f.arr.Geometry().PageSize)
-	for covered := int64(0); covered < int64(len(buf)); {
-		gp := (off + covered) >> f.cfg.pageShift
-		pageOff := (off + covered) & (pageSize - 1)
-		n := min(pageSize-pageOff, int64(len(buf))-covered)
-		if pb := f.st.FMap[gp>>f.cfg.ppbShift]; pb >= 0 {
-			if data, err := f.arr.PageData(int(pb), int(gp&int64(f.cfg.pagesPerBlock-1))); err == nil && int64(len(data)) > pageOff {
-				copy(buf[covered:covered+n], data[pageOff:])
-			}
-		}
-		covered += n
-	}
 }
 
 // pickWP returns the write point for logical block lb: a stream whose last

@@ -35,18 +35,24 @@ type hidden struct{ ftl.Translator }
 func (h hidden) Clone() ftl.Translator { return hidden{h.Translator.Clone()} }
 
 // TestServeMatchesTranslator is the property of the in-place path: on every
-// layer, bare and under a WriteCache, on chips with and without payloads, a
-// random stream of reads, writes and idle periods served through ftl.Serve
+// layer, bare and under a WriteCache, factory-fresh and holding data (every
+// logical byte written once, so reclamation and merges run from the first
+// IO), a random stream of reads, writes and idle periods served through ftl.Serve
 // into an accumulator already holding counts adds exactly the Ops, and fails
 // with exactly the errors, that Read and Write return on a clone; afterwards
 // both stacks pass Audit and snapshot to the same state. A stack hidden from
 // Serve's type switch runs the same stream through the fallback.
 func TestServeMatchesTranslator(t *testing.T) {
 	for _, data := range []bool{false, true} {
-		for _, st := range integrityStacks(data) {
+		for _, st := range integrityStacks() {
 			for _, hide := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/data=%v/hidden=%v", st.name, data, hide), func(t *testing.T) {
-					a := st.build(t).(ftl.Translator)
+					a := st.build(t)
+					for off := int64(0); data && off < integrityLogical; off += 64 << 10 {
+						if _, err := a.Write(off, 64<<10); err != nil {
+							t.Fatal(err)
+						}
+					}
 					b := a.Clone()
 					served := a
 					if hide {

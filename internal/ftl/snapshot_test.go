@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,13 +12,13 @@ import (
 	"uflip/internal/ftl"
 )
 
-// buildDataStack assembles a small data-plane stack (write cache over a page
-// FTL over data-storing chips), identically on every call, as the state
-// store does when restoring into a freshly built device.
-func buildDataStack(t *testing.T) *ftl.WriteCache {
+// buildStack assembles a small stack (write cache over a page FTL),
+// identically on every call, as the state store does when restoring into a
+// freshly built device.
+func buildStack(t *testing.T) *ftl.WriteCache {
 	t.Helper()
 	const logical = 2 << 20
-	arr, err := ftl.NewUniformArray(2, flash.SLC, logical+24*128*1024, flash.WithDataStorage())
+	arr, err := ftl.NewUniformArray(2, flash.SLC, logical+24*128*1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,101 +59,41 @@ func gobRoundTrip(t *testing.T, snap *ftl.TranslatorState) *ftl.TranslatorState 
 	return &out
 }
 
-// TestSnapshotGobRoundTripDataMode drives a data-mode stack, snapshots it
-// through a gob round trip (exactly what the state store persists), restores
-// into a fresh identical stack and checks the restored stack is
-// indistinguishable — same Ops and same payload bytes for every later IO.
-func TestSnapshotGobRoundTripDataMode(t *testing.T) {
-	live := buildDataStack(t)
+// TestSnapshotGobRoundTrip drives a stack, snapshots it through a gob round
+// trip (exactly what the state store persists), restores into a fresh
+// identical stack and checks the restored stack is indistinguishable: the
+// same Ops for every later IO, the same idle behaviour and the same state.
+func TestSnapshotGobRoundTrip(t *testing.T) {
+	live := buildStack(t)
 	rng := rand.New(rand.NewSource(3))
-	payload := func(n int64) []byte {
-		b := make([]byte, n)
-		rng.Read(b)
-		return b
-	}
 	for i := 0; i < 64; i++ {
 		off := rng.Int63n(live.Capacity()-8192) &^ 511
-		if _, err := live.WriteData(off, payload(4096+rng.Int63n(2)*2048)); err != nil {
+		if _, err := live.Write(off, 4096+rng.Int63n(2)*2048); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap, err := ftl.SnapshotTranslator(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := buildDataStack(t)
-	if err := ftl.RestoreTranslator(fresh, gobRoundTrip(t, snap)); err != nil {
+	fresh := buildStack(t)
+	if err := ftl.RestoreTranslator(fresh, gobRoundTrip(t, snapshot(t, live))); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 128; i++ {
 		off := rng.Int63n(live.Capacity()-8192) &^ 511
-		if rng.Intn(2) == 0 {
-			data := payload(4096)
-			opsA, errA := live.WriteData(off, data)
-			opsB, errB := fresh.WriteData(off, data)
-			if errA != nil || errB != nil || opsA != opsB {
-				t.Fatalf("write %d: ops %+v vs %+v (errs %v, %v)", i, opsA, opsB, errA, errB)
-			}
-			continue
-		}
-		bufA := make([]byte, 4096)
-		bufB := make([]byte, 4096)
-		opsA, errA := live.ReadData(off, bufA)
-		opsB, errB := fresh.ReadData(off, bufB)
+		write := rng.Intn(2) == 0
+		opsA, errA := do(live, write, off, 4096)
+		opsB, errB := do(fresh, write, off, 4096)
 		if errA != nil || errB != nil || opsA != opsB {
-			t.Fatalf("read %d: ops %+v vs %+v (errs %v, %v)", i, opsA, opsB, errA, errB)
-		}
-		if !bytes.Equal(bufA, bufB) {
-			t.Fatalf("read %d at %d: restored stack returned different bytes", i, off)
+			t.Fatalf("IO %d (write=%v): ops %+v vs %+v (errs %v, %v)", i, write, opsA, opsB, errA, errB)
 		}
 	}
 	// Idle time must also be spent identically afterwards.
 	live.Idle(time.Second)
 	fresh.Idle(time.Second)
-	if live.DirtyLines() != fresh.DirtyLines() {
-		t.Fatalf("dirty lines diverge after idle: %d vs %d", live.DirtyLines(), fresh.DirtyLines())
+	if !reflect.DeepEqual(snapshot(t, live), snapshot(t, fresh)) {
+		t.Fatal("the restored stack ends in another state than the live one")
 	}
 	for _, stack := range []ftl.Translator{live, fresh} {
 		if err := ftl.Audit(stack); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestSnapshotNilDataMapsRestore: a snapshot whose payload maps are nil
-// (a data-mode stack with nothing buffered, serialized by an encoder that
-// collapses empty maps to nil) must restore cleanly into a data-mode stack,
-// not be rejected as a data-mode mismatch. Payloads on a non-data stack
-// remain an error.
-func TestSnapshotNilDataMapsRestore(t *testing.T) {
-	live := buildDataStack(t)
-	snap, err := ftl.SnapshotTranslator(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded := gobRoundTrip(t, snap)
-	if decoded.Cache == nil {
-		t.Fatal("snapshot lost its cache layer")
-	}
-	// Simulate the nil-collapsing encoder.
-	decoded.Cache.LineData = nil
-	for _, cs := range decoded.Inner.Arr.Chips {
-		if len(cs.Data) != 0 {
-			t.Fatal("test premise broken: untouched stack has stored payloads")
-		}
-		cs.Data = nil
-	}
-	fresh := buildDataStack(t)
-	if err := ftl.RestoreTranslator(fresh, decoded); err != nil {
-		t.Fatalf("restoring a nil-map data-mode snapshot failed: %v", err)
-	}
-	if !fresh.StoresData() {
-		t.Fatal("restored stack lost data mode")
-	}
-	if _, err := fresh.WriteData(0, make([]byte, 4096)); err != nil {
-		t.Fatalf("restored stack cannot write data: %v", err)
-	}
-	if err := ftl.Audit(fresh); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -128,11 +128,33 @@ func RestoreTranslator(t Translator, s *TranslatorState) error {
 	return nil
 }
 
-// Audit checks every layer's invariant on the stack's live state.
+// Audit checks every layer's invariant on the stack's live state, then that
+// what the layers derive from their states — the PageFTL's reclamation
+// candidates, the map books' dirty sets, the cache's region index — is what
+// rederiving it gives. CheckTranslator stays state-only: a restore runs it on
+// a state nothing has been derived from yet.
 func Audit(t Translator) error {
 	v, err := view(t)
 	if err != nil {
 		return err
 	}
-	return CheckTranslator(t, v)
+	if err := CheckTranslator(t, v); err != nil {
+		return err
+	}
+	return checkDerived(t)
+}
+
+func checkDerived(t Translator) error {
+	switch t := t.(type) {
+	case *PageFTL:
+		return t.checkDerived()
+	case *BlockFTL:
+		return t.book.checkDerived()
+	case *WriteCache:
+		if err := checkDerived(t.inner); err != nil {
+			return err
+		}
+		return t.checkDerived()
+	}
+	return nil
 }

@@ -1,86 +1,77 @@
 package ftl_test
 
 import (
-	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"uflip/internal/ftl"
 )
 
-// The stateful fuzz targets drive one translation stack on data-storing chips
-// through a random sequence of writes, reads, idle periods, resets from a
-// master taken earlier and snapshot-restores into a freshly built stack,
-// against the simplest reference model there is: the version of the last
-// write to each flash page. Every layer's invariant is audited after every
-// step, and every read — and a sweep of the whole device at the end — must
-// return, through the data plane, the bytes of exactly that version.
+// The stateful fuzz targets drive one translation stack through a random
+// sequence of writes, reads, idle periods, resets from a master taken earlier
+// and snapshot-restores into a freshly built stack, beside a twin that takes
+// none of those shortcuts: where the stack is reset in place from the master,
+// the twin becomes a fresh Clone of it, and the twin is never
+// snapshot-restored. Every step must perform the same Ops and fail with the
+// same error on both, every layer's invariant — derived structures included —
+// is audited on both after every step, and a sweep of the whole device at the
+// end must leave both in the same state. One check needs no twin: a read
+// touching only logical blocks (the flash-block-sized mapping units of both
+// FTLs) that were never written performs no flash read.
 
 const statefulPages = integrityLogical / statefulPageBytes
 
-const statefulPageBytes = 2048
+const (
+	statefulPageBytes = 2048
+	statefulUnitPages = 64 // pages of a logical block: 128 KiB
+)
 
-// pageImage fills buf with the content of page at version (zeros before the
-// first write).
-func pageImage(buf []byte, page int64, version uint32) {
-	clear(buf)
-	if version == 0 {
-		return
-	}
-	for j := range buf {
-		buf[j] = byte(page*131 + int64(version)*31 + int64(j)*7 + 1)
-	}
-}
-
-// statefulRun is one stack under test with its reference model, and the master
-// a reset returns both to.
+// statefulRun is one stack under test with its twin and the logical blocks
+// written so far, and the master a reset returns the stack to.
 type statefulRun struct {
-	t     *testing.T
-	build func(t *testing.T) ftl.DataPlane
-	cur   ftl.Translator
-	model map[int64]uint32
+	t         *testing.T
+	build     func(t *testing.T) ftl.Translator
+	cur, twin ftl.Translator
+	written   []bool
 
-	master      ftl.Translator
-	masterModel map[int64]uint32
+	master        ftl.Translator
+	masterWritten []bool
 }
 
 func (r *statefulRun) check(step int, what string) {
 	r.t.Helper()
-	if err := ftl.Audit(r.cur); err != nil {
-		r.t.Fatalf("step %d (%s): %v", step, what, err)
-	}
-}
-
-func (r *statefulRun) write(step int, page, n int64) {
-	data := make([]byte, n*statefulPageBytes)
-	for p := page; p < page+n; p++ {
-		r.model[p]++
-		pageImage(data[(p-page)*statefulPageBytes:(p-page+1)*statefulPageBytes], p, r.model[p])
-	}
-	if _, err := r.cur.(ftl.DataPlane).WriteData(page*statefulPageBytes, data); err != nil {
-		r.t.Fatalf("step %d: write of pages [%d,+%d): %v", step, page, n, err)
-	}
-}
-
-func (r *statefulRun) read(step int, page, n int64) {
-	got, want := make([]byte, n*statefulPageBytes), make([]byte, statefulPageBytes)
-	if _, err := r.cur.(ftl.DataPlane).ReadData(page*statefulPageBytes, got); err != nil {
-		r.t.Fatalf("step %d: read of pages [%d,+%d): %v", step, page, n, err)
-	}
-	for p := page; p < page+n; p++ {
-		pageImage(want, p, r.model[p])
-		if !bytes.Equal(got[(p-page)*statefulPageBytes:(p-page+1)*statefulPageBytes], want) {
-			r.t.Fatalf("step %d: page %d does not read back as version %d", step, p, r.model[p])
+	for _, tr := range []ftl.Translator{r.cur, r.twin} {
+		if err := ftl.Audit(tr); err != nil {
+			r.t.Fatalf("step %d (%s): %v", step, what, err)
 		}
 	}
 }
 
-func copyModel(m map[int64]uint32) map[int64]uint32 {
-	c := make(map[int64]uint32, len(m))
-	for k, v := range m {
-		c[k] = v
+// io performs a write, or a read, of pages [page, page+n) on the stack and
+// its twin.
+func (r *statefulRun) io(step int, write bool, page, n int64) {
+	r.t.Helper()
+	off, length := page*statefulPageBytes, n*statefulPageBytes
+	got, err := do(r.cur, write, off, length)
+	want, twinErr := do(r.twin, write, off, length)
+	if got != want || fmt.Sprint(err) != fmt.Sprint(twinErr) {
+		r.t.Fatalf("step %d (write=%v of pages [%d,+%d)): the stack performed %+v (%v), its twin %+v (%v)", step, write, page, n, got, err, want, twinErr)
 	}
-	return c
+	if err != nil {
+		r.t.Fatalf("step %d (write=%v of pages [%d,+%d)): %v", step, write, page, n, err)
+	}
+	units := r.written[page/statefulUnitPages : (page+n-1)/statefulUnitPages+1]
+	switch {
+	case write:
+		for i := range units {
+			units[i] = true
+		}
+	case !slices.Contains(units, true) && got.PageReads+got.MergeReads != 0:
+		r.t.Fatalf("step %d: a read of never-written pages [%d,+%d) performed %+v", step, page, n, got)
+	}
 }
 
 // fuzzStateful interprets in: the first byte picks the bare FTL or the FTL
@@ -94,13 +85,14 @@ func fuzzStateful(t *testing.T, bare, cached string, in []byte) {
 	if in[0]&1 != 0 {
 		name = cached
 	}
-	r := &statefulRun{t: t, model: map[int64]uint32{}}
-	for _, st := range integrityStacks(true) {
+	r := &statefulRun{t: t, written: make([]bool, statefulPages/statefulUnitPages)}
+	for _, st := range integrityStacks() {
 		if st.name == name {
 			r.build = st.build
 		}
 	}
-	r.cur = r.build(t).(ftl.Translator)
+	r.cur = r.build(t)
+	r.twin = r.cur.Clone()
 	r.check(-1, "fresh")
 	for step := 0; 1+3*step+2 < len(in); step++ {
 		c := in[1+3*step : 4+3*step]
@@ -109,23 +101,25 @@ func fuzzStateful(t *testing.T, bare, cached string, in []byte) {
 		what := "write"
 		switch c[0] & 7 {
 		case 0, 1, 2:
-			r.write(step, page, n)
+			r.io(step, true, page, n)
 		case 3, 4:
 			what = "read"
-			r.read(step, page, n)
+			r.io(step, false, page, n)
 		case 5:
 			what = "idle"
 			r.cur.Idle(time.Duration(c[2]) * time.Millisecond)
+			r.twin.Idle(time.Duration(c[2]) * time.Millisecond)
 		case 6:
 			if r.master == nil || c[1]&1 == 0 {
 				what = "master taken"
-				r.master, r.masterModel = r.cur.Clone(), copyModel(r.model)
+				r.master, r.masterWritten = r.cur.Clone(), slices.Clone(r.written)
 				if err := ftl.Audit(r.master); err != nil {
 					t.Fatalf("step %d: master: %v", step, err)
 				}
 			} else {
 				what = "reset from master"
-				r.cur, r.model = ftl.ResetTranslator(r.cur, r.master), copyModel(r.masterModel)
+				r.cur, r.twin = ftl.ResetTranslator(r.cur, r.master), r.master.Clone()
+				r.written = slices.Clone(r.masterWritten)
 			}
 		case 7:
 			what = "snapshot-restore"
@@ -133,7 +127,7 @@ func fuzzStateful(t *testing.T, bare, cached string, in []byte) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := r.build(t).(ftl.Translator)
+			fresh := r.build(t)
 			if err := ftl.RestoreTranslator(fresh, snap); err != nil {
 				t.Fatalf("step %d: a live stack's snapshot does not restore: %v", step, err)
 			}
@@ -142,21 +136,26 @@ func fuzzStateful(t *testing.T, bare, cached string, in []byte) {
 		r.check(step, what)
 	}
 	for page := int64(0); page < statefulPages; page += 32 {
-		r.read(len(in), page, 32)
+		r.io(len(in), false, page, 32)
 	}
 	r.check(len(in), "final sweep")
+	if !reflect.DeepEqual(snapshot(t, r.cur), snapshot(t, r.twin)) {
+		t.Fatal("the stack and its twin end in different states")
+	}
 }
 
-// statefulSeeds are hand-built sequences: fill a stretch and overwrite it until
-// garbage collection (merges, destages) runs; take a master mid-way, diverge
-// and reset; snapshot-restore between writes; idle so that background
-// reclamation and destaging run; read everything back.
+// statefulSeeds are hand-built sequences: read the never-written last logical
+// block; fill a stretch and overwrite it until garbage collection (merges,
+// destages) runs; take a master mid-way, diverge and reset; snapshot-restore
+// between writes; idle so that background reclamation and destaging run; read
+// everything back.
 func statefulSeeds(f *testing.F) {
 	step := func(kind byte, page int, arg byte) []byte {
 		return []byte{kind | byte(page&31)<<3, byte(page >> 5), arg}
 	}
 	for cached := byte(0); cached < 2; cached++ {
-		seq := []byte{cached}
+		start := append([]byte{cached}, step(3, statefulPages-statefulUnitPages, 31)...)
+		seq := slices.Clone(start)
 		for round := 0; round < 6; round++ {
 			for page := 0; page < 512; page += 32 {
 				seq = append(seq, step(0, (page*7+round*96)%statefulPages, 31)...)
@@ -175,7 +174,7 @@ func statefulSeeds(f *testing.F) {
 		}
 		f.Add(seq)
 		// Small scattered writes, a page or two each, with resets in between.
-		seq = []byte{cached}
+		seq = slices.Clone(start)
 		for i := 0; i < 300; i++ {
 			seq = append(seq, step(byte(i%3), (i*389)%statefulPages, byte(i%2))...)
 			if i%50 == 49 {

@@ -1,6 +1,9 @@
 package ftl
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // A queue key packs a block's erase count and its number into one uint64, most
 // significant field first, so comparing two keys as integers is the FTLs'
@@ -107,6 +110,19 @@ func (q *blockQueue) pop() uint64 {
 	return top
 }
 
+// holds reports whether the queue is a heap of exactly the keys of want.
+func (q *blockQueue) holds(want []uint64) bool {
+	for i, k := range q.Keys {
+		if i > 0 && q.Keys[(i-1)/2] > k {
+			return false
+		}
+	}
+	got, want := slices.Clone(q.Keys), slices.Clone(want)
+	slices.Sort(got)
+	slices.Sort(want)
+	return slices.Equal(got, want)
+}
+
 // up seats key at index i or above, moving a hole instead of swapping.
 func (q *blockQueue) up(i int, key uint64) {
 	for i > 0 {
@@ -202,6 +218,17 @@ func (b *mapBook) rederive() {
 	}
 }
 
+// checkDerived reports whether the dirty bitset is what rederive builds from
+// the ring.
+func (b *mapBook) checkDerived() error {
+	want := mapBook{cfg: b.cfg, MapBookState: b.MapBookState}
+	want.rederive()
+	if !slices.Equal(b.dirty, want.dirty) {
+		return fmt.Errorf("ftl: the map book's dirty set is not the window of %d pages its ring queues", b.Queued)
+	}
+	return nil
+}
+
 // touch records that the map entry for unit changed, charging a flush to ops
 // when the dirty budget is exceeded. Flushing map pages in address order is
 // itself a sequential write and stays cheap (one page program); it is the
@@ -256,14 +283,6 @@ type flashBooks struct {
 	arr  *Array
 	free blockQueue
 	book mapBook
-
-	// Data-plane scratch (flash built with data storage only), reset with the
-	// books: the pending host bytes of the WriteData call in flight, alive
-	// only within it, and a one-block staging buffer for the payload of a
-	// program run, its contents dead between calls.
-	pending    []byte
-	pendingOff int64
-	staging    []byte
 }
 
 // newFlashBooks puts every block of the factory-fresh arr in the pool.
@@ -272,12 +291,8 @@ func newFlashBooks(arr *Array, mapUnitsPerPage, mapDirtyLimit int, units int64) 
 	for blk := 0; blk < arr.Blocks(); blk++ {
 		b.free.push(packKey(0, blk))
 	}
-	b.rederiveBooks()
 	return b
 }
-
-// StoresData reports whether the flash underneath retains payloads.
-func (b *flashBooks) StoresData() bool { return b.staging != nil }
 
 // FreeBlocks returns the current size of the pre-erased pool (for tests and
 // the state/ablation experiments).
@@ -300,23 +315,12 @@ func (b *flashBooks) resetBooks(src *flashBooks) {
 	b.loadBooks(&src.free.QueueState, &src.book.MapBookState)
 }
 
-// loadBooks copies pool and book states in and rederives the rest.
+// loadBooks copies pool and book states in and rebuilds the book's dirty set
+// from its ring.
 func (b *flashBooks) loadBooks(free *QueueState, book *MapBookState) {
 	b.free.copyFrom(free)
 	b.book.copyFrom(book)
-	b.rederiveBooks()
-}
-
-// rederiveBooks rebuilds the book's dirty set from its state and resets the
-// data-plane scratch, which exists exactly when the chips store data.
-func (b *flashBooks) rederiveBooks() {
 	b.book.rederive()
-	b.pending, b.pendingOff = nil, 0
-	if size := b.arr.Geometry().BlockSize(); !b.arr.StoresData() {
-		b.staging = nil
-	} else if len(b.staging) != size {
-		b.staging = make([]byte, size)
-	}
 }
 
 // checkBooks validates the part of a state tree under an FTL.

@@ -12,6 +12,8 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -140,6 +142,73 @@ func TestParentStateFilesStillLoad(t *testing.T) {
 			}
 			if !bytes.Equal(csv.Bytes(), want) {
 				t.Fatalf("summary CSV from the re-enforced state differs from the parent's own (%d vs %d bytes)", csv.Len(), len(want))
+			}
+		})
+	}
+}
+
+// TestFormat5StateFilesLoad is the pin on the format-5 files an older build
+// left in a cache directory. The fixtures under testdata/v5 were written, with
+// the command above, by the build of the commit before the chips' payload map
+// (ChipState.Data) and the cache's line bytes (WriteCacheState.LineData) left
+// the state structs. Gob skips stream fields the destination lacks, and the
+// product never filled those two, so each file loads as a hit, a Granularity
+// plan started from it renders the parent's summary CSV byte for byte, and it
+// decodes to exactly the state this build enforces and saves for the same key:
+// of the bytes, only the gob type descriptors moved.
+func TestFormat5StateFilesLoad(t *testing.T) {
+	for _, key := range []string{"kingston-dti", "transcend-ssd16"} {
+		t.Run(key, func(t *testing.T) {
+			cfg := parentFixtureCfg
+			sk := paperexp.StateKey(key, cfg)
+			fixture := filepath.Join("testdata", "v5", sk.Hash()+".state")
+			data, err := os.ReadFile(fixture)
+			if err != nil {
+				t.Fatalf("no fixture for %s: %v", sk, err)
+			}
+			store, err := statestore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(store.Path(sk), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Store = store
+			var hits []bool
+			res, err := paperexp.RunBenchmark(context.Background(), key, cfg, paperexp.BenchmarkRequest{
+				Micros:  []string{"Granularity"},
+				Workers: 1,
+				Stages:  paperexp.Stages{StateEnforced: func(_ time.Duration, hit bool) { hits = append(hits, hit) }},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hits) == 0 || slices.Contains(hits, false) {
+				t.Fatalf("state loads hit %v: the parent's format-5 file did not load", hits)
+			}
+			var csv bytes.Buffer
+			if err := trace.WriteSummaryCSV(&csv, paperexp.Records(res.Results)); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "parent", key+".csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(csv.Bytes(), want) {
+				t.Fatalf("summary CSV from the parent's state differs from the parent's own (%d vs %d bytes)", csv.Len(), len(want))
+			}
+
+			own, err := statestore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Store = own
+			if _, _, _, err := paperexp.PrepareCached(key, cfg); err != nil {
+				t.Fatal(err)
+			}
+			_, parent := openState(t, fixture)
+			if _, saved := openState(t, own.Path(sk)); !reflect.DeepEqual(parent, saved) {
+				t.Fatal("the parent's file decodes to another state than this build saves")
 			}
 		})
 	}
