@@ -1,7 +1,7 @@
 # Targets used verbatim by .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build test lint bench binaries fuzz-smoke clean
+.PHONY: build test lint bench binaries fuzz-smoke loc clean
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,12 @@ binaries:
 		echo "building $$d"; \
 		$(GO) build -o "bin/$$(basename $$d)" "$$d"; \
 	done
+
+# The size of the program: non-test Go lines outside benchmark/ and the
+# linter's fixtures (internal/lint/testdata), hidden directories skipped.
+loc:
+	@find . \( -path ./benchmark -o -path ./internal/lint/testdata -o -name '.?*' \) -prune \
+		-o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 clean:
 	rm -rf bin

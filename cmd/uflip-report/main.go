@@ -278,10 +278,3 @@ func log2(x float64) float64 {
 	}
 	return n
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -27,20 +27,21 @@
 // through Submit one IO at a time, and differential oracles (a device
 // fuzz target plus full-plan, array and workload CSV byte-identity tests
 // in internal/paperexp) pin the two paths identical. Below the device the
-// flash layer is run-granular: pages are programmed in order and erased a
-// block at a time (Section 2.1), so a block's program cursor is the only
-// page state a chip keeps — a page is programmed exactly when it lies below
-// the cursor — and flash.Chip.ProgramRun/ReadRun (ftl.Array.ProgramRun/
-// ReadRun, with one block lookup per run) program or read n consecutive
-// pages with one validation plus cursor arithmetic, all or nothing, leaving
-// the page register and the counters exactly as n single-page calls would.
-// Both FTLs issue one run per block write, merge copy, log append or
-// same-block stretch of a read; the single-page methods are the n = 1 case
-// of the same code, and a fuzz target compares every run against the
-// previous per-page chip, kept as a test-only reference model. On top of
-// that, state is data: flash chips, arrays, every translation layer and the
-// simulated devices each run on one plain state struct beside an immutable
-// configuration, with one copy routine and one validator. ResetFrom
+// flash layer is run-granular: a device's flash is one block table (an
+// ftl.Array over a single flash.Chip spanning every block; the chip count
+// only sizes it), pages are programmed in order and erased a block at a time
+// (Section 2.1), so a block's program cursor is the only page state the chip
+// keeps — a page is programmed exactly when it lies below the cursor — and
+// flash.Chip.ProgramRun/ReadRun program or read n consecutive pages with one
+// validation plus cursor arithmetic, all or nothing, leaving the counters
+// exactly as n single-page calls would. Both FTLs issue one run per block
+// write, merge copy, log append or same-block stretch of a read; the
+// single-page methods are the n = 1 case of the same code, and a fuzz target
+// compares every run against the previous per-page chip, kept as a test-only
+// reference model. On top of that, state is data: the flash, every
+// translation layer and the simulated devices each run on one plain state
+// struct beside an immutable configuration, with one copy routine and one
+// validator. ResetFrom
 // overwrites a device in place with another's state (copy the configuration,
 // copy the state, rederive what follows from them), Clone() is that into a
 // fresh value, a snapshot is the copy into a tree of fresh structs, a restore

@@ -55,7 +55,7 @@ func TestChipCloneEquivalence(t *testing.T) {
 	if cl.Stats() != c.Stats() {
 		t.Fatalf("clone stats %+v, want %+v", cl.Stats(), c.Stats())
 	}
-	// Same op on both must cost the same (page-register state included).
+	// Same op on both must cost the same.
 	for _, op := range []struct{ block, page int }{{0, 1}, {0, 2}, {2, 0}} {
 		da, ea := c.ReadPage(op.block, op.page)
 		db, eb := cl.ReadPage(op.block, op.page)
@@ -113,7 +113,6 @@ func TestRestoreRejectsImpossibleBlockState(t *testing.T) {
 			s.Blocks[3] = BlockState{EraseCount: int32(SLC.EraseLimit() + 2), Bad: true}
 		}, "erase count"},
 		{"a block short", func(s *ChipState) { s.Blocks = s.Blocks[:len(s.Blocks)-1] }, "blocks"},
-		{"a plane short", func(s *ChipState) { s.CachedPage = s.CachedPage[:1] }, "planes"},
 		{"negative counter", func(s *ChipState) { s.Stats.Erases = -1 }, "counters"},
 	} {
 		s := snapshot(c)

@@ -3,8 +3,8 @@
 // of rows (flash pages), read/program/erase as the basic operations, pages
 // programmed sequentially within a block to limit write errors, erase only at
 // block granularity, a bounded erase budget per block (smaller for MLC than
-// SLC), wear tracking and bad-block marking, two planes (even/odd blocks)
-// that can operate concurrently, and an optional page register cache.
+// SLC), wear tracking and bad-block marking. Plane parallelism and the page
+// register are left to the FTL's cost model.
 //
 // Sequential programming plus block-granular erase mean a page is programmed
 // exactly when it lies below its block's program cursor, so the cursor is the
@@ -86,14 +86,6 @@ func (g Geometry) BlockSize() int { return g.PageSize * g.PagesPerBlock }
 // Capacity returns the data capacity of the chip in bytes.
 func (g Geometry) Capacity() int64 { return int64(g.BlockSize()) * int64(g.Blocks) }
 
-// Plane returns the plane a block belongs to (even blocks plane 0, odd 1).
-func (g Geometry) Plane(block int) int {
-	if g.Planes == 1 {
-		return 0
-	}
-	return block % 2
-}
-
 // Timing holds the latencies of the three basic chip operations plus the
 // per-byte transfer cost between the page register and the controller.
 type Timing struct {
@@ -170,11 +162,6 @@ type Stats struct {
 type ChipState struct {
 	Blocks []BlockState
 	Stats  Stats
-	// CachedBlock/CachedPage track the page currently held in the page
-	// register of each plane (-1/-1 when empty); re-reading it skips the
-	// cell-array read.
-	CachedBlock []int
-	CachedPage  []int
 }
 
 // CopyFrom makes s a deep copy of src, reusing s's buffers; s may be a zero
@@ -182,8 +169,6 @@ type ChipState struct {
 func (s *ChipState) CopyFrom(src *ChipState) {
 	s.Blocks = append(s.Blocks[:0], src.Blocks...)
 	s.Stats = src.Stats
-	s.CachedBlock = append(s.CachedBlock[:0], src.CachedBlock...)
-	s.CachedPage = append(s.CachedPage[:0], src.CachedPage...)
 }
 
 // audit states the chip's invariant: whether a chip built as cfg could be
@@ -193,8 +178,6 @@ func (s *ChipState) audit(cfg *chipConfig) error {
 	switch {
 	case len(s.Blocks) != geo.Blocks:
 		return fmt.Errorf("flash: state has %d blocks, chip %d", len(s.Blocks), geo.Blocks)
-	case len(s.CachedBlock) != geo.Planes || len(s.CachedPage) != geo.Planes:
-		return fmt.Errorf("flash: state register contents do not match %d planes", geo.Planes)
 	case s.Stats.Reads < 0 || s.Stats.Programs < 0 || s.Stats.Erases < 0:
 		return fmt.Errorf("flash: state has negative operation counters %+v", s.Stats)
 	}
@@ -236,24 +219,16 @@ func NewChip(geo Geometry, cell CellType) (*Chip, error) {
 	}
 	c := &Chip{
 		cfg: chipConfig{geo: geo, timing: TypicalTiming(cell), cell: cell},
-		st: ChipState{
-			Blocks:      make([]BlockState, geo.Blocks),
-			CachedBlock: make([]int, geo.Planes),
-			CachedPage:  make([]int, geo.Planes),
-		},
-	}
-	for p := 0; p < geo.Planes; p++ {
-		c.st.CachedBlock[p] = -1
-		c.st.CachedPage[p] = -1
+		st:  ChipState{Blocks: make([]BlockState, geo.Blocks)},
 	}
 	c.cfg.transfer = time.Duration(geo.PageSize+geo.OOBSize) * c.cfg.timing.PerByte
 	return c, nil
 }
 
-// Clone returns a deep copy of the chip: block cursors, wear counters,
-// operation stats and page-register contents. The clone and the original
-// evolve independently; driving both with the same operation sequence yields
-// identical durations, errors and stats.
+// Clone returns a deep copy of the chip: block cursors, wear counters and
+// operation stats. The clone and the original evolve independently; driving
+// both with the same operation sequence yields identical durations, errors
+// and stats.
 func (c *Chip) Clone() *Chip {
 	g := &Chip{}
 	g.ResetFrom(c)
@@ -348,10 +323,8 @@ func (c *Chip) checkAddr(block, page int) error {
 	return nil
 }
 
-// ReadPage reads one page into the plane's page register and transfers it to
-// the controller, returning the operation's duration. Reading the page
-// already held in the register skips the cell-array read (the page-cache
-// effect Section 2.1 mentions).
+// ReadPage reads one page and transfers it to the controller, returning the
+// operation's duration.
 func (c *Chip) ReadPage(block, page int) (time.Duration, error) {
 	return c.ReadRun(block, page, 1)
 }
@@ -359,9 +332,8 @@ func (c *Chip) ReadPage(block, page int) (time.Duration, error) {
 // ReadRun reads the n >= 1 consecutive pages [first, first+n) of a block,
 // returning their total duration. It validates once and either reads the
 // whole run or fails without side effects, with the error the first
-// offending page would have produced; on success the page register and the
-// stats are exactly as after n single-page reads (only the run's first page
-// can hit the register; the last one stays in it).
+// offending page would have produced; on success the stats are exactly as
+// after n single-page reads.
 //
 //uflint:hotpath
 func (c *Chip) ReadRun(block, first, n int) (time.Duration, error) {
@@ -381,13 +353,7 @@ func (c *Chip) ReadRun(block, first, n int) (time.Duration, error) {
 		return 0, ErrOutOfRange
 	}
 	c.st.Stats.Reads += int64(n)
-	plane := c.cfg.geo.Plane(block)
-	misses := n
-	if c.st.CachedBlock[plane] == block && c.st.CachedPage[plane] == first {
-		misses--
-	}
-	c.st.CachedBlock[plane], c.st.CachedPage[plane] = block, first+n-1
-	return time.Duration(n)*c.cfg.transfer + time.Duration(misses)*c.cfg.timing.ReadPage, nil
+	return time.Duration(n) * (c.cfg.transfer + c.cfg.timing.ReadPage), nil
 }
 
 // ProgramPage programs one page, enforcing that the page is erased and that
@@ -401,8 +367,8 @@ func (c *Chip) ProgramPage(block, page int, _ []byte) (time.Duration, error) {
 // block, which must start at the block's program cursor, returning their total
 // duration. It validates once and either programs the whole run or
 // fails without side effects, with the error the first offending page would
-// have produced; on success the page register and the stats are exactly as
-// after n single-page programs.
+// have produced; on success the stats are exactly as after n single-page
+// programs.
 //
 //uflint:hotpath
 func (c *Chip) ProgramRun(block, first, n int) (time.Duration, error) {
@@ -422,9 +388,6 @@ func (c *Chip) ProgramRun(block, first, n int) (time.Duration, error) {
 	}
 	b.NextPage += int16(n)
 	c.st.Stats.Programs += int64(n)
-	// Invalidate the register if it held a page of this plane.
-	plane := c.cfg.geo.Plane(block)
-	c.st.CachedBlock[plane], c.st.CachedPage[plane] = -1, -1
 	return time.Duration(n) * (c.cfg.transfer + c.cfg.timing.ProgramPage), nil
 }
 
@@ -446,9 +409,5 @@ func (c *Chip) EraseBlock(block int) (time.Duration, error) {
 		return c.cfg.timing.EraseBlock, ErrWornOut
 	}
 	b.NextPage = 0
-	plane := c.cfg.geo.Plane(block)
-	if c.st.CachedBlock[plane] == block {
-		c.st.CachedBlock[plane], c.st.CachedPage[plane] = -1, -1
-	}
 	return c.cfg.timing.EraseBlock, nil
 }

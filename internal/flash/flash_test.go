@@ -52,13 +52,6 @@ func TestGeometryDerived(t *testing.T) {
 	if g.Capacity() != 8192*8 {
 		t.Errorf("Capacity = %d", g.Capacity())
 	}
-	if g.Plane(0) != 0 || g.Plane(1) != 1 || g.Plane(2) != 0 {
-		t.Error("two-plane mapping wrong")
-	}
-	g.Planes = 1
-	if g.Plane(5) != 0 {
-		t.Error("single-plane mapping wrong")
-	}
 }
 
 func TestCellTypes(t *testing.T) {
@@ -181,35 +174,6 @@ func TestMarkBad(t *testing.T) {
 	}
 	if !c.IsBad(-1) {
 		t.Fatal("out-of-range block should read as bad")
-	}
-}
-
-func TestPageRegisterCache(t *testing.T) {
-	c := newTestChip(t)
-	if _, err := c.ProgramPage(0, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	first, err := c.ReadPage(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := c.ReadPage(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again >= first {
-		t.Fatalf("re-read of cached page cost %v, first read %v", again, first)
-	}
-	// Programming on the same plane invalidates the register.
-	if _, err := c.ProgramPage(0, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	third, err := c.ReadPage(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third != first {
-		t.Fatalf("read after register invalidation cost %v, want %v", third, first)
 	}
 }
 

@@ -17,11 +17,9 @@ type refChip struct {
 	cell     CellType
 	transfer time.Duration
 
-	blocks      []refBlock
-	pages       []PageState
-	stats       Stats
-	cachedBlock []int
-	cachedPage  []int
+	blocks []refBlock
+	pages  []PageState
+	stats  Stats
 }
 
 type refBlock struct {
@@ -32,16 +30,11 @@ type refBlock struct {
 
 func newRefChip(geo Geometry, cell CellType) *refChip {
 	r := &refChip{
-		geo:         geo,
-		timing:      TypicalTiming(cell),
-		cell:        cell,
-		blocks:      make([]refBlock, geo.Blocks),
-		pages:       make([]PageState, geo.Blocks*geo.PagesPerBlock),
-		cachedBlock: make([]int, geo.Planes),
-		cachedPage:  make([]int, geo.Planes),
-	}
-	for p := range r.cachedBlock {
-		r.cachedBlock[p], r.cachedPage[p] = -1, -1
+		geo:    geo,
+		timing: TypicalTiming(cell),
+		cell:   cell,
+		blocks: make([]refBlock, geo.Blocks),
+		pages:  make([]PageState, geo.Blocks*geo.PagesPerBlock),
 	}
 	r.transfer = time.Duration(geo.PageSize+geo.OOBSize) * r.timing.PerByte
 	return r
@@ -51,8 +44,6 @@ func (r *refChip) clone() *refChip {
 	g := *r
 	g.blocks = append([]refBlock(nil), r.blocks...)
 	g.pages = append([]PageState(nil), r.pages...)
-	g.cachedBlock = append([]int(nil), r.cachedBlock...)
-	g.cachedPage = append([]int(nil), r.cachedPage...)
 	return &g
 }
 
@@ -76,13 +67,7 @@ func (r *refChip) readPage(block, page int) (time.Duration, error) {
 		return 0, ErrReadErased
 	}
 	r.stats.Reads++
-	plane := r.geo.Plane(block)
-	var d time.Duration
-	if r.cachedBlock[plane] != block || r.cachedPage[plane] != page {
-		d += r.timing.ReadPage
-		r.cachedBlock[plane], r.cachedPage[plane] = block, page
-	}
-	return d + r.transfer, nil
+	return r.timing.ReadPage + r.transfer, nil
 }
 
 func (r *refChip) programPage(block, page int) (time.Duration, error) {
@@ -102,8 +87,6 @@ func (r *refChip) programPage(block, page int) (time.Duration, error) {
 	r.pages[r.pageIndex(block, page)] = PageProgrammed
 	b.nextPage++
 	r.stats.Programs++
-	plane := r.geo.Plane(block)
-	r.cachedBlock[plane], r.cachedPage[plane] = -1, -1
 	return r.transfer + r.timing.ProgramPage, nil
 }
 
@@ -124,10 +107,6 @@ func (r *refChip) eraseBlock(block int) (time.Duration, error) {
 	base := r.pageIndex(block, 0)
 	clear(r.pages[base : base+r.geo.PagesPerBlock])
 	b.nextPage = 0
-	plane := r.geo.Plane(block)
-	if r.cachedBlock[plane] == block {
-		r.cachedBlock[plane], r.cachedPage[plane] = -1, -1
-	}
 	return r.timing.EraseBlock, nil
 }
 
@@ -192,9 +171,8 @@ func newRunFuzzPair(t *testing.T) (*Chip, *refChip) {
 }
 
 // requireSameChip compares everything observable about the two chips,
-// addresses one past either end included. The register state is observed the
-// only way a caller can: as the duration of the next ReadPage, taken on
-// throwaway clones for every page.
+// addresses one past either end included, down to the duration and error of
+// a ReadPage of every page, taken on throwaway clones.
 func requireSameChip(t *testing.T, step int, c *Chip, ref *refChip) {
 	t.Helper()
 	g := runFuzzGeo
@@ -273,11 +251,11 @@ func runOps(t *testing.T, ops []byte) {
 // FuzzChipRunEquivalence is the differential test of the cursor-as-state
 // chip and its run operations against the page-at-a-time reference: random
 // sequences, invalid ones included, must produce the same errors, durations,
-// page states, cursors, wear, stats and register contents.
+// page states, cursors, wear and stats.
 func FuzzChipRunEquivalence(f *testing.F) {
-	// The hand-written sequences (fill and read back across the register,
-	// wear-out, every invalid run, bad blocks) are the committed corpus in
-	// testdata/fuzz; these add breadth.
+	// The hand-written sequences (fill and read back, wear-out, every
+	// invalid run, bad blocks) are the committed corpus in testdata/fuzz;
+	// these add breadth.
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 4; i++ {
 		ops := make([]byte, 5*200)

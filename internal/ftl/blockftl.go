@@ -3,6 +3,8 @@ package ftl
 import (
 	"fmt"
 	"time"
+
+	"uflip/internal/flash"
 )
 
 // BlockConfig configures a BlockFTL.
@@ -73,8 +75,8 @@ func (s *BlockFTLState) copyFrom(src *BlockFTLState) {
 // audit states the FTL's invariant: whether a BlockFTL built as cfg, with
 // the free pool free over flash in state arr (both already valid), could be
 // in state s.
-func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *ArrayState) error {
-	blocks := arr.blocks()
+func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *flash.ChipState) error {
+	blocks := len(arr.Blocks)
 	switch {
 	case len(s.Data) != int(cfg.lbnCount) || len(s.Logs) != cfg.LogBlocks:
 		return fmt.Errorf("ftl: state maps %d logical blocks through %d log slots, FTL %d through %d", len(s.Data), len(s.Logs), cfg.lbnCount, cfg.LogBlocks)
@@ -85,7 +87,7 @@ func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *ArrayStat
 	// log block.
 	serves := make([]bool, blocks)
 	claim := func(b int, as string) error {
-		if b < 0 || b >= blocks || serves[b] || arr.block(b).Bad {
+		if b < 0 || b >= blocks || serves[b] || arr.Blocks[b].Bad {
 			return fmt.Errorf("ftl: %s block %d is outside the array, bad, or serves twice", as, b)
 		}
 		serves[b] = true
@@ -120,12 +122,12 @@ func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *ArrayStat
 			return err
 		}
 		// Only the log's own appends program its block.
-		if cursor := int(arr.block(l.PB).NextPage); l.NextPage != cursor {
+		if cursor := int(arr.Blocks[l.PB].NextPage); l.NextPage != cursor {
 			return fmt.Errorf("ftl: log slot %d stands at page %d of block %d, the chip at page %d", i, l.NextPage, l.PB, cursor)
 		}
 	}
 	for b, ok := range serves {
-		if !ok && !arr.block(b).Bad {
+		if !ok && !arr.Blocks[b].Bad {
 			return fmt.Errorf("ftl: block %d is neither free, data nor log", b)
 		}
 	}
@@ -208,7 +210,7 @@ func (f *BlockFTL) Clone() Translator {
 }
 
 // resetFrom makes f a deep copy of t — a BlockFTL — and of the flash array
-// underneath, reusing f's tables and chips; f may be a zero value.
+// underneath, reusing f's tables and flash; f may be a zero value.
 func (f *BlockFTL) resetFrom(t Translator) bool {
 	src, ok := t.(*BlockFTL)
 	if !ok {

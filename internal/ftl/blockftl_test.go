@@ -351,7 +351,7 @@ func TestBlockFTLRestoreRejectsCorruptLogRows(t *testing.T) {
 		{"ring page beyond the map", func(s *TranslatorState) { *ring(s, 1) = src.book.cfg.pages }, "outside [0,"},
 		{"ring page queued twice", func(s *TranslatorState) { *ring(s, 1) = *ring(s, 0) }, "queued twice"},
 		{"ring head out of range", func(s *TranslatorState) { s.Book.Head = len(s.Book.Order) }, "map book ring"},
-		{"a chip short", func(s *TranslatorState) { s.Arr.Chips = s.Arr.Chips[:1] }, "array of"},
+		{"a block short", func(s *TranslatorState) { s.Arr.Blocks = s.Arr.Blocks[:len(s.Arr.Blocks)-1] }, "blocks, chip"},
 		{"a page FTL's state", func(s *TranslatorState) { s.Page, s.Block = &PageFTLState{}, nil }, "not a block FTL's"},
 	} {
 		s := snapshot()

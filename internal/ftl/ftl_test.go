@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -118,11 +117,9 @@ func TestNewUniformArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arr.Chips() != 4 {
-		t.Fatalf("chips = %d", arr.Chips())
-	}
-	if arr.RawCapacity() < 64<<20 {
-		t.Fatalf("raw capacity %d below request", arr.RawCapacity())
+	// 4 chips of 64 MiB / (4 x 128 KiB) blocks each.
+	if arr.Blocks() != 4*128 {
+		t.Fatalf("blocks = %d, want %d", arr.Blocks(), 4*128)
 	}
 	if _, err := NewUniformArray(0, flash.SLC, 1<<20); err == nil {
 		t.Fatal("zero chips accepted")
@@ -159,58 +156,21 @@ func TestArrayAddressing(t *testing.T) {
 	}
 }
 
-// CheckLocate holds Array.locate to the division it replaces for every block
-// of the array under tr. (Exported for the profile sweep in serve_test.go.)
-func CheckLocate(tr Translator) error {
-	var arr *Array
+// ArrayOn builds an array over one chip of any geometry, and ArrayOf returns
+// the array under a page or block FTL, bare or under a write cache. (Exported
+// for the sweeps in serve_test.go.)
+func ArrayOn(chip *flash.Chip) *Array { return &Array{chip: *chip} }
+
+func ArrayOf(tr Translator) *Array {
 	switch tr := tr.(type) {
 	case *WriteCache:
-		return CheckLocate(tr.Inner())
+		return ArrayOf(tr.Inner())
 	case *PageFTL:
-		arr = tr.arr
+		return tr.arr
 	case *BlockFTL:
-		arr = tr.arr
-	}
-	per := arr.cfg.blocksPerChip
-	for gb := 0; gb < arr.Blocks(); gb++ {
-		if c, lb, err := arr.locate(gb); err != nil || c != arr.chips[gb/per] || lb != gb%per {
-			return fmt.Errorf("block %d of %d chips x %d: located on chip %p block %d (%v), want chip %d block %d",
-				gb, arr.Chips(), per, c, lb, err, gb/per, gb%per)
-		}
+		return tr.arr
 	}
 	return nil
-}
-
-// TestArrayChipReciprocal holds the reciprocal to the division around every
-// chip boundary and at the last block, for shapes up to the widest array a
-// queue key can address.
-func TestArrayChipReciprocal(t *testing.T) {
-	for _, chips := range []int{1, 2, 3, 7, 8, 16} {
-		for _, per := range []int{1, 2, 3, 1041, 1042, 4167, 65535, 1<<keyBlockBits/16 - 1, 1 << keyBlockBits / 16} {
-			cfg := newArrayConfig(flash.Geometry{Blocks: per}, chips)
-			for c := 0; c < chips; c++ {
-				for _, gb := range []int{c * per, c*per + 1, c*per + per/2, (c+1)*per - 2, (c+1)*per - 1} {
-					if gb < 0 || gb >= cfg.totalBlocks {
-						continue
-					}
-					if got := int((uint64(gb) * cfg.chipMul) >> cfg.chipShift); got != gb/per {
-						t.Fatalf("%d chips x %d blocks: block %d on chip %d, want %d", chips, per, gb, got, gb/per)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestArrayRejectsMixedGeometry(t *testing.T) {
-	a, _ := flash.NewChip(flash.Geometry{PageSize: 2048, PagesPerBlock: 4, Blocks: 4, Planes: 1}, flash.SLC)
-	b, _ := flash.NewChip(flash.Geometry{PageSize: 4096, PagesPerBlock: 4, Blocks: 4, Planes: 1}, flash.SLC)
-	if _, err := NewArray([]*flash.Chip{a, b}); err == nil {
-		t.Fatal("mixed geometry accepted")
-	}
-	if _, err := NewArray(nil); err == nil {
-		t.Fatal("empty array accepted")
-	}
 }
 
 func TestMapBook(t *testing.T) {

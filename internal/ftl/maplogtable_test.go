@@ -267,7 +267,7 @@ func (f *mapLogFTL) Read(off, length int64) (Ops, error) {
 // rows sorted by LBN: which slot holds a log is arbitrary, and the oracle has
 // no slots.
 type logTableImage struct {
-	Arr          *ArrayState
+	Arr          *flash.ChipState
 	Data         []int32
 	Logs         []LogSlot
 	Free         []uint64
@@ -305,7 +305,7 @@ func image(t testing.TB, f *BlockFTL) *logTableImage {
 // image is the oracle's state in the same form.
 func (f *mapLogFTL) image() *logTableImage {
 	img := &logTableImage{
-		Arr:          copied(f.arr.view()),
+		Arr:          copiedFlash(f.arr.chip.State()),
 		Data:         append([]int32(nil), f.data...),
 		Free:         append([]uint64(nil), f.free.Keys...),
 		Tick:         f.tick,
@@ -323,7 +323,7 @@ func (f *mapLogFTL) image() *logTableImage {
 
 // load puts a freshly built oracle into the imaged state.
 func (f *mapLogFTL) load(img *logTableImage) {
-	f.arr.load(img.Arr)
+	f.arr.chip.State().CopyFrom(img.Arr)
 	copy(f.data, img.Data)
 	clear(f.logs)
 	for _, l := range img.Logs {

@@ -3,6 +3,8 @@ package ftl
 import (
 	"fmt"
 	"time"
+
+	"uflip/internal/flash"
 )
 
 // PageConfig configures a PageFTL.
@@ -112,8 +114,8 @@ func (s *PageFTLState) copyFrom(src *PageFTLState) {
 // audit states the FTL's invariant: whether a PageFTL built as cfg, with
 // the free pool free over flash in state arr (both already valid), could be
 // in state s.
-func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *ArrayState) error {
-	blocks, ppb := arr.blocks(), cfg.pagesPerBlock
+func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *flash.ChipState) error {
+	blocks, ppb := len(arr.Blocks), cfg.pagesPerBlock
 	switch {
 	case len(s.FMap) != int(cfg.logicalBlocks) || len(s.RMap) != blocks || len(s.IsOpen) != blocks || len(s.WPs) != cfg.WritePoints:
 		return fmt.Errorf("ftl: state tables (%d logical blocks, %d and %d blocks, %d write points) are not this FTL's size", len(s.FMap), len(s.RMap), len(s.IsOpen), len(s.WPs))
@@ -130,7 +132,7 @@ func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *ArrayState)
 		if lb < -1 || lb >= cfg.logicalBlocks || (lb >= 0 && s.FMap[lb] != int64(pb)) {
 			return fmt.Errorf("ftl: block %d holds logical block %d, which does not map back", pb, lb)
 		}
-		if cursor := int(arr.block(pb).NextPage); lb >= 0 && cursor != ppb {
+		if cursor := int(arr.Blocks[pb].NextPage); lb >= 0 && cursor != ppb {
 			return fmt.Errorf("ftl: block %d holds logical block %d and is programmed to page %d of %d", pb, lb, cursor, ppb)
 		}
 	}
@@ -142,15 +144,15 @@ func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *ArrayState)
 		case wp.LastUnit < -2 || wp.LastUnit >= cfg.logicalBlocks || wp.LastUse < 0 || wp.LastUse > s.Tick:
 			return fmt.Errorf("ftl: write point %d has stream position (block %d, tick %d) out of range", i, wp.LastUnit, wp.LastUse)
 		case wp.Block == -1:
-		case wp.Block < 0 || wp.Block >= blocks || int(arr.block(wp.Block).NextPage) != ppb:
+		case wp.Block < 0 || wp.Block >= blocks || int(arr.Blocks[wp.Block].NextPage) != ppb:
 			return fmt.Errorf("ftl: write point %d stands on block %d, which it has not filled", i, wp.Block)
 		default:
 			standing[wp.Block]++
 		}
 	}
 	for b, isOpen := range s.IsOpen {
-		if isOpen != (standing[b] == 1) || standing[b] > 1 || (isOpen && arr.block(b).Bad) {
-			return fmt.Errorf("ftl: block %d is open=%v with %d write points on it (bad=%v)", b, isOpen, standing[b], arr.block(b).Bad)
+		if isOpen != (standing[b] == 1) || standing[b] > 1 || (isOpen && arr.Blocks[b].Bad) {
+			return fmt.Errorf("ftl: block %d is open=%v with %d write points on it (bad=%v)", b, isOpen, standing[b], arr.Blocks[b].Bad)
 		}
 	}
 	for _, k := range free.Keys {
@@ -188,7 +190,7 @@ type PageFTL struct {
 	// victims holds exactly the closed, unmapped, programmed, usable blocks
 	// (the free pool's are erased), each under its key at the time it became
 	// one: neither configuration nor state but a function of the state and
-	// the chips, which rederive rebuilds.
+	// the flash, which rederive rebuilds.
 	victims blockQueue
 }
 
@@ -247,7 +249,7 @@ func (f *PageFTL) Clone() Translator {
 }
 
 // resetFrom makes f a deep copy of t — a PageFTL — and of the flash array
-// underneath, reusing f's maps, pools and chips; f may be a zero value.
+// underneath, reusing f's maps, pools and flash; f may be a zero value.
 func (f *PageFTL) resetFrom(t Translator) bool {
 	src, ok := t.(*PageFTL)
 	if !ok {
@@ -262,7 +264,7 @@ func (f *PageFTL) resetFrom(t Translator) bool {
 	return true
 }
 
-// rederive rebuilds the reclamation candidates from the state and the chips:
+// rederive rebuilds the reclamation candidates from the state and the flash:
 // every usable closed block that holds no data and has been programmed since
 // its last erase, which tells it apart from the blocks of the free pool.
 func (f *PageFTL) rederive() {
@@ -278,7 +280,7 @@ func (f *PageFTL) rederive() {
 }
 
 // checkDerived reports whether the reclamation candidates are a heap of the
-// keys rederive builds from the state and the chips, and the map book's dirty
+// keys rederive builds from the state and the flash, and the map book's dirty
 // set its ring's window.
 func (f *PageFTL) checkDerived() error {
 	want := *f

@@ -115,19 +115,28 @@ func TestServeMatchesTranslator(t *testing.T) {
 	}
 }
 
-// TestArrayLocateMatchesDivision holds the array's reciprocal chip lookup to
-// the division it replaces, for every block of every profile's array at
-// 1 GiB and at the smallest capacity a profile builds at, where the array is
-// its headroom alone.
-func TestArrayLocateMatchesDivision(t *testing.T) {
+// TestArraySizing pins the one job a profile's chip count keeps: sizing the
+// flash. Every profile's array is Chips x perChip blocks, perChip =
+// max(2, ceil(raw / (Chips x 128 KiB))) rounded up to even, where raw is the
+// logical capacity plus the FTL's headroom blocks. Sizing by
+// ceil(raw / 128 KiB) instead would move every result.
+func TestArraySizing(t *testing.T) {
+	const block = 128 << 10
 	for _, p := range profile.All() {
-		for _, logical := range []int64{1 << 30, 1} {
+		for _, logical := range []int64{32 << 20, 64 << 20, 512 << 20, 1 << 30} {
+			headroom := int64(p.Block.LogBlocks + 4)
+			if p.Kind == profile.PageMapped {
+				headroom = int64(p.Page.ReserveBlocks + p.Page.WritePoints + 4)
+			}
+			chips := int64(p.Chips)
+			perChip := max(2, (logical+headroom*block+chips*block-1)/(chips*block))
+			perChip += perChip % 2
 			d, err := p.BuildWithCapacity(logical)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ftl.CheckLocate(d.Top()); err != nil {
-				t.Errorf("%s at %d bytes: %v", p.Key, logical, err)
+			if got := ftl.ArrayOf(d.Top()).Blocks(); int64(got) != chips*perChip {
+				t.Errorf("%s at %d MiB: %d blocks, want %d chips x %d", p.Key, logical>>20, got, chips, perChip)
 			}
 		}
 	}
@@ -145,10 +154,7 @@ func TestFTLsRejectNonPowerOfTwoGeometry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arr, err := ftl.NewArray([]*flash.Chip{chip})
-		if err != nil {
-			t.Fatal(err)
-		}
+		arr := ftl.ArrayOn(chip)
 		cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), geo.PageSize)
 		block := int64(geo.BlockSize())
 		if _, err := ftl.NewPageFTL(arr, ftl.PageConfig{

@@ -1,18 +1,23 @@
 package ftl
 
-import "fmt"
+import (
+	"fmt"
+
+	"uflip/internal/flash"
+)
 
 // TranslatorState is the state of a translation stack as a tree of pointers to
 // the structs its layers run on. One of Page, Block and Cache is set, naming
 // the top layer: an FTL with its free pool, its map book and the flash beside
-// it, a cache with the stack it buffers. Restored into a freshly built stack of
-// the same configuration it gives results byte-identical to the original's.
+// it (one chip's state spanning every block), a cache with the stack it
+// buffers. Restored into a freshly built stack of the same configuration it
+// gives results byte-identical to the original's.
 type TranslatorState struct {
 	Page  *PageFTLState
 	Block *BlockFTLState
 	Free  *QueueState
 	Book  *MapBookState
-	Arr   *ArrayState
+	Arr   *flash.ChipState
 
 	Cache *WriteCacheState
 	Inner *TranslatorState
@@ -31,13 +36,24 @@ func copied[T any, P interface {
 	return dst
 }
 
+// copiedFlash is copied for the flash's state, whose copy routine is the
+// flash package's.
+func copiedFlash(src *flash.ChipState) *flash.ChipState {
+	if src == nil {
+		return nil
+	}
+	dst := &flash.ChipState{}
+	dst.CopyFrom(src)
+	return dst
+}
+
 // clone returns a deep copy of the tree that shares no memory with it.
 func (s *TranslatorState) clone() *TranslatorState {
 	if s == nil {
 		return nil
 	}
 	return &TranslatorState{
-		Page: copied(s.Page), Block: copied(s.Block), Free: copied(s.Free), Book: copied(s.Book), Arr: copied(s.Arr),
+		Page: copied(s.Page), Block: copied(s.Block), Free: copied(s.Free), Book: copied(s.Book), Arr: copiedFlash(s.Arr),
 		Cache: copied(s.Cache), Inner: s.Inner.clone(),
 	}
 }
@@ -48,9 +64,9 @@ func (s *TranslatorState) clone() *TranslatorState {
 func view(t Translator) (*TranslatorState, error) {
 	switch t := t.(type) {
 	case *PageFTL:
-		return &TranslatorState{Page: &t.st, Free: &t.free.QueueState, Book: &t.book.MapBookState, Arr: t.arr.view()}, nil
+		return &TranslatorState{Page: &t.st, Free: &t.free.QueueState, Book: &t.book.MapBookState, Arr: t.arr.chip.State()}, nil
 	case *BlockFTL:
-		return &TranslatorState{Block: &t.st, Free: &t.free.QueueState, Book: &t.book.MapBookState, Arr: t.arr.view()}, nil
+		return &TranslatorState{Block: &t.st, Free: &t.free.QueueState, Book: &t.book.MapBookState, Arr: t.arr.chip.State()}, nil
 	case *WriteCache:
 		inner, err := view(t.inner)
 		return &TranslatorState{Cache: &t.st, Inner: inner}, err
@@ -102,12 +118,12 @@ func CheckTranslator(t Translator, s *TranslatorState) error {
 func LoadTranslator(t Translator, s *TranslatorState) {
 	switch t := t.(type) {
 	case *PageFTL:
-		t.arr.load(s.Arr)
+		t.arr.chip.State().CopyFrom(s.Arr)
 		t.loadBooks(s.Free, s.Book)
 		t.st.copyFrom(s.Page)
 		t.rederive()
 	case *BlockFTL:
-		t.arr.load(s.Arr)
+		t.arr.chip.State().CopyFrom(s.Arr)
 		t.loadBooks(s.Free, s.Book)
 		t.st.copyFrom(s.Block)
 	case *WriteCache:

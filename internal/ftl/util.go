@@ -3,6 +3,8 @@ package ftl
 import (
 	"fmt"
 	"slices"
+
+	"uflip/internal/flash"
 )
 
 // A queue key packs a block's erase count and its number into one uint64, most
@@ -43,15 +45,15 @@ func (s *QueueState) copyFrom(src *QueueState) {
 // audit states the invariant of a free pool over flash in the valid state
 // arr: keys in heap order, one per block at most, each a usable erased block
 // under its current wear.
-func (s *QueueState) audit(arr *ArrayState) error {
-	seen := make([]bool, arr.blocks())
+func (s *QueueState) audit(arr *flash.ChipState) error {
+	seen := make([]bool, len(arr.Blocks))
 	for i, k := range s.Keys {
 		b := int(k & keyBlockMask)
 		if b >= len(seen) || seen[b] || (i > 0 && s.Keys[(i-1)/2] > k) {
 			return fmt.Errorf("ftl: free-pool entry %d (block %d) is out of range, queued twice or out of heap order", i, b)
 		}
 		seen[b] = true
-		if bs := arr.block(b); k != packKey(int(bs.EraseCount), b) || bs.NextPage != 0 || bs.Bad {
+		if bs := arr.Blocks[b]; k != packKey(int(bs.EraseCount), b) || bs.NextPage != 0 || bs.Bad {
 			return fmt.Errorf("ftl: free-pool key %#x names block %d, which is not a usable erased block of that wear", k, b)
 		}
 	}
@@ -278,7 +280,7 @@ func (b *mapBook) setDirty(page int64) bool {
 func (b *mapBook) dirtyCount() int { return b.Queued }
 
 // flashBooks is what both FTLs stand on, each part keeping its own state: the
-// chips, the pool of erased blocks and the map book.
+// flash, the pool of erased blocks and the map book.
 type flashBooks struct {
 	arr  *Array
 	free blockQueue
@@ -304,7 +306,7 @@ func (b *flashBooks) pushFree(block int) {
 	b.free.push(packKey(ec, block))
 }
 
-// resetBooks makes b a deep copy of src, reusing b's chips and buffers; b may
+// resetBooks makes b a deep copy of src, reusing b's flash and buffers; b may
 // be a zero value.
 func (b *flashBooks) resetBooks(src *flashBooks) {
 	if b.arr == nil {
@@ -328,7 +330,7 @@ func (b *flashBooks) checkBooks(s *TranslatorState) error {
 	if s.Free == nil || s.Book == nil {
 		return fmt.Errorf("ftl: state lacks the FTL's free pool or map book")
 	}
-	if err := b.arr.check(s.Arr); err != nil {
+	if err := b.arr.chip.Check(s.Arr); err != nil {
 		return err
 	}
 	if err := s.Free.audit(s.Arr); err != nil {

@@ -127,10 +127,8 @@ func eraseCounts(t *testing.T, top ftl.Translator, h hash.Hash) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chip := range s.Arr.Chips {
-		for _, b := range chip.Blocks {
-			binary.Write(h, binary.LittleEndian, int64(b.EraseCount))
-		}
+	for _, b := range s.Arr.Blocks {
+		binary.Write(h, binary.LittleEndian, int64(b.EraseCount))
 	}
 }
 

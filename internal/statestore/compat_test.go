@@ -12,8 +12,6 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
-	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -78,139 +76,80 @@ func ftlOf(t *testing.T, p *payload) *ftl.TranslatorState {
 //	uflip -device D -capacity 33554432 -micro Granularity -parallel 1 -statedir S -out O
 //
 // for D = kingston-dti (bare BlockFTL) and transcend-ssd16 (BlockFTL under a
-// WriteCache): S/<key hash>.state and O/D.csv. If a profile edit changes the
-// key hash, rename each .state file to its new hash: an older build's file is
-// quarantined whatever key it was saved under, and the CSV pins what
+// WriteCache): S/<key hash>.state and O/D.csv. The fixtures under testdata/v5
+// were written with the same command by the build of the commit before the
+// flash became one chip's state (format version 5). If a profile edit changes
+// the key hash, rename each .state file to its new hash: an older build's file
+// is quarantined whatever key it was saved under, and the CSV pins what
 // re-enforcement then renders.
 var parentFixtureCfg = paperexp.Config{Capacity: 32 << 20, Seed: 42, IOCount: 1024}
 
 // TestParentStateFilesStillLoad is the pin on what happens to the state files
-// an older build left in a cache directory: this build quarantines the
-// parent's version-3 file, enforces the state again, saves it in the current
-// format, and a Granularity plan started from it renders the parent's summary
-// CSV byte for byte.
+// older builds left in a cache directory: this build quarantines the version-3
+// and the version-5 file alike, enforces the state again, saves it in the
+// current format, and a Granularity plan started from it renders the parent's
+// summary CSV byte for byte.
 func TestParentStateFilesStillLoad(t *testing.T) {
 	for _, key := range []string{"kingston-dti", "transcend-ssd16"} {
 		t.Run(key, func(t *testing.T) {
-			cfg := parentFixtureCfg
-			sk := paperexp.StateKey(key, cfg)
-			fixture, err := os.ReadFile(filepath.Join("testdata", "parent", sk.Hash()+".state"))
-			if err != nil {
-				t.Fatalf("no fixture for %s (see the comment on parentFixtureCfg): %v", sk, err)
-			}
-			store, err := statestore.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(store.Path(sk), fixture, 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			cfg.Store = store
-			var hits []bool
-			res, err := paperexp.RunBenchmark(context.Background(), key, cfg, paperexp.BenchmarkRequest{
-				Micros:  []string{"Granularity"},
-				Workers: 1,
-				Stages:  paperexp.Stages{StateEnforced: func(_ time.Duration, hit bool) { hits = append(hits, hit) }},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hits) == 0 || hits[0] {
-				t.Fatalf("state loads hit %v: the plan's first load took the parent's file", hits)
-			}
-			if moved, err := os.ReadFile(store.Path(sk) + ".corrupt"); err != nil || !bytes.Equal(moved, fixture) {
-				t.Fatalf("the parent's file is not preserved as .corrupt (err=%v)", err)
-			}
-			dev, err := profile.BuildDevice(key, cfg.Capacity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, hit, err := store.Load(sk, dev); err != nil || !hit {
-				t.Fatalf("re-enforced state: hit=%v err=%v, want a hit", hit, err)
-			}
-			if _, p := openState(t, store.Path(sk)); len(activeLogs(ftlOf(t, p))) == 0 || ftlOf(t, p).Book.Queued == 0 {
-				t.Fatal("fixture pins nothing: no attached log or no dirty map page in the enforced state")
-			}
-			var csv bytes.Buffer
-			if err := trace.WriteSummaryCSV(&csv, paperexp.Records(res.Results)); err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", "parent", key+".csv"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(csv.Bytes(), want) {
-				t.Fatalf("summary CSV from the re-enforced state differs from the parent's own (%d vs %d bytes)", csv.Len(), len(want))
+			for _, dir := range []string{"parent", "v5"} {
+				t.Run(dir, func(t *testing.T) { testOlderStateFile(t, key, dir) })
 			}
 		})
 	}
 }
 
-// TestFormat5StateFilesLoad is the pin on the format-5 files an older build
-// left in a cache directory. The fixtures under testdata/v5 were written, with
-// the command above, by the build of the commit before the chips' payload map
-// (ChipState.Data) and the cache's line bytes (WriteCacheState.LineData) left
-// the state structs. Gob skips stream fields the destination lacks, and the
-// product never filled those two, so each file loads as a hit, a Granularity
-// plan started from it renders the parent's summary CSV byte for byte, and it
-// decodes to exactly the state this build enforces and saves for the same key:
-// of the bytes, only the gob type descriptors moved.
-func TestFormat5StateFilesLoad(t *testing.T) {
-	for _, key := range []string{"kingston-dti", "transcend-ssd16"} {
-		t.Run(key, func(t *testing.T) {
-			cfg := parentFixtureCfg
-			sk := paperexp.StateKey(key, cfg)
-			fixture := filepath.Join("testdata", "v5", sk.Hash()+".state")
-			data, err := os.ReadFile(fixture)
-			if err != nil {
-				t.Fatalf("no fixture for %s: %v", sk, err)
-			}
-			store, err := statestore.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(store.Path(sk), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			cfg.Store = store
-			var hits []bool
-			res, err := paperexp.RunBenchmark(context.Background(), key, cfg, paperexp.BenchmarkRequest{
-				Micros:  []string{"Granularity"},
-				Workers: 1,
-				Stages:  paperexp.Stages{StateEnforced: func(_ time.Duration, hit bool) { hits = append(hits, hit) }},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(hits) == 0 || slices.Contains(hits, false) {
-				t.Fatalf("state loads hit %v: the parent's format-5 file did not load", hits)
-			}
-			var csv bytes.Buffer
-			if err := trace.WriteSummaryCSV(&csv, paperexp.Records(res.Results)); err != nil {
-				t.Fatal(err)
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", "parent", key+".csv"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(csv.Bytes(), want) {
-				t.Fatalf("summary CSV from the parent's state differs from the parent's own (%d vs %d bytes)", csv.Len(), len(want))
-			}
+func testOlderStateFile(t *testing.T, key, dir string) {
+	cfg := parentFixtureCfg
+	sk := paperexp.StateKey(key, cfg)
+	fixture, err := os.ReadFile(filepath.Join("testdata", dir, sk.Hash()+".state"))
+	if err != nil {
+		t.Fatalf("no fixture for %s (see the comment on parentFixtureCfg): %v", sk, err)
+	}
+	store, err := statestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.Path(sk), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-			own, err := statestore.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Store = own
-			if _, _, _, err := paperexp.PrepareCached(key, cfg); err != nil {
-				t.Fatal(err)
-			}
-			_, parent := openState(t, fixture)
-			if _, saved := openState(t, own.Path(sk)); !reflect.DeepEqual(parent, saved) {
-				t.Fatal("the parent's file decodes to another state than this build saves")
-			}
-		})
+	cfg.Store = store
+	var hits []bool
+	res, err := paperexp.RunBenchmark(context.Background(), key, cfg, paperexp.BenchmarkRequest{
+		Micros:  []string{"Granularity"},
+		Workers: 1,
+		Stages:  paperexp.Stages{StateEnforced: func(_ time.Duration, hit bool) { hits = append(hits, hit) }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) == 0 || hits[0] {
+		t.Fatalf("state loads hit %v: the plan's first load took the older build's file", hits)
+	}
+	if moved, err := os.ReadFile(store.Path(sk) + ".corrupt"); err != nil || !bytes.Equal(moved, fixture) {
+		t.Fatalf("the older build's file is not preserved as .corrupt (err=%v)", err)
+	}
+	dev, err := profile.BuildDevice(key, cfg.Capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := store.Load(sk, dev); err != nil || !hit {
+		t.Fatalf("re-enforced state: hit=%v err=%v, want a hit", hit, err)
+	}
+	if _, p := openState(t, store.Path(sk)); len(activeLogs(ftlOf(t, p))) == 0 || ftlOf(t, p).Book.Queued == 0 {
+		t.Fatal("fixture pins nothing: no attached log or no dirty map page in the enforced state")
+	}
+	var csv bytes.Buffer
+	if err := trace.WriteSummaryCSV(&csv, paperexp.Records(res.Results)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "parent", key+".csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csv.Bytes(), want) {
+		t.Fatalf("summary CSV from the re-enforced state differs from the parent's own (%d vs %d bytes)", csv.Len(), len(want))
 	}
 }
 

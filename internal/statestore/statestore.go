@@ -127,12 +127,13 @@ func (s *Store) LockKey(k Key) func() {
 // the payload is the tree of state structs the layers run on
 // (device.DeviceState), written as it stands; version 5 maps the PageFTL by
 // flash block (no per-block live counts, GC write point or write-point slot)
-// and drops the write cache's idle-destage credit and counter. Older files
-// fail the version check and take the quarantine path like any other
+// and drops the write cache's idle-destage credit and counter; version 6
+// stores the flash as one chip's state spanning every block (no per-chip
+// list, no page register). Older files fail the version check and take the quarantine path like any other
 // unreadable file.
 const (
 	magic   = "uFLIPst\x01"
-	version = uint32(5)
+	version = uint32(6)
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
