@@ -366,7 +366,7 @@ func BenchmarkAblationWriteCache(b *testing.B) {
 				return nil, err
 			}
 			return ftl.NewWriteCache(inner, ftl.CacheConfig{
-				CapacityBytes: 8 << 20, LineBytes: 4096, RegionBytes: 128 * 1024, Streams: 8,
+				CapacityBytes: 8 << 20, Streams: 8,
 			}, cost)
 		})
 		d := core.StandardDefaults()

@@ -29,7 +29,9 @@
 // in internal/paperexp) pin the two paths identical. Below the device the
 // flash layer is run-granular: a device's flash is one block table (an
 // ftl.Array over a single flash.Chip spanning every block; the chip count
-// only sizes it), pages are programmed in order and erased a block at a time
+// only sizes it) of one geometry, declared once as ftl constants (2 KiB
+// pages, 64 to a block; the write cache tracks 4 KiB lines, 32 to a region,
+// so a region's dirty lines are one word), pages are programmed in order and erased a block at a time
 // (Section 2.1), so a block's program cursor is the only page state the chip
 // keeps — a page is programmed exactly when it lies below the cursor — and
 // flash.Chip.ProgramRun/ReadRun program or read n consecutive pages with one

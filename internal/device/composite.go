@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"uflip/internal/ftl"
 )
 
 // Layout selects how a CompositeDevice distributes IOs over its members.
@@ -59,8 +61,8 @@ type CompositeConfig struct {
 	// Layout is the data distribution.
 	Layout Layout
 	// ChunkBytes is the stripe chunk size (a positive multiple of the
-	// sector size; ignored by mirror and concat). Zero defaults to 128 KiB,
-	// the flash-block granularity of every profile in the repository.
+	// sector size; ignored by mirror and concat). Zero defaults to
+	// DefaultChunkBytes.
 	ChunkBytes int64
 	// QueueDepth bounds the IOs outstanding per member (host-side dispatch
 	// queue). While a member's queue is full, the composite's dispatcher
@@ -71,8 +73,8 @@ type CompositeConfig struct {
 	QueueDepth int
 }
 
-// DefaultChunkBytes is the default stripe chunk size.
-const DefaultChunkBytes = 128 * 1024
+// DefaultChunkBytes is the default stripe chunk size: one flash block.
+const DefaultChunkBytes = ftl.BlockBytes
 
 // DefaultQueueDepth is the default per-member queue bound.
 const DefaultQueueDepth = 4

@@ -241,11 +241,15 @@ func ResetOrClone(dst, src Device) Device {
 	return c.CloneDevice()
 }
 
-// checkIO validates a request: in bounds and of positive size. Zero-size
-// IOs are rejected uniformly (no pattern, generator or trace produces them),
-// which keeps every device — raw or composite — behaving identically at the
-// edges.
+// checkIO validates a request: a read or a write, in bounds and of positive
+// size. Zero-size IOs are rejected uniformly (no pattern, generator or trace
+// produces them), which keeps every device — raw or composite — behaving
+// identically at the edges. Devices call it before they change any state, so
+// a refused IO leaves none behind.
 func checkIO(io IO, capacity int64) error {
+	if io.Mode != Read && io.Mode != Write {
+		return fmt.Errorf("device: unknown mode %d", io.Mode)
+	}
 	if io.Off < 0 || io.Size <= 0 || io.Off+io.Size > capacity {
 		return ErrOutOfRange
 	}

@@ -3,6 +3,7 @@ package device
 import (
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -148,19 +149,74 @@ func TestSimDeviceThrottleBoundsBacklog(t *testing.T) {
 	}
 }
 
+// TestSimDeviceRangeAndMode: every device refuses an IO of an unknown mode or
+// beyond its capacity, alone or in a batch, before it changes any state — the
+// simulated device, the constant-cost one, stripe and mirror arrays of
+// simulated devices, and an armed fault wrapper.
 func TestSimDeviceRangeAndMode(t *testing.T) {
-	d := newSim(t, false, 0)
-	if _, err := d.Submit(0, IO{Mode: Read, Off: d.Capacity(), Size: 512}); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("out-of-range gave %v", err)
+	array := func(layout Layout) Device {
+		d, err := NewComposite(CompositeConfig{Layout: layout}, []Device{newSim(t, true, time.Second), newSim(t, false, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
 	}
-	if _, err := d.Submit(0, IO{Mode: Mode(9), Off: 0, Size: 512}); err == nil {
-		t.Fatal("unknown mode accepted")
+	for _, tc := range []struct {
+		name string
+		dev  Device
+	}{
+		{"sim", newSim(t, true, time.Second)},
+		{"mem", NewMemDevice("mem", 16<<20, time.Millisecond, 2*time.Millisecond)},
+		{"stripe", array(LayoutStripe)},
+		{"mirror", array(LayoutMirror)},
+		{"faulty", NewFaulty(FaultConfig{Seed: 7, Spike: time.Millisecond, SpikeRate: 0.5}, newSim(t, false, 0))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.dev
+			state := func() any {
+				if m, ok := d.(*MemDevice); ok {
+					return *m
+				}
+				s, err := SnapshotDevice(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			var at time.Duration
+			for i := range 48 {
+				io := IO{Mode: Mode(i % 2), Off: int64(i*7%64) * 32 * 1024, Size: 32 * 1024}
+				end, err := d.Submit(at, io)
+				if err != nil {
+					t.Fatal(err)
+				}
+				at = end + time.Millisecond
+			}
+			before := state()
+			at += time.Second
+			for _, io := range []IO{
+				{Mode: Mode(2), Off: 0, Size: 4096},
+				{Mode: Mode(-1), Off: 0, Size: 4096},
+				{Mode: Write, Off: d.Capacity(), Size: 512},
+				{Mode: Read, Off: -512, Size: 512},
+			} {
+				if _, err := d.Submit(at, io); err == nil {
+					t.Errorf("%+v accepted", io)
+				} else if (io.Mode == Read || io.Mode == Write) && !errors.Is(err, ErrOutOfRange) {
+					t.Errorf("%+v: %v, want ErrOutOfRange", io, err)
+				}
+				done := []time.Duration{at, ChainNext}
+				if err := d.SubmitBatch(at, []IO{io, {Mode: Read, Off: 0, Size: 512}}, done); err == nil {
+					t.Errorf("%+v accepted in a batch", io)
+				}
+			}
+			if after := state(); !reflect.DeepEqual(after, before) {
+				t.Errorf("refused IOs changed the state:\n%+v\n%+v", before, after)
+			}
+		})
 	}
-	if d.SectorSize() != 512 {
-		t.Fatal("sector size")
-	}
-	if d.Name() != "test" {
-		t.Fatal("name")
+	if d := newSim(t, false, 0); d.SectorSize() != 512 || d.Name() != "test" {
+		t.Fatal("sector size or name")
 	}
 }
 

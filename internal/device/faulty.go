@@ -226,8 +226,12 @@ func (f *FaultyDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Durat
 // service is the armed path: consume one op index, inject whatever the
 // schedule holds for it, and forward to the wrapped device. Media errors and
 // gone-device failures fail fast without touching the wrapped device, so a
-// retried IO re-draws under a fresh op index.
+// retried IO re-draws under a fresh op index. An IO no device would take
+// consumes none.
 func (f *FaultyDevice) service(at time.Duration, io IO) (time.Duration, error) {
+	if err := checkIO(io, f.inner.Capacity()); err != nil {
+		return 0, err
+	}
 	op := f.st.Op
 	f.st.Op++
 	if f.st.Dead || (f.cfg.FailAt > 0 && op >= f.cfg.FailAt) {

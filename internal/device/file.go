@@ -99,16 +99,13 @@ func (d *FileDevice) Submit(at time.Duration, io IO) (time.Duration, error) {
 		time.Sleep(wait) //uflint:allow wallclock — real hardware: waits for the submission deadline
 	}
 	var err error
-	switch io.Mode {
-	case Read:
+	if io.Mode == Read {
 		_, err = d.f.ReadAt(buf, io.Off)
-	case Write:
+	} else {
 		_, err = d.f.WriteAt(buf, io.Off)
 		if err == nil {
 			err = d.f.Sync()
 		}
-	default:
-		return 0, fmt.Errorf("device: unknown mode %d", io.Mode)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("device %s: %w", d.name, err)

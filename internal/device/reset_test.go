@@ -57,7 +57,7 @@ func dataStack(t testing.TB) device.Cloneable {
 		t.Fatal(err)
 	}
 	cache, err := ftl.NewWriteCache(page, ftl.CacheConfig{
-		CapacityBytes: 256 * 1024, LineBytes: 4096, RegionBytes: 128 * 1024, Streams: 2,
+		CapacityBytes: 256 * 1024, Streams: 2,
 	}, cost)
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,11 @@ type SimConfig struct {
 	// letting flash work proceed in the background (bounded by
 	// MaxFlashLag). Devices with controller RAM behave this way; simple
 	// USB sticks are write-through.
-	WriteBack   bool
+	WriteBack bool
+	// MaxFlashLag bounds how far the background flash stage may run behind
+	// the bus before new IOs wait for it (zero means 10 ms). Only write-back
+	// devices read it: a write-through device's flash stage never runs
+	// behind its bus.
 	MaxFlashLag time.Duration
 }
 
@@ -202,9 +206,6 @@ func (d *SimDevice) service(at time.Duration, io IO) (time.Duration, error) {
 		start = d.st.FlashFree - d.cfg.MaxFlashLag
 	}
 
-	if io.Mode != Read && io.Mode != Write {
-		return 0, fmt.Errorf("device: unknown mode %d", io.Mode)
-	}
 	var ops ftl.Ops
 	if err := ftl.Serve(d.top, io.Mode == Write, io.Off, io.Size, &ops); err != nil {
 		return 0, fmt.Errorf("device %s: %w", d.cfg.Name, err)

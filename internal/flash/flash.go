@@ -13,6 +13,9 @@
 // ReadRun). The single-page operations are the one-page case of the run
 // operations.
 //
+// A chip takes any Geometry; the devices all build theirs from the one flash
+// geometry package ftl declares (2 KiB pages, 64 pages to a block).
+//
 // The chip stores no payload bytes. uFLIP measures response times, and no
 // time the simulator reports depends on what a page holds — only on which
 // pages are programmed, which the cursors say — while a 32 GB device's
@@ -54,9 +57,9 @@ func (c CellType) EraseLimit() int {
 
 // Geometry describes the physical layout of one chip.
 type Geometry struct {
-	PageSize      int // data bytes per flash page (typically 2048)
-	OOBSize       int // out-of-band bytes per page for ECC/bookkeeping (typically 64)
-	PagesPerBlock int // typically 64
+	PageSize      int // data bytes per flash page
+	OOBSize       int // out-of-band bytes per page for ECC/bookkeeping
+	PagesPerBlock int
 	Blocks        int // total flash blocks on the chip (across planes)
 	Planes        int // 1 or 2; with 2, even blocks are plane 0, odd plane 1
 }

@@ -6,6 +6,19 @@ import (
 	"uflip/internal/flash"
 )
 
+// The flash geometry of every device (Section 2.1: flash is blocks of pages),
+// declared once. A cache region is a flash block, so that a fully written
+// region flushes as one whole-block write, and its RegionLines dirty lines
+// are one uint32.
+const (
+	PageBytes     = 2048 // data bytes per flash page
+	OOBBytes      = 64   // out-of-band bytes per page, moved with it on the bus
+	PagesPerBlock = 64
+	BlockBytes    = PageBytes * PagesPerBlock // 128 KiB
+	LineBytes     = 4096                      // the cache's dirty-tracking granularity
+	RegionLines   = BlockBytes / LineBytes    // 32 lines per cache region
+)
+
 // Array presents a device's flash as one pool of globally numbered flash
 // blocks: a single flash.Chip whose geometry spans every block of the device.
 // It provides addressing and state operations, page at a time or over a run
@@ -16,30 +29,24 @@ type Array struct {
 	chip flash.Chip
 }
 
-// NewUniformArray builds the flash of nChips identical chips of the given cell
-// type, each sized so the array totals at least capacityBytes of raw flash:
-// nChips x perChip blocks, perChip at least 2 and even (two planes). The chip
-// count sizes the array and nothing else.
+// NewUniformArray builds the flash of nChips identical two-plane chips of the
+// given cell type and the package's geometry, each sized so the array totals
+// at least capacityBytes of raw flash: nChips x perChip blocks, perChip at
+// least 2 and even (planes balanced). The chip count sizes the array and
+// nothing else.
 func NewUniformArray(nChips int, cell flash.CellType, capacityBytes int64) (*Array, error) {
 	if nChips <= 0 {
 		return nil, fmt.Errorf("ftl: nChips must be positive, got %d", nChips)
 	}
-	geo := flash.Geometry{
-		PageSize:      2048,
-		OOBSize:       64,
-		PagesPerBlock: 64,
+	perChip := max((capacityBytes+int64(nChips)*BlockBytes-1)/(int64(nChips)*BlockBytes), 2)
+	perChip += perChip % 2
+	c, err := flash.NewChip(flash.Geometry{
+		PageSize:      PageBytes,
+		OOBSize:       OOBBytes,
+		PagesPerBlock: PagesPerBlock,
+		Blocks:        nChips * int(perChip),
 		Planes:        2,
-	}
-	blockSize := int64(geo.BlockSize())
-	perChip := (capacityBytes + int64(nChips)*blockSize - 1) / (int64(nChips) * blockSize)
-	if perChip < 2 {
-		perChip = 2
-	}
-	if geo.Planes == 2 && perChip%2 == 1 {
-		perChip++ // keep planes balanced
-	}
-	geo.Blocks = nChips * int(perChip)
-	c, err := flash.NewChip(geo, cell)
+	}, cell)
 	if err != nil {
 		return nil, err
 	}

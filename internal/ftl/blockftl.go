@@ -10,7 +10,7 @@ import (
 // BlockConfig configures a BlockFTL.
 type BlockConfig struct {
 	// LogicalBytes is the capacity exposed to the host. The array must
-	// provide at least LogicalBytes/blockSize + LogBlocks + 2 blocks.
+	// provide at least LogicalBytes/BlockBytes + LogBlocks + 2 blocks.
 	LogicalBytes int64
 	// LogBlocks is the number of replacement (log) blocks available
 	// concurrently. Sequential streams beyond this count evict each
@@ -24,10 +24,7 @@ type BlockConfig struct {
 }
 
 func (c BlockConfig) validate(a *Array) error {
-	geo := a.Geometry()
 	switch {
-	case !isPow2(geo.PageSize) || !isPow2(geo.PagesPerBlock):
-		return fmt.Errorf("ftl: page size %d and pages per block %d must be powers of two", geo.PageSize, geo.PagesPerBlock)
 	case c.LogicalBytes <= 0:
 		return fmt.Errorf("ftl: LogicalBytes must be positive")
 	case c.LogBlocks < 1:
@@ -35,8 +32,7 @@ func (c BlockConfig) validate(a *Array) error {
 	case c.MapDirtyLimit < 1 || c.MapUnitsPerPage < 1:
 		return fmt.Errorf("ftl: map bookkeeping parameters must be >= 1")
 	}
-	blockSize := int64(geo.BlockSize())
-	lbns := (c.LogicalBytes + blockSize - 1) / blockSize
+	lbns := (c.LogicalBytes + BlockBytes - 1) / BlockBytes
 	need := lbns + int64(c.LogBlocks) + 2
 	if int64(a.Blocks()) < need {
 		return fmt.Errorf("ftl: array has %d blocks, block FTL needs >= %d (logical %d + logs %d + 2)",
@@ -80,7 +76,7 @@ func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *flash.Chi
 	switch {
 	case len(s.Data) != int(cfg.lbnCount) || len(s.Logs) != cfg.LogBlocks:
 		return fmt.Errorf("ftl: state maps %d logical blocks through %d log slots, FTL %d through %d", len(s.Data), len(s.Logs), cfg.lbnCount, cfg.LogBlocks)
-	case s.Tick < 0 || s.Stats.negative() || s.LastReadSlot < -2 || s.LastReadSlot >= int64(blocks*cfg.pagesPerBlock):
+	case s.Tick < 0 || s.Stats.negative() || s.LastReadSlot < -2 || s.LastReadSlot >= int64(blocks*PagesPerBlock):
 		return fmt.Errorf("ftl: state has a clock, counter or read position out of range (tick %d, last read %d, %+v)", s.Tick, s.LastReadSlot, s.Stats)
 	}
 	// Every usable block serves exactly once: free, as a data block or as a
@@ -135,17 +131,12 @@ func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *flash.Chi
 }
 
 // blockConfig is what a BlockFTL is built as: the profile's configuration and
-// cost tables plus what construction derives from them and the geometry.
+// cost tables plus the logical blocks the capacity spans.
 type blockConfig struct {
 	BlockConfig
 	model CostModel
 
-	blockBytes    int64
-	pagesPerBlock int
-	lbnCount      int64
-	// Both sizes are powers of two (validate): log2 of the page size and of
-	// the pages per block.
-	pageShift, ppbShift uint
+	lbnCount int64
 }
 
 // BlockFTL is a block-granularity mapped flash translation layer with a
@@ -172,19 +163,13 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 	if err := cfg.validate(arr); err != nil {
 		return nil, err
 	}
-	geo := arr.Geometry()
 	if err := checkKeyWidths(arr.Blocks(), arr.eraseLimit()); err != nil {
 		return nil, err
 	}
-	blockBytes := int64(geo.BlockSize())
 	f := &BlockFTL{cfg: blockConfig{
-		BlockConfig:   cfg,
-		model:         model,
-		blockBytes:    blockBytes,
-		pagesPerBlock: geo.PagesPerBlock,
-		lbnCount:      (cfg.LogicalBytes + blockBytes - 1) / blockBytes,
-		pageShift:     log2(geo.PageSize),
-		ppbShift:      log2(geo.PagesPerBlock),
+		BlockConfig: cfg,
+		model:       model,
+		lbnCount:    (cfg.LogicalBytes + BlockBytes - 1) / BlockBytes,
 	}}
 	f.flashBooks = newFlashBooks(arr, cfg.MapUnitsPerPage, cfg.MapDirtyLimit, f.cfg.lbnCount)
 	f.st.LastReadSlot = -2
@@ -381,12 +366,11 @@ func (f *BlockFTL) pageLocation(lbn int64, p int) (block int, ok bool) {
 // writeSegment services the part of a write that falls inside one logical
 // block: bytes [start,end) relative to the block.
 func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
-	pageSize := int64(1) << f.cfg.pageShift
-	sPage := int(start >> f.cfg.pageShift)
-	ePage := int((end - 1) >> f.cfg.pageShift)
+	sPage := int(start / PageBytes)
+	ePage := int((end - 1) / PageBytes)
 
 	// Read-modify-write for partial edge pages that already exist.
-	if start&(pageSize-1) != 0 {
+	if start%PageBytes != 0 {
 		if pb, ok := f.pageLocation(lbn, sPage); ok {
 			if err := f.arr.ReadPage(pb, sPage); err != nil {
 				return err
@@ -395,7 +379,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 			f.st.Stats.PagesRead++
 		}
 	}
-	if end&(pageSize-1) != 0 && ePage != sPage {
+	if end%PageBytes != 0 && ePage != sPage {
 		if pb, ok := f.pageLocation(lbn, ePage); ok {
 			if err := f.arr.ReadPage(pb, ePage); err != nil {
 				return err
@@ -439,7 +423,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 	f.st.Tick++
 	log.LastUse = f.st.Tick
 
-	if log.NextPage == f.cfg.pagesPerBlock {
+	if log.NextPage == PagesPerBlock {
 		// Fully written log: switch it in (cheap merge).
 		if err := f.fullMerge(log, ops); err != nil {
 			return err
@@ -466,15 +450,13 @@ func (f *BlockFTL) write(off, length int64, ops *Ops) error {
 		return nil
 	}
 	f.st.Stats.HostWrites++
-	sh := f.cfg.pageShift
-	f.st.Stats.HostPagesWritten += (off+length-1)>>sh - off>>sh + 1
-	blockShift := sh + f.cfg.ppbShift
+	f.st.Stats.HostPagesWritten += (off+length-1)/PageBytes - off/PageBytes + 1
 	pos := off
 	end := off + length
 	for pos < end {
-		lbn := pos >> blockShift
-		base := lbn << blockShift
-		segEnd := min(end, base+f.cfg.blockBytes)
+		lbn := pos / BlockBytes
+		base := lbn * BlockBytes
+		segEnd := min(end, base+BlockBytes)
 		if err := f.writeSegment(lbn, pos-base, segEnd-base, ops); err != nil {
 			return err
 		}
@@ -499,24 +481,23 @@ func (f *BlockFTL) read(off, length int64, ops *Ops) error {
 		return nil
 	}
 	f.st.Stats.HostReads++
-	p0 := off >> f.cfg.pageShift
-	p1 := (off + length - 1) >> f.cfg.pageShift
+	p1 := (off + length - 1) / PageBytes
 	first := true
 	// One read run per stretch of pages that share a physical block.
-	for gp := p0; gp <= p1; {
-		lbn := gp >> f.cfg.ppbShift
-		pageInBlock := int(gp & int64(f.cfg.pagesPerBlock-1))
-		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min(int64(f.cfg.pagesPerBlock-pageInBlock), p1-gp+1)))
+	for gp := off / PageBytes; gp <= p1; {
+		lbn := gp / PagesPerBlock
+		pageInBlock := int(gp % PagesPerBlock)
+		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min(int64(PagesPerBlock-pageInBlock), p1-gp+1)))
 		gp += int64(n)
 		if !ok {
-			ops.RAMBytes += int64(n) << f.cfg.pageShift
+			ops.RAMBytes += int64(n) * PageBytes
 			continue
 		}
 		if err := f.arr.ReadRun(pb, pageInBlock, n); err != nil {
 			return fmt.Errorf("ftl: read: %w", err)
 		}
 		f.st.Stats.PagesRead += int64(n)
-		physSlot := int64(pb)<<f.cfg.ppbShift + int64(pageInBlock)
+		physSlot := int64(pb)*PagesPerBlock + int64(pageInBlock)
 		chargeReadRun(ops, &f.st.LastReadSlot, physSlot, n, first, f.cfg.model.ReadSeek)
 		first = false
 	}

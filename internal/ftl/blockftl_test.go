@@ -251,14 +251,13 @@ func TestBlockFTLConsistency(t *testing.T) {
 	f := newTestBlockFTL(t, nil)
 	rng := rand.New(rand.NewSource(5))
 	written := make(map[int64]bool) // page-granularity record of writes
-	pageSize := int64(2048)
 	for step := 0; step < 3000; step++ {
 		size := (rng.Int63n(128) + 1) * 512
 		off := rng.Int63n(testLogical - size)
 		if _, err := f.Write(off, size); err != nil {
 			t.Fatalf("step %d write(%d,%d): %v", step, off, size, err)
 		}
-		for p := off / pageSize; p <= (off+size-1)/pageSize; p++ {
+		for p := off / PageBytes; p <= (off+size-1)/PageBytes; p++ {
 			written[p] = true
 		}
 	}
@@ -284,8 +283,8 @@ func TestBlockFTLConsistency(t *testing.T) {
 	}
 	// Every written page resolves to a programmed location.
 	for p := range written {
-		lbn := p * pageSize / f.cfg.blockBytes
-		pageInBlock := int(p % (f.cfg.blockBytes / pageSize))
+		lbn := p * PageBytes / BlockBytes
+		pageInBlock := int(p % PagesPerBlock)
 		if _, ok := f.pageLocation(lbn, pageInBlock); !ok {
 			t.Fatalf("written page %d unresolvable", p)
 		}
@@ -301,9 +300,8 @@ func TestBlockFTLConsistency(t *testing.T) {
 func TestBlockFTLRestoreRejectsCorruptLogRows(t *testing.T) {
 	build := func() *BlockFTL { return newTestBlockFTL(t, func(c *BlockConfig) { c.MapUnitsPerPage = 2 }) }
 	src := build()
-	pageSize := int64(src.arr.Geometry().PageSize)
 	for lbn := int64(0); lbn < 12; lbn++ { // four open logs, six map pages touched
-		if _, err := src.Write(lbn*src.cfg.blockBytes, 4*pageSize); err != nil {
+		if _, err := src.Write(lbn*BlockBytes, 4*PageBytes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -374,10 +372,9 @@ func TestBlockFTLRestoreRejectsCorruptLogRows(t *testing.T) {
 // of the paper's low-end devices — allocates nothing.
 func TestBlockFTLEvictingWritesZeroAlloc(t *testing.T) {
 	f := newTestBlockFTL(t, nil)
-	pageSize := int64(f.arr.Geometry().PageSize)
 	write := func(i int64) {
 		lbn := (i * 37) % f.cfg.lbnCount
-		if _, err := f.Write(lbn*f.cfg.blockBytes+(i%8)*pageSize, 4*pageSize); err != nil {
+		if _, err := f.Write(lbn*BlockBytes+(i%8)*PageBytes, 4*PageBytes); err != nil {
 			t.Fatal(err)
 		}
 	}

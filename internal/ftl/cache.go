@@ -9,9 +9,9 @@ import (
 
 // CacheConfig configures a WriteCache.
 //
-// The buffer is organized in regions (one region per underlying mapping /
-// flash block) and distinguishes two kinds of dirty regions, which is the
-// mechanism behind several Table 3 behaviours at once:
+// The buffer is organized in regions of RegionLines lines of LineBytes, one
+// region per flash block, and distinguishes two kinds of dirty regions, which
+// is the mechanism behind several Table 3 behaviours at once:
 //
 //   - zone regions hold data written out of order (random, reverse,
 //     in-place). They stay resident up to CapacityBytes — the "locality
@@ -29,11 +29,6 @@ import (
 type CacheConfig struct {
 	// CapacityBytes is the buffer size — the locality area of Table 3.
 	CapacityBytes int64
-	// LineBytes is the dirty-tracking granularity (e.g. 4096).
-	LineBytes int
-	// RegionBytes is the coalescing granularity, normally the FTL mapping
-	// block size.
-	RegionBytes int
 	// Streams bounds concurrently open stream regions (0 = unlimited).
 	Streams int
 	// FlashBacked marks the buffer as a flash log zone rather than RAM:
@@ -41,9 +36,6 @@ type CacheConfig struct {
 	// bookkeeping/compaction) and dirty-line reads cost page reads
 	// instead of RAM transfers.
 	FlashBacked bool
-	// PageBytes is the flash page size, used to price flash-backed
-	// admissions and zone reads.
-	PageBytes int
 	// SeqAdmitPerPage and RandAdmitPerPage are the calibrated per-page
 	// admission costs of the flash-backed zone for ascending-extension
 	// writes and for everything else (random, reverse, in-place). The
@@ -63,76 +55,44 @@ func (c CacheConfig) validate() error {
 	switch {
 	case c.CapacityBytes <= 0:
 		return fmt.Errorf("ftl: cache CapacityBytes must be positive")
-	case !isPow2(c.LineBytes) || !isPow2(c.RegionBytes):
-		return fmt.Errorf("ftl: cache LineBytes %d and RegionBytes %d must be powers of two", c.LineBytes, c.RegionBytes)
-	case c.RegionBytes < c.LineBytes:
-		return fmt.Errorf("ftl: RegionBytes %d must be a multiple of LineBytes %d", c.RegionBytes, c.LineBytes)
-	case c.CapacityBytes < int64(c.RegionBytes):
-		return fmt.Errorf("ftl: cache capacity %d smaller than one region %d", c.CapacityBytes, c.RegionBytes)
-	case c.FlashBacked && c.PageBytes <= 0:
-		return fmt.Errorf("ftl: flash-backed cache needs PageBytes")
+	case c.CapacityBytes < BlockBytes:
+		return fmt.Errorf("ftl: cache capacity %d smaller than one region %d", c.CapacityBytes, BlockBytes)
 	}
 	return nil
 }
 
 // CacheRegion is one slot of the cache's slab: a buffered region, the head of
-// an LRU ring, or a free slot. A region's dirty-line bitset (bit l = line l
-// within the region) is the slot's window of WriteCacheState.Words.
+// an LRU ring, or a free slot.
 type CacheRegion struct {
-	ID      int64
-	NLines  int64 // population count of the bitset
-	MaxLine int64 // highest dirty line so far
-	Stream  bool
+	ID    int64
+	Dirty uint32 // bit l set: line l of the region is dirty
+	// Stream marks a region on the stream ring rather than the zone ring.
+	Stream bool
 	// Prev/Next are the slab indexes of the slot's neighbours on its LRU
 	// ring; Next doubles as the freelist link while the slot holds no region.
 	Prev, Next int32
 }
 
-// nextRun returns the first maximal run [start, end) of dirty lines in the
-// bitset lines that begins at or after from, a word at a time. Bits at and
-// above the region's line count are never set, so a run ends there at the
-// latest.
-func nextRun(lines []uint64, from int64) (start, end int64, ok bool) {
-	w := int(from >> 6)
-	if w >= len(lines) {
+// fullRegion is the dirty set of a region whose every line is dirty.
+const fullRegion uint32 = 1<<RegionLines - 1
+
+// nextRun returns the first maximal run [start, end) of dirty lines in dirty
+// that begins at or after line from.
+func nextRun(dirty uint32, from int64) (start, end int64, ok bool) {
+	set := dirty &^ (1<<from - 1)
+	if set == 0 {
 		return 0, 0, false
 	}
-	set := lines[w] &^ (1<<(uint(from)&63) - 1)
-	for set == 0 {
-		if w++; w == len(lines) {
-			return 0, 0, false
-		}
-		set = lines[w]
-	}
-	start = int64(w)<<6 + int64(bits.TrailingZeros64(set))
-	unset := ^lines[w] &^ (1<<(uint(start)&63) - 1)
-	for unset == 0 {
-		if w++; w == len(lines) {
-			return start, int64(w) << 6, true
-		}
-		unset = ^lines[w]
-	}
-	return start, int64(w)<<6 + int64(bits.TrailingZeros64(unset)), true
+	start = int64(bits.TrailingZeros32(set))
+	return start, int64(bits.TrailingZeros32(^dirty &^ (1<<start - 1))), true
 }
 
-// markDirty sets lines [first, last] of the region's bitset dirty, a masked
-// word at a time, and returns how many of them were dirty already.
-func (r *CacheRegion) markDirty(lines []uint64, first, last int64) (hits int64) {
-	for w := first >> 6; w <= last>>6; w++ {
-		mask := ^uint64(0)
-		if w == first>>6 {
-			mask &^= 1<<(uint(first)&63) - 1
-		}
-		if w == last>>6 {
-			mask &= 1<<(uint(last)&63+1) - 1
-		}
-		hits += int64(bits.OnesCount64(lines[w] & mask))
-		lines[w] |= mask
-	}
-	r.NLines += last - first + 1 - hits
-	if last > r.MaxLine {
-		r.MaxLine = last
-	}
+// markDirty sets lines [first, last] of the region dirty and returns how many
+// of them were dirty already.
+func (r *CacheRegion) markDirty(first, last int64) (hits int64) {
+	mask := fullRegion >> (RegionLines - 1 - last) &^ (1<<first - 1)
+	hits = int64(bits.OnesCount32(r.Dirty & mask))
+	r.Dirty |= mask
 	return hits
 }
 
@@ -152,9 +112,8 @@ const (
 // runs on.
 type WriteCacheState struct {
 	Regions []CacheRegion
-	Words   []uint64 // the slots' bitsets back to back, lineWords each
-	Free    int32    // first free slot, linked through Next
-	Streams int      // regions on the stream ring
+	Free    int32 // first free slot, linked through Next
+	Streams int   // regions on the stream ring
 
 	TotalLines int64
 	Stats      CacheStats
@@ -162,14 +121,8 @@ type WriteCacheState struct {
 
 func (s *WriteCacheState) copyFrom(src *WriteCacheState) {
 	s.Regions = append(s.Regions[:0], src.Regions...)
-	s.Words = append(s.Words[:0], src.Words...)
 	s.Free, s.Streams = src.Free, src.Streams
 	s.TotalLines, s.Stats = src.TotalLines, src.Stats
-}
-
-// lines returns slot i's bitset.
-func (s *WriteCacheState) lines(i int32, lineWords int) []uint64 {
-	return s.Words[int(i)*lineWords : int(i+1)*lineWords]
 }
 
 // ring returns the head slot of the LRU ring the region's Stream flag names.
@@ -225,12 +178,12 @@ func (s *WriteCacheState) eachResident(fn func(i int32)) {
 
 // audit states the cache's invariant: whether a WriteCache built as cfg
 // could be in state s. Both rings close, no slot is on two of the rings and
-// the freelist, a resident region's counters agree with its bitset, no region
-// is resident twice, and the dirty-line total is the regions' sum.
+// the freelist, a resident region has a dirty line, no region is resident
+// twice, and the dirty-line total is the regions' sum.
 func (s *WriteCacheState) audit(cfg *cacheConfig) error {
 	switch {
-	case len(s.Regions) < firstRegion || len(s.Words) != len(s.Regions)*cfg.lineWords:
-		return fmt.Errorf("ftl: cache state has %d slots and %d bitset words, want %d words a slot", len(s.Regions), len(s.Words), cfg.lineWords)
+	case len(s.Regions) < firstRegion:
+		return fmt.Errorf("ftl: cache state has %d slots, fewer than the %d reserved", len(s.Regions), firstRegion)
 	case s.Stats.negative():
 		return fmt.Errorf("ftl: cache state has a negative counter (%+v)", s.Stats)
 	}
@@ -244,19 +197,15 @@ func (s *WriteCacheState) audit(cfg *cacheConfig) error {
 				return fmt.Errorf("ftl: cache LRU ring reaches slot %d: not a region's, or linked twice", i)
 			}
 			seen[i] = true
-			r, count, top := &s.Regions[i], int64(0), int64(-1)
-			for w, word := range s.lines(i, cfg.lineWords) {
-				if word != 0 {
-					count, top = count+int64(bits.OnesCount64(word)), int64(w)<<6+int64(bits.Len64(word))-1
-				}
-			}
+			r := &s.Regions[i]
+			count := int64(bits.OnesCount32(r.Dirty))
 			switch {
 			case r.Prev != prev || r.Stream != (head == streamHead):
 				return fmt.Errorf("ftl: cache region %d is mislinked or on the wrong LRU ring", r.ID)
 			case r.ID < 0 || r.ID >= cfg.nRegions || resident[r.ID] != 0:
 				return fmt.Errorf("ftl: cache region %d is out of range or resident twice", r.ID)
-			case count == 0 || r.NLines != count || r.MaxLine != top || top >= cfg.linesPerRegion:
-				return fmt.Errorf("ftl: cache region %d counts %d dirty lines up to %d, its bitset holds %d up to %d", r.ID, r.NLines, r.MaxLine, count, top)
+			case count == 0:
+				return fmt.Errorf("ftl: cache region %d is resident with no dirty line", r.ID)
 			}
 			resident[r.ID] = i
 			total += count
@@ -295,12 +244,8 @@ type CacheStats struct {
 type cacheConfig struct {
 	CacheConfig
 
-	linesPerRegion int64
-	lineShift      uint // log2 LineBytes
-	regionShift    uint // log2 linesPerRegion
-	lineWords      int  // bitset words per region
-	capLines       int64
-	nRegions       int64 // regions the logical capacity spans
+	capLines int64
+	nRegions int64 // regions the logical capacity spans
 }
 
 // negative reports whether any counter is below zero, which no run produces.
@@ -318,7 +263,7 @@ type WriteCache struct {
 
 	// der is neither configuration nor state; rederive rebuilds it.
 	der struct {
-		// index maps a region id (logical offset / RegionBytes) to the slab
+		// index maps a region id (logical offset / BlockBytes) to the slab
 		// slot holding it, 0 when the region has no dirty lines. The dense
 		// index replaces a map — region ids are bounded by the device
 		// capacity, and the write hot path spends most of its time looking
@@ -341,21 +286,15 @@ func NewWriteCache(inner Translator, cfg CacheConfig, _ CostModel) (*WriteCache,
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	linesPerRegion := int64(cfg.RegionBytes / cfg.LineBytes)
 	c := &WriteCache{
 		inner: inner,
 		cfg: cacheConfig{
-			CacheConfig:    cfg,
-			linesPerRegion: linesPerRegion,
-			lineShift:      log2(cfg.LineBytes),
-			regionShift:    log2(int(linesPerRegion)),
-			lineWords:      int((linesPerRegion + 63) / 64),
-			capLines:       cfg.CapacityBytes / int64(cfg.LineBytes),
-			nRegions:       (inner.Capacity() + int64(cfg.RegionBytes) - 1) / int64(cfg.RegionBytes),
+			CacheConfig: cfg,
+			capLines:    cfg.CapacityBytes / LineBytes,
+			nRegions:    (inner.Capacity() + BlockBytes - 1) / BlockBytes,
 		},
 	}
 	c.st.Regions = []CacheRegion{{}, {Prev: streamHead, Next: streamHead}, {Prev: zoneHead, Next: zoneHead}}
-	c.st.Words = make([]uint64, firstRegion*c.cfg.lineWords)
 	c.rederive()
 	return c, nil
 }
@@ -370,13 +309,11 @@ func (c *WriteCache) newRegion(rid int64) int32 {
 	i := c.st.Free
 	if i != 0 {
 		c.st.Free = c.st.Regions[i].Next
-		clear(c.st.lines(i, c.cfg.lineWords))
+		c.st.Regions[i] = CacheRegion{ID: rid}
 	} else {
 		i = int32(len(c.st.Regions))
-		c.st.Regions = append(c.st.Regions, CacheRegion{})
-		c.st.Words = append(c.st.Words, make([]uint64, c.cfg.lineWords)...)
+		c.st.Regions = append(c.st.Regions, CacheRegion{ID: rid})
 	}
-	c.st.Regions[i] = CacheRegion{ID: rid, MaxLine: -1}
 	return i
 }
 
@@ -467,20 +404,18 @@ func (c *WriteCache) flushRegion(i int32, ops *Ops) error {
 	r := &c.st.Regions[i]
 	c.st.remove(i)
 	c.der.index[r.ID] = 0
-	c.st.TotalLines -= r.NLines
+	c.st.TotalLines -= int64(bits.OnesCount32(r.Dirty))
 	// The slot is free from here on, so that a failed flush does not leak it:
 	// nothing takes a slot before this function returns.
 	r.Next, c.st.Free = c.st.Free, i
-	lines := c.st.lines(i, c.cfg.lineWords)
-	ls := c.cfg.lineShift
-	firstLine := r.ID << c.cfg.regionShift
+	base, dirty := r.ID*BlockBytes, r.Dirty
 	for from := int64(0); ; {
-		runStart, endExclusive, ok := nextRun(lines, from)
+		runStart, endExclusive, ok := nextRun(dirty, from)
 		if !ok {
 			return nil
 		}
 		from = endExclusive
-		if err := Serve(c.inner, true, (firstLine+runStart)<<ls, (endExclusive-runStart)<<ls, ops); err != nil {
+		if err := Serve(c.inner, true, base+runStart*LineBytes, (endExclusive-runStart)*LineBytes, ops); err != nil {
 			return err
 		}
 	}
@@ -493,10 +428,7 @@ func (c *WriteCache) admitCost(bytes int64, sequential bool, ops *Ops) {
 		ops.RAMBytes += bytes
 		return
 	}
-	pages := (bytes + int64(c.cfg.PageBytes) - 1) / int64(c.cfg.PageBytes)
-	if pages < 1 {
-		pages = 1
-	}
+	pages := max((bytes+PageBytes-1)/PageBytes, 1)
 	per := c.cfg.RandAdmitPerPage
 	if sequential {
 		per = c.cfg.SeqAdmitPerPage
@@ -519,12 +451,11 @@ func (c *WriteCache) write(off, length int64, ops *Ops) error {
 		return nil
 	}
 	st := &c.st
-	l0 := off >> c.cfg.lineShift
-	l1 := (off + length - 1) >> c.cfg.lineShift
+	l1 := (off + length - 1) / LineBytes
 	seq := true
 	touched := c.der.touched[:0]
-	for gl := l0; gl <= l1; {
-		rid := gl >> c.cfg.regionShift
+	for gl := off / LineBytes; gl <= l1; {
+		rid := gl / RegionLines
 		i := c.der.index[rid]
 		if i == 0 {
 			i = c.newRegion(rid)
@@ -532,12 +463,16 @@ func (c *WriteCache) write(off, length int64, ops *Ops) error {
 			c.der.index[rid] = i
 		}
 		r := &st.Regions[i]
-		firstLine := gl & (c.cfg.linesPerRegion - 1)
-		ascending := r.MaxLine >= 0 && firstLine == r.MaxLine+1
+		firstLine := gl % RegionLines
+		// One past the highest dirty line, 0 when none is: lines are only
+		// set until the region flushes, so an ascending write continues
+		// there.
+		top := int64(bits.Len32(r.Dirty))
+		ascending := top > 0 && firstLine == top
 		// A write opening a region at its start is charged as a
 		// sequential append (the zone cannot tell yet), but promotion
 		// to a stream buffer still requires a confirmed extension.
-		openAtStart := r.MaxLine < 0 && firstLine == 0
+		openAtStart := top == 0 && firstLine == 0
 		switch {
 		case ascending && !r.Stream:
 			// A write extending the region in order reveals a
@@ -546,7 +481,7 @@ func (c *WriteCache) write(off, length int64, ops *Ops) error {
 			r.Stream = true
 			st.pushFront(i)
 			st.Stats.Promotions++
-		case !ascending && r.MaxLine >= 0 && r.Stream:
+		case !ascending && top > 0 && r.Stream:
 			// Out-of-order write to a stream buffer: demote.
 			st.remove(i)
 			r.Stream = false
@@ -558,10 +493,10 @@ func (c *WriteCache) write(off, length int64, ops *Ops) error {
 		if !ascending && !openAtStart {
 			seq = false
 		}
-		base := rid << c.cfg.regionShift
-		last := min(l1, base+c.cfg.linesPerRegion-1)
+		base := rid * RegionLines
+		last := min(l1, base+RegionLines-1)
 		n := last - gl + 1
-		hits := r.markDirty(st.lines(i, c.cfg.lineWords), firstLine, last-base)
+		hits := r.markDirty(firstLine, last-base)
 		st.Stats.Hits += hits
 		st.Stats.Misses += n - hits
 		st.TotalLines += n - hits
@@ -581,7 +516,7 @@ func (c *WriteCache) enforceBounds(touched []int32, ops *Ops) error {
 	st := &c.st
 	// Fully written regions flush immediately (cheap switch merge below).
 	for _, i := range touched {
-		if r := &st.Regions[i]; c.der.index[r.ID] == i && r.NLines == c.cfg.linesPerRegion {
+		if r := &st.Regions[i]; c.der.index[r.ID] == i && r.Dirty == fullRegion {
 			st.Stats.CompleteFlush++
 			if err := c.flushRegion(i, ops); err != nil {
 				return err
@@ -615,15 +550,6 @@ func (c *WriteCache) enforceBounds(touched []int32, ops *Ops) error {
 	return nil
 }
 
-// dirtyLines returns the bitset of region rid, nil when it holds no dirty
-// line.
-func (c *WriteCache) dirtyLines(rid int64) []uint64 {
-	if i := c.der.index[rid]; i != 0 {
-		return c.st.lines(i, c.cfg.lineWords)
-	}
-	return nil
-}
-
 // Read serves buffered lines from the cache and forwards contiguous
 // unbuffered spans to the inner layer.
 func (c *WriteCache) Read(off, length int64) (Ops, error) {
@@ -639,20 +565,21 @@ func (c *WriteCache) read(off, length int64, ops *Ops) error {
 	if length == 0 {
 		return nil
 	}
-	ls := c.cfg.lineShift
-	l0 := off >> ls
-	l1 := (off + length - 1) >> ls
+	l1 := (off + length - 1) / LineBytes
 	spanStart := int64(-1) // first line of the unbuffered span not yet forwarded
 	// One region at a time: every dirty run inside the request ends the
 	// unbuffered span before it and is served from the buffer.
-	for gl := l0; gl <= l1; {
-		rid := gl >> c.cfg.regionShift
-		base := rid << c.cfg.regionShift
-		last := min(l1, base+c.cfg.linesPerRegion-1)
-		lines := c.dirtyLines(rid)
+	for gl := off / LineBytes; gl <= l1; {
+		rid := gl / RegionLines
+		base := rid * RegionLines
+		last := min(l1, base+RegionLines-1)
+		var dirty uint32
+		if i := c.der.index[rid]; i != 0 {
+			dirty = c.st.Regions[i].Dirty
+		}
 		for gl <= last {
 			runStart, runEnd := last+1, last+1
-			if s, e, ok := nextRun(lines, gl-base); ok && base+s <= last {
+			if s, e, ok := nextRun(dirty, gl-base); ok && base+s <= last {
 				runStart, runEnd = base+s, min(base+e, last+1)
 			}
 			if runStart > gl && spanStart < 0 {
@@ -660,12 +587,12 @@ func (c *WriteCache) read(off, length int64, ops *Ops) error {
 			}
 			if n := runEnd - runStart; n > 0 {
 				if c.cfg.FlashBacked {
-					ops.PageReads += int(n) * max(c.cfg.LineBytes/c.cfg.PageBytes, 1)
+					ops.PageReads += int(n) * (LineBytes / PageBytes)
 				} else {
-					ops.RAMBytes += n << ls
+					ops.RAMBytes += n * LineBytes
 				}
 				if spanStart >= 0 {
-					if err := Serve(c.inner, false, spanStart<<ls, (runStart-spanStart)<<ls, ops); err != nil {
+					if err := Serve(c.inner, false, spanStart*LineBytes, (runStart-spanStart)*LineBytes, ops); err != nil {
 						return err
 					}
 					spanStart = -1
@@ -675,7 +602,7 @@ func (c *WriteCache) read(off, length int64, ops *Ops) error {
 		}
 	}
 	if spanStart >= 0 {
-		return Serve(c.inner, false, spanStart<<ls, (l1+1-spanStart)<<ls, ops)
+		return Serve(c.inner, false, spanStart*LineBytes, (l1+1-spanStart)*LineBytes, ops)
 	}
 	return nil
 }

@@ -46,8 +46,6 @@ func newTestCache(t *testing.T, mutate func(*CacheConfig)) (*WriteCache, *record
 	inner := &recordingTranslator{capacity: 64 << 20}
 	cfg := CacheConfig{
 		CapacityBytes: 1 << 20, // 8 regions
-		LineBytes:     4096,
-		RegionBytes:   128 * 1024,
 		Streams:       2,
 	}
 	if mutate != nil {
@@ -63,14 +61,8 @@ func newTestCache(t *testing.T, mutate func(*CacheConfig)) (*WriteCache, *record
 func TestCacheConfigValidation(t *testing.T) {
 	inner := &recordingTranslator{capacity: 1 << 20}
 	bad := []CacheConfig{
-		{CapacityBytes: 0, LineBytes: 4096, RegionBytes: 128 * 1024},
-		{CapacityBytes: 1 << 20, LineBytes: 0, RegionBytes: 128 * 1024},
-		{CapacityBytes: 1 << 20, LineBytes: 4096, RegionBytes: 1000},
-		{CapacityBytes: 1 << 20, LineBytes: 3072, RegionBytes: 96 * 1024}, // line not a power of two
-		{CapacityBytes: 1 << 20, LineBytes: 4096, RegionBytes: 96 * 1024}, // region not a power of two
-		{CapacityBytes: 1 << 20, LineBytes: 8192, RegionBytes: 4096},      // region below a line
-		{CapacityBytes: 1024, LineBytes: 512, RegionBytes: 4096},
-		{CapacityBytes: 1 << 20, LineBytes: 4096, RegionBytes: 128 * 1024, FlashBacked: true},
+		{CapacityBytes: 0},
+		{CapacityBytes: BlockBytes - 1}, // below one region
 	}
 	for i, cfg := range bad {
 		if _, err := NewWriteCache(inner, cfg, testModel()); err == nil {
@@ -221,7 +213,6 @@ func TestCacheReadsServedFromBuffer(t *testing.T) {
 func TestCacheFlashBackedCosts(t *testing.T) {
 	c, _ := newTestCache(t, func(cfg *CacheConfig) {
 		cfg.FlashBacked = true
-		cfg.PageBytes = 2048
 		cfg.SeqAdmitPerPage = 10 * time.Microsecond
 		cfg.RandAdmitPerPage = 100 * time.Microsecond
 	})
@@ -293,37 +284,40 @@ func TestCacheDemotion(t *testing.T) {
 	}
 }
 
-// TestRegionBitsetRunsMatchPerLineScan: the word-at-a-time run finder and
-// range marker against the per-line loops they replaced, on random bitsets of
-// one to three words, line counts off and on word boundaries.
+// TestRegionBitsetRunsMatchPerLineScan: the single-word run finder and range
+// marker against per-line loops, on random dirty sets and on the empty, full,
+// single-line and top-line ones.
 func TestRegionBitsetRunsMatchPerLineScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 2000; round++ {
-		n := int64([]int{1, 31, 32, 64, 65, 128, 150, 192}[rng.Intn(8)])
-		r, lines := &CacheRegion{MaxLine: -1}, make([]uint64, (n+63)/64)
-		dirty := func(l int64) bool { return lines[l>>6]&(1<<(uint(l)&63)) != 0 }
-		for k := rng.Intn(6); k > 0; k-- {
-			first := rng.Int63n(n)
-			last := first + rng.Int63n(min(n-first, 70))
+	words := []uint32{0, fullRegion, 1, 1 << (RegionLines - 1), 1<<(RegionLines-1) | 1, 0x0ff0_0ff0}
+	for range 2000 {
+		words = append(words, rng.Uint32()&rng.Uint32())
+	}
+	for _, start := range words {
+		r := &CacheRegion{Dirty: start}
+		dirty := func(l int64) bool { return r.Dirty&(1<<l) != 0 }
+		for k := rng.Intn(4); k > 0; k-- {
+			first := rng.Int63n(RegionLines)
+			last := first + rng.Int63n(RegionLines-first)
 			var want int64
 			for l := first; l <= last; l++ {
 				if dirty(l) {
 					want++
 				}
 			}
-			before := r.NLines
-			if got := r.markDirty(lines, first, last); got != want || r.NLines != before+last-first+1-want {
-				t.Fatalf("markDirty(%d,%d) of %d lines: %d hits, want %d; nlines %d -> %d", first, last, n, got, want, before, r.NLines)
+			if got := r.markDirty(first, last); got != want {
+				t.Fatalf("markDirty(%d,%d) of %032b: %d hits, want %d", first, last, start, got, want)
 			}
-			for l := first; l <= last; l++ {
-				if !dirty(l) {
-					t.Fatalf("markDirty(%d,%d) left line %d clean", first, last, l)
+			for l := int64(0); l < RegionLines; l++ {
+				if want := l >= first && l <= last || start&(1<<l) != 0; dirty(l) != want {
+					t.Fatalf("markDirty(%d,%d) of %032b: line %d dirty %v, want %v", first, last, start, l, dirty(l), want)
 				}
 			}
+			start = r.Dirty
 		}
-		from := rng.Int63n(n + 1)
+		from := rng.Int63n(RegionLines + 1)
 		var want [][2]int64
-		for l := from; l < n; l++ {
+		for l := from; l < RegionLines; l++ {
 			if !dirty(l) {
 				continue
 			}
@@ -335,7 +329,7 @@ func TestRegionBitsetRunsMatchPerLineScan(t *testing.T) {
 		}
 		var got [][2]int64
 		for at := from; ; {
-			s, e, ok := nextRun(lines, at)
+			s, e, ok := nextRun(r.Dirty, at)
 			if !ok {
 				break
 			}
@@ -343,7 +337,7 @@ func TestRegionBitsetRunsMatchPerLineScan(t *testing.T) {
 			at = e
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("runs from %d of %d lines %064b: %v, want %v", from, n, lines, got, want)
+			t.Fatalf("runs from %d of %032b: %v, want %v", from, r.Dirty, got, want)
 		}
 	}
 }

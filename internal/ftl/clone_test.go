@@ -219,7 +219,7 @@ func TestPageFTLCloneEquivalence(t *testing.T) {
 	for name, cfg := range map[string]PageConfig{"async+journal": cfg, "inline": inline} {
 		t.Run(name, func(t *testing.T) {
 			arr := cloneArray(t)
-			cost := DefaultCostModel(flash.TypicalTiming(flash.SLC), arr.Geometry().PageSize+arr.Geometry().OOBSize)
+			cost := DefaultCostModel(flash.TypicalTiming(flash.SLC), PageBytes+OOBBytes)
 			f, err := NewPageFTL(arr, cfg, cost)
 			if err != nil {
 				t.Fatal(err)
@@ -234,7 +234,7 @@ func TestPageFTLCloneEquivalence(t *testing.T) {
 
 func TestBlockFTLCloneEquivalence(t *testing.T) {
 	arr := cloneArray(t)
-	cost := DefaultCostModel(flash.TypicalTiming(flash.MLC), arr.Geometry().PageSize+arr.Geometry().OOBSize)
+	cost := DefaultCostModel(flash.TypicalTiming(flash.MLC), PageBytes+OOBBytes)
 	f, err := NewBlockFTL(arr, BlockConfig{
 		LogicalBytes:    8 << 20,
 		LogBlocks:       3,
@@ -252,7 +252,7 @@ func TestBlockFTLCloneEquivalence(t *testing.T) {
 
 func TestWriteCacheCloneEquivalence(t *testing.T) {
 	arr := cloneArray(t)
-	cost := DefaultCostModel(flash.TypicalTiming(flash.SLC), arr.Geometry().PageSize+arr.Geometry().OOBSize)
+	cost := DefaultCostModel(flash.TypicalTiming(flash.SLC), PageBytes+OOBBytes)
 	inner, err := NewPageFTL(arr, PageConfig{
 		LogicalBytes:    8 << 20,
 		WritePoints:     2,
@@ -266,8 +266,6 @@ func TestWriteCacheCloneEquivalence(t *testing.T) {
 	}
 	c, err := NewWriteCache(inner, CacheConfig{
 		CapacityBytes: 1 << 20,
-		LineBytes:     4096,
-		RegionBytes:   128 * 1024,
 		Streams:       2,
 		EvictBatch:    2,
 	}, cost)
@@ -303,7 +301,7 @@ func TestWriteCacheCloneEquivalence(t *testing.T) {
 // the original's state stays frozen while the clone keeps working.
 func TestCloneIndependence(t *testing.T) {
 	arr := cloneArray(t)
-	cost := DefaultCostModel(flash.TypicalTiming(flash.SLC), arr.Geometry().PageSize+arr.Geometry().OOBSize)
+	cost := DefaultCostModel(flash.TypicalTiming(flash.SLC), PageBytes+OOBBytes)
 	f, err := NewPageFTL(arr, PageConfig{
 		LogicalBytes:    8 << 20,
 		WritePoints:     2,
@@ -354,7 +352,7 @@ func TestAuditCoversDerivedStructures(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			f := newTestPageFTL(t, nil)
-			c, err := NewWriteCache(f, CacheConfig{CapacityBytes: 1 << 20, LineBytes: 4096, RegionBytes: 128 * 1024, Streams: 2}, f.cfg.model)
+			c, err := NewWriteCache(f, CacheConfig{CapacityBytes: 1 << 20, Streams: 2}, f.cfg.model)
 			if err != nil {
 				t.Fatal(err)
 			}

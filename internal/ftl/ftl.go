@@ -20,6 +20,11 @@
 // A WriteCache can be stacked in front of either FTL to model controller RAM
 // that absorbs focused random writes (the "locality area" of Table 3).
 //
+// Every device has the flash geometry the constants of array.go declare: the
+// translation layers address pages, blocks, cache lines and cache regions by
+// those constants, so nothing about the geometry is configured, validated or
+// derived at run time.
+//
 // The FTLs manipulate real simulated chips (package flash) so invariants such
 // as sequential programming within a block and erase-before-program are
 // enforced, but timing is decoupled: every operation reports an Ops count
@@ -35,7 +40,6 @@ package ftl
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"time"
 
 	"uflip/internal/flash"
@@ -269,14 +273,6 @@ func (s Stats) WriteAmplification() float64 {
 func (s Stats) negative() bool {
 	return s.HostReads|s.HostWrites|s.HostPagesWritten|s.PagesRead|s.PagesProgrammed|s.BlocksErased|s.Merges|s.SwitchMerges|s.AsyncReclaims|s.MapFlushes < 0
 }
-
-// isPow2 reports whether n is a power of two. Every size the layers index by
-// — page, block, cache line and region — must be one, so that the hot
-// paths address by shift and mask.
-func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// log2 returns the exponent of the power of two n.
-func log2(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
 
 func checkRange(off, length, capacity int64) error {
 	if off < 0 || length < 0 || off+length > capacity {

@@ -156,11 +156,8 @@ func TestArrayAddressing(t *testing.T) {
 	}
 }
 
-// ArrayOn builds an array over one chip of any geometry, and ArrayOf returns
-// the array under a page or block FTL, bare or under a write cache. (Exported
-// for the sweeps in serve_test.go.)
-func ArrayOn(chip *flash.Chip) *Array { return &Array{chip: *chip} }
-
+// ArrayOf returns the array under a page or block FTL, bare or under a write
+// cache. (Exported for the sweeps in serve_test.go.)
 func ArrayOf(tr Translator) *Array {
 	switch tr := tr.(type) {
 	case *WriteCache:

@@ -81,8 +81,6 @@ func integrityStacks() []integrityStack {
 	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
 	cacheCfg := ftl.CacheConfig{
 		CapacityBytes: 256 * 1024, // small, so evictions churn
-		LineBytes:     4096,
-		RegionBytes:   128 * 1024,
 		Streams:       2,
 		EvictBatch:    2,
 	}

@@ -28,9 +28,7 @@ type mapLogFTL struct {
 	cfg   BlockConfig
 	model CostModel
 
-	blockBytes    int64
-	pagesPerBlock int
-	lbnCount      int64
+	lbnCount int64
 
 	data []int32
 	logs map[int64]*mapLogEnt
@@ -47,8 +45,8 @@ type mapLogFTL struct {
 func newMapLogFTL(f *BlockFTL) *mapLogFTL {
 	return &mapLogFTL{
 		arr: f.arr, cfg: f.cfg.BlockConfig, model: f.cfg.model,
-		blockBytes: f.cfg.blockBytes, pagesPerBlock: f.cfg.pagesPerBlock, lbnCount: f.cfg.lbnCount,
-		data: f.st.Data, logs: make(map[int64]*mapLogEnt, f.cfg.LogBlocks), free: f.free,
+		lbnCount: f.cfg.lbnCount,
+		data:     f.st.Data, logs: make(map[int64]*mapLogEnt, f.cfg.LogBlocks), free: f.free,
 		book: f.book, lastReadSlot: f.st.LastReadSlot,
 	}
 }
@@ -147,10 +145,9 @@ func (f *mapLogFTL) pageRun(lbn int64, p, limit int) (block, n int, ok bool) {
 }
 
 func (f *mapLogFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
-	pageSize := int64(f.arr.Geometry().PageSize)
-	sPage := int(start / pageSize)
-	ePage := int((end - 1) / pageSize)
-	if start%pageSize != 0 {
+	sPage := int(start / PageBytes)
+	ePage := int((end - 1) / PageBytes)
+	if start%PageBytes != 0 {
 		if pb, _, ok := f.pageRun(lbn, sPage, 1); ok {
 			if err := f.arr.ReadPage(pb, sPage); err != nil {
 				return err
@@ -159,7 +156,7 @@ func (f *mapLogFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 			f.stats.PagesRead++
 		}
 	}
-	if end%pageSize != 0 && ePage != sPage {
+	if end%PageBytes != 0 && ePage != sPage {
 		if pb, _, ok := f.pageRun(lbn, ePage, 1); ok {
 			if err := f.arr.ReadPage(pb, ePage); err != nil {
 				return err
@@ -198,7 +195,7 @@ func (f *mapLogFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 	log.nextPage = ePage + 1
 	f.tick++
 	log.lastUse = f.tick
-	if log.nextPage == f.pagesPerBlock {
+	if log.nextPage == PagesPerBlock {
 		if err := f.fullMerge(lbn, ops); err != nil {
 			return err
 		}
@@ -218,12 +215,11 @@ func (f *mapLogFTL) Write(off, length int64) (Ops, error) {
 		return ops, nil
 	}
 	f.stats.HostWrites++
-	pageSize := int64(f.arr.Geometry().PageSize)
-	f.stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
+	f.stats.HostPagesWritten += (off+length-1)/PageBytes - off/PageBytes + 1
 	for pos, end := off, off+length; pos < end; {
-		lbn := pos / f.blockBytes
-		segEnd := min(end, (lbn+1)*f.blockBytes)
-		if err := f.writeSegment(lbn, pos-lbn*f.blockBytes, segEnd-lbn*f.blockBytes, &ops); err != nil {
+		lbn := pos / BlockBytes
+		segEnd := min(end, (lbn+1)*BlockBytes)
+		if err := f.writeSegment(lbn, pos-lbn*BlockBytes, segEnd-lbn*BlockBytes, &ops); err != nil {
 			return ops, err
 		}
 		pos = segEnd
@@ -241,23 +237,22 @@ func (f *mapLogFTL) Read(off, length int64) (Ops, error) {
 		return ops, nil
 	}
 	f.stats.HostReads++
-	pageSize := int64(f.arr.Geometry().PageSize)
-	p1 := (off + length - 1) / pageSize
+	p1 := (off + length - 1) / PageBytes
 	first := true
-	for gp := off / pageSize; gp <= p1; {
-		lbn := gp * pageSize / f.blockBytes
-		pageInBlock := int(gp % int64(f.pagesPerBlock))
-		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min(int64(f.pagesPerBlock-pageInBlock), p1-gp+1)))
+	for gp := off / PageBytes; gp <= p1; {
+		lbn := gp * PageBytes / BlockBytes
+		pageInBlock := int(gp % int64(PagesPerBlock))
+		pb, n, ok := f.pageRun(lbn, pageInBlock, int(min(int64(PagesPerBlock-pageInBlock), p1-gp+1)))
 		gp += int64(n)
 		if !ok {
-			ops.RAMBytes += int64(n) * pageSize
+			ops.RAMBytes += int64(n) * PageBytes
 			continue
 		}
 		if err := f.arr.ReadRun(pb, pageInBlock, n); err != nil {
 			return ops, fmt.Errorf("ftl: read: %w", err)
 		}
 		f.stats.PagesRead += int64(n)
-		chargeReadRun(&ops, &f.lastReadSlot, int64(pb)*int64(f.pagesPerBlock)+int64(pageInBlock), n, first, f.model.ReadSeek)
+		chargeReadRun(&ops, &f.lastReadSlot, int64(pb)*int64(PagesPerBlock)+int64(pageInBlock), n, first, f.model.ReadSeek)
 		first = false
 	}
 	return ops, nil
@@ -340,9 +335,8 @@ const logTableLBNs = 16
 
 func newLogTableFTL(t testing.TB, logBlocks int) *BlockFTL {
 	t.Helper()
-	const blockBytes = 128 << 10
-	cfg := BlockConfig{LogicalBytes: logTableLBNs * blockBytes, LogBlocks: logBlocks, MapDirtyLimit: 2, MapUnitsPerPage: 2}
-	arr, err := NewUniformArray(2, flash.MLC, cfg.LogicalBytes+int64(logBlocks+4)*blockBytes)
+	cfg := BlockConfig{LogicalBytes: logTableLBNs * BlockBytes, LogBlocks: logBlocks, MapDirtyLimit: 2, MapUnitsPerPage: 2}
+	arr, err := NewUniformArray(2, flash.MLC, cfg.LogicalBytes+int64(logBlocks+4)*BlockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +372,10 @@ func FuzzLogTableMatchesMap(f *testing.F) {
 		}
 		logBlocks := []int{1, 2, 8}[int(in[0])%3]
 		got, want := newLogTableFTL(t, logBlocks), newMapLogFTL(newLogTableFTL(t, logBlocks))
-		pageSize := int64(got.arr.Geometry().PageSize)
 		for step := 0; 1+3*step+2 < len(in); step++ {
 			c := in[1+3*step : 4+3*step]
-			off := int64(c[0]>>2%logTableLBNs)*got.cfg.blockBytes + int64(c[1]&63)*pageSize + int64(c[1]>>6)*512
-			length := int64(c[2]&127+1)*pageSize - int64(c[2]>>7)*512
+			off := int64(c[0]>>2%logTableLBNs)*BlockBytes + int64(c[1]&63)*PageBytes + int64(c[1]>>6)*512
+			length := int64(c[2]&127+1)*PageBytes - int64(c[2]>>7)*512
 			length = min(length, got.Capacity()-off)
 			var gotOps, wantOps Ops
 			var gotErr, wantErr error

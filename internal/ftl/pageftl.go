@@ -53,10 +53,7 @@ type PageConfig struct {
 }
 
 func (c PageConfig) validate(a *Array) error {
-	pageSize := a.Geometry().PageSize
 	switch {
-	case !isPow2(pageSize) || !isPow2(a.Geometry().PagesPerBlock):
-		return fmt.Errorf("ftl: page size %d and pages per block %d must be powers of two", pageSize, a.Geometry().PagesPerBlock)
 	case c.LogicalBytes <= 0:
 		return fmt.Errorf("ftl: LogicalBytes must be positive")
 	case c.WritePoints < 1:
@@ -66,8 +63,7 @@ func (c PageConfig) validate(a *Array) error {
 	case c.MapDirtyLimit < 1 || c.MapUnitsPerPage < 1:
 		return fmt.Errorf("ftl: map bookkeeping parameters must be >= 1")
 	}
-	blockSize := int64(a.Geometry().BlockSize())
-	logicalBlocks := (c.LogicalBytes + blockSize - 1) / blockSize
+	logicalBlocks := (c.LogicalBytes + BlockBytes - 1) / BlockBytes
 	need := logicalBlocks + int64(c.ReserveBlocks+c.WritePoints+2)
 	if int64(a.Blocks()) < need {
 		return fmt.Errorf("ftl: array has %d blocks, page FTL needs >= %d (logical %d + reserve %d + write points %d + 2)",
@@ -115,11 +111,11 @@ func (s *PageFTLState) copyFrom(src *PageFTLState) {
 // the free pool free over flash in state arr (both already valid), could be
 // in state s.
 func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *flash.ChipState) error {
-	blocks, ppb := len(arr.Blocks), cfg.pagesPerBlock
+	blocks := len(arr.Blocks)
 	switch {
 	case len(s.FMap) != int(cfg.logicalBlocks) || len(s.RMap) != blocks || len(s.IsOpen) != blocks || len(s.WPs) != cfg.WritePoints:
 		return fmt.Errorf("ftl: state tables (%d logical blocks, %d and %d blocks, %d write points) are not this FTL's size", len(s.FMap), len(s.RMap), len(s.IsOpen), len(s.WPs))
-	case s.Tick < 0 || s.IdleCredit < 0 || s.Stats.negative() || s.LastReadSlot < -2 || s.LastReadSlot >= int64(blocks*ppb):
+	case s.Tick < 0 || s.IdleCredit < 0 || s.Stats.negative() || s.LastReadSlot < -2 || s.LastReadSlot >= int64(blocks*PagesPerBlock):
 		return fmt.Errorf("ftl: state has a clock, counter or read position out of range (tick %d, idle credit %v, last read %d, %+v)", s.Tick, s.IdleCredit, s.LastReadSlot, s.Stats)
 	}
 	// The maps are mutually inverse, and a mapped block is programmed in full.
@@ -132,8 +128,8 @@ func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *flash.ChipS
 		if lb < -1 || lb >= cfg.logicalBlocks || (lb >= 0 && s.FMap[lb] != int64(pb)) {
 			return fmt.Errorf("ftl: block %d holds logical block %d, which does not map back", pb, lb)
 		}
-		if cursor := int(arr.Blocks[pb].NextPage); lb >= 0 && cursor != ppb {
-			return fmt.Errorf("ftl: block %d holds logical block %d and is programmed to page %d of %d", pb, lb, cursor, ppb)
+		if cursor := int(arr.Blocks[pb].NextPage); lb >= 0 && cursor != PagesPerBlock {
+			return fmt.Errorf("ftl: block %d holds logical block %d and is programmed to page %d of %d", pb, lb, cursor, PagesPerBlock)
 		}
 	}
 	// A block is open exactly when one write point stands on it, having
@@ -144,7 +140,7 @@ func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *flash.ChipS
 		case wp.LastUnit < -2 || wp.LastUnit >= cfg.logicalBlocks || wp.LastUse < 0 || wp.LastUse > s.Tick:
 			return fmt.Errorf("ftl: write point %d has stream position (block %d, tick %d) out of range", i, wp.LastUnit, wp.LastUse)
 		case wp.Block == -1:
-		case wp.Block < 0 || wp.Block >= blocks || int(arr.Blocks[wp.Block].NextPage) != ppb:
+		case wp.Block < 0 || wp.Block >= blocks || int(arr.Blocks[wp.Block].NextPage) != PagesPerBlock:
 			return fmt.Errorf("ftl: write point %d stands on block %d, which it has not filled", i, wp.Block)
 		default:
 			standing[wp.Block]++
@@ -164,17 +160,12 @@ func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *flash.ChipS
 }
 
 // pageConfig is what a PageFTL is built as: the profile's configuration and
-// cost tables plus what construction derives from them and the geometry.
+// cost tables plus the logical blocks the capacity spans.
 type pageConfig struct {
 	PageConfig
 	model CostModel
 
-	blockBytes    int64
-	pagesPerBlock int
 	logicalBlocks int64
-	// Every size is a power of two (validate): log2 of the page size, the
-	// block size and the pages per block.
-	pageShift, blockShift, ppbShift uint
 }
 
 // PageFTL is a flash translation layer whose mapping unit is the flash block:
@@ -207,17 +198,10 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 	if err := checkKeyWidths(arr.Blocks(), arr.eraseLimit()); err != nil {
 		return nil, err
 	}
-	geo := arr.Geometry()
-	blockBytes := int64(geo.BlockSize())
 	f := &PageFTL{cfg: pageConfig{
 		PageConfig:    cfg,
 		model:         model,
-		blockBytes:    blockBytes,
-		pagesPerBlock: geo.PagesPerBlock,
-		logicalBlocks: (cfg.LogicalBytes + blockBytes - 1) / blockBytes,
-		pageShift:     log2(geo.PageSize),
-		blockShift:    log2(geo.BlockSize()),
-		ppbShift:      log2(geo.PagesPerBlock),
+		logicalBlocks: (cfg.LogicalBytes + BlockBytes - 1) / BlockBytes,
 	}}
 	f.flashBooks = newFlashBooks(arr, cfg.MapUnitsPerPage, cfg.MapDirtyLimit, f.cfg.logicalBlocks)
 	f.st.LastReadSlot = -2
@@ -362,13 +346,12 @@ func (f *PageFTL) appendBlock(wp *WritePoint, lb int64, ops *Ops, hostPages int)
 		return err
 	}
 	wp.Block = b
-	ppb := f.cfg.pagesPerBlock
-	if err := f.arr.ProgramRun(b, 0, ppb); err != nil {
+	if err := f.arr.ProgramRun(b, 0, PagesPerBlock); err != nil {
 		return fmt.Errorf("ftl: program: %w", err)
 	}
 	ops.PagePrograms += hostPages
-	ops.MergePrograms += ppb - hostPages
-	f.st.Stats.PagesProgrammed += int64(ppb)
+	ops.MergePrograms += PagesPerBlock - hostPages
+	f.st.Stats.PagesProgrammed += PagesPerBlock
 
 	// Obsolete the old location, if any: it becomes a reclamation candidate
 	// once closed.
@@ -422,22 +405,19 @@ func (f *PageFTL) write(off, length int64, ops *Ops) error {
 		return nil
 	}
 	f.st.Stats.HostWrites++
-	sh, ppb := f.cfg.pageShift, f.cfg.pagesPerBlock
-	f.st.Stats.HostPagesWritten += (off+length-1)>>sh - off>>sh + 1
-	journal := f.cfg.JournalMaxBytes > 0 && length <= f.cfg.JournalMaxBytes && length < f.cfg.blockBytes
-	b0 := off >> f.cfg.blockShift
-	b1 := (off + length - 1) >> f.cfg.blockShift
-	for lb := b0; lb <= b1; lb++ {
-		bs := lb << f.cfg.blockShift
+	f.st.Stats.HostPagesWritten += (off+length-1)/PageBytes - off/PageBytes + 1
+	journal := f.cfg.JournalMaxBytes > 0 && length <= f.cfg.JournalMaxBytes && length < BlockBytes
+	for lb := off / BlockBytes; lb <= (off+length-1)/BlockBytes; lb++ {
+		bs := lb * BlockBytes
 		ws := max(off, bs)
-		we := min(off+length, bs+f.cfg.blockBytes)
-		writtenPages := int((we-1)>>sh - ws>>sh + 1)
+		we := min(off+length, bs+BlockBytes)
+		writtenPages := int((we-1)/PageBytes - ws/PageBytes + 1)
 		// Pages of the block not fully overwritten must be read first
 		// (read-modify-write); this is the mechanism behind the alignment
 		// penalty of the Alignment micro-benchmark.
-		firstFull := (ws - bs + 1<<sh - 1) >> sh
-		lastFull := (we - bs) >> sh
-		oldPages := ppb - int(max(lastFull-firstFull, 0))
+		firstFull := (ws - bs + PageBytes - 1) / PageBytes
+		lastFull := (we - bs) / PageBytes
+		oldPages := PagesPerBlock - int(max(lastFull-firstFull, 0))
 		mapped := f.st.FMap[lb]
 		if !journal && oldPages > 0 && mapped >= 0 {
 			if err := f.arr.ReadRun(int(mapped), 0, oldPages); err != nil {
@@ -451,19 +431,19 @@ func (f *PageFTL) write(off, length int64, ops *Ops) error {
 			// Nothing to copy for an unmapped block: the blank filler pages
 			// stream like host data (the out-of-box cheapness of Section
 			// 4.1).
-			hostPages = ppb
+			hostPages = PagesPerBlock
 		}
 		if err := f.appendBlock(f.pickWP(lb), lb, ops, hostPages); err != nil {
 			return err
 		}
-		if journal && writtenPages < ppb {
+		if journal && writtenPages < PagesPerBlock {
 			// Journal path: charge only the pages actually written. The
 			// filler pages were counted as merge copies (mapped block) or
 			// blank host programs (unmapped block).
-			if hostPages == ppb {
-				ops.PagePrograms -= ppb - writtenPages
+			if hostPages == PagesPerBlock {
+				ops.PagePrograms -= PagesPerBlock - writtenPages
 			} else {
-				ops.MergePrograms -= ppb - writtenPages
+				ops.MergePrograms -= PagesPerBlock - writtenPages
 			}
 		}
 	}
@@ -513,26 +493,25 @@ func (f *PageFTL) readStealing(off, length int64, ops *Ops) error {
 // readRuns adds to ops one read run per logical block the request touches:
 // a block's pages are physically consecutive.
 func (f *PageFTL) readRuns(off, length int64, ops *Ops) error {
-	p0 := off >> f.cfg.pageShift
-	p1 := (off + length - 1) >> f.cfg.pageShift
+	p1 := (off + length - 1) / PageBytes
 	first := true
-	for gp := p0; gp <= p1; {
-		lb := gp >> f.cfg.ppbShift
-		page := int(gp & int64(f.cfg.pagesPerBlock-1))
-		n := int(min(int64(f.cfg.pagesPerBlock-page), p1-gp+1))
+	for gp := off / PageBytes; gp <= p1; {
+		lb := gp / PagesPerBlock
+		page := int(gp % PagesPerBlock)
+		n := int(min(int64(PagesPerBlock-page), p1-gp+1))
 		gp += int64(n)
 		pb := f.st.FMap[lb]
 		if pb < 0 {
 			// Unmapped: the device returns a deterministic pattern
 			// straight from the controller.
-			ops.RAMBytes += int64(n) << f.cfg.pageShift
+			ops.RAMBytes += int64(n) * PageBytes
 			continue
 		}
 		if err := f.arr.ReadRun(int(pb), page, n); err != nil {
 			return fmt.Errorf("ftl: read: %w", err)
 		}
 		f.st.Stats.PagesRead += int64(n)
-		chargeReadRun(ops, &f.st.LastReadSlot, pb<<f.cfg.ppbShift+int64(page), n, first, f.cfg.model.ReadSeek)
+		chargeReadRun(ops, &f.st.LastReadSlot, pb*PagesPerBlock+int64(page), n, first, f.cfg.model.ReadSeek)
 		first = false
 	}
 	return nil
@@ -550,7 +529,7 @@ func (f *PageFTL) reclaimWithCredit(d time.Duration) {
 	f.st.IdleCredit += d
 	// Cap the credit so an hour of idleness cannot fund unbounded future
 	// work in zero time.
-	maxCredit := f.cfg.model.ReclaimCost(f.cfg.pagesPerBlock) * time.Duration(f.cfg.ReserveBlocks)
+	maxCredit := f.cfg.model.ReclaimCost(PagesPerBlock) * time.Duration(f.cfg.ReserveBlocks)
 	if f.st.IdleCredit > maxCredit {
 		f.st.IdleCredit = maxCredit
 	}

@@ -267,7 +267,7 @@ func checkPageFTLConsistency(t *testing.T, f *PageFTL) {
 		if f.st.RMap[pb] != int64(lb) {
 			t.Fatalf("fmap[%d]=%d but rmap[%d]=%d", lb, pb, pb, f.st.RMap[pb])
 		}
-		if next, err := f.arr.NextProgramPage(int(pb)); err != nil || next != f.cfg.pagesPerBlock {
+		if next, err := f.arr.NextProgramPage(int(pb)); err != nil || next != PagesPerBlock {
 			t.Fatalf("logical block %d maps to block %d, programmed to page %d (%v)", lb, pb, next, err)
 		}
 	}

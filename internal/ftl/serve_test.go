@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"uflip/internal/device"
-	"uflip/internal/flash"
 	"uflip/internal/ftl"
 	"uflip/internal/profile"
 )
@@ -121,7 +120,7 @@ func TestServeMatchesTranslator(t *testing.T) {
 // logical capacity plus the FTL's headroom blocks. Sizing by
 // ceil(raw / 128 KiB) instead would move every result.
 func TestArraySizing(t *testing.T) {
-	const block = 128 << 10
+	const block = ftl.BlockBytes
 	for _, p := range profile.All() {
 		for _, logical := range []int64{32 << 20, 64 << 20, 512 << 20, 1 << 30} {
 			headroom := int64(p.Block.LogBlocks + 4)
@@ -138,35 +137,6 @@ func TestArraySizing(t *testing.T) {
 			if got := ftl.ArrayOf(d.Top()).Blocks(); int64(got) != chips*perChip {
 				t.Errorf("%s at %d MiB: %d blocks, want %d chips x %d", p.Key, logical>>20, got, chips, perChip)
 			}
-		}
-	}
-}
-
-// TestFTLsRejectNonPowerOfTwoGeometry: both FTLs address pages and blocks by
-// shift and mask, so a page size or a pages-per-block count that is not a
-// power of two is refused.
-func TestFTLsRejectNonPowerOfTwoGeometry(t *testing.T) {
-	for _, geo := range []flash.Geometry{
-		{PageSize: 3072, PagesPerBlock: 64, Blocks: 64, Planes: 1},
-		{PageSize: 2048, PagesPerBlock: 48, Blocks: 64, Planes: 1},
-	} {
-		chip, err := flash.NewChip(geo, flash.SLC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arr := ftl.ArrayOn(chip)
-		cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), geo.PageSize)
-		block := int64(geo.BlockSize())
-		if _, err := ftl.NewPageFTL(arr, ftl.PageConfig{
-			LogicalBytes: 8 * block, WritePoints: 1, ReserveBlocks: 2,
-			MapDirtyLimit: 1, MapUnitsPerPage: 1,
-		}, cost); err == nil {
-			t.Errorf("page FTL accepted %+v", geo)
-		}
-		if _, err := ftl.NewBlockFTL(arr, ftl.BlockConfig{
-			LogicalBytes: 8 * block, LogBlocks: 1, MapDirtyLimit: 1, MapUnitsPerPage: 1,
-		}, cost); err == nil {
-			t.Errorf("block FTL accepted %+v", geo)
 		}
 	}
 }

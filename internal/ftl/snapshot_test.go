@@ -36,8 +36,6 @@ func buildStack(t *testing.T) *ftl.WriteCache {
 	}
 	cache, err := ftl.NewWriteCache(page, ftl.CacheConfig{
 		CapacityBytes: 256 * 1024,
-		LineBytes:     4096,
-		RegionBytes:   128 * 1024,
 		Streams:       2,
 	}, cost)
 	if err != nil {

@@ -12,19 +12,16 @@ const (
 	kb = int64(1024)
 	mb = 1024 * kb
 	gb = 1024 * mb
-
-	blockBytes = 128 * 1024 // 2 KB pages x 64 pages
-	pageBytes  = 2048
 )
 
 // slc/mlcBase return cost models seeded from datasheet chip timings; each
 // profile then sets its calibrated parallelism coefficients.
 func slcBase() ftl.CostModel {
-	return ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), pageBytes+64)
+	return ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), ftl.PageBytes+ftl.OOBBytes)
 }
 
 func mlcBase() ftl.CostModel {
-	return ftl.DefaultCostModel(flash.TypicalTiming(flash.MLC), pageBytes+64)
+	return ftl.DefaultCostModel(flash.TypicalTiming(flash.MLC), ftl.PageBytes+ftl.OOBBytes)
 }
 
 func mbps(n float64) float64 { return n * 1024 * 1024 }
@@ -76,8 +73,6 @@ func memoright() Profile {
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes: 8 * mb,
-			LineBytes:     4096,
-			RegionBytes:   blockBytes,
 			Streams:       8,
 			EvictBatch:    4,
 		},
@@ -115,18 +110,14 @@ func gskill() Profile {
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes:    8 * mb,
-			LineBytes:        4096,
-			RegionBytes:      blockBytes,
 			Streams:          4,
 			FlashBacked:      true,
-			PageBytes:        pageBytes,
 			SeqAdmitPerPage:  3 * time.Microsecond,
 			RandAdmitPerPage: 100 * time.Microsecond,
 		},
 		Cost: cost,
 		Sim: device.SimConfig{
-			Bus:         device.BusConfig{CmdLatency: 80 * time.Microsecond, ReadBytesPerS: mbps(80), WriteBytesPerS: mbps(80)},
-			MaxFlashLag: 20 * time.Millisecond,
+			Bus: device.BusConfig{CmdLatency: 80 * time.Microsecond, ReadBytesPerS: mbps(80), WriteBytesPerS: mbps(80)},
 		},
 	}
 }
@@ -160,18 +151,14 @@ func samsung() Profile {
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes:    16 * mb,
-			LineBytes:        4096,
-			RegionBytes:      blockBytes,
 			Streams:          4,
 			FlashBacked:      true,
-			PageBytes:        pageBytes,
 			SeqAdmitPerPage:  2 * time.Microsecond,
 			RandAdmitPerPage: 32 * time.Microsecond,
 		},
 		Cost: cost,
 		Sim: device.SimConfig{
-			Bus:         device.BusConfig{CmdLatency: 60 * time.Microsecond, ReadBytesPerS: mbps(100), WriteBytesPerS: mbps(100)},
-			MaxFlashLag: 20 * time.Millisecond,
+			Bus: device.BusConfig{CmdLatency: 60 * time.Microsecond, ReadBytesPerS: mbps(100), WriteBytesPerS: mbps(100)},
 		},
 	}
 }
@@ -206,8 +193,6 @@ func mtron() Profile {
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes: 8 * mb,
-			LineBytes:     4096,
-			RegionBytes:   blockBytes,
 			Streams:       4,
 			EvictBatch:    4,
 		},
@@ -242,11 +227,8 @@ func transcendSSD16() Profile {
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes:    4 * mb,
-			LineBytes:        4096,
-			RegionBytes:      blockBytes,
 			Streams:          4,
 			FlashBacked:      true,
-			PageBytes:        pageBytes,
 			SeqAdmitPerPage:  2 * time.Microsecond,
 			RandAdmitPerPage: 120 * time.Microsecond,
 		},
@@ -280,11 +262,8 @@ func transcendMLC32() Profile {
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes:    4 * mb,
-			LineBytes:        4096,
-			RegionBytes:      blockBytes,
 			Streams:          4,
 			FlashBacked:      true,
-			PageBytes:        pageBytes,
 			SeqAdmitPerPage:  2 * time.Microsecond,
 			RandAdmitPerPage: 60 * time.Microsecond,
 		},
@@ -318,11 +297,8 @@ func kingstonDTHX() Profile {
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes:    16 * mb,
-			LineBytes:        4096,
-			RegionBytes:      blockBytes,
 			Streams:          8,
 			FlashBacked:      true,
-			PageBytes:        pageBytes,
 			SeqAdmitPerPage:  2 * time.Microsecond,
 			RandAdmitPerPage: 2200 * time.Microsecond, // calibrated: zone compaction on this device is extreme
 		},
@@ -355,11 +331,8 @@ func corsair() Profile {
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes:    8 * mb,
-			LineBytes:        4096,
-			RegionBytes:      blockBytes,
 			Streams:          4,
 			FlashBacked:      true,
-			PageBytes:        pageBytes,
 			SeqAdmitPerPage:  2 * time.Microsecond,
 			RandAdmitPerPage: 1 * time.Millisecond,
 		},
@@ -394,11 +367,8 @@ func transcendModule() Profile {
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes:    4 * mb,
-			LineBytes:        4096,
-			RegionBytes:      blockBytes,
 			Streams:          4,
 			FlashBacked:      true,
-			PageBytes:        pageBytes,
 			SeqAdmitPerPage:  2 * time.Microsecond,
 			RandAdmitPerPage: 130 * time.Microsecond,
 		},

@@ -82,7 +82,6 @@ func (p Profile) BuildWithCapacity(logical int64) (*device.SimDevice, error) {
 	if logical <= 0 {
 		return nil, fmt.Errorf("profile %s: capacity must be positive", p.Key)
 	}
-	blockSize := int64(128 * 1024) // 2 KB pages x 64 (uniform array geometry)
 	var headroomBlocks int64
 	switch p.Kind {
 	case PageMapped:
@@ -92,7 +91,7 @@ func (p Profile) BuildWithCapacity(logical int64) (*device.SimDevice, error) {
 	default:
 		return nil, fmt.Errorf("profile %s: unknown FTL kind %d", p.Key, p.Kind)
 	}
-	raw := logical + headroomBlocks*blockSize
+	raw := logical + headroomBlocks*ftl.BlockBytes
 	arr, err := ftl.NewUniformArray(p.Chips, p.Cell, raw)
 	if err != nil {
 		return nil, fmt.Errorf("profile %s: %w", p.Key, err)

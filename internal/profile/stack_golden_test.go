@@ -167,3 +167,48 @@ func TestStackBytesGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteThroughIgnoresMaxFlashLag: a write-through device keeps its flash
+// stage no later than its bus, so the write-back lag bound never throttles it
+// and never stretches a read. With the bound at 1 ns and at 1 h, every
+// write-through profile completes random-state enforcement and 20,480 IOs of
+// the pinned stream at the same instants.
+func TestWriteThroughIgnoresMaxFlashLag(t *testing.T) {
+	const batches = 320
+	for _, p := range All() {
+		if p.Sim.WriteBack {
+			continue
+		}
+		var runs [2][]time.Duration
+		for i, lag := range []time.Duration{time.Nanosecond, time.Hour} {
+			p.Sim.MaxFlashLag = lag
+			dev, err := p.BuildWithCapacity(stackCapacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at, err := methodology.EnforceRandomState(dev, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = append(runs[i], at)
+			rng := rand.New(rand.NewSource(42))
+			var next int64
+			ios := make([]device.IO, stackBatchIOs)
+			done := make([]time.Duration, stackBatchIOs)
+			for range batches {
+				stackStream(rng, &next, ios, done)
+				if err := dev.SubmitBatch(at, ios, done); err != nil {
+					t.Fatalf("%s: %v", p.Key, err)
+				}
+				runs[i] = append(runs[i], done...)
+				at = done[len(done)-1]
+			}
+		}
+		for j := range runs[0] {
+			if runs[0][j] != runs[1][j] {
+				t.Errorf("%s: completion %d at %v with a 1 ns lag bound, %v with 1 h", p.Key, j, runs[0][j], runs[1][j])
+				break
+			}
+		}
+	}
+}

@@ -78,21 +78,23 @@ func ftlOf(t *testing.T, p *payload) *ftl.TranslatorState {
 // for D = kingston-dti (bare BlockFTL) and transcend-ssd16 (BlockFTL under a
 // WriteCache): S/<key hash>.state and O/D.csv. The fixtures under testdata/v5
 // were written with the same command by the build of the commit before the
-// flash became one chip's state (format version 5). If a profile edit changes
-// the key hash, rename each .state file to its new hash: an older build's file
-// is quarantined whatever key it was saved under, and the CSV pins what
+// flash became one chip's state (format version 5), those under testdata/v6 by
+// the build of the commit before a cache region's dirty lines became one word
+// of the region (format version 6). If a profile edit changes the key hash,
+// rename each .state file to its new hash: an older build's file is
+// quarantined whatever key it was saved under, and the CSV pins what
 // re-enforcement then renders.
 var parentFixtureCfg = paperexp.Config{Capacity: 32 << 20, Seed: 42, IOCount: 1024}
 
 // TestParentStateFilesStillLoad is the pin on what happens to the state files
-// older builds left in a cache directory: this build quarantines the version-3
-// and the version-5 file alike, enforces the state again, saves it in the
+// older builds left in a cache directory: this build quarantines the
+// version-3, version-5 and version-6 files alike, enforces the state again, saves it in the
 // current format, and a Granularity plan started from it renders the parent's
 // summary CSV byte for byte.
 func TestParentStateFilesStillLoad(t *testing.T) {
 	for _, key := range []string{"kingston-dti", "transcend-ssd16"} {
 		t.Run(key, func(t *testing.T) {
-			for _, dir := range []string{"parent", "v5"} {
+			for _, dir := range []string{"parent", "v5", "v6"} {
 				t.Run(dir, func(t *testing.T) { testOlderStateFile(t, key, dir) })
 			}
 		})

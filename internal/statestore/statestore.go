@@ -129,11 +129,13 @@ func (s *Store) LockKey(k Key) func() {
 // flash block (no per-block live counts, GC write point or write-point slot)
 // and drops the write cache's idle-destage credit and counter; version 6
 // stores the flash as one chip's state spanning every block (no per-chip
-// list, no page register). Older files fail the version check and take the quarantine path like any other
-// unreadable file.
+// list, no page register); version 7 keeps a cache region's dirty lines in
+// the region itself, one word (no bitset slab, no line count or highest
+// line). Older files fail the version check and take the quarantine path
+// like any other unreadable file.
 const (
 	magic   = "uFLIPst\x01"
-	version = uint32(6)
+	version = uint32(7)
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
