@@ -43,7 +43,9 @@ bench:
 # seed corpus — enough to catch parser panics and round-trip drift in CI
 # without turning the pipeline into a fuzzing farm. The two stateful FTL
 # targets take hundreds of steps an input, so they skip minimization: it would
-# eat the whole burst on the first interesting input.
+# eat the whole burst on the first interesting input. The list is kept by
+# hand; TestFuzzSmokeListsEveryTarget (fuzzsmoke_test.go) fails when a Fuzz
+# function is missing from it or a listed one no longer exists.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseArraySpec$$' -fuzztime $(FUZZTIME) ./internal/profile

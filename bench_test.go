@@ -280,7 +280,7 @@ type ablationDevice struct {
 
 func buildAblation(b *testing.B, name string, logical int64, build func(arr *ftl.Array, cost ftl.CostModel) (ftl.Translator, error)) ablationDevice {
 	b.Helper()
-	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
+	cost := ftl.DefaultCostModel(flash.SLC)
 	cost.ReadParallel = 4
 	cost.ProgramParallel = 8
 	cost.MergeParallel = 2
@@ -307,12 +307,10 @@ func buildAblation(b *testing.B, name string, logical int64, build func(arr *ftl
 // read-modify-write of its block, and reclamation erases obsolete blocks.
 func pageCfg(logical int64) ftl.PageConfig {
 	return ftl.PageConfig{
-		LogicalBytes:    logical,
-		WritePoints:     4,
-		ReserveBlocks:   16,
-		GCBatch:         4,
-		MapDirtyLimit:   64,
-		MapUnitsPerPage: 128,
+		LogicalBytes:  logical,
+		WritePoints:   4,
+		ReserveBlocks: 16,
+		GCBatch:       4,
 	}
 }
 
@@ -387,20 +385,21 @@ func BenchmarkAblationWriteCache(b *testing.B) {
 }
 
 // BenchmarkAblationAsyncGC contrasts the Pause micro-benchmark with and
-// without asynchronous reclamation: only the async device benefits from
-// pauses between IOs.
+// without asynchronous reclamation (a positive ReadSteal, here memoright's
+// 0.3; the pattern only writes, so no read is stalled): only the async device
+// benefits from pauses between IOs.
 func BenchmarkAblationAsyncGC(b *testing.B) {
 	const logical = 256 << 20
-	build := func(async bool, name string) ablationDevice {
+	build := func(readSteal float64, name string) ablationDevice {
 		return buildAblation(b, name, logical, func(arr *ftl.Array, cost ftl.CostModel) (ftl.Translator, error) {
 			cfg := pageCfg(logical)
-			cfg.AsyncReclaim = async
+			cfg.ReadSteal = readSteal
 			cfg.ReserveBlocks = 64
 			return ftl.NewPageFTL(arr, cfg, cost)
 		})
 	}
 	for i := 0; i < b.N; i++ {
-		for _, ad := range []ablationDevice{build(false, "sync"), build(true, "async")} {
+		for _, ad := range []ablationDevice{build(0, "sync"), build(0.3, "async")} {
 			end, err := methodology.EnforceRandomState(ad.dev, 1)
 			if err != nil {
 				b.Fatal(err)

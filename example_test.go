@@ -285,7 +285,7 @@ func measureWear(cell flash.CellType, logical int64, randomTarget int64) (amp, s
 	if err != nil {
 		log.Fatal(err)
 	}
-	cost := ftl.DefaultCostModel(flash.TypicalTiming(cell), 2112)
+	cost := ftl.DefaultCostModel(cell)
 	f, err := ftl.NewPageFTL(arr, cfg, cost)
 	if err != nil {
 		log.Fatal(err)

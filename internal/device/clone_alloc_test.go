@@ -20,14 +20,12 @@ func buildBareSim(t testing.TB) *device.SimDevice {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
+	cost := ftl.DefaultCostModel(flash.SLC)
 	f, err := ftl.NewPageFTL(arr, ftl.PageConfig{
-		LogicalBytes:    logical,
-		WritePoints:     2,
-		ReserveBlocks:   8,
-		GCBatch:         2,
-		MapDirtyLimit:   8,
-		MapUnitsPerPage: 32,
+		LogicalBytes:  logical,
+		WritePoints:   2,
+		ReserveBlocks: 8,
+		GCBatch:       2,
 	}, cost)
 	if err != nil {
 		t.Fatal(err)

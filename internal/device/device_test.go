@@ -76,10 +76,10 @@ func newSim(t *testing.T, writeBack bool, lag time.Duration) *SimDevice {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
+	model := ftl.DefaultCostModel(flash.SLC)
 	f, err := ftl.NewPageFTL(arr, ftl.PageConfig{
 		LogicalBytes: logical, WritePoints: 2,
-		ReserveBlocks: 4, MapDirtyLimit: 4, MapUnitsPerPage: 64,
+		ReserveBlocks: 4, GCBatch: 1,
 	}, model)
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +94,17 @@ func newSim(t *testing.T, writeBack bool, lag time.Duration) *SimDevice {
 		t.Fatal(err)
 	}
 	return sim
+}
+
+// TestSimDeviceWriteBackNeedsLag: a write-back device without a positive
+// flash-lag bound is refused; a write-through one (newSim's lag 0) is built.
+func TestSimDeviceWriteBackNeedsLag(t *testing.T) {
+	top := newSim(t, false, 0).top
+	for _, lag := range []time.Duration{0, -time.Millisecond} {
+		if _, err := NewSimDevice(SimConfig{Bus: device100MBps(), WriteBack: true, MaxFlashLag: lag}, top, ftl.CostModel{}); err == nil {
+			t.Errorf("write-back device with MaxFlashLag %v accepted", lag)
+		}
+	}
 }
 
 func device100MBps() BusConfig {
@@ -290,10 +301,10 @@ func TestSimDeviceIdleGrantReachesFTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
+	model := ftl.DefaultCostModel(flash.SLC)
 	f, err := ftl.NewPageFTL(arr, ftl.PageConfig{
 		LogicalBytes: logical, WritePoints: 2,
-		ReserveBlocks: 32, AsyncReclaim: true, MapDirtyLimit: 4, MapUnitsPerPage: 64,
+		ReserveBlocks: 32, ReadSteal: 0.3, GCBatch: 1,
 	}, model)
 	if err != nil {
 		t.Fatal(err)

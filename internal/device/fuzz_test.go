@@ -60,7 +60,7 @@ func FuzzSubmitBatchEquivalence(f *testing.F) {
 			return
 		}
 		writeBack := seed&1 != 0
-		var lag time.Duration
+		lag := 10 * time.Millisecond
 		if seed&2 != 0 {
 			lag = time.Millisecond
 		}

@@ -48,10 +48,10 @@ func dataStack(t testing.TB) device.Cloneable {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
+	cost := ftl.DefaultCostModel(flash.SLC)
 	page, err := ftl.NewPageFTL(arr, ftl.PageConfig{
 		LogicalBytes: logical, WritePoints: 2, ReserveBlocks: 6,
-		AsyncReclaim: true, ReadSteal: 0.3, GCBatch: 2, MapDirtyLimit: 4, MapUnitsPerPage: 16,
+		ReadSteal: 0.3, GCBatch: 2,
 	}, cost)
 	if err != nil {
 		t.Fatal(err)

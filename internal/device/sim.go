@@ -42,9 +42,9 @@ type SimConfig struct {
 	// USB sticks are write-through.
 	WriteBack bool
 	// MaxFlashLag bounds how far the background flash stage may run behind
-	// the bus before new IOs wait for it (zero means 10 ms). Only write-back
-	// devices read it: a write-through device's flash stage never runs
-	// behind its bus.
+	// the bus before new IOs wait for it; a write-back device needs a
+	// positive bound. Only write-back devices read it: a write-through
+	// device's flash stage never runs behind its bus.
 	MaxFlashLag time.Duration
 }
 
@@ -97,11 +97,11 @@ func NewSimDevice(cfg SimConfig, top ftl.Translator, model ftl.CostModel) (*SimD
 	if err := cfg.Bus.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MaxFlashLag <= 0 {
-		cfg.MaxFlashLag = 10 * time.Millisecond
-	}
 	if cfg.Name == "" {
 		cfg.Name = "sim"
+	}
+	if cfg.WriteBack && cfg.MaxFlashLag <= 0 {
+		return nil, fmt.Errorf("device %s: a write-back device needs a positive MaxFlashLag", cfg.Name)
 	}
 	return &SimDevice{cfg: simConfig{SimConfig: cfg, model: model, capacity: top.Capacity()}, top: top}, nil
 }

@@ -29,7 +29,7 @@ import (
 type CacheConfig struct {
 	// CapacityBytes is the buffer size — the locality area of Table 3.
 	CapacityBytes int64
-	// Streams bounds concurrently open stream regions (0 = unlimited).
+	// Streams bounds concurrently open stream regions (at least 1).
 	Streams int
 	// FlashBacked marks the buffer as a flash log zone rather than RAM:
 	// admissions cost explicit per-page time (zone appends plus internal
@@ -57,6 +57,8 @@ func (c CacheConfig) validate() error {
 		return fmt.Errorf("ftl: cache CapacityBytes must be positive")
 	case c.CapacityBytes < BlockBytes:
 		return fmt.Errorf("ftl: cache capacity %d smaller than one region %d", c.CapacityBytes, BlockBytes)
+	case c.Streams < 1:
+		return fmt.Errorf("ftl: cache Streams must be >= 1")
 	}
 	return nil
 }
@@ -525,7 +527,7 @@ func (c *WriteCache) enforceBounds(touched []int32, ops *Ops) error {
 	}
 	// Stream bound: too many concurrent sequential streams force partial
 	// flushes (the Partitioning cliff).
-	for c.cfg.Streams > 0 && st.Streams > c.cfg.Streams {
+	for st.Streams > c.cfg.Streams {
 		st.Stats.StreamFlushes++
 		if err := c.flushRegion(st.Regions[streamHead].Prev, ops); err != nil {
 			return err

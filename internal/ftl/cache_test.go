@@ -61,8 +61,9 @@ func newTestCache(t *testing.T, mutate func(*CacheConfig)) (*WriteCache, *record
 func TestCacheConfigValidation(t *testing.T) {
 	inner := &recordingTranslator{capacity: 1 << 20}
 	bad := []CacheConfig{
-		{CapacityBytes: 0},
-		{CapacityBytes: BlockBytes - 1}, // below one region
+		{CapacityBytes: 0, Streams: 2},
+		{CapacityBytes: BlockBytes - 1, Streams: 2}, // below one region
+		{CapacityBytes: 1 << 20},                    // no stream bound
 	}
 	for i, cfg := range bad {
 		if _, err := NewWriteCache(inner, cfg, testModel()); err == nil {

@@ -5,43 +5,9 @@ import (
 	"testing"
 )
 
-// TestGCBatchZeroDefaultsToOne pins the documented default: a PageConfig
-// that leaves GCBatch at its zero value behaves exactly like GCBatch = 1.
-func TestGCBatchZeroDefaultsToOne(t *testing.T) {
-	zero := newTestPageFTL(t, func(c *PageConfig) { c.GCBatch = 0 })
-	if zero.cfg.GCBatch != 1 {
-		t.Fatalf("zero GCBatch normalized to %d, want 1", zero.cfg.GCBatch)
-	}
-	neg := newTestPageFTL(t, func(c *PageConfig) { c.GCBatch = -3 })
-	if neg.cfg.GCBatch != 1 {
-		t.Fatalf("negative GCBatch normalized to %d, want 1", neg.cfg.GCBatch)
-	}
-	kept := newTestPageFTL(t, func(c *PageConfig) { c.GCBatch = 2 })
-	if kept.cfg.GCBatch != 2 {
-		t.Fatalf("explicit GCBatch rewritten to %d, want 2", kept.cfg.GCBatch)
-	}
-
-	// Behavioral pin: drive both FTLs past the free pool with the same
-	// random-write sequence and require identical op accounting.
-	one := newTestPageFTL(t, func(c *PageConfig) { c.GCBatch = 1 })
-	workload := func(f *PageFTL) Stats {
-		rng := rand.New(rand.NewSource(5))
-		const unit = 128 * 1024
-		for i := 0; i < 2000; i++ {
-			off := rng.Int63n(testLogical/unit) * unit
-			if _, err := f.Write(off, unit); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return f.Stats()
-	}
-	if got, want := workload(zero), workload(one); got != want {
-		t.Fatalf("zero-value GCBatch diverges from explicit 1:\n zero: %+v\n one:  %+v", got, want)
-	}
-}
-
-// TestEvictBatchZeroDefaultsToOne pins the same default for the write
-// cache's EvictBatch.
+// TestEvictBatchZeroDefaultsToOne pins the documented default of the write
+// cache's EvictBatch: a CacheConfig that leaves it at its zero value behaves
+// exactly like EvictBatch = 1.
 func TestEvictBatchZeroDefaultsToOne(t *testing.T) {
 	zero, _ := newTestCache(t, func(c *CacheConfig) { c.EvictBatch = 0 })
 	if zero.cfg.EvictBatch != 1 {

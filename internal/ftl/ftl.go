@@ -8,10 +8,11 @@
 // paper measures:
 //
 //   - PageFTL: block-sized units written out of place from a pool of
-//     pre-erased blocks, sub-block writes by read-modify-write or through a
-//     journal; reclamation erases the blocks those writes left obsolete,
-//     inline or in idle time. This models the high-end SSDs (Memoright,
-//     Mtron, Samsung).
+//     pre-erased blocks, sub-block writes by read-modify-write or, up to
+//     journalBytes, through a journal; reclamation erases the blocks those
+//     writes left obsolete, inline or in idle time. Its map book
+//     (mapUnitsPerPage, mapDirtyLimit) is a constant too. This models the
+//     high-end SSDs (Memoright, Mtron, Samsung).
 //   - BlockFTL: block-granularity mapping with a bounded set of replacement
 //     ("log") blocks that only accept in-order appends. This models USB
 //     flash drives, SD cards and IDE modules, whose random writes degenerate
@@ -123,9 +124,12 @@ type CostModel struct {
 	ReadSeek time.Duration
 }
 
-// DefaultCostModel derives a cost model from chip timing with no parallelism.
-func DefaultCostModel(t flash.Timing, pageBytes int) CostModel {
-	transfer := time.Duration(pageBytes) * t.PerByte
+// DefaultCostModel derives a cost model from the cell type's typical chip
+// timing with no parallelism; a page transfer moves the page and its spare
+// area.
+func DefaultCostModel(cell flash.CellType) CostModel {
+	t := flash.TypicalTiming(cell)
+	transfer := (PageBytes + OOBBytes) * t.PerByte
 	return CostModel{
 		ReadPage:    t.ReadPage + transfer,
 		ProgramPage: t.ProgramPage + transfer,

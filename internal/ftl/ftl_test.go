@@ -9,7 +9,7 @@ import (
 )
 
 func testModel() CostModel {
-	m := DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
+	m := DefaultCostModel(flash.SLC)
 	m.ReadParallel = 1
 	m.ProgramParallel = 1
 	m.MergeParallel = 1

@@ -42,17 +42,13 @@ func newTestArray(t *testing.T, raw int64) *ftl.Array {
 func newIntegrityPage(t *testing.T) *ftl.PageFTL {
 	t.Helper()
 	arr := newTestArray(t, integrityLogical+24*128*1024)
-	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
+	cost := ftl.DefaultCostModel(flash.SLC)
 	f, err := ftl.NewPageFTL(arr, ftl.PageConfig{
-		LogicalBytes:    integrityLogical,
-		WritePoints:     2,
-		ReserveBlocks:   6,
-		AsyncReclaim:    true,
-		ReadSteal:       0.3,
-		GCBatch:         2,
-		MapDirtyLimit:   4,
-		MapUnitsPerPage: 16,
-		JournalMaxBytes: 16 * 1024,
+		LogicalBytes:  integrityLogical,
+		WritePoints:   2,
+		ReserveBlocks: 6,
+		ReadSteal:     0.3,
+		GCBatch:       2,
 	}, cost)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +59,7 @@ func newIntegrityPage(t *testing.T) *ftl.PageFTL {
 func newIntegrityBlock(t *testing.T) *ftl.BlockFTL {
 	t.Helper()
 	arr := newTestArray(t, integrityLogical+8*128*1024)
-	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
+	cost := ftl.DefaultCostModel(flash.SLC)
 	f, err := ftl.NewBlockFTL(arr, ftl.BlockConfig{
 		LogicalBytes:    integrityLogical,
 		LogBlocks:       3,
@@ -78,7 +74,7 @@ func newIntegrityBlock(t *testing.T) *ftl.BlockFTL {
 
 // integrityStacks returns the four stacks.
 func integrityStacks() []integrityStack {
-	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
+	cost := ftl.DefaultCostModel(flash.SLC)
 	cacheCfg := ftl.CacheConfig{
 		CapacityBytes: 256 * 1024, // small, so evictions churn
 		Streams:       2,

@@ -7,6 +7,22 @@ import (
 	"uflip/internal/flash"
 )
 
+// Every page-mapped device has the same map book and journal. A map page
+// covers mapUnitsPerPage logical blocks (16 MiB) and mapDirtyLimit dirty map
+// pages stay in RAM before one is flushed (Section 2.2: bookkeeping updates
+// are flash writes), so map pages reach flash only when writes scatter over
+// more than 1 GiB. A host write of at most journalBytes goes through a fine-
+// granularity journal and pays program cost only for the pages it writes,
+// not a whole-block read-modify-write: the Figure 6 observation on the
+// Memoright SSD that four 4 KB random writes take about as long as one 16 KB
+// random write. (The block is still written out of place; only the timing of
+// the sub-block path is short-circuited.)
+const (
+	mapUnitsPerPage = 128
+	mapDirtyLimit   = 64
+	journalBytes    = 16 * 1024
+)
+
 // PageConfig configures a PageFTL.
 type PageConfig struct {
 	// LogicalBytes is the capacity exposed to the host. It must leave at
@@ -21,35 +37,17 @@ type PageConfig struct {
 	// once drained, reclamation runs inline and write cost starts
 	// oscillating.
 	ReserveBlocks int
-	// AsyncReclaim lets idle time between IOs refill the free pool (the
-	// Pause/Bursts effect of Table 3, and the lingering interference of
-	// Figure 5).
-	AsyncReclaim bool
 	// ReadSteal is the fraction of a read's cost additionally stalled to
 	// fund background reclamation while the pool is below target (the
-	// lingering effect after a random-write batch, Figure 5). 0 disables.
+	// lingering effect after a random-write batch, Figure 5). A positive
+	// value also lets idle time between IOs refill the pool (the
+	// Pause/Bursts effect of Table 3); 0 disables both.
 	ReadSteal float64
-	// MapDirtyLimit bounds the dirty direct-map pages buffered in RAM
-	// before one is flushed to flash; MapUnitsPerPage is how many mapping
-	// entries (logical blocks) one on-flash map page covers. Together they
-	// make widely scattered writes pay extra bookkeeping (the Order/large-
-	// Incr rows).
-	MapDirtyLimit   int
-	MapUnitsPerPage int
 	// GCBatch is how many obsolete blocks one inline reclamation episode
-	// erases (default 1). Batching is what makes the running-phase cost
-	// oscillate between cheap writes and expensive reclamation episodes
-	// (Figure 3) instead of averaging out.
+	// erases. Batching is what makes the running-phase cost oscillate
+	// between cheap writes and expensive reclamation episodes (Figure 3)
+	// instead of averaging out.
 	GCBatch int
-	// JournalMaxBytes routes host writes of at most this size (and smaller
-	// than a flash block) through a fine-granularity journal: they pay
-	// program cost only for the pages actually written instead of a
-	// whole-block read-modify-write. This reproduces the Figure 6
-	// observation on the Memoright SSD that four 4 KB random writes take
-	// about as long as one 16 KB random write. (The block is still written
-	// out of place; only the timing of the sub-block path is short-
-	// circuited.) Zero disables the journal.
-	JournalMaxBytes int64
 }
 
 func (c PageConfig) validate(a *Array) error {
@@ -60,8 +58,8 @@ func (c PageConfig) validate(a *Array) error {
 		return fmt.Errorf("ftl: WritePoints must be >= 1")
 	case c.ReserveBlocks < 2:
 		return fmt.Errorf("ftl: ReserveBlocks must be >= 2")
-	case c.MapDirtyLimit < 1 || c.MapUnitsPerPage < 1:
-		return fmt.Errorf("ftl: map bookkeeping parameters must be >= 1")
+	case c.GCBatch < 1:
+		return fmt.Errorf("ftl: GCBatch must be >= 1")
 	}
 	logicalBlocks := (c.LogicalBytes + BlockBytes - 1) / BlockBytes
 	need := logicalBlocks + int64(c.ReserveBlocks+c.WritePoints+2)
@@ -186,12 +184,8 @@ type PageFTL struct {
 }
 
 // NewPageFTL builds a page-mapped FTL over the array. The flash must be in
-// its factory (all-erased) state. A zero (or negative) GCBatch takes the
-// documented default of 1 block per reclamation episode.
+// its factory (all-erased) state.
 func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
-	if cfg.GCBatch <= 0 {
-		cfg.GCBatch = 1
-	}
 	if err := cfg.validate(arr); err != nil {
 		return nil, err
 	}
@@ -203,7 +197,7 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 		model:         model,
 		logicalBlocks: (cfg.LogicalBytes + BlockBytes - 1) / BlockBytes,
 	}}
-	f.flashBooks = newFlashBooks(arr, cfg.MapUnitsPerPage, cfg.MapDirtyLimit, f.cfg.logicalBlocks)
+	f.flashBooks = newFlashBooks(arr, mapUnitsPerPage, mapDirtyLimit, f.cfg.logicalBlocks)
 	f.st.LastReadSlot = -2
 	f.st.FMap = make([]int64, f.cfg.logicalBlocks)
 	for i := range f.st.FMap {
@@ -284,7 +278,6 @@ func (f *PageFTL) Stats() Stats { return f.st.Stats }
 // write cost oscillate once the start-up reserve is drained.
 func (f *PageFTL) allocBlock(ops *Ops) (int, error) {
 	for f.free.Len() < 2 {
-		// GCBatch is normalized to >= 1 by NewPageFTL.
 		for i := 0; i < f.cfg.GCBatch && f.victims.Len() > 0; i++ {
 			if err := f.collectOne(ops); err != nil {
 				return 0, err
@@ -406,7 +399,7 @@ func (f *PageFTL) write(off, length int64, ops *Ops) error {
 	}
 	f.st.Stats.HostWrites++
 	f.st.Stats.HostPagesWritten += (off+length-1)/PageBytes - off/PageBytes + 1
-	journal := f.cfg.JournalMaxBytes > 0 && length <= f.cfg.JournalMaxBytes && length < BlockBytes
+	journal := length <= journalBytes
 	for lb := off / BlockBytes; lb <= (off+length-1)/BlockBytes; lb++ {
 		bs := lb * BlockBytes
 		ws := max(off, bs)
@@ -469,7 +462,7 @@ func (f *PageFTL) read(off, length int64, ops *Ops) error {
 	// Lingering reclamation (Figure 5): while the free pool is below target,
 	// background collection steals time from reads. Nothing below changes
 	// the pool or the candidates, so whether this read steals is known now.
-	if f.cfg.AsyncReclaim && f.cfg.ReadSteal > 0 && f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
+	if f.cfg.ReadSteal > 0 && f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
 		return f.readStealing(off, length, ops)
 	}
 	return f.readRuns(off, length, ops)
@@ -519,7 +512,7 @@ func (f *PageFTL) readRuns(off, length int64, ops *Ops) error {
 
 // Idle grants idle host time to background reclamation.
 func (f *PageFTL) Idle(d time.Duration) {
-	if !f.cfg.AsyncReclaim || d <= 0 {
+	if f.cfg.ReadSteal <= 0 || d <= 0 {
 		return
 	}
 	f.reclaimWithCredit(d)

@@ -14,12 +14,10 @@ const testLogical = 16 << 20 // 16 MB logical space
 func newTestPageFTL(t testing.TB, mutate func(*PageConfig)) *PageFTL {
 	t.Helper()
 	cfg := PageConfig{
-		LogicalBytes:    testLogical,
-		WritePoints:     4,
-		ReserveBlocks:   8,
-		GCBatch:         2,
-		MapDirtyLimit:   8,
-		MapUnitsPerPage: 128,
+		LogicalBytes:  testLogical,
+		WritePoints:   4,
+		ReserveBlocks: 8,
+		GCBatch:       2,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -42,7 +40,7 @@ func TestPageConfigValidation(t *testing.T) {
 	}
 	base := PageConfig{
 		LogicalBytes: 4 << 20, WritePoints: 2,
-		ReserveBlocks: 4, MapDirtyLimit: 2, MapUnitsPerPage: 16,
+		ReserveBlocks: 4, GCBatch: 1,
 	}
 	if _, err := NewPageFTL(arr, base, testModel()); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -51,7 +49,8 @@ func TestPageConfigValidation(t *testing.T) {
 		func(c *PageConfig) { c.LogicalBytes = 0 },
 		func(c *PageConfig) { c.WritePoints = 0 },        //
 		func(c *PageConfig) { c.ReserveBlocks = 1 },      //
-		func(c *PageConfig) { c.MapDirtyLimit = 0 },      //
+		func(c *PageConfig) { c.GCBatch = 0 },            // no default
+		func(c *PageConfig) { c.GCBatch = -3 },           //
 		func(c *PageConfig) { c.LogicalBytes = 1 << 40 }, // over-committed
 	}
 	for i, mutate := range bad {
@@ -150,28 +149,28 @@ func TestPageFTLUnmappedPartialWriteIsCheap(t *testing.T) {
 }
 
 func TestPageFTLJournal(t *testing.T) {
-	f := newTestPageFTL(t, func(c *PageConfig) { c.JournalMaxBytes = 16 * 1024 })
+	f := newTestPageFTL(t, nil)
 	if _, err := f.Write(0, 128*1024); err != nil {
 		t.Fatal(err)
 	}
-	// A 4 KB write within the journal threshold pays only its own pages.
-	ops, err := f.Write(0, 4*1024)
+	// A write of at most 16 KB pays only its own pages: 4 KB two, 16 KB
+	// eight.
+	for _, size := range []int64{4 * 1024, 16 * 1024} {
+		ops, err := f.Write(0, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int(size / PageBytes); ops.MergeReads != 0 || ops.MergePrograms != 0 || ops.PagePrograms != want {
+			t.Fatalf("journaled %d B write: %+v, want %d host programs and no merge work", size, ops, want)
+		}
+	}
+	// One page more exceeds the threshold and pays the full RMW.
+	ops, err := f.Write(0, 16*1024+PageBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ops.MergeReads != 0 {
-		t.Fatalf("journaled write did %d merge reads", ops.MergeReads)
-	}
-	if ops.PagePrograms != 2 {
-		t.Fatalf("journaled 4 KB write charged %d programs, want 2", ops.PagePrograms)
-	}
-	// A 32 KB write exceeds the threshold and pays the full RMW.
-	ops, err = f.Write(0, 32*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ops.MergeReads == 0 {
-		t.Fatal("above-threshold write skipped RMW")
+	if ops.MergeReads != PagesPerBlock-9 || ops.PagePrograms+ops.MergePrograms != PagesPerBlock {
+		t.Fatalf("above-threshold write: %+v, want a read-modify-write of the block", ops)
 	}
 }
 
@@ -280,7 +279,7 @@ func checkPageFTLConsistency(t *testing.T, f *PageFTL) {
 
 func TestPageFTLAsyncReclaimRefillsPool(t *testing.T) {
 	f := newTestPageFTL(t, func(c *PageConfig) {
-		c.AsyncReclaim = true
+		c.ReadSteal = 0.3
 		c.ReserveBlocks = 16
 	})
 	// Fill twice to create obsolete blocks and drain the pool.
@@ -302,7 +301,9 @@ func TestPageFTLAsyncReclaimRefillsPool(t *testing.T) {
 	}
 }
 
-func TestPageFTLNoAsyncReclaimWithoutFlag(t *testing.T) {
+// TestPageFTLNoAsyncReclaimWithoutReadSteal: a PageFTL whose ReadSteal is 0
+// (gskill's and samsung's) reclaims only inline; idle time does nothing.
+func TestPageFTLNoAsyncReclaimWithoutReadSteal(t *testing.T) {
 	f := newTestPageFTL(t, nil)
 	for off := int64(0); off < testLogical; off += 128 * 1024 {
 		if _, err := f.Write(off, 128*1024); err != nil {
@@ -311,13 +312,12 @@ func TestPageFTLNoAsyncReclaimWithoutFlag(t *testing.T) {
 	}
 	f.Idle(time.Minute)
 	if f.Stats().AsyncReclaims != 0 {
-		t.Fatal("async reclaim ran despite being disabled")
+		t.Fatal("async reclaim ran with ReadSteal 0")
 	}
 }
 
 func TestPageFTLReadStallWhilePoolLow(t *testing.T) {
 	f := newTestPageFTL(t, func(c *PageConfig) {
-		c.AsyncReclaim = true
 		c.ReadSteal = 0.5
 		c.ReserveBlocks = 32
 	})
@@ -377,7 +377,7 @@ func TestPageFTLWearLeveling(t *testing.T) {
 // on a clone.
 func TestServeReadStealPricesItsOwnRead(t *testing.T) {
 	f := newTestPageFTL(t, func(c *PageConfig) {
-		c.AsyncReclaim, c.ReadSteal, c.ReserveBlocks = true, 0.5, 4
+		c.ReadSteal, c.ReserveBlocks = 0.5, 4
 	})
 	const unit = 128 * 1024
 	for u := int64(0); u < 12; u++ {
@@ -423,7 +423,7 @@ func TestReadStealNeedsARealCandidate(t *testing.T) {
 	}
 	f, err := NewPageFTL(arr, PageConfig{
 		LogicalBytes: 8 * block, WritePoints: 1, ReserveBlocks: 2,
-		AsyncReclaim: true, ReadSteal: 0.5, MapDirtyLimit: 8, MapUnitsPerPage: 128,
+		ReadSteal: 0.5, GCBatch: 1,
 	}, testModel())
 	if err != nil {
 		t.Fatal(err)

@@ -22,14 +22,12 @@ func buildStack(t *testing.T) *ftl.WriteCache {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), 2112)
+	cost := ftl.DefaultCostModel(flash.SLC)
 	page, err := ftl.NewPageFTL(arr, ftl.PageConfig{
-		LogicalBytes:    logical,
-		WritePoints:     2,
-		ReserveBlocks:   6,
-		GCBatch:         2,
-		MapDirtyLimit:   4,
-		MapUnitsPerPage: 16,
+		LogicalBytes:  logical,
+		WritePoints:   2,
+		ReserveBlocks: 6,
+		GCBatch:       2,
 	}, cost)
 	if err != nil {
 		t.Fatal(err)

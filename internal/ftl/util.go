@@ -193,14 +193,9 @@ type mapBook struct {
 	dirty []uint64 // the ring's queued window as a bitset over map pages: derived (rederive)
 }
 
-// newMapBook sizes the book for a map of units entries.
+// newMapBook sizes the book for a map of units entries; unitsPerPage and limit
+// are at least 1 (the FTLs' validators see to it).
 func newMapBook(unitsPerPage int64, limit int, units int64) mapBook {
-	if unitsPerPage < 1 {
-		unitsPerPage = 1
-	}
-	if limit < 1 {
-		limit = 1
-	}
 	b := mapBook{
 		cfg:          mapBookConfig{unitsPerPage: unitsPerPage, limit: limit, pages: (units + unitsPerPage - 1) / unitsPerPage},
 		MapBookState: MapBookState{Order: make([]int64, limit+1), LastFlushed: -2},
@@ -288,8 +283,8 @@ type flashBooks struct {
 }
 
 // newFlashBooks puts every block of the factory-fresh arr in the pool.
-func newFlashBooks(arr *Array, mapUnitsPerPage, mapDirtyLimit int, units int64) flashBooks {
-	b := flashBooks{arr: arr, book: newMapBook(int64(mapUnitsPerPage), mapDirtyLimit, units)}
+func newFlashBooks(arr *Array, unitsPerPage, dirtyLimit int, units int64) flashBooks {
+	b := flashBooks{arr: arr, book: newMapBook(int64(unitsPerPage), dirtyLimit, units)}
 	for blk := 0; blk < arr.Blocks(); blk++ {
 		b.free.push(packKey(0, blk))
 	}

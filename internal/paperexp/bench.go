@@ -102,6 +102,13 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 	if err != nil {
 		return nil, err
 	}
+	// The sequential baselines span IOCount IOs of the standard size from
+	// offset 0: refuse a device they would run off before enforcing (and
+	// storing) a state no run could use.
+	d := cfg.defaults(dev.Capacity())
+	if need := int64(d.IOCount) * d.IOSize; dev.Capacity() < need {
+		return nil, fmt.Errorf("paperexp: %s holds %d bytes, below the %d a plan of %d IOs of %d bytes spans", key, dev.Capacity(), need, d.IOCount, d.IOSize)
+	}
 	if req.Stages.EnforcingState != nil {
 		req.Stages.EnforcingState(dev.Capacity())
 	}
@@ -120,7 +127,6 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 	}
 
 	// Step 2: measure start-up and running phases (Section 4.2).
-	d := cfg.defaults(dev.Capacity())
 	phases, err := methodology.MeasurePhases(dev, d, 4*cfg.IOCount, at+5*time.Second)
 	if err != nil {
 		return nil, err

@@ -26,9 +26,11 @@ import (
 // Config controls experiment scale. The zero value is not valid; use
 // DefaultConfig.
 type Config struct {
-	// Capacity is the simulated device capacity. Experiments are
-	// capacity-independent beyond the locality/order target sizes, so a
-	// scaled-down device (1 GB) reproduces the full-size shapes quickly.
+	// Capacity is the simulated device capacity. A scaled-down device
+	// (1 GB) reproduces the full-size shapes quickly, with two limits: a
+	// page-mapped device flushes direct-map pages only above 1 GiB, and a
+	// plan needs at least IOCount × 32 KiB, the span of its sequential
+	// baselines (RunBenchmark refuses a smaller device).
 	Capacity int64
 	// Seed drives state enforcement and random patterns.
 	Seed int64

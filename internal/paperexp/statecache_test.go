@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"uflip/internal/core"
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
+	"uflip/internal/profile"
 	"uflip/internal/report"
 	"uflip/internal/statestore"
 	"uflip/internal/trace"
@@ -248,5 +251,58 @@ func TestStateKeyCanonicalizesArraySpecs(t *testing.T) {
 	}
 	if a.Spec != "stripe(2,mtron,mtron)" {
 		t.Fatalf("canonical spec = %q", a.Spec)
+	}
+}
+
+// TestRunBenchmarkRefusesDeviceBelowPlan: the sequential baselines span
+// IOCount IOs of 32 KiB, so a device a few sectors short of that, bare or an
+// array, is refused before any state is enforced or stored, with both sizes
+// in the message.
+func TestRunBenchmarkRefusesDeviceBelowPlan(t *testing.T) {
+	cfg := cacheTestConfig(t, true)
+	need := int64(cfg.IOCount) * core.StandardDefaults().IOSize
+	for key, capacity := range map[string]int64{
+		"kingston-dti":                  need - 512,
+		"stripe(2,memoright,memoright)": need/2 - 512, // per member
+	} {
+		cfg.Capacity = capacity
+		dev, err := profile.BuildDevice(key, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stages []string
+		_, err = RunBenchmark(context.Background(), key, cfg, BenchmarkRequest{
+			Micros:  []string{"Granularity"},
+			Workers: 1,
+			Stages: Stages{
+				EnforcingState: func(int64) { stages = append(stages, "enforcing") },
+				StateEnforced:  func(time.Duration, bool) { stages = append(stages, "enforced") },
+			},
+		})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(dev.Capacity())) || !strings.Contains(err.Error(), fmt.Sprint(need)) {
+			t.Fatalf("%s: err = %v, want a refusal naming %d and %d", key, err, dev.Capacity(), need)
+		}
+		if len(stages) != 0 {
+			t.Fatalf("%s: stages %v ran before the refusal", key, stages)
+		}
+		if entries, err := os.ReadDir(cfg.Store.Dir()); err != nil || len(entries) != 0 {
+			t.Fatalf("%s: the store holds %d entries after the refusal (err %v)", key, len(entries), err)
+		}
+	}
+}
+
+// TestRunBenchmarkRunsAtPlanBound: a device exactly IOCount × 32 KiB large
+// runs the whole nine-micro-benchmark plan, page-mapped and block-mapped.
+func TestRunBenchmarkRunsAtPlanBound(t *testing.T) {
+	cfg := cacheTestConfig(t, false)
+	cfg.Capacity = int64(cfg.IOCount) * core.StandardDefaults().IOSize
+	for _, key := range []string{"memoright", "kingston-dti"} {
+		out, err := RunBenchmark(context.Background(), key, cfg, BenchmarkRequest{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s at %d bytes: %v", key, cfg.Capacity, err)
+		}
+		if len(out.Micros) != 9 || len(out.Results.Results) != len(out.Plan.Runs()) {
+			t.Fatalf("%s: %d micro-benchmarks, %d results of %d planned runs", key, len(out.Micros), len(out.Results.Results), len(out.Plan.Runs()))
+		}
 	}
 }

@@ -17,11 +17,11 @@ const (
 // slc/mlcBase return cost models seeded from datasheet chip timings; each
 // profile then sets its calibrated parallelism coefficients.
 func slcBase() ftl.CostModel {
-	return ftl.DefaultCostModel(flash.TypicalTiming(flash.SLC), ftl.PageBytes+ftl.OOBBytes)
+	return ftl.DefaultCostModel(flash.SLC)
 }
 
 func mlcBase() ftl.CostModel {
-	return ftl.DefaultCostModel(flash.TypicalTiming(flash.MLC), ftl.PageBytes+ftl.OOBBytes)
+	return ftl.DefaultCostModel(flash.MLC)
 }
 
 func mbps(n float64) float64 { return n * 1024 * 1024 }
@@ -62,14 +62,10 @@ func memoright() Profile {
 		CapacityBytes: 32 * gb, PriceUSD: 943, Representative: true,
 		Cell: flash.SLC, Chips: 8, Kind: PageMapped,
 		Page: ftl.PageConfig{
-			WritePoints:     8,
-			ReserveBlocks:   128,
-			AsyncReclaim:    true,
-			ReadSteal:       0.3,
-			GCBatch:         8,
-			MapDirtyLimit:   64,
-			MapUnitsPerPage: 128, // one map page covers 16 MB
-			JournalMaxBytes: 16 * 1024,
+			WritePoints:   8,
+			ReserveBlocks: 128,
+			ReadSteal:     0.3,
+			GCBatch:       8,
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes: 8 * mb,
@@ -101,12 +97,9 @@ func gskill() Profile {
 		CapacityBytes: 32 * gb, PriceUSD: 694,
 		Cell: flash.MLC, Chips: 4, Kind: PageMapped,
 		Page: ftl.PageConfig{
-			WritePoints:     4,
-			ReserveBlocks:   8,
-			GCBatch:         4,
-			MapDirtyLimit:   64,
-			MapUnitsPerPage: 128,
-			JournalMaxBytes: 16 * 1024,
+			WritePoints:   4,
+			ReserveBlocks: 8,
+			GCBatch:       4,
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes:    8 * mb,
@@ -142,12 +135,9 @@ func samsung() Profile {
 		CapacityBytes: 32 * gb, PriceUSD: 517, Representative: true,
 		Cell: flash.SLC, Chips: 4, Kind: PageMapped,
 		Page: ftl.PageConfig{
-			WritePoints:     4,
-			ReserveBlocks:   8,
-			GCBatch:         4,
-			MapDirtyLimit:   64,
-			MapUnitsPerPage: 128,
-			JournalMaxBytes: 16 * 1024,
+			WritePoints:   4,
+			ReserveBlocks: 8,
+			GCBatch:       4,
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes:    16 * mb,
@@ -182,14 +172,10 @@ func mtron() Profile {
 		CapacityBytes: 16 * gb, PriceUSD: 407, Representative: true,
 		Cell: flash.SLC, Chips: 4, Kind: PageMapped,
 		Page: ftl.PageConfig{
-			WritePoints:     4,
-			ReserveBlocks:   256,
-			AsyncReclaim:    true,
-			ReadSteal:       0.33,
-			GCBatch:         8,
-			MapDirtyLimit:   64,
-			MapUnitsPerPage: 128,
-			JournalMaxBytes: 16 * 1024,
+			WritePoints:   4,
+			ReserveBlocks: 256,
+			ReadSteal:     0.33,
+			GCBatch:       8,
 		},
 		Cache: &ftl.CacheConfig{
 			CapacityBytes: 8 * mb,

@@ -76,8 +76,10 @@ func (p Profile) String() string {
 
 // BuildWithCapacity assembles the device with a different logical capacity,
 // keeping every other characteristic. Tests and quick benchmark runs use
-// scaled-down devices; behaviour is capacity-independent except for the time
-// state enforcement takes.
+// scaled-down devices. Behaviour is not wholly capacity-independent: a
+// page-mapped device flushes direct-map pages to flash only when writes
+// scatter over more than 1 GiB (64 buffered map pages of 16 MiB each), and
+// state enforcement takes time in proportion to the capacity.
 func (p Profile) BuildWithCapacity(logical int64) (*device.SimDevice, error) {
 	if logical <= 0 {
 		return nil, fmt.Errorf("profile %s: capacity must be positive", p.Key)
