@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/device
 	$(GO) test -run '^$$' -fuzz '^FuzzChipRunEquivalence$$' -fuzztime $(FUZZTIME) ./internal/flash
 	$(GO) test -run '^$$' -fuzz '^FuzzVictimQueueMatchesLazyHeap$$' -fuzztime $(FUZZTIME) ./internal/ftl
+	$(GO) test -run '^$$' -fuzz '^FuzzWearQueueMatchesSorted$$' -fuzztime $(FUZZTIME) ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzLogTableMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzPageFTLStateful$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockFTLStateful$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/ftl

@@ -355,7 +355,10 @@ func TestAuditCoversDerivedStructures(t *testing.T) {
 		name    string
 		corrupt func(c *WriteCache, f *PageFTL)
 	}{
-		{"victim key", func(_ *WriteCache, f *PageFTL) { f.victims.Keys[len(f.victims.Keys)-1]++ }},
+		{"victim key", func(_ *WriteCache, f *PageFTL) {
+			q := &f.victims
+			q.slab[int(q.ring[q.head])+q.sums] ^= 2
+		}},
 		{"dirty bit", func(_ *WriteCache, f *PageFTL) { f.book.dirty[0] ^= 1 }},
 		{"index slot", func(c *WriteCache, _ *PageFTL) {
 			c.der.index[c.st.Regions[c.st.Regions[zoneHead].Next].ID] = 0

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"uflip/internal/flash"
@@ -180,7 +181,7 @@ type PageFTL struct {
 	// (the free pool's are erased), each under its key at the time it became
 	// one: neither configuration nor state but a function of the state and
 	// the flash, which rederive rebuilds.
-	victims blockQueue
+	victims wearQueue
 }
 
 // NewPageFTL builds a page-mapped FTL over the array. The flash must be in
@@ -238,7 +239,7 @@ func (f *PageFTL) resetFrom(t Translator) bool {
 	f.st.copyFrom(&src.st)
 	// src holds the candidates derived: copying them costs the candidates,
 	// rederive every block of the array.
-	f.victims.copyFrom(&src.victims.QueueState)
+	f.victims.copyFrom(&src.victims)
 	return true
 }
 
@@ -246,7 +247,7 @@ func (f *PageFTL) resetFrom(t Translator) bool {
 // every usable closed block that holds no data and has been programmed since
 // its last erase, which tells it apart from the blocks of the free pool.
 func (f *PageFTL) rederive() {
-	f.victims.Keys = f.victims.Keys[:0]
+	f.victims.reset(len(f.st.RMap))
 	for b, lb := range f.st.RMap {
 		if lb >= 0 || f.st.IsOpen[b] {
 			continue
@@ -257,15 +258,19 @@ func (f *PageFTL) rederive() {
 	}
 }
 
-// checkDerived reports whether the reclamation candidates are a heap of the
-// keys rederive builds from the state and the flash, and the map book's dirty
-// set its ring's window.
+// checkDerived reports whether the reclamation candidates are, in ascending
+// order, the keys rederive builds from the state and the flash, and the map
+// book's dirty set its ring's window.
 func (f *PageFTL) checkDerived() error {
 	want := *f
-	want.victims = blockQueue{}
+	want.victims = wearQueue{}
 	want.rederive()
-	if !f.victims.holds(want.victims.Keys) {
-		return fmt.Errorf("ftl: the page FTL queues %d reclamation candidates, not the heap of %d its state derives", f.victims.Len(), want.victims.Len())
+	got, err := f.victims.appendKeys(nil)
+	if err != nil {
+		return err
+	}
+	if keys, _ := want.victims.appendKeys(nil); !slices.Equal(got, keys) {
+		return fmt.Errorf("ftl: the page FTL queues %d reclamation candidates, not the %d its state derives", len(got), len(keys))
 	}
 	return f.book.checkDerived()
 }
@@ -297,12 +302,12 @@ func (f *PageFTL) allocBlock(ops *Ops) (int, error) {
 // collection passes a throwaway ops.
 func (f *PageFTL) collectOne(ops *Ops) error {
 	victim := int(f.victims.pop() & keyBlockMask)
-	// Every collection is a switch merge: the block holds no live data.
-	f.st.Stats.Merges++
-	f.st.Stats.SwitchMerges++
 	if err := f.arr.EraseBlock(victim); err != nil {
 		return fmt.Errorf("ftl: gc erase: %w", err)
 	}
+	// Every collection is a switch merge: the block holds no live data.
+	f.st.Stats.Merges++
+	f.st.Stats.SwitchMerges++
 	ops.Erases++
 	f.st.Stats.BlocksErased++
 	f.pushFree(victim)

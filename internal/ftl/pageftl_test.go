@@ -469,3 +469,37 @@ func TestReadStealNeedsARealCandidate(t *testing.T) {
 		t.Fatalf("after read: %d async reclaims, %v idle credit; want 1 and 0", got, f.st.IdleCredit)
 	}
 }
+
+// TestWornOutReclamationIsNoMerge: a reclamation whose erase wears the block
+// out erased nothing, so it is counted neither as a merge nor as an erased
+// block, and the stack it leaves behind passes Audit. Every block starts one
+// erase short of its budget, so the first reclamations succeed and a later
+// one, of a block already erased once, wears out.
+func TestWornOutReclamationIsNoMerge(t *testing.T) {
+	f := newTestPageFTL(t, nil)
+	worn := int32(f.arr.eraseLimit() - 1)
+	for b := range f.arr.chip.State().Blocks {
+		f.arr.chip.State().Blocks[b].EraseCount = worn
+	}
+	for i, k := range f.free.Keys { // all equal wear: the heap order holds
+		f.free.Keys[i] = packKey(int(worn), int(k&keyBlockMask))
+	}
+	if err := Audit(f); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var err error
+	for i := 0; i < 100_000 && err == nil; i++ {
+		_, err = f.Write(rng.Int63n(testLogical/BlockBytes)*BlockBytes, BlockBytes)
+	}
+	if !errors.Is(err, flash.ErrWornOut) {
+		t.Fatalf("the drive ended with %v, want a worn-out erase", err)
+	}
+	st := f.Stats()
+	if st.BlocksErased == 0 || st.Merges != st.BlocksErased || st.SwitchMerges != st.Merges {
+		t.Fatalf("after the worn-out erase: %d merges (%d switch), %d blocks erased; want equal and nonzero", st.Merges, st.SwitchMerges, st.BlocksErased)
+	}
+	if err := Audit(f); err != nil {
+		t.Fatalf("the stack a worn-out reclamation leaves fails its audit: %v", err)
+	}
+}

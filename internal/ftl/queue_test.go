@@ -54,12 +54,14 @@ func (h *minHeap) pop() uint64 {
 	return top
 }
 
-// FuzzVictimQueueMatchesLazyHeap drives a blockQueue the way the FTLs do —
-// a block is pushed under its current wear, popped, erased and may be pushed
-// again one erase later — against a sorted model of the queued keys and the
-// textbook heap. After every step the queue's length and top are the model's,
-// every pop returns the model's minimum, and the heap array is the textbook
-// heap's. (The name is the victim selection's first oracle, a lazy heap.)
+// FuzzVictimQueueMatchesLazyHeap drives a blockQueue the way the FTLs drive
+// their free pools — a block is pushed under its current wear, popped, and
+// may be pushed again one erase later — against a sorted model of the queued
+// keys and the textbook heap. After every step the queue's length and top are
+// the model's, every pop returns the model's minimum, and the heap array is
+// the textbook heap's. (The name is that of the queue's first oracle, a lazy
+// heap; the PageFTL's reclamation candidates are a wearQueue, fuzzed by
+// FuzzWearQueueMatchesSorted.)
 func FuzzVictimQueueMatchesLazyHeap(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x20, 0x01, 0x11, 0x21, 0x02, 0x12, 0x03, 0x03, 0x03})
 	f.Add([]byte{0x00, 0x02, 0x04, 0x06, 0x01, 0x00, 0x01, 0x00, 0x03, 0x01})

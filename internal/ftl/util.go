@@ -61,11 +61,12 @@ func (s *QueueState) audit(arr *flash.ChipState) error {
 }
 
 // blockQueue is a binary min-heap of packed keys: the free pools of both FTLs
-// and the PageFTL's reclamation candidates. A block enters a queue once under
-// the key it then has and leaves it by pop; nothing is re-keyed or removed.
-// Keys are unique (the block number is part of the key), so the pop order
-// depends only on the set of keys, never on the heap's layout. Steady-state
-// operations allocate nothing: Keys grows to the high-water mark and stays.
+// (the PageFTL's reclamation candidates are a wearQueue). A block enters a
+// queue once under the key it then has and leaves it by pop; nothing is
+// re-keyed or removed. Keys are unique (the block number is part of the key),
+// so the pop order depends only on the set of keys, never on the heap's
+// layout. Steady-state operations allocate nothing: Keys grows to the
+// high-water mark and stays.
 type blockQueue struct {
 	QueueState
 }
@@ -110,19 +111,6 @@ func (q *blockQueue) pop() uint64 {
 	}
 	q.up(i, last)
 	return top
-}
-
-// holds reports whether the queue is a heap of exactly the keys of want.
-func (q *blockQueue) holds(want []uint64) bool {
-	for i, k := range q.Keys {
-		if i > 0 && q.Keys[(i-1)/2] > k {
-			return false
-		}
-	}
-	got, want := slices.Clone(q.Keys), slices.Clone(want)
-	slices.Sort(got)
-	slices.Sort(want)
-	return slices.Equal(got, want)
 }
 
 // up seats key at index i or above, moving a hole instead of swapping.
