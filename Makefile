@@ -1,16 +1,21 @@
 # Targets used verbatim by .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build test lint bench binaries fuzz-smoke loc clean
+.PHONY: build test test-race test-386 lint bench binaries fuzz-smoke loc clean
 
 build:
 	$(GO) build ./...
 
 # The race-detector run, then the whole suite once more compiled for a 32-bit
-# int (runs natively on amd64): both byte goldens and the state-byte pin must
-# hold there too.
-test:
+# int (runs natively on amd64): the byte goldens and the state-byte pin must
+# hold there too, and the wear queues pack keys into uint64 words while int is
+# 32 bits. CI runs the two halves as separate jobs.
+test: test-race test-386
+
+test-race:
 	$(GO) test -race ./...
+
+test-386:
 	GOARCH=386 $(GO) test ./...
 
 # Static analysis: go vet, simplified-gofmt cleanliness, the repo-specific
@@ -59,7 +64,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPercentilesMatchSorted$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/device
 	$(GO) test -run '^$$' -fuzz '^FuzzChipRunEquivalence$$' -fuzztime $(FUZZTIME) ./internal/flash
-	$(GO) test -run '^$$' -fuzz '^FuzzVictimQueueMatchesLazyHeap$$' -fuzztime $(FUZZTIME) ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzWearQueueMatchesSorted$$' -fuzztime $(FUZZTIME) ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzLogTableMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzPageFTLStateful$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/ftl

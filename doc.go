@@ -55,10 +55,9 @@
 // shard device is reset from the master for its next shard, so a job
 // allocates one device stack per worker, not one per run; tests pin that
 // path byte-identical to cloning and to rebuilding per shard. The hot path
-// is allocation-free in steady state (free blocks sit in binary heaps of
-// packed integer keys, one entry per block; reclamation candidates sit in
-// one bitset of blocks per erase count, so the least-worn pops in constant
-// time; map bookkeeping runs on a fixed ring; both
+// is allocation-free in steady state (free blocks and reclamation
+// candidates sit in one bitset of blocks per erase count, so the least-worn
+// pops in constant time; map bookkeeping runs on a fixed ring; both
 // SimDevice.Submit and the 128-IO SubmitBatch are pinned at 0 allocs/op),
 // and stats.Percentiles derives any number of quantiles by histogram
 // selection: a few O(n) passes that only read the series, no copy of it.

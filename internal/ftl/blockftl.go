@@ -51,8 +51,8 @@ type LogSlot struct {
 }
 
 // BlockFTLState is everything about a BlockFTL that changes as it runs, beside
-// its free pool, its map book and the flash underneath, which keep their own.
-// It is the struct the FTL runs on.
+// its map book and the flash underneath, which keep their own. It is the
+// struct the FTL runs on.
 type BlockFTLState struct {
 	Data []int32   // lbn -> physical block, -1 unmapped
 	Logs []LogSlot // cfg.LogBlocks slots, a free one all zero but for LBN -1
@@ -68,10 +68,9 @@ func (s *BlockFTLState) copyFrom(src *BlockFTLState) {
 	s.Tick, s.Stats, s.LastReadSlot = src.Tick, src.Stats, src.LastReadSlot
 }
 
-// audit states the FTL's invariant: whether a BlockFTL built as cfg, with
-// the free pool free over flash in state arr (both already valid), could be
-// in state s.
-func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *flash.ChipState) error {
+// audit states the FTL's invariant: whether a BlockFTL built as cfg, over
+// flash in the valid state arr, could be in state s.
+func (s *BlockFTLState) audit(cfg *blockConfig, arr *flash.ChipState) error {
 	blocks := len(arr.Blocks)
 	switch {
 	case len(s.Data) != int(cfg.lbnCount) || len(s.Logs) != cfg.LogBlocks:
@@ -79,8 +78,8 @@ func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *flash.Chi
 	case s.Tick < 0 || s.Stats.negative() || s.LastReadSlot < -2 || s.LastReadSlot >= int64(blocks*PagesPerBlock):
 		return fmt.Errorf("ftl: state has a clock, counter or read position out of range (tick %d, last read %d, %+v)", s.Tick, s.LastReadSlot, s.Stats)
 	}
-	// Every usable block serves exactly once: free, as a data block or as a
-	// log block.
+	// Every usable block serves at most once, as a data block or as a log
+	// block; one that serves neither is in the free pool, so it is erased.
 	serves := make([]bool, blocks)
 	claim := func(b int, as string) error {
 		if b < 0 || b >= blocks || serves[b] || arr.Blocks[b].Bad {
@@ -88,9 +87,6 @@ func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *flash.Chi
 		}
 		serves[b] = true
 		return nil
-	}
-	for _, k := range free.Keys {
-		serves[k&keyBlockMask] = true
 	}
 	for _, pb := range s.Data {
 		if pb < -1 {
@@ -123,8 +119,8 @@ func (s *BlockFTLState) audit(cfg *blockConfig, free *QueueState, arr *flash.Chi
 		}
 	}
 	for b, ok := range serves {
-		if !ok && !arr.Blocks[b].Bad {
-			return fmt.Errorf("ftl: block %d is neither free, data nor log", b)
+		if bs := arr.Blocks[b]; !ok && !bs.Bad && bs.NextPage != 0 {
+			return fmt.Errorf("ftl: block %d is neither data nor log, so free, yet programmed to page %d", b, bs.NextPage)
 		}
 	}
 	return nil
@@ -171,7 +167,7 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 		model:       model,
 		lbnCount:    (cfg.LogicalBytes + BlockBytes - 1) / BlockBytes,
 	}}
-	f.flashBooks = newFlashBooks(arr, cfg.MapUnitsPerPage, cfg.MapDirtyLimit, f.cfg.lbnCount)
+	f.flashBooks = flashBooks{arr: arr, book: newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit, f.cfg.lbnCount)}
 	f.st.LastReadSlot = -2
 	f.st.Data = make([]int32, f.cfg.lbnCount)
 	for i := range f.st.Data {
@@ -181,6 +177,7 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 	for i := range f.st.Logs {
 		f.st.Logs[i].LBN = -1
 	}
+	f.rederive()
 	return f, nil
 }
 
@@ -205,6 +202,41 @@ func (f *BlockFTL) resetFrom(t Translator) bool {
 	f.cfg = src.cfg
 	f.st.copyFrom(&src.st)
 	return true
+}
+
+// rederive rebuilds the free pool from the state and the flash: every usable
+// block that is neither a data block nor a log block.
+func (f *BlockFTL) rederive() {
+	serves := make([]bool, f.arr.Blocks())
+	for _, pb := range f.st.Data {
+		if pb >= 0 {
+			serves[pb] = true
+		}
+	}
+	for _, l := range f.st.Logs {
+		if l.LBN >= 0 {
+			serves[l.PB] = true
+		}
+	}
+	f.free.reset(len(serves))
+	for b, ok := range serves {
+		if !ok && !f.arr.IsBad(b) {
+			f.pushFree(b)
+		}
+	}
+}
+
+// checkDerived reports whether the free pool is, in ascending order, the keys
+// rederive builds from the state and the flash, and the map book's dirty set
+// its ring's window.
+func (f *BlockFTL) checkDerived() error {
+	want := *f
+	want.free = wearQueue{}
+	want.rederive()
+	if err := f.free.checkDerived("block FTL's free pool", &want.free); err != nil {
+		return err
+	}
+	return f.book.checkDerived()
 }
 
 // Stats returns a snapshot of the FTL counters.

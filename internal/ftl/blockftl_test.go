@@ -319,7 +319,9 @@ func TestBlockFTLRestoreRejectsCorruptLogRows(t *testing.T) {
 		t.Fatalf("intact state rejected: %v", err)
 	}
 	ring := func(s *TranslatorState, i int) *int64 { return &s.Book.Order[(s.Book.Head+i)%len(s.Book.Order)] }
-	freeBlock := func(s *TranslatorState) int { return int(s.Free.Keys[0] & keyBlockMask) }
+	least := src.free.pop() // the least-worn erased block, put back
+	src.free.push(least)
+	freeBlock := int(least & keyBlockMask)
 	for _, row := range []struct {
 		name    string
 		corrupt func(s *TranslatorState)
@@ -332,7 +334,7 @@ func TestBlockFTLRestoreRejectsCorruptLogRows(t *testing.T) {
 		{"negative PB", func(s *TranslatorState) { s.Block.Logs[0].PB = -1 }, "outside the array"},
 		{"PB beyond the array", func(s *TranslatorState) { s.Block.Logs[0].PB = src.arr.Blocks() }, "outside the array"},
 		{"duplicate PB", func(s *TranslatorState) { s.Block.Logs[3].PB = s.Block.Logs[0].PB }, "serves twice"},
-		{"PB in the free pool", func(s *TranslatorState) { s.Block.Logs[1].PB = freeBlock(s) }, "serves twice"},
+		{"PB in the free pool", func(s *TranslatorState) { s.Block.Logs[1].PB = freeBlock }, "the chip at page 0"},
 		{"PB is a data block", func(s *TranslatorState) { s.Block.Logs[1].PB = int(s.Block.Data[0]) }, "serves twice"},
 		{"negative cursor", func(s *TranslatorState) { s.Block.Logs[0].NextPage = -1 }, "the chip at page"},
 		{"cursor beyond the chip's", func(s *TranslatorState) { s.Block.Logs[0].NextPage++ }, "the chip at page"},
@@ -340,10 +342,7 @@ func TestBlockFTLRestoreRejectsCorruptLogRows(t *testing.T) {
 		{"a slot short", func(s *TranslatorState) { s.Block.Logs = s.Block.Logs[:3] }, "log slots"},
 		{"data block beyond the array", func(s *TranslatorState) { s.Block.Data[8] = int32(src.arr.Blocks()) }, "outside the array"},
 		{"two LBNs on one data block", func(s *TranslatorState) { s.Block.Data[1] = s.Block.Data[0] }, "serves twice"},
-		{"block dropped from the pool", func(s *TranslatorState) { s.Free.Keys = s.Free.Keys[:len(s.Free.Keys)-1] }, "neither free, data nor log"},
-		{"pool key of another wear", func(s *TranslatorState) { s.Free.Keys[len(s.Free.Keys)-1] += 1 << keyBlockBits }, "free-pool key"},
-		{"pool out of heap order", func(s *TranslatorState) { s.Free.Keys[0], s.Free.Keys[1] = s.Free.Keys[1], s.Free.Keys[0] }, "heap order"},
-		{"pool block queued twice", func(s *TranslatorState) { s.Free.Keys[1] = s.Free.Keys[0] }, "queued twice"},
+		{"programmed block left to the pool", func(s *TranslatorState) { s.Block.Data[0] = -1 }, "neither data nor log, so free, yet programmed"},
 		{"negative counter", func(s *TranslatorState) { s.Block.Stats.Merges = -1 }, "out of range"},
 		{"negative ring page", func(s *TranslatorState) { *ring(s, 0) = -1 }, "map page -1"},
 		{"ring page beyond the map", func(s *TranslatorState) { *ring(s, 1) = src.book.cfg.pages }, "outside [0,"},

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -118,6 +119,35 @@ func FlashBooks(tr Translator) (chips, claimed flash.Stats) {
 		return books(tr.arr, tr.st.Stats)
 	}
 	panic("ftl: unknown translator")
+}
+
+// PoolMemory reports, for the FTL under a translation stack, how many erase
+// counts its free pool holds keys at, how many bitset slots the pool's slab
+// holds, and how many of those are recycled, waiting for a bucket. (Exported,
+// like FlashBooks, for an external test.)
+func PoolMemory(tr Translator) (counts, slots, recycled int) {
+	var q *wearQueue
+	switch tr := tr.(type) {
+	case *WriteCache:
+		return PoolMemory(tr.Inner())
+	case *PageFTL:
+		q = &tr.free
+	case *BlockFTL:
+		q = &tr.free
+	}
+	keys, err := q.appendKeys(nil)
+	if err != nil {
+		panic(err)
+	}
+	for i, k := range keys {
+		if i == 0 || k>>keyBlockBits != keys[i-1]>>keyBlockBits {
+			counts++
+		}
+	}
+	for s := q.freeSlot; s != 0; s = q.slab[s-1] {
+		recycled++
+	}
+	return counts, len(q.slab) / q.stride, recycled
 }
 
 // assertCloneEquivalent drives k IOs of the drive workload on the original,
@@ -346,38 +376,52 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 // TestAuditCoversDerivedStructures: what the layers derive from their states
-// — the PageFTL's reclamation candidates, the map book's dirty set, the
-// cache's region index — is checked by Audit against a rebuild, so one entry
-// broken by hand fails it, while CheckTranslator, which judges the state
-// alone, still passes.
+// — each FTL's free pool, the PageFTL's reclamation candidates, the map book's
+// dirty set, the cache's region index — is checked by Audit against a rebuild,
+// so one entry broken by hand fails it, while CheckTranslator, which judges
+// the state alone, still passes. A queue is broken by one bit flipped in its
+// lowest bucket.
 func TestAuditCoversDerivedStructures(t *testing.T) {
+	lowestBucket := func(q *wearQueue) { q.slab[int(q.ring[q.head])+q.sums] ^= 2 }
 	for _, row := range []struct {
 		name    string
-		corrupt func(c *WriteCache, f *PageFTL)
+		block   bool // the cache sits over a BlockFTL, not a PageFTL
+		corrupt func(c *WriteCache, books *flashBooks)
 	}{
-		{"victim key", func(_ *WriteCache, f *PageFTL) {
-			q := &f.victims
-			q.slab[int(q.ring[q.head])+q.sums] ^= 2
-		}},
-		{"dirty bit", func(_ *WriteCache, f *PageFTL) { f.book.dirty[0] ^= 1 }},
-		{"index slot", func(c *WriteCache, _ *PageFTL) {
+		{"victim key", false, func(c *WriteCache, _ *flashBooks) { lowestBucket(&c.inner.(*PageFTL).victims) }},
+		{"page free key", false, func(_ *WriteCache, b *flashBooks) { lowestBucket(&b.free) }},
+		{"block free key", true, func(_ *WriteCache, b *flashBooks) { lowestBucket(&b.free) }},
+		{"dirty bit", false, func(_ *WriteCache, b *flashBooks) { b.book.dirty[0] ^= 1 }},
+		{"index slot", false, func(c *WriteCache, _ *flashBooks) {
 			c.der.index[c.st.Regions[c.st.Regions[zoneHead].Next].ID] = 0
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			f := newTestPageFTL(t, nil)
-			c, err := NewWriteCache(f, CacheConfig{CapacityBytes: 1 << 20, Streams: 2}, f.cfg.model)
+			var inner Translator
+			var books *flashBooks
+			var model CostModel
+			if row.block {
+				f := newTestBlockFTL(t, nil)
+				inner, books, model = f, &f.flashBooks, f.cfg.model
+			} else {
+				f := newTestPageFTL(t, nil)
+				inner, books, model = f, &f.flashBooks, f.cfg.model
+			}
+			c, err := NewWriteCache(inner, CacheConfig{CapacityBytes: 1 << 20, Streams: 2}, model)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 600; i++ {
 				driveOne(t, c, i)
 			}
-			if f.victims.Len() == 0 || c.st.Regions[zoneHead].Next == zoneHead {
-				t.Fatal("the drive left no reclamation candidate or no resident zone region to break")
+			if page, ok := inner.(*PageFTL); ok && page.victims.Len() == 0 {
+				t.Fatal("the drive left no reclamation candidate to break")
+			}
+			if books.free.Len() == 0 || c.st.Regions[zoneHead].Next == zoneHead {
+				t.Fatal("the drive left no free block or no resident zone region to break")
 			}
 			auditAll(t, c)
-			row.corrupt(c, f)
+			row.corrupt(c, books)
 			v, err := view(c)
 			if err != nil {
 				t.Fatal(err)
@@ -389,6 +433,50 @@ func TestAuditCoversDerivedStructures(t *testing.T) {
 				t.Fatal("Audit passes a stack whose derived structures were broken")
 			}
 		})
+	}
+}
+
+// TestRestoreRederivesFreePool: the state holds no free pool, so a restore
+// rebuilds it from the state and the flash. Snapshot, then Restore into a
+// freshly built FTL, must give each FTL the source's pool: the same keys in
+// ascending order, blocks of more than one wear among them.
+func TestRestoreRederivesFreePool(t *testing.T) {
+	for _, build := range []func() (Translator, *flashBooks){
+		func() (Translator, *flashBooks) {
+			// Idle time refills the pool to its reserve: several keys.
+			f := newTestPageFTL(t, func(c *PageConfig) { c.ReadSteal = 0.5 })
+			return f, &f.flashBooks
+		},
+		func() (Translator, *flashBooks) { f := newTestBlockFTL(t, nil); return f, &f.flashBooks },
+	} {
+		src, srcBooks := build()
+		for i := 0; i < 2000; i++ {
+			driveOne(t, src, i)
+		}
+		src.Idle(time.Second)
+		dst, dstBooks := build()
+		s, err := SnapshotTranslator(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := RestoreTranslator(dst, s); err != nil {
+			t.Fatal(err)
+		}
+		want, err := srcBooks.free.appendKeys(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dstBooks.free.appendKeys(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || want[0]>>keyBlockBits == want[len(want)-1]>>keyBlockBits {
+			t.Fatalf("%T: the drive left a pool of %d keys at one wear: nothing to order", src, len(want))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%T: the restored pool holds %#x, the source's %#x", src, got, want)
+		}
+		auditAll(t, src, dst)
 	}
 }
 

@@ -32,7 +32,7 @@ type mapLogFTL struct {
 
 	data []int32
 	logs map[int64]*mapLogEnt
-	free blockQueue
+	free wearQueue
 	tick int64
 
 	book         mapBook
@@ -41,7 +41,8 @@ type mapLogFTL struct {
 }
 
 // newMapLogFTL takes over a freshly constructed BlockFTL's array, pool and
-// books.
+// books; from then on the oracle keeps its pool by push and pop, as the
+// BlockFTL did before its pool was derived state.
 func newMapLogFTL(f *BlockFTL) *mapLogFTL {
 	return &mapLogFTL{
 		arr: f.arr, cfg: f.cfg.BlockConfig, model: f.cfg.model,
@@ -260,7 +261,7 @@ func (f *mapLogFTL) Read(off, length int64) (Ops, error) {
 
 // logTableImage is everything a BlockFTL's state says, with the log table as
 // rows sorted by LBN: which slot holds a log is arbitrary, and the oracle has
-// no slots.
+// no slots. Beside it, the free pool's keys in ascending order.
 type logTableImage struct {
 	Arr          *flash.ChipState
 	Data         []int32
@@ -287,7 +288,11 @@ func image(t testing.TB, f *BlockFTL) *logTableImage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := &logTableImage{Arr: s.Arr, Data: s.Block.Data, Free: s.Free.Keys, Tick: s.Block.Tick, Book: *s.Book, Stats: s.Block.Stats, LastReadSlot: s.Block.LastReadSlot}
+	free, err := f.free.appendKeys(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := &logTableImage{Arr: s.Arr, Data: s.Block.Data, Free: free, Tick: s.Block.Tick, Book: *s.Book, Stats: s.Block.Stats, LastReadSlot: s.Block.LastReadSlot}
 	for _, l := range s.Block.Logs {
 		if l.LBN >= 0 {
 			img.Logs = append(img.Logs, l)
@@ -298,11 +303,16 @@ func image(t testing.TB, f *BlockFTL) *logTableImage {
 }
 
 // image is the oracle's state in the same form.
-func (f *mapLogFTL) image() *logTableImage {
+func (f *mapLogFTL) image(t testing.TB) *logTableImage {
+	t.Helper()
+	free, err := f.free.appendKeys(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	img := &logTableImage{
 		Arr:          copiedFlash(f.arr.chip.State()),
 		Data:         append([]int32(nil), f.data...),
-		Free:         append([]uint64(nil), f.free.Keys...),
+		Free:         free,
 		Tick:         f.tick,
 		Book:         *copied(&f.book.MapBookState),
 		Stats:        f.stats,
@@ -324,7 +334,10 @@ func (f *mapLogFTL) load(img *logTableImage) {
 	for _, l := range img.Logs {
 		f.logs[l.LBN] = &mapLogEnt{pb: l.PB, nextPage: l.NextPage, lastUse: l.LastUse}
 	}
-	f.free.copyFrom(&QueueState{Keys: img.Free})
+	f.free.reset(f.arr.Blocks())
+	for _, k := range img.Free {
+		f.free.push(k)
+	}
 	f.tick = img.Tick
 	f.book.copyFrom(&img.Book)
 	f.book.rederive()
@@ -397,7 +410,7 @@ func FuzzLogTableMatchesMap(f *testing.F) {
 				if err := RestoreTranslator(g, snap); err != nil {
 					t.Fatalf("step %d: restore: %v", step, err)
 				}
-				w.load(want.image())
+				w.load(want.image(t))
 				got, want = g, w
 			}
 			if gotOps != wantOps || (gotErr == nil) != (wantErr == nil) {
@@ -409,7 +422,7 @@ func FuzzLogTableMatchesMap(f *testing.F) {
 			if got.ActiveLogs() != len(want.logs) {
 				t.Fatalf("step %d (% x): %d active logs, oracle %d", step, c, got.ActiveLogs(), len(want.logs))
 			}
-			if gs, ws := image(t, got), want.image(); !reflect.DeepEqual(gs, ws) {
+			if gs, ws := image(t, got), want.image(t); !reflect.DeepEqual(gs, ws) {
 				t.Fatalf("step %d (% x): states differ:\n slots  %+v\n oracle %+v", step, c, gs.Logs, ws.Logs)
 			}
 		}

@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"uflip/internal/flash"
@@ -82,8 +81,8 @@ type WritePoint struct {
 }
 
 // PageFTLState is everything about a PageFTL that changes as it runs, beside
-// its free pool, its map book and the flash underneath, which keep their own.
-// It is the struct the FTL runs on.
+// its map book and the flash underneath, which keep their own. It is the
+// struct the FTL runs on.
 type PageFTLState struct {
 	FMap   []int64 // logical block -> physical block, -1 unmapped
 	RMap   []int64 // physical block -> logical block, -1 free or obsolete
@@ -106,10 +105,11 @@ func (s *PageFTLState) copyFrom(src *PageFTLState) {
 	s.IdleCredit, s.Stats, s.LastReadSlot = src.IdleCredit, src.Stats, src.LastReadSlot
 }
 
-// audit states the FTL's invariant: whether a PageFTL built as cfg, with
-// the free pool free over flash in state arr (both already valid), could be
-// in state s.
-func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *flash.ChipState) error {
+// audit states the FTL's invariant: whether a PageFTL built as cfg, over
+// flash in the valid state arr, could be in state s. Every usable block is
+// then open, mapped, or closed and unmapped: a reclamation candidate once
+// programmed, in the free pool while erased.
+func (s *PageFTLState) audit(cfg *pageConfig, arr *flash.ChipState) error {
 	blocks := len(arr.Blocks)
 	switch {
 	case len(s.FMap) != int(cfg.logicalBlocks) || len(s.RMap) != blocks || len(s.IsOpen) != blocks || len(s.WPs) != cfg.WritePoints:
@@ -132,7 +132,7 @@ func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *flash.ChipS
 		}
 	}
 	// A block is open exactly when one write point stands on it, having
-	// filled it; a free block is closed and holds nothing.
+	// filled it.
 	standing := make([]int, blocks)
 	for i, wp := range s.WPs {
 		switch {
@@ -148,11 +148,6 @@ func (s *PageFTLState) audit(cfg *pageConfig, free *QueueState, arr *flash.ChipS
 	for b, isOpen := range s.IsOpen {
 		if isOpen != (standing[b] == 1) || standing[b] > 1 || (isOpen && arr.Blocks[b].Bad) {
 			return fmt.Errorf("ftl: block %d is open=%v with %d write points on it (bad=%v)", b, isOpen, standing[b], arr.Blocks[b].Bad)
-		}
-	}
-	for _, k := range free.Keys {
-		if b := k & keyBlockMask; s.IsOpen[b] || s.RMap[b] >= 0 {
-			return fmt.Errorf("ftl: free block %d is open or holds data", b)
 		}
 	}
 	return nil
@@ -173,14 +168,14 @@ type pageConfig struct {
 // blocks those writes left obsolete — the design of the high-end SSDs in the
 // paper's device set.
 type PageFTL struct {
-	flashBooks // free is the pre-erased pool
-	cfg        pageConfig
-	st         PageFTLState
+	flashBooks
+	cfg pageConfig
+	st  PageFTLState
 
 	// victims holds exactly the closed, unmapped, programmed, usable blocks
 	// (the free pool's are erased), each under its key at the time it became
-	// one: neither configuration nor state but a function of the state and
-	// the flash, which rederive rebuilds.
+	// one: like the pool, a function of the state and the flash, which
+	// rederive rebuilds.
 	victims wearQueue
 }
 
@@ -198,7 +193,7 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 		model:         model,
 		logicalBlocks: (cfg.LogicalBytes + BlockBytes - 1) / BlockBytes,
 	}}
-	f.flashBooks = newFlashBooks(arr, mapUnitsPerPage, mapDirtyLimit, f.cfg.logicalBlocks)
+	f.flashBooks = flashBooks{arr: arr, book: newMapBook(mapUnitsPerPage, mapDirtyLimit, f.cfg.logicalBlocks)}
 	f.st.LastReadSlot = -2
 	f.st.FMap = make([]int64, f.cfg.logicalBlocks)
 	for i := range f.st.FMap {
@@ -228,7 +223,7 @@ func (f *PageFTL) Clone() Translator {
 }
 
 // resetFrom makes f a deep copy of t — a PageFTL — and of the flash array
-// underneath, reusing f's maps, pools and flash; f may be a zero value.
+// underneath, reusing f's maps, queues and flash; f may be a zero value.
 func (f *PageFTL) resetFrom(t Translator) bool {
 	src, ok := t.(*PageFTL)
 	if !ok {
@@ -243,34 +238,36 @@ func (f *PageFTL) resetFrom(t Translator) bool {
 	return true
 }
 
-// rederive rebuilds the reclamation candidates from the state and the flash:
-// every usable closed block that holds no data and has been programmed since
-// its last erase, which tells it apart from the blocks of the free pool.
+// rederive rebuilds the free pool and the reclamation candidates from the
+// state and the flash: every usable closed block that holds no data, in the
+// pool while erased and a candidate once programmed.
 func (f *PageFTL) rederive() {
+	f.free.reset(len(f.st.RMap))
 	f.victims.reset(len(f.st.RMap))
 	for b, lb := range f.st.RMap {
-		if lb >= 0 || f.st.IsOpen[b] {
+		if lb >= 0 || f.st.IsOpen[b] || f.arr.IsBad(b) {
 			continue
 		}
-		if next, _ := f.arr.NextProgramPage(b); next > 0 && !f.arr.IsBad(b) {
+		if next, _ := f.arr.NextProgramPage(b); next == 0 {
+			f.pushFree(b)
+		} else {
 			f.pushVictim(b)
 		}
 	}
 }
 
-// checkDerived reports whether the reclamation candidates are, in ascending
-// order, the keys rederive builds from the state and the flash, and the map
-// book's dirty set its ring's window.
+// checkDerived reports whether the free pool and the reclamation candidates
+// are, in ascending order, the keys rederive builds from the state and the
+// flash, and the map book's dirty set its ring's window.
 func (f *PageFTL) checkDerived() error {
 	want := *f
-	want.victims = wearQueue{}
+	want.free, want.victims = wearQueue{}, wearQueue{}
 	want.rederive()
-	got, err := f.victims.appendKeys(nil)
-	if err != nil {
+	if err := f.free.checkDerived("page FTL's free pool", &want.free); err != nil {
 		return err
 	}
-	if keys, _ := want.victims.appendKeys(nil); !slices.Equal(got, keys) {
-		return fmt.Errorf("ftl: the page FTL queues %d reclamation candidates, not the %d its state derives", len(got), len(keys))
+	if err := f.victims.checkDerived("page FTL's reclamation candidates", &want.victims); err != nil {
+		return err
 	}
 	return f.book.checkDerived()
 }

@@ -388,7 +388,7 @@ func TestServeReadStealPricesItsOwnRead(t *testing.T) {
 	// Retire spare blocks, as wear-out does, until the pool is below target
 	// with overwritten blocks left to collect.
 	for f.free.Len() >= f.cfg.ReserveBlocks {
-		f.free.pop()
+		retire(t, f)
 	}
 	if f.victims.Len() == 0 {
 		t.Fatal("no garbage-collection candidate to steal for")
@@ -408,6 +408,15 @@ func TestServeReadStealPricesItsOwnRead(t *testing.T) {
 	base.Add(want)
 	if acc != base {
 		t.Fatalf("served read left %+v, want %+v", acc, base)
+	}
+}
+
+// retire takes the least-worn block out of the free pool and marks it bad, as
+// wear-out does.
+func retire(t *testing.T, f *PageFTL) {
+	t.Helper()
+	if err := f.arr.chip.MarkBad(int(f.free.pop() & keyBlockMask)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -446,7 +455,7 @@ func TestReadStealNeedsARealCandidate(t *testing.T) {
 	// Retire spare blocks, as wear-out does, until the pool is one short of
 	// its target; idle time then collects the candidate and refills it.
 	for f.free.Len() > f.cfg.ReserveBlocks-1 {
-		f.free.pop()
+		retire(t, f)
 	}
 	f.Idle(time.Second)
 	if got := f.Stats().AsyncReclaims; got != 1 || f.victims.Len() != 0 {
@@ -481,9 +490,7 @@ func TestWornOutReclamationIsNoMerge(t *testing.T) {
 	for b := range f.arr.chip.State().Blocks {
 		f.arr.chip.State().Blocks[b].EraseCount = worn
 	}
-	for i, k := range f.free.Keys { // all equal wear: the heap order holds
-		f.free.Keys[i] = packKey(int(worn), int(k&keyBlockMask))
-	}
+	f.rederive()
 	if err := Audit(f); err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,14 @@ import (
 
 // TranslatorState is the state of a translation stack as a tree of pointers to
 // the structs its layers run on. One of Page, Block and Cache is set, naming
-// the top layer: an FTL with its free pool, its map book and the flash beside
-// it (one chip's state spanning every block), a cache with the stack it
-// buffers. Restored into a freshly built stack of the same configuration it
-// gives results byte-identical to the original's.
+// the top layer: an FTL with its map book and the flash beside it (one chip's
+// state spanning every block), a cache with the stack it buffers. What a
+// layer derives from its state, such as an FTL's free pool, is not in it.
+// Restored into a freshly built stack of the same configuration it gives
+// results byte-identical to the original's.
 type TranslatorState struct {
 	Page  *PageFTLState
 	Block *BlockFTLState
-	Free  *QueueState
 	Book  *MapBookState
 	Arr   *flash.ChipState
 
@@ -53,7 +53,7 @@ func (s *TranslatorState) clone() *TranslatorState {
 		return nil
 	}
 	return &TranslatorState{
-		Page: copied(s.Page), Block: copied(s.Block), Free: copied(s.Free), Book: copied(s.Book), Arr: copiedFlash(s.Arr),
+		Page: copied(s.Page), Block: copied(s.Block), Book: copied(s.Book), Arr: copiedFlash(s.Arr),
 		Cache: copied(s.Cache), Inner: s.Inner.clone(),
 	}
 }
@@ -64,9 +64,9 @@ func (s *TranslatorState) clone() *TranslatorState {
 func view(t Translator) (*TranslatorState, error) {
 	switch t := t.(type) {
 	case *PageFTL:
-		return &TranslatorState{Page: &t.st, Free: &t.free.QueueState, Book: &t.book.MapBookState, Arr: t.arr.chip.State()}, nil
+		return &TranslatorState{Page: &t.st, Book: &t.book.MapBookState, Arr: t.arr.chip.State()}, nil
 	case *BlockFTL:
-		return &TranslatorState{Block: &t.st, Free: &t.free.QueueState, Book: &t.book.MapBookState, Arr: t.arr.chip.State()}, nil
+		return &TranslatorState{Block: &t.st, Book: &t.book.MapBookState, Arr: t.arr.chip.State()}, nil
 	case *WriteCache:
 		inner, err := view(t.inner)
 		return &TranslatorState{Cache: &t.st, Inner: inner}, err
@@ -92,7 +92,7 @@ func CheckTranslator(t Translator, s *TranslatorState) error {
 		if err := t.checkBooks(s); err != nil {
 			return err
 		}
-		return s.Page.audit(&t.cfg, s.Free, s.Arr)
+		return s.Page.audit(&t.cfg, s.Arr)
 	case *BlockFTL:
 		if s == nil || s.Block == nil {
 			return fmt.Errorf("ftl: state is not a block FTL's")
@@ -100,7 +100,7 @@ func CheckTranslator(t Translator, s *TranslatorState) error {
 		if err := t.checkBooks(s); err != nil {
 			return err
 		}
-		return s.Block.audit(&t.cfg, s.Free, s.Arr)
+		return s.Block.audit(&t.cfg, s.Arr)
 	case *WriteCache:
 		if s == nil || s.Cache == nil {
 			return fmt.Errorf("ftl: state is not a write cache's")
@@ -119,13 +119,14 @@ func LoadTranslator(t Translator, s *TranslatorState) {
 	switch t := t.(type) {
 	case *PageFTL:
 		t.arr.chip.State().CopyFrom(s.Arr)
-		t.loadBooks(s.Free, s.Book)
+		t.loadBook(s.Book)
 		t.st.copyFrom(s.Page)
 		t.rederive()
 	case *BlockFTL:
 		t.arr.chip.State().CopyFrom(s.Arr)
-		t.loadBooks(s.Free, s.Book)
+		t.loadBook(s.Book)
 		t.st.copyFrom(s.Block)
+		t.rederive()
 	case *WriteCache:
 		LoadTranslator(t.inner, s.Inner)
 		t.unindex()
@@ -145,10 +146,10 @@ func RestoreTranslator(t Translator, s *TranslatorState) error {
 }
 
 // Audit checks every layer's invariant on the stack's live state, then that
-// what the layers derive from their states — the PageFTL's reclamation
-// candidates, the map books' dirty sets, the cache's region index — is what
-// rederiving it gives. CheckTranslator stays state-only: a restore runs it on
-// a state nothing has been derived from yet.
+// what the layers derive from their states — the FTLs' free pools, the
+// PageFTL's reclamation candidates, the map books' dirty sets, the cache's
+// region index — is what rederiving it gives. CheckTranslator stays
+// state-only: a restore runs it on a state nothing has been derived from yet.
 func Audit(t Translator) error {
 	v, err := view(t)
 	if err != nil {
@@ -165,7 +166,7 @@ func checkDerived(t Translator) error {
 	case *PageFTL:
 		return t.checkDerived()
 	case *BlockFTL:
-		return t.book.checkDerived()
+		return t.checkDerived()
 	case *WriteCache:
 		if err := checkDerived(t.inner); err != nil {
 			return err

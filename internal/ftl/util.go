@@ -3,129 +3,7 @@ package ftl
 import (
 	"fmt"
 	"slices"
-
-	"uflip/internal/flash"
 )
-
-// A queue key packs a block's erase count and its number into one uint64, most
-// significant field first, so comparing two keys as integers is the FTLs'
-// strict total order: lowest erase count (wear-aware choice, and dynamic wear
-// leveling when allocating), then lowest block number.
-const (
-	keyBlockBits = 24
-	keyEraseBits = 24
-	keyBlockMask = 1<<keyBlockBits - 1
-)
-
-func packKey(eraseCount, block int) uint64 {
-	return uint64(eraseCount)<<keyBlockBits | uint64(block)
-}
-
-// checkKeyWidths guards the packing: the array's block numbers and the largest
-// erase count a block can reach (one past the budget, when it is marked bad)
-// must each fit their field.
-func checkKeyWidths(blocks, eraseLimit int) error {
-	if blocks > 1<<keyBlockBits || eraseLimit+1 >= 1<<keyEraseBits {
-		return fmt.Errorf("ftl: %d blocks / erase budget %d exceed the block queue's %d/%d-bit key fields",
-			blocks, eraseLimit, keyBlockBits, keyEraseBits)
-	}
-	return nil
-}
-
-// QueueState is a block queue as data: the heap array of packed keys, kept
-// verbatim though only the set of keys is observable.
-type QueueState struct {
-	Keys []uint64
-}
-
-func (s *QueueState) copyFrom(src *QueueState) {
-	s.Keys = append(s.Keys[:0], src.Keys...)
-}
-
-// audit states the invariant of a free pool over flash in the valid state
-// arr: keys in heap order, one per block at most, each a usable erased block
-// under its current wear.
-func (s *QueueState) audit(arr *flash.ChipState) error {
-	seen := make([]bool, len(arr.Blocks))
-	for i, k := range s.Keys {
-		b := int(k & keyBlockMask)
-		if b >= len(seen) || seen[b] || (i > 0 && s.Keys[(i-1)/2] > k) {
-			return fmt.Errorf("ftl: free-pool entry %d (block %d) is out of range, queued twice or out of heap order", i, b)
-		}
-		seen[b] = true
-		if bs := arr.Blocks[b]; k != packKey(int(bs.EraseCount), b) || bs.NextPage != 0 || bs.Bad {
-			return fmt.Errorf("ftl: free-pool key %#x names block %d, which is not a usable erased block of that wear", k, b)
-		}
-	}
-	return nil
-}
-
-// blockQueue is a binary min-heap of packed keys: the free pools of both FTLs
-// (the PageFTL's reclamation candidates are a wearQueue). A block enters a
-// queue once under the key it then has and leaves it by pop; nothing is
-// re-keyed or removed. Keys are unique (the block number is part of the key),
-// so the pop order depends only on the set of keys, never on the heap's
-// layout. Steady-state operations allocate nothing: Keys grows to the
-// high-water mark and stays.
-type blockQueue struct {
-	QueueState
-}
-
-// Len returns the number of queued blocks.
-func (q *blockQueue) Len() int { return len(q.Keys) }
-
-// push queues key, sifting it up from the bottom.
-//
-//uflint:hotpath
-func (q *blockQueue) push(key uint64) {
-	q.Keys = append(q.Keys, key)
-	q.up(len(q.Keys)-1, key)
-}
-
-// pop removes and returns the smallest key; the queue must not be empty. The
-// hole at the root sinks to a leaf along the smaller children and the last
-// entry rises from there (Floyd): fewer comparisons than sifting the last
-// entry down from the root, and with unique keys exactly the layout that
-// sift-down leaves.
-//
-//uflint:hotpath
-func (q *blockQueue) pop() uint64 {
-	top := q.Keys[0]
-	n := len(q.Keys) - 1
-	last := q.Keys[n]
-	q.Keys = q.Keys[:n]
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && q.Keys[c+1] < q.Keys[c] {
-			c++
-		}
-		q.Keys[i] = q.Keys[c]
-		i = c
-	}
-	q.up(i, last)
-	return top
-}
-
-// up seats key at index i or above, moving a hole instead of swapping.
-func (q *blockQueue) up(i int, key uint64) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := q.Keys[parent]
-		if p <= key {
-			break
-		}
-		q.Keys[i] = p
-		i = parent
-	}
-	q.Keys[i] = key
-}
 
 // MapBookState is the map book as data: the FIFO ring of dirty map pages. The
 // dirty set is exactly the ring's window of Queued pages starting at Head.
@@ -265,18 +143,12 @@ func (b *mapBook) dirtyCount() int { return b.Queued }
 // flashBooks is what both FTLs stand on, each part keeping its own state: the
 // flash, the pool of erased blocks and the map book.
 type flashBooks struct {
-	arr  *Array
-	free blockQueue
+	arr *Array
+	// free is the pool of erased blocks, each under its current wear: neither
+	// configuration nor state but a function of the FTL's state and the
+	// flash, which the FTL's rederive rebuilds.
+	free wearQueue
 	book mapBook
-}
-
-// newFlashBooks puts every block of the factory-fresh arr in the pool.
-func newFlashBooks(arr *Array, unitsPerPage, dirtyLimit int, units int64) flashBooks {
-	b := flashBooks{arr: arr, book: newMapBook(int64(unitsPerPage), dirtyLimit, units)}
-	for blk := 0; blk < arr.Blocks(); blk++ {
-		b.free.push(packKey(0, blk))
-	}
-	return b
 }
 
 // FreeBlocks returns the current size of the pre-erased pool (for tests and
@@ -290,33 +162,31 @@ func (b *flashBooks) pushFree(block int) {
 }
 
 // resetBooks makes b a deep copy of src, reusing b's flash and buffers; b may
-// be a zero value.
+// be a zero value. src holds its pool derived: copying it costs the pool,
+// rederiving it every block of the array.
 func (b *flashBooks) resetBooks(src *flashBooks) {
 	if b.arr == nil {
 		b.arr = &Array{}
 	}
 	b.arr.resetFrom(src.arr)
+	b.free.copyFrom(&src.free)
 	b.book.cfg = src.book.cfg
-	b.loadBooks(&src.free.QueueState, &src.book.MapBookState)
+	b.loadBook(&src.book.MapBookState)
 }
 
-// loadBooks copies pool and book states in and rebuilds the book's dirty set
-// from its ring.
-func (b *flashBooks) loadBooks(free *QueueState, book *MapBookState) {
-	b.free.copyFrom(free)
+// loadBook copies the map book's state in and rebuilds its dirty set from its
+// ring.
+func (b *flashBooks) loadBook(book *MapBookState) {
 	b.book.copyFrom(book)
 	b.book.rederive()
 }
 
 // checkBooks validates the part of a state tree under an FTL.
 func (b *flashBooks) checkBooks(s *TranslatorState) error {
-	if s.Free == nil || s.Book == nil {
-		return fmt.Errorf("ftl: state lacks the FTL's free pool or map book")
+	if s.Book == nil {
+		return fmt.Errorf("ftl: state lacks the FTL's map book")
 	}
 	if err := b.arr.chip.Check(s.Arr); err != nil {
-		return err
-	}
-	if err := s.Free.audit(s.Arr); err != nil {
 		return err
 	}
 	return s.Book.audit(&b.book.cfg)

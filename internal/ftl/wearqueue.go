@@ -6,11 +6,38 @@ import (
 	"slices"
 )
 
-// wearQueue is the PageFTL's set of reclamation candidates as packed keys: it
-// pops the smallest — the least-worn candidate, then the lowest block number —
-// in constant time. Each erase count present has a bucket: a bitset over the
-// blocks plus a summary with one bit per nonzero bitset word, so a bucket's
-// lowest block is two trailing-zero counts away and a push sets two bits.
+// A queue key packs a block's erase count and its number into one uint64, most
+// significant field first, so comparing two keys as integers is the FTLs'
+// strict total order: lowest erase count (wear-aware choice, and dynamic wear
+// leveling when allocating), then lowest block number.
+const (
+	keyBlockBits = 24
+	keyEraseBits = 24
+	keyBlockMask = 1<<keyBlockBits - 1
+)
+
+func packKey(eraseCount, block int) uint64 {
+	return uint64(eraseCount)<<keyBlockBits | uint64(block)
+}
+
+// checkKeyWidths guards the packing: the array's block numbers and the largest
+// erase count a block can reach (one past the budget, when it is marked bad)
+// must each fit their field.
+func checkKeyWidths(blocks, eraseLimit int) error {
+	if blocks > 1<<keyBlockBits || eraseLimit+1 >= 1<<keyEraseBits {
+		return fmt.Errorf("ftl: %d blocks / erase budget %d exceed the wear queues' %d/%d-bit key fields",
+			blocks, eraseLimit, keyBlockBits, keyEraseBits)
+	}
+	return nil
+}
+
+// wearQueue is a set of blocks as packed keys — the free pools of both FTLs
+// and the PageFTL's reclamation candidates: it pops the smallest, the
+// least-worn block and then the lowest block number, in constant time. A block
+// enters a queue under the key it then has and leaves it by pop. Each erase
+// count present has a bucket: a bitset over the blocks plus a summary with one
+// bit per nonzero bitset word, so a bucket's lowest block is two trailing-zero
+// counts away and a push sets two bits.
 //
 // The buckets sit in a ring indexed by erase count minus base, the lowest
 // erase count queued; base+span-1 is the highest, and both ends of the span
@@ -186,4 +213,17 @@ func (q *wearQueue) appendKeys(dst []uint64) ([]uint64, error) {
 		return dst, fmt.Errorf("ftl: the wear queue counts %d keys and holds %d", q.n, len(dst)-start)
 	}
 	return dst, nil
+}
+
+// checkDerived reports whether q holds, in ascending order, the keys of want:
+// the queue rederived from the state q was derived from, named what.
+func (q *wearQueue) checkDerived(what string, want *wearQueue) error {
+	got, err := q.appendKeys(nil)
+	if err != nil {
+		return fmt.Errorf("%w (the %s)", err, what)
+	}
+	if keys, _ := want.appendKeys(nil); !slices.Equal(got, keys) {
+		return fmt.Errorf("ftl: the %s queues %d blocks, not the %d its state derives", what, len(got), len(keys))
+	}
+	return nil
 }

@@ -10,22 +10,28 @@ import (
 // copy or reset, its low six an erase-count offset or a block count — and a
 // push two more bytes for the block. Pushed erase counts reach 315 above the
 // start, so spans outgrow the initial ring of 8 and a push can land below the
-// lowest count queued; an input starting 0xff starts just below the top of the
-// key's erase field. A copy goes into a queue that held other keys, on other
-// buffers, and the run continues on the copy; a reset changes the block count.
-// After every step the queue's length and keys in order are the model's, and
-// every pop returns the model's minimum.
+// lowest count queued. A pop with nonzero low bits pushes the popped block
+// back one erase count higher, as a free pool's block returns after its next
+// erase. An input starting 0xff starts just below the top of the key's erase
+// field. A copy goes into a queue that held other keys, on other buffers, and
+// the run continues on the copy; a reset changes the block count. After every
+// step the queue's length and keys in order are the model's, and every pop
+// returns the model's minimum.
 func FuzzWearQueueMatchesSorted(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x01, 0x02, 0x00, 0x02, 0x01, 0x00, 0x03, 0x40, 0x40, 0x40})
 	// Wide spans, a push below the lowest count, then copy and drain.
 	f.Add([]byte{0x3f, 0x00, 0x05, 0x00, 0x00, 0x06, 0x20, 0x01, 0x00, 0x80, 0x40, 0x01, 0x10, 0x40, 0x40, 0x40})
 	// Erase counts at the top of the key's erase field, and resets.
 	f.Add([]byte{0xff, 0x3f, 0x00, 0x01, 0x00, 0x00, 0x02, 0xc1, 0x3e, 0x10, 0x00, 0x40, 0xc2, 0x01, 0x01, 0x01, 0x40})
+	// A pool: blocks at two erase counts, each popped and pushed back one
+	// erase count higher, past the counts of the rest, then drained.
+	f.Add([]byte{0x00, 0x00, 0x07, 0x00, 0x00, 0x03, 0x01, 0x00, 0x05, 0x01, 0x00, 0x01,
+		0x41, 0x41, 0x41, 0x41, 0x41, 0x41, 0x41, 0x41, 0x41, 0x40, 0x40, 0x40, 0x40})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		sizes := [...]int{200, 64, 5000} // 5000 blocks take two summary words
 		base := 0
 		if len(in) > 0 && in[0] == 0xff {
-			base = 1<<keyEraseBits - 1 - 315 // every erase count below stays inside the field
+			base = 1<<keyEraseBits - 1 - 315 - len(in) // every erase count below stays inside the field
 			in = in[1:]
 		}
 		var q, other wearQueue
@@ -55,15 +61,23 @@ func FuzzWearQueueMatchesSorted(f *testing.F) {
 				i, _ := slices.BinarySearch(model, k)
 				model = slices.Insert(model, i, k)
 				queued[b] = true
-			case 1: // pop
+			case 1: // pop, and maybe push back one erase count higher
 				if len(model) == 0 {
 					continue
 				}
-				if got := q.pop(); got != model[0] {
+				got := q.pop()
+				if got != model[0] {
 					t.Fatalf("step %d: popped %#x, want %#x", step, got, model[0])
 				}
-				delete(queued, int(model[0]&keyBlockMask))
 				model = model[1:]
+				if c&63 == 0 {
+					delete(queued, int(got&keyBlockMask))
+					break
+				}
+				k := got + 1<<keyBlockBits
+				q.push(k)
+				i, _ := slices.BinarySearch(model, k)
+				model = slices.Insert(model, i, k)
 			case 2: // copy into the used queue and go on with the copy
 				other.copyFrom(&q)
 				q, other = other, q
@@ -85,6 +99,28 @@ func FuzzWearQueueMatchesSorted(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBlockQueueKeyWidthGuard pins the key packing the wear queues run on.
+func TestBlockQueueKeyWidthGuard(t *testing.T) {
+	if err := checkKeyWidths(1<<keyBlockBits, 1_000_000); err != nil {
+		t.Fatalf("widest supported array rejected: %v", err)
+	}
+	for _, c := range []struct{ blocks, eraseLimit int }{
+		{1<<keyBlockBits + 1, 100_000},
+		{1024, 1<<keyEraseBits - 1},
+	} {
+		if checkKeyWidths(c.blocks, c.eraseLimit) == nil {
+			t.Errorf("checkKeyWidths(%d, %d) accepted fields wider than the key", c.blocks, c.eraseLimit)
+		}
+	}
+	// The extremes of every field survive the packing and order by field.
+	if hi := packKey(1<<keyEraseBits-1, keyBlockMask); hi != 1<<(keyEraseBits+keyBlockBits)-1 {
+		t.Fatalf("packed maxima = %#x", hi)
+	}
+	if !(packKey(0, keyBlockMask) < packKey(1, 0) && packKey(7, 3) < packKey(7, 4)) {
+		t.Fatal("key order is not (eraseCount, block)")
+	}
 }
 
 // TestWearQueueZeroAlloc pins that steady-state push/pop inside the window
@@ -110,6 +146,8 @@ func TestWearQueueZeroAlloc(t *testing.T) {
 
 // TestWearQueueMemoryFollowsDistinctWear pins the slab to the erase counts
 // present: counts 0 and 100,000 at once take two bitsets, not 100,001.
+// TestPoolMemoryFollowsDistinctWear holds an enforced device's free pool to
+// the same.
 func TestWearQueueMemoryFollowsDistinctWear(t *testing.T) {
 	var q wearQueue
 	q.reset(1024)
@@ -138,7 +176,9 @@ func TestWearQueueMemoryFollowsDistinctWear(t *testing.T) {
 func victimStream(tb testing.TB) []uint64 {
 	const blocks, candidates, spare, steps = 8300, 560, 16, 1 << 14
 	const pop = ^uint64(0)
-	var ref, free blockQueue
+	var ref, free wearQueue
+	ref.reset(blocks)
+	free.reset(blocks)
 	wear := make([]int, blocks)
 	var stream []uint64
 	push := func(b int) {
@@ -170,11 +210,8 @@ func victimStream(tb testing.TB) []uint64 {
 		old := mapped[i]
 		mapped[i] = int(free.pop() & keyBlockMask)
 		push(old)
-		lo := int(ref.Keys[0] >> keyBlockBits)
-		for _, k := range ref.Keys {
-			if ec := int(k >> keyBlockBits); ec-lo >= 7 {
-				tb.Fatalf("queued erase counts span %d..%d, more than 7 values", lo, ec)
-			}
+		if ref.span > 7 {
+			tb.Fatalf("queued erase counts span %d values, more than 7", ref.span)
 		}
 	}
 	for ref.Len() > 0 {
@@ -184,36 +221,59 @@ func victimStream(tb testing.TB) []uint64 {
 	return stream
 }
 
-// BenchmarkVictimQueue replays victimStream on the wear queue the PageFTL
-// runs on and, as the reference, on the binary heap it replaced; ns/op is per
-// push or pop.
+// poolStream returns a pop/push stream shaped like the free pool of a 1 GiB
+// block-mapped drive after state enforcement: 400 keys over 8,200 blocks at
+// three erase counts. Each pop is followed by a push of the popped block one
+// erase count higher, so the queued counts span at most three values; the
+// stream starts and ends empty, so it replays in a loop. A pop is ^0.
+func poolStream(tb testing.TB) []uint64 {
+	const blocks, pooled, steps = 8200, 400, 1 << 14
+	const pop = ^uint64(0)
+	var ref wearQueue
+	ref.reset(blocks)
+	var stream []uint64
+	push := func(k uint64) {
+		ref.push(k)
+		stream = append(stream, k)
+	}
+	for i := range pooled {
+		push(packKey(i%3, i*blocks/pooled))
+	}
+	for range steps {
+		k := ref.pop()
+		stream = append(stream, pop)
+		push(k + 1<<keyBlockBits)
+		if ref.span > 3 {
+			tb.Fatalf("queued erase counts span %d values, more than 3", ref.span)
+		}
+	}
+	for ref.Len() > 0 {
+		ref.pop()
+		stream = append(stream, pop)
+	}
+	return stream
+}
+
+// BenchmarkVictimQueue replays victimStream and poolStream on the wear queue
+// both FTLs run on; ns/op is per push or pop.
 func BenchmarkVictimQueue(b *testing.B) {
-	stream := victimStream(b)
-	b.Run("wear", func(b *testing.B) {
-		var q wearQueue
-		q.reset(8300)
-		for i, j := 0, 0; i < b.N; i, j = i+1, j+1 {
-			if j == len(stream) {
-				j = 0
+	for _, bench := range []struct {
+		name   string
+		stream []uint64
+	}{{"victims", victimStream(b)}, {"pool", poolStream(b)}} {
+		b.Run(bench.name, func(b *testing.B) {
+			var q wearQueue
+			q.reset(8300)
+			for i, j := 0, 0; i < b.N; i, j = i+1, j+1 {
+				if j == len(bench.stream) {
+					j = 0
+				}
+				if k := bench.stream[j]; k == ^uint64(0) {
+					q.pop()
+				} else {
+					q.push(k)
+				}
 			}
-			if k := stream[j]; k == ^uint64(0) {
-				q.pop()
-			} else {
-				q.push(k)
-			}
-		}
-	})
-	b.Run("heap", func(b *testing.B) {
-		var q blockQueue
-		for i, j := 0, 0; i < b.N; i, j = i+1, j+1 {
-			if j == len(stream) {
-				j = 0
-			}
-			if k := stream[j]; k == ^uint64(0) {
-				q.pop()
-			} else {
-				q.push(k)
-			}
-		}
-	})
+		})
+	}
 }

@@ -80,7 +80,8 @@ func ftlOf(t *testing.T, p *payload) *ftl.TranslatorState {
 // were written with the same command by the build of the commit before the
 // flash became one chip's state (format version 5), those under testdata/v6 by
 // the build of the commit before a cache region's dirty lines became one word
-// of the region (format version 6). If a profile edit changes the key hash,
+// of the region (format version 6), those under testdata/v7 by the build of
+// the commit before the free pools left the state (format version 7). If a profile edit changes the key hash,
 // rename each .state file to its new hash: an older build's file is
 // quarantined whatever key it was saved under, and the CSV pins what
 // re-enforcement then renders.
@@ -88,13 +89,13 @@ var parentFixtureCfg = paperexp.Config{Capacity: 32 << 20, Seed: 42, IOCount: 10
 
 // TestParentStateFilesStillLoad is the pin on what happens to the state files
 // older builds left in a cache directory: this build quarantines the
-// version-3, version-5 and version-6 files alike, enforces the state again, saves it in the
-// current format, and a Granularity plan started from it renders the parent's
-// summary CSV byte for byte.
+// version-3, version-5, version-6 and version-7 files alike, enforces the
+// state again, saves it in the current format, and a Granularity plan started
+// from it renders the parent's summary CSV byte for byte.
 func TestParentStateFilesStillLoad(t *testing.T) {
 	for _, key := range []string{"kingston-dti", "transcend-ssd16"} {
 		t.Run(key, func(t *testing.T) {
-			for _, dir := range []string{"parent", "v5", "v6"} {
+			for _, dir := range []string{"parent", "v5", "v6", "v7"} {
 				t.Run(dir, func(t *testing.T) { testOlderStateFile(t, key, dir) })
 			}
 		})

@@ -131,11 +131,12 @@ func (s *Store) LockKey(k Key) func() {
 // stores the flash as one chip's state spanning every block (no per-chip
 // list, no page register); version 7 keeps a cache region's dirty lines in
 // the region itself, one word (no bitset slab, no line count or highest
-// line). Older files fail the version check and take the quarantine path
-// like any other unreadable file.
+// line); version 8 drops the FTLs' free pools, which are rederived on load
+// like the victims. Older files fail the version check and take the
+// quarantine path like any other unreadable file.
 const (
 	magic   = "uFLIPst\x01"
-	version = uint32(7)
+	version = uint32(8)
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)

@@ -335,14 +335,15 @@ func TestRestoreIntoWrongDeviceFails(t *testing.T) {
 // PageFTL snapshot carrying its lazy victim heap and block generations), 3
 // (snapshot structs mirroring the layers instead of the state they run on),
 // 4 (a PageFTL mapping sub-block units, a write cache banking idle credit),
-// 5 (the flash as a list of chips, each with a page register) or 6 (a write
-// cache keeping its regions' dirty lines in a bitset slab beside them) —
+// 5 (the flash as a list of chips, each with a page register), 6 (a write
+// cache keeping its regions' dirty lines in a bitset slab beside them) or 7
+// (the FTLs' free pools stored as heap arrays) —
 // left in a cache directory by an older build must not be decoded by this
 // one. It takes the corrupt-cache path — quarantined as a miss — and the
 // caller's live re-enforcement then saves a current-version file that loads
 // as a hit.
 func TestVersion1FileIsQuarantinedAndReenforced(t *testing.T) {
-	for old, profileKey := range map[uint32]string{1: "kingston-dti", 2: "memoright", 3: "transcend-mlc32", 4: "mtron", 5: "samsung", 6: "gskill"} {
+	for old, profileKey := range map[uint32]string{1: "kingston-dti", 2: "memoright", 3: "transcend-mlc32", 4: "mtron", 5: "samsung", 6: "gskill", 7: "kingston-sd"} {
 		t.Run(fmt.Sprintf("v%d", old), func(t *testing.T) {
 			store, err := statestore.Open(t.TempDir())
 			if err != nil {
@@ -359,8 +360,8 @@ func TestVersion1FileIsQuarantinedAndReenforced(t *testing.T) {
 				t.Fatal(err)
 			}
 			const versionAt = 8 // the version field follows the 8-byte magic
-			if got := binary.LittleEndian.Uint32(data[versionAt:]); got != 7 {
-				t.Fatalf("saved file has format version %d, want 7", got)
+			if got := binary.LittleEndian.Uint32(data[versionAt:]); got != 8 {
+				t.Fatalf("saved file has format version %d, want 8", got)
 			}
 			binary.LittleEndian.PutUint32(data[versionAt:], old)
 			if err := os.WriteFile(path, data, 0o644); err != nil {
