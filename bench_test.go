@@ -322,7 +322,7 @@ func measureRW(b *testing.B, ad ablationDevice) float64 {
 	}
 	d := core.StandardDefaults()
 	d.IOCount = 1024
-	d.RandomTarget = ad.dev.Capacity() / 2
+	d.RandomTarget = core.RandomTargetFor(ad.dev.Capacity())
 	run, err := core.ExecutePattern(ad.dev, core.RW.Pattern(d), end+5*time.Second)
 	if err != nil {
 		b.Fatal(err)
@@ -406,7 +406,7 @@ func BenchmarkAblationAsyncGC(b *testing.B) {
 			}
 			d := core.StandardDefaults()
 			d.IOCount = 1024
-			d.RandomTarget = ad.dev.Capacity() / 2
+			d.RandomTarget = core.RandomTargetFor(ad.dev.Capacity())
 			p := core.RW.Pattern(d)
 			p.Pause = 10 * time.Millisecond
 			run, err := core.ExecutePattern(ad.dev, p, end+5*time.Second)

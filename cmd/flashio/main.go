@@ -94,7 +94,7 @@ func run() error {
 	d.IOCount = *ioCount
 	d.IOIgnore = *ioIgnore
 	d.Seed = *seed
-	d.RandomTarget = dev.Capacity() / 2
+	d.RandomTarget = core.RandomTargetFor(dev.Capacity())
 	p := b.Pattern(d)
 	p.TargetOffset = *offset
 	p.IOShift = *ioShift

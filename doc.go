@@ -18,15 +18,13 @@
 // SubmitBatch(at, ios, done) next to the per-IO Submit: callers hand over
 // a slice of IOs plus a reused done scratch slice (absolute submission
 // times, or ChainNext/ChainAfter to chain each IO on its predecessor's
-// completion) and the simulator services the whole batch in one virtual
-// call with zero allocations — SimDevice and CompositeDevice implement it
-// natively, and the pattern executor, state enforcement, workload
-// replayer and array sweeps all submit fixed-size batches from reused
-// buffers. The per-IO path survives as the reference implementation:
-// device.SerialSubmitBatch and the device.NewPerIO wrapper force batches
-// through Submit one IO at a time, and differential oracles (a device
-// fuzz target plus full-plan, array and workload CSV byte-identity tests
-// in internal/paperexp) pin the two paths identical. Below the device the
+// completion) and the device services the whole batch in one virtual
+// call with zero allocations. A batch is a calling convention over the
+// per-IO Submit, not a second service path: every device runs it through
+// the one loop device.SerialSubmitBatch, and the pattern executor, state
+// enforcement, workload replayer and array sweeps all submit fixed-size
+// batches from reused buffers. A device fuzz target pins that loop against
+// a test-local per-IO reference. Below the device the
 // flash layer is run-granular: a device's flash is one block table (an
 // ftl.Array over a single flash.Chip spanning every block; the chip count
 // only sizes it) of one geometry, declared once as ftl constants (2 KiB

@@ -91,8 +91,9 @@ type Defaults struct {
 	Seed int64
 }
 
-// StandardDefaults returns the paper's reference parameters: 32 KB IOs,
-// random IOs over a 128 MB target.
+// StandardDefaults returns the paper's reference parameters: 32 KB IOs and
+// 1,024-IO runs. Its 128 MB random target is a capacity-free placeholder:
+// every pipeline that runs on a device overrides it with RandomTargetFor.
 func StandardDefaults() Defaults {
 	return Defaults{
 		IOSize:       32 * 1024,
@@ -102,6 +103,11 @@ func StandardDefaults() Defaults {
 		Seed:         1,
 	}
 }
+
+// RandomTargetFor returns the target random baselines roam on a device of
+// the given capacity: half of it, so the write-buffer locality window stays
+// a small fraction of the working set, as on the paper's full-size devices.
+func RandomTargetFor(capacity int64) int64 { return capacity / 2 }
 
 // Pattern materializes the baseline with the given defaults at target offset
 // zero. Sequential baselines size their target to exactly cover the run so

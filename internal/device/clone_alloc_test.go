@@ -98,34 +98,62 @@ func TestSubmitReadZeroAlloc(t *testing.T) {
 }
 
 // TestSubmitBatchZeroAlloc pins the steady-state batch path at 0 allocs per
-// 128-IO chained batch: SubmitBatch works entirely in the caller's ios/done
-// slices, so the executors' fixed scratch buffers are the only storage the
-// hot loop ever touches.
+// 128-IO chained batch on every stack a batch can take — bare and cached,
+// page- and block-mapped devices, stripe and mirror arrays, and a fault
+// wrapper unarmed (forwarding the batch) and armed (drawing per IO):
+// SubmitBatch works entirely in the caller's ios/done slices, so the
+// executors' fixed scratch buffers are the only storage the hot loop ever
+// touches.
 func TestSubmitBatchZeroAlloc(t *testing.T) {
-	dev := buildBareSim(t)
-	const batch = 128
-	ios := make([]device.IO, batch)
-	done := make([]time.Duration, batch)
-	for i := range ios {
-		ios[i] = device.IO{Mode: device.Write, Off: 0, Size: 32 * 1024}
-	}
-	var at time.Duration
-	submit := func() {
-		for j := range done {
-			done[j] = device.ChainNext
+	const capacity = 16 << 20
+	spec := func(s string) func(testing.TB) device.Device {
+		return func(t testing.TB) device.Device {
+			d, err := profile.BuildDevice(s, capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
 		}
-		if err := dev.SubmitBatch(at, ios, done); err != nil {
-			t.Fatal(err)
-		}
-		at = done[batch-1]
 	}
-	// Warm up past free-pool drain, heap growth and GC start-up.
-	for i := 0; i < 64; i++ {
-		submit()
-	}
-	allocs := testing.AllocsPerRun(200, submit)
-	if allocs != 0 {
-		t.Fatalf("steady-state SubmitBatch allocates %.2f times per batch, want 0", allocs)
+	for name, build := range map[string]func(testing.TB) device.Device{
+		"bare-page":      func(t testing.TB) device.Device { return buildBareSim(t) },
+		"memoright":      spec("memoright"),
+		"kingston-dti":   spec("kingston-dti"),
+		"stripe":         spec("stripe(2,memoright,memoright)"),
+		"mirror":         spec("mirror(2,mtron,mtron)"),
+		"faulty-unarmed": spec("faulty(stripe(2,memoright,memoright),seed=7)"),
+		"faulty-armed":   spec("faulty(memoright,spike=1ms@0.05,stall=1ms@0.05,seed=7)"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dev := build(t)
+			const batch = 128
+			ios := make([]device.IO, batch)
+			done := make([]time.Duration, batch)
+			for i := range ios {
+				ios[i] = device.IO{Mode: device.Write, Off: int64(i%32) * 32 * 1024, Size: 32 * 1024}
+				if i%4 == 3 {
+					ios[i].Mode = device.Read
+				}
+			}
+			var at time.Duration
+			submit := func() {
+				for j := range done {
+					done[j] = device.ChainNext
+				}
+				if err := dev.SubmitBatch(at, ios, done); err != nil {
+					t.Fatal(err)
+				}
+				at = done[batch-1]
+			}
+			// Warm up past free-pool drain, heap growth and GC start-up.
+			for i := 0; i < 64; i++ {
+				submit()
+			}
+			allocs := testing.AllocsPerRun(200, submit)
+			if allocs != 0 {
+				t.Fatalf("steady-state SubmitBatch allocates %.2f times per batch, want 0", allocs)
+			}
+		})
 	}
 }
 

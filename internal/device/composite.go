@@ -426,43 +426,20 @@ func (d *CompositeDevice) pickMirrorRead() int {
 	return best
 }
 
+// SubmitBatch services a slice of IOs through SerialSubmitBatch (see
+// Device.SubmitBatch for the done encoding): each IO is split and its
+// fragments dispatched before the next IO's, exactly as by Submit.
+func (d *CompositeDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error {
+	return SerialSubmitBatch(d, at, ios, done)
+}
+
 // Submit services one IO at virtual time at: the IO is split into member
 // fragments, the fragments are dispatched serially through the bounded
 // per-member queues, and the IO completes when the slowest fragment does.
+// Mirrors degrade gracefully when a member fails with ErrDeviceGone: the
+// member is marked dead, reads re-pick among the live members, and writes
+// complete as long as one replica took the data.
 func (d *CompositeDevice) Submit(at time.Duration, io IO) (time.Duration, error) {
-	return d.service(at, io)
-}
-
-// SubmitBatch services a slice of IOs in one call (see Device.SubmitBatch
-// for the done encoding): the whole batch is fragmented through the shared
-// split scratch and drained through the per-member queues in one
-// deterministic dispatcher pass. The dispatch clock, queue rings and mirror
-// scheduling evolve exactly as under per-IO Submit — each IO's fragments
-// still dispatch in ascending first-logical-byte order before the next IO's
-// — so completions are byte-identical to the per-IO path.
-//
-//uflint:hotpath
-func (d *CompositeDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error {
-	if err := checkBatch(ios, done); err != nil {
-		return err
-	}
-	prev := at
-	for i := range ios {
-		end, err := d.service(resolveSubmit(done[i], prev), ios[i])
-		if err != nil {
-			return &BatchError{Index: i, IO: ios[i], Err: err}
-		}
-		done[i] = end
-		prev = end
-	}
-	return nil
-}
-
-// service is the shared body of Submit and SubmitBatch: one IO through the
-// fragment dispatcher. Mirrors degrade gracefully when a member fails with
-// ErrDeviceGone: the member is marked dead, reads re-pick among the live
-// members, and writes complete as long as one replica took the data.
-func (d *CompositeDevice) service(at time.Duration, io IO) (time.Duration, error) {
 	if err := checkIO(io, d.cfg.capacity); err != nil {
 		return 0, err
 	}

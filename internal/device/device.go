@@ -69,11 +69,12 @@ var (
 //     (`at` for i == 0) plus the closed-loop gap -done[i]-1. ChainNext
 //     submits back-to-back; ChainAfter(gap) encodes pause/burst gaps.
 //
-// The contract every implementation must honor — and the differential
-// oracle the tests pin — is that SubmitBatch is byte-identical to resolving
-// each submission time the same way and calling Submit once per IO. A
-// failing IO aborts the batch with a *BatchError carrying its index; the
-// completions of every earlier IO are already in done.
+// SubmitBatch is exactly resolving each submission time that way and
+// calling Submit once per IO: every device in this package runs its batches
+// through SerialSubmitBatch (a fault wrapper with nothing armed forwards to
+// the wrapped device's). A failing IO aborts the batch with a *BatchError
+// carrying its index; the completions of every earlier IO are already in
+// done, and done[Index:] still holds the input encodings.
 type Device interface {
 	Submit(at time.Duration, io IO) (time.Duration, error)
 	SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error
@@ -125,21 +126,16 @@ func (e *BatchError) Error() string {
 // Unwrap returns the underlying device error.
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// checkBatch validates the ios/done pairing every SubmitBatch requires.
-func checkBatch(ios []IO, done []time.Duration) error {
+// SerialSubmitBatch implements the SubmitBatch contract with one Submit call
+// per IO: it resolves each IO's submission time from its done slot and the
+// previous completion, and stops at the first failure with a *BatchError. It
+// is the batch loop of every device in this package; a batch is a calling
+// convention over the per-IO Submit, never a second service path.
+//
+//uflint:hotpath
+func SerialSubmitBatch(d Device, at time.Duration, ios []IO, done []time.Duration) error {
 	if len(ios) != len(done) {
 		return fmt.Errorf("device: batch has %d IOs but %d done slots", len(ios), len(done))
-	}
-	return nil
-}
-
-// SerialSubmitBatch implements the SubmitBatch contract with one Submit call
-// per IO. It is the fallback for devices without a native batch path
-// (MemDevice, FileDevice) and the reference implementation the equivalence
-// tests compare native batch paths against.
-func SerialSubmitBatch(d Device, at time.Duration, ios []IO, done []time.Duration) error {
-	if err := checkBatch(ios, done); err != nil {
-		return err
 	}
 	prev := at
 	for i := range ios {
@@ -151,54 +147,6 @@ func SerialSubmitBatch(d Device, at time.Duration, ios []IO, done []time.Duratio
 		prev = end
 	}
 	return nil
-}
-
-// PerIO wraps a device so its SubmitBatch degrades to the serial per-IO
-// loop, hiding any native batch path. The executors behave identically over
-// a PerIO-wrapped device — that is the differential oracle pinning the
-// batch pipeline byte-identical to one-virtual-call-per-IO.
-type PerIO struct {
-	Inner Device
-}
-
-// NewPerIO wraps dev in the per-IO oracle.
-func NewPerIO(dev Device) *PerIO { return &PerIO{Inner: dev} }
-
-// Submit forwards to the wrapped device.
-func (p *PerIO) Submit(at time.Duration, io IO) (time.Duration, error) {
-	return p.Inner.Submit(at, io)
-}
-
-// SubmitBatch always takes the serial per-IO path.
-func (p *PerIO) SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error {
-	return SerialSubmitBatch(p.Inner, at, ios, done)
-}
-
-// Capacity forwards to the wrapped device.
-func (p *PerIO) Capacity() int64 { return p.Inner.Capacity() }
-
-// SectorSize forwards to the wrapped device.
-func (p *PerIO) SectorSize() int { return p.Inner.SectorSize() }
-
-// Name forwards to the wrapped device.
-func (p *PerIO) Name() string { return p.Inner.Name() }
-
-// CloneDevice clones the wrapped device and re-wraps it, so PerIO devices
-// flow through the engine's cloning masters like any simulated device. It
-// panics if the wrapped device is not cloneable, exactly like the composite.
-func (p *PerIO) CloneDevice() Device {
-	g := &PerIO{}
-	g.ResetFrom(p)
-	return g
-}
-
-// ResetFrom implements device.Resettable over the wrapped device.
-func (p *PerIO) ResetFrom(src Device) bool {
-	s, ok := src.(*PerIO)
-	if ok {
-		p.Inner = ResetOrClone(p.Inner, s.Inner)
-	}
-	return ok
 }
 
 // Cloneable is a Device whose full state can be snapshotted. CloneDevice

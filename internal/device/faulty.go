@@ -136,8 +136,8 @@ func (s *FaultyState) audit() error {
 
 // FaultyDevice wraps a device and injects faults from the deterministic
 // schedule of its FaultConfig. It implements Device, Cloneable (when the
-// wrapped device does) and the native SubmitBatch contract: a failing IO
-// aborts the batch with a *BatchError and done[:Index] stays valid.
+// wrapped device does) and the SubmitBatch contract: a failing IO aborts
+// the batch with a *BatchError and done[:Index] stays valid.
 //
 // The schedule is indexed by the op counter — the number of IOs the wrapper
 // has serviced — which is part of its state, so shards cloned from an enforced
@@ -197,30 +197,16 @@ func (f *FaultyDevice) Submit(at time.Duration, io IO) (time.Duration, error) {
 }
 
 // SubmitBatch services a batch (see Device.SubmitBatch for the done
-// encoding). Unarmed wrappers forward to the wrapped device's native batch
-// path; armed ones walk the batch per-IO so every op draws from the
-// schedule, aborting with a *BatchError whose done[:Index] prefix is valid
-// and whose done[Index:] suffix still holds the input encodings — which is
-// what lets SubmitBatchRetry resubmit the tail.
-//
-//uflint:hotpath
+// encoding). Unarmed wrappers forward to the wrapped device's SubmitBatch;
+// armed ones run SerialSubmitBatch so every op draws from the schedule,
+// aborting with a *BatchError whose done[:Index] prefix is valid and whose
+// done[Index:] suffix still holds the input encodings — which is what lets
+// SubmitBatchRetry resubmit the tail.
 func (f *FaultyDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error {
 	if !f.cfg.armed() {
 		return f.inner.SubmitBatch(at, ios, done)
 	}
-	if err := checkBatch(ios, done); err != nil {
-		return err
-	}
-	prev := at
-	for i := range ios {
-		end, err := f.service(resolveSubmit(done[i], prev), ios[i])
-		if err != nil {
-			return &BatchError{Index: i, IO: ios[i], Err: err}
-		}
-		done[i] = end
-		prev = end
-	}
-	return nil
+	return SerialSubmitBatch(f, at, ios, done)
 }
 
 // service is the armed path: consume one op index, inject whatever the
@@ -282,7 +268,7 @@ func (f *FaultyDevice) mediaErr(op int64, io IO) bool {
 // CloneDevice deep-copies the wrapper: the wrapped device, the op counter,
 // the sticky-dead flag and the injection tallies, so a clone continues the
 // schedule exactly where the original stood. It panics if the wrapped device
-// is not cloneable, like the composite and per-IO wrappers.
+// is not cloneable, like the composite.
 func (f *FaultyDevice) CloneDevice() Device {
 	g := &FaultyDevice{}
 	g.ResetFrom(f)

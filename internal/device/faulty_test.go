@@ -396,7 +396,6 @@ func TestBatchErrorPartialCompletion(t *testing.T) {
 			}
 			return d
 		},
-		"serial": func(t *testing.T) Cloneable { return NewPerIO(mem("a").(*MemDevice)) },
 		"faulty": func(t *testing.T) Cloneable {
 			return NewFaulty(FaultConfig{ErrOps: []int64{5}}, mem("a").(*MemDevice))
 		},

@@ -75,9 +75,8 @@ func (d *FileDevice) Close() error {
 	return err
 }
 
-// SubmitBatch executes the IOs one at a time: a real file is measured with
-// the wall clock, so there is nothing to amortize — the serial reference
-// path is the batch path.
+// SubmitBatch executes the IOs one at a time through SerialSubmitBatch (see
+// Device.SubmitBatch for the done encoding).
 func (d *FileDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error {
 	return SerialSubmitBatch(d, at, ios, done)
 }

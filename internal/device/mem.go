@@ -62,9 +62,8 @@ func (d *MemDevice) ResetFrom(src Device) bool {
 	return ok
 }
 
-// SubmitBatch services the IOs one at a time — the constant-cost device has
-// no per-IO dispatch overhead worth amortizing, so the serial reference
-// path is also its batch path.
+// SubmitBatch services the IOs one at a time through SerialSubmitBatch (see
+// Device.SubmitBatch for the done encoding).
 func (d *MemDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error {
 	return SerialSubmitBatch(d, at, ios, done)
 }

@@ -145,40 +145,16 @@ func (d *SimDevice) Top() ftl.Translator { return d.top }
 // IOs returns the number of IOs serviced.
 func (d *SimDevice) IOs() int64 { return d.st.IOs }
 
-// Submit services one IO at virtual time at.
+// SubmitBatch services a slice of IOs through SerialSubmitBatch (see
+// Device.SubmitBatch for the done encoding).
+func (d *SimDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error {
+	return SerialSubmitBatch(d, at, ios, done)
+}
+
+// Submit services one IO at virtual time at through the two-stage pipeline.
 //
 //uflint:hotpath
 func (d *SimDevice) Submit(at time.Duration, io IO) (time.Duration, error) {
-	return d.service(at, io)
-}
-
-// SubmitBatch services a slice of IOs in one call (see Device.SubmitBatch
-// for the done encoding). The batch path amortizes the per-IO overhead of
-// the executor loop: one virtual call, and the bus/flash pipeline clocks
-// updated in a single frame across the whole batch. Completion times are
-// byte-identical to per-IO Submit.
-//
-//uflint:hotpath
-func (d *SimDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error {
-	if err := checkBatch(ios, done); err != nil {
-		return err
-	}
-	prev := at
-	for i := range ios {
-		end, err := d.service(resolveSubmit(done[i], prev), ios[i])
-		if err != nil {
-			return &BatchError{Index: i, IO: ios[i], Err: err}
-		}
-		done[i] = end
-		prev = end
-	}
-	return nil
-}
-
-// service is the shared body of Submit and SubmitBatch: one IO at time at.
-//
-//uflint:hotpath
-func (d *SimDevice) service(at time.Duration, io IO) (time.Duration, error) {
 	if err := checkIO(io, d.cfg.capacity); err != nil {
 		return 0, err
 	}

@@ -20,8 +20,8 @@ must be extracted with errors.As, never a type assertion`,
 
 // batchSubmitNames are the callee names whose error result carries the
 // batch contract. Matching is by name: the contract is repo-wide and every
-// implementation (SimDevice, CompositeDevice, FaultyDevice, SerialSubmitBatch
-// wrappers) shares these names.
+// device (SimDevice, CompositeDevice, FaultyDevice, MemDevice, FileDevice,
+// all running SerialSubmitBatch) shares these names.
 var batchSubmitNames = map[string]bool{
 	"SubmitBatch":      true,
 	"SubmitBatchRetry": true,

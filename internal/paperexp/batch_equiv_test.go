@@ -1,18 +1,15 @@
 package paperexp
 
-// This file is the batch-pipeline differential oracle: every executor now
-// submits IOs through device.SubmitBatch, and these tests pin the batch path
-// byte-identical to the serial per-IO reference (device.PerIO forces
-// SerialSubmitBatch through any pipeline) — over the nine-micro-benchmark
-// plan, all workload generators, trace replay, and stripe/mirror/concat
-// arrays, sequentially and at 4 engine workers alike.
+// This file pins the batch pipeline's determinism: every executor submits
+// IOs through device.SubmitBatch, and the nine-micro-benchmark plan renders
+// byte-identical CSV at 1 and 4 engine workers — on one device and on
+// stripe/mirror/concat arrays. (That one batch equals per-IO Submit is
+// pinned at the device, by FuzzSubmitBatchEquivalence.)
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -25,29 +22,9 @@ import (
 	"uflip/internal/workload"
 )
 
-// perIOFactory builds a fresh device per shard and wraps it in device.PerIO
-// BEFORE state enforcement, so every submission of the shard — enforcement
-// IOs included — travels the serial one-IO-at-a-time reference path. Any
-// divergence between SubmitBatch and Submit shows up as a byte difference
-// against the batch-path factories.
-func perIOFactory(key string, cfg Config) engine.DeviceFactory {
-	return func(engine.Shard) (device.Device, time.Duration, error) {
-		raw, err := profile.BuildDevice(key, cfg.Capacity)
-		if err != nil {
-			return nil, 0, err
-		}
-		dev := device.NewPerIO(raw)
-		end, err := methodology.EnforceRandomState(dev, cfg.Seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		return dev, end + cfg.Pause, nil
-	}
-}
-
 // resultsCSV renders a plan's merged results in the repository's CSV formats
 // (run summaries plus every per-IO response-time series) — the byte-level
-// artifact the batch/per-IO equivalence is pinned on.
+// artifact the plan equivalences are pinned on.
 func resultsCSV(t *testing.T, res *methodology.Results) []byte {
 	t.Helper()
 	var records []trace.RunRecord
@@ -91,8 +68,7 @@ func planCSV(t *testing.T, key string, cfg Config, plan methodology.Plan, factor
 }
 
 // TestBatchSubmitDifferentialPlan pins the batch pipeline over the full
-// nine-micro-benchmark plan: the per-IO reference factory must produce
-// byte-identical CSV at 1 and 4 workers, as must the batch path itself.
+// nine-micro-benchmark plan: 4 workers must produce byte-identical CSV to 1.
 func TestBatchSubmitDifferentialPlan(t *testing.T) {
 	const key = "memoright"
 	cfg := cacheTestConfig(t, false)
@@ -100,24 +76,14 @@ func TestBatchSubmitDifferentialPlan(t *testing.T) {
 	plan.Device = key
 
 	want := planCSV(t, key, cfg, plan, RebuildShardFactory(key, cfg), 1)
-	for _, tc := range []struct {
-		name    string
-		factory engine.DeviceFactory
-		workers int
-	}{
-		{"per-IO sequential", perIOFactory(key, cfg), 1},
-		{"per-IO parallel", perIOFactory(key, cfg), 4},
-		{"batch parallel", RebuildShardFactory(key, cfg), 4},
-	} {
-		if got := planCSV(t, key, cfg, plan, tc.factory, tc.workers); !bytes.Equal(got, want) {
-			t.Errorf("%s: CSV diverges from the batch sequential run", tc.name)
-		}
+	if got := planCSV(t, key, cfg, plan, RebuildShardFactory(key, cfg), 4); !bytes.Equal(got, want) {
+		t.Error("batch parallel run diverges from the batch sequential run")
 	}
 }
 
-// TestBatchSubmitDifferentialArrays extends the plan oracle to composite
+// TestBatchSubmitDifferentialArrays extends the plan pin to composite
 // devices: on stripe, mirror and concat arrays the batch path at 4 workers
-// must match the per-IO reference run byte for byte.
+// must match the sequential run byte for byte.
 func TestBatchSubmitDifferentialArrays(t *testing.T) {
 	for _, spec := range []string{
 		"stripe(2,memoright,memoright)",
@@ -134,9 +100,9 @@ func TestBatchSubmitDifferentialArrays(t *testing.T) {
 			}
 			plan := fullPlan(cfg, dev.Capacity())
 			plan.Device = spec
-			want := planCSV(t, spec, cfg, plan, perIOFactory(spec, cfg), 1)
+			want := planCSV(t, spec, cfg, plan, RebuildShardFactory(spec, cfg), 1)
 			if got := planCSV(t, spec, cfg, plan, RebuildShardFactory(spec, cfg), 4); !bytes.Equal(got, want) {
-				t.Error("batch parallel run diverges from the per-IO sequential run")
+				t.Error("batch parallel run diverges from the batch sequential run")
 			}
 		})
 	}
@@ -151,73 +117,4 @@ func replayOn(dev device.Device, ops []workload.Op, at time.Duration) (*core.Run
 		return nil, err
 	}
 	return res.Segments[0], nil
-}
-
-// TestBatchSubmitDifferentialWorkloads pins the batch pipeline under every
-// workload generator and under trace replay: open-loop batch submission must
-// reproduce the per-IO reference exactly, enforcement included.
-func TestBatchSubmitDifferentialWorkloads(t *testing.T) {
-	const key = "memoright"
-	const capacity = 16 << 20
-	const seed = 7
-	target := int64(capacity / 2)
-	gens := []workload.Generator{
-		workload.OLTP{PageSize: 8192, TargetSize: target, ReadFraction: 0.7, Count: 600, Seed: seed},
-		workload.Zipfian{PageSize: 8192, TargetSize: target, S: 1.2, ReadFraction: 0.5, Count: 600, Seed: seed},
-		workload.LogAppend{Streams: 4, IOSize: 32 * 1024, TargetSize: target, Count: 400},
-		workload.Bursty{
-			Inner:    workload.OLTP{PageSize: 4096, TargetSize: target, ReadFraction: 0.3, Count: 400, Seed: 9},
-			BurstOps: 32, Gap: 50 * time.Millisecond,
-		},
-	}
-	// Trace replay: a generated stream round-tripped through the on-disk
-	// trace format, then replayed like a recorded block trace.
-	ops, err := gens[0].Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "equiv.trace")
-	if err := workload.SaveOps(path, ops); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := workload.LoadOps(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens = append(gens, workload.Trace{Label: "equiv", Ops: loaded})
-
-	replay := func(gen workload.Generator, perIO bool) []byte {
-		t.Helper()
-		var dev device.Device
-		dev, err := profile.BuildDevice(key, capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if perIO {
-			dev = device.NewPerIO(dev)
-		}
-		end, err := methodology.EnforceRandomState(dev, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops, err := gen.Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, err := replayOn(dev, ops, end+time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	for _, gen := range gens {
-		want := replay(gen, true)
-		if got := replay(gen, false); !bytes.Equal(got, want) {
-			t.Errorf("%s: batch replay diverges from the per-IO replay", gen.Name())
-		}
-	}
 }

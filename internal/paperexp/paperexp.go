@@ -61,10 +61,7 @@ func (c Config) defaults(capacity int64) core.Defaults {
 	d := core.StandardDefaults()
 	d.IOCount = c.IOCount
 	d.Seed = c.Seed
-	// Random IOs roam half the device so the write-buffer locality window
-	// stays a small fraction of the working set, as on the paper's
-	// full-size devices.
-	d.RandomTarget = capacity / 2
+	d.RandomTarget = core.RandomTargetFor(capacity)
 	return d
 }
 
