@@ -59,10 +59,11 @@
 // SimDevice.Submit and the 128-IO SubmitBatch are pinned at 0 allocs/op),
 // and stats.Percentiles derives any number of quantiles by histogram
 // selection: a few O(n) passes that only read the series, no copy of it.
-// A trace replay's serial passes run at memory speed around that: the .utr
-// reader and writer checksum a 64 KiB chunk at a time, and trace.WriteJSON
-// appends the per-IO series with its own float formatter, byte-identical
-// to encoding/json.
+// A trace replay's passes around that run at memory speed: the .utr reader
+// and writer checksum a 64 KiB chunk at a time, and trace.WriteJSON prints
+// the per-IO series from each duration's digits, byte-identical to
+// encoding/json; on a long replay it encodes the series, and ReplaySource
+// summarizes the windows, on every core.
 // Profile any run with the uflip command's -cpuprofile/-memprofile flags;
 // measure the simulator's own speed with the repository benchmark
 // ("bash benchmark/run.sh", repeated runs with spread, declared in

@@ -33,7 +33,8 @@ func (c countingSource) Segment(start, n int) ([]workload.Op, error) {
 // of rendered bytes. The stream length is a multiple of neither the segment
 // nor the window size, and the segment size is no multiple of the window's.
 // The tail of that Result (total, windows, percentiles) is held to the
-// plain recomputation over the concatenated response times.
+// plain recomputation over the concatenated response times, the windows at
+// six window sizes and 1, 2, 3 and 7 workers.
 func TestReplaySourceSameResultAnyWorkersAnySource(t *testing.T) {
 	const spec = "faulty(stripe(2,memoright,memoright),seed=7)"
 	cfg := Config{Capacity: 64 << 20, Seed: 42, Pause: time.Second}
@@ -112,6 +113,22 @@ func TestReplaySourceSameResultAnyWorkersAnySource(t *testing.T) {
 	}
 	if _, got := stats.WindowSummaries(merged, opts.WindowOps); !reflect.DeepEqual(got, want.Windows) {
 		t.Errorf("windows differ from the merged series' (%d vs %d)", len(want.Windows), len(got))
+	}
+	// The windows are split by window range, one range per worker: every
+	// split gives the merged series' windows, from one-sample windows to one
+	// longer than the stream.
+	for _, size := range []int{1, 7, 256, 12_500, 12_501, len(ops) + 1} {
+		_, wantWindows := stats.WindowSummaries(merged, size)
+		for _, workers := range []int{1, 2, 3, 7} {
+			o := workload.Options{SegmentOps: opts.SegmentOps, WindowOps: size, Workers: workers, Seed: cfg.Seed}
+			res, err := workload.ReplaySource(context.Background(), sources[0].src, ShardFactory(spec, cfg), o)
+			if err != nil {
+				t.Fatalf("window %d at %d workers: %v", size, workers, err)
+			}
+			if !reflect.DeepEqual(res.Windows, wantWindows) || res.Total != want.Total {
+				t.Errorf("window %d at %d workers: windows or total differ from the merged series'", size, workers)
+			}
+		}
 	}
 	if want.Ops != len(ops) || len(merged) != len(ops) || want.Elapsed != elapsed {
 		t.Errorf("ops %d, merged %d, elapsed %v; want %d, %d, %v", want.Ops, len(merged), want.Elapsed, len(ops), len(ops), elapsed)

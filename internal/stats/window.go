@@ -1,6 +1,9 @@
 package stats
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Window is the summary of one fixed-size slice of a long response-time
 // series: samples [Start, Start+Summary.N). Long trace replays are reported
@@ -13,73 +16,41 @@ type Window struct {
 	Summary Summary `json:"summary"`
 }
 
-// Windowed accumulates streaming windowed summaries: every Size samples it
-// seals a Window, while a second accumulator keeps the overall totals. It
-// retains O(windows) state, never the samples themselves, so it can follow a
-// replay of millions of IOs.
-type Windowed struct {
-	size  int64
-	n     int64
-	cur   Running
-	total Running
-	done  []Window
+// WindowSummaries slices a series into fixed-size windows (size < 1 means
+// 1) and summarizes each, plus the whole series, on the calling goroutine.
+func WindowSummaries(samples []time.Duration, size int) (Summary, []Window) {
+	return Summarize(samples), Windows(samples, size, 1)
 }
 
-// NewWindowed returns a streaming accumulator sealing one window every size
-// samples (size < 1 means 1).
-func NewWindowed(size int) *Windowed {
-	if size < 1 {
-		size = 1
+// Windows slices a series into fixed-size windows (size < 1 means 1), the
+// last one partial when the series does not end on a window boundary, and
+// summarizes each into a slice of exactly the windows. The windows are
+// split into at most parts contiguous ranges, all but the first summarized
+// on goroutines of their own; a window's summary reads only its own samples,
+// so the result does not depend on parts.
+func Windows(samples []time.Duration, size, parts int) []Window {
+	size = max(size, 1)
+	n := len(samples)/size + min(len(samples)%size, 1)
+	out := make([]Window, n)
+	per := (n + max(parts, 1) - 1) / max(parts, 1)
+	var wg sync.WaitGroup
+	for first := per; first < n; first += per {
+		wg.Add(1)
+		go func(dst []Window, size, first int) {
+			defer wg.Done()
+			summarizeWindows(dst, samples, size, first)
+		}(out[first:min(first+per, n)], size, first)
 	}
-	return &Windowed{size: int64(size)}
-}
-
-// Add records one observation.
-func (w *Windowed) Add(x float64) {
-	w.cur.Add(x)
-	w.total.Add(x)
-	w.n++
-	if w.cur.N() >= w.size {
-		w.seal()
-	}
-}
-
-// AddDuration records one observation expressed as a duration, in seconds.
-func (w *Windowed) AddDuration(d time.Duration) { w.Add(d.Seconds()) }
-
-func (w *Windowed) seal() {
-	w.done = append(w.done, Window{Start: w.n - w.cur.N(), Summary: w.cur.Summary()})
-	w.cur = Running{}
-}
-
-// N returns the number of observations so far.
-func (w *Windowed) N() int64 { return w.n }
-
-// Windows returns the sealed windows plus, when the series did not end on a
-// window boundary, a final partial window. The accumulator stays usable.
-func (w *Windowed) Windows() []Window {
-	out := make([]Window, len(w.done), len(w.done)+1)
-	copy(out, w.done)
-	if w.cur.N() > 0 {
-		out = append(out, Window{Start: w.n - w.cur.N(), Summary: w.cur.Summary()})
-	}
+	summarizeWindows(out[:per], samples, size, 0)
+	wg.Wait()
 	return out
 }
 
-// Total returns the summary over every observation.
-func (w *Windowed) Total() Summary { return w.total.Summary() }
-
-// WindowSummaries slices a series into fixed-size windows (size < 1 means
-// 1) and summarizes each, plus the whole series: the streaming accumulator
-// over a series already in hand, with the windows sized once from its length.
-func WindowSummaries(samples []time.Duration, size int) (Summary, []Window) {
-	w := NewWindowed(size)
-	w.done = make([]Window, 0, (int64(len(samples))+w.size-1)/w.size)
-	for _, d := range samples {
-		w.AddDuration(d)
+// summarizeWindows fills dst with windows first, first+1, … of samples.
+func summarizeWindows(dst []Window, samples []time.Duration, size, first int) {
+	for i := range dst {
+		start := (first + i) * size
+		end := start + min(size, len(samples)-start)
+		dst[i] = Window{Start: int64(start), Summary: Summarize(samples[start:end])}
 	}
-	if w.cur.N() > 0 {
-		w.seal()
-	}
-	return w.Total(), w.done
 }

@@ -8,6 +8,54 @@ import (
 	"time"
 )
 
+// Windowed is the streaming accumulator WindowSummaries once ran, kept as
+// its oracle: every Size samples it seals a Window, while a second
+// accumulator keeps the overall totals.
+type Windowed struct {
+	size  int64
+	n     int64
+	cur   Running
+	total Running
+	done  []Window
+}
+
+// NewWindowed returns a streaming accumulator sealing one window every size
+// samples (size < 1 means 1).
+func NewWindowed(size int) *Windowed {
+	if size < 1 {
+		size = 1
+	}
+	return &Windowed{size: int64(size)}
+}
+
+// Add records one observation.
+func (w *Windowed) Add(x float64) {
+	w.cur.Add(x)
+	w.total.Add(x)
+	w.n++
+	if w.cur.N() >= w.size {
+		w.done = append(w.done, Window{Start: w.n - w.cur.N(), Summary: w.cur.Summary()})
+		w.cur = Running{}
+	}
+}
+
+// AddDuration records one observation expressed as a duration, in seconds.
+func (w *Windowed) AddDuration(d time.Duration) { w.Add(d.Seconds()) }
+
+// Windows returns the sealed windows plus, when the series did not end on a
+// window boundary, a final partial window. The accumulator stays usable.
+func (w *Windowed) Windows() []Window {
+	out := make([]Window, len(w.done), len(w.done)+1)
+	copy(out, w.done)
+	if w.cur.N() > 0 {
+		out = append(out, Window{Start: w.n - w.cur.N(), Summary: w.cur.Summary()})
+	}
+	return out
+}
+
+// Total returns the summary over every observation.
+func (w *Windowed) Total() Summary { return w.total.Summary() }
+
 func TestWindowedSealsFixedWindows(t *testing.T) {
 	w := NewWindowed(3)
 	for i := 1; i <= 8; i++ {
@@ -77,7 +125,8 @@ func TestWindowSummariesConvenience(t *testing.T) {
 }
 
 // TestWindowSummariesMatchesStreaming: the series function returns what the
-// streaming accumulator does, in one allocation of exactly the windows.
+// streaming accumulator does, in one allocation of exactly the windows, and
+// Windows returns the same windows however many ranges it splits them into.
 func TestWindowSummariesMatchesStreaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 63, 64, 65, 1000} {
@@ -97,7 +146,12 @@ func TestWindowSummariesMatchesStreaming(t *testing.T) {
 			t.Fatalf("n=%d: %d windows in a slice of capacity %d", n, len(windows), cap(windows))
 		}
 		if allocs := testing.AllocsPerRun(10, func() { WindowSummaries(samples, 64) }); allocs > 2 {
-			t.Fatalf("n=%d: WindowSummaries allocates %.0f times, want <= 2 (accumulator + windows)", n, allocs)
+			t.Fatalf("n=%d: WindowSummaries allocates %.0f times, want <= 2 (windows + wait group)", n, allocs)
+		}
+		for _, parts := range []int{0, 2, 3, 7, 16, n + 1} {
+			if got := Windows(samples, 64, parts); !reflect.DeepEqual(got, windows) {
+				t.Fatalf("n=%d: Windows in %d parts differs from one part", n, parts)
+			}
 		}
 	}
 }

@@ -12,7 +12,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"uflip/internal/stats"
@@ -53,12 +55,9 @@ type RTSeries []time.Duration
 // MarshalJSON writes the series as encoding/json writes the []float64 of its
 // seconds.
 func (s RTSeries) MarshalJSON() ([]byte, error) {
-	b := []byte{'['}
-	for i, d := range s {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b, _ = appendJSONFloat(b, d.Seconds()) // finite: never an error
+	b := appendRTs([]byte{'['}, s)
+	if len(s) > 0 {
+		b = b[:len(b)-1] // the comma after the last value
 	}
 	return append(b, ']'), nil
 }
@@ -89,17 +88,62 @@ func (s *RTSeries) UnmarshalJSON(b []byte) error {
 // ResponseTimes returns the per-IO series.
 func (r *RunRecord) ResponseTimes() []time.Duration { return r.RTs }
 
+// A parallel WriteJSON encodes the series jsonChunkRTs values (about 25 KB
+// of a replay's JSON) at a time, and only records holding jsonParallelRTs
+// values in all: below that — a plan of two micro-benchmarks at -iocount
+// 64 (200,704 values), a 20,000-op replay — the goroutines and their
+// buffers would cost more than they save.
+// maxRTBytes bounds one value appendRTs writes, comma included (a
+// Duration's seconds spell to at most 19 bytes).
+const (
+	jsonChunkRTs    = 2048
+	jsonParallelRTs = 1 << 18
+	maxRTBytes      = 24
+)
+
 // WriteJSON writes records as newline-delimited JSON, byte-identical to
 // encoding/json's rendering of each RunRecord. Everything but the per-IO
 // series goes through encoding/json; the series, a million values on a long
-// replay, is appended by appendJSONFloat with no reflection and no shortest-
-// float search for the whole-nanosecond values it holds — the bytes
-// RTSeries.MarshalJSON writes. On error the output written so far is
-// incomplete.
+// replay, is appended by appendRTs — the bytes RTSeries.MarshalJSON writes.
+// From jsonParallelRTs values in all, and with GOMAXPROCS above one, the
+// series are encoded in chunks on GOMAXPROCS goroutines, two buffers each,
+// and written in stream order by the caller; otherwise no goroutine starts.
+// The bytes do not depend on how many goroutines encode them. On the first
+// error nothing more is written, no goroutine outlives the call, and the
+// output written so far is incomplete.
 func WriteJSON(w io.Writer, records []RunRecord) error {
+	workers, total := runtime.GOMAXPROCS(0), 0
+	for i := range records {
+		total += len(records[i].RTs)
+	}
+	// Chunk k of the stream comes encoded on ready[k%workers], and its
+	// buffer goes back on free[k%workers].
+	var ready, free []chan []byte
+	if workers > 1 && total >= jsonParallelRTs {
+		ready, free = make([]chan []byte, workers), make([]chan []byte, workers)
+		quit := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range workers {
+			ready[g], free[g] = make(chan []byte, 2), make(chan []byte, 2)
+			// 16 bytes a value is more than a replay's values average; a
+			// buffer that needs more grows once, not per chunk.
+			free[g] <- make([]byte, 0, 16*jsonChunkRTs)
+			free[g] <- make([]byte, 0, 16*jsonChunkRTs)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				encodeChunks(records, g, workers, ready[g], free[g], quit)
+			}()
+		}
+		defer wg.Wait()
+		defer close(quit)
+	}
 	const flushAt = 60 << 10
 	buf := make([]byte, 0, 64<<10)
 	flush := func() error {
+		if len(buf) == 0 {
+			return nil
+		}
 		_, err := w.Write(buf)
 		buf = buf[:0]
 		return err
@@ -107,6 +151,7 @@ func WriteJSON(w io.Writer, records []RunRecord) error {
 	var head bytes.Buffer
 	enc := json.NewEncoder(&head)
 	var rec RunRecord
+	chunk := 0
 	for i := range records {
 		rec = records[i]
 		rts := rec.RTs
@@ -118,18 +163,32 @@ func WriteJSON(w io.Writer, records []RunRecord) error {
 		line := head.Bytes()
 		if len(rts) > 0 {
 			// "rts" is the record's last field: reopen the object the
-			// encoder closed with "}\n" and append the array to it.
+			// encoder closed with "}\n" and append the array to it. Every
+			// value comes with a comma after it; the last one is dropped.
 			buf = append(buf, line[:len(line)-2]...)
 			buf = append(buf, `,"rts":[`...)
-			for k, d := range rts {
-				if k > 0 {
-					buf = append(buf, ',')
+			for ; ready != nil && len(rts) > 0; chunk++ {
+				b := <-ready[chunk%workers]
+				if rts = rts[min(len(rts), jsonChunkRTs):]; len(rts) == 0 {
+					b = b[:len(b)-1]
 				}
-				buf, _ = appendJSONFloat(buf, d.Seconds()) // finite: never an error
+				if err := flush(); err != nil {
+					return err
+				}
+				if _, err := w.Write(b); err != nil {
+					return err
+				}
+				free[chunk%workers] <- b
+			}
+			for len(rts) > 0 {
 				if len(buf) >= flushAt {
 					if err := flush(); err != nil {
 						return err
 					}
+				}
+				n := min(len(rts), (cap(buf)-len(buf))/maxRTBytes)
+				if buf, rts = appendRTs(buf, rts[:n]), rts[n:]; len(rts) == 0 {
+					buf = buf[:len(buf)-1]
 				}
 			}
 			line = []byte("]}\n")
@@ -144,51 +203,87 @@ func WriteJSON(w io.Writer, records []RunRecord) error {
 	return flush()
 }
 
-// appendJSONFloat appends v exactly as encoding/json encodes a float64:
-// the shortest decimal that parses back to v, in 'f' form, or in 'e' form
-// with a trimmed exponent below 1e-6 and from 1e21; NaN and the infinities
-// return json's UnsupportedValueError.
+// encodeChunks is goroutine g of workers encoding the series of records:
+// of the stream's chunks of jsonChunkRTs values, it encodes every one whose
+// index is g modulo workers, in order, into a buffer from free, and sends it
+// on ready. It returns after its last chunk, or once quit is closed.
+func encodeChunks(records []RunRecord, g, workers int, ready chan<- []byte, free <-chan []byte, quit <-chan struct{}) {
+	k := 0
+	for i := range records {
+		for rts := records[i].RTs; len(rts) > 0; k++ {
+			n := min(len(rts), jsonChunkRTs)
+			if k%workers == g {
+				select {
+				case b := <-free:
+					ready <- appendRTs(b[:0], rts[:n]) // room for both buffers
+				case <-quit:
+					return
+				}
+			}
+			rts = rts[n:]
+		}
+	}
+}
+
+// appendRTs is the series encoder: it appends every response time of rts
+// to b as encoding/json spells its seconds, each followed by a comma.
 //
-// Response times are Duration.Seconds() values — whole nanoseconds over 1e9
-// — and for those the digits come from the integer. With ns the integer
-// nearest v×1e9, below 1e15, float64(ns)/1e9 == v says the decimal ns×10⁻⁹
-// rounds to v; it has at most 15 significant digits, and no two decimals
-// that short share a float64 (10¹⁵ < 2⁵²), so it is the only one within v's
-// rounding interval and therefore the shortest — what strconv's search
-// would have found.
-func appendJSONFloat(b []byte, v float64) ([]byte, error) {
+//uflint:hotpath
+func appendRTs(b []byte, rts []time.Duration) []byte {
+	for _, d := range rts {
+		b = append(appendRT(b, d), ',')
+	}
+	return b
+}
+
+// appendRT appends d.Seconds() as encoding/json spells it. From 1 µs (json's
+// 'f' form) to 1 s, Seconds is the quotient d/1e9; to 10⁶ s, it often
+// rounds to it too. Then the decimal d×10⁻⁹ rounds to the value, and having
+// at most 15 significant digits (10¹⁵ < 2⁵²) it is the only decimal that
+// short to do so: the shortest, printed from d's digits. The rest — values
+// an ulp off the quotient, and everything out of range — take
+// appendJSONFloat.
+func appendRT(b []byte, d time.Duration) []byte {
 	const digitPairs = "00010203040506070809" + "10111213141516171819" +
 		"20212223242526272829" + "30313233343536373839" + "40414243444546474849" +
 		"50515253545556575859" + "60616263646566676869" + "70717273747576777879" +
 		"80818283848586878889" + "90919293949596979899"
-	if v >= 1e-6 && v < 1e6 {
-		if ns := uint64(float64(v*1e9) + 0.5); float64(ns)/1e9 == v { // the product rounded, never fused
-			whole, frac := ns/1e9, uint32(ns%1e9)
-			if whole < 10 {
-				b = append(b, byte('0'+whole))
-			} else {
-				b = strconv.AppendUint(b, whole, 10)
-			}
-			if frac == 0 {
-				return b, nil
-			}
-			// ".fffffffff", two digits at a time from the right, then
-			// without its trailing zeros.
-			d := [10]byte{0: '.'}
-			for i := 8; i > 0; i -= 2 {
-				pair := frac % 100 * 2
-				d[i], d[i+1] = digitPairs[pair], digitPairs[pair+1]
-				frac /= 100
-			}
-			d[1] = byte('0' + frac)
-			b = append(b, d[:]...)
-			n := len(b)
-			for b[n-1] == '0' {
-				n--
-			}
-			return b[:n], nil
-		}
+	if d < 1e3 || d >= 1e15 || d >= 1e9 && float64(d)/1e9 != d.Seconds() {
+		b, _ = appendJSONFloat(b, d.Seconds()) // finite: never an error
+		return b
 	}
+	whole, frac := uint64(d/1e9), uint32(d%1e9)
+	if whole < 10 {
+		b = append(b, byte('0'+whole))
+	} else {
+		b = strconv.AppendUint(b, whole, 10)
+	}
+	if frac == 0 {
+		return b
+	}
+	// ".fffffffff", two digits at a time from the right, written in place
+	// (a fifth faster than filling an array and appending it), then without
+	// its trailing zeros.
+	b = append(b, ".fffffffff"...)
+	n := len(b)
+	f := b[n-10 : n : n]
+	for i := 8; i > 0; i -= 2 {
+		pair := frac % 100 * 2
+		f[i], f[i+1] = digitPairs[pair], digitPairs[pair+1]
+		frac /= 100
+	}
+	f[1] = byte('0' + frac)
+	for b[n-1] == '0' {
+		n--
+	}
+	return b[:n]
+}
+
+// appendJSONFloat appends v exactly as encoding/json encodes a float64:
+// the shortest decimal that parses back to v, in 'f' form, or in 'e' form
+// with a trimmed exponent below 1e-6 and from 1e21; NaN and the infinities
+// return json's UnsupportedValueError.
+func appendJSONFloat(b []byte, v float64) ([]byte, error) {
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		_, err := json.Marshal(v)
 		return b, err

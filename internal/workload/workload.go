@@ -342,17 +342,23 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 		res.Faults.Add(run.Faults)
 	}
 	// The stream-order Welford total depends on the order of every sample to
-	// the last bit, so it stays one pass on this goroutine; selection only
-	// reads the series too and runs beside it when the job has a second
-	// worker.
+	// the last bit, so it stays one pass on this goroutine. Selection and the
+	// windows, split by window range across the workers, only read the
+	// series and run beside it when the job has a second worker.
 	selected := make(chan []time.Duration, 1)
-	selectPcts := func() { selected <- stats.Percentiles(rts, 50, 95, 99) }
-	if workers > 1 {
-		go selectPcts()
-	} else {
-		selectPcts()
+	windows := make(chan []stats.Window, 1)
+	for _, fn := range []func(){
+		func() { selected <- stats.Percentiles(rts, 50, 95, 99) },
+		func() { windows <- stats.Windows(rts, opts.windowOps(), workers) },
+	} {
+		if workers > 1 {
+			go fn()
+		} else {
+			fn()
+		}
 	}
-	res.Total, res.Windows = stats.WindowSummaries(rts, opts.windowOps())
+	res.Total = stats.Summarize(rts)
+	res.Windows = <-windows
 	pcts := <-selected
 	res.P50, res.P95, res.P99 = pcts[0], pcts[1], pcts[2]
 	return res, nil
