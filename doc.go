@@ -21,10 +21,14 @@
 // completion) and the device services the whole batch in one virtual
 // call with zero allocations. A batch is a calling convention over the
 // per-IO Submit, not a second service path: every device runs it through
-// the one loop device.SerialSubmitBatch, and the pattern executor, state
-// enforcement, workload replayer and array sweeps all submit fixed-size
-// batches from reused buffers. A device fuzz target pins that loop against
-// a test-local per-IO reference. Below the device the
+// the one loop device.SerialSubmitBatch, which a device fuzz target pins
+// against a test-local per-IO reference. Above the device there is one
+// loop too, device.Drive: the pattern executor (closed loop and parallel
+// processes), the workload replayer and state enforcement each hand it
+// batches of at most 128 IOs, their submission times encoded in a window
+// of the caller's response-time array, and Drive submits them under the
+// retry policy and leaves each IO's response time in its slot. Below the
+// device the
 // flash layer is run-granular: a device's flash is one block table (an
 // ftl.Array over a single flash.Chip spanning every block; the chip count
 // only sizes it) of one geometry, declared once as ftl constants (2 KiB
@@ -132,8 +136,9 @@
 // indexes, sticky bad offsets, latency spikes, submission stalls, and a
 // whole-device death point. Faults surface as typed errors (ErrMediaRead,
 // ErrMediaWrite, ErrDeviceGone) inside a BatchError that keeps the batch
-// contract intact, and the stack above rides them out: SubmitBatchRetry
-// resubmits failed tails with deterministic simulated-time backoff (fault
+// contract intact, and the stack above rides them out: device.Drive
+// resubmits failed tails through SubmitBatchRetry with deterministic
+// simulated-time backoff, 4 retries from 200 µs (fault
 // and retry counts land in every summary CSV and report), mirror arrays
 // route around members that die mid-run, the daemon's -job-timeout
 // watchdog fails stuck jobs with a typed SSE event, the client reconnects

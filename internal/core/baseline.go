@@ -72,9 +72,6 @@ func (b Baseline) LBA() LBAKind {
 	return Random
 }
 
-// IsWrite reports whether the baseline writes.
-func (b Baseline) IsWrite() bool { return b == SW || b == RW }
-
 // Defaults bundles the parameter values shared by a benchmark's reference
 // patterns; the paper fixes IOSize to 32 KB after the Granularity
 // micro-benchmark and targets random IOs at a bounded area.

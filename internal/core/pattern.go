@@ -172,8 +172,6 @@ func (p *Pattern) Span() (lo, hi int64) {
 type IOSource interface {
 	// Next returns the next IO, or ok=false when the source is exhausted.
 	Next() (io device.IO, ok bool)
-	// Reset rewinds the source to its first IO.
-	Reset()
 }
 
 // patternSource iterates a single pattern.
@@ -187,7 +185,9 @@ type patternSource struct {
 // IOCount; the executor may stop earlier.
 func (p *Pattern) Source() IOSource {
 	s := &patternSource{p: p}
-	s.Reset()
+	if p.LBA == Random {
+		s.rng = rand.New(rand.NewSource(p.Seed))
+	}
 	return s
 }
 
@@ -202,13 +202,6 @@ func (s *patternSource) Next() (device.IO, bool) {
 	}
 	s.i++
 	return io, true
-}
-
-func (s *patternSource) Reset() {
-	s.i = 0
-	if s.p.LBA == Random {
-		s.rng = rand.New(rand.NewSource(s.p.Seed))
-	}
 }
 
 // MixSource interleaves two patterns with a ratio (the Mix micro-benchmark):
@@ -239,11 +232,4 @@ func (m *MixSource) Next() (device.IO, bool) {
 	}
 	m.i++
 	return io, ok
-}
-
-// Reset rewinds both sources.
-func (m *MixSource) Reset() {
-	m.a.Reset()
-	m.b.Reset()
-	m.i = 0
 }

@@ -160,23 +160,6 @@ func TestRandomLBAReproducible(t *testing.T) {
 	}
 }
 
-func TestSourceReset(t *testing.T) {
-	p := validPattern()
-	p.LBA = Random
-	src := p.Source()
-	first, _ := src.Next()
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-	}
-	src.Reset()
-	again, ok := src.Next()
-	if !ok || again != first {
-		t.Fatalf("Reset did not rewind: %+v vs %+v", again, first)
-	}
-}
-
 func TestMixSourceInterleaving(t *testing.T) {
 	a := validPattern()
 	a.Mode = device.Read
@@ -199,10 +182,6 @@ func TestMixSourceInterleaving(t *testing.T) {
 			t.Fatalf("mix order %v, want %v", modes, want)
 		}
 	}
-	mix.Reset()
-	if io, ok := mix.Next(); !ok || io.Mode != device.Read {
-		t.Fatal("mix Reset failed")
-	}
 }
 
 func TestBaselineProperties(t *testing.T) {
@@ -215,9 +194,6 @@ func TestBaselineProperties(t *testing.T) {
 		if p.Mode != b.Mode() || p.LBA != b.LBA() {
 			t.Fatalf("%s baseline attributes wrong", b)
 		}
-	}
-	if SR.IsWrite() || RR.IsWrite() || !SW.IsWrite() || !RW.IsWrite() {
-		t.Fatal("IsWrite")
 	}
 	if _, err := ParseBaseline("XX"); err == nil {
 		t.Fatal("bad baseline parsed")

@@ -10,21 +10,6 @@ import (
 	"uflip/internal/stats"
 )
 
-// batchSize is how many IOs the executors hand the device per SubmitBatch
-// call, amortizing the per-IO virtual-call overhead across the batch.
-const batchSize = 128
-
-// submitErr rewraps a device.BatchError with the caller's IO numbering (the
-// batch's base index added) so error messages match the per-IO path.
-func submitErr(prefix string, base int, err error) error {
-	var be *device.BatchError
-	if errors.As(err, &be) {
-		i := base + be.Index
-		return fmt.Errorf("%s IO %d (%s off=%d size=%d): %w", prefix, i, be.IO.Mode, be.IO.Off, be.IO.Size, be.Err)
-	}
-	return fmt.Errorf("%s %w", prefix, err)
-}
-
 // Run is the result of executing a reference pattern against a device once
 // (design principle 1 of Section 3.2): the per-IO response times plus the
 // summary statistics computed over the running phase (IOIgnore onward).
@@ -49,9 +34,6 @@ type Run struct {
 	// times include the retry delay.
 	Faults device.FaultStats
 }
-
-// MeasuredRTs returns the response times of the running phase.
-func (r *Run) MeasuredRTs() []time.Duration { return r.RTs[r.IOIgnore:] }
 
 // Timing controls the time dimension of a run: consecutive when Pause is
 // zero; pause(Pause) when Burst <= 1; burst(Pause, Burst) otherwise.
@@ -88,66 +70,51 @@ func Execute(dev device.Device, src IOSource, count, ignore int, timing Timing, 
 		RTs:      make([]time.Duration, 0, count),
 		IOIgnore: ignore,
 	}
-	// Closed-loop batch submission: IO i+1 goes in at the completion of IO
-	// i plus the methodology gap, encoded per entry so the whole batch is
-	// one SubmitBatch call. The completions land in the batch's window of
-	// run.RTs and become response times in place. The IO scratch is
+	// Closed loop: IO i+1 goes in at the completion of IO i plus the
+	// methodology gap, so each IO's slot of run.RTs starts as its ChainAfter
+	// encoding and Drive leaves its response time there. The IO scratch is
 	// allocated once per run, at most a batch long (anything handed to a
 	// Device escapes to the heap), and never shared or pooled.
-	t := startAt
-	var acc stats.Running
-	ios := make([]device.IO, min(count, batchSize))
-	for base, exhausted := 0, false; base < count && !exhausted; {
-		n := 0
-		for base+n < count && n < batchSize {
+	ios := make([]device.IO, min(count, device.DriveBatch))
+	exhausted := false
+	end, err := device.Drive(context.Background(), dev, startAt, &run.Faults, func(time.Duration) ([]device.IO, []time.Duration, error) {
+		if exhausted {
+			return nil, nil, nil
+		}
+		base := len(run.RTs)
+		batch := ios[:min(count-base, len(ios))]
+		win := run.RTs[base : base+len(batch)]
+		for n := range batch {
 			io, ok := src.Next()
 			if !ok {
-				exhausted = true
+				exhausted, batch, win = true, batch[:n], win[:n]
 				break
 			}
-			ios[n] = io
+			batch[n] = io
 			gap := time.Duration(0)
 			if base+n > 0 {
 				gap = timing.gapBefore(base + n)
 			}
-			run.RTs = append(run.RTs, device.ChainAfter(gap))
-			n++
+			win[n] = device.ChainAfter(gap)
 		}
-		if n == 0 {
-			break
+		run.RTs = run.RTs[:base+len(win)]
+		return batch, win, nil
+	})
+	if err != nil {
+		var be *device.BatchError
+		if errors.As(err, &be) {
+			return nil, fmt.Errorf("core: IO %d (%s off=%d size=%d): %w", be.Index, be.IO.Mode, be.IO.Off, be.IO.Size, be.Err)
 		}
-		batch := run.RTs[base:]
-		if err := device.SubmitBatchRetry(context.Background(), dev, t, ios[:n], batch, device.DefaultRetryPolicy, &run.Faults); err != nil {
-			return nil, submitErr("core:", base, err)
-		}
-		prev := t
-		for k, done := range batch {
-			sub := prev
-			if base+k > 0 {
-				sub += timing.gapBefore(base + k)
-			}
-			rt := done - sub
-			batch[k] = rt
-			if base+k >= ignore {
-				acc.AddDuration(rt)
-			}
-			prev = done
-		}
-		t = prev
-		base += n
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if len(run.RTs) == 0 {
 		return nil, fmt.Errorf("core: source produced no IOs")
 	}
 	if ignore >= len(run.RTs) {
 		run.IOIgnore = 0
-		acc = stats.Running{}
-		for _, rt := range run.RTs {
-			acc.AddDuration(rt)
-		}
 	}
-	run.Summary = acc.Summary()
-	run.Total = t - startAt
+	run.Summary = stats.Summarize(run.RTs[run.IOIgnore:])
+	run.Total = end - startAt
 	return run, nil
 }
 
@@ -215,55 +182,47 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 		IOIgnore: p.IOIgnore,
 	}
 	timing := Timing{Pause: p.Pause, Burst: p.Burst}
-	var acc stats.Running
-	// Each picked IO is a batch of one through the shared retry loop, so the
-	// response time (measured from the original submission) includes the
-	// backoff of its retries; the scratch outlives the loop so it is
+	// Each picked IO is a batch of one at its process's next submission
+	// time, so its response time (measured from that submission) includes
+	// the backoff of its retries; the completion Drive hands back schedules
+	// the picked process's next IO. The scratch outlives the loop so it is
 	// allocated once.
 	var ios [1]device.IO
-	var dones [1]time.Duration
-	total := 0
-	for {
-		// Earliest-submission process goes next; ties resolved by index
-		// for determinism.
-		var pick *proc
-		for _, pr := range procs {
-			if pr.issued >= perProc {
+	var pick *proc
+	end, err := device.Drive(context.Background(), dev, startAt, &run.Faults, func(last time.Duration) ([]device.IO, []time.Duration, error) {
+		if pick != nil {
+			pick.issued++
+			pick.next = last + timing.gapBefore(pick.issued)
+		}
+		for {
+			// Earliest-submission process goes next; ties resolved by
+			// index for determinism. The scan keeps its candidate in a
+			// local: pick lives in the closure's context.
+			var p *proc
+			for _, pr := range procs {
+				if pr.issued < perProc && (p == nil || pr.next < p.next) {
+					p = pr
+				}
+			}
+			if pick = p; p == nil {
+				return nil, nil, nil
+			}
+			io, ok := p.src.Next()
+			if !ok {
+				p.issued = perProc
 				continue
 			}
-			if pick == nil || pr.next < pick.next {
-				pick = pr
-			}
+			ios[0] = io
+			run.RTs = append(run.RTs, p.next)
+			return ios[:], run.RTs[len(run.RTs)-1:], nil
 		}
-		if pick == nil {
-			break
+	})
+	if err != nil {
+		var be *device.BatchError
+		if errors.As(err, &be) {
+			err = be.Err
 		}
-		io, ok := pick.src.Next()
-		if !ok {
-			pick.issued = perProc
-			continue
-		}
-		t := pick.next
-		ios[0], dones[0] = io, t
-		if err := device.SubmitBatchRetry(context.Background(), dev, t, ios[:], dones[:], device.DefaultRetryPolicy, &run.Faults); err != nil {
-			var be *device.BatchError
-			if errors.As(err, &be) {
-				err = be.Err
-			}
-			return nil, fmt.Errorf("core: parallel IO %d: %w", total, err)
-		}
-		done := dones[0]
-		rt := done - t
-		run.RTs = append(run.RTs, rt)
-		if total >= p.IOIgnore {
-			acc.AddDuration(rt)
-		}
-		pick.issued++
-		pick.next = done + timing.gapBefore(pick.issued)
-		total++
-		if run.Total < done-startAt {
-			run.Total = done - startAt
-		}
+		return nil, fmt.Errorf("core: parallel IO %d: %w", len(run.RTs)-1, err)
 	}
 	if len(run.RTs) == 0 {
 		return nil, fmt.Errorf("core: parallel run produced no IOs")
@@ -272,12 +231,9 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 		// Rounding of perProc can leave fewer merged IOs than the global
 		// ignore; fall back to summarizing the whole series, as Execute does.
 		run.IOIgnore = 0
-		acc = stats.Running{}
-		for _, rt := range run.RTs {
-			acc.AddDuration(rt)
-		}
 	}
-	run.Summary = acc.Summary()
+	run.Summary = stats.Summarize(run.RTs[run.IOIgnore:])
+	run.Total = end - startAt
 	return run, nil
 }
 

@@ -75,9 +75,6 @@ func TestExecutePatternIgnoresWarmup(t *testing.T) {
 	if run.Summary.N != 4 {
 		t.Fatalf("summary covers %d IOs, want 4", run.Summary.N)
 	}
-	if len(run.MeasuredRTs()) != 4 {
-		t.Fatalf("MeasuredRTs = %d", len(run.MeasuredRTs()))
-	}
 }
 
 func TestExecutePauseScheduling(t *testing.T) {
@@ -404,7 +401,7 @@ func TestExecuteParallelLargeIgnore(t *testing.T) {
 
 // executeParallelPerIO and perIOSubmitRetry are ExecuteParallel as it was
 // while it kept a retry loop of its own over dev.Submit: the oracle that
-// holds the SubmitBatchRetry route to the same IOs, times and counts.
+// holds the device.Drive route to the same IOs, times and counts.
 func executeParallelPerIO(dev device.Device, p Pattern, degree int, startAt time.Duration) (*Run, error) {
 	if degree < 1 {
 		return nil, fmt.Errorf("core: parallel degree must be >= 1, got %d", degree)
@@ -505,7 +502,6 @@ func executeParallelPerIO(dev device.Device, p Pattern, degree int, startAt time
 }
 
 func perIOSubmitRetry(dev device.Device, at time.Duration, io device.IO, st *device.FaultStats) (time.Duration, error) {
-	pol := device.DefaultRetryPolicy
 	sub := at
 	for attempt := 0; ; attempt++ {
 		done, err := dev.Submit(sub, io)
@@ -513,17 +509,17 @@ func perIOSubmitRetry(dev device.Device, at time.Duration, io device.IO, st *dev
 			return done, nil
 		}
 		st.Faults++
-		if !device.Retryable(err) || attempt >= pol.Max {
+		if !device.Retryable(err) || attempt >= device.MaxRetries {
 			return 0, err
 		}
 		st.Retries++
-		sub += pol.Backoff << attempt
+		sub += device.RetryBackoff << attempt
 	}
 }
 
 // TestExecuteParallelMatchesPerIORetryLoop replays the Parallelism
 // micro-benchmark on a device that injects media errors: submitting each
-// picked IO as a batch of one through device.SubmitBatchRetry must measure
+// picked IO as a batch of one through device.Drive must measure
 // what the private per-IO retry loop measured — every response time, the
 // total, the fault and retry counts — and fail with the same text once the
 // retry budget is spent.
@@ -571,5 +567,31 @@ func TestExecuteParallelMatchesPerIORetryLoop(t *testing.T) {
 		if got == nil || want == nil || got.Error() != want.Error() {
 			t.Errorf("degree %d: exhausted budget reports %v, the per-IO loop %v", degree, got, want)
 		}
+	}
+}
+
+// TestExecuteAllocationsIndependentOfLength pins that a run allocates per
+// run, never per batch: the IO scratch, the response-time array and the
+// run itself are sized once, so 64 and 4,096 IOs cost the same count.
+func TestExecuteAllocationsIndependentOfLength(t *testing.T) {
+	dev := memDev()
+	allocs := func(n int) float64 {
+		d := StandardDefaults()
+		d.IOSize = 4096
+		d.IOCount = n
+		p := RW.Pattern(d)
+		p.TargetSize = 16 << 20
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ExecutePattern(dev, p, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(64), allocs(4096)
+	if short != long {
+		t.Fatalf("ExecutePattern allocates %v times at 64 IOs but %v at 4,096: something is allocated per batch", short, long)
+	}
+	if long > 7 {
+		t.Fatalf("ExecutePattern allocates %v times per run, want at most 7", long)
 	}
 }

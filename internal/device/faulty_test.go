@@ -459,8 +459,7 @@ func TestSubmitBatchRetryRecovers(t *testing.T) {
 	ios := mixedOps(6)
 	done := chainInputs(len(ios))
 	var st FaultStats
-	pol := RetryPolicy{Max: 2, Backoff: time.Millisecond}
-	if err := SubmitBatchRetry(context.Background(), f, 0, ios, done, pol, &st); err != nil {
+	if err := SubmitBatchRetry(context.Background(), f, 0, ios, done, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Faults != 1 || st.Retries != 1 {
@@ -473,7 +472,7 @@ func TestSubmitBatchRetryRecovers(t *testing.T) {
 	for i, io := range ios {
 		at := prev
 		if i == 2 {
-			at += pol.Backoff
+			at += RetryBackoff
 		}
 		want, err := ref.Submit(at, io)
 		if err != nil {
@@ -487,8 +486,8 @@ func TestSubmitBatchRetryRecovers(t *testing.T) {
 }
 
 // TestSubmitBatchRetryExhausts: a sticky fault (bad offset) burns through
-// pol.Max retries with doubling backoff and then surfaces the typed error at
-// the right index.
+// MaxRetries retries with doubling backoff and then surfaces the typed error
+// at the right index.
 func TestSubmitBatchRetryExhausts(t *testing.T) {
 	f, _ := faultyMem("m", FaultConfig{ErrOff: 4096})
 	ios := []IO{
@@ -498,14 +497,13 @@ func TestSubmitBatchRetryExhausts(t *testing.T) {
 	}
 	done := chainInputs(len(ios))
 	var st FaultStats
-	pol := RetryPolicy{Max: 3, Backoff: time.Millisecond}
-	err := SubmitBatchRetry(context.Background(), f, 0, ios, done, pol, &st)
+	err := SubmitBatchRetry(context.Background(), f, 0, ios, done, &st)
 	var be *BatchError
 	if !errors.As(err, &be) || be.Index != 1 || !errors.Is(err, ErrMediaRead) {
 		t.Fatalf("err = %v, want *BatchError at index 1 wrapping ErrMediaRead", err)
 	}
-	if st.Faults != int64(pol.Max)+1 || st.Retries != int64(pol.Max) {
-		t.Fatalf("stats = %+v, want %d faults, %d retries", st, pol.Max+1, pol.Max)
+	if st.Faults != MaxRetries+1 || st.Retries != MaxRetries {
+		t.Fatalf("stats = %+v, want %d faults, %d retries", st, MaxRetries+1, MaxRetries)
 	}
 	if done[0] == ChainNext {
 		t.Fatal("done[0] must hold IO 0's final completion despite the later failure")
@@ -519,7 +517,7 @@ func TestSubmitBatchRetryNonRetryable(t *testing.T) {
 	ios := mixedOps(6)
 	done := chainInputs(len(ios))
 	var st FaultStats
-	err := SubmitBatchRetry(context.Background(), f, 0, ios, done, DefaultRetryPolicy, &st)
+	err := SubmitBatchRetry(context.Background(), f, 0, ios, done, &st)
 	var be *BatchError
 	if !errors.As(err, &be) || be.Index != 3 || !errors.Is(err, ErrDeviceGone) {
 		t.Fatalf("err = %v, want *BatchError at index 3 wrapping ErrDeviceGone", err)
@@ -545,9 +543,9 @@ func (c *cancelOnFault) SubmitBatch(at time.Duration, ios []IO, done []time.Dura
 	return &BatchError{Index: 0, IO: ios[0], Err: ErrMediaRead}
 }
 
-// TestSubmitBatchRetryHonorsCancellation pins the satellite-2 property at its
-// lowest level: cancellation interrupts the retry loop between attempts, even
-// when the fault would otherwise keep the loop busy to exhaustion.
+// TestSubmitBatchRetryHonorsCancellation: cancellation interrupts the retry
+// loop between attempts. The device cancels on its first fault, and a fault
+// that would otherwise be retried MaxRetries times is counted once.
 func TestSubmitBatchRetryHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	dev := &cancelOnFault{
@@ -557,7 +555,7 @@ func TestSubmitBatchRetryHonorsCancellation(t *testing.T) {
 	ios := mixedOps(4)
 	done := chainInputs(len(ios))
 	var st FaultStats
-	err := SubmitBatchRetry(ctx, dev, 0, ios, done, RetryPolicy{Max: 1 << 20, Backoff: time.Microsecond}, &st)
+	err := SubmitBatchRetry(ctx, dev, 0, ios, done, &st)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -569,7 +567,7 @@ func TestSubmitBatchRetryHonorsCancellation(t *testing.T) {
 	pre, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	probe := NewMemDevice("m", 1<<20, time.Millisecond, time.Millisecond)
-	if err := SubmitBatchRetry(pre, probe, 0, ios, chainInputs(len(ios)), DefaultRetryPolicy, nil); !errors.Is(err, context.Canceled) {
+	if err := SubmitBatchRetry(pre, probe, 0, ios, chainInputs(len(ios)), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if probe.IOs() != 0 {

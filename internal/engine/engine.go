@@ -14,11 +14,11 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
+	"uflip/internal/core"
 	"uflip/internal/device"
 	"uflip/internal/methodology"
 )
@@ -105,7 +105,7 @@ func Partition(n int, baseSeed int64) []Shard {
 	return shards
 }
 
-// ExecutePlan runs every experiment of the plan through the worker pool and
+// ExecutePlan runs every experiment of the plan as one ExecuteJobs job and
 // returns the merged results, ordered by run index. The same plan, factory
 // and options (besides Workers) yield byte-identical results for any worker
 // count. Elapsed is the virtual time of the longest shard timeline, since
@@ -119,41 +119,32 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 	if len(exps) == 0 {
 		return out, ctx.Err()
 	}
-	merged := make([]methodology.Result, len(exps))
+	// Every run is a job; each records where its shard's timeline ends in
+	// its own slot, so concurrent jobs share no write.
 	ends := make([]time.Duration, len(exps))
-	observe := opts.observer(len(exps))
-
-	runShard := func(ctx context.Context, s Shard) (device.Device, error) {
-		dev, at, err := factory(s)
-		if err != nil {
-			return nil, fmt.Errorf("engine: shard %d: %w", s.Index, err)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		e := exps[s.Index]
-		run, err := e.Run(dev, at)
-		if err != nil {
-			return nil, fmt.Errorf("engine: shard %d: %s: %w", s.Index, e.ID(), err)
-		}
-		merged[s.Index] = methodology.Result{Exp: e, Run: run}
-		ends[s.Index] = at + run.Total + plan.Pause
-		observe(e.ID())
-		return dev, nil
+	pause := plan.Pause
+	jobs := make([]Job, len(exps))
+	for i := range exps {
+		e := &exps[i]
+		jobs[i] = Job{ID: e.ID(), Run: func(_ context.Context, dev device.Device, at time.Duration) (*core.Run, error) {
+			run, err := e.Run(dev, at)
+			if err == nil {
+				ends[i] = at + run.Total + pause
+			}
+			return run, err
+		}}
 	}
-
-	if err := executeShards(ctx, Partition(len(exps), opts.Seed), opts.workers(), runShard); err != nil {
+	runs, err := ExecuteJobs(ctx, jobs, factory, opts)
+	if err != nil {
 		return nil, err
 	}
-
-	out.Results = merged
-	if out.Device == "" {
-		out.Device = merged[0].Run.Device
+	out.Results = make([]methodology.Result, len(exps))
+	for i, run := range runs {
+		out.Results[i] = methodology.Result{Exp: exps[i], Run: run}
+		out.Elapsed = max(out.Elapsed, ends[i])
 	}
-	for _, end := range ends {
-		if end > out.Elapsed {
-			out.Elapsed = end
-		}
+	if out.Device == "" {
+		out.Device = runs[0].Device
 	}
 	return out, nil
 }
@@ -174,40 +165,11 @@ func (o Options) observer(total int) func(id string) {
 	}
 }
 
-// runShardFunc executes one shard and returns the device it ran on, which the
-// same worker's next shard is offered as Shard.Reuse.
-type runShardFunc func(context.Context, Shard) (device.Device, error)
-
-// executeShards runs the shards inline in partition order when workers == 1
-// (the sequential fallback: same shards, same seeds, same per-shard device
-// states) and through the bounded pool otherwise. Either way a worker hands
-// each finished shard's device to its own next shard — worker-affine, so no
-// pool and no lock — and an execution allocates at most `workers` device
-// stacks when the factory recycles them. Shared by plan execution and the
-// stream-job executor so pool, cancellation and progress semantics cannot
-// diverge.
-func executeShards(ctx context.Context, shards []Shard, workers int, run runShardFunc) error {
-	if workers == 1 {
-		var prev device.Device
-		for _, s := range shards {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			s.Reuse = prev
-			dev, err := run(ctx, s)
-			if err != nil {
-				return err
-			}
-			prev = dev
-		}
-		return nil
-	}
-	return runPool(ctx, shards, workers, run)
-}
-
 // runPool dispatches shards to a bounded pool of workers, cancelling the
-// remaining work on the first error.
-func runPool(ctx context.Context, shards []Shard, workers int, run runShardFunc) error {
+// remaining work on the first error. run executes one shard and returns the
+// device it ran on, which the same worker's next shard is offered as
+// Shard.Reuse.
+func runPool(ctx context.Context, shards []Shard, workers int, run func(context.Context, Shard) (device.Device, error)) error {
 	if workers > len(shards) {
 		workers = len(shards)
 	}

@@ -32,6 +32,13 @@ type Job struct {
 // device state (factory is called with a shard carrying the job's index and
 // derived seed and the worker's previous device to recycle).
 // Cancelling ctx stops execution between jobs and discards partial results.
+//
+// With Workers == 1 the jobs run inline in order on the calling goroutine
+// (the sequential fallback: same shards, same seeds, same per-shard device
+// states), otherwise through the bounded pool. Either way a worker hands
+// each finished job's device to its own next job — worker-affine, so no
+// pool and no lock — and an execution allocates at most Workers device
+// stacks when the factory recycles them.
 func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Options) ([]*core.Run, error) {
 	if len(jobs) == 0 {
 		return nil, ctx.Err()
@@ -57,8 +64,21 @@ func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Op
 		return dev, nil
 	}
 
-	if err := executeShards(ctx, Partition(len(jobs), opts.Seed), opts.workers(), runShard); err != nil {
-		return nil, err
+	shards := Partition(len(jobs), opts.Seed)
+	if workers := opts.workers(); workers > 1 {
+		if err := runPool(ctx, shards, workers, runShard); err != nil {
+			return nil, err
+		}
+		return merged, nil
+	}
+	var prev device.Device
+	for _, s := range shards {
+		s.Reuse = prev
+		dev, err := runShard(ctx, s)
+		if err != nil {
+			return nil, err
+		}
+		prev = dev
 	}
 	return merged, nil
 }

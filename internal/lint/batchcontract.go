@@ -13,7 +13,7 @@ import (
 // sits in between.
 var BatchContract = &Analyzer{
 	Name: "batchcontract",
-	Doc: `SubmitBatch/SubmitBatchRetry errors must be handled, and BatchError
+	Doc: `SubmitBatch/SubmitBatchRetry/Drive errors must be handled, and BatchError
 must be extracted with errors.As, never a type assertion`,
 	Run: runBatchContract,
 }
@@ -25,6 +25,7 @@ must be extracted with errors.As, never a type assertion`,
 var batchSubmitNames = map[string]bool{
 	"SubmitBatch":      true,
 	"SubmitBatchRetry": true,
+	"Drive":            true,
 }
 
 func runBatchContract(pass *Pass) error {

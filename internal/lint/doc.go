@@ -12,9 +12,9 @@
 //     annotated //uflint:shared or //uflint:scratch — so a layer's state
 //     struct cannot grow a field its one copy routine or its one validator
 //     does not know, and a config or derived group is one annotated field.
-//   - batchcontract: SubmitBatch/SubmitBatchRetry errors must be handled,
-//     and *device.BatchError extracted with errors.As, never a type
-//     assertion.
+//   - batchcontract: SubmitBatch/SubmitBatchRetry/Drive errors must be
+//     handled, and *device.BatchError extracted with errors.As, never a
+//     type assertion.
 //   - allocfree (uflint -escapes): heap escapes inside //uflint:hotpath
 //     functions are diffed against the committed allowlist in
 //     internal/lint/testdata/hotpath.allow.

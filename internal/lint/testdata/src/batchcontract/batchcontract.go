@@ -20,11 +20,28 @@ type dev struct{}
 func (dev) SubmitBatch(ios []int, done []int) error      { return nil }
 func (dev) SubmitBatchRetry(ios []int, done []int) error { return nil }
 
+// Drive stands in for device.Drive: the stream's error is the last result.
+func Drive(d dev, next func(last int) ([]int, []int, error)) (int, error) { return 0, nil }
+
 func discard(d dev, ios, done []int) {
 	d.SubmitBatch(ios, done)            // want `SubmitBatch error discarded`
 	go d.SubmitBatch(ios, done)         // want `SubmitBatch error discarded by go/defer`
 	defer d.SubmitBatchRetry(ios, done) // want `SubmitBatchRetry error discarded by go/defer`
 	_ = d.SubmitBatch(ios, done)        // want `SubmitBatch error assigned to _`
+}
+
+func drive(d dev, next func(int) ([]int, []int, error)) int {
+	Drive(d, next)           // want `Drive error discarded`
+	end, _ := Drive(d, next) // want `Drive error assigned to _`
+	return end
+}
+
+func driven(d dev, next func(int) ([]int, []int, error)) (int, error) {
+	end, err := Drive(d, next)
+	if err != nil {
+		return 0, err
+	}
+	return end, nil
 }
 
 func handled(d dev, ios, done []int) error {

@@ -39,24 +39,24 @@ func EnforceSequentialState(dev device.Device, seed int64) (time.Duration, error
 
 func enforceState(dev device.Device, seed int64, random bool) (time.Duration, error) {
 	const blockSize = 128 * 1024
-	const batch = 128
 	capacity := dev.Capacity()
 	if capacity <= 0 {
 		return 0, fmt.Errorf("methodology: state enforcement: device %s has no capacity", dev.Name())
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var t time.Duration
 	var written int64
 	var off int64
 	// The fill IOs are a pure function of the RNG stream (never of
 	// completion times), so they are generated a batch ahead and submitted
-	// closed-loop — each at the previous completion — in one SubmitBatch
-	// call from fixed stack scratch.
-	var ios [batch]device.IO
-	var done [batch]time.Duration
-	for written < capacity {
+	// closed-loop — each at the previous completion — through one reused
+	// window whose response times nobody reads. Transient faults during the
+	// fill are retried like everywhere else; enforcement is not part of any
+	// measured run, so they are not counted.
+	var ios [device.DriveBatch]device.IO
+	var win [device.DriveBatch]time.Duration
+	t, err := device.Drive(context.Background(), dev, 0, nil, func(time.Duration) ([]device.IO, []time.Duration, error) {
 		n := 0
-		for n < batch && written < capacity {
+		for n < len(ios) && written < capacity {
 			var io device.IO
 			if random {
 				size := (rng.Int63n(blockSize/512) + 1) * 512
@@ -92,28 +92,18 @@ func enforceState(dev device.Device, seed int64, random bool) (time.Duration, er
 				off += size
 			}
 			ios[n] = io
-			done[n] = device.ChainNext
+			win[n] = device.ChainNext
 			written += io.Size
 			n++
 		}
-		if n == 0 {
-			break
+		return ios[:n], win[:n], nil
+	})
+	if err != nil {
+		var be *device.BatchError
+		if errors.As(err, &be) {
+			err = be.Err
 		}
-		// Transient faults during the fill are retried like everywhere else;
-		// enforcement stats are not part of any measured run, so they are
-		// not reported.
-		var st device.FaultStats
-		if err := device.SubmitBatchRetry(context.Background(), dev, t, ios[:n], done[:n], device.DefaultRetryPolicy, &st); err != nil {
-			var be *device.BatchError
-			if errors.As(err, &be) {
-				if be.Index > 0 {
-					t = done[be.Index-1]
-				}
-				return t, fmt.Errorf("methodology: state enforcement: %w", be.Err)
-			}
-			return t, fmt.Errorf("methodology: state enforcement: %w", err)
-		}
-		t = done[n-1]
+		return t, fmt.Errorf("methodology: state enforcement: %w", err)
 	}
 	return t, nil
 }

@@ -42,10 +42,6 @@ import (
 	"uflip/internal/trace"
 )
 
-// batchOps is how many ops a replay hands the device per SubmitBatch call;
-// the submission scratch is a fixed stack buffer of this size.
-const batchOps = 128
-
 // Op is one timed IO of a workload: the request (IO) plus the inter-arrival
 // gap (Gap) between the previous op's submission and this one's. It is the
 // block trace's record type, so a stream goes to and from either trace form
@@ -66,58 +62,42 @@ type Generator interface {
 // the request, and the wait is part of the measured response time. The
 // returned run summarizes every op (IOIgnore 0 — replays have no
 // methodology-defined warm-up to discard). Transient device faults are
-// retried under the default policy and counted in the run's FaultStats; ctx
-// cancels the replay between batches and inside the retry loop, so a canceled
-// job stops promptly even mid-recovery. The response times are appended to
-// rts, which must be empty with room for one per op: ReplaySource passes each
-// segment its window of the stream-order array.
+// retried and counted in the run's FaultStats; ctx cancels the replay
+// between batches and inside the retry loop, so a canceled job stops
+// promptly even mid-recovery. The response times land in rts, one slot per
+// op: ReplaySource passes each segment its window of the stream-order array.
 func replayInto(ctx context.Context, dev device.Device, ops []Op, startAt time.Duration, rts []time.Duration) (*core.Run, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("workload: empty op stream")
 	}
-	run := &core.Run{Device: dev.Name(), RTs: rts}
-	// Open-loop batch submission: arrival times are known a priori, so each
-	// batch entry carries its absolute submission time and the whole batch
-	// is one SubmitBatch call. The scratch is a fixed-size stack buffer —
-	// per-replay (and therefore per-segment/shard), never shared or pooled.
-	t := startAt
-	var end time.Duration
-	var acc stats.Running
-	var ios [batchOps]device.IO
-	var sub, done [batchOps]time.Duration
-	for base := 0; base < len(ops); {
-		n := len(ops) - base
-		if n > batchOps {
-			n = batchOps
-		}
-		for k := 0; k < n; k++ {
-			op := ops[base+k]
+	run := &core.Run{Device: dev.Name(), RTs: rts[:len(ops)]}
+	// Open loop: arrival times are known a priori, so each op's slot of
+	// run.RTs starts as its absolute submission time. The IO scratch is
+	// per replay (and therefore per segment/shard), never shared or pooled.
+	var ios [device.DriveBatch]device.IO
+	t, base := startAt, 0
+	end, err := device.Drive(ctx, dev, startAt, &run.Faults, func(time.Duration) ([]device.IO, []time.Duration, error) {
+		win := run.RTs[base:min(base+len(ios), len(ops))]
+		at := t // a local: t and base live in the closure's context
+		for k, op := range ops[base : base+len(win)] {
 			if op.Gap < 0 {
-				return nil, fmt.Errorf("workload: op %d has negative inter-arrival gap %v", base+k, op.Gap)
+				return nil, nil, fmt.Errorf("op %d has negative inter-arrival gap %v", base+k, op.Gap)
 			}
-			t += op.Gap
+			at += op.Gap
 			ios[k] = op.IO
-			sub[k], done[k] = t, t
+			win[k] = at
 		}
-		if err := device.SubmitBatchRetry(ctx, dev, done[0], ios[:n], done[:n], device.DefaultRetryPolicy, &run.Faults); err != nil {
-			var be *device.BatchError
-			if errors.As(err, &be) {
-				i := base + be.Index
-				return nil, fmt.Errorf("workload: op %d (%s off=%d size=%d): %w", i, be.IO.Mode, be.IO.Off, be.IO.Size, be.Err)
-			}
-			return nil, fmt.Errorf("workload: %w", err)
+		t, base = at, base+len(win)
+		return ios[:len(win)], win, nil
+	})
+	if err != nil {
+		var be *device.BatchError
+		if errors.As(err, &be) {
+			return nil, fmt.Errorf("workload: op %d (%s off=%d size=%d): %w", be.Index, be.IO.Mode, be.IO.Off, be.IO.Size, be.Err)
 		}
-		for k := 0; k < n; k++ {
-			rt := done[k] - sub[k]
-			run.RTs = append(run.RTs, rt)
-			acc.AddDuration(rt)
-			if done[k] > end {
-				end = done[k]
-			}
-		}
-		base += n
+		return nil, fmt.Errorf("workload: %w", err)
 	}
-	run.Summary = acc.Summary()
+	run.Summary = stats.Summarize(run.RTs)
 	run.Total = end - startAt
 	return run, nil
 }
@@ -316,7 +296,7 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 				if len(ops) != n {
 					return nil, fmt.Errorf("workload: segment [%d:%d) came back with %d ops", start, start+n, len(ops))
 				}
-				run, err := replayInto(ctx, dev, ops, startAt, rts[start:start:start+n])
+				run, err := replayInto(ctx, dev, ops, startAt, rts[start:start+n:start+n])
 				if err != nil {
 					return nil, err
 				}
