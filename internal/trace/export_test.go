@@ -4,4 +4,5 @@ package trace
 var (
 	VerifyUTRParts = verifyUTR
 	CRC64Combine   = crc64Combine
+	CRCUpdate      = crcUpdate
 )

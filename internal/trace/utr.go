@@ -6,6 +6,8 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"uflip/internal/device"
@@ -49,8 +51,8 @@ const (
 	// UTRRecordSize is the fixed per-record length in bytes.
 	UTRRecordSize = 32
 	// UTRChunkRecords is how many records readers and writers move, and
-	// checksum, at a time: 64 KiB, long enough for crc64's slicing-by-8 path
-	// (which needs 64 bytes) and short enough to stay in cache.
+	// checksum, at a time: 64 KiB, eight blocks of the CRC kernel
+	// (crcUpdate) and short enough to stay in cache.
 	UTRChunkRecords = 2048
 )
 
@@ -271,7 +273,7 @@ func (s *Scanner) fill() bool {
 	// scan fails, as a record-at-a-time reader would.
 	s.readErr = err
 	s.pos, s.end = 0, n-n%UTRRecordSize
-	s.crc = crc64.Update(s.crc, utrTable, s.chunk[:s.end])
+	s.crc = crcUpdate(s.crc, s.chunk[:s.end])
 	// Not one whole record: go round again to report what cut the read short.
 	return s.end > 0 || s.fill()
 }
@@ -330,7 +332,7 @@ func (u *UTRWriter) Write(op BlockOp) error {
 
 // flush checksums and writes the staged records.
 func (u *UTRWriter) flush() error {
-	u.crc = crc64.Update(u.crc, utrTable, u.chunk)
+	u.crc = crcUpdate(u.crc, u.chunk)
 	if _, err := u.ws.Write(u.chunk); err != nil {
 		return fmt.Errorf("trace: utr write: %w", err)
 	}
@@ -352,63 +354,180 @@ func (u *UTRWriter) Close() error {
 	if err := u.flush(); err != nil {
 		return err
 	}
-	var hdr [UTRHeaderSize]byte
-	putUTRHeader(&hdr, u.count, u.crc)
-	if _, err := u.ws.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("trace: utr write: %w", err)
-	}
-	if _, err := u.ws.Write(hdr[:]); err != nil {
-		return fmt.Errorf("trace: utr write: %w", err)
-	}
-	if _, err := u.ws.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("trace: utr write: %w", err)
-	}
-	return nil
+	return patchUTRHeader(u.ws, 0, u.count, u.crc)
 }
 
-// WriteUTR writes ops as a complete .utr trace to a plain io.Writer. The
-// record count is known up front, so no seeking is needed: one validation
-// pass computes the CRC, a second emits the bytes, both a chunk at a time.
+// WriteUTR writes ops as a complete .utr trace to w: the writer of a trace
+// held in memory, where UTRWriter streams one whose length is not known up
+// front. The bytes are UTRWriter's, and so is the error of a bad op: every
+// record is validated, and the lowest failing index is reported. A seekable
+// w gets UTRWriter's placeholder header, patched at the end, so the trace
+// is written in one pass; any other w first gets a checksum pass through
+// the same encoder.
 func WriteUTR(w io.Writer, ops []BlockOp) error {
 	if len(ops) == 0 {
 		return fmt.Errorf("trace: utr trace holds no IOs")
 	}
-	chunk := make([]byte, min(len(ops), UTRChunkRecords)*UTRRecordSize)
-	var crc uint64
-	if err := encodeUTRChunks(ops, chunk, func(b []byte) error {
-		crc = crc64.Update(crc, utrTable, b)
-		return nil
-	}); err != nil {
-		return err
-	}
-	var hdr [UTRHeaderSize]byte
-	putUTRHeader(&hdr, uint64(len(ops)), crc)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("trace: utr write: %w", err)
-	}
-	return encodeUTRChunks(ops, chunk, func(b []byte) error {
+	write := func(b []byte) error {
 		if _, err := w.Write(b); err != nil {
 			return fmt.Errorf("trace: utr write: %w", err)
 		}
 		return nil
-	})
-}
-
-// encodeUTRChunks encodes ops into chunk, as many records at a time as it
-// holds, and hands each filled stretch to emit.
-func encodeUTRChunks(ops []BlockOp, chunk []byte, emit func([]byte) error) error {
-	per := len(chunk) / UTRRecordSize
-	for base := 0; base < len(ops); base += per {
-		n := min(len(ops)-base, per)
-		for i, op := range ops[base : base+n] {
-			rec := (*[UTRRecordSize]byte)(chunk[i*UTRRecordSize : (i+1)*UTRRecordSize])
-			if err := EncodeUTRRecord(rec, op); err != nil {
-				return fmt.Errorf("%w (record %d)", err, base+i)
-			}
-		}
-		if err := emit(chunk[:n*UTRRecordSize]); err != nil {
+	}
+	ws, seekable := w.(io.WriteSeeker)
+	var start int64
+	if seekable {
+		var err error
+		start, err = ws.Seek(0, io.SeekCurrent)
+		seekable = err == nil // a pipe is an *os.File too
+	}
+	var hdr [UTRHeaderSize]byte
+	if seekable {
+		putUTRHeader(&hdr, 0, 0) // the placeholder: no records
+	} else {
+		crc, err := encodeUTRChunks(ops, func([]byte) error { return nil })
+		if err != nil {
 			return err
 		}
+		putUTRHeader(&hdr, uint64(len(ops)), crc)
+	}
+	if err := write(hdr[:]); err != nil {
+		return err
+	}
+	crc, err := encodeUTRChunks(ops, write)
+	if err != nil || !seekable {
+		return err
+	}
+	return patchUTRHeader(ws, start, uint64(len(ops)), crc)
+}
+
+// patchUTRHeader overwrites the placeholder header written at offset at
+// with the final one, and leaves ws positioned at its end.
+func patchUTRHeader(ws io.WriteSeeker, at int64, count, crc uint64) error {
+	var hdr [UTRHeaderSize]byte
+	putUTRHeader(&hdr, count, crc)
+	if _, err := ws.Seek(at, io.SeekStart); err != nil {
+		return fmt.Errorf("trace: utr write: %w", err)
+	}
+	if _, err := ws.Write(hdr[:]); err != nil {
+		return fmt.Errorf("trace: utr write: %w", err)
+	}
+	if _, err := ws.Seek(0, io.SeekEnd); err != nil {
+		return fmt.Errorf("trace: utr write: %w", err)
 	}
 	return nil
+}
+
+// utrChunk is one chunk of records being encoded: its bytes, their CRC and
+// the first bad op's error.
+type utrChunk struct {
+	buf []byte
+	crc uint64
+	err error
+}
+
+// encode encodes chunk k of ops into c.buf and sets c.crc to crc continued
+// over the records, or c.err to the first bad op's error.
+func (c *utrChunk) encode(ops []BlockOp, k int, crc uint64) {
+	base := k * UTRChunkRecords
+	ops = ops[base:min(base+UTRChunkRecords, len(ops))]
+	c.buf = c.buf[:len(ops)*UTRRecordSize]
+	for i, op := range ops {
+		if err := EncodeUTRRecord((*[UTRRecordSize]byte)(c.buf[i*UTRRecordSize:]), op); err != nil {
+			c.err = fmt.Errorf("%w (record %d)", err, base+i)
+			return
+		}
+	}
+	c.crc, c.err = crcUpdate(crc, c.buf), nil
+}
+
+// encodeUTRChunks encodes ops a chunk at a time, hands the chunks to emit
+// in order and returns the CRC of all their bytes; the first bad op, by
+// index, fails it. A trace of 2·verifyPartChunks chunks or more is encoded
+// on up to one worker per CPU, as VerifyUTR splits one: the workers encode
+// and checksum a round of chunks, two per worker, into buffers of the call
+// while the calling goroutine folds the CRCs of the round before in order
+// and emits it. A full chunk's CRC folds in through crcChunkShift, and only
+// the short last one pays for crc64Combine. Memory is four chunk buffers
+// per worker, whatever the trace's length.
+func encodeUTRChunks(ops []BlockOp, emit func([]byte) error) (uint64, error) {
+	chunks := (len(ops) + UTRChunkRecords - 1) / UTRChunkRecords
+	workers := min(runtime.GOMAXPROCS(0), chunks/verifyPartChunks)
+	if workers < 2 {
+		c := utrChunk{buf: make([]byte, 0, min(len(ops), UTRChunkRecords)*UTRRecordSize)}
+		for k := range chunks {
+			if c.encode(ops, k, c.crc); c.err != nil {
+				return 0, c.err
+			}
+			if err := emit(c.buf); err != nil {
+				return 0, err
+			}
+		}
+		return c.crc, nil
+	}
+
+	per := 2 * workers // chunks a round
+	slots := make([]utrChunk, 2*per)
+	for i := range slots {
+		slots[i].buf = make([]byte, 0, utrChunkBytes)
+	}
+	// Both channels hold a round: neither the hand-out nor the workers'
+	// reports wait on the other side.
+	todo, done := make(chan int, per), make(chan struct{}, per)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range todo {
+				slots[k%len(slots)].encode(ops, k, 0)
+				done <- struct{}{}
+			}
+		}()
+	}
+	defer func() {
+		close(todo)
+		wg.Wait()
+	}()
+	// flush folds and emits the encoded round starting at chunk first.
+	var crc uint64
+	flush := func(first int) error {
+		for k := first; k < min(first+per, chunks); k++ {
+			c := &slots[k%len(slots)]
+			if len(c.buf) == utrChunkBytes {
+				crc = crcChunkShift.apply(crc) ^ c.crc
+			} else {
+				crc = crc64Combine(crc, c.crc, int64(len(c.buf)))
+			}
+			if err := emit(c.buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for first := 0; first < chunks; first += per {
+		end := min(first+per, chunks)
+		for k := first; k < end; k++ {
+			todo <- k
+		}
+		var err error
+		if first > 0 {
+			err = flush(first - per)
+		}
+		for range end - first {
+			<-done
+		}
+		if err != nil {
+			return 0, err
+		}
+		for k := first; k < end; k++ {
+			if err := slots[k%len(slots)].err; err != nil {
+				return 0, err
+			}
+		}
+	}
+	if err := flush((chunks - 1) / per * per); err != nil {
+		return 0, err
+	}
+	return crc, nil
 }

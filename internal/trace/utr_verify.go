@@ -2,16 +2,16 @@ package trace
 
 import (
 	"fmt"
-	"hash/crc64"
 	"io"
 	"runtime"
 	"sync"
 )
 
 // verifyPartChunks is the least a part of a split verification covers, in
-// chunks (1 MiB of records): a trace shorter than two of them is verified on
-// the calling goroutine, where starting goroutines and building the CRC
-// combine operator (~100 µs) would cost more than they save.
+// chunks (1 MiB of records): a trace shorter than two of them is verified,
+// and written by WriteUTR, on the calling goroutine, where starting
+// goroutines and building the CRC combine operator (~100 µs) would cost
+// more than they save.
 const verifyPartChunks = 16
 
 // VerifyUTR validates the .utr trace held in the first size bytes of ra —
@@ -108,7 +108,7 @@ func verifyRecords(ra io.ReaderAt, first, n, count int) (uint64, error) {
 		}
 		window = window[:got-got%UTRRecordSize]
 		off += int64(len(window))
-		crc = crc64.Update(crc, utrTable, window)
+		crc = crcUpdate(crc, window)
 		for ; len(window) > 0; window = window[UTRRecordSize:] {
 			if _, err := DecodeUTRRecord(window[:UTRRecordSize]); err != nil {
 				return 0, fmt.Errorf("%w (record %d)", err, rec)
@@ -124,58 +124,4 @@ func verifyRecords(ra io.ReaderAt, first, n, count int) (uint64, error) {
 		}
 	}
 	return crc, nil
-}
-
-// crc64Combine returns the CRC-64/ECMA of A‖B from crcA = crc(A), crcB =
-// crc(B) and lenB = len(B), without the bytes: zlib's crc32_combine
-// construction at 64 bits. Appending lenB zero bytes to A is a linear map of
-// its CRC register over GF(2); the map for one zero bit is written down, and
-// squared repeatedly to reach 8·lenB bits in O(log lenB) 64×64 matrix
-// products; what B's own bytes add on top of zeros is crcB.
-func crc64Combine(crcA, crcB uint64, lenB int64) uint64 {
-	if lenB <= 0 {
-		return crcA
-	}
-	var even, odd [64]uint64
-	odd[0] = crc64.ECMA // one zero bit: shift right, feeding the polynomial back
-	for n := 1; n < 64; n++ {
-		odd[n] = 1 << (n - 1)
-	}
-	gf2Square(&even, &odd) // two zero bits
-	gf2Square(&odd, &even) // four
-	// Each squaring doubles the zeros the operator appends, starting at one
-	// byte; apply the operators lenB's set bits select.
-	for {
-		gf2Square(&even, &odd)
-		if lenB&1 != 0 {
-			crcA = gf2Times(&even, crcA)
-		}
-		if lenB >>= 1; lenB == 0 {
-			break
-		}
-		gf2Square(&odd, &even)
-		if lenB&1 != 0 {
-			crcA = gf2Times(&odd, crcA)
-		}
-		if lenB >>= 1; lenB == 0 {
-			break
-		}
-	}
-	return crcA ^ crcB
-}
-
-// gf2Times multiplies the GF(2) matrix mat (one column per word) by vec.
-func gf2Times(mat *[64]uint64, vec uint64) uint64 {
-	var sum uint64
-	for n := 0; vec != 0; n, vec = n+1, vec>>1 {
-		sum ^= mat[n] & -(vec & 1) // branch-free: the bits are as good as random
-	}
-	return sum
-}
-
-// gf2Square sets sq to mat·mat.
-func gf2Square(sq, mat *[64]uint64) {
-	for n := range sq {
-		sq[n] = gf2Times(mat, mat[n])
-	}
 }

@@ -288,8 +288,12 @@ func ReadOps(r io.Reader) ([]Op, error) {
 	return out, nil
 }
 
-// WriteOps writes ops as a complete block trace in the named form.
+// WriteOps writes ops as a complete block trace in the named form. The
+// .utr form is trace.WriteUTR's, which takes any io.Writer.
 func WriteOps(w io.Writer, format string, ops []Op) error {
+	if format == TraceFormatUTR {
+		return trace.WriteUTR(w, ops)
+	}
 	wr, err := NewOpWriter(w, format)
 	if err != nil {
 		return err

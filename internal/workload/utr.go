@@ -14,9 +14,9 @@ import (
 // into an Op (the trace package's record type is this package's), and the
 // streaming readers and writers of both forms meet in trace.go.
 
-// WriteUTR writes ops as a complete .utr trace to a plain io.Writer: the
-// record count is known up front, so unlike NewOpWriter's .utr writer it
-// needs no seeking.
+// WriteUTR writes ops as a complete .utr trace to any io.Writer
+// (trace.WriteUTR): the record count is known up front, so unlike
+// NewOpWriter's .utr writer it needs no seeking.
 func WriteUTR(w io.Writer, ops []Op) error { return trace.WriteUTR(w, ops) }
 
 // UTRSource replays a .utr trace straight from an io.ReaderAt — a file or

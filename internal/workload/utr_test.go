@@ -118,13 +118,14 @@ func TestTraceFormatsLosslessRoundTrip(t *testing.T) {
 				t.Fatalf("%d ops drifted across the %s round trip", n, form)
 			}
 		}
-		// The count-known .utr writer and the streaming one agree.
+		// WriteUTR's two header strategies agree: patched in place through
+		// WriteOps's io.WriteSeeker, checksummed first into a plain buffer.
 		var plain bytes.Buffer
 		if err := workload.WriteUTR(&plain, ops); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(plain.Bytes(), written[workload.TraceFormatUTR]) {
-			t.Fatalf("%d ops: WriteUTR differs from the streaming .utr writer", n)
+			t.Fatalf("%d ops: WriteUTR into a buffer differs from WriteOps's .utr", n)
 		}
 		for _, from := range forms {
 			for _, to := range forms {
