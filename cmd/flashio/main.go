@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -32,7 +33,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		devKey    = flag.String("device", "", "simulated device profile (see -list)")
 		list      = flag.Bool("list", false, "list device profiles and exit")
@@ -67,6 +68,14 @@ func run() error {
 	dev, err := openDevice(*devKey, *file, *capacity)
 	if err != nil {
 		return err
+	}
+	// A file device holds its file open; the run's own error comes first.
+	if c, ok := dev.(io.Closer); ok {
+		defer func() {
+			if cerr := c.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 
 	var at time.Duration

@@ -11,9 +11,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -21,7 +26,6 @@ import (
 	"uflip/internal/client"
 	"uflip/internal/job"
 	"uflip/internal/server"
-	"uflip/internal/trace"
 	"uflip/internal/workload"
 )
 
@@ -75,11 +79,28 @@ func runRemotely(t *testing.T, cl *client.Client, kind string, argv []string) (d
 	if err := runSubmit(context.Background(), args); err != nil {
 		t.Fatalf("uflip submit %v: %v", args, err)
 	}
-	list, err := cl.List(context.Background())
-	if err != nil || len(list.Jobs) == 0 {
-		t.Fatalf("job list after submit: %+v, %v", list, err)
+	var list api.JobList
+	getJSON(t, cl, "/jobs", &list)
+	if len(list.Jobs) == 0 {
+		t.Fatal("job list after submit is empty")
 	}
 	return dir, list.Jobs[len(list.Jobs)-1].ID
+}
+
+// getJSON decodes the daemon's answer to GET /v1<path> into out.
+func getJSON(t *testing.T, cl *client.Client, path string, out any) {
+	t.Helper()
+	resp, err := http.Get(cl.BaseURL + "/" + api.Version + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d", path, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
 }
 
 // dirFiles reads every file of a result directory.
@@ -131,6 +152,28 @@ func pick(t *testing.T, files map[string][]byte, ext string) []byte {
 	return nil
 }
 
+// sumColumn adds up the integer column named col of a summary CSV.
+func sumColumn(t *testing.T, data []byte, col string) int64 {
+	t.Helper()
+	rows, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("summary CSV unreadable (%d rows): %v", len(rows), err)
+	}
+	i := slices.Index(rows[0], col)
+	if i < 0 {
+		t.Fatalf("summary CSV has no %q column: %v", col, rows[0])
+	}
+	var sum int64
+	for _, row := range rows[1:] {
+		v, err := strconv.ParseInt(row[i], 10, 64)
+		if err != nil {
+			t.Fatalf("summary CSV %s: %v", col, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
 // TestSurfacesAgree: a plan, an armed-schedule plan, a mirror whose member
 // dies mid-run, a synthetic workload on a stripe, an armed-schedule workload
 // and an array sweep each produce the same result files run locally on one
@@ -168,15 +211,7 @@ func TestSurfacesAgree(t *testing.T) {
 			t.Errorf("%s: GET /csv differs from the local .csv (err %v)", c.name, err)
 		}
 		if c.armed {
-			records, err := trace.ReadSummaryCSV(bytes.NewReader(csv))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var faults, retries int64
-			for _, r := range records {
-				faults, retries = faults+r.Faults, retries+r.Retries
-			}
-			if faults == 0 || retries == 0 {
+			if faults, retries := sumColumn(t, csv, "faults"), sumColumn(t, csv, "retries"); faults == 0 || retries == 0 {
 				t.Errorf("%s: %d faults, %d retries in the CSV: the schedule never fired", c.name, faults, retries)
 			}
 		}
@@ -258,8 +293,10 @@ func TestTraceFormsAgree(t *testing.T) {
 			t.Errorf("job %s: GET /csv differs from the file submit wrote (err %v)", id, err)
 		}
 	}
-	if traces, err := cl.Traces(context.Background()); err != nil || len(traces.Traces) != 2 || traces.Traces[0].OpsHash != traces.Traces[1].OpsHash {
-		t.Errorf("uploads: %+v, %v — want two blobs of one op stream", traces, err)
+	var traces api.TraceList
+	getJSON(t, cl, "/traces", &traces)
+	if len(traces.Traces) != 2 || traces.Traces[0].OpsHash != traces.Traces[1].OpsHash {
+		t.Errorf("uploads: %+v — want two blobs of one op stream", traces)
 	}
 }
 
@@ -282,10 +319,8 @@ func TestInterruptedSubmitCancelsTheJob(t *testing.T) {
 			t.Fatalf("submit returned before it could be interrupted: %v", err)
 		case <-time.After(5 * time.Millisecond):
 		}
-		list, err := cl.List(bg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var list api.JobList
+		getJSON(t, cl, "/jobs", &list)
 		if len(list.Jobs) == 1 && list.Jobs[0].Status == api.StatusRunning {
 			id = list.Jobs[0].ID
 		}

@@ -138,12 +138,6 @@ func (c *Client) Status(ctx context.Context, id string) (api.JobStatus, error) {
 	return st, c.getJSON(ctx, "/jobs/"+id, &st)
 }
 
-// List fetches every job the daemon retains.
-func (c *Client) List(ctx context.Context) (api.JobList, error) {
-	var jl api.JobList
-	return jl, c.getJSON(ctx, "/jobs", &jl)
-}
-
 // Cancel cancels a job (queued or running) and returns its status.
 func (c *Client) Cancel(ctx context.Context, id string) (api.JobStatus, error) {
 	var st api.JobStatus
@@ -192,17 +186,6 @@ func (c *Client) UploadTrace(ctx context.Context, body []byte) (api.TraceInfo, e
 	}
 	var info api.TraceInfo
 	return info, c.doJSON(req, &info)
-}
-
-// Trace fetches an uploaded block trace's raw bytes by its content hash.
-func (c *Client) Trace(ctx context.Context, hash string) ([]byte, error) {
-	return c.getRaw(ctx, "/traces/"+hash)
-}
-
-// Traces lists every trace the daemon holds.
-func (c *Client) Traces(ctx context.Context) (api.TraceList, error) {
-	var tl api.TraceList
-	return tl, c.getJSON(ctx, "/traces", &tl)
 }
 
 // Reconnect backoff bounds: the first retry waits about reconnectBase, each
@@ -311,13 +294,4 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int64, fn func
 		return false, after, ctx.Err()
 	}
 	return false, after, nil // connection dropped; caller resumes
-}
-
-// Wait blocks until the job reaches a terminal state, following the event
-// stream, and returns the final status.
-func (c *Client) Wait(ctx context.Context, id string) (api.JobStatus, error) {
-	if err := c.Events(ctx, id, 0, func(api.Event) {}); err != nil {
-		return api.JobStatus{}, err
-	}
-	return c.Status(ctx, id)
 }

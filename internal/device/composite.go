@@ -275,17 +275,11 @@ func (d *CompositeDevice) SectorSize() int { return 512 }
 // Name returns the configured array name.
 func (d *CompositeDevice) Name() string { return d.cfg.Name }
 
-// Layout returns the configured layout.
-func (d *CompositeDevice) Layout() Layout { return d.cfg.Layout }
-
 // Members returns the member count.
 func (d *CompositeDevice) Members() int { return len(d.members) }
 
 // Member returns member i (for tests and reports).
 func (d *CompositeDevice) Member(i int) Device { return d.members[i] }
-
-// QueueDepth returns the per-member queue bound.
-func (d *CompositeDevice) QueueDepth() int { return d.cfg.QueueDepth }
 
 // IOs returns the number of host IOs serviced.
 func (d *CompositeDevice) IOs() int64 { return d.st.IOs }

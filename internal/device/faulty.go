@@ -166,9 +166,6 @@ func NewFaulty(cfg FaultConfig, dev Device) *FaultyDevice {
 // Inner returns the wrapped device.
 func (f *FaultyDevice) Inner() Device { return f.inner }
 
-// Config returns the fault schedule.
-func (f *FaultyDevice) Config() FaultConfig { return f.cfg.FaultConfig }
-
 // Ops returns the op counter — how many IOs the schedule has consumed.
 func (f *FaultyDevice) Ops() int64 { return f.st.Op }
 

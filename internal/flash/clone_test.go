@@ -51,7 +51,8 @@ func TestChipCloneEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cl := c.Clone()
+	cl := new(Chip)
+	cl.ResetFrom(c)
 	if cl.Stats() != c.Stats() {
 		t.Fatalf("clone stats %+v, want %+v", cl.Stats(), c.Stats())
 	}

@@ -120,25 +120,12 @@ func TypicalTiming(c CellType) Timing {
 
 // Errors returned by chip operations.
 var (
-	ErrBadBlock    = errors.New("flash: block is marked bad")
-	ErrWornOut     = errors.New("flash: block exceeded its erase budget")
-	ErrNotErased   = errors.New("flash: programming a page that is not erased")
-	ErrOutOfOrder  = errors.New("flash: pages must be programmed sequentially within a block")
-	ErrOutOfRange  = errors.New("flash: address out of range")
-	ErrReadErased  = errors.New("flash: reading an erased page")
-	ErrBadGeometry = errors.New("flash: invalid geometry")
-)
-
-// PageState is what the chip knows about a page, derived from the block's
-// program cursor. (Validity of the data — live vs obsolete — is the FTL's
-// concern, not the chip's.)
-type PageState uint8
-
-const (
-	// PageErased means the page holds all-ones and may be programmed.
-	PageErased PageState = iota
-	// PageProgrammed means the page holds data.
-	PageProgrammed
+	ErrBadBlock   = errors.New("flash: block is marked bad")
+	ErrWornOut    = errors.New("flash: block exceeded its erase budget")
+	ErrNotErased  = errors.New("flash: programming a page that is not erased")
+	ErrOutOfOrder = errors.New("flash: pages must be programmed sequentially within a block")
+	ErrOutOfRange = errors.New("flash: address out of range")
+	ErrReadErased = errors.New("flash: reading an erased page")
 )
 
 // BlockState is everything the chip tracks per block, packed into 8 bytes so
@@ -228,16 +215,6 @@ func NewChip(geo Geometry, cell CellType) (*Chip, error) {
 	return c, nil
 }
 
-// Clone returns a deep copy of the chip: block cursors, wear counters and
-// operation stats. The clone and the original evolve independently; driving
-// both with the same operation sequence yields identical durations, errors
-// and stats.
-func (c *Chip) Clone() *Chip {
-	g := &Chip{}
-	g.ResetFrom(c)
-	return g
-}
-
 // ResetFrom makes c a deep copy of src, reusing c's buffers; c may be a zero
 // value. A shard device recycled by the engine is reset from the enforced
 // master this way instead of being cloned again.
@@ -280,33 +257,12 @@ func (c *Chip) EraseCount(block int) (int, error) {
 	return int(c.st.Blocks[block].EraseCount), nil
 }
 
-// IsBad reports whether a block has been marked bad (worn out or via MarkBad).
+// IsBad reports whether a block has been marked bad.
 func (c *Chip) IsBad(block int) bool {
 	if block < 0 || block >= c.cfg.geo.Blocks {
 		return true
 	}
 	return c.st.Blocks[block].Bad
-}
-
-// MarkBad marks a block bad, as a block manager does when it detects
-// uncorrectable errors.
-func (c *Chip) MarkBad(block int) error {
-	if block < 0 || block >= c.cfg.geo.Blocks {
-		return ErrOutOfRange
-	}
-	c.st.Blocks[block].Bad = true
-	return nil
-}
-
-// PageStateAt returns the state of the page for inspection in tests.
-func (c *Chip) PageStateAt(block, page int) (PageState, error) {
-	if err := c.checkAddr(block, page); err != nil {
-		return 0, err
-	}
-	if page < int(c.st.Blocks[block].NextPage) {
-		return PageProgrammed, nil
-	}
-	return PageErased, nil
 }
 
 // NextProgramPage returns the next page index that may be programmed in the

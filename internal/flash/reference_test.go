@@ -198,7 +198,9 @@ func requireSameChip(t *testing.T, step int, c *Chip, ref *refChip) {
 			if refErr := ref.checkAddr(b, p); err != refErr || (err == nil && st != ref.pages[ref.pageIndex(b, p)]) {
 				t.Fatalf("step %d: PageStateAt(%d,%d) = %v, %v; reference err %v", step, b, p, st, err, refErr)
 			}
-			d, err := c.Clone().ReadPage(b, p)
+			var g Chip
+			g.ResetFrom(c)
+			d, err := g.ReadPage(b, p)
 			refD, refErr := ref.clone().readPage(b, p)
 			if d != refD || err != refErr {
 				t.Fatalf("step %d: next ReadPage(%d,%d) = %v, %v; reference %v, %v", step, b, p, d, err, refD, refErr)

@@ -242,17 +242,6 @@ func (f *BlockFTL) checkDerived() error {
 // Stats returns a snapshot of the FTL counters.
 func (f *BlockFTL) Stats() Stats { return f.st.Stats }
 
-// ActiveLogs returns the number of replacement blocks currently in use.
-func (f *BlockFTL) ActiveLogs() int {
-	n := 0
-	for i := range f.st.Logs {
-		if f.st.Logs[i].LBN >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 func (f *BlockFTL) allocFree() (int, error) {
 	if f.free.Len() == 0 {
 		return 0, ErrNoSpace

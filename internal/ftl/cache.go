@@ -367,7 +367,9 @@ func (c *WriteCache) checkDerived() error {
 	want := WriteCache{cfg: c.cfg, st: c.st}
 	want.rederive()
 	if !slices.Equal(c.der.index, want.der.index) {
-		return fmt.Errorf("ftl: the cache's region index is not the slots of its %d resident regions", c.OpenRegions())
+		n := 0
+		c.st.eachResident(func(int32) { n++ })
+		return fmt.Errorf("ftl: the cache's region index is not the slots of its %d resident regions", n)
 	}
 	return nil
 }
@@ -386,16 +388,6 @@ func ResetTranslator(dst, src Translator) Translator {
 
 // Stats returns a snapshot of the cache counters.
 func (c *WriteCache) Stats() CacheStats { return c.st.Stats }
-
-// DirtyLines returns the number of buffered dirty lines.
-func (c *WriteCache) DirtyLines() int64 { return c.st.TotalLines }
-
-// OpenRegions returns the number of regions holding dirty lines.
-func (c *WriteCache) OpenRegions() int {
-	n := 0
-	c.st.eachResident(func(int32) { n++ })
-	return n
-}
 
 // Inner returns the wrapped translation layer.
 func (c *WriteCache) Inner() Translator { return c.inner }

@@ -415,9 +415,7 @@ func TestServeReadStealPricesItsOwnRead(t *testing.T) {
 // wear-out does.
 func retire(t *testing.T, f *PageFTL) {
 	t.Helper()
-	if err := f.arr.chip.MarkBad(int(f.free.pop() & keyBlockMask)); err != nil {
-		t.Fatal(err)
-	}
+	f.arr.chip.State().Blocks[f.free.pop()&keyBlockMask].Bad = true
 }
 
 // TestReadStealNeedsARealCandidate pins the read-steal gate to the exact

@@ -135,16 +135,6 @@ func LoadTranslator(t Translator, s *TranslatorState) {
 	}
 }
 
-// RestoreTranslator is CheckTranslator, then LoadTranslator: a state that
-// fails the check leaves the stack untouched.
-func RestoreTranslator(t Translator, s *TranslatorState) error {
-	if err := CheckTranslator(t, s); err != nil {
-		return err
-	}
-	LoadTranslator(t, s)
-	return nil
-}
-
 // Audit checks every layer's invariant on the stack's live state, then that
 // what the layers derive from their states — the FTLs' free pools, the
 // PageFTL's reclamation candidates, the map books' dirty sets, the cache's

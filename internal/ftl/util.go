@@ -137,9 +137,6 @@ func (b *mapBook) setDirty(page int64) bool {
 	return true
 }
 
-// dirtyCount reports the number of buffered dirty map pages (for tests).
-func (b *mapBook) dirtyCount() int { return b.Queued }
-
 // flashBooks is what both FTLs stand on, each part keeping its own state: the
 // flash, the pool of erased blocks and the map book.
 type flashBooks struct {

@@ -43,11 +43,11 @@ func loadFixture(t *testing.T, fixture string) []*Package {
 	return pkgs
 }
 
-// runGolden checks one analyzer against one fixture: every diagnostic
-// must match a `// want` on its line, and every want must be matched.
-func runGolden(t *testing.T, fixture string, analyzers []*Analyzer, opts ...Option) {
+// runGolden checks one analyzer against one loaded fixture: every
+// diagnostic must match a `// want` on its line, and every want must be
+// matched.
+func runGolden(t *testing.T, pkgs []*Package, analyzers []*Analyzer) {
 	t.Helper()
-	pkgs := loadFixture(t, fixture)
 	pkg := pkgs[0]
 
 	wants := make(map[string][]*wantDiag) // "file:line" -> expectations
@@ -67,10 +67,10 @@ func runGolden(t *testing.T, fixture string, analyzers []*Analyzer, opts ...Opti
 		}
 	}
 	if len(wants) == 0 {
-		t.Fatalf("fixture %s has no // want comments", fixture)
+		t.Fatalf("fixture %s has no // want comments", pkg.Dir)
 	}
 
-	diags, err := Check(pkgs, analyzers, opts...)
+	diags, err := Check(pkgs, analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,21 +98,25 @@ func runGolden(t *testing.T, fixture string, analyzers []*Analyzer, opts ...Opti
 	}
 }
 
+// TestDetWallGolden runs detwall on its fixture as if the fixture sat in a
+// simulation tree: its own import path is outside every one.
 func TestDetWallGolden(t *testing.T) {
-	runGolden(t, "detwall", []*Analyzer{DetWall}, ForceSimulation())
+	pkgs := loadFixture(t, "detwall")
+	pkgs[0].Path = pkgs[0].Module + "/internal/flash"
+	runGolden(t, pkgs, []*Analyzer{DetWall})
 }
 
 func TestCloneGuardGolden(t *testing.T) {
-	runGolden(t, "cloneguard", []*Analyzer{CloneGuard})
+	runGolden(t, loadFixture(t, "cloneguard"), []*Analyzer{CloneGuard})
 }
 
 func TestBatchContractGolden(t *testing.T) {
-	runGolden(t, "batchcontract", []*Analyzer{BatchContract})
+	runGolden(t, loadFixture(t, "batchcontract"), []*Analyzer{BatchContract})
 }
 
-// TestDetWallSkipsNonSimulationPackages pins the path policy: without
-// ForceSimulation, the fixture package (whose import path is not under a
-// simulation tree) produces no detwall findings at all.
+// TestDetWallSkipsNonSimulationPackages pins the path policy: under its own
+// import path, which is not under a simulation tree, the fixture package
+// produces no detwall findings at all.
 func TestDetWallSkipsNonSimulationPackages(t *testing.T) {
 	pkgs := loadFixture(t, "detwall")
 	diags, err := Check(pkgs, []*Analyzer{DetWall})

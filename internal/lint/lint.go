@@ -38,8 +38,7 @@ func (d Diagnostic) String() string {
 type Pass struct {
 	Pkg *Package
 	// Sim marks the package as a simulation package: detwall only applies
-	// there. The driver derives it from the import path (IsSimulationPackage);
-	// tests can force it with the ForceSimulation option.
+	// there. Check derives it from the import path (IsSimulationPackage).
 	Sim bool
 
 	analyzer *Analyzer
@@ -95,35 +94,18 @@ func IsSimulationPackage(modulePath, importPath string) bool {
 	return false
 }
 
-// Option configures Check.
-type Option func(*checker)
-
-type checker struct {
-	forceSim bool
-}
-
-// ForceSimulation makes Check treat every package as a simulation package,
-// regardless of import path. Used by analyzer tests on fixture packages.
-func ForceSimulation() Option {
-	return func(c *checker) { c.forceSim = true }
-}
-
 // Check runs the analyzers over the packages and returns the surviving
 // diagnostics, sorted by position: findings suppressed by a well-formed
 // //uflint:allow comment (same line or the line directly above) are dropped,
 // and malformed //uflint: directives are themselves reported.
-func Check(pkgs []*Package, analyzers []*Analyzer, opts ...Option) ([]Diagnostic, error) {
-	var c checker
-	for _, o := range opts {
-		o(&c)
-	}
+func Check(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		dirs := scanDirectives(pkg.Fset, pkg.Files)
 		var raw []Diagnostic
 		pass := &Pass{
 			Pkg:   pkg,
-			Sim:   c.forceSim || IsSimulationPackage(pkg.Module, pkg.Path),
+			Sim:   IsSimulationPackage(pkg.Module, pkg.Path),
 			dirs:  dirs,
 			diags: &raw,
 		}

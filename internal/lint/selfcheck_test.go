@@ -55,10 +55,10 @@ func TestModuleEscapesClean(t *testing.T) {
 // TestDetWallGuardsSimulationTree is the CI guard for the wall-clock
 // invariant: it builds a scratch module literally named uflip, drops a
 // time.Now call into its internal/flash package, and asserts detwall
-// reports it under the real path policy — no ForceSimulation escape
-// hatch. If the policy wiring ever breaks (renamed module, dropped
-// prefix match, detwall unwired), this fails before a wall-clock call
-// can slip into the simulation tree unnoticed.
+// reports it under the real path policy, on the package as loaded. If the
+// policy wiring ever breaks (renamed module, dropped prefix match, detwall
+// unwired), this fails before a wall-clock call can slip into the
+// simulation tree unnoticed.
 func TestDetWallGuardsSimulationTree(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, content string) {

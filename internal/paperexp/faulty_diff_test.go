@@ -62,21 +62,18 @@ func TestFaultyArmedPlanDeterministic(t *testing.T) {
 	plan := fullPlan(cfg, cfg.Capacity)
 	plan.Device = spec
 
-	csv := func(workers int) []byte {
+	run := func(workers int) ([]trace.RunRecord, []byte) {
 		t.Helper()
+		recs := Records(runPlanWith(t, spec, cfg, plan, workers))
 		var buf bytes.Buffer
-		if err := trace.WriteSummaryCSV(&buf, Records(runPlanWith(t, spec, cfg, plan, workers))); err != nil {
+		if err := trace.WriteSummaryCSV(&buf, recs); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return recs, buf.Bytes()
 	}
-	want := csv(1)
-	if got := csv(4); !bytes.Equal(got, want) {
+	recs, want := run(1)
+	if _, got := run(4); !bytes.Equal(got, want) {
 		t.Error("armed plan CSV differs between 1 and 4 workers")
-	}
-	recs, err := trace.ReadSummaryCSV(bytes.NewReader(want))
-	if err != nil {
-		t.Fatal(err)
 	}
 	var faults, retries int64
 	for _, r := range recs {
@@ -113,7 +110,7 @@ func TestFaultyZeroRateWorkloadDifferential(t *testing.T) {
 	cfg := cacheTestConfig(t, false)
 	run := func(gen workload.Generator, key string, workers int) []byte {
 		t.Helper()
-		res, err := workload.Generate(context.Background(), gen, ShardFactory(key, cfg),
+		res, err := workload.ReplaySource(context.Background(), generated(t, gen), ShardFactory(key, cfg),
 			workload.Options{SegmentOps: 100, Workers: workers, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +140,7 @@ func TestFaultyArmedWorkloadDeterministic(t *testing.T) {
 	gen := faultyDiffGenerators()[0]
 	run := func(workers int) *workload.Result {
 		t.Helper()
-		res, err := workload.Generate(context.Background(), gen, ShardFactory(spec, cfg),
+		res, err := workload.ReplaySource(context.Background(), generated(t, gen), ShardFactory(spec, cfg),
 			workload.Options{SegmentOps: 100, Workers: workers, Seed: 42})
 		if err != nil {
 			t.Fatal(err)

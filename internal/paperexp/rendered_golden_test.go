@@ -78,7 +78,7 @@ func renderedDigests(t *testing.T, workers int) map[string]string {
 	const spec = "faulty(stripe(2,memoright,memoright),seed=7)"
 	wcfg := Config{Capacity: 64 << 20, Seed: 42, Pause: time.Second}
 	gen := workload.OLTP{PageSize: 8192, TargetSize: wcfg.Capacity, ReadFraction: 0.7, Count: 4096, Seed: wcfg.Seed}
-	res, err := workload.Generate(context.Background(), gen, ShardFactory(spec, wcfg), workload.Options{
+	res, err := workload.ReplaySource(context.Background(), generated(t, gen), ShardFactory(spec, wcfg), workload.Options{
 		SegmentOps: 512,
 		Workers:    workers,
 		Seed:       wcfg.Seed,

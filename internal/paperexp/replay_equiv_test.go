@@ -111,14 +111,14 @@ func TestReplaySourceSameResultAnyWorkersAnySource(t *testing.T) {
 	if got := stats.Summarize(merged); got != want.Total {
 		t.Errorf("total %+v, the merged series gives %+v", want.Total, got)
 	}
-	if _, got := stats.WindowSummaries(merged, opts.WindowOps); !reflect.DeepEqual(got, want.Windows) {
+	if got := stats.Windows(merged, opts.WindowOps, 1); !reflect.DeepEqual(got, want.Windows) {
 		t.Errorf("windows differ from the merged series' (%d vs %d)", len(want.Windows), len(got))
 	}
 	// The windows are split by window range, one range per worker: every
 	// split gives the merged series' windows, from one-sample windows to one
 	// longer than the stream.
 	for _, size := range []int{1, 7, 256, 12_500, 12_501, len(ops) + 1} {
-		_, wantWindows := stats.WindowSummaries(merged, size)
+		wantWindows := stats.Windows(merged, size, 1)
 		for _, workers := range []int{1, 2, 3, 7} {
 			o := workload.Options{SegmentOps: opts.SegmentOps, WindowOps: size, Workers: workers, Seed: cfg.Seed}
 			res, err := workload.ReplaySource(context.Background(), sources[0].src, ShardFactory(spec, cfg), o)

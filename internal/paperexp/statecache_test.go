@@ -36,6 +36,17 @@ func cacheTestConfig(t *testing.T, store bool) Config {
 	return cfg
 }
 
+// generated is the replay source of a generator's materialized stream, as a
+// workload job builds it.
+func generated(t *testing.T, g workload.Generator) workload.Source {
+	t.Helper()
+	ops, err := g.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workload.OpsSource(g.Name(), ops)
+}
+
 func marshal(t *testing.T, v any) []byte {
 	t.Helper()
 	blob, err := json.Marshal(v)
@@ -111,7 +122,7 @@ func TestStateStoreDifferentialWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := workload.Generate(context.Background(), g, ShardFactory(key, cfg), workload.Options{
+		res, err := workload.ReplaySource(context.Background(), generated(t, g), ShardFactory(key, cfg), workload.Options{
 			SegmentOps: 150,
 			Workers:    workers,
 			Seed:       cfg.Seed,

@@ -141,10 +141,3 @@ func (p *Plot) Render(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// String renders the plot to a string.
-func (p *Plot) String() string {
-	var b strings.Builder
-	_ = p.Render(&b)
-	return b.String()
-}

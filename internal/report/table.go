@@ -92,10 +92,3 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	_ = t.Render(&b)
-	return b.String()
-}

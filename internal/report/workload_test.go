@@ -12,7 +12,7 @@ import (
 
 func sampleWorkloadResult() *workload.Result {
 	all := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond}
-	total, windows := stats.WindowSummaries(all, 2)
+	total, windows := stats.Summarize(all), stats.Windows(all, 2, 1)
 	mkRun := func(name string, rts ...time.Duration) *core.Run {
 		return &core.Run{
 			Name: name, Device: "memoright", RTs: rts,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -42,7 +43,13 @@ var evictionJob = api.JobRequest{Kind: "plan", Device: "kingston-dti", Capacity:
 func awaitRetained(ctx context.Context, t *testing.T, c *client.Client, n int) {
 	t.Helper()
 	for {
-		list, err := c.List(ctx)
+		var list api.JobList
+		resp, err := http.Get(c.BaseURL + "/" + api.Version + "/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&list)
+		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +75,7 @@ func TestFinishedJobEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Wait(ctx, st.ID); err != nil {
+		if err := c.Events(ctx, st.ID, 0, func(api.Event) {}); err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = st.ID

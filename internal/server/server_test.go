@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -368,8 +369,8 @@ func TestSharedStateStoreAcrossJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := paperexp.Config{Capacity: testCapacity, Seed: 42, Store: store}
-	if !store.Contains(paperexp.StateKey("mtron", cfg)) {
-		t.Fatal("server jobs did not persist the enforced state")
+	if _, err := os.Stat(store.Path(paperexp.StateKey("mtron", cfg))); err != nil {
+		t.Fatalf("server jobs did not persist the enforced state: %v", err)
 	}
 	_, _, hit, err := paperexp.PrepareCached("mtron", cfg)
 	if err != nil {

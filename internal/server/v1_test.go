@@ -405,13 +405,13 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 		t.Fatalf("re-upload: %+v, %v — want the same hash back", again, err)
 	}
 
-	fetched, err := cl.Trace(ctx, info.Hash)
-	if err != nil || !bytes.Equal(fetched, body) {
-		t.Fatalf("trace round-trip failed: %v", err)
+	if code, fetched := get(t, ts, "/traces/"+info.Hash); code != http.StatusOK || !bytes.Equal(fetched, body) {
+		t.Fatalf("trace round-trip failed: HTTP %d", code)
 	}
-	list, err := cl.Traces(ctx)
-	if err != nil || len(list.Traces) != 1 || list.Traces[0].Hash != info.Hash {
-		t.Fatalf("trace list = %+v, %v", list, err)
+	var list api.TraceList
+	code, listed := get(t, ts, "/traces")
+	if err := json.Unmarshal(listed, &list); err != nil || code != http.StatusOK || len(list.Traces) != 1 || list.Traces[0].Hash != info.Hash {
+		t.Fatalf("trace list = HTTP %d %+v, %v", code, list, err)
 	}
 
 	req := api.JobRequest{
@@ -426,13 +426,7 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := cl.Wait(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != server.StatusDone {
-		t.Fatalf("trace job %s: %s", final.Status, final.Error)
-	}
+	waitFor(t, ts, st.ID, server.StatusDone)
 	csv, err := cl.CSV(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +434,7 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 
 	// The same request run in-process over the same ops, labeled as the
 	// daemon labels an upload: by the head of its ops-hash.
-	direct := workload.OpsSource(workload.Trace{Label: info.OpsHash[:12]}.Name(), ops)
+	direct := workload.OpsSource(workload.TraceName(info.OpsHash[:12]), ops)
 	if !bytes.Equal(csv, runLocally(t, req, direct).CSV) {
 		t.Fatal("trace job CSV differs from the direct replay of the same ops")
 	}
@@ -528,10 +522,7 @@ func TestTraceDualFormatReplayIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final, err := c.Wait(ctx, st.ID)
-		if err != nil || final.Status != server.StatusDone {
-			t.Fatalf("replay of %s: %v, status %s (%s)", hash[:12], err, final.Status, final.Error)
-		}
+		waitFor(t, ts, st.ID, server.StatusDone)
 		csv, err := c.CSV(ctx, st.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -557,10 +548,10 @@ func TestTraceDualFormatReplayIdentical(t *testing.T) {
 		ts2.Close()
 		srv2.Close()
 	}()
-	cl2 := &client.Client{BaseURL: ts2.URL}
-	list, err := cl2.Traces(ctx)
-	if err != nil || len(list.Traces) != 2 {
-		t.Fatalf("restarted trace list = %+v, %v — want both formats back", list, err)
+	var list api.TraceList
+	code, listed := get(t, ts2, "/traces")
+	if err := json.Unmarshal(listed, &list); err != nil || code != http.StatusOK || len(list.Traces) != 2 {
+		t.Fatalf("restarted trace list = HTTP %d %+v, %v — want both formats back", code, list, err)
 	}
 	reloaded := map[string]api.TraceInfo{}
 	for _, info := range list.Traces {

@@ -94,13 +94,6 @@ func (s *Store) Path(k Key) string {
 	return filepath.Join(s.dir, k.Hash()+".state")
 }
 
-// Contains reports whether a state file exists for the key (without
-// validating it — Load does that).
-func (s *Store) Contains(k Key) bool {
-	_, err := os.Stat(s.Path(k))
-	return err == nil
-}
-
 // LockKey locks the key's in-process mutex and returns the unlock function.
 // Callers wrap the whole load-or-enforce-and-save window in it so concurrent
 // jobs that miss on the same key enforce the state once, not once each.

@@ -47,22 +47,6 @@ func TestPercentilesDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// TestPercentilesSorted checks the no-copy variant against the copying one.
-func TestPercentilesSorted(t *testing.T) {
-	sorted := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8}
-	a := PercentilesSorted(sorted, 50, 95)
-	b := Percentiles(sorted, 50, 95)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sorted variant diverges: %v vs %v", a, b)
-		}
-	}
-	z := PercentilesSorted(nil, 50)
-	if len(z) != 1 || z[0] != 0 {
-		t.Fatalf("empty sorted input: %v", z)
-	}
-}
-
 // TestPercentilesAllocs pins the allocation profile of the batch API: one
 // scratch (bucket counts, gather pool, rank bookkeeping) plus the result
 // slice, independent of how many percentiles are requested — so p50/p95/p99
@@ -88,18 +72,10 @@ func TestPercentilesAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("Percentiles of %d ps allocates %.1f times per call, want <= 2", len(many), allocs)
 	}
-	sorted := append([]time.Duration(nil), samples...)
-	slices.Sort(sorted)
-	allocs = testing.AllocsPerRun(100, func() {
-		PercentilesSorted(sorted, 50, 90, 95, 99, 99.9)
-	})
-	if allocs > 1 {
-		t.Fatalf("PercentilesSorted allocates %.1f times per call, want <= 1 (result)", allocs)
-	}
 }
 
 // TestPercentilesMatchSorted is the differential test for the histogram
-// selection inside Percentiles. The oracle is PercentilesSorted over a fully
+// selection inside Percentiles. The oracle is percentilesSorted over a fully
 // sorted copy. Every value must be equal — not close — and the input must
 // come back untouched.
 func TestPercentilesMatchSorted(t *testing.T) {
@@ -142,7 +118,7 @@ func TestPercentilesMatchSorted(t *testing.T) {
 			return time.Duration(rng.Intn(50))
 		})},
 	}
-	lengths := []int{1, 2, 3, 11, 12, 13, 14, 100, 1000, 4999, 5000}
+	lengths := []int{0, 1, 2, 3, 11, 12, 13, 14, 100, 1000, 4999, 5000}
 	for range 60 {
 		lengths = append(lengths, 1+rng.Intn(5000))
 	}
@@ -159,7 +135,7 @@ func TestPercentilesMatchSorted(t *testing.T) {
 				t.Fatalf("%s n=%d: input modified", shape.name, n)
 			}
 			slices.Sort(before)
-			want := PercentilesSorted(before, ps...)
+			want := percentilesSorted(before, ps...)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s n=%d ps=%v:\n got %v\nwant %v", shape.name, n, ps, got, want)
 			}
@@ -167,7 +143,7 @@ func TestPercentilesMatchSorted(t *testing.T) {
 	}
 }
 
-// FuzzPercentilesMatchSorted holds Percentiles to PercentilesSorted over a
+// FuzzPercentilesMatchSorted holds Percentiles to percentilesSorted over a
 // sorted copy on arbitrary samples and percentiles, and the samples to what
 // they were. An input is a percentile count (its first byte, mod 16), that
 // many little-endian float64 percentiles, then the samples as little-endian
@@ -230,10 +206,25 @@ func FuzzPercentilesMatchSorted(f *testing.F) {
 			return
 		}
 		slices.Sort(before)
-		if want := PercentilesSorted(before, ps...); !slices.Equal(got, want) {
+		if want := percentilesSorted(before, ps...); !slices.Equal(got, want) {
 			t.Fatalf("ps=%v n=%d:\n got %v\nwant %v", ps, len(samples), got, want)
 		}
 	})
+}
+
+// percentilesSorted is the definition Percentiles must meet: each percentile
+// read off samples already sorted ascending, interpolating linearly between
+// the closest ranks.
+func percentilesSorted(sorted []time.Duration, ps ...float64) []time.Duration {
+	out := make([]time.Duration, len(ps))
+	if len(sorted) == 0 {
+		return out
+	}
+	for i, p := range ps {
+		lo, hi, frac := rankOf(len(sorted), p)
+		out[i] = interpolate(sorted[lo], sorted[hi], frac)
+	}
+	return out
 }
 
 // BenchmarkPercentiles times p50/p95/p99 of one replay segment's worth of

@@ -126,7 +126,7 @@ func Summarize(samples []time.Duration) Summary {
 
 // Percentiles returns the requested percentiles (each 0 <= p <= 100, clamped
 // otherwise) of the samples using linear interpolation between closest
-// ranks: the values PercentilesSorted reads off a sorted copy, for every
+// ranks: the values read off a sorted copy at those ranks, for every
 // input. It returns nil for no percentiles and all-zero values for an empty
 // sample slice. The samples are only read — never copied, never reordered —
 // so a replay selects over the series it still needs in stream order.
@@ -277,20 +277,6 @@ func (h *histogram) resolve(base time.Duration, span uint64, ranks, vals, bucket
 			h.resolve(base+time.Duration(b<<shift), uint64(1)<<shift-1, ranks[i:j], vals[i:j], buckets[i:j])
 		}
 	}
-}
-
-// PercentilesSorted is Percentiles over samples the caller has already
-// sorted ascending: no copy, no sort, no allocation beyond the result.
-func PercentilesSorted(sorted []time.Duration, ps ...float64) []time.Duration {
-	out := make([]time.Duration, len(ps))
-	if len(sorted) == 0 {
-		return out
-	}
-	for i, p := range ps {
-		lo, hi, frac := rankOf(len(sorted), p)
-		out[i] = interpolate(sorted[lo], sorted[hi], frac)
-	}
-	return out
 }
 
 // rankOf returns the closest ranks around the p-th percentile of n > 0

@@ -16,12 +16,6 @@ type Window struct {
 	Summary Summary `json:"summary"`
 }
 
-// WindowSummaries slices a series into fixed-size windows (size < 1 means
-// 1) and summarizes each, plus the whole series, on the calling goroutine.
-func WindowSummaries(samples []time.Duration, size int) (Summary, []Window) {
-	return Summarize(samples), Windows(samples, size, 1)
-}
-
 // Windows slices a series into fixed-size windows (size < 1 means 1), the
 // last one partial when the series does not end on a window boundary, and
 // summarizes each into a slice of exactly the windows. The windows are

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Windowed is the streaming accumulator WindowSummaries once ran, kept as
+// Windowed is the streaming accumulator Windows replaced, kept as
 // its oracle: every Size samples it seals a Window, while a second
 // accumulator keeps the overall totals.
 type Windowed struct {
@@ -114,20 +114,17 @@ func TestWindowedTotalMatchesSummarize(t *testing.T) {
 	}
 }
 
-func TestWindowSummariesConvenience(t *testing.T) {
-	if total, got := WindowSummaries(nil, 10); len(got) != 0 || total.N != 0 {
-		t.Fatalf("empty series produced %d windows, total %+v", len(got), total)
-	}
-	_, got := WindowSummaries([]time.Duration{time.Millisecond, time.Millisecond}, 0)
-	if len(got) != 2 { // size < 1 clamps to 1: one window per sample
-		t.Fatalf("size 0 produced %d windows, want 2", len(got))
-	}
-}
-
-// TestWindowSummariesMatchesStreaming: the series function returns what the
+// TestWindowSummariesMatchesStreaming: Summarize and Windows return what the
 // streaming accumulator does, in one allocation of exactly the windows, and
 // Windows returns the same windows however many ranges it splits them into.
+// An empty series has no windows, and a size below 1 means 1.
 func TestWindowSummariesMatchesStreaming(t *testing.T) {
+	if got := Windows(nil, 10, 1); len(got) != 0 {
+		t.Fatalf("empty series produced %d windows", len(got))
+	}
+	if got := Windows([]time.Duration{time.Millisecond, time.Millisecond}, 0, 1); len(got) != 2 {
+		t.Fatalf("size 0 produced %d windows, want 2", len(got))
+	}
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 63, 64, 65, 1000} {
 		samples := make([]time.Duration, n)
@@ -138,15 +135,15 @@ func TestWindowSummariesMatchesStreaming(t *testing.T) {
 		for _, d := range samples {
 			w.AddDuration(d)
 		}
-		total, windows := WindowSummaries(samples, 64)
+		total, windows := Summarize(samples), Windows(samples, 64, 1)
 		if total != w.Total() || !reflect.DeepEqual(windows, w.Windows()) {
-			t.Fatalf("n=%d: WindowSummaries differs from the streaming accumulator", n)
+			t.Fatalf("n=%d: Summarize and Windows differ from the streaming accumulator", n)
 		}
 		if cap(windows) != len(windows) {
 			t.Fatalf("n=%d: %d windows in a slice of capacity %d", n, len(windows), cap(windows))
 		}
-		if allocs := testing.AllocsPerRun(10, func() { WindowSummaries(samples, 64) }); allocs > 2 {
-			t.Fatalf("n=%d: WindowSummaries allocates %.0f times, want <= 2 (windows + wait group)", n, allocs)
+		if allocs := testing.AllocsPerRun(10, func() { Summarize(samples); Windows(samples, 64, 1) }); allocs > 2 {
+			t.Fatalf("n=%d: Summarize and Windows allocate %.0f times, want <= 2 (windows + wait group)", n, allocs)
 		}
 		for _, parts := range []int{0, 2, 3, 7, 16, n + 1} {
 			if got := Windows(samples, 64, parts); !reflect.DeepEqual(got, windows) {

@@ -2,8 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"math"
 	"reflect"
+	"strconv"
 	"testing"
+	"time"
 )
 
 // FuzzReadSummaryCSV checks that the summary-CSV parser never panics and
@@ -24,7 +30,7 @@ func FuzzReadSummaryCSV(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ReadSummaryCSV(bytes.NewReader(data))
+		recs, err := readSummaryCSV(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -32,7 +38,7 @@ func FuzzReadSummaryCSV(f *testing.F) {
 		if err := WriteSummaryCSV(&b1, recs); err != nil {
 			t.Fatalf("write accepted records: %v", err)
 		}
-		recs2, err := ReadSummaryCSV(bytes.NewReader(b1.Bytes()))
+		recs2, err := readSummaryCSV(bytes.NewReader(b1.Bytes()))
 		if err != nil {
 			t.Fatalf("reread written summary: %v", err)
 		}
@@ -40,7 +46,7 @@ func FuzzReadSummaryCSV(f *testing.F) {
 		if err := WriteSummaryCSV(&b2, recs2); err != nil {
 			t.Fatal(err)
 		}
-		recs3, err := ReadSummaryCSV(bytes.NewReader(b2.Bytes()))
+		recs3, err := readSummaryCSV(bytes.NewReader(b2.Bytes()))
 		if err != nil {
 			t.Fatalf("reread canonical summary: %v", err)
 		}
@@ -71,7 +77,7 @@ func FuzzReadRTSeriesCSV(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rts, err := ReadRTSeriesCSV(bytes.NewReader(data))
+		rts, err := readRTSeriesCSV(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -84,7 +90,7 @@ func FuzzReadRTSeriesCSV(f *testing.F) {
 		if err := WriteRTSeriesCSV(&b1, rts); err != nil {
 			t.Fatalf("write accepted series: %v", err)
 		}
-		rts2, err := ReadRTSeriesCSV(bytes.NewReader(b1.Bytes()))
+		rts2, err := readRTSeriesCSV(bytes.NewReader(b1.Bytes()))
 		if err != nil {
 			t.Fatalf("reread written series: %v", err)
 		}
@@ -99,4 +105,98 @@ func FuzzReadRTSeriesCSV(f *testing.F) {
 			t.Fatal("written RT series is not byte-stable")
 		}
 	})
+}
+
+// readSummaryCSV parses the output of WriteSummaryCSV back into summary-only
+// records (the per-IO series is not part of the summary CSV). It is the
+// oracle of the writer's losslessness; no program reads a summary CSV back.
+func readSummaryCSV(r io.Reader) ([]RunRecord, error) {
+	cr := csv.NewReader(r)
+	rows, err := cr.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("trace: summary CSV is empty")
+	}
+	// The full header must match: older files stored milliseconds under
+	// *_ms columns, and accepting them here would silently misread every
+	// time by a factor of 1000.
+	if len(rows[0]) != len(summaryHeader) {
+		return nil, fmt.Errorf("trace: unexpected summary CSV header %v", rows[0])
+	}
+	for i, h := range summaryHeader {
+		if rows[0][i] != h {
+			return nil, fmt.Errorf("trace: unexpected summary CSV header %v (column %d is %q, want %q)", rows[0], i, rows[0][i], h)
+		}
+	}
+	out := make([]RunRecord, 0, len(rows)-1)
+	for i, row := range rows[1:] {
+		if len(row) != len(summaryHeader) {
+			return nil, fmt.Errorf("trace: summary row %d has %d columns, want %d", i+1, len(row), len(summaryHeader))
+		}
+		var rec RunRecord
+		rec.ID, rec.Device, rec.Micro, rec.Base, rec.Param = row[0], row[1], row[2], row[3], row[4]
+		fields := []struct {
+			name string
+			text string
+			dst  *float64
+		}{
+			{"min_s", row[7], &rec.Summary.Min},
+			{"max_s", row[8], &rec.Summary.Max},
+			{"mean_s", row[9], &rec.Summary.Mean},
+			{"stddev_s", row[10], &rec.Summary.StdDev},
+			{"total_s", row[11], &rec.TotalSeconds},
+		}
+		if rec.Value, err = strconv.ParseInt(row[5], 10, 64); err != nil {
+			return nil, fmt.Errorf("trace: summary row %d value: %w", i+1, err)
+		}
+		if rec.Summary.N, err = strconv.ParseInt(row[6], 10, 64); err != nil {
+			return nil, fmt.Errorf("trace: summary row %d n: %w", i+1, err)
+		}
+		if rec.Faults, err = strconv.ParseInt(row[12], 10, 64); err != nil {
+			return nil, fmt.Errorf("trace: summary row %d faults: %w", i+1, err)
+		}
+		if rec.Retries, err = strconv.ParseInt(row[13], 10, 64); err != nil {
+			return nil, fmt.Errorf("trace: summary row %d retries: %w", i+1, err)
+		}
+		for _, f := range fields {
+			if *f.dst, err = strconv.ParseFloat(f.text, 64); err != nil {
+				return nil, fmt.Errorf("trace: summary row %d %s: %w", i+1, f.name, err)
+			}
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
+
+// readRTSeriesCSV parses the output of WriteRTSeriesCSV back into durations,
+// rounding each value to the nearest nanosecond. Values must be finite,
+// non-negative and at most MaxRTSeconds.
+func readRTSeriesCSV(r io.Reader) ([]time.Duration, error) {
+	cr := csv.NewReader(r)
+	rows, err := cr.ReadAll()
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	// Require the exact header: an older io,rt_ms file read as seconds
+	// would inflate every duration by a factor of 1000.
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("trace: RT series CSV is empty")
+	}
+	if len(rows[0]) != 2 || rows[0][0] != "io" || rows[0][1] != "rt_s" {
+		return nil, fmt.Errorf("trace: unexpected RT series CSV header %v (want io,rt_s)", rows[0])
+	}
+	out := make([]time.Duration, 0, len(rows)-1)
+	for i, row := range rows[1:] {
+		s, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			return nil, fmt.Errorf("trace: RT series row %d: %w", i+1, err)
+		}
+		if math.IsNaN(s) || s < 0 || s > MaxRTSeconds {
+			return nil, fmt.Errorf("trace: RT series row %d: %v outside [0, %v]", i+1, s, MaxRTSeconds)
+		}
+		out = append(out, time.Duration(math.Round(s*float64(time.Second))))
+	}
+	return out, nil
 }

@@ -170,7 +170,7 @@ func TestSummaryCSVRoundTrip(t *testing.T) {
 	if err := WriteSummaryCSV(&first, records); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSummaryCSV(bytes.NewReader(first.Bytes()))
+	got, err := readSummaryCSV(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +198,11 @@ func TestSummaryCSVRoundTrip(t *testing.T) {
 func TestReadCSVRejectsLegacyHeaders(t *testing.T) {
 	legacySummary := "id,device,micro,base,param,value,n,min_ms,max_ms,mean_ms,stddev_ms,total_s\n" +
 		"x,memoright,,,,0,1,0.5,0.5,0.5,0,1.0\n"
-	if _, err := ReadSummaryCSV(strings.NewReader(legacySummary)); err == nil {
+	if _, err := readSummaryCSV(strings.NewReader(legacySummary)); err == nil {
 		t.Fatal("legacy ms summary CSV accepted")
 	}
 	legacySeries := "io,rt_ms\n0,0.5\n"
-	if _, err := ReadRTSeriesCSV(strings.NewReader(legacySeries)); err == nil {
+	if _, err := readRTSeriesCSV(strings.NewReader(legacySeries)); err == nil {
 		t.Fatal("legacy ms RT series CSV accepted")
 	}
 }
@@ -218,7 +218,7 @@ func TestRTSeriesCSVRoundTrip(t *testing.T) {
 	if err := WriteRTSeriesCSV(&first, rts); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRTSeriesCSV(bytes.NewReader(first.Bytes()))
+	got, err := readRTSeriesCSV(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

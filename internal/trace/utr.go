@@ -220,9 +220,6 @@ func NewScanner(r io.Reader) (*Scanner, error) {
 	return &Scanner{r: r, count: count, want: want, chunk: chunk}, nil
 }
 
-// Count returns the record count declared by the header.
-func (s *Scanner) Count() int { return s.count }
-
 // Scan advances to the next record. It returns false at the end of the
 // trace or on the first error; Err tells the two apart.
 //

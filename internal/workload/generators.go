@@ -281,7 +281,7 @@ func (b Bursty) Name() string {
 
 // Generate materializes the inner stream and reshapes its arrivals. The
 // inner stream is copied, never mutated: a generator backed by a shared
-// slice (workload.Trace) keeps its original gaps.
+// slice keeps its original gaps.
 func (b Bursty) Generate() ([]Op, error) {
 	if b.Inner == nil {
 		return nil, fmt.Errorf("workload: Bursty needs an Inner generator")

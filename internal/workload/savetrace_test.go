@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -19,7 +20,12 @@ func TestSaveTraceMakesParents(t *testing.T) {
 	if err := SaveOps(path, ops); err != nil {
 		t.Fatalf("SaveOps into missing directories: %v", err)
 	}
-	got, err := LoadOps(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := ReadOps(f)
 	if err != nil {
 		t.Fatal(err)
 	}

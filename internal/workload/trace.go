@@ -155,9 +155,6 @@ func (ts *TraceScanner) Scan() bool {
 // Op returns the op read by the last successful Scan.
 func (ts *TraceScanner) Op() Op { return ts.op }
 
-// Count returns the number of ops scanned so far.
-func (ts *TraceScanner) Count() int { return ts.count }
-
 // Err returns the first error the scanner hit, or nil.
 func (ts *TraceScanner) Err() error { return ts.err }
 
@@ -306,16 +303,6 @@ func WriteOps(w io.Writer, format string, ops []Op) error {
 	return wr.Close()
 }
 
-// LoadOps reads a block trace, in either form, from a file.
-func LoadOps(path string) ([]Op, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	defer f.Close()
-	return ReadOps(f)
-}
-
 // SaveOps writes ops to a file in the form the path's extension names,
 // creating parent directories. It is a plain create-write-close: the atomic
 // temp+fsync+rename is ConvertTraceFile's, whose output may be its input.
@@ -417,30 +404,14 @@ func OpenTrace(ra io.ReaderAt, size int64, label string) (Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return OpsSource(Trace{Label: label}.Name(), ops), nil
+	return OpsSource(TraceName(label), ops), nil
 }
 
-// Trace adapts a parsed op stream to the Generator interface so replayed
-// traces flow through the same reporting path as synthetic workloads.
-type Trace struct {
-	// Label names the trace in reports (e.g. the file name).
-	Label string
-	// Ops is the parsed stream.
-	Ops []Op
-}
-
-// Name labels the workload.
-func (t Trace) Name() string {
-	if t.Label == "" {
+// TraceName labels a replayed trace in reports; label is typically the file
+// name, and a stream replayed from either form is labelled the same.
+func TraceName(label string) string {
+	if label == "" {
 		return "trace"
 	}
-	return "trace(" + t.Label + ")"
-}
-
-// Generate returns the parsed stream.
-func (t Trace) Generate() ([]Op, error) {
-	if len(t.Ops) == 0 {
-		return nil, fmt.Errorf("workload: trace holds no IOs")
-	}
-	return t.Ops, nil
+	return "trace(" + label + ")"
 }

@@ -127,16 +127,12 @@ func TestTraceErrorsReportFileLines(t *testing.T) {
 	}
 }
 
-func TestTraceGenerator(t *testing.T) {
-	tr := workload.Trace{Label: "t.csv", Ops: []workload.Op{{IO: device.IO{Mode: device.Read, Size: 512}}}}
-	if tr.Name() != "trace(t.csv)" {
-		t.Fatalf("name = %q", tr.Name())
+// TestTraceName: a trace is labelled by its label, or plainly without one.
+func TestTraceName(t *testing.T) {
+	if got := workload.TraceName("t.csv"); got != "trace(t.csv)" {
+		t.Fatalf("name = %q", got)
 	}
-	ops, err := tr.Generate()
-	if err != nil || len(ops) != 1 {
-		t.Fatalf("generate: %v, %d ops", err, len(ops))
-	}
-	if _, err := (workload.Trace{}).Generate(); err == nil {
-		t.Fatal("empty trace generated")
+	if got := workload.TraceName(""); got != "trace" {
+		t.Fatalf("unlabelled name = %q", got)
 	}
 }

@@ -34,7 +34,7 @@ type UTRSource struct {
 
 // NewUTRSource validates the .utr trace stored in ra (size bytes long) and
 // returns a segment-addressable source. label names the trace in reports,
-// as Trace.Label does for the slice-backed path. Validation is complete
+// as the label passed to OpenTrace does for a CSV trace. Validation is complete
 // before it returns — header, size, every record, payload CRC, with the
 // scanner's errors (trace.VerifyUTR) — and a long trace is validated on
 // every CPU, so ra must allow concurrent ReadAt calls.
@@ -75,9 +75,9 @@ func OpenUTRFile(path string) (*UTRSource, error) {
 // SetLabel names the trace in reports.
 func (u *UTRSource) SetLabel(label string) { u.label = label }
 
-// Name labels the workload, matching the slice-backed Trace generator so a
-// stream replayed from either format produces identical reports.
-func (u *UTRSource) Name() string { return Trace{Label: u.label}.Name() }
+// Name labels the workload as OpenTrace labels a CSV trace, so a stream
+// replayed from either format produces identical reports.
+func (u *UTRSource) Name() string { return TraceName(u.label) }
 
 // Len returns the record count declared by the trace header.
 func (u *UTRSource) Len() int { return u.count }

@@ -297,7 +297,7 @@ func TestUTRSourceSegments(t *testing.T) {
 	if src.Len() != len(ops) {
 		t.Fatalf("Len = %d, want %d", src.Len(), len(ops))
 	}
-	if want := (workload.Trace{Label: "seg"}).Name(); src.Name() != want {
+	if want := workload.TraceName("seg"); src.Name() != want {
 		t.Fatalf("Name = %q, want %q", src.Name(), want)
 	}
 	// One decode buffer serves every window in turn, growing and shrinking,
@@ -455,10 +455,10 @@ func TestReplayUTRMatchesCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := testFactory(t)
-	name := (workload.Trace{Label: "replay"}).Name()
+	name := workload.TraceName("replay")
 	for _, workers := range []int{1, 4} {
 		opts := workload.Options{SegmentOps: 150, Workers: workers, Seed: 3}
-		direct, err := workload.ReplayParallel(context.Background(), name, ops, factory, opts)
+		direct, err := workload.ReplaySource(context.Background(), workload.OpsSource(name, ops), factory, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -236,19 +236,13 @@ func (s opsSource) Segment(start, n int) ([]Op, error) {
 // OpsSource wraps an in-memory stream as a Source.
 func OpsSource(name string, ops []Op) Source { return opsSource{name: name, ops: ops} }
 
-// ReplayParallel replays the stream through the engine: contiguous segments
+// ReplaySource replays the stream through the engine: contiguous segments
 // of opts.SegmentOps ops, one private device per segment (built by factory),
-// runs merged in stream order. The result is byte-identical for any
-// opts.Workers value.
-func ReplayParallel(ctx context.Context, name string, ops []Op, factory engine.DeviceFactory, opts Options) (*Result, error) {
-	return ReplaySource(ctx, opsSource{name: name, ops: ops}, factory, opts)
-}
-
-// ReplaySource is ReplayParallel over a Source: the partition is a pure
-// function of src.Len() and opts.SegmentOps, never of the worker count; each
-// engine job materializes only its own segment, and the merged result is
-// byte-identical to replaying the materialized stream — for any opts.Workers
-// value and for any Source backing (in-memory slice or .utr file).
+// runs merged in stream order. The partition is a pure function of src.Len()
+// and opts.SegmentOps, never of the worker count; each engine job
+// materializes only its own segment, and the merged result is byte-identical
+// to replaying the materialized stream — for any opts.Workers value and for
+// any Source backing (in-memory slice or .utr file).
 //
 // The response times of the whole stream live in one array in stream order:
 // every segment's run.RTs is its window of that array, so the runs of a
@@ -342,14 +336,4 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 	pcts := <-selected
 	res.P50, res.P95, res.P99 = pcts[0], pcts[1], pcts[2]
 	return res, nil
-}
-
-// Generate materializes a generator's stream and replays it in parallel: the
-// convenience path the uflip workload subcommand and the examples use.
-func Generate(ctx context.Context, g Generator, factory engine.DeviceFactory, opts Options) (*Result, error) {
-	ops, err := g.Generate()
-	if err != nil {
-		return nil, err
-	}
-	return ReplayParallel(ctx, g.Name(), ops, factory, opts)
 }

@@ -3,6 +3,7 @@ package workload_test
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -137,14 +138,21 @@ func TestGeneratorsProduceValidOps(t *testing.T) {
 	}
 }
 
+// sharedOps is a generator backed by a shared slice: Generate hands out the
+// slice itself.
+type sharedOps []workload.Op
+
+func (s sharedOps) Name() string                     { return "shared" }
+func (s sharedOps) Generate() ([]workload.Op, error) { return s, nil }
+
 // TestBurstyDoesNotMutateInner pins that Bursty copies the inner stream: a
-// generator backed by a shared slice (workload.Trace) keeps its own gaps.
+// generator backed by a shared slice keeps its own gaps.
 func TestBurstyDoesNotMutateInner(t *testing.T) {
 	orig := []workload.Op{
 		{Gap: 5 * time.Microsecond, IO: device.IO{Mode: device.Read, Size: 512}},
 		{Gap: 7 * time.Microsecond, IO: device.IO{Mode: device.Write, Off: 512, Size: 512}},
 	}
-	tr := workload.Trace{Ops: orig}
+	tr := sharedOps(orig)
 	shaped, err := workload.Bursty{Inner: tr, BurstOps: 1, Gap: time.Second}.Generate()
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +257,7 @@ func TestReplayParallelDeterministic(t *testing.T) {
 		t.Helper()
 		var blobs [][]byte
 		for _, workers := range []int{1, 4} {
-			res, err := workload.ReplayParallel(context.Background(), name, ops, factory, workload.Options{
+			res, err := workload.ReplaySource(context.Background(), workload.OpsSource(name, ops), factory, workload.Options{
 				SegmentOps: 96, Workers: workers, Seed: 17, WindowOps: 64,
 			})
 			if err != nil {
@@ -299,17 +307,22 @@ func TestGenerateViaTraceRoundTrip(t *testing.T) {
 	if err := workload.SaveOps(path, ops); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := workload.LoadOps(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := workload.ReadOps(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	factory := testFactory(t)
 	opts := workload.Options{SegmentOps: 64, Workers: 2, Seed: 31}
-	direct, err := workload.ReplayParallel(context.Background(), "w", ops, factory, opts)
+	direct, err := workload.ReplaySource(context.Background(), workload.OpsSource("w", ops), factory, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTrace, err := workload.ReplayParallel(context.Background(), "w", loaded, factory, opts)
+	viaTrace, err := workload.ReplaySource(context.Background(), workload.OpsSource("w", loaded), factory, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
