@@ -210,9 +210,19 @@ func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, f
 			}
 			fmt.Printf("== %s (%s)\n", req.Device, desc)
 			env.Stages = planNarration(*stateDir, &renderErr)
-			env.Replaying = func(name string, ops, segmentOps, workers int) {
-				fmt.Printf("replaying %s: %d IOs in segments of %d on %d workers\n", name, ops, segmentOps, workers)
+		}
+		if kind == "workload" {
+			if env.Source == nil {
+				if env.Source, err = job.Synthetic(req.Workload.Spec); err != nil {
+					return err
+				}
 			}
+			workers := req.Parallel
+			if workers <= 0 {
+				workers = runtime.GOMAXPROCS(0)
+			}
+			fmt.Printf("replaying %s: %d IOs in segments of %d on %d workers\n",
+				env.Source.Name(), env.Source.Len(), req.Workload.SegmentOps, workers)
 		}
 
 		out, err := job.Run(ctx, req, env)
@@ -279,7 +289,7 @@ func planNarration(stateDir string, renderErr *error) paperexp.Stages {
 		},
 		PlanBuilt: func(plan methodology.Plan, workers int) {
 			fmt.Printf("\nplan: %d runs, %d state resets; executing on %d workers\n",
-				len(plan.Steps)-plan.Resets, plan.Resets, workers)
+				len(plan.Runs), plan.Resets, workers)
 		},
 	}
 }

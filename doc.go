@@ -11,8 +11,8 @@
 // "go run ./cmd/uflip -device memoright" for a full benchmark run.
 // Benchmark plans execute through the parallel engine (internal/engine):
 // deterministic shards on private simulated devices across a worker pool,
-// selected with the uflip command's -parallel flag (-parallel 1 is the
-// sequential fallback; any worker count produces identical results).
+// selected with the uflip command's -parallel flag (-parallel 1 is one
+// worker; any worker count produces identical results).
 //
 // Performance: the IO pipeline is batch-first. device.Device exposes
 // SubmitBatch(at, ios, done) next to the per-IO Submit: callers hand over

@@ -210,6 +210,7 @@ func Order(d Defaults, capacity int64) Microbenchmark {
 			}
 			if span > capacity/2 {
 				span = capacity / 2
+				span -= span % d.IOSize
 			}
 			if span < d.IOSize {
 				span = d.IOSize

@@ -2,8 +2,8 @@
 // methodology (Section 4) produces plans of many mutually independent runs:
 // each run measures one experiment after the device state has been enforced,
 // and runs are separated by pauses (or full state resets) precisely so they
-// do not interfere. The engine exploits that independence: it partitions a
-// methodology.Plan into deterministic shards, gives every shard a private
+// do not interfere. The engine exploits that independence: it makes every
+// run of a methodology.Plan a deterministic shard, gives every shard a private
 // simulated device in a freshly built state (so runs never share mutable FTL
 // state; a worker's finished device is offered to its next shard to be
 // recycled, Shard.Reuse) and its own derived RNG seed, executes the shards
@@ -28,8 +28,8 @@ import (
 // the plan, never on the worker count, which is what keeps parallel execution
 // deterministic.
 type Shard struct {
-	// Index is the shard's position in the partition, and the index of the
-	// run it executes: the plan's run (methodology.Plan.Runs) or the job.
+	// Index is the index of the run the shard executes: the plan's run
+	// (methodology.Plan.Runs) or the job.
 	Index int
 	// Seed is the shard's derived RNG seed, a pure function of (base seed,
 	// shard index), offered to factories that want per-shard randomness. No
@@ -63,8 +63,8 @@ type ProgressFunc func(done, total int, desc string)
 // Options tunes plan execution.
 type Options struct {
 	// Workers bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
-	// Workers == 1 is the sequential fallback: shards execute inline, in
-	// order, on the calling goroutine.
+	// With one worker the pool is the calling goroutine alone: shards run
+	// on it in index order and no goroutine starts.
 	Workers int
 	// Seed is the base seed from which Shard.Seed values are derived. It
 	// reaches results only through a factory that reads Shard.Seed; the
@@ -92,19 +92,6 @@ func shardSeed(base int64, index int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Partition returns the shards of n independent runs, shard i running run i
-// with its own derived seed: a pure function of n and the base seed. A plan's
-// runs are its run steps (methodology.Plan.Runs), each on its own device in
-// the freshly enforced state — exactly what a StepReset asks for, so reset
-// steps need no shard of their own.
-func Partition(n int, baseSeed int64) []Shard {
-	shards := make([]Shard, n)
-	for i := range shards {
-		shards[i] = Shard{Index: i, Seed: shardSeed(baseSeed, i)}
-	}
-	return shards
-}
-
 // ExecutePlan runs every experiment of the plan as one ExecuteJobs job and
 // returns the merged results, ordered by run index. The same plan, factory
 // and options (besides Workers) yield byte-identical results for any worker
@@ -114,7 +101,7 @@ func Partition(n int, baseSeed int64) []Shard {
 // Cancelling ctx stops the engine between runs; ExecutePlan then returns
 // ctx.Err() and discards partial results.
 func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFactory, opts Options) (*methodology.Results, error) {
-	exps := plan.Runs()
+	exps := plan.Runs
 	out := &methodology.Results{Device: plan.Device}
 	if len(exps) == 0 {
 		return out, ctx.Err()
@@ -163,58 +150,4 @@ func (o Options) observer(total int) func(id string) {
 		o.Progress(done, total, id)
 		mu.Unlock()
 	}
-}
-
-// runPool dispatches shards to a bounded pool of workers, cancelling the
-// remaining work on the first error. run executes one shard and returns the
-// device it ran on, which the same worker's next shard is offered as
-// Shard.Reuse.
-func runPool(ctx context.Context, shards []Shard, workers int, run func(context.Context, Shard) (device.Device, error)) error {
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	poolCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	jobs := make(chan Shard)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var prev device.Device
-			for s := range jobs {
-				if poolCtx.Err() != nil {
-					continue // drain without running
-				}
-				s.Reuse = prev
-				dev, err := run(poolCtx, s)
-				if err != nil {
-					fail(err)
-				}
-				prev = dev
-			}
-		}()
-	}
-	for _, s := range shards {
-		jobs <- s
-	}
-	close(jobs)
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return err // outer cancellation wins over the error it provoked
-	}
-	return firstErr
 }

@@ -5,6 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -94,11 +98,8 @@ func TestDeterministicMerge(t *testing.T) {
 func TestMergeOrder(t *testing.T) {
 	plan := testPlan(t)
 	var wantIDs []string
-	for _, step := range plan.Steps {
-		if step.Kind == methodology.StepRun {
-			e := step.Exp
-			wantIDs = append(wantIDs, e.ID())
-		}
+	for _, e := range plan.Runs {
+		wantIDs = append(wantIDs, e.ID())
 	}
 	calls := 0
 	res, err := engine.ExecutePlan(context.Background(), plan, testFactory(t), engine.Options{
@@ -180,56 +181,87 @@ func TestFactoryError(t *testing.T) {
 	}
 }
 
-// TestPartition checks the partition: one shard per run with reset steps
-// skipped, shard i running the plan's run i, and seeds a pure function of
-// (base seed, shard index).
-func TestPartition(t *testing.T) {
-	exp := func(name string) methodology.Step {
-		d := core.StandardDefaults()
-		p := core.SR.Pattern(d)
-		p.Name = name
-		return methodology.Step{Kind: methodology.StepRun, Exp: core.Experiment{Micro: name, Pattern: p}}
-	}
-	reset := methodology.Step{Kind: methodology.StepReset}
-	plan := methodology.Plan{Steps: []methodology.Step{
-		exp("a"), exp("b"), exp("c"), reset, exp("d"), exp("e"),
-	}, Resets: 1}
-
-	runs := plan.Runs()
-	wantMicros := []string{"a", "b", "c", "d", "e"}
-	if len(runs) != len(wantMicros) {
-		t.Fatalf("got %d runs, want %d", len(runs), len(wantMicros))
-	}
-	for i, e := range runs {
-		if e.Micro != wantMicros[i] {
-			t.Fatalf("run %d is %s, want %s", i, e.Micro, wantMicros[i])
+// TestShards checks the shards ExecuteJobs hands its factory, at one worker
+// and at four: shard i runs job i, a recycled device is one an earlier shard
+// ran on, and seeds are a pure function of (base seed, shard index) —
+// deterministic, distinct across shards and dependent on the base seed.
+func TestShards(t *testing.T) {
+	const n = 9
+	record := func(workers int, seed int64) []engine.Shard {
+		t.Helper()
+		shards := make([]engine.Shard, n)
+		jobs := make([]engine.Job, n)
+		for i := range jobs {
+			jobs[i] = engine.Job{ID: fmt.Sprint(i), Run: func(_ context.Context, dev device.Device, _ time.Duration) (*core.Run, error) {
+				if dev.Name() != fmt.Sprint(i) {
+					return nil, fmt.Errorf("job %d ran on the device of shard %s", i, dev.Name())
+				}
+				return &core.Run{}, nil
+			}}
 		}
-	}
-	shards := engine.Partition(len(runs), 7)
-	if len(shards) != len(runs) {
-		t.Fatalf("got %d shards for %d runs", len(shards), len(runs))
-	}
-	for i, s := range shards {
-		if s.Index != i {
-			t.Errorf("shard %d: Index=%d", i, s.Index)
+		factory := func(s engine.Shard) (device.Device, time.Duration, error) {
+			shards[s.Index] = s
+			return device.NewMemDevice(fmt.Sprint(s.Index), 1<<20, 0, 0), 0, nil
 		}
-	}
-
-	again := engine.Partition(len(runs), 7)
-	for i := range shards {
-		if shards[i].Seed != again[i].Seed {
-			t.Fatal("shard seeds are not deterministic")
+		if _, err := engine.ExecuteJobs(context.Background(), jobs, factory, engine.Options{Workers: workers, Seed: seed}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		for i, s := range shards {
+			if s.Index != i {
+				t.Fatalf("workers=%d: shard %d never built", workers, i)
+			}
+			if s.Reuse != nil {
+				if prev, _ := strconv.Atoi(s.Reuse.Name()); prev >= i {
+					t.Fatalf("workers=%d: shard %d offered the device of shard %d", workers, i, prev)
+				}
+			}
+			if workers == 1 && i > 0 && (s.Reuse == nil || s.Reuse.Name() != fmt.Sprint(i-1)) {
+				t.Fatalf("one worker: shard %d not offered shard %d's device", i, i-1)
+			}
+		}
+		return shards
 	}
-	other := engine.Partition(len(runs), 8)
-	if shards[0].Seed == other[0].Seed {
-		t.Fatal("different base seeds produced identical shard seeds")
-	}
+	one, four := record(1, 7), record(4, 7)
 	seen := map[int64]bool{}
-	for _, s := range shards {
-		if seen[s.Seed] {
+	for i := range one {
+		if one[i].Seed != four[i].Seed {
+			t.Fatal("shard seeds depend on the worker count")
+		}
+		if seen[one[i].Seed] {
 			t.Fatal("duplicate seed across shards")
 		}
-		seen[s.Seed] = true
+		seen[one[i].Seed] = true
+	}
+	if again := record(1, 7); again[n-1].Seed != one[n-1].Seed {
+		t.Fatal("shard seeds are not deterministic")
+	}
+	if other := record(4, 8); other[0].Seed == one[0].Seed {
+		t.Fatal("different base seeds produced identical shard seeds")
+	}
+}
+
+// TestOneWorkerStartsNoGoroutine pins the one-worker case of the claim
+// loop: the jobs run in index order on the calling goroutine, and no
+// goroutine is started for them.
+func TestOneWorkerStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var order []int
+	jobs := make([]engine.Job, 6)
+	for i := range jobs {
+		jobs[i] = engine.Job{ID: fmt.Sprint(i), Run: func(context.Context, device.Device, time.Duration) (*core.Run, error) {
+			if n := runtime.NumGoroutine(); n != before {
+				return nil, fmt.Errorf("job %d: %d goroutines, %d before ExecuteJobs", i, n, before)
+			}
+			order = append(order, i)
+			return &core.Run{}, nil
+		}}
+	}
+	mem := device.NewMemDevice("mem", 1<<20, 0, 0)
+	factory := func(engine.Shard) (device.Device, time.Duration, error) { return mem, 0, nil }
+	if _, err := engine.ExecuteJobs(context.Background(), jobs, factory, engine.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("jobs ran in order %v", order)
 	}
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"uflip/internal/core"
@@ -30,55 +32,76 @@ type Job struct {
 // ordered by job index — never by completion time — so the merged output is
 // byte-identical for any worker count. Each job receives a freshly built
 // device state (factory is called with a shard carrying the job's index and
-// derived seed and the worker's previous device to recycle).
-// Cancelling ctx stops execution between jobs and discards partial results.
+// derived seed and the claimer's previous device to recycle).
 //
-// With Workers == 1 the jobs run inline in order on the calling goroutine
-// (the sequential fallback: same shards, same seeds, same per-shard device
-// states), otherwise through the bounded pool. Either way a worker hands
-// each finished job's device to its own next job — worker-affine, so no
-// pool and no lock — and an execution allocates at most Workers device
-// stacks when the factory recycles them.
+// The pool is the calling goroutine plus min(Workers, len(jobs))-1 more; each
+// claims the next job index from a shared counter until none is left, a job
+// fails or ctx is cancelled, so at one worker the jobs run in order on the
+// caller and no goroutine starts. A claimer hands each finished job's device
+// to its own next job — so no device pool and no lock — and an execution
+// allocates at most Workers device stacks when the factory recycles them.
+// Cancelling ctx stops execution between jobs and discards partial results;
+// the first job error cancels the jobs in flight.
 func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Options) ([]*core.Run, error) {
 	if len(jobs) == 0 {
 		return nil, ctx.Err()
 	}
 	merged := make([]*core.Run, len(jobs))
 	observe := opts.observer(len(jobs))
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
-	runShard := func(ctx context.Context, s Shard) (device.Device, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	var (
+		next     atomic.Int64 // the next unclaimed job index
+		mu       sync.Mutex
+		firstErr error
+	)
+	run := func(i int, reuse device.Device) (device.Device, error) {
+		dev, at, err := factory(Shard{Index: i, Seed: shardSeed(opts.Seed, i), Reuse: reuse})
+		if err == nil {
+			merged[i], err = jobs[i].Run(runCtx, dev, at)
 		}
-		job := jobs[s.Index]
-		dev, at, err := factory(s)
 		if err != nil {
-			return nil, fmt.Errorf("engine: job %d (%s): %w", s.Index, job.ID, err)
+			return nil, fmt.Errorf("engine: job %d (%s): %w", i, jobs[i].ID, err)
 		}
-		run, err := job.Run(ctx, dev, at)
-		if err != nil {
-			return nil, fmt.Errorf("engine: job %d (%s): %w", s.Index, job.ID, err)
-		}
-		merged[s.Index] = run
-		observe(job.ID)
+		observe(jobs[i].ID)
 		return dev, nil
 	}
-
-	shards := Partition(len(jobs), opts.Seed)
-	if workers := opts.workers(); workers > 1 {
-		if err := runPool(ctx, shards, workers, runShard); err != nil {
-			return nil, err
+	claim := func() {
+		var dev device.Device
+		for runCtx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= len(jobs) {
+				return
+			}
+			var err error
+			if dev, err = run(i, dev); err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+				cancel()
+				return
+			}
 		}
-		return merged, nil
 	}
-	var prev device.Device
-	for _, s := range shards {
-		s.Reuse = prev
-		dev, err := runShard(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		prev = dev
+	var wg sync.WaitGroup
+	for range min(opts.workers(), len(jobs)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+
+	if err := ctx.Err(); err != nil {
+		return nil, err // outer cancellation wins over the error it provoked
+	}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return merged, nil
 }

@@ -4,8 +4,8 @@
 // sends the same request to the daemon, and the daemon's worker calls the same
 // Run. A job's records, report and CSV are therefore the same bytes wherever
 // it ran, by construction. A surface passes in Env only what it owns: a state
-// cache, a default worker count, the opened trace a replay names, and
-// observers that turn progress into its narration (terminal lines, events).
+// cache, the stream a replay runs, and observers that turn progress into its
+// narration (terminal lines, events).
 package job
 
 import (
@@ -112,21 +112,16 @@ type Env struct {
 	// Store, when non-nil, is where enforced device states load from and
 	// save to; nil enforces live. Results are byte-identical either way.
 	Store *statestore.Store
-	// Workers is the engine worker count of a request that leaves Parallel
-	// unset (<= 0: GOMAXPROCS). Results are byte-identical for any value.
-	Workers int
 	// Source is the stream a workload job replays: required when the
 	// workload kind is "trace" (the surface opens it, workload.OpenTrace);
 	// for a synthetic request nil means Synthetic builds it, and a surface
-	// that wants the stream first (-dump-trace) passes the one it built.
+	// that wants the stream first (to narrate it, or for -dump-trace)
+	// passes the one it built.
 	Source workload.Source
 	// Stages observe a plan job's pipeline as it advances.
 	Stages paperexp.Stages
 	// Progress, when non-nil, observes every completed run or segment.
 	Progress engine.ProgressFunc
-	// Replaying, when non-nil, fires once before a workload job replays:
-	// the stream's name and length, the segment size and the worker count.
-	Replaying func(name string, ops, segmentOps, workers int)
 }
 
 // Outcome is a finished job: its result records or grid rows, and the two
@@ -154,12 +149,11 @@ func Synthetic(spec workload.Spec) (workload.Source, error) {
 	return workload.OpsSource(gen.Name(), ops), nil
 }
 
-// Run executes a request that passed Normalize and renders its outcome.
+// Run executes a request that passed Normalize and renders its outcome, on
+// req.Parallel engine workers (<= 0: GOMAXPROCS; results are byte-identical
+// for any value).
 func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 	workers := req.Parallel
-	if workers <= 0 {
-		workers = env.Workers
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -190,9 +184,6 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 			if src, err = Synthetic(w.Spec); err != nil {
 				return nil, err
 			}
-		}
-		if env.Replaying != nil {
-			env.Replaying(src.Name(), src.Len(), w.SegmentOps, workers)
 		}
 		cfg.Pause = time.Second
 		res, err := workload.ReplaySource(ctx, src, paperexp.ShardFactory(req.Device, cfg), workload.Options{

@@ -157,3 +157,35 @@ func TestTable3RowMatchesPlanJob(t *testing.T) {
 		}
 	}
 }
+
+// TestOddCapacitiesRunToTheEnd: requests the validator accepts at capacities
+// that hold no whole number of IOs or cache lines run to the end — every plan
+// micro-benchmark on memoright and kingston-sd, Granularity on a concat and
+// the default array sweep over mtron. Before the fixes the Order
+// micro-benchmark ran past the device, and a concat member's write-back cache
+// destaged past its FTL's capacity.
+func TestOddCapacitiesRunToTheEnd(t *testing.T) {
+	var reqs []api.JobRequest
+	for _, dev := range []string{"memoright", "kingston-sd"} {
+		for _, capacity := range []int64{1_000_000_000, 1_000_000_512, 40_000_000} {
+			reqs = append(reqs, api.JobRequest{Kind: "plan", Device: dev, Capacity: capacity})
+		}
+	}
+	reqs = append(reqs,
+		api.JobRequest{Kind: "plan", Device: "concat(2,mtron)", Capacity: 1_000_000_000, Micros: []string{"Granularity"}},
+		api.JobRequest{Kind: "array", Capacity: 1_000_000_000, Array: &api.ArrayRequest{Member: "mtron"}},
+	)
+	for _, req := range reqs {
+		req.Parallel = 2
+		if err := job.Normalize(&req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := job.Run(context.Background(), req, job.Env{}); err != nil {
+			dev := req.Device
+			if req.Array != nil {
+				dev = req.Array.Member
+			}
+			t.Errorf("%s job on %q at %d bytes: %v", req.Kind, dev, req.Capacity, err)
+		}
+	}
+}

@@ -143,21 +143,20 @@ func TestBuildPlanSeparatesSequentialWrites(t *testing.T) {
 		exps = append(exps, mb.Experiments...)
 	}
 	plan := BuildPlan(exps, capacity, time.Second, nil)
-	if len(plan.Steps) < len(exps) {
-		t.Fatalf("plan lost experiments: %d steps for %d experiments", len(plan.Steps), len(exps))
+	if len(plan.Runs) != len(exps) {
+		t.Fatalf("plan lost experiments: %d runs for %d experiments", len(plan.Runs), len(exps))
 	}
 	// Sequential-write experiments are grouped at the end with disjoint
-	// target spaces between resets.
+	// target spaces between resets; allocation restarts at offset 0 exactly
+	// where a reset is counted.
 	seenSeqWrite := false
 	type span struct{ lo, hi int64 }
 	var spans []span
-	for _, step := range plan.Steps {
-		if step.Kind == StepReset {
-			spans = nil
-			continue
-		}
-		e := step.Exp
+	for _, e := range plan.Runs {
 		if disturbsState(&e) {
+			if seenSeqWrite && e.Pattern.TargetOffset == 0 {
+				spans = nil
+			}
 			seenSeqWrite = true
 			lo, hi := e.Pattern.Span()
 			if e.MixWith != nil {
@@ -199,6 +198,20 @@ func TestBuildPlanInsertsResets(t *testing.T) {
 	if plan.Resets == 0 {
 		t.Fatal("no state resets despite exceeding the device")
 	}
+	// Every reset restarts the sequential-write allocation at offset 0, and
+	// nothing else does: the marker the plan's serial walkers re-enforce at.
+	restarts, seqWrites := 0, 0
+	for _, e := range plan.Runs {
+		if disturbsState(&e) {
+			if seqWrites > 0 && e.Pattern.TargetOffset == 0 {
+				restarts++
+			}
+			seqWrites++
+		}
+	}
+	if restarts != plan.Resets {
+		t.Fatalf("%d allocation restarts for %d resets", restarts, plan.Resets)
+	}
 }
 
 func TestBuildPlanAppliesPhases(t *testing.T) {
@@ -209,7 +222,7 @@ func TestBuildPlanAppliesPhases(t *testing.T) {
 	}
 	exps := []core.Experiment{{Micro: "t", Base: core.RW, Pattern: core.RW.Pattern(d)}}
 	plan := BuildPlan(exps, 8<<30, time.Second, phases)
-	got := plan.Steps[0].Exp.Pattern
+	got := plan.Runs[0].Pattern
 	if got.IOIgnore != 128 || got.IOCount != 5120 {
 		t.Fatalf("phases not applied: ignore=%d count=%d", got.IOIgnore, got.IOCount)
 	}

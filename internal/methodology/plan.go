@@ -7,40 +7,24 @@ import (
 	"uflip/internal/device"
 )
 
-// StepKind distinguishes benchmark-plan steps.
-type StepKind int
-
-const (
-	// StepRun executes one experiment.
-	StepRun StepKind = iota
-	// StepReset marks where one device walking the plan would have to
-	// re-enforce the random state (Section 4.1): the plan inserts one
-	// whenever the accumulated sequential-write target space would exceed
-	// the device. The engine starts every run from the enforced state, so a
-	// reset carries no work of its own.
-	StepReset
-)
-
-// Step is one entry of a benchmark plan.
-type Step struct {
-	Kind StepKind
-	Exp  core.Experiment // StepRun only
-}
-
 // Plan is an ordered sequence of experiments with disjoint sequential-write
-// target spaces, pauses between runs, and state resets where needed
-// (Section 4.2, "benchmark plan").
+// target spaces and pauses between runs (Section 4.2, "benchmark plan").
+// Resets counts where one device walking the plan would have to re-enforce
+// the random state (Section 4.1): wherever the accumulated sequential-write
+// target space would exceed the device, allocation restarts at offset 0. The
+// engine starts every run from the enforced state, so a reset carries no
+// work of its own.
 type Plan struct {
 	Device string
 	Pause  time.Duration
-	Steps  []Step
+	Runs   []core.Experiment
 	Resets int
 }
 
 // BuildPlan lays out the experiments: read-only and random-write experiments
 // first (they leave the random state intact), then the sequential-write
 // experiments grouped together, each allocated a fresh target space; a state
-// reset is inserted whenever the sequential-write allocations would exceed
+// reset is counted whenever the sequential-write allocations would exceed
 // the device capacity. Patterns are updated in place with their assigned
 // TargetOffset and, when provided, the per-baseline IOIgnore/IOCount of the
 // phase report.
@@ -57,35 +41,21 @@ func BuildPlan(exps []core.Experiment, capacity int64, pause time.Duration, phas
 			others = append(others, e)
 		}
 	}
-	for _, e := range others {
-		plan.Steps = append(plan.Steps, Step{Kind: StepRun, Exp: e})
-	}
+	plan.Runs = append(others, seqWrites...)
 	// Sequential writes: allocate disjoint target spaces walking up the
 	// device; reset state when the device is exhausted.
 	var offset int64
-	for _, e := range seqWrites {
-		span := spanOf(&e)
+	for i := len(others); i < len(plan.Runs); i++ {
+		e := &plan.Runs[i]
+		span := spanOf(e)
 		if offset+span > capacity {
-			plan.Steps = append(plan.Steps, Step{Kind: StepReset})
 			plan.Resets++
 			offset = 0
 		}
-		setOffset(&e, offset)
+		setOffset(e, offset)
 		offset += span
-		plan.Steps = append(plan.Steps, Step{Kind: StepRun, Exp: e})
 	}
 	return plan
-}
-
-// Runs returns the plan's experiments in run order; reset steps carry none.
-func (p Plan) Runs() []core.Experiment {
-	exps := make([]core.Experiment, 0, len(p.Steps)-p.Resets)
-	for _, step := range p.Steps {
-		if step.Kind == StepRun {
-			exps = append(exps, step.Exp)
-		}
-	}
-	return exps
 }
 
 // disturbsState reports whether the experiment writes sequentially (the only

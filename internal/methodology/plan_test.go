@@ -49,8 +49,8 @@ func TestRunPlanEndToEnd(t *testing.T) {
 	if len(res.Results) != len(exps) {
 		t.Fatalf("results = %d, want %d", len(res.Results), len(exps))
 	}
-	if progressed != len(plan.Runs()) {
-		t.Fatalf("progress called %d times for %d runs", progressed, len(plan.Runs()))
+	if progressed != len(plan.Runs) {
+		t.Fatalf("progress called %d times for %d runs", progressed, len(plan.Runs))
 	}
 	if res.Find("Order", core.SW, -1) == nil {
 		t.Fatal("Find could not locate the reverse experiment")

@@ -33,7 +33,7 @@ type ArrayConfig struct {
 	// member queues only fill — and queue depth only matters — with
 	// concurrent submitters.
 	Degree int
-	// Workers bounds the engine pool (<= 0: GOMAXPROCS, 1: sequential).
+	// Workers bounds the engine pool (<= 0: GOMAXPROCS, 1: one worker).
 	// The grid is byte-identical for any value.
 	Workers int
 }

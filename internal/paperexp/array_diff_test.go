@@ -53,8 +53,8 @@ func buildRawAndSingles(t *testing.T, key string, capacity int64) (device.Device
 // oracle of the composite layer: a 1-member stripe, mirror or concat must
 // produce byte-identical Run results (ops, response times, summary stats) to
 // the raw member device across the full nine-micro-benchmark plan. The plan
-// is walked serially on one device, re-enforcing the state at each reset
-// step, so composite state carried from run to run is compared too.
+// is walked serially on one device, re-enforcing the state at each reset,
+// so composite state carried from run to run is compared too.
 func TestSingleMemberCompositeDifferentialMicrobenchmarks(t *testing.T) {
 	const capacity = 24 << 20
 	cfg := DefaultConfig()
@@ -76,22 +76,31 @@ func TestSingleMemberCompositeDifferentialMicrobenchmarks(t *testing.T) {
 		plan := methodology.BuildPlan(exps, dev.Capacity(), cfg.Pause, nil)
 		var res []methodology.Result
 		at := end + cfg.Pause
-		for i, step := range plan.Steps {
-			if step.Kind == methodology.StepReset {
-				end, err := methodology.EnforceRandomState(dev, cfg.Seed+int64(i))
-				if err != nil {
-					t.Fatal(err)
+		seqWrites, resets := 0, 0
+		for i, e := range plan.Runs {
+			// BuildPlan restarts the sequential-write allocation at offset 0
+			// exactly where one device walking the plan needs a state reset.
+			if e.Pattern.Mode == device.Write && e.Pattern.LBA != core.Random ||
+				e.MixWith != nil && e.MixWith.Mode == device.Write && e.MixWith.LBA != core.Random {
+				if seqWrites > 0 && e.Pattern.TargetOffset == 0 {
+					end, err := methodology.EnforceRandomState(dev, cfg.Seed+int64(i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					at = max(at, end)
+					resets++
 				}
-				at = max(at, end)
-				continue
+				seqWrites++
 			}
-			e := step.Exp
 			r, err := e.Run(dev, at)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID(), err)
 			}
 			res = append(res, methodology.Result{Exp: e, Run: r})
 			at += r.Total + cfg.Pause
+		}
+		if resets != plan.Resets {
+			t.Fatalf("re-enforced %d times for %d planned resets", resets, plan.Resets)
 		}
 		blob, err := json.Marshal(res)
 		if err != nil {

@@ -22,7 +22,7 @@ import (
 type BenchmarkRequest struct {
 	// Micros selects micro-benchmarks by name; empty means all nine.
 	Micros []string
-	// Workers bounds the engine pool (<= 0: GOMAXPROCS, 1: sequential).
+	// Workers bounds the engine pool (<= 0: GOMAXPROCS, 1: one worker).
 	Workers int
 	// Progress, when non-nil, observes completed plan runs.
 	Progress engine.ProgressFunc

@@ -312,8 +312,8 @@ func TestRunBenchmarkRunsAtPlanBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s at %d bytes: %v", key, cfg.Capacity, err)
 		}
-		if len(out.Micros) != 9 || len(out.Results.Results) != len(out.Plan.Runs()) {
-			t.Fatalf("%s: %d micro-benchmarks, %d results of %d planned runs", key, len(out.Micros), len(out.Results.Results), len(out.Plan.Runs()))
+		if len(out.Micros) != 9 || len(out.Results.Results) != len(out.Plan.Runs) {
+			t.Fatalf("%s: %d micro-benchmarks, %d results of %d planned runs", key, len(out.Micros), len(out.Results.Results), len(out.Plan.Runs))
 		}
 	}
 }

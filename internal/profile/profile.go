@@ -80,9 +80,15 @@ func (p Profile) String() string {
 // page-mapped device flushes direct-map pages to flash only when writes
 // scatter over more than 1 GiB (64 buffered map pages of 16 MiB each), and
 // state enforcement takes time in proportion to the capacity.
+//
+// The logical capacity is rounded down to whole 4 KiB cache lines
+// (ftl.LineBytes), because a write-back cache destages whole lines and would
+// otherwise hand its FTL the partial last line past the end; a capacity below
+// one line is refused.
 func (p Profile) BuildWithCapacity(logical int64) (*device.SimDevice, error) {
+	logical -= logical % ftl.LineBytes
 	if logical <= 0 {
-		return nil, fmt.Errorf("profile %s: capacity must be positive", p.Key)
+		return nil, fmt.Errorf("profile %s: capacity must be at least %d bytes", p.Key, ftl.LineBytes)
 	}
 	var headroomBlocks int64
 	switch p.Kind {

@@ -935,8 +935,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		j.emit(api.Event{Type: api.EventStage, Stage: name, Detail: detail, Total: total})
 	}
 	env := runner.Env{
-		Store:   s.store,
-		Workers: s.cfg.DefaultParallel,
+		Store: s.store,
 		Progress: func(done, total int, desc string) {
 			j.emit(api.Event{Type: api.EventProgress, Done: done, Total: total, Detail: desc})
 		},
@@ -958,7 +957,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 				stage(api.StagePauseMeasured, fmt.Sprintf("pause between runs: %v", p.RecommendedPause), 0)
 			},
 			PlanBuilt: func(plan methodology.Plan, workers int) {
-				runs := len(plan.Steps) - plan.Resets
+				runs := len(plan.Runs)
 				stage(api.StagePlanBuilt, fmt.Sprintf("plan: %d runs on %d workers", runs, workers), runs)
 			},
 		},
@@ -979,7 +978,13 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 			return err
 		}
 	}
-	out, err := runner.Run(ctx, j.req, env)
+	// The default worker count fills a copy: the job's record keeps the
+	// request as submitted.
+	req := j.req
+	if req.Parallel <= 0 {
+		req.Parallel = s.cfg.DefaultParallel
+	}
+	out, err := runner.Run(ctx, req, env)
 	if err != nil {
 		return err
 	}

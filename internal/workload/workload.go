@@ -110,7 +110,7 @@ type Options struct {
 	// Workers.
 	SegmentOps int
 	// Workers bounds the engine worker pool; <= 0 means GOMAXPROCS, 1 is
-	// the sequential fallback.
+	// one worker: the calling goroutine alone.
 	Workers int
 	// Seed is the base seed of the engine's derived per-segment seeds
 	// (engine.Shard.Seed). The production factories ignore those — every
