@@ -59,6 +59,7 @@ import (
 	"uflip/internal/job"
 	"uflip/internal/methodology"
 	"uflip/internal/paperexp"
+	"uflip/internal/par"
 	"uflip/internal/profile"
 	"uflip/internal/report"
 	"uflip/internal/statestore"
@@ -123,7 +124,7 @@ func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, f
 	}
 	var (
 		text     = flagText[kind]
-		jf       = registerJobFlags(fs, kind, runtime.GOMAXPROCS(0))
+		jf       = registerJobFlags(fs, kind, min(runtime.GOMAXPROCS(0), profile.MaxParallel))
 		stateDir = fs.String("statedir", "", text.statedir)
 		verbose  = fs.Bool("v", false, text.verbose)
 		// Flags only some kinds have; the others read them as unset.
@@ -217,12 +218,8 @@ func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, f
 					return err
 				}
 			}
-			workers := req.Parallel
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
 			fmt.Printf("replaying %s: %d IOs in segments of %d on %d workers\n",
-				env.Source.Name(), env.Source.Len(), req.Workload.SegmentOps, workers)
+				env.Source.Name(), env.Source.Len(), req.Workload.SegmentOps, par.Workers(req.Parallel))
 		}
 
 		out, err := job.Run(ctx, req, env)

@@ -12,7 +12,11 @@
 // Benchmark plans execute through the parallel engine (internal/engine):
 // deterministic shards on private simulated devices across a worker pool,
 // selected with the uflip command's -parallel flag (-parallel 1 is one
-// worker; any worker count produces identical results).
+// worker, 256 the most; any worker count produces identical results).
+// Every fan-out, the engine's included, is internal/par's Each (indexes
+// handed out in order, the first error stops them) or Ordered (work into
+// caller-owned slots, emitted in index order): neither starts a goroutine
+// at one worker or returns while one it started still runs.
 //
 // Performance: the IO pipeline is batch-first. device.Device exposes
 // SubmitBatch(at, ios, done) next to the per-IO Submit: callers hand over
@@ -67,7 +71,7 @@
 // and writer checksum a 64 KiB chunk at a time, and trace.WriteJSON prints
 // the per-IO series from each duration's digits, byte-identical to
 // encoding/json; on a long replay it encodes the series, and ReplaySource
-// summarizes the windows, on every core.
+// summarizes the windows, on every core through internal/par.
 // Profile any run with the uflip command's -cpuprofile/-memprofile flags;
 // measure the simulator's own speed with the repository benchmark
 // ("bash benchmark/run.sh", repeated runs with spread, declared in
@@ -83,9 +87,11 @@
 // block trace is one stream of one record type (trace.BlockOp, aliased as
 // workload.Op) in two encodings: a simple CSV (offset,size,mode,gap_us;
 // header optional, '#' comments, gaps stored losslessly) and the binary
-// .utr form; each has one streaming reader and one writer, and the forms
-// meet in workload.NewOpReader, which sniffs a stream, and
-// workload.NewOpWriter. Streams are pure functions of their
+// .utr form; each has one streaming reader and one writer, chosen by
+// workload.NewOpReader, which sniffs a stream, and workload.NewOpWriter;
+// a whole in-memory stream is saved as .utr by trace.WriteUTR, and
+// workload.OpenTrace opens a .utr replay source straight from the file.
+// Streams are pure functions of their
 // configuration and seed; replays split into fixed segments that execute
 // on private devices across the worker pool and merge in stream order, so
 // results are byte-identical for any -parallel value. Long replays report

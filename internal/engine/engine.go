@@ -14,7 +14,6 @@ package engine
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"time"
 
@@ -73,13 +72,6 @@ type Options struct {
 	Seed int64
 	// Progress, when non-nil, is invoked after every completed run.
 	Progress ProgressFunc
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // shardSeed mixes the base seed with the shard index (splitmix64 finalizer)

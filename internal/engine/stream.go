@@ -3,12 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"uflip/internal/core"
 	"uflip/internal/device"
+	"uflip/internal/par"
 )
 
 // Job is one independent unit of stream execution: a self-contained piece of
@@ -34,74 +33,30 @@ type Job struct {
 // device state (factory is called with a shard carrying the job's index and
 // derived seed and the claimer's previous device to recycle).
 //
-// The pool is the calling goroutine plus min(Workers, len(jobs))-1 more; each
-// claims the next job index from a shared counter until none is left, a job
-// fails or ctx is cancelled, so at one worker the jobs run in order on the
-// caller and no goroutine starts. A claimer hands each finished job's device
-// to its own next job — so no device pool and no lock — and an execution
-// allocates at most Workers device stacks when the factory recycles them.
-// Cancelling ctx stops execution between jobs and discards partial results;
-// the first job error cancels the jobs in flight.
+// The pool is par.Each over the jobs, so at one worker the jobs run in order
+// on the caller and no goroutine starts. A worker hands each finished job's
+// device to its own next job — so no device pool and no lock — and an
+// execution allocates at most Workers device stacks when the factory
+// recycles them. Cancelling ctx stops execution between jobs and discards
+// partial results; the first job error cancels the jobs in flight.
 func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Options) ([]*core.Run, error) {
-	if len(jobs) == 0 {
-		return nil, ctx.Err()
-	}
 	merged := make([]*core.Run, len(jobs))
 	observe := opts.observer(len(jobs))
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		next     atomic.Int64 // the next unclaimed job index
-		mu       sync.Mutex
-		firstErr error
-	)
-	run := func(i int, reuse device.Device) (device.Device, error) {
-		dev, at, err := factory(Shard{Index: i, Seed: shardSeed(opts.Seed, i), Reuse: reuse})
+	reuse := make([]device.Device, min(par.Workers(opts.Workers), len(jobs))) // per worker
+	err := par.Each(ctx, len(jobs), len(reuse), func(ctx context.Context, w, i int) error {
+		dev, at, err := factory(Shard{Index: i, Seed: shardSeed(opts.Seed, i), Reuse: reuse[w]})
 		if err == nil {
-			merged[i], err = jobs[i].Run(runCtx, dev, at)
+			merged[i], err = jobs[i].Run(ctx, dev, at)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("engine: job %d (%s): %w", i, jobs[i].ID, err)
+			return fmt.Errorf("engine: job %d (%s): %w", i, jobs[i].ID, err)
 		}
+		reuse[w] = dev
 		observe(jobs[i].ID)
-		return dev, nil
-	}
-	claim := func() {
-		var dev device.Device
-		for runCtx.Err() == nil {
-			i := int(next.Add(1) - 1)
-			if i >= len(jobs) {
-				return
-			}
-			var err error
-			if dev, err = run(i, dev); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				cancel()
-				return
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(opts.workers(), len(jobs)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
-	}
-	claim()
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return nil, err // outer cancellation wins over the error it provoked
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return merged, nil
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"uflip/internal/api"
@@ -24,6 +23,7 @@ import (
 	"uflip/internal/device"
 	"uflip/internal/engine"
 	"uflip/internal/paperexp"
+	"uflip/internal/par"
 	"uflip/internal/profile"
 	"uflip/internal/report"
 	"uflip/internal/statestore"
@@ -33,10 +33,11 @@ import (
 
 // Normalize fills req's omitted values from api.Defaults (a workload takes
 // the job's seed and, by default, half the capacity) and runs every check that
-// needs no execution: the device spec resolves, the micro-benchmark names
-// exist, the synthetic workload builds, the layouts parse — so a typo is an
-// error before any state is enforced. It is idempotent. Whether a named trace
-// exists is the surface's to check: only it knows where traces live.
+// needs no execution: at most profile.MaxParallel workers, the device spec
+// resolves, the micro-benchmark names exist, the synthetic workload builds,
+// the layouts parse — so a typo is an error before any state is enforced.
+// It is idempotent. Whether a named trace exists is the surface's to check:
+// only it knows where traces live.
 func Normalize(req *api.JobRequest) error {
 	d := api.Defaults()
 	if req.Capacity == 0 {
@@ -44,6 +45,9 @@ func Normalize(req *api.JobRequest) error {
 	}
 	if req.Capacity < 0 {
 		return errors.New("capacity must be positive")
+	}
+	if req.Parallel > profile.MaxParallel {
+		return fmt.Errorf("parallel %d is above the ceiling of %d workers", req.Parallel, profile.MaxParallel)
 	}
 	if req.Seed == 0 {
 		req.Seed = d.Seed
@@ -153,10 +157,7 @@ func Synthetic(spec workload.Spec) (workload.Source, error) {
 // req.Parallel engine workers (<= 0: GOMAXPROCS; results are byte-identical
 // for any value).
 func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
-	workers := req.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := par.Workers(req.Parallel)
 	cfg := paperexp.Config{Capacity: req.Capacity, Seed: req.Seed, IOCount: req.IOCount, Store: env.Store}
 	out := &Outcome{Kind: req.Kind}
 	var rep bytes.Buffer

@@ -12,6 +12,7 @@ import (
 	"uflip/internal/api"
 	"uflip/internal/job"
 	"uflip/internal/paperexp"
+	"uflip/internal/profile"
 	"uflip/internal/report"
 	"uflip/internal/trace"
 	"uflip/internal/workload"
@@ -27,6 +28,7 @@ func TestNormalizeRejects(t *testing.T) {
 	}{
 		{api.JobRequest{Kind: "nope", Device: "mtron"}, `unknown job kind "nope" (want plan, workload or array)`},
 		{api.JobRequest{Kind: "plan", Device: "mtron", Capacity: -1}, "capacity must be positive"},
+		{api.JobRequest{Kind: "plan", Device: "mtron", Parallel: profile.MaxParallel + 1}, "parallel 257 is above the ceiling of 256 workers"},
 		{api.JobRequest{Kind: "plan"}, "plan jobs need a device"},
 		{api.JobRequest{Kind: "plan", Device: "not-a-device"}, `unknown device "not-a-device"`},
 		{api.JobRequest{Kind: "plan", Device: "stripe(2,mtron"}, "must be layout(args)"},

@@ -3,7 +3,6 @@ package paperexp
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"uflip/internal/device"
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
+	"uflip/internal/par"
 	"uflip/internal/profile"
 	"uflip/internal/trace"
 	"uflip/internal/workload"
@@ -92,10 +92,7 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 	if cfg.IOCount <= 0 {
 		cfg.IOCount = DefaultConfig().IOCount
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := par.Workers(req.Workers)
 
 	// Methodology, step 1: enforce the random initial state (Section 4.1).
 	dev, err := profile.BuildDevice(key, cfg.Capacity)

@@ -32,6 +32,10 @@ const MaxArrayMembers = 64
 // MaxArrayQueueDepth bounds the per-member queue depth of a parsed spec.
 const MaxArrayQueueDepth = 256
 
+// MaxParallel bounds a job's engine worker count: every worker holds a
+// device stack of its own, and a replay's windows fan out as wide.
+const MaxParallel = 256
+
 // maxChunkBytes bounds the stripe chunk size (1 GiB).
 const maxChunkBytes = int64(1) << 30
 

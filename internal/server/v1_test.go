@@ -95,6 +95,23 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesParallelAboveCeiling: a request for more engine workers
+// than job.Normalize allows is refused at admission with 400 bad_request, so
+// no job is queued and no device is built for it.
+func TestSubmitRefusesParallelAboveCeiling(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{Workers: 1})
+	req := planRequest("mtron", "Granularity")
+	req.Parallel = 1 << 20
+	if _, code, errCode := submitKeyed(t, ts, "", req); code != http.StatusBadRequest || errCode != api.CodeBadRequest {
+		t.Fatalf("parallel %d: HTTP %d code %q, want 400 bad_request", req.Parallel, code, errCode)
+	}
+	code, body := get(t, ts, "/jobs")
+	var list api.JobList
+	if err := json.Unmarshal(body, &list); code != http.StatusOK || err != nil || len(list.Jobs) != 0 {
+		t.Fatalf("after the refusal the job list reads HTTP %d %s, want no job", code, body)
+	}
+}
+
 // TestEventStreamOrdering watches a full job through the client's SSE
 // stream: IDs must be monotonic from 1, the lifecycle must read
 // queued -> running -> stages/progress -> done, and the terminal event must

@@ -1,8 +1,10 @@
 package stats
 
 import (
-	"sync"
+	"context"
 	"time"
+
+	"uflip/internal/par"
 )
 
 // Window is the summary of one fixed-size slice of a long response-time
@@ -19,32 +21,21 @@ type Window struct {
 // Windows slices a series into fixed-size windows (size < 1 means 1), the
 // last one partial when the series does not end on a window boundary, and
 // summarizes each into a slice of exactly the windows. The windows are
-// split into at most parts contiguous ranges, all but the first summarized
-// on goroutines of their own; a window's summary reads only its own samples,
-// so the result does not depend on parts.
-func Windows(samples []time.Duration, size, parts int) []Window {
+// split into at most workers contiguous ranges summarized by par.Each; a
+// window's summary reads only its own samples, so the result does not depend
+// on workers.
+func Windows(samples []time.Duration, size, workers int) []Window {
 	size = max(size, 1)
 	n := len(samples)/size + min(len(samples)%size, 1)
 	out := make([]Window, n)
-	per := (n + max(parts, 1) - 1) / max(parts, 1)
-	var wg sync.WaitGroup
-	for first := per; first < n; first += per {
-		wg.Add(1)
-		go func(dst []Window, size, first int) {
-			defer wg.Done()
-			summarizeWindows(dst, samples, size, first)
-		}(out[first:min(first+per, n)], size, first)
-	}
-	summarizeWindows(out[:per], samples, size, 0)
-	wg.Wait()
+	per := max(1, (n+max(workers, 1)-1)/max(workers, 1))
+	ranges := (n + per - 1) / per
+	par.Each(context.Background(), ranges, ranges, func(_ context.Context, _, r int) error {
+		for i := r * per; i < min(r*per+per, n); i++ {
+			start := i * size
+			out[i] = Window{Start: int64(start), Summary: Summarize(samples[start:min(start+size, len(samples))])}
+		}
+		return nil
+	})
 	return out
-}
-
-// summarizeWindows fills dst with windows first, first+1, … of samples.
-func summarizeWindows(dst []Window, samples []time.Duration, size, first int) {
-	for i := range dst {
-		start := (first + i) * size
-		end := start + min(size, len(samples)-start)
-		dst[i] = Window{Start: int64(start), Summary: Summarize(samples[start:end])}
-	}
 }

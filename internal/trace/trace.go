@@ -4,7 +4,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -12,11 +11,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
+	"slices"
+	"sort"
 	"strconv"
-	"sync"
 	"time"
 
+	"uflip/internal/par"
 	"uflip/internal/stats"
 )
 
@@ -88,141 +88,106 @@ func (s *RTSeries) UnmarshalJSON(b []byte) error {
 // ResponseTimes returns the per-IO series.
 func (r *RunRecord) ResponseTimes() []time.Duration { return r.RTs }
 
-// A parallel WriteJSON encodes the series jsonChunkRTs values (about 25 KB
-// of a replay's JSON) at a time, and only records holding jsonParallelRTs
-// values in all: below that — a plan of two micro-benchmarks at -iocount
-// 64 (200,704 values), a 20,000-op replay — the goroutines and their
-// buffers would cost more than they save.
-// maxRTBytes bounds one value appendRTs writes, comma included (a
-// Duration's seconds spell to at most 19 bytes).
+// WriteJSON encodes the series jsonChunkRTs values (about 25 KB of a
+// replay's JSON) at a time, and on more than one worker only for records
+// holding jsonParallelRTs values in all: below that — a plan of two
+// micro-benchmarks at -iocount 64 (200,704 values), a 20,000-op replay —
+// the goroutines and their buffers would cost more than they save.
 const (
 	jsonChunkRTs    = 2048
 	jsonParallelRTs = 1 << 18
-	maxRTBytes      = 24
 )
 
 // WriteJSON writes records as newline-delimited JSON, byte-identical to
 // encoding/json's rendering of each RunRecord. Everything but the per-IO
 // series goes through encoding/json; the series, a million values on a long
 // replay, is appended by appendRTs — the bytes RTSeries.MarshalJSON writes.
-// From jsonParallelRTs values in all, and with GOMAXPROCS above one, the
-// series are encoded in chunks on GOMAXPROCS goroutines, two buffers each,
-// and written in stream order by the caller; otherwise no goroutine starts.
-// The bytes do not depend on how many goroutines encode them. On the first
-// error nothing more is written, no goroutine outlives the call, and the
-// output written so far is incomplete.
+// The stream is cut into chunks, a record's head with the first jsonChunkRTs
+// values of its series, then jsonChunkRTs values at a time, which
+// par.Ordered encodes into slots while the caller writes them in stream
+// order: from jsonParallelRTs values in all on a worker per CPU, below that
+// on the caller alone. The bytes do not depend on the worker count. On the
+// first error nothing more is written, no goroutine outlives the call, and
+// the output written so far is incomplete.
 func WriteJSON(w io.Writer, records []RunRecord) error {
-	workers, total := runtime.GOMAXPROCS(0), 0
-	for i := range records {
-		total += len(records[i].RTs)
+	// Record r's chunks are first[r] to first[r+1]-1 of the stream.
+	first := make([]int, len(records)+1)
+	total := 0
+	for r := range records {
+		n := len(records[r].RTs)
+		first[r+1] = first[r] + max(1, (n+jsonChunkRTs-1)/jsonChunkRTs)
+		total += n
 	}
-	// Chunk k of the stream comes encoded on ready[k%workers], and its
-	// buffer goes back on free[k%workers].
-	var ready, free []chan []byte
-	if workers > 1 && total >= jsonParallelRTs {
-		ready, free = make([]chan []byte, workers), make([]chan []byte, workers)
-		quit := make(chan struct{})
-		var wg sync.WaitGroup
-		for g := range workers {
-			ready[g], free[g] = make(chan []byte, 2), make(chan []byte, 2)
-			// 16 bytes a value is more than a replay's values average; a
-			// buffer that needs more grows once, not per chunk.
-			free[g] <- make([]byte, 0, 16*jsonChunkRTs)
-			free[g] <- make([]byte, 0, 16*jsonChunkRTs)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				encodeChunks(records, g, workers, ready[g], free[g], quit)
-			}()
-		}
-		defer wg.Wait()
-		defer close(quit)
+	// At one worker its one slot is also the output buffer, written out from
+	// 40 KiB on; at more, two slots a worker, each written out when emitted.
+	workers, flushAt, slots := 1, 40<<10, []jsonChunk{{buf: make([]byte, 0, 64<<10)}}
+	if total >= jsonParallelRTs {
+		workers, flushAt = par.Workers(0), 0
+		slots = make([]jsonChunk, 2*workers)
 	}
-	const flushAt = 60 << 10
-	buf := make([]byte, 0, 64<<10)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		_, err := w.Write(buf)
-		buf = buf[:0]
+	err := par.Ordered(first[len(records)], workers, len(slots), func(s, k int) error {
+		r := sort.Search(len(records), func(r int) bool { return first[r+1] > k })
+		return slots[s].encode(records, r, (k-first[r])*jsonChunkRTs)
+	}, func(s, _ int) error {
+		return slots[s].flush(w, flushAt)
+	})
+	if err != nil {
 		return err
 	}
-	var head bytes.Buffer
-	enc := json.NewEncoder(&head)
-	var rec RunRecord
-	chunk := 0
-	for i := range records {
-		rec = records[i]
-		rts := rec.RTs
-		rec.RTs = nil
-		head.Reset()
-		if err := enc.Encode(&rec); err != nil {
-			return fmt.Errorf("trace: encode record %d: %w", i, err)
-		}
-		line := head.Bytes()
-		if len(rts) > 0 {
-			// "rts" is the record's last field: reopen the object the
-			// encoder closed with "}\n" and append the array to it. Every
-			// value comes with a comma after it; the last one is dropped.
-			buf = append(buf, line[:len(line)-2]...)
-			buf = append(buf, `,"rts":[`...)
-			for ; ready != nil && len(rts) > 0; chunk++ {
-				b := <-ready[chunk%workers]
-				if rts = rts[min(len(rts), jsonChunkRTs):]; len(rts) == 0 {
-					b = b[:len(b)-1]
-				}
-				if err := flush(); err != nil {
-					return err
-				}
-				if _, err := w.Write(b); err != nil {
-					return err
-				}
-				free[chunk%workers] <- b
-			}
-			for len(rts) > 0 {
-				if len(buf) >= flushAt {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-				n := min(len(rts), (cap(buf)-len(buf))/maxRTBytes)
-				if buf, rts = appendRTs(buf, rts[:n]), rts[n:]; len(rts) == 0 {
-					buf = buf[:len(buf)-1]
-				}
-			}
-			line = []byte("]}\n")
-		}
-		buf = append(buf, line...)
-		if len(buf) >= flushAt {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
+	return slots[0].flush(w, 1)
 }
 
-// encodeChunks is goroutine g of workers encoding the series of records:
-// of the stream's chunks of jsonChunkRTs values, it encodes every one whose
-// index is g modulo workers, in order, into a buffer from free, and sends it
-// on ready. It returns after its last chunk, or once quit is closed.
-func encodeChunks(records []RunRecord, g, workers int, ready chan<- []byte, free <-chan []byte, quit <-chan struct{}) {
-	k := 0
-	for i := range records {
-		for rts := records[i].RTs; len(rts) > 0; k++ {
-			n := min(len(rts), jsonChunkRTs)
-			if k%workers == g {
-				select {
-				case b := <-free:
-					ready <- appendRTs(b[:0], rts[:n]) // room for both buffers
-				case <-quit:
-					return
-				}
-			}
-			rts = rts[n:]
-		}
+// jsonChunk is one chunk of WriteJSON's stream being encoded: its bytes, and
+// the encoder and record copy that spell a record's head into them.
+type jsonChunk struct {
+	buf []byte
+	enc *json.Encoder
+	rec RunRecord
+}
+
+func (c *jsonChunk) Write(p []byte) (int, error) {
+	c.buf = append(c.buf, p...)
+	return len(p), nil
+}
+
+// flush writes the chunk's bytes to w and empties it, once it holds at
+// least at bytes.
+func (c *jsonChunk) flush(w io.Writer, at int) error {
+	if len(c.buf) < at {
+		return nil
 	}
+	_, err := w.Write(c.buf)
+	c.buf = c.buf[:0]
+	return err
+}
+
+// encode appends to c the chunk of records[r] whose values start at lo of
+// its series, led by the record's head when lo is 0.
+func (c *jsonChunk) encode(records []RunRecord, r, lo int) error {
+	if c.enc == nil {
+		// 16 bytes a value is more than a replay's values average; a
+		// buffer that needs more grows once, not per chunk.
+		c.enc, c.buf = json.NewEncoder(c), slices.Grow(c.buf, 16*jsonChunkRTs)
+	}
+	rts := records[r].RTs
+	if lo == 0 {
+		c.rec = records[r]
+		c.rec.RTs = nil
+		if err := c.enc.Encode(&c.rec); err != nil {
+			return fmt.Errorf("trace: encode record %d: %w", r, err)
+		}
+		if len(rts) == 0 {
+			return nil
+		}
+		// "rts" is the record's last field: reopen the object the encoder
+		// closed with "}\n" and open the array in it.
+		c.buf = append(c.buf[:len(c.buf)-2], `,"rts":[`...)
+	}
+	// Every value comes with a comma after it; the last one is dropped.
+	if c.buf = appendRTs(c.buf, rts[lo:min(lo+jsonChunkRTs, len(rts))]); lo+jsonChunkRTs >= len(rts) {
+		c.buf = append(c.buf[:len(c.buf)-1], "]}\n"...)
+	}
+	return nil
 }
 
 // appendRTs is the series encoder: it appends every response time of rts

@@ -6,11 +6,10 @@ import (
 	"hash/crc64"
 	"io"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"uflip/internal/device"
+	"uflip/internal/par"
 )
 
 // The uFLIP binary trace format (.utr) is the streaming counterpart of the
@@ -415,116 +414,61 @@ func patchUTRHeader(ws io.WriteSeeker, at int64, count, crc uint64) error {
 	return nil
 }
 
-// utrChunk is one chunk of records being encoded: its bytes, their CRC and
-// the first bad op's error.
+// utrChunk is one chunk of records being encoded or verified: its bytes
+// and, for a full chunk, their CRC.
 type utrChunk struct {
 	buf []byte
 	crc uint64
-	err error
 }
 
-// encode encodes chunk k of ops into c.buf and sets c.crc to crc continued
-// over the records, or c.err to the first bad op's error.
-func (c *utrChunk) encode(ops []BlockOp, k int, crc uint64) {
+// encode encodes chunk k of ops into c.buf, and checksums it if it is full;
+// the first bad op fails it.
+func (c *utrChunk) encode(ops []BlockOp, k int) error {
 	base := k * UTRChunkRecords
 	ops = ops[base:min(base+UTRChunkRecords, len(ops))]
-	c.buf = c.buf[:len(ops)*UTRRecordSize]
+	n := len(ops) * UTRRecordSize
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	}
+	c.buf = c.buf[:n]
 	for i, op := range ops {
 		if err := EncodeUTRRecord((*[UTRRecordSize]byte)(c.buf[i*UTRRecordSize:]), op); err != nil {
-			c.err = fmt.Errorf("%w (record %d)", err, base+i)
-			return
+			return fmt.Errorf("%w (record %d)", err, base+i)
 		}
 	}
-	c.crc, c.err = crcUpdate(crc, c.buf), nil
+	if len(c.buf) == utrChunkBytes {
+		c.crc = crcUpdate(0, c.buf)
+	}
+	return nil
+}
+
+// fold returns crc continued over the chunk's bytes: through crcChunkShift
+// for a full chunk, whose CRC is already taken, and by checksumming the short
+// last one.
+func (c *utrChunk) fold(crc uint64) uint64 {
+	if len(c.buf) == utrChunkBytes {
+		return crcChunkShift.apply(crc) ^ c.crc
+	}
+	return crcUpdate(crc, c.buf)
 }
 
 // encodeUTRChunks encodes ops a chunk at a time, hands the chunks to emit
 // in order and returns the CRC of all their bytes; the first bad op, by
 // index, fails it. A trace of 2·verifyPartChunks chunks or more is encoded
-// on up to one worker per CPU, as VerifyUTR splits one: the workers encode
-// and checksum a round of chunks, two per worker, into buffers of the call
-// while the calling goroutine folds the CRCs of the round before in order
-// and emits it. A full chunk's CRC folds in through crcChunkShift, and only
-// the short last one pays for crc64Combine. Memory is four chunk buffers
-// per worker, whatever the trace's length.
+// on up to one worker per CPU, as VerifyUTR splits one, by par.Ordered: the
+// workers encode and checksum chunks into four slots per worker while the
+// calling goroutine folds their CRCs in order and emits them. Memory is the
+// slots, whatever the trace's length.
 func encodeUTRChunks(ops []BlockOp, emit func([]byte) error) (uint64, error) {
 	chunks := (len(ops) + UTRChunkRecords - 1) / UTRChunkRecords
-	workers := min(runtime.GOMAXPROCS(0), chunks/verifyPartChunks)
-	if workers < 2 {
-		c := utrChunk{buf: make([]byte, 0, min(len(ops), UTRChunkRecords)*UTRRecordSize)}
-		for k := range chunks {
-			if c.encode(ops, k, c.crc); c.err != nil {
-				return 0, c.err
-			}
-			if err := emit(c.buf); err != nil {
-				return 0, err
-			}
-		}
-		return c.crc, nil
-	}
-
-	per := 2 * workers // chunks a round
-	slots := make([]utrChunk, 2*per)
-	for i := range slots {
-		slots[i].buf = make([]byte, 0, utrChunkBytes)
-	}
-	// Both channels hold a round: neither the hand-out nor the workers'
-	// reports wait on the other side.
-	todo, done := make(chan int, per), make(chan struct{}, per)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range todo {
-				slots[k%len(slots)].encode(ops, k, 0)
-				done <- struct{}{}
-			}
-		}()
-	}
-	defer func() {
-		close(todo)
-		wg.Wait()
-	}()
-	// flush folds and emits the encoded round starting at chunk first.
+	workers := max(1, min(par.Workers(0), chunks/verifyPartChunks))
+	slots := make([]utrChunk, 4*workers)
 	var crc uint64
-	flush := func(first int) error {
-		for k := first; k < min(first+per, chunks); k++ {
-			c := &slots[k%len(slots)]
-			if len(c.buf) == utrChunkBytes {
-				crc = crcChunkShift.apply(crc) ^ c.crc
-			} else {
-				crc = crc64Combine(crc, c.crc, int64(len(c.buf)))
-			}
-			if err := emit(c.buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for first := 0; first < chunks; first += per {
-		end := min(first+per, chunks)
-		for k := first; k < end; k++ {
-			todo <- k
-		}
-		var err error
-		if first > 0 {
-			err = flush(first - per)
-		}
-		for range end - first {
-			<-done
-		}
-		if err != nil {
-			return 0, err
-		}
-		for k := first; k < end; k++ {
-			if err := slots[k%len(slots)].err; err != nil {
-				return 0, err
-			}
-		}
-	}
-	if err := flush((chunks - 1) / per * per); err != nil {
-		return 0, err
-	}
-	return crc, nil
+	err := par.Ordered(chunks, workers, len(slots), func(s, k int) error {
+		return slots[s].encode(ops, k)
+	}, func(s, _ int) error {
+		crc = slots[s].fold(crc)
+		return emit(slots[s].buf)
+	})
+	return crc, err
 }

@@ -12,7 +12,8 @@ import (
 // chains in flight instead of one: each 8 KiB block is cut into four 2 KiB
 // lanes checksummed side by side, and the lanes are joined with a table
 // that appends 2 KiB of zeros to a CRC register. The same construction,
-// at 64 KiB, folds the per-chunk CRCs of the parallel writer in order.
+// at 64 KiB, folds the per-chunk CRCs of the parallel writer and verifier
+// in order.
 
 const (
 	// crcLaneBytes is one lane of the kernel; crcBlockBytes is the four
@@ -91,7 +92,7 @@ func (z *zeroShift) apply(x uint64) uint64 {
 }
 
 // makeZeroShift builds the table that appends n zero bytes, n a power of
-// two: the one-bit operator of crc64Combine squared up to 8n bits.
+// two: the operator of one zero bit squared up to 8n bits.
 func makeZeroShift(n int) (z zeroShift) {
 	var mat, sq [64]uint64
 	oneZeroBit(&mat)
@@ -106,42 +107,6 @@ func makeZeroShift(n int) (z zeroShift) {
 		}
 	}
 	return z
-}
-
-// crc64Combine returns the CRC-64/ECMA of A‖B from crcA = crc(A), crcB =
-// crc(B) and lenB = len(B), without the bytes: zlib's crc32_combine
-// construction at 64 bits. Appending lenB zero bytes to A is a linear map of
-// its CRC register over GF(2); the map for one zero bit is written down, and
-// squared repeatedly to reach 8·lenB bits in O(log lenB) 64×64 matrix
-// products; what B's own bytes add on top of zeros is crcB. Building the
-// operators costs ~75 µs a call; a fixed length folds through a zeroShift.
-func crc64Combine(crcA, crcB uint64, lenB int64) uint64 {
-	if lenB <= 0 {
-		return crcA
-	}
-	var even, odd [64]uint64
-	oneZeroBit(&odd)
-	gf2Square(&even, &odd) // two zero bits
-	gf2Square(&odd, &even) // four
-	// Each squaring doubles the zeros the operator appends, starting at one
-	// byte; apply the operators lenB's set bits select.
-	for {
-		gf2Square(&even, &odd)
-		if lenB&1 != 0 {
-			crcA = gf2Times(&even, crcA)
-		}
-		if lenB >>= 1; lenB == 0 {
-			break
-		}
-		gf2Square(&odd, &even)
-		if lenB&1 != 0 {
-			crcA = gf2Times(&odd, crcA)
-		}
-		if lenB >>= 1; lenB == 0 {
-			break
-		}
-	}
-	return crcA ^ crcB
 }
 
 // oneZeroBit sets mat to the operator of one zero bit: shift right, feeding

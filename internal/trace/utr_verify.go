@@ -3,15 +3,14 @@ package trace
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
+
+	"uflip/internal/par"
 )
 
-// verifyPartChunks is the least a part of a split verification covers, in
-// chunks (1 MiB of records): a trace shorter than two of them is verified,
-// and written by WriteUTR, on the calling goroutine, where starting
-// goroutines and building the CRC combine operator (~100 µs) would cost
-// more than they save.
+// verifyPartChunks is the least each worker of a verification or an
+// in-memory write is given, in chunks (1 MiB of records): a trace shorter
+// than two of them is verified, and written by WriteUTR, on the calling
+// goroutine, where starting goroutines would cost more than they save.
 const verifyPartChunks = 16
 
 // VerifyUTR validates the .utr trace held in the first size bytes of ra —
@@ -21,17 +20,17 @@ const verifyPartChunks = 16
 // what NewScanner followed by a full Scan loop over the same bytes reports:
 // the same checks, the same error text and the same precedence (the first bad
 // record before a truncation, a truncation or bad record before a CRC
-// mismatch, a CRC mismatch before trailing bytes). A long trace is split into
-// chunk-aligned parts validated and checksummed concurrently, one per CPU,
-// and the parts' CRCs are folded with crc64Combine; the lowest-index failure
-// wins, so the verdict does not depend on the split. ra must allow
-// concurrent ReadAt calls, as *os.File and bytes.Reader do.
+// mismatch, a CRC mismatch before trailing bytes). A long trace is read,
+// validated and checksummed a chunk at a time on up to one worker per CPU by
+// par.Ordered, and the chunk CRCs are folded in order; the lowest-index
+// failure wins, so the verdict does not depend on the worker count. ra must
+// allow concurrent ReadAt calls, as *os.File and bytes.Reader do.
 func VerifyUTR(ra io.ReaderAt, size int64) (int, error) {
-	return verifyUTR(ra, size, runtime.GOMAXPROCS(0), verifyPartChunks)
+	return verifyUTR(ra, size, par.Workers(0), verifyPartChunks)
 }
 
-// verifyUTR is VerifyUTR over at most maxParts parts of at least partChunks
-// chunks each.
+// verifyUTR is VerifyUTR on at most maxParts workers, each given at least
+// partChunks chunks.
 func verifyUTR(ra io.ReaderAt, size int64, maxParts, partChunks int) (int, error) {
 	var hdr [UTRHeaderSize]byte
 	if _, err := io.ReadFull(io.NewSectionReader(ra, 0, size), hdr[:]); err != nil {
@@ -45,35 +44,17 @@ func verifyUTR(ra io.ReaderAt, size int64, maxParts, partChunks int) (int, error
 	// header's count sizes nothing until the bytes are seen to be there.
 	have := int(min(int64(count), (size-UTRHeaderSize)/UTRRecordSize))
 	chunks := (have + UTRChunkRecords - 1) / UTRChunkRecords
-	parts := min(maxParts, chunks/partChunks)
-
+	workers := max(1, min(maxParts, chunks/partChunks))
+	slots := make([]utrChunk, workers) // emitting is a quick fold: one slot a worker keeps up
 	var crc uint64
-	if parts <= 1 {
-		if crc, err = verifyRecords(ra, 0, have, count); err != nil {
-			return count, err
-		}
-	} else {
-		perChunks := (chunks + parts - 1) / parts
-		parts = (chunks + perChunks - 1) / perChunks // rounding up can leave fewer
-		per := perChunks * UTRChunkRecords
-		crcs := make([]uint64, parts)
-		errs := make([]error, parts)
-		var wg sync.WaitGroup
-		for p := 0; p < parts; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				first := p * per
-				crcs[p], errs[p] = verifyRecords(ra, first, min(per, have-first), count)
-			}(p)
-		}
-		wg.Wait()
-		for p := 0; p < parts; p++ {
-			if errs[p] != nil {
-				return count, errs[p]
-			}
-			crc = crc64Combine(crc, crcs[p], int64(min(per, have-p*per))*UTRRecordSize)
-		}
+	err = par.Ordered(chunks, workers, len(slots), func(s, k int) error {
+		return slots[s].verify(ra, k, have, count)
+	}, func(s, _ int) error {
+		crc = slots[s].fold(crc)
+		return nil
+	})
+	if err != nil {
+		return count, err
 	}
 	end := int64(UTRHeaderSize) + int64(count)*UTRRecordSize
 	switch {
@@ -92,36 +73,35 @@ func verifyUTR(ra io.ReaderAt, size int64, maxParts, partChunks int) (int, error
 	return count, nil
 }
 
-// verifyRecords decodes and validates records [first, first+n) of a trace
-// declaring count of them, a chunk at a time as Scanner does, and returns the
-// CRC-64 of their bytes. A read that ends early still has every whole record
-// it returned validated before it is reported, as Scanner hands them out.
-func verifyRecords(ra io.ReaderAt, first, n, count int) (uint64, error) {
-	chunk := make([]byte, min(n, UTRChunkRecords)*UTRRecordSize)
-	off := int64(UTRHeaderSize) + int64(first)*UTRRecordSize
-	var crc uint64
-	for rec, end := first, first+n; rec < end; {
-		window := chunk[:min(end-rec, UTRChunkRecords)*UTRRecordSize]
-		got, readErr := ra.ReadAt(window, off)
-		if got == len(window) {
-			readErr = nil // ReadAt may report EOF with a full read
-		}
-		window = window[:got-got%UTRRecordSize]
-		off += int64(len(window))
-		crc = crcUpdate(crc, window)
-		for ; len(window) > 0; window = window[UTRRecordSize:] {
-			if _, err := DecodeUTRRecord(window[:UTRRecordSize]); err != nil {
-				return 0, fmt.Errorf("%w (record %d)", err, rec)
-			}
-			rec++
-		}
-		switch readErr {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			return 0, fmt.Errorf("trace: utr trace truncated at record %d of %d", rec, count)
-		default:
-			return 0, fmt.Errorf("trace: utr read: %w", readErr)
+// verify reads chunk k of the first have records of a trace declaring count
+// of them into c and validates every record in it, as Scanner does, and
+// checksums it if it is full. A read that ends early still has every whole
+// record it returned validated before it is reported.
+func (c *utrChunk) verify(ra io.ReaderAt, k, have, count int) error {
+	first := k * UTRChunkRecords
+	n := min(have-first, UTRChunkRecords) * UTRRecordSize
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	}
+	got, readErr := ra.ReadAt(c.buf[:n], int64(UTRHeaderSize)+int64(first)*UTRRecordSize)
+	if got == n {
+		readErr = nil // ReadAt may report EOF with a full read
+	}
+	c.buf = c.buf[:got-got%UTRRecordSize]
+	for i := 0; i < len(c.buf); i += UTRRecordSize {
+		if _, err := DecodeUTRRecord(c.buf[i : i+UTRRecordSize]); err != nil {
+			return fmt.Errorf("%w (record %d)", err, first+i/UTRRecordSize)
 		}
 	}
-	return crc, nil
+	switch readErr {
+	case nil:
+	case io.EOF, io.ErrUnexpectedEOF:
+		return fmt.Errorf("trace: utr trace truncated at record %d of %d", first+len(c.buf)/UTRRecordSize, count)
+	default:
+		return fmt.Errorf("trace: utr read: %w", readErr)
+	}
+	if len(c.buf) == utrChunkBytes {
+		c.crc = crcUpdate(0, c.buf)
+	}
+	return nil
 }

@@ -31,11 +31,15 @@ import (
 // write -> read -> write cycle is byte-stable.
 //
 // The binary .utr form of the same stream is internal/trace/utr.go. Both
-// forms carry the one record type, Op, and meet in exactly two functions at
-// the bottom of this file: NewOpReader sniffs a stream and returns the form's
-// scanner, NewOpWriter returns the named form's writer. Everything that
-// reads, writes, saves, loads, converts or validates a trace is written once
-// over those two, so the forms convert losslessly in both directions.
+// forms carry the one record type, Op. The streaming paths meet in two
+// functions at the bottom of this file: NewOpReader sniffs a stream and
+// returns the form's scanner, NewOpWriter returns the named form's writer,
+// and reading and converting a trace are written once over those two, so
+// the forms convert losslessly in both directions. Two paths take the .utr
+// form directly instead: WriteOps (and so saving) hands a whole in-memory
+// stream to trace.WriteUTR, which encodes it on every CPU, and OpenTrace
+// tests the magic itself, because a .utr replay source reads from an
+// io.ReaderAt segment by segment.
 
 // traceHeader is the canonical header row WriteTrace emits.
 var traceHeader = []string{"offset", "size", "mode", "gap_us"}

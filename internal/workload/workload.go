@@ -9,10 +9,11 @@
 // trace.BlockOp), so a stream goes to and from a trace file with no
 // conversion. A trace has two on-disk forms — the CSV of trace.go and the
 // binary .utr of internal/trace/utr.go — each with one streaming reader and
-// one streaming writer; the only code that knows there are two is
-// NewOpReader (sniffs a stream, returns the form's reader) and NewOpWriter
-// (returns the named form's writer), and reading, writing, saving, loading
-// and converting a trace are each one function over those (trace.go).
+// one streaming writer. NewOpReader (sniffs a stream, returns the form's
+// reader) and NewOpWriter (returns the named form's writer) choose between
+// them for reading and converting; WriteOps sends a whole .utr stream to
+// trace.WriteUTR, and OpenTrace checks the magic itself to open a .utr
+// replay source (trace.go).
 // Streams are pure functions of their generator
 // configuration (including the seed), so the same configuration always
 // yields the identical stream. Replay is open-loop: op i is submitted at
@@ -31,13 +32,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"uflip/internal/core"
 	"uflip/internal/device"
 	"uflip/internal/engine"
+	"uflip/internal/par"
 	"uflip/internal/stats"
 	"uflip/internal/trace"
 )
@@ -257,10 +258,7 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 	if segOps <= 0 || segOps >= total {
 		segOps = total
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := par.Workers(opts.Workers)
 	// rts is the stream-order series each segment replays into.
 	rts := make([]time.Duration, total)
 	decoder, _ := src.(SegmentDecoder)
@@ -316,24 +314,19 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 		res.Faults.Add(run.Faults)
 	}
 	// The stream-order Welford total depends on the order of every sample to
-	// the last bit, so it stays one pass on this goroutine. Selection and the
-	// windows, split by window range across the workers, only read the
-	// series and run beside it when the job has a second worker.
-	selected := make(chan []time.Duration, 1)
-	windows := make(chan []stats.Window, 1)
-	for _, fn := range []func(){
-		func() { selected <- stats.Percentiles(rts, 50, 95, 99) },
-		func() { windows <- stats.Windows(rts, opts.windowOps(), workers) },
-	} {
-		if workers > 1 {
-			go fn()
-		} else {
-			fn()
-		}
+	// the last bit, so it stays one pass. Selection and the windows, split
+	// by window range across the workers, only read the series and run
+	// beside it when the job has a second worker.
+	var pcts []time.Duration
+	tail := []func(){
+		func() { res.Total = stats.Summarize(rts) },
+		func() { pcts = stats.Percentiles(rts, 50, 95, 99) },
+		func() { res.Windows = stats.Windows(rts, opts.windowOps(), workers) },
 	}
-	res.Total = stats.Summarize(rts)
-	res.Windows = <-windows
-	pcts := <-selected
+	par.Each(context.Background(), len(tail), workers, func(_ context.Context, _, i int) error {
+		tail[i]()
+		return nil
+	})
 	res.P50, res.P95, res.P99 = pcts[0], pcts[1], pcts[2]
 	return res, nil
 }

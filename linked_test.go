@@ -172,14 +172,30 @@ func TestUnlinkedFunctionsAreKept(t *testing.T) {
 }
 
 // declaredFuncs names, as the linker does, every function and method declared
-// in a non-test Go file that `make loc` counts: the repository without
-// benchmark/, the linter's fixtures and hidden directories. A main package's
-// function is "main@<binary>.F". init functions are left out: they have no
-// name of their own, and the linker keeps every init of a linked package.
+// in a non-test Go file that `make loc` counts. A main package's function is
+// "main@<binary>.F". init functions are left out: they have no name of their
+// own, and the linker keeps every init of a linked package.
 func declaredFuncs() (map[string]bool, error) {
 	out := map[string]bool{}
+	err := walkProduct(func(pkg string, f *ast.File) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || (fn.Recv == nil && fn.Name.Name == "init") {
+				continue
+			}
+			out[pkg+"."+receiver(fn)+fn.Name.Name] = true
+		}
+	})
+	return out, err
+}
+
+// walkProduct parses every non-test Go file that `make loc` counts — the
+// repository without benchmark/, the linter's fixtures and hidden
+// directories — and hands it to visit with its package named as the linker
+// names it: "uflip/internal/x", or "main@<binary>" for a main package.
+func walkProduct(visit func(pkg string, f *ast.File)) error {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	return filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
 			return err
@@ -200,16 +216,9 @@ func declaredFuncs() (map[string]bool, error) {
 		if f.Name.Name == "main" {
 			pkg = "main@" + filepath.Base(dir)
 		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || (fn.Recv == nil && fn.Name.Name == "init") {
-				continue
-			}
-			out[pkg+"."+receiver(fn)+fn.Name.Name] = true
-		}
+		visit(pkg, f)
 		return nil
 	})
-	return out, err
 }
 
 // receiver is "(*T)." or "T." for a method, "" for a function.
