@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCRC64Combine$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzCRCMatchesStdlib$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzPercentilesMatchSorted$$' -fuzztime $(FUZZTIME) ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzTrimFloatMatchesStrconv$$' -fuzztime $(FUZZTIME) ./internal/report
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/device
 	$(GO) test -run '^$$' -fuzz '^FuzzChipRunEquivalence$$' -fuzztime $(FUZZTIME) ./internal/flash
 	$(GO) test -run '^$$' -fuzz '^FuzzWearQueueMatchesSorted$$' -fuzztime $(FUZZTIME) ./internal/ftl

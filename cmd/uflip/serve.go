@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"time"
 
+	"uflip/internal/profile"
 	"uflip/internal/server"
 )
 
@@ -27,7 +28,7 @@ func runServe(ctx context.Context, args []string) error {
 		queue    = fs.Int("queue", 64, "maximum queued jobs; submissions beyond it are rejected with 503")
 		jobs     = fs.Int("jobs", 2, "jobs executed concurrently")
 		keep     = fs.Int("keep", 256, "finished jobs retained (oldest evicted first, from memory and -jobdir)")
-		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "default engine workers per job (requests may override; results are identical for any value)")
+		parallel = fs.Int("parallel", min(runtime.GOMAXPROCS(0), profile.MaxParallel), "default engine workers per job (requests may override; results are identical for any value)")
 		rate     = fs.Float64("rate", 0, "per-tenant submission rate limit in jobs/second, keyed by X-API-Key (0 = unlimited)")
 		burst    = fs.Int("burst", 0, "per-tenant token-bucket burst (0 = derive from -rate)")
 		tenantQ  = fs.Int("tenant-queue", 0, "per-tenant queued-job quota (0 = only the global -queue bound)")

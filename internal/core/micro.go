@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"uflip/internal/device"
@@ -68,16 +69,16 @@ func pow2(maxExp int, unit int64) []int64 {
 	return out
 }
 
-// Granularity varies IOSize across the four baselines (micro-benchmark 1):
+// granularity varies IOSize across the four baselines (micro-benchmark 1):
 // [2^0 .. 2^9] x 512 B plus some non-powers of two, probing the mapping
 // granularity of the flash translation layer.
-func Granularity(d Defaults, capacity int64) Microbenchmark {
+func granularity(name string, d Defaults, capacity int64) Microbenchmark {
 	sizes := pow2(9, SectorSize)
 	for _, np := range []int64{3, 12, 48, 192} { // 1.5, 6, 24, 96 KB
 		sizes = append(sizes, np*SectorSize)
 	}
 	mb := Microbenchmark{
-		Name:        "Granularity",
+		Name:        name,
 		Param:       "IOSize",
 		Description: "response time as a function of IO size, per baseline",
 	}
@@ -96,11 +97,11 @@ func Granularity(d Defaults, capacity int64) Microbenchmark {
 	return mb
 }
 
-// Alignment varies IOShift from one sector up to IOSize with the IO size
+// alignment varies IOShift from one sector up to IOSize with the IO size
 // fixed (micro-benchmark 2).
-func Alignment(d Defaults, capacity int64) Microbenchmark {
+func alignment(name string, d Defaults, capacity int64) Microbenchmark {
 	mb := Microbenchmark{
-		Name:        "Alignment",
+		Name:        name,
 		Param:       "IOShift",
 		Description: "impact of unaligned IOs, per baseline",
 	}
@@ -126,12 +127,12 @@ func Alignment(d Defaults, capacity int64) Microbenchmark {
 	return mb
 }
 
-// Locality varies TargetSize (micro-benchmark 3): random baselines from one
+// locality varies TargetSize (micro-benchmark 3): random baselines from one
 // IO slot up to 2^16 slots (bounded by the device), sequential baselines up
 // to 2^8 slots with wrap-around.
-func Locality(d Defaults, capacity int64) Microbenchmark {
+func locality(name string, d Defaults, capacity int64) Microbenchmark {
 	mb := Microbenchmark{
-		Name:        "Locality",
+		Name:        name,
 		Param:       "TargetSize",
 		Description: "impact of focusing IOs on a small area",
 	}
@@ -155,13 +156,13 @@ func Locality(d Defaults, capacity int64) Microbenchmark {
 	return mb
 }
 
-// Partitioning varies the number of round-robin partitions for the
+// partitioning varies the number of round-robin partitions for the
 // sequential baselines (micro-benchmark 4), the pattern of a multi-way merge
 // in an external sort. The target is sized so the run wraps each partition,
 // exposing the replacement-block (or write-point) limit of the device.
-func Partitioning(d Defaults, capacity int64) Microbenchmark {
+func partitioning(name string, d Defaults, capacity int64) Microbenchmark {
 	mb := Microbenchmark{
-		Name:        "Partitioning",
+		Name:        name,
 		Param:       "Partitions",
 		Description: "concurrent sequential streams over N partitions",
 	}
@@ -187,12 +188,12 @@ func Partitioning(d Defaults, capacity int64) Microbenchmark {
 	return mb
 }
 
-// Order varies the linear LBA increment for the sequential baselines
+// order varies the linear LBA increment for the sequential baselines
 // (micro-benchmark 5): reverse (-1), in-place (0) and strided (2^0..2^8)
 // patterns.
-func Order(d Defaults, capacity int64) Microbenchmark {
+func order(name string, d Defaults, capacity int64) Microbenchmark {
 	mb := Microbenchmark{
-		Name:        "Order",
+		Name:        name,
 		Param:       "Incr",
 		Description: "linearly increasing, decreasing and in-place LBAs",
 	}
@@ -225,11 +226,11 @@ func Order(d Defaults, capacity int64) Microbenchmark {
 	return mb
 }
 
-// Parallelism varies the replication degree of the four baselines
+// parallelism varies the replication degree of the four baselines
 // (micro-benchmark 6): ParallelDegree in [2^0 .. 2^4].
-func Parallelism(d Defaults, capacity int64) Microbenchmark {
+func parallelism(name string, d Defaults, capacity int64) Microbenchmark {
 	mb := Microbenchmark{
-		Name:        "Parallelism",
+		Name:        name,
 		Param:       "ParallelDegree",
 		Description: "the same baseline replicated over N processes",
 	}
@@ -256,11 +257,11 @@ var MixPairs = [][2]Baseline{
 	{SR, RR}, {SR, RW}, {SR, SW}, {RR, SW}, {RR, RW}, {SW, RW},
 }
 
-// Mix composes pairs of baselines with a varying ratio (micro-benchmark 7):
+// mix composes pairs of baselines with a varying ratio (micro-benchmark 7):
 // Ratio IOs of the first per IO of the second, Ratio in [2^0 .. 2^6].
-func Mix(d Defaults, capacity int64) Microbenchmark {
+func mix(name string, d Defaults, capacity int64) Microbenchmark {
 	mb := Microbenchmark{
-		Name:        "Mix",
+		Name:        name,
 		Param:       "Ratio",
 		Description: "two baselines interleaved with a varying ratio",
 	}
@@ -285,11 +286,11 @@ func Mix(d Defaults, capacity int64) Microbenchmark {
 	return mb
 }
 
-// PauseMB varies the pause inserted between consecutive IOs (micro-
+// pause varies the pause inserted between consecutive IOs (micro-
 // benchmark 8): Pause in [2^0 .. 2^8] x 0.1 ms.
-func PauseMB(d Defaults, capacity int64) Microbenchmark {
+func pause(name string, d Defaults, capacity int64) Microbenchmark {
 	mb := Microbenchmark{
-		Name:        "Pause",
+		Name:        name,
 		Param:       "Pause100us",
 		Description: "pause between IOs, probing asynchronous reclamation",
 	}
@@ -307,11 +308,11 @@ func PauseMB(d Defaults, capacity int64) Microbenchmark {
 	return mb
 }
 
-// Bursts fixes the pause (100 ms) and varies the burst length (micro-
+// bursts fixes the pause (100 ms) and varies the burst length (micro-
 // benchmark 9): Burst in [2^0 .. 2^6] x 10 IOs.
-func Bursts(d Defaults, capacity int64) Microbenchmark {
+func bursts(name string, d Defaults, capacity int64) Microbenchmark {
 	mb := Microbenchmark{
-		Name:        "Bursts",
+		Name:        name,
 		Param:       "Burst",
 		Description: "groups of IOs separated by a fixed pause",
 	}
@@ -330,20 +331,55 @@ func Bursts(d Defaults, capacity int64) Microbenchmark {
 	return mb
 }
 
+// Micro is one micro-benchmark of Table 1: its name, and the builder of its
+// experiments under that name.
+type Micro struct {
+	Name  string
+	build func(name string, d Defaults, capacity int64) Microbenchmark
+}
+
+// Build returns the micro-benchmark's experiments, bounded to a device
+// capacity.
+func (m Micro) Build(d Defaults, capacity int64) Microbenchmark {
+	return m.build(m.Name, d, capacity)
+}
+
+// Table1 lists the nine micro-benchmarks of Table 1 in order. It is the one
+// place each one's name is written.
+var Table1 = [...]Micro{
+	{"Granularity", granularity},
+	{"Alignment", alignment},
+	{"Locality", locality},
+	{"Partitioning", partitioning},
+	{"Order", order},
+	{"Parallelism", parallelism},
+	{"Mix", mix},
+	{"Pause", pause},
+	{"Bursts", bursts},
+}
+
+// LookupMicro returns the micro-benchmark of Table 1 that name names, in any
+// case and with surrounding spaces, without building any.
+func LookupMicro(name string) (Micro, error) {
+	key := strings.ToLower(strings.TrimSpace(name))
+	known := make([]string, len(Table1))
+	for i, m := range Table1 {
+		if strings.ToLower(m.Name) == key {
+			return m, nil
+		}
+		known[i] = m.Name
+	}
+	return Micro{}, fmt.Errorf("unknown micro-benchmark %q (known: %s)", name, strings.Join(known, ", "))
+}
+
 // AllMicrobenchmarks returns the nine micro-benchmarks of Table 1, bounded
 // to a device capacity.
 func AllMicrobenchmarks(d Defaults, capacity int64) []Microbenchmark {
-	return []Microbenchmark{
-		Granularity(d, capacity),
-		Alignment(d, capacity),
-		Locality(d, capacity),
-		Partitioning(d, capacity),
-		Order(d, capacity),
-		Parallelism(d, capacity),
-		Mix(d, capacity),
-		PauseMB(d, capacity),
-		Bursts(d, capacity),
+	out := make([]Microbenchmark, len(Table1))
+	for i, m := range Table1 {
+		out[i] = m.Build(d, capacity)
 	}
+	return out
 }
 
 // clampTarget shrinks a pattern's target to fit the device.

@@ -273,7 +273,7 @@ func TestMicrobenchmarkGenerators(t *testing.T) {
 
 func TestGranularityRange(t *testing.T) {
 	d := StandardDefaults()
-	mb := Granularity(d, 8<<30)
+	mb := microNamed(t, "Granularity").Build(d, 8<<30)
 	// Table 1: [2^0 .. 2^9] x 512 B plus non-powers of two, per baseline.
 	perBase := map[Baseline]int{}
 	var sawNonPower bool
@@ -301,7 +301,7 @@ func TestMixPairsMatchPaper(t *testing.T) {
 		t.Fatalf("%d mix pairs, want 6", len(MixPairs))
 	}
 	d := StandardDefaults()
-	mb := Mix(d, 8<<30)
+	mb := microNamed(t, "Mix").Build(d, 8<<30)
 	// 6 combinations x ratios 2^0..2^6 = 42 experiments.
 	if len(mb.Experiments) != 42 {
 		t.Fatalf("%d mix experiments, want 42", len(mb.Experiments))
@@ -321,7 +321,7 @@ func TestMixPairsMatchPaper(t *testing.T) {
 
 func TestOrderIncludesReverseAndInPlace(t *testing.T) {
 	d := StandardDefaults()
-	mb := Order(d, 8<<30)
+	mb := microNamed(t, "Order").Build(d, 8<<30)
 	saw := map[int64]bool{}
 	for _, e := range mb.Experiments {
 		saw[e.Value] = true
@@ -335,7 +335,7 @@ func TestOrderIncludesReverseAndInPlace(t *testing.T) {
 
 func TestExperimentIDStable(t *testing.T) {
 	d := StandardDefaults()
-	mb := Locality(d, 8<<30)
+	mb := microNamed(t, "Locality").Build(d, 8<<30)
 	e := mb.Experiments[0]
 	if e.ID() == "" || e.ID() != e.ID() {
 		t.Fatal("unstable ID")
@@ -538,7 +538,7 @@ func TestExecuteParallelMatchesPerIORetryLoop(t *testing.T) {
 	d.RandomTarget = capacity / 2
 	d.IOIgnore = 16
 	retried := false
-	for _, e := range Parallelism(d, capacity).Experiments {
+	for _, e := range microNamed(t, "Parallelism").Build(d, capacity).Experiments {
 		const spec = "faulty(mtron,readerr=5e-3,writeerr=5e-3,seed=7)"
 		got, err := ExecuteParallel(build(spec), e.Pattern, e.Degree, time.Second)
 		if err != nil {
@@ -594,4 +594,14 @@ func TestExecuteAllocationsIndependentOfLength(t *testing.T) {
 	if long > 7 {
 		t.Fatalf("ExecutePattern allocates %v times per run, want at most 7", long)
 	}
+}
+
+// microNamed returns the micro-benchmark of Table 1 named name.
+func microNamed(t *testing.T, name string) Micro {
+	t.Helper()
+	m, err := LookupMicro(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

@@ -31,6 +31,15 @@ import (
 	"uflip/internal/workload"
 )
 
+// CheckParallel refuses an engine worker count above profile.MaxParallel:
+// every worker holds a private device.
+func CheckParallel(n int) error {
+	if n > profile.MaxParallel {
+		return fmt.Errorf("parallel %d is above the ceiling of %d workers", n, profile.MaxParallel)
+	}
+	return nil
+}
+
 // Normalize fills req's omitted values from api.Defaults (a workload takes
 // the job's seed and, by default, half the capacity) and runs every check that
 // needs no execution: at most profile.MaxParallel workers, the device spec
@@ -46,8 +55,8 @@ func Normalize(req *api.JobRequest) error {
 	if req.Capacity < 0 {
 		return errors.New("capacity must be positive")
 	}
-	if req.Parallel > profile.MaxParallel {
-		return fmt.Errorf("parallel %d is above the ceiling of %d workers", req.Parallel, profile.MaxParallel)
+	if err := CheckParallel(req.Parallel); err != nil {
+		return err
 	}
 	if req.Seed == 0 {
 		req.Seed = d.Seed
@@ -65,8 +74,12 @@ func Normalize(req *api.JobRequest) error {
 	}
 	switch req.Kind {
 	case "plan":
-		_, err := paperexp.SelectMicros(req.Micros, core.StandardDefaults(), req.Capacity)
-		return err
+		for _, name := range req.Micros {
+			if _, err := core.LookupMicro(name); err != nil {
+				return err
+			}
+		}
+		return nil
 	case "workload":
 		w := req.Workload
 		if w == nil {

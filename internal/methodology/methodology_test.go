@@ -190,7 +190,7 @@ func TestBuildPlanInsertsResets(t *testing.T) {
 	// past capacity.
 	const capacity = 64 << 20
 	var exps []core.Experiment
-	mb := core.Partitioning(d, capacity)
+	mb := core.Table1[3].Build(d, capacity) // Partitioning
 	for i := 0; i < 8; i++ {
 		exps = append(exps, mb.Experiments...)
 	}

@@ -24,7 +24,7 @@ func TestRunPlanEndToEnd(t *testing.T) {
 	d := core.StandardDefaults()
 	d.IOCount = 128
 	d.RandomTarget = capacity / 2
-	exps := core.Order(d, capacity).Experiments
+	exps := core.Table1[4].Build(d, capacity).Experiments // Order
 	plan := methodology.BuildPlan(exps, capacity, time.Second, nil)
 	factory := engine.CloningFactory(func() (device.Cloneable, time.Duration, error) {
 		dev, err := p.BuildWithCapacity(capacity)

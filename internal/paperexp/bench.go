@@ -3,7 +3,6 @@ package paperexp
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"uflip/internal/core"
@@ -58,26 +57,20 @@ type BenchmarkOutcome struct {
 	Results *methodology.Results
 }
 
-// SelectMicros resolves micro-benchmark names (case-insensitive) against the
-// nine of Table 1; an empty list selects all of them.
+// SelectMicros resolves micro-benchmark names (core.LookupMicro) against the
+// nine of Table 1 and builds only those named; an empty list selects all of
+// them.
 func SelectMicros(names []string, d core.Defaults, capacity int64) ([]core.Microbenchmark, error) {
-	all := core.AllMicrobenchmarks(d, capacity)
 	if len(names) == 0 {
-		return all, nil
-	}
-	byName := make(map[string]core.Microbenchmark, len(all))
-	known := make([]string, 0, len(all))
-	for _, mb := range all {
-		byName[strings.ToLower(mb.Name)] = mb
-		known = append(known, mb.Name)
+		return core.AllMicrobenchmarks(d, capacity), nil
 	}
 	out := make([]core.Microbenchmark, 0, len(names))
-	for _, want := range names {
-		mb, ok := byName[strings.ToLower(strings.TrimSpace(want))]
-		if !ok {
-			return nil, fmt.Errorf("unknown micro-benchmark %q (known: %s)", want, strings.Join(known, ", "))
+	for _, name := range names {
+		m, err := core.LookupMicro(name)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, mb)
+		out = append(out, m.Build(d, capacity))
 	}
 	return out, nil
 }

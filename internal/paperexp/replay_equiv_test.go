@@ -111,14 +111,15 @@ func TestReplaySourceSameResultAnyWorkersAnySource(t *testing.T) {
 	if got := stats.Summarize(merged); got != want.Total {
 		t.Errorf("total %+v, the merged series gives %+v", want.Total, got)
 	}
-	if got := stats.Windows(merged, opts.WindowOps, 1); !reflect.DeepEqual(got, want.Windows) {
+	if got := windowsOf(merged, opts.WindowOps); !reflect.DeepEqual(got, want.Windows) {
 		t.Errorf("windows differ from the merged series' (%d vs %d)", len(want.Windows), len(got))
 	}
-	// The windows are split by window range, one range per worker: every
-	// split gives the merged series' windows, from one-sample windows to one
-	// longer than the stream.
+	// The windows inside a segment are summarized with it and the ones that
+	// cross a segment boundary after the replay: every worker count gives
+	// the merged series' windows, from one-sample windows to one longer than
+	// the stream.
 	for _, size := range []int{1, 7, 256, 12_500, 12_501, len(ops) + 1} {
-		wantWindows := stats.Windows(merged, size, 1)
+		wantWindows := windowsOf(merged, size)
 		for _, workers := range []int{1, 2, 3, 7} {
 			o := workload.Options{SegmentOps: opts.SegmentOps, WindowOps: size, Workers: workers, Seed: cfg.Seed}
 			res, err := workload.ReplaySource(context.Background(), sources[0].src, ShardFactory(spec, cfg), o)
@@ -133,4 +134,14 @@ func TestReplaySourceSameResultAnyWorkersAnySource(t *testing.T) {
 	if want.Ops != len(ops) || len(merged) != len(ops) || want.Elapsed != elapsed {
 		t.Errorf("ops %d, merged %d, elapsed %v; want %d, %d, %v", want.Ops, len(merged), want.Elapsed, len(ops), len(ops), elapsed)
 	}
+}
+
+// windowsOf summarizes series in windows of size samples, the last one cut
+// at the end: the windows a replay reports, computed the plain way.
+func windowsOf(series []time.Duration, size int) []stats.Window {
+	var out []stats.Window
+	for start := 0; start < len(series); start += size {
+		out = append(out, stats.Window{Start: int64(start), Summary: stats.Summarize(series[start:min(start+size, len(series))])})
+	}
+	return out
 }

@@ -1,6 +1,6 @@
 // Package par is the program's one fan-out. Every compute job that runs on
 // several goroutines — the engine's jobs, the .jsonl and .utr encoders, the
-// .utr verifier, a replay's windows and tail — runs through Each or Ordered,
+// .utr verifier, a replay's tail — runs through Each or Ordered,
 // so the rules every output's worker-count independence rests on are written
 // once: indexes are handed out in order, the first error stops the work,
 // results come back by index and never by completion time, no goroutine
@@ -25,8 +25,10 @@ func Workers(n int) int {
 // Each calls fn once for every index in [0, n). The indexes are handed out in
 // order to the calling goroutine and to min(workers, n)-1 goroutines Each
 // starts, so at one worker they run in order on the caller and no goroutine
-// starts. worker is the caller's 0 or a started goroutine's 1, 2, …, for
-// scratch kept per worker; the calls one worker makes follow each other.
+// starts. An index handed out is always run, so when index i runs every
+// index below it runs too, even after an error. worker is the caller's 0 or
+// a started goroutine's 1, 2, …, for scratch kept per worker; the calls one
+// worker makes follow each other.
 //
 // The first error fn returns is recorded, then the context given to fn is
 // cancelled and no further index is handed out; calls in flight finish, and

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -42,10 +43,58 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.Rows = append(t.Rows, row)
 }
 
+// pow10 holds 10^-3 … 10^15. The three fractions are each stored a little
+// above their value, so |v| >= pow10[k] exactly when |v| >= 10^(k-3).
+var pow10 = [...]float64{1e-3, 1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// trimFloat prints v with three decimals, as strconv's 'f' format does, then
+// drops the trailing zeros and a bare point. strconv takes its
+// multiprecision path for 'f'; a finite v below 1e15 in magnitude is printed
+// from the 'e' format instead, at the precision that ends on the thousandth
+// (ryū's fixed path, a quarter of the time), and reassembled. What rounds
+// away entirely, below 10^-3, is settled by one comparison.
 func trimFloat(v float64) string {
-	var buf [32]byte
-	s := strconv.AppendFloat(buf[:0], v, 'f', 3, 64)
-	return string(bytes.TrimRight(bytes.TrimRight(s, "0"), "."))
+	a := math.Abs(v)
+	switch {
+	case !(a < 1e15): // infinities, NaN and the largest values
+		var buf [32]byte
+		s := strconv.AppendFloat(buf[:0], v, 'f', 3, 64)
+		return string(bytes.TrimRight(bytes.TrimRight(s, "0"), "."))
+	case a < 1e-3:
+		// 5e-4 is stored above 0.0005, so no value here is a tie.
+		s := "0"
+		if a >= 5e-4 {
+			s = "0.001"
+		}
+		if math.Signbit(v) {
+			s = "-" + s
+		}
+		return s
+	}
+	exp := -3 // v's decimal exponent
+	for a >= pow10[exp+4] {
+		exp++
+	}
+	var buf, out [32]byte
+	s := strconv.AppendFloat(buf[:0], v, 'e', exp+3, 64) // [-]d[.ddd]e±dd
+	o := out[:0]
+	if s[0] == '-' {
+		o = append(o, '-')
+		s = s[1:]
+	}
+	e := bytes.IndexByte(s, 'e')
+	x := int(s[e+2]-'0')*10 + int(s[e+3]-'0') // exp, or exp+1 when rounding carried
+	if s[e+1] == '-' {
+		x = -x
+	}
+	lead, frac := s[:1], s[min(2, e):e] // the digits before and after the point
+	if x < 0 {
+		o = append(append(append(o, "0.00"[:1-x]...), lead...), frac...)
+	} else {
+		o = append(append(o, lead...), frac[:x]...)
+		o = append(append(o, '.'), frac[x:]...)
+	}
+	return string(bytes.TrimRight(bytes.TrimRight(o, "0"), "."))
 }
 
 // Render writes the table with aligned columns, through a buffer of 4 KiB.

@@ -12,7 +12,8 @@ import (
 
 func sampleWorkloadResult() *workload.Result {
 	all := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond, 4 * time.Millisecond}
-	total, windows := stats.Summarize(all), stats.Windows(all, 2, 1)
+	total := stats.Summarize(all)
+	windows := []stats.Window{{Start: 0, Summary: stats.Summarize(all[:2])}, {Start: 2, Summary: stats.Summarize(all[2:])}}
 	mkRun := func(name string, rts ...time.Duration) *core.Run {
 		return &core.Run{
 			Name: name, Device: "memoright", RTs: rts,

@@ -93,7 +93,8 @@ type Config struct {
 	// job additionally parallelizes internally over its own engine pool.
 	Workers int
 	// DefaultParallel is the per-job engine worker count used when a
-	// request does not set one (<= 0: GOMAXPROCS).
+	// request does not set one (<= 0: GOMAXPROCS). New refuses one above
+	// profile.MaxParallel, the ceiling a request's own count is held to.
 	DefaultParallel int
 	// KeepJobs bounds the finished (done/failed/canceled) jobs retained —
 	// results included — so a long-running daemon does not grow without
@@ -228,8 +229,13 @@ type Server struct {
 // from Config.JobDir, and starts its job workers. Jobs that were queued or
 // running when the previous process died are re-queued — execution is
 // deterministic, so re-running serves the results the lost process would
-// have.
+// have. A Config.DefaultParallel above profile.MaxParallel is refused, with
+// job.Normalize's message for a request, before anything is opened or
+// started.
 func New(cfg Config) (*Server, error) {
+	if err := runner.CheckParallel(cfg.DefaultParallel); err != nil {
+		return nil, err
+	}
 	var store *statestore.Store
 	if cfg.StateDir != "" {
 		var err error

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"uflip/internal/api"
 	"uflip/internal/job"
 	"uflip/internal/paperexp"
+	"uflip/internal/profile"
 	"uflip/internal/server"
 	"uflip/internal/statestore"
 	"uflip/internal/trace"
@@ -464,4 +466,29 @@ func TestWorkloadOmittedKnobsTakeCLIDefaults(t *testing.T) {
 	if !bytes.Equal(csv, runLocally(t, local, nil).CSV) {
 		t.Fatal("minimal server workload differs from the CLI-default replay")
 	}
+}
+
+// TestNewRefusesDefaultParallelAboveCeiling: the daemon's default worker
+// count is held to the ceiling a request's own is held to, with the same
+// message. New refuses it before it opens a directory or starts a worker; the
+// ceiling itself is accepted.
+func TestNewRefusesDefaultParallelAboveCeiling(t *testing.T) {
+	stateDir := t.TempDir() + "/state"
+	before := runtime.NumGoroutine()
+	srv, err := server.New(server.Config{StateDir: stateDir, DefaultParallel: profile.MaxParallel + 1, Workers: 4})
+	want := job.Normalize(&api.JobRequest{Kind: "plan", Parallel: profile.MaxParallel + 1})
+	if srv != nil || err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("New: server %v, error %v; want none and %v", srv, err, want)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the refusal, %d before", n, before)
+	}
+	if _, err := os.Stat(stateDir); !os.IsNotExist(err) {
+		t.Errorf("the refused daemon opened its state directory: %v", err)
+	}
+	srv, err = server.New(server.Config{DefaultParallel: profile.MaxParallel})
+	if err != nil {
+		t.Fatalf("New at the ceiling: %v", err)
+	}
+	srv.Close()
 }

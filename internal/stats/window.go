@@ -1,11 +1,6 @@
 package stats
 
-import (
-	"context"
-	"time"
-
-	"uflip/internal/par"
-)
+import "time"
 
 // Window is the summary of one fixed-size slice of a long response-time
 // series: samples [Start, Start+Summary.N). Long trace replays are reported
@@ -18,24 +13,60 @@ type Window struct {
 	Summary Summary `json:"summary"`
 }
 
-// Windows slices a series into fixed-size windows (size < 1 means 1), the
-// last one partial when the series does not end on a window boundary, and
-// summarizes each into a slice of exactly the windows. The windows are
-// split into at most workers contiguous ranges summarized by par.Each; a
-// window's summary reads only its own samples, so the result does not depend
-// on workers.
-func Windows(samples []time.Duration, size, workers int) []Window {
-	size = max(size, 1)
-	n := len(samples)/size + min(len(samples)%size, 1)
-	out := make([]Window, n)
-	per := max(1, (n+max(workers, 1)-1)/max(workers, 1))
-	ranges := (n + per - 1) / per
-	par.Each(context.Background(), ranges, ranges, func(_ context.Context, _, r int) error {
-		for i := r * per; i < min(r*per+per, n); i++ {
-			start := i * size
-			out[i] = Window{Start: int64(start), Summary: Summarize(samples[start:min(start+size, len(samples))])}
+// NewWindows returns the windows of an n-sample series cut every size
+// samples (size >= 1), the last one cut at the series' end, all unwritten:
+// SummarizeSpan and FillWindows write them.
+func NewWindows(n, size int) []Window {
+	return make([]Window, n/size+min(n%size, 1))
+}
+
+// SummarizeSpan returns Summarize(series[lo:hi]) and, in the same pass, the
+// summary of every window of the series (NewWindows' layout) that lies
+// wholly inside [lo, hi), into its slot of windows. Each sample is converted
+// once and feeds both accumulators, so every result has Summarize's bits.
+// Spans that do not overlap write different windows, so a series cut into
+// spans can be summarized span by span on several goroutines; a window that
+// crosses a cut is left unwritten, for FillWindows. No bound overflows, up
+// to a size of math.MaxInt.
+func SummarizeSpan(series []time.Duration, lo, hi, size int, windows []Window) Summary {
+	var span Running
+	i := lo
+	next := lo // the first window start at or after lo
+	if r := lo % size; r != 0 {
+		next = lo - r + size
+	}
+	for next < hi {
+		end := next + min(size, len(series)-next)
+		if end > hi {
+			break
 		}
-		return nil
-	})
-	return out
+		for ; i < next; i++ {
+			span.AddDuration(series[i])
+		}
+		var win Running
+		for ; i < end; i++ {
+			x := series[i].Seconds()
+			span.Add(x)
+			win.Add(x)
+		}
+		windows[next/size] = Window{Start: int64(next), Summary: win.Summary()}
+		next = end
+	}
+	for ; i < hi; i++ {
+		span.AddDuration(series[i])
+	}
+	return span.Summary()
+}
+
+// FillWindows summarizes every window still unwritten (Summary.N == 0: a
+// written window holds at least one sample), which after SummarizeSpan over
+// a series' spans are the windows that cross a cut. Then windows holds
+// every window's summary, whatever the cuts.
+func FillWindows(series []time.Duration, size int, windows []Window) {
+	for i := range windows {
+		if windows[i].Summary.N == 0 {
+			start := i * size
+			windows[i] = Window{Start: int64(start), Summary: Summarize(series[start : start+min(size, len(series)-start)])}
+		}
+	}
 }

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// Windowed is the streaming accumulator Windows replaced, kept as
-// its oracle: every Size samples it seals a Window, while a second
-// accumulator keeps the overall totals.
+// Windowed is the streaming accumulator the window summaries started as,
+// kept as the oracle of SummarizeSpan: every Size samples it seals a Window,
+// while a second accumulator keeps the overall totals.
 type Windowed struct {
 	size  int64
 	n     int64
@@ -114,16 +114,16 @@ func TestWindowedTotalMatchesSummarize(t *testing.T) {
 	}
 }
 
-// TestWindowSummariesMatchesStreaming: Summarize and Windows return what the
-// streaming accumulator does, in one allocation of exactly the windows, and
-// Windows returns the same windows however many ranges it splits them into.
-// An empty series has no windows, and a size below 1 means 1.
+// TestWindowSummariesMatchesStreaming: a series cut into spans — at every
+// cut size, one that divides the window size, one that does not, one longer
+// than the series — and summarized span by span with SummarizeSpan gives
+// each span Summarize's bits, and, once FillWindows has summarized the
+// windows crossing a cut, exactly the windows of the streaming accumulator.
+// A window crossing a cut is left unwritten, and a span allocates nothing.
+// A window of math.MaxInt samples is one window cut at the series' end.
 func TestWindowSummariesMatchesStreaming(t *testing.T) {
-	if got := Windows(nil, 10, 1); len(got) != 0 {
-		t.Fatalf("empty series produced %d windows", len(got))
-	}
-	if got := Windows([]time.Duration{time.Millisecond, time.Millisecond}, 0, 1); len(got) != 2 {
-		t.Fatalf("size 0 produced %d windows, want 2", len(got))
+	if got := SummarizeSpan(nil, 0, 0, 10, nil); got != (Summary{}) {
+		t.Fatalf("empty span summarized as %+v", got)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 63, 64, 65, 1000} {
@@ -131,23 +131,36 @@ func TestWindowSummariesMatchesStreaming(t *testing.T) {
 		for i := range samples {
 			samples[i] = time.Duration(rng.Int63n(int64(time.Millisecond)))
 		}
-		w := NewWindowed(64)
-		for _, d := range samples {
-			w.AddDuration(d)
-		}
-		total, windows := Summarize(samples), Windows(samples, 64, 1)
-		if total != w.Total() || !reflect.DeepEqual(windows, w.Windows()) {
-			t.Fatalf("n=%d: Summarize and Windows differ from the streaming accumulator", n)
-		}
-		if cap(windows) != len(windows) {
-			t.Fatalf("n=%d: %d windows in a slice of capacity %d", n, len(windows), cap(windows))
-		}
-		if allocs := testing.AllocsPerRun(10, func() { Summarize(samples); Windows(samples, 64, 1) }); allocs > 2 {
-			t.Fatalf("n=%d: Summarize and Windows allocate %.0f times, want <= 2 (windows + wait group)", n, allocs)
-		}
-		for _, parts := range []int{0, 2, 3, 7, 16, n + 1} {
-			if got := Windows(samples, 64, parts); !reflect.DeepEqual(got, windows) {
-				t.Fatalf("n=%d: Windows in %d parts differs from one part", n, parts)
+		for _, size := range []int{1, 7, 64, n + 1, math.MaxInt} {
+			w := NewWindowed(size)
+			for _, d := range samples {
+				w.AddDuration(d)
+			}
+			want := w.Windows()
+			for _, cut := range []int{1, 5, 64, 100, 128, n} {
+				windows := NewWindows(n, size)
+				if len(windows) != len(want) {
+					t.Fatalf("n=%d size=%d: %d windows, want %d", n, size, len(windows), len(want))
+				}
+				for lo := 0; lo < n; lo += cut {
+					hi := min(lo+cut, n)
+					if got, want := SummarizeSpan(samples, lo, hi, size, windows), Summarize(samples[lo:hi]); got != want {
+						t.Fatalf("n=%d size=%d cut=%d: span [%d,%d) summarized as %+v, want %+v", n, size, cut, lo, hi, got, want)
+					}
+				}
+				for i, win := range windows {
+					crosses := i*size/cut != (i*size+min(size, n-i*size)-1)/cut
+					if crosses != (win.Summary.N == 0) {
+						t.Fatalf("n=%d size=%d cut=%d: window %d crosses a cut: %v, written: %v", n, size, cut, i, crosses, win.Summary.N != 0)
+					}
+				}
+				FillWindows(samples, size, windows)
+				if !reflect.DeepEqual(windows, want) {
+					t.Fatalf("n=%d size=%d cut=%d: windows differ from the streaming accumulator", n, size, cut)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { SummarizeSpan(samples, 0, min(cut, n), size, windows) }); allocs != 0 {
+					t.Fatalf("n=%d size=%d cut=%d: SummarizeSpan allocates %.0f times", n, size, cut, allocs)
+				}
 			}
 		}
 	}

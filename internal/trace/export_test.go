@@ -5,6 +5,8 @@ var (
 	VerifyUTRParts = verifyUTR
 	CRC64Combine   = crc64Combine
 	CRCUpdate      = crcUpdate
+	CRCLanes       = crcLanes
+	HaveCLMUL      = haveCLMUL
 )
 
 // crc64Combine returns the CRC-64/ECMA of A‖B from crcA = crc(A), crcB =

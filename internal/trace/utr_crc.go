@@ -8,12 +8,20 @@ import (
 
 // The .utr payload CRC is CRC-64/ECMA as hash/crc64 computes it. Every
 // reader and writer checksums through crcUpdate, which returns exactly
-// crc64.Update(crc, utrTable, p) but keeps four slicing-by-8 dependency
-// chains in flight instead of one: each 8 KiB block is cut into four 2 KiB
-// lanes checksummed side by side, and the lanes are joined with a table
-// that appends 2 KiB of zeros to a CRC register. The same construction,
-// at 64 KiB, folds the per-chunk CRCs of the parallel writer and verifier
-// in order.
+// crc64.Update(crc, utrTable, p) through one of two kernels:
+//
+//   - On amd64 CPUs with PCLMULQDQ and SSE4.1, crcCLMUL
+//     (utr_crc_amd64.s) folds 64-byte blocks with carry-less multiplies
+//     and ends in a Barrett reduction; utr_crc_amd64.go derives its
+//     constants from crc64.ECMA with the GF(2) helpers below.
+//   - Everywhere else (386, arm64, amd64 without CLMUL), crcLanes keeps
+//     four slicing-by-8 dependency chains in flight instead of one: each
+//     8 KiB block is cut into four 2 KiB lanes checksummed side by side,
+//     and the lanes are joined with a table that appends 2 KiB of zeros to
+//     a CRC register.
+//
+// The zero-appending construction, at 64 KiB, also folds the per-chunk CRCs
+// of the parallel writer and verifier in order.
 
 const (
 	// crcLaneBytes is one lane of the kernel; crcBlockBytes is the four
@@ -33,10 +41,10 @@ var (
 	crcChunkShift = makeZeroShift(utrChunkBytes)
 )
 
-// crcUpdate returns crc64.Update(crc, utrTable, p).
+// crcLanes returns crc64.Update(crc, utrTable, p): the portable kernel.
 //
 //uflint:hotpath
-func crcUpdate(crc uint64, p []byte) uint64 {
+func crcLanes(crc uint64, p []byte) uint64 {
 	if len(p) >= crcBlockBytes {
 		reg := ^crc // the register; hash/crc64 inverts on the way in and out
 		for ; len(p) >= crcBlockBytes; p = p[crcBlockBytes:] {

@@ -11,63 +11,91 @@ import (
 
 var ecmaTable = crc64.MakeTable(crc64.ECMA)
 
-// TestCRCMatchesStdlib: the four-lane kernel is crc64.Update, at every
-// length around its 8 KiB blocks and 2 KiB lanes, for a zero and a nonzero
-// initial CRC.
+// kernels are crcUpdate, the carry-less multiply kernel wherever the CPU has
+// it, and the portable four-lane kernel it falls back to, tested on every
+// CPU.
+var kernels = []struct {
+	name   string
+	update func(uint64, []byte) uint64
+}{{"crcUpdate", trace.CRCUpdate}, {"lanes", trace.CRCLanes}}
+
+// TestCRCMatchesStdlib: both kernels are crc64.Update, at every length
+// around the four-lane kernel's 8 KiB blocks and 2 KiB lanes and the
+// carry-less kernel's 64- and 16-byte blocks, for a zero and a nonzero
+// initial CRC, from an aligned and an unaligned start.
 func TestCRCMatchesStdlib(t *testing.T) {
-	data := make([]byte, 1<<20)
+	data := make([]byte, 1<<20+7)
 	rng := rand.New(rand.NewPCG(7, 7))
 	for i := range data {
 		data[i] = byte(rng.Uint32())
 	}
-	lengths := []int{len(data)}
+	lengths := []int{1 << 20}
 	for n := 0; n <= 3*8192+130; n++ {
-		if n < 130 || n%8192 < 130 || n%8192 > 8192-130 || n%2048 == 0 || n%997 == 0 {
+		if n < 300 || n%8192 < 130 || n%8192 > 8192-130 || n%2048 == 0 || n%997 == 0 {
 			lengths = append(lengths, n)
 		}
 	}
-	for _, n := range lengths {
-		for _, init := range []uint64{0, 0x0123456789abcdef} {
-			if got, want := trace.CRCUpdate(init, data[:n]), crc64.Update(init, ecmaTable, data[:n]); got != want {
-				t.Fatalf("%d bytes from %#x: kernel %#x, crc64.Update %#x", n, init, got, want)
+	for _, k := range kernels {
+		for _, head := range []int{0, 7} {
+			for _, n := range lengths {
+				p := data[head : head+n]
+				for _, init := range []uint64{0, 0x0123456789abcdef} {
+					if got, want := k.update(init, p), crc64.Update(init, ecmaTable, p); got != want {
+						t.Fatalf("%s: %d bytes at +%d from %#x: %#x, crc64.Update %#x", k.name, n, head, init, got, want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// FuzzCRCMatchesStdlib: for any bytes, initial CRC and split point, the
-// kernel equals crc64.Update on the whole input and when the input is fed
-// to it in two pieces.
+// FuzzCRCMatchesStdlib: for any bytes, initial CRC and split point, both
+// kernels equal crc64.Update on the whole input and when the input is fed to
+// them in two pieces. The seeds after the first five cover 0 to 3 of the
+// carry-less kernel's 64-byte blocks, with heads and tails that are not
+// whole 16-byte blocks.
 func FuzzCRCMatchesStdlib(f *testing.F) {
 	f.Add([]byte(nil), uint64(0), uint32(0))
 	f.Add([]byte("uFLIP: understanding flash IO patterns"), uint64(1), uint32(5))
 	f.Add(bytes.Repeat([]byte{0xff}, 8192), uint64(0), uint32(8191))
 	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 5, 8, 13}, 3000), ^uint64(0), uint32(2048))
 	f.Add(bytes.Repeat([]byte("chunk"), 3300), uint64(42), uint32(2*8192+1))
+	f.Add(bytes.Repeat([]byte{0x5a}, 63), uint64(3), uint32(0))
+	f.Add(bytes.Repeat([]byte{0xa5, 0x3c}, 32), uint64(0), uint32(64))
+	f.Add(bytes.Repeat([]byte("flash"), 25), ^uint64(0), uint32(9))
+	f.Add(bytes.Repeat([]byte{1, 2, 3}, 64), uint64(1)<<63, uint32(3))
+	f.Add(bytes.Repeat([]byte{0xc9, 0x6c}, 100), uint64(7), uint32(199))
 	f.Fuzz(func(t *testing.T, data []byte, init uint64, split uint32) {
 		want := crc64.Update(init, ecmaTable, data)
-		if got := trace.CRCUpdate(init, data); got != want {
-			t.Fatalf("%d bytes from %#x: kernel %#x, crc64.Update %#x", len(data), init, got, want)
-		}
 		at := int(split % uint32(len(data)+1))
-		if got := trace.CRCUpdate(trace.CRCUpdate(init, data[:at]), data[at:]); got != want {
-			t.Fatalf("%d bytes from %#x split at %d: kernel %#x, crc64.Update %#x", len(data), init, at, got, want)
+		for _, k := range kernels {
+			if got := k.update(init, data); got != want {
+				t.Fatalf("%s: %d bytes from %#x: %#x, crc64.Update %#x", k.name, len(data), init, got, want)
+			}
+			if got := k.update(k.update(init, data[:at]), data[at:]); got != want {
+				t.Fatalf("%s: %d bytes from %#x split at %d: %#x, crc64.Update %#x", k.name, len(data), init, at, got, want)
+			}
 		}
 	})
 }
 
-func BenchmarkCRC(b *testing.B) {
+// BenchmarkCRCUpdate reports each kernel's speed over one 64 KiB chunk of
+// records, in GB/s, beside hash/crc64's.
+func BenchmarkCRCUpdate(b *testing.B) {
 	data := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, 65536/9+1)[:65536]
-	b.Run("kernel", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for b.Loop() {
-			trace.CRCUpdate(0, data)
-		}
-	})
-	b.Run("crc64", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for b.Loop() {
-			crc64.Update(0, ecmaTable, data)
-		}
-	})
+	for _, k := range append(kernels, struct {
+		name   string
+		update func(uint64, []byte) uint64
+	}{"crc64", func(crc uint64, p []byte) uint64 { return crc64.Update(crc, ecmaTable, p) }}) {
+		b.Run(k.name, func(b *testing.B) {
+			if k.name == "crcUpdate" && !trace.HaveCLMUL {
+				b.Skip("no carry-less multiply: crcUpdate is the lanes kernel")
+			}
+			b.SetBytes(int64(len(data)))
+			for b.Loop() {
+				k.update(0, data)
+			}
+			b.ReportMetric(float64(len(data))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		})
+	}
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -22,9 +24,10 @@ const verifyPartChunks = 16
 // record before a truncation, a truncation or bad record before a CRC
 // mismatch, a CRC mismatch before trailing bytes). A long trace is read,
 // validated and checksummed a chunk at a time on up to one worker per CPU by
-// par.Ordered, and the chunk CRCs are folded in order; the lowest-index
-// failure wins, so the verdict does not depend on the worker count. ra must
-// allow concurrent ReadAt calls, as *os.File and bytes.Reader do.
+// par.Each, each worker reading into its own buffer, and the chunk CRCs are
+// folded in order; the lowest-index failure wins, so the verdict does not
+// depend on the worker count. ra must allow concurrent ReadAt calls, as
+// *os.File and bytes.Reader do.
 func VerifyUTR(ra io.ReaderAt, size int64) (int, error) {
 	return verifyUTR(ra, size, par.Workers(0), verifyPartChunks)
 }
@@ -43,18 +46,37 @@ func verifyUTR(ra io.ReaderAt, size int64, maxParts, partChunks int) (int, error
 	// have is how many of the declared records the bytes hold whole; the
 	// header's count sizes nothing until the bytes are seen to be there.
 	have := int(min(int64(count), (size-UTRHeaderSize)/UTRRecordSize))
-	chunks := (have + UTRChunkRecords - 1) / UTRChunkRecords
-	workers := max(1, min(maxParts, chunks/partChunks))
-	slots := make([]utrChunk, workers) // emitting is a quick fold: one slot a worker keeps up
-	var crc uint64
-	err = par.Ordered(chunks, workers, len(slots), func(s, k int) error {
-		return slots[s].verify(ra, k, have, count)
-	}, func(s, _ int) error {
-		crc = slots[s].fold(crc)
-		return nil
+	// The whole chunks are verified on the workers, in any order, each
+	// checksummed from zero into crcs — 8 bytes a 64 KiB chunk — and folded
+	// in order once all are in; a short last chunk is verified after them
+	// and checksummed on from their CRC. Each hands chunks out in order and
+	// runs every chunk it hands out, so when chunk k fails every chunk before
+	// it has been verified too, and the lowest failing chunk in errs is the
+	// trace's first failure, whichever failed first in time.
+	full := have / UTRChunkRecords
+	workers := max(1, min(maxParts, full/partChunks))
+	bufs := make([]utrChunk, workers)
+	crcs := make([]uint64, full)
+	errs := make([]error, full)
+	par.Each(context.Background(), full, workers, func(_ context.Context, w, k int) error {
+		errs[k] = bufs[w].verify(ra, k, have, count)
+		crcs[k] = bufs[w].crc
+		return errs[k]
 	})
-	if err != nil {
-		return count, err
+	for _, err := range errs {
+		if err != nil {
+			return count, err
+		}
+	}
+	var crc uint64
+	for _, c := range crcs {
+		crc = crcChunkShift.apply(crc) ^ c
+	}
+	if full*UTRChunkRecords < have {
+		if err := bufs[0].verify(ra, full, have, count); err != nil {
+			return count, err
+		}
+		crc = bufs[0].fold(crc)
 	}
 	end := int64(UTRHeaderSize) + int64(count)*UTRRecordSize
 	switch {
@@ -76,7 +98,10 @@ func verifyUTR(ra io.ReaderAt, size int64, maxParts, partChunks int) (int, error
 // verify reads chunk k of the first have records of a trace declaring count
 // of them into c and validates every record in it, as Scanner does, and
 // checksums it if it is full. A read that ends early still has every whole
-// record it returned validated before it is reported.
+// record it returned validated before it is reported. The fields are checked
+// in place — one load of bytes [24:32) holds the mode and the reserved word,
+// valid exactly when it is 0 or 1 — and DecodeUTRRecord runs only on a
+// record that fails, for its error.
 func (c *utrChunk) verify(ra io.ReaderAt, k, have, count int) error {
 	first := k * UTRChunkRecords
 	n := min(have-first, UTRChunkRecords) * UTRRecordSize
@@ -89,8 +114,14 @@ func (c *utrChunk) verify(ra io.ReaderAt, k, have, count int) error {
 	}
 	c.buf = c.buf[:got-got%UTRRecordSize]
 	for i := 0; i < len(c.buf); i += UTRRecordSize {
-		if _, err := DecodeUTRRecord(c.buf[i : i+UTRRecordSize]); err != nil {
-			return fmt.Errorf("%w (record %d)", err, first+i/UTRRecordSize)
+		r := (*[UTRRecordSize]byte)(c.buf[i : i+UTRRecordSize])
+		off := int64(binary.LittleEndian.Uint64(r[0:8]))
+		size := int64(binary.LittleEndian.Uint64(r[8:16]))
+		gap := binary.LittleEndian.Uint64(r[16:24]) // a negative gap is above the bound too
+		if off < 0 || size <= 0 || gap > uint64(MaxUTRGap) || binary.LittleEndian.Uint64(r[24:32]) > 1 {
+			if _, err := DecodeUTRRecord(r[:]); err != nil {
+				return fmt.Errorf("%w (record %d)", err, first+i/UTRRecordSize)
+			}
 		}
 	}
 	switch readErr {

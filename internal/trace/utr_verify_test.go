@@ -142,6 +142,69 @@ func TestVerifyUTRMatchesScanner(t *testing.T) {
 	}
 }
 
+// TestVerifyUTRRawFieldBoundaries: the verifier checks a record's raw
+// fields in place and decodes only one that fails. One record at each edge
+// of those checks, first, mid-chunk and last in a trace of several chunks
+// whose CRC is resealed over the change, gets the Scanner's verdict, the
+// exact text DecodeUTRRecord gives it and its index, on one worker and on
+// two; with a later bad record and a truncation behind it, it still wins.
+func TestVerifyUTRRawFieldBoundaries(t *testing.T) {
+	const n = 3*trace.UTRChunkRecords + 5
+	data := referenceEncode(t, randomBlockOps(n, 11))
+	put := func(b []byte, rec, off int, v uint64) {
+		binary.LittleEndian.PutUint64(b[trace.UTRHeaderSize+rec*trace.UTRRecordSize+off:], v)
+	}
+	reseal := func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(b[24:32], crc64.Checksum(b[trace.UTRHeaderSize:], crc64.MakeTable(crc64.ECMA)))
+		return b
+	}
+	boundaries := []struct {
+		name  string
+		set   func(b []byte, rec int)
+		error string // DecodeUTRRecord's text, "" for a valid record
+	}{
+		{"mode 2, reserved zero", func(b []byte, rec int) { put(b, rec, 24, 2) }, "trace: utr record: mode 2 (want 0 or 1)"},
+		{"mode 1, reserved nonzero", func(b []byte, rec int) { put(b, rec, 24, 1|1<<32) }, "trace: utr record: reserved field is 0x1, want 0"},
+		{"mode 2, reserved nonzero", func(b []byte, rec int) { put(b, rec, 24, 2|1<<63) }, "trace: utr record: mode 2 (want 0 or 1)"},
+		{"offset -1", func(b []byte, rec int) { put(b, rec, 0, ^uint64(0)) }, "trace: utr record: offset -1 must be non-negative"},
+		{"offset -1, size 0", func(b []byte, rec int) { put(b, rec, 0, ^uint64(0)); put(b, rec, 8, 0) }, "trace: utr record: offset -1 must be non-negative"},
+		{"size 0", func(b []byte, rec int) { put(b, rec, 8, 0) }, "trace: utr record: size 0 must be positive"},
+		{"size -2^63", func(b []byte, rec int) { put(b, rec, 8, 1<<63) }, "trace: utr record: size -9223372036854775808 must be positive"},
+		{"gap -1", func(b []byte, rec int) { put(b, rec, 16, ^uint64(0)) }, fmt.Sprintf("trace: utr record: gap -1ns outside [0, %v]", trace.MaxUTRGap)},
+		{"gap MaxUTRGap", func(b []byte, rec int) { put(b, rec, 16, uint64(trace.MaxUTRGap)) }, ""},
+		{"gap MaxUTRGap+1", func(b []byte, rec int) { put(b, rec, 16, uint64(trace.MaxUTRGap)+1) },
+			fmt.Sprintf("trace: utr record: gap %v outside [0, %v]", trace.MaxUTRGap+1, trace.MaxUTRGap)},
+	}
+	for _, bd := range boundaries {
+		for _, rec := range []int{0, trace.UTRChunkRecords + trace.UTRChunkRecords/2, n - 1} {
+			b := bytes.Clone(data)
+			bd.set(b, rec)
+			reseal(b)
+			want := "<nil>"
+			if bd.error != "" {
+				want = fmt.Sprintf("%s (record %d)", bd.error, rec)
+			}
+			cases := map[string][]byte{"alone": b}
+			if rec < n-1 {
+				later := bytes.Clone(b)
+				put(later, n-1, 24, 3)
+				cases["before a bad last record, truncated"] = reseal(later)[:len(later)-1]
+			}
+			for name, b := range cases {
+				_, scanErr := scanAll(bytes.NewReader(b))
+				if name == "alone" && errText(scanErr) != want {
+					t.Fatalf("%s at %d: the scanner says %s, want %s", bd.name, rec, errText(scanErr), want)
+				}
+				for _, workers := range []int{1, 2} {
+					if _, err := trace.VerifyUTRParts(bytes.NewReader(b), int64(len(b)), workers, 1); errText(err) != errText(scanErr) {
+						t.Errorf("%s at %d, %s, %d workers:\n got %s\nwant %s", bd.name, rec, name, workers, errText(err), errText(scanErr))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestVerifyUTRBoundedByBytes: a header claiming 2^30 records (32 GiB of
 // them; the count still fits a 32-bit int) sizes nothing; the verdict is the
 // scanner's truncation, at every split.

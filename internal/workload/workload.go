@@ -61,8 +61,9 @@ type Generator interface {
 // replayInto drives dev with the ops open-loop starting at virtual time
 // startAt: op i is submitted at submit(i-1) + Gap(i). A busy device queues
 // the request, and the wait is part of the measured response time. The
-// returned run summarizes every op (IOIgnore 0 — replays have no
-// methodology-defined warm-up to discard). Transient device faults are
+// returned run's Summary is left to the caller, which summarizes every op
+// (IOIgnore 0 — replays have no methodology-defined warm-up to discard)
+// together with the windows inside the segment. Transient device faults are
 // retried and counted in the run's FaultStats; ctx cancels the replay
 // between batches and inside the retry loop, so a canceled job stops
 // promptly even mid-recovery. The response times land in rts, one slot per
@@ -98,7 +99,6 @@ func replayInto(ctx context.Context, dev device.Device, ops []Op, startAt time.D
 		}
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	run.Summary = stats.Summarize(run.RTs)
 	run.Total = end - startAt
 	return run, nil
 }
@@ -247,7 +247,8 @@ func OpsSource(name string, ops []Op) Source { return opsSource{name: name, ops:
 //
 // The response times of the whole stream live in one array in stream order:
 // every segment's run.RTs is its window of that array, so the runs of a
-// Result must not be appended to.
+// Result must not be appended to. A segment's job summarizes its run and
+// every window of the stream wholly inside it in one pass (stats.SummarizeSpan).
 func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory, opts Options) (*Result, error) {
 	total := src.Len()
 	if total == 0 {
@@ -259,8 +260,11 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 		segOps = total
 	}
 	workers := par.Workers(opts.Workers)
-	// rts is the stream-order series each segment replays into.
+	// rts is the stream-order series each segment replays into, and windows
+	// its summaries, filled by the segments they lie in and by the tail.
 	rts := make([]time.Duration, total)
+	size := opts.windowOps()
+	windows := stats.NewWindows(total, size)
 	decoder, _ := src.(SegmentDecoder)
 	var bufs segmentBufs
 	jobs := make([]engine.Job, 0, (total+segOps-1)/segOps)
@@ -292,6 +296,7 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 				if err != nil {
 					return nil, err
 				}
+				run.Summary = stats.SummarizeSpan(rts, start, start+n, size, windows)
 				run.Name = fmt.Sprintf("%s[%d:%d]", name, start, start+n)
 				return run, nil
 			},
@@ -305,7 +310,7 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Name: name, Ops: total, Segments: runs}
+	res := &Result{Name: name, Ops: total, Segments: runs, Windows: windows}
 	for _, run := range runs {
 		if res.Device == "" {
 			res.Device = run.Device
@@ -314,14 +319,16 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 		res.Faults.Add(run.Faults)
 	}
 	// The stream-order Welford total depends on the order of every sample to
-	// the last bit, so it stays one pass. Selection and the windows, split
-	// by window range across the workers, only read the series and run
-	// beside it when the job has a second worker.
+	// the last bit, so it stays one pass; with it go the windows that cross a
+	// segment boundary, at most one a boundary. Selection only reads the
+	// series and runs beside them when the job has a second worker.
 	var pcts []time.Duration
 	tail := []func(){
-		func() { res.Total = stats.Summarize(rts) },
+		func() {
+			res.Total = stats.Summarize(rts)
+			stats.FillWindows(rts, size, windows)
+		},
 		func() { pcts = stats.Percentiles(rts, 50, 95, 99) },
-		func() { res.Windows = stats.Windows(rts, opts.windowOps(), workers) },
 	}
 	par.Each(context.Background(), len(tail), workers, func(_ context.Context, _, i int) error {
 		tail[i]()

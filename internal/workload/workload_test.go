@@ -3,6 +3,7 @@ package workload_test
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
 	"uflip/internal/profile"
+	"uflip/internal/stats"
 	"uflip/internal/workload"
 )
 
@@ -285,6 +287,51 @@ func TestReplayParallelDeterministic(t *testing.T) {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}
 		check(g.Name(), ops)
+	}
+}
+
+// TestReplayWindowsMatchTwoPasses: a segment's job summarizes its run and
+// the windows inside it in one pass, and the tail the windows that cross a
+// segment boundary. Every segment's Summary, the windows and the total have
+// the bits of summarizing the merged series on its own, for segments that
+// are and are not whole windows, shorter and longer than one, at one worker
+// and at two. A window of math.MaxInt ops is one window over every segment.
+func TestReplayWindowsMatchTwoPasses(t *testing.T) {
+	ops, err := testGenerators(1000)[3].Generate() // bursty: queueing varies the response times
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func(engine.Shard) (device.Device, time.Duration, error) {
+		return device.NewMemDevice("mem", testCapacity, 300*time.Microsecond, 700*time.Microsecond), 0, nil
+	}
+	for _, window := range []int{64, math.MaxInt} {
+		for _, segOps := range []int{64, 128, 96, 100, 37, 5, len(ops) - 1, len(ops)} {
+			for _, workers := range []int{1, 2} {
+				res, err := workload.ReplaySource(context.Background(), workload.OpsSource("bursty", ops), factory, workload.Options{
+					SegmentOps: segOps, Workers: workers, WindowOps: window,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var merged []time.Duration
+				for _, run := range res.Segments {
+					if want := stats.Summarize(run.RTs); run.Summary != want {
+						t.Fatalf("window %d, segments of %d, %d workers: %s summarized as %+v, want %+v", window, segOps, workers, run.Name, run.Summary, want)
+					}
+					merged = append(merged, run.RTs...)
+				}
+				var windows []stats.Window
+				for start := 0; start < len(merged); start += window {
+					windows = append(windows, stats.Window{Start: int64(start), Summary: stats.Summarize(merged[start:min(start+window, len(merged))])})
+				}
+				if !reflect.DeepEqual(res.Windows, windows) {
+					t.Fatalf("window %d, segments of %d, %d workers: windows differ from the merged series'", window, segOps, workers)
+				}
+				if want := stats.Summarize(merged); res.Total != want || len(merged) != len(ops) {
+					t.Fatalf("window %d, segments of %d, %d workers: total %+v over %d RTs, want %+v over %d", window, segOps, workers, res.Total, len(merged), want, len(ops))
+				}
+			}
+		}
 	}
 }
 

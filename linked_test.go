@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -127,7 +128,8 @@ func TestUnlinkedFunctionsAreKept(t *testing.T) {
 			if len(f) < 3 || (f[1] != "T" && f[1] != "t") {
 				continue
 			}
-			sym := dropTypeArgs(strings.Join(f[2:], " "))
+			// An assembly function's symbol names its ABI: "p.F.abi0".
+			sym := strings.TrimSuffix(dropTypeArgs(strings.Join(f[2:], " ")), ".abi0")
 			if rest, ok := strings.CutPrefix(sym, "main."); ok {
 				sym = "main@" + name + "." + rest
 			}
@@ -172,7 +174,7 @@ func TestUnlinkedFunctionsAreKept(t *testing.T) {
 }
 
 // declaredFuncs names, as the linker does, every function and method declared
-// in a non-test Go file that `make loc` counts. A main package's function is
+// in a non-test Go file that `make loc` counts and this platform builds. A main package's function is
 // "main@<binary>.F". init functions are left out: they have no name of their
 // own, and the linker keeps every init of a linked package.
 func declaredFuncs() (map[string]bool, error) {
@@ -191,7 +193,9 @@ func declaredFuncs() (map[string]bool, error) {
 
 // walkProduct parses every non-test Go file that `make loc` counts — the
 // repository without benchmark/, the linter's fixtures and hidden
-// directories — and hands it to visit with its package named as the linker
+// directories — and that the platform the test runs on builds (CI runs the
+// suite on amd64 and 386, which between them build every file), and hands it
+// to visit with its package named as the linker
 // names it: "uflip/internal/x", or "main@<binary>" for a main package.
 func walkProduct(visit func(pkg string, f *ast.File)) error {
 	fset := token.NewFileSet()
@@ -203,6 +207,9 @@ func walkProduct(visit func(pkg string, f *ast.File)) error {
 			return filepath.SkipDir
 		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
 			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
