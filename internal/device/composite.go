@@ -356,40 +356,20 @@ func (d *CompositeDevice) split(io IO) {
 		}
 	case LayoutStripe:
 		// Round-robin chunk layout: chunk c lives on member c%N at member
-		// offset (c/N)*chunk. Consecutive chunks of one member are adjacent
-		// in member space, so all of one member's pieces of a host IO
-		// coalesce into a single contiguous member IO.
-		n := int64(len(d.members))
-		c0 := io.Off / d.cfg.ChunkBytes
-		c1 := (io.Off + io.Size - 1) / d.cfg.ChunkBytes
-		for c := c0; c <= c1; c++ {
-			lo, hi := c*d.cfg.ChunkBytes, (c+1)*d.cfg.ChunkBytes
-			s, e := io.Off, io.Off+io.Size
-			if s < lo {
-				s = lo
+		// offset (c/N)*chunk. A member's chunks are adjacent in member space,
+		// so all of its pieces of a host IO form one fragment: from its first
+		// chunk c to its last, c + k·N with k = ⌊(c1-c)/N⌋.
+		n, cb := int64(len(d.members)), d.cfg.ChunkBytes
+		off, end := io.Off, io.Off+io.Size
+		c0, c1 := off/cb, (end-1)/cb
+		for c := c0; c <= c1 && c < c0+n; c++ {
+			var k int64 // 0 unless the IO spans more than a row: saves a division
+			if c1-c >= n {
+				k = (c1 - c) / n
 			}
-			if e > hi {
-				e = hi
-			}
-			m := int(c % n)
-			moff := (c/n)*d.cfg.ChunkBytes + (s - lo)
-			// Extend the member's previous fragment when contiguous.
-			if k := len(d.frags) - 1; k >= 0 {
-				merged := false
-				for j := k; j >= 0 && j > k-len(d.members); j-- {
-					if d.frags[j].member == m {
-						if d.frags[j].off+d.frags[j].size == moff {
-							d.frags[j].size += e - s
-							merged = true
-						}
-						break
-					}
-				}
-				if merged {
-					continue
-				}
-			}
-			d.frags = append(d.frags, fragment{member: m, off: moff, size: e - s})
+			s, e := max(off, c*cb), min(end, (c+k*n+1)*cb)
+			// k·(N-1) chunks of the other members lie between s and e.
+			d.frags = append(d.frags, fragment{member: int(c % n), off: (c/n)*cb + s - c*cb, size: e - s - k*(n-1)*cb})
 		}
 	}
 }

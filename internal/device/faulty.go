@@ -85,11 +85,6 @@ type InjectionCounts struct {
 	Gone      int64
 }
 
-// total sums every kind.
-func (c InjectionCounts) total() int64 {
-	return c.ReadErrs + c.WriteErrs + c.Spikes + c.Stalls + c.Gone
-}
-
 // Category salts decorrelate the per-op draws of independent fault kinds:
 // whether op k spikes is independent of whether it errors.
 const (

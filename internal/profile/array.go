@@ -229,11 +229,14 @@ func (s *ArraySpec) Build(perMemberCapacity int64) (*device.CompositeDevice, err
 
 // parsed is a device spec parsed once, whichever of the three forms it has —
 // a faulty(...) wrapper, an array expression or a plain profile key: what each
-// of BuildDevice, DescribeDevice and CanonicalSpec needs of it.
+// of BuildDevice, DescribeDevice, CanonicalSpec and Fingerprint needs of it.
 type parsed struct {
 	canonical string
 	build     func(capacity int64) (device.Cloneable, error)
 	describe  func() (string, error)
+	// profiles returns the profile of every simulated device behind the
+	// spec, in member order.
+	profiles func() ([]Profile, error)
 }
 
 // parse is the one dispatch over the forms of a device spec. A plain key is
@@ -245,13 +248,14 @@ func parse(spec string) (parsed, error) {
 		if err != nil {
 			return parsed{}, err
 		}
-		return parsed{s.String(), func(c int64) (device.Cloneable, error) { return s.Build(c) }, s.describe}, nil
+		profiles := func() ([]Profile, error) { return profilesOf(s.Inner) }
+		return parsed{s.String(), func(c int64) (device.Cloneable, error) { return s.Build(c) }, s.describe, profiles}, nil
 	case IsArraySpec(spec):
 		s, err := ParseArraySpec(spec)
 		if err != nil {
 			return parsed{}, err
 		}
-		return parsed{s.String(), func(c int64) (device.Cloneable, error) { return s.Build(c) }, s.describe}, nil
+		return parsed{s.String(), func(c int64) (device.Cloneable, error) { return s.Build(c) }, s.describe, s.profiles}, nil
 	default:
 		build := func(c int64) (device.Cloneable, error) {
 			p, err := ByKey(spec)
@@ -264,7 +268,11 @@ func parse(spec string) (parsed, error) {
 			p, err := ByKey(spec)
 			return p.String(), err
 		}
-		return parsed{spec, build, describe}, nil
+		profiles := func() ([]Profile, error) {
+			p, err := ByKey(spec)
+			return []Profile{p}, err
+		}
+		return parsed{spec, build, describe, profiles}, nil
 	}
 }
 

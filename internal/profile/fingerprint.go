@@ -15,50 +15,39 @@ import (
 // profile number invalidates the states it produced instead of silently
 // serving a device that no longer exists.
 func Fingerprint(spec string) (string, error) {
-	canonical, err := CanonicalSpec(spec)
+	p, err := parse(spec)
 	if err != nil {
 		return "", err
 	}
-	ps, err := resolveProfiles(spec)
+	ps, err := p.profiles()
 	if err != nil {
 		return "", err
 	}
-	return fingerprintProfiles(canonical, ps)
+	return fingerprintProfiles(p.canonical, ps)
 }
 
-// resolveProfiles collects the profile of every simulated device behind a
-// spec, in member order, recursing through arrays and faulty wrappers. The
-// fault schedule itself needs no hashing here: it is part of the canonical
-// spec string the fingerprint (and the state-store key) already embeds.
-func resolveProfiles(spec string) ([]Profile, error) {
-	switch {
-	case IsFaultySpec(spec):
-		s, err := ParseFaultySpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		return resolveProfiles(s.Inner)
-	case IsArraySpec(spec):
-		s, err := ParseArraySpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		var ps []Profile
-		for _, key := range s.MemberKeys {
-			mps, err := resolveProfiles(key)
-			if err != nil {
-				return nil, err
-			}
-			ps = append(ps, mps...)
-		}
-		return ps, nil
-	default:
-		p, err := ByKey(spec)
-		if err != nil {
-			return nil, err
-		}
-		return []Profile{p}, nil
+// profilesOf returns the profile of every simulated device behind a spec, in
+// member order, through arrays and faulty wrappers. The fault schedule itself
+// needs no hashing here: it is part of the canonical spec string the
+// fingerprint (and the state-store key) already embeds.
+func profilesOf(spec string) ([]Profile, error) {
+	p, err := parse(spec)
+	if err != nil {
+		return nil, err
 	}
+	return p.profiles()
+}
+
+func (s *ArraySpec) profiles() ([]Profile, error) {
+	var ps []Profile
+	for _, key := range s.MemberKeys {
+		mps, err := profilesOf(key)
+		if err != nil {
+			return nil, err
+		}
+		ps = append(ps, mps...)
+	}
+	return ps, nil
 }
 
 // fingerprintProfiles hashes the canonical spec and the JSON form of each

@@ -82,3 +82,24 @@ func TestFingerprintCoversArrayOptions(t *testing.T) {
 		t.Fatal("equivalent array spellings fingerprint differently")
 	}
 }
+
+// TestFingerprintValuesPinned pins the fingerprint of one spec of each form:
+// the tests above only compare fingerprints with each other, and a change
+// that moved every value would invalidate every cached state.
+func TestFingerprintValuesPinned(t *testing.T) {
+	for spec, want := range map[string]string{
+		"memoright":             "5b8da5ef5e05d6c7",
+		"stripe(2,mtron,mtron)": "bdc676251ff9b239",
+		"faulty(stripe(2,mtron,samsung),writeerr=1e-5,seed=3)": "57a3c71a93a988d1",
+		"mirror(mtron,faulty(mtron,failat=100))":               "b02fec4e257e388c",
+		"concat(3,kingston-dti)":                               "6214a16d27283082",
+	} {
+		got, err := Fingerprint(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if got != want {
+			t.Errorf("Fingerprint(%q) = %s, want %s", spec, got, want)
+		}
+	}
+}

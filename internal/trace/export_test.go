@@ -4,10 +4,18 @@ package trace
 var (
 	VerifyUTRParts = verifyUTR
 	CRC64Combine   = crc64Combine
-	CRCUpdate      = crcUpdate
-	CRCLanes       = crcLanes
-	HaveCLMUL      = haveCLMUL
 )
+
+// CRCPaths are the ways crcUpdate computes a CRC on this platform; each must
+// equal crc64.Update. export_amd64_test.go adds the fallback to hash/crc64
+// that amd64 takes without PCLMULQDQ.
+var CRCPaths = []CRCPath{{"crcUpdate", crcUpdate}}
+
+// CRCPath is one of crcUpdate's paths.
+type CRCPath struct {
+	Name   string
+	Update func(crc uint64, p []byte) uint64
+}
 
 // crc64Combine returns the CRC-64/ECMA of A‖B from crcA = crc(A), crcB =
 // crc(B) and lenB = len(B), without the bytes: zlib's crc32_combine

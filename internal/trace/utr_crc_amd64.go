@@ -6,15 +6,15 @@ import (
 )
 
 // crcUpdate returns crc64.Update(crc, utrTable, p): crcCLMUL on a CPU with
-// PCLMULQDQ and SSE4.1, the portable crcLanes on any other.
+// PCLMULQDQ and SSE4.1, hash/crc64 on any other and for short inputs.
 //
 //uflint:hotpath
 func crcUpdate(crc uint64, p []byte) uint64 {
 	if haveCLMUL && len(p) >= crcCLMULMin {
 		n := len(p) &^ 15 // the kernel takes whole 16-byte blocks
-		return crc64.Update(crcCLMUL(crc, p[:n], &crcKeys), utrTable, p[n:])
+		crc, p = crcCLMUL(crc, p[:n], &crcKeys), p[n:]
 	}
-	return crcLanes(crc, p)
+	return crc64.Update(crc, utrTable, p)
 }
 
 // haveCLMUL reports whether the CPU has the kernel's instructions: CPUID

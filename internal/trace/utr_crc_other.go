@@ -2,11 +2,10 @@
 
 package trace
 
-// haveCLMUL is false: the carry-less multiply kernel is amd64's alone.
-const haveCLMUL = false
+import "hash/crc64"
 
-// crcUpdate returns crc64.Update(crc, utrTable, p) through the portable
-// kernel, the only one off amd64.
+// crcUpdate returns crc64.Update(crc, utrTable, p): off amd64 there is no
+// other kernel.
 //
 //uflint:hotpath
-func crcUpdate(crc uint64, p []byte) uint64 { return crcLanes(crc, p) }
+func crcUpdate(crc uint64, p []byte) uint64 { return crc64.Update(crc, utrTable, p) }

@@ -45,7 +45,6 @@ var keptUnlinked = map[string][]string{
 		"uflip/internal/device.(*FaultyDevice).Ops",
 		"uflip/internal/device.(*FaultyDevice).Dead",
 		"uflip/internal/device.(*FaultyDevice).Injections",
-		"uflip/internal/device.InjectionCounts.total",
 		"uflip/internal/device.(*MemDevice).IOs",
 		"uflip/internal/device.(*SimDevice).IOs",
 		"uflip/internal/flash.(*Chip).Stats",
