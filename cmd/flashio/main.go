@@ -1,13 +1,17 @@
 // Command flashio is the low-level pattern runner, the analogue of the
 // FlashIO tool the uFLIP authors used: it executes one fully parameterized
 // IO pattern against a device (simulated or a real file) and reports per-IO
-// response times and summary statistics.
+// response times and summary statistics. -device takes any device spec: a
+// profile key, an array expression (capacity per member) or a faulty(...)
+// wrapper.
 //
 // Examples:
 //
 //	flashio -device memoright -pattern RW -iosize 32768 -iocount 1024
 //	flashio -device kingston-dti -pattern SW -lba partitioned -partitions 8
 //	flashio -device mtron -pattern RW -pause 10ms -series rw.csv
+//	flashio -device 'stripe(2,mtron,mtron)' -capacity 67108864 -pattern SW
+//	flashio -device 'faulty(memoright,spike=200us@0.01,seed=7)' -pattern RR
 //	flashio -file /tmp/scratch.img -capacity 1073741824 -pattern RR
 package main
 
@@ -35,10 +39,10 @@ func main() {
 
 func run() (err error) {
 	var (
-		devKey    = flag.String("device", "", "simulated device profile (see -list)")
+		devSpec   = flag.String("device", "", "simulated device: a profile key (see -list), an array spec such as stripe(2,mtron,mtron) or a faulty(...) wrapper")
 		list      = flag.Bool("list", false, "list device profiles and exit")
 		file      = flag.String("file", "", "measure a real file instead of a simulated device (every write is followed by an fsync)")
-		capacity  = flag.Int64("capacity", 1<<30, "device capacity in bytes (simulated or created file)")
+		capacity  = flag.Int64("capacity", 1<<30, "device capacity in bytes (simulated, per member for array specs, or created file)")
 		state     = flag.String("state", "random", "initial device state: random, sequential or none (Section 4.1)")
 		pattern   = flag.String("pattern", "SR", "baseline pattern: SR, RR, SW or RW")
 		lba       = flag.String("lba", "", "override location function: seq, rnd, ordered or partitioned")
@@ -65,7 +69,7 @@ func run() (err error) {
 		return nil
 	}
 
-	dev, err := openDevice(*devKey, *file, *capacity)
+	dev, err := openDevice(*devSpec, *file, *capacity)
 	if err != nil {
 		return err
 	}
@@ -145,7 +149,7 @@ func run() (err error) {
 		an.StartUp, an.Period, an.Oscillates)
 
 	if *seriesOut != "" {
-		f, err := os.Create(*seriesOut)
+		f, err := trace.Create(*seriesOut)
 		if err != nil {
 			return err
 		}
@@ -161,19 +165,15 @@ func run() (err error) {
 	return nil
 }
 
-func openDevice(devKey, file string, capacity int64) (device.Device, error) {
+func openDevice(devSpec, file string, capacity int64) (device.Device, error) {
 	switch {
-	case devKey != "" && file != "":
+	case devSpec != "" && file != "":
 		return nil, fmt.Errorf("use -device or -file, not both")
 	case file != "":
 		return device.OpenFileDevice(file, capacity)
-	case devKey != "":
-		p, err := profile.ByKey(devKey)
-		if err != nil {
-			return nil, err
-		}
-		return p.BuildWithCapacity(capacity)
+	case devSpec != "":
+		return profile.BuildDevice(devSpec, capacity)
 	default:
-		return nil, fmt.Errorf("pass -device <profile> (see -list) or -file <path>")
+		return nil, fmt.Errorf("pass -device <spec> (see -list) or -file <path>")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"uflip/internal/api"
 	"uflip/internal/server"
 )
 
@@ -46,7 +47,7 @@ func BenchmarkJobAdmission(b *testing.B) {
 		ts.Close()
 		srv.Close()
 	}()
-	body, err := json.Marshal(server.JobRequest{
+	body, err := json.Marshal(api.JobRequest{
 		Kind: "plan", Device: "mtron", Capacity: 16 << 20, Seed: 42,
 		IOCount: 32, Micros: []string{"Granularity"}, Parallel: 1,
 	})
@@ -67,7 +68,7 @@ func BenchmarkJobAdmission(b *testing.B) {
 			b.Errorf("submit: HTTP %d", resp.StatusCode)
 			return "", 0
 		}
-		var st server.JobStatus
+		var st api.JobStatus
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			b.Error(err)
 			return "", 0
@@ -82,7 +83,7 @@ func BenchmarkJobAdmission(b *testing.B) {
 				b.Error(err)
 				return
 			}
-			var st server.JobStatus
+			var st api.JobStatus
 			err = json.NewDecoder(resp.Body).Decode(&st)
 			resp.Body.Close()
 			if err != nil {
@@ -90,9 +91,9 @@ func BenchmarkJobAdmission(b *testing.B) {
 				return
 			}
 			switch st.Status {
-			case server.StatusDone:
+			case api.StatusDone:
 				return
-			case server.StatusFailed, server.StatusCanceled:
+			case api.StatusFailed, api.StatusCanceled:
 				b.Errorf("job %s: %s (%s)", id, st.Status, st.Error)
 				return
 			}

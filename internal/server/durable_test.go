@@ -14,15 +14,16 @@ import (
 	"strings"
 	"testing"
 
+	"uflip/internal/api"
 	"uflip/internal/server"
 	"uflip/internal/trace"
 	"uflip/internal/workload"
 )
 
-func workloadRequest() server.JobRequest {
-	return server.JobRequest{
+func workloadRequest() api.JobRequest {
+	return api.JobRequest{
 		Kind: "workload", Device: "kingston-dti", Capacity: testCapacity, Seed: 42, Parallel: 2,
-		Workload: &server.WorkloadRequest{Spec: workload.Spec{Kind: "oltp", Count: 400, ReadFraction: 0.5}, SegmentOps: 100},
+		Workload: &api.WorkloadRequest{Spec: workload.Spec{Kind: "oltp", Count: 400, ReadFraction: 0.5}, SegmentOps: 100},
 	}
 }
 
@@ -100,7 +101,7 @@ func TestJobFilesLayout(t *testing.T) {
 	wl := submit(t, ts, workloadRequest())
 	results := make(map[string][]byte)
 	for _, id := range []string{plan.ID, wl.ID} {
-		waitFor(t, ts, id, server.StatusDone)
+		waitFor(t, ts, id, api.StatusDone)
 		_, results[id] = get(t, ts, "/jobs/"+id+"/result")
 	}
 	stop()
@@ -149,7 +150,7 @@ func TestJobFilesLayout(t *testing.T) {
 func TestRecordIsCommitPoint(t *testing.T) {
 	clean, stopClean := startOn(t, t.TempDir())
 	st := submit(t, clean, planRequest("mtron", "Order"))
-	waitFor(t, clean, st.ID, server.StatusDone)
+	waitFor(t, clean, st.ID, api.StatusDone)
 	want := servedBytes(t, clean, st.ID)
 	stopClean()
 
@@ -163,10 +164,10 @@ func TestRecordIsCommitPoint(t *testing.T) {
 	if got := submit(t, ts, planRequest("mtron", "Order")); got.ID != id {
 		t.Fatalf("job ID %s, want %s", got.ID, id)
 	}
-	waitFor(t, ts, id, server.StatusDone)
+	waitFor(t, ts, id, api.StatusDone)
 	sameServed(t, "report unwritable", servedBytes(t, ts, id), want)
 	stop()
-	if got := durableStatus(t, jobDir, id); got != server.StatusQueued {
+	if got := durableStatus(t, jobDir, id); got != api.StatusQueued {
 		t.Fatalf("durable record says %q although %s.report was never written; want queued", got, id)
 	}
 
@@ -180,14 +181,14 @@ func TestRecordIsCommitPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts, stop = startOn(t, jobDir)
-	waitFor(t, ts, id, server.StatusDone)
+	waitFor(t, ts, id, api.StatusDone)
 	_, history := sseFetch(t, ts, id, "")
 	if !strings.Contains(history, "re-queued after daemon restart") {
 		t.Fatalf("job was not re-run after the restart:\n%s", history)
 	}
 	sameServed(t, "re-run", servedBytes(t, ts, id), want)
 	stop()
-	if got := durableStatus(t, jobDir, id); got != server.StatusDone {
+	if got := durableStatus(t, jobDir, id); got != api.StatusDone {
 		t.Fatalf("durable record says %q after a clean re-run; want done", got)
 	}
 
@@ -204,7 +205,7 @@ func TestDoneJobWithoutRunRecordsFailsLoudly(t *testing.T) {
 	jobDir := t.TempDir()
 	ts, stop := startOn(t, jobDir)
 	st := submit(t, ts, planRequest("mtron", "Order"))
-	waitFor(t, ts, st.ID, server.StatusDone)
+	waitFor(t, ts, st.ID, api.StatusDone)
 	stop()
 	if err := os.Remove(filepath.Join(jobDir, "jobs", st.ID+".jsonl")); err != nil {
 		t.Fatal(err)
@@ -250,7 +251,7 @@ func TestStrayTempFilesRemoved(t *testing.T) {
 	jobDir := t.TempDir()
 	ts, stop := startOn(t, jobDir)
 	st := submit(t, ts, planRequest("mtron", "Order"))
-	waitFor(t, ts, st.ID, server.StatusDone)
+	waitFor(t, ts, st.ID, api.StatusDone)
 	want := servedBytes(t, ts, st.ID)
 	stop()
 

@@ -18,7 +18,7 @@ import (
 // a hang.
 func TestCancelJobOnFaultyDevice(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
-	big := server.JobRequest{
+	big := api.JobRequest{
 		Kind:     "plan",
 		Device:   "faulty(mtron,writeerr=2e-3,readerr=2e-3,stall=500us@0.2,seed=7)",
 		Capacity: 512 << 20,
@@ -26,7 +26,7 @@ func TestCancelJobOnFaultyDevice(t *testing.T) {
 		Parallel: 1,
 	}
 	st := submit(t, ts, big)
-	waitFor(t, ts, st.ID, server.StatusRunning)
+	waitFor(t, ts, st.ID, api.StatusRunning)
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+v1+"/jobs/"+st.ID, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -37,8 +37,8 @@ func TestCancelJobOnFaultyDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	canceled := waitFor(t, ts, st.ID, server.StatusCanceled, server.StatusDone)
-	if canceled.Status == server.StatusDone {
+	canceled := waitFor(t, ts, st.ID, api.StatusCanceled, api.StatusDone)
+	if canceled.Status == api.StatusDone {
 		t.Skip("job finished before the cancel landed")
 	}
 	if took := time.Since(start); took > 30*time.Second {
@@ -51,10 +51,10 @@ func TestCancelJobOnFaultyDevice(t *testing.T) {
 // error text, and the SSE stream ends on a terminal failed event.
 func TestJobTimeoutFailsJob(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1, JobTimeout: 100 * time.Millisecond})
-	big := server.JobRequest{Kind: "plan", Device: "mtron", Capacity: 512 << 20, IOCount: 1024, Parallel: 1}
+	big := api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 512 << 20, IOCount: 1024, Parallel: 1}
 	st := submit(t, ts, big)
-	failed := waitFor(t, ts, st.ID, server.StatusFailed, server.StatusDone)
-	if failed.Status == server.StatusDone {
+	failed := waitFor(t, ts, st.ID, api.StatusFailed, api.StatusDone)
+	if failed.Status == api.StatusDone {
 		t.Skip("job finished inside the watchdog window")
 	}
 	if !strings.Contains(failed.Error, "timeout") {

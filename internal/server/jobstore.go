@@ -41,7 +41,7 @@ type jobRecord struct {
 }
 
 // hasRunRecords reports whether the job has an <id>.jsonl beside its record.
-func (r *jobRecord) hasRunRecords() bool { return r.Status == StatusDone && r.Req.Kind != "array" }
+func (r *jobRecord) hasRunRecords() bool { return r.Status == api.StatusDone && r.Req.Kind != "array" }
 
 // jobStore is the on-disk side of job durability: a directory of job
 // records and their artifacts. All writes are atomic (fsync + rename); the

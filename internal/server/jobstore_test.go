@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"uflip/internal/api"
 	"uflip/internal/trace"
 )
 
@@ -28,7 +29,7 @@ func TestSaveFinishedStreams(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rec := &jobRecord{ID: "j-000001", Status: StatusDone, Req: JobRequest{Kind: "workload"}}
+	rec := &jobRecord{ID: "j-000001", Status: api.StatusDone, Req: api.JobRequest{Kind: "workload"}}
 	if err := st.saveFinished(rec, records, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestServedBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, ts, st.ID, server.StatusDone)
+	waitFor(t, ts, st.ID, api.StatusDone)
 
 	_, events := sseFetch(t, ts, st.ID, "")
 	_, csv := get(t, ts, "/jobs/"+st.ID+"/csv")

@@ -16,6 +16,8 @@
 //     trace.WriteJSON), CSV and report are written with atomic fsync+rename
 //     before the record that says it finished — a restarted daemon serves
 //     byte-identical results and re-runs every job with no such record.
+//     A job's durable record is the job itself: the queue entry embeds it
+//     and adds only its event log, cancel function and rendered artifacts.
 //   - Admission control and trace upload: per-tenant (X-API-Key) token
 //     bucket rate limits and queue quotas guard the bounded queue with
 //     typed 429/503 envelopes, and POST /v1/traces accepts bounded-size
@@ -50,30 +52,10 @@ import (
 	runner "uflip/internal/job" // "job" is this package's queue entry
 	"uflip/internal/methodology"
 	"uflip/internal/paperexp"
-	"uflip/internal/report"
 	"uflip/internal/server/events"
 	"uflip/internal/statestore"
 	"uflip/internal/trace"
 	"uflip/internal/workload"
-)
-
-// Aliases into the shared wire-type package, kept so existing callers (and
-// the pre-/v1 import surface) keep compiling; internal/api is the source of
-// truth both the server and the Go client build against.
-type (
-	JobRequest      = api.JobRequest
-	WorkloadRequest = api.WorkloadRequest
-	ArrayRequest    = api.ArrayRequest
-	JobStatus       = api.JobStatus
-)
-
-// Job statuses.
-const (
-	StatusQueued   = api.StatusQueued
-	StatusRunning  = api.StatusRunning
-	StatusDone     = api.StatusDone
-	StatusFailed   = api.StatusFailed
-	StatusCanceled = api.StatusCanceled
 )
 
 // Config tunes the daemon.
@@ -157,46 +139,32 @@ func (c Config) maxTraceBytes() int64 {
 	return c.MaxTraceBytes
 }
 
+// job is a queue entry: its durable record, which the server lock guards,
+// plus what is not persisted in it — the event log (persisted as the
+// record's Events, which stay empty in memory), the cancel function of a
+// running job and the artifacts rendered once at completion.
 type job struct {
-	id     string
-	tenant string
-	req    JobRequest
+	jobRecord
 	log    *events.Log
-
-	status    string
-	errText   string
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	cancel    context.CancelFunc
-
-	records []trace.RunRecord // plan and workload results
-	rows    []report.ArrayRow // array results
-	csv     []byte            // summary CSV, rendered once at completion
-	report  []byte            // human-readable report
+	cancel context.CancelFunc
+	csv    []byte // summary CSV
+	report []byte // human-readable report
 }
 
 // emit appends a job-stamped event to the job's stream.
 func (j *job) emit(e api.Event) {
-	e.Job = j.id
+	e.Job = j.ID
 	j.log.Append(e)
 }
 
-// record is the job's durable form. The caller must either hold the server
-// lock or own the job (its running worker goroutine).
+// record is the job's durable form: its run records go to <id>.jsonl, not
+// into the record. The caller must either hold the server lock or own the
+// job (its running worker goroutine).
 func (j *job) record() *jobRecord {
-	return &jobRecord{
-		ID:        j.id,
-		Tenant:    j.tenant,
-		Req:       j.req,
-		Status:    j.status,
-		Error:     j.errText,
-		Submitted: j.submitted,
-		Started:   j.started,
-		Finished:  j.finished,
-		Events:    j.log.Snapshot(),
-		Rows:      j.rows,
-	}
+	rec := j.jobRecord
+	rec.Events = j.log.Snapshot()
+	rec.Records = nil
+	return &rec
 }
 
 // Server is the experiment daemon. Create with New, expose via Handler,
@@ -288,40 +256,30 @@ func (s *Server) loadJobs() error {
 		return err
 	}
 	for _, rec := range recs {
-		j := &job{
-			id:        rec.ID,
-			tenant:    rec.Tenant,
-			req:       rec.Req,
-			status:    rec.Status,
-			errText:   rec.Error,
-			submitted: rec.Submitted,
-			started:   rec.Started,
-			finished:  rec.Finished,
-		}
-		if n, ok := idNum(rec.ID); ok && n > s.nextID {
+		j := &job{jobRecord: *rec}
+		if n, ok := idNum(j.ID); ok && n > s.nextID {
 			s.nextID = n
 		}
-		switch rec.Status {
-		case StatusDone, StatusFailed, StatusCanceled:
-			j.log = events.Restore(rec.Events)
-			j.records = rec.Records
-			j.rows = rec.Rows
-			j.csv = s.jobsdir.artifact(rec.ID, ".csv")
-			j.report = s.jobsdir.artifact(rec.ID, ".report")
+		switch j.Status {
+		case api.StatusDone, api.StatusFailed, api.StatusCanceled:
+			j.log = events.Restore(j.Events)
+			j.csv = s.jobsdir.artifact(j.ID, ".csv")
+			j.report = s.jobsdir.artifact(j.ID, ".report")
 		default:
 			// An older daemon may have left a default to execution; a
 			// request that no longer validates at all fails when it runs.
-			_ = runner.Normalize(&j.req)
-			j.status = StatusQueued
-			j.errText = ""
-			j.started = time.Time{}
+			_ = runner.Normalize(&j.Req)
+			j.Status = api.StatusQueued
+			j.Error = ""
+			j.Started = time.Time{}
 			j.log = events.NewLog()
 			j.emit(api.Event{Type: api.EventQueued, Detail: "re-queued after daemon restart"})
 			s.pending = append(s.pending, j)
-			s.tenant(j.tenant).queued++
+			s.tenant(j.Tenant).queued++
 		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+		j.Events = nil // the log serves the events from here on
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j.ID)
 	}
 	s.evictLocked()
 	return nil
@@ -351,7 +309,7 @@ func (s *Server) worker() {
 		s.pending = s.pending[1:]
 		// The job leaves the queue here, whatever happens next, so this is
 		// where its slot stops counting against the tenant's queue quota.
-		s.tenant(j.tenant).queued--
+		s.tenant(j.Tenant).queued--
 		s.mu.Unlock()
 		s.runJob(j)
 		s.mu.Lock()
@@ -373,9 +331,9 @@ func (s *Server) Close() {
 	drained := s.pending
 	s.pending = nil
 	for _, j := range drained {
-		j.status = StatusCanceled
-		j.finished = now
-		s.tenant(j.tenant).queued--
+		j.Status = api.StatusCanceled
+		j.Finished = now
+		s.tenant(j.Tenant).queued--
 	}
 	s.mu.Unlock()
 	for _, j := range drained {
@@ -441,7 +399,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	counts := map[string]int{}
 	for _, j := range s.jobs {
-		counts[j.status]++
+		counts[j.Status]++
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -457,7 +415,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // validate normalizes a request as every surface does and checks that the
 // trace it names, if any, has been uploaded here.
-func (s *Server) validate(req *JobRequest) error {
+func (s *Server) validate(req *api.JobRequest) error {
 	if err := runner.Normalize(req); err != nil {
 		return err
 	}
@@ -473,7 +431,7 @@ func (s *Server) validate(req *JobRequest) error {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
+	var req api.JobRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -513,14 +471,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.nextID++
-	j := &job{
-		id:        fmt.Sprintf("j-%06d", s.nextID),
-		tenant:    tenant,
-		req:       req,
-		log:       events.NewLog(),
-		status:    StatusQueued,
-		submitted: s.now(),
-	}
+	j := &job{jobRecord: jobRecord{
+		ID:        fmt.Sprintf("j-%06d", s.nextID),
+		Tenant:    tenant,
+		Req:       req,
+		Status:    api.StatusQueued,
+		Submitted: s.now(),
+	}, log: events.NewLog()}
 	j.emit(api.Event{Type: api.EventQueued})
 	if s.jobsdir != nil {
 		// Durability before acceptance: a 202 means the job survives a
@@ -533,37 +490,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
 	s.pending = append(s.pending, j)
 	t.queued++
-	st := s.statusOfLocked(j)
+	st := j.jobStatus()
 	s.mu.Unlock()
 	s.cond.Signal()
 	writeJSON(w, http.StatusAccepted, st)
 }
 
-func (s *Server) statusOf(j *job) JobStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statusOfLocked(j)
-}
-
-func (s *Server) statusOfLocked(j *job) JobStatus {
-	runs := len(j.records)
-	if j.req.Kind == "array" {
-		runs = len(j.rows)
+// jobStatus is the job's status view, the body of GET /v1/jobs/{id}. Callers
+// hold the server lock.
+func (j *job) jobStatus() api.JobStatus {
+	runs := len(j.Records)
+	if j.Req.Kind == "array" {
+		runs = len(j.Rows)
 	}
-	return JobStatus{
-		ID:        j.id,
-		Kind:      j.req.Kind,
-		Device:    j.req.Device,
-		Tenant:    j.tenant,
-		Status:    j.status,
-		Error:     j.errText,
-		Submitted: j.submitted,
-		Started:   j.started,
-		Finished:  j.finished,
+	return api.JobStatus{
+		ID:        j.ID,
+		Kind:      j.Req.Kind,
+		Device:    j.Req.Device,
+		Tenant:    j.Tenant,
+		Status:    j.Status,
+		Error:     j.Error,
+		Submitted: j.Submitted,
+		Started:   j.Started,
+		Finished:  j.Finished,
 		Runs:      runs,
 	}
 }
@@ -580,9 +533,9 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.order))
+	out := make([]api.JobStatus, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, s.statusOfLocked(s.jobs[id]))
+		out = append(out, s.jobs[id].jobStatus())
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, api.JobList{Jobs: out})
@@ -590,7 +543,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j := s.lookup(w, r); j != nil {
-		writeJSON(w, http.StatusOK, s.statusOf(j))
+		s.mu.Lock()
+		st := j.jobStatus()
+		s.mu.Unlock()
+		writeJSON(w, http.StatusOK, st)
 	}
 }
 
@@ -601,27 +557,27 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	canceledQueued := false
-	switch j.status {
-	case StatusQueued:
-		j.status = StatusCanceled
-		j.finished = s.now()
+	switch j.Status {
+	case api.StatusQueued:
+		j.Status = api.StatusCanceled
+		j.Finished = s.now()
 		canceledQueued = true
 		// Free the queue slot immediately: later submissions must not be
 		// rejected on account of jobs that will never run.
 		for i, p := range s.pending {
 			if p == j {
 				s.pending = append(s.pending[:i], s.pending[i+1:]...)
-				s.tenant(j.tenant).queued--
+				s.tenant(j.Tenant).queued--
 				break
 			}
 		}
 		s.evictLocked()
-	case StatusRunning:
+	case api.StatusRunning:
 		if j.cancel != nil {
 			j.cancel()
 		}
 	}
-	st := s.statusOfLocked(j)
+	st := j.jobStatus()
 	s.mu.Unlock()
 	if canceledQueued {
 		j.emit(api.Event{Type: api.EventCanceled, Detail: "canceled while queued"})
@@ -691,14 +647,14 @@ func (s *Server) finished(w http.ResponseWriter, r *http.Request) *job {
 		return nil
 	}
 	s.mu.Lock()
-	status, errText := j.status, j.errText
+	status, errText := j.Status, j.Error
 	s.mu.Unlock()
 	switch status {
-	case StatusDone:
+	case api.StatusDone:
 		return j
-	case StatusFailed:
+	case api.StatusFailed:
 		writeError(w, http.StatusInternalServerError, api.CodeJobFailed, "job failed: %s", errText)
-	case StatusCanceled:
+	case api.StatusCanceled:
 		writeError(w, http.StatusGone, api.CodeCanceled, "job was canceled")
 	default:
 		writeError(w, http.StatusConflict, api.CodeNotReady, "job is %s; results are not ready", status)
@@ -711,11 +667,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if j.req.Kind == "array" {
-		writeJSON(w, http.StatusOK, j.rows)
+	if j.Req.Kind == "array" {
+		writeJSON(w, http.StatusOK, j.Rows)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.records)
+	writeJSON(w, http.StatusOK, j.Records)
 }
 
 func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
@@ -723,7 +679,7 @@ func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if j.req.Kind == "array" {
+	if j.Req.Kind == "array" {
 		writeError(w, http.StatusNotFound, api.CodeNotFound, "array jobs have no CSV; fetch /result or /report")
 		return
 	}
@@ -732,7 +688,7 @@ func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
 		// Restored job whose CSV artifact is missing: re-render from the
 		// persisted records (the render is a pure function of them).
 		var buf bytes.Buffer
-		if err := trace.WriteSummaryCSV(&buf, j.records); err != nil {
+		if err := trace.WriteSummaryCSV(&buf, j.Records); err != nil {
 			writeError(w, http.StatusInternalServerError, api.CodeInternal, "render csv: %v", err)
 			return
 		}
@@ -808,7 +764,7 @@ func (s *Server) persistFinished(j *job) {
 	if s.jobsdir == nil {
 		return
 	}
-	if err := s.jobsdir.saveFinished(j.record(), j.records, j.csv, j.report); err != nil {
+	if err := s.jobsdir.saveFinished(j.record(), j.Records, j.csv, j.report); err != nil {
 		fmt.Fprintln(os.Stderr, "uflip serve:", err)
 	}
 }
@@ -820,7 +776,7 @@ var errJobTimeout = errors.New("job exceeded the configured timeout")
 // runJob executes one job on a worker goroutine.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
-	if j.status != StatusQueued {
+	if j.Status != api.StatusQueued {
 		s.mu.Unlock()
 		return // canceled while queued
 	}
@@ -834,8 +790,8 @@ func (s *Server) runJob(j *job) {
 		ctx, cancelTimeout = context.WithTimeoutCause(ctx, t, errJobTimeout)
 		defer cancelTimeout()
 	}
-	j.status = StatusRunning
-	j.started = s.now()
+	j.Status = api.StatusRunning
+	j.Started = s.now()
 	j.cancel = cancel
 	s.mu.Unlock()
 	defer cancel()
@@ -844,37 +800,34 @@ func (s *Server) runJob(j *job) {
 	err := s.execute(ctx, j)
 
 	s.mu.Lock()
-	j.finished = s.now()
+	j.Finished = s.now()
 	shutdown := s.baseCtx.Err() != nil
 	switch {
 	case err == nil:
-		j.status = StatusDone
+		j.Status = api.StatusDone
 	case context.Cause(ctx) == errJobTimeout:
 		// Checked before the cancellation case: a timeout also trips ctx.Err,
 		// but it is the daemon killing a wedged job, not the user changing
 		// their mind — clients must see a failure, not a cancellation.
-		j.status = StatusFailed
-		j.errText = fmt.Sprintf("%v after %v", errJobTimeout, s.cfg.JobTimeout)
+		j.Status = api.StatusFailed
+		j.Error = fmt.Sprintf("%v after %v", errJobTimeout, s.cfg.JobTimeout)
 	case ctx.Err() != nil && !shutdown:
-		j.status = StatusCanceled
-		j.errText = err.Error()
+		j.Status = api.StatusCanceled
+		j.Error = err.Error()
 	default:
-		j.status = StatusFailed
-		j.errText = err.Error()
+		j.Status = api.StatusFailed
+		j.Error = err.Error()
 	}
-	status, errText, runs := j.status, j.errText, len(j.records)
-	if j.req.Kind == "array" {
-		runs = len(j.rows)
-	}
+	st := j.jobStatus()
 	s.mu.Unlock()
 
-	switch status {
-	case StatusDone:
-		j.emit(api.Event{Type: api.EventDone, Runs: runs})
-	case StatusCanceled:
+	switch st.Status {
+	case api.StatusDone:
+		j.emit(api.Event{Type: api.EventDone, Runs: st.Runs})
+	case api.StatusCanceled:
 		j.emit(api.Event{Type: api.EventCanceled, Detail: "canceled while running"})
 	default:
-		j.emit(api.Event{Type: api.EventFailed, Error: errText})
+		j.emit(api.Event{Type: api.EventFailed, Error: st.Error})
 	}
 	j.log.Close()
 	if !shutdown {
@@ -905,8 +858,8 @@ const evictGrace = 100 * time.Millisecond
 func (s *Server) evictLocked() {
 	finished := 0
 	for _, j := range s.jobs {
-		switch j.status {
-		case StatusDone, StatusFailed, StatusCanceled:
+		switch j.Status {
+		case api.StatusDone, api.StatusFailed, api.StatusCanceled:
 			finished++
 		}
 	}
@@ -914,16 +867,16 @@ func (s *Server) evictLocked() {
 	now := s.now()
 	for i := 0; finished > keep && i < len(s.order); {
 		j := s.jobs[s.order[i]]
-		switch j.status {
-		case StatusDone, StatusFailed, StatusCanceled:
-			if now.Sub(j.finished) < evictGrace {
+		switch j.Status {
+		case api.StatusDone, api.StatusFailed, api.StatusCanceled:
+			if now.Sub(j.Finished) < evictGrace {
 				i++
 				continue
 			}
-			delete(s.jobs, j.id)
+			delete(s.jobs, j.ID)
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			if s.jobsdir != nil {
-				s.jobsdir.remove(j.id)
+				s.jobsdir.remove(j.ID)
 			}
 			finished--
 		default:
@@ -968,7 +921,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 			},
 		},
 	}
-	if w := j.req.Workload; j.req.Kind == "workload" && w.TraceHash != "" {
+	if w := j.Req.Workload; j.Req.Kind == "workload" && w.TraceHash != "" {
 		h, ok, err := s.traces.open(w.TraceHash)
 		if err != nil {
 			return err
@@ -986,7 +939,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	}
 	// The default worker count fills a copy: the job's record keeps the
 	// request as submitted.
-	req := j.req
+	req := j.Req
 	if req.Parallel <= 0 {
 		req.Parallel = s.cfg.DefaultParallel
 	}
@@ -995,7 +948,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		return err
 	}
 	s.mu.Lock()
-	j.records, j.rows, j.csv, j.report = out.Records, out.Rows, out.CSV, out.Report
+	j.Records, j.Rows, j.csv, j.report = out.Records, out.Rows, out.CSV, out.Report
 	s.mu.Unlock()
 	return nil
 }

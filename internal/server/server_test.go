@@ -44,7 +44,7 @@ func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.S
 	return srv, ts
 }
 
-func submit(t *testing.T, ts *httptest.Server, req server.JobRequest) server.JobStatus {
+func submit(t *testing.T, ts *httptest.Server, req api.JobRequest) api.JobStatus {
 	t.Helper()
 	st, code := trySubmit(t, ts, req)
 	if code != http.StatusAccepted {
@@ -53,7 +53,7 @@ func submit(t *testing.T, ts *httptest.Server, req server.JobRequest) server.Job
 	return st
 }
 
-func trySubmit(t *testing.T, ts *httptest.Server, req server.JobRequest) (server.JobStatus, int) {
+func trySubmit(t *testing.T, ts *httptest.Server, req api.JobRequest) (api.JobStatus, int) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -66,9 +66,9 @@ func trySubmit(t *testing.T, ts *httptest.Server, req server.JobRequest) (server
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		io.Copy(io.Discard, resp.Body)
-		return server.JobStatus{}, resp.StatusCode
+		return api.JobStatus{}, resp.StatusCode
 	}
-	var st server.JobStatus
+	var st api.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-func waitFor(t *testing.T, ts *httptest.Server, id string, want ...string) server.JobStatus {
+func waitFor(t *testing.T, ts *httptest.Server, id string, want ...string) api.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
@@ -97,7 +97,7 @@ func waitFor(t *testing.T, ts *httptest.Server, id string, want ...string) serve
 		if code != http.StatusOK {
 			t.Fatalf("status %s: HTTP %d: %s", id, code, body)
 		}
-		var st server.JobStatus
+		var st api.JobStatus
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatal(err)
 		}
@@ -106,17 +106,17 @@ func waitFor(t *testing.T, ts *httptest.Server, id string, want ...string) serve
 				return st
 			}
 		}
-		if st.Status == server.StatusFailed {
+		if st.Status == api.StatusFailed {
 			t.Fatalf("job %s failed: %s", id, st.Error)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not reach %v in time", id, want)
-	return server.JobStatus{}
+	return api.JobStatus{}
 }
 
-func planRequest(device, micro string) server.JobRequest {
-	return server.JobRequest{
+func planRequest(device, micro string) api.JobRequest {
+	return api.JobRequest{
 		Kind:     "plan",
 		Device:   device,
 		Capacity: testCapacity,
@@ -130,7 +130,7 @@ func planRequest(device, micro string) server.JobRequest {
 // runLocally runs req the way `uflip`, `uflip workload` and `uflip array` run
 // the job their flags describe: normalized, then through job.Run, in-process.
 // src is the opened trace when req replays one.
-func runLocally(t *testing.T, req server.JobRequest, src workload.Source) *job.Outcome {
+func runLocally(t *testing.T, req api.JobRequest, src workload.Source) *job.Outcome {
 	t.Helper()
 	if err := job.Normalize(&req); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func runLocally(t *testing.T, req server.JobRequest, src workload.Source) *job.O
 func TestPlanJobMatchesCLI(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{StateDir: t.TempDir(), Workers: 2})
 	st := submit(t, ts, planRequest("mtron", "Granularity"))
-	done := waitFor(t, ts, st.ID, server.StatusDone)
+	done := waitFor(t, ts, st.ID, api.StatusDone)
 	if done.Runs == 0 {
 		t.Fatal("done job reports no runs")
 	}
@@ -198,7 +198,7 @@ func TestEightConcurrentJobs(t *testing.T) {
 		ids[i] = submit(t, ts, planRequest(c.device, c.micro)).ID
 	}
 	for i, c := range cases {
-		waitFor(t, ts, ids[i], server.StatusDone)
+		waitFor(t, ts, ids[i], api.StatusDone)
 		_, csv := get(t, ts, "/jobs/"+ids[i]+"/csv")
 		if want := runLocally(t, planRequest(c.device, c.micro), nil).CSV; !bytes.Equal(csv, want) {
 			t.Fatalf("job %s (%s/%s): CSV differs from the CLI run", ids[i], c.device, c.micro)
@@ -209,7 +209,7 @@ func TestEightConcurrentJobs(t *testing.T) {
 func TestWorkloadJobMatchesDirectReplay(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{StateDir: t.TempDir(), Workers: 2})
 	st := submit(t, ts, workloadRequest())
-	waitFor(t, ts, st.ID, server.StatusDone)
+	waitFor(t, ts, st.ID, api.StatusDone)
 	_, csv := get(t, ts, "/jobs/"+st.ID+"/csv")
 	if !bytes.Equal(csv, runLocally(t, workloadRequest(), nil).CSV) {
 		t.Fatal("server workload CSV differs from the direct replay")
@@ -218,13 +218,13 @@ func TestWorkloadJobMatchesDirectReplay(t *testing.T) {
 
 func TestArrayJobProducesGrid(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{StateDir: t.TempDir(), Workers: 2})
-	st := submit(t, ts, server.JobRequest{
+	st := submit(t, ts, api.JobRequest{
 		Kind:     "array",
 		Capacity: 16 << 20,
 		Seed:     42,
 		IOCount:  testIOCount,
 		Parallel: 2,
-		Array: &server.ArrayRequest{
+		Array: &api.ArrayRequest{
 			Member:      "mtron",
 			Layouts:     []string{"stripe", "mirror"},
 			Counts:      []int{1, 2},
@@ -232,7 +232,7 @@ func TestArrayJobProducesGrid(t *testing.T) {
 			Degree:      2,
 		},
 	})
-	done := waitFor(t, ts, st.ID, server.StatusDone)
+	done := waitFor(t, ts, st.ID, api.StatusDone)
 	if done.Runs != 4 { // 2 layouts x 2 counts x 1 qd
 		t.Fatalf("grid has %d rows, want 4", done.Runs)
 	}
@@ -249,9 +249,9 @@ func TestArrayJobProducesGrid(t *testing.T) {
 func TestCancelRunningJob(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
 	// A deliberately large job so the cancel lands mid-plan.
-	big := server.JobRequest{Kind: "plan", Device: "mtron", Capacity: 512 << 20, IOCount: 1024, Parallel: 1}
+	big := api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 512 << 20, IOCount: 1024, Parallel: 1}
 	st := submit(t, ts, big)
-	waitFor(t, ts, st.ID, server.StatusRunning)
+	waitFor(t, ts, st.ID, api.StatusRunning)
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+v1+"/jobs/"+st.ID, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -261,8 +261,8 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	canceled := waitFor(t, ts, st.ID, server.StatusCanceled, server.StatusDone)
-	if canceled.Status == server.StatusDone {
+	canceled := waitFor(t, ts, st.ID, api.StatusCanceled, api.StatusDone)
+	if canceled.Status == api.StatusDone {
 		t.Skip("job finished before the cancel landed")
 	}
 	code, _ := get(t, ts, "/jobs/"+st.ID+"/result")
@@ -274,29 +274,29 @@ func TestCancelRunningJob(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1, QueueSize: 4})
 	// Occupy the single worker, then cancel a queued job before it starts.
-	running := submit(t, ts, server.JobRequest{Kind: "plan", Device: "mtron", Capacity: 256 << 20, IOCount: 512, Parallel: 1})
+	running := submit(t, ts, api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 256 << 20, IOCount: 512, Parallel: 1})
 	queued := submit(t, ts, planRequest("mtron", "Order"))
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+v1+"/jobs/"+queued.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st server.JobStatus
+	var st api.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Status != server.StatusCanceled && st.Status != server.StatusRunning {
+	if st.Status != api.StatusCanceled && st.Status != api.StatusRunning {
 		t.Fatalf("canceled queued job status %q", st.Status)
 	}
-	waitFor(t, ts, running.ID, server.StatusDone)
+	waitFor(t, ts, running.ID, api.StatusDone)
 }
 
 func TestQueueBound(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1, QueueSize: 1})
 	// One job runs, one fits the queue; the next submission must be
 	// rejected with 503, not block.
-	slow := server.JobRequest{Kind: "plan", Device: "mtron", Capacity: 256 << 20, IOCount: 512, Parallel: 1}
+	slow := api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 256 << 20, IOCount: 512, Parallel: 1}
 	a := submit(t, ts, slow)
 	ids := []string{a.ID}
 	sawReject := false
@@ -315,20 +315,20 @@ func TestQueueBound(t *testing.T) {
 		t.Fatal("queue never rejected a submission beyond its bound")
 	}
 	for _, id := range ids {
-		waitFor(t, ts, id, server.StatusDone)
+		waitFor(t, ts, id, api.StatusDone)
 	}
 }
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
-	cases := []server.JobRequest{
+	cases := []api.JobRequest{
 		{Kind: "nope", Device: "mtron"},
 		{Kind: "plan"},
 		{Kind: "plan", Device: "not-a-device"},
 		{Kind: "workload", Device: "mtron"},
-		{Kind: "workload", Device: "mtron", Workload: &server.WorkloadRequest{Spec: workload.Spec{Kind: "bogus", Count: 10}}},
+		{Kind: "workload", Device: "mtron", Workload: &api.WorkloadRequest{Spec: workload.Spec{Kind: "bogus", Count: 10}}},
 		{Kind: "array"},
-		{Kind: "array", Array: &server.ArrayRequest{Member: "mtron", Layouts: []string{"raid9"}}},
+		{Kind: "array", Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"raid9"}}},
 	}
 	for i, req := range cases {
 		if _, code := trySubmit(t, ts, req); code != http.StatusBadRequest {
@@ -363,8 +363,8 @@ func TestSharedStateStoreAcrossJobs(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{StateDir: dir, Workers: 2})
 	a := submit(t, ts, planRequest("mtron", "Order"))
 	b := submit(t, ts, planRequest("mtron", "Granularity"))
-	waitFor(t, ts, a.ID, server.StatusDone)
-	waitFor(t, ts, b.ID, server.StatusDone)
+	waitFor(t, ts, a.ID, api.StatusDone)
+	waitFor(t, ts, b.ID, api.StatusDone)
 
 	store, err := statestore.Open(dir)
 	if err != nil {
@@ -386,13 +386,13 @@ func TestSharedStateStoreAcrossJobs(t *testing.T) {
 func TestListJobs(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 2})
 	a := submit(t, ts, planRequest("mtron", "Order"))
-	waitFor(t, ts, a.ID, server.StatusDone)
+	waitFor(t, ts, a.ID, api.StatusDone)
 	code, body := get(t, ts, "/jobs")
 	if code != http.StatusOK {
 		t.Fatalf("list: HTTP %d", code)
 	}
 	var out struct {
-		Jobs []server.JobStatus `json:"jobs"`
+		Jobs []api.JobStatus `json:"jobs"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
@@ -407,8 +407,8 @@ func TestListJobs(t *testing.T) {
 // jobs that will never run.
 func TestCanceledQueuedJobFreesQueueSlot(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1, QueueSize: 1})
-	running := submit(t, ts, server.JobRequest{Kind: "plan", Device: "mtron", Capacity: 256 << 20, IOCount: 512, Parallel: 1})
-	waitFor(t, ts, running.ID, server.StatusRunning, server.StatusDone)
+	running := submit(t, ts, api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 256 << 20, IOCount: 512, Parallel: 1})
+	waitFor(t, ts, running.ID, api.StatusRunning, api.StatusDone)
 	queued := submit(t, ts, planRequest("mtron", "Order")) // fills the queue
 	if _, code := trySubmit(t, ts, planRequest("mtron", "Order")); code != http.StatusServiceUnavailable {
 		t.Fatalf("overflow submit: status %d, want 503", code)
@@ -425,7 +425,7 @@ func TestCanceledQueuedJobFreesQueueSlot(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit after cancel: status %d, want 202", code)
 	}
-	waitFor(t, ts, replacement.ID, server.StatusDone)
+	waitFor(t, ts, replacement.ID, api.StatusDone)
 }
 
 func TestBadMicroRejectedAtSubmission(t *testing.T) {
@@ -447,7 +447,7 @@ func TestWorkloadOmittedKnobsTakeCLIDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st server.JobStatus
+	var st api.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestWorkloadOmittedKnobsTakeCLIDefaults(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("minimal workload request: status %d", resp.StatusCode)
 	}
-	waitFor(t, ts, st.ID, server.StatusDone)
+	waitFor(t, ts, st.ID, api.StatusDone)
 	_, csv := get(t, ts, "/jobs/"+st.ID+"/csv")
 
 	// The CLI-default equivalent: every knob as api.Defaults has it, the table

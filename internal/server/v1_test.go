@@ -25,13 +25,13 @@ import (
 )
 
 // slowPlanRequest is big enough to still be running when a test acts on it.
-func slowPlanRequest() server.JobRequest {
-	return server.JobRequest{Kind: "plan", Device: "mtron", Capacity: 256 << 20, IOCount: 512, Parallel: 1}
+func slowPlanRequest() api.JobRequest {
+	return api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 256 << 20, IOCount: 512, Parallel: 1}
 }
 
 // submitKeyed posts a job under a tenant API key and returns the decoded
 // status (on 202) or error envelope.
-func submitKeyed(t *testing.T, ts *httptest.Server, key string, jr server.JobRequest) (server.JobStatus, int, api.ErrorCode) {
+func submitKeyed(t *testing.T, ts *httptest.Server, key string, jr api.JobRequest) (api.JobStatus, int, api.ErrorCode) {
 	t.Helper()
 	body, err := json.Marshal(jr)
 	if err != nil {
@@ -55,9 +55,9 @@ func submitKeyed(t *testing.T, ts *httptest.Server, key string, jr server.JobReq
 		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 			t.Fatalf("non-202 submit (%d) without an error envelope: %v", resp.StatusCode, err)
 		}
-		return server.JobStatus{}, resp.StatusCode, env.Err.Code
+		return api.JobStatus{}, resp.StatusCode, env.Err.Code
 	}
-	var st server.JobStatus
+	var st api.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestErrorEnvelope(t *testing.T) {
 			t.Fatalf("%s: envelope %+v, want code %q with a message", c.path, env.Err, c.wantCode)
 		}
 	}
-	if _, code, errCode := submitKeyed(t, ts, "", server.JobRequest{Kind: "nope"}); code != http.StatusBadRequest || errCode != api.CodeBadRequest {
+	if _, code, errCode := submitKeyed(t, ts, "", api.JobRequest{Kind: "nope"}); code != http.StatusBadRequest || errCode != api.CodeBadRequest {
 		t.Fatalf("bad submit: HTTP %d code %q, want 400 bad_request", code, errCode)
 	}
 }
@@ -161,7 +161,7 @@ func TestEventStreamOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Status != server.StatusDone || final.Runs != last.Runs {
+	if final.Status != api.StatusDone || final.Runs != last.Runs {
 		t.Fatalf("final status %s/%d runs does not match terminal event %d runs", final.Status, final.Runs, last.Runs)
 	}
 }
@@ -210,7 +210,7 @@ func sseFetch(t *testing.T, ts *httptest.Server, id, lastEventID string) ([]int6
 func TestEventStreamResume(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{StateDir: t.TempDir(), Workers: 2})
 	st := submit(t, ts, planRequest("mtron", "Granularity"))
-	waitFor(t, ts, st.ID, server.StatusDone)
+	waitFor(t, ts, st.ID, api.StatusDone)
 
 	all, _ := sseFetch(t, ts, st.ID, "")
 	if len(all) < 4 || all[0] != 1 {
@@ -259,26 +259,43 @@ func TestRestartDurability(t *testing.T) {
 	ts1 := httptest.NewServer(srv1.Handler())
 	// One finished job of each kind. /csv on the array job is its 404
 	// envelope, which must survive the restart like any other answer.
-	var finished []server.JobStatus
-	for _, req := range []server.JobRequest{
+	var finished []api.JobStatus
+	for _, req := range []api.JobRequest{
 		planRequest("mtron", "Granularity"),
 		workloadRequest(),
 		{Kind: "array", Capacity: 16 << 20, Seed: 42, IOCount: testIOCount, Parallel: 2,
-			Array: &server.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{2}, QueueDepths: []int{2}}},
+			Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{2}, QueueDepths: []int{2}}},
 	} {
-		st := submit(t, ts1, req)
-		waitFor(t, ts1, st.ID, server.StatusDone)
+		// Under a tenant key, so the status routes show that it survives too.
+		st, code, errCode := submitKeyed(t, ts1, "tenant-r", req)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: HTTP %d (%s)", req.Kind, code, errCode)
+		}
+		waitFor(t, ts1, st.ID, api.StatusDone)
 		finished = append(finished, st)
 	}
+	// Besides the results and the event history, GET /jobs/{id} and the
+	// finished jobs' entries of GET /jobs carry what the record restores:
+	// tenant, timestamps and run count.
 	served := func(ts *httptest.Server) map[string]string {
 		out := make(map[string]string)
 		for _, st := range finished {
-			for _, what := range []string{"/result", "/csv", "/report"} {
+			for _, what := range []string{"", "/result", "/csv", "/report"} {
 				code, body := get(t, ts, "/jobs/"+st.ID+what)
 				out[st.Kind+what] = strconv.Itoa(code) + " " + string(body)
 			}
 			_, out[st.Kind+"/events"] = sseFetch(t, ts, st.ID, "")
 		}
+		code, body := get(t, ts, "/jobs")
+		var list api.JobList
+		if err := json.Unmarshal(body, &list); code != http.StatusOK || err != nil || len(list.Jobs) < len(finished) {
+			t.Fatalf("GET /jobs: HTTP %d %v, %d jobs, want the %d finished ones first", code, err, len(list.Jobs), len(finished))
+		}
+		first, err := json.Marshal(list.Jobs[:len(finished)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["list"] = string(first)
 		return out
 	}
 	before := served(ts1)
@@ -310,7 +327,7 @@ func TestRestartDurability(t *testing.T) {
 
 	// The interrupted jobs re-queue and complete under the new process.
 	for _, id := range []string{interruptedA.ID, interruptedB.ID} {
-		done := waitFor(t, ts2, id, server.StatusDone)
+		done := waitFor(t, ts2, id, api.StatusDone)
 		if done.Runs == 0 {
 			t.Fatalf("re-queued job %s finished with no runs", id)
 		}
@@ -322,7 +339,7 @@ func TestRestartDurability(t *testing.T) {
 			t.Fatalf("restarted daemon reissued job ID %s", id)
 		}
 	}
-	waitFor(t, ts2, fresh.ID, server.StatusDone)
+	waitFor(t, ts2, fresh.ID, api.StatusDone)
 }
 
 // TestTenantRateLimit: a tenant that exhausts its token bucket gets 429
@@ -364,7 +381,7 @@ func TestTenantQueueQuota(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit: HTTP %d", code)
 	}
-	waitFor(t, ts, running.ID, server.StatusRunning, server.StatusDone)
+	waitFor(t, ts, running.ID, api.StatusRunning, api.StatusDone)
 	if _, code, _ := submitKeyed(t, ts, "tenant-b", planRequest("mtron", "Order")); code != http.StatusAccepted {
 		t.Fatalf("tenant-b within quota: HTTP %d, want 202", code)
 	}
@@ -443,7 +460,7 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, ts, st.ID, server.StatusDone)
+	waitFor(t, ts, st.ID, api.StatusDone)
 	csv, err := cl.CSV(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -539,7 +556,7 @@ func TestTraceDualFormatReplayIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, ts, st.ID, server.StatusDone)
+		waitFor(t, ts, st.ID, api.StatusDone)
 		csv, err := c.CSV(ctx, st.ID)
 		if err != nil {
 			t.Fatal(err)

@@ -17,9 +17,8 @@ import (
 type OLTP struct {
 	// PageSize is the IO size (default 8 KB, a common DBMS page).
 	PageSize int64
-	// TargetOffset and TargetSize bound the addressable area.
-	TargetOffset int64
-	TargetSize   int64
+	// TargetSize bounds the addressable area, which starts at offset 0.
+	TargetSize int64
 	// ReadFraction is the probability an op is a read, in [0, 1]
 	// (e.g. 0.7 for a 70/30 read/write mix).
 	ReadFraction float64
@@ -43,8 +42,6 @@ func (o *OLTP) validate() error {
 		return fmt.Errorf("workload: OLTP PageSize %d must be a positive multiple of %d", o.PageSize, core.SectorSize)
 	case o.TargetSize < o.PageSize:
 		return fmt.Errorf("workload: OLTP TargetSize %d smaller than PageSize %d", o.TargetSize, o.PageSize)
-	case o.TargetOffset < 0:
-		return fmt.Errorf("workload: OLTP TargetOffset must be non-negative")
 	case o.ReadFraction < 0 || o.ReadFraction > 1:
 		return fmt.Errorf("workload: OLTP ReadFraction %v must be in [0, 1]", o.ReadFraction)
 	case o.Think < 0:
@@ -72,7 +69,7 @@ func (o OLTP) Generate() ([]Op, error) {
 			Gap: o.Think,
 			IO: device.IO{
 				Mode: mode,
-				Off:  o.TargetOffset + rng.Int63n(pages)*o.PageSize,
+				Off:  rng.Int63n(pages) * o.PageSize,
 				Size: o.PageSize,
 			},
 		}
@@ -90,9 +87,8 @@ type LogAppend struct {
 	Streams int
 	// IOSize is the append size (default 32 KB).
 	IOSize int64
-	// TargetOffset and TargetSize bound the area divided across streams.
-	TargetOffset int64
-	TargetSize   int64
+	// TargetSize bounds the area divided across streams, from offset 0.
+	TargetSize int64
 	// Gap is the inter-arrival gap between appends.
 	Gap time.Duration
 	// Count is the stream length.
@@ -120,8 +116,6 @@ func (l *LogAppend) validate() error {
 		return fmt.Errorf("workload: LogAppend Streams must be >= 1")
 	case l.IOSize <= 0 || l.IOSize%core.SectorSize != 0:
 		return fmt.Errorf("workload: LogAppend IOSize %d must be a positive multiple of %d", l.IOSize, core.SectorSize)
-	case l.TargetOffset < 0:
-		return fmt.Errorf("workload: LogAppend TargetOffset must be non-negative")
 	case l.Gap < 0:
 		return fmt.Errorf("workload: LogAppend Gap must be non-negative")
 	case l.Count <= 0:
@@ -148,7 +142,7 @@ func (l LogAppend) Generate() ([]Op, error) {
 			Gap: l.Gap,
 			IO: device.IO{
 				Mode: device.Write,
-				Off:  l.TargetOffset + s*region + (seq*l.IOSize)%region,
+				Off:  s*region + (seq*l.IOSize)%region,
 				Size: l.IOSize,
 			},
 		}
@@ -164,9 +158,8 @@ func (l LogAppend) Generate() ([]Op, error) {
 type Zipfian struct {
 	// PageSize is the IO size (default 8 KB).
 	PageSize int64
-	// TargetOffset and TargetSize bound the addressable area.
-	TargetOffset int64
-	TargetSize   int64
+	// TargetSize bounds the addressable area, which starts at offset 0.
+	TargetSize int64
 	// S is the Zipf skew (> 1; default 1.2 — higher is more skewed).
 	S float64
 	// ReadFraction is the probability an op is a read, in [0, 1].
@@ -199,8 +192,6 @@ func (z *Zipfian) validate() error {
 		return fmt.Errorf("workload: Zipfian PageSize %d must be a positive multiple of %d", z.PageSize, core.SectorSize)
 	case z.TargetSize < z.PageSize:
 		return fmt.Errorf("workload: Zipfian TargetSize %d smaller than PageSize %d", z.TargetSize, z.PageSize)
-	case z.TargetOffset < 0:
-		return fmt.Errorf("workload: Zipfian TargetOffset must be non-negative")
 	case z.S <= 1:
 		return fmt.Errorf("workload: Zipfian skew S %v must be > 1", z.S)
 	case z.ReadFraction < 0 || z.ReadFraction > 1:
@@ -246,7 +237,7 @@ func (z Zipfian) Generate() ([]Op, error) {
 			Gap: z.Think,
 			IO: device.IO{
 				Mode: mode,
-				Off:  z.TargetOffset + scatter(zipf.Uint64(), slots)*z.PageSize,
+				Off:  scatter(zipf.Uint64(), slots) * z.PageSize,
 				Size: z.PageSize,
 			},
 		}

@@ -85,11 +85,6 @@ var keptUnlinked = map[string][]string{
 		"uflip/internal/workload.WriteTrace",
 		"uflip/internal/workload.WriteUTR",
 	},
-	// Methods an interface requires of every implementation, even where no
-	// binary calls them through that interface.
-	"interface methods": {
-		"uflip/internal/device.(*FileDevice).SectorSize",
-	},
 }
 
 // TestUnlinkedFunctionsAreKept: every function `make loc` counts is linked
