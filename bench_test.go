@@ -19,7 +19,7 @@ package uflip_test
 // fidelity against the paper (README describes the model; ROADMAP item 2
 // plans the claims ledger that will check it). Figures 6-8 and the Section
 // 5.2 results run through paperexp.RunBenchmark, the pipeline the uflip
-// command runs. Table 3 is regenerated by `uflip-report -exp table3`. None of these is a speed measurement: how fast
+// command runs. Table 3 is regenerated by `uflip paper -exp table3`. None of these is a speed measurement: how fast
 // the simulator itself runs is the repository benchmark's business
 // (benchmark/, BENCHMARK.json), which repeats its runs and reports spread.
 

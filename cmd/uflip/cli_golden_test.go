@@ -118,7 +118,7 @@ func TestCLIBytesGolden(t *testing.T) {
 
 	// The help text is the flag surface: names, defaults and descriptions.
 	// Its first line names the binary by the path it was started under.
-	for name, args := range map[string][]string{"plan": {"-h"}, "workload": {"workload", "-h"}, "array": {"array", "-h"}} {
+	for name, args := range map[string][]string{"plan": {"-h"}, "workload": {"workload", "-h"}, "array": {"array", "-h"}, "paper": {"paper", "-h"}} {
 		_, usage := s.run(args...)
 		_, flags, _ := bytes.Cut(usage, []byte("\n"))
 		s.add("help/"+name, flags)
@@ -156,6 +156,10 @@ func TestCLIBytesGolden(t *testing.T) {
 	s.pin("array/mtron", "grid",
 		"array", "-member", "mtron", "-capacity", arrayCap, "-iocount", "128",
 		"-counts", "1,2", "-qd", "1,4", "-parallel", "2", "-out", "grid")
+
+	// Every table and figure of the paper's evaluation: about half a second
+	// at 64 MiB.
+	s.pin("paper/all", "", "paper", "-exp", "all", "-capacity", "67108864")
 
 	// A cold and a warm run on one state cache: the narration of where the
 	// state came from goes to stderr, so the two stdouts are the same bytes.

@@ -9,6 +9,7 @@ import (
 
 	"uflip/internal/api"
 	"uflip/internal/job"
+	"uflip/internal/paperexp"
 	"uflip/internal/profile"
 	"uflip/internal/workload"
 )
@@ -53,6 +54,13 @@ var flagText = map[string]kindText{
 		statedir:        "persistent state-cache directory: each combination's enforced master loads from it instead of re-filling (the grid is byte-identical)",
 		verbose:         "log each completed run",
 	},
+	"paper": {
+		capacity:        "simulated capacity in bytes",
+		capacityDefault: 512 << 20,
+		seed:            "random seed",
+		parallel:        "worker count for the experiments that run a plan (results are identical for any value)",
+		statedir:        "persistent state-cache directory: enforced device states load from it instead of re-filling (results are byte-identical)",
+	},
 }
 
 // jobFlags is what registerJobFlags hands the shell that registered them.
@@ -70,7 +78,7 @@ type jobFlags struct {
 // of -parallel, the one a surface owns: the CPU count here, 0 for the daemon's.
 func registerJobFlags(fs *flag.FlagSet, kind string, parallel int) *jobFlags {
 	d, text := api.Defaults(), flagText[kind]
-	f := &jobFlags{out: fs.String("out", "", text.out), trace: new(string)}
+	f := &jobFlags{out: new(string), trace: new(string)}
 	var (
 		capacity = fs.Int64("capacity", text.capacityDefault, text.capacity)
 		seed     = fs.Int64("seed", d.Seed, text.seed)
@@ -78,10 +86,13 @@ func registerJobFlags(fs *flag.FlagSet, kind string, parallel int) *jobFlags {
 		device   *string
 		iocount  *int
 	)
-	if kind != "array" {
+	if kind != "paper" {
+		f.out = fs.String("out", "", text.out)
+	}
+	if kind == "plan" || kind == "workload" {
 		device = fs.String("device", "", text.device)
 	}
-	if kind != "workload" {
+	if kind == "plan" || kind == "array" {
 		iocount = fs.Int("iocount", d.IOCount, text.iocount)
 	}
 	// finish fills in what every kind has and normalizes.
@@ -172,6 +183,15 @@ func registerJobFlags(fs *flag.FlagSet, kind string, parallel int) *jobFlags {
 			}
 			if a.QueueDepths, err = parseInts(*qds, "qd", profile.MaxArrayQueueDepth); err != nil {
 				return req, err
+			}
+			return finish(req)
+		}
+	case "paper":
+		exp := fs.String("exp", "", "comma-separated experiments to regenerate: "+strings.Join(paperexp.Experiments, ", ")+" or all")
+		f.request = func() (api.JobRequest, error) {
+			var req api.JobRequest
+			if *exp != "" {
+				req.Experiments = strings.Split(*exp, ",")
 			}
 			return finish(req)
 		}

@@ -1,15 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"uflip/internal/api"
+	"uflip/internal/server"
 )
 
 // parseWith parses argv with one shell's flag set and builds the request.
@@ -34,9 +38,9 @@ func parseSubmit(kind string, argv []string) (api.JobRequest, error) {
 }
 
 // TestSubmitRunsTheLocalJob: for the same argv, `uflip <kind>` and `uflip
-// submit <kind>` describe the same job — capacity default of `array` included —
-// and that job survives the wire: encoded as the client sends it and decoded as
-// the daemon reads it, it is the same request.
+// submit <kind>` describe the same job — capacity defaults of `array` and
+// `paper` included — and that job survives the wire: encoded as the client
+// sends it and decoded as the daemon reads it, it is the same request.
 func TestSubmitRunsTheLocalJob(t *testing.T) {
 	cases := []struct {
 		kind string
@@ -51,6 +55,8 @@ func TestSubmitRunsTheLocalJob(t *testing.T) {
 		{"workload", []string{"-device", "mtron", "-trace", "some.utr", "-segment", "100"}},
 		{"array", []string{"-member", "mtron"}},
 		{"array", []string{"-member", "mtron", "-layouts", "stripe, mirror", "-counts", "1,2", "-qd", "2", "-chunk", "65536", "-degree", "2", "-capacity", "16777216", "-iocount", "128", "-parallel", "3"}},
+		{"paper", []string{"-exp", "all"}},
+		{"paper", []string{"-exp", "table1,fig3", "-capacity", "67108864", "-seed", "7", "-parallel", "3"}},
 	}
 	for _, c := range cases {
 		local, err := parseLocal(c.kind, c.argv)
@@ -84,6 +90,47 @@ func TestSubmitRunsTheLocalJob(t *testing.T) {
 	if req, _ := parseSubmit("array", []string{"-member", "mtron"}); req.Capacity != 256<<20 {
 		t.Errorf("uflip submit array defaults -capacity to %d, the local command to %d", req.Capacity, 256<<20)
 	}
+	if req, _ := parseSubmit("paper", []string{"-exp", "fig5"}); req.Capacity != 512<<20 {
+		t.Errorf("uflip submit paper defaults -capacity to %d, the local command to %d", req.Capacity, 512<<20)
+	}
+
+	// A paper job prints its report and nothing else, the same bytes from
+	// the local command and through submit.
+	cl, _ := startDaemon(t, server.Config{Workers: 1})
+	argv := []string{"-exp", "table1,fig5", "-capacity", "25165824", "-parallel", "1"}
+	fs, _, cmd := localCommand(context.Background(), "paper")
+	local := printed(t, func() error { return run(fs, argv, cmd) })
+	remote := printed(t, func() error {
+		return runSubmit(context.Background(), append([]string{"paper", "-server", cl.BaseURL}, argv...))
+	})
+	if !bytes.HasPrefix(local, []byte("Table 1: ")) || !bytes.Equal(local, remote) {
+		t.Errorf("uflip paper %v printed %d bytes, uflip submit paper %d, want the same report:\n%s", argv, len(local), len(remote), remote)
+	}
+}
+
+// printed runs f with os.Stdout sent to a file and returns what f wrote.
+func printed(t *testing.T, f func() error) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdout")
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = file
+	err = f()
+	os.Stdout = stdout
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // TestKindsRejectEachOthersFlags: a flag that belongs to another kind is an
@@ -100,6 +147,11 @@ func TestKindsRejectEachOthersFlags(t *testing.T) {
 		{"workload", []string{"-device", "mtron", "-iocount", "64"}},
 		{"array", []string{"-member", "mtron", "-device", "mtron"}},
 		{"array", []string{"-member", "mtron", "-ops", "100"}},
+		{"paper", []string{"-exp", "fig3", "-device", "mtron"}},
+		{"paper", []string{"-exp", "fig3", "-iocount", "64"}},
+		{"paper", []string{"-exp", "fig3", "-out", "results"}},
+		{"paper", []string{"-exp", "fig3", "-micro", "Order"}},
+		{"plan", []string{"-device", "mtron", "-exp", "fig3"}},
 	}
 	for _, c := range cases {
 		if _, err := parseLocal(c.kind, c.argv); err == nil {

@@ -17,6 +17,9 @@
 // Wherever a -device flag takes a profile key it also takes an array spec
 // such as "stripe(2,mtron,mtron)" (capacity then applies per member).
 //
+// The paper subcommand regenerates the tables and figures of the paper's
+// evaluation (Section 5) as text tables and ASCII plots, on stdout alone.
+//
 // Examples:
 //
 //	uflip -device memoright                        # full benchmark
@@ -28,6 +31,7 @@
 //	uflip trace convert -in mytrace.csv -out mytrace.utr
 //	uflip workload -device memoright -trace mytrace.utr -parallel 8
 //	uflip array -member mtron -counts 1,2,4 -layouts stripe,mirror
+//	uflip paper -exp table3,fig8                   # or -exp all
 //
 // The serve subcommand runs the experiment daemon (versioned /v1 HTTP API
 // with streaming progress, durable jobs and per-tenant quotas), and the
@@ -37,6 +41,7 @@
 //	uflip serve -statedir /var/lib/uflip/state -jobdir /var/lib/uflip/jobs
 //	uflip submit -device memoright -out results/
 //	uflip submit workload -device memoright -trace mytrace.csv
+//	uflip submit paper -exp all
 //
 // Identical by construction: the flags that describe a job are registered
 // once (flags.go) and become one api.JobRequest; the local commands are a
@@ -85,7 +90,7 @@ func main() {
 		err = runTrace(args[1:])
 	default:
 		kind := "plan"
-		if sub == "workload" || sub == "array" {
+		if sub == "workload" || sub == "array" || sub == "paper" {
 			kind, args = sub, args[1:]
 		}
 		fs, _, cmd := localCommand(ctx, kind)
@@ -109,12 +114,13 @@ func run(fs *flag.FlagSet, args []string, cmd func() error) error {
 	return cmd()
 }
 
-// localCommand is `uflip` (the plan kind), `uflip workload` or `uflip array`:
-// its flag set — the job's flags plus those only a local run has — and the
-// local shell around job.Run, to call once the flags are parsed. The shell
-// owns the state cache directory, the profiles, -v, -dump-trace and the
-// narration on stdout; the job is the request the shared flags describe, run
-// by the function the daemon runs.
+// localCommand is `uflip` (the plan kind), `uflip workload`, `uflip array` or
+// `uflip paper`: its flag set — the job's flags plus those only a local run
+// has — and the local shell around job.Run, to call once the flags are
+// parsed. The shell owns the state cache directory, the profiles, -v,
+// -dump-trace and the narration on stdout; the job is the request the shared
+// flags describe, run by the function the daemon runs. A paper job prints its
+// report and nothing else.
 func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, func() error) {
 	// The bare command keeps the flag package's own conventions: usage under
 	// the binary's name, exit status 2 for a bad flag.
@@ -126,11 +132,14 @@ func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, f
 		text     = flagText[kind]
 		jf       = registerJobFlags(fs, kind, min(runtime.GOMAXPROCS(0), profile.MaxParallel))
 		stateDir = fs.String("statedir", "", text.statedir)
-		verbose  = fs.Bool("v", false, text.verbose)
 		// Flags only some kinds have; the others read them as unset.
+		verbose                     = new(bool)
 		cpuProf, memProf, dumpTrace = new(string), new(string), new(string)
 	)
-	if kind != "array" {
+	if kind != "paper" {
+		verbose = fs.Bool("v", false, text.verbose)
+	}
+	if kind == "plan" || kind == "workload" {
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit (inspect with go tool pprof)")
 	}
@@ -156,6 +165,14 @@ func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, f
 			if env.Store, err = statestore.Open(*stateDir); err != nil {
 				return err
 			}
+		}
+		if kind == "paper" {
+			out, err := job.Run(ctx, req, env)
+			if err != nil {
+				return err
+			}
+			_, err = os.Stdout.Write(out.Report)
+			return err
 		}
 		if *verbose {
 			env.Progress = func(done, total int, desc string) {

@@ -15,7 +15,7 @@ import (
 )
 
 // runServe implements the "uflip serve" subcommand: the long-running
-// experiment daemon. It accepts plan/workload/array jobs over HTTP, runs
+// experiment daemon. It accepts plan/workload/array/paper jobs over HTTP, runs
 // them through the engine at configurable parallelism with per-job
 // cancellation, and shares one persistent state store across all jobs so
 // each (device, capacity, seed) state is enforced at most once — ever.

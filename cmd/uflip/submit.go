@@ -13,7 +13,7 @@ import (
 	"uflip/internal/job"
 )
 
-// runSubmit implements "uflip submit [plan|workload|array] flags".
+// runSubmit implements "uflip submit [plan|workload|array|paper] flags".
 func runSubmit(ctx context.Context, args []string) error {
 	kind := "plan"
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
@@ -21,7 +21,7 @@ func runSubmit(ctx context.Context, args []string) error {
 		args = args[1:]
 	}
 	if _, ok := flagText[kind]; !ok {
-		return fmt.Errorf("unknown submit kind %q (want plan, workload or array)", kind)
+		return fmt.Errorf("unknown submit kind %q (want plan, workload, array or paper)", kind)
 	}
 	fs, _, cmd := submitCommand(ctx, kind)
 	return run(fs, args, cmd)
@@ -123,8 +123,8 @@ func submitCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, 
 
 // fetchOutcome fetches a terminated job into the Outcome a local run of it
 // would have produced: the report, and the grid rows or the run records with
-// the summary CSV verbatim, the bytes the daemon rendered and persisted. A job
-// that did not finish is an error.
+// the summary CSV verbatim, the bytes the daemon rendered and persisted (a
+// paper job has only the report). A job that did not finish is an error.
 func fetchOutcome(ctx context.Context, cl *client.Client, id, kind string) (*job.Outcome, error) {
 	final, err := cl.Status(ctx, id)
 	if err != nil {
@@ -141,9 +141,12 @@ func fetchOutcome(ctx context.Context, cl *client.Client, id, kind string) (*job
 	if out.Report, err = cl.Report(ctx, id); err != nil {
 		return nil, err
 	}
-	if kind == "array" {
+	switch kind {
+	case "array":
 		out.Rows, err = cl.ResultRows(ctx, id)
 		return out, err
+	case "paper":
+		return out, nil
 	}
 	if out.CSV, err = cl.CSV(ctx, id); err != nil {
 		return nil, err

@@ -166,11 +166,12 @@
 // primitives (SubmitBatch, the chip run operations) with committed seed
 // corpora.
 //
-// The paper's tables and figures come from the pipeline the uflip command
-// runs (paperexp.RunBenchmark): Table 3, Figures 6-8 and the Section 5.2
-// sweeps are views of its plan's results ("uflip-report -exp table3", or
-// -exp all), so a Table 3 row equals the means in uflip's CSV for the same
-// device, capacity and seed.
+// The paper's tables and figures are a job kind of their own ("uflip paper
+// -exp table3", or -exp all; `uflip submit paper` and the daemon run the same
+// job), and the plans behind them are the one the uflip command runs
+// (paperexp.RunBenchmark): Table 3, Figures 6-8 and the Section 5.2 sweeps
+// are views of its plan's results, so a Table 3 row equals the means in
+// uflip's CSV for the same device, capacity and seed.
 //
 // The implementation lives under internal/; see README.md for the layout,
 // cmd/ for the executables, example_test.go in this directory for runnable

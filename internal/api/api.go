@@ -71,21 +71,26 @@ type ErrorEnvelope struct {
 // JobRequest is the JSON body of a job submission (POST /v1/jobs).
 type JobRequest struct {
 	// Kind selects the experiment: "plan" (the micro-benchmark plan),
-	// "workload" (synthetic workload or uploaded-trace replay) or "array"
-	// (the composite array scenario sweep).
+	// "workload" (synthetic workload or uploaded-trace replay), "array"
+	// (the composite array scenario sweep) or "paper" (tables and figures
+	// of the paper's evaluation, rendered as text).
 	Kind string `json:"kind"`
 	// Device is the profile key or array spec (plan and workload kinds).
 	Device string `json:"device,omitempty"`
 	// Capacity is the simulated capacity in bytes, per member for array
 	// specs and the array kind (0 = 1 GiB for every kind; the -capacity flag
-	// of `uflip array`, local or submitted, defaults to 256 MiB and is sent).
+	// of `uflip array`, local or submitted, defaults to 256 MiB and that of
+	// `uflip paper` to 512 MiB, and each is sent).
 	Capacity int64 `json:"capacity,omitempty"`
 	// Seed is the random seed (0 = 42, the CLI default).
 	Seed int64 `json:"seed,omitempty"`
-	// IOCount is the base run length for plan and array kinds (0 = 1024).
+	// IOCount is the base run length for plan, array and paper kinds (0 = 1024).
 	IOCount int `json:"iocount,omitempty"`
 	// Micros selects micro-benchmarks for the plan kind (empty = all nine).
 	Micros []string `json:"micros,omitempty"`
+	// Experiments names the tables and figures a paper job renders, in
+	// order ("all" = every one, paperexp.Experiments).
+	Experiments []string `json:"experiments,omitempty"`
 	// Parallel is the per-job engine worker count (0 = server default).
 	// Results are byte-identical for any value.
 	Parallel int `json:"parallel,omitempty"`

@@ -10,18 +10,21 @@ import (
 	"uflip/internal/api"
 	"uflip/internal/core"
 	"uflip/internal/job"
+	"uflip/internal/paperexp"
 	"uflip/internal/profile"
 )
 
 // fuzzRequest decodes a fuzz input into a job request:
-//   - kind%3 picks a plan, a synthetic workload or an array sweep;
+//   - kind%4 picks a plan, a synthetic workload, an array sweep or a paper
+//     job;
 //   - dev describes the device: bits 0-1 the layout (a plain profile, or
 //     stripe, mirror, concat; an array sweep reads 0 as stripe), bits 2-3
 //     the member count (1-3), bits 4-15 three 4-bit profile indexes, bit 16
 //     a faulty(...) wrapper with latency spikes only, seeded by the bits
 //     above it;
 //   - sel picks up to two of the nine micro-benchmarks, one per byte (plan),
-//     the workload kind (workload) or the queue depth (array);
+//     the workload kind (workload), the queue depth (array) or up to two of
+//     the thirteen experiments, one per byte (paper);
 //   - the capacity is the plan's span (IOCount IOs of 32 KiB) plus up to
 //     256 MiB, sector multiple or not.
 func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32, seed int64) api.JobRequest {
@@ -41,7 +44,7 @@ func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32
 	}
 	layout := []string{"stripe", "mirror", "concat"}[max(int(dev&3), 1)-1]
 	count := 1 + int(dev>>2&3)%3
-	switch kind % 3 {
+	switch kind % 4 {
 	case 0, 1:
 		spec := member(0)
 		if dev&3 > 0 {
@@ -52,7 +55,7 @@ func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32
 			spec = fmt.Sprintf("%s(%s)", layout, strings.Join(members, ","))
 		}
 		req.Device = wrap(spec)
-		if kind%3 == 1 {
+		if kind%4 == 1 {
 			w := *api.Defaults().Workload
 			w.Kind = []string{"oltp", "append", "zipf", "bursty"}[sel%4]
 			w.Count = n
@@ -65,13 +68,19 @@ func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32
 		if second := all[int(sel>>8)%len(all)].Name; second != req.Micros[0] {
 			req.Micros = append(req.Micros, second)
 		}
-	default:
+	case 2:
 		req.Kind = "array"
 		req.Array = &api.ArrayRequest{
 			Member:      wrap(member(0)),
 			Layouts:     []string{layout},
 			Counts:      []int{count},
 			QueueDepths: []int{1 + int(sel%2)*3},
+		}
+	default:
+		exps := paperexp.Experiments
+		req.Kind, req.Experiments = "paper", []string{exps[int(sel&255)%len(exps)]}
+		if second := exps[int(sel>>8)%len(exps)]; second != req.Experiments[0] {
+			req.Experiments = append(req.Experiments, second)
 		}
 	}
 	return req
@@ -90,6 +99,8 @@ func FuzzJobRequest(f *testing.F) {
 	// Granularity on concat(2,mtron): the pause probe read a member's tail,
 	// which the cache had destaged past the FTL's capacity.
 	f.Add(uint8(0), uint32(3|1<<2|6<<4|6<<8), uint16(0), uint8(48), uint32(40_000_000-64<<15), int64(42))
+	// Figure 4 wrote its 2,048 sequential IOs past a 32 MiB device.
+	f.Add(uint8(3), uint32(0), uint16(4|4<<8), uint8(48), uint32(32<<20-64<<15), int64(42))
 	f.Fuzz(func(t *testing.T, kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32, seed int64) {
 		req := fuzzRequest(kind, dev, sel, iocount, extra, seed)
 		if err := job.Normalize(&req); err != nil {

@@ -1,11 +1,12 @@
-// Package job runs one experiment — a micro-benchmark plan, a workload replay
-// or an array sweep, described by an api.JobRequest — the one way every
-// surface runs it: the local commands call Run in-process, `uflip submit`
-// sends the same request to the daemon, and the daemon's worker calls the same
-// Run. A job's records, report and CSV are therefore the same bytes wherever
-// it ran, by construction. A surface passes in Env only what it owns: a state
-// cache, the stream a replay runs, and observers that turn progress into its
-// narration (terminal lines, events).
+// Package job runs one experiment — a micro-benchmark plan, a workload replay,
+// an array sweep or tables and figures of the paper's evaluation, described by
+// an api.JobRequest — the one way every surface runs it: the local commands
+// call Run in-process, `uflip submit` sends the same request to the daemon,
+// and the daemon's worker calls the same Run. A job's records, report and CSV
+// are therefore the same bytes wherever it ran, by construction. A surface
+// passes in Env only what it owns: a state cache, the stream a replay runs,
+// and observers that turn progress into its narration (terminal lines,
+// events).
 package job
 
 import (
@@ -16,6 +17,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"uflip/internal/api"
@@ -44,7 +47,8 @@ func CheckParallel(n int) error {
 // the job's seed and, by default, half the capacity) and runs every check that
 // needs no execution: at most profile.MaxParallel workers, the device spec
 // resolves, the micro-benchmark names exist, the synthetic workload builds,
-// the layouts parse — so a typo is an error before any state is enforced.
+// the layouts parse, the paper's experiments exist ("all" expands to them)
+// and fit the capacity — so a typo is an error before any state is enforced.
 // It is idempotent. Whether a named trace exists is the surface's to check:
 // only it knows where traces live.
 func Normalize(req *api.JobRequest) error {
@@ -118,8 +122,24 @@ func Normalize(req *api.JobRequest) error {
 			}
 		}
 		return nil
+	case "paper":
+		if len(req.Experiments) == 0 {
+			return fmt.Errorf("paper jobs need an experiment (known: %s, all)", strings.Join(paperexp.Experiments, ", "))
+		}
+		if slices.Contains(req.Experiments, "all") {
+			req.Experiments = slices.Clone(paperexp.Experiments)
+		}
+		for _, name := range req.Experiments {
+			if !slices.Contains(paperexp.Experiments, name) {
+				return fmt.Errorf("unknown experiment %q (known: %s, all)", name, strings.Join(paperexp.Experiments, ", "))
+			}
+			if span := paperexp.Span(name, req.IOCount); req.Capacity < span {
+				return fmt.Errorf("experiment %s spans %d bytes, above the capacity of %d", name, span, req.Capacity)
+			}
+		}
+		return nil
 	default:
-		return fmt.Errorf("unknown job kind %q (want plan, workload or array)", req.Kind)
+		return fmt.Errorf("unknown job kind %q (want plan, workload, array or paper)", req.Kind)
 	}
 }
 
@@ -142,13 +162,14 @@ type Env struct {
 }
 
 // Outcome is a finished job: its result records or grid rows, and the two
-// renders every surface serves, each made once.
+// renders every surface serves, each made once. A paper job has only its
+// report.
 type Outcome struct {
 	Kind    string            // the request's
 	Records []trace.RunRecord // the run records of a plan or workload job
 	Rows    []report.ArrayRow // the grid of an array job
 	Report  []byte            // the human-readable report section
-	CSV     []byte            // the summary CSV of Records; nil for an array job
+	CSV     []byte            // the summary CSV of Records; nil for an array or paper job
 	Elapsed time.Duration     // a plan job's device time on its longest shard
 }
 
@@ -240,9 +261,17 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 			return nil, err
 		}
 		out.Rows = rows
+	case "paper":
+		cfg.Pause = paperexp.DefaultConfig().Pause
+		for _, name := range req.Experiments {
+			if err := paperexp.Render(ctx, &rep, name, cfg, workers); err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			rep.WriteByte('\n')
+		}
 	}
 	out.Report = rep.Bytes()
-	if req.Kind != "array" {
+	if req.Kind == "plan" || req.Kind == "workload" {
 		var csv bytes.Buffer
 		if err := trace.WriteSummaryCSV(&csv, out.Records); err != nil {
 			return nil, err

@@ -26,7 +26,7 @@ func TestNormalizeRejects(t *testing.T) {
 		req  api.JobRequest
 		want string
 	}{
-		{api.JobRequest{Kind: "nope", Device: "mtron"}, `unknown job kind "nope" (want plan, workload or array)`},
+		{api.JobRequest{Kind: "nope", Device: "mtron"}, `unknown job kind "nope" (want plan, workload, array or paper)`},
 		{api.JobRequest{Kind: "plan", Device: "mtron", Capacity: -1}, "capacity must be positive"},
 		{api.JobRequest{Kind: "plan", Device: "mtron", Parallel: profile.MaxParallel + 1}, "parallel 257 is above the ceiling of 256 workers"},
 		{api.JobRequest{Kind: "plan"}, "plan jobs need a device"},
@@ -41,6 +41,11 @@ func TestNormalizeRejects(t *testing.T) {
 		{api.JobRequest{Kind: "array"}, "array jobs need an array.member profile"},
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "faulty(nope)"}}, `unknown device "nope"`},
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"raid9"}}}, `"raid9"`},
+		{api.JobRequest{Kind: "paper"}, "paper jobs need an experiment (known: table1, "},
+		{api.JobRequest{Kind: "paper", Experiments: []string{"fig3", "fig9"}}, `unknown experiment "fig9"`},
+		// Figure 4 writes 2,048 IOs of 32 KiB from offset 0; a plan IOCount of them.
+		{api.JobRequest{Kind: "paper", Experiments: []string{"fig4"}, Capacity: 32 << 20}, "experiment fig4 spans 67108864 bytes, above the capacity of 33554432"},
+		{api.JobRequest{Kind: "paper", Experiments: []string{"all"}, Capacity: 48 << 20, IOCount: 2048}, "experiment table3 spans 67108864 bytes, above the capacity of 50331648"},
 	}
 	for _, c := range cases {
 		err := job.Normalize(&c.req)
@@ -52,13 +57,15 @@ func TestNormalizeRejects(t *testing.T) {
 
 // TestNormalizeDefaults: omitted values come from api.Defaults, a workload
 // takes the job's seed and half the capacity, a trace_hash makes the kind
-// "trace" — and normalizing twice changes nothing.
+// "trace", a paper job's "all" becomes every experiment — and normalizing
+// twice changes nothing.
 func TestNormalizeDefaults(t *testing.T) {
 	d := api.Defaults()
 	plan := api.JobRequest{Kind: "plan", Device: "mtron"}
 	wl := api.JobRequest{Kind: "workload", Device: "mtron", Capacity: 64 << 20, Seed: 7, Workload: &api.WorkloadRequest{TraceHash: "ab"}}
 	array := api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "faulty(mtron,failat=9)"}}
-	for _, req := range []*api.JobRequest{&plan, &wl, &array} {
+	paper := api.JobRequest{Kind: "paper", Experiments: []string{"all"}}
+	for _, req := range []*api.JobRequest{&plan, &wl, &array, &paper} {
 		if err := job.Normalize(req); err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
@@ -76,6 +83,9 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 	if array.Capacity != d.Capacity || array.IOCount != d.IOCount {
 		t.Errorf("array defaults: %+v, want the wire defaults of %+v", array, d)
+	}
+	if !reflect.DeepEqual(paper.Experiments, paperexp.Experiments) || paper.Capacity != d.Capacity || paper.Seed != d.Seed {
+		t.Errorf("paper normalized to %+v, want every experiment at the defaults of %+v", paper, d)
 	}
 	if w := wl.Workload; w.Seed != 7 || w.TargetSize != 32<<20 || w.Kind != "trace" || wl.IOCount != 0 {
 		t.Errorf("workload normalized to %+v (iocount %d)", w, wl.IOCount)
@@ -125,7 +135,7 @@ func TestSaveNamesAndBytes(t *testing.T) {
 	}
 }
 
-// TestTable3RowMatchesPlanJob: a Table 3 row (uflip-report -exp table3) and a
+// TestTable3RowMatchesPlanJob: a Table 3 row (uflip paper -exp table3) and a
 // plan job (uflip, the daemon) run the same pipeline, so the row's 32 KB
 // baseline costs are exactly the means of the job's Granularity records.
 func TestTable3RowMatchesPlanJob(t *testing.T) {

@@ -8,6 +8,7 @@
 // Section 5.2 sweeps are Curves over a plan of their micro-benchmark, and
 // Figure 8 reads a Granularity and Locality plan. Figures 3–5 and the Section
 // 4.1 state anomaly each drive one pattern or probe on a prepared device.
+// Render writes any of the Experiments as the text a paper job reports.
 package paperexp
 
 import (
@@ -172,7 +173,7 @@ func Figure3(dev device.Device, at time.Duration, cfg Config) (*TraceResult, err
 // Figure4 runs the SW baseline the same way (the paper shows the Kingston
 // DTI: no start-up, period ~128 IOs).
 func Figure4(dev device.Device, at time.Duration, cfg Config) (*TraceResult, error) {
-	return baselineTrace(dev, at, cfg, core.SW, 2048)
+	return baselineTrace(dev, at, cfg, core.SW, figure4IOs)
 }
 
 func baselineTrace(dev device.Device, at time.Duration, cfg Config, b core.Baseline, count int) (*TraceResult, error) {

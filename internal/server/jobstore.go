@@ -40,8 +40,11 @@ type jobRecord struct {
 	Rows      []report.ArrayRow `json:"rows,omitempty"`
 }
 
-// hasRunRecords reports whether the job has an <id>.jsonl beside its record.
-func (r *jobRecord) hasRunRecords() bool { return r.Status == api.StatusDone && r.Req.Kind != "array" }
+// hasRunRecords reports whether the job has an <id>.jsonl beside its record:
+// only a done plan or workload job does.
+func (r *jobRecord) hasRunRecords() bool {
+	return r.Status == api.StatusDone && (r.Req.Kind == "plan" || r.Req.Kind == "workload")
+}
 
 // jobStore is the on-disk side of job durability: a directory of job
 // records and their artifacts. All writes are atomic (fsync + rename); the
@@ -89,7 +92,7 @@ func (st *jobStore) saveRecord(rec *jobRecord) error {
 }
 
 // saveArtifact persists one rendered artifact (".csv" or ".report")
-// atomically. A nil artifact (array jobs have no CSV) is skipped.
+// atomically. A nil artifact (array and paper jobs have no CSV) is skipped.
 func (st *jobStore) saveArtifact(id, ext string, data []byte) error {
 	if data == nil {
 		return nil

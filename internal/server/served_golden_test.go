@@ -35,7 +35,8 @@ const servedGoldenPath = "testdata/served.sha256.json"
 // workload job on one worker (so the progress events arrive in segment
 // order) and compares the SHA-256 of the job's whole SSE stream, its CSV and
 // its report with digests committed from a known-good tree. The segment size
-// is a multiple of neither the window size nor the chunk size.
+// is a multiple of neither the window size nor the chunk size. A paper job's
+// report — Figures 3 and 5 — is pinned beside them.
 func TestServedBytesGolden(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
 	cl := &client.Client{BaseURL: ts.URL}
@@ -60,18 +61,27 @@ func TestServedBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	paper, err := cl.Submit(ctx, api.JobRequest{Kind: "paper", Experiments: []string{"fig3", "fig5"}, Capacity: testCapacity, Seed: 42, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, ts, st.ID, api.StatusDone)
+	waitFor(t, ts, paper.ID, api.StatusDone)
 
 	_, events := sseFetch(t, ts, st.ID, "")
 	_, csv := get(t, ts, "/jobs/"+st.ID+"/csv")
 	_, rep := get(t, ts, "/jobs/"+st.ID+"/report")
+	_, figures := get(t, ts, "/jobs/"+paper.ID+"/report")
 	got := map[string]string{}
-	for name, body := range map[string][]byte{"events": []byte(events), "csv": csv, "report": rep} {
+	for name, body := range map[string][]byte{
+		"workload/utr/events": []byte(events), "workload/utr/csv": csv, "workload/utr/report": rep,
+		"paper/fig3,fig5/report": figures,
+	} {
 		if len(body) == 0 {
 			t.Fatalf("%s served empty", name)
 		}
 		sum := sha256.Sum256(body)
-		got["workload/utr/"+name] = hex.EncodeToString(sum[:])
+		got[name] = hex.EncodeToString(sum[:])
 	}
 
 	if *updateServed {

@@ -1,6 +1,6 @@
 // Package server is the uFLIP experiment daemon behind `uflip serve`: a
 // long-running HTTP service with a bounded job queue that accepts plan,
-// workload and array-sweep requests (JSON in), runs them through the
+// workload, array-sweep and paper requests (JSON in), runs them through the
 // existing engine at configurable parallelism with per-job cancellation,
 // and serves the results back as JSON, CSV and human-readable reports.
 //
@@ -667,11 +667,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if j.Req.Kind == "array" {
+	switch {
+	case j.Req.Kind == "array":
 		writeJSON(w, http.StatusOK, j.Rows)
-		return
+	case !j.hasRunRecords():
+		writeError(w, http.StatusNotFound, api.CodeNotFound, "%s jobs have no result records; fetch /report", j.Req.Kind)
+	default:
+		writeJSON(w, http.StatusOK, j.Records)
 	}
-	writeJSON(w, http.StatusOK, j.Records)
 }
 
 func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
@@ -679,8 +682,8 @@ func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if j.Req.Kind == "array" {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "array jobs have no CSV; fetch /result or /report")
+	if !j.hasRunRecords() {
+		writeError(w, http.StatusNotFound, api.CodeNotFound, "%s jobs have no CSV; fetch /report", j.Req.Kind)
 		return
 	}
 	csv := j.csv

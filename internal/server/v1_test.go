@@ -257,14 +257,16 @@ func TestRestartDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(srv1.Handler())
-	// One finished job of each kind. /csv on the array job is its 404
-	// envelope, which must survive the restart like any other answer.
+	// One finished job of each kind. /csv on the array job, and /result and
+	// /csv on the paper job, are 404 envelopes, which must survive the
+	// restart like any other answer.
 	var finished []api.JobStatus
 	for _, req := range []api.JobRequest{
 		planRequest("mtron", "Granularity"),
 		workloadRequest(),
 		{Kind: "array", Capacity: 16 << 20, Seed: 42, IOCount: testIOCount, Parallel: 2,
 			Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{2}, QueueDepths: []int{2}}},
+		{Kind: "paper", Experiments: []string{"table1", "fig5"}, Capacity: testCapacity, Parallel: 2},
 	} {
 		// Under a tenant key, so the status routes show that it survives too.
 		st, code, errCode := submitKeyed(t, ts1, "tenant-r", req)
@@ -299,6 +301,14 @@ func TestRestartDurability(t *testing.T) {
 		return out
 	}
 	before := served(ts1)
+	for _, what := range []string{"paper/result", "paper/csv"} {
+		if got := before[what]; !strings.HasPrefix(got, "404 ") || !strings.Contains(got, `"not_found"`) || !strings.Contains(got, "fetch /report") {
+			t.Errorf("%s: %s, want a 404 not_found naming /report", what, got)
+		}
+	}
+	if got := before["paper/report"]; !strings.HasPrefix(got, "200 Table 1: ") {
+		t.Errorf("paper/report: %.80q, want the rendered tables", got)
+	}
 
 	// Leave one job mid-flight: with a single worker the second submission
 	// is still queued (or just started) when the daemon dies.
@@ -334,8 +344,8 @@ func TestRestartDurability(t *testing.T) {
 	}
 	// The restarted daemon must not reuse IDs of recovered jobs.
 	fresh := submit(t, ts2, planRequest("mtron", "Alignment"))
-	for _, id := range []string{finished[0].ID, finished[1].ID, finished[2].ID, interruptedA.ID, interruptedB.ID} {
-		if fresh.ID == id {
+	for _, st := range append(finished, interruptedA, interruptedB) {
+		if id := st.ID; fresh.ID == id {
 			t.Fatalf("restarted daemon reissued job ID %s", id)
 		}
 	}
