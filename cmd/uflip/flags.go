@@ -15,7 +15,8 @@ import (
 )
 
 // kindText is the wording — and, for -capacity, the default — that differs
-// by kind for a flag more than one kind has.
+// by kind for a flag more than one kind has. A kind has -out, -device,
+// -iocount and -v only where it words them.
 type kindText struct {
 	device, capacity, seed, iocount, parallel, out string // flags of the job
 	statedir, verbose                              string // flags of the local shell
@@ -83,28 +84,23 @@ func registerJobFlags(fs *flag.FlagSet, kind string, parallel int) *jobFlags {
 		capacity = fs.Int64("capacity", text.capacityDefault, text.capacity)
 		seed     = fs.Int64("seed", d.Seed, text.seed)
 		workers  = fs.Int("parallel", parallel, text.parallel)
-		device   *string
-		iocount  *int
+		device   = new(string)
+		iocount  = new(int)
 	)
-	if kind != "paper" {
+	if text.out != "" {
 		f.out = fs.String("out", "", text.out)
 	}
-	if kind == "plan" || kind == "workload" {
+	if text.device != "" {
 		device = fs.String("device", "", text.device)
 	}
-	if kind == "plan" || kind == "array" {
+	if text.iocount != "" {
 		iocount = fs.Int("iocount", d.IOCount, text.iocount)
 	}
 	// finish fills in what every kind has and normalizes.
 	finish := func(req api.JobRequest) (api.JobRequest, error) {
-		req.Kind, req.Capacity, req.Seed, req.Parallel = kind, *capacity, *seed, *workers
-		if device != nil {
-			if req.Device = *device; req.Device == "" {
-				return req, errors.New("pass -device <profile>")
-			}
-		}
-		if iocount != nil {
-			req.IOCount = *iocount
+		req.Kind, req.Capacity, req.Seed, req.Parallel, req.IOCount = kind, *capacity, *seed, *workers, *iocount
+		if req.Device = *device; text.device != "" && req.Device == "" {
+			return req, errors.New("pass -device <profile>")
 		}
 		return req, job.Normalize(&req)
 	}

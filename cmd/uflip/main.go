@@ -136,7 +136,7 @@ func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, f
 		verbose                     = new(bool)
 		cpuProf, memProf, dumpTrace = new(string), new(string), new(string)
 	)
-	if kind != "paper" {
+	if text.verbose != "" {
 		verbose = fs.Bool("v", false, text.verbose)
 	}
 	if kind == "plan" || kind == "workload" {
@@ -165,14 +165,6 @@ func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, f
 			if env.Store, err = statestore.Open(*stateDir); err != nil {
 				return err
 			}
-		}
-		if kind == "paper" {
-			out, err := job.Run(ctx, req, env)
-			if err != nil {
-				return err
-			}
-			_, err = os.Stdout.Write(out.Report)
-			return err
 		}
 		if *verbose {
 			env.Progress = func(done, total int, desc string) {
@@ -217,11 +209,12 @@ func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, f
 		}
 
 		var renderErr error
-		if kind == "array" {
+		switch kind {
+		case "array":
 			a := req.Array
 			fmt.Printf("== array sweep over %s: %d layouts x %d counts x %d queue depths = %d combinations, degree %d, %d workers\n",
 				a.Member, len(a.Layouts), len(a.Counts), len(a.QueueDepths), len(a.Layouts)*len(a.Counts)*len(a.QueueDepths), a.Degree, req.Parallel)
-		} else {
+		case "plan", "workload":
 			desc, err := profile.DescribeDevice(req.Device)
 			if err != nil {
 				return err
@@ -249,7 +242,9 @@ func localCommand(ctx context.Context, kind string) (*flag.FlagSet, *jobFlags, f
 		if kind == "plan" {
 			fmt.Printf("benchmark complete: %d runs, %v of device time on the longest shard\n", len(out.Records), out.Elapsed.Round(time.Second))
 		}
-		fmt.Println()
+		if kind != "paper" { // whose stdout is its report alone
+			fmt.Println()
+		}
 		os.Stdout.Write(out.Report)
 		if *jf.out != "" {
 			saved, err := out.Save(*jf.out, stem(req))

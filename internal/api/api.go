@@ -84,12 +84,13 @@ type JobRequest struct {
 	Capacity int64 `json:"capacity,omitempty"`
 	// Seed is the random seed (0 = 42, the CLI default).
 	Seed int64 `json:"seed,omitempty"`
-	// IOCount is the base run length for plan, array and paper kinds (0 = 1024).
+	// IOCount is the base run length for plan and array kinds (0 = 1024).
 	IOCount int `json:"iocount,omitempty"`
 	// Micros selects micro-benchmarks for the plan kind (empty = all nine).
 	Micros []string `json:"micros,omitempty"`
 	// Experiments names the tables and figures a paper job renders, in
-	// order ("all" = every one, paperexp.Experiments).
+	// order ("all" = every one, paperexp.Experiments). A paper job takes no
+	// IOCount: its plans run 1024 IOs.
 	Experiments []string `json:"experiments,omitempty"`
 	// Parallel is the per-job engine worker count (0 = server default).
 	// Results are byte-identical for any value.

@@ -25,8 +25,9 @@ import (
 //   - sel picks up to two of the nine micro-benchmarks, one per byte (plan),
 //     the workload kind (workload), the queue depth (array) or up to two of
 //     the thirteen experiments, one per byte (paper);
-//   - the capacity is the plan's span (IOCount IOs of 32 KiB) plus up to
-//     256 MiB, sector multiple or not.
+//   - the capacity is the plan's span (IOCount IOs of 32 KiB; a paper job
+//     takes no IOCount and its plans run paperexp.DefaultConfig's) plus up
+//     to 256 MiB, sector multiple or not.
 func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32, seed int64) api.JobRequest {
 	keys := profile.Keys()
 	n := 16 + int(iocount)%241
@@ -77,6 +78,8 @@ func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32
 			QueueDepths: []int{1 + int(sel%2)*3},
 		}
 	default:
+		req.IOCount = 0
+		req.Capacity += int64(paperexp.DefaultConfig().IOCount-n) * core.StandardDefaults().IOSize
 		exps := paperexp.Experiments
 		req.Kind, req.Experiments = "paper", []string{exps[int(sel&255)%len(exps)]}
 		if second := exps[int(sel>>8)%len(exps)]; second != req.Experiments[0] {
@@ -100,7 +103,7 @@ func FuzzJobRequest(f *testing.F) {
 	// which the cache had destaged past the FTL's capacity.
 	f.Add(uint8(0), uint32(3|1<<2|6<<4|6<<8), uint16(0), uint8(48), uint32(40_000_000-64<<15), int64(42))
 	// Figure 4 wrote its 2,048 sequential IOs past a 32 MiB device.
-	f.Add(uint8(3), uint32(0), uint16(4|4<<8), uint8(48), uint32(32<<20-64<<15), int64(42))
+	f.Add(uint8(3), uint32(0), uint16(4|4<<8), uint8(48), uint32(0), int64(42))
 	f.Fuzz(func(t *testing.T, kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32, seed int64) {
 		req := fuzzRequest(kind, dev, sel, iocount, extra, seed)
 		if err := job.Normalize(&req); err != nil {

@@ -1,12 +1,11 @@
 // Package job runs one experiment — a micro-benchmark plan, a workload replay,
-// an array sweep or tables and figures of the paper's evaluation, described by
-// an api.JobRequest — the one way every surface runs it: the local commands
-// call Run in-process, `uflip submit` sends the same request to the daemon,
-// and the daemon's worker calls the same Run. A job's records, report and CSV
-// are therefore the same bytes wherever it ran, by construction. A surface
-// passes in Env only what it owns: a state cache, the stream a replay runs,
-// and observers that turn progress into its narration (terminal lines,
-// events).
+// an array sweep or the paper's tables and figures, as an api.JobRequest
+// describes it — the one way every surface runs it: the local commands call
+// Run in-process, `uflip submit` sends the request to the daemon, and the
+// daemon's worker calls the same Run. A job's records, report and CSV are
+// therefore the same bytes wherever it ran, by construction. A surface passes
+// in Env only what it owns: a state cache, the stream a replay runs, and
+// observers that turn progress into its narration (terminal lines, events).
 package job
 
 import (
@@ -65,7 +64,7 @@ func Normalize(req *api.JobRequest) error {
 	if req.Seed == 0 {
 		req.Seed = d.Seed
 	}
-	if req.IOCount <= 0 && req.Kind != "workload" {
+	if req.IOCount <= 0 && (req.Kind == "plan" || req.Kind == "array") {
 		req.IOCount = d.IOCount
 	}
 	if req.Kind == "plan" || req.Kind == "workload" {
@@ -123,6 +122,9 @@ func Normalize(req *api.JobRequest) error {
 		}
 		return nil
 	case "paper":
+		if req.IOCount != 0 {
+			return fmt.Errorf("paper jobs take no iocount (their plans run %d IOs)", paperexp.DefaultConfig().IOCount)
+		}
 		if len(req.Experiments) == 0 {
 			return fmt.Errorf("paper jobs need an experiment (known: %s, all)", strings.Join(paperexp.Experiments, ", "))
 		}
@@ -133,7 +135,7 @@ func Normalize(req *api.JobRequest) error {
 			if !slices.Contains(paperexp.Experiments, name) {
 				return fmt.Errorf("unknown experiment %q (known: %s, all)", name, strings.Join(paperexp.Experiments, ", "))
 			}
-			if span := paperexp.Span(name, req.IOCount); req.Capacity < span {
+			if span := paperexp.Span(name); req.Capacity < span {
 				return fmt.Errorf("experiment %s spans %d bytes, above the capacity of %d", name, span, req.Capacity)
 			}
 		}
@@ -162,8 +164,7 @@ type Env struct {
 }
 
 // Outcome is a finished job: its result records or grid rows, and the two
-// renders every surface serves, each made once. A paper job has only its
-// report.
+// renders every surface serves, each made once; a paper job has only its report.
 type Outcome struct {
 	Kind    string            // the request's
 	Records []trace.RunRecord // the run records of a plan or workload job
@@ -262,12 +263,18 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 		}
 		out.Rows = rows
 	case "paper":
-		cfg.Pause = paperexp.DefaultConfig().Pause
+		d := paperexp.DefaultConfig()
+		cfg.Pause, cfg.IOCount = d.Pause, d.IOCount
 		for _, name := range req.Experiments {
 			if err := paperexp.Render(ctx, &rep, name, cfg, workers); err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 			rep.WriteByte('\n')
+			// Only the plans stop on ctx as they run; the other experiments
+			// stop here, so a canceled job never ends done.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	out.Report = rep.Bytes()

@@ -3,6 +3,7 @@ package job_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -43,9 +44,10 @@ func TestNormalizeRejects(t *testing.T) {
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"raid9"}}}, `"raid9"`},
 		{api.JobRequest{Kind: "paper"}, "paper jobs need an experiment (known: table1, "},
 		{api.JobRequest{Kind: "paper", Experiments: []string{"fig3", "fig9"}}, `unknown experiment "fig9"`},
-		// Figure 4 writes 2,048 IOs of 32 KiB from offset 0; a plan IOCount of them.
+		// Figure 4 writes 2,048 IOs of 32 KiB from offset 0; a plan 1,024 of them.
 		{api.JobRequest{Kind: "paper", Experiments: []string{"fig4"}, Capacity: 32 << 20}, "experiment fig4 spans 67108864 bytes, above the capacity of 33554432"},
-		{api.JobRequest{Kind: "paper", Experiments: []string{"all"}, Capacity: 48 << 20, IOCount: 2048}, "experiment table3 spans 67108864 bytes, above the capacity of 50331648"},
+		{api.JobRequest{Kind: "paper", Experiments: []string{"all"}, Capacity: 24 << 20}, "experiment table3 spans 33554432 bytes, above the capacity of 25165824"},
+		{api.JobRequest{Kind: "paper", Experiments: []string{"table1"}, IOCount: 2048}, "paper jobs take no iocount (their plans run 1024 IOs)"},
 	}
 	for _, c := range cases {
 		err := job.Normalize(&c.req)
@@ -84,11 +86,26 @@ func TestNormalizeDefaults(t *testing.T) {
 	if array.Capacity != d.Capacity || array.IOCount != d.IOCount {
 		t.Errorf("array defaults: %+v, want the wire defaults of %+v", array, d)
 	}
-	if !reflect.DeepEqual(paper.Experiments, paperexp.Experiments) || paper.Capacity != d.Capacity || paper.Seed != d.Seed {
+	if !reflect.DeepEqual(paper.Experiments, paperexp.Experiments) || paper.Capacity != d.Capacity || paper.Seed != d.Seed || paper.IOCount != 0 {
 		t.Errorf("paper normalized to %+v, want every experiment at the defaults of %+v", paper, d)
 	}
 	if w := wl.Workload; w.Seed != 7 || w.TargetSize != 32<<20 || w.Kind != "trace" || wl.IOCount != 0 {
 		t.Errorf("workload normalized to %+v (iocount %d)", w, wl.IOCount)
+	}
+}
+
+// TestCanceledPaperJobEndsCanceled: Figures 3 and 5 run no plan and do not
+// watch ctx, so Run checks it after each experiment; a paper job canceled
+// while they run ends with ctx's error, never done.
+func TestCanceledPaperJobEndsCanceled(t *testing.T) {
+	req := api.JobRequest{Kind: "paper", Experiments: []string{"fig3", "fig5"}, Capacity: 24 << 20}
+	if err := job.Normalize(&req); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, err := job.Run(ctx, req, job.Env{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled fig3,fig5 job: outcome %v, error %v; want context.Canceled", out != nil, err)
 	}
 }
 

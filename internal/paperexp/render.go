@@ -29,17 +29,17 @@ var Experiments = []string{
 const figure4IOs = 2048
 
 // Span is the least capacity the named experiment runs on, what it writes
-// sequentially from offset 0: Figure 4's trace, or the IOCount IOs of a
-// plan's sequential baselines (RunBenchmark refuses a smaller device).
-func Span(name string, ioCount int) int64 {
-	ioSize := core.StandardDefaults().IOSize
+// sequentially from offset 0: Figure 4's trace, or the DefaultConfig().IOCount
+// IOs of a plan's sequential baselines (RunBenchmark refuses a smaller device).
+func Span(name string) int64 {
+	ios := 0
 	switch name {
 	case "fig4":
-		return figure4IOs * ioSize
+		ios = figure4IOs
 	case "table3", "fig6", "fig7", "fig8", "alignment", "mix", "parallelism":
-		return int64(ioCount) * ioSize
+		ios = DefaultConfig().IOCount
 	}
-	return 0
+	return int64(ios) * core.StandardDefaults().IOSize
 }
 
 // Render regenerates one of the Experiments from live simulator runs and
@@ -47,20 +47,13 @@ func Span(name string, ioCount int) int64 {
 // plan run it through RunBenchmark on workers engine workers; the text is
 // byte-identical for any worker count.
 func Render(ctx context.Context, w io.Writer, name string, cfg Config, workers int) error {
-	plan := func(key string, micros ...string) (*methodology.Results, error) {
-		out, err := RunBenchmark(ctx, key, cfg, BenchmarkRequest{Micros: micros, Workers: workers})
-		if err != nil {
-			return nil, err
-		}
-		return out.Results, nil
-	}
 	switch name {
 	case "table1":
 		return table1(w)
 	case "table2":
 		return table2(w)
 	case "table3":
-		return table3(w, plan)
+		return table3(ctx, w, cfg, workers)
 	case "fig3":
 		return traceFigure(w, "Figure 3: start-up and running phase, Mtron RW", "mtron", cfg, Figure3)
 	case "fig4":
@@ -68,17 +61,17 @@ func Render(ctx context.Context, w io.Writer, name string, cfg Config, workers i
 	case "fig5":
 		return fig5(w, cfg)
 	case "fig6":
-		return granFigure(w, "Figure 6: granularity, Memoright", "memoright", plan)
+		return granFigure(ctx, w, cfg, workers, "Figure 6: granularity, Memoright", "memoright")
 	case "fig7":
-		return granFigure(w, "Figure 7: granularity, Kingston DTI (SR, RR, SW)", "kingston-dti", plan)
+		return granFigure(ctx, w, cfg, workers, "Figure 7: granularity, Kingston DTI (SR, RR, SW)", "kingston-dti")
 	case "fig8":
-		return fig8(w, plan)
+		return fig8(ctx, w, cfg, workers)
 	case "alignment":
-		return sweepTable(w, "Alignment (Samsung): response time vs IOShift", "samsung", "Alignment", plan)
+		return sweepTable(ctx, w, cfg, workers, "Alignment (Samsung): response time vs IOShift", "samsung", "Alignment")
 	case "mix":
-		return sweepTable(w, "Mix (Memoright): response time vs Ratio", "memoright", "Mix", plan)
+		return sweepTable(ctx, w, cfg, workers, "Mix (Memoright): response time vs Ratio", "memoright", "Mix")
 	case "parallelism":
-		return sweepTable(w, "Parallelism (Memoright): response time vs degree", "memoright", "Parallelism", plan)
+		return sweepTable(ctx, w, cfg, workers, "Parallelism (Memoright): response time vs degree", "memoright", "Parallelism")
 	case "state":
 		fresh, used, err := StateAnomaly("samsung", cfg)
 		if err != nil {
@@ -92,8 +85,14 @@ func Render(ctx context.Context, w io.Writer, name string, cfg Config, workers i
 	}
 }
 
-// planFunc runs the named micro-benchmarks on a device spec.
-type planFunc func(key string, micros ...string) (*methodology.Results, error)
+// plan runs the named micro-benchmarks on a device spec through RunBenchmark.
+func plan(ctx context.Context, cfg Config, workers int, key string, micros ...string) (*methodology.Results, error) {
+	out, err := RunBenchmark(ctx, key, cfg, BenchmarkRequest{Micros: micros, Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return out.Results, nil
+}
 
 // table1 is the list of micro-benchmark definitions.
 func table1(w io.Writer) error {
@@ -128,10 +127,10 @@ func table2(w io.Writer) error {
 
 // table3 characterizes each representative device from a plan of
 // Table3Micros.
-func table3(w io.Writer, plan planFunc) error {
+func table3(ctx context.Context, w io.Writer, cfg Config, workers int) error {
 	var chars []report.DeviceCharacter
 	for _, p := range profile.Representatives() {
-		res, err := plan(p.Key, Table3Micros...)
+		res, err := plan(ctx, cfg, workers, p.Key, Table3Micros...)
 		if err != nil {
 			return err
 		}
@@ -181,8 +180,8 @@ func fig5(w io.Writer, cfg Config) error {
 	return err
 }
 
-func granFigure(w io.Writer, title, key string, plan planFunc) error {
-	res, err := plan(key, "Granularity")
+func granFigure(ctx context.Context, w io.Writer, cfg Config, workers int, title, key string) error {
+	res, err := plan(ctx, cfg, workers, key, "Granularity")
 	if err != nil {
 		return err
 	}
@@ -201,11 +200,11 @@ func granFigure(w io.Writer, title, key string, plan planFunc) error {
 	return p.Render(w)
 }
 
-func fig8(w io.Writer, plan planFunc) error {
+func fig8(ctx context.Context, w io.Writer, cfg Config, workers int) error {
 	p := &report.Plot{Title: "Figure 8: locality — RW cost relative to SW vs TargetSize (MB)", XLabel: "log2(target MB)", YLabel: "RW/SW", Height: 16}
 	markers := map[string]byte{"samsung": 's', "memoright": 'm', "mtron": 't'}
 	for _, key := range []string{"samsung", "memoright", "mtron"} {
-		res, err := plan(key, "Granularity", "Locality")
+		res, err := plan(ctx, cfg, workers, key, "Granularity", "Locality")
 		if err != nil {
 			return err
 		}
@@ -227,8 +226,8 @@ func fig8(w io.Writer, plan planFunc) error {
 	return p.Render(w)
 }
 
-func sweepTable(w io.Writer, title, key, micro string, plan planFunc) error {
-	res, err := plan(key, micro)
+func sweepTable(ctx context.Context, w io.Writer, cfg Config, workers int, title, key, micro string) error {
+	res, err := plan(ctx, cfg, workers, key, micro)
 	if err != nil {
 		return err
 	}

@@ -70,3 +70,14 @@ func TestJobTimeoutFailsJob(t *testing.T) {
 		t.Fatalf("terminal event %+v, want a failed event carrying the error", last)
 	}
 }
+
+// TestJobTimeoutFailsPaperJob: Figures 3 and 5 run no plan and do not watch
+// the job's context, so job.Run checks it after each experiment; a paper job
+// that outlives JobTimeout ends failed on the timeout, never done.
+func TestJobTimeoutFailsPaperJob(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{Workers: 1, JobTimeout: time.Nanosecond})
+	st := submit(t, ts, api.JobRequest{Kind: "paper", Experiments: []string{"fig3", "fig5"}, Capacity: testCapacity, Parallel: 1})
+	if got := waitFor(t, ts, st.ID, api.StatusFailed, api.StatusDone); got.Status != api.StatusFailed || !strings.Contains(got.Error, "timeout") {
+		t.Fatalf("paper job past its timeout: %s %q, want failed on the timeout", got.Status, got.Error)
+	}
+}
