@@ -1,9 +1,10 @@
 // Command flashio is the low-level pattern runner, the analogue of the
 // FlashIO tool the uFLIP authors used: it executes one fully parameterized
 // IO pattern against a device (simulated or a real file) and reports per-IO
-// response times and summary statistics. -device takes any device spec: a
-// profile key, an array expression (capacity per member) or a faulty(...)
-// wrapper.
+// response times, summary statistics and, for a simulated device, what its
+// layers counted while the pattern ran: flash work, merges, map flushes,
+// cache destages, injected faults. -device takes any device spec: a profile
+// key, an array expression (capacity per member) or a faulty(...) wrapper.
 //
 // Examples:
 //
@@ -132,6 +133,7 @@ func run() (err error) {
 		return fmt.Errorf("unknown -lba %q", *lba)
 	}
 
+	before, counted := device.CountersOf(dev)
 	var run *core.Run
 	if *parallel > 1 {
 		run, err = core.ExecuteParallel(dev, p, *parallel, at)
@@ -147,6 +149,9 @@ func run() (err error) {
 	an := stats.AnalyzePhases(run.RTs)
 	fmt.Printf("two-phase analysis: start-up=%d IOs, period=%d IOs, oscillates=%v\n",
 		an.StartUp, an.Period, an.Oscillates)
+	if after, _ := device.CountersOf(dev); counted {
+		fmt.Printf("counters: %+v\n", after.Sub(before))
+	}
 
 	if *seriesOut != "" {
 		f, err := trace.Create(*seriesOut)

@@ -198,8 +198,8 @@ func TestSimDeviceCloneEquivalence(t *testing.T) {
 		at = done + time.Duration(i%5)*time.Millisecond // idle gaps feed reclamation
 	}
 	cl := dev.CloneDevice().(*device.SimDevice)
-	if got, want := cl.IOs(), dev.IOs(); got != want {
-		t.Fatalf("clone IOs = %d, want %d", got, want)
+	if got, want := countersOf(t, cl), countersOf(t, dev); got != want {
+		t.Fatalf("clone counters %+v, want %+v", got, want)
 	}
 	if !sameState(t, cl, dev) {
 		t.Fatal("clone state differs from the original's")

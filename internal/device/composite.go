@@ -3,6 +3,7 @@ package device
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"uflip/internal/ftl"
@@ -202,13 +203,8 @@ type fragment struct {
 }
 
 // NewComposite builds a composite over the members, which must all share the
-// composite's 512-byte sector size. Capacity depends on the layout: stripe
-// exposes members × the largest whole number of chunks every member holds,
-// mirror the smallest member, concat the sum of all members.
+// composite's 512-byte sector size, of CompositeCapacity's logical size.
 func NewComposite(cfg CompositeConfig, members []Device) (*CompositeDevice, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("device: composite needs at least one member")
-	}
 	if cfg.ChunkBytes == 0 {
 		cfg.ChunkBytes = DefaultChunkBytes
 	}
@@ -230,7 +226,7 @@ func NewComposite(cfg CompositeConfig, members []Device) (*CompositeDevice, erro
 	for i := range d.st.Queues {
 		d.st.Queues[i].Ring = make([]time.Duration, cfg.QueueDepth)
 	}
-	minCap := members[0].Capacity()
+	caps := make([]int64, len(members))
 	for i, m := range members {
 		if m == nil {
 			return nil, fmt.Errorf("device: composite member %d is nil", i)
@@ -238,32 +234,47 @@ func NewComposite(cfg CompositeConfig, members []Device) (*CompositeDevice, erro
 		if m.SectorSize() != 512 {
 			return nil, fmt.Errorf("device: composite member %d (%s) sector size %d, want 512", i, m.Name(), m.SectorSize())
 		}
-		if c := m.Capacity(); c < minCap {
-			minCap = c
-		}
+		caps[i] = m.Capacity()
 	}
-	switch cfg.Layout {
-	case LayoutStripe:
-		rows := minCap / d.cfg.ChunkBytes
-		if rows < 1 {
-			return nil, fmt.Errorf("device: stripe members smaller than one %d-byte chunk", d.cfg.ChunkBytes)
-		}
-		d.cfg.capacity = int64(len(members)) * rows * d.cfg.ChunkBytes
-	case LayoutMirror:
-		d.cfg.capacity = minCap
-	case LayoutConcat:
+	var err error
+	if d.cfg.capacity, err = CompositeCapacity(cfg.Layout, d.cfg.ChunkBytes, caps); err != nil {
+		return nil, err
+	}
+	if cfg.Layout == LayoutConcat {
 		d.cfg.bounds = make([]int64, len(members)+1)
-		for i, m := range members {
-			d.cfg.bounds[i+1] = d.cfg.bounds[i] + m.Capacity()
+		for i, c := range caps {
+			d.cfg.bounds[i+1] = d.cfg.bounds[i] + c
 		}
-		d.cfg.capacity = d.cfg.bounds[len(members)]
-	default:
-		return nil, fmt.Errorf("device: unknown layout %d", cfg.Layout)
 	}
 	if d.cfg.Name == "" {
 		d.cfg.Name = fmt.Sprintf("%s(%d)", cfg.Layout, len(members))
 	}
 	return d, nil
+}
+
+// CompositeCapacity is the logical size of an array of members of the given
+// sizes: stripe exposes members × the largest whole number of chunks every
+// member holds, mirror the smallest member, concat the sum of all members.
+func CompositeCapacity(layout Layout, chunk int64, members []int64) (int64, error) {
+	if len(members) == 0 {
+		return 0, fmt.Errorf("device: composite needs at least one member")
+	}
+	least, sum := slices.Min(members), int64(0)
+	for _, c := range members {
+		sum += c
+	}
+	switch layout {
+	case LayoutStripe:
+		if least < chunk {
+			return 0, fmt.Errorf("device: stripe members smaller than one %d-byte chunk", chunk)
+		}
+		return int64(len(members)) * (least / chunk) * chunk, nil
+	case LayoutMirror:
+		return least, nil
+	case LayoutConcat:
+		return sum, nil
+	}
+	return 0, fmt.Errorf("device: unknown layout %d", layout)
 }
 
 // Capacity returns the composite's logical size.
@@ -280,16 +291,6 @@ func (d *CompositeDevice) Members() int { return len(d.members) }
 
 // Member returns member i (for tests and reports).
 func (d *CompositeDevice) Member(i int) Device { return d.members[i] }
-
-// IOs returns the number of host IOs serviced.
-func (d *CompositeDevice) IOs() int64 { return d.st.IOs }
-
-// Dead reports whether member i has failed with ErrDeviceGone.
-func (d *CompositeDevice) Dead(i int) bool { return d.st.Dead[i] }
-
-// DegradedWrites returns how many mirror writes completed with at least one
-// replica missing.
-func (d *CompositeDevice) DegradedWrites() int64 { return d.st.Degraded }
 
 // ResetFrom implements device.Resettable: d becomes a deep copy of src — a
 // CompositeDevice — with every member reset in place or cloned

@@ -52,8 +52,8 @@ func TestCompositeCloneEquivalence(t *testing.T) {
 				at = done + time.Duration(i%5)*time.Millisecond // idle gaps feed reclamation
 			}
 			cl := d.CloneDevice().(*device.CompositeDevice)
-			if got, want := cl.IOs(), d.IOs(); got != want {
-				t.Fatalf("clone IOs = %d, want %d", got, want)
+			if got, want := countersOf(t, cl), countersOf(t, d); got != want {
+				t.Fatalf("clone counters %+v, want %+v", got, want)
 			}
 			if !sameState(t, cl, d) {
 				t.Fatal("clone state differs from the original's")
@@ -127,6 +127,16 @@ func TestCompositeSubmitZeroAlloc(t *testing.T) {
 
 // sameState reports whether two devices are in the same state, clocks and
 // translation stacks included.
+// countersOf reads d's counters, which every simulated device has.
+func countersOf(t *testing.T, d device.Device) device.Counters {
+	t.Helper()
+	c, ok := device.CountersOf(d)
+	if !ok {
+		t.Fatalf("%s has no counters", d.Name())
+	}
+	return c
+}
+
 func sameState(t *testing.T, a, b device.Device) bool {
 	t.Helper()
 	sa, err := device.SnapshotDevice(a)

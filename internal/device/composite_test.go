@@ -45,6 +45,9 @@ func TestCompositeValidation(t *testing.T) {
 	if _, err := device.NewComposite(device.CompositeConfig{Layout: device.LayoutStripe}, nil); err == nil {
 		t.Fatal("empty member list accepted")
 	}
+	if _, err := device.NewComposite(device.CompositeConfig{Layout: device.LayoutStripe}, []device.Device{nil}); err == nil {
+		t.Fatal("nil first member accepted")
+	}
 	if _, err := device.NewComposite(device.CompositeConfig{Layout: device.LayoutStripe, ChunkBytes: 1000},
 		[]device.Device{newMember("a")}); err == nil {
 		t.Fatal("non-sector chunk accepted")
@@ -71,16 +74,16 @@ func TestStripeSplitsAcrossMembers(t *testing.T) {
 	if _, err := d.Submit(0, device.IO{Mode: device.Write, Off: 0, Size: 4 * chunk}); err != nil {
 		t.Fatal(err)
 	}
-	if a.IOs() != 1 || b.IOs() != 1 {
-		t.Fatalf("member IOs = %d/%d, want 1/1 (coalesced)", a.IOs(), b.IOs())
+	if device.ServedIOs(a) != 1 || device.ServedIOs(b) != 1 {
+		t.Fatalf("member IOs = %d/%d, want 1/1 (coalesced)", device.ServedIOs(a), device.ServedIOs(b))
 	}
 
 	// A chunk-aligned single-chunk IO touches exactly one member.
 	if _, err := d.Submit(time.Second, device.IO{Mode: device.Write, Off: chunk, Size: chunk}); err != nil {
 		t.Fatal(err)
 	}
-	if a.IOs() != 1 || b.IOs() != 2 {
-		t.Fatalf("member IOs = %d/%d, want 1/2 (chunk 1 on member b)", a.IOs(), b.IOs())
+	if device.ServedIOs(a) != 1 || device.ServedIOs(b) != 2 {
+		t.Fatalf("member IOs = %d/%d, want 1/2 (chunk 1 on member b)", device.ServedIOs(a), device.ServedIOs(b))
 	}
 }
 
@@ -92,8 +95,8 @@ func TestMirrorWritesAllReadsOne(t *testing.T) {
 	if _, err := d.Submit(0, device.IO{Mode: device.Write, Off: 0, Size: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	if a.IOs() != 1 || b.IOs() != 1 {
-		t.Fatalf("mirror write reached %d/%d members, want 1/1", a.IOs(), b.IOs())
+	if device.ServedIOs(a) != 1 || device.ServedIOs(b) != 1 {
+		t.Fatalf("mirror write reached %d/%d members, want 1/1", device.ServedIOs(a), device.ServedIOs(b))
 	}
 	// Back-to-back idle reads alternate members (round-robin start).
 	if _, err := d.Submit(time.Second, device.IO{Mode: device.Read, Off: 0, Size: 4096}); err != nil {
@@ -102,8 +105,8 @@ func TestMirrorWritesAllReadsOne(t *testing.T) {
 	if _, err := d.Submit(2*time.Second, device.IO{Mode: device.Read, Off: 0, Size: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	if a.IOs() != 2 || b.IOs() != 2 {
-		t.Fatalf("mirror reads reached %d/%d members, want 2/2 (alternating)", a.IOs(), b.IOs())
+	if device.ServedIOs(a) != 2 || device.ServedIOs(b) != 2 {
+		t.Fatalf("mirror reads reached %d/%d members, want 2/2 (alternating)", device.ServedIOs(a), device.ServedIOs(b))
 	}
 }
 
@@ -124,11 +127,11 @@ func TestMirrorQueueDepthScheduling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.IOs() != 1 {
-		t.Fatalf("slow member served %d reads, want 1 (queue-depth scheduling)", a.IOs())
+	if device.ServedIOs(a) != 1 {
+		t.Fatalf("slow member served %d reads, want 1 (queue-depth scheduling)", device.ServedIOs(a))
 	}
-	if b.IOs() != 3 {
-		t.Fatalf("idle member served %d reads, want 3", b.IOs())
+	if device.ServedIOs(b) != 3 {
+		t.Fatalf("idle member served %d reads, want 3", device.ServedIOs(b))
 	}
 }
 
@@ -140,15 +143,15 @@ func TestConcatSplitsAtBoundary(t *testing.T) {
 	if _, err := d.Submit(0, device.IO{Mode: device.Write, Off: 1<<20 + 4096, Size: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	if a.IOs() != 0 || b.IOs() != 1 {
-		t.Fatalf("member IOs = %d/%d, want 0/1", a.IOs(), b.IOs())
+	if device.ServedIOs(a) != 0 || device.ServedIOs(b) != 1 {
+		t.Fatalf("member IOs = %d/%d, want 0/1", device.ServedIOs(a), device.ServedIOs(b))
 	}
 	// Crossing the boundary splits once.
 	if _, err := d.Submit(time.Second, device.IO{Mode: device.Write, Off: 1<<20 - 512, Size: 1024}); err != nil {
 		t.Fatal(err)
 	}
-	if a.IOs() != 1 || b.IOs() != 2 {
-		t.Fatalf("member IOs = %d/%d, want 1/2 after boundary split", a.IOs(), b.IOs())
+	if device.ServedIOs(a) != 1 || device.ServedIOs(b) != 2 {
+		t.Fatalf("member IOs = %d/%d, want 1/2 after boundary split", device.ServedIOs(a), device.ServedIOs(b))
 	}
 }
 
@@ -198,18 +201,18 @@ func TestCompositeCloneIndependence(t *testing.T) {
 		at = done
 	}
 	cl := d.CloneDevice().(*device.CompositeDevice)
-	if cl.IOs() != d.IOs() || cl.Capacity() != d.Capacity() {
+	if device.ServedIOs(cl) != device.ServedIOs(d) || cl.Capacity() != d.Capacity() {
 		t.Fatal("clone does not mirror original state")
 	}
 	// Drive only the clone; the original's members must not see the IOs.
-	beforeA, beforeB := a.IOs(), b.IOs()
+	beforeA, beforeB := device.ServedIOs(a), device.ServedIOs(b)
 	if _, err := cl.Submit(at, device.IO{Mode: device.Write, Off: 0, Size: 64 * 1024 * 3}); err != nil {
 		t.Fatal(err)
 	}
-	if a.IOs() != beforeA || b.IOs() != beforeB {
+	if device.ServedIOs(a) != beforeA || device.ServedIOs(b) != beforeB {
 		t.Fatal("clone submits leaked into the original's members")
 	}
-	if cl.IOs() != d.IOs()+1 {
-		t.Fatalf("clone IOs = %d, want %d", cl.IOs(), d.IOs()+1)
+	if device.ServedIOs(cl) != device.ServedIOs(d)+1 {
+		t.Fatalf("clone IOs = %d, want %d", device.ServedIOs(cl), device.ServedIOs(d)+1)
 	}
 }

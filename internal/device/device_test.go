@@ -42,8 +42,8 @@ func TestMemDeviceTiming(t *testing.T) {
 	if done != 11*time.Millisecond {
 		t.Fatalf("idle-start read done at %v", done)
 	}
-	if d.IOs() != 3 {
-		t.Fatalf("IOs = %d", d.IOs())
+	if d.ios != 3 {
+		t.Fatalf("IOs = %d", d.ios)
 	}
 }
 

@@ -161,15 +161,6 @@ func NewFaulty(cfg FaultConfig, dev Device) *FaultyDevice {
 // Inner returns the wrapped device.
 func (f *FaultyDevice) Inner() Device { return f.inner }
 
-// Ops returns the op counter — how many IOs the schedule has consumed.
-func (f *FaultyDevice) Ops() int64 { return f.st.Op }
-
-// Dead reports whether the sticky failure has triggered.
-func (f *FaultyDevice) Dead() bool { return f.st.Dead }
-
-// Injections returns the per-kind injection tallies.
-func (f *FaultyDevice) Injections() InjectionCounts { return f.st.Injected }
-
 // Capacity forwards to the wrapped device.
 func (f *FaultyDevice) Capacity() int64 { return f.inner.Capacity() }
 

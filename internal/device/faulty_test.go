@@ -62,8 +62,8 @@ func TestFaultyUnarmedForwards(t *testing.T) {
 			t.Fatalf("op %d: unarmed wrapper diverged: %+v vs raw %+v", i, got[i], want[i])
 		}
 	}
-	if wrapped.Ops() != 0 {
-		t.Fatalf("unarmed wrapper consumed %d schedule ops, want 0", wrapped.Ops())
+	if wrapped.st.Op != 0 {
+		t.Fatalf("unarmed wrapper consumed %d schedule ops, want 0", wrapped.st.Op)
 	}
 
 	// Batch path: same equivalence through SubmitBatch with chained encodings.
@@ -107,10 +107,10 @@ func TestFaultyScheduleDeterminism(t *testing.T) {
 			t.Fatalf("op %d: schedule not deterministic: %+v vs %+v", i, outA[i], outB[i])
 		}
 	}
-	if a.Injections() != b.Injections() {
-		t.Fatalf("injection tallies diverge: %+v vs %+v", a.Injections(), b.Injections())
+	if a.st.Injected != b.st.Injected {
+		t.Fatalf("injection tallies diverge: %+v vs %+v", a.st.Injected, b.st.Injected)
 	}
-	inj := a.Injections()
+	inj := a.st.Injected
 	if inj.ReadErrs == 0 || inj.WriteErrs == 0 || inj.Spikes == 0 || inj.Stalls == 0 {
 		t.Fatalf("expected every armed fault kind to fire over 256 ops, got %+v", inj)
 	}
@@ -139,14 +139,14 @@ func TestFaultyTypedErrors(t *testing.T) {
 		if _, err := f.Submit(0, IO{Mode: Read, Off: 0, Size: 512}); err != nil {
 			t.Fatalf("op 0 failed: %v", err)
 		}
-		before := inner.IOs()
+		before := inner.ios
 		if _, err := f.Submit(0, IO{Mode: Read, Off: 0, Size: 512}); !errors.Is(err, ErrMediaRead) {
 			t.Fatalf("read op 1: err = %v, want ErrMediaRead", err)
 		}
 		if _, err := f.Submit(0, IO{Mode: Write, Off: 0, Size: 512}); !errors.Is(err, ErrMediaWrite) {
 			t.Fatalf("write op 2: err = %v, want ErrMediaWrite", err)
 		}
-		if inner.IOs() != before {
+		if inner.ios != before {
 			t.Fatal("media errors must fail fast without reaching the wrapped device")
 		}
 		// Op indices 1 and 2 are consumed: the same IO retried succeeds.
@@ -166,7 +166,7 @@ func TestFaultyTypedErrors(t *testing.T) {
 				t.Fatalf("op past FailAt: err = %v, want ErrDeviceGone", err)
 			}
 		}
-		if !f.Dead() {
+		if !f.st.Dead {
 			t.Fatal("device not marked dead after FailAt")
 		}
 	})
@@ -198,8 +198,8 @@ func TestFaultyCloneResumesSchedule(t *testing.T) {
 	driveOutcomes(master, warm)
 
 	clone := master.CloneDevice().(*FaultyDevice)
-	if clone.Ops() != master.Ops() {
-		t.Fatalf("clone op counter %d, master %d", clone.Ops(), master.Ops())
+	if clone.st.Op != master.st.Op {
+		t.Fatalf("clone op counter %d, master %d", clone.st.Op, master.st.Op)
 	}
 	rest := mixedOps(100)
 	outM := driveOutcomes(master, rest)
@@ -209,8 +209,8 @@ func TestFaultyCloneResumesSchedule(t *testing.T) {
 			t.Fatalf("op %d after clone: master %+v, clone %+v", i, outM[i], outC[i])
 		}
 	}
-	if master.Injections() != clone.Injections() {
-		t.Fatalf("tallies diverge: master %+v, clone %+v", master.Injections(), clone.Injections())
+	if master.st.Injected != clone.st.Injected {
+		t.Fatalf("tallies diverge: master %+v, clone %+v", master.st.Injected, clone.st.Injected)
 	}
 }
 
@@ -230,9 +230,9 @@ func TestFaultySnapshotResumesSchedule(t *testing.T) {
 	if err := RestoreDevice(restored, snap); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Ops() != master.Ops() || restored.Injections() != master.Injections() {
+	if restored.st.Op != master.st.Op || restored.st.Injected != master.st.Injected {
 		t.Fatalf("restored counters %d/%+v, master %d/%+v",
-			restored.Ops(), restored.Injections(), master.Ops(), master.Injections())
+			restored.st.Op, restored.st.Injected, master.st.Op, master.st.Injected)
 	}
 	rest := mixedOps(60)
 	outM := driveOutcomes(master, rest)
@@ -267,28 +267,28 @@ func TestMirrorRoutesAroundDeadMember(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	if !d.Dead(0) {
+	if !d.st.Dead[0] {
 		t.Fatal("member 0 not marked dead after ErrDeviceGone")
 	}
-	if d.DegradedWrites() != 1 {
-		t.Fatalf("degraded writes = %d, want 1", d.DegradedWrites())
+	if d.st.Degraded != 1 {
+		t.Fatalf("degraded writes = %d, want 1", d.st.Degraded)
 	}
 	// Reads keep working, routed to the survivor.
-	before := b.IOs()
+	before := b.ios
 	for i := 0; i < 4; i++ {
 		if _, err := d.Submit(3*time.Second, IO{Mode: Read, Off: 0, Size: 512}); err != nil {
 			t.Fatalf("read after member death failed: %v", err)
 		}
 	}
-	if b.IOs() != before+4 {
-		t.Fatalf("survivor served %d reads, want 4", b.IOs()-before)
+	if b.ios != before+4 {
+		t.Fatalf("survivor served %d reads, want 4", b.ios-before)
 	}
 	// Writes keep degrading; the tally grows.
 	if _, err := d.Submit(4*time.Second, IO{Mode: Write, Off: 0, Size: 512}); err != nil {
 		t.Fatal(err)
 	}
-	if d.DegradedWrites() != 2 {
-		t.Fatalf("degraded writes = %d, want 2", d.DegradedWrites())
+	if d.st.Degraded != 2 {
+		t.Fatalf("degraded writes = %d, want 2", d.st.Degraded)
 	}
 }
 
@@ -330,11 +330,11 @@ func TestMirrorDeadRoutingSurvivesClone(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	if !d.Dead(0) || d.DegradedWrites() != 1 {
-		t.Fatalf("dead=%v degraded=%d, want dead member 0 and 1 degraded write", d.Dead(0), d.DegradedWrites())
+	if !d.st.Dead[0] || d.st.Degraded != 1 {
+		t.Fatalf("dead=%v degraded=%d, want dead member 0 and 1 degraded write", d.st.Dead[0], d.st.Degraded)
 	}
 	cl := d.CloneDevice().(*CompositeDevice)
-	if !cl.Dead(0) || cl.DegradedWrites() != 1 {
+	if !cl.st.Dead[0] || cl.st.Degraded != 1 {
 		t.Fatal("clone lost the dead mask or the degraded tally")
 	}
 	snap, err := SnapshotDevice(d)
@@ -345,7 +345,7 @@ func TestMirrorDeadRoutingSurvivesClone(t *testing.T) {
 	if err := RestoreDevice(fresh, snap); err != nil {
 		t.Fatal(err)
 	}
-	if !fresh.Dead(0) || fresh.DegradedWrites() != 1 {
+	if !fresh.st.Dead[0] || fresh.st.Degraded != 1 {
 		t.Fatal("snapshot/restore lost the dead mask or the degraded tally")
 	}
 	for _, d := range []Device{d, cl, fresh} {
@@ -570,7 +570,7 @@ func TestSubmitBatchRetryHonorsCancellation(t *testing.T) {
 	if err := SubmitBatchRetry(pre, probe, 0, ios, chainInputs(len(ios)), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if probe.IOs() != 0 {
+	if probe.ios != 0 {
 		t.Fatal("canceled context still reached the device")
 	}
 }

@@ -172,9 +172,9 @@ func FuzzSubmitBatchEquivalence(f *testing.F) {
 		doneFB := append([]time.Duration(nil), doneIn...)
 		errFB := fBatch.SubmitBatch(at, ios, doneFB)
 		checkBatchAgainst(t, "faulty", doneFB, doneIn, errFB, refF, errFS)
-		if fBatch.Ops() != fSerial.Ops() || fBatch.Injections() != fSerial.Injections() {
+		if fBatch.st.Op != fSerial.st.Op || fBatch.st.Injected != fSerial.st.Injected {
 			t.Fatalf("faulty schedule drift: batch ops=%d inj=%+v, serial ops=%d inj=%+v",
-				fBatch.Ops(), fBatch.Injections(), fSerial.Ops(), fSerial.Injections())
+				fBatch.st.Op, fBatch.st.Injected, fSerial.st.Op, fSerial.st.Injected)
 		}
 		pB, peB := fBatch.Submit(probeAt, probe)
 		pS, peS := fSerial.Submit(probeAt, probe)

@@ -42,9 +42,6 @@ func (d *MemDevice) SectorSize() int { return 512 }
 // Name returns the device name.
 func (d *MemDevice) Name() string { return d.name }
 
-// IOs returns the number of IOs serviced.
-func (d *MemDevice) IOs() int64 { return d.ios }
-
 // CloneDevice implements device.Cloneable: the device is a handful of scalar
 // fields, so a shallow copy is a full snapshot.
 func (d *MemDevice) CloneDevice() Device {

@@ -142,9 +142,6 @@ func (d *SimDevice) Name() string { return d.cfg.Name }
 // Top returns the top of the translation stack (for tests and ablations).
 func (d *SimDevice) Top() ftl.Translator { return d.top }
 
-// IOs returns the number of IOs serviced.
-func (d *SimDevice) IOs() int64 { return d.st.IOs }
-
 // SubmitBatch services a slice of IOs through SerialSubmitBatch (see
 // Device.SubmitBatch for the done encoding).
 func (d *SimDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Duration) error {

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"reflect"
 
 	"uflip/internal/ftl"
 )
@@ -49,6 +50,70 @@ func SnapshotDevice(d Device) (*DeviceState, error) {
 		return &DeviceState{Faulty: &st, Inner: inner}, err
 	}
 	return nil, fmt.Errorf("device: %T cannot be snapshotted or restored", d)
+}
+
+// Counters is the work a device's layers have counted since it was built,
+// read off the state they run on and summed over an array's members.
+type Counters struct {
+	ftl.Stats                      // the flash translation layers'
+	Cache          ftl.CacheStats  // the write caches'
+	Injected       InjectionCounts // the fault wrappers'
+	DegradedWrites int64           // mirror writes that missed a replica
+	DeadMembers    int64           // array members gone with ErrDeviceGone
+}
+
+// CountersOf reads the counters of every layer of d, walking it as
+// SnapshotDevice does. It is false for a device that keeps its state
+// elsewhere, or stands on one or on a translator foreign to the simulator.
+func CountersOf(d Device) (c Counters, ok bool) {
+	switch d := d.(type) {
+	case *SimDevice:
+		tr := d.top
+		if wc, cached := tr.(*ftl.WriteCache); cached {
+			c.Cache, tr = wc.Stats(), wc.Inner()
+		}
+		if f, mapped := tr.(interface{ Stats() ftl.Stats }); mapped {
+			c.Stats, ok = f.Stats(), true
+		}
+	case *CompositeDevice:
+		for i, m := range d.members {
+			mc, counted := CountersOf(m)
+			if !counted {
+				return c, false
+			}
+			c = c.plus(mc, 1)
+			if d.st.Dead[i] {
+				c.DeadMembers++
+			}
+		}
+		c.DegradedWrites += d.st.Degraded
+		ok = true
+	case *FaultyDevice:
+		c, ok = CountersOf(d.inner)
+		c = c.plus(Counters{Injected: d.st.Injected}, 1)
+	}
+	return c, ok
+}
+
+// Sub returns c − o: what a device counted between two readings.
+func (c Counters) Sub(o Counters) Counters { return c.plus(o, -1) }
+
+// plus returns c + sign·o.
+func (c Counters) plus(o Counters, sign int64) Counters {
+	addInts(reflect.ValueOf(&c).Elem(), reflect.ValueOf(o), sign)
+	return c
+}
+
+// addInts adds sign·src to dst, two structs of one type whose every leaf is
+// an int64, as every counter of Counters is.
+func addInts(dst, src reflect.Value, sign int64) {
+	for i := range dst.NumField() {
+		if f := dst.Field(i); f.Kind() == reflect.Struct {
+			addInts(f, src.Field(i), sign)
+		} else {
+			f.SetInt(f.Int() + sign*src.Field(i).Int())
+		}
+	}
 }
 
 // checkDevice runs every layer's validator over s against the device d: nil

@@ -53,8 +53,8 @@ func TestChipCloneEquivalence(t *testing.T) {
 
 	cl := new(Chip)
 	cl.ResetFrom(c)
-	if cl.Stats() != c.Stats() {
-		t.Fatalf("clone stats %+v, want %+v", cl.Stats(), c.Stats())
+	if cl.st.Stats != c.st.Stats {
+		t.Fatalf("clone stats %+v, want %+v", cl.st.Stats, c.st.Stats)
 	}
 	// Same op on both must cost the same.
 	for _, op := range []struct{ block, page int }{{0, 1}, {0, 2}, {2, 0}} {

@@ -246,9 +246,6 @@ func (c *Chip) Geometry() Geometry { return c.cfg.geo }
 // Cell returns the chip's cell type.
 func (c *Chip) Cell() CellType { return c.cfg.cell }
 
-// Stats returns a snapshot of the operation counters.
-func (c *Chip) Stats() Stats { return c.st.Stats }
-
 // EraseCount returns the number of erase cycles block has endured.
 func (c *Chip) EraseCount(block int) (int, error) {
 	if block < 0 || block >= c.cfg.geo.Blocks {

@@ -190,7 +190,7 @@ func TestStatsCounting(t *testing.T) {
 	if _, err := c.EraseBlock(0); err != nil {
 		t.Fatal(err)
 	}
-	s := c.Stats()
+	s := c.st.Stats
 	if s.Programs != 2 || s.Reads != 1 || s.Erases != 1 {
 		t.Fatalf("stats = %+v", s)
 	}

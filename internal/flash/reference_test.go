@@ -179,8 +179,8 @@ func requireSameChip(t *testing.T, step int, c *Chip, ref *refChip) {
 	if err := c.Audit(); err != nil {
 		t.Fatalf("step %d: %v", step, err)
 	}
-	if c.Stats() != ref.stats {
-		t.Fatalf("step %d: stats %+v, reference %+v", step, c.Stats(), ref.stats)
+	if c.st.Stats != ref.stats {
+		t.Fatalf("step %d: stats %+v, reference %+v", step, c.st.Stats, ref.stats)
 	}
 	for b := -1; b <= g.Blocks; b++ {
 		inRange := b >= 0 && b < g.Blocks

@@ -106,6 +106,3 @@ func (a *Array) EraseCount(gb int) (int, error) { return a.chip.EraseCount(gb) }
 
 // IsBad reports whether block gb is unusable.
 func (a *Array) IsBad(gb int) bool { return a.chip.IsBad(gb) }
-
-// Stats returns the flash operation counters.
-func (a *Array) Stats() flash.Stats { return a.chip.Stats() }

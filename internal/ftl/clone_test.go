@@ -79,7 +79,7 @@ func wearOf(t *testing.T, arr *Array) []int {
 		}
 		out = append(out, ec)
 	}
-	s := arr.Stats()
+	s := arr.chip.State().Stats
 	out = append(out, int(s.Reads), int(s.Programs), int(s.Erases))
 	return out
 }
@@ -108,7 +108,7 @@ func AddFlashWork(s *flash.Stats, o Ops) {
 // what the stack's FTL claims to have asked of them.
 func FlashBooks(tr Translator) (chips, claimed flash.Stats) {
 	books := func(arr *Array, st Stats) (flash.Stats, flash.Stats) {
-		return arr.Stats(), flash.Stats{Reads: st.PagesRead, Programs: st.PagesProgrammed, Erases: st.BlocksErased}
+		return arr.chip.State().Stats, flash.Stats{Reads: st.PagesRead, Programs: st.PagesProgrammed, Erases: st.BlocksErased}
 	}
 	switch tr := tr.(type) {
 	case *WriteCache:

@@ -150,7 +150,7 @@ func TestArrayAddressing(t *testing.T) {
 	if !arr.IsBad(-1) {
 		t.Fatal("out-of-range block should read bad")
 	}
-	s := arr.Stats()
+	s := arr.chip.State().Stats
 	if s.Programs != 1 || s.Reads != 1 || s.Erases != 1 {
 		t.Fatalf("array stats %+v", s)
 	}

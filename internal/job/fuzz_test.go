@@ -25,16 +25,17 @@ import (
 //   - sel picks up to two of the nine micro-benchmarks, one per byte (plan),
 //     the workload kind (workload), the queue depth (array) or up to two of
 //     the thirteen experiments, one per byte (paper);
-//   - the capacity is the plan's span (IOCount IOs of 32 KiB; a paper job
-//     takes no IOCount and its plans run paperexp.DefaultConfig's) plus up
-//     to 256 MiB, sector multiple or not.
+//   - the capacity is half the plan's span (IOCount IOs of 32 KiB; a paper
+//     job takes no IOCount and its plans run paperexp.DefaultConfig's) plus
+//     up to 256 MiB, sector multiple or not, so that a request below its
+//     span is drawn too.
 func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32, seed int64) api.JobRequest {
 	keys := profile.Keys()
 	n := 16 + int(iocount)%241
 	req := api.JobRequest{
 		IOCount:  n,
 		Seed:     seed,
-		Capacity: int64(n)*core.StandardDefaults().IOSize + int64(extra)%(256<<20+1),
+		Capacity: int64(n)*core.StandardDefaults().IOSize/2 + int64(extra)%(256<<20+1),
 	}
 	member := func(i int) string { return keys[int(dev>>(4+4*i)&15)%len(keys)] }
 	wrap := func(spec string) string {
@@ -79,7 +80,7 @@ func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32
 		}
 	default:
 		req.IOCount = 0
-		req.Capacity += int64(paperexp.DefaultConfig().IOCount-n) * core.StandardDefaults().IOSize
+		req.Capacity += int64(paperexp.DefaultConfig().IOCount-n) * core.StandardDefaults().IOSize / 2
 		exps := paperexp.Experiments
 		req.Kind, req.Experiments = "paper", []string{exps[int(sel&255)%len(exps)]}
 		if second := exps[int(sel>>8)%len(exps)]; second != req.Experiments[0] {
@@ -95,15 +96,15 @@ func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32
 // worker and at two.
 func FuzzJobRequest(f *testing.F) {
 	// The Order micro-benchmark ran past a 40,000,000-byte device.
-	f.Add(uint8(0), uint32(5<<4), uint16(4|4<<8), uint8(48), uint32(40_000_000-64<<15), int64(42))
+	f.Add(uint8(0), uint32(5<<4), uint16(4|4<<8), uint8(48), uint32(40_000_000-64<<14), int64(42))
 	// A concat member's write-back cache destaged past its FTL's capacity
 	// during state enforcement.
-	f.Add(uint8(2), uint32(3|1<<2|6<<4), uint16(0), uint8(48), uint32(50_000_000-64<<15), int64(42))
+	f.Add(uint8(2), uint32(3|1<<2|6<<4), uint16(0), uint8(48), uint32(50_000_000-64<<14), int64(42))
 	// Granularity on concat(2,mtron): the pause probe read a member's tail,
 	// which the cache had destaged past the FTL's capacity.
-	f.Add(uint8(0), uint32(3|1<<2|6<<4|6<<8), uint16(0), uint8(48), uint32(40_000_000-64<<15), int64(42))
+	f.Add(uint8(0), uint32(3|1<<2|6<<4|6<<8), uint16(0), uint8(48), uint32(40_000_000-64<<14), int64(42))
 	// Figure 4 wrote its 2,048 sequential IOs past a 32 MiB device.
-	f.Add(uint8(3), uint32(0), uint16(4|4<<8), uint8(48), uint32(0), int64(42))
+	f.Add(uint8(3), uint32(0), uint16(4|4<<8), uint8(48), uint32(16<<20), int64(42))
 	f.Fuzz(func(t *testing.T, kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32, seed int64) {
 		req := fuzzRequest(kind, dev, sel, iocount, extra, seed)
 		if err := job.Normalize(&req); err != nil {

@@ -46,8 +46,10 @@ func CheckParallel(n int) error {
 // the job's seed and, by default, half the capacity) and runs every check that
 // needs no execution: at most profile.MaxParallel workers, the device spec
 // resolves, the micro-benchmark names exist, the synthetic workload builds,
-// the layouts parse, the paper's experiments exist ("all" expands to them)
-// and fit the capacity — so a typo is an error before any state is enforced.
+// the layouts parse, the paper's experiments exist ("all" expands to them),
+// and a plan's device, every composite of an array sweep and the capacity of
+// a paper job hold what their runs write — so a typo or a device too small
+// is an error before any state is enforced.
 // It is idempotent. Whether a named trace exists is the surface's to check:
 // only it knows where traces live.
 func Normalize(req *api.JobRequest) error {
@@ -82,7 +84,7 @@ func Normalize(req *api.JobRequest) error {
 				return err
 			}
 		}
-		return nil
+		return paperexp.CheckSpan(req.Device, req.Capacity, req.IOCount)
 	case "workload":
 		w := req.Workload
 		if w == nil {
@@ -115,12 +117,11 @@ func Normalize(req *api.JobRequest) error {
 		if _, err := profile.DescribeDevice(req.Array.Member); err != nil {
 			return err
 		}
-		for _, l := range req.Array.Layouts {
-			if _, err := device.ParseLayout(l); err != nil {
-				return err
-			}
+		ac, err := sweepConfig(req.Array)
+		if err != nil {
+			return err
 		}
-		return nil
+		return ac.CheckSpan(req.Capacity, req.IOCount)
 	case "paper":
 		if req.IOCount != 0 {
 			return fmt.Errorf("paper jobs take no iocount (their plans run %d IOs)", paperexp.DefaultConfig().IOCount)
@@ -143,6 +144,25 @@ func Normalize(req *api.JobRequest) error {
 	default:
 		return fmt.Errorf("unknown job kind %q (want plan, workload, array or paper)", req.Kind)
 	}
+}
+
+// sweepConfig is the sweep an array request describes.
+func sweepConfig(a *api.ArrayRequest) (paperexp.ArrayConfig, error) {
+	ac := paperexp.ArrayConfig{
+		Member:      a.Member,
+		Counts:      a.Counts,
+		QueueDepths: a.QueueDepths,
+		ChunkBytes:  a.ChunkBytes,
+		Degree:      a.Degree,
+	}
+	for _, l := range a.Layouts {
+		layout, err := device.ParseLayout(l)
+		if err != nil {
+			return ac, err
+		}
+		ac.Layouts = append(ac.Layouts, layout)
+	}
+	return ac, nil
 }
 
 // Env is what the surface running a job owns. The zero value runs the job
@@ -237,22 +257,11 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 		}
 		out.Records = paperexp.WorkloadRecords(res)
 	case "array":
-		a := req.Array
-		ac := paperexp.ArrayConfig{
-			Member:      a.Member,
-			Counts:      a.Counts,
-			QueueDepths: a.QueueDepths,
-			ChunkBytes:  a.ChunkBytes,
-			Degree:      a.Degree,
-			Workers:     workers,
+		ac, err := sweepConfig(req.Array)
+		if err != nil {
+			return nil, err
 		}
-		for _, l := range a.Layouts {
-			layout, err := device.ParseLayout(l)
-			if err != nil {
-				return nil, err
-			}
-			ac.Layouts = append(ac.Layouts, layout)
-		}
+		ac.Workers = workers
 		cfg.Pause = paperexp.DefaultConfig().Pause
 		rows, err := paperexp.ArraySweep(ctx, cfg, ac, env.Progress)
 		if err != nil {

@@ -42,6 +42,16 @@ func TestNormalizeRejects(t *testing.T) {
 		{api.JobRequest{Kind: "array"}, "array jobs need an array.member profile"},
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "faulty(nope)"}}, `unknown device "nope"`},
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"raid9"}}}, `"raid9"`},
+		// A plan writes iocount IOs of 32 KiB from offset 0, on every composite
+		// of an array sweep.
+		{api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 16 << 20, Micros: []string{"Order"}}, "mtron holds 16777216 bytes, below the 33554432 a plan of 1024 IOs of 32768 bytes spans"},
+		{api.JobRequest{Kind: "plan", Device: "mirror(2,mtron)", Capacity: 16 << 20}, "mirror(2,mtron) holds 16777216 bytes, below the 33554432"},
+		{api.JobRequest{Kind: "array", Capacity: 16 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}}}, "stripe(1,mtron,qd=1) holds 16777216 bytes, below the 33554432"},
+		{api.JobRequest{Kind: "array", Capacity: 16 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"mirror"}, Counts: []int{2}}}, "mirror(2,mtron,mtron,qd=1) holds 16777216 bytes, below the 33554432"},
+		// Every composite of a sweep is built from its spec, which must parse.
+		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "stripe(2,mtron)"}}, `bad argument "stripe(2,mtron)"`},
+		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "mtron", QueueDepths: []int{0}}}, `qd "0" must be an integer in [1, 256]`},
+		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "mtron", Counts: []int{1 << 30}}}, "an array of 1073741824 members is above the ceiling of 64"},
 		{api.JobRequest{Kind: "paper"}, "paper jobs need an experiment (known: table1, "},
 		{api.JobRequest{Kind: "paper", Experiments: []string{"fig3", "fig9"}}, `unknown experiment "fig9"`},
 		// Figure 4 writes 2,048 IOs of 32 KiB from offset 0; a plan 1,024 of them.
@@ -53,6 +63,21 @@ func TestNormalizeRejects(t *testing.T) {
 		err := job.Normalize(&c.req)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: error %v, want one containing %q", c.req, err, c.want)
+		}
+	}
+}
+
+// TestNormalizeAcceptsWhatHoldsTheSpan: the span is checked against the
+// device a request builds, so an array of members below it passes when the
+// array holds it.
+func TestNormalizeAcceptsWhatHoldsTheSpan(t *testing.T) {
+	for _, req := range []api.JobRequest{
+		{Kind: "plan", Device: "stripe(2,mtron,mtron)", Capacity: 16 << 20},
+		{Kind: "plan", Device: "faulty(concat(2,mtron),seed=1)", Capacity: 16 << 20},
+		{Kind: "array", Capacity: 16 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe", "concat"}, Counts: []int{2}}},
+	} {
+		if err := job.Normalize(&req); err != nil {
+			t.Errorf("%+v: %v", req, err)
 		}
 	}
 }

@@ -54,20 +54,43 @@ func (a ArrayConfig) withDefaults() ArrayConfig {
 	return a
 }
 
-// arraySpec returns the canonical spec of one sweep combination.
-func (a ArrayConfig) arraySpec(layout device.Layout, count, qd int) *profile.ArraySpec {
-	s := &profile.ArraySpec{
-		Layout:     layout,
-		ChunkBytes: device.DefaultChunkBytes,
-		QueueDepth: qd,
+// specs returns the canonical spec of every combination of the sweep,
+// layout-major, then member count, then queue depth.
+func (a ArrayConfig) specs() []*profile.ArraySpec {
+	var out []*profile.ArraySpec
+	for _, layout := range a.Layouts {
+		for _, count := range a.Counts {
+			for _, qd := range a.QueueDepths {
+				s := &profile.ArraySpec{Layout: layout, ChunkBytes: device.DefaultChunkBytes, QueueDepth: qd}
+				if a.ChunkBytes > 0 && layout == device.LayoutStripe {
+					s.ChunkBytes = a.ChunkBytes
+				}
+				for i := 0; i < count; i++ {
+					s.MemberKeys = append(s.MemberKeys, a.Member)
+				}
+				out = append(out, s)
+			}
+		}
 	}
-	if a.ChunkBytes > 0 && layout == device.LayoutStripe {
-		s.ChunkBytes = a.ChunkBytes
+	return out
+}
+
+// CheckSpan refuses a sweep at capacity bytes per member unless every
+// composite of it resolves, as its spec, and holds what a plan of ios IOs
+// writes.
+func (a ArrayConfig) CheckSpan(capacity int64, ios int) error {
+	a = a.withDefaults()
+	for _, n := range a.Counts {
+		if n > profile.MaxArrayMembers { // before a spec lists that many members
+			return fmt.Errorf("an array of %d members is above the ceiling of %d", n, profile.MaxArrayMembers)
+		}
 	}
-	for i := 0; i < count; i++ {
-		s.MemberKeys = append(s.MemberKeys, a.Member)
+	for _, spec := range a.specs() {
+		if err := CheckSpan(spec.String(), capacity, ios); err != nil {
+			return err
+		}
 	}
-	return s
+	return nil
 }
 
 // ArraySweep measures the four baselines over every array combination: each
@@ -91,17 +114,12 @@ func ArraySweep(ctx context.Context, cfg Config, ac ArrayConfig, progress engine
 		ac.Member = canonical
 	}
 	var rows []report.ArrayRow
-	for _, layout := range ac.Layouts {
-		for _, count := range ac.Counts {
-			for _, qd := range ac.QueueDepths {
-				spec := ac.arraySpec(layout, count, qd)
-				row, err := arrayRow(ctx, cfg, spec, ac.Degree, ac.Workers, progress)
-				if err != nil {
-					return nil, fmt.Errorf("paperexp: array %s: %w", spec, err)
-				}
-				rows = append(rows, row)
-			}
+	for _, spec := range ac.specs() {
+		row, err := arrayRow(ctx, cfg, spec, ac.Degree, ac.Workers, progress)
+		if err != nil {
+			return nil, fmt.Errorf("paperexp: array %s: %w", spec, err)
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -109,26 +127,23 @@ func ArraySweep(ctx context.Context, cfg Config, ac ArrayConfig, progress engine
 // arrayRow runs the four baselines against one composite through the engine.
 func arrayRow(ctx context.Context, cfg Config, spec *profile.ArraySpec, degree, workers int, progress engine.ProgressFunc) (report.ArrayRow, error) {
 	key := spec.String()
-	// The composite's logical capacity depends on the layout; build one
-	// un-enforced instance to read it (construction is cheap — enforcement,
-	// which is not, happens once on the engine master).
-	probe, err := spec.Build(cfg.Capacity)
+	capacity, err := spec.Capacity(cfg.Capacity)
 	if err != nil {
 		return report.ArrayRow{}, err
 	}
-	d := cfg.defaults(probe.Capacity())
+	d := cfg.defaults(capacity)
 	var exps []core.Experiment
 	for _, b := range core.Baselines {
 		p := b.Pattern(d)
 		if p.TargetSize < int64(degree)*p.IOSize {
-			return report.ArrayRow{}, fmt.Errorf("capacity %d too small for %d-way parallel baselines", probe.Capacity(), degree)
+			return report.ArrayRow{}, fmt.Errorf("capacity %d too small for %d-way parallel baselines", capacity, degree)
 		}
 		exps = append(exps, core.Experiment{
 			Micro: "Array", Base: b, Param: "ParallelDegree", Value: int64(degree),
 			Pattern: p, Degree: degree,
 		})
 	}
-	plan := methodology.BuildPlan(exps, probe.Capacity(), cfg.Pause, nil)
+	plan := methodology.BuildPlan(exps, capacity, cfg.Pause, nil)
 	plan.Device = key
 	res, err := engine.ExecutePlan(ctx, plan, ShardFactory(key, cfg), engine.Options{
 		Workers:  workers,

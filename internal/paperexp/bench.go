@@ -87,18 +87,17 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 	}
 	workers := par.Workers(req.Workers)
 
+	// Refuse a device the sequential baselines would run off before
+	// enforcing (and storing) a state no run could use.
+	if err := CheckSpan(key, cfg.Capacity, cfg.IOCount); err != nil {
+		return nil, fmt.Errorf("paperexp: %w", err)
+	}
 	// Methodology, step 1: enforce the random initial state (Section 4.1).
 	dev, err := profile.BuildDevice(key, cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}
-	// The sequential baselines span IOCount IOs of the standard size from
-	// offset 0: refuse a device they would run off before enforcing (and
-	// storing) a state no run could use.
 	d := cfg.defaults(dev.Capacity())
-	if need := int64(d.IOCount) * d.IOSize; dev.Capacity() < need {
-		return nil, fmt.Errorf("paperexp: %s holds %d bytes, below the %d a plan of %d IOs of %d bytes spans", key, dev.Capacity(), need, d.IOCount, d.IOSize)
-	}
 	if req.Stages.EnforcingState != nil {
 		req.Stages.EnforcingState(dev.Capacity())
 	}

@@ -39,7 +39,21 @@ func Span(name string) int64 {
 	case "table3", "fig6", "fig7", "fig8", "alignment", "mix", "parallelism":
 		ios = DefaultConfig().IOCount
 	}
-	return int64(ios) * core.StandardDefaults().IOSize
+	return span(ios)
+}
+
+// span is the least capacity a run of ios IOs of the standard size takes: a
+// sequential baseline writes them from offset 0.
+func span(ios int) int64 { return int64(ios) * core.StandardDefaults().IOSize }
+
+// CheckSpan refuses the device spec built at capacity bytes (per member of an
+// array) unless it resolves and holds what a plan of ios IOs writes.
+func CheckSpan(spec string, capacity int64, ios int) error {
+	have, err := profile.Capacity(spec, capacity)
+	if need := span(ios); err == nil && have < need {
+		err = fmt.Errorf("%s holds %d bytes, below the %d a plan of %d IOs of %d bytes spans", spec, have, need, ios, core.StandardDefaults().IOSize)
+	}
+	return err
 }
 
 // Render regenerates one of the Experiments from live simulator runs and

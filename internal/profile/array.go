@@ -227,9 +227,23 @@ func (s *ArraySpec) Build(perMemberCapacity int64) (*device.CompositeDevice, err
 	}, members)
 }
 
+// Capacity is the logical capacity of Build(perMemberCapacity), computed
+// without building the members.
+func (s *ArraySpec) Capacity(perMemberCapacity int64) (int64, error) {
+	caps := make([]int64, len(s.MemberKeys))
+	for i, key := range s.MemberKeys {
+		var err error
+		if caps[i], err = Capacity(key, perMemberCapacity); err != nil {
+			return 0, err
+		}
+	}
+	return device.CompositeCapacity(s.Layout, s.ChunkBytes, caps)
+}
+
 // parsed is a device spec parsed once, whichever of the three forms it has —
 // a faulty(...) wrapper, an array expression or a plain profile key: what each
-// of BuildDevice, DescribeDevice, CanonicalSpec and Fingerprint needs of it.
+// of BuildDevice, DescribeDevice, CanonicalSpec, Fingerprint and Capacity
+// needs of it.
 type parsed struct {
 	canonical string
 	build     func(capacity int64) (device.Cloneable, error)
@@ -237,10 +251,13 @@ type parsed struct {
 	// profiles returns the profile of every simulated device behind the
 	// spec, in member order.
 	profiles func() ([]Profile, error)
+	// capacity is the logical capacity build(capacity) gives.
+	capacity func(capacity int64) (int64, error)
 }
 
 // parse is the one dispatch over the forms of a device spec. A plain key is
-// looked up only when built or described: its canonical form is itself.
+// looked up only when built, described or sized: its canonical form is
+// itself.
 func parse(spec string) (parsed, error) {
 	switch {
 	case IsFaultySpec(spec):
@@ -249,13 +266,14 @@ func parse(spec string) (parsed, error) {
 			return parsed{}, err
 		}
 		profiles := func() ([]Profile, error) { return profilesOf(s.Inner) }
-		return parsed{s.String(), func(c int64) (device.Cloneable, error) { return s.Build(c) }, s.describe, profiles}, nil
+		capacity := func(c int64) (int64, error) { return Capacity(s.Inner, c) }
+		return parsed{s.String(), func(c int64) (device.Cloneable, error) { return s.Build(c) }, s.describe, profiles, capacity}, nil
 	case IsArraySpec(spec):
 		s, err := ParseArraySpec(spec)
 		if err != nil {
 			return parsed{}, err
 		}
-		return parsed{s.String(), func(c int64) (device.Cloneable, error) { return s.Build(c) }, s.describe, s.profiles}, nil
+		return parsed{s.String(), func(c int64) (device.Cloneable, error) { return s.Build(c) }, s.describe, s.profiles, s.Capacity}, nil
 	default:
 		build := func(c int64) (device.Cloneable, error) {
 			p, err := ByKey(spec)
@@ -272,7 +290,11 @@ func parse(spec string) (parsed, error) {
 			p, err := ByKey(spec)
 			return []Profile{p}, err
 		}
-		return parsed{spec, build, describe, profiles}, nil
+		capacity := func(c int64) (int64, error) {
+			_, err := ByKey(spec)
+			return logicalBytes(c), err
+		}
+		return parsed{spec, build, describe, profiles, capacity}, nil
 	}
 }
 
@@ -287,6 +309,16 @@ func BuildDevice(spec string, capacity int64) (device.Cloneable, error) {
 		return nil, err
 	}
 	return p.build(capacity)
+}
+
+// Capacity is the logical capacity of BuildDevice(spec, capacity), computed
+// without building the device.
+func Capacity(spec string, capacity int64) (int64, error) {
+	p, err := parse(spec)
+	if err != nil {
+		return 0, err
+	}
+	return p.capacity(capacity)
 }
 
 // DescribeDevice returns a one-line human description of a spec: the profile

@@ -86,7 +86,7 @@ func (p Profile) String() string {
 // otherwise hand its FTL the partial last line past the end; a capacity below
 // one line is refused.
 func (p Profile) BuildWithCapacity(logical int64) (*device.SimDevice, error) {
-	logical -= logical % ftl.LineBytes
+	logical = logicalBytes(logical)
 	if logical <= 0 {
 		return nil, fmt.Errorf("profile %s: capacity must be at least %d bytes", p.Key, ftl.LineBytes)
 	}
@@ -135,6 +135,10 @@ func (p Profile) BuildWithCapacity(logical int64) (*device.SimDevice, error) {
 	sim.Name = p.Key
 	return device.NewSimDevice(sim, top, p.Cost)
 }
+
+// logicalBytes is the logical capacity BuildWithCapacity gives a device asked
+// for capacity bytes.
+func logicalBytes(capacity int64) int64 { return capacity - capacity%ftl.LineBytes }
 
 // ByKey returns the profile with the given key.
 func ByKey(key string) (Profile, error) {

@@ -36,22 +36,9 @@ var keptUnlinked = map[string][]string{
 		"uflip/internal/ftl.(*wearQueue).checkDerived",
 		"uflip/internal/ftl.(*wearQueue).appendKeys",
 	},
-	// Per-layer counters, read by tests, the stack golden and the benchmark's
-	// traced runs, and due to explain a run's latency.
-	"counters": {
-		"uflip/internal/device.(*CompositeDevice).IOs",
-		"uflip/internal/device.(*CompositeDevice).Dead",
-		"uflip/internal/device.(*CompositeDevice).DegradedWrites",
-		"uflip/internal/device.(*FaultyDevice).Ops",
-		"uflip/internal/device.(*FaultyDevice).Dead",
-		"uflip/internal/device.(*FaultyDevice).Injections",
-		"uflip/internal/device.(*MemDevice).IOs",
-		"uflip/internal/device.(*SimDevice).IOs",
-		"uflip/internal/flash.(*Chip).Stats",
-		"uflip/internal/ftl.(*Array).Stats",
-		"uflip/internal/ftl.(*BlockFTL).Stats",
-		"uflip/internal/ftl.(*PageFTL).Stats",
-		"uflip/internal/ftl.(*WriteCache).Stats",
+	// The size of an FTL's free pool, which TestStackBytesGolden digests and
+	// the FTL tests compare; no binary asks it.
+	"free pool": {
 		"uflip/internal/ftl.(*flashBooks).FreeBlocks",
 	},
 	// Reached by the ./benchmark binary or its tests, which are not under cmd/;
@@ -74,7 +61,6 @@ var keptUnlinked = map[string][]string{
 		"uflip/internal/flash.(*Chip).ReadPage",
 		"uflip/internal/ftl.(*Array).Geometry",
 		"uflip/internal/ftl.(*Array).ProgramPage",
-		"uflip/internal/ftl.(*WriteCache).Inner",
 		"uflip/internal/ftl.Stats.WriteAmplification",
 		"uflip/internal/server/events.(*Log).Len",
 		"uflip/internal/statestore.(*Store).Dir",
