@@ -37,10 +37,11 @@ lint:
 		| grep -E 'F(N)?M(ADD|SUB)'; then echo "arm64 fuses these: wrap the product in float64(...)"; exit 1; \
 	fi
 
-# One iteration of every paper-figure and ablation benchmark in bench_test.go:
-# they regenerate the paper's numbers as custom metrics and are not a speed
-# gate. "Did this get slower" is `bash benchmark/run.sh` on both commits and
-# `go run ./benchmark compare A.json B.json`.
+# One iteration of every ablation benchmark in bench_test.go: they report the
+# response times each of the simulator's design choices changes as custom
+# metrics and are not a speed gate (the paper's own numbers are `uflip paper
+# -exp all`). "Did this get slower" is `bash benchmark/run.sh` on both commits
+# and `go run ./benchmark compare A.json B.json`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 

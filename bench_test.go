@@ -1,32 +1,15 @@
 package uflip_test
 
-// This file regenerates the figures and the Section 5.2 / 4.1 results of the
-// uFLIP paper's evaluation as Go benchmarks. The benchmarks run the
-// methodology against simulated devices (scaled to 512 MB for speed;
-// behaviour is capacity-independent) and report the headline numbers as
-// custom metrics, named after what the paper reports:
-//
-//	BenchmarkFigure3           — Mtron RW start-up length and cost levels
-//	BenchmarkFigure4           — Kingston DTI SW period
-//	BenchmarkFigure5           — Mtron lingering reclamation (pause bound)
-//	BenchmarkFigure6/7         — granularity curves (Memoright / DTI)
-//	BenchmarkFigure8           — locality curves (Samsung/Memoright/Mtron)
-//	BenchmarkAlignment/Mix/Parallelism — the Section 5.2 "other results"
-//	BenchmarkDeviceState       — the Section 4.1 Samsung state anomaly
-//	BenchmarkAblation*         — ablations of the simulator's design choices
-//
-// Absolute numbers come from the calibrated simulator; the claim is shape
-// fidelity against the paper (README describes the model; ROADMAP item 2
-// plans the claims ledger that will check it). Figures 6-8 and the Section
-// 5.2 results run through paperexp.RunBenchmark, the pipeline the uflip
-// command runs. Table 3 is regenerated by `uflip paper -exp table3`. None of these is a speed measurement: how fast
-// the simulator itself runs is the repository benchmark's business
-// (benchmark/, BENCHMARK.json), which repeats its runs and reports spread.
+// This file holds ablations of the simulator's design choices as Go
+// benchmarks: each builds small devices that differ in one mechanism — the
+// mapping, the write buffer, asynchronous reclamation, the number of log
+// blocks — and reports the response times it changes as custom metrics. The
+// paper's own figures and results are regenerated by `uflip paper -exp all`.
+// None of these is a speed measurement: how fast the simulator itself runs is
+// the repository benchmark's business (benchmark/, BENCHMARK.json), which
+// repeats its runs and reports spread.
 
 import (
-	"context"
-	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -35,243 +18,7 @@ import (
 	"uflip/internal/flash"
 	"uflip/internal/ftl"
 	"uflip/internal/methodology"
-	"uflip/internal/paperexp"
-	"uflip/internal/statestore"
 )
-
-// benchState is the state store every benchmark in this file shares: each
-// (device, capacity, seed) master is enforced once per `go test -bench`
-// invocation instead of once per benchmark, without changing any result —
-// cached states are byte-identical to freshly enforced ones.
-var benchState struct {
-	once sync.Once
-	dir  string
-	st   *statestore.Store
-}
-
-func benchCfg() paperexp.Config {
-	cfg := paperexp.DefaultConfig()
-	cfg.Capacity = 512 << 20
-	benchState.once.Do(func() {
-		dir, err := os.MkdirTemp("", "uflip-bench-state-")
-		if err != nil {
-			return // fall back to live enforcement
-		}
-		st, err := statestore.Open(dir)
-		if err != nil {
-			os.RemoveAll(dir)
-			return
-		}
-		benchState.dir, benchState.st = dir, st
-	})
-	cfg.Store = benchState.st
-	return cfg
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if benchState.dir != "" {
-		os.RemoveAll(benchState.dir)
-	}
-	os.Exit(code)
-}
-
-func prepare(b *testing.B, key string, cfg paperexp.Config) (device.Device, time.Duration) {
-	b.Helper()
-	dev, at, err := paperexp.Prepare(key, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return dev, at
-}
-
-// runPlan runs the named micro-benchmarks on key through the pipeline the
-// uflip command runs.
-func runPlan(b *testing.B, key string, cfg paperexp.Config, micros ...string) *methodology.Results {
-	b.Helper()
-	out, err := paperexp.RunBenchmark(context.Background(), key, cfg, paperexp.BenchmarkRequest{Micros: micros})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return out.Results
-}
-
-// BenchmarkFigure3 regenerates the Mtron random-write trace: a cheap
-// start-up phase (paper: ~125 IOs at ~0.4 ms) followed by oscillation.
-func BenchmarkFigure3(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		dev, at := prepare(b, "mtron", cfg)
-		tr, err := paperexp.Figure3(dev, at, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(tr.Analysis.StartUp), "startup-ios")
-		b.ReportMetric(tr.Analysis.CheapLevel*1e3, "cheap-ms")
-		b.ReportMetric(tr.Analysis.ExpensiveLevel*1e3, "expensive-ms")
-		b.ReportMetric(tr.Run.Summary.Mean*1e3, "mean-ms")
-	}
-}
-
-// BenchmarkFigure4 regenerates the Kingston DTI sequential-write trace:
-// no start-up, oscillation with a period around the flash block (paper:
-// ~128 IOs).
-func BenchmarkFigure4(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		dev, at := prepare(b, "kingston-dti", cfg)
-		tr, err := paperexp.Figure4(dev, at, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(tr.Analysis.StartUp), "startup-ios")
-		b.ReportMetric(float64(tr.Analysis.Period), "period-ios")
-		b.ReportMetric(tr.Run.Summary.Mean*1e3, "mean-ms")
-	}
-}
-
-// BenchmarkFigure5 regenerates the pause-determination experiment on the
-// Mtron: sequential reads stay slow for a while after a random-write batch
-// (paper: ~3,000 reads, ~2.5 s).
-func BenchmarkFigure5(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		dev, at := prepare(b, "mtron", cfg)
-		rep, err := paperexp.Figure5(dev, at, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rep.LingerIOs), "linger-ios")
-		b.ReportMetric(rep.LingerTime.Seconds(), "linger-s")
-		b.ReportMetric(rep.RecommendedPause.Seconds(), "pause-s")
-	}
-}
-
-func granularityBench(b *testing.B, key string) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		curves := paperexp.Curves(runPlan(b, key, cfg, "Granularity"), "Granularity")
-		for _, base := range core.Baselines {
-			for _, pt := range curves[base.String()] {
-				if pt.X == 32<<10 { // the paper's reference size
-					b.ReportMetric(pt.Y, base.String()+"32K-ms")
-				}
-				if pt.X == 512<<10 {
-					b.ReportMetric(pt.Y, base.String()+"512K-ms")
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFigure6 regenerates the granularity curves for the Memoright SSD
-// (all reads and sequential writes linear and cheap; random writes >= 5 ms
-// past the caching threshold).
-func BenchmarkFigure6(b *testing.B) { granularityBench(b, "memoright") }
-
-// BenchmarkFigure7 regenerates the granularity curves for the Kingston DTI
-// (small sequential writes disproportionately expensive; random writes flat
-// around 260 ms).
-func BenchmarkFigure7(b *testing.B) { granularityBench(b, "kingston-dti") }
-
-// BenchmarkFigure8 regenerates the locality curves: RW cost relative to SW
-// as the random-write target grows, for Samsung, Memoright and Mtron.
-func BenchmarkFigure8(b *testing.B) {
-	for _, key := range []string{"samsung", "memoright", "mtron"} {
-		key := key
-		b.Run(key, func(b *testing.B) {
-			cfg := benchCfg()
-			for i := 0; i < b.N; i++ {
-				pts, err := paperexp.Figure8(runPlan(b, key, cfg, "Granularity", "Locality"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, pt := range pts {
-					switch pt.X {
-					case 1 << 20:
-						b.ReportMetric(pt.Y, "rel-1MB")
-					case 8 << 20:
-						b.ReportMetric(pt.Y, "rel-8MB")
-					case 128 << 20:
-						b.ReportMetric(pt.Y, "rel-128MB")
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAlignment regenerates the Section 5.2 alignment result: on the
-// Samsung SSD, unaligned random IOs cost roughly twice as much.
-func BenchmarkAlignment(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		rw := paperexp.Curves(runPlan(b, "samsung", cfg, "Alignment"), "Alignment")["RW"]
-		if len(rw) > 0 {
-			b.ReportMetric(rw[0].Y, "aligned512B-shift-ms")
-			b.ReportMetric(rw[len(rw)/2].Y, "midshift-ms")
-		}
-	}
-}
-
-// BenchmarkMix regenerates the Section 5.2 mix result: combining baseline
-// patterns does not change overall cost much (unlike disks).
-func BenchmarkMix(b *testing.B) {
-	cfg := benchCfg()
-	cfg.IOCount = 512
-	for i := 0; i < b.N; i++ {
-		series := paperexp.Curves(runPlan(b, "memoright", cfg, "Mix"), "Mix")
-		if pts := series["SR/RR"]; len(pts) > 0 {
-			b.ReportMetric(pts[0].Y, "SR-RR-1:1-ms")
-		}
-		if pts := series["RR/RW"]; len(pts) > 0 {
-			b.ReportMetric(pts[len(pts)-1].Y, "RR-RW-64:1-ms")
-		}
-	}
-}
-
-// BenchmarkParallelism regenerates the Section 5.2 parallelism result:
-// no benefit from concurrent submission; parallel sequential writes
-// degenerate toward partitioned/random cost.
-func BenchmarkParallelism(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		series := paperexp.Curves(runPlan(b, "memoright", cfg, "Parallelism"), "Parallelism")
-		for _, pt := range series["SR"] {
-			if pt.X == 1 {
-				b.ReportMetric(pt.Y, "SR-par1-ms")
-			}
-			if pt.X == 16 {
-				b.ReportMetric(pt.Y, "SR-par16-ms")
-			}
-		}
-		for _, pt := range series["SW"] {
-			if pt.X == 1 {
-				b.ReportMetric(pt.Y, "SW-par1-ms")
-			}
-			if pt.X == 16 {
-				b.ReportMetric(pt.Y, "SW-par16-ms")
-			}
-		}
-	}
-}
-
-// BenchmarkDeviceState regenerates the Section 4.1 anomaly: the Samsung SSD
-// writes randomly at ~1 ms out of the box, an order of magnitude faster
-// than after the whole device has been written once.
-func BenchmarkDeviceState(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		fresh, used, err := paperexp.StateAnomaly("samsung", cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(fresh, "outofbox-ms")
-		b.ReportMetric(used, "randomstate-ms")
-	}
-}
-
-// --- Ablations: isolate the simulator's design choices. ---
 
 type ablationDevice struct {
 	name string

@@ -175,7 +175,7 @@
 //
 // The implementation lives under internal/; see README.md for the layout,
 // cmd/ for the executables, example_test.go in this directory for runnable
-// walk-throughs checked by go test, and bench_test.go for the Go benchmarks
-// that regenerate the figures and ablations of the paper's evaluation;
-// benchmark/ measures how fast all of it runs.
+// walk-throughs checked by go test, and bench_test.go for the ablation
+// benchmarks of the simulator's design choices; benchmark/ measures how fast
+// all of it runs.
 package uflip

@@ -23,12 +23,13 @@ import (
 //     a faulty(...) wrapper with latency spikes only, seeded by the bits
 //     above it;
 //   - sel picks up to two of the nine micro-benchmarks, one per byte (plan),
-//     the workload kind (workload), the queue depth (array) or up to two of
+//     the workload kind (workload), the queue depth and, from its high byte,
+//     a parallel degree from 1 to 16 above IOCount (array), or up to two of
 //     the thirteen experiments, one per byte (paper);
-//   - the capacity is half the plan's span (IOCount IOs of 32 KiB; a paper
-//     job takes no IOCount and its plans run paperexp.DefaultConfig's) plus
-//     up to 256 MiB, sector multiple or not, so that a request below its
-//     span is drawn too.
+//   - the capacity is half the plan's span (IOCount IOs of 32 KiB) plus up to
+//     256 MiB, sector multiple or not, so that a request below its span is
+//     drawn too; a paper job takes no IOCount, and its capacity is 0 (the
+//     default) up to 256 MiB.
 func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32, seed int64) api.JobRequest {
 	keys := profile.Keys()
 	n := 16 + int(iocount)%241
@@ -77,10 +78,11 @@ func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32
 			Layouts:     []string{layout},
 			Counts:      []int{count},
 			QueueDepths: []int{1 + int(sel%2)*3},
+			Degree:      1 + int(sel>>8)%(n+16),
 		}
 	default:
 		req.IOCount = 0
-		req.Capacity += int64(paperexp.DefaultConfig().IOCount-n) * core.StandardDefaults().IOSize / 2
+		req.Capacity = int64(extra) % (256<<20 + 1)
 		exps := paperexp.Experiments
 		req.Kind, req.Experiments = "paper", []string{exps[int(sel&255)%len(exps)]}
 		if second := exps[int(sel>>8)%len(exps)]; second != req.Experiments[0] {
@@ -104,7 +106,12 @@ func FuzzJobRequest(f *testing.F) {
 	// which the cache had destaged past the FTL's capacity.
 	f.Add(uint8(0), uint32(3|1<<2|6<<4|6<<8), uint16(0), uint8(48), uint32(40_000_000-64<<14), int64(42))
 	// Figure 4 wrote its 2,048 sequential IOs past a 32 MiB device.
-	f.Add(uint8(3), uint32(0), uint16(4|4<<8), uint8(48), uint32(16<<20), int64(42))
+	f.Add(uint8(3), uint32(0), uint16(4|4<<8), uint8(48), uint32(32<<20), int64(42))
+	// Figure 3's random target, half of a 4 KiB device, held no IO.
+	f.Add(uint8(3), uint32(0), uint16(3|3<<8), uint8(48), uint32(4096), int64(42))
+	// A 21-way array sweep of 16-IO baselines: the sequential target held
+	// fewer IOs than processes.
+	f.Add(uint8(2), uint32(1|6<<4), uint16(20<<8), uint8(0), uint32(64<<20), int64(42))
 	f.Fuzz(func(t *testing.T, kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32, seed int64) {
 		req := fuzzRequest(kind, dev, sel, iocount, extra, seed)
 		if err := job.Normalize(&req); err != nil {

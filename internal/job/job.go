@@ -112,11 +112,6 @@ func Normalize(req *api.JobRequest) error {
 		if req.Array == nil || req.Array.Member == "" {
 			return errors.New("array jobs need an array.member profile")
 		}
-		// DescribeDevice, not ByKey: a faulty(...)-wrapped member is a valid
-		// sweep member.
-		if _, err := profile.DescribeDevice(req.Array.Member); err != nil {
-			return err
-		}
 		ac, err := sweepConfig(req.Array)
 		if err != nil {
 			return err

@@ -52,11 +52,19 @@ func TestNormalizeRejects(t *testing.T) {
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "stripe(2,mtron)"}}, `bad argument "stripe(2,mtron)"`},
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "mtron", QueueDepths: []int{0}}}, `qd "0" must be an integer in [1, 256]`},
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "mtron", Counts: []int{1 << 30}}}, "an array of 1073741824 members is above the ceiling of 64"},
+		// A baseline's processes each run at least one IO, on a target that
+		// holds one: a sequential target is iocount IOs, a random one half
+		// the composite.
+		{api.JobRequest{Kind: "array", Capacity: 64 << 20, IOCount: 2, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}}}, "degree 4 is above the 2 IOs a baseline runs"},
+		{api.JobRequest{Kind: "array", Capacity: 64 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}, Degree: 2000}}, "degree 2000 is above the 1024 IOs a baseline runs"},
+		{api.JobRequest{Kind: "array", Capacity: 32 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}, Degree: 600}}, "degree 600 is above the 512 IOs of 32768 bytes that stripe(1,mtron,qd=1)'s random target of 16777216 bytes holds"},
 		{api.JobRequest{Kind: "paper"}, "paper jobs need an experiment (known: table1, "},
 		{api.JobRequest{Kind: "paper", Experiments: []string{"fig3", "fig9"}}, `unknown experiment "fig9"`},
 		// Figure 4 writes 2,048 IOs of 32 KiB from offset 0; a plan 1,024 of them.
 		{api.JobRequest{Kind: "paper", Experiments: []string{"fig4"}, Capacity: 32 << 20}, "experiment fig4 spans 67108864 bytes, above the capacity of 33554432"},
 		{api.JobRequest{Kind: "paper", Experiments: []string{"all"}, Capacity: 24 << 20}, "experiment table3 spans 33554432 bytes, above the capacity of 25165824"},
+		// A probe's random target, half the capacity, holds one IO.
+		{api.JobRequest{Kind: "paper", Experiments: []string{"fig3"}, Capacity: 4096}, "experiment fig3 spans 65536 bytes, above the capacity of 4096"},
 		{api.JobRequest{Kind: "paper", Experiments: []string{"table1"}, IOCount: 2048}, "paper jobs take no iocount (their plans run 1024 IOs)"},
 	}
 	for _, c := range cases {

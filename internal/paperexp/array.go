@@ -76,10 +76,15 @@ func (a ArrayConfig) specs() []*profile.ArraySpec {
 }
 
 // CheckSpan refuses a sweep at capacity bytes per member unless every
-// composite of it resolves, as its spec, and holds what a plan of ios IOs
-// writes.
+// composite of it resolves, as its spec, holds what a plan of ios IOs
+// writes, and can split each baseline among Degree processes, each with at
+// least one IO to run and a target that holds one: a sequential baseline's
+// target is its ios IOs, a random one's half the composite.
 func (a ArrayConfig) CheckSpan(capacity int64, ios int) error {
 	a = a.withDefaults()
+	if a.Degree > ios {
+		return fmt.Errorf("degree %d is above the %d IOs a baseline runs", a.Degree, ios)
+	}
 	for _, n := range a.Counts {
 		if n > profile.MaxArrayMembers { // before a spec lists that many members
 			return fmt.Errorf("an array of %d members is above the ceiling of %d", n, profile.MaxArrayMembers)
@@ -88,6 +93,11 @@ func (a ArrayConfig) CheckSpan(capacity int64, ios int) error {
 	for _, spec := range a.specs() {
 		if err := CheckSpan(spec.String(), capacity, ios); err != nil {
 			return err
+		}
+		have, _ := spec.Capacity(capacity) // CheckSpan resolved it
+		if target := core.RandomTargetFor(have); target < span(a.Degree) {
+			return fmt.Errorf("degree %d is above the %d IOs of %d bytes that %s's random target of %d bytes holds",
+				a.Degree, target/core.StandardDefaults().IOSize, core.StandardDefaults().IOSize, spec, target)
 		}
 	}
 	return nil
@@ -104,14 +114,14 @@ func ArraySweep(ctx context.Context, cfg Config, ac ArrayConfig, progress engine
 	if ac.Member == "" {
 		return nil, fmt.Errorf("paperexp: ArrayConfig.Member is required")
 	}
-	// Validate the member spec (profile keys resolve against the table,
-	// faulty wrappers recursively) and canonicalize it so every sweep key —
-	// and thus every state-store entry — is spelled one way.
-	if _, err := profile.DescribeDevice(ac.Member); err != nil {
-		return nil, err
-	}
+	// Canonicalize the member spec so every sweep key — and thus every
+	// state-store entry — is spelled one way. CheckSpan resolves the spec of
+	// every composite, the member's included.
 	if canonical, err := profile.CanonicalSpec(ac.Member); err == nil {
 		ac.Member = canonical
+	}
+	if err := ac.CheckSpan(cfg.Capacity, cfg.IOCount); err != nil {
+		return nil, fmt.Errorf("paperexp: %w", err)
 	}
 	var rows []report.ArrayRow
 	for _, spec := range ac.specs() {
@@ -135,9 +145,6 @@ func arrayRow(ctx context.Context, cfg Config, spec *profile.ArraySpec, degree, 
 	var exps []core.Experiment
 	for _, b := range core.Baselines {
 		p := b.Pattern(d)
-		if p.TargetSize < int64(degree)*p.IOSize {
-			return report.ArrayRow{}, fmt.Errorf("capacity %d too small for %d-way parallel baselines", capacity, degree)
-		}
 		exps = append(exps, core.Experiment{
 			Micro: "Array", Base: b, Param: "ParallelDegree", Value: int64(degree),
 			Pattern: p, Degree: degree,

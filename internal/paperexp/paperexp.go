@@ -1,18 +1,18 @@
 // Package paperexp regenerates the tables and figures of the uFLIP paper's
-// evaluation (Section 5) against the simulated devices, one function per
-// artifact. Every artifact built from micro-benchmarks is a view of one
-// product plan — RunBenchmark, the pipeline the uflip command, the daemon and
-// the repository benchmark run (enforce the state, measure the phases and the
-// pause, execute the plan through the engine): Table 3 is
-// report.Characterize over a plan of Table3Micros, Figures 6 and 7 and the
-// Section 5.2 sweeps are Curves over a plan of their micro-benchmark, and
-// Figure 8 reads a Granularity and Locality plan. Figures 3–5 and the Section
-// 4.1 state anomaly each drive one pattern or probe on a prepared device.
-// Render writes any of the Experiments as the text a paper job reports.
+// evaluation (Section 5) against the simulated devices. One table lists them:
+// each row is an artifact's name, the least capacity it runs on and how it
+// renders, and Experiments, Span and Render read it. Every artifact built
+// from micro-benchmarks is a view of one product plan — RunBenchmark, the
+// pipeline the uflip command, the daemon and the repository benchmark run
+// (enforce the state, measure the phases and the pause, execute the plan
+// through the engine): Table 3 is report.Characterize over a plan of
+// Table3Micros, Figures 6 and 7 and the Section 5.2 sweeps are the mean
+// response times of a plan of their micro-benchmark, and Figure 8 reads a
+// Granularity and Locality plan. Figures 3–5 and the Section 4.1 state
+// anomaly each prepare their own device and drive one pattern or probe on it.
 package paperexp
 
 import (
-	"fmt"
 	"time"
 
 	"uflip/internal/core"
@@ -21,7 +21,6 @@ import (
 	"uflip/internal/methodology"
 	"uflip/internal/profile"
 	"uflip/internal/statestore"
-	"uflip/internal/stats"
 )
 
 // Config controls experiment scale. The zero value is not valid; use
@@ -150,52 +149,6 @@ func enforceCached(dev device.Cloneable, key string, cfg Config) (time.Duration,
 	return end, false, nil
 }
 
-// Point is one sample of a parameter sweep.
-type Point struct {
-	X float64 // the experiment's parameter value, in its own unit
-	Y float64 // response time in ms, or a ratio for relative figures
-}
-
-// TraceResult bundles a per-IO response-time series with its two-phase
-// analysis; Figures 3 and 4 are plots of such traces.
-type TraceResult struct {
-	Run      *core.Run
-	Analysis stats.PhaseAnalysis
-}
-
-// Figure3 runs the RW baseline with a large IOCount and analyzes its
-// start-up and running phases (the paper shows the Mtron SSD: ~125 cheap IOs
-// then oscillation between ~0.4 and ~27 ms).
-func Figure3(dev device.Device, at time.Duration, cfg Config) (*TraceResult, error) {
-	return baselineTrace(dev, at, cfg, core.RW, 4096)
-}
-
-// Figure4 runs the SW baseline the same way (the paper shows the Kingston
-// DTI: no start-up, period ~128 IOs).
-func Figure4(dev device.Device, at time.Duration, cfg Config) (*TraceResult, error) {
-	return baselineTrace(dev, at, cfg, core.SW, figure4IOs)
-}
-
-func baselineTrace(dev device.Device, at time.Duration, cfg Config, b core.Baseline, count int) (*TraceResult, error) {
-	d := cfg.defaults(dev.Capacity())
-	p := b.Pattern(d)
-	p.IOCount = count
-	if p.LBA == core.Sequential {
-		p.TargetSize = int64(count) * p.IOSize
-	}
-	run, err := core.ExecutePattern(dev, p, at)
-	if err != nil {
-		return nil, err
-	}
-	return &TraceResult{Run: run, Analysis: stats.AnalyzePhases(run.RTs)}, nil
-}
-
-// Figure5 runs the pause-determination experiment (SR, RW batch, SR) and
-// returns the methodology's report, whose trace is the figure.
-func Figure5(dev device.Device, at time.Duration, cfg Config) (*methodology.PauseReport, error) {
-	return methodology.MeasurePause(dev, cfg.defaults(dev.Capacity()), at)
-}
-
 // ShardFactory returns the engine device factory for a profile: one master
 // device per (profile, capacity, enforcement-seed) is built and enforced
 // lazily, and every shard receives its state — private mutable FTL state at
@@ -222,68 +175,3 @@ func ShardFactory(key string, cfg Config) engine.DeviceFactory {
 // with more micro-benchmarks moves where the Partitioning and Order runs
 // write, and with it their results.
 var Table3Micros = []string{"Granularity", "Locality", "Partitioning", "Order", "Pause"}
-
-// Curves is the view of a plan's results that the figures and sweeps plot:
-// for one micro-benchmark, the mean response time (ms) per parameter value,
-// one series per label — the baseline, or baseline/partner for a Mix
-// experiment — each in the micro-benchmark's order. Figures 6 and 7 are the
-// Granularity curves; the Section 5.2 results are those of Alignment, Mix
-// and Parallelism.
-func Curves(res *methodology.Results, micro string) map[string][]Point {
-	out := make(map[string][]Point)
-	for _, r := range res.Results {
-		e := &r.Exp
-		if e.Micro != micro {
-			continue
-		}
-		label := e.Base.String()
-		if e.MixWith != nil {
-			label += "/" + e.MixWith.Name
-		}
-		out[label] = append(out[label], Point{X: float64(e.Value), Y: r.Run.Summary.Mean * 1e3})
-	}
-	return out
-}
-
-// Figure8 is one device's Figure 8 series: random-write cost relative to
-// sequential writes as the target grows, X the target size in bytes. It reads
-// a plan holding the Locality micro-benchmark and, for the reference, the
-// Granularity SW run at the default IO size.
-func Figure8(res *methodology.Results) ([]Point, error) {
-	sw := res.Find("Granularity", core.SW, core.StandardDefaults().IOSize)
-	if sw == nil || sw.Run.Summary.Mean <= 0 {
-		return nil, fmt.Errorf("paperexp: no SW reference for %s", res.Device)
-	}
-	pts := Curves(res, "Locality")["RW"]
-	for i := range pts {
-		pts[i].Y /= sw.Run.Summary.Mean * 1e3
-	}
-	return pts, nil
-}
-
-// StateAnomaly reproduces the Section 4.1 Samsung observation: random-write
-// cost out of the box versus after writing the whole device. Returns both
-// mean response times in ms.
-func StateAnomaly(key string, cfg Config) (outOfBoxMS, afterFillMS float64, err error) {
-	fresh, err := profile.BuildDevice(key, cfg.Capacity)
-	if err != nil {
-		return 0, 0, err
-	}
-	d := cfg.defaults(fresh.Capacity())
-	p := core.RW.Pattern(d)
-	run, err := core.ExecutePattern(fresh, p, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	outOfBoxMS = run.Summary.Mean * 1e3
-
-	used, at, err := Prepare(key, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	run2, err := core.ExecutePattern(used, p, at)
-	if err != nil {
-		return 0, 0, err
-	}
-	return outOfBoxMS, run2.Summary.Mean * 1e3, nil
-}

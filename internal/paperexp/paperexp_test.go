@@ -2,10 +2,12 @@ package paperexp
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"uflip/internal/core"
 	"uflip/internal/methodology"
+	"uflip/internal/stats"
 )
 
 func quickCfg() Config {
@@ -15,39 +17,56 @@ func quickCfg() Config {
 	return cfg
 }
 
+// TestEveryExperimentRunsAtItsSpan: Span is the least capacity an experiment
+// runs on. Each renders at its span (at 4 KiB, the granule of a capacity, when
+// it builds no device), and one with a span fails 4 KiB below it.
+func TestEveryExperimentRunsAtItsSpan(t *testing.T) {
+	for _, name := range Experiments {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			span := Span(name)
+			cfg.Capacity = max(span, 4096)
+			if err := Render(context.Background(), io.Discard, name, cfg, 2); err != nil {
+				t.Errorf("at its span of %d bytes: %v", cfg.Capacity, err)
+			}
+			if span == 0 {
+				return
+			}
+			cfg.Capacity = span - 4096
+			if err := Render(context.Background(), io.Discard, name, cfg, 2); err == nil {
+				t.Errorf("renders at %d bytes, below its span of %d", cfg.Capacity, span)
+			}
+		})
+	}
+}
+
 func TestFigureTraces(t *testing.T) {
 	cfg := quickCfg()
-	dev, at, err := Prepare("mtron", cfg)
+	run, err := baselineTrace("mtron", cfg, core.RW, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Figure3(dev, at, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if len(run.RTs) != 4096 {
+		t.Fatalf("Figure 3 trace = %d IOs", len(run.RTs))
 	}
-	if len(tr.Run.RTs) != 4096 {
-		t.Fatalf("Figure 3 trace = %d IOs", len(tr.Run.RTs))
-	}
-	if !tr.Analysis.Oscillates {
+	a := stats.AnalyzePhases(run.RTs)
+	if !a.Oscillates {
 		t.Error("Mtron RW trace does not oscillate")
 	}
-	if tr.Analysis.StartUp == 0 {
+	if a.StartUp == 0 {
 		t.Error("Mtron RW trace has no start-up phase")
 	}
 
-	dti, at2, err := Prepare("kingston-dti", cfg)
+	run4, err := baselineTrace("kingston-dti", cfg, core.SW, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr4, err := Figure4(dti, at2, cfg)
-	if err != nil {
-		t.Fatal(err)
+	a4 := stats.AnalyzePhases(run4.RTs)
+	if a4.StartUp != 0 {
+		t.Errorf("DTI SW start-up = %d, paper shows none", a4.StartUp)
 	}
-	if tr4.Analysis.StartUp != 0 {
-		t.Errorf("DTI SW start-up = %d, paper shows none", tr4.Analysis.StartUp)
-	}
-	if tr4.Analysis.Period < 100 || tr4.Analysis.Period > 160 {
-		t.Errorf("DTI SW period = %d, paper shows ~128", tr4.Analysis.Period)
+	if a4.Period < 100 || a4.Period > 160 {
+		t.Errorf("DTI SW period = %d, paper shows ~128", a4.Period)
 	}
 }
 
@@ -63,7 +82,7 @@ func runPlan(t *testing.T, key string, cfg Config, micros ...string) *methodolog
 }
 
 func TestGranularityCurvesShape(t *testing.T) {
-	curves := Curves(runPlan(t, "kingston-dti", quickCfg(), "Granularity"), "Granularity")
+	curves := curves(runPlan(t, "kingston-dti", quickCfg(), "Granularity"), "Granularity")
 	for _, b := range core.Baselines {
 		if len(curves[b.String()]) < 10 {
 			t.Fatalf("%s has %d granularity points", b, len(curves[b.String()]))
@@ -90,7 +109,7 @@ func TestGranularityCurvesShape(t *testing.T) {
 }
 
 func TestLocalityCurveShape(t *testing.T) {
-	pts, err := Figure8(runPlan(t, "samsung", quickCfg(), "Granularity", "Locality"))
+	pts, err := figure8(runPlan(t, "samsung", quickCfg(), "Granularity", "Locality"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +125,7 @@ func TestLocalityCurveShape(t *testing.T) {
 
 func TestStateAnomalyMagnitude(t *testing.T) {
 	cfg := quickCfg()
-	fresh, used, err := StateAnomaly("samsung", cfg)
+	fresh, used, err := stateAnomaly("samsung", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +135,7 @@ func TestStateAnomalyMagnitude(t *testing.T) {
 }
 
 func TestSweepSeriesMix(t *testing.T) {
-	series := Curves(runPlan(t, "transcend-module", quickCfg(), "Mix"), "Mix")
+	series := curves(runPlan(t, "transcend-module", quickCfg(), "Mix"), "Mix")
 	if len(series) != 6 {
 		t.Fatalf("mix sweep produced %d series, want 6 pairs", len(series))
 	}

@@ -11,35 +11,65 @@ import (
 	"time"
 
 	"uflip/internal/core"
-	"uflip/internal/device"
 	"uflip/internal/methodology"
 	"uflip/internal/profile"
 	"uflip/internal/report"
+	"uflip/internal/stats"
 )
+
+// experiment is one artifact of the paper's evaluation: its name, the least
+// capacity it runs on (0 if it builds no device) and how it renders.
+type experiment struct {
+	name   string
+	span   int64
+	render renderFunc
+}
+
+// renderFunc writes an artifact to w; one that runs a plan runs it through
+// RunBenchmark on workers engine workers.
+type renderFunc func(ctx context.Context, w io.Writer, cfg Config, workers int) error
+
+// experiments is the paper's evaluation, in the order a paper job of "all"
+// renders it.
+var experiments = []experiment{
+	{"table1", 0, table1},
+	{"table2", 0, table2},
+	{"table3", planSpan, table3},
+	traceFigure("fig3", "Figure 3: start-up and running phase, Mtron RW", "mtron", core.RW, 4096),
+	traceFigure("fig4", "Figure 4: running phase, Kingston DTI SW", "kingston-dti", core.SW, 2048),
+	{"fig5", probeSpan, fig5},
+	{"fig6", planSpan, granFigure("Figure 6: granularity, Memoright", "memoright")},
+	{"fig7", planSpan, granFigure("Figure 7: granularity, Kingston DTI (SR, RR, SW)", "kingston-dti")},
+	{"fig8", planSpan, fig8},
+	{"alignment", planSpan, sweepTable("Alignment (Samsung): response time vs IOShift", "samsung", "Alignment")},
+	{"mix", planSpan, sweepTable("Mix (Memoright): response time vs Ratio", "memoright", "Mix")},
+	{"parallelism", planSpan, sweepTable("Parallelism (Memoright): response time vs degree", "memoright", "Parallelism")},
+	{"state", probeSpan, state},
+}
+
+// planSpan is the least capacity of an artifact that runs a plan, whose
+// sequential baselines write DefaultConfig().IOCount IOs from offset 0;
+// probeSpan that of a probe writing randomly on half the capacity
+// (core.RandomTargetFor), which must hold one IO.
+var planSpan, probeSpan = span(DefaultConfig().IOCount), span(2)
 
 // Experiments names the artifacts of the paper's evaluation that Render
 // regenerates, in the order a paper job of "all" renders them.
-var Experiments = []string{
-	"table1", "table2", "table3",
-	"fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-	"alignment", "mix", "parallelism", "state",
-}
-
-// figure4IOs is the length of Figure 4's sequential-write trace.
-const figure4IOs = 2048
-
-// Span is the least capacity the named experiment runs on, what it writes
-// sequentially from offset 0: Figure 4's trace, or the DefaultConfig().IOCount
-// IOs of a plan's sequential baselines (RunBenchmark refuses a smaller device).
-func Span(name string) int64 {
-	ios := 0
-	switch name {
-	case "fig4":
-		ios = figure4IOs
-	case "table3", "fig6", "fig7", "fig8", "alignment", "mix", "parallelism":
-		ios = DefaultConfig().IOCount
+var Experiments = func() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
-	return span(ios)
+	return names
+}()
+
+// Span is the least capacity the named experiment runs on: 0 for an
+// experiment that builds no device (or an unknown name).
+func Span(name string) int64 {
+	if i := slices.Index(Experiments, name); i >= 0 {
+		return experiments[i].span
+	}
+	return 0
 }
 
 // span is the least capacity a run of ios IOs of the standard size takes: a
@@ -57,46 +87,14 @@ func CheckSpan(spec string, capacity int64, ios int) error {
 }
 
 // Render regenerates one of the Experiments from live simulator runs and
-// writes it to w as a text table or an ASCII plot. The experiments that run a
-// plan run it through RunBenchmark on workers engine workers; the text is
-// byte-identical for any worker count.
+// writes it to w as a text table or an ASCII plot. The text is byte-identical
+// for any worker count.
 func Render(ctx context.Context, w io.Writer, name string, cfg Config, workers int) error {
-	switch name {
-	case "table1":
-		return table1(w)
-	case "table2":
-		return table2(w)
-	case "table3":
-		return table3(ctx, w, cfg, workers)
-	case "fig3":
-		return traceFigure(w, "Figure 3: start-up and running phase, Mtron RW", "mtron", cfg, Figure3)
-	case "fig4":
-		return traceFigure(w, "Figure 4: running phase, Kingston DTI SW", "kingston-dti", cfg, Figure4)
-	case "fig5":
-		return fig5(w, cfg)
-	case "fig6":
-		return granFigure(ctx, w, cfg, workers, "Figure 6: granularity, Memoright", "memoright")
-	case "fig7":
-		return granFigure(ctx, w, cfg, workers, "Figure 7: granularity, Kingston DTI (SR, RR, SW)", "kingston-dti")
-	case "fig8":
-		return fig8(ctx, w, cfg, workers)
-	case "alignment":
-		return sweepTable(ctx, w, cfg, workers, "Alignment (Samsung): response time vs IOShift", "samsung", "Alignment")
-	case "mix":
-		return sweepTable(ctx, w, cfg, workers, "Mix (Memoright): response time vs Ratio", "memoright", "Mix")
-	case "parallelism":
-		return sweepTable(ctx, w, cfg, workers, "Parallelism (Memoright): response time vs degree", "memoright", "Parallelism")
-	case "state":
-		fresh, used, err := StateAnomaly("samsung", cfg)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "Section 4.1 state anomaly (Samsung): RW out of the box %.2f ms, after writing the whole device %.2f ms (%.1fx)\n",
-			fresh, used, used/fresh)
-		return err
-	default:
+	i := slices.Index(Experiments, name)
+	if i < 0 {
 		return fmt.Errorf("unknown experiment %q (known: %s)", name, strings.Join(Experiments, ", "))
 	}
+	return experiments[i].render(ctx, w, cfg, workers)
 }
 
 // plan runs the named micro-benchmarks on a device spec through RunBenchmark.
@@ -109,7 +107,7 @@ func plan(ctx context.Context, cfg Config, workers int, key string, micros ...st
 }
 
 // table1 is the list of micro-benchmark definitions.
-func table1(w io.Writer) error {
+func table1(_ context.Context, w io.Writer, _ Config, _ int) error {
 	t := &report.Table{
 		Title:   "Table 1: the nine uFLIP micro-benchmarks",
 		Headers: []string{"Micro-benchmark", "Varying parameter", "Experiments", "Description"},
@@ -122,7 +120,7 @@ func table1(w io.Writer) error {
 }
 
 // table2 is the device list.
-func table2(w io.Writer) error {
+func table2(_ context.Context, w io.Writer, _ Config, _ int) error {
 	t := &report.Table{
 		Title:   "Table 2: selected flash devices",
 		Headers: []string{"", "Brand", "Model", "Type", "Size", "Price", "FTL", "Cell", "Chips"},
@@ -153,34 +151,59 @@ func table3(ctx context.Context, w io.Writer, cfg Config, workers int) error {
 	return report.CharacterTable(chars).Render(w)
 }
 
-func traceFigure(w io.Writer, title, key string, cfg Config, f func(dev device.Device, at time.Duration, cfg Config) (*TraceResult, error)) error {
-	dev, at, err := Prepare(key, cfg)
-	if err != nil {
-		return err
+// traceFigure is the artifact named name: baseline b's response-time trace
+// over ios IOs on the prepared device key (Figure 3 shows the Mtron RW trace:
+// ~125 cheap IOs then oscillation; Figure 4 the Kingston DTI SW one: no
+// start-up, period ~128 IOs), with its two-phase analysis. A sequential trace
+// writes its ios IOs from offset 0.
+func traceFigure(name, title, key string, b core.Baseline, ios int) experiment {
+	need := probeSpan
+	if b.LBA() == core.Sequential {
+		need = span(ios)
 	}
-	tr, err := f(dev, at, cfg)
-	if err != nil {
+	return experiment{name, need, func(_ context.Context, w io.Writer, cfg Config, _ int) error {
+		run, err := baselineTrace(key, cfg, b, ios)
+		if err != nil {
+			return err
+		}
+		a := stats.AnalyzePhases(run.RTs)
+		rts := run.RTs[:min(len(run.RTs), 1024)]
+		p := &report.Plot{Title: title, XLabel: "IO number", YLabel: "response time (ms)", LogY: true, Height: 16}
+		p.AddDurationSeries("rt", '.', rts)
+		xs, ys := report.RunningAverageSeries(rts)
+		p.AddSeries("running avg", '+', xs, ys)
+		if err := p.Render(w); err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "two-phase analysis: start-up=%d IOs, period=%d, cheap=%.2f ms, expensive=%.2f ms\n",
+			a.StartUp, a.Period, a.CheapLevel*1e3, a.ExpensiveLevel*1e3)
 		return err
-	}
-	rts := tr.Run.RTs[:min(len(tr.Run.RTs), 1024)]
-	p := &report.Plot{Title: title, XLabel: "IO number", YLabel: "response time (ms)", LogY: true, Height: 16}
-	p.AddDurationSeries("rt", '.', rts)
-	xs, ys := report.RunningAverageSeries(rts)
-	p.AddSeries("running avg", '+', xs, ys)
-	if err := p.Render(w); err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "two-phase analysis: start-up=%d IOs, period=%d, cheap=%.2f ms, expensive=%.2f ms\n",
-		tr.Analysis.StartUp, tr.Analysis.Period, tr.Analysis.CheapLevel*1e3, tr.Analysis.ExpensiveLevel*1e3)
-	return err
+	}}
 }
 
-func fig5(w io.Writer, cfg Config) error {
+// baselineTrace prepares the device key and runs baseline b on it for ios
+// IOs.
+func baselineTrace(key string, cfg Config, b core.Baseline, ios int) (*core.Run, error) {
+	dev, at, err := Prepare(key, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p := b.Pattern(cfg.defaults(dev.Capacity()))
+	p.IOCount = ios
+	if p.LBA == core.Sequential {
+		p.TargetSize = int64(ios) * p.IOSize
+	}
+	return core.ExecutePattern(dev, p, at)
+}
+
+// fig5 runs the pause-determination experiment (SR, RW batch, SR) on the
+// prepared Mtron and plots the methodology's trace.
+func fig5(_ context.Context, w io.Writer, cfg Config, _ int) error {
 	dev, at, err := Prepare("mtron", cfg)
 	if err != nil {
 		return err
 	}
-	rep, err := Figure5(dev, at, cfg)
+	rep, err := methodology.MeasurePause(dev, cfg.defaults(dev.Capacity()), at)
 	if err != nil {
 		return err
 	}
@@ -194,24 +217,70 @@ func fig5(w io.Writer, cfg Config) error {
 	return err
 }
 
-func granFigure(ctx context.Context, w io.Writer, cfg Config, workers int, title, key string) error {
-	res, err := plan(ctx, cfg, workers, key, "Granularity")
-	if err != nil {
-		return err
-	}
-	curves := Curves(res, "Granularity")
-	p := &report.Plot{Title: title, XLabel: "IO size (KB)", YLabel: "response time (ms)", LogY: true, Height: 16}
-	markers := map[core.Baseline]byte{core.SR: 's', core.RR: 'r', core.SW: 'S', core.RW: 'R'}
-	for _, b := range core.Baselines {
-		pts := curves[b.String()]
-		xs := make([]float64, len(pts))
-		ys := make([]float64, len(pts))
-		for i, pt := range pts {
-			xs[i], ys[i] = pt.X/1024, pt.Y
+// point is one sample of a parameter sweep.
+type point struct {
+	X float64 // the experiment's parameter value, in its own unit
+	Y float64 // response time in ms, or a ratio for relative figures
+}
+
+// curves is the view of a plan's results that the figures and sweeps plot:
+// for one micro-benchmark, the mean response time (ms) per parameter value,
+// one series per label — the baseline, or baseline/partner for a Mix
+// experiment — each in the micro-benchmark's order.
+func curves(res *methodology.Results, micro string) map[string][]point {
+	out := make(map[string][]point)
+	for _, r := range res.Results {
+		e := &r.Exp
+		if e.Micro != micro {
+			continue
 		}
-		p.AddSeries(b.String(), markers[b], xs, ys)
+		label := e.Base.String()
+		if e.MixWith != nil {
+			label += "/" + e.MixWith.Name
+		}
+		out[label] = append(out[label], point{X: float64(e.Value), Y: r.Run.Summary.Mean * 1e3})
 	}
-	return p.Render(w)
+	return out
+}
+
+// granFigure plots the Granularity curves of a plan on the device key
+// (Figures 6 and 7).
+func granFigure(title, key string) renderFunc {
+	return func(ctx context.Context, w io.Writer, cfg Config, workers int) error {
+		res, err := plan(ctx, cfg, workers, key, "Granularity")
+		if err != nil {
+			return err
+		}
+		series := curves(res, "Granularity")
+		p := &report.Plot{Title: title, XLabel: "IO size (KB)", YLabel: "response time (ms)", LogY: true, Height: 16}
+		markers := map[core.Baseline]byte{core.SR: 's', core.RR: 'r', core.SW: 'S', core.RW: 'R'}
+		for _, b := range core.Baselines {
+			pts := series[b.String()]
+			xs := make([]float64, len(pts))
+			ys := make([]float64, len(pts))
+			for i, pt := range pts {
+				xs[i], ys[i] = pt.X/1024, pt.Y
+			}
+			p.AddSeries(b.String(), markers[b], xs, ys)
+		}
+		return p.Render(w)
+	}
+}
+
+// figure8 is one device's Figure 8 series: random-write cost relative to
+// sequential writes as the target grows, X the target size in bytes. It reads
+// a plan holding the Locality micro-benchmark and, for the reference, the
+// Granularity SW run at the default IO size.
+func figure8(res *methodology.Results) ([]point, error) {
+	sw := res.Find("Granularity", core.SW, core.StandardDefaults().IOSize)
+	if sw == nil || sw.Run.Summary.Mean <= 0 {
+		return nil, fmt.Errorf("paperexp: no SW reference for %s", res.Device)
+	}
+	pts := curves(res, "Locality")["RW"]
+	for i := range pts {
+		pts[i].Y /= sw.Run.Summary.Mean * 1e3
+	}
+	return pts, nil
 }
 
 func fig8(ctx context.Context, w io.Writer, cfg Config, workers int) error {
@@ -222,7 +291,7 @@ func fig8(ctx context.Context, w io.Writer, cfg Config, workers int) error {
 		if err != nil {
 			return err
 		}
-		pts, err := Figure8(res)
+		pts, err := figure8(res)
 		if err != nil {
 			return err
 		}
@@ -240,17 +309,55 @@ func fig8(ctx context.Context, w io.Writer, cfg Config, workers int) error {
 	return p.Render(w)
 }
 
-func sweepTable(ctx context.Context, w io.Writer, cfg Config, workers int, title, key, micro string) error {
-	res, err := plan(ctx, cfg, workers, key, micro)
+// sweepTable tabulates the curves of a plan of micro on the device key (the
+// Section 5.2 results).
+func sweepTable(title, key, micro string) renderFunc {
+	return func(ctx context.Context, w io.Writer, cfg Config, workers int) error {
+		res, err := plan(ctx, cfg, workers, key, micro)
+		if err != nil {
+			return err
+		}
+		series := curves(res, micro)
+		t := &report.Table{Title: title, Headers: []string{"series", "param", "mean(ms)"}}
+		for _, label := range slices.Sorted(maps.Keys(series)) {
+			for _, pt := range series[label] {
+				t.AddRow(label, pt.X, pt.Y)
+			}
+		}
+		return t.Render(w)
+	}
+}
+
+// state is the Section 4.1 state anomaly on the Samsung SSD.
+func state(_ context.Context, w io.Writer, cfg Config, _ int) error {
+	fresh, used, err := stateAnomaly("samsung", cfg)
 	if err != nil {
 		return err
 	}
-	series := Curves(res, micro)
-	t := &report.Table{Title: title, Headers: []string{"series", "param", "mean(ms)"}}
-	for _, label := range slices.Sorted(maps.Keys(series)) {
-		for _, pt := range series[label] {
-			t.AddRow(label, pt.X, pt.Y)
-		}
+	_, err = fmt.Fprintf(w, "Section 4.1 state anomaly (Samsung): RW out of the box %.2f ms, after writing the whole device %.2f ms (%.1fx)\n",
+		fresh, used, used/fresh)
+	return err
+}
+
+// stateAnomaly measures the mean random-write cost (ms) of the device key
+// out of the box and after its random state is enforced.
+func stateAnomaly(key string, cfg Config) (outOfBoxMS, afterFillMS float64, err error) {
+	fresh, err := profile.BuildDevice(key, cfg.Capacity)
+	if err != nil {
+		return 0, 0, err
 	}
-	return t.Render(w)
+	p := core.RW.Pattern(cfg.defaults(fresh.Capacity()))
+	run, err := core.ExecutePattern(fresh, p, 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	used, at, err := Prepare(key, cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	run2, err := core.ExecutePattern(used, p, at)
+	if err != nil {
+		return 0, 0, err
+	}
+	return run.Summary.Mean * 1e3, run2.Summary.Mean * 1e3, nil
 }
