@@ -8,9 +8,8 @@ import (
 	"uflip/internal/device"
 )
 
-func newMember(name string) *device.MemDevice {
-	m := device.NewMemDevice(name, 1<<20, time.Millisecond, 2*time.Millisecond)
-	return m
+func newMember(name string) *device.Counter {
+	return device.NewCountedMem(name, 1<<20, time.Millisecond, 2*time.Millisecond)
 }
 
 func mustComposite(t *testing.T, cfg device.CompositeConfig, members ...device.Device) *device.CompositeDevice {
@@ -114,8 +113,8 @@ func TestMirrorWritesAllReadsOne(t *testing.T) {
 // candidate is busy and another member is idle, the read goes to the idle
 // member.
 func TestMirrorQueueDepthScheduling(t *testing.T) {
-	a := device.NewMemDevice("a", 1<<20, 50*time.Millisecond, 50*time.Millisecond)
-	b := device.NewMemDevice("b", 1<<20, time.Millisecond, time.Millisecond)
+	a := device.NewCountedMem("a", 1<<20, 50*time.Millisecond, 50*time.Millisecond)
+	b := device.NewCountedMem("b", 1<<20, time.Millisecond, time.Millisecond)
 	d := mustComposite(t, device.CompositeConfig{Layout: device.LayoutMirror, QueueDepth: 4}, a, b)
 	// First read (cursor 0) goes to the slow member a and keeps it busy for
 	// 50 ms; later reads arrive while b's 1 ms services have already

@@ -127,8 +127,8 @@ func TestDrive(t *testing.T) {
 			if end != wantEnd {
 				t.Errorf("end = %v, want %v", end, wantEnd)
 			}
-			if mem.ios != int64(stopped) {
-				t.Errorf("the device serviced %d IOs, want %d", mem.ios, stopped)
+			if mem.IOs != int64(stopped) {
+				t.Errorf("the device serviced %d IOs, want %d", mem.IOs, stopped)
 			}
 			for i := 0; i < measured; i++ {
 				if rts[i] != want[i] {

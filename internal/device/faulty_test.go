@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-func faultyMem(name string, cfg FaultConfig) (*FaultyDevice, *MemDevice) {
-	m := NewMemDevice(name, 1<<20, time.Millisecond, 2*time.Millisecond)
+func faultyMem(name string, cfg FaultConfig) (*FaultyDevice, *Counter) {
+	m := NewCountedMem(name, 1<<20, time.Millisecond, 2*time.Millisecond)
 	return NewFaulty(cfg, m), m
 }
 
@@ -139,14 +139,14 @@ func TestFaultyTypedErrors(t *testing.T) {
 		if _, err := f.Submit(0, IO{Mode: Read, Off: 0, Size: 512}); err != nil {
 			t.Fatalf("op 0 failed: %v", err)
 		}
-		before := inner.ios
+		before := inner.IOs
 		if _, err := f.Submit(0, IO{Mode: Read, Off: 0, Size: 512}); !errors.Is(err, ErrMediaRead) {
 			t.Fatalf("read op 1: err = %v, want ErrMediaRead", err)
 		}
 		if _, err := f.Submit(0, IO{Mode: Write, Off: 0, Size: 512}); !errors.Is(err, ErrMediaWrite) {
 			t.Fatalf("write op 2: err = %v, want ErrMediaWrite", err)
 		}
-		if inner.ios != before {
+		if inner.IOs != before {
 			t.Fatal("media errors must fail fast without reaching the wrapped device")
 		}
 		// Op indices 1 and 2 are consumed: the same IO retried succeeds.
@@ -254,7 +254,7 @@ func TestFaultySnapshotResumesSchedule(t *testing.T) {
 // once every member is dead.
 func TestMirrorRoutesAroundDeadMember(t *testing.T) {
 	a := NewFaulty(FaultConfig{FailAt: 2}, NewMemDevice("a", 1<<20, time.Millisecond, time.Millisecond))
-	b := NewMemDevice("b", 1<<20, time.Millisecond, time.Millisecond)
+	b := NewCountedMem("b", 1<<20, time.Millisecond, time.Millisecond)
 	d, err := NewComposite(CompositeConfig{Layout: LayoutMirror}, []Device{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -274,14 +274,14 @@ func TestMirrorRoutesAroundDeadMember(t *testing.T) {
 		t.Fatalf("degraded writes = %d, want 1", d.st.Degraded)
 	}
 	// Reads keep working, routed to the survivor.
-	before := b.ios
+	before := b.IOs
 	for i := 0; i < 4; i++ {
 		if _, err := d.Submit(3*time.Second, IO{Mode: Read, Off: 0, Size: 512}); err != nil {
 			t.Fatalf("read after member death failed: %v", err)
 		}
 	}
-	if b.ios != before+4 {
-		t.Fatalf("survivor served %d reads, want 4", b.ios-before)
+	if b.IOs != before+4 {
+		t.Fatalf("survivor served %d reads, want 4", b.IOs-before)
 	}
 	// Writes keep degrading; the tally grows.
 	if _, err := d.Submit(4*time.Second, IO{Mode: Write, Off: 0, Size: 512}); err != nil {
@@ -566,11 +566,11 @@ func TestSubmitBatchRetryHonorsCancellation(t *testing.T) {
 	// Already-canceled contexts do not submit at all.
 	pre, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	probe := NewMemDevice("m", 1<<20, time.Millisecond, time.Millisecond)
+	probe := NewCountedMem("m", 1<<20, time.Millisecond, time.Millisecond)
 	if err := SubmitBatchRetry(pre, probe, 0, ios, chainInputs(len(ios)), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if probe.ios != 0 {
+	if probe.IOs != 0 {
 		t.Fatal("canceled context still reached the device")
 	}
 }

@@ -19,7 +19,6 @@ type MemDevice struct {
 	WritePerByte time.Duration
 
 	busy time.Duration
-	ios  int64
 }
 
 // NewMemDevice builds a memory device with the given capacity and uniform
@@ -70,7 +69,6 @@ func (d *MemDevice) Submit(at time.Duration, io IO) (time.Duration, error) {
 	if err := checkIO(io, d.capacity); err != nil {
 		return 0, err
 	}
-	d.ios++
 	start := at
 	if d.busy > start {
 		start = d.busy

@@ -141,11 +141,11 @@ func (st *jobStore) remove(id string) {
 	}
 }
 
-// load reads every persisted job record, sorted by ID (submission order —
-// IDs are zero-padded sequence numbers), with the run records of done jobs
-// from <id>.jsonl unless inline. Unreadable or corrupt records, a done job
-// without run records included, fail loudly: a damaged job directory must be
-// noticed, not silently skipped.
+// load reads every persisted job record in submission order — by the
+// sequence number in its ID, which outgrows the zero padding at j-1000000 —
+// with the run records of done jobs from <id>.jsonl unless inline.
+// Unreadable or corrupt records, a done job without run records included,
+// fail loudly: a damaged job directory must be noticed, not silently skipped.
 func (st *jobStore) load() ([]*jobRecord, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -175,6 +175,6 @@ func (st *jobStore) load() ([]*jobRecord, error) {
 		}
 		recs = append(recs, rec)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
+	sort.SliceStable(recs, func(i, j int) bool { return idNum(recs[i].ID) < idNum(recs[j].ID) })
 	return recs, nil
 }

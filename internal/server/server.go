@@ -20,8 +20,10 @@
 //     and adds only its event log, cancel function and rendered artifacts.
 //   - Admission control and trace upload: per-tenant (X-API-Key) token
 //     bucket rate limits and queue quotas guard the bounded queue with
-//     typed 429/503 envelopes, and POST /v1/traces accepts bounded-size
-//     block-trace CSVs that workload jobs reference by content hash.
+//     typed 429/503 envelopes — a tenant's jobs waiting to run count against
+//     its quota, its running jobs do not — and POST /v1/traces accepts
+//     bounded-size block-trace CSVs that workload jobs reference by content
+//     hash.
 //
 // Every job runs through job.Run, the function the local commands call
 // in-process, on the request job.Normalize accepted at submission — so a
@@ -101,42 +103,28 @@ type Config struct {
 	JobTimeout time.Duration
 }
 
-func (c Config) queueSize() int {
+// withDefaults returns the config with every documented <= 0 default
+// resolved. New stores it, so the daemon reads its fields directly.
+func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
-		return 64
+		c.QueueSize = 64
 	}
-	return c.QueueSize
-}
-
-func (c Config) workers() int {
 	if c.Workers <= 0 {
-		return 2
+		c.Workers = 2
 	}
-	return c.Workers
-}
-
-func (c Config) keepJobs() int {
 	if c.KeepJobs <= 0 {
-		return 256
+		c.KeepJobs = 256
 	}
-	return c.KeepJobs
-}
-
-func (c Config) burst() int {
-	if c.Burst > 0 {
-		return c.Burst
+	if c.Burst <= 0 {
+		c.Burst = 1
+		if c.RatePerSec >= 1 {
+			c.Burst = int(c.RatePerSec)
+		}
 	}
-	if c.RatePerSec >= 1 {
-		return int(c.RatePerSec)
-	}
-	return 1
-}
-
-func (c Config) maxTraceBytes() int64 {
 	if c.MaxTraceBytes <= 0 {
-		return 8 << 20
+		c.MaxTraceBytes = 8 << 20
 	}
-	return c.MaxTraceBytes
+	return c
 }
 
 // job is a queue entry: its durable record, which the server lock guards,
@@ -179,17 +167,15 @@ type Server struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 
+	// The queue is the jobs whose status is queued, oldest first in order:
+	// a worker's claim, a cancel or shutdown takes one out, under mu.
 	mu      sync.Mutex
-	cond    *sync.Cond // signals workers that pending grew (or closed)
+	cond    *sync.Cond // signals workers that a job was queued (or closed)
 	jobs    map[string]*job
 	order   []string
 	tenants map[string]*tenantState
 	nextID  int
 	closed  bool
-
-	// pending is the bounded submission queue, guarded by mu. A slice (not
-	// a channel) so canceling a queued job frees its slot immediately.
-	pending []*job
 	wg      sync.WaitGroup
 }
 
@@ -223,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg,
+		cfg:     cfg.withDefaults(),
 		store:   store,
 		jobsdir: jobsdir,
 		traces:  traces,
@@ -240,7 +226,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	for i := 0; i < cfg.workers(); i++ {
+	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
@@ -257,9 +243,7 @@ func (s *Server) loadJobs() error {
 	}
 	for _, rec := range recs {
 		j := &job{jobRecord: *rec}
-		if n, ok := idNum(j.ID); ok && n > s.nextID {
-			s.nextID = n
-		}
+		s.nextID = max(s.nextID, idNum(j.ID))
 		switch j.Status {
 		case api.StatusDone, api.StatusFailed, api.StatusCanceled:
 			j.log = events.Restore(j.Events)
@@ -274,8 +258,6 @@ func (s *Server) loadJobs() error {
 			j.Started = time.Time{}
 			j.log = events.NewLog()
 			j.emit(api.Event{Type: api.EventQueued, Detail: "re-queued after daemon restart"})
-			s.pending = append(s.pending, j)
-			s.tenant(j.Tenant).queued++
 		}
 		j.Events = nil // the log serves the events from here on
 		s.jobs[j.ID] = j
@@ -285,35 +267,65 @@ func (s *Server) loadJobs() error {
 	return nil
 }
 
-// idNum extracts the sequence number of a "j-%06d" job ID.
-func idNum(id string) (int, bool) {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "j-"))
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+// idNum extracts the sequence number of a "j-%06d" job ID, 0 if it has none.
+func idNum(id string) int {
+	n, _ := strconv.Atoi(strings.TrimPrefix(id, "j-"))
+	return n
 }
 
 func (s *Server) worker() {
 	defer s.wg.Done()
-	s.mu.Lock()
 	for {
-		for len(s.pending) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.pending) == 0 {
-			s.mu.Unlock()
+		j, ctx := s.claim()
+		if j == nil {
 			return
 		}
-		j := s.pending[0]
-		s.pending = s.pending[1:]
-		// The job leaves the queue here, whatever happens next, so this is
-		// where its slot stops counting against the tenant's queue quota.
-		s.tenant(j.Tenant).queued--
-		s.mu.Unlock()
-		s.runJob(j)
-		s.mu.Lock()
+		s.runJob(ctx, j)
 	}
+}
+
+// claim waits for a queued job and marks the oldest one running, in the
+// critical section that found it: no other worker, cancel or shutdown sees
+// it queued after that. It returns the job with its context, which the job's
+// cancel function and timeout end, or nil once the daemon is closed.
+func (s *Server) claim() (*job, context.Context) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.closed {
+		for _, id := range s.order {
+			j := s.jobs[id]
+			if j.Status != api.StatusQueued {
+				continue
+			}
+			var ctx context.Context
+			if t := s.cfg.JobTimeout; t > 0 {
+				// The watchdog rides the context the executors and the device
+				// retry loops check; its cause makes the death a failure.
+				ctx, j.cancel = context.WithTimeoutCause(s.baseCtx, t, errJobTimeout)
+			} else {
+				ctx, j.cancel = context.WithCancel(s.baseCtx)
+			}
+			j.Status = api.StatusRunning
+			j.Started = s.now()
+			return j, ctx
+		}
+		s.cond.Wait()
+	}
+	return nil, nil
+}
+
+// queued counts the jobs waiting to run, in all and of one tenant. Callers
+// hold s.mu.
+func (s *Server) queued(tenant string) (all, mine int) {
+	for _, j := range s.jobs {
+		if j.Status == api.StatusQueued {
+			all++
+			if j.Tenant == tenant {
+				mine++
+			}
+		}
+	}
+	return all, mine
 }
 
 // Close rejects new submissions, cancels queued and running jobs and waits
@@ -328,12 +340,13 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	now := s.now()
-	drained := s.pending
-	s.pending = nil
-	for _, j := range drained {
-		j.Status = api.StatusCanceled
-		j.Finished = now
-		s.tenant(j.Tenant).queued--
+	var drained []*job
+	for _, id := range s.order {
+		if j := s.jobs[id]; j.Status == api.StatusQueued {
+			j.Status = api.StatusCanceled
+			j.Finished = now
+			drained = append(drained, j)
+		}
 	}
 	s.mu.Unlock()
 	for _, j := range drained {
@@ -406,8 +419,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":     "ok",
 		"api":        api.Version,
 		"jobs":       counts,
-		"queue_size": s.cfg.queueSize(),
-		"workers":    s.cfg.workers(),
+		"queue_size": s.cfg.QueueSize,
+		"workers":    s.cfg.Workers,
 		"state_dir":  s.cfg.StateDir,
 		"job_dir":    s.cfg.JobDir,
 	})
@@ -445,24 +458,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tenant := r.Header.Get(api.KeyHeader)
 	// Closed check, admission control, queue bound and registration happen
 	// under one lock, so a rejected submission never leaves a dangling
-	// jobs/order entry or a consumed quota slot.
+	// jobs/order entry, which would count as queued.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, api.CodeShuttingDown, "server is shutting down")
 		return
 	}
-	if len(s.pending) >= s.cfg.queueSize() {
+	all, mine := s.queued(tenant)
+	if all >= s.cfg.QueueSize {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, api.CodeQueueFull, "job queue is full (%d queued)", s.cfg.queueSize())
+		writeError(w, http.StatusServiceUnavailable, api.CodeQueueFull, "job queue is full (%d queued)", s.cfg.QueueSize)
 		return
 	}
-	t := s.tenant(tenant)
-	switch t.admit(s) {
+	switch s.tenant(tenant).admit(s, mine) {
 	case "rate":
 		s.mu.Unlock()
 		writeError(w, http.StatusTooManyRequests, api.CodeRateLimited,
-			"tenant submission rate exceeded (%.3g jobs/s, burst %d)", s.cfg.RatePerSec, s.cfg.burst())
+			"tenant submission rate exceeded (%.3g jobs/s, burst %d)", s.cfg.RatePerSec, s.cfg.Burst)
 		return
 	case "quota":
 		s.mu.Unlock()
@@ -484,7 +497,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// crash, so a submission that cannot be persisted is refused whole.
 		if err := s.jobsdir.saveRecord(j.record()); err != nil {
 			s.nextID--
-			t.queued-- // admit consumed nothing besides a token
 			s.mu.Unlock()
 			writeError(w, http.StatusInternalServerError, api.CodeInternal, "persist job: %v", err)
 			return
@@ -492,8 +504,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	s.pending = append(s.pending, j)
-	t.queued++
 	st := j.jobStatus()
 	s.mu.Unlock()
 	s.cond.Signal()
@@ -562,20 +572,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.Status = api.StatusCanceled
 		j.Finished = s.now()
 		canceledQueued = true
-		// Free the queue slot immediately: later submissions must not be
-		// rejected on account of jobs that will never run.
-		for i, p := range s.pending {
-			if p == j {
-				s.pending = append(s.pending[:i], s.pending[i+1:]...)
-				s.tenant(j.Tenant).queued--
-				break
-			}
-		}
 		s.evictLocked()
 	case api.StatusRunning:
-		if j.cancel != nil {
-			j.cancel()
-		}
+		j.cancel()
 	}
 	st := j.jobStatus()
 	s.mu.Unlock()
@@ -715,7 +714,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // record while the bytes stream to the content-addressed store — the body
 // is never buffered whole. Workload jobs then reference the trace by hash.
 func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
-	limit := s.cfg.maxTraceBytes()
+	limit := s.cfg.MaxTraceBytes
 	defer r.Body.Close()
 	info, err := s.traces.ingest(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
@@ -776,28 +775,9 @@ func (s *Server) persistFinished(j *job) {
 // runJob distinguishes it from an explicit DELETE via context.Cause.
 var errJobTimeout = errors.New("job exceeded the configured timeout")
 
-// runJob executes one job on a worker goroutine.
-func (s *Server) runJob(j *job) {
-	s.mu.Lock()
-	if j.Status != api.StatusQueued {
-		s.mu.Unlock()
-		return // canceled while queued
-	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	if t := s.cfg.JobTimeout; t > 0 {
-		// The watchdog rides the same context the executors (and the device
-		// retry loops under them) already check, so a wedged job dies at the
-		// next submission attempt; the cause tells the status switch below
-		// that this death is a failure, not a cancellation.
-		var cancelTimeout context.CancelFunc
-		ctx, cancelTimeout = context.WithTimeoutCause(ctx, t, errJobTimeout)
-		defer cancelTimeout()
-	}
-	j.Status = api.StatusRunning
-	j.Started = s.now()
-	j.cancel = cancel
-	s.mu.Unlock()
-	defer cancel()
+// runJob executes one claimed job on its worker goroutine.
+func (s *Server) runJob(ctx context.Context, j *job) {
+	defer j.cancel()
 	j.emit(api.Event{Type: api.EventRunning})
 
 	err := s.execute(ctx, j)
@@ -866,9 +846,8 @@ func (s *Server) evictLocked() {
 			finished++
 		}
 	}
-	keep := s.cfg.keepJobs()
 	now := s.now()
-	for i := 0; finished > keep && i < len(s.order); {
+	for i := 0; finished > s.cfg.KeepJobs && i < len(s.order); {
 		j := s.jobs[s.order[i]]
 		switch j.Status {
 		case api.StatusDone, api.StatusFailed, api.StatusCanceled:

@@ -276,17 +276,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	// Occupy the single worker, then cancel a queued job before it starts.
 	running := submit(t, ts, api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 256 << 20, IOCount: 512, Parallel: 1})
 	queued := submit(t, ts, planRequest("mtron", "Order"))
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+v1+"/jobs/"+queued.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st api.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Status != api.StatusCanceled && st.Status != api.StatusRunning {
+	if st := cancelJob(t, ts, queued.ID); st.Status != api.StatusCanceled && st.Status != api.StatusRunning {
 		t.Fatalf("canceled queued job status %q", st.Status)
 	}
 	waitFor(t, ts, running.ID, api.StatusDone)

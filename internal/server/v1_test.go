@@ -382,9 +382,9 @@ func TestTenantRateLimit(t *testing.T) {
 	}
 }
 
-// TestTenantQueueQuota: a tenant may only hold TenantQueue jobs in the
-// pending queue; the excess gets 429 quota_exceeded while other tenants
-// keep their full quota.
+// TestTenantQueueQuota: a tenant may only hold TenantQueue jobs waiting to
+// run; the excess gets 429 quota_exceeded while other tenants keep their
+// full quota.
 func TestTenantQueueQuota(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1, QueueSize: 16, TenantQueue: 1})
 	running, code, _ := submitKeyed(t, ts, "tenant-b", slowPlanRequest())
