@@ -22,8 +22,8 @@ type LBAKind int
 
 const (
 	// Sequential: LBA(IOi) = TargetOffset + IOShift + i*IOSize, wrapping
-	// modulo TargetSize (the locality variant of Table 1; the baseline
-	// simply sizes the target so no wrap occurs).
+	// modulo TargetSize rounded down to whole IOs (the locality variant of
+	// Table 1; the baseline simply sizes the target so no wrap occurs).
 	Sequential LBAKind = iota
 	// Random: LBA(IOi) = TargetOffset + IOShift +
 	// random(TargetSize/IOSize)*IOSize.
@@ -34,8 +34,8 @@ const (
 	Ordered
 	// Partitioned: the target is divided into Partitions partitions
 	// visited round-robin, sequentially within each (Table 1:
-	// LBA = Pi*PS + Oi with PS = TargetSize/Partitions,
-	// Pi = i mod Partitions, Oi = floor(i/Partitions)*IOSize mod PS).
+	// LBA = Pi*PS + Oi with PS = TargetSize/Partitions rounded down to
+	// whole IOs, Pi = i mod Partitions, Oi = floor(i/Partitions)*IOSize mod PS).
 	Partitioned
 )
 
@@ -129,18 +129,19 @@ func (p *Pattern) slots() int64 {
 
 // LBAAt returns the byte address of the i-th IO. rng must be the pattern's
 // own generator; only the Random kind draws from it, the others take nil.
+// Every kind wraps within whole IOs, so no IO ends past Span.
 func (p *Pattern) LBAAt(i int, rng *rand.Rand) int64 {
 	var rel int64
 	switch p.LBA {
 	case Sequential:
-		rel = mod64(int64(i)*p.IOSize, p.TargetSize)
+		rel = mod64(int64(i)*p.IOSize, p.slots()*p.IOSize)
 	case Random:
 		rel = rng.Int63n(p.slots()) * p.IOSize
 	case Ordered:
-		rel = mod64(p.Incr*int64(i)*p.IOSize, p.TargetSize)
+		rel = mod64(p.Incr*int64(i)*p.IOSize, p.slots()*p.IOSize)
 	case Partitioned:
 		parts := int64(p.Partitions)
-		ps := p.TargetSize / parts
+		ps := p.TargetSize / parts / p.IOSize * p.IOSize // Validate refuses less than one IO
 		pi := int64(i) % parts
 		oi := mod64(int64(i)/parts*p.IOSize, ps)
 		rel = pi*ps + oi

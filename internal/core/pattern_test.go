@@ -134,6 +134,40 @@ func TestLBAWithinTarget(t *testing.T) {
 	}
 }
 
+// TestNoIOEndsPastSpan: when the target, or a partition of it, is not a
+// whole number of IOs, every location function still wraps before an IO
+// would end past Span. Partitioning's SW at 4 partitions of 172,032 bytes
+// (5.25 IOs) once wrote its 23rd IO past the device's end.
+func TestNoIOEndsPastSpan(t *testing.T) {
+	for _, target := range []int64{688_128, 1<<20 + 512, 3*32<<10 - 4096, 100 << 10} {
+		for _, kind := range []LBAKind{Sequential, Random, Ordered, Partitioned} {
+			for _, incr := range []int64{-1, 0, 1, 3} {
+				p := validPattern()
+				p.LBA, p.TargetSize, p.Incr, p.Partitions = kind, target, incr, 4
+				p.TargetOffset, p.IOShift, p.IOCount = 1<<20, 512, 200
+				if kind == Partitioned && target/4 < p.IOSize {
+					p.Partitions = 2
+				}
+				if err := p.Validate(); err != nil {
+					t.Fatalf("%v target %d: %v", kind, target, err)
+				}
+				lo, hi := p.Span()
+				src := p.Source()
+				for i := 0; ; i++ {
+					io, ok := src.Next()
+					if !ok {
+						break
+					}
+					if io.Off < lo || io.Off+io.Size > hi {
+						t.Fatalf("%v incr %d target %d: IO %d at [%d, %d) leaves Span [%d, %d)",
+							kind, incr, target, i, io.Off, io.Off+io.Size, lo, hi)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRandomLBAReproducible(t *testing.T) {
 	p := validPattern()
 	p.LBA = Random

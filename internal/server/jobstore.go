@@ -38,6 +38,9 @@ type jobRecord struct {
 	Events    []api.Event       `json:"events,omitempty"`
 	Records   []trace.RunRecord `json:"records,omitempty"`
 	Rows      []report.ArrayRow `json:"rows,omitempty"`
+
+	// runs is len(Records), kept when a persisted job's Records leave memory.
+	runs int
 }
 
 // hasRunRecords reports whether the job has an <id>.jsonl beside its record:
@@ -47,9 +50,9 @@ func (r *jobRecord) hasRunRecords() bool {
 }
 
 // jobStore is the on-disk side of job durability: a directory of job
-// records and their artifacts. All writes are atomic (fsync + rename); the
-// in-memory Server remains the source of truth while running, the store is
-// what a restart recovers from.
+// records and their artifacts. All writes are atomic (fsync + rename). The
+// store is what a restart recovers from, and the only copy of a persisted
+// job's run records; the in-memory Server holds the rest while running.
 type jobStore struct {
 	dir string // <jobdir>/jobs
 }
@@ -141,11 +144,37 @@ func (st *jobStore) remove(id string) {
 	}
 }
 
+// read reads job id's record and, for a done plan or workload job, its run
+// records: from <id>.jsonl, or inline in an <id>.json written before they
+// moved out: the one reader that load checks every job with and /result
+// reads run records back with. Once the job is evicted, errors wrap
+// fs.ErrNotExist.
+func (st *jobStore) read(id string) (*jobRecord, error) {
+	data, err := os.ReadFile(st.path(id, ".json"))
+	if err != nil {
+		return nil, fmt.Errorf("server: job store: %w", err)
+	}
+	rec := &jobRecord{}
+	if err := json.Unmarshal(data, rec); err != nil {
+		return nil, fmt.Errorf("server: job store: decode %s.json: %w", id, err)
+	}
+	if rec.ID == "" || rec.ID != id {
+		return nil, fmt.Errorf("server: job store: %s.json does not belong to job %q", id, rec.ID)
+	}
+	if rec.hasRunRecords() && rec.Records == nil {
+		if rec.Records, err = trace.LoadJSON(st.path(id, ".jsonl")); err != nil {
+			return nil, fmt.Errorf("server: job store: run records of done job %s: %w", id, err)
+		}
+	}
+	rec.runs = len(rec.Records)
+	return rec, nil
+}
+
 // load reads every persisted job record in submission order — by the
 // sequence number in its ID, which outgrows the zero padding at j-1000000 —
-// with the run records of done jobs from <id>.jsonl unless inline.
-// Unreadable or corrupt records, a done job without run records included,
-// fail loudly: a damaged job directory must be noticed, not silently skipped.
+// with the run records of done jobs read, counted and dropped. Unreadable or
+// corrupt records, a done job without run records included, fail loudly: a
+// damaged job directory must be noticed, not silently skipped.
 func (st *jobStore) load() ([]*jobRecord, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -157,22 +186,11 @@ func (st *jobStore) load() ([]*jobRecord, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".tmp-") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(st.dir, name))
+		rec, err := st.read(strings.TrimSuffix(name, ".json"))
 		if err != nil {
-			return nil, fmt.Errorf("server: job store: %w", err)
+			return nil, err
 		}
-		rec := &jobRecord{}
-		if err := json.Unmarshal(data, rec); err != nil {
-			return nil, fmt.Errorf("server: job store: decode %s: %w", name, err)
-		}
-		if rec.ID == "" || rec.ID+".json" != name {
-			return nil, fmt.Errorf("server: job store: %s does not belong to job %q", name, rec.ID)
-		}
-		if rec.hasRunRecords() && rec.Records == nil {
-			if rec.Records, err = trace.LoadJSON(st.path(rec.ID, ".jsonl")); err != nil {
-				return nil, fmt.Errorf("server: job store: run records of done job %s: %w", rec.ID, err)
-			}
-		}
+		rec.Records = nil
 		recs = append(recs, rec)
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return idNum(recs[i].ID) < idNum(recs[j].ID) })

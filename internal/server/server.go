@@ -17,7 +17,8 @@
 //     before the record that says it finished — a restarted daemon serves
 //     byte-identical results and re-runs every job with no such record.
 //     A job's durable record is the job itself: the queue entry embeds it
-//     and adds only its event log, cancel function and rendered artifacts.
+//     and adds only its event log, cancel function and rendered artifacts;
+//     its run records leave memory once <id>.jsonl holds them.
 //   - Admission control and trace upload: per-tenant (X-API-Key) token
 //     bucket rate limits and queue quotas guard the bounded queue with
 //     typed 429/503 envelopes — a tenant's jobs waiting to run count against
@@ -43,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"strconv"
@@ -80,10 +82,11 @@ type Config struct {
 	// request does not set one (<= 0: GOMAXPROCS). New refuses one above
 	// profile.MaxParallel, the ceiling a request's own count is held to.
 	DefaultParallel int
-	// KeepJobs bounds the finished (done/failed/canceled) jobs retained —
-	// results included — so a long-running daemon does not grow without
-	// bound; the oldest finished jobs are evicted first, from memory and
-	// from JobDir, but none within a moment of finishing (<= 0: 256).
+	// KeepJobs bounds the finished (done/failed/canceled) jobs retained, so a
+	// long-running daemon does not grow without bound; the oldest finished
+	// jobs are evicted first, from memory and from JobDir, but none within a
+	// moment of finishing (<= 0: 256). A retained job keeps its CSV, report
+	// and events in memory, and its run records only until JobDir holds them.
 	KeepJobs int
 	// RatePerSec is the per-tenant submission rate limit in jobs/second;
 	// <= 0 disables rate limiting. Tenants are X-API-Key header values.
@@ -130,7 +133,8 @@ func (c Config) withDefaults() Config {
 // job is a queue entry: its durable record, which the server lock guards,
 // plus what is not persisted in it — the event log (persisted as the
 // record's Events, which stay empty in memory), the cancel function of a
-// running job and the artifacts rendered once at completion.
+// running job and the artifacts rendered once at completion. The heap keeps
+// the record's Records only while the job directory does not.
 type job struct {
 	jobRecord
 	log    *events.Log
@@ -234,7 +238,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // loadJobs restores persisted jobs into memory before the workers start:
-// finished jobs with their results, artifacts and complete event history;
+// finished jobs with their artifacts, run count and complete event history;
 // interrupted jobs (queued or running at the crash) back onto the queue.
 func (s *Server) loadJobs() error {
 	recs, err := s.jobsdir.load()
@@ -513,7 +517,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // jobStatus is the job's status view, the body of GET /v1/jobs/{id}. Callers
 // hold the server lock.
 func (j *job) jobStatus() api.JobStatus {
-	runs := len(j.Records)
+	runs := j.runs
 	if j.Req.Kind == "array" {
 		runs = len(j.Rows)
 	}
@@ -672,8 +676,33 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case !j.hasRunRecords():
 		writeError(w, http.StatusNotFound, api.CodeNotFound, "%s jobs have no result records; fetch /report", j.Req.Kind)
 	default:
-		writeJSON(w, http.StatusOK, j.Records)
+		if recs, ok := s.runRecords(w, j); ok {
+			writeJSON(w, http.StatusOK, recs)
+		}
 	}
+}
+
+// runRecords returns a done plan or workload job's run records: from memory
+// while they are the only copy, else read back from the job directory. ok is
+// false once it has written an error: 404 not_found for a job evicted since
+// its lookup, as for one evicted before.
+func (s *Server) runRecords(w http.ResponseWriter, j *job) (recs []trace.RunRecord, ok bool) {
+	s.mu.Lock()
+	recs = j.Records
+	s.mu.Unlock()
+	if recs != nil || s.jobsdir == nil {
+		return recs, true
+	}
+	rec, err := s.jobsdir.read(j.ID)
+	if err != nil {
+		status, code := http.StatusInternalServerError, api.CodeInternal
+		if errors.Is(err, fs.ErrNotExist) {
+			status, code = http.StatusNotFound, api.CodeNotFound
+		}
+		writeError(w, status, code, "job %s: %v", j.ID, err)
+		return nil, false
+	}
+	return rec.Records, true
 }
 
 func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
@@ -689,8 +718,12 @@ func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
 	if csv == nil {
 		// Restored job whose CSV artifact is missing: re-render from the
 		// persisted records (the render is a pure function of them).
+		recs, ok := s.runRecords(w, j)
+		if !ok {
+			return
+		}
 		var buf bytes.Buffer
-		if err := trace.WriteSummaryCSV(&buf, j.Records); err != nil {
+		if err := trace.WriteSummaryCSV(&buf, recs); err != nil {
 			writeError(w, http.StatusInternalServerError, api.CodeInternal, "render csv: %v", err)
 			return
 		}
@@ -759,16 +792,21 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // persistFinished writes the job's run records, artifacts and — last — its
-// final record to the job directory. Persistence failures are reported on
-// stderr but do not undo a completed job: the results remain servable from
-// memory; on disk the job stays queued, so a restart re-runs it.
+// final record to the job directory, then drops the run records from memory.
+// Persistence failures are reported on stderr but do not undo a completed
+// job: the results remain servable from memory; on disk the job stays
+// queued, so a restart re-runs it.
 func (s *Server) persistFinished(j *job) {
 	if s.jobsdir == nil {
 		return
 	}
 	if err := s.jobsdir.saveFinished(j.record(), j.Records, j.csv, j.report); err != nil {
 		fmt.Fprintln(os.Stderr, "uflip serve:", err)
+		return
 	}
+	s.mu.Lock()
+	j.Records = nil
+	s.mu.Unlock()
 }
 
 // errJobTimeout is the cancellation cause the per-job watchdog installs;
@@ -826,9 +864,10 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 }
 
 // evictGrace is how long past its finish a job outlives the retention bound.
-// Each retained job costs about 1.9 MB of heap at the benchmark's ~50 jobs/s
-// (serve-small peak RSS 117 -> ~208 MB for 48 more retained jobs), so 100 ms
-// is about five extra jobs; a local fetch after the done event takes a few ms.
+// A retained job holds a few tens of KB of heap with a job directory, and
+// without one 1.6 MB more for a serve-small plan's 200,704 response times.
+// At the benchmark's ~50 jobs/s 100 ms is about five extra jobs; a local
+// fetch after the done event takes a few ms.
 const evictGrace = 100 * time.Millisecond
 
 // evictLocked drops the oldest finished jobs beyond the retention bound —
@@ -931,6 +970,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	}
 	s.mu.Lock()
 	j.Records, j.Rows, j.csv, j.report = out.Records, out.Rows, out.CSV, out.Report
+	j.runs = len(out.Records)
 	s.mu.Unlock()
 	return nil
 }
