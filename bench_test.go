@@ -70,7 +70,7 @@ func measureRW(b *testing.B, ad ablationDevice) float64 {
 	d := core.StandardDefaults()
 	d.IOCount = 1024
 	d.RandomTarget = core.RandomTargetFor(ad.dev.Capacity())
-	run, err := core.ExecutePattern(ad.dev, core.RW.Pattern(d), end+5*time.Second)
+	run, err := core.ExecutePattern(new(core.Scratch), ad.dev, core.RW.Pattern(d), end+5*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func BenchmarkAblationWriteCache(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			run, err := core.ExecutePattern(ad.dev, core.RW.Pattern(d), end+5*time.Second)
+			run, err := core.ExecutePattern(new(core.Scratch), ad.dev, core.RW.Pattern(d), end+5*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func BenchmarkAblationAsyncGC(b *testing.B) {
 			d.RandomTarget = core.RandomTargetFor(ad.dev.Capacity())
 			p := core.RW.Pattern(d)
 			p.Pause = 10 * time.Millisecond
-			run, err := core.ExecutePattern(ad.dev, p, end+5*time.Second)
+			run, err := core.ExecutePattern(new(core.Scratch), ad.dev, p, end+5*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -189,7 +189,7 @@ func BenchmarkAblationLogBlocks(b *testing.B) {
 					p.LBA = core.Partitioned
 					p.Partitions = parts
 					p.TargetSize = 16 << 20
-					run, err := core.ExecutePattern(ad.dev, p, at)
+					run, err := core.ExecutePattern(new(core.Scratch), ad.dev, p, at)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -135,10 +135,11 @@ func run() (err error) {
 
 	before, counted := device.CountersOf(dev)
 	var run *core.Run
+	var sc core.Scratch
 	if *parallel > 1 {
-		run, err = core.ExecuteParallel(dev, p, *parallel, at)
+		run, err = core.ExecuteParallel(&sc, dev, p, *parallel, at)
 	} else {
-		run, err = core.ExecutePattern(dev, p, at)
+		run, err = core.ExecutePattern(&sc, dev, p, at)
 	}
 	if err != nil {
 		return err

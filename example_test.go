@@ -45,8 +45,9 @@ func Example_quickstart() {
 	d := core.StandardDefaults()
 	d.RandomTarget = dev.Capacity() / 2
 	at := start + 5*time.Second
+	var sc core.Scratch // one caller's IO batch and generators, reused by each run
 	for _, b := range core.Baselines {
-		run, err := core.ExecutePattern(dev, b.Pattern(d), at)
+		run, err := core.ExecutePattern(&sc, dev, b.Pattern(d), at)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -152,7 +153,7 @@ func chooseBlockSize(dev device.Device, d core.Defaults, at time.Duration) (int6
 	for _, size := range []int64{4096, 8192, 16384, 32768, 65536, 131072} {
 		dd := d
 		dd.IOSize = size
-		run, err := core.ExecutePattern(dev, core.SW.Pattern(dd), at)
+		run, err := core.ExecutePattern(new(core.Scratch), dev, core.SW.Pattern(dd), at)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func partitionedCost(dev device.Device, d core.Defaults, parts int, at time.Dura
 	if p.TargetSize/int64(parts) < d.IOSize {
 		p.TargetSize = int64(parts) * d.IOSize * 4
 	}
-	run, err := core.ExecutePattern(dev, p, at)
+	run, err := core.ExecutePattern(new(core.Scratch), dev, p, at)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func measureWear(cell flash.CellType, logical int64, randomTarget int64) (amp, s
 		p = core.SW.Pattern(d)
 		p.TargetSize = logical // wrap: keep rewriting the device
 	}
-	if _, err := core.ExecutePattern(dev, p, at+time.Second); err != nil {
+	if _, err := core.ExecutePattern(new(core.Scratch), dev, p, at+time.Second); err != nil {
 		log.Fatal(err)
 	}
 

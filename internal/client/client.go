@@ -265,7 +265,9 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int64, fn func
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// An event line is short: the buffer starts at the scanner's default
+	// size and grows only for a long one, up to 1 MiB.
+	sc.Buffer(nil, 1<<20)
 	var data []byte
 	for sc.Scan() {
 		line := sc.Text()

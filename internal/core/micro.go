@@ -38,16 +38,16 @@ func (e *Experiment) ID() string {
 	return fmt.Sprintf("%s/%s/%s=%d", e.Micro, e.Base, e.Param, e.Value)
 }
 
-// Run executes the experiment against dev starting at the given virtual
-// time.
-func (e *Experiment) Run(dev device.Device, startAt time.Duration) (*Run, error) {
+// Run executes the experiment on sc against dev starting at the given
+// virtual time.
+func (e *Experiment) Run(sc *Scratch, dev device.Device, startAt time.Duration) (*Run, error) {
 	switch {
 	case e.MixWith != nil:
-		return ExecuteMix(dev, e.Pattern, *e.MixWith, e.Ratio, startAt)
+		return ExecuteMix(sc, dev, e.Pattern, *e.MixWith, e.Ratio, startAt)
 	case e.Degree > 1:
-		return ExecuteParallel(dev, e.Pattern, e.Degree, startAt)
+		return ExecuteParallel(sc, dev, e.Pattern, e.Degree, startAt)
 	default:
-		return ExecutePattern(dev, e.Pattern, startAt)
+		return ExecutePattern(sc, dev, e.Pattern, startAt)
 	}
 }
 

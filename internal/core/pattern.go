@@ -118,37 +118,6 @@ func (p *Pattern) Validate() error {
 	return nil
 }
 
-// slots returns how many IO-sized slots the target holds.
-func (p *Pattern) slots() int64 {
-	n := p.TargetSize / p.IOSize
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// LBAAt returns the byte address of the i-th IO. rng must be the pattern's
-// own generator; only the Random kind draws from it, the others take nil.
-// Every kind wraps within whole IOs, so no IO ends past Span.
-func (p *Pattern) LBAAt(i int, rng *rand.Rand) int64 {
-	var rel int64
-	switch p.LBA {
-	case Sequential:
-		rel = mod64(int64(i)*p.IOSize, p.slots()*p.IOSize)
-	case Random:
-		rel = rng.Int63n(p.slots()) * p.IOSize
-	case Ordered:
-		rel = mod64(p.Incr*int64(i)*p.IOSize, p.slots()*p.IOSize)
-	case Partitioned:
-		parts := int64(p.Partitions)
-		ps := p.TargetSize / parts / p.IOSize * p.IOSize // Validate refuses less than one IO
-		pi := int64(i) % parts
-		oi := mod64(int64(i)/parts*p.IOSize, ps)
-		rel = pi*ps + oi
-	}
-	return p.TargetOffset + p.IOShift + rel
-}
-
 // mod64 is the non-negative modulo.
 func mod64(a, m int64) int64 {
 	if m <= 0 {
@@ -175,32 +144,62 @@ type IOSource interface {
 	Next() (io device.IO, ok bool)
 }
 
-// patternSource iterates a single pattern.
+// patternSource iterates a single pattern. reset computes what the location
+// function of Section 3.1 needs once per source, so an IO costs at most one
+// division (Partitioned: three).
 type patternSource struct {
-	p   *Pattern
-	i   int
-	rng *rand.Rand // nil unless the pattern is Random: LBAAt draws from it only then
+	p     Pattern
+	i     int
+	slots int64      // IO-sized slots in the target: Random draws among them
+	wrap  int64      // the target rounded down to whole IOs: Sequential and Ordered wrap in it
+	part  int64      // Partitioned: the partition size rounded down to whole IOs
+	rng   *rand.Rand // drawn from only when p is Random; kept across resets
 }
 
-// Source returns an IOSource over the pattern. The source is bounded by
-// IOCount; the executor may stop earlier.
-func (p *Pattern) Source() IOSource {
-	s := &patternSource{p: p}
-	if p.LBA == Random {
-		s.rng = rand.New(rand.NewSource(p.Seed))
+// reset points s at the start of p. A Random pattern's generator is reseeded
+// with p.Seed, which yields the same stream as a new generator, so reusing a
+// source never changes the IOs it yields.
+func (s *patternSource) reset(p *Pattern) {
+	s.p, s.i = *p, 0
+	s.slots = max(p.TargetSize/p.IOSize, 1)
+	s.wrap = s.slots * p.IOSize
+	if p.LBA == Partitioned {
+		s.part = p.TargetSize / int64(p.Partitions) / p.IOSize * p.IOSize // Validate refuses less than one IO
 	}
-	return s
+	if p.LBA == Random {
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(p.Seed))
+		} else {
+			s.rng.Seed(p.Seed)
+		}
+	}
+}
+
+// lba returns the byte address of the i-th IO. Only the Random kind draws
+// from the generator, so only it depends on the calls before. Every kind
+// wraps within whole IOs, so no IO ends past Span.
+func (s *patternSource) lba(i int) int64 {
+	p := &s.p
+	var rel int64
+	switch p.LBA {
+	case Sequential:
+		rel = mod64(int64(i)*p.IOSize, s.wrap)
+	case Random:
+		rel = s.rng.Int63n(s.slots) * p.IOSize
+	case Ordered:
+		rel = mod64(p.Incr*int64(i)*p.IOSize, s.wrap)
+	case Partitioned:
+		parts := int64(p.Partitions)
+		rel = int64(i)%parts*s.part + mod64(int64(i)/parts*p.IOSize, s.part)
+	}
+	return p.TargetOffset + p.IOShift + rel
 }
 
 func (s *patternSource) Next() (device.IO, bool) {
 	if s.i >= s.p.IOCount {
 		return device.IO{}, false
 	}
-	io := device.IO{
-		Mode: s.p.Mode,
-		Off:  s.p.LBAAt(s.i, s.rng),
-		Size: s.p.IOSize,
-	}
+	io := device.IO{Mode: s.p.Mode, Off: s.lba(s.i), Size: s.p.IOSize}
 	s.i++
 	return io, true
 }
@@ -214,11 +213,11 @@ type MixSource struct {
 }
 
 // NewMixSource builds a mix interleaving ratio IOs of a per IO of b.
-func NewMixSource(a, b IOSource, ratio int) *MixSource {
+func NewMixSource(a, b IOSource, ratio int) MixSource {
 	if ratio < 1 {
 		ratio = 1
 	}
-	return &MixSource{a: a, b: b, ratio: ratio}
+	return MixSource{a: a, b: b, ratio: ratio}
 }
 
 // Next alternates between the two sources according to the ratio. The mix is

@@ -1,13 +1,19 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"uflip/internal/device"
 )
+
+// sourceOf returns a fresh source over p.
+func sourceOf(p *Pattern) *patternSource {
+	s := new(patternSource)
+	s.reset(p)
+	return s
+}
 
 func validPattern() Pattern {
 	return Pattern{
@@ -49,11 +55,11 @@ func TestSequentialLBAFormula(t *testing.T) {
 	p := validPattern()
 	p.TargetOffset = 1 << 20
 	p.IOShift = 512
-	rng := rand.New(rand.NewSource(p.Seed))
+	s := sourceOf(&p)
 	for i := 0; i < 40; i++ {
 		want := p.TargetOffset + p.IOShift + (int64(i)*p.IOSize)%p.TargetSize
-		if got := p.LBAAt(i, rng); got != want {
-			t.Fatalf("LBAAt(%d) = %d, want %d", i, got, want)
+		if got := s.lba(i); got != want {
+			t.Fatalf("lba(%d) = %d, want %d", i, got, want)
 		}
 	}
 }
@@ -65,18 +71,19 @@ func TestOrderedLBAFormula(t *testing.T) {
 	p.LBA = Ordered
 
 	p.Incr = 0 // in-place: LBA constant
-	rng := rand.New(rand.NewSource(1))
-	first := p.LBAAt(0, rng)
+	s := sourceOf(&p)
+	first := s.lba(0)
 	for i := 1; i < 10; i++ {
-		if p.LBAAt(i, rng) != first {
+		if s.lba(i) != first {
 			t.Fatal("in-place pattern moved")
 		}
 	}
 
 	p.Incr = -1 // reverse: decreasing LBAs, wrapped positive
-	prev := p.LBAAt(1, rng)
+	s = sourceOf(&p)
+	prev := s.lba(1)
 	for i := 2; i < 10; i++ {
-		cur := p.LBAAt(i, rng)
+		cur := s.lba(i)
 		if cur != prev-p.IOSize {
 			t.Fatalf("reverse step %d: %d -> %d", i, prev, cur)
 		}
@@ -84,7 +91,8 @@ func TestOrderedLBAFormula(t *testing.T) {
 	}
 
 	p.Incr = 4 // strided
-	if got := p.LBAAt(1, rng) - p.LBAAt(0, rng); got != 4*p.IOSize {
+	s = sourceOf(&p)
+	if got := s.lba(1) - s.lba(0); got != 4*p.IOSize {
 		t.Fatalf("stride = %d, want %d", got, 4*p.IOSize)
 	}
 }
@@ -98,13 +106,13 @@ func TestPartitionedLBAFormula(t *testing.T) {
 	p.Partitions = 4
 	p.TargetSize = 4 << 20
 	ps := p.TargetSize / 4
-	rng := rand.New(rand.NewSource(1))
+	s := sourceOf(&p)
 	for i := 0; i < 64; i++ {
 		pi := int64(i % 4)
 		oi := (int64(i/4) * p.IOSize) % ps
 		want := pi*ps + oi
-		if got := p.LBAAt(i, rng); got != want {
-			t.Fatalf("partitioned LBAAt(%d) = %d, want %d", i, got, want)
+		if got := s.lba(i); got != want {
+			t.Fatalf("partitioned lba(%d) = %d, want %d", i, got, want)
 		}
 	}
 }
@@ -119,10 +127,10 @@ func TestLBAWithinTarget(t *testing.T) {
 		p.Seed = seed
 		p.Partitions = 4
 		p.Incr = -1
-		rng := rand.New(rand.NewSource(p.Seed))
+		s := sourceOf(&p)
 		n := int(count)%128 + 1
 		for i := 0; i < n; i++ {
-			lba := p.LBAAt(i, rng)
+			lba := s.lba(i)
 			if lba < p.TargetOffset || lba+p.IOSize > p.TargetOffset+p.IOShift+p.TargetSize {
 				return false
 			}
@@ -152,7 +160,7 @@ func TestNoIOEndsPastSpan(t *testing.T) {
 					t.Fatalf("%v target %d: %v", kind, target, err)
 				}
 				lo, hi := p.Span()
-				src := p.Source()
+				src := sourceOf(&p)
 				for i := 0; ; i++ {
 					io, ok := src.Next()
 					if !ok {
@@ -172,7 +180,7 @@ func TestRandomLBAReproducible(t *testing.T) {
 	p := validPattern()
 	p.LBA = Random
 	gen := func() []int64 {
-		src := p.Source()
+		src := sourceOf(&p)
 		var out []int64
 		for {
 			io, ok := src.Next()
@@ -199,7 +207,7 @@ func TestMixSourceInterleaving(t *testing.T) {
 	a.Mode = device.Read
 	b := validPattern()
 	b.TargetOffset = 8 << 20
-	mix := NewMixSource(a.Source(), b.Source(), 3)
+	mix := NewMixSource(sourceOf(&a), sourceOf(&b), 3)
 	var modes []device.Mode
 	for i := 0; i < 8; i++ {
 		io, ok := mix.Next()

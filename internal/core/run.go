@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"uflip/internal/device"
@@ -56,9 +57,44 @@ func (t Timing) gapBefore(i int) time.Duration {
 	return 0
 }
 
+// Scratch is the reusable state of one worker's runs: the IO batch an
+// executor hands its device, and the pattern sources it draws IOs from with
+// their random generators. The engine keeps one per worker for an execution,
+// so a run allocates only its Run and response times. A run resets every
+// source it opens and reseeds its generator, so its result never depends on
+// what the scratch served before. The zero value is ready to use; a Scratch
+// serves one run at a time.
+type Scratch struct {
+	ios  []device.IO
+	srcs []*patternSource
+	mix  MixSource
+}
+
+// Batch returns the scratch's IO batch, device.DriveBatch long. It is what
+// every executor hands device.Drive, so it is free again once a run returns.
+func (sc *Scratch) Batch() []device.IO {
+	if sc.ios == nil {
+		sc.ios = make([]device.IO, device.DriveBatch)
+	}
+	return sc.ios
+}
+
+// source returns the scratch's k-th pattern source, reset to the start of p.
+// A run opens its sources as 0, 1, ...; each stays valid until the scratch's
+// next run opens the same k.
+func (sc *Scratch) source(k int, p *Pattern) *patternSource {
+	for len(sc.srcs) <= k {
+		sc.srcs = append(sc.srcs, new(patternSource))
+	}
+	s := sc.srcs[k]
+	s.reset(p)
+	return s
+}
+
 // Execute runs count IOs from src against dev starting at virtual time
-// startAt, measuring each IO individually.
-func Execute(dev device.Device, src IOSource, count, ignore int, timing Timing, startAt time.Duration) (*Run, error) {
+// startAt, measuring each IO individually. The IOs go to the device through
+// sc's batch.
+func Execute(sc *Scratch, dev device.Device, src IOSource, count, ignore int, timing Timing, startAt time.Duration) (*Run, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("core: IOCount must be positive, got %d", count)
 	}
@@ -72,10 +108,10 @@ func Execute(dev device.Device, src IOSource, count, ignore int, timing Timing, 
 	}
 	// Closed loop: IO i+1 goes in at the completion of IO i plus the
 	// methodology gap, so each IO's slot of run.RTs starts as its ChainAfter
-	// encoding and Drive leaves its response time there. The IO scratch is
-	// allocated once per run, at most a batch long (anything handed to a
-	// Device escapes to the heap), and never shared or pooled.
-	ios := make([]device.IO, min(count, device.DriveBatch))
+	// encoding and Drive leaves its response time there. The IOs are built
+	// in the worker's batch (anything handed to a Device escapes to the
+	// heap, so a batch per run would be an allocation per run).
+	ios := sc.Batch()
 	exhausted := false
 	end, err := device.Drive(context.Background(), dev, startAt, &run.Faults, func(time.Duration) ([]device.IO, []time.Duration, error) {
 		if exhausted {
@@ -118,12 +154,12 @@ func Execute(dev device.Device, src IOSource, count, ignore int, timing Timing, 
 	return run, nil
 }
 
-// ExecutePattern validates and runs a single pattern.
-func ExecutePattern(dev device.Device, p Pattern, startAt time.Duration) (*Run, error) {
+// ExecutePattern validates and runs a single pattern on sc.
+func ExecutePattern(sc *Scratch, dev device.Device, p Pattern, startAt time.Duration) (*Run, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	run, err := Execute(dev, p.Source(), p.IOCount, p.IOIgnore, Timing{Pause: p.Pause, Burst: p.Burst}, startAt)
+	run, err := Execute(sc, dev, sc.source(0, &p), p.IOCount, p.IOIgnore, Timing{Pause: p.Pause, Burst: p.Burst}, startAt)
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +172,9 @@ func ExecutePattern(dev device.Device, p Pattern, startAt time.Duration) (*Run, 
 // subsets, each accessed by one process running the same baseline pattern.
 // The processes share the device, which serializes them; each process's next
 // IO is submitted as soon as its previous IO completes. Response times of
-// all processes are reported in global submission order.
-func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Duration) (*Run, error) {
+// all processes are reported in global submission order. The processes'
+// sources are sc's first degree sources.
+func ExecuteParallel(sc *Scratch, dev device.Device, p Pattern, degree int, startAt time.Duration) (*Run, error) {
 	if degree < 1 {
 		return nil, fmt.Errorf("core: parallel degree must be >= 1, got %d", degree)
 	}
@@ -156,11 +193,11 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 		return nil, fmt.Errorf("core: IOCount %d too small for %d processes", p.IOCount, degree)
 	}
 	type proc struct {
-		src    IOSource
+		src    *patternSource
 		next   time.Duration
 		issued int
 	}
-	procs := make([]*proc, degree)
+	procs := make([]proc, degree)
 	for i := range procs {
 		sub := p
 		sub.TargetOffset = p.TargetOffset + int64(i)*subSize
@@ -173,10 +210,10 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 		if err := sub.Validate(); err != nil {
 			return nil, err
 		}
-		procs[i] = &proc{src: sub.Source(), next: startAt}
+		procs[i] = proc{src: sc.source(i, &sub), next: startAt}
 	}
 	run := &Run{
-		Name:     fmt.Sprintf("%s||%d", p.Name, degree),
+		Name:     p.Name + "||" + strconv.Itoa(degree),
 		Device:   dev.Name(),
 		RTs:      make([]time.Duration, 0, perProc*degree),
 		IOIgnore: p.IOIgnore,
@@ -185,9 +222,8 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 	// Each picked IO is a batch of one at its process's next submission
 	// time, so its response time (measured from that submission) includes
 	// the backoff of its retries; the completion Drive hands back schedules
-	// the picked process's next IO. The scratch outlives the loop so it is
-	// allocated once.
-	var ios [1]device.IO
+	// the picked process's next IO.
+	ios := sc.Batch()[:1]
 	var pick *proc
 	end, err := device.Drive(context.Background(), dev, startAt, &run.Faults, func(last time.Duration) ([]device.IO, []time.Duration, error) {
 		if pick != nil {
@@ -199,8 +235,8 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 			// index for determinism. The scan keeps its candidate in a
 			// local: pick lives in the closure's context.
 			var p *proc
-			for _, pr := range procs {
-				if pr.issued < perProc && (p == nil || pr.next < p.next) {
+			for i := range procs {
+				if pr := &procs[i]; pr.issued < perProc && (p == nil || pr.next < p.next) {
 					p = pr
 				}
 			}
@@ -214,7 +250,7 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 			}
 			ios[0] = io
 			run.RTs = append(run.RTs, p.next)
-			return ios[:], run.RTs[len(run.RTs)-1:], nil
+			return ios, run.RTs[len(run.RTs)-1:], nil
 		}
 	})
 	if err != nil {
@@ -239,8 +275,9 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 
 // ExecuteMix runs two patterns interleaved with the given ratio (Ratio IOs
 // of a per IO of b). Per the methodology, the run length is scaled so the
-// minority pattern still receives enough IOs.
-func ExecuteMix(dev device.Device, a, b Pattern, ratio int, startAt time.Duration) (*Run, error) {
+// minority pattern still receives enough IOs. a and b are sc's first two
+// sources.
+func ExecuteMix(sc *Scratch, dev device.Device, a, b Pattern, ratio int, startAt time.Duration) (*Run, error) {
 	if ratio < 1 {
 		return nil, fmt.Errorf("core: mix ratio must be >= 1, got %d", ratio)
 	}
@@ -250,7 +287,7 @@ func ExecuteMix(dev device.Device, a, b Pattern, ratio int, startAt time.Duratio
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("core: mix pattern #2: %w", err)
 	}
-	src := NewMixSource(a.Source(), b.Source(), ratio)
+	sc.mix = NewMixSource(sc.source(0, &a), sc.source(1, &b), ratio)
 	count := a.IOCount + b.IOCount
 	if count > a.IOCount*(ratio+1)/ratio {
 		count = a.IOCount * (ratio + 1) / ratio
@@ -259,10 +296,10 @@ func ExecuteMix(dev device.Device, a, b Pattern, ratio int, startAt time.Duratio
 	if ignore >= count {
 		ignore = count / 4
 	}
-	run, err := Execute(dev, src, count, ignore, Timing{Pause: a.Pause, Burst: a.Burst}, startAt)
+	run, err := Execute(sc, dev, &sc.mix, count, ignore, Timing{Pause: a.Pause, Burst: a.Burst}, startAt)
 	if err != nil {
 		return nil, err
 	}
-	run.Name = fmt.Sprintf("%s/%s ratio=%d", a.Name, b.Name, ratio)
+	run.Name = a.Name + "/" + b.Name + " ratio=" + strconv.Itoa(ratio)
 	return run, nil
 }

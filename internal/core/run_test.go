@@ -35,7 +35,7 @@ func TestExecutePatternTiming(t *testing.T) {
 	d := StandardDefaults()
 	d.IOCount = 10
 	p := SR.Pattern(d)
-	run, err := ExecutePattern(memDev(), p, 0)
+	run, err := ExecutePattern(new(Scratch), memDev(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestExecutePatternIgnoresWarmup(t *testing.T) {
 	d.IOCount = 8
 	d.IOIgnore = 4
 	p := SW.Pattern(d)
-	run, err := ExecutePattern(dev, p, 0)
+	run, err := ExecutePattern(new(Scratch), dev, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestExecutePauseScheduling(t *testing.T) {
 	d.IOCount = 4
 	p := SR.Pattern(d)
 	p.Pause = 3 * time.Millisecond
-	run, err := ExecutePattern(memDev(), p, 0)
+	run, err := ExecutePattern(new(Scratch), memDev(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestExecuteBurstScheduling(t *testing.T) {
 	p.Pause = 10 * time.Millisecond
 	p.Burst = 3
 	dev := &submitRecorder{MemDevice: memDev()}
-	run, err := ExecutePattern(dev, p, 0)
+	run, err := ExecutePattern(new(Scratch), dev, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestExecuteStartAt(t *testing.T) {
 	d.IOCount = 2
 	p := SR.Pattern(d)
 	dev := &submitRecorder{MemDevice: memDev()}
-	run, err := ExecutePattern(dev, p, time.Second)
+	run, err := ExecutePattern(new(Scratch), dev, p, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +146,15 @@ func TestExecuteStartAt(t *testing.T) {
 func TestExecuteInvalidArguments(t *testing.T) {
 	d := StandardDefaults()
 	p := SR.Pattern(d)
-	if _, err := Execute(memDev(), p.Source(), 0, 0, Timing{}, 0); err == nil {
+	if _, err := Execute(new(Scratch), memDev(), sourceOf(&p), 0, 0, Timing{}, 0); err == nil {
 		t.Fatal("IOCount 0 accepted")
 	}
-	if _, err := Execute(memDev(), p.Source(), 10, 10, Timing{}, 0); err == nil {
+	if _, err := Execute(new(Scratch), memDev(), sourceOf(&p), 10, 10, Timing{}, 0); err == nil {
 		t.Fatal("IOIgnore >= IOCount accepted")
 	}
 	bad := p
 	bad.IOSize = 777
-	if _, err := ExecutePattern(memDev(), bad, 0); err == nil {
+	if _, err := ExecutePattern(new(Scratch), memDev(), bad, 0); err == nil {
 		t.Fatal("invalid pattern executed")
 	}
 }
@@ -164,7 +164,7 @@ func TestExecuteParallelSplitsTarget(t *testing.T) {
 	d.IOCount = 32
 	p := SW.Pattern(d)
 	p.TargetSize = 4 << 20
-	run, err := ExecuteParallel(memDev(), p, 4, 0)
+	run, err := ExecuteParallel(new(Scratch), memDev(), p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,15 +183,15 @@ func TestExecuteParallelValidation(t *testing.T) {
 	d := StandardDefaults()
 	d.IOCount = 8
 	p := SW.Pattern(d)
-	if _, err := ExecuteParallel(memDev(), p, 0, 0); err == nil {
+	if _, err := ExecuteParallel(new(Scratch), memDev(), p, 0, 0); err == nil {
 		t.Fatal("degree 0 accepted")
 	}
 	small := p
 	small.TargetSize = small.IOSize
-	if _, err := ExecuteParallel(memDev(), small, 8, 0); err == nil {
+	if _, err := ExecuteParallel(new(Scratch), memDev(), small, 8, 0); err == nil {
 		t.Fatal("target too small for degree accepted")
 	}
-	if _, err := ExecuteParallel(memDev(), p, 16, 0); err == nil {
+	if _, err := ExecuteParallel(new(Scratch), memDev(), p, 16, 0); err == nil {
 		t.Fatal("IOCount smaller than degree accepted")
 	}
 }
@@ -201,11 +201,11 @@ func TestExecuteParallelDeterministic(t *testing.T) {
 	d.IOCount = 64
 	p := RW.Pattern(d)
 	p.TargetSize = 16 << 20
-	run1, err := ExecuteParallel(memDev(), p, 4, 0)
+	run1, err := ExecuteParallel(new(Scratch), memDev(), p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run2, err := ExecuteParallel(memDev(), p, 4, 0)
+	run2, err := ExecuteParallel(new(Scratch), memDev(), p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestExecuteMix(t *testing.T) {
 	a := SR.Pattern(d)
 	b := SW.Pattern(d)
 	b.TargetOffset = 32 << 20
-	run, err := ExecuteMix(memDev(), a, b, 4, 0)
+	run, err := ExecuteMix(new(Scratch), memDev(), a, b, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestExecuteMix(t *testing.T) {
 	if mean < 1.05 || mean > 1.35 {
 		t.Fatalf("mix mean = %.3f ms, want ~1.2", mean)
 	}
-	if _, err := ExecuteMix(memDev(), a, b, 0, 0); err == nil {
+	if _, err := ExecuteMix(new(Scratch), memDev(), a, b, 0, 0); err == nil {
 		t.Fatal("ratio 0 accepted")
 	}
 }
@@ -348,17 +348,17 @@ func TestExperimentRunDispatch(t *testing.T) {
 	dev := memDev()
 	// Plain, parallel and mix experiments all run through Experiment.Run.
 	plain := Experiment{Micro: "t", Base: SR, Pattern: SR.Pattern(d)}
-	if _, err := plain.Run(dev, 0); err != nil {
+	if _, err := plain.Run(new(Scratch), dev, 0); err != nil {
 		t.Fatal(err)
 	}
 	par := Experiment{Micro: "t", Base: SW, Pattern: SW.Pattern(d), Degree: 2}
-	if _, err := par.Run(dev, 0); err != nil {
+	if _, err := par.Run(new(Scratch), dev, 0); err != nil {
 		t.Fatal(err)
 	}
 	b := SW.Pattern(d)
 	b.TargetOffset = 32 << 20
 	mix := Experiment{Micro: "t", Base: SR, Pattern: SR.Pattern(d), MixWith: &b, Ratio: 2}
-	if _, err := mix.Run(dev, 0); err != nil {
+	if _, err := mix.Run(new(Scratch), dev, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -371,7 +371,7 @@ func TestExecuteParallelLargeIgnore(t *testing.T) {
 	d.IOCount = 64
 	d.IOIgnore = 40
 	p := SW.Pattern(d)
-	run, err := ExecuteParallel(memDev(), p, 4, 0)
+	run, err := ExecuteParallel(new(Scratch), memDev(), p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestExecuteParallelLargeIgnore(t *testing.T) {
 	d.IOCount = 9
 	d.IOIgnore = 8
 	p = SW.Pattern(d)
-	run, err = ExecuteParallel(memDev(), p, 4, 0)
+	run, err = ExecuteParallel(new(Scratch), memDev(), p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func executeParallelPerIO(dev device.Device, p Pattern, degree int, startAt time
 		if err := sub.Validate(); err != nil {
 			return nil, err
 		}
-		procs[i] = &proc{src: sub.Source(), next: startAt}
+		procs[i] = &proc{src: sourceOf(&sub), next: startAt}
 	}
 	run := &Run{
 		Name:     fmt.Sprintf("%s||%d", p.Name, degree),
@@ -540,7 +540,7 @@ func TestExecuteParallelMatchesPerIORetryLoop(t *testing.T) {
 	retried := false
 	for _, e := range microNamed(t, "Parallelism").Build(d, capacity).Experiments {
 		const spec = "faulty(mtron,readerr=5e-3,writeerr=5e-3,seed=7)"
-		got, err := ExecuteParallel(build(spec), e.Pattern, e.Degree, time.Second)
+		got, err := ExecuteParallel(new(Scratch), build(spec), e.Pattern, e.Degree, time.Second)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID(), err)
 		}
@@ -562,7 +562,7 @@ func TestExecuteParallelMatchesPerIORetryLoop(t *testing.T) {
 		const spec = "faulty(mtron,readerr=0.9,writeerr=0.9,seed=7)"
 		p := RW.Pattern(d)
 		p.TargetSize = capacity / 2
-		_, got := ExecuteParallel(build(spec), p, degree, 0)
+		_, got := ExecuteParallel(new(Scratch), build(spec), p, degree, 0)
 		_, want := executeParallelPerIO(build(spec), p, degree, 0)
 		if got == nil || want == nil || got.Error() != want.Error() {
 			t.Errorf("degree %d: exhausted budget reports %v, the per-IO loop %v", degree, got, want)
@@ -571,8 +571,10 @@ func TestExecuteParallelMatchesPerIORetryLoop(t *testing.T) {
 }
 
 // TestExecuteAllocationsIndependentOfLength pins that a run allocates per
-// run, never per batch: the IO scratch, the response-time array and the
-// run itself are sized once, so 64 and 4,096 IOs cost the same count.
+// run, never per batch: the response-time array and the run itself are
+// sized once, so 64 and 4,096 IOs cost the same count. Each run here gets a
+// fresh scratch, whose batch, source and generator it allocates too;
+// TestScratchRunAllocations pins a run on a warm one.
 func TestExecuteAllocationsIndependentOfLength(t *testing.T) {
 	dev := memDev()
 	allocs := func(n int) float64 {
@@ -582,7 +584,7 @@ func TestExecuteAllocationsIndependentOfLength(t *testing.T) {
 		p := RW.Pattern(d)
 		p.TargetSize = 16 << 20
 		return testing.AllocsPerRun(20, func() {
-			if _, err := ExecutePattern(dev, p, 0); err != nil {
+			if _, err := ExecutePattern(new(Scratch), dev, p, 0); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -84,11 +84,12 @@ func shardSeed(base int64, index int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// ExecutePlan runs every experiment of the plan as one ExecuteJobs job and
+// ExecutePlan runs every experiment of the plan as one ExecuteEach job and
 // returns the merged results, ordered by run index. The same plan, factory
 // and options (besides Workers) yield byte-identical results for any worker
 // count. Elapsed is the virtual time of the longest shard timeline, since
-// shards run on independent devices concurrently.
+// shards run on independent devices concurrently. Each worker runs its
+// experiments on a core.Scratch of its own.
 //
 // Cancelling ctx stops the engine between runs; ExecutePlan then returns
 // ctx.Err() and discards partial results.
@@ -98,22 +99,18 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 	if len(exps) == 0 {
 		return out, ctx.Err()
 	}
-	// Every run is a job; each records where its shard's timeline ends in
-	// its own slot, so concurrent jobs share no write.
+	// Each run records where its shard's timeline ends in its own slot, so
+	// concurrent jobs share no write.
 	ends := make([]time.Duration, len(exps))
-	pause := plan.Pause
-	jobs := make([]Job, len(exps))
-	for i := range exps {
-		e := &exps[i]
-		jobs[i] = Job{ID: e.ID(), Run: func(_ context.Context, dev device.Device, at time.Duration) (*core.Run, error) {
-			run, err := e.Run(dev, at)
+	scratch := make([]core.Scratch, opts.WorkerCount(len(exps)))
+	runs, err := ExecuteEach(ctx, len(exps), func(i int) string { return exps[i].ID() },
+		func(_ context.Context, w, i int, dev device.Device, at time.Duration) (*core.Run, error) {
+			run, err := exps[i].Run(&scratch[w], dev, at)
 			if err == nil {
-				ends[i] = at + run.Total + pause
+				ends[i] = at + run.Total + plan.Pause
 			}
 			return run, err
-		}}
-	}
-	runs, err := ExecuteJobs(ctx, jobs, factory, opts)
+		}, factory, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -129,17 +126,18 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 }
 
 // observer returns a serialized per-completion progress callback over total
-// units of work; a nil Progress yields a no-op.
-func (o Options) observer(total int) func(id string) {
+// units of work, unit i named id(i); a nil Progress yields a no-op, which
+// names nothing.
+func (o Options) observer(total int, id func(i int) string) func(i int) {
 	if o.Progress == nil {
-		return func(string) {}
+		return func(int) {}
 	}
 	var mu sync.Mutex
 	done := 0
-	return func(id string) {
+	return func(i int) {
 		mu.Lock()
 		done++
-		o.Progress(done, total, id)
+		o.Progress(done, total, id(i))
 		mu.Unlock()
 	}
 }

@@ -265,3 +265,39 @@ func TestOneWorkerStartsNoGoroutine(t *testing.T) {
 		t.Fatalf("jobs ran in order %v", order)
 	}
 }
+
+// TestExecuteEachWorkerOwnsItsIndex: the worker index a job receives is
+// below WorkerCount, and no two jobs run on one index at once, so a slice
+// indexed by it holds scratch no other job touches. Under -race a shared
+// slot would also be reported.
+func TestExecuteEachWorkerOwnsItsIndex(t *testing.T) {
+	const n = 64
+	mem := device.NewMemDevice("mem", 1<<20, 0, 0)
+	factory := func(engine.Shard) (device.Device, time.Duration, error) { return mem, 0, nil }
+	for _, workers := range []int{1, 2, 4} {
+		opts := engine.Options{Workers: workers}
+		busy := make([]bool, opts.WorkerCount(n)) // per worker: set while one of its jobs runs
+		runs := make([]int, len(busy))
+		_, err := engine.ExecuteEach(context.Background(), n, strconv.Itoa,
+			func(_ context.Context, w, i int, _ device.Device, _ time.Duration) (*core.Run, error) {
+				if busy[w] {
+					return nil, fmt.Errorf("job %d: worker %d already runs a job", i, w)
+				}
+				busy[w] = true
+				runtime.Gosched()
+				runs[w]++
+				busy[w] = false
+				return &core.Run{}, nil
+			}, factory, opts)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		total := 0
+		for _, r := range runs {
+			total += r
+		}
+		if len(busy) != min(workers, n) || total != n {
+			t.Fatalf("%d workers: %d worker slots ran %d jobs, want %d slots and %d jobs", workers, len(busy), total, min(workers, n), n)
+		}
+	}
+}

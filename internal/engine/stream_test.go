@@ -27,7 +27,7 @@ func testJobs(n int) []engine.Job {
 					IOSize: 16 * 1024, RandomTarget: dev.Capacity() / 2,
 					IOCount: 64, Seed: int64(i + 1),
 				})
-				return core.ExecutePattern(dev, p, startAt)
+				return core.ExecutePattern(new(core.Scratch), dev, p, startAt)
 			},
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"uflip/internal/core"
@@ -138,11 +139,12 @@ func MeasurePhases(dev device.Device, d core.Defaults, probeCount int, startAt t
 		IOCount:  make(map[core.Baseline]int),
 	}
 	t := startAt
+	var sc core.Scratch
 	for _, b := range core.Baselines {
 		p := b.Pattern(d)
 		p.IOCount = probeCount
 		p.IOIgnore = 0
-		run, err := core.ExecutePattern(dev, p, t)
+		run, err := core.ExecutePattern(&sc, dev, p, t)
 		if err != nil {
 			return nil, fmt.Errorf("methodology: phase probe %s: %w", b, err)
 		}
@@ -185,12 +187,19 @@ type PauseReport struct {
 	// RecommendedPause deliberately overestimates (the paper doubles and
 	// rounds up, with a 1 s conservative floor).
 	RecommendedPause time.Duration
-	// Trace is the full response-time series (reads, writes, reads),
-	// which regenerates Figure 5. ReadsBefore and Writes delimit it.
-	Trace       []time.Duration
+	// ReadsBefore and Writes delimit the three batches in Trace.
 	ReadsBefore int
 	Writes      int
 	End         time.Duration
+	// batches holds the response times of the reads, the writes and the
+	// reads after them, joined only when Trace asks.
+	batches [3][]time.Duration
+}
+
+// Trace is the full response-time series (reads, writes, reads), which
+// regenerates Figure 5. Each call builds it anew, in one allocation.
+func (r *PauseReport) Trace() []time.Duration {
+	return slices.Concat(r.batches[:]...)
 }
 
 // MeasurePause runs the SR / RW-batch / SR experiment and derives the pause
@@ -203,6 +212,7 @@ func MeasurePause(dev device.Device, d core.Defaults, startAt time.Duration) (*P
 	)
 	rep := &PauseReport{Device: dev.Name(), ReadsBefore: readsBefore, Writes: writeBatch}
 	t := startAt
+	var sc core.Scratch // the three runs follow each other
 
 	runSeq := func(count int, off int64) (*core.Run, error) {
 		p := core.SR.Pattern(d)
@@ -219,7 +229,7 @@ func MeasurePause(dev device.Device, d core.Defaults, startAt time.Duration) (*P
 		if avail := dev.Capacity() - off; p.TargetSize > avail {
 			p.TargetSize = avail - avail%d.IOSize
 		}
-		return core.ExecutePattern(dev, p, t)
+		return core.ExecutePattern(&sc, dev, p, t)
 	}
 	before, err := runSeq(readsBefore, 0)
 	if err != nil {
@@ -230,7 +240,7 @@ func MeasurePause(dev device.Device, d core.Defaults, startAt time.Duration) (*P
 
 	w := core.RW.Pattern(d)
 	w.IOCount = writeBatch
-	writes, err := core.ExecutePattern(dev, w, t)
+	writes, err := core.ExecutePattern(&sc, dev, w, t)
 	if err != nil {
 		return nil, fmt.Errorf("methodology: pause probe writes: %w", err)
 	}
@@ -249,9 +259,7 @@ func MeasurePause(dev device.Device, d core.Defaults, startAt time.Duration) (*P
 	if rep.RecommendedPause < time.Second {
 		rep.RecommendedPause = time.Second
 	}
-	rep.Trace = append(rep.Trace, before.RTs...)
-	rep.Trace = append(rep.Trace, writes.RTs...)
-	rep.Trace = append(rep.Trace, after.RTs...)
+	rep.batches = [3][]time.Duration{before.RTs, writes.RTs, after.RTs}
 	rep.End = t + after.Total
 	return rep, nil
 }

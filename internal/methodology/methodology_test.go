@@ -38,7 +38,7 @@ func TestEnforceRandomStateFillsDevice(t *testing.T) {
 	d := core.StandardDefaults()
 	d.IOCount = 64
 	d.RandomTarget = dev.Capacity() / 2
-	run, err := core.ExecutePattern(dev, core.RR.Pattern(d), end+time.Second)
+	run, err := core.ExecutePattern(new(core.Scratch), dev, core.RR.Pattern(d), end+time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestMeasurePauseMtronLingers(t *testing.T) {
 	if rep.RecommendedPause <= time.Second {
 		t.Fatalf("pause %v should exceed the floor on a lingering device", rep.RecommendedPause)
 	}
-	if len(rep.Trace) != rep.ReadsBefore+rep.Writes+11000 {
-		t.Fatalf("trace length %d", len(rep.Trace))
+	if len(rep.Trace()) != rep.ReadsBefore+rep.Writes+11000 {
+		t.Fatalf("trace length %d", len(rep.Trace()))
 	}
 }
 

@@ -77,6 +77,7 @@ func TestSingleMemberCompositeDifferentialMicrobenchmarks(t *testing.T) {
 		var res []methodology.Result
 		at := end + cfg.Pause
 		seqWrites, resets := 0, 0
+		var sc core.Scratch
 		for i, e := range plan.Runs {
 			// BuildPlan restarts the sequential-write allocation at offset 0
 			// exactly where one device walking the plan needs a state reset.
@@ -92,7 +93,7 @@ func TestSingleMemberCompositeDifferentialMicrobenchmarks(t *testing.T) {
 				}
 				seqWrites++
 			}
-			r, err := e.Run(dev, at)
+			r, err := e.Run(&sc, dev, at)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID(), err)
 			}

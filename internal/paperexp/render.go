@@ -193,7 +193,7 @@ func baselineTrace(key string, cfg Config, b core.Baseline, ios int) (*core.Run,
 	if p.LBA == core.Sequential {
 		p.TargetSize = int64(ios) * p.IOSize
 	}
-	return core.ExecutePattern(dev, p, at)
+	return core.ExecutePattern(new(core.Scratch), dev, p, at)
 }
 
 // fig5 runs the pause-determination experiment (SR, RW batch, SR) on the
@@ -208,7 +208,7 @@ func fig5(_ context.Context, w io.Writer, cfg Config, _ int) error {
 		return err
 	}
 	p := &report.Plot{Title: "Figure 5: pause determination, Mtron (SR, RW batch, SR)", XLabel: "IO number", YLabel: "response time (ms)", LogY: true, Height: 16}
-	p.AddDurationSeries("rt", '.', rep.Trace)
+	p.AddDurationSeries("rt", '.', rep.Trace())
 	if err := p.Render(w); err != nil {
 		return err
 	}
@@ -347,7 +347,8 @@ func stateAnomaly(key string, cfg Config) (outOfBoxMS, afterFillMS float64, err 
 		return 0, 0, err
 	}
 	p := core.RW.Pattern(cfg.defaults(fresh.Capacity()))
-	run, err := core.ExecutePattern(fresh, p, 0)
+	var sc core.Scratch
+	run, err := core.ExecutePattern(&sc, fresh, p, 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -355,7 +356,7 @@ func stateAnomaly(key string, cfg Config) (outOfBoxMS, afterFillMS float64, err 
 	if err != nil {
 		return 0, 0, err
 	}
-	run2, err := core.ExecutePattern(used, p, at)
+	run2, err := core.ExecutePattern(&sc, used, p, at)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -61,7 +61,7 @@ func runBaseline(t testing.TB, dev device.Device, b core.Baseline, at time.Durat
 		d.IOIgnore = 512
 	}
 	p := b.Pattern(d)
-	run, err := core.ExecutePattern(dev, p, at)
+	run, err := core.ExecutePattern(new(core.Scratch), dev, p, at)
 	if err != nil {
 		t.Fatal(err)
 	}

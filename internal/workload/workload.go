@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"uflip/internal/core"
@@ -68,15 +67,16 @@ type Generator interface {
 // between batches and inside the retry loop, so a canceled job stops
 // promptly even mid-recovery. The response times land in rts, one slot per
 // op: ReplaySource passes each segment its window of the stream-order array.
-func replayInto(ctx context.Context, dev device.Device, ops []Op, startAt time.Duration, rts []time.Duration) (*core.Run, error) {
+// The IOs go to the device through sc's batch.
+func replayInto(ctx context.Context, sc *core.Scratch, dev device.Device, ops []Op, startAt time.Duration, rts []time.Duration) (*core.Run, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("workload: empty op stream")
 	}
 	run := &core.Run{Device: dev.Name(), RTs: rts[:len(ops)]}
 	// Open loop: arrival times are known a priori, so each op's slot of
-	// run.RTs starts as its absolute submission time. The IO scratch is
-	// per replay (and therefore per segment/shard), never shared or pooled.
-	var ios [device.DriveBatch]device.IO
+	// run.RTs starts as its absolute submission time. The IOs are built in
+	// the replaying worker's batch, which its next segment reuses.
+	ios := sc.Batch()
 	t, base := startAt, 0
 	end, err := device.Drive(ctx, dev, startAt, &run.Faults, func(time.Duration) ([]device.IO, []time.Duration, error) {
 		win := run.RTs[base:min(base+len(ios), len(ops))]
@@ -193,31 +193,6 @@ type SegmentBuf struct {
 	raw []byte
 }
 
-// segmentBufs is the free list a replay's workers draw their SegmentBuf
-// from: a job takes one for the length of its segment, so no more exist
-// than jobs run at once.
-type segmentBufs struct {
-	mu   sync.Mutex
-	free []*SegmentBuf
-}
-
-func (b *segmentBufs) take() *SegmentBuf {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n := len(b.free); n > 0 {
-		buf := b.free[n-1]
-		b.free = b.free[:n-1]
-		return buf
-	}
-	return new(SegmentBuf)
-}
-
-func (b *segmentBufs) give(buf *SegmentBuf) {
-	b.mu.Lock()
-	b.free = append(b.free, buf)
-	b.mu.Unlock()
-}
-
 // opsSource adapts an in-memory stream to Source; Segment returns subslices,
 // so the slice-backed replay path is exactly as cheap as before.
 type opsSource struct {
@@ -249,6 +224,8 @@ func OpsSource(name string, ops []Op) Source { return opsSource{name: name, ops:
 // every segment's run.RTs is its window of that array, so the runs of a
 // Result must not be appended to. A segment's job summarizes its run and
 // every window of the stream wholly inside it in one pass (stats.SummarizeSpan).
+// Each engine worker replays its segments through one IO batch and, for a
+// SegmentDecoder, decodes them into one SegmentBuf.
 func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory, opts Options) (*Result, error) {
 	total := src.Len()
 	if total == 0 {
@@ -266,47 +243,39 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 	size := opts.windowOps()
 	windows := stats.NewWindows(total, size)
 	decoder, _ := src.(SegmentDecoder)
-	var bufs segmentBufs
-	jobs := make([]engine.Job, 0, (total+segOps-1)/segOps)
-	for start := 0; start < total; start += segOps {
-		start := start
-		n := segOps
-		if start+n > total {
-			n = total - start
-		}
-		jobs = append(jobs, engine.Job{
-			ID: fmt.Sprintf("%s/seg=%d", name, len(jobs)),
-			Run: func(ctx context.Context, dev device.Device, startAt time.Duration) (*core.Run, error) {
-				var ops []Op
-				var err error
-				if decoder != nil {
-					buf := bufs.take()
-					defer bufs.give(buf)
-					ops, err = decoder.SegmentInto(buf, start, n)
-				} else {
-					ops, err = src.Segment(start, n)
-				}
-				if err != nil {
-					return nil, err
-				}
-				if len(ops) != n {
-					return nil, fmt.Errorf("workload: segment [%d:%d) came back with %d ops", start, start+n, len(ops))
-				}
-				run, err := replayInto(ctx, dev, ops, startAt, rts[start:start+n:start+n])
-				if err != nil {
-					return nil, err
-				}
-				run.Summary = stats.SummarizeSpan(rts, start, start+n, size, windows)
-				run.Name = fmt.Sprintf("%s[%d:%d]", name, start, start+n)
-				return run, nil
-			},
-		})
+	eopts := engine.Options{Workers: workers, Seed: opts.Seed, Progress: opts.Progress}
+	segs := (total + segOps - 1) / segOps
+	type scratch struct {
+		core.Scratch
+		buf SegmentBuf
 	}
-	runs, err := engine.ExecuteJobs(ctx, jobs, factory, engine.Options{
-		Workers:  workers,
-		Seed:     opts.Seed,
-		Progress: opts.Progress,
-	})
+	perWorker := make([]scratch, eopts.WorkerCount(segs))
+	runs, err := engine.ExecuteEach(ctx, segs, func(k int) string { return fmt.Sprintf("%s/seg=%d", name, k) },
+		func(ctx context.Context, w, k int, dev device.Device, startAt time.Duration) (*core.Run, error) {
+			start := k * segOps
+			n := min(segOps, total-start)
+			sc := &perWorker[w]
+			var ops []Op
+			var err error
+			if decoder != nil {
+				ops, err = decoder.SegmentInto(&sc.buf, start, n)
+			} else {
+				ops, err = src.Segment(start, n)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if len(ops) != n {
+				return nil, fmt.Errorf("workload: segment [%d:%d) came back with %d ops", start, start+n, len(ops))
+			}
+			run, err := replayInto(ctx, &sc.Scratch, dev, ops, startAt, rts[start:start+n:start+n])
+			if err != nil {
+				return nil, err
+			}
+			run.Summary = stats.SummarizeSpan(rts, start, start+n, size, windows)
+			run.Name = fmt.Sprintf("%s[%d:%d]", name, start, start+n)
+			return run, nil
+		}, factory, eopts)
 	if err != nil {
 		return nil, err
 	}
