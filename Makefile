@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPageFTLStateful$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockFTLStateful$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime $(FUZZTIME) ./internal/job
+	$(GO) test -run '^$$' -fuzz '^FuzzReadResults$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Compile every cmd/* binary into bin/. The walk-throughs are Example
 # functions in example_test.go, run by `go test`.

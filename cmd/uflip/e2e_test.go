@@ -26,6 +26,7 @@ import (
 	"uflip/internal/client"
 	"uflip/internal/job"
 	"uflip/internal/server"
+	"uflip/internal/trace"
 	"uflip/internal/workload"
 )
 
@@ -178,7 +179,8 @@ func sumColumn(t *testing.T, data []byte, col string) int64 {
 // dies mid-run, a synthetic workload on a stripe, an armed-schedule workload
 // and an array sweep each produce the same result files run locally on one
 // worker, locally on four, and through `uflip submit`; the daemon serves the
-// CSV those files hold and its durable <id>.jsonl is the local .jsonl.
+// CSV those files hold, and the run records of its durable <id>.results,
+// rendered, are the local .jsonl.
 func TestSurfacesAgree(t *testing.T) {
 	jobDir := t.TempDir()
 	cl, stop := startDaemon(t, server.Config{JobDir: jobDir, StateDir: t.TempDir(), Workers: 2})
@@ -217,13 +219,17 @@ func TestSurfacesAgree(t *testing.T) {
 		}
 	}
 
-	// The daemon's durable run records are the bytes a local run writes, and
-	// its job record holds none of them.
+	// The daemon's durable run records render to the bytes a local run
+	// writes, and its job record holds none of them.
 	stop()
 	for id, jsonl := range durable {
-		got, err := os.ReadFile(filepath.Join(jobDir, "jobs", id+".jsonl"))
-		if err != nil || !bytes.Equal(got, jsonl) {
-			t.Errorf("%s.jsonl differs from the local .jsonl (err %v)", id, err)
+		res, err := server.ReadResults(filepath.Join(jobDir, "jobs", id+".results"))
+		var got bytes.Buffer
+		if err == nil {
+			err = trace.WriteJSON(&got, res.Records)
+		}
+		if err != nil || !bytes.Equal(got.Bytes(), jsonl) {
+			t.Errorf("%s.results rendered differs from the local .jsonl (err %v)", id, err)
 		}
 		record, err := os.ReadFile(filepath.Join(jobDir, "jobs", id+".json"))
 		if err != nil || bytes.Contains(record, []byte(`"rts"`)) {

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,14 +21,13 @@ import (
 // jobRecord is the durable form of a job, persisted to <jobdir>/jobs as
 // <id>.json through trace.WriteAtomic, the temp+fsync+rename writer the
 // state store uses too. A record is written at submission (status queued)
-// and rewritten when the job finishes — after the run records (<id>.jsonl,
-// the bytes trace.WriteJSON produces and `uflip -out` writes), the rendered
-// CSV (<id>.csv) and the report (<id>.report), so the record that says done
-// is the commit point: a restarted daemon serves finished results
-// byte-identical to the process that computed them, and re-runs every job
-// whose record still says queued over whatever files a crash left.
-// Records is only ever read: records written before the run records moved
-// out of <id>.json carry them inline.
+// and rewritten when the job finishes — a done job's after its results file
+// (<id>.results: the CSV, the report and the run records, see Results), so
+// the record that says done is the commit point: a restarted daemon serves
+// finished results byte-identical to the process that computed them, and
+// re-runs every job whose record still says queued over whatever files a
+// crash left. Records is only ever read: records written before the run
+// records moved out of <id>.json carry them inline.
 type jobRecord struct {
 	ID        string            `json:"id"`
 	Tenant    string            `json:"tenant,omitempty"`
@@ -41,16 +43,19 @@ type jobRecord struct {
 
 	// runs is len(Records), kept when a persisted job's Records leave memory.
 	runs int
+	// csv and report are the summary CSV and the report, rendered once at
+	// completion and persisted in the results file.
+	csv, report []byte
 }
 
-// hasRunRecords reports whether the job has an <id>.jsonl beside its record:
-// only a done plan or workload job does.
+// hasRunRecords reports whether the job has run records: only a done plan or
+// workload job does.
 func (r *jobRecord) hasRunRecords() bool {
 	return r.Status == api.StatusDone && (r.Req.Kind == "plan" || r.Req.Kind == "workload")
 }
 
 // jobStore is the on-disk side of job durability: a directory of job
-// records and their artifacts. All writes are atomic (fsync + rename). The
+// records and their results files. All writes are atomic (fsync + rename). The
 // store is what a restart recovers from, and the only copy of a persisted
 // job's run records; the in-memory Server holds the rest while running.
 type jobStore struct {
@@ -94,61 +99,34 @@ func (st *jobStore) saveRecord(rec *jobRecord) error {
 	return nil
 }
 
-// saveArtifact persists one rendered artifact (".csv" or ".report")
-// atomically. A nil artifact (array and paper jobs have no CSV) is skipped.
-func (st *jobStore) saveArtifact(id, ext string, data []byte) error {
-	if data == nil {
-		return nil
-	}
-	if err := trace.WriteFileAtomic(st.path(id, ext), data); err != nil {
-		return fmt.Errorf("server: job store: write %s%s: %w", id, ext, err)
-	}
-	return nil
-}
-
-// saveFinished persists a finished job: the run records of a done plan or
-// workload job — streamed by the series encoder, never indented or buffered
-// whole — and the rendered artifacts first, the record carrying the terminal
-// status last. The first failure stops the sequence: on disk the job is done
-// only once all it stands for is there, and until then a restart re-runs it.
-func (st *jobStore) saveFinished(rec *jobRecord, records []trace.RunRecord, csv, report []byte) error {
-	if rec.hasRunRecords() {
-		err := trace.WriteAtomic(st.path(rec.ID, ".jsonl"), func(w io.Writer) error { return trace.WriteJSON(w, records) })
+// saveFinished persists a finished job in two atomic writes: a done job's
+// results file — the series streamed, never rendered as JSON or buffered
+// whole — then the record carrying the terminal status. A failure stops the
+// sequence: on disk the job is done only once all it stands for is there,
+// and until then a restart re-runs it.
+func (st *jobStore) saveFinished(rec *jobRecord, records []trace.RunRecord) error {
+	if rec.Status == api.StatusDone {
+		res := Results{CSV: rec.csv, Report: rec.report, Records: records}
+		err := trace.WriteAtomic(st.path(rec.ID, ".results"), func(w io.Writer) error { return writeResults(w, res) })
 		if err != nil {
-			return fmt.Errorf("server: job store: write %s.jsonl: %w", rec.ID, err)
+			return fmt.Errorf("server: job store: write %s.results: %w", rec.ID, err)
 		}
-	}
-	if err := st.saveArtifact(rec.ID, ".csv", csv); err != nil {
-		return err
-	}
-	if err := st.saveArtifact(rec.ID, ".report", report); err != nil {
-		return err
 	}
 	return st.saveRecord(rec)
 }
 
-// artifact reads a persisted artifact; a missing file returns nil.
-func (st *jobStore) artifact(id, ext string) []byte {
-	data, err := os.ReadFile(st.path(id, ext))
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
 // remove deletes a job's files (eviction), the record first: a crash part
-// way leaves orphans load ignores, never a done record without its files.
+// way leaves orphans load ignores, never a done record without its results.
+// The last three are the results of a job an older daemon finished.
 func (st *jobStore) remove(id string) {
-	for _, ext := range []string{".json", ".jsonl", ".csv", ".report"} {
+	for _, ext := range []string{".json", ".results", ".jsonl", ".csv", ".report"} {
 		os.Remove(st.path(id, ext))
 	}
 }
 
-// read reads job id's record and, for a done plan or workload job, its run
-// records: from <id>.jsonl, or inline in an <id>.json written before they
-// moved out: the one reader that load checks every job with and /result
-// reads run records back with. Once the job is evicted, errors wrap
-// fs.ErrNotExist.
+// read reads job id's record and, for a done job, its results: the one
+// reader that load checks every job with and /result reads run records back
+// with. Once the job is evicted, errors wrap fs.ErrNotExist.
 func (st *jobStore) read(id string) (*jobRecord, error) {
 	data, err := os.ReadFile(st.path(id, ".json"))
 	if err != nil {
@@ -161,20 +139,48 @@ func (st *jobStore) read(id string) (*jobRecord, error) {
 	if rec.ID == "" || rec.ID != id {
 		return nil, fmt.Errorf("server: job store: %s.json does not belong to job %q", id, rec.ID)
 	}
-	if rec.hasRunRecords() && rec.Records == nil {
-		if rec.Records, err = trace.LoadJSON(st.path(id, ".jsonl")); err != nil {
-			return nil, fmt.Errorf("server: job store: run records of done job %s: %w", id, err)
+	if rec.Status == api.StatusDone {
+		res, err := ReadResults(st.path(id, ".results"))
+		switch {
+		case err == nil:
+			rec.Records, rec.csv, rec.report = res.Records, res.CSV, res.Report
+		case errors.Is(err, fs.ErrNotExist):
+			// An older daemon's job: its run records in <id>.jsonl, or inline
+			// in <id>.json before that, beside <id>.csv and <id>.report.
+			rec.csv, rec.report, err = st.legacyFile(id, ".csv"), st.legacyFile(id, ".report"), nil
+			if rec.hasRunRecords() && rec.Records == nil {
+				rec.Records, err = trace.LoadJSON(st.path(id, ".jsonl"))
+			}
+			if err == nil && rec.hasRunRecords() && rec.csv == nil {
+				var buf bytes.Buffer // a pure function of the records
+				err = trace.WriteSummaryCSV(&buf, rec.Records)
+				rec.csv = buf.Bytes()
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("server: job store: results of done job %s: %w", id, err)
 		}
 	}
 	rec.runs = len(rec.Records)
 	return rec, nil
 }
 
+// legacyFile reads the CSV or report an older daemon wrote beside the
+// record; a missing one is nil.
+func (st *jobStore) legacyFile(id, ext string) []byte {
+	data, err := os.ReadFile(st.path(id, ext))
+	if err != nil {
+		return nil
+	}
+	return data
+}
+
 // load reads every persisted job record in submission order — by the
 // sequence number in its ID, which outgrows the zero padding at j-1000000 —
-// with the run records of done jobs read, counted and dropped. Unreadable or
-// corrupt records, a done job without run records included, fail loudly: a
-// damaged job directory must be noticed, not silently skipped.
+// with the results of done jobs read and checked, their run records counted
+// and dropped. Unreadable or corrupt records and results files, a done job
+// without run records included, fail loudly: a damaged job directory must be
+// noticed, not silently skipped.
 func (st *jobStore) load() ([]*jobRecord, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {

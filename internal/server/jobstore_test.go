@@ -11,9 +11,10 @@ import (
 )
 
 // TestSaveFinishedStreams pins the cost of writing a finished job down:
-// the run records of a 20 000-IO workload job go from the series encoder's
-// one 64 KiB buffer straight into the file. The indented single-file record
-// this replaced allocated more than twice the size of the file it wrote.
+// the run records of a 20 000-IO workload job go from the results encoder's
+// one 32 KiB buffer straight into the file. The indented single-file record
+// this replaced allocated more than twice the size of the file it wrote, the
+// JSON-lines file after it up to 256 KiB.
 func TestSaveFinishedStreams(t *testing.T) {
 	st, err := openJobStore(t.TempDir())
 	if err != nil {
@@ -30,16 +31,16 @@ func TestSaveFinishedStreams(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rec := &jobRecord{ID: "j-000001", Status: api.StatusDone, Req: api.JobRequest{Kind: "workload"}}
-	if err := st.saveFinished(rec, records, nil, nil); err != nil {
+	if err := st.saveFinished(rec, records); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	info, err := os.Stat(st.path("j-000001", ".jsonl"))
+	info, err := os.Stat(st.path("j-000001", ".results"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const limit = 256 << 10
+	const limit = 128 << 10
 	if got := after.TotalAlloc - before.TotalAlloc; got >= limit || info.Size() < limit/2 {
-		t.Fatalf("persisting a %d-byte .jsonl allocated %d bytes, want < %d", info.Size(), got, limit)
+		t.Fatalf("persisting a %d-byte .results allocated %d bytes, want < %d", info.Size(), got, limit)
 	}
 }

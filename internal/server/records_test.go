@@ -2,7 +2,7 @@ package server_test
 
 // Tests for where a finished job's run records live: in the daemon's heap
 // only while the job directory does not hold them, read back from
-// <id>.jsonl once it does — with the same bytes served either way.
+// <id>.results once it does — with the same bytes served either way.
 
 import (
 	"bytes"
@@ -54,7 +54,7 @@ func awaitNoneHeld(t *testing.T, srv *server.Server) {
 // the same status (runs included), /result, /csv and /report on a daemon
 // without a job directory, which keeps their run records in memory, on one
 // with a job directory, which drops them once persisted, and on a daemon
-// restarted over that directory — whose missing CSVs it re-renders.
+// restarted over that directory.
 func TestRecordsServedAlikeFromHeapAndDisk(t *testing.T) {
 	reqs := []api.JobRequest{planRequest("mtron", "Order"), workloadRequest()}
 	served := func(ts *httptest.Server, id string) map[string][]byte {
@@ -102,12 +102,6 @@ func TestRecordsServedAlikeFromHeapAndDisk(t *testing.T) {
 		sameServed(t, id+" read back from the job directory", got[id], want[id])
 	}
 	durable.Close()
-	for id := range want {
-		// A missing CSV is re-rendered from the run records read back.
-		if err := os.Remove(filepath.Join(jobDir, "jobs", id+".csv")); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	restarted, ts, _ := clockedDaemon(t, server.Config{JobDir: jobDir, Workers: 1})
 	if held := server.HeldRunRecords(restarted); len(held) != 0 {
@@ -118,7 +112,7 @@ func TestRecordsServedAlikeFromHeapAndDisk(t *testing.T) {
 	}
 }
 
-// TestFailedPersistKeepsRecords: when a job's .jsonl cannot be written, its
+// TestFailedPersistKeepsRecords: when a job's results cannot be written, its
 // run records stay in memory — the only copy — and /result serves them.
 func TestFailedPersistKeepsRecords(t *testing.T) {
 	_, clean := newTestServer(t, server.Config{Workers: 1})
@@ -128,7 +122,7 @@ func TestFailedPersistKeepsRecords(t *testing.T) {
 
 	jobDir := t.TempDir()
 	// A directory where the job's run records go makes their write fail.
-	if err := os.MkdirAll(filepath.Join(jobDir, "jobs", id+".jsonl"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(jobDir, "jobs", id+".results"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	srv, ts := newTestServer(t, server.Config{JobDir: jobDir, Workers: 1})
@@ -144,7 +138,7 @@ func TestFailedPersistKeepsRecords(t *testing.T) {
 		t.Fatalf("/result after a failed persist: HTTP %d, %d bytes; want the %d bytes of an undisturbed run", code, len(got), len(want))
 	}
 	if got := durableStatus(t, jobDir, id); got != api.StatusQueued {
-		t.Fatalf("durable record says %q although %s.jsonl was never written; want queued", got, id)
+		t.Fatalf("durable record says %q although %s.results was never written; want queued", got, id)
 	}
 }
 

@@ -12,13 +12,13 @@
 //     lifecycle as server-sent events with monotonic IDs; a client that
 //     reconnects with Last-Event-ID resumes without losing an event.
 //   - Durable jobs: with a job directory configured, every submission is
-//     persisted, and a finished job's run records (<id>.jsonl, streamed by
-//     trace.WriteJSON), CSV and report are written with atomic fsync+rename
-//     before the record that says it finished — a restarted daemon serves
-//     byte-identical results and re-runs every job with no such record.
-//     A job's durable record is the job itself: the queue entry embeds it
-//     and adds only its event log, cancel function and rendered artifacts;
-//     its run records leave memory once <id>.jsonl holds them.
+//     persisted, and a done job's CSV, report and run records go into one
+//     binary results file (<id>.results, the series streamed as varints) with
+//     atomic fsync+rename before the record that says it finished — a
+//     restarted daemon serves byte-identical results and re-runs every job
+//     with no such record. A job's durable record is the job itself: the
+//     queue entry embeds it and adds only its event log and cancel function;
+//     its run records leave memory once <id>.results holds them.
 //   - Admission control and trace upload: per-tenant (X-API-Key) token
 //     bucket rate limits and queue quotas guard the bounded queue with
 //     typed 429/503 envelopes — a tenant's jobs waiting to run count against
@@ -38,7 +38,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -68,7 +67,7 @@ type Config struct {
 	// empty disables the store (every job enforces live).
 	StateDir string
 	// JobDir is the durable-job directory: submissions and finished-job
-	// records/artifacts persist there (atomic fsync+rename) and uploaded
+	// records and results persist there (atomic fsync+rename) and uploaded
 	// traces live under its traces/ subdirectory. Empty keeps jobs and
 	// traces in memory only — a restart loses them.
 	JobDir string
@@ -132,15 +131,13 @@ func (c Config) withDefaults() Config {
 
 // job is a queue entry: its durable record, which the server lock guards,
 // plus what is not persisted in it — the event log (persisted as the
-// record's Events, which stay empty in memory), the cancel function of a
-// running job and the artifacts rendered once at completion. The heap keeps
-// the record's Records only while the job directory does not.
+// record's Events, which stay empty in memory) and the cancel function of a
+// running job. The heap keeps the record's Records only while the job
+// directory does not.
 type job struct {
 	jobRecord
 	log    *events.Log
 	cancel context.CancelFunc
-	csv    []byte // summary CSV
-	report []byte // human-readable report
 }
 
 // emit appends a job-stamped event to the job's stream.
@@ -149,7 +146,7 @@ func (j *job) emit(e api.Event) {
 	j.log.Append(e)
 }
 
-// record is the job's durable form: its run records go to <id>.jsonl, not
+// record is the job's durable form: its run records go to <id>.results, not
 // into the record. The caller must either hold the server lock or own the
 // job (its running worker goroutine).
 func (j *job) record() *jobRecord {
@@ -238,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // loadJobs restores persisted jobs into memory before the workers start:
-// finished jobs with their artifacts, run count and complete event history;
+// finished jobs with their CSV, report, run count and complete event history;
 // interrupted jobs (queued or running at the crash) back onto the queue.
 func (s *Server) loadJobs() error {
 	recs, err := s.jobsdir.load()
@@ -251,8 +248,6 @@ func (s *Server) loadJobs() error {
 		switch j.Status {
 		case api.StatusDone, api.StatusFailed, api.StatusCanceled:
 			j.log = events.Restore(j.Events)
-			j.csv = s.jobsdir.artifact(j.ID, ".csv")
-			j.report = s.jobsdir.artifact(j.ID, ".report")
 		default:
 			// An older daemon may have left a default to execution; a
 			// request that no longer validates at all fails when it runs.
@@ -714,23 +709,8 @@ func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, api.CodeNotFound, "%s jobs have no CSV; fetch /report", j.Req.Kind)
 		return
 	}
-	csv := j.csv
-	if csv == nil {
-		// Restored job whose CSV artifact is missing: re-render from the
-		// persisted records (the render is a pure function of them).
-		recs, ok := s.runRecords(w, j)
-		if !ok {
-			return
-		}
-		var buf bytes.Buffer
-		if err := trace.WriteSummaryCSV(&buf, recs); err != nil {
-			writeError(w, http.StatusInternalServerError, api.CodeInternal, "render csv: %v", err)
-			return
-		}
-		csv = buf.Bytes()
-	}
 	w.Header().Set("Content-Type", "text/csv")
-	_, _ = w.Write(csv)
+	_, _ = w.Write(j.csv)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -791,8 +771,8 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.Copy(w, io.NewSectionReader(h, 0, h.Size))
 }
 
-// persistFinished writes the job's run records, artifacts and — last — its
-// final record to the job directory, then drops the run records from memory.
+// persistFinished writes the job's results file and — last — its final
+// record to the job directory, then drops the run records from memory.
 // Persistence failures are reported on stderr but do not undo a completed
 // job: the results remain servable from memory; on disk the job stays
 // queued, so a restart re-runs it.
@@ -800,7 +780,7 @@ func (s *Server) persistFinished(j *job) {
 	if s.jobsdir == nil {
 		return
 	}
-	if err := s.jobsdir.saveFinished(j.record(), j.Records, j.csv, j.report); err != nil {
+	if err := s.jobsdir.saveFinished(j.record(), j.Records); err != nil {
 		fmt.Fprintln(os.Stderr, "uflip serve:", err)
 		return
 	}
