@@ -4,8 +4,9 @@
 // Run in-process, `uflip submit` sends the request to the daemon, and the
 // daemon's worker calls the same Run. A job's records, report and CSV are
 // therefore the same bytes wherever it ran, by construction. A surface passes
-// in Env only what it owns: a state cache, the stream a replay runs, and
-// observers that turn progress into its narration (terminal lines, events).
+// in Env only what it owns: a state cache (and, for a daemon, the devices it
+// keeps prepared), the stream a replay runs, and observers that turn
+// progress into its narration (terminal lines, events).
 package job
 
 import (
@@ -166,6 +167,9 @@ type Env struct {
 	// Store, when non-nil, is where enforced device states load from and
 	// save to; nil enforces live. Results are byte-identical either way.
 	Store *statestore.Store
+	// Prepared, when non-nil with a Store, keeps the devices jobs prepare
+	// (paperexp.Prepared), so a long-running surface prepares each once.
+	Prepared *paperexp.Prepared
 	// Source is the stream a workload job replays: required when the
 	// workload kind is "trace" (the surface opens it, workload.OpenTrace);
 	// for a synthetic request nil means Synthetic builds it, and a surface
@@ -208,7 +212,7 @@ func Synthetic(spec workload.Spec) (workload.Source, error) {
 // for any value).
 func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 	workers := par.Workers(req.Parallel)
-	cfg := paperexp.Config{Capacity: req.Capacity, Seed: req.Seed, IOCount: req.IOCount, Store: env.Store}
+	cfg := paperexp.Config{Capacity: req.Capacity, Seed: req.Seed, IOCount: req.IOCount, Store: env.Store, Prepared: env.Prepared}
 	out := &Outcome{Kind: req.Kind}
 	var rep bytes.Buffer
 	switch req.Kind {

@@ -10,7 +10,6 @@ import (
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
 	"uflip/internal/par"
-	"uflip/internal/profile"
 	"uflip/internal/trace"
 	"uflip/internal/workload"
 )
@@ -92,49 +91,16 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 	if err := CheckSpan(key, cfg.Capacity, cfg.IOCount); err != nil {
 		return nil, fmt.Errorf("paperexp: %w", err)
 	}
-	// Methodology, step 1: enforce the random initial state (Section 4.1).
-	dev, err := profile.BuildDevice(key, cfg.Capacity)
+	// Steps 1–3: enforce the random initial state (Section 4.1), measure the
+	// start-up and running phases (4.2) and the pause between runs (4.3).
+	master, at, phases, pauseRep, err := cfg.prepare(key, req.Stages)
 	if err != nil {
 		return nil, err
 	}
-	d := cfg.defaults(dev.Capacity())
-	if req.Stages.EnforcingState != nil {
-		req.Stages.EnforcingState(dev.Capacity())
-	}
-	at, hit, err := enforceCached(dev, key, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if req.Stages.StateEnforced != nil {
-		req.Stages.StateEnforced(at, hit)
-	}
-	// The enforced state is acquired once per job: the plan's shards start
-	// from a copy of it taken now, before the measurements below drive dev on.
-	master, ok := dev.CloneDevice().(device.Cloneable)
-	if !ok {
-		return nil, fmt.Errorf("paperexp: the clone of %s cannot be cloned", key)
-	}
-
-	// Step 2: measure start-up and running phases (Section 4.2).
-	phases, err := methodology.MeasurePhases(dev, d, 4*cfg.IOCount, at+5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	if req.Stages.PhasesMeasured != nil {
-		req.Stages.PhasesMeasured(phases)
-	}
-
-	// Step 3: determine the pause between runs (Section 4.3).
-	pauseRep, err := methodology.MeasurePause(dev, d, phases.End+5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	if req.Stages.PauseMeasured != nil {
-		req.Stages.PauseMeasured(pauseRep)
-	}
+	d := cfg.defaults(master.Capacity())
 
 	// Step 4: build and run the benchmark plan through the engine.
-	selected, err := SelectMicros(req.Micros, d, dev.Capacity())
+	selected, err := SelectMicros(req.Micros, d, master.Capacity())
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +108,7 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 	for _, mb := range selected {
 		exps = append(exps, mb.Experiments...)
 	}
-	plan := methodology.BuildPlan(exps, dev.Capacity(), pauseRep.RecommendedPause, phases)
+	plan := methodology.BuildPlan(exps, master.Capacity(), pauseRep.RecommendedPause, phases)
 	plan.Device = key
 	if req.Stages.PlanBuilt != nil {
 		req.Stages.PlanBuilt(plan, workers)
@@ -166,6 +132,42 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 		Plan:    plan,
 		Results: results,
 	}, nil
+}
+
+// prepare readies key's device for a plan (RunBenchmark's steps 1–3) under
+// its store lock: the enforced master the plan's shards copy, its
+// enforcement end, and the phase and pause reports, measured on a copy of the
+// master — or taken from cfg.Prepared, which keeps what it lacked. st fires
+// as if every step ran.
+func (cfg Config) prepare(key string, st Stages) (device.Cloneable, time.Duration, *methodology.PhaseReport, *methodology.PauseReport, error) {
+	sk, unlock := cfg.lock(key)
+	defer unlock()
+	master, at, _, err := cfg.enforced(key, sk, st)
+	if err != nil {
+		return nil, 0, nil, nil, err
+	}
+	d := cfg.defaults(master.Capacity())
+	phases, pause, kept := cfg.Prepared.Calibration(sk, d)
+	var dev device.Device
+	if !kept {
+		dev = master.CloneDevice()
+		if phases, err = methodology.MeasurePhases(dev, d, 4*cfg.IOCount, at+5*time.Second); err != nil {
+			return nil, 0, nil, nil, err
+		}
+	}
+	if st.PhasesMeasured != nil {
+		st.PhasesMeasured(phases)
+	}
+	if !kept {
+		if pause, err = methodology.MeasurePause(dev, d, phases.End+5*time.Second); err != nil {
+			return nil, 0, nil, nil, err
+		}
+		cfg.Prepared.keepCalibration(sk, d, phases, pause)
+	}
+	if st.PauseMeasured != nil {
+		st.PauseMeasured(pause)
+	}
+	return master, at, phases, pause, nil
 }
 
 // Records converts plan results into their serializable form — the records

@@ -42,8 +42,15 @@ type Config struct {
 	// Store, when non-nil, persists enforced device states: Prepare and
 	// the engine masters load the (spec, capacity, seed) state from disk
 	// on a cache hit instead of replaying the enforcement IOs, and save it
-	// after enforcing on a miss. Results are byte-identical either way.
+	// after enforcing on a miss — unless Prepared keeps the master. Results
+	// are byte-identical either way.
 	Store *statestore.Store
+	// Prepared, when non-nil and with a Store, keeps the masters the engine
+	// shards copy and a plan's phase and pause reports in memory, so a
+	// repeated job builds, loads and measures nothing before its runs. A
+	// long-running process sets it (the daemon); Prepare's device is always
+	// the caller's own.
+	Prepared *Prepared
 }
 
 // DefaultConfig returns the scale used throughout the repository's
@@ -110,53 +117,81 @@ func StateKey(key string, cfg Config) statestore.Key {
 // store configured it always enforces live (hit=false). With a store, a hit restores the
 // persisted state — byte-identical to enforcing — and a miss enforces live
 // and saves. The load-or-enforce window holds the store's per-key lock, so
-// concurrent jobs that race on one key enforce it once.
+// concurrent jobs that race on one key enforce it once. The device is the
+// caller's own: cfg.Prepared is not consulted.
 func PrepareCached(key string, cfg Config) (device.Cloneable, time.Duration, bool, error) {
-	dev, err := profile.BuildDevice(key, cfg.Capacity)
-	if err != nil {
-		return nil, 0, false, err
+	cfg.Prepared = nil
+	sk, unlock := cfg.lock(key)
+	defer unlock()
+	return cfg.enforced(key, sk, Stages{})
+}
+
+// lock takes key's store lock and returns its state key, or returns at once
+// with no store.
+func (cfg Config) lock(key string) (statestore.Key, func()) {
+	if cfg.Store == nil {
+		return statestore.Key{}, func() {}
 	}
-	at, hit, err := enforceCached(dev, key, cfg)
-	if err != nil {
-		return nil, 0, false, err
+	sk := StateKey(key, cfg)
+	return sk, cfg.Store.LockKey(sk)
+}
+
+// enforced returns key's device in the random initial state (Section 4.1),
+// the enforcement end and whether the state came from a cache, firing st's
+// EnforcingState and StateEnforced. It is the master kept in cfg.Prepared for
+// sk when there is one; otherwise the device is built and its state loaded
+// from cfg.Store, or enforced live (and saved), and then kept — so the caller
+// must only copy it when cfg.Prepared is set. With a store the caller holds
+// sk's lock.
+func (cfg Config) enforced(key string, sk statestore.Key, st Stages) (dev device.Cloneable, at time.Duration, hit bool, err error) {
+	if cfg.Store == nil {
+		cfg.Prepared = nil // it keeps what the store holds, and there is none
+	}
+	if dev, at, hit = cfg.Prepared.Master(sk); !hit {
+		if dev, err = profile.BuildDevice(key, cfg.Capacity); err != nil {
+			return nil, 0, false, err
+		}
+	}
+	if st.EnforcingState != nil {
+		st.EnforcingState(dev.Capacity())
+	}
+	if !hit {
+		if at, hit, err = cfg.loadOrEnforce(dev, sk); err != nil {
+			return nil, 0, false, err
+		}
+		cfg.Prepared.keepMaster(sk, dev, at)
+	}
+	if st.StateEnforced != nil {
+		st.StateEnforced(at, hit)
 	}
 	return dev, at, hit, nil
 }
 
-// enforceCached brings an already-built device to the random initial state,
-// loading it from cfg.Store on a hit and enforcing live (and saving) on a miss
-// or with no store.
-func enforceCached(dev device.Cloneable, key string, cfg Config) (time.Duration, bool, error) {
-	if cfg.Store == nil {
-		end, err := methodology.EnforceRandomState(dev, cfg.Seed)
-		return end, false, err
+// loadOrEnforce brings a built device to the random initial state: loaded
+// from cfg.Store when it holds sk, enforced live otherwise (and saved when
+// there is a store).
+func (cfg Config) loadOrEnforce(dev device.Cloneable, sk statestore.Key) (time.Duration, bool, error) {
+	if cfg.Store != nil {
+		if at, hit, err := cfg.Store.Load(sk, dev); err != nil || hit {
+			return at, hit, err
+		}
 	}
-	sk := StateKey(key, cfg)
-	unlock := cfg.Store.LockKey(sk)
-	defer unlock()
-	if at, hit, err := cfg.Store.Load(sk, dev); err != nil {
-		return 0, false, err
-	} else if hit {
-		return at, true, nil
+	at, err := methodology.EnforceRandomState(dev, cfg.Seed)
+	if err == nil && cfg.Store != nil {
+		err = cfg.Store.Save(sk, dev, at)
 	}
-	end, err := methodology.EnforceRandomState(dev, cfg.Seed)
-	if err != nil {
-		return 0, false, err
-	}
-	if err := cfg.Store.Save(sk, dev, end); err != nil {
-		return 0, false, err
-	}
-	return end, false, nil
+	return at, false, err
 }
 
 // ShardFactory returns the engine device factory for a profile: one master
 // device per (profile, capacity, enforcement-seed) is built and enforced
-// lazily, and every shard receives its state — private mutable FTL state at
-// copy cost instead of replaying the enforcement IOs, reset into the device
-// the worker's previous shard ran on (engine.Shard.Reuse) rather than cloned
-// afresh. Results are byte-identical, for any worker count, to building and
-// enforcing a device per shard (the package's tests keep that rebuild factory
-// as the clone-correctness oracle).
+// lazily, or taken from cfg.Prepared, and every shard receives its state —
+// private mutable FTL state at copy cost instead of replaying the
+// enforcement IOs, reset into the device the worker's previous shard ran on
+// (engine.Shard.Reuse) rather than cloned afresh. Results are
+// byte-identical, for any worker count, to building and enforcing a device
+// per shard (the package's tests keep that rebuild factory as the
+// clone-correctness oracle).
 //
 // Every shard now starts from the cfg.Seed-enforced state; earlier releases
 // enforced each shard with its own derived seed, so absolute numbers differ
@@ -165,7 +200,10 @@ func enforceCached(dev device.Cloneable, key string, cfg Config) (time.Duration,
 // paper's one-device methodology more closely).
 func ShardFactory(key string, cfg Config) engine.DeviceFactory {
 	return engine.CloningFactory(func() (device.Cloneable, time.Duration, error) {
-		return Prepare(key, cfg)
+		sk, unlock := cfg.lock(key)
+		defer unlock()
+		master, at, _, err := cfg.enforced(key, sk, Stages{})
+		return master, at + cfg.Pause, err
 	})
 }
 

@@ -177,8 +177,8 @@ func TestStateStoreDifferentialArray(t *testing.T) {
 // cache (no enforcement replay) and produce byte-identical results — the
 // records behind stdout tables, CSV and JSONL alike. And a job acquires its
 // enforced state once: the state file is not needed again after StateEnforced
-// (the plan's master is a copy of the device that was just loaded, not a
-// second load), so a file deleted at that point neither fails the job,
+// (the plan's master is the device that was just loaded, not a second
+// load), so a file deleted at that point neither fails the job,
 // changes its results, nor comes back.
 func TestRunBenchmarkRepeatIsByteIdenticalAndSkipsFill(t *testing.T) {
 	const key = "mtron"

@@ -26,21 +26,32 @@ func mlcBase() ftl.CostModel {
 
 func mbps(n float64) float64 { return n * 1024 * 1024 }
 
+// table lists the eleven devices of Table 2 in the table's order, each by
+// its key, so a lookup builds only the profile asked for.
+var table = []struct {
+	key   string
+	build func() Profile
+}{
+	{"memoright", memoright},
+	{"gskill", gskill},
+	{"samsung", samsung},
+	{"mtron", mtron},
+	{"transcend-ssd16", transcendSSD16},
+	{"transcend-mlc32", transcendMLC32},
+	{"kingston-dthx", kingstonDTHX},
+	{"corsair", corsair},
+	{"transcend-module", transcendModule},
+	{"kingston-dti", kingstonDTI},
+	{"kingston-sd", kingstonSD},
+}
+
 // All returns the eleven devices of Table 2. Order follows the table.
 func All() []Profile {
-	return []Profile{
-		memoright(),
-		gskill(),
-		samsung(),
-		mtron(),
-		transcendSSD16(),
-		transcendMLC32(),
-		kingstonDTHX(),
-		corsair(),
-		transcendModule(),
-		kingstonDTI(),
-		kingstonSD(),
+	ps := make([]Profile, len(table))
+	for i, t := range table {
+		ps[i] = t.build()
 	}
+	return ps
 }
 
 // memoright is the Memoright MR25.2-032S, the paper's top-of-the-line SSD

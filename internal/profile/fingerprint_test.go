@@ -1,9 +1,29 @@
 package profile
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
+
+// TestByKeyBuildsAllsEntry: ByKey builds only the profile asked for, which
+// must be All()'s entry for that key, field for field, so the fingerprints
+// (and the state keys over them) are the same either way.
+func TestByKeyBuildsAllsEntry(t *testing.T) {
+	all := All()
+	if keys := Keys(); len(keys) != len(all) {
+		t.Fatalf("Keys() lists %d profiles, All() builds %d", len(keys), len(all))
+	}
+	for _, want := range all {
+		got, err := ByKey(want.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByKey(%q) differs from All()'s entry", want.Key)
+		}
+	}
+}
 
 func TestFingerprintStableAndDistinct(t *testing.T) {
 	a, err := Fingerprint("memoright")

@@ -142,9 +142,9 @@ func logicalBytes(capacity int64) int64 { return capacity - capacity%ftl.LineByt
 
 // ByKey returns the profile with the given key.
 func ByKey(key string) (Profile, error) {
-	for _, p := range All() {
-		if p.Key == key {
-			return p, nil
+	for _, t := range table {
+		if t.key == key {
+			return t.build(), nil
 		}
 	}
 	return Profile{}, fmt.Errorf("profile: unknown device %q (known: %v)", key, Keys())
@@ -152,10 +152,9 @@ func ByKey(key string) (Profile, error) {
 
 // Keys lists all profile keys in stable order.
 func Keys() []string {
-	ps := All()
-	keys := make([]string, len(ps))
-	for i, p := range ps {
-		keys[i] = p.Key
+	keys := make([]string, len(table))
+	for i, t := range table {
+		keys[i] = t.key
 	}
 	sort.Strings(keys)
 	return keys

@@ -1,6 +1,10 @@
 package server
 
-import "time"
+import (
+	"time"
+
+	"uflip/internal/paperexp"
+)
 
 // SetClock replaces the daemon's clock, so two daemons stamp their jobs alike.
 func SetClock(s *Server, now func() time.Time) {
@@ -21,3 +25,7 @@ func HeldRunRecords(s *Server) []string {
 	}
 	return ids
 }
+
+// KeptDevices is the daemon's cache of prepared devices; nil without a
+// state directory.
+func KeptDevices(s *Server) *paperexp.Prepared { return s.prepared }

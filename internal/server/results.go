@@ -57,18 +57,23 @@ func writeResults(w io.Writer, res Results) error {
 	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), 32<<10)
 	bw.WriteString(resultsMagic)
 	for _, section := range [][]byte{res.CSV, res.Report, headJSON} {
-		putUvarint(bw, uint64(len(section)))
+		bw.Write(binary.AppendUvarint(room(bw, bw.AvailableBuffer()), uint64(len(section))))
 		bw.Write(section)
 	}
+	buf := bw.AvailableBuffer()
 	for i := range res.Records {
-		putUvarint(bw, uint64(len(res.Records[i].RTs)))
+		buf = binary.AppendUvarint(room(bw, buf), uint64(len(res.Records[i].RTs)))
 		for _, d := range res.Records[i].RTs {
 			if d < 0 || d > maxRT {
 				return fmt.Errorf("results: record %d: response time %v outside [0, %v]", i, d, maxRT)
 			}
-			putUvarint(bw, uint64(d))
+			if cap(buf)-len(buf) < binary.MaxVarintLen64 { // room's test, without a call per value
+				buf = room(bw, buf)
+			}
+			buf = binary.AppendUvarint(buf, uint64(d))
 		}
 	}
+	bw.Write(buf)
 	if err := bw.Flush(); err != nil { // a write error sticks until here
 		return err
 	}
@@ -76,12 +81,17 @@ func writeResults(w io.Writer, res Results) error {
 	return err
 }
 
-// putUvarint appends v to bw's buffer in place.
-func putUvarint(bw *bufio.Writer, v uint64) {
-	if bw.Available() < binary.MaxVarintLen64 {
-		bw.Flush()
+// room returns buf, bw's free space (AvailableBuffer), when a varint still
+// fits in it, and otherwise writes buf out and returns the free space after
+// it: the integers are appended into bw's buffer in place, and go out in one
+// Write per buffer fill.
+func room(bw *bufio.Writer, buf []byte) []byte {
+	if cap(buf)-len(buf) >= binary.MaxVarintLen64 {
+		return buf
 	}
-	bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
+	bw.Write(buf)
+	bw.Flush()
+	return bw.AvailableBuffer()
 }
 
 // ReadResults reads the results file at path. An error that does not wrap

@@ -32,9 +32,12 @@
 // construction. The daemon itself only queues, observes (the runner's
 // observers become the job's event stream), persists and serves. All
 // jobs share one persistent state store (when configured): the first job
-// needing a (device, capacity, seed) state enforces and saves it, every
-// later job — concurrent or in a later process — loads it from disk and
-// skips the fill.
+// needing a (device, capacity, seed) state enforces and saves it, and the
+// daemon keeps the device it prepared (paperexp.Prepared: the enforced
+// master, and per calibration a plan's phase and pause reports), so every
+// later job — concurrent or not — copies its shards from that master and
+// skips the fill, the load and the measurements; a later process loads the
+// state from disk.
 package server
 
 import (
@@ -63,8 +66,9 @@ import (
 
 // Config tunes the daemon.
 type Config struct {
-	// StateDir is the persistent state-store directory shared by all jobs;
-	// empty disables the store (every job enforces live).
+	// StateDir is the persistent state-store directory shared by all jobs,
+	// whose devices the daemon also keeps prepared in memory; empty
+	// disables both (every job enforces live).
 	StateDir string
 	// JobDir is the durable-job directory: submissions and finished-job
 	// records and results persist there (atomic fsync+rename) and uploaded
@@ -159,11 +163,12 @@ func (j *job) record() *jobRecord {
 // Server is the experiment daemon. Create with New, expose via Handler,
 // stop with Close.
 type Server struct {
-	cfg     Config
-	store   *statestore.Store
-	jobsdir *jobStore // nil without Config.JobDir
-	traces  *traceStore
-	now     func() time.Time // injectable for admission tests
+	cfg      Config
+	store    *statestore.Store
+	prepared *paperexp.Prepared // nil without Config.StateDir
+	jobsdir  *jobStore          // nil without Config.JobDir
+	traces   *traceStore
+	now      func() time.Time // injectable for admission tests
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -192,11 +197,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	var store *statestore.Store
+	var prepared *paperexp.Prepared
 	if cfg.StateDir != "" {
 		var err error
 		if store, err = statestore.Open(cfg.StateDir); err != nil {
 			return nil, err
 		}
+		prepared = new(paperexp.Prepared)
 	}
 	traces, err := openTraceStore(cfg.JobDir)
 	if err != nil {
@@ -210,15 +217,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg.withDefaults(),
-		store:   store,
-		jobsdir: jobsdir,
-		traces:  traces,
-		now:     time.Now,
-		baseCtx: ctx,
-		stop:    stop,
-		jobs:    make(map[string]*job),
-		tenants: make(map[string]*tenantState),
+		cfg:      cfg.withDefaults(),
+		store:    store,
+		prepared: prepared,
+		jobsdir:  jobsdir,
+		traces:   traces,
+		now:      time.Now,
+		baseCtx:  ctx,
+		stop:     stop,
+		jobs:     make(map[string]*job),
+		tenants:  make(map[string]*tenantState),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if jobsdir != nil {
@@ -895,7 +903,8 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		j.emit(api.Event{Type: api.EventStage, Stage: name, Detail: detail, Total: total})
 	}
 	env := runner.Env{
-		Store: s.store,
+		Store:    s.store,
+		Prepared: s.prepared,
 		Progress: func(done, total int, desc string) {
 			j.emit(api.Event{Type: api.EventProgress, Done: done, Total: total, Detail: desc})
 		},
