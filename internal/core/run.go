@@ -60,11 +60,15 @@ func (t Timing) gapBefore(i int) time.Duration {
 // Scratch is the reusable state of one worker's runs: the IO batch an
 // executor hands its device, and the pattern sources it draws IOs from with
 // their random generators. The engine keeps one per worker for an execution,
-// so a run allocates only its Run and response times. A run resets every
-// source it opens and reseeds its generator, so its result never depends on
-// what the scratch served before. The zero value is ready to use; a Scratch
-// serves one run at a time.
+// so a run allocates only its Run and, without a Series, its response times.
+// A run resets every source it opens and reseeds its generator, so its
+// result never depends on what the scratch served before. The zero value is
+// ready to use; a Scratch serves one run at a time.
 type Scratch struct {
+	// Series is where the runs' response times are carved from (a daemon
+	// worker's, shared by one job's engine workers); nil allocates each.
+	Series *Series
+
 	ios  []device.IO
 	srcs []*patternSource
 	mix  MixSource
@@ -93,7 +97,7 @@ func (sc *Scratch) source(k int, p *Pattern) *patternSource {
 
 // Execute runs count IOs from src against dev starting at virtual time
 // startAt, measuring each IO individually. The IOs go to the device through
-// sc's batch.
+// sc's batch, and the response times land in a window of sc.Series.
 func Execute(sc *Scratch, dev device.Device, src IOSource, count, ignore int, timing Timing, startAt time.Duration) (*Run, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("core: IOCount must be positive, got %d", count)
@@ -103,7 +107,7 @@ func Execute(sc *Scratch, dev device.Device, src IOSource, count, ignore int, ti
 	}
 	run := &Run{
 		Device:   dev.Name(),
-		RTs:      make([]time.Duration, 0, count),
+		RTs:      sc.Series.Take(count),
 		IOIgnore: ignore,
 	}
 	// Closed loop: IO i+1 goes in at the completion of IO i plus the
@@ -215,7 +219,7 @@ func ExecuteParallel(sc *Scratch, dev device.Device, p Pattern, degree int, star
 	run := &Run{
 		Name:     p.Name + "||" + strconv.Itoa(degree),
 		Device:   dev.Name(),
-		RTs:      make([]time.Duration, 0, perProc*degree),
+		RTs:      sc.Series.Take(perProc * degree),
 		IOIgnore: p.IOIgnore,
 	}
 	timing := Timing{Pause: p.Pause, Burst: p.Burst}

@@ -9,8 +9,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"uflip/internal/api"
+	"uflip/internal/core"
 	"uflip/internal/job"
 	"uflip/internal/paperexp"
 	"uflip/internal/profile"
@@ -249,5 +251,69 @@ func TestOddCapacitiesRunToTheEnd(t *testing.T) {
 			}
 			t.Errorf("%s job on %q at %d bytes: %v", req.Kind, dev, req.Capacity, err)
 		}
+	}
+}
+
+// TestPoisonedSeriesServesTheSameBytes: a plan job of all nine
+// micro-benchmarks (pattern, mix and parallel runs, at two engine workers
+// taking windows at once) and a workload replay, run one after the other on
+// one Series whose slab first held a sentinel and then each earlier job's
+// series, render the records, CSV and report of the same jobs run without a
+// Series: every slot a job reads it has written first.
+func TestPoisonedSeriesServesTheSameBytes(t *testing.T) {
+	reqs := []api.JobRequest{
+		{Kind: "plan", Device: "memoright", Capacity: 64 << 20, IOCount: 64, Parallel: 2},
+		{Kind: "workload", Device: "kingston-dti", Capacity: 64 << 20, Parallel: 2,
+			Workload: &api.WorkloadRequest{Spec: workload.Spec{Kind: "oltp", Count: 2000}, SegmentOps: 300}},
+	}
+	rendered := func(out *job.Outcome) []byte {
+		var b bytes.Buffer
+		if err := trace.WriteJSON(&b, out.Records); err != nil {
+			t.Fatal(err)
+		}
+		b.Write(out.CSV)
+		b.Write(out.Report)
+		return b.Bytes()
+	}
+	want := make([][]byte, len(reqs))
+	slots := 0
+	for i := range reqs {
+		if err := job.Normalize(&reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+		out, err := job.Run(context.Background(), reqs[i], job.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rendered(out)
+		for _, rec := range out.Records {
+			slots += len(rec.RTs)
+		}
+	}
+
+	// A slab larger than both jobs together, every slot the sentinel.
+	series := new(core.Series)
+	series.Take(2 * slots)
+	series.Reset()
+	w := series.Take(2 * slots)[:2*slots]
+	for i := range w {
+		w[i] = 1 << 40
+	}
+	series.Reset()
+	for _, i := range []int{0, 1, 0, 1} {
+		out, err := job.Run(context.Background(), reqs[i], job.Env{Series: series})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rendered(out); !bytes.Equal(got, want[i]) {
+			t.Fatalf("%s job on a reused Series renders %d bytes that differ from the %d without one", reqs[i].Kind, len(got), len(want[i]))
+		}
+		lo, hi := uintptr(unsafe.Pointer(&w[0])), uintptr(unsafe.Pointer(&w[len(w)-1]))
+		for _, rec := range out.Records {
+			if at := uintptr(unsafe.Pointer(&rec.RTs[0])); at < lo || at > hi {
+				t.Fatalf("%s job: the series of %s is not in the Series' slab", reqs[i].Kind, rec.ID)
+			}
+		}
+		series.Reset()
 	}
 }

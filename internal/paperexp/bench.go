@@ -27,6 +27,8 @@ type BenchmarkRequest struct {
 	// Stages, when set, observe the pipeline as it advances (the CLI uses
 	// them to print its step-by-step narration at the original points).
 	Stages Stages
+	// Series, when non-nil, is engine.Options.Series for the plan.
+	Series *core.Series
 }
 
 // Stages are optional pipeline observers; any field may be nil.
@@ -120,6 +122,7 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 		Workers:  workers,
 		Seed:     cfg.Seed,
 		Progress: req.Progress,
+		Series:   req.Series,
 	})
 	if err != nil {
 		return nil, err

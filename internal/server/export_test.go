@@ -1,8 +1,10 @@
 package server
 
 import (
+	"reflect"
 	"time"
 
+	"uflip/internal/core"
 	"uflip/internal/paperexp"
 )
 
@@ -29,3 +31,20 @@ func HeldRunRecords(s *Server) []string {
 // KeptDevices is the daemon's cache of prepared devices; nil without a
 // state directory.
 func KeptDevices(s *Server) *paperexp.Prepared { return s.prepared }
+
+// WorkerSeries is worker w's response-time buffer and the response times its
+// slab holds.
+func WorkerSeries(s *Server, w int) (*core.Series, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	series := s.series[w]
+	return series, reflect.ValueOf(series).Elem().FieldByName("slab").Len()
+}
+
+// ResultReaders counts the /result handlers encoding job id's run records
+// from memory.
+func ResultReaders(s *Server, id string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.jobs[id].readers
+}

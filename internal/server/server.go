@@ -18,7 +18,8 @@
 //     restarted daemon serves byte-identical results and re-runs every job
 //     with no such record. A job's durable record is the job itself: the
 //     queue entry embeds it and adds only its event log and cancel function;
-//     its run records leave memory once <id>.results holds them.
+//     its run records leave memory once <id>.results holds them, and the
+//     memory their series took serves its worker's next job.
 //   - Admission control and trace upload: per-tenant (X-API-Key) token
 //     bucket rate limits and queue quotas guard the bounded queue with
 //     typed 429/503 envelopes — a tenant's jobs waiting to run count against
@@ -55,6 +56,7 @@ import (
 	"time"
 
 	"uflip/internal/api"
+	"uflip/internal/core"
 	runner "uflip/internal/job" // "job" is this package's queue entry
 	"uflip/internal/methodology"
 	"uflip/internal/paperexp"
@@ -142,6 +144,8 @@ type job struct {
 	jobRecord
 	log    *events.Log
 	cancel context.CancelFunc
+	// readers counts the /result handlers encoding Records from memory.
+	readers int
 }
 
 // emit appends a job-stamped event to the job's stream.
@@ -183,6 +187,7 @@ type Server struct {
 	nextID  int
 	closed  bool
 	wg      sync.WaitGroup
+	series  []*core.Series // per worker; the worker replaces its own under mu
 }
 
 // New builds the daemon, recovers any persisted jobs and uploaded traces
@@ -235,9 +240,11 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	for i := 0; i < s.cfg.Workers; i++ {
+	s.series = make([]*core.Series, s.cfg.Workers)
+	for w := range s.series {
+		s.series[w] = new(core.Series)
 		s.wg.Add(1)
-		go s.worker()
+		go s.worker(w)
 	}
 	return s, nil
 }
@@ -280,14 +287,25 @@ func idNum(id string) int {
 	return n
 }
 
-func (s *Server) worker() {
+// worker runs claimed jobs one after another on its response-time buffer.
+// Once a job's run records were persisted, left the heap and are read by no
+// /result handler, their memory serves the next job; otherwise the job keeps
+// it and the worker starts a fresh buffer (always without a job directory).
+func (s *Server) worker(w int) {
 	defer s.wg.Done()
 	for {
 		j, ctx := s.claim()
 		if j == nil {
 			return
 		}
-		s.runJob(ctx, j)
+		s.runJob(ctx, j, s.series[w])
+		s.mu.Lock() // runRecords counts a reader in under it
+		if j.Records == nil && j.readers == 0 {
+			s.series[w].Reset()
+		} else {
+			s.series[w] = new(core.Series)
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -679,22 +697,32 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case !j.hasRunRecords():
 		writeError(w, http.StatusNotFound, api.CodeNotFound, "%s jobs have no result records; fetch /report", j.Req.Kind)
 	default:
-		if recs, ok := s.runRecords(w, j); ok {
+		recs, heap, ok := s.runRecords(w, j)
+		if ok {
 			writeJSON(w, http.StatusOK, recs)
+		}
+		if heap {
+			s.mu.Lock()
+			j.readers--
+			s.mu.Unlock()
 		}
 	}
 }
 
 // runRecords returns a done plan or workload job's run records: from memory
-// while they are the only copy, else read back from the job directory. ok is
-// false once it has written an error: 404 not_found for a job evicted since
-// its lookup, as for one evicted before.
-func (s *Server) runRecords(w http.ResponseWriter, j *job) (recs []trace.RunRecord, ok bool) {
+// while they are the only copy — heap, and the caller is then counted among
+// the job's readers until it leaves — else read back from the job directory.
+// ok is false once it has written an error: 404 not_found for a job evicted
+// since its lookup, as for one evicted before.
+func (s *Server) runRecords(w http.ResponseWriter, j *job) (recs []trace.RunRecord, heap, ok bool) {
 	s.mu.Lock()
 	recs = j.Records
+	if recs != nil {
+		j.readers++
+	}
 	s.mu.Unlock()
 	if recs != nil || s.jobsdir == nil {
-		return recs, true
+		return recs, recs != nil, true
 	}
 	rec, err := s.jobsdir.read(j.ID)
 	if err != nil {
@@ -703,9 +731,9 @@ func (s *Server) runRecords(w http.ResponseWriter, j *job) (recs []trace.RunReco
 			status, code = http.StatusNotFound, api.CodeNotFound
 		}
 		writeError(w, status, code, "job %s: %v", j.ID, err)
-		return nil, false
+		return nil, false, false
 	}
-	return rec.Records, true
+	return rec.Records, false, true
 }
 
 func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
@@ -801,12 +829,13 @@ func (s *Server) persistFinished(j *job) {
 // runJob distinguishes it from an explicit DELETE via context.Cause.
 var errJobTimeout = errors.New("job exceeded the configured timeout")
 
-// runJob executes one claimed job on its worker goroutine.
-func (s *Server) runJob(ctx context.Context, j *job) {
+// runJob executes one claimed job on its worker goroutine, its response
+// times carved from series.
+func (s *Server) runJob(ctx context.Context, j *job, series *core.Series) {
 	defer j.cancel()
 	j.emit(api.Event{Type: api.EventRunning})
 
-	err := s.execute(ctx, j)
+	err := s.execute(ctx, j, series)
 
 	s.mu.Lock()
 	j.Finished = s.now()
@@ -852,8 +881,9 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 }
 
 // evictGrace is how long past its finish a job outlives the retention bound.
-// A retained job holds a few tens of KB of heap with a job directory, and
-// without one 1.6 MB more for a serve-small plan's 200,704 response times.
+// A retained job holds a few tens of KB of heap with a job directory (its
+// series memory went back to its worker), and without one 1.6 MB more for a
+// serve-small plan's 200,704 response times.
 // At the benchmark's ~50 jobs/s 100 ms is about five extra jobs; a local
 // fetch after the done event takes a few ms.
 const evictGrace = 100 * time.Millisecond
@@ -895,16 +925,18 @@ func (s *Server) evictLocked() {
 }
 
 // execute runs the job through the shared runner, the runner's observers
-// mapped onto the job's event stream. The report and the summary CSV are the
-// runner's renders, each made once: the bytes served, the bytes persisted and
-// the bytes a restarted daemon serves are the same buffers.
-func (s *Server) execute(ctx context.Context, j *job) error {
+// mapped onto the job's event stream and its response times carved from
+// series. The report and the summary CSV are the runner's renders, each made
+// once: the bytes served, the bytes persisted and the bytes a restarted
+// daemon serves are the same buffers.
+func (s *Server) execute(ctx context.Context, j *job, series *core.Series) error {
 	stage := func(name, detail string, total int) {
 		j.emit(api.Event{Type: api.EventStage, Stage: name, Detail: detail, Total: total})
 	}
 	env := runner.Env{
 		Store:    s.store,
 		Prepared: s.prepared,
+		Series:   series,
 		Progress: func(done, total int, desc string) {
 			j.emit(api.Event{Type: api.EventProgress, Done: done, Total: total, Detail: desc})
 		},

@@ -124,6 +124,8 @@ type Options struct {
 	WindowOps int
 	// Progress, when non-nil, observes segment completions.
 	Progress engine.ProgressFunc
+	// Series, when non-nil, is where the stream's response times are taken.
+	Series *core.Series
 }
 
 func (o Options) windowOps() int {
@@ -237,9 +239,10 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 		segOps = total
 	}
 	workers := par.Workers(opts.Workers)
-	// rts is the stream-order series each segment replays into, and windows
-	// its summaries, filled by the segments they lie in and by the tail.
-	rts := make([]time.Duration, total)
+	// rts is the stream-order series each segment replays into (writing
+	// every op's submission time before its response time), and windows its
+	// summaries, filled by the segments they lie in and by the tail.
+	rts := opts.Series.Take(total)[:total]
 	size := opts.windowOps()
 	windows := stats.NewWindows(total, size)
 	decoder, _ := src.(SegmentDecoder)
