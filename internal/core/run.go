@@ -9,6 +9,7 @@ import (
 
 	"uflip/internal/device"
 	"uflip/internal/stats"
+	"uflip/internal/trace"
 )
 
 // Run is the result of executing a reference pattern against a device once
@@ -58,20 +59,30 @@ func (t Timing) gapBefore(i int) time.Duration {
 }
 
 // Scratch is the reusable state of one worker's runs: the IO batch an
-// executor hands its device, and the pattern sources it draws IOs from with
-// their random generators. The engine keeps one per worker for an execution,
-// so a run allocates only its Run and, without a Series, its response times.
-// A run resets every source it opens and reseeds its generator, so its
-// result never depends on what the scratch served before. The zero value is
-// ready to use; a Scratch serves one run at a time.
+// executor hands its device, the pattern sources it draws IOs from with
+// their random generators, and a replay's decode buffer. The engine takes
+// one per worker from a RunState, so a run allocates only its Run and,
+// outside a kept RunState, its response times. A run resets every source it
+// opens and reseeds its generator, and a replay decodes every op it reads,
+// so a result never depends on what the scratch served before. The zero
+// value is ready to use; a Scratch serves one run at a time.
 type Scratch struct {
-	// Series is where the runs' response times are carved from (a daemon
-	// worker's, shared by one job's engine workers); nil allocates each.
-	Series *Series
+	// Segment is the buffer a replayed trace segment is decoded into
+	// (workload.SegmentDecoder).
+	Segment SegmentBuf
 
-	ios  []device.IO
-	srcs []*patternSource
-	mix  MixSource
+	state *RunState // whose Series the runs' response times come from
+	ios   []device.IO
+	srcs  []*patternSource
+	mix   MixSource
+}
+
+// SegmentBuf is one worker's decode scratch: the ops of the trace segment
+// being replayed and the raw bytes they are read through. The zero value is
+// ready for use; a buffer must not be shared by concurrent calls.
+type SegmentBuf struct {
+	Ops []trace.BlockOp
+	Raw []byte
 }
 
 // Batch returns the scratch's IO batch, device.DriveBatch long. It is what
@@ -97,7 +108,7 @@ func (sc *Scratch) source(k int, p *Pattern) *patternSource {
 
 // Execute runs count IOs from src against dev starting at virtual time
 // startAt, measuring each IO individually. The IOs go to the device through
-// sc's batch, and the response times land in a window of sc.Series.
+// sc's batch, and the response times land in a window of its RunState.
 func Execute(sc *Scratch, dev device.Device, src IOSource, count, ignore int, timing Timing, startAt time.Duration) (*Run, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("core: IOCount must be positive, got %d", count)
@@ -107,7 +118,7 @@ func Execute(sc *Scratch, dev device.Device, src IOSource, count, ignore int, ti
 	}
 	run := &Run{
 		Device:   dev.Name(),
-		RTs:      sc.Series.Take(count),
+		RTs:      sc.state.Take(count),
 		IOIgnore: ignore,
 	}
 	// Closed loop: IO i+1 goes in at the completion of IO i plus the
@@ -219,7 +230,7 @@ func ExecuteParallel(sc *Scratch, dev device.Device, p Pattern, degree int, star
 	run := &Run{
 		Name:     p.Name + "||" + strconv.Itoa(degree),
 		Device:   dev.Name(),
-		RTs:      sc.Series.Take(perProc * degree),
+		RTs:      sc.state.Take(perProc * degree),
 		IOIgnore: p.IOIgnore,
 	}
 	timing := Timing{Pause: p.Pause, Burst: p.Burst}

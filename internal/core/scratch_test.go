@@ -12,8 +12,9 @@ import (
 // TestScratchRunAllocations pins what a run allocates on a warm scratch:
 // its Run and RTs, a mix or parallel run's name, and the parallel run's
 // process table. The IO batch, the pattern sources and their random
-// generators come from the scratch, and with a warm Series, reset after
-// every run as a daemon worker resets it after every job, so do the RTs.
+// generators come from the scratch, and on a RunState with a warm Series,
+// reset after every run as a daemon worker resets it after every job, so do
+// the RTs.
 func TestScratchRunAllocations(t *testing.T) {
 	dev := memDev()
 	d := StandardDefaults()
@@ -22,7 +23,8 @@ func TestScratchRunAllocations(t *testing.T) {
 	rr, rw := RR.Pattern(d), RW.Pattern(d)
 	rw.TargetOffset = 32 << 20
 	var sc Scratch
-	buffered := Scratch{Series: new(Series)}
+	state := &RunState{Series: new(Series)}
+	buffered := &state.Scratch(1)[0]
 	for _, c := range []struct {
 		name string
 		want float64
@@ -32,8 +34,8 @@ func TestScratchRunAllocations(t *testing.T) {
 		{"RR/RW mix", 3, func() (*Run, error) { return ExecuteMix(&sc, dev, rr, rw, 4, 0) }},
 		{"RR||16", 4, func() (*Run, error) { return ExecuteParallel(&sc, dev, rr, 16, 0) }},
 		{"RR on a warm Series", 1, func() (*Run, error) {
-			defer buffered.Series.Reset()
-			return ExecutePattern(&buffered, dev, rr, 0)
+			defer state.Series.Reset()
+			return ExecutePattern(buffered, dev, rr, 0)
 		}},
 	} {
 		if _, err := c.run(); err != nil { // warms the scratch

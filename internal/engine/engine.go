@@ -72,8 +72,9 @@ type Options struct {
 	Seed int64
 	// Progress, when non-nil, is invoked after every completed run.
 	Progress ProgressFunc
-	// Series is every worker's core.Scratch.Series.
-	Series *core.Series
+	// State, when non-nil, is the run state the execution's workers run
+	// on (a daemon worker's, kept across its jobs); nil makes a fresh one.
+	State *core.RunState
 }
 
 // shardSeed mixes the base seed with the shard index (splitmix64 finalizer)
@@ -91,7 +92,7 @@ func shardSeed(base int64, index int) int64 {
 // and options (besides Workers) yield byte-identical results for any worker
 // count. Elapsed is the virtual time of the longest shard timeline, since
 // shards run on independent devices concurrently. Each worker runs its
-// experiments on a core.Scratch of its own, over opts.Series.
+// experiments on its own core.Scratch of opts.State.
 //
 // Cancelling ctx stops the engine between runs; ExecutePlan then returns
 // ctx.Err() and discards partial results.
@@ -104,10 +105,7 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 	// Each run records where its shard's timeline ends in its own slot, so
 	// concurrent jobs share no write.
 	ends := make([]time.Duration, len(exps))
-	scratch := make([]core.Scratch, opts.WorkerCount(len(exps)))
-	for w := range scratch {
-		scratch[w].Series = opts.Series
-	}
+	scratch := opts.State.Scratch(opts.WorkerCount(len(exps)))
 	runs, err := ExecuteEach(ctx, len(exps), func(i int) string { return exps[i].ID() },
 		func(_ context.Context, w, i int, dev device.Device, at time.Duration) (*core.Run, error) {
 			run, err := exps[i].Run(&scratch[w], dev, at)

@@ -180,9 +180,9 @@ type Env struct {
 	Stages paperexp.Stages
 	// Progress, when non-nil, observes every completed run or segment.
 	Progress engine.ProgressFunc
-	// Series, when non-nil, is the buffer a plan or workload job's response
-	// times are carved from (a daemon worker's); nil allocates them.
-	Series *core.Series
+	// State, when non-nil, is the run state a plan or workload job runs on
+	// (a daemon worker's, kept across its jobs); nil allocates it afresh.
+	State *core.RunState
 }
 
 // Outcome is a finished job: its result records or grid rows, and the two
@@ -225,7 +225,7 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 			Workers:  workers,
 			Progress: env.Progress,
 			Stages:   env.Stages,
-			Series:   env.Series,
+			State:    env.State,
 		})
 		if err != nil {
 			return nil, err
@@ -251,7 +251,7 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 			Seed:       req.Seed,
 			WindowOps:  w.WindowOps,
 			Progress:   env.Progress,
-			Series:     env.Series,
+			State:      env.State,
 		})
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -256,15 +257,46 @@ func TestOddCapacitiesRunToTheEnd(t *testing.T) {
 
 // TestPoisonedSeriesServesTheSameBytes: a plan job of all nine
 // micro-benchmarks (pattern, mix and parallel runs, at two engine workers
-// taking windows at once) and a workload replay, run one after the other on
-// one Series whose slab first held a sentinel and then each earlier job's
-// series, render the records, CSV and report of the same jobs run without a
-// Series: every slot a job reads it has written first.
+// taking windows at once), a synthetic replay and a .utr replay, run one
+// after the other on one RunState, render the records, CSV and report of the
+// same jobs run without one. Before every job each IO batch, pattern source,
+// generator and decode buffer of the state is overwritten with a sentinel,
+// and its Series' slab first held a sentinel and then each earlier job's
+// series: every byte a job reads it has written first.
 func TestPoisonedSeriesServesTheSameBytes(t *testing.T) {
+	ops, err := workload.Spec{Kind: "zipf", Count: 1500, TargetSize: 32 << 20}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := ops.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var utr bytes.Buffer
+	if err := workload.WriteUTR(&utr, stream); err != nil {
+		t.Fatal(err)
+	}
+	src, err := workload.NewUTRSource(bytes.NewReader(utr.Bytes()), int64(utr.Len()), "poisoned")
+	if err != nil {
+		t.Fatal(err)
+	}
 	reqs := []api.JobRequest{
 		{Kind: "plan", Device: "memoright", Capacity: 64 << 20, IOCount: 64, Parallel: 2},
 		{Kind: "workload", Device: "kingston-dti", Capacity: 64 << 20, Parallel: 2,
 			Workload: &api.WorkloadRequest{Spec: workload.Spec{Kind: "oltp", Count: 2000}, SegmentOps: 300}},
+		{Kind: "workload", Device: "mtron", Capacity: 64 << 20, Parallel: 2,
+			Workload: &api.WorkloadRequest{TraceHash: "poisoned", SegmentOps: 400}},
+	}
+	run := func(i int, state *core.RunState) *job.Outcome {
+		env := job.Env{State: state}
+		if reqs[i].Workload != nil && reqs[i].Workload.TraceHash != "" {
+			env.Source = src
+		}
+		out, err := job.Run(context.Background(), reqs[i], env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 	rendered := func(out *job.Outcome) []byte {
 		var b bytes.Buffer
@@ -281,18 +313,21 @@ func TestPoisonedSeriesServesTheSameBytes(t *testing.T) {
 		if err := job.Normalize(&reqs[i]); err != nil {
 			t.Fatal(err)
 		}
-		out, err := job.Run(context.Background(), reqs[i], job.Env{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := run(i, nil)
 		want[i] = rendered(out)
 		for _, rec := range out.Records {
 			slots += len(rec.RTs)
 		}
 	}
 
-	// A slab larger than both jobs together, every slot the sentinel.
+	// Every job once grows the state's scratch to what the jobs use; then a
+	// slab larger than all of them together, every slot the sentinel.
 	series := new(core.Series)
+	state := &core.RunState{Series: series}
+	for i := range reqs {
+		run(i, state)
+		series.Reset()
+	}
 	series.Take(2 * slots)
 	series.Reset()
 	w := series.Take(2 * slots)[:2*slots]
@@ -300,13 +335,11 @@ func TestPoisonedSeriesServesTheSameBytes(t *testing.T) {
 		w[i] = 1 << 40
 	}
 	series.Reset()
-	for _, i := range []int{0, 1, 0, 1} {
-		out, err := job.Run(context.Background(), reqs[i], job.Env{Series: series})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, i := range []int{0, 1, 2, 0, 1, 2} {
+		poison(reflect.ValueOf(state), map[unsafe.Pointer]bool{})
+		out := run(i, state)
 		if got := rendered(out); !bytes.Equal(got, want[i]) {
-			t.Fatalf("%s job on a reused Series renders %d bytes that differ from the %d without one", reqs[i].Kind, len(got), len(want[i]))
+			t.Fatalf("%s job on a poisoned RunState renders %d bytes that differ from the %d without one", reqs[i].Kind, len(got), len(want[i]))
 		}
 		lo, hi := uintptr(unsafe.Pointer(&w[0])), uintptr(unsafe.Pointer(&w[len(w)-1]))
 		for _, rec := range out.Records {
@@ -315,5 +348,55 @@ func TestPoisonedSeriesServesTheSameBytes(t *testing.T) {
 			}
 		}
 		series.Reset()
+	}
+}
+
+// poison overwrites every number, bool and string reachable from v, through
+// pointers, interfaces and unexported fields and every slice to its
+// capacity, with a sentinel; it leaves a core.Series and sync values alone.
+func poison(v reflect.Value, seen map[unsafe.Pointer]bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() && !seen[v.UnsafePointer()] {
+			seen[v.UnsafePointer()] = true
+			poison(v.Elem(), seen)
+		}
+		return
+	case reflect.Interface:
+		if !v.IsNil() {
+			poison(v.Elem(), seen)
+		}
+		return
+	case reflect.Struct:
+		if v.Type() != reflect.TypeFor[core.Series]() && v.Type().PkgPath() != "sync" {
+			for i := range v.NumField() {
+				poison(v.Field(i), seen)
+			}
+		}
+		return
+	case reflect.Slice:
+		v = v.Slice(0, v.Cap())
+		fallthrough
+	case reflect.Array:
+		for i := range v.Len() {
+			poison(v.Index(i), seen)
+		}
+		return
+	}
+	if !v.CanAddr() {
+		return
+	}
+	v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem() // settable, exported or not
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(0x5a5a5a5a5a5a5a5a)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		v.SetUint(0xa5a5a5a5a5a5a5a5)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(math.NaN())
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString("poison")
 	}
 }

@@ -3,6 +3,7 @@ package paperexp
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"uflip/internal/core"
@@ -27,8 +28,8 @@ type BenchmarkRequest struct {
 	// Stages, when set, observe the pipeline as it advances (the CLI uses
 	// them to print its step-by-step narration at the original points).
 	Stages Stages
-	// Series, when non-nil, is engine.Options.Series for the plan.
-	Series *core.Series
+	// State, when non-nil, is engine.Options.State for the plan.
+	State *core.RunState
 }
 
 // Stages are optional pipeline observers; any field may be nil.
@@ -93,84 +94,89 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 	if err := CheckSpan(key, cfg.Capacity, cfg.IOCount); err != nil {
 		return nil, fmt.Errorf("paperexp: %w", err)
 	}
-	// Steps 1–3: enforce the random initial state (Section 4.1), measure the
-	// start-up and running phases (4.2) and the pause between runs (4.3).
-	master, at, phases, pauseRep, err := cfg.prepare(key, req.Stages)
+	// Steps 1–3 and the plan of step 4.
+	master, at, bp, err := cfg.prepare(key, req.Micros, req.Stages)
 	if err != nil {
 		return nil, err
 	}
-	d := cfg.defaults(master.Capacity())
-
-	// Step 4: build and run the benchmark plan through the engine.
-	selected, err := SelectMicros(req.Micros, d, master.Capacity())
-	if err != nil {
-		return nil, err
-	}
-	var exps []core.Experiment
-	for _, mb := range selected {
-		exps = append(exps, mb.Experiments...)
-	}
-	plan := methodology.BuildPlan(exps, master.Capacity(), pauseRep.RecommendedPause, phases)
-	plan.Device = key
 	if req.Stages.PlanBuilt != nil {
-		req.Stages.PlanBuilt(plan, workers)
+		req.Stages.PlanBuilt(bp.plan, workers)
 	}
+	// Step 4: run the benchmark plan through the engine.
 	factory := engine.CloningFactory(func() (device.Cloneable, time.Duration, error) {
-		return master, at + pauseRep.RecommendedPause, nil
+		return master, at + bp.pause.RecommendedPause, nil
 	})
-	results, err := engine.ExecutePlan(ctx, plan, factory, engine.Options{
+	results, err := engine.ExecutePlan(ctx, bp.plan, factory, engine.Options{
 		Workers:  workers,
 		Seed:     cfg.Seed,
 		Progress: req.Progress,
-		Series:   req.Series,
+		State:    req.State,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &BenchmarkOutcome{
 		Device:  key,
-		Micros:  selected,
-		Phases:  phases,
-		Pause:   pauseRep,
-		Plan:    plan,
+		Micros:  bp.micros,
+		Phases:  bp.phases,
+		Pause:   bp.pause,
+		Plan:    bp.plan,
 		Results: results,
 	}, nil
 }
 
-// prepare readies key's device for a plan (RunBenchmark's steps 1–3) under
-// its store lock: the enforced master the plan's shards copy, its
-// enforcement end, and the phase and pause reports, measured on a copy of the
-// master — or taken from cfg.Prepared, which keeps what it lacked. st fires
+// prepare readies key's device for a plan of the micro-benchmarks named
+// under its store lock: it enforces the random initial state (Section 4.1),
+// measures the start-up and running phases (4.2) on a copy of the master and
+// the pause between runs (4.3), and builds the plan. It returns the master
+// the plan's shards copy, its enforcement end, and the plan with what it was
+// built from — taken from cfg.Prepared, which keeps what it lacked. st fires
 // as if every step ran.
-func (cfg Config) prepare(key string, st Stages) (device.Cloneable, time.Duration, *methodology.PhaseReport, *methodology.PauseReport, error) {
+func (cfg Config) prepare(key string, names []string, st Stages) (device.Cloneable, time.Duration, *benchPlan, error) {
 	sk, unlock := cfg.lock(key)
 	defer unlock()
 	master, at, _, err := cfg.enforced(key, sk, st)
 	if err != nil {
-		return nil, 0, nil, nil, err
+		return nil, 0, nil, err
 	}
 	d := cfg.defaults(master.Capacity())
-	phases, pause, kept := cfg.Prepared.Calibration(sk, d)
-	var dev device.Device
+	pk := planKey{d, strings.Join(names, ",")}
+	bp, kept := cfg.Prepared.plan(sk, pk)
 	if !kept {
+		bp = new(benchPlan)
+		bp.phases, bp.pause, _ = cfg.Prepared.Calibration(sk, d)
+	}
+	var dev device.Device
+	if bp.phases == nil {
 		dev = master.CloneDevice()
-		if phases, err = methodology.MeasurePhases(dev, d, 4*cfg.IOCount, at+5*time.Second); err != nil {
-			return nil, 0, nil, nil, err
+		if bp.phases, err = methodology.MeasurePhases(dev, d, 4*cfg.IOCount, at+5*time.Second); err != nil {
+			return nil, 0, nil, err
 		}
 	}
 	if st.PhasesMeasured != nil {
-		st.PhasesMeasured(phases)
+		st.PhasesMeasured(bp.phases)
 	}
-	if !kept {
-		if pause, err = methodology.MeasurePause(dev, d, phases.End+5*time.Second); err != nil {
-			return nil, 0, nil, nil, err
+	if bp.pause == nil {
+		if bp.pause, err = methodology.MeasurePause(dev, d, bp.phases.End+5*time.Second); err != nil {
+			return nil, 0, nil, err
 		}
-		cfg.Prepared.keepCalibration(sk, d, phases, pause)
 	}
 	if st.PauseMeasured != nil {
-		st.PauseMeasured(pause)
+		st.PauseMeasured(bp.pause)
 	}
-	return master, at, phases, pause, nil
+	if !kept {
+		if bp.micros, err = SelectMicros(names, d, master.Capacity()); err != nil {
+			return nil, 0, nil, err
+		}
+		var exps []core.Experiment
+		for _, mb := range bp.micros {
+			exps = append(exps, mb.Experiments...)
+		}
+		bp.plan = methodology.BuildPlan(exps, master.Capacity(), bp.pause.RecommendedPause, bp.phases)
+		bp.plan.Device = key
+		cfg.Prepared.keepPlan(sk, pk, bp)
+	}
+	return master, at, bp, nil
 }
 
 // Records converts plan results into their serializable form — the records

@@ -10,8 +10,8 @@ import (
 	"uflip/internal/statestore"
 )
 
-// keptDevices bounds the devices a Prepared keeps, and the calibrations it
-// keeps per device; the least recently used goes first. An entry is an
+// keptDevices bounds the devices a Prepared keeps, and the plans it keeps
+// per device; the least recently used goes first. An entry is an
 // enforced master — the whole mutable state of its stack — plus its
 // calibrations' reports, of which each pause report's 14,000 response times
 // (110 KiB) are the bulk. Heap in use after a collection, enforced master
@@ -22,12 +22,14 @@ const keptDevices = 4
 // Prepared keeps the devices a long-running process has prepared, so that a
 // repeated job skips the preparation the paper does once per device: per
 // state key (StateKey), the enforced master and its enforcement end
-// (Section 4.1), and per calibration — the exact core.Defaults a plan
-// derives — its phase and pause reports (Sections 4.2–4.3). It keeps only
-// what Config.Store holds, so a kept device is exactly a store hit. A master
-// is only ever a reset source (device.Resettable), never driven, so any
-// number of jobs share it. The zero value is ready to use; a nil *Prepared
-// keeps nothing. It is safe for concurrent use.
+// (Section 4.1), and per plan — the exact core.Defaults it derives and its
+// micro-benchmark selection — the phase and pause reports (Sections
+// 4.2–4.3), the selected micro-benchmarks and the plan built on them. It
+// keeps only what Config.Store holds, so a kept device is exactly a store
+// hit. A master is only ever a reset source (device.Resettable), never
+// driven, and a kept plan is only ever read, so any number of jobs share
+// them. The zero value is ready to use; a nil *Prepared keeps nothing. It is
+// safe for concurrent use.
 type Prepared struct {
 	mu      sync.Mutex
 	devices lru[statestore.Key, *preparedDevice]
@@ -36,12 +38,23 @@ type Prepared struct {
 type preparedDevice struct {
 	master device.Cloneable
 	at     time.Duration
-	calib  lru[core.Defaults, calibration]
+	plans  lru[planKey, *benchPlan]
 }
 
-type calibration struct {
+// planKey is a plan's calibration and its micro-benchmark names, joined by
+// commas.
+type planKey struct {
+	d   core.Defaults
+	sel string
+}
+
+// benchPlan is what a plan runs from: its calibration's reports, the
+// selected micro-benchmarks and the plan built from them, its Device set.
+type benchPlan struct {
 	phases *methodology.PhaseReport
 	pause  *methodology.PauseReport
+	micros []core.Microbenchmark
+	plan   methodology.Plan
 }
 
 // lru holds at most keptDevices values by key, the least recently used
@@ -96,11 +109,26 @@ func (p *Prepared) Calibration(k statestore.Key, d core.Defaults) (*methodology.
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.devices.get(k); ok {
-		if c, ok := e.calib.get(d); ok {
-			return c.phases, c.pause, true
+		for _, c := range e.plans {
+			if c.key.d == d {
+				return c.val.phases, c.val.pause, true
+			}
 		}
 	}
 	return nil, nil, false
+}
+
+// plan returns the plan kept for pk on k's device.
+func (p *Prepared) plan(k statestore.Key, pk planKey) (*benchPlan, bool) {
+	if p == nil {
+		return nil, false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e, ok := p.devices.get(k); ok {
+		return e.plans.get(pk)
+	}
+	return nil, false
 }
 
 // keepMaster keeps master, enforced until at, as k's device. Callers hold k's
@@ -114,16 +142,16 @@ func (p *Prepared) keepMaster(k statestore.Key, master device.Cloneable, at time
 	p.devices.put(k, &preparedDevice{master: master, at: at})
 }
 
-// keepCalibration keeps the reports of k's device under d, unless k has been
-// dropped since. Callers hold k's store lock and found nothing kept for d
+// keepPlan keeps bp as the plan of pk on k's device, unless k has been
+// dropped since. Callers hold k's store lock and found no plan kept for pk
 // under it.
-func (p *Prepared) keepCalibration(k statestore.Key, d core.Defaults, phases *methodology.PhaseReport, pause *methodology.PauseReport) {
+func (p *Prepared) keepPlan(k statestore.Key, pk planKey, bp *benchPlan) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.devices.get(k); ok {
-		e.calib.put(d, calibration{phases, pause})
+		e.plans.put(pk, bp)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"uflip/internal/core"
 	"uflip/internal/device"
 	"uflip/internal/methodology"
 	"uflip/internal/par"
@@ -153,6 +154,51 @@ func TestPreparedBoundsCalibrations(t *testing.T) {
 		_, _, ok := cfg.Prepared.Calibration(sk, c.defaults(master.Capacity()))
 		if ok != (i > 0) {
 			t.Fatalf("IOCount %d: calibration kept %v after %d plans", n, ok, len(counts))
+		}
+	}
+}
+
+// TestKeptPlanRunsInConcurrentJobs: once a plan is kept, two jobs running it
+// at once, each on a run state of its own, run that very plan and give the
+// outcome of the job that built it — for nothing mutates a kept plan.
+func TestKeptPlanRunsInConcurrentJobs(t *testing.T) {
+	const key = "memoright"
+	cfg := cacheTestConfig(t, true)
+	cfg.Prepared = new(Prepared)
+	req := BenchmarkRequest{Micros: []string{"Order", "Locality"}, Workers: 2}
+	outcome := func(out *BenchmarkOutcome) []byte {
+		blob, err := json.Marshal([]any{out.Micros, out.Phases, out.Pause, out.Plan, out.Results})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	first, err := RunBenchmark(context.Background(), key, cfg, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := outcome(first)
+	sk := StateKey(key, cfg)
+	master, _, _ := cfg.Prepared.Master(sk)
+	bp, ok := cfg.Prepared.plan(sk, planKey{cfg.defaults(master.Capacity()), "Order,Locality"})
+	if !ok || &bp.plan.Runs[0] != &first.Plan.Runs[0] {
+		t.Fatal("the job that built the plan did not keep it")
+	}
+	got := make([]*BenchmarkOutcome, 2)
+	if err := par.Each(context.Background(), len(got), len(got), func(_ context.Context, _, i int) (err error) {
+		r := req
+		r.State = &core.RunState{Series: new(core.Series)}
+		got[i], err = RunBenchmark(context.Background(), key, cfg, r)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, out := range got {
+		if &out.Plan.Runs[0] != &bp.plan.Runs[0] {
+			t.Errorf("job %d did not run the kept plan", i)
+		}
+		if !bytes.Equal(outcome(out), want) {
+			t.Errorf("job %d on the kept plan: outcome differs from the job that built it", i)
 		}
 	}
 }

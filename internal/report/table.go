@@ -97,10 +97,27 @@ func trimFloat(v float64) string {
 	return string(bytes.TrimRight(bytes.TrimRight(o, "0"), "."))
 }
 
-// Render writes the table with aligned columns, through a buffer of 4 KiB.
-// A column is as wide as its longest cell in bytes, and a cell is padded by
-// its rune count, as %-*s pads.
+// Render writes the table with aligned columns: straight into a
+// *bytes.Buffer, through a buffer of 4 KiB into any other writer. A column is
+// as wide as its longest cell in bytes, and a cell is padded by its rune
+// count, as %-*s pads.
 func (t *Table) Render(w io.Writer) error {
+	if b, ok := w.(*bytes.Buffer); ok {
+		t.render(b)
+		return nil
+	}
+	// A failed write sticks in bw and Flush returns it.
+	bw := bufio.NewWriterSize(w, 4<<10)
+	t.render(bw)
+	return bw.Flush()
+}
+
+// render writes the table to bw, whose writes cannot fail or keep the first
+// failure.
+func (t *Table) render(bw interface {
+	io.StringWriter
+	io.ByteWriter
+}) {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
 		widths[i] = len(h)
@@ -112,8 +129,6 @@ func (t *Table) Render(w io.Writer) error {
 			}
 		}
 	}
-	// A failed write sticks in bw and Flush returns it.
-	bw := bufio.NewWriterSize(w, 4<<10)
 	if t.Title != "" {
 		bw.WriteString(t.Title)
 		bw.WriteByte('\n')
@@ -139,5 +154,4 @@ func (t *Table) Render(w io.Writer) error {
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
-	return bw.Flush()
 }

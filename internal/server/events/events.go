@@ -20,12 +20,12 @@ type Log struct {
 	mu     sync.Mutex
 	events []api.Event
 	closed bool          //uflint:scratch — the reloader re-derives it from the persisted job status
-	wake   chan struct{} //uflint:scratch — sync primitive; closed and replaced on every append/Close
+	wake   chan struct{} //uflint:scratch — sync primitive; made by a waiting reader, closed by the next append or Close
 }
 
 // NewLog returns an empty open log.
 func NewLog() *Log {
-	return &Log{wake: make(chan struct{})}
+	return &Log{}
 }
 
 // Restore rebuilds a log from persisted events (IDs must already be the
@@ -49,8 +49,10 @@ func (l *Log) Append(e api.Event) api.Event {
 	}
 	e.ID = int64(len(l.events)) + 1
 	l.events = append(l.events, e)
-	close(l.wake)
-	l.wake = make(chan struct{})
+	if l.wake != nil { // a reader waits on it
+		close(l.wake)
+		l.wake = nil
+	}
 	return e
 }
 
@@ -63,7 +65,9 @@ func (l *Log) Close() {
 		return
 	}
 	l.closed = true
-	close(l.wake)
+	if l.wake != nil {
+		close(l.wake)
+	}
 }
 
 // Next returns the first event with ID > after, blocking until it exists.
@@ -83,6 +87,9 @@ func (l *Log) Next(ctx context.Context, after int64) (api.Event, bool, error) {
 		if l.closed {
 			l.mu.Unlock()
 			return api.Event{}, false, nil
+		}
+		if l.wake == nil {
+			l.wake = make(chan struct{})
 		}
 		wake := l.wake
 		l.mu.Unlock()

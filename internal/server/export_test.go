@@ -37,7 +37,7 @@ func KeptDevices(s *Server) *paperexp.Prepared { return s.prepared }
 func WorkerSeries(s *Server, w int) (*core.Series, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	series := s.series[w]
+	series := s.workers[w].run.Series
 	return series, reflect.ValueOf(series).Elem().FieldByName("slab").Len()
 }
 

@@ -100,14 +100,14 @@ func (st *jobStore) saveRecord(rec *jobRecord) error {
 }
 
 // saveFinished persists a finished job in two atomic writes: a done job's
-// results file — the series streamed, never rendered as JSON or buffered
-// whole — then the record carrying the terminal status. A failure stops the
-// sequence: on disk the job is done only once all it stands for is there,
-// and until then a restart re-runs it.
-func (st *jobStore) saveFinished(rec *jobRecord, records []trace.RunRecord) error {
+// results file — the series streamed through rw, never rendered as JSON or
+// buffered whole — then the record carrying the terminal status. A failure
+// stops the sequence: on disk the job is done only once all it stands for is
+// there, and until then a restart re-runs it.
+func (st *jobStore) saveFinished(rec *jobRecord, records []trace.RunRecord, rw *resultsWriter) error {
 	if rec.Status == api.StatusDone {
 		res := Results{CSV: rec.csv, Report: rec.report, Records: records}
-		err := trace.WriteAtomic(st.path(rec.ID, ".results"), func(w io.Writer) error { return writeResults(w, res) })
+		err := trace.WriteAtomic(st.path(rec.ID, ".results"), func(w io.Writer) error { return rw.write(w, res) })
 		if err != nil {
 			return fmt.Errorf("server: job store: write %s.results: %w", rec.ID, err)
 		}

@@ -31,7 +31,7 @@ func TestSaveFinishedStreams(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rec := &jobRecord{ID: "j-000001", Status: api.StatusDone, Req: api.JobRequest{Kind: "workload"}}
-	if err := st.saveFinished(rec, records); err != nil {
+	if err := st.saveFinished(rec, records, new(resultsWriter)); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

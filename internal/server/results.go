@@ -11,7 +11,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"time"
 
 	"uflip/internal/trace"
@@ -27,7 +26,7 @@ import (
 //	CRC-32C of all the above           big-endian, as hash.Hash32.Sum appends it
 //
 // Every integer is in its shortest form and the head is json.Marshal's own
-// bytes, so whatever ReadResults accepts, writeResults writes byte for byte.
+// bytes, so whatever ReadResults accepts, resultsWriter writes byte for byte.
 const resultsMagic = "uflip-results 1\n"
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -42,10 +41,21 @@ type Results struct {
 	Records     []trace.RunRecord
 }
 
-// writeResults writes res to w through one 32 KiB buffer. A response time
-// outside [0, maxRT] is an error: ReadResults would refuse the file.
-func writeResults(w io.Writer, res Results) error {
-	head := slices.Clone(res.Records) // nil stays nil: "null", not "[]"
+// resultsWriter writes results files through memory a daemon worker keeps
+// across its jobs: one 32 KiB buffer and the run records' head.
+type resultsWriter struct {
+	bw   *bufio.Writer
+	head []trace.RunRecord
+}
+
+// write writes res to w. A response time outside [0, maxRT] is an error:
+// ReadResults would refuse the file.
+func (rw *resultsWriter) write(w io.Writer, res Results) error {
+	rw.head = append(rw.head[:0], res.Records...)
+	head := rw.head
+	if len(head) == 0 {
+		head = res.Records // nil stays nil: "null", not "[]"
+	}
 	for i := range head {
 		head[i].RTs = nil
 	}
@@ -54,7 +64,11 @@ func writeResults(w io.Writer, res Results) error {
 		return fmt.Errorf("results: encode head: %w", err)
 	}
 	sum := crc32.New(castagnoli)
-	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), 32<<10)
+	if rw.bw == nil {
+		rw.bw = bufio.NewWriterSize(nil, 32<<10)
+	}
+	bw := rw.bw
+	bw.Reset(io.MultiWriter(w, sum)) // a failed write does not stick to the next file
 	bw.WriteString(resultsMagic)
 	for _, section := range [][]byte{res.CSV, res.Report, headJSON} {
 		bw.Write(binary.AppendUvarint(room(bw, bw.AvailableBuffer()), uint64(len(section))))

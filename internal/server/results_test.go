@@ -30,7 +30,7 @@ func sampleResults() Results {
 func encodeResults(t testing.TB, res Results) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeResults(&buf, res); err != nil {
+	if err := new(resultsWriter).write(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -81,8 +81,8 @@ func TestWriteResultsRefusesUnreadableRT(t *testing.T) {
 	for _, d := range []time.Duration{-1, maxRT + 1} {
 		res := sampleResults()
 		res.Records[0].RTs = trace.RTSeries{5, d}
-		if err := writeResults(new(bytes.Buffer), res); err == nil || !strings.Contains(err.Error(), "outside") {
-			t.Errorf("response time %d: writeResults returned %v, want an out-of-range error", d, err)
+		if err := new(resultsWriter).write(new(bytes.Buffer), res); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("response time %d: write returned %v, want an out-of-range error", d, err)
 		}
 	}
 }

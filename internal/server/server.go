@@ -19,13 +19,14 @@
 //     with no such record. A job's durable record is the job itself: the
 //     queue entry embeds it and adds only its event log and cancel function;
 //     its run records leave memory once <id>.results holds them, and the
-//     memory their series took serves its worker's next job.
+//     memory their series took serves its worker's next job, which runs on
+//     the same scratch and writes through the same results buffer.
 //   - Admission control and trace upload: per-tenant (X-API-Key) token
 //     bucket rate limits and queue quotas guard the bounded queue with
 //     typed 429/503 envelopes — a tenant's jobs waiting to run count against
 //     its quota, its running jobs do not — and POST /v1/traces accepts
 //     bounded-size block-trace CSVs that workload jobs reference by content
-//     hash.
+//     hash; the sources of the last four traces replayed stay open.
 //
 // Every job runs through job.Run, the function the local commands call
 // in-process, on the request job.Normalize accepted at submission — so a
@@ -187,7 +188,15 @@ type Server struct {
 	nextID  int
 	closed  bool
 	wg      sync.WaitGroup
-	series  []*core.Series // per worker; the worker replaces its own under mu
+	workers []*workerState // the worker replaces its own series under mu
+}
+
+// workerState is what a daemon worker keeps across the jobs it runs: the
+// run state they execute on and the memory their results files are written
+// through.
+type workerState struct {
+	run     core.RunState
+	results resultsWriter
 }
 
 // New builds the daemon, recovers any persisted jobs and uploaded traces
@@ -240,9 +249,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	s.series = make([]*core.Series, s.cfg.Workers)
-	for w := range s.series {
-		s.series[w] = new(core.Series)
+	s.workers = make([]*workerState, s.cfg.Workers)
+	for w := range s.workers {
+		s.workers[w] = &workerState{run: core.RunState{Series: new(core.Series)}}
 		s.wg.Add(1)
 		go s.worker(w)
 	}
@@ -287,23 +296,24 @@ func idNum(id string) int {
 	return n
 }
 
-// worker runs claimed jobs one after another on its response-time buffer.
-// Once a job's run records were persisted, left the heap and are read by no
-// /result handler, their memory serves the next job; otherwise the job keeps
-// it and the worker starts a fresh buffer (always without a job directory).
+// worker runs claimed jobs one after another on its state. Once a job's run
+// records were persisted, left the heap and are read by no /result handler,
+// their series memory serves the next job; otherwise the job keeps it and
+// the worker starts a fresh series (always without a job directory).
 func (s *Server) worker(w int) {
 	defer s.wg.Done()
+	st := s.workers[w]
 	for {
 		j, ctx := s.claim()
 		if j == nil {
 			return
 		}
-		s.runJob(ctx, j, s.series[w])
+		s.runJob(ctx, j, st)
 		s.mu.Lock() // runRecords counts a reader in under it
 		if j.Records == nil && j.readers == 0 {
-			s.series[w].Reset()
+			st.run.Series.Reset()
 		} else {
-			s.series[w] = new(core.Series)
+			st.run.Series = new(core.Series)
 		}
 		s.mu.Unlock()
 	}
@@ -353,8 +363,8 @@ func (s *Server) queued(tenant string) (all, mine int) {
 	return all, mine
 }
 
-// Close rejects new submissions, cancels queued and running jobs and waits
-// for the workers to drain. Persisted records of unfinished jobs keep their
+// Close rejects new submissions, cancels queued and running jobs, waits for
+// the workers to drain and closes the trace sources it kept. Persisted records of unfinished jobs keep their
 // queued status, so a daemon restarted on the same job directory re-queues
 // and completes them.
 func (s *Server) Close() {
@@ -381,6 +391,7 @@ func (s *Server) Close() {
 	s.stop()
 	s.cond.Broadcast()
 	s.wg.Wait()
+	s.traces.drop()
 }
 
 // Handler returns the HTTP API. Every route lives under /v1:
@@ -606,7 +617,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if canceledQueued {
 		j.emit(api.Event{Type: api.EventCanceled, Detail: "canceled while queued"})
 		j.log.Close()
-		s.persistFinished(j)
+		s.persistFinished(j, nil) // no results file: the job never ran
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -807,16 +818,16 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.Copy(w, io.NewSectionReader(h, 0, h.Size))
 }
 
-// persistFinished writes the job's results file and — last — its final
-// record to the job directory, then drops the run records from memory.
+// persistFinished writes the job's results file through rw and — last — its
+// final record to the job directory, then drops the run records from memory.
 // Persistence failures are reported on stderr but do not undo a completed
 // job: the results remain servable from memory; on disk the job stays
 // queued, so a restart re-runs it.
-func (s *Server) persistFinished(j *job) {
+func (s *Server) persistFinished(j *job, rw *resultsWriter) {
 	if s.jobsdir == nil {
 		return
 	}
-	if err := s.jobsdir.saveFinished(j.record(), j.Records); err != nil {
+	if err := s.jobsdir.saveFinished(j.record(), j.Records, rw); err != nil {
 		fmt.Fprintln(os.Stderr, "uflip serve:", err)
 		return
 	}
@@ -829,13 +840,12 @@ func (s *Server) persistFinished(j *job) {
 // runJob distinguishes it from an explicit DELETE via context.Cause.
 var errJobTimeout = errors.New("job exceeded the configured timeout")
 
-// runJob executes one claimed job on its worker goroutine, its response
-// times carved from series.
-func (s *Server) runJob(ctx context.Context, j *job, series *core.Series) {
+// runJob executes one claimed job on its worker goroutine and state.
+func (s *Server) runJob(ctx context.Context, j *job, ws *workerState) {
 	defer j.cancel()
 	j.emit(api.Event{Type: api.EventRunning})
 
-	err := s.execute(ctx, j, series)
+	err := s.execute(ctx, j, &ws.run)
 
 	s.mu.Lock()
 	j.Finished = s.now()
@@ -872,7 +882,7 @@ func (s *Server) runJob(ctx context.Context, j *job, series *core.Series) {
 		// A shutdown-interrupted job is deliberately NOT persisted in its
 		// terminal state: its durable record still says queued, so the next
 		// daemon on this job directory re-queues and completes it.
-		s.persistFinished(j)
+		s.persistFinished(j, &ws.results)
 	}
 
 	s.mu.Lock()
@@ -881,9 +891,11 @@ func (s *Server) runJob(ctx context.Context, j *job, series *core.Series) {
 }
 
 // evictGrace is how long past its finish a job outlives the retention bound.
-// A retained job holds a few tens of KB of heap with a job directory (its
-// series memory went back to its worker), and without one 1.6 MB more for a
-// serve-small plan's 200,704 response times.
+// A retained job holds a few tens of KB of heap with a job directory: its
+// series memory went back to its worker's run state, and what it ran from —
+// plan, trace source, scratch, results buffer — the daemon keeps, not the
+// job. Without a job directory it holds 1.6 MB more for a serve-small plan's
+// 200,704 response times.
 // At the benchmark's ~50 jobs/s 100 ms is about five extra jobs; a local
 // fetch after the done event takes a few ms.
 const evictGrace = 100 * time.Millisecond
@@ -924,19 +936,19 @@ func (s *Server) evictLocked() {
 	}
 }
 
-// execute runs the job through the shared runner, the runner's observers
-// mapped onto the job's event stream and its response times carved from
-// series. The report and the summary CSV are the runner's renders, each made
-// once: the bytes served, the bytes persisted and the bytes a restarted
-// daemon serves are the same buffers.
-func (s *Server) execute(ctx context.Context, j *job, series *core.Series) error {
+// execute runs the job through the shared runner on the worker's run
+// state, the runner's observers mapped onto the job's event stream. The
+// report and the summary CSV are the runner's renders, each made once: the
+// bytes served, the bytes persisted and the bytes a restarted daemon serves
+// are the same buffers.
+func (s *Server) execute(ctx context.Context, j *job, run *core.RunState) error {
 	stage := func(name, detail string, total int) {
 		j.emit(api.Event{Type: api.EventStage, Stage: name, Detail: detail, Total: total})
 	}
 	env := runner.Env{
 		Store:    s.store,
 		Prepared: s.prepared,
-		Series:   series,
+		State:    run,
 		Progress: func(done, total int, desc string) {
 			j.emit(api.Event{Type: api.EventProgress, Done: done, Total: total, Detail: desc})
 		},
@@ -964,20 +976,12 @@ func (s *Server) execute(ctx context.Context, j *job, series *core.Series) error
 		},
 	}
 	if w := j.Req.Workload; j.Req.Kind == "workload" && w.TraceHash != "" {
-		h, ok, err := s.traces.open(w.TraceHash)
+		k, err := s.traces.source(w.TraceHash)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return fmt.Errorf("trace %s is no longer available", w.TraceHash)
-		}
-		defer h.Close()
-		// Reports carry the head of the format-independent ops-hash (a hex
-		// SHA-256), so the CSV and .utr uploads of one stream replay to
-		// byte-identical results.
-		if env.Source, err = workload.OpenTrace(h, h.Size, h.Info.OpsHash[:12]); err != nil {
-			return err
-		}
+		defer s.traces.release(k)
+		env.Source = k.src
 	}
 	// The default worker count fills a copy: the job's record keeps the
 	// request as submitted.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -26,13 +27,28 @@ import (
 // With a job directory configured the files persist under <jobdir>/traces
 // (fsync+rename, like job records) and replays stream straight from disk;
 // without one the raw bytes live in memory only. Either way an in-memory
-// index serves lookups and listings.
+// index serves lookups and listings. The replay sources of the last
+// keptTraces traces replayed stay open, so a repeated replay opens and
+// verifies nothing. A kept source holds its file open: no code path removes
+// a stored trace, and one that did would drop the source first.
 type traceStore struct {
 	dir string // "" = memory only
 
 	mu     sync.Mutex
 	bodies map[string][]byte        // memory-only mode: hash -> raw bytes
 	infos  map[string]api.TraceInfo // hash -> metadata
+	kept   []*keptTrace             // the least recently replayed first
+}
+
+// keptTraces bounds the replay sources a traceStore keeps.
+const keptTraces = 4
+
+// keptTrace is one trace's replay source, shared by the replays running it.
+type keptTrace struct {
+	hash  string
+	src   workload.Source
+	h     *traceHandle
+	users int // replays holding src, plus one while the store keeps it
 }
 
 // errBadTrace marks ingest failures caused by the uploaded content (parse
@@ -224,6 +240,68 @@ func (ts *traceStore) open(hash string) (*traceHandle, bool, error) {
 		return nil, true, fmt.Errorf("server: trace store: %w", err)
 	}
 	return &traceHandle{ReaderAt: f, Size: info.Bytes, Info: info, closer: f}, true, nil
+}
+
+// source returns trace hash's replay source for one replay, which releases
+// it once it has returned: the kept one, or one opened through
+// workload.OpenTrace and kept in place of the least recently replayed (two
+// replays opening one trace at once each keep theirs). Reports carry the
+// head of the format-independent ops-hash, so the CSV and .utr uploads of
+// one stream replay to byte-identical results.
+func (ts *traceStore) source(hash string) (*keptTrace, error) {
+	ts.mu.Lock()
+	for i, k := range ts.kept {
+		if k.hash == hash {
+			ts.kept = append(slices.Delete(ts.kept, i, i+1), k)
+			k.users++
+			ts.mu.Unlock()
+			return k, nil
+		}
+	}
+	ts.mu.Unlock()
+	h, ok, err := ts.open(hash)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("trace %s is no longer available", hash)
+	}
+	src, err := workload.OpenTrace(h, h.Size, h.Info.OpsHash[:12])
+	if err != nil {
+		h.Close()
+		return nil, err
+	}
+	k := &keptTrace{hash: hash, src: src, h: h, users: 2}
+	var drop *keptTrace
+	ts.mu.Lock()
+	if ts.kept = append(ts.kept, k); len(ts.kept) > keptTraces {
+		drop, ts.kept = ts.kept[0], ts.kept[1:]
+	}
+	ts.mu.Unlock()
+	if drop != nil {
+		ts.release(drop)
+	}
+	return k, nil
+}
+
+// drop releases every kept source.
+func (ts *traceStore) drop() {
+	ts.mu.Lock()
+	kept := ts.kept
+	ts.kept = nil
+	ts.mu.Unlock()
+	for _, k := range kept {
+		ts.release(k)
+	}
+}
+
+// release ends one use of k, a replay's or the store's; the last closes it.
+func (ts *traceStore) release(k *keptTrace) {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if k.users--; k.users == 0 {
+		k.h.Close()
+	}
 }
 
 // contains reports whether the hash is uploaded.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 
+	"uflip/internal/core"
 	"uflip/internal/trace"
 )
 
@@ -84,24 +85,24 @@ func (u *UTRSource) Len() int { return u.count }
 
 // Segment decodes records [start, start+n) into a fresh slice.
 func (u *UTRSource) Segment(start, n int) ([]Op, error) {
-	return u.SegmentInto(new(SegmentBuf), start, n)
+	return u.SegmentInto(new(core.SegmentBuf), start, n)
 }
 
 // SegmentInto implements SegmentDecoder: records [start, start+n) are
 // decoded into buf with positioned reads through one bounded window, so a
 // segment costs nothing once buf has grown to the replay's segment size.
-func (u *UTRSource) SegmentInto(buf *SegmentBuf, start, n int) ([]Op, error) {
+func (u *UTRSource) SegmentInto(buf *core.SegmentBuf, start, n int) ([]Op, error) {
 	if start < 0 || n <= 0 || start > u.count-n {
 		return nil, fmt.Errorf("workload: utr segment [%d:%d) outside %d records", start, start+n, u.count)
 	}
-	if cap(buf.ops) < n {
-		buf.ops = make([]Op, n)
-		buf.raw = make([]byte, min(n, trace.UTRChunkRecords)*trace.UTRRecordSize)
+	if cap(buf.Ops) < n {
+		buf.Ops = make([]Op, n)
+		buf.Raw = make([]byte, min(n, trace.UTRChunkRecords)*trace.UTRRecordSize)
 	}
-	ops := buf.ops[:n]
+	ops := buf.Ops[:n]
 	off := int64(trace.UTRHeaderSize) + int64(start)*trace.UTRRecordSize
 	for done := 0; done < n; {
-		window := buf.raw[:min(n-done, trace.UTRChunkRecords)*trace.UTRRecordSize]
+		window := buf.Raw[:min(n-done, trace.UTRChunkRecords)*trace.UTRRecordSize]
 		if _, err := u.ra.ReadAt(window, off); err != nil {
 			return nil, fmt.Errorf("workload: utr read: %w", err)
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"uflip/internal/core"
 	"uflip/internal/device"
 	"uflip/internal/engine"
 	"uflip/internal/trace"
@@ -302,7 +303,7 @@ func TestUTRSourceSegments(t *testing.T) {
 	}
 	// One decode buffer serves every window in turn, growing and shrinking,
 	// as a replay worker's does.
-	var buf workload.SegmentBuf
+	var buf core.SegmentBuf
 	for _, win := range [][2]int{
 		{0, 1}, {0, 333}, {333, 333}, {666, 334}, {total - 1, 1}, {0, total},
 		{0, chunk}, {0, chunk + 1}, {chunk - 1, 2}, {5, 2*chunk + 3}, {chunk, 2 * chunk},

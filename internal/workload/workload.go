@@ -124,8 +124,10 @@ type Options struct {
 	WindowOps int
 	// Progress, when non-nil, observes segment completions.
 	Progress engine.ProgressFunc
-	// Series, when non-nil, is where the stream's response times are taken.
-	Series *core.Series
+	// State, when non-nil, is the run state the replay runs on: the series
+	// the stream's response times are taken from, and each engine worker's
+	// batch and decode buffer (engine.Options.State).
+	State *core.RunState
 }
 
 func (o Options) windowOps() int {
@@ -184,15 +186,7 @@ type Source interface {
 // that embeds Source hides it, and its own Segment is what gets called.
 type SegmentDecoder interface {
 	Source
-	SegmentInto(buf *SegmentBuf, start, n int) ([]Op, error)
-}
-
-// SegmentBuf is one worker's decode scratch: the ops of the segment being
-// replayed and the raw bytes they are read through. The zero value is ready
-// for use; a buffer must not be shared by concurrent calls.
-type SegmentBuf struct {
-	ops []Op
-	raw []byte
+	SegmentInto(buf *core.SegmentBuf, start, n int) ([]Op, error)
 }
 
 // opsSource adapts an in-memory stream to Source; Segment returns subslices,
@@ -226,8 +220,8 @@ func OpsSource(name string, ops []Op) Source { return opsSource{name: name, ops:
 // every segment's run.RTs is its window of that array, so the runs of a
 // Result must not be appended to. A segment's job summarizes its run and
 // every window of the stream wholly inside it in one pass (stats.SummarizeSpan).
-// Each engine worker replays its segments through one IO batch and, for a
-// SegmentDecoder, decodes them into one SegmentBuf.
+// Each engine worker replays its segments on its core.Scratch of
+// opts.State: one IO batch and, for a SegmentDecoder, one decode buffer.
 func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory, opts Options) (*Result, error) {
 	total := src.Len()
 	if total == 0 {
@@ -242,26 +236,22 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 	// rts is the stream-order series each segment replays into (writing
 	// every op's submission time before its response time), and windows its
 	// summaries, filled by the segments they lie in and by the tail.
-	rts := opts.Series.Take(total)[:total]
+	rts := opts.State.Take(total)[:total]
 	size := opts.windowOps()
 	windows := stats.NewWindows(total, size)
 	decoder, _ := src.(SegmentDecoder)
 	eopts := engine.Options{Workers: workers, Seed: opts.Seed, Progress: opts.Progress}
 	segs := (total + segOps - 1) / segOps
-	type scratch struct {
-		core.Scratch
-		buf SegmentBuf
-	}
-	perWorker := make([]scratch, eopts.WorkerCount(segs))
+	scratch := opts.State.Scratch(eopts.WorkerCount(segs))
 	runs, err := engine.ExecuteEach(ctx, segs, func(k int) string { return fmt.Sprintf("%s/seg=%d", name, k) },
 		func(ctx context.Context, w, k int, dev device.Device, startAt time.Duration) (*core.Run, error) {
 			start := k * segOps
 			n := min(segOps, total-start)
-			sc := &perWorker[w]
+			sc := &scratch[w]
 			var ops []Op
 			var err error
 			if decoder != nil {
-				ops, err = decoder.SegmentInto(&sc.buf, start, n)
+				ops, err = decoder.SegmentInto(&sc.Segment, start, n)
 			} else {
 				ops, err = src.Segment(start, n)
 			}
@@ -271,7 +261,7 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 			if len(ops) != n {
 				return nil, fmt.Errorf("workload: segment [%d:%d) came back with %d ops", start, start+n, len(ops))
 			}
-			run, err := replayInto(ctx, &sc.Scratch, dev, ops, startAt, rts[start:start+n:start+n])
+			run, err := replayInto(ctx, sc, dev, ops, startAt, rts[start:start+n:start+n])
 			if err != nil {
 				return nil, err
 			}
