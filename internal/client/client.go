@@ -3,6 +3,10 @@
 // server decodes — covering job submission, status, results, cancellation,
 // trace upload and the server-sent progress stream, with transparent
 // Last-Event-ID reconnection. `uflip submit` is built on this package.
+//
+// What a call hands over is the caller's: an api.Event passed to the Events
+// callback stays valid after the callback returns, and the slice CSV or
+// Report returns is the caller's own, never reused by a later call.
 package client
 
 import (
@@ -103,7 +107,8 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return c.doJSON(req, out)
 }
 
-// getRaw fetches path and returns the raw body bytes.
+// getRaw fetches path and returns the raw body bytes: read into one buffer
+// of the declared length, or grown by io.ReadAll for a body without one.
 func (c *Client) getRaw(ctx context.Context, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
 	if err != nil {
@@ -114,6 +119,11 @@ func (c *Client) getRaw(ctx context.Context, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	if n := resp.ContentLength; n >= 0 && n <= 64<<20 { // a longer one grows as it arrives
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
 	return io.ReadAll(resp.Body)
 }
 
@@ -266,28 +276,30 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int64, fn func
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	// An event line is short: the buffer starts at the scanner's default
-	// size and grows only for a long one, up to 1 MiB.
+	// size and grows only for a long one, up to 1 MiB. Lines are parsed in
+	// it, and a payload is gathered in data, which the stream keeps.
 	sc.Buffer(nil, 1<<20)
 	var data []byte
+	var ev api.Event // decoded through a pointer, so one for the stream
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case line == "":
+		case len(line) == 0:
 			if len(data) == 0 {
 				continue
 			}
-			var ev api.Event
+			ev = api.Event{} // Unmarshal leaves a field the payload omits as it was
 			if err := json.Unmarshal(data, &ev); err != nil {
 				return false, after, fmt.Errorf("client: bad event payload: %w", err)
 			}
-			data = nil
+			data = data[:0]
 			after = ev.ID
 			fn(ev)
 			if ev.Terminal() {
 				return true, after, nil
 			}
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")...)
+		case bytes.HasPrefix(line, []byte("data:")):
+			data = append(data, bytes.TrimPrefix(line[len("data:"):], []byte(" "))...)
 		default:
 			// id:/event: lines duplicate fields already in the payload.
 		}

@@ -145,14 +145,18 @@ type IOSource interface {
 }
 
 // patternSource iterates a single pattern. reset computes what the location
-// function of Section 3.1 needs once per source, so an IO costs at most one
-// division (Partitioned: three).
+// function of Section 3.1 needs once per source, and Next advances a cursor
+// by it, so an IO costs no division (Random: its draw). Sequential and
+// Ordered are Partitioned with one partition.
 type patternSource struct {
 	p     Pattern
 	i     int
 	slots int64      // IO-sized slots in the target: Random draws among them
-	wrap  int64      // the target rounded down to whole IOs: Sequential and Ordered wrap in it
-	part  int64      // Partitioned: the partition size rounded down to whole IOs
+	wrap  int64      // where the cursor wraps: a partition (the target) rounded down to whole IOs
+	span  int64      // the partitions together: where a round of them ends
+	step  int64      // what the cursor advances by after a round, reduced modulo wrap
+	cur   int64      // the cursor: the next IO's offset in its partition
+	start int64      // the start of the next IO's partition
 	rng   *rand.Rand // drawn from only when p is Random; kept across resets
 }
 
@@ -160,11 +164,16 @@ type patternSource struct {
 // with p.Seed, which yields the same stream as a new generator, so reusing a
 // source never changes the IOs it yields.
 func (s *patternSource) reset(p *Pattern) {
-	s.p, s.i = *p, 0
+	s.p, s.i, s.cur, s.start = *p, 0, 0, 0
 	s.slots = max(p.TargetSize/p.IOSize, 1)
 	s.wrap = s.slots * p.IOSize
-	if p.LBA == Partitioned {
-		s.part = p.TargetSize / int64(p.Partitions) / p.IOSize * p.IOSize // Validate refuses less than one IO
+	s.span, s.step = s.wrap, mod64(p.Incr*p.IOSize, s.wrap) // Ordered
+	switch p.LBA {
+	case Sequential:
+		s.step = mod64(p.IOSize, s.wrap)
+	case Partitioned:
+		s.wrap = p.TargetSize / int64(p.Partitions) / p.IOSize * p.IOSize // Validate refuses less than one IO
+		s.span, s.step = s.wrap*int64(p.Partitions), mod64(p.IOSize, s.wrap)
 	}
 	if p.LBA == Random {
 		if s.rng == nil {
@@ -175,31 +184,31 @@ func (s *patternSource) reset(p *Pattern) {
 	}
 }
 
-// lba returns the byte address of the i-th IO. Only the Random kind draws
-// from the generator, so only it depends on the calls before. Every kind
-// wraps within whole IOs, so no IO ends past Span.
-func (s *patternSource) lba(i int) int64 {
-	p := &s.p
-	var rel int64
-	switch p.LBA {
-	case Sequential:
-		rel = mod64(int64(i)*p.IOSize, s.wrap)
+// offset returns the next IO's offset in the target and moves past it. The
+// partitions are visited round-robin at one cursor, which advances after
+// each round. Every kind wraps within whole IOs, so no IO ends past Span.
+func (s *patternSource) offset() int64 {
+	switch s.p.LBA {
 	case Random:
-		rel = s.rng.Int63n(s.slots) * p.IOSize
-	case Ordered:
-		rel = mod64(p.Incr*int64(i)*p.IOSize, s.wrap)
-	case Partitioned:
-		parts := int64(p.Partitions)
-		rel = int64(i)%parts*s.part + mod64(int64(i)/parts*p.IOSize, s.part)
+		return s.rng.Int63n(s.slots) * s.p.IOSize
+	case Sequential, Ordered, Partitioned:
+		rel := s.start + s.cur
+		if s.start += s.wrap; s.start == s.span {
+			s.start = 0
+			if s.cur += s.step; s.cur >= s.wrap {
+				s.cur -= s.wrap
+			}
+		}
+		return rel
 	}
-	return p.TargetOffset + p.IOShift + rel
+	return 0
 }
 
 func (s *patternSource) Next() (device.IO, bool) {
 	if s.i >= s.p.IOCount {
 		return device.IO{}, false
 	}
-	io := device.IO{Mode: s.p.Mode, Off: s.lba(s.i), Size: s.p.IOSize}
+	io := device.IO{Mode: s.p.Mode, Off: s.p.TargetOffset + s.p.IOShift + s.offset(), Size: s.p.IOSize}
 	s.i++
 	return io, true
 }

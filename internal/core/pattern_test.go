@@ -15,6 +15,35 @@ func sourceOf(p *Pattern) *patternSource {
 	return s
 }
 
+// addrs returns the addresses of the IOs a fresh source over p yields.
+func addrs(p *Pattern) []int64 {
+	s := sourceOf(p)
+	var out []int64
+	for io, ok := s.Next(); ok; io, ok = s.Next() {
+		out = append(out, io.Off)
+	}
+	return out
+}
+
+// closedLBA is the location function of Section 3.1 in closed form, the
+// oracle for the source's cursor: the address of p's i-th IO. Random is left
+// out, as its draws depend on the ones before.
+func closedLBA(p *Pattern, i int) int64 {
+	wrap := max(p.TargetSize/p.IOSize, 1) * p.IOSize
+	var rel int64
+	switch p.LBA {
+	case Sequential:
+		rel = mod64(int64(i)*p.IOSize, wrap)
+	case Ordered:
+		rel = mod64(p.Incr*int64(i)*p.IOSize, wrap)
+	case Partitioned:
+		parts := int64(p.Partitions)
+		part := p.TargetSize / parts / p.IOSize * p.IOSize
+		rel = int64(i)%parts*part + mod64(int64(i)/parts*p.IOSize, part)
+	}
+	return p.TargetOffset + p.IOShift + rel
+}
+
 func validPattern() Pattern {
 	return Pattern{
 		Name: "t", Mode: device.Write, IOSize: 32 * 1024, LBA: Sequential,
@@ -55,10 +84,10 @@ func TestSequentialLBAFormula(t *testing.T) {
 	p := validPattern()
 	p.TargetOffset = 1 << 20
 	p.IOShift = 512
-	s := sourceOf(&p)
-	for i := 0; i < 40; i++ {
+	p.IOCount = 40
+	for i, got := range addrs(&p) {
 		want := p.TargetOffset + p.IOShift + (int64(i)*p.IOSize)%p.TargetSize
-		if got := s.lba(i); got != want {
+		if got != want {
 			t.Fatalf("lba(%d) = %d, want %d", i, got, want)
 		}
 	}
@@ -71,28 +100,24 @@ func TestOrderedLBAFormula(t *testing.T) {
 	p.LBA = Ordered
 
 	p.Incr = 0 // in-place: LBA constant
-	s := sourceOf(&p)
-	first := s.lba(0)
+	lbas := addrs(&p)
 	for i := 1; i < 10; i++ {
-		if s.lba(i) != first {
+		if lbas[i] != lbas[0] {
 			t.Fatal("in-place pattern moved")
 		}
 	}
 
 	p.Incr = -1 // reverse: decreasing LBAs, wrapped positive
-	s = sourceOf(&p)
-	prev := s.lba(1)
+	lbas = addrs(&p)
 	for i := 2; i < 10; i++ {
-		cur := s.lba(i)
-		if cur != prev-p.IOSize {
-			t.Fatalf("reverse step %d: %d -> %d", i, prev, cur)
+		if lbas[i] != lbas[i-1]-p.IOSize {
+			t.Fatalf("reverse step %d: %d -> %d", i, lbas[i-1], lbas[i])
 		}
-		prev = cur
 	}
 
 	p.Incr = 4 // strided
-	s = sourceOf(&p)
-	if got := s.lba(1) - s.lba(0); got != 4*p.IOSize {
+	lbas = addrs(&p)
+	if got := lbas[1] - lbas[0]; got != 4*p.IOSize {
 		t.Fatalf("stride = %d, want %d", got, 4*p.IOSize)
 	}
 }
@@ -105,14 +130,49 @@ func TestPartitionedLBAFormula(t *testing.T) {
 	p.LBA = Partitioned
 	p.Partitions = 4
 	p.TargetSize = 4 << 20
+	p.IOCount = 64
 	ps := p.TargetSize / 4
-	s := sourceOf(&p)
-	for i := 0; i < 64; i++ {
+	for i, got := range addrs(&p) {
 		pi := int64(i % 4)
 		oi := (int64(i/4) * p.IOSize) % ps
 		want := pi*ps + oi
-		if got := s.lba(i); got != want {
+		if got != want {
 			t.Fatalf("partitioned lba(%d) = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestCursorMatchesClosedForm: the cursor each kind advances yields the
+// closed form's addresses over several wraps of the target (of a partition),
+// also from a source reset after another pattern. The targets and partitions
+// are not whole numbers of IOs, and a stride of 256 IOs wraps at an offset.
+func TestCursorMatchesClosedForm(t *testing.T) {
+	reused := sourceOf(&Pattern{LBA: Ordered, Incr: 3, IOSize: 4096, TargetSize: 5 << 20, IOCount: 7})
+	for i := 0; i < 5; i++ {
+		reused.Next()
+	}
+	for _, target := range []int64{37*32<<10 + 4096, 1 << 20, 7*32<<10 - 512} {
+		cases := []Pattern{{LBA: Sequential}, {LBA: Partitioned, Partitions: 3}, {LBA: Partitioned, Partitions: 1}}
+		for _, incr := range []int64{-1, 0, 1, 256} {
+			cases = append(cases, Pattern{LBA: Ordered, Incr: incr})
+		}
+		for _, p := range cases {
+			p.Mode, p.IOSize, p.TargetSize, p.TargetOffset, p.IOShift = device.Write, 32<<10, target, 1<<20, 512
+			wraps := p.TargetSize / p.IOSize // IOs to a wrap
+			if p.LBA == Partitioned {
+				wraps = p.TargetSize / int64(p.Partitions) / p.IOSize * int64(p.Partitions)
+			}
+			p.IOCount = int(4*wraps + 3)
+			if err := p.Validate(); err != nil {
+				t.Fatalf("%v target %d: %v", p.LBA, target, err)
+			}
+			reused.reset(&p)
+			for i, got := range addrs(&p) {
+				io, _ := reused.Next()
+				if want := closedLBA(&p, i); got != want || io.Off != want {
+					t.Fatalf("%v incr %d target %d: IO %d at %d (reused source: %d), want %d", p.LBA, p.Incr, target, i, got, io.Off, want)
+				}
+			}
 		}
 	}
 }
@@ -127,10 +187,8 @@ func TestLBAWithinTarget(t *testing.T) {
 		p.Seed = seed
 		p.Partitions = 4
 		p.Incr = -1
-		s := sourceOf(&p)
-		n := int(count)%128 + 1
-		for i := 0; i < n; i++ {
-			lba := s.lba(i)
+		p.IOCount = int(count)%128 + 1
+		for _, lba := range addrs(&p) {
 			if lba < p.TargetOffset || lba+p.IOSize > p.TargetOffset+p.IOShift+p.TargetSize {
 				return false
 			}

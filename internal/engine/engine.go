@@ -106,7 +106,7 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 	// concurrent jobs share no write.
 	ends := make([]time.Duration, len(exps))
 	scratch := opts.State.Scratch(opts.WorkerCount(len(exps)))
-	runs, err := ExecuteEach(ctx, len(exps), func(i int) string { return exps[i].ID() },
+	runs, err := ExecuteEach(ctx, len(exps), func(i int) string { return plan.IDs[i] },
 		func(_ context.Context, w, i int, dev device.Device, at time.Duration) (*core.Run, error) {
 			run, err := exps[i].Run(&scratch[w], dev, at)
 			if err == nil {
@@ -119,7 +119,7 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 	}
 	out.Results = make([]methodology.Result, len(exps))
 	for i, run := range runs {
-		out.Results[i] = methodology.Result{Exp: exps[i], Run: run}
+		out.Results[i] = methodology.Result{Exp: exps[i], Run: run, ID: plan.IDs[i]}
 		out.Elapsed = max(out.Elapsed, ends[i])
 	}
 	if out.Device == "" {

@@ -183,6 +183,10 @@ type Env struct {
 	// State, when non-nil, is the run state a plan or workload job runs on
 	// (a daemon worker's, kept across its jobs); nil allocates it afresh.
 	State *core.RunState
+	// Render, when non-nil, is the buffer the report and then the CSV are
+	// rendered in (a daemon worker's, kept across its jobs); nil makes one.
+	// The outcome holds copies of their exact size.
+	Render *bytes.Buffer
 }
 
 // Outcome is a finished job: its result records or grid rows, and the two
@@ -217,7 +221,11 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 	workers := par.Workers(req.Parallel)
 	cfg := paperexp.Config{Capacity: req.Capacity, Seed: req.Seed, IOCount: req.IOCount, Store: env.Store, Prepared: env.Prepared}
 	out := &Outcome{Kind: req.Kind}
-	var rep bytes.Buffer
+	rep := env.Render
+	if rep == nil {
+		rep = new(bytes.Buffer)
+	}
+	rep.Reset()
 	switch req.Kind {
 	case "plan":
 		res, err := paperexp.RunBenchmark(ctx, req.Device, cfg, paperexp.BenchmarkRequest{
@@ -230,7 +238,7 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := report.PlanSection(&rep, res.Micros, res.Results, core.StandardDefaults().IOSize); err != nil {
+		if err := report.PlanSection(rep, res.Micros, res.Results, core.StandardDefaults().IOSize); err != nil {
 			return nil, err
 		}
 		out.Records = paperexp.Records(res.Results)
@@ -256,7 +264,7 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := report.WorkloadSection(&rep, res); err != nil {
+		if err := report.WorkloadSection(rep, res); err != nil {
 			return nil, err
 		}
 		out.Records = paperexp.WorkloadRecords(res)
@@ -271,7 +279,7 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := report.ArraySection(&rep, rows); err != nil {
+		if err := report.ArraySection(rep, rows); err != nil {
 			return nil, err
 		}
 		out.Rows = rows
@@ -279,7 +287,7 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 		d := paperexp.DefaultConfig()
 		cfg.Pause, cfg.IOCount = d.Pause, d.IOCount
 		for _, name := range req.Experiments {
-			if err := paperexp.Render(ctx, &rep, name, cfg, workers); err != nil {
+			if err := paperexp.Render(ctx, rep, name, cfg, workers); err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 			rep.WriteByte('\n')
@@ -290,13 +298,13 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 			}
 		}
 	}
-	out.Report = rep.Bytes()
+	out.Report = bytes.Clone(rep.Bytes())
 	if req.Kind == "plan" || req.Kind == "workload" {
-		var csv bytes.Buffer
-		if err := trace.WriteSummaryCSV(&csv, out.Records); err != nil {
+		rep.Reset()
+		if err := trace.WriteSummaryCSV(rep, out.Records); err != nil {
 			return nil, err
 		}
-		out.CSV = csv.Bytes()
+		out.CSV = bytes.Clone(rep.Bytes())
 	}
 	return out, nil
 }

@@ -18,6 +18,9 @@ type Plan struct {
 	Device string
 	Pause  time.Duration
 	Runs   []core.Experiment
+	// IDs holds each run's ID (IDs[i] is Runs[i].ID()), formatted once by
+	// BuildPlan: a kept plan's progress events, records and report share them.
+	IDs    []string
 	Resets int
 }
 
@@ -54,6 +57,10 @@ func BuildPlan(exps []core.Experiment, capacity int64, pause time.Duration, phas
 		}
 		setOffset(e, offset)
 		offset += span
+	}
+	plan.IDs = make([]string, len(plan.Runs))
+	for i := range plan.Runs {
+		plan.IDs[i] = plan.Runs[i].ID()
 	}
 	return plan
 }
@@ -116,10 +123,11 @@ func applyPhases(e *core.Experiment, phases *PhaseReport) {
 	}
 }
 
-// Result pairs an experiment with its run.
+// Result pairs an experiment with its run and the run's ID, its plan's.
 type Result struct {
 	Exp core.Experiment
 	Run *core.Run
+	ID  string
 }
 
 // Results collects a plan's outcomes for one device.

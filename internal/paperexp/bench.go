@@ -187,7 +187,7 @@ func Records(results *methodology.Results) []trace.RunRecord {
 	records := make([]trace.RunRecord, 0, len(results.Results))
 	for _, res := range results.Results {
 		records = append(records, trace.RunRecord{
-			ID:           res.Exp.ID(),
+			ID:           res.ID,
 			Device:       results.Device,
 			Micro:        res.Exp.Micro,
 			Base:         res.Exp.Base.String(),

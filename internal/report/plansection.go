@@ -24,7 +24,7 @@ func PlanSection(w io.Writer, micros []core.Microbenchmark, res *methodology.Res
 				continue
 			}
 			s := r.Run.Summary
-			t.AddRow(r.Exp.ID(), s.Mean*1e3, s.Min*1e3, s.Max*1e3, s.StdDev*1e3)
+			t.AddRow(r.ID, s.Mean*1e3, s.Min*1e3, s.Max*1e3, s.StdDev*1e3)
 		}
 		if err := t.Render(w); err != nil {
 			return err

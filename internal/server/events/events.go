@@ -9,6 +9,7 @@ package events
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"uflip/internal/api"
@@ -101,13 +102,20 @@ func (l *Log) Next(ctx context.Context, after int64) (api.Event, bool, error) {
 	}
 }
 
-// Snapshot copies the history so far — the persisted form of the log.
+// Snapshot returns the history so far, the persisted form of the log, as is:
+// Append only writes past its events, and its cap keeps appends to it out.
 func (l *Log) Snapshot() []api.Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]api.Event, len(l.events))
-	copy(out, l.events)
-	return out
+	return l.events[:len(l.events):len(l.events)]
+}
+
+// Grow makes room for n more events at once, so a job that knows how many
+// it will append grows its history once instead of doubling it.
+func (l *Log) Grow(n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = slices.Grow(l.events, n)
 }
 
 // Len returns the number of events appended so far.

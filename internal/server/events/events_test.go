@@ -129,3 +129,45 @@ func TestRestoreIsClosedHistory(t *testing.T) {
 		t.Fatal("restored log did not end after its history")
 	}
 }
+
+// TestSnapshotStaysWhileTheLogGrows: a snapshot, which shares the log's
+// memory, keeps its events while the log appends and grows past them, and
+// an append to the snapshot does not reach the log. Under the race detector
+// the snapshot is read while the log is appended to.
+func TestSnapshotStaysWhileTheLogGrows(t *testing.T) {
+	l := events.NewLog()
+	l.Grow(8)
+	for i := 0; i < 3; i++ {
+		l.Append(api.Event{Type: api.EventProgress, Done: i})
+	}
+	snap := l.Snapshot()
+	l.Append(api.Event{Type: api.EventProgress, Done: 3})
+	_ = append(snap, api.Event{Type: api.EventFailed}) // where the log holds its fourth
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 4; i < 100; i++ {
+			if i%10 == 0 {
+				l.Grow(5)
+			}
+			l.Append(api.Event{Type: api.EventProgress, Done: i})
+		}
+	}()
+	check := func() {
+		if len(snap) != 3 {
+			t.Fatalf("snapshot holds %d events, want 3", len(snap))
+		}
+		for i, ev := range snap {
+			if ev.ID != int64(i+1) || ev.Done != i || ev.Type != api.EventProgress {
+				t.Fatalf("snapshot event %d is %+v", i, ev)
+			}
+		}
+	}
+	check()
+	<-done
+	check()
+	ev, ok, err := l.Next(context.Background(), 3)
+	if err != nil || !ok || ev.ID != 4 || ev.Done != 3 || ev.Type != api.EventProgress || l.Len() != 100 {
+		t.Fatalf("after the snapshot the log holds %d events, the fourth %+v", l.Len(), ev)
+	}
+}

@@ -87,12 +87,25 @@ func (st *jobStore) path(id, ext string) string {
 	return filepath.Join(st.dir, id+ext)
 }
 
-// saveRecord persists the job record atomically.
-func (st *jobStore) saveRecord(rec *jobRecord) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
+// recordEncoder is the memory job records are encoded in, kept across them:
+// the encoding and the encoder's indent buffer.
+type recordEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// saveRecord persists the job record atomically, encoded in re as
+// json.MarshalIndent encodes it.
+func (st *jobStore) saveRecord(rec *jobRecord, re *recordEncoder) error {
+	if re.enc == nil {
+		re.enc = json.NewEncoder(&re.buf)
+		re.enc.SetIndent("", "  ")
+	}
+	re.buf.Reset()
+	if err := re.enc.Encode(rec); err != nil {
 		return fmt.Errorf("server: job store: encode %s: %w", rec.ID, err)
 	}
+	data := bytes.TrimSuffix(re.buf.Bytes(), []byte("\n")) // Encode ends a value with a newline
 	if err := trace.WriteFileAtomic(st.path(rec.ID, ".json"), data); err != nil {
 		return fmt.Errorf("server: job store: write %s: %w", rec.ID, err)
 	}
@@ -101,10 +114,10 @@ func (st *jobStore) saveRecord(rec *jobRecord) error {
 
 // saveFinished persists a finished job in two atomic writes: a done job's
 // results file — the series streamed through rw, never rendered as JSON or
-// buffered whole — then the record carrying the terminal status. A failure
-// stops the sequence: on disk the job is done only once all it stands for is
-// there, and until then a restart re-runs it.
-func (st *jobStore) saveFinished(rec *jobRecord, records []trace.RunRecord, rw *resultsWriter) error {
+// buffered whole — then the record carrying the terminal status, encoded by
+// re. A failure stops the sequence: on disk the job is done only once all it
+// stands for is there, and until then a restart re-runs it.
+func (st *jobStore) saveFinished(rec *jobRecord, records []trace.RunRecord, rw *resultsWriter, re *recordEncoder) error {
 	if rec.Status == api.StatusDone {
 		res := Results{CSV: rec.csv, Report: rec.report, Records: records}
 		err := trace.WriteAtomic(st.path(rec.ID, ".results"), func(w io.Writer) error { return rw.write(w, res) })
@@ -112,7 +125,7 @@ func (st *jobStore) saveFinished(rec *jobRecord, records []trace.RunRecord, rw *
 			return fmt.Errorf("server: job store: write %s.results: %w", rec.ID, err)
 		}
 	}
-	return st.saveRecord(rec)
+	return st.saveRecord(rec, re)
 }
 
 // remove deletes a job's files (eviction), the record first: a crash part

@@ -80,10 +80,12 @@ func (s *Server) runOn(t testing.TB, ws *workerState, id string, req api.JobRequ
 // TestRepeatedJobAllocations pins what a repeated daemon job allocates: a
 // plan and a .utr replay, each run again on one worker state, with the
 // daemon's kept devices, plans and trace sources. Measured with go1.24 on
-// amd64 and 386: 3,483–3,485 a plan, 342 a replay. Rebuilding the plan adds
+// amd64 and 386: 2,314–2,315 a plan, 331 a replay. Rebuilding the plan adds
 // ~285, fresh scratch ~107 a plan and 4 a replay (batch, decode buffer),
-// reopening and verifying the trace 14, a fresh results buffer 2 a replay:
-// each passes its ceiling.
+// reopening and verifying the trace 14, a fresh results buffer 2 a replay,
+// formatting the run IDs again for the records or the report ~380 a plan,
+// fresh render buffers 10 a plan and 5 a replay, a fresh record encoder 21
+// and 12: each passes its ceiling.
 func TestRepeatedJobAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
@@ -94,8 +96,8 @@ func TestRepeatedJobAllocations(t *testing.T) {
 		name    string
 		ceiling float64
 	}{
-		{"plan", 3490},
-		{"replay", 343},
+		{"plan", 2320},
+		{"replay", 332},
 	} {
 		n := 0
 		run := func() {

@@ -43,6 +43,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -189,14 +190,18 @@ type Server struct {
 	closed  bool
 	wg      sync.WaitGroup
 	workers []*workerState // the worker replaces its own series under mu
+	submits recordEncoder  // encodes the records of submissions, under mu
 }
 
 // workerState is what a daemon worker keeps across the jobs it runs: the
-// run state they execute on and the memory their results files are written
-// through.
+// run state they execute on, the buffer their report and CSV are rendered in
+// (each job keeps copies of their exact size), and the memory their results
+// files and final records are encoded in.
 type workerState struct {
 	run     core.RunState
+	render  bytes.Buffer
 	results resultsWriter
+	record  recordEncoder
 }
 
 // New builds the daemon, recovers any persisted jobs and uploaded traces
@@ -531,7 +536,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.jobsdir != nil {
 		// Durability before acceptance: a 202 means the job survives a
 		// crash, so a submission that cannot be persisted is refused whole.
-		if err := s.jobsdir.saveRecord(j.record()); err != nil {
+		if err := s.jobsdir.saveRecord(j.record(), &s.submits); err != nil {
 			s.nextID--
 			s.mu.Unlock()
 			writeError(w, http.StatusInternalServerError, api.CodeInternal, "persist job: %v", err)
@@ -617,7 +622,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if canceledQueued {
 		j.emit(api.Event{Type: api.EventCanceled, Detail: "canceled while queued"})
 		j.log.Close()
-		s.persistFinished(j, nil) // no results file: the job never ran
+		s.persistFinished(j, nil, new(recordEncoder)) // no results file: the job never ran
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -654,17 +659,28 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
+	// Each frame is encoded into the one buffer the stream keeps; the data
+	// line holds json.Marshal's bytes, which Encode ends with a newline.
+	var frame bytes.Buffer
+	enc := json.NewEncoder(&frame)
+	var ev api.Event // encoded through a pointer, so as not to box a copy per frame
 	for {
-		ev, ok, err := j.log.Next(r.Context(), after)
+		next, ok, err := j.log.Next(r.Context(), after)
 		if err != nil || !ok {
 			return // client gone, or history complete with no terminal event
 		}
-		after = ev.ID
-		data, err := json.Marshal(ev)
-		if err != nil {
+		ev, after = next, next.ID
+		frame.Reset()
+		frame.WriteString("id: ")
+		frame.Write(strconv.AppendInt(frame.AvailableBuffer(), ev.ID, 10))
+		frame.WriteString("\nevent: ")
+		frame.WriteString(ev.Type)
+		frame.WriteString("\ndata: ")
+		if err := enc.Encode(&ev); err != nil {
 			return
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Type, data); err != nil {
+		frame.WriteByte('\n')
+		if _, err := w.Write(frame.Bytes()); err != nil {
 			return
 		}
 		fl.Flush()
@@ -757,6 +773,7 @@ func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
+	w.Header().Set("Content-Length", strconv.Itoa(len(j.csv))) // a client sizes its buffer once
 	_, _ = w.Write(j.csv)
 }
 
@@ -766,6 +783,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(j.report)))
 	_, _ = w.Write(j.report)
 }
 
@@ -819,15 +837,15 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // persistFinished writes the job's results file through rw and — last — its
-// final record to the job directory, then drops the run records from memory.
+// final record through re to the job directory, then drops the run records.
 // Persistence failures are reported on stderr but do not undo a completed
 // job: the results remain servable from memory; on disk the job stays
 // queued, so a restart re-runs it.
-func (s *Server) persistFinished(j *job, rw *resultsWriter) {
+func (s *Server) persistFinished(j *job, rw *resultsWriter, re *recordEncoder) {
 	if s.jobsdir == nil {
 		return
 	}
-	if err := s.jobsdir.saveFinished(j.record(), j.Records, rw); err != nil {
+	if err := s.jobsdir.saveFinished(j.record(), j.Records, rw, re); err != nil {
 		fmt.Fprintln(os.Stderr, "uflip serve:", err)
 		return
 	}
@@ -845,7 +863,7 @@ func (s *Server) runJob(ctx context.Context, j *job, ws *workerState) {
 	defer j.cancel()
 	j.emit(api.Event{Type: api.EventRunning})
 
-	err := s.execute(ctx, j, &ws.run)
+	err := s.execute(ctx, j, ws)
 
 	s.mu.Lock()
 	j.Finished = s.now()
@@ -882,7 +900,7 @@ func (s *Server) runJob(ctx context.Context, j *job, ws *workerState) {
 		// A shutdown-interrupted job is deliberately NOT persisted in its
 		// terminal state: its durable record still says queued, so the next
 		// daemon on this job directory re-queues and completes it.
-		s.persistFinished(j, &ws.results)
+		s.persistFinished(j, &ws.results, &ws.record)
 	}
 
 	s.mu.Lock()
@@ -941,15 +959,19 @@ func (s *Server) evictLocked() {
 // report and the summary CSV are the runner's renders, each made once: the
 // bytes served, the bytes persisted and the bytes a restarted daemon serves
 // are the same buffers.
-func (s *Server) execute(ctx context.Context, j *job, run *core.RunState) error {
+func (s *Server) execute(ctx context.Context, j *job, ws *workerState) error {
 	stage := func(name, detail string, total int) {
 		j.emit(api.Event{Type: api.EventStage, Stage: name, Detail: detail, Total: total})
 	}
 	env := runner.Env{
 		Store:    s.store,
 		Prepared: s.prepared,
-		State:    run,
+		State:    &ws.run,
+		Render:   &ws.render,
 		Progress: func(done, total int, desc string) {
+			if done == 1 { // the job's events to come: these and its end
+				j.log.Grow(total + 1)
+			}
 			j.emit(api.Event{Type: api.EventProgress, Done: done, Total: total, Detail: desc})
 		},
 		Stages: paperexp.Stages{
