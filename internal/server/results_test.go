@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,6 +76,25 @@ func TestResultsRoundTrip(t *testing.T) {
 	empty := Results{Report: []byte("paper\n")}
 	if got, err := decodeResults(encodeResults(t, empty)); err != nil || !reflect.DeepEqual(got, empty) {
 		t.Fatalf("a results file without records decoded to %+v, %v", got, err)
+	}
+}
+
+// TestResultsFormatPinned: the encoder writes the committed results files
+// byte for byte — sampleResults() and a paper job's report-only results, as
+// the streaming writer before the kept encode buffer wrote them — and
+// decodeResults accepts both.
+func TestResultsFormatPinned(t *testing.T) {
+	for name, res := range map[string]Results{"sample": sampleResults(), "paper": {Report: []byte("paper\n")}} {
+		want, err := os.ReadFile(filepath.Join("testdata", name+".results"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encodeResults(t, res); !bytes.Equal(got, want) {
+			t.Errorf("%s: encoded %q, want the committed %q", name, got, want)
+		}
+		if got, err := decodeResults(want); err != nil || !reflect.DeepEqual(got, res) {
+			t.Errorf("%s: the committed file decodes to %+v, %v; want %+v", name, got, err, res)
+		}
 	}
 }
 
