@@ -12,8 +12,7 @@ import (
 // run always did. A RunState serves one job at a time.
 type RunState struct {
 	// Series is where the jobs' response times are carved from; nil
-	// allocates them. Its owner resets it after a job, or replaces it when
-	// the job keeps the memory.
+	// allocates them. Its owner resets it after every job.
 	Series  *Series
 	scratch []Scratch
 }

@@ -15,13 +15,14 @@ func SetClock(s *Server, now func() time.Time) {
 	s.mu.Unlock()
 }
 
-// HeldRunRecords lists the retained jobs whose run records are in memory.
-func HeldRunRecords(s *Server) []string {
+// HeldResults lists the retained jobs that keep their results file in
+// memory.
+func HeldResults(s *Server) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ids []string
 	for _, id := range s.order {
-		if s.jobs[id].Records != nil {
+		if s.jobs[id].results != nil {
 			ids = append(ids, id)
 		}
 	}
@@ -39,12 +40,4 @@ func WorkerSeries(s *Server, w int) (*core.Series, int) {
 	defer s.mu.Unlock()
 	series := s.workers[w].run.Series
 	return series, reflect.ValueOf(series).Elem().FieldByName("slab").Len()
-}
-
-// ResultReaders counts the /result handlers encoding job id's run records
-// from memory.
-func ResultReaders(s *Server, id string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id].readers
 }

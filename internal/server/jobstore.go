@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -41,11 +40,14 @@ type jobRecord struct {
 	Records   []trace.RunRecord `json:"records,omitempty"`
 	Rows      []report.ArrayRow `json:"rows,omitempty"`
 
-	// runs is len(Records), kept when a persisted job's Records leave memory.
+	// runs is the number of the job's run records.
 	runs int
 	// csv and report are the summary CSV and the report, rendered once at
 	// completion and persisted in the results file.
 	csv, report []byte
+	// results is a done job's results file while no job directory holds it
+	// (none configured, or its write failed): the only copy, never mutated.
+	results []byte
 }
 
 // hasRunRecords reports whether the job has run records: only a done plan or
@@ -57,13 +59,14 @@ func (r *jobRecord) hasRunRecords() bool {
 // jobStore is the on-disk side of job durability: a directory of job
 // records and their results files. All writes are atomic (fsync + rename). The
 // store is what a restart recovers from, and the only copy of a persisted
-// job's run records; the in-memory Server holds the rest while running.
+// job's results file: the in-memory Server keeps its CSV, report and events,
+// and /result reads the file back.
 type jobStore struct {
 	dir string // <jobdir>/jobs
 }
 
 // openJobStore opens the job directory and deletes the temporary files a
-// crash mid-write left in it (megabytes each, now RT series stream through).
+// crash mid-write left in it (up to megabytes each: a results file).
 func openJobStore(jobdir string) (*jobStore, error) {
 	dir := filepath.Join(jobdir, "jobs")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -87,45 +90,38 @@ func (st *jobStore) path(id, ext string) string {
 	return filepath.Join(st.dir, id+ext)
 }
 
-// recordEncoder is the memory job records are encoded in, kept across them:
-// the encoding and the encoder's indent buffer.
-type recordEncoder struct {
+// jsonEncoder is memory JSON is encoded in, kept across the values: the
+// encoding and the encoder's indent buffer.
+type jsonEncoder struct {
 	buf bytes.Buffer
 	enc *json.Encoder
 }
 
+// encode returns v as json.MarshalIndent encodes it with prefix and indent,
+// or as json.Marshal does with neither, valid until the next encode.
+func (e *jsonEncoder) encode(v any, prefix, indent string) ([]byte, error) {
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+	}
+	e.enc.SetIndent(prefix, indent)
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(e.buf.Bytes(), []byte("\n")), nil // Encode ends a value with a newline
+}
+
 // saveRecord persists the job record atomically, encoded in re as
 // json.MarshalIndent encodes it.
-func (st *jobStore) saveRecord(rec *jobRecord, re *recordEncoder) error {
-	if re.enc == nil {
-		re.enc = json.NewEncoder(&re.buf)
-		re.enc.SetIndent("", "  ")
-	}
-	re.buf.Reset()
-	if err := re.enc.Encode(rec); err != nil {
+func (st *jobStore) saveRecord(rec *jobRecord, re *jsonEncoder) error {
+	data, err := re.encode(rec, "", "  ")
+	if err != nil {
 		return fmt.Errorf("server: job store: encode %s: %w", rec.ID, err)
 	}
-	data := bytes.TrimSuffix(re.buf.Bytes(), []byte("\n")) // Encode ends a value with a newline
 	if err := trace.WriteFileAtomic(st.path(rec.ID, ".json"), data); err != nil {
 		return fmt.Errorf("server: job store: write %s: %w", rec.ID, err)
 	}
 	return nil
-}
-
-// saveFinished persists a finished job in two atomic writes: a done job's
-// results file — the series streamed through rw, never rendered as JSON or
-// buffered whole — then the record carrying the terminal status, encoded by
-// re. A failure stops the sequence: on disk the job is done only once all it
-// stands for is there, and until then a restart re-runs it.
-func (st *jobStore) saveFinished(rec *jobRecord, records []trace.RunRecord, rw *resultsWriter, re *recordEncoder) error {
-	if rec.Status == api.StatusDone {
-		res := Results{CSV: rec.csv, Report: rec.report, Records: records}
-		err := trace.WriteAtomic(st.path(rec.ID, ".results"), func(w io.Writer) error { return rw.write(w, res) })
-		if err != nil {
-			return fmt.Errorf("server: job store: write %s.results: %w", rec.ID, err)
-		}
-	}
-	return st.saveRecord(rec, re)
 }
 
 // remove deletes a job's files (eviction), the record first: a crash part
@@ -138,8 +134,9 @@ func (st *jobStore) remove(id string) {
 }
 
 // read reads job id's record and, for a done job, its results: the one
-// reader that load checks every job with and /result reads run records back
-// with. Once the job is evicted, errors wrap fs.ErrNotExist.
+// reader that load checks every job with, and /result reads an older
+// daemon's run records with (a results file's it only counts). Once the job
+// is evicted, errors wrap fs.ErrNotExist.
 func (st *jobStore) read(id string) (*jobRecord, error) {
 	data, err := os.ReadFile(st.path(id, ".json"))
 	if err != nil {
@@ -156,7 +153,7 @@ func (st *jobStore) read(id string) (*jobRecord, error) {
 		res, err := ReadResults(st.path(id, ".results"))
 		switch {
 		case err == nil:
-			rec.Records, rec.csv, rec.report = res.Records, res.CSV, res.Report
+			rec.runs, rec.csv, rec.report = len(res.Records), res.CSV, res.Report
 		case errors.Is(err, fs.ErrNotExist):
 			// An older daemon's job: its run records in <id>.jsonl, or inline
 			// in <id>.json before that, beside <id>.csv and <id>.report.
@@ -164,6 +161,7 @@ func (st *jobStore) read(id string) (*jobRecord, error) {
 			if rec.hasRunRecords() && rec.Records == nil {
 				rec.Records, err = trace.LoadJSON(st.path(id, ".jsonl"))
 			}
+			rec.runs = len(rec.Records)
 			if err == nil && rec.hasRunRecords() && rec.csv == nil {
 				var buf bytes.Buffer // a pure function of the records
 				err = trace.WriteSummaryCSV(&buf, rec.Records)
@@ -174,7 +172,6 @@ func (st *jobStore) read(id string) (*jobRecord, error) {
 			return nil, fmt.Errorf("server: job store: results of done job %s: %w", id, err)
 		}
 	}
-	rec.runs = len(rec.Records)
 	return rec, nil
 }
 

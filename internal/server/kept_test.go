@@ -1,7 +1,7 @@
 package server
 
 // Tests for what a daemon keeps across jobs: each worker's state (run state
-// and results writer) and the trace store's open replay sources.
+// and encode buffers) and the trace store's open replay sources.
 
 import (
 	"bytes"
@@ -66,13 +66,13 @@ func keptServer(t *testing.T) (*Server, []api.JobRequest) {
 	return s, reqs
 }
 
-// runOn runs req to done through runJob on ws, as a worker does, and resets
-// ws's series as the worker does once the job's records were persisted.
+// runOn runs req to done through runJob on ws, and resets ws's series, as a
+// worker does.
 func (s *Server) runOn(t testing.TB, ws *workerState, id string, req api.JobRequest) {
 	j := &job{jobRecord: jobRecord{ID: id, Req: req, Status: api.StatusRunning}, log: events.NewLog(), cancel: func() {}}
 	s.runJob(context.Background(), j, ws)
-	if j.Status != api.StatusDone || j.Records != nil {
-		t.Fatalf("job %s: %s (%s), records in memory: %v", id, j.Status, j.Error, j.Records != nil)
+	if j.Status != api.StatusDone || j.results != nil {
+		t.Fatalf("job %s: %s (%s), results in memory: %v", id, j.Status, j.Error, j.results != nil)
 	}
 	ws.run.Series.Reset()
 }
@@ -80,12 +80,12 @@ func (s *Server) runOn(t testing.TB, ws *workerState, id string, req api.JobRequ
 // TestRepeatedJobAllocations pins what a repeated daemon job allocates: a
 // plan and a .utr replay, each run again on one worker state, with the
 // daemon's kept devices, plans and trace sources. Measured with go1.24 on
-// amd64 and 386: 2,314–2,315 a plan, 331 a replay. Rebuilding the plan adds
-// ~285, fresh scratch ~107 a plan and 4 a replay (batch, decode buffer),
-// reopening and verifying the trace 14, a fresh results buffer 2 a replay,
-// formatting the run IDs again for the records or the report ~380 a plan,
-// fresh render buffers 10 a plan and 5 a replay, a fresh record encoder 21
-// and 12: each passes its ceiling.
+// amd64 and 386: 2,308 a plan, 325 a replay. Rebuilding the plan adds ~285,
+// fresh scratch ~107 a plan and 4 a replay (batch, decode buffer), reopening
+// and verifying the trace 14, a fresh results encoder 36 and 13, formatting
+// the run IDs again for the records or the report ~380 a plan, fresh render
+// buffers 10 a plan and 5 a replay, a fresh record encoder 21 and 12: each
+// passes its ceiling.
 func TestRepeatedJobAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
@@ -96,8 +96,8 @@ func TestRepeatedJobAllocations(t *testing.T) {
 		name    string
 		ceiling float64
 	}{
-		{"plan", 2320},
-		{"replay", 332},
+		{"plan", 2314},
+		{"replay", 326},
 	} {
 		n := 0
 		run := func() {

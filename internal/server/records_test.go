@@ -1,8 +1,8 @@
 package server_test
 
-// Tests for where a finished job's run records live: in the daemon's heap
-// only while the job directory does not hold them, read back from
-// <id>.results once it does — with the same bytes served either way.
+// Tests for where a finished job's results file lives: in the daemon's heap
+// only while the job directory does not hold it, in <id>.results once it does
+// — with the same bytes served either way.
 
 import (
 	"bytes"
@@ -35,25 +35,19 @@ func clockedDaemon(t *testing.T, cfg server.Config) (*server.Server, *httptest.S
 	return srv, ts, offset
 }
 
-// awaitNoneHeld polls until no retained job holds its run records: the
-// worker drops them after the done event, once they are on disk.
-func awaitNoneHeld(t *testing.T, srv *server.Server) {
+// noneHeld fails the test if a retained job keeps its results file in
+// memory: with a job directory, a job is done once <id>.results holds it.
+func noneHeld(t *testing.T, srv *server.Server) {
 	t.Helper()
-	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
-		held := server.HeldRunRecords(srv)
-		if len(held) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("jobs %v still hold their run records after being persisted", held)
-		}
+	if held := server.HeldResults(srv); len(held) != 0 {
+		t.Fatalf("jobs %v keep their results in memory although the job directory holds them", held)
 	}
 }
 
 // TestRecordsServedAlikeFromHeapAndDisk: a plan job and a workload job serve
 // the same status (runs included), /result, /csv and /report on a daemon
-// without a job directory, which keeps their run records in memory, on one
-// with a job directory, which drops them once persisted, and on a daemon
+// without a job directory, which keeps their results files in memory, on one
+// with a job directory, which keeps them there only, and on a daemon
 // restarted over that directory.
 func TestRecordsServedAlikeFromHeapAndDisk(t *testing.T) {
 	reqs := []api.JobRequest{planRequest("mtron", "Order"), workloadRequest()}
@@ -76,7 +70,7 @@ func TestRecordsServedAlikeFromHeapAndDisk(t *testing.T) {
 			waitFor(t, ts, id, api.StatusDone)
 		}
 		if cfg.JobDir != "" {
-			awaitNoneHeld(t, srv)
+			noneHeld(t, srv)
 		}
 		out := make(map[string]map[string][]byte)
 		for _, id := range ids {
@@ -86,8 +80,8 @@ func TestRecordsServedAlikeFromHeapAndDisk(t *testing.T) {
 	}
 
 	inMemory, want := run(server.Config{Workers: 1})
-	if held := server.HeldRunRecords(inMemory); len(held) != len(reqs) {
-		t.Errorf("without a job directory %d jobs hold their run records, want %d: they are the only copy", len(held), len(reqs))
+	if held := server.HeldResults(inMemory); len(held) != len(reqs) {
+		t.Errorf("without a job directory %d jobs keep their results, want %d: they are the only copy", len(held), len(reqs))
 	}
 	for id, routes := range want {
 		var st api.JobStatus
@@ -104,16 +98,15 @@ func TestRecordsServedAlikeFromHeapAndDisk(t *testing.T) {
 	durable.Close()
 
 	restarted, ts, _ := clockedDaemon(t, server.Config{JobDir: jobDir, Workers: 1})
-	if held := server.HeldRunRecords(restarted); len(held) != 0 {
-		t.Errorf("a restarted daemon holds the run records of %v", held)
-	}
+	noneHeld(t, restarted)
 	for id := range want {
 		sameServed(t, id+" after a restart", served(ts, id), want[id])
 	}
 }
 
-// TestFailedPersistKeepsRecords: when a job's results cannot be written, its
-// run records stay in memory — the only copy — and /result serves them.
+// TestFailedPersistKeepsRecords: when a job's results file cannot be
+// written, the job keeps it in memory — the only copy — and /result serves
+// its run records.
 func TestFailedPersistKeepsRecords(t *testing.T) {
 	_, clean := newTestServer(t, server.Config{Workers: 1})
 	id := submit(t, clean, planRequest("mtron", "Order")).ID
@@ -131,14 +124,43 @@ func TestFailedPersistKeepsRecords(t *testing.T) {
 	}
 	waitFor(t, ts, id, api.StatusDone)
 	srv.Close() // drains the worker: the persist has been tried
-	if held := server.HeldRunRecords(srv); !slices.Equal(held, []string{id}) {
-		t.Fatalf("after a failed persist the jobs holding run records are %v, want [%s]", held, id)
+	if held := server.HeldResults(srv); !slices.Equal(held, []string{id}) {
+		t.Fatalf("after a failed persist the jobs keeping their results are %v, want [%s]", held, id)
 	}
 	if code, got := get(t, ts, "/jobs/"+id+"/result"); code != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("/result after a failed persist: HTTP %d, %d bytes; want the %d bytes of an undisturbed run", code, len(got), len(want))
 	}
 	if got := durableStatus(t, jobDir, id); got != api.StatusQueued {
 		t.Fatalf("durable record says %q although %s.results was never written; want queued", got, id)
+	}
+}
+
+// TestResultsFileBeforeDone: with a job directory, <id>.results is complete
+// as soon as a client has the job's done event: the worker writes it before
+// the job turns done, and the job keeps no copy.
+func TestResultsFileBeforeDone(t *testing.T) {
+	jobDir := t.TempDir()
+	srv, ts := newTestServer(t, server.Config{JobDir: jobDir, Workers: 1})
+	c := &client.Client{BaseURL: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, req := range []api.JobRequest{planRequest("mtron", "Order"), workloadRequest()} {
+		st, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last api.Event
+		if err := c.Events(ctx, st.ID, 0, func(ev api.Event) { last = ev }); err != nil {
+			t.Fatal(err)
+		}
+		if last.Type != api.EventDone || last.Runs == 0 {
+			t.Fatalf("%s ended on %+v, want done with runs", st.ID, last)
+		}
+		res, err := server.ReadResults(filepath.Join(jobDir, "jobs", st.ID+".results"))
+		if err != nil || len(res.Records) != last.Runs {
+			t.Fatalf("%s.results at the done event: %d run records, %v; want the %d done reports", st.ID, len(res.Records), err, last.Runs)
+		}
+		noneHeld(t, srv)
 	}
 }
 
@@ -163,7 +185,7 @@ func TestResultDuringEviction(t *testing.T) {
 		return st.ID
 	}
 	first := finish()
-	awaitNoneHeld(t, srv)
+	noneHeld(t, srv)
 	code, want := get(t, ts, "/jobs/"+first+"/result")
 	if code != http.StatusOK || !bytes.Contains(want, []byte(`"rts"`)) {
 		t.Fatalf("/result: HTTP %d: %.200s", code, want)
@@ -219,7 +241,7 @@ func TestResultDuringEviction(t *testing.T) {
 		done = append(done, id)
 		mu.Unlock()
 	}
-	awaitNoneHeld(t, srv)
+	noneHeld(t, srv)
 	stop.Store(true)
 	wg.Wait()
 	for _, id := range done {
@@ -237,15 +259,24 @@ func evictionRequest() api.JobRequest {
 
 // TestRetainedJobsLeaveRecordsOnDisk: 24 retained Granularity plan jobs
 // (memoright, 64 MiB, iocount 64: 56 runs and 114,688 response times each,
-// 0.92 MB as []time.Duration) under a job directory grow the live heap by
-// what their CSVs, reports and events take, not by their series. The heap
-// after runtime.GC grew 22.0 MB when every retained job kept its series in
-// memory (21.8 MB under GOARCH=386, 22.0 MB under -race) and -0.3 to
-// 0.7 MB once they live on disk only; the 6 MB bound is 3.6× below the
-// first.
+// 0.92 MB as []time.Duration) grow the live heap by what their CSVs, reports
+// and events take under a job directory, and by their results files as well
+// without one — not by their series. The heap after runtime.GC grew 22.0 MB
+// when every retained job kept its series in memory (21.8 MB under
+// GOARCH=386, 22.0 MB under -race), with a job directory or without one.
+// Since each job keeps its results bytes instead, it grows 10.4–10.8 MB
+// without a job directory (0.37 MB of results file a job), and 1.6–2.0 MB
+// with one, where the heap also holds the second worker's encode buffer
+// (amd64, 386 and -race alike).
+// The bounds, 6 MB and 14 MB, are 3.6× and 1.6× below the first.
 func TestRetainedJobsLeaveRecordsOnDisk(t *testing.T) {
-	const jobs, bound = 24, 6 << 20
-	srv, ts := newTestServer(t, server.Config{StateDir: t.TempDir(), JobDir: t.TempDir(), Workers: 2})
+	t.Run("jobdir", func(t *testing.T) { retainedHeap(t, t.TempDir(), 6<<20) })
+	t.Run("memory", func(t *testing.T) { retainedHeap(t, "", 14<<20) })
+}
+
+func retainedHeap(t *testing.T, jobDir string, bound int64) {
+	const jobs = 24
+	srv, ts := newTestServer(t, server.Config{StateDir: t.TempDir(), JobDir: jobDir, Workers: 2})
 	req := api.JobRequest{Kind: "plan", Device: "memoright", Capacity: 64 << 20, Seed: 42, IOCount: 64, Micros: []string{"Granularity"}, Parallel: 1}
 	// One job first: it enforces the device state into the store, and the
 	// first use of every code path allocates what later jobs share.

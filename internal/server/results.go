@@ -1,14 +1,12 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"time"
@@ -25,8 +23,8 @@ import (
 //	per record: uvarint n, n uvarints  its response times in nanoseconds
 //	CRC-32C of all the above           big-endian, as hash.Hash32.Sum appends it
 //
-// Every integer is in its shortest form and the head is json.Marshal's own
-// bytes, so whatever ReadResults accepts, resultsWriter writes byte for byte.
+// Every integer is in its shortest form and the head is json.Marshal's
+// bytes, so whatever ReadResults accepts, resultsEncoder writes byte for byte.
 const resultsMagic = "uflip-results 1\n"
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -41,71 +39,47 @@ type Results struct {
 	Records     []trace.RunRecord
 }
 
-// resultsWriter writes results files through memory a daemon worker keeps
-// across its jobs: one 32 KiB buffer and the run records' head.
-type resultsWriter struct {
-	bw   *bufio.Writer
+// resultsEncoder encodes results files into memory a daemon worker keeps
+// across its jobs: the file's bytes, and the run records' head with the
+// memory it is encoded in.
+type resultsEncoder struct {
+	buf  []byte
 	head []trace.RunRecord
+	json jsonEncoder
 }
 
-// write writes res to w. A response time outside [0, maxRT] is an error:
-// ReadResults would refuse the file.
-func (rw *resultsWriter) write(w io.Writer, res Results) error {
-	rw.head = append(rw.head[:0], res.Records...)
-	head := rw.head
-	if len(head) == 0 {
+// encode returns res's results file in e's buffer, valid until the next
+// encode. A response time outside [0, maxRT] is an error: ReadResults would
+// refuse the file.
+func (e *resultsEncoder) encode(res Results) ([]byte, error) {
+	e.head = append(e.head[:0], res.Records...)
+	for i := range e.head {
+		e.head[i].RTs = nil
+	}
+	var head any = &e.head
+	if len(e.head) == 0 {
 		head = res.Records // nil stays nil: "null", not "[]"
 	}
-	for i := range head {
-		head[i].RTs = nil
-	}
-	headJSON, err := json.Marshal(head)
+	headJSON, err := e.json.encode(head, "", "")
 	if err != nil {
-		return fmt.Errorf("results: encode head: %w", err)
+		return nil, fmt.Errorf("results: encode head: %w", err)
 	}
-	sum := crc32.New(castagnoli)
-	if rw.bw == nil {
-		rw.bw = bufio.NewWriterSize(nil, 32<<10)
-	}
-	bw := rw.bw
-	bw.Reset(io.MultiWriter(w, sum)) // a failed write does not stick to the next file
-	bw.WriteString(resultsMagic)
+	b := append(e.buf[:0], resultsMagic...)
 	for _, section := range [][]byte{res.CSV, res.Report, headJSON} {
-		bw.Write(binary.AppendUvarint(room(bw, bw.AvailableBuffer()), uint64(len(section))))
-		bw.Write(section)
+		b = binary.AppendUvarint(b, uint64(len(section)))
+		b = append(b, section...)
 	}
-	buf := bw.AvailableBuffer()
 	for i := range res.Records {
-		buf = binary.AppendUvarint(room(bw, buf), uint64(len(res.Records[i].RTs)))
+		b = binary.AppendUvarint(b, uint64(len(res.Records[i].RTs)))
 		for _, d := range res.Records[i].RTs {
 			if d < 0 || d > maxRT {
-				return fmt.Errorf("results: record %d: response time %v outside [0, %v]", i, d, maxRT)
+				return nil, fmt.Errorf("results: record %d: response time %v outside [0, %v]", i, d, maxRT)
 			}
-			if cap(buf)-len(buf) < binary.MaxVarintLen64 { // room's test, without a call per value
-				buf = room(bw, buf)
-			}
-			buf = binary.AppendUvarint(buf, uint64(d))
+			b = binary.AppendUvarint(b, uint64(d))
 		}
 	}
-	bw.Write(buf)
-	if err := bw.Flush(); err != nil { // a write error sticks until here
-		return err
-	}
-	_, err = w.Write(sum.Sum(nil))
-	return err
-}
-
-// room returns buf, bw's free space (AvailableBuffer), when a varint still
-// fits in it, and otherwise writes buf out and returns the free space after
-// it: the integers are appended into bw's buffer in place, and go out in one
-// Write per buffer fill.
-func room(bw *bufio.Writer, buf []byte) []byte {
-	if cap(buf)-len(buf) >= binary.MaxVarintLen64 {
-		return buf
-	}
-	bw.Write(buf)
-	bw.Flush()
-	return bw.AvailableBuffer()
+	e.buf = binary.BigEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	return e.buf, nil
 }
 
 // ReadResults reads the results file at path. An error that does not wrap

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,11 +33,11 @@ func sampleResults() Results {
 
 func encodeResults(t testing.TB, res Results) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := new(resultsWriter).write(&buf, res); err != nil {
+	data, err := new(resultsEncoder).encode(res)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 // seal frames body as a results file: the magic line before it, its
@@ -79,21 +81,41 @@ func TestResultsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultsFormatPinned: the encoder writes the committed results files
-// byte for byte — sampleResults() and a paper job's report-only results, as
-// the streaming writer before the kept encode buffer wrote them — and
-// decodeResults accepts both.
+// TestResultsFormatPinned: one kept encoder writes the committed results
+// files byte for byte, whatever it encoded before — sampleResults() and a
+// paper job's report-only results, as the streaming writer before the kept
+// encode buffer wrote them — and decodeResults accepts both.
 func TestResultsFormatPinned(t *testing.T) {
-	for name, res := range map[string]Results{"sample": sampleResults(), "paper": {Report: []byte("paper\n")}} {
-		want, err := os.ReadFile(filepath.Join("testdata", name+".results"))
+	var e resultsEncoder
+	for _, c := range []struct {
+		name string
+		res  Results
+	}{{"sample", sampleResults()}, {"paper", Results{Report: []byte("paper\n")}}, {"sample", sampleResults()}} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.name+".results"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := encodeResults(t, res); !bytes.Equal(got, want) {
-			t.Errorf("%s: encoded %q, want the committed %q", name, got, want)
+		if got, err := e.encode(c.res); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: encoded %q (%v), want the committed %q", c.name, got, err, want)
 		}
-		if got, err := decodeResults(want); err != nil || !reflect.DeepEqual(got, res) {
-			t.Errorf("%s: the committed file decodes to %+v, %v; want %+v", name, got, err, res)
+		if got, err := decodeResults(want); err != nil || !reflect.DeepEqual(got, c.res) {
+			t.Errorf("%s: the committed file decodes to %+v, %v; want %+v", c.name, got, err, c.res)
+		}
+	}
+}
+
+// TestRecordsWrittenAsWriteJSON: /result's record-by-record writer answers
+// writeJSON's bytes and header, for several records, one, none and nil,
+// with characters that HTML escaping changes.
+func TestRecordsWrittenAsWriteJSON(t *testing.T) {
+	recs := sampleResults().Records
+	recs[1].ID = "<a & b> \u2028"
+	for _, recs := range [][]trace.RunRecord{recs, recs[:1], {}, nil} {
+		want, got := httptest.NewRecorder(), httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, recs)
+		writeRecords(got, recs)
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) || got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) {
+			t.Fatalf("writeRecords wrote %d %v %q, want writeJSON's %d %v %q", got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
 		}
 	}
 }
@@ -102,8 +124,8 @@ func TestWriteResultsRefusesUnreadableRT(t *testing.T) {
 	for _, d := range []time.Duration{-1, maxRT + 1} {
 		res := sampleResults()
 		res.Records[0].RTs = trace.RTSeries{5, d}
-		if err := new(resultsWriter).write(new(bytes.Buffer), res); err == nil || !strings.Contains(err.Error(), "outside") {
-			t.Errorf("response time %d: write returned %v, want an out-of-range error", d, err)
+		if _, err := new(resultsEncoder).encode(res); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("response time %d: encode returned %v, want an out-of-range error", d, err)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package server_test
 
-// Tests for the response-time buffer each worker owns: a job whose run
-// records left the heap hands its series memory to the worker's next job,
-// and a job whose records are still read from memory keeps it.
+// Tests for the response-time buffer each worker owns: a job's run records
+// live on in its results file, so every job hands its series memory to the
+// worker's next job, and what a job serves does not change when it does.
 
 import (
 	"bytes"
@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
-	"time"
 
 	"uflip/internal/api"
 	"uflip/internal/server"
@@ -72,61 +71,36 @@ func (w *heldWriter) WriteHeader(code int) {
 
 func (w *heldWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
 
-// TestHeldResultOutlivesReuse: a /result that took a job's records from
-// memory — between the done event and their persisting — and is held before
-// encoding them while the same worker runs two more jobs still serves the
-// first job's records byte for byte: the worker leaves the memory to the
-// reader and starts a fresh buffer. A first job gives the worker a slab, so
-// the held job's series are carved from memory a later job would reuse.
+// TestHeldResultOutlivesReuse: a /result held before encoding a job's
+// records while the same worker runs two more jobs still serves the job's
+// records byte for byte. A first job gives the worker a slab, so the held
+// job's series were carved from memory the later jobs reuse.
 func TestHeldResultOutlivesReuse(t *testing.T) {
-	srv, ts := newTestServer(t, server.Config{JobDir: t.TempDir(), Workers: 1})
-	runAll(t, ts, planRequest("mtron", "Order"))
-	awaitNoneHeld(t, srv)
-	h := srv.Handler()
-	// The reader has to come before the persist, which it usually does by
-	// milliseconds; an attempt that missed it read the records from disk.
-	for attempt := 1; ; attempt++ {
-		if attempt > 20 {
-			t.Fatal("no /result in 20 jobs read the records from memory")
-		}
-		id := submit(t, ts, planRequest("mtron", "Order")).ID
-		w := &heldWriter{held: make(chan struct{}), release: make(chan struct{})}
-		served := make(chan struct{})
-		go func() {
-			defer close(served)
-			for w.code == 0 || w.code == http.StatusConflict { // not done yet
-				w.header = http.Header{}
-				w.body.Reset()
-				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, v1+"/jobs/"+id+"/result", nil))
-				time.Sleep(100 * time.Microsecond)
-			}
-		}()
-		select {
-		case <-w.held:
-		case <-served:
-			t.Fatalf("/result of %s: HTTP %d: %s", id, w.code, w.body.Bytes())
-		}
-		if server.ResultReaders(srv, id) == 0 {
-			close(w.release)
-			<-served
-			awaitNoneHeld(t, srv)
-			continue
-		}
-		runAll(t, ts, otherPlanRequest(), workloadRequest())
-		awaitNoneHeld(t, srv)
-		close(w.release)
-		<-served
-		if want := result(t, ts, id); !bytes.Equal(w.body.Bytes(), want) {
-			t.Fatalf("attempt %d: the /result held while two more jobs ran served %d bytes that differ from the %d the job directory holds", attempt, w.body.Len(), len(want))
-		}
-		t.Logf("attempt %d read the records from memory", attempt)
-		return
+	srv, ts := newTestServer(t, server.Config{Workers: 1})
+	id := runAll(t, ts, planRequest("mtron", "Order"), planRequest("mtron", "Order"))[1]
+	want := result(t, ts, id)
+	w := &heldWriter{header: http.Header{}, held: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, v1+"/jobs/"+id+"/result", nil))
+	}()
+	select {
+	case <-w.held:
+	case <-served:
+		t.Fatalf("/result of %s: HTTP %d: %s", id, w.code, w.body.Bytes())
+	}
+	runAll(t, ts, otherPlanRequest(), workloadRequest())
+	close(w.release)
+	<-served
+	if !bytes.Equal(w.body.Bytes(), want) {
+		t.Fatalf("the /result held while two more jobs ran served %d bytes that differ from the %d served before", w.body.Len(), len(want))
 	}
 }
 
-// TestFailedPersistResultSurvivesLaterJobs: a job whose results could not
-// be written keeps its records in memory, and its /result is unchanged
-// after three more jobs ran on the same worker.
+// TestFailedPersistResultSurvivesLaterJobs: a job whose results file could
+// not be written keeps it in memory, and its /result is unchanged after
+// three more jobs ran on the same worker.
 func TestFailedPersistResultSurvivesLaterJobs(t *testing.T) {
 	jobDir := t.TempDir()
 	srv, ts := newTestServer(t, server.Config{JobDir: jobDir, Workers: 1})
@@ -138,28 +112,16 @@ func TestFailedPersistResultSurvivesLaterJobs(t *testing.T) {
 	id := runAll(t, ts, planRequest("mtron", "Order"))[0]
 	first := result(t, ts, id)
 	runAll(t, ts, otherPlanRequest(), workloadRequest(), otherPlanRequest())
-	awaitHeld(t, srv, id)
+	if held := server.HeldResults(srv); !slices.Equal(held, []string{id}) {
+		t.Fatalf("jobs %v keep their results in memory, want only %s", held, id)
+	}
 	if got := result(t, ts, id); !bytes.Equal(got, first) {
 		t.Fatalf("/result of %s after a failed persist and three more jobs: %d bytes that differ from the %d it served first", id, len(got), len(first))
 	}
 }
 
-// awaitHeld polls until id is the one job holding its run records.
-func awaitHeld(t *testing.T, srv *server.Server, id string) {
-	t.Helper()
-	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
-		held := server.HeldRunRecords(srv)
-		if slices.Equal(held, []string{id}) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("jobs %v hold their run records, want only %s", held, id)
-		}
-	}
-}
-
 // TestRetainedResultsSurviveLaterJobs: without a job directory every
-// retained job's records are the only copy, and each job's /result after
+// retained job's results file is the only copy, and each job's /result after
 // later jobs ran is its first fetch.
 func TestRetainedResultsSurviveLaterJobs(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
@@ -177,11 +139,17 @@ func TestRetainedResultsSurviveLaterJobs(t *testing.T) {
 	}
 }
 
-// TestWorkerReusesItsSeries: with a job directory the worker's buffer stops
-// growing after the first plan and replay pair — every later job of the
-// pair carves its series from the same slab, which holds the larger job's.
+// TestWorkerReusesItsSeries: with a job directory or without one, the
+// worker's buffer stops growing after the first plan and replay pair —
+// every later job of the pair carves its series from the same slab, which
+// holds the larger job's.
 func TestWorkerReusesItsSeries(t *testing.T) {
-	srv, ts := newTestServer(t, server.Config{JobDir: t.TempDir(), Workers: 1})
+	t.Run("jobdir", func(t *testing.T) { reusesItsSeries(t, t.TempDir()) })
+	t.Run("memory", func(t *testing.T) { reusesItsSeries(t, "") })
+}
+
+func reusesItsSeries(t *testing.T, jobDir string) {
+	srv, ts := newTestServer(t, server.Config{JobDir: jobDir, Workers: 1})
 	slots := 0
 	for _, id := range runAll(t, ts, planRequest("mtron", "Order"), workloadRequest()) {
 		var recs []trace.RunRecord
@@ -195,7 +163,7 @@ func TestWorkerReusesItsSeries(t *testing.T) {
 		slots = max(slots, n)
 	}
 	// A job is claimed once the worker has reset its buffer after the one
-	// before: this plan's, after the replay's.
+	// before: this plan's, after the replay's. Every job is still retained.
 	runAll(t, ts, planRequest("mtron", "Order"))
 	series, held := server.WorkerSeries(srv, 0)
 	if held < slots {

@@ -11,16 +11,14 @@
 //   - Streaming progress: GET /v1/jobs/{id}/events serves the job's
 //     lifecycle as server-sent events with monotonic IDs; a client that
 //     reconnects with Last-Event-ID resumes without losing an event.
-//   - Durable jobs: with a job directory configured, every submission is
-//     persisted, and a done job's CSV, report and run records go into one
-//     binary results file (<id>.results, the series streamed as varints) with
-//     atomic fsync+rename before the record that says it finished — a
+//   - Durable jobs: a finished job is its results file — CSV, report and run
+//     records, the series as varints — encoded once. With a job directory,
+//     every submission is persisted, and <id>.results is written (atomic
+//     fsync+rename) before the job turns done and its record says so — a
 //     restarted daemon serves byte-identical results and re-runs every job
-//     with no such record. A job's durable record is the job itself: the
-//     queue entry embeds it and adds only its event log and cancel function;
-//     its run records leave memory once <id>.results holds them, and the
-//     memory their series took serves its worker's next job, which runs on
-//     the same scratch and writes through the same results buffer.
+//     with no such record; without one, the job keeps the bytes. A job's
+//     durable record is the job itself: the queue entry embeds it and adds
+//     only its event log and cancel function.
 //   - Admission control and trace upload: per-tenant (X-API-Key) token
 //     bucket rate limits and queue quotas guard the bounded queue with
 //     typed 429/503 envelopes — a tenant's jobs waiting to run count against
@@ -93,7 +91,7 @@ type Config struct {
 	// long-running daemon does not grow without bound; the oldest finished
 	// jobs are evicted first, from memory and from JobDir, but none within a
 	// moment of finishing (<= 0: 256). A retained job keeps its CSV, report
-	// and events in memory, and its run records only until JobDir holds them.
+	// and events in memory, and its results file when JobDir does not.
 	KeepJobs int
 	// RatePerSec is the per-tenant submission rate limit in jobs/second;
 	// <= 0 disables rate limiting. Tenants are X-API-Key header values.
@@ -140,14 +138,11 @@ func (c Config) withDefaults() Config {
 // job is a queue entry: its durable record, which the server lock guards,
 // plus what is not persisted in it — the event log (persisted as the
 // record's Events, which stay empty in memory) and the cancel function of a
-// running job. The heap keeps the record's Records only while the job
-// directory does not.
+// running job. Its run records are in its results file, never in Records.
 type job struct {
 	jobRecord
 	log    *events.Log
 	cancel context.CancelFunc
-	// readers counts the /result handlers encoding Records from memory.
-	readers int
 }
 
 // emit appends a job-stamped event to the job's stream.
@@ -162,7 +157,6 @@ func (j *job) emit(e api.Event) {
 func (j *job) record() *jobRecord {
 	rec := j.jobRecord
 	rec.Events = j.log.Snapshot()
-	rec.Records = nil
 	return &rec
 }
 
@@ -189,8 +183,8 @@ type Server struct {
 	nextID  int
 	closed  bool
 	wg      sync.WaitGroup
-	workers []*workerState // the worker replaces its own series under mu
-	submits recordEncoder  // encodes the records of submissions, under mu
+	workers []*workerState // the worker resets its own series under mu
+	submits jsonEncoder    // encodes the records of submissions, under mu
 }
 
 // workerState is what a daemon worker keeps across the jobs it runs: the
@@ -200,8 +194,8 @@ type Server struct {
 type workerState struct {
 	run     core.RunState
 	render  bytes.Buffer
-	results resultsWriter
-	record  recordEncoder
+	results resultsEncoder
+	record  jsonEncoder
 }
 
 // New builds the daemon, recovers any persisted jobs and uploaded traces
@@ -301,10 +295,9 @@ func idNum(id string) int {
 	return n
 }
 
-// worker runs claimed jobs one after another on its state. Once a job's run
-// records were persisted, left the heap and are read by no /result handler,
-// their series memory serves the next job; otherwise the job keeps it and
-// the worker starts a fresh series (always without a job directory).
+// worker runs claimed jobs one after another on its state. A finished job's
+// run records live on in its results file, so their series memory serves
+// the next job.
 func (s *Server) worker(w int) {
 	defer s.wg.Done()
 	st := s.workers[w]
@@ -314,12 +307,8 @@ func (s *Server) worker(w int) {
 			return
 		}
 		s.runJob(ctx, j, st)
-		s.mu.Lock() // runRecords counts a reader in under it
-		if j.Records == nil && j.readers == 0 {
-			st.run.Series.Reset()
-		} else {
-			st.run.Series = new(core.Series)
-		}
+		s.mu.Lock() // so the series can be read between jobs
+		st.run.Series.Reset()
 		s.mu.Unlock()
 	}
 }
@@ -622,7 +611,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if canceledQueued {
 		j.emit(api.Event{Type: api.EventCanceled, Detail: "canceled while queued"})
 		j.log.Close()
-		s.persistFinished(j, nil, new(recordEncoder)) // no results file: the job never ran
+		s.persistFinished(j, new(jsonEncoder))
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -724,43 +713,65 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case !j.hasRunRecords():
 		writeError(w, http.StatusNotFound, api.CodeNotFound, "%s jobs have no result records; fetch /report", j.Req.Kind)
 	default:
-		recs, heap, ok := s.runRecords(w, j)
-		if ok {
-			writeJSON(w, http.StatusOK, recs)
+		recs, err := s.runRecords(j)
+		if err != nil {
+			// 404 not_found for a job evicted since its lookup, as for one
+			// evicted before.
+			status, code := http.StatusInternalServerError, api.CodeInternal
+			if errors.Is(err, fs.ErrNotExist) {
+				status, code = http.StatusNotFound, api.CodeNotFound
+			}
+			writeError(w, status, code, "job %s: %v", j.ID, err)
+			return
 		}
-		if heap {
-			s.mu.Lock()
-			j.readers--
-			s.mu.Unlock()
-		}
+		writeRecords(w, recs)
 	}
 }
 
-// runRecords returns a done plan or workload job's run records: from memory
-// while they are the only copy — heap, and the caller is then counted among
-// the job's readers until it leaves — else read back from the job directory.
-// ok is false once it has written an error: 404 not_found for a job evicted
-// since its lookup, as for one evicted before.
-func (s *Server) runRecords(w http.ResponseWriter, j *job) (recs []trace.RunRecord, heap, ok bool) {
-	s.mu.Lock()
-	recs = j.Records
-	if recs != nil {
-		j.readers++
+// writeRecords writes recs as writeJSON does, one record at a time: an
+// encoding of all a job's series at once (20 MB for a 1 GiB plan) would stay
+// in encoding/json's pool of encoders, live.
+func writeRecords(w http.ResponseWriter, recs []trace.RunRecord) {
+	if len(recs) == 0 {
+		writeJSON(w, http.StatusOK, recs)
+		return
 	}
-	s.mu.Unlock()
-	if recs != nil || s.jobsdir == nil {
-		return recs, recs != nil, true
-	}
-	rec, err := s.jobsdir.read(j.ID)
-	if err != nil {
-		status, code := http.StatusInternalServerError, api.CodeInternal
-		if errors.Is(err, fs.ErrNotExist) {
-			status, code = http.StatusNotFound, api.CodeNotFound
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	var e jsonEncoder
+	sep := "[\n  "
+	for i := range recs {
+		b, err := e.encode(&recs[i], "  ", "  ")
+		if err != nil {
+			return
 		}
-		writeError(w, status, code, "job %s: %v", j.ID, err)
-		return nil, false, false
+		io.WriteString(w, sep)
+		if _, err := w.Write(b); err != nil {
+			return // the client is gone
+		}
+		sep = ",\n  "
 	}
-	return rec.Records, false, true
+	io.WriteString(w, "\n]\n")
+}
+
+// runRecords decodes a done plan or workload job's run records from its
+// results file: the bytes the job keeps, else <id>.results, else — for a job
+// an older daemon finished — its older layout. An error wrapping
+// fs.ErrNotExist means the job was evicted.
+func (s *Server) runRecords(j *job) ([]trace.RunRecord, error) {
+	if j.results != nil { // set before the job turned done, never changed
+		res, err := decodeResults(j.results)
+		return res.Records, err
+	}
+	res, err := ReadResults(s.jobsdir.path(j.ID, ".results"))
+	if errors.Is(err, fs.ErrNotExist) {
+		rec, err := s.jobsdir.read(j.ID)
+		if err != nil {
+			return nil, err
+		}
+		return rec.Records, nil
+	}
+	return res.Records, err
 }
 
 func (s *Server) handleCSV(w http.ResponseWriter, r *http.Request) {
@@ -836,22 +847,17 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.Copy(w, io.NewSectionReader(h, 0, h.Size))
 }
 
-// persistFinished writes the job's results file through rw and — last — its
-// final record through re to the job directory, then drops the run records.
-// Persistence failures are reported on stderr but do not undo a completed
-// job: the results remain servable from memory; on disk the job stays
-// queued, so a restart re-runs it.
-func (s *Server) persistFinished(j *job, rw *resultsWriter, re *recordEncoder) {
+// persistFinished writes the job's final record through re to the job
+// directory: the commit point, which a done job's results file precedes. A
+// failure is reported on stderr but does not undo a finished job; on disk it
+// stays queued, so a restart re-runs it.
+func (s *Server) persistFinished(j *job, re *jsonEncoder) {
 	if s.jobsdir == nil {
 		return
 	}
-	if err := s.jobsdir.saveFinished(j.record(), j.Records, rw, re); err != nil {
+	if err := s.jobsdir.saveRecord(j.record(), re); err != nil {
 		fmt.Fprintln(os.Stderr, "uflip serve:", err)
-		return
 	}
-	s.mu.Lock()
-	j.Records = nil
-	s.mu.Unlock()
 }
 
 // errJobTimeout is the cancellation cause the per-job watchdog installs;
@@ -896,11 +902,12 @@ func (s *Server) runJob(ctx context.Context, j *job, ws *workerState) {
 		j.emit(api.Event{Type: api.EventFailed, Error: st.Error})
 	}
 	j.log.Close()
-	if !shutdown {
+	if !shutdown && j.results == nil {
 		// A shutdown-interrupted job is deliberately NOT persisted in its
-		// terminal state: its durable record still says queued, so the next
-		// daemon on this job directory re-queues and completes it.
-		s.persistFinished(j, &ws.results, &ws.record)
+		// terminal state, nor a done job whose results file is not on disk:
+		// its durable record still says queued, so the next daemon on this
+		// job directory re-queues and completes it.
+		s.persistFinished(j, &ws.record)
 	}
 
 	s.mu.Lock()
@@ -909,11 +916,9 @@ func (s *Server) runJob(ctx context.Context, j *job, ws *workerState) {
 }
 
 // evictGrace is how long past its finish a job outlives the retention bound.
-// A retained job holds a few tens of KB of heap with a job directory: its
-// series memory went back to its worker's run state, and what it ran from —
-// plan, trace source, scratch, results buffer — the daemon keeps, not the
-// job. Without a job directory it holds 1.6 MB more for a serve-small plan's
-// 200,704 response times.
+// A retained job holds a few tens of KB of heap with a job directory — what
+// it ran on and from, the daemon keeps — and its results file too without
+// one: 0.66 MB for a serve-small plan's 200,704 response times.
 // At the benchmark's ~50 jobs/s 100 ms is about five extra jobs; a local
 // fetch after the done event takes a few ms.
 const evictGrace = 100 * time.Millisecond
@@ -955,10 +960,10 @@ func (s *Server) evictLocked() {
 }
 
 // execute runs the job through the shared runner on the worker's run
-// state, the runner's observers mapped onto the job's event stream. The
-// report and the summary CSV are the runner's renders, each made once: the
-// bytes served, the bytes persisted and the bytes a restarted daemon serves
-// are the same buffers.
+// state, the runner's observers mapped onto the job's event stream, and
+// encodes its results file — the runner's report and CSV, rendered once, and
+// the run records — in the worker's buffer. The file goes to <id>.results;
+// without a job directory, or when that write fails, the job keeps a copy.
 func (s *Server) execute(ctx context.Context, j *job, ws *workerState) error {
 	stage := func(name, detail string, total int) {
 		j.emit(api.Event{Type: api.EventStage, Stage: name, Detail: detail, Total: total})
@@ -1015,9 +1020,20 @@ func (s *Server) execute(ctx context.Context, j *job, ws *workerState) error {
 	if err != nil {
 		return err
 	}
+	data, err := ws.results.encode(Results{CSV: out.CSV, Report: out.Report, Records: out.Records})
+	if err != nil {
+		return err
+	}
+	if s.jobsdir != nil {
+		if err := trace.WriteFileAtomic(s.jobsdir.path(j.ID, ".results"), data); err != nil {
+			fmt.Fprintf(os.Stderr, "uflip serve: write %s.results: %v\n", j.ID, err)
+		} else {
+			data = nil
+		}
+	}
 	s.mu.Lock()
-	j.Records, j.Rows, j.csv, j.report = out.Records, out.Rows, out.CSV, out.Report
-	j.runs = len(out.Records)
+	j.Rows, j.csv, j.report, j.runs = out.Rows, out.CSV, out.Report, len(out.Records)
+	j.results = bytes.Clone(data)
 	s.mu.Unlock()
 	return nil
 }
