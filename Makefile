@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSummaryCSV$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRTSeriesCSV$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSummaryCSVMatchesEncodingCSV$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadUTR$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONFloatMatchesEncodingJSON$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendRTMatchesFloat$$' -fuzztime $(FUZZTIME) ./internal/trace
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockFTLStateful$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 0 ./internal/ftl
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime $(FUZZTIME) ./internal/job
 	$(GO) test -run '^$$' -fuzz '^FuzzReadResults$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime $(FUZZTIME) ./internal/client
 
 # Compile every cmd/* binary into bin/. The walk-throughs are Example
 # functions in example_test.go, run by `go test`.

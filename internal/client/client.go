@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -274,12 +275,26 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int64, fn func
 		return false, after, nil
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
+	terminal, last, err := readEvents(resp.Body, after, fn)
+	if err == nil && !terminal {
+		err = ctx.Err() // nil for a dropped connection: the caller resumes
+	}
+	return terminal, last, err
+}
+
+// readEvents hands fn the events of an SSE body up to a terminal one, which
+// it reports with the last event ID. One json.Decoder, over a reader reset to
+// each payload, decodes them all; a payload fails as json.Unmarshal fails it.
+func readEvents(body io.Reader, after int64, fn func(api.Event)) (bool, int64, error) {
+	sc := bufio.NewScanner(body)
 	// An event line is short: the buffer starts at the scanner's default
 	// size and grows only for a long one, up to 1 MiB. Lines are parsed in
 	// it, and a payload is gathered in data, which the stream keeps.
 	sc.Buffer(nil, 1<<20)
 	var data []byte
+	var payload bytes.Reader
+	dec := json.NewDecoder(&payload)
+	read := int64(0) // the payload bytes dec has been given
 	var ev api.Event // decoded through a pointer, so one for the stream
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -288,10 +303,18 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int64, fn func
 			if len(data) == 0 {
 				continue
 			}
-			ev = api.Event{} // Unmarshal leaves a field the payload omits as it was
-			if err := json.Unmarshal(data, &ev); err != nil {
+			ev = api.Event{} // Decode leaves a field the payload omits as it was
+			payload.Reset(data)
+			// The value ends at the decoder's offset; space may follow it, which
+			// the decoder skips as the next payload's start.
+			err := dec.Decode(&ev)
+			if err == nil && len(bytes.TrimLeft(data[dec.InputOffset()-read:], " \t\r\n")) > 0 {
+				err = errors.New("a byte after the value")
+			}
+			if err != nil {
 				return false, after, fmt.Errorf("client: bad event payload: %w", err)
 			}
+			read += int64(len(data))
 			data = data[:0]
 			after = ev.ID
 			fn(ev)
@@ -304,8 +327,5 @@ func (c *Client) streamOnce(ctx context.Context, id string, after int64, fn func
 			// id:/event: lines duplicate fields already in the payload.
 		}
 	}
-	if ctx.Err() != nil {
-		return false, after, ctx.Err()
-	}
-	return false, after, nil // connection dropped; caller resumes
+	return false, after, nil
 }

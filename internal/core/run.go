@@ -37,6 +37,13 @@ type Run struct {
 	Faults device.FaultStats
 }
 
+// PlanResult is methodology.Result, kept in a RunState.
+type PlanResult struct {
+	Exp Experiment
+	Run *Run
+	ID  string
+}
+
 // Timing controls the time dimension of a run: consecutive when Pause is
 // zero; pause(Pause) when Burst <= 1; burst(Pause, Burst) otherwise.
 type Timing struct {
@@ -72,6 +79,8 @@ type Scratch struct {
 	Segment SegmentBuf
 
 	state *RunState // whose Series the runs' response times come from
+	runs  []*Run    // the Runs handed out, kept with state
+	nrun  int       // of them handed out in its current execution
 	ios   []device.IO
 	srcs  []*patternSource
 	mix   MixSource
@@ -83,6 +92,19 @@ type Scratch struct {
 type SegmentBuf struct {
 	Ops []trace.BlockOp
 	Raw []byte
+}
+
+// NewRun returns the Run of sc's next run, one its RunState kept or a new
+// one; the caller sets every field.
+func (sc *Scratch) NewRun() *Run {
+	if sc.state == nil {
+		return new(Run)
+	}
+	if sc.nrun == len(sc.runs) {
+		sc.runs = append(sc.runs, new(Run))
+	}
+	sc.nrun++
+	return sc.runs[sc.nrun-1]
 }
 
 // Batch returns the scratch's IO batch, device.DriveBatch long. It is what
@@ -116,7 +138,8 @@ func Execute(sc *Scratch, dev device.Device, src IOSource, count, ignore int, ti
 	if ignore < 0 || ignore >= count {
 		return nil, fmt.Errorf("core: IOIgnore %d out of range for IOCount %d", ignore, count)
 	}
-	run := &Run{
+	run := sc.NewRun()
+	*run = Run{
 		Device:   dev.Name(),
 		RTs:      sc.state.Take(count),
 		IOIgnore: ignore,
@@ -227,7 +250,8 @@ func ExecuteParallel(sc *Scratch, dev device.Device, p Pattern, degree int, star
 		}
 		procs[i] = proc{src: sc.source(i, &sub), next: startAt}
 	}
-	run := &Run{
+	run := sc.NewRun()
+	*run = Run{
 		Name:     p.Name + "||" + strconv.Itoa(degree),
 		Device:   dev.Name(),
 		RTs:      sc.state.Take(perProc * degree),

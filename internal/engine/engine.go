@@ -73,8 +73,12 @@ type Options struct {
 	// Progress, when non-nil, is invoked after every completed run.
 	Progress ProgressFunc
 	// State, when non-nil, is the run state the execution's workers run
-	// on (a daemon worker's, kept across its jobs); nil makes a fresh one.
+	// on and its results are returned in (a daemon worker's, kept across
+	// its jobs); nil makes a fresh one.
 	State *core.RunState
+	// Release, when non-nil, is handed each worker's last device (nil for
+	// one that ran no job) when the execution ends, to recycle later.
+	Release func(devs []device.Device)
 }
 
 // shardSeed mixes the base seed with the shard index (splitmix64 finalizer)
@@ -104,7 +108,8 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 	}
 	// Each run records where its shard's timeline ends in its own slot, so
 	// concurrent jobs share no write.
-	ends := make([]time.Duration, len(exps))
+	opts.State = opts.State.OrFresh()
+	ends := core.Resize(&opts.State.Ends, len(exps))
 	scratch := opts.State.Scratch(opts.WorkerCount(len(exps)))
 	runs, err := ExecuteEach(ctx, len(exps), func(i int) string { return plan.IDs[i] },
 		func(_ context.Context, w, i int, dev device.Device, at time.Duration) (*core.Run, error) {
@@ -117,7 +122,7 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 	if err != nil {
 		return nil, err
 	}
-	out.Results = make([]methodology.Result, len(exps))
+	out.Results = core.Resize(&opts.State.Results, len(exps))
 	for i, run := range runs {
 		out.Results[i] = methodology.Result{Exp: exps[i], Run: run, ID: plan.IDs[i]}
 		out.Elapsed = max(out.Elapsed, ends[i])

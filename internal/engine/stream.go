@@ -49,10 +49,11 @@ func (o Options) WorkerCount(n int) int { return min(par.Workers(o.Workers), n) 
 // on the caller and no goroutine starts. A worker hands each finished job's
 // device to its own next job — so no device pool and no lock — and an
 // execution allocates at most WorkerCount device stacks when the factory
-// recycles them. Cancelling ctx stops execution between jobs and discards
-// partial results; the first job error cancels the jobs in flight.
+// recycles them, which opts.Release is then handed. Cancelling ctx stops
+// execution between jobs and discards partial results; the first job error
+// cancels the jobs in flight.
 func ExecuteEach(ctx context.Context, n int, id func(i int) string, run RunFunc, factory DeviceFactory, opts Options) ([]*core.Run, error) {
-	merged := make([]*core.Run, n)
+	merged := core.Resize(&opts.State.OrFresh().Runs, n)
 	observe := opts.observer(n, id)
 	reuse := make([]device.Device, opts.WorkerCount(n)) // per worker
 	err := par.Each(ctx, n, len(reuse), func(ctx context.Context, w, i int) error {
@@ -67,6 +68,9 @@ func ExecuteEach(ctx context.Context, n int, id func(i int) string, run RunFunc,
 		observe(i)
 		return nil
 	})
+	if opts.Release != nil {
+		opts.Release(reuse)
+	}
 	if err != nil {
 		return nil, err
 	}

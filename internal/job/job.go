@@ -184,8 +184,9 @@ type Env struct {
 	// (a daemon worker's, kept across its jobs); nil allocates it afresh.
 	State *core.RunState
 	// Render, when non-nil, is the buffer the report and then the CSV are
-	// rendered in (a daemon worker's, kept across its jobs); nil makes one.
-	// The outcome holds copies of their exact size.
+	// rendered in (a daemon worker's, kept across its jobs), and the
+	// outcome's Report and CSV are views of it, valid until its next use;
+	// nil makes one that only the outcome holds.
 	Render *bytes.Buffer
 }
 
@@ -221,6 +222,7 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 	workers := par.Workers(req.Parallel)
 	cfg := paperexp.Config{Capacity: req.Capacity, Seed: req.Seed, IOCount: req.IOCount, Store: env.Store, Prepared: env.Prepared}
 	out := &Outcome{Kind: req.Kind}
+	st := env.State.OrFresh()
 	rep := env.Render
 	if rep == nil {
 		rep = new(bytes.Buffer)
@@ -233,7 +235,7 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 			Workers:  workers,
 			Progress: env.Progress,
 			Stages:   env.Stages,
-			State:    env.State,
+			State:    st,
 		})
 		if err != nil {
 			return nil, err
@@ -241,7 +243,7 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 		if err := report.PlanSection(rep, res.Micros, res.Results, core.StandardDefaults().IOSize); err != nil {
 			return nil, err
 		}
-		out.Records = paperexp.Records(res.Results)
+		out.Records = paperexp.AppendRecords(st.Records[:0], res.Results)
 		out.Elapsed = res.Results.Elapsed
 	case "workload":
 		w := req.Workload
@@ -253,13 +255,18 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 			}
 		}
 		cfg.Pause = time.Second
-		res, err := workload.ReplaySource(ctx, src, paperexp.ShardFactory(req.Device, cfg), workload.Options{
+		factory, release, err := paperexp.Shards(req.Device, cfg)
+		if err != nil {
+			return nil, err
+		}
+		res, err := workload.ReplaySource(ctx, src, factory, workload.Options{
 			SegmentOps: w.SegmentOps,
 			Workers:    workers,
 			Seed:       req.Seed,
 			WindowOps:  w.WindowOps,
 			Progress:   env.Progress,
-			State:      env.State,
+			State:      st,
+			Release:    release,
 		})
 		if err != nil {
 			return nil, err
@@ -267,7 +274,7 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 		if err := report.WorkloadSection(rep, res); err != nil {
 			return nil, err
 		}
-		out.Records = paperexp.WorkloadRecords(res)
+		out.Records = paperexp.AppendWorkloadRecords(st.Records[:0], res)
 	case "array":
 		ac, err := sweepConfig(req.Array)
 		if err != nil {
@@ -298,14 +305,15 @@ func Run(ctx context.Context, req api.JobRequest, env Env) (*Outcome, error) {
 			}
 		}
 	}
-	out.Report = bytes.Clone(rep.Bytes())
+	n := rep.Len()
 	if req.Kind == "plan" || req.Kind == "workload" {
-		rep.Reset()
+		st.Records = out.Records
 		if err := trace.WriteSummaryCSV(rep, out.Records); err != nil {
 			return nil, err
 		}
-		out.CSV = bytes.Clone(rep.Bytes())
+		out.CSV = rep.Bytes()[n:]
 	}
+	out.Report = rep.Bytes()[:n:n]
 	return out, nil
 }
 

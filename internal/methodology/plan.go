@@ -124,11 +124,7 @@ func applyPhases(e *core.Experiment, phases *PhaseReport) {
 }
 
 // Result pairs an experiment with its run and the run's ID, its plan's.
-type Result struct {
-	Exp core.Experiment
-	Run *core.Run
-	ID  string
-}
+type Result = core.PlanResult
 
 // Results collects a plan's outcomes for one device.
 type Results struct {

@@ -3,6 +3,7 @@ package paperexp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
 	"uflip/internal/par"
+	"uflip/internal/statestore"
 	"uflip/internal/trace"
 	"uflip/internal/workload"
 )
@@ -95,7 +97,7 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 		return nil, fmt.Errorf("paperexp: %w", err)
 	}
 	// Steps 1–3 and the plan of step 4.
-	master, at, bp, err := cfg.prepare(key, req.Micros, req.Stages)
+	sk, master, at, bp, err := cfg.prepare(key, req.Micros, req.Stages)
 	if err != nil {
 		return nil, err
 	}
@@ -103,14 +105,13 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 		req.Stages.PlanBuilt(bp.plan, workers)
 	}
 	// Step 4: run the benchmark plan through the engine.
-	factory := engine.CloningFactory(func() (device.Cloneable, time.Duration, error) {
-		return master, at + bp.pause.RecommendedPause, nil
-	})
+	factory, release := cfg.shards(sk, master, at+bp.pause.RecommendedPause)
 	results, err := engine.ExecutePlan(ctx, bp.plan, factory, engine.Options{
 		Workers:  workers,
 		Seed:     cfg.Seed,
 		Progress: req.Progress,
 		State:    req.State,
+		Release:  release,
 	})
 	if err != nil {
 		return nil, err
@@ -128,16 +129,16 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 // prepare readies key's device for a plan of the micro-benchmarks named
 // under its store lock: it enforces the random initial state (Section 4.1),
 // measures the start-up and running phases (4.2) on a copy of the master and
-// the pause between runs (4.3), and builds the plan. It returns the master
-// the plan's shards copy, its enforcement end, and the plan with what it was
-// built from — taken from cfg.Prepared, which keeps what it lacked. st fires
-// as if every step ran.
-func (cfg Config) prepare(key string, names []string, st Stages) (device.Cloneable, time.Duration, *benchPlan, error) {
+// the pause between runs (4.3), and builds the plan. It returns the state key,
+// the master the plan's shards copy, its enforcement end, and the plan with
+// what it was built from — taken from cfg.Prepared, which keeps what it
+// lacked. st fires as if every step ran.
+func (cfg Config) prepare(key string, names []string, st Stages) (statestore.Key, device.Cloneable, time.Duration, *benchPlan, error) {
 	sk, unlock := cfg.lock(key)
 	defer unlock()
 	master, at, _, err := cfg.enforced(key, sk, st)
 	if err != nil {
-		return nil, 0, nil, err
+		return sk, nil, 0, nil, err
 	}
 	d := cfg.defaults(master.Capacity())
 	pk := planKey{d, strings.Join(names, ",")}
@@ -150,7 +151,7 @@ func (cfg Config) prepare(key string, names []string, st Stages) (device.Cloneab
 	if bp.phases == nil {
 		dev = master.CloneDevice()
 		if bp.phases, err = methodology.MeasurePhases(dev, d, 4*cfg.IOCount, at+5*time.Second); err != nil {
-			return nil, 0, nil, err
+			return sk, nil, 0, nil, err
 		}
 	}
 	if st.PhasesMeasured != nil {
@@ -158,7 +159,7 @@ func (cfg Config) prepare(key string, names []string, st Stages) (device.Cloneab
 	}
 	if bp.pause == nil {
 		if bp.pause, err = methodology.MeasurePause(dev, d, bp.phases.End+5*time.Second); err != nil {
-			return nil, 0, nil, err
+			return sk, nil, 0, nil, err
 		}
 	}
 	if st.PauseMeasured != nil {
@@ -166,7 +167,7 @@ func (cfg Config) prepare(key string, names []string, st Stages) (device.Cloneab
 	}
 	if !kept {
 		if bp.micros, err = SelectMicros(names, d, master.Capacity()); err != nil {
-			return nil, 0, nil, err
+			return sk, nil, 0, nil, err
 		}
 		var exps []core.Experiment
 		for _, mb := range bp.micros {
@@ -176,15 +177,18 @@ func (cfg Config) prepare(key string, names []string, st Stages) (device.Cloneab
 		bp.plan.Device = key
 		cfg.Prepared.keepPlan(sk, pk, bp)
 	}
-	return master, at, bp, nil
+	return sk, master, at, bp, nil
 }
 
 // Records converts plan results into their serializable form — the records
 // behind the CLI's -out files and the server's result endpoints, shared so
 // both surfaces emit byte-identical CSV/JSON. A record shares its run's
 // response-time series.
-func Records(results *methodology.Results) []trace.RunRecord {
-	records := make([]trace.RunRecord, 0, len(results.Results))
+func Records(results *methodology.Results) []trace.RunRecord { return AppendRecords(nil, results) }
+
+// AppendRecords appends the records Records returns to records.
+func AppendRecords(records []trace.RunRecord, results *methodology.Results) []trace.RunRecord {
+	records = slices.Grow(records, len(results.Results))
 	for _, res := range results.Results {
 		records = append(records, trace.RunRecord{
 			ID:           res.ID,
@@ -207,8 +211,11 @@ func Records(results *methodology.Results) []trace.RunRecord {
 // WorkloadRecords converts a workload replay into per-segment records, the
 // same shape the CLI's workload -out files use. A record shares its
 // segment's response-time series.
-func WorkloadRecords(res *workload.Result) []trace.RunRecord {
-	records := make([]trace.RunRecord, 0, len(res.Segments))
+func WorkloadRecords(res *workload.Result) []trace.RunRecord { return AppendWorkloadRecords(nil, res) }
+
+// AppendWorkloadRecords appends WorkloadRecords' records to records.
+func AppendWorkloadRecords(records []trace.RunRecord, res *workload.Result) []trace.RunRecord {
+	records = slices.Grow(records, len(res.Segments))
 	for i, run := range res.Segments {
 		records = append(records, trace.RunRecord{
 			ID:           fmt.Sprintf("workload/%s/seg=%d", res.Name, i),

@@ -207,6 +207,35 @@ func ShardFactory(key string, cfg Config) engine.DeviceFactory {
 	})
 }
 
+// Shards is ShardFactory for an execution that follows at once: the state is
+// enforced now, and with the factory comes the execution's
+// engine.Options.Release hook (Config.shards).
+func Shards(key string, cfg Config) (engine.DeviceFactory, func([]device.Device), error) {
+	sk, unlock := cfg.lock(key)
+	defer unlock()
+	master, at, _, err := cfg.enforced(key, sk, Stages{})
+	factory, release := cfg.shards(sk, master, at+cfg.Pause)
+	return factory, release, err
+}
+
+// shards returns the factory of a job's shards on master, sk's device
+// enforced until at, and the engine.Options.Release hook that gives the
+// job's workers' last devices to cfg.Prepared. Every shard gets master's
+// state (engine.CloningFactory); a worker's first one in a copy cfg.Prepared
+// lends, so its lock is taken once a worker and once a job, never a shard or
+// an IO.
+func (cfg Config) shards(sk statestore.Key, master device.Cloneable, at time.Duration) (engine.DeviceFactory, func([]device.Device)) {
+	copyOf := engine.CloningFactory(func() (device.Cloneable, time.Duration, error) { return master, at, nil })
+	return func(s engine.Shard) (device.Device, time.Duration, error) {
+			if s.Reuse == nil {
+				s.Reuse = cfg.Prepared.lend(sk)
+			}
+			return copyOf(s)
+		}, func(devs []device.Device) {
+			cfg.Prepared.giveBack(sk, master, devs)
+		}
+}
+
 // Table3Micros are the five micro-benchmarks a Table 3 row is read from
 // (report.Characterize). Table 3 runs a plan of exactly these: BuildPlan
 // places each sequential-write target after the ones before it, so a plan

@@ -7,6 +7,7 @@ import (
 	"uflip/internal/core"
 	"uflip/internal/device"
 	"uflip/internal/methodology"
+	"uflip/internal/par"
 	"uflip/internal/statestore"
 )
 
@@ -14,9 +15,11 @@ import (
 // per device; the least recently used goes first. An entry is an
 // enforced master — the whole mutable state of its stack — plus its
 // calibrations' reports, of which each pause report's 14,000 response times
-// (110 KiB) are the bulk. Heap in use after a collection, enforced master
-// alone: memoright 25 KiB at 64 MiB, 274 KiB at 1 GiB and 7.6 MiB at 32 GiB;
-// kingston-dthx 20 KiB, 152 KiB and 4.1 MiB.
+// (110 KiB) are the bulk, and the copies it lends. Heap in use after a
+// collection, enforced master alone: memoright 25 KiB at 64 MiB, 274 KiB at
+// 1 GiB and 7.6 MiB at 32 GiB; kingston-dthx 20 KiB, 152 KiB and 4.1 MiB. A
+// copy is as large (memoright 24 KiB, 267 KiB and 7.6 MiB), and an entry
+// keeps up to one a CPU.
 const keptDevices = 4
 
 // Prepared keeps the devices a long-running process has prepared, so that a
@@ -24,12 +27,15 @@ const keptDevices = 4
 // state key (StateKey), the enforced master and its enforcement end
 // (Section 4.1), and per plan — the exact core.Defaults it derives and its
 // micro-benchmark selection — the phase and pause reports (Sections
-// 4.2–4.3), the selected micro-benchmarks and the plan built on them. It
-// keeps only what Config.Store holds, so a kept device is exactly a store
-// hit. A master is only ever a reset source (device.Resettable), never
-// driven, and a kept plan is only ever read, so any number of jobs share
-// them. The zero value is ready to use; a nil *Prepared keeps nothing. It is
-// safe for concurrent use.
+// 4.2–4.3), the selected micro-benchmarks and the plan built on them; and
+// beside each master the copies of it that earlier jobs' engine workers
+// finished on, which a later job's workers reset instead of cloning the
+// master (Config.shards). It keeps only what Config.Store holds, so a kept
+// device is exactly a store hit. A master is only ever a reset source
+// (device.Resettable), never driven, and a kept plan is only ever read, so
+// any number of jobs share them; a copy serves one job at a time. The zero
+// value is ready to use; a nil *Prepared keeps nothing. It is safe for
+// concurrent use.
 type Prepared struct {
 	mu      sync.Mutex
 	devices lru[statestore.Key, *preparedDevice]
@@ -39,6 +45,7 @@ type preparedDevice struct {
 	master device.Cloneable
 	at     time.Duration
 	plans  lru[planKey, *benchPlan]
+	copies []device.Device // the last devices of earlier jobs' engine workers
 }
 
 // planKey is a plan's calibration and its micro-benchmark names, joined by
@@ -153,5 +160,37 @@ func (p *Prepared) keepPlan(k statestore.Key, pk planKey, bp *benchPlan) {
 	defer p.mu.Unlock()
 	if e, ok := p.devices.get(k); ok {
 		e.plans.put(pk, bp)
+	}
+}
+
+// lend takes a copy of k's master that an earlier job's engine worker
+// finished on, or returns nil.
+func (p *Prepared) lend(k statestore.Key) (dev device.Device) {
+	if p != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if e, ok := p.devices.get(k); ok && len(e.copies) > 0 {
+			n := len(e.copies) - 1
+			dev, e.copies = e.copies[n], e.copies[:n]
+		}
+	}
+	return dev
+}
+
+// giveBack keeps devs, the last devices of a job's engine workers on master,
+// as copies of k's device while master is k's: one a CPU (par.Workers), as
+// many as the jobs that run at once have workers. They go with the master.
+func (p *Prepared) giveBack(k statestore.Key, master device.Cloneable, devs []device.Device) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e, ok := p.devices.get(k); ok && e.master == master {
+		for _, dev := range devs {
+			if dev != nil && len(e.copies) < par.Workers(0) {
+				e.copies = append(e.copies, dev)
+			}
+		}
 	}
 }

@@ -192,6 +192,8 @@ func CharacterTable(chars []DeviceCharacter) *Table {
 			"Pause(RW)", "Locality(RW)", "Partitioning(RW)", "Reverse", "In-Place", "LargeIncr",
 		},
 	}
+	var buf [32]byte
+	trim := func(f float64) string { return string(appendTrimFloat(buf[:0], f)) }
 	fmtFactor := func(f float64) string {
 		switch {
 		case f == 0:
@@ -199,21 +201,21 @@ func CharacterTable(chars []DeviceCharacter) *Table {
 		case f < 1.25:
 			return "="
 		default:
-			return trimFloat(f) + "x"
+			return trim(f) + "x"
 		}
 	}
 	for _, c := range chars {
 		pause := "-"
 		if c.PauseEffectMS > 0 {
-			pause = trimFloat(c.PauseEffectMS)
+			pause = trim(c.PauseEffectMS)
 		}
 		loc := "No"
 		if c.LocalityMB > 0 {
-			loc = trimFloat(float64(c.LocalityMB)) + " (" + fmtFactor(c.LocalityFactor) + ")"
+			loc = trim(float64(c.LocalityMB)) + " (" + fmtFactor(c.LocalityFactor) + ")"
 		}
 		part := "-"
 		if c.Partitions > 0 {
-			part = trimFloat(float64(c.Partitions)) + " (" + fmtFactor(c.PartitionFactor) + ")"
+			part = trim(float64(c.Partitions)) + " (" + fmtFactor(c.PartitionFactor) + ")"
 		}
 		t.AddRow(c.Device, c.SRms, c.RRms, c.SWms, c.RWms,
 			pause, loc, part, fmtFactor(c.ReverseFactor), fmtFactor(c.InPlaceFactor), fmtFactor(c.LargeIncrFactor))

@@ -15,16 +15,22 @@ import (
 // identical results.
 func PlanSection(w io.Writer, micros []core.Microbenchmark, res *methodology.Results, ioSize int64) error {
 	for _, mb := range micros {
+		rows := len(mb.Experiments) // a row a run
 		t := &Table{
 			Title:   mb.Name + " (" + mb.Description + ")",
 			Headers: []string{"experiment", "mean(ms)", "min(ms)", "max(ms)", "sd(ms)"},
+			cells:   make([]byte, 0, 64*rows),
+			ends:    make([]int, 0, 5*rows),
 		}
 		for _, r := range res.Results {
 			if r.Exp.Micro != mb.Name {
 				continue
 			}
 			s := r.Run.Summary
-			t.AddRow(r.ID, s.Mean*1e3, s.Min*1e3, s.Max*1e3, s.StdDev*1e3)
+			t.addText(r.ID)
+			for _, v := range [...]float64{s.Mean, s.Min, s.Max, s.StdDev} {
+				t.addFloat(v * 1e3)
+			}
 		}
 		if err := t.Render(w); err != nil {
 			return err

@@ -47,7 +47,7 @@ func TestTableRenderMatchesFprintf(t *testing.T) {
 	for i, h := range tbl.Headers {
 		widths[i] = len(h)
 	}
-	for _, row := range tbl.Rows {
+	for _, row := range tbl.rows() {
 		for i, cell := range row {
 			widths[i] = max(widths[i], len(cell))
 		}
@@ -67,7 +67,7 @@ func TestTableRenderMatchesFprintf(t *testing.T) {
 		sep[i] = strings.Repeat("-", w)
 	}
 	writeRow(sep)
-	for _, row := range tbl.Rows {
+	for _, row := range tbl.rows() {
 		writeRow(row)
 	}
 	if got := tbl.String(); got != want.String() {

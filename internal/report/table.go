@@ -11,65 +11,70 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 )
 
-// Table is a simple text table with a header row.
+// Table is a simple text table with a header row. Its cells are formatted
+// into one arena, row after row, a row one cell per header.
 type Table struct {
 	Title   string
 	Headers []string
-	Rows    [][]string
+	cells   []byte // every cell's bytes, one after the other
+	ends    []int  // where each cell ends in cells
 }
 
 // AddRow appends a row. A float64 prints with at most three decimals and no
 // trailing zeros, an int, int64 or string as itself, anything else with %v.
 func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
+	for _, c := range cells {
 		switch v := c.(type) {
 		case float64:
-			row[i] = trimFloat(v)
+			t.addFloat(v)
 		case int:
-			row[i] = strconv.Itoa(v)
+			t.addInt(int64(v))
 		case int64:
-			row[i] = strconv.FormatInt(v, 10)
+			t.addInt(v)
 		case string:
-			row[i] = v
+			t.addText(v)
 		default:
-			row[i] = fmt.Sprint(c)
+			t.add(fmt.Append(t.cells, c))
 		}
 	}
-	t.Rows = append(t.Rows, row)
 }
+
+// addText, addFloat and addInt append one cell as AddRow formats it, and
+// add one whose bytes have been appended to the arena.
+func (t *Table) addText(s string)   { t.add(append(t.cells, s...)) }
+func (t *Table) addFloat(v float64) { t.add(appendTrimFloat(t.cells, v)) }
+func (t *Table) addInt(v int64)     { t.add(strconv.AppendInt(t.cells, v, 10)) }
+func (t *Table) add(cells []byte)   { t.cells, t.ends = cells, append(t.ends, len(cells)) }
 
 // pow10 holds 10^-3 … 10^15. The three fractions are each stored a little
 // above their value, so |v| >= pow10[k] exactly when |v| >= 10^(k-3).
 var pow10 = [...]float64{1e-3, 1e-2, 1e-1, 1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
 
-// trimFloat prints v with three decimals, as strconv's 'f' format does, then
-// drops the trailing zeros and a bare point. strconv takes its
+// appendTrimFloat appends v with three decimals, as strconv's 'f' format
+// does, then drops the trailing zeros and a bare point. strconv takes its
 // multiprecision path for 'f'; a finite v below 1e15 in magnitude is printed
 // from the 'e' format instead, at the precision that ends on the thousandth
 // (ryū's fixed path, a quarter of the time), and reassembled. What rounds
 // away entirely, below 10^-3, is settled by one comparison.
-func trimFloat(v float64) string {
+func appendTrimFloat(b []byte, v float64) []byte {
 	a := math.Abs(v)
 	switch {
 	case !(a < 1e15): // infinities, NaN and the largest values
 		var buf [32]byte
 		s := strconv.AppendFloat(buf[:0], v, 'f', 3, 64)
-		return string(bytes.TrimRight(bytes.TrimRight(s, "0"), "."))
+		return append(b, bytes.TrimRight(bytes.TrimRight(s, "0"), ".")...)
 	case a < 1e-3:
-		// 5e-4 is stored above 0.0005, so no value here is a tie.
-		s := "0"
-		if a >= 5e-4 {
-			s = "0.001"
-		}
 		if math.Signbit(v) {
-			s = "-" + s
+			b = append(b, '-')
 		}
-		return s
+		// 5e-4 is stored above 0.0005, so no value here is a tie.
+		if a >= 5e-4 {
+			return append(b, "0.001"...)
+		}
+		return append(b, '0')
 	}
 	exp := -3 // v's decimal exponent
 	for a >= pow10[exp+4] {
@@ -94,7 +99,7 @@ func trimFloat(v float64) string {
 		o = append(append(o, lead...), frac[:x]...)
 		o = append(append(o, '.'), frac[x:]...)
 	}
-	return string(bytes.TrimRight(bytes.TrimRight(o, "0"), "."))
+	return append(b, bytes.TrimRight(bytes.TrimRight(o, "0"), ".")...)
 }
 
 // Render writes the table with aligned columns: straight into a
@@ -115,43 +120,50 @@ func (t *Table) Render(w io.Writer) error {
 // render writes the table to bw, whose writes cannot fail or keep the first
 // failure.
 func (t *Table) render(bw interface {
+	io.Writer
 	io.StringWriter
 	io.ByteWriter
 }) {
-	widths := make([]int, len(t.Headers))
+	n := len(t.Headers)
+	widths := make([]int, n)
 	for i, h := range t.Headers {
 		widths[i] = len(h)
 	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
+	start := 0
+	for k, end := range t.ends {
+		widths[k%n] = max(widths[k%n], end-start)
+		start = end
 	}
 	if t.Title != "" {
 		bw.WriteString(t.Title)
 		bw.WriteByte('\n')
 	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				bw.WriteString("  ")
-			}
-			bw.WriteString(cell)
-			for pad := widths[i] - utf8.RuneCountInString(cell); pad > 0; pad-- {
-				bw.WriteByte(' ')
-			}
+	// Each cell is padded to its column's width by its rune count, as %-*s
+	// pads, and a row ends after its last.
+	pad := func(i, runes int) {
+		for ; runes < widths[i]; runes++ {
+			bw.WriteByte(' ')
 		}
-		bw.WriteByte('\n')
+		if i == n-1 {
+			bw.WriteByte('\n')
+		} else {
+			bw.WriteString("  ")
+		}
 	}
-	writeRow(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	for i, h := range t.Headers {
+		bw.WriteString(h)
+		pad(i, utf8.RuneCountInString(h))
 	}
-	writeRow(sep)
-	for _, row := range t.Rows {
-		writeRow(row)
+	for i, w := range widths {
+		for range w {
+			bw.WriteByte('-')
+		}
+		pad(i, w)
+	}
+	start = 0
+	for k, end := range t.ends {
+		bw.Write(t.cells[start:end])
+		pad(k%n, utf8.RuneCount(t.cells[start:end]))
+		start = end
 	}
 }

@@ -14,24 +14,28 @@ import (
 // merged totals followed by one row per window, so drift over the stream
 // (cache warm-up, free-pool drain) stays visible.
 func WorkloadTable(res *workload.Result) *Table {
+	rows := 1 + len(res.Windows)
 	t := &Table{
 		Title: fmt.Sprintf("workload %s on %s: %d IOs in %d segment(s), %v of device time",
 			res.Name, res.Device, res.Ops, len(res.Segments), res.Elapsed.Round(time.Millisecond)),
 		Headers: []string{"window", "ios", "mean(ms)", "min(ms)", "max(ms)", "sd(ms)"},
-		Rows:    make([][]string, 0, 1+len(res.Windows)),
+		cells:   make([]byte, 0, 48*rows),
+		ends:    make([]int, 0, 6*rows),
 	}
 	// A long replay has thousands of windows: the cells are formatted as
 	// AddRow formats them, without boxing each one.
-	addRow := func(label string, s stats.Summary) {
-		t.Rows = append(t.Rows, []string{label, strconv.FormatInt(s.N, 10),
-			trimFloat(s.Mean * 1e3), trimFloat(s.Min * 1e3), trimFloat(s.Max * 1e3), trimFloat(s.StdDev * 1e3)})
+	addRow := func(s stats.Summary) {
+		t.addInt(s.N)
+		for _, v := range [...]float64{s.Mean, s.Min, s.Max, s.StdDev} {
+			t.addFloat(v * 1e3)
+		}
 	}
-	addRow("total", res.Total)
-	var label []byte
+	t.addText("total")
+	addRow(res.Total)
 	for _, w := range res.Windows {
-		label = strconv.AppendInt(append(label[:0], '['), w.Start, 10)
-		label = strconv.AppendInt(append(label, ':'), w.Start+w.Summary.N, 10)
-		addRow(string(append(label, ')')), w.Summary)
+		label := strconv.AppendInt(append(t.cells, '['), w.Start, 10)
+		t.add(append(strconv.AppendInt(append(label, ':'), w.Start+w.Summary.N, 10), ')'))
+		addRow(w.Summary)
 	}
 	return t
 }
@@ -61,8 +65,11 @@ func WorkloadSection(w io.Writer, res *workload.Result) error {
 		Headers: []string{"segment", "ios", "mean(ms)", "max(ms)", "device time"},
 	}
 	for _, run := range res.Segments {
-		seg.AddRow(run.Name, len(run.RTs), run.Summary.Mean*1e3, run.Summary.Max*1e3,
-			run.Total.Round(time.Millisecond).String())
+		seg.addText(run.Name)
+		seg.addInt(int64(len(run.RTs)))
+		seg.addFloat(run.Summary.Mean * 1e3)
+		seg.addFloat(run.Summary.Max * 1e3)
+		seg.addText(run.Total.Round(time.Millisecond).String())
 	}
 	if _, err := fmt.Fprintln(w); err != nil {
 		return err

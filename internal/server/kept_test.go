@@ -66,26 +66,30 @@ func keptServer(t *testing.T) (*Server, []api.JobRequest) {
 	return s, reqs
 }
 
-// runOn runs req to done through runJob on ws, and resets ws's series, as a
-// worker does.
-func (s *Server) runOn(t testing.TB, ws *workerState, id string, req api.JobRequest) {
+// runOn runs req to done through runJob on ws, resets ws's series, as a
+// worker does, and returns the job.
+func (s *Server) runOn(t testing.TB, ws *workerState, id string, req api.JobRequest) *job {
 	j := &job{jobRecord: jobRecord{ID: id, Req: req, Status: api.StatusRunning}, log: events.NewLog(), cancel: func() {}}
 	s.runJob(context.Background(), j, ws)
 	if j.Status != api.StatusDone || j.results != nil {
 		t.Fatalf("job %s: %s (%s), results in memory: %v", id, j.Status, j.Error, j.results != nil)
 	}
 	ws.run.Series.Reset()
+	return j
 }
 
 // TestRepeatedJobAllocations pins what a repeated daemon job allocates: a
 // plan and a .utr replay, each run again on one worker state, with the
-// daemon's kept devices, plans and trace sources. Measured with go1.24 on
-// amd64 and 386: 2,308 a plan, 325 a replay. Rebuilding the plan adds ~285,
-// fresh scratch ~107 a plan and 4 a replay (batch, decode buffer), reopening
-// and verifying the trace 14, a fresh results encoder 36 and 13, formatting
-// the run IDs again for the records or the report ~380 a plan, fresh render
-// buffers 10 a plan and 5 a replay, a fresh record encoder 21 and 12: each
-// passes its ceiling.
+// daemon's kept devices, plans and trace sources. Measured with go1.24: 152 a
+// plan and 160 a replay on amd64, 151 and 159 on 386. Rebuilding the plan
+// adds ~285, fresh scratch ~107 a plan and 4 a replay (batch, decode
+// buffer), reopening and verifying the trace 14, a fresh results encoder 36
+// and 13, formatting the run IDs again ~380 a plan, fresh render buffers 10
+// and 5, a fresh record encoder 21 and 12, a clone per job instead of a lent
+// device copy 22 and 13, fresh Runs 96 and 4, fresh result slices, records,
+// windows and histogram 4 and 5, and a string per cell (and a boxed number)
+// in the CSV and the report ~2,030 a plan and ~140 a replay: each passes its
+// ceiling.
 func TestRepeatedJobAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random, so allocation counts vary")
@@ -96,8 +100,8 @@ func TestRepeatedJobAllocations(t *testing.T) {
 		name    string
 		ceiling float64
 	}{
-		{"plan", 2314},
-		{"replay", 326},
+		{"plan", 153},
+		{"replay", 161},
 	} {
 		n := 0
 		run := func() {

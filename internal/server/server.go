@@ -1031,9 +1031,17 @@ func (s *Server) execute(ctx context.Context, j *job, ws *workerState) error {
 			data = nil
 		}
 	}
+	var csv, report []byte
+	if data != nil { // kept, with the CSV and report as views of it
+		data = bytes.Clone(data)
+		d := resultsDecoder{b: data[len(resultsMagic):]}
+		csv, report = d.section(), d.section()
+	} else {
+		csv, report = bytes.Clone(out.CSV), bytes.Clone(out.Report)
+	}
 	s.mu.Lock()
-	j.Rows, j.csv, j.report, j.runs = out.Rows, out.CSV, out.Report, len(out.Records)
-	j.results = bytes.Clone(data)
+	j.Rows, j.csv, j.report, j.runs = out.Rows, csv, report, len(out.Records)
+	j.results = data
 	s.mu.Unlock()
 	return nil
 }

@@ -141,10 +141,24 @@ func Summarize(samples []time.Duration) Summary {
 // bucket holds a single value — for all-equal samples, negative ones and a
 // lone outlier 2^62 away too.
 func Percentiles(samples []time.Duration, ps ...float64) []time.Duration {
+	var s Selector
+	return s.Percentiles(samples, ps...)
+}
+
+// Selector keeps the histogram's scratch and the values Percentiles returns
+// for a caller that selects again and again. The zero value is ready to use.
+type Selector struct {
+	scratch []uint64
+	out     []time.Duration
+}
+
+// Percentiles is Percentiles in s's memory, valid until s's next call.
+func (s *Selector) Percentiles(samples []time.Duration, ps ...float64) []time.Duration {
 	if len(ps) == 0 {
 		return nil
 	}
-	out := make([]time.Duration, len(ps))
+	s.out = zeroed(s.out, len(ps))
+	out := s.out
 	if len(samples) == 0 {
 		return out
 	}
@@ -158,7 +172,8 @@ func Percentiles(samples []time.Duration, ps ...float64) []time.Duration {
 	k := min(max(bits.Len(uint(len(samples)))-4, 4), 16)
 	nb := 1<<k + 1<<(k-2)
 	nr := 2 * len(ps)
-	scratch := make([]uint64, nb+4*nr)
+	s.scratch = zeroed(s.scratch, nb+4*nr)
+	scratch := s.scratch
 	h := histogram{samples: samples, bits: k, counts: scratch[:1<<k], pool: scratch[1<<k : nb]}
 	keys := scratch[nb : nb+nr]
 	for i, p := range ps {
@@ -277,6 +292,17 @@ func (h *histogram) resolve(base time.Duration, span uint64, ranks, vals, bucket
 			h.resolve(base+time.Duration(b<<shift), uint64(1)<<shift-1, ranks[i:j], vals[i:j], buckets[i:j])
 		}
 	}
+}
+
+// zeroed returns n zero elements, in buf's memory when that holds them (an
+// append of a make would allocate twice in a race-detector build).
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // rankOf returns the closest ranks around the p-th percentile of n > 0

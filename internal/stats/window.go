@@ -15,9 +15,10 @@ type Window struct {
 
 // NewWindows returns the windows of an n-sample series cut every size
 // samples (size >= 1), the last one cut at the series' end, all unwritten:
-// SummarizeSpan and FillWindows write them.
-func NewWindows(n, size int) []Window {
-	return make([]Window, n/size+min(n%size, 1))
+// SummarizeSpan and FillWindows write them. They are in buf's memory when
+// that holds them.
+func NewWindows(buf []Window, n, size int) []Window {
+	return zeroed(buf, n/size+min(n%size, 1))
 }
 
 // SummarizeSpan returns Summarize(series[lo:hi]) and, in the same pass, the

@@ -138,7 +138,7 @@ func TestWindowSummariesMatchesStreaming(t *testing.T) {
 			}
 			want := w.Windows()
 			for _, cut := range []int{1, 5, 64, 100, 128, n} {
-				windows := NewWindows(n, size)
+				windows := NewWindows(nil, n, size)
 				if len(windows) != len(want) {
 					t.Fatalf("n=%d size=%d: %d windows, want %d", n, size, len(windows), len(want))
 				}

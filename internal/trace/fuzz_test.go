@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"uflip/internal/stats"
 )
 
 // FuzzReadSummaryCSV checks that the summary-CSV parser never panics and
@@ -199,4 +201,65 @@ func readRTSeriesCSV(r io.Reader) ([]time.Duration, error) {
 		out = append(out, time.Duration(math.Round(s*float64(time.Second))))
 	}
 	return out, nil
+}
+
+// writeSummaryCSVEncoding is WriteSummaryCSV as it was written over
+// encoding/csv, kept as the oracle of the bytes the appending writer gives.
+func writeSummaryCSVEncoding(w io.Writer, records []RunRecord) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(summaryHeader); err != nil {
+		return err
+	}
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, r := range records {
+		if err := cw.Write([]string{
+			r.ID, r.Device, r.Micro, r.Base, r.Param,
+			strconv.FormatInt(r.Value, 10), strconv.FormatInt(r.Summary.N, 10),
+			g(r.Summary.Min), g(r.Summary.Max), g(r.Summary.Mean), g(r.Summary.StdDev), g(r.TotalSeconds),
+			strconv.FormatInt(r.Faults, 10), strconv.FormatInt(r.Retries, 10),
+		}); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// onlyWriter hides every method of its writer but Write.
+type onlyWriter struct{ w io.Writer }
+
+func (o onlyWriter) Write(p []byte) (int, error) { return o.w.Write(p) }
+
+// FuzzSummaryCSVMatchesEncodingCSV: for any records, WriteSummaryCSV gives
+// the bytes encoding/csv gives, into a writer that lends its buffer and into
+// one that does not (rows enough to flush its own buffer more than once).
+func FuzzSummaryCSVMatchesEncodingCSV(f *testing.F) {
+	f.Add("Granularity/SW/IOSize=32768", "faulty(stripe(2,mtron,mtron),seed=1)", "Granularity", "SW", "IOSize", int64(32768), int64(1024), 1e-4, 0.01, 5e-4, 2e-4, 1.5, int64(0), int64(0), uint8(1))
+	f.Add(`say "hi"`, "line\nbreak", "cr\rhere", " leading", "", int64(-1), int64(0), math.NaN(), math.Inf(1), math.Copysign(0, -1), 1e-300, 0.25, int64(3), int64(7), uint8(80))
+	f.Add(`\.`, "\t", " nbsp", `"`, ",", int64(math.MaxInt64), int64(math.MinInt64), math.Inf(-1), 1e21, 123456.789, 5e-324, 1e308, int64(-5), int64(9), uint8(3))
+	f.Fuzz(func(t *testing.T, id, dev, micro, base, param string, value, n int64, lo, hi, mean, sd, total float64, faults, retries int64, rows uint8) {
+		rec := RunRecord{ID: id, Device: dev, Micro: micro, Base: base, Param: param, Value: value,
+			Summary:      stats.Summary{N: n, Min: lo, Max: hi, Mean: mean, StdDev: sd},
+			TotalSeconds: total, Faults: faults, Retries: retries}
+		records := make([]RunRecord, int(rows)%100)
+		for i := range records {
+			records[i] = rec
+			records[i].ID += strconv.Itoa(i)
+		}
+		var want bytes.Buffer
+		if err := writeSummaryCSVEncoding(&want, records); err != nil {
+			t.Fatal(err)
+		}
+		lent, own := new(bytes.Buffer), new(bytes.Buffer)
+		for _, w := range []io.Writer{lent, onlyWriter{own}} {
+			if err := WriteSummaryCSV(w, records); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, got := range []*bytes.Buffer{lent, own} {
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("WriteSummaryCSV wrote\n%q\nencoding/csv\n%q", got.Bytes(), want.Bytes())
+			}
+		}
+	})
 }

@@ -346,3 +346,20 @@ func BenchmarkWriteJSON(b *testing.B) {
 		})
 	}
 }
+
+// TestRTSeriesMarshalAllocatesOnce: MarshalJSON sizes its output once from
+// the series' length, so a long series (a /result of a 1 GiB plan encodes
+// 1.1 M values) allocates no growth: one allocation of 2+17n bytes at most.
+func TestRTSeriesMarshalAllocatesOnce(t *testing.T) {
+	s := make(RTSeries, 100_000)
+	for i := range s {
+		s[i] = time.Duration(100_000 + i*7919%20_000_000)
+	}
+	var b []byte
+	if got := testing.AllocsPerRun(5, func() { b, _ = s.MarshalJSON() }); got != 1 {
+		t.Errorf("MarshalJSON of %d values allocates %v times, want 1", len(s), got)
+	}
+	if cap(b) > 2+17*len(s) {
+		t.Errorf("MarshalJSON of %d values holds %d bytes, want at most %d", len(s), cap(b), 2+17*len(s))
+	}
+}

@@ -14,7 +14,10 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"uflip/internal/par"
 	"uflip/internal/stats"
@@ -53,9 +56,10 @@ type RunRecord struct {
 type RTSeries []time.Duration
 
 // MarshalJSON writes the series as encoding/json writes the []float64 of its
-// seconds.
+// seconds, into one allocation sized from len(s): every value appendRT
+// spells from its digits takes at most 16 bytes, and a comma.
 func (s RTSeries) MarshalJSON() ([]byte, error) {
-	b := appendRTs([]byte{'['}, s)
+	b := appendRTs(append(make([]byte, 0, 2+17*len(s)), '['), s)
 	if len(s) > 0 {
 		b = b[:len(b)-1] // the comma after the last value
 	}
@@ -371,29 +375,60 @@ var summaryHeader = []string{"id", "device", "micro", "base", "param", "value", 
 
 // WriteSummaryCSV writes one row per run: id, device, micro, base, param,
 // value, n, min, max, mean, stddev, total (times in seconds, formatted
-// losslessly so write -> read -> write is byte-stable), faults, retries.
+// losslessly so write -> read -> write is byte-stable), faults, retries — the
+// bytes encoding/csv writes, appended to one buffer: w's own when w lends it
+// (AvailableBuffer), so a kept bytes.Buffer makes no allocation, and written
+// at once; else one of 5 KiB, written whenever it holds 4 KiB.
 func WriteSummaryCSV(w io.Writer, records []RunRecord) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(summaryHeader); err != nil {
-		return fmt.Errorf("trace: %w", err)
+	var b []byte
+	lender, _ := w.(interface{ AvailableBuffer() []byte })
+	if lender != nil {
+		b = lender.AvailableBuffer()
+	} else {
+		b = make([]byte, 0, 5<<10)
+	}
+	for k, h := range summaryHeader {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, h...)
 	}
 	for i := range records {
 		r := &records[i]
-		row := []string{
-			r.ID, r.Device, r.Micro, r.Base, r.Param,
-			strconv.FormatInt(r.Value, 10),
-			strconv.FormatInt(r.Summary.N, 10),
-			lossless(r.Summary.Min), lossless(r.Summary.Max), lossless(r.Summary.Mean), lossless(r.Summary.StdDev),
-			lossless(r.TotalSeconds),
-			strconv.FormatInt(r.Faults, 10),
-			strconv.FormatInt(r.Retries, 10),
+		b = appendCSVField(append(b, '\n'), r.ID)
+		for _, f := range [...]string{r.Device, r.Micro, r.Base, r.Param} {
+			b = appendCSVField(append(b, ','), f)
 		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("trace: %w", err)
+		for _, v := range [...]int64{r.Value, r.Summary.N} {
+			b = strconv.AppendInt(append(b, ','), v, 10)
+		}
+		for _, v := range [...]float64{r.Summary.Min, r.Summary.Max, r.Summary.Mean, r.Summary.StdDev, r.TotalSeconds} {
+			b = strconv.AppendFloat(append(b, ','), v, 'g', -1, 64)
+		}
+		for _, v := range [...]int64{r.Faults, r.Retries} {
+			b = strconv.AppendInt(append(b, ','), v, 10)
+		}
+		if lender == nil && len(b) >= 4<<10 {
+			if _, err := w.Write(b); err != nil {
+				return fmt.Errorf("trace: %w", err)
+			}
+			b = b[:0]
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if _, err := w.Write(append(b, '\n')); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	return nil
+}
+
+// appendCSVField appends f as csv.Writer writes a field: quoted, its quotes
+// doubled, when it is `\.`, holds a comma, a quote, CR or LF, or starts with
+// a space.
+func appendCSVField(b []byte, f string) []byte {
+	if r, _ := utf8.DecodeRuneInString(f); f != `\.` && !strings.ContainsAny(f, ",\"\r\n") && !unicode.IsSpace(r) {
+		return append(b, f...)
+	}
+	return append(append(append(b, '"'), strings.ReplaceAll(f, `"`, `""`)...), '"')
 }
 
 // WriteRTSeriesCSV writes a per-IO series: io_number, rt_s — the raw data

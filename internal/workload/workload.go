@@ -72,7 +72,8 @@ func replayInto(ctx context.Context, sc *core.Scratch, dev device.Device, ops []
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("workload: empty op stream")
 	}
-	run := &core.Run{Device: dev.Name(), RTs: rts[:len(ops)]}
+	run := sc.NewRun()
+	*run = core.Run{Device: dev.Name(), RTs: rts[:len(ops)]}
 	// Open loop: arrival times are known a priori, so each op's slot of
 	// run.RTs starts as its absolute submission time. The IOs are built in
 	// the replaying worker's batch, which its next segment reuses.
@@ -124,10 +125,12 @@ type Options struct {
 	WindowOps int
 	// Progress, when non-nil, observes segment completions.
 	Progress engine.ProgressFunc
-	// State, when non-nil, is the run state the replay runs on: the series
-	// the stream's response times are taken from, and each engine worker's
-	// batch and decode buffer (engine.Options.State).
+	// State, when non-nil, is the run state the replay runs on (the series
+	// and each engine worker's batch and decode buffer, engine.Options.State)
+	// and its runs, windows and percentiles are returned in.
 	State *core.RunState
+	// Release is engine.Options.Release for the replay.
+	Release func(devs []device.Device)
 }
 
 func (o Options) windowOps() int {
@@ -236,13 +239,15 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 	// rts is the stream-order series each segment replays into (writing
 	// every op's submission time before its response time), and windows its
 	// summaries, filled by the segments they lie in and by the tail.
-	rts := opts.State.Take(total)[:total]
+	st := opts.State.OrFresh()
+	rts := st.Take(total)[:total]
 	size := opts.windowOps()
-	windows := stats.NewWindows(total, size)
+	st.Windows = stats.NewWindows(st.Windows, total, size)
+	windows := st.Windows
 	decoder, _ := src.(SegmentDecoder)
-	eopts := engine.Options{Workers: workers, Seed: opts.Seed, Progress: opts.Progress}
+	eopts := engine.Options{Workers: workers, Seed: opts.Seed, Progress: opts.Progress, State: st, Release: opts.Release}
 	segs := (total + segOps - 1) / segOps
-	scratch := opts.State.Scratch(eopts.WorkerCount(segs))
+	scratch := st.Scratch(eopts.WorkerCount(segs))
 	runs, err := engine.ExecuteEach(ctx, segs, func(k int) string { return fmt.Sprintf("%s/seg=%d", name, k) },
 		func(ctx context.Context, w, k int, dev device.Device, startAt time.Duration) (*core.Run, error) {
 			start := k * segOps
@@ -290,7 +295,7 @@ func ReplaySource(ctx context.Context, src Source, factory engine.DeviceFactory,
 			res.Total = stats.Summarize(rts)
 			stats.FillWindows(rts, size, windows)
 		},
-		func() { pcts = stats.Percentiles(rts, 50, 95, 99) },
+		func() { pcts = st.Select.Percentiles(rts, 50, 95, 99) },
 	}
 	par.Each(context.Background(), len(tail), workers, func(_ context.Context, _, i int) error {
 		tail[i]()

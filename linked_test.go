@@ -63,8 +63,12 @@ var keptUnlinked = map[string][]string{
 		"uflip/internal/ftl.(*Array).Geometry",
 		"uflip/internal/ftl.(*Array).ProgramPage",
 		"uflip/internal/ftl.Stats.WriteAmplification",
+		"uflip/internal/paperexp.Records",         // the daemon and CLI append to kept records: AppendRecords
+		"uflip/internal/paperexp.WorkloadRecords", // and AppendWorkloadRecords
+
 		"uflip/internal/server/events.(*Log).Len",
 		"uflip/internal/statestore.(*Store).Dir",
+		"uflip/internal/stats.Percentiles", // a replay selects in its RunState's stats.Selector
 		"uflip/internal/trace.(*RunRecord).ResponseTimes",
 		"uflip/internal/workload.OpenUTRFile",
 		"uflip/internal/workload.(*UTRSource).SetLabel",
