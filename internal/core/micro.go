@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -49,6 +50,28 @@ func (e *Experiment) Run(sc *Scratch, dev device.Device, startAt time.Duration) 
 	default:
 		return ExecutePattern(sc, dev, e.Pattern, startAt)
 	}
+}
+
+// Check reports whether the experiment runs to the end on a device of
+// capacity bytes: Run's executor accepts it (a valid pattern, a mix's ratio
+// and partner, a parallel run's split among Degree processes) and the pattern
+// and a mix's partner end within the device. A run that fits allocates nothing.
+func (e *Experiment) Check(capacity int64) error {
+	var err error
+	switch {
+	case e.MixWith != nil:
+		err = checkMix(&e.Pattern, e.MixWith, e.Ratio)
+	case e.Degree > 1:
+		_, err = split(&e.Pattern, e.Degree)
+	default:
+		err = e.Pattern.Validate()
+	}
+	for _, p := range [...]*Pattern{&e.Pattern, cmp.Or(e.MixWith, &e.Pattern)} {
+		if _, hi := p.Span(); err == nil && hi > capacity {
+			err = fmt.Errorf("core: %s ends at byte %d, past the %d bytes of the device", p.Name, hi, capacity)
+		}
+	}
+	return err
 }
 
 // Microbenchmark is a named collection of experiments sharing one varying
@@ -112,9 +135,6 @@ func alignment(name string, d Defaults, capacity int64) Microbenchmark {
 	shifts := pow2(maxExp, SectorSize)
 	for _, b := range Baselines {
 		for _, sh := range shifts {
-			if sh > d.IOSize {
-				continue
-			}
 			p := b.Pattern(d)
 			p.IOShift = sh
 			clampTarget(&p, capacity)
@@ -172,9 +192,6 @@ func partitioning(name string, d Defaults, capacity int64) Microbenchmark {
 	}
 	for _, b := range []Baseline{SR, SW} {
 		for _, parts := range pow2(8, 1) {
-			if target/parts < d.IOSize {
-				break
-			}
 			p := b.Pattern(d)
 			p.LBA = Partitioned
 			p.Partitions = int(parts)
@@ -205,18 +222,8 @@ func order(name string, d Defaults, capacity int64) Microbenchmark {
 			p.Incr = incr
 			// Size the target to hold the whole strided run where the
 			// device allows, so strides do not alias onto few slots.
-			span := int64(d.IOCount) * d.IOSize
-			if incr > 1 {
-				span *= incr
-			}
-			if span > capacity/2 {
-				span = capacity / 2
-				span -= span % d.IOSize
-			}
-			if span < d.IOSize {
-				span = d.IOSize
-			}
-			p.TargetSize = span
+			p.TargetSize = int64(d.IOCount) * d.IOSize * max(incr, 1)
+			clampTarget(&p, capacity)
 			p.Name = fmt.Sprintf("%s(Incr=%d)", b, incr)
 			mb.Experiments = append(mb.Experiments, Experiment{
 				Micro: mb.Name, Base: b, Param: "Incr", Value: incr, Pattern: p,
@@ -227,7 +234,8 @@ func order(name string, d Defaults, capacity int64) Microbenchmark {
 }
 
 // parallelism varies the replication degree of the four baselines
-// (micro-benchmark 6): ParallelDegree in [2^0 .. 2^4].
+// (micro-benchmark 6): ParallelDegree in [2^0 .. 2^4]. A degree whose split
+// the device cannot hold is left to Check (methodology.BuildPlan drops it).
 func parallelism(name string, d Defaults, capacity int64) Microbenchmark {
 	mb := Microbenchmark{
 		Name:        name,
@@ -237,9 +245,6 @@ func parallelism(name string, d Defaults, capacity int64) Microbenchmark {
 	for _, b := range Baselines {
 		for _, deg := range pow2(4, 1) {
 			p := b.Pattern(d)
-			if p.TargetSize < int64(deg)*p.IOSize {
-				continue
-			}
 			clampTarget(&p, capacity)
 			p.Name = fmt.Sprintf("%s(Par=%d)", b, deg)
 			mb.Experiments = append(mb.Experiments, Experiment{

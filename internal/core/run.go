@@ -213,23 +213,11 @@ func ExecutePattern(sc *Scratch, dev device.Device, p Pattern, startAt time.Dura
 // all processes are reported in global submission order. The processes'
 // sources are sc's first degree sources.
 func ExecuteParallel(sc *Scratch, dev device.Device, p Pattern, degree int, startAt time.Duration) (*Run, error) {
-	if degree < 1 {
-		return nil, fmt.Errorf("core: parallel degree must be >= 1, got %d", degree)
-	}
-	if err := p.Validate(); err != nil {
+	sub, err := split(&p, degree)
+	if err != nil {
 		return nil, err
 	}
-	// Split the target: TargetOffset_p = p*TargetSize/degree,
-	// TargetSize_p = TargetSize/degree (Table 1, Parallelism row).
-	subSize := p.TargetSize / int64(degree)
-	subSize -= subSize % p.IOSize
-	if subSize < p.IOSize {
-		return nil, fmt.Errorf("core: target %d too small for %d-way parallelism at IOSize %d", p.TargetSize, degree, p.IOSize)
-	}
-	perProc := p.IOCount / degree
-	if perProc < 1 {
-		return nil, fmt.Errorf("core: IOCount %d too small for %d processes", p.IOCount, degree)
-	}
+	perProc := sub.IOCount
 	type proc struct {
 		src    *patternSource
 		next   time.Duration
@@ -237,17 +225,8 @@ func ExecuteParallel(sc *Scratch, dev device.Device, p Pattern, degree int, star
 	}
 	procs := make([]proc, degree)
 	for i := range procs {
-		sub := p
-		sub.TargetOffset = p.TargetOffset + int64(i)*subSize
-		sub.TargetSize = subSize
-		sub.IOCount = perProc
-		// The start-up phase is ignored globally over the merged series, not
-		// per process; a methodology-assigned IOIgnore may exceed perProc.
-		sub.IOIgnore = 0
+		sub.TargetOffset = p.TargetOffset + int64(i)*sub.TargetSize
 		sub.Seed = p.Seed + int64(i)*7919
-		if err := sub.Validate(); err != nil {
-			return nil, err
-		}
 		procs[i] = proc{src: sc.source(i, &sub), next: startAt}
 	}
 	run := sc.NewRun()
@@ -269,28 +248,22 @@ func ExecuteParallel(sc *Scratch, dev device.Device, p Pattern, degree int, star
 			pick.issued++
 			pick.next = last + timing.gapBefore(pick.issued)
 		}
-		for {
-			// Earliest-submission process goes next; ties resolved by
-			// index for determinism. The scan keeps its candidate in a
-			// local: pick lives in the closure's context.
-			var p *proc
-			for i := range procs {
-				if pr := &procs[i]; pr.issued < perProc && (p == nil || pr.next < p.next) {
-					p = pr
-				}
+		// Earliest-submission process goes next; ties resolved by index for
+		// determinism. The scan keeps its candidate in a local: pick lives in
+		// the closure's context. A process is picked perProc times, the IOs
+		// its source holds.
+		var p *proc
+		for i := range procs {
+			if pr := &procs[i]; pr.issued < perProc && (p == nil || pr.next < p.next) {
+				p = pr
 			}
-			if pick = p; p == nil {
-				return nil, nil, nil
-			}
-			io, ok := p.src.Next()
-			if !ok {
-				p.issued = perProc
-				continue
-			}
-			ios[0] = io
-			run.RTs = append(run.RTs, p.next)
-			return ios, run.RTs[len(run.RTs)-1:], nil
 		}
+		if pick = p; p == nil {
+			return nil, nil, nil
+		}
+		ios[0], _ = p.src.Next()
+		run.RTs = append(run.RTs, p.next)
+		return ios, run.RTs[len(run.RTs)-1:], nil
 	})
 	if err != nil {
 		var be *device.BatchError
@@ -298,9 +271,6 @@ func ExecuteParallel(sc *Scratch, dev device.Device, p Pattern, degree int, star
 			err = be.Err
 		}
 		return nil, fmt.Errorf("core: parallel IO %d: %w", len(run.RTs)-1, err)
-	}
-	if len(run.RTs) == 0 {
-		return nil, fmt.Errorf("core: parallel run produced no IOs")
 	}
 	if run.IOIgnore >= len(run.RTs) {
 		// Rounding of perProc can leave fewer merged IOs than the global
@@ -317,20 +287,11 @@ func ExecuteParallel(sc *Scratch, dev device.Device, p Pattern, degree int, star
 // minority pattern still receives enough IOs. a and b are sc's first two
 // sources.
 func ExecuteMix(sc *Scratch, dev device.Device, a, b Pattern, ratio int, startAt time.Duration) (*Run, error) {
-	if ratio < 1 {
-		return nil, fmt.Errorf("core: mix ratio must be >= 1, got %d", ratio)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("core: mix pattern #1: %w", err)
-	}
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("core: mix pattern #2: %w", err)
+	if err := checkMix(&a, &b, ratio); err != nil {
+		return nil, err
 	}
 	sc.mix = NewMixSource(sc.source(0, &a), sc.source(1, &b), ratio)
-	count := a.IOCount + b.IOCount
-	if count > a.IOCount*(ratio+1)/ratio {
-		count = a.IOCount * (ratio + 1) / ratio
-	}
+	count := min(a.IOCount+b.IOCount, a.IOCount*(ratio+1)/ratio)
 	ignore := a.IOIgnore * (ratio + 1) / ratio
 	if ignore >= count {
 		ignore = count / 4
@@ -341,4 +302,42 @@ func ExecuteMix(sc *Scratch, dev device.Device, a, b Pattern, ratio int, startAt
 	}
 	run.Name = a.Name + "/" + b.Name + " ratio=" + strconv.Itoa(ratio)
 	return run, nil
+}
+
+// split returns the pattern each of degree processes runs (Table 1,
+// Parallelism row): IOCount/degree IOs on TargetSize/degree rounded down to
+// whole IOs, placed by the caller, with no IOIgnore (the merged series has
+// it). It refuses a split that leaves a process no IO or no whole-IO target.
+func split(p *Pattern, degree int) (Pattern, error) {
+	if degree < 1 {
+		return Pattern{}, fmt.Errorf("core: parallel degree must be >= 1, got %d", degree)
+	}
+	if err := p.Validate(); err != nil {
+		return Pattern{}, err
+	}
+	sub := *p
+	sub.TargetSize = p.TargetSize / int64(degree)
+	sub.TargetSize -= sub.TargetSize % p.IOSize
+	sub.IOCount, sub.IOIgnore = p.IOCount/degree, 0
+	if sub.TargetSize < p.IOSize {
+		return Pattern{}, fmt.Errorf("core: target %d too small for %d-way parallelism at IOSize %d", p.TargetSize, degree, p.IOSize)
+	}
+	if sub.IOCount < 1 {
+		return Pattern{}, fmt.Errorf("core: IOCount %d too small for %d processes", p.IOCount, degree)
+	}
+	return sub, sub.Validate()
+}
+
+// checkMix refuses a mix of a and b at ratio that ExecuteMix cannot run.
+func checkMix(a, b *Pattern, ratio int) error {
+	if ratio < 1 {
+		return fmt.Errorf("core: mix ratio must be >= 1, got %d", ratio)
+	}
+	if err := a.Validate(); err != nil {
+		return fmt.Errorf("core: mix pattern #1: %w", err)
+	}
+	if err := b.Validate(); err != nil {
+		return fmt.Errorf("core: mix pattern #2: %w", err)
+	}
+	return nil
 }

@@ -254,10 +254,8 @@ func TestMicrobenchmarkGenerators(t *testing.T) {
 			t.Errorf("%s has no experiments", mb.Name)
 		}
 		for _, e := range mb.Experiments {
-			if e.MixWith == nil {
-				if err := e.Pattern.Validate(); err != nil {
-					t.Errorf("%s: invalid pattern: %v", e.ID(), err)
-				}
+			if err := e.Check(capacity); err != nil {
+				t.Errorf("%s does not fit the device: %v", e.ID(), err)
 			}
 			if e.Micro != mb.Name {
 				t.Errorf("experiment %s claims micro %q", e.ID(), e.Micro)

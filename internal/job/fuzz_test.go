@@ -26,13 +26,17 @@ import (
 //     the workload kind (workload), the queue depth and, from its high byte,
 //     a parallel degree from 1 to 16 above IOCount (array), or up to two of
 //     the thirteen experiments, one per byte (paper);
+//   - iocount 0-240 is an IOCount of 16-256, and 241-255 one of 1-15;
 //   - the capacity is half the plan's span (IOCount IOs of 32 KiB) plus up to
 //     256 MiB, sector multiple or not, so that a request below its span is
 //     drawn too; a paper job takes no IOCount, and its capacity is 0 (the
 //     default) up to 256 MiB.
 func fuzzRequest(kind uint8, dev uint32, sel uint16, iocount uint8, extra uint32, seed int64) api.JobRequest {
 	keys := profile.Keys()
-	n := 16 + int(iocount)%241
+	n := 16 + int(iocount)
+	if iocount > 240 {
+		n = int(iocount) - 240
+	}
 	req := api.JobRequest{
 		IOCount:  n,
 		Seed:     seed,

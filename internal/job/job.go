@@ -46,11 +46,11 @@ func CheckParallel(n int) error {
 // Normalize fills req's omitted values from api.Defaults (a workload takes
 // the job's seed and, by default, half the capacity) and runs every check that
 // needs no execution: at most profile.MaxParallel workers, the device spec
-// resolves, the micro-benchmark names exist, the synthetic workload builds,
+// resolves at the capacity, the micro-benchmarks exist, the workload builds,
 // the layouts parse, the paper's experiments exist ("all" expands to them),
-// and a plan's device, every composite of an array sweep and the capacity of
-// a paper job hold what their runs write — so a typo or a device too small
-// is an error before any state is enforced.
+// a plan's probes and each array composite's baselines fit their device
+// (paperexp.CheckSpan: no device or plan is built) and a paper job's capacity
+// holds its experiments — so a request it accepts runs to the end.
 // It is idempotent. Whether a named trace exists is the surface's to check:
 // only it knows where traces live.
 func Normalize(req *api.JobRequest) error {
@@ -74,7 +74,7 @@ func Normalize(req *api.JobRequest) error {
 		if req.Device == "" {
 			return fmt.Errorf("%s jobs need a device", req.Kind)
 		}
-		if _, err := profile.DescribeDevice(req.Device); err != nil {
+		if _, err := profile.Capacity(req.Device, req.Capacity); err != nil {
 			return err
 		}
 	}
@@ -85,7 +85,7 @@ func Normalize(req *api.JobRequest) error {
 				return err
 			}
 		}
-		return paperexp.CheckSpan(req.Device, req.Capacity, req.IOCount)
+		return paperexp.CheckSpan(req.Device, req.Capacity, req.IOCount, 1)
 	case "workload":
 		w := req.Workload
 		if w == nil {

@@ -42,15 +42,21 @@ func TestNormalizeRejects(t *testing.T) {
 		{api.JobRequest{Kind: "workload", Device: "mtron", Workload: wl(api.WorkloadRequest{Spec: workload.Spec{Kind: "oltp"}})}, "workload jobs need a positive op count"},
 		{api.JobRequest{Kind: "workload", Device: "mtron", Workload: wl(api.WorkloadRequest{Spec: workload.Spec{Kind: "bogus", Count: 10}})}, `unknown kind "bogus"`},
 		{api.JobRequest{Kind: "workload", Device: "mtron", Workload: wl(api.WorkloadRequest{Spec: workload.Spec{Kind: "oltp"}, TraceHash: "ab"})}, `workload kind "oltp" conflicts with trace_hash`},
+		// A workload's device, too, is built at the capacity, and its generator
+		// refused as it would refuse to generate.
+		{api.JobRequest{Kind: "workload", Device: "mtron", Capacity: 64 << 10, Workload: wl(api.WorkloadRequest{Spec: workload.Spec{Kind: "append", Count: 10, Streams: 4}})}, "workload: LogAppend target 32768 too small for 4 streams at IOSize 32768"},
+		{api.JobRequest{Kind: "workload", Device: "stripe(transcend-mlc32,corsair)", Capacity: 32 << 10, Workload: wl(api.WorkloadRequest{Spec: workload.Spec{Kind: "oltp", Count: 10}})}, "device: stripe members smaller than one 131072-byte chunk"},
 		{api.JobRequest{Kind: "array"}, "array jobs need an array.member profile"},
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "faulty(nope)"}}, `unknown device "nope"`},
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"raid9"}}}, `"raid9"`},
-		// A plan writes iocount IOs of 32 KiB from offset 0, on every composite
-		// of an array sweep.
-		{api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 16 << 20, Micros: []string{"Order"}}, "mtron holds 16777216 bytes, below the 33554432 a plan of 1024 IOs of 32768 bytes spans"},
-		{api.JobRequest{Kind: "plan", Device: "mirror(2,mtron)", Capacity: 16 << 20}, "mirror(2,mtron) holds 16777216 bytes, below the 33554432"},
-		{api.JobRequest{Kind: "array", Capacity: 16 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}}}, "stripe(1,mtron,qd=1) holds 16777216 bytes, below the 33554432"},
-		{api.JobRequest{Kind: "array", Capacity: 16 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"mirror"}, Counts: []int{2}}}, "mirror(2,mtron,mtron,qd=1) holds 16777216 bytes, below the 33554432"},
+		// A plan's probes, and every composite of an array sweep, write
+		// iocount IOs of 32 KiB from offset 0, and read randomly from half
+		// the device: a target that must hold one IO.
+		{api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 16 << 20, Micros: []string{"Order"}}, "mtron (16777216 bytes) cannot run SR at 1024 IOs: core: SR ends at byte 33554432, past the 16777216 bytes of the device"},
+		{api.JobRequest{Kind: "plan", Device: "mirror(2,mtron)", Capacity: 16 << 20}, "mirror(2,mtron) (16777216 bytes) cannot run SR at 1024 IOs: core: SR ends at byte 33554432"},
+		{api.JobRequest{Kind: "plan", Device: "mtron", Capacity: 32 << 10, IOCount: 1, Micros: []string{"Granularity"}}, "mtron (32768 bytes) cannot run RR at 1 IOs: core: TargetSize 16384 smaller than IOSize 32768"},
+		{api.JobRequest{Kind: "array", Capacity: 16 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}}}, "stripe(1,mtron,qd=1) (16777216 bytes) cannot run SR at 1024 IOs: core: SR ends at byte 33554432"},
+		{api.JobRequest{Kind: "array", Capacity: 16 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"mirror"}, Counts: []int{2}}}, "mirror(2,mtron,mtron,qd=1) (16777216 bytes) cannot run SR at 1024 IOs: core: SR ends at byte 33554432"},
 		// Every composite of a sweep is built from its spec, which must parse.
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "stripe(2,mtron)"}}, `bad argument "stripe(2,mtron)"`},
 		{api.JobRequest{Kind: "array", Array: &api.ArrayRequest{Member: "mtron", QueueDepths: []int{0}}}, `qd "0" must be an integer in [1, 256]`},
@@ -58,9 +64,9 @@ func TestNormalizeRejects(t *testing.T) {
 		// A baseline's processes each run at least one IO, on a target that
 		// holds one: a sequential target is iocount IOs, a random one half
 		// the composite.
-		{api.JobRequest{Kind: "array", Capacity: 64 << 20, IOCount: 2, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}}}, "degree 4 is above the 2 IOs a baseline runs"},
-		{api.JobRequest{Kind: "array", Capacity: 64 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}, Degree: 2000}}, "degree 2000 is above the 1024 IOs a baseline runs"},
-		{api.JobRequest{Kind: "array", Capacity: 32 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}, Degree: 600}}, "degree 600 is above the 512 IOs of 32768 bytes that stripe(1,mtron,qd=1)'s random target of 16777216 bytes holds"},
+		{api.JobRequest{Kind: "array", Capacity: 64 << 20, IOCount: 2, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}}}, "stripe(1,mtron,qd=1) (67108864 bytes) cannot run SR at 2 IOs: core: target 65536 too small for 4-way parallelism at IOSize 32768"},
+		{api.JobRequest{Kind: "array", Capacity: 64 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}, Degree: 2000}}, "stripe(1,mtron,qd=1) (67108864 bytes) cannot run SR at 1024 IOs: core: target 33554432 too small for 2000-way parallelism"},
+		{api.JobRequest{Kind: "array", Capacity: 32 << 20, Array: &api.ArrayRequest{Member: "mtron", Layouts: []string{"stripe"}, Counts: []int{1}, Degree: 600}}, "stripe(1,mtron,qd=1) (33554432 bytes) cannot run RR at 1024 IOs: core: target 16777216 too small for 600-way parallelism"},
 		{api.JobRequest{Kind: "paper"}, "paper jobs need an experiment (known: table1, "},
 		{api.JobRequest{Kind: "paper", Experiments: []string{"fig3", "fig9"}}, `unknown experiment "fig9"`},
 		// Figure 4 writes 2,048 IOs of 32 KiB from offset 0; a plan 1,024 of them.
@@ -90,6 +96,59 @@ func TestNormalizeAcceptsWhatHoldsTheSpan(t *testing.T) {
 		if err := job.Normalize(&req); err != nil {
 			t.Errorf("%+v: %v", req, err)
 		}
+	}
+}
+
+// TestNormalizeAcceptsExactlyWhatRuns: Normalize accepts a plan request
+// exactly when it runs to the end, for every micro-benchmark at 1, 16 and 64
+// IOs on capacities from 16 KiB up. Among them: 32 KiB, where a probe's
+// random target (half the device) held no IO; 64 and 96 KiB at one IO, where
+// a Granularity run's target grew to its 128 KiB IO, past the device; and
+// 512 and 768 KiB at 16 IOs, where a Parallelism run's target, held to half
+// the device, could not be split among 16 processes.
+func TestNormalizeAcceptsExactlyWhatRuns(t *testing.T) {
+	caps := []int64{32 << 10, 64 << 10, 96 << 10, 512 << 10, 768 << 10}
+	for c := int64(16 << 10); c <= 8<<20; c = c * 3 / 2 {
+		caps = append(caps, c, c+c/3+512)
+	}
+	accepted, total := 0, 0
+	for _, capacity := range caps {
+		for _, ios := range []int{1, 16, 64} {
+			for _, m := range core.Table1 {
+				req := api.JobRequest{Kind: "plan", Device: "mtron", Capacity: capacity, IOCount: ios, Micros: []string{m.Name}, Parallel: 1}
+				normalized := job.Normalize(&req)
+				_, ran := job.Run(context.Background(), req, job.Env{})
+				if (normalized == nil) != (ran == nil) {
+					t.Errorf("%s on %d bytes at %d IOs: Normalize says %v, Run %v", m.Name, capacity, ios, normalized, ran)
+				}
+				if normalized == nil {
+					accepted++
+				}
+				total++
+			}
+		}
+	}
+	if accepted == 0 || accepted == total {
+		t.Fatalf("Normalize accepts %d of %d requests: one side is untested", accepted, total)
+	}
+}
+
+// TestNormalizeAllocations: admission checks a plan's probes, not the plan,
+// so normalizing the daemon benchmark's plan request (memoright, 64 MiB, 64
+// IOs, Granularity and Locality) allocates no more than the span rule it
+// replaced.
+func TestNormalizeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	req := api.JobRequest{Kind: "plan", Device: "memoright", Capacity: 64 << 20, IOCount: 64, Micros: []string{"Granularity", "Locality"}}
+	got := testing.AllocsPerRun(20, func() {
+		if err := job.Normalize(&req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 20 {
+		t.Errorf("Normalize allocates %v times, want at most 20", got)
 	}
 }
 

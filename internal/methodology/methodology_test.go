@@ -228,6 +228,47 @@ func TestBuildPlanAppliesPhases(t *testing.T) {
 	}
 }
 
+// TestBuildPlanDropsWhatDoesNotFit: the plan keeps exactly the experiments
+// that, sized by the phase report, fit the device, and each still fits where
+// the layout places it. At 512 KiB and 16 IOs every baseline's target is
+// held to half the device, 256 KiB: eight IOs, too few to split among 16
+// processes.
+func TestBuildPlanDropsWhatDoesNotFit(t *testing.T) {
+	const capacity = 512 << 10
+	d := core.StandardDefaults()
+	d.IOCount, d.RandomTarget = 16, core.RandomTargetFor(capacity)
+	phases := &PhaseReport{IOIgnore: map[core.Baseline]int{}, IOCount: map[core.Baseline]int{}}
+	for _, b := range core.Baselines {
+		phases.IOCount[b] = 1024
+	}
+	var exps []core.Experiment
+	for _, mb := range core.AllMicrobenchmarks(d, capacity) {
+		exps = append(exps, mb.Experiments...)
+	}
+	plan := BuildPlan(exps, capacity, time.Second, phases)
+	kept := map[string]bool{}
+	for _, e := range plan.Runs {
+		kept[e.ID()] = true
+		if err := e.Check(capacity); err != nil {
+			t.Errorf("%s as laid out at offset %d: %v", e.ID(), e.Pattern.TargetOffset, err)
+		}
+	}
+	for _, e := range exps {
+		applyPhases(&e, phases)
+		if fits := e.Check(capacity) == nil; fits != kept[e.ID()] {
+			t.Errorf("%s: fits %v, in the plan %v", e.ID(), fits, kept[e.ID()])
+		}
+	}
+	for id, want := range map[string]bool{"Parallelism/SR/ParallelDegree=8": true, "Parallelism/SR/ParallelDegree=16": false, "Parallelism/RW/ParallelDegree=16": false} {
+		if kept[id] != want {
+			t.Errorf("%s in the plan: %v, want %v", id, kept[id], want)
+		}
+	}
+	if len(plan.Runs) == 0 || len(plan.Runs) == len(exps) {
+		t.Fatalf("the plan keeps %d of %d experiments", len(plan.Runs), len(exps))
+	}
+}
+
 // recordingDevice captures every submitted IO so tests can pin the exact
 // enforcement sequence on awkward capacities.
 type recordingDevice struct {

@@ -30,13 +30,17 @@ type Plan struct {
 // reset is counted whenever the sequential-write allocations would exceed
 // the device capacity. Patterns are updated in place with their assigned
 // TargetOffset and, when provided, the per-baseline IOIgnore/IOCount of the
-// phase report.
+// phase report. An experiment that, so sized, would not run to the end on
+// the device (core.Experiment.Check) is left out of the plan.
 func BuildPlan(exps []core.Experiment, capacity int64, pause time.Duration, phases *PhaseReport) Plan {
 	plan := Plan{Pause: pause}
 	var seqWrites, others []core.Experiment
 	for _, e := range exps {
 		if phases != nil {
 			applyPhases(&e, phases)
+		}
+		if e.Check(capacity) != nil {
+			continue
 		}
 		if disturbsState(&e) {
 			seqWrites = append(seqWrites, e)
@@ -78,16 +82,12 @@ func disturbsState(e *core.Experiment) bool {
 }
 
 func spanOf(e *core.Experiment) int64 {
-	_, hi := e.Pattern.Span()
-	lo, _ := e.Pattern.Span()
-	span := hi - lo
+	lo, hi := e.Pattern.Span()
 	if e.MixWith != nil {
 		mlo, mhi := e.MixWith.Span()
-		if mhi-mlo > 0 {
-			span += mhi - mlo
-		}
+		hi += mhi - mlo
 	}
-	return span
+	return hi - lo
 }
 
 func setOffset(e *core.Experiment, offset int64) {

@@ -76,28 +76,17 @@ func (a ArrayConfig) specs() []*profile.ArraySpec {
 }
 
 // CheckSpan refuses a sweep at capacity bytes per member unless every
-// composite of it resolves, as its spec, holds what a plan of ios IOs
-// writes, and can split each baseline among Degree processes, each with at
-// least one IO to run and a target that holds one: a sequential baseline's
-// target is its ios IOs, a random one's half the composite.
+// composite of it, as its spec, passes CheckSpan at the sweep's degree.
 func (a ArrayConfig) CheckSpan(capacity int64, ios int) error {
 	a = a.withDefaults()
-	if a.Degree > ios {
-		return fmt.Errorf("degree %d is above the %d IOs a baseline runs", a.Degree, ios)
-	}
 	for _, n := range a.Counts {
 		if n > profile.MaxArrayMembers { // before a spec lists that many members
 			return fmt.Errorf("an array of %d members is above the ceiling of %d", n, profile.MaxArrayMembers)
 		}
 	}
 	for _, spec := range a.specs() {
-		if err := CheckSpan(spec.String(), capacity, ios); err != nil {
+		if err := CheckSpan(spec.String(), capacity, ios, a.Degree); err != nil {
 			return err
-		}
-		have, _ := spec.Capacity(capacity) // CheckSpan resolved it
-		if target := core.RandomTargetFor(have); target < span(a.Degree) {
-			return fmt.Errorf("degree %d is above the %d IOs of %d bytes that %s's random target of %d bytes holds",
-				a.Degree, target/core.StandardDefaults().IOSize, core.StandardDefaults().IOSize, spec, target)
 		}
 	}
 	return nil
@@ -141,16 +130,8 @@ func arrayRow(ctx context.Context, cfg Config, spec *profile.ArraySpec, degree, 
 	if err != nil {
 		return report.ArrayRow{}, err
 	}
-	d := cfg.defaults(capacity)
-	var exps []core.Experiment
-	for _, b := range core.Baselines {
-		p := b.Pattern(d)
-		exps = append(exps, core.Experiment{
-			Micro: "Array", Base: b, Param: "ParallelDegree", Value: int64(degree),
-			Pattern: p, Degree: degree,
-		})
-	}
-	plan := methodology.BuildPlan(exps, capacity, cfg.Pause, nil)
+	exps := baselines(cfg.defaults(capacity), degree)
+	plan := methodology.BuildPlan(exps[:], capacity, cfg.Pause, nil)
 	plan.Device = key
 	res, err := engine.ExecutePlan(ctx, plan, ShardFactory(key, cfg), engine.Options{
 		Workers:  workers,
@@ -167,18 +148,22 @@ func arrayRow(ctx context.Context, cfg Config, spec *profile.ArraySpec, degree, 
 		QueueDepth: spec.QueueDepth,
 		Degree:     degree,
 	}
+	means := [...]*float64{core.SR: &row.SRms, core.RR: &row.RRms, core.SW: &row.SWms, core.RW: &row.RWms}
 	for _, r := range res.Results {
-		ms := r.Run.Summary.Mean * 1e3
-		switch r.Exp.Base {
-		case core.SR:
-			row.SRms = ms
-		case core.RR:
-			row.RRms = ms
-		case core.SW:
-			row.SWms = ms
-		case core.RW:
-			row.RWms = ms
-		}
+		*means[r.Exp.Base] = r.Run.Summary.Mean * 1e3
 	}
 	return row, nil
+}
+
+// baselines are the runs of a sweep's row: the four baselines, each
+// replicated over degree processes.
+func baselines(d core.Defaults, degree int) [4]core.Experiment {
+	var exps [4]core.Experiment
+	for i, b := range core.Baselines {
+		exps[i] = core.Experiment{
+			Micro: "Array", Base: b, Param: "ParallelDegree", Value: int64(degree),
+			Pattern: b.Pattern(d), Degree: degree,
+		}
+	}
+	return exps
 }

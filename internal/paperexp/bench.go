@@ -91,9 +91,9 @@ func RunBenchmark(ctx context.Context, key string, cfg Config, req BenchmarkRequ
 	}
 	workers := par.Workers(req.Workers)
 
-	// Refuse a device the sequential baselines would run off before
-	// enforcing (and storing) a state no run could use.
-	if err := CheckSpan(key, cfg.Capacity, cfg.IOCount); err != nil {
+	// Refuse a device the probes do not fit before enforcing (and storing)
+	// a state no plan could use.
+	if err := CheckSpan(key, cfg.Capacity, cfg.IOCount, 1); err != nil {
 		return nil, fmt.Errorf("paperexp: %w", err)
 	}
 	// Steps 1–3 and the plan of step 4.

@@ -29,8 +29,8 @@ type Config struct {
 	// Capacity is the simulated device capacity. A scaled-down device
 	// (1 GB) reproduces the full-size shapes quickly, with two limits: a
 	// page-mapped device flushes direct-map pages only above 1 GiB, and a
-	// plan needs at least IOCount × 32 KiB, the span of its sequential
-	// baselines (RunBenchmark refuses a smaller device).
+	// plan's baseline probes of IOCount IOs must fit it (CheckSpan: at least
+	// IOCount × 32 KiB and 64 KiB); the plan leaves out runs that do not.
 	Capacity int64
 	// Seed drives state enforcement and random patterns.
 	Seed int64

@@ -77,13 +77,20 @@ func Span(name string) int64 {
 func span(ios int) int64 { return int64(ios) * core.StandardDefaults().IOSize }
 
 // CheckSpan refuses the device spec built at capacity bytes (per member of an
-// array) unless it resolves and holds what a plan of ios IOs writes.
-func CheckSpan(spec string, capacity int64, ios int) error {
+// array) unless it resolves and runs the four baselines of ios IOs split among
+// degree processes (core.Experiment.Check); at degree 1, a plan's probes.
+func CheckSpan(spec string, capacity int64, ios, degree int) error {
 	have, err := profile.Capacity(spec, capacity)
-	if need := span(ios); err == nil && have < need {
-		err = fmt.Errorf("%s holds %d bytes, below the %d a plan of %d IOs of %d bytes spans", spec, have, need, ios, core.StandardDefaults().IOSize)
+	if err != nil {
+		return err
 	}
-	return err
+	exps := baselines(Config{IOCount: ios}.defaults(have), degree)
+	for i := range exps {
+		if err := exps[i].Check(have); err != nil {
+			return fmt.Errorf("%s (%d bytes) cannot run %s at %d IOs: %w", spec, have, exps[i].Base, ios, err)
+		}
+	}
+	return nil
 }
 
 // Render regenerates one of the Experiments from live simulator runs and

@@ -33,28 +33,29 @@ type OLTP struct {
 // Name labels the workload.
 func (o OLTP) Name() string { return fmt.Sprintf("oltp(r=%.2f)", o.ReadFraction) }
 
-func (o *OLTP) validate() error {
+func (o OLTP) checked() (OLTP, error) {
 	if o.PageSize == 0 {
 		o.PageSize = 8 * 1024
 	}
 	switch {
 	case o.PageSize <= 0 || o.PageSize%core.SectorSize != 0:
-		return fmt.Errorf("workload: OLTP PageSize %d must be a positive multiple of %d", o.PageSize, core.SectorSize)
+		return o, fmt.Errorf("workload: OLTP PageSize %d must be a positive multiple of %d", o.PageSize, core.SectorSize)
 	case o.TargetSize < o.PageSize:
-		return fmt.Errorf("workload: OLTP TargetSize %d smaller than PageSize %d", o.TargetSize, o.PageSize)
+		return o, fmt.Errorf("workload: OLTP TargetSize %d smaller than PageSize %d", o.TargetSize, o.PageSize)
 	case o.ReadFraction < 0 || o.ReadFraction > 1:
-		return fmt.Errorf("workload: OLTP ReadFraction %v must be in [0, 1]", o.ReadFraction)
+		return o, fmt.Errorf("workload: OLTP ReadFraction %v must be in [0, 1]", o.ReadFraction)
 	case o.Think < 0:
-		return fmt.Errorf("workload: OLTP Think must be non-negative")
+		return o, fmt.Errorf("workload: OLTP Think must be non-negative")
 	case o.Count <= 0:
-		return fmt.Errorf("workload: OLTP Count must be positive")
+		return o, fmt.Errorf("workload: OLTP Count must be positive")
 	}
-	return nil
+	return o, nil
 }
 
 // Generate materializes the stream.
 func (o OLTP) Generate() ([]Op, error) {
-	if err := o.validate(); err != nil {
+	o, err := o.checked()
+	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
@@ -104,7 +105,7 @@ func (l LogAppend) Name() string {
 	return fmt.Sprintf("append(streams=%d)", s)
 }
 
-func (l *LogAppend) validate() error {
+func (l LogAppend) checked() (LogAppend, error) {
 	if l.Streams == 0 {
 		l.Streams = 1
 	}
@@ -113,23 +114,24 @@ func (l *LogAppend) validate() error {
 	}
 	switch {
 	case l.Streams < 1:
-		return fmt.Errorf("workload: LogAppend Streams must be >= 1")
+		return l, fmt.Errorf("workload: LogAppend Streams must be >= 1")
 	case l.IOSize <= 0 || l.IOSize%core.SectorSize != 0:
-		return fmt.Errorf("workload: LogAppend IOSize %d must be a positive multiple of %d", l.IOSize, core.SectorSize)
+		return l, fmt.Errorf("workload: LogAppend IOSize %d must be a positive multiple of %d", l.IOSize, core.SectorSize)
 	case l.Gap < 0:
-		return fmt.Errorf("workload: LogAppend Gap must be non-negative")
+		return l, fmt.Errorf("workload: LogAppend Gap must be non-negative")
 	case l.Count <= 0:
-		return fmt.Errorf("workload: LogAppend Count must be positive")
+		return l, fmt.Errorf("workload: LogAppend Count must be positive")
 	}
 	if l.TargetSize/int64(l.Streams) < l.IOSize {
-		return fmt.Errorf("workload: LogAppend target %d too small for %d streams at IOSize %d", l.TargetSize, l.Streams, l.IOSize)
+		return l, fmt.Errorf("workload: LogAppend target %d too small for %d streams at IOSize %d", l.TargetSize, l.Streams, l.IOSize)
 	}
-	return nil
+	return l, nil
 }
 
 // Generate materializes the stream.
 func (l LogAppend) Generate() ([]Op, error) {
-	if err := l.validate(); err != nil {
+	l, err := l.checked()
+	if err != nil {
 		return nil, err
 	}
 	region := l.TargetSize / int64(l.Streams)
@@ -182,26 +184,26 @@ func (z Zipfian) skew() float64 {
 	return z.S
 }
 
-func (z *Zipfian) validate() error {
+func (z Zipfian) checked() (Zipfian, error) {
 	if z.PageSize == 0 {
 		z.PageSize = 8 * 1024
 	}
 	z.S = z.skew()
 	switch {
 	case z.PageSize <= 0 || z.PageSize%core.SectorSize != 0:
-		return fmt.Errorf("workload: Zipfian PageSize %d must be a positive multiple of %d", z.PageSize, core.SectorSize)
+		return z, fmt.Errorf("workload: Zipfian PageSize %d must be a positive multiple of %d", z.PageSize, core.SectorSize)
 	case z.TargetSize < z.PageSize:
-		return fmt.Errorf("workload: Zipfian TargetSize %d smaller than PageSize %d", z.TargetSize, z.PageSize)
+		return z, fmt.Errorf("workload: Zipfian TargetSize %d smaller than PageSize %d", z.TargetSize, z.PageSize)
 	case z.S <= 1:
-		return fmt.Errorf("workload: Zipfian skew S %v must be > 1", z.S)
+		return z, fmt.Errorf("workload: Zipfian skew S %v must be > 1", z.S)
 	case z.ReadFraction < 0 || z.ReadFraction > 1:
-		return fmt.Errorf("workload: Zipfian ReadFraction %v must be in [0, 1]", z.ReadFraction)
+		return z, fmt.Errorf("workload: Zipfian ReadFraction %v must be in [0, 1]", z.ReadFraction)
 	case z.Think < 0:
-		return fmt.Errorf("workload: Zipfian Think must be non-negative")
+		return z, fmt.Errorf("workload: Zipfian Think must be non-negative")
 	case z.Count <= 0:
-		return fmt.Errorf("workload: Zipfian Count must be positive")
+		return z, fmt.Errorf("workload: Zipfian Count must be positive")
 	}
-	return nil
+	return z, nil
 }
 
 // scatter maps a Zipf rank to a page slot with a splitmix64-style hash so
@@ -218,7 +220,8 @@ func scatter(rank uint64, slots int64) int64 {
 
 // Generate materializes the stream.
 func (z Zipfian) Generate() ([]Op, error) {
-	if err := z.validate(); err != nil {
+	z, err := z.checked()
+	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(z.Seed))

@@ -40,7 +40,7 @@ type Spec struct {
 	BurstGap time.Duration `json:"burst_gap_ns,omitempty"`
 }
 
-// Build constructs the generator the spec describes.
+// Build constructs the spec's generator, refusing what its Generate would.
 func (s Spec) Build() (Generator, error) {
 	oltp := OLTP{
 		PageSize:     s.PageSize,
@@ -52,7 +52,7 @@ func (s Spec) Build() (Generator, error) {
 	}
 	switch s.Kind {
 	case "oltp":
-		return oltp, nil
+		return oltp.checked()
 	case "append":
 		return LogAppend{
 			Streams:    s.Streams,
@@ -60,7 +60,7 @@ func (s Spec) Build() (Generator, error) {
 			TargetSize: s.TargetSize,
 			Gap:        s.Think,
 			Count:      s.Count,
-		}, nil
+		}.checked()
 	case "zipf":
 		return Zipfian{
 			PageSize:     s.PageSize,
@@ -70,9 +70,10 @@ func (s Spec) Build() (Generator, error) {
 			Think:        s.Think,
 			Count:        s.Count,
 			Seed:         s.Seed,
-		}, nil
+		}.checked()
 	case "bursty":
-		return Bursty{Inner: oltp, BurstOps: s.BurstOps, Gap: s.BurstGap}, nil
+		inner, err := oltp.checked()
+		return Bursty{Inner: inner, BurstOps: s.BurstOps, Gap: s.BurstGap}, err
 	default:
 		return nil, fmt.Errorf("workload: unknown kind %q (want oltp, append, zipf or bursty)", s.Kind)
 	}
